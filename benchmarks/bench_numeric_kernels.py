@@ -95,19 +95,28 @@ def bench_ring_passq_cp4(benchmark):
     benchmark(run)
 
 
+def _decode_shards(k_all, v_all, b, world):
+    """``b`` sequences' cached tokens dealt round-robin over ``world``
+    ranks, each rank's shard laid out the way ``RankKVCache.get`` hands it
+    to the ring: one run per sequence, positions ascending inside a run."""
+    t = k_all.shape[0]
+    seq_all = np.arange(t, dtype=np.int64) % b
+    pos_all = np.arange(t, dtype=np.int64) // b
+    kvs = []
+    for r in range(world):
+        idx = np.arange(r, t, world)
+        idx = idx[np.argsort(seq_all[idx], kind="stable")]
+        kvs.append(
+            ShardedKV(k=k_all[idx], v=v_all[idx], positions=pos_all[idx], seq_ids=seq_all[idx])
+        )
+    return kvs
+
+
 def bench_ring_decode_cp4(benchmark):
     """Batched pass-Q decode: 6 sequences' cached KV spread over 4 ranks
     (B=6, N=4 also pads two query slots — the shard-skip sweet spot)."""
     world, b = 4, 6
-    seq_all = np.arange(T, dtype=np.int64) % b
-    pos_all = np.arange(T, dtype=np.int64) // b
-    kvs = [
-        ShardedKV(
-            k=K[r::world], v=V[r::world],
-            positions=pos_all[r::world], seq_ids=seq_all[r::world],
-        )
-        for r in range(world)
-    ]
+    kvs = _decode_shards(K, V, b, world)
     batch = DecodeBatch(
         q=RNG.standard_normal((b, 8, 32)),
         positions=np.full(b, T // b, dtype=np.int64),
@@ -132,15 +141,7 @@ def bench_runtime_decode_hotloop(benchmark):
     rng = np.random.default_rng(7)
     k_all = rng.standard_normal((t, 2, 32))
     v_all = rng.standard_normal((t, 2, 32))
-    seq_all = np.arange(t, dtype=np.int64) % b
-    pos_all = np.arange(t, dtype=np.int64) // b
-    kvs = [
-        ShardedKV(
-            k=k_all[r::world], v=v_all[r::world],
-            positions=pos_all[r::world], seq_ids=seq_all[r::world],
-        )
-        for r in range(world)
-    ]
+    kvs = _decode_shards(k_all, v_all, b, world)
     batch = DecodeBatch(
         q=rng.standard_normal((b, 8, 32)),
         positions=np.full(b, t // b, dtype=np.int64),

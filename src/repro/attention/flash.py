@@ -18,17 +18,38 @@ for the reproduction:
   and merging them, again through the same recurrence.
 
 The kernel is a *fused grouped-head* implementation: Q is reshaped once to
-``[NKV, Tq * G, DH]`` (``G = NH / NKV`` query heads per KV head) and
-contracted directly against ``[Tk_blk, NKV, DH]`` KV blocks through batched
+``[NKV, R * G, DH]`` (``G = NH / NKV`` query heads per KV head) and
+contracted directly against ``[L_blk, NKV, DH]`` KV blocks through batched
 BLAS matmuls, so no per-block ``expand_kv_heads`` copy is ever
-materialized (the legacy ``fused=False`` expand path was retired once the
-fused kernel's equivalence was pinned; :mod:`repro.attention.reference`
-remains the independent full-materialization oracle). The ``[Tq, Tk]``
-permission mask is computed once per call and sliced per block; blocks
-whose mask slice is all-False are skipped outright (identity under the
-online-softmax recurrence), and within a block only the contiguous band of
-query rows with at least one visible key is computed — in causal full
-prefill this trims roughly half the score work.
+materialized (:mod:`repro.attention.reference` remains the independent
+full-materialization oracle). The permission mask is computed once per call
+and sliced per block; blocks whose mask slice is all-False are skipped
+outright (identity under the online-softmax recurrence), within a block
+only the contiguous band of query rows with at least one visible key is
+computed — in causal full prefill this trims roughly half the score work —
+and the first block a sweep touches is *assigned* into the empty running
+state instead of folded (the fold's identity case).
+
+**Varlen (sequence-segmented) sweep.** A fused batch — several sequences
+concatenated on the key side, as a rank's KV shard is — never lets a query
+see another sequence's keys, so a dense ``[Tq, Tk]`` sweep spends its time
+on blocks that straddle sequences and are almost entirely masked. Every
+tensor in the sweep therefore carries a leading *segment* axis ``S``:
+``[S, NKV, R * G, DH] x [S, NKV, DH, L_blk]``. When the key side holds one
+sequence (or ``mask_fn`` overrides the predicate, which has to see the
+whole call) the call *is* the one segment, ``S = 1``, under its full mask.
+When it holds two or more, query and key runs are paired by sequence id,
+gathered into padded ``[S, R_max]`` / ``[S, L_max]`` layouts, and the same
+sweep runs once over all pairs — work proportional to ``sum_i R_i * L_i``
+instead of ``Tq * sum_i L_i``, one pass of NumPy ops per call instead of
+one per straddling block. Padding slots and ``PAD_SEQ`` runs are simply
+masked, so rows with no visible key still come back ``O = 0, LSE = -inf``.
+Segments of very different size are not padded to the largest:
+:func:`_pad_groups` batches them under a deterministic cost rule (padded
+area at most twice the true area). The run structure arrives with the
+shards (``q_runs`` / ``k_runs``, the ``cu_seqlens`` that
+:class:`repro.core.sharding.ShardedKV` carries); a caller without it costs
+one scan, and an interleaved shard one stable sort.
 
 Knobs:
 
@@ -48,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attention.gqa import validate_gqa_shapes
-from repro.attention.masks import attention_mask
+from repro.attention.masks import PAD_SEQ, attention_mask, run_offsets
 from repro.attention.online_softmax import OnlineSoftmaxState
 
 #: Kernel-internal arithmetic dtype when ``compute_dtype`` is not given.
@@ -101,6 +122,8 @@ def flash_attention(
     mask_fn=None,
     compute_dtype=None,
     skip_masked_blocks: bool = True,
+    q_runs: np.ndarray | None = None,
+    k_runs: np.ndarray | None = None,
 ) -> AttentionResult:
     """Blocked exact GQA attention returning :class:`AttentionResult`.
 
@@ -116,11 +139,15 @@ def flash_attention(
             result is exact for any split count.
         mask_fn: optional mask override in absolute coordinates (see
             :func:`repro.attention.reference.reference_attention_with_lse`);
-            enables windowed/sink attention through the same kernel.
+            enables windowed/sink attention through the same kernel. The
+            override sees the whole call, so it is never segmented.
         compute_dtype: kernel arithmetic dtype (default ``float64``; the
             merge accumulation is always ``float64``).
         skip_masked_blocks: skip all-masked KV blocks and trim fully-masked
             query rows (default). Identical results either way.
+        q_runs, k_runs: ``cu_seqlens``-style offsets of the constant
+            ``q_seq`` / ``k_seq`` runs, as :class:`repro.core.sharding.ShardedKV`
+            carries them; found by one scan when omitted.
 
     Returns:
         Exact ``(O, LSE)`` for the full masked attention.
@@ -141,47 +168,160 @@ def flash_attention(
     k_pos = np.asarray(k_pos)
     if scale is None:
         scale = 1.0 / np.sqrt(dh)
-
-    # Hoisted out of the block loop: the full [Tq, Tk] permission mask
-    # (sliced per block below) and the grouped-head upcast of Q/K/V.
-    if mask_fn is not None:
-        mask = np.asarray(mask_fn(q_pos, k_pos, q_seq, k_seq), dtype=bool)
-        if mask.shape != (tq, tk):
-            raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
-    else:
-        mask = attention_mask(q_pos, k_pos, q_seq, k_seq, causal=causal)
-
     dtype = np.dtype(DEFAULT_COMPUTE_DTYPE if compute_dtype is None else compute_dtype)
+    sweep = (scale, block_size, num_kv_splits, skip_masked_blocks, dtype)
+
+    # Segmenting pays once the key side fuses >= 2 sequences; two offsets
+    # are one run, so the single-sequence call decides without a lookup.
+    k_side = None
+    if mask_fn is None and k_seq is not None and (k_runs is None or len(k_runs) > 2):
+        k_seq = np.asarray(k_seq)
+        k_side = _sequence_runs(k_seq, k_runs)
+    if k_side is None or len(k_side[2]) < 2:
+        # One segment: the whole call under its full [Tq, Tk] mask.
+        if mask_fn is not None:
+            mask = np.asarray(mask_fn(q_pos, k_pos, q_seq, k_seq), dtype=bool)
+            if mask.shape != (tq, tk):
+                raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
+        else:
+            mask = attention_mask(q_pos, k_pos, q_seq, k_seq, causal=causal)
+        out, lse = _attend(q[None], k[None], v[None], mask[None], *sweep)
+        return AttentionResult(out=out[0], lse=lse[0])
+
+    # The key side fuses several sequences: a query only ever sees its own
+    # sequence's keys, so pair the runs by sequence id and attend each pair
+    # as one segment of a padded batch.
+    q_seq = np.zeros(tq, dtype=np.int64) if q_seq is None else np.asarray(q_seq)
+    if q_pos.shape != q_seq.shape:
+        raise ValueError(f"q_pos {q_pos.shape} and q_seq {q_seq.shape} must match")
+    if k_pos.shape != k_seq.shape:
+        raise ValueError(f"k_pos {k_pos.shape} and k_seq {k_seq.shape} must match")
+    q_order, q_off, q_index = _sequence_runs(q_seq, q_runs)
+    k_order, k_off, k_index = k_side
+    pairs = [(run, k_index[sid]) for sid, run in q_index.items() if sid in k_index]
+    result = AttentionResult.empty(tq, nh, dh)
+    if not pairs:
+        return result
+    q_run, k_run = np.array(pairs).T
+    q_start, k_start = q_off[q_run], k_off[k_run]
+    rows, keys = q_off[q_run + 1] - q_start, k_off[k_run + 1] - k_start
+    for group in _pad_groups(rows, keys):
+        qi, q_valid = _padded_index(q_start[group], rows[group], q_order)
+        ki, k_valid = _padded_index(k_start[group], keys[group], k_order)
+        mask = q_valid[:, :, None] & k_valid[:, None, :]
+        if causal:
+            mask &= k_pos[ki][:, None, :] <= q_pos[qi][:, :, None]
+        out, lse = _attend(q[qi], k[ki], v[ki], mask, *sweep)
+        dest = qi[q_valid]
+        result.out[dest] = out[q_valid]
+        result.lse[dest] = lse[q_valid]
+    return result
+
+
+def _sequence_runs(seq: np.ndarray, runs: np.ndarray | None):
+    """Locate each non-pad sequence's tokens as one run of ``seq``.
+
+    Returns ``(order, offsets, index)``: sequence ``sid`` is tokens
+    ``order[offsets[i]:offsets[i + 1]]`` with ``i = index[sid]``; ``order``
+    is ``None`` (storage order) unless some sequence was split over several
+    runs — an interleaved shard — and a stable sort had to gather it.
+    """
+    order = None
+    offsets = run_offsets(seq) if runs is None else runs
+    ids = seq[offsets[:-1]].tolist()
+    index = dict(zip(ids, range(len(ids))))
+    pads = ids.count(PAD_SEQ)
+    if len(index) != len(ids) - pads + (pads > 0):
+        order = np.argsort(seq, kind="stable")
+        offsets = run_offsets(seq[order])
+        ids = seq[order[offsets[:-1]]].tolist()
+        index = dict(zip(ids, range(len(ids))))
+    index.pop(PAD_SEQ, None)
+    return order, offsets, index
+
+
+def _pad_groups(rows: np.ndarray, keys: np.ndarray) -> list:
+    """Partition segments into batches padded to a common ``[rows, keys]``.
+
+    Deterministic cost rule: a batch's padded area (segments x max rows x
+    max keys) stays within ``2x`` its true area, so one long sequence fused
+    with many short ones is swept on its own instead of padding the short
+    ones to its length. Segments are taken longest-keys first; each batch
+    grows greedily until the next segment would break the rule.
+    """
+    area = rows * keys
+    if len(rows) * rows.max() * keys.max() <= 2 * area.sum():
+        return [slice(None)]
+    groups, current = [], []
+    true = max_rows = max_keys = 0
+    for seg in np.lexsort((-rows, -keys)).tolist():
+        seg_rows, seg_area = int(rows[seg]), int(area[seg])
+        grown = (len(current) + 1) * max(max_rows, seg_rows) * max_keys
+        if current and grown > 2 * (true + seg_area):
+            groups.append(np.array(current))
+            current, true, max_rows = [], 0, 0
+        if not current:
+            max_keys = int(keys[seg])
+        current.append(seg)
+        true += seg_area
+        max_rows = max(max_rows, seg_rows)
+    groups.append(np.array(current))
+    return groups
+
+
+def _padded_index(starts: np.ndarray, lengths: np.ndarray, order: np.ndarray | None):
+    """``[S, max(lengths)]`` gather indices of ``S`` token runs plus their
+    validity mask; padding slots repeat each run's first token."""
+    lane = np.arange(lengths.max())
+    valid = lane < lengths[:, None]
+    index = starts[:, None] + np.where(valid, lane, 0)
+    return (index if order is None else order[index]), valid
+
+
+def _attend(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    mask: np.ndarray,
+    scale: float,
+    block_size: int,
+    num_kv_splits: int,
+    skip_masked_blocks: bool,
+    dtype: np.dtype,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attend ``S`` independent segments: ``q [S, R, NH, DH]`` against
+    ``k, v [S, L, NKV, DH]`` under ``mask [S, R, L]``; returns
+    ``(out [S, R, NH, DH], lse [S, R, NH])``."""
+    s, r, nh, dh = q.shape
+    length, nkv = k.shape[1], k.shape[2]
     g = nh // nkv
-    # One [Tq * G, DH] row-major matrix per KV head: row t*G + g' is query
-    # head nkv*G + g' of token t. Contracting this against [DH, Tk_blk] is
-    # the "indexing instead of copying" GQA layout — no expand_kv_heads.
+    # One [R * G, DH] row-major matrix per (segment, KV head): row t*G + g'
+    # is query head nkv*G + g' of token t. Contracting this against
+    # [DH, L_blk] is the "indexing instead of copying" GQA layout — no
+    # expand_kv_heads.
     qg = np.ascontiguousarray(
-        np.asarray(q, dtype=dtype).reshape(tq, nkv, g, dh).transpose(1, 0, 2, 3)
-    ).reshape(nkv, tq * g, dh)
-    kt = np.asarray(k, dtype=dtype).transpose(1, 2, 0)  # [NKV, DH, Tk]
-    vt = np.asarray(v, dtype=dtype).transpose(1, 0, 2)  # [NKV, Tk, DH]
+        np.asarray(q, dtype=dtype).reshape(s, r, nkv, g, dh).transpose(0, 2, 1, 3, 4)
+    ).reshape(s, nkv, r * g, dh)
+    kt = np.asarray(k, dtype=dtype).transpose(0, 2, 3, 1)  # [S, NKV, DH, L]
+    vt = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
 
     if num_kv_splits == 1:
-        return _fused_attend_range(
-            qg, kt, vt, mask, scale, block_size, 0, tk, skip_masked_blocks,
-            tq, nkv, g, dh, dtype,
+        return _sweep_range(
+            qg, kt, vt, mask, scale, block_size, 0, length, skip_masked_blocks, g, dtype
         )
-
-    split_edges = np.linspace(0, tk, num_kv_splits + 1, dtype=np.int64)
-    state = OnlineSoftmaxState(out_shape=(tq, nh, dh), lse_shape=(tq, nh))
+    split_edges = np.linspace(0, length, num_kv_splits + 1, dtype=np.int64)
+    state = OnlineSoftmaxState(out_shape=(s, r, nh, dh), lse_shape=(s, r, nh))
     for split in range(num_kv_splits):
         lo, hi = int(split_edges[split]), int(split_edges[split + 1])
-        partial = _fused_attend_range(
-            qg, kt, vt, mask, scale, block_size, lo, hi, skip_masked_blocks,
-            tq, nkv, g, dh, dtype,
+        state.update(
+            *_sweep_range(
+                qg, kt, vt, mask, scale, block_size, lo, hi, skip_masked_blocks, g, dtype
+            )
         )
-        state.update(partial.out, partial.lse)
-    out, lse = state.finalize()
-    return AttentionResult(out=out, lse=lse)
+    return state.finalize()
 
 
-def _fused_attend_range(
+def _sweep_range(
     qg: np.ndarray,
     kt: np.ndarray,
     vt: np.ndarray,
@@ -191,64 +331,66 @@ def _fused_attend_range(
     lo: int,
     hi: int,
     skip_masked_blocks: bool,
-    tq: int,
-    nkv: int,
     g: int,
-    dh: int,
     dtype: np.dtype,
-) -> AttentionResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Grouped-head online-softmax sweep over KV storage slice ``[lo, hi)``.
 
     Maintains the running ``(m, denom, acc)`` recurrence in the grouped
-    ``[NKV, Tq, G, ...]`` layout, folding each block in place over only the
-    visible query-row band; untouched rows receive the exact identity
+    ``[S, NKV, R, G, ...]`` layout, folding each block in place over only
+    the visible query-row band; untouched rows receive the exact identity
     update, so the result is bit-compatible with folding full-height
     partials through :class:`OnlineSoftmaxState`.
     """
     neg_inf = dtype.type(-np.inf)
     zero = dtype.type(0.0)
     one = dtype.type(1.0)
+    s, nkv, dh = qg.shape[0], qg.shape[1], qg.shape[3]
+    tq = mask.shape[1]
 
-    acc = np.zeros((nkv, tq, g, dh), dtype=np.float64)
-    m = np.full((nkv, tq, g), -np.inf, dtype=np.float64)
-    denom = np.zeros((nkv, tq, g), dtype=np.float64)
+    acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
+    m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
+    denom = np.zeros((s, nkv, tq, g), dtype=np.float64)
+    untouched = True
 
     for start in range(lo, hi, block_size):
         stop = min(start + block_size, hi)
-        mblk = mask[:, start:stop]
+        mblk = mask[:, :, start:stop]
         if skip_masked_blocks:
-            visible = mblk.any(axis=1)
+            visible = mblk.any(axis=(0, 2))
             if not visible.any():
                 continue  # all-masked block: identity under the recurrence
-            r0 = int(np.argmax(visible))
-            r1 = tq - int(np.argmax(visible[::-1]))
+            r0 = int(visible.argmax())
+            r1 = tq - int(visible[::-1].argmax())
         else:
             r0, r1 = 0, tq
         r = r1 - r0
-        s = stop - start
+        blk = stop - start
 
-        mb = mblk[r0:r1]
+        mb = mblk[:, r0:r1]
         fully_visible = bool(mb.all())
 
-        # scores[n, t, g', s] = q[t, n*G+g'] . k[s, n] * scale. The matmul
-        # output is owned by this block, so the masking / softmax chain
-        # below mutates it in place instead of allocating per step.
-        scores = np.matmul(qg[:, r0 * g : r1 * g, :], kt[:, :, start:stop])
+        # scores[s, n, t, g', j] = q[s, t, n*G+g'] . k[s, j, n] * scale. The
+        # matmul output is owned by this block, so the masking / softmax
+        # chain below mutates it in place instead of allocating per step.
+        scores = np.matmul(qg[:, :, r0 * g : r1 * g, :], kt[:, :, :, start:stop])
         scores *= scale
-        scores = scores.reshape(nkv, r, g, s)
+        scores = scores.reshape(s, nkv, r, g, blk)
         if not fully_visible:
-            np.copyto(scores, neg_inf, where=~mb[None, :, None, :])
+            np.copyto(scores, neg_inf, where=~mb[:, None, :, None, :])
 
         with np.errstate(invalid="ignore"):
             bm = np.max(scores, axis=-1, keepdims=True)
             # bm_safe is finite everywhere, so masked scores stay -inf after
             # the subtraction and exp maps them to exactly +0 — no re-zero
             # pass is needed.
-            bm_safe = bm if fully_visible else np.where(np.isneginf(bm), zero, bm)
+            bm_safe = bm if fully_visible else np.where(bm == neg_inf, zero, bm)
             scores -= bm_safe
             p = np.exp(scores, out=scores)
             bden = p.sum(axis=-1)
-            o = np.matmul(p.reshape(nkv, r * g, s), vt[:, start:stop, :]).reshape(nkv, r, g, dh)
+            o = np.matmul(
+                p.reshape(s, nkv, r * g, blk), vt[:, :, start:stop, :]
+            ).reshape(s, nkv, r, g, dh)
             if fully_visible:
                 o /= bden[..., None]
                 blse = bm[..., 0] + np.log(bden)
@@ -258,9 +400,17 @@ def _fused_attend_range(
                 np.copyto(o, zero, where=(bden == 0.0)[..., None])
                 blse = np.where(bden > 0, bm_safe[..., 0] + np.log(bden_safe), neg_inf)
 
+            acc_r, m_r, den_r = acc[:, :, r0:r1], m[:, :, r0:r1], denom[:, :, r0:r1]
+            if untouched:
+                # Folding into the empty state is assignment: the block's
+                # own (o, 1, lse), or the identity where no key was visible.
+                acc_r[...] = o
+                den_r[...] = blse > neg_inf
+                m_r[...] = blse
+                untouched = False
+                continue
             # In-place online-softmax fold over the visible row band —
             # identical math to OnlineSoftmaxState.update.
-            acc_r, m_r, den_r = acc[:, r0:r1], m[:, r0:r1], denom[:, r0:r1]
             new_m = np.maximum(m_r, blse)
             safe = np.where(np.isinf(new_m), 0.0, new_m)
             old_scale = np.exp(m_r - safe)
@@ -275,6 +425,6 @@ def _fused_attend_range(
         den_safe = np.where(denom == 0.0, 1.0, denom)
         out_g = np.where(denom[..., None] > 0, acc / den_safe[..., None], 0.0)
         lse_g = np.where(denom > 0, m + np.log(den_safe), -np.inf)
-    out = np.ascontiguousarray(out_g.transpose(1, 0, 2, 3)).reshape(tq, nkv * g, dh)
-    lse = np.ascontiguousarray(lse_g.transpose(1, 0, 2)).reshape(tq, nkv * g)
-    return AttentionResult(out=out, lse=lse)
+    out = np.ascontiguousarray(out_g.transpose(0, 2, 1, 3, 4)).reshape(s, tq, nkv * g, dh)
+    lse = np.ascontiguousarray(lse_g.transpose(0, 2, 1, 3)).reshape(s, tq, nkv * g)
+    return out, lse

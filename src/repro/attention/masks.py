@@ -94,6 +94,24 @@ def attention_mask(
     return mask
 
 
+def run_offsets(seq_ids: np.ndarray) -> np.ndarray:
+    """Offsets ``[S + 1]`` of the maximal constant runs of ``seq_ids``.
+
+    Run ``i`` is tokens ``[offsets[i], offsets[i + 1])``, all carrying
+    sequence id ``seq_ids[offsets[i]]`` — the ``cu_seqlens`` of a varlen
+    kernel. A fused shard stores each sequence as one run, so producers
+    that build shards run by run (the KV cache, the padding helpers) hand
+    these offsets over directly and this scan only serves shards assembled
+    some other way. An empty input has no runs: ``[0]``.
+    """
+    seq_ids = np.asarray(seq_ids)
+    n = seq_ids.shape[0]
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    cuts = np.flatnonzero(seq_ids[1:] != seq_ids[:-1]) + 1
+    return np.concatenate(([0], cuts, [n])).astype(np.int64, copy=False)
+
+
 def mask_fraction(mask: np.ndarray) -> float:
     """Fraction of allowed (query, key) pairs — useful for FLOP accounting.
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.heuristics import HeuristicConfig, RingAlgo
 from repro.core.planner import PrefillPlan, PrefillPlanner, SelectorKind
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode
+from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedQueries, shard_sequences
@@ -329,8 +329,6 @@ class ContextParallelEngine:
         positions = np.array([self.seq_lengths[sid] for sid in sids], dtype=np.int64)
         seq_arr = np.array(sids, dtype=np.int64)
 
-        from repro.core.ring_decode import round_robin_assignment
-
         assignment = round_robin_assignment(b, self.world_size, self.decode_steps)
         rank_slots = [np.nonzero(assignment == rank)[0] for rank in range(self.world_size)]
 
@@ -469,7 +467,7 @@ class ContextParallelEngine:
         """Start ``seq_id`` from ``donor_seq``'s first ``length`` tokens.
 
         Every rank's cache references the donor's KV below position
-        ``length`` (chunk arrays aliased, paged blocks refcount-shared —
+        ``length`` (slab heads borrowed, paged blocks refcount-shared —
         capacity is charged once), and the engine treats the new
         sequence as having ``length`` cached tokens: the next
         :meth:`prefill` of the remaining suffix is an ordinary partial
@@ -751,8 +749,6 @@ class ContextParallelEngine:
         Uses the current ``decode_steps`` counter, i.e. the round-robin
         offset the next :meth:`decode` call will actually use.
         """
-        from repro.core.ring_decode import round_robin_assignment
-
         sids = sorted(seq_ids)
         assignment = round_robin_assignment(len(sids), self.world_size, self.decode_steps)
         demands: list[dict[int, int]] = [{} for _ in range(self.world_size)]

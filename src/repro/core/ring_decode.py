@@ -74,6 +74,13 @@ def round_robin_assignment(batch_size: int, world_size: int, step: int) -> np.nd
     return (np.arange(batch_size, dtype=np.int64) + step) % world_size
 
 
+def _pad_rows(rows: np.ndarray, pad: int, fill) -> np.ndarray:
+    """``rows`` topped up with ``pad`` rows of ``fill`` (itself when full)."""
+    if pad == 0:
+        return rows
+    return np.concatenate([rows, np.full((pad,) + rows.shape[1:], fill, dtype=rows.dtype)])
+
+
 def ring_passq_decode(
     group: SimProcessGroup,
     kv_shards: list[ShardedKV],
@@ -134,13 +141,17 @@ def ring_passq_decode(
     for rank in range(n):
         slots = np.nonzero(assignment == rank)[0]
         pad = per_rank - slots.shape[0]
-        payload = {
-            "q": np.concatenate([batch.q[slots], np.zeros((pad, nh, dh))], axis=0),
-            "pos": np.concatenate([batch.positions[slots], np.zeros(pad, dtype=np.int64)]),
-            "seq": np.concatenate([batch.seq_ids[slots], np.full(pad, PAD_SEQ, dtype=np.int64)]),
-            "slots": np.concatenate([slots, np.full(pad, -1, dtype=np.int64)]),
-        }
-        local.append(payload)
+        local.append(
+            {
+                "q": _pad_rows(batch.q[slots], pad, 0.0),
+                "pos": _pad_rows(batch.positions[slots], pad, 0),
+                "seq": _pad_rows(batch.seq_ids[slots], pad, PAD_SEQ),
+                "slots": _pad_rows(slots, pad, -1),
+            }
+        )
+    # Every query row is its own sequence (pad rows included), so each
+    # payload's run structure is one row per run.
+    q_runs = np.arange(per_rank + 1)
 
     traveling = list(local)
     computed: list[dict[int, AttentionResult]] = [dict() for _ in range(n)]
@@ -149,8 +160,8 @@ def ring_passq_decode(
     # originating at rank s; the ring schedule recovers the origin later).
     skip = skip_masked_shards and mask_fn is None
     if skip:
-        q_summary = [query_reach(p["pos"], p["seq"]) for p in local]
-        k_summary = [kv_reach(kv.positions, kv.seq_ids) for kv in kv_shards]
+        q_summary = [query_reach(p["pos"], p["seq"], q_runs) for p in local]
+        k_summary = [kv_reach(kv.positions, kv.seq_ids, kv.runs) for kv in kv_shards]
 
     for j in range(n):
         for rank in range(n):
@@ -174,6 +185,8 @@ def ring_passq_decode(
                 num_kv_splits=num_kv_splits,
                 mask_fn=mask_fn,
                 compute_dtype=compute_dtype,
+                q_runs=q_runs,
+                k_runs=kv.runs,
             )
         if j < n - 1:
             traveling = group.ring_shift(traveling, step=j, tag="decode-passq")

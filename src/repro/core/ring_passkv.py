@@ -87,8 +87,8 @@ def ring_passkv_prefill(
     # the payload a rank holds at any later step.
     skip = skip_masked_shards and mask_fn is None
     if skip:
-        q_summary = [query_reach(qr.positions, qr.seq_ids) for qr in queries]
-        k_summary = [kv_reach(blk.positions, blk.seq_ids) for blk in blocks]
+        q_summary = [query_reach(qr.positions, qr.seq_ids, qr.runs) for qr in queries]
+        k_summary = [kv_reach(blk.positions, blk.seq_ids, blk.runs) for blk in blocks]
 
     partials: list[list[AttentionResult]] = [[] for _ in range(n)]
     for step in range(n):
@@ -116,6 +116,8 @@ def ring_passkv_prefill(
                         block_size=block_size,
                         mask_fn=mask_fn,
                         compute_dtype=compute_dtype,
+                        q_runs=queries[rank].runs,
+                        k_runs=blk.runs,
                     )
                 )
         if step < n - 1:

@@ -78,8 +78,8 @@ def ring_passq_prefill(
     # rank holds at step j back to its origin), KV shards never move.
     skip = skip_masked_shards and mask_fn is None
     if skip:
-        q_summary = [query_reach(p.positions, p.seq_ids) for p in padded]
-        k_summary = [kv_reach(kv.positions, kv.seq_ids) for kv in kv_shards]
+        q_summary = [query_reach(p.positions, p.seq_ids, p.runs) for p in padded]
+        k_summary = [kv_reach(kv.positions, kv.seq_ids, kv.runs) for kv in kv_shards]
 
     for step in range(n):
         for rank in range(n):
@@ -104,6 +104,8 @@ def ring_passq_prefill(
                 block_size=block_size,
                 mask_fn=mask_fn,
                 compute_dtype=compute_dtype,
+                q_runs=q.runs,
+                k_runs=kv.runs,
             )
         if step < n - 1:
             traveling = group.ring_shift(traveling, step=step, tag="passq")

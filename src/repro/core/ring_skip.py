@@ -28,40 +28,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attention.masks import PAD_SEQ
+from repro.attention.masks import PAD_SEQ, run_offsets
 
 
-def query_reach(positions: np.ndarray, seq_ids: np.ndarray | None) -> dict[int, int]:
+def query_reach(
+    positions: np.ndarray, seq_ids: np.ndarray | None, runs: np.ndarray | None = None
+) -> dict[int, int]:
     """Per-sequence maximum query position over non-pad tokens.
 
     Args:
         positions: ``[T]`` absolute positions.
         seq_ids: ``[T]`` sequence ids (``None`` = all sequence 0).
+        runs: offsets of the constant ``seq_ids`` runs, when the shard
+            carries them (:class:`repro.core.sharding.ShardedQueries`).
 
     Returns:
         ``{seq_id: max position}``; empty for an all-pad (or empty) shard.
     """
-    return _reach(positions, seq_ids, np.maximum)
+    return _reach(positions, seq_ids, runs, np.maximum)
 
 
-def kv_reach(positions: np.ndarray, seq_ids: np.ndarray | None) -> dict[int, int]:
+def kv_reach(
+    positions: np.ndarray, seq_ids: np.ndarray | None, runs: np.ndarray | None = None
+) -> dict[int, int]:
     """Per-sequence minimum key position over non-pad tokens (see above)."""
-    return _reach(positions, seq_ids, np.minimum)
+    return _reach(positions, seq_ids, runs, np.minimum)
 
 
-def _reach(positions: np.ndarray, seq_ids: np.ndarray | None, op) -> dict[int, int]:
+def _reach(positions, seq_ids, runs, op) -> dict[int, int]:
     positions = np.asarray(positions)
     if positions.size == 0:
         return {}
     if seq_ids is None:
-        seq_ids = np.zeros(positions.shape[0], dtype=np.int64)
+        return {0: int(op.reduce(positions))}
     seq_ids = np.asarray(seq_ids)
+    if runs is None:
+        # no run structure handed over: a stable sort makes one run per id
+        order = np.argsort(seq_ids, kind="stable")
+        seq_ids, positions = seq_ids[order], positions[order]
+        runs = run_offsets(seq_ids)
+    starts = runs[:-1]
     out: dict[int, int] = {}
-    for sid in np.unique(seq_ids):
-        if sid == PAD_SEQ:
-            continue
-        extreme = op.reduce(positions[seq_ids == sid])
-        out[int(sid)] = int(extreme)
+    for sid, extreme in zip(seq_ids[starts].tolist(), op.reduceat(positions, starts).tolist()):
+        if sid != PAD_SEQ:
+            # a sequence split over several runs folds them together
+            out[sid] = extreme if sid not in out else int(op(out[sid], extreme))
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attention.masks import PAD_SEQ
+from repro.attention.masks import PAD_SEQ, run_offsets
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,30 @@ class SequenceSpec:
         return self.new_tokens / self.total_tokens
 
 
+#: Field metadata: host-side bookkeeping every rank derives from the batch
+#: schedule, not tensor bytes on the CP wire (the process group's byte
+#: accounting skips it).
+_OFF_WIRE = {"wire": False}
+
+
 @dataclass
 class ShardedQueries:
-    """One rank's query-side tokens (projected Q plus coordinates)."""
+    """One rank's query-side tokens (projected Q plus coordinates).
+
+    ``runs`` are the ``cu_seqlens``-style offsets of the shard's
+    constant-``seq_ids`` runs (see :func:`repro.attention.masks.run_offsets`);
+    producers that assemble the shard run by run pass them, otherwise one
+    scan at construction finds them, so the kernel never has to.
+    """
 
     q: np.ndarray  # [n, NH, DH]
     positions: np.ndarray  # [n] absolute positions within each token's sequence
     seq_ids: np.ndarray  # [n]
+    runs: np.ndarray | None = field(default=None, metadata=_OFF_WIRE)  # [S + 1]
 
     def __post_init__(self) -> None:
         _validate_coords(self.q, self.positions, self.seq_ids)
+        self.runs = _validate_runs(self.runs, self.seq_ids)
 
     def __len__(self) -> int:
         return self.q.shape[0]
@@ -77,17 +91,22 @@ class ShardedQueries:
 
 @dataclass
 class ShardedKV:
-    """One rank's key/value tokens (cached plus freshly projected)."""
+    """One rank's key/value tokens (cached plus freshly projected).
+
+    ``runs``: as on :class:`ShardedQueries`.
+    """
 
     k: np.ndarray  # [n, NKV, DH]
     v: np.ndarray  # [n, NKV, DH]
     positions: np.ndarray  # [n]
     seq_ids: np.ndarray  # [n]
+    runs: np.ndarray | None = field(default=None, metadata=_OFF_WIRE)  # [S + 1]
 
     def __post_init__(self) -> None:
         if self.k.shape != self.v.shape:
             raise ValueError(f"k {self.k.shape} and v {self.v.shape} must match")
         _validate_coords(self.k, self.positions, self.seq_ids)
+        self.runs = _validate_runs(self.runs, self.seq_ids)
 
     def __len__(self) -> int:
         return self.k.shape[0]
@@ -121,6 +140,15 @@ def _validate_coords(x: np.ndarray, positions: np.ndarray, seq_ids: np.ndarray) 
         raise ValueError(
             f"coordinate shapes {positions.shape}/{seq_ids.shape} must be ({n},)"
         )
+
+
+def _validate_runs(runs: np.ndarray | None, seq_ids: np.ndarray) -> np.ndarray:
+    if runs is None:
+        return run_offsets(seq_ids)
+    runs = np.asarray(runs)
+    if runs.ndim != 1 or runs[0] != 0 or runs[-1] != seq_ids.shape[0]:
+        raise ValueError(f"run offsets {runs} do not span {seq_ids.shape[0]} tokens")
+    return runs
 
 
 # --------------------------------------------------------------------------- #
@@ -235,40 +263,57 @@ def pad_kv_shards(shards: list[ShardedKV]) -> tuple[list[ShardedKV], int]:
     """
     if not shards:
         raise ValueError("need at least one shard")
-    all_seq_ids = sorted(
-        set(int(s) for shard in shards for s in np.unique(shard.seq_ids) if s != PAD_SEQ)
-    )
     n_kv, dh = shards[0].k.shape[1], shards[0].k.shape[2]
 
-    per_seq_max: dict[int, int] = {}
-    for sid in all_seq_ids:
-        per_seq_max[sid] = max(int(np.count_nonzero(shard.seq_ids == sid)) for shard in shards)
+    # Storage spans of every non-pad sequence, read off each shard's runs
+    # (a sequence split over several runs keeps its storage order).
+    per_shard: list[dict[int, list[tuple[int, int]]]] = []
+    for shard in shards:
+        spans: dict[int, list[tuple[int, int]]] = {}
+        starts = shard.runs[:-1]
+        for sid, lo, hi in zip(
+            shard.seq_ids[starts].tolist(), starts.tolist(), shard.runs[1:].tolist()
+        ):
+            if sid != PAD_SEQ:
+                spans.setdefault(sid, []).append((lo, hi))
+        per_shard.append(spans)
+    all_seq_ids = sorted(set().union(*per_shard))
+    per_seq_max = {
+        sid: max(sum(hi - lo for lo, hi in spans.get(sid, ())) for spans in per_shard)
+        for sid in all_seq_ids
+    }
 
     padded: list[ShardedKV] = []
     pad_total = 0
-    for shard in shards:
-        pieces_k, pieces_v, pieces_pos, pieces_sid = [], [], [], []
+    for shard, spans in zip(shards, per_shard):
+        pieces_k, pieces_v, pieces_pos = [], [], []
+        run_ids, run_lens = [], []
         for sid in all_seq_ids:
-            idx = np.nonzero(shard.seq_ids == sid)[0]
-            want = per_seq_max[sid]
-            pad = want - idx.shape[0]
-            pad_total += pad
-            pieces_k.append(shard.k[idx])
-            pieces_v.append(shard.v[idx])
-            pieces_pos.append(shard.positions[idx])
-            pieces_sid.append(np.full(idx.shape[0], sid, dtype=np.int64))
+            have = 0
+            for lo, hi in spans.get(sid, ()):
+                pieces_k.append(shard.k[lo:hi])
+                pieces_v.append(shard.v[lo:hi])
+                pieces_pos.append(shard.positions[lo:hi])
+                have += hi - lo
+            if have:
+                run_ids.append(sid)
+                run_lens.append(have)
+            pad = per_seq_max[sid] - have
             if pad:
+                pad_total += pad
                 pieces_k.append(np.zeros((pad, n_kv, dh), dtype=shard.k.dtype))
                 pieces_v.append(np.zeros((pad, n_kv, dh), dtype=shard.v.dtype))
                 pieces_pos.append(np.zeros(pad, dtype=np.int64))
-                pieces_sid.append(np.full(pad, PAD_SEQ, dtype=np.int64))
+                run_ids.append(PAD_SEQ)
+                run_lens.append(pad)
         if pieces_k:
             padded.append(
                 ShardedKV(
                     k=np.concatenate(pieces_k, axis=0),
                     v=np.concatenate(pieces_v, axis=0),
                     positions=np.concatenate(pieces_pos),
-                    seq_ids=np.concatenate(pieces_sid),
+                    seq_ids=np.repeat(np.array(run_ids, dtype=np.int64), run_lens),
+                    runs=np.concatenate(([0], np.cumsum(run_lens))),
                 )
             )
         else:
@@ -304,6 +349,7 @@ def pad_query_shards(shards: list[ShardedQueries]) -> tuple[list[ShardedQueries]
                 q=np.concatenate([shard.q, np.zeros((pad, nh, dh), dtype=shard.q.dtype)], axis=0),
                 positions=np.concatenate([shard.positions, np.zeros(pad, dtype=np.int64)]),
                 seq_ids=np.concatenate([shard.seq_ids, np.full(pad, PAD_SEQ, dtype=np.int64)]),
+                runs=np.append(shard.runs, want),
             )
         )
     return padded, pad_total

@@ -7,15 +7,22 @@ and each collective returns the post-communication list. This is equivalent
 to an SPMD program synchronised at every collective — which is exactly the
 structure of the paper's ring algorithms (one SendRecv per ring step).
 
-Payloads are arbitrary nests of ``list`` / ``tuple`` / ``dict`` containing
-NumPy arrays. Byte accounting uses a configurable *logical* element size
-(default 2 bytes, bf16) rather than the arrays' in-memory float64, so traced
-traffic matches what the paper's wire format would carry.
+Payloads are arbitrary nests of ``list`` / ``tuple`` / ``dict`` / dataclass
+containing NumPy arrays. Byte accounting uses a configurable *logical*
+element size (default 2 bytes, bf16) rather than the arrays' in-memory
+float64, so traced traffic matches what the paper's wire format would carry;
+a dataclass field declared with ``metadata={"wire": False}`` is host-side
+bookkeeping and is not counted.
+
+A real network cannot alias buffers between ranks. The simulation keeps that
+guarantee without copying: a collective rebuilds the payload's containers,
+shares its arrays with the receiver and **freezes** them at send
+(``writeable = False``), so a rank that writes into a buffer it sent or
+received raises at the faulty line instead of silently corrupting its peer.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Any, Sequence
 
@@ -39,9 +46,29 @@ def payload_elements(payload: Any) -> int:
         return 1
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         return sum(
-            payload_elements(getattr(payload, f.name)) for f in dataclasses.fields(payload)
+            payload_elements(getattr(payload, f.name))
+            for f in dataclasses.fields(payload)
+            if f.metadata.get("wire", True)
         )
     raise TypeError(f"unsupported payload type {type(payload)!r}")
+
+
+def _deliver(payload: Any) -> Any:
+    """The receiver's side of a sent payload: fresh containers around the
+    sender's arrays, which are frozen so neither side can write them."""
+    if isinstance(payload, np.ndarray):
+        payload.flags.writeable = False
+        return payload
+    if isinstance(payload, (list, tuple)):
+        return type(payload)(_deliver(p) for p in payload)
+    if isinstance(payload, dict):
+        return {key: _deliver(value) for key, value in payload.items()}
+    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+        return dataclasses.replace(
+            payload,
+            **{f.name: _deliver(getattr(payload, f.name)) for f in dataclasses.fields(payload)},
+        )
+    return payload  # None and scalars are immutable
 
 
 class SimProcessGroup:
@@ -116,12 +143,11 @@ class SimProcessGroup:
 
         Every rank sends and receives simultaneously (full-duplex links), so
         the simulated duration of the step is the max single-message time.
-        Returns the received payloads, deep-copied to enforce no-aliasing
-        between ranks (a real network cannot alias buffers).
+        Returns the received payloads: the senders' arrays, frozen.
         """
         self._check_world(payloads)
         if self.world_size == 1:
-            return [copy.deepcopy(payloads[0])]
+            return [_deliver(payloads[0])]
         max_nbytes = max(self.payload_nbytes(p) for p in payloads)
         self.tracer.record(
             "sendrecv",
@@ -130,7 +156,7 @@ class SimProcessGroup:
             duration=self._xfer_time(max_nbytes),
             tag=tag,
         )
-        return [copy.deepcopy(payloads[(k - 1) % self.world_size]) for k in range(self.world_size)]
+        return [_deliver(payloads[(k - 1) % self.world_size]) for k in range(self.world_size)]
 
     def all_to_all(self, matrix: Sequence[Sequence[Any]], *, tag: str = "") -> list[list[Any]]:
         """All-to-all personalised exchange.
@@ -159,7 +185,7 @@ class SimProcessGroup:
                 tag=tag,
             )
         return [
-            [copy.deepcopy(matrix[src][dst]) for src in range(self.world_size)]
+            [_deliver(matrix[src][dst]) for src in range(self.world_size)]
             for dst in range(self.world_size)
         ]
 
@@ -179,8 +205,7 @@ class SimProcessGroup:
                 duration=(self.world_size - 1) * self._xfer_time(shard),
                 tag=tag,
             )
-        gathered = [copy.deepcopy(p) for p in payloads]
-        return [copy.deepcopy(gathered) for _ in range(self.world_size)]
+        return [[_deliver(p) for p in payloads] for _ in range(self.world_size)]
 
     def all_reduce_sum(self, arrays: Sequence[np.ndarray], *, tag: str = "") -> list[np.ndarray]:
         """Sum-reduce an array across ranks (ring AllReduce cost: 2(N-1)/N)."""

@@ -8,6 +8,16 @@ along with the tensors so ring attention can mask exactly regardless of how
 turns interleaved (the "load-balanced sharding for persistent KV cache"
 contribution of the paper).
 
+Storage is one **slab** per (layer, sequence): preallocated ``(k, v, pos)``
+arrays with a fill count, grown geometrically, so an append writes in place
+(amortised O(1)), a read is a view of the filled head, and a tail trim is a
+fill-count cut — a rank's tokens of one sequence are one contiguous range,
+the per-rank layout of a production paged cache. A slab is never
+overwritten under a reader: every view handed out (to :meth:`RankKVCache.get`
+or to a prefix borrower) is read-only and raises the slab's ``lent`` mark,
+and a write that would land below the mark — or into a borrowed, read-only
+slab — moves the writer to a fresh slab first (copy-on-write).
+
 Capacity is enforced through a shared :class:`repro.kvcache.paged.PagedAllocator`
 whose pool is sized from HBM bytes; exceeding it raises
 :class:`CacheCapacityError`, which the decode-balance tests use to show the
@@ -16,53 +26,72 @@ round-robin scheme postpones OOM versus pinning decode to one rank (§3.6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.core.sharding import ShardedKV
 from repro.kvcache.paged import OutOfBlocksError, PagedAllocator
+from repro.kvcache.quantized import QuantizedKV, dequantize_kv, quantize_kv
 
 
 class CacheCapacityError(RuntimeError):
     """A rank's KV pool overflowed."""
 
 
-@dataclass
 class _Stream:
-    """KV storage for one (layer, sequence) stream, chunk-appended.
+    """KV slab of one (layer, sequence) stream.
 
-    Chunks are either float arrays (dense mode) or
-    :class:`repro.kvcache.quantized.QuantizedKV` records (quantized mode);
-    ``pos_chunks`` always holds positions.
+    ``cols`` are parallel arrays over a leading capacity axis, positions
+    last: ``(k, v, pos)`` dense, ``(k_codes, v_codes, k_scales, v_scales,
+    pos)`` quantized. The first ``n`` rows are filled; ``lent`` is the
+    longest head of the current slab any outside view may cover.
     """
 
-    k_chunks: list = field(default_factory=list)
-    v_chunks: list = field(default_factory=list)
-    pos_chunks: list[np.ndarray] = field(default_factory=list)
+    __slots__ = ("cols", "n", "lent")
+
+    def __init__(self, cols: tuple[np.ndarray, ...] = (), n: int = 0):
+        self.cols = cols
+        self.n = n
+        self.lent = 0
 
     def tokens(self) -> int:
-        return sum(c.shape[0] for c in self.pos_chunks)
+        return self.n
 
+    def append(self, rows: tuple[np.ndarray, ...]) -> None:
+        """Write ``rows`` behind the filled head, in place when the slab is
+        private, has room, and no lent view covers the target rows."""
+        n, cols = self.n, self.cols
+        need = n + rows[-1].shape[0]
+        capacity = cols[-1].shape[0] if cols else 0
+        if need > capacity or n < self.lent or not cols[-1].flags.writeable:
+            size = max(need, 2 * capacity)
+            fresh = tuple(np.empty((size,) + r.shape[1:], dtype=r.dtype) for r in rows)
+            for new, old in zip(fresh, cols):
+                new[:n] = old[:n]
+            self.cols = cols = fresh
+            self.lent = 0
+        for col, r in zip(cols, rows):
+            col[n:need] = r
+        self.n = need
 
-def _mask_chunk(k, v, keep: np.ndarray, *, quantized: bool):
-    """Select ``keep`` rows of one KV chunk, dense or quantized.
+    def head(self, m: int | None = None) -> tuple[np.ndarray, ...]:
+        """Read-only views of the first ``m`` (default: all filled) rows."""
+        m = self.n if m is None else m
+        self.lent = max(self.lent, m)
+        views = tuple(col[:m] for col in self.cols)
+        for view in views:
+            view.flags.writeable = False
+        return views
 
-    Always materialises fresh arrays (never a view), so the source chunk
-    — possibly referenced by another stream via prefix sharing — is left
-    untouched: chunk-level copy-on-write.
-    """
-    if quantized:
-        from repro.kvcache.quantized import QuantizedKV
-
-        sliced = QuantizedKV(
-            k_codes=k.k_codes[keep],
-            v_codes=k.v_codes[keep],
-            k_scales=k.k_scales[keep],
-            v_scales=k.v_scales[keep],
-        )
-        return sliced, sliced
-    return k[keep], v[keep]
+    def count_below(self, bound: int) -> int:
+        """Tokens at position ``< bound``. Appends arrive in position order
+        (sharding, decode and imports all extend a sequence upwards), so
+        these are always a storage prefix — checked, since :meth:`head` and
+        the tail cut rely on it."""
+        below = self.cols[-1][: self.n] < bound
+        m = int(np.count_nonzero(below))
+        if not below[:m].all():
+            raise ValueError("stream positions are not append-ordered")
+        return m
 
 
 class RankKVCache:
@@ -146,18 +175,18 @@ class RankKVCache:
                 raise CacheCapacityError(str(exc)) from exc
         stream = self._streams.setdefault((layer, seq_id), _Stream())
         if self.quantized:
-            from repro.kvcache.quantized import quantize_kv
-
-            record = quantize_kv(k, v)
-            stream.k_chunks.append(record)
-            stream.v_chunks.append(record)
+            rec = quantize_kv(k, v)
+            stream.append((rec.k_codes, rec.v_codes, rec.k_scales, rec.v_scales, positions))
         else:
-            stream.k_chunks.append(k)
-            stream.v_chunks.append(v)
-        stream.pos_chunks.append(positions)
+            stream.append((k, v, positions))
 
     def get(self, layer: int, seq_ids: list[int] | None = None) -> ShardedKV:
         """Fused :class:`ShardedKV` view of this rank's cache at ``layer``.
+
+        One run per cached sequence, in ``seq_ids`` order, with the run
+        offsets attached. A single-sequence read returns read-only views
+        of the slab; a fused read copies each column once. Either way the
+        result never changes under a later append or trim.
 
         Args:
             layer: transformer layer.
@@ -166,30 +195,32 @@ class RankKVCache:
         self._check_layer(layer)
         if seq_ids is None:
             seq_ids = sorted({sid for (lyr, sid) in self._streams if lyr == layer})
-        ks, vs, ps, ss = [], [], [], []
+        sids, streams = [], []
         for sid in seq_ids:
             stream = self._streams.get((layer, sid))
-            if stream is None or not stream.k_chunks:
-                continue
-            n = stream.tokens()
-            if self.quantized:
-                from repro.kvcache.quantized import dequantize_kv
-
-                dk, dv = zip(*(dequantize_kv(rec) for rec in stream.k_chunks))
-                ks.append(np.concatenate(dk, axis=0))
-                vs.append(np.concatenate(dv, axis=0))
-            else:
-                ks.append(np.concatenate(stream.k_chunks, axis=0))
-                vs.append(np.concatenate(stream.v_chunks, axis=0))
-            ps.append(np.concatenate(stream.pos_chunks))
-            ss.append(np.full(n, sid, dtype=np.int64))
-        if not ks:
+            if stream is not None:
+                sids.append(sid)
+                streams.append(stream)
+        if not streams:
             return ShardedKV.empty(self.n_kv_heads, self.head_dim)
+        if len(streams) == 1:
+            cols = streams[0].head()  # zero-copy: read-only views of the slab
+        else:
+            cols = tuple(
+                np.concatenate([s.cols[i][: s.n] for s in streams], axis=0)
+                for i in range(len(streams[0].cols))
+            )
+        if self.quantized:
+            k, v = dequantize_kv(QuantizedKV(*cols[:4]))
+        else:
+            k, v = cols[:2]
+        lengths = [s.n for s in streams]
         return ShardedKV(
-            k=np.concatenate(ks, axis=0),
-            v=np.concatenate(vs, axis=0),
-            positions=np.concatenate(ps),
-            seq_ids=np.concatenate(ss),
+            k=k,
+            v=v,
+            positions=cols[-1],
+            seq_ids=np.repeat(np.array(sids, dtype=np.int64), lengths),
+            runs=np.concatenate(([0], np.cumsum(lengths))),
         )
 
     # ------------------------------------------------------------------ #
@@ -241,15 +272,15 @@ class RankKVCache:
     def share_prefix(self, src_seq: int, dst_seq: int, upto_pos: int) -> int:
         """Reference ``src_seq``'s cached KV below ``upto_pos`` as ``dst_seq``.
 
-        Prefix sharing: the destination stream is built from the *same*
-        chunk arrays the source stream holds (full chunks by reference —
-        chunks are append-only, so aliasing is safe; a chunk straddling
-        ``upto_pos`` is sliced into a fresh array), and the paged
+        Prefix sharing: the destination stream *borrows* the head of the
+        source's slab — read-only views, no bytes copied — and the paged
         allocator accounts the shared span once via block refcounts
-        (:meth:`repro.kvcache.paged.PagedAllocator.share`). Appends to
-        either stream never mutate shared state: new chunks extend only
-        the appending stream, and the allocator copy-on-write splits a
-        shared last block.
+        (:meth:`repro.kvcache.paged.PagedAllocator.share`). Neither stream
+        can disturb the other: the borrower's first write moves it to a
+        slab of its own, the donor appends behind the lent head, and a
+        donor trimmed to below it moves to a fresh slab before writing
+        again (the borrowers keep the old one); the allocator
+        copy-on-write splits a shared last block.
 
         Args:
             src_seq: resident donor sequence.
@@ -272,26 +303,10 @@ class RankKVCache:
             stream = self._streams.get((layer, src_seq))
             if stream is None:
                 continue
-            k_chunks, v_chunks, pos_chunks = [], [], []
-            n = 0
-            for k, v, pos in zip(stream.k_chunks, stream.v_chunks, stream.pos_chunks):
-                keep = pos < upto_pos
-                n_keep = int(keep.sum())
-                if n_keep == 0:
-                    continue
-                if n_keep == pos.size:
-                    k_chunks.append(k)
-                    v_chunks.append(v)
-                    pos_chunks.append(pos)
-                else:
-                    ks, vs = _mask_chunk(k, v, keep, quantized=self.quantized)
-                    k_chunks.append(ks)
-                    v_chunks.append(vs)
-                    pos_chunks.append(pos[keep])
-                n += n_keep
+            n = stream.count_below(upto_pos)
             if n == 0:
                 continue
-            self._streams[(layer, dst_seq)] = _Stream(k_chunks, v_chunks, pos_chunks)
+            self._streams[(layer, dst_seq)] = _Stream(stream.head(n), n)
             if layer == 0:
                 shared = n
         if shared and self._allocator is not None:
@@ -319,27 +334,12 @@ class RankKVCache:
             stream = self._streams.get((layer, seq_id))
             if stream is None:
                 continue
-            dropped = 0
-            k_chunks, v_chunks, pos_chunks = [], [], []
-            for k, v, pos in zip(stream.k_chunks, stream.v_chunks, stream.pos_chunks):
-                keep = pos < from_pos
-                n_keep = int(keep.sum())
-                dropped += pos.size - n_keep
-                if n_keep == pos.size:
-                    k_chunks.append(k)
-                    v_chunks.append(v)
-                    pos_chunks.append(pos)
-                elif n_keep > 0:
-                    ks, vs = _mask_chunk(k, v, keep, quantized=self.quantized)
-                    k_chunks.append(ks)
-                    v_chunks.append(vs)
-                    pos_chunks.append(pos[keep])
+            keep = stream.count_below(from_pos)
+            dropped = stream.n - keep
             if dropped == 0:
                 continue
-            if pos_chunks:
-                stream.k_chunks = k_chunks
-                stream.v_chunks = v_chunks
-                stream.pos_chunks = pos_chunks
+            if keep:
+                stream.n = keep
             else:
                 del self._streams[(layer, seq_id)]
             if layer == 0:

@@ -20,5 +20,5 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, *, eps: float = 1e-5) -> np.ndar
     weight = np.asarray(weight, dtype=np.float64)
     if x.ndim != 2 or weight.shape != (x.shape[-1],):
         raise ValueError(f"shapes: x{x.shape}, weight{weight.shape}")
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    rms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
     return x / rms * weight

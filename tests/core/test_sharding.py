@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attention.masks import PAD_SEQ
+from repro.attention.masks import PAD_SEQ, run_offsets
 from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
@@ -217,3 +217,89 @@ class TestShardContainers:
         assert len(cat) == 4
         with pytest.raises(ValueError):
             ShardedKV.concat([])
+
+
+class TestRunOffsets:
+    """Shards carry ``cu_seqlens``-style run offsets, so the kernel and the
+    skip predicate never rediscover the sequence structure per call."""
+
+    @staticmethod
+    def _is_run_structure(shard):
+        runs = shard.runs
+        assert runs[0] == 0 and runs[-1] == len(shard) and np.all(np.diff(runs) > 0)
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            assert len(set(shard.seq_ids[lo:hi].tolist())) == 1
+
+    def test_found_by_one_scan_when_not_handed_over(self):
+        seq = np.array([3, 3, PAD_SEQ, 7, 7, 7, 3], dtype=np.int64)
+        shard = ShardedKV(
+            k=np.zeros((7, 1, 2)), v=np.zeros((7, 1, 2)),
+            positions=np.arange(7, dtype=np.int64), seq_ids=seq,
+        )
+        np.testing.assert_array_equal(shard.runs, run_offsets(seq))
+        np.testing.assert_array_equal(shard.runs, [0, 2, 3, 6, 7])
+        np.testing.assert_array_equal(ShardedKV.empty(1, 2).runs, [0])
+
+    def test_padding_helpers_hand_them_over(self):
+        rng = np.random.default_rng(0)
+
+        def kv(counts):
+            seq = np.repeat(np.array(list(counts)), list(counts.values()))
+            n = seq.size
+            return ShardedKV(
+                k=rng.standard_normal((n, 1, 2)), v=rng.standard_normal((n, 1, 2)),
+                positions=np.arange(n, dtype=np.int64), seq_ids=seq.astype(np.int64),
+            )
+
+        padded, _ = pad_kv_shards([kv({0: 4, 1: 2}), kv({1: 5, 2: 1}), kv({})])
+        for shard in padded:
+            self._is_run_structure(shard)
+        queries = [
+            ShardedQueries(
+                q=np.ones((n, 2, 4)), positions=np.arange(n, dtype=np.int64),
+                seq_ids=np.repeat(np.arange(2), [n - 1, 1]).astype(np.int64),
+            )
+            for n in (4, 2)
+        ]
+        for shard in pad_query_shards(queries)[0]:
+            self._is_run_structure(shard)
+
+    def test_interleaved_sequence_pads_like_a_contiguous_one(self):
+        """A sequence split over several runs keeps its storage order."""
+        seq = np.array([0, 1, 0, 1, 1], dtype=np.int64)
+        pos = np.array([0, 0, 1, 1, 2], dtype=np.int64)
+        k = np.arange(5, dtype=np.float64).reshape(5, 1, 1)
+        mixed = ShardedKV(k=k, v=-k, positions=pos, seq_ids=seq)
+        other = ShardedKV(
+            k=np.zeros((1, 1, 1)), v=np.zeros((1, 1, 1)),
+            positions=np.zeros(1, dtype=np.int64), seq_ids=np.zeros(1, dtype=np.int64),
+        )
+        padded, pad_total = pad_kv_shards([mixed, other])
+        np.testing.assert_array_equal(padded[0].seq_ids, [0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(padded[0].k[:, 0, 0], [0, 2, 1, 3, 4])
+        np.testing.assert_array_equal(padded[1].seq_ids, [0, PAD_SEQ, PAD_SEQ, PAD_SEQ, PAD_SEQ])
+        assert pad_total == 4
+
+    def test_runs_are_not_wire_bytes(self):
+        from repro.distributed.process_group import payload_elements
+
+        shard = ShardedKV(
+            k=np.zeros((6, 2, 4)), v=np.zeros((6, 2, 4)),
+            positions=np.arange(6, dtype=np.int64),
+            seq_ids=np.repeat(np.arange(3), 2).astype(np.int64),
+        )
+        assert shard.runs.size == 4
+        assert payload_elements(shard) == 2 * 6 * 2 * 4 + 2 * 6
+
+    def test_reach_summaries_agree_with_and_without_runs(self):
+        from repro.core.ring_skip import kv_reach, query_reach
+
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            seq = np.repeat(rng.integers(PAD_SEQ, 4, 6), rng.integers(1, 5, 6)).astype(np.int64)
+            pos = rng.integers(0, 30, seq.size)
+            runs = run_offsets(seq)  # ids may repeat across runs
+            want_max = {int(s): int(pos[seq == s].max()) for s in set(seq.tolist()) - {PAD_SEQ}}
+            want_min = {int(s): int(pos[seq == s].min()) for s in set(seq.tolist()) - {PAD_SEQ}}
+            assert query_reach(pos, seq) == query_reach(pos, seq, runs) == want_max
+            assert kv_reach(pos, seq) == kv_reach(pos, seq, runs) == want_min

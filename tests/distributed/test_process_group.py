@@ -40,11 +40,26 @@ class TestRingShift:
             np.testing.assert_array_equal(shifted[k], payloads[(k - 1) % 4])
 
     def test_no_aliasing(self):
+        """Buffers are shared, not copied, and frozen at send: a write on
+        either side raises at the faulty line instead of reaching the peer."""
         g = SimProcessGroup(2)
-        payloads = [np.zeros(3), np.ones(3)]
+        payloads = [{"x": np.zeros(3)}, {"x": np.ones(3)}]
         shifted = g.ring_shift(payloads)
-        shifted[0][0] = 99.0
-        assert payloads[1][0] == 1.0  # sender's buffer untouched
+        assert shifted[0] is not payloads[1]  # containers are rebuilt
+        assert np.shares_memory(shifted[0]["x"], payloads[1]["x"])
+        with pytest.raises(ValueError, match="read-only"):
+            shifted[0]["x"][0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            payloads[1]["x"][0] = 99.0
+        assert payloads[1]["x"][0] == 1.0
+
+    def test_collectives_freeze_every_payload_array(self):
+        g = SimProcessGroup(2)
+        sent = [[(np.zeros(2), np.ones(2)) for _ in range(2)] for _ in range(2)]
+        received = g.all_to_all(sent)
+        gathered = g.all_gather([np.zeros(2), np.ones(2)])
+        for arr in (received[0][1][0], received[1][0][1], gathered[0][1], gathered[1][0]):
+            assert not arr.flags.writeable
 
     def test_singleton_world(self):
         g = SimProcessGroup(1)

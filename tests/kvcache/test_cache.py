@@ -114,17 +114,29 @@ class TestDropTail:
     def test_drops_positions_at_or_above_cutoff(self):
         cache = make_cache()
         for layer in range(2):
-            # interleaved positions, as ring sharding produces
-            cache.append(layer, 1, *kv_chunk(3, 1.0), np.array([0, 5, 2]))
-            cache.append(layer, 1, *kv_chunk(2, 2.0), np.array([7, 3]))
+            # a rank's early chunk, then its mirrored late chunk: gaps, but
+            # ascending — the order every producer appends in
+            cache.append(layer, 1, *kv_chunk(2, 1.0), np.array([0, 2]))
+            cache.append(layer, 1, *kv_chunk(3, 2.0), np.array([3, 5, 7]))
         freed = cache.drop_tail(1, from_pos=4)
         assert freed == 2  # positions 5 and 7 at layer 0
         for layer in range(2):
             got = cache.get(layer, [1])
-            assert sorted(got.positions.tolist()) == [0, 2, 3]
+            assert got.positions.tolist() == [0, 2, 3]
         # prefix values survive intact
         got = cache.get(0, [1])
-        assert got.k[got.positions.tolist().index(3), 0, 0] == 2.0
+        assert got.k[2, 0, 0] == 2.0
+
+    def test_out_of_order_stream_is_refused_at_the_cut(self):
+        """The tail cut is a fill-count cut, so it must see a stream whose
+        positions ascend; one that does not is an error, not a silent
+        mis-trim."""
+        cache = make_cache()
+        cache.append(0, 1, *kv_chunk(3), np.array([0, 5, 2]))
+        with pytest.raises(ValueError, match="append-ordered"):
+            cache.drop_tail(1, from_pos=4)
+        with pytest.raises(ValueError, match="append-ordered"):
+            cache.share_prefix(1, 2, 4)
 
     def test_whole_chunk_dropped(self):
         cache = make_cache()

@@ -1,4 +1,4 @@
-"""Unit tests: RankKVCache prefix sharing (chunk aliasing + accounting)."""
+"""Unit tests: RankKVCache prefix sharing (slab aliasing + accounting)."""
 
 import numpy as np
 import pytest
@@ -34,23 +34,23 @@ class TestSharePrefix:
             np.testing.assert_array_equal(dst.v, src.v[keep])
             assert set(dst.seq_ids) == {1}
 
-    def test_full_chunks_are_aliased_not_copied(self):
+    def test_shared_prefix_is_aliased_not_copied(self):
         cache = make_cache()
-        fill(cache, 0, np.arange(4))  # one whole chunk below the cut
+        fill(cache, 0, np.arange(4))
         fill(cache, 0, np.arange(4, 8))
         cache.share_prefix(0, 1, 4)
-        src_chunk = cache._streams[(0, 0)].k_chunks[0]
-        dst_chunk = cache._streams[(0, 1)].k_chunks[0]
-        assert dst_chunk is src_chunk
+        src, dst = cache.get(0, [0]), cache.get(0, [1])
+        assert np.shares_memory(dst.k, src.k)
+        assert np.shares_memory(dst.v, src.v)
 
-    def test_straddling_chunk_is_sliced_fresh(self):
+    def test_cut_inside_an_append_is_aliased_too(self):
         cache = make_cache()
         fill(cache, 0, np.arange(8))
         cache.share_prefix(0, 1, 5)
-        src_chunk = cache._streams[(0, 0)].k_chunks[0]
-        dst_chunk = cache._streams[(0, 1)].k_chunks[0]
-        assert dst_chunk is not src_chunk
-        assert dst_chunk.shape[0] == 5
+        src, dst = cache.get(0, [0]), cache.get(0, [1])
+        assert dst.k.shape[0] == 5
+        assert np.shares_memory(dst.k, src.k)
+        assert not dst.k.flags.writeable
 
     def test_allocator_accounts_shared_blocks_once(self):
         cache = make_cache(capacity_tokens=64, block_size=4)
