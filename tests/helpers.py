@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster import ReplicaFleet, make_router
+from repro.core.engine import ContextParallelEngine
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
+from repro.model.config import tiny_config
+from repro.model.llama import LlamaModel
+from repro.obs import RecordingTracer
+from repro.runtime import ContinuousBatchingRuntime, FaultPlan
 from repro.runtime.state import RequestState
+from repro.serving.scheduler import ChunkedPrefillPolicy
+from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.replay import submit_scripts_to_runtime
+
+#: Model every traced serving case runs (weights are read-only).
+TRACE_MODEL = LlamaModel(tiny_config(), seed=0)
 
 
 def assert_exact_vs_sequential(
@@ -150,3 +162,82 @@ def shard_varseq_full_prefill(
             )
             kvs.append(ShardedKV.empty(nkv, dh))
     return queries, kvs
+
+
+def trace_scripts(case):
+    """The conversations a traced serving ``case`` submits."""
+    gen = WorkloadGenerator(TRACE_MODEL.config.vocab_size, seed=case["seed"])
+    if case["shared"]:
+        return gen.shared_prefix_traffic(
+            n_system_prompts=2,
+            n_fewshot_variants=2,
+            conversations=case["sessions"],
+            system_tokens=24,
+            fewshot_tokens=8,
+            unique_range=(4, 12),
+            turns=case["turns"],
+            response_range=(2, 5),
+        )
+    return [
+        gen.conversation(
+            sid, turns=case["turns"], first_prompt=24,
+            followup_range=(4, 12), response_range=(2, 5),
+        )
+        for sid in range(case["sessions"])
+    ]
+
+
+def run_traced(case):
+    """Build fresh engines/clocks/tracer, run the case, return
+    ``(tracer, runtime_or_fleet, fleet_or_None, report)``.
+
+    ``case`` is a dict that fully determines the run: ``seed``,
+    ``n_replicas``, ``policy`` (routing), ``disaggregate``,
+    ``preemption``, ``prefix_cache``, ``chunk``, ``capacity``, ``think``,
+    ``shared``, ``sessions``, ``turns``, ``faults`` (``FaultPlan`` kwargs
+    or ``None``) and optionally ``order`` (prefill packing, default
+    ``"fifo"``).
+    """
+    plan = FaultPlan(**case["faults"]) if case["faults"] else None
+    tracer = RecordingTracer()
+
+    def make_runtime(replica_id=None):
+        rt_tracer = (
+            tracer if replica_id is None else tracer.scoped(replica=replica_id)
+        )
+        kwargs = dict(
+            policy=ChunkedPrefillPolicy(
+                chunk_tokens=case["chunk"],
+                max_tokens_per_round=2 * case["chunk"],
+                max_seqs_per_round=4,
+                order=case.get("order", "fifo"),
+            ),
+            preemption=case["preemption"],
+            prefix_cache=case["prefix_cache"],
+            faults=plan,
+            tracer=rt_tracer,
+        )
+        engine = ContextParallelEngine(
+            TRACE_MODEL, world_size=2, capacity_tokens=case["capacity"]
+        )
+        if case["disaggregate"]:
+            decode = ContextParallelEngine(
+                TRACE_MODEL, world_size=2, capacity_tokens=case["capacity"]
+            )
+            return ContinuousBatchingRuntime(engine, decode_engine=decode, **kwargs)
+        return ContinuousBatchingRuntime(engine, **kwargs)
+
+    if case["n_replicas"] == 1:
+        runtime = make_runtime()
+        fleet = None
+    else:
+        fleet = ReplicaFleet.build(
+            make_runtime,
+            case["n_replicas"],
+            router=make_router(case["policy"]),
+            tracer=tracer,
+        )
+        runtime = fleet
+    submit_scripts_to_runtime(runtime, trace_scripts(case), think_time_s=case["think"])
+    report = runtime.run(max_steps=200_000)
+    return tracer, runtime, fleet, report

@@ -19,17 +19,11 @@ The observability layer's two tier-1 invariants (PR 10):
   recorded.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ReplicaFleet, make_router
 from repro.cluster.router import ROUTING_POLICIES
-from repro.core.engine import ContextParallelEngine
-from repro.model.config import tiny_config
-from repro.model.llama import LlamaModel
 from repro.obs import (
-    RecordingTracer,
     dumps_jsonl,
     explain_ttft,
     format_explanation,
@@ -39,13 +33,9 @@ from repro.obs import (
     to_chrome,
     validate_chrome,
 )
-from repro.runtime import ContinuousBatchingRuntime, FaultPlan
-from repro.serving.scheduler import ChunkedPrefillPolicy
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.replay import submit_scripts_to_runtime
 
-MODEL = LlamaModel(tiny_config(), seed=0)
-VOCAB = MODEL.config.vocab_size
+from helpers import run_traced
+
 SETTINGS = dict(max_examples=8, deadline=None)
 
 
@@ -79,75 +69,6 @@ def trace_case(draw):
             deadline_s=draw(st.sampled_from([None, 25.0])),
         )
     return case
-
-
-def _scripts(case):
-    gen = WorkloadGenerator(VOCAB, seed=case["seed"])
-    if case["shared"]:
-        return gen.shared_prefix_traffic(
-            n_system_prompts=2,
-            n_fewshot_variants=2,
-            conversations=case["sessions"],
-            system_tokens=24,
-            fewshot_tokens=8,
-            unique_range=(4, 12),
-            turns=case["turns"],
-            response_range=(2, 5),
-        )
-    return [
-        gen.conversation(
-            sid, turns=case["turns"], first_prompt=24,
-            followup_range=(4, 12), response_range=(2, 5),
-        )
-        for sid in range(case["sessions"])
-    ]
-
-
-def run_traced(case):
-    """Build fresh engines/clocks/tracer, run the case, return
-    ``(tracer, runtime_or_fleet, fleet_or_None, report)``."""
-    plan = FaultPlan(**case["faults"]) if case["faults"] else None
-    tracer = RecordingTracer()
-
-    def make_runtime(replica_id=None):
-        rt_tracer = (
-            tracer if replica_id is None else tracer.scoped(replica=replica_id)
-        )
-        kwargs = dict(
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=case["chunk"],
-                max_tokens_per_round=2 * case["chunk"],
-                max_seqs_per_round=4,
-            ),
-            preemption=case["preemption"],
-            prefix_cache=case["prefix_cache"],
-            faults=plan,
-            tracer=rt_tracer,
-        )
-        engine = ContextParallelEngine(
-            MODEL, world_size=2, capacity_tokens=case["capacity"]
-        )
-        if case["disaggregate"]:
-            decode = ContextParallelEngine(
-                MODEL, world_size=2, capacity_tokens=case["capacity"]
-            )
-            return ContinuousBatchingRuntime(engine, decode_engine=decode, **kwargs)
-        return ContinuousBatchingRuntime(engine, **kwargs)
-
-    if case["n_replicas"] == 1:
-        runtime = make_runtime()
-        fleet = None
-    else:
-        fleet = ReplicaFleet.build(
-            make_runtime,
-            case["n_replicas"],
-            router=make_router(case["policy"]),
-            tracer=tracer,
-        )
-        runtime = fleet
-    submit_scripts_to_runtime(runtime, _scripts(case), think_time_s=case["think"])
-    report = runtime.run(max_steps=200_000)
-    return tracer, runtime, fleet, report
 
 
 class TestTraceDeterminism:
