@@ -9,25 +9,24 @@ capacity, the planner's pass-KV/pass-Q heuristic fires per chunk, and the
 :mod:`repro.runtime.clock` prices every engine round in simulated seconds
 for streaming TTFT/TTIT metrics.
 
-The runtime executes in one of two deployment shapes:
+Each role (``"prefill"``, ``"decode"``) maps to a
+:class:`repro.runtime.pool.Pool` (engine, simulated clock, holder set,
+host swap store); the deployment shape is how many distinct pools:
 
-- **Colocated** (default, one engine): the paper's standalone deployment.
-  Prefill rounds and decode rounds contend for the same pool, so chunked
-  prefill (§3.3's partial-prefill machinery repurposed as a scheduling
-  primitive) is what keeps long prompts from starving decode — at most
-  ``max_prefill_rounds_per_decode`` prefill rounds run between batched
-  decode rounds, and every decoded token still pays prefill interference.
-- **Disaggregated** (``decode_engine`` given): the architecture the paper
-  closes on (§4.3, citing DistServe and Mooncake) made executable. A
-  *prefill pool* runs chunked prefill only; a *decode pool* with its own
-  paged-KV capacity runs decode rounds only; a serialized
-  :class:`repro.runtime.transfer.KVTransferStream` moves each finished
-  prompt's committed KV blocks between them, priced by the clock's
-  bandwidth model and overlapped with compute on both sides. Each pool
-  advances its own simulated clock, so decode TTIT is interference-free —
-  the measurable claim the analytic
+- **Colocated** (default): both roles bind to *one* pool — the paper's
+  standalone deployment. Rounds of both kinds share its clock and
+  capacity, so every decoded token pays prefill interference, and there
+  is no wire.
+- **Disaggregated** (``decode_engine`` given; §4.3, citing DistServe and
+  Mooncake): two pools joined by a serialized, bandwidth-priced
+  :class:`repro.runtime.transfer.KVTransferStream`. Each pool advances
+  its own clock, so decode TTIT is interference-free — what
   :class:`repro.serving.simulator.ClusterServingSimulator` predicts and
   the "Disaggregated runtime" experiment checks.
+
+One ``step`` serves both (apply faults, land transfers, admit, swap in,
+wake idle pools, pick a round, run it, handle dead ends); only the wake
+and pick rules ask whether the roles share a pool.
 
 Scheduling model (event-driven, deterministic):
 
@@ -128,6 +127,7 @@ from repro.model.sampling import sample_greedy
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.clock import UnitStepClock
 from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.pool import Pool
 from repro.runtime.state import RequestRecord, RequestState, TurnRequest
 from repro.runtime.transfer import KVTransferStream
 from repro.serving.metrics import ServingMetrics
@@ -138,7 +138,8 @@ from repro.workloads.generator import ConversationScript
 #: States in which a request occupies (or is about to occupy) engine KV.
 _ACTIVE_STATES = (RequestState.PREFILL, RequestState.KV_TRANSFER, RequestState.DECODE)
 
-#: Pool names (metrics keys and internal routing).
+#: Pool roles: metrics keys, trace labels, and the keys of the runtime's
+#: role -> :class:`Pool` map.
 POOL_PREFILL = "prefill"
 POOL_DECODE = "decode"
 
@@ -319,6 +320,16 @@ class ContinuousBatchingRuntime:
         self.engine = engine
         self.decode_engine = decode_engine if decode_engine is not None else engine
         self.disaggregated = self.decode_engine is not engine
+        prefill = Pool(engine)
+        decode = Pool(self.decode_engine) if self.disaggregated else prefill
+        # role -> Pool. A colocated deployment binds both roles to ONE
+        # pool, so whatever looks a pool up by role is shape-agnostic and
+        # a test like ``pool is self._pools[POOL_PREFILL]`` is true
+        # colocated by construction
+        self._pools: dict[str, Pool] = {POOL_PREFILL: prefill, POOL_DECODE: decode}
+        # each distinct pool once, under the first role that names it
+        # (fault resets, sanitizers, audits, failure diagnostics)
+        self._distinct_pools = dict(self._pools) if self.disaggregated else {POOL_PREFILL: prefill}
         self.policy = policy if policy is not None else ChunkedPrefillPolicy(
             chunk_tokens=512, max_tokens_per_round=2048, max_seqs_per_round=8
         )
@@ -338,13 +349,7 @@ class ContinuousBatchingRuntime:
         self.swap_capacity_tokens = swap_capacity_tokens
         self.faults = faults
         self._injector = (
-            FaultInjector(
-                faults,
-                pools=(POOL_PREFILL, POOL_DECODE)
-                if self.disaggregated
-                else (POOL_PREFILL,),
-                tracer=self.tracer,
-            )
+            FaultInjector(faults, pools=tuple(self._distinct_pools), tracer=self.tracer)
             if faults is not None and faults.active
             else None
         )
@@ -352,18 +357,10 @@ class ContinuousBatchingRuntime:
         # fresh streams are admitted and where shared blocks save both
         # capacity and prefill compute
         self.prefix_index = self.engine.enable_prefix_cache() if prefix_cache else None
-        # host-side KV store per pool (swap remedy): {seq_id: KVExport};
-        # colocated runtimes canonicalize onto the prefill-pool slot
-        self._swap_store: dict[str, dict[int, object]] = {
-            POOL_PREFILL: {},
-            POOL_DECODE: {},
-        }
-        self._swap_used: dict[str, int] = {POOL_PREFILL: 0, POOL_DECODE: 0}
-        # requests whose KV sits in the host store, FCFS by (arrival, rid)
+        # requests whose KV sits in a pool's host store (swap remedy), FCFS
+        # by (arrival, rid), with the role they were evicted under
         self._swap_wait: list[tuple[tuple[float, int], int, str]] = []
 
-        self._t_prefill = 0.0
-        self._t_decode = 0.0
         self.metrics = ServingMetrics()
         self.prefill_rounds = 0
         self.decode_rounds = 0
@@ -379,10 +376,6 @@ class ContinuousBatchingRuntime:
         self._live: set[int] = set()  # rids not yet FINISHED
         self._decoding: set[int] = set()  # rids in DECODE state
         self._waiting: set[int] = set()  # seq_ids whose chain head is QUEUED
-        # seq_ids with tokens in each pool's KV; colocated mode aliases the
-        # two names to ONE set (a single pool holds everything)
-        self._holders_prefill: set[int] = set()
-        self._holders_decode: set[int] = self._holders_prefill if not self.disaggregated else set()
 
         # shadow-state sanitizer (opt-in): validates every allocator and
         # engine lifecycle op against an independent model, then checks
@@ -391,14 +384,13 @@ class ContinuousBatchingRuntime:
         if sanitize:
             from repro.analysis.sanitizer import attach_sanitizer
 
-            self.sanitizers.append(attach_sanitizer(self.engine))
-            if self.disaggregated:
-                self.sanitizers.append(attach_sanitizer(self.decode_engine))
+            for pool in self._distinct_pools.values():
+                self.sanitizers.append(attach_sanitizer(pool.engine))
 
     @property
     def now(self) -> float:
-        """Simulated time: the later of the pool clocks (equal colocated)."""
-        return max(self._t_prefill, self._t_decode)
+        """Simulated time: the latest pool clock."""
+        return max(self._pools[POOL_PREFILL].t, self._pools[POOL_DECODE].t)
 
     # ------------------------------------------------------------------ #
     # submission
@@ -473,87 +465,44 @@ class ContinuousBatchingRuntime:
 
     def step(self) -> bool:
         """Execute one engine round (or advance a clock to the next
-        event). Returns ``True`` while unfinished requests remain."""
+        event). Returns ``True`` while unfinished requests remain.
+
+        One scheduling decision, in shared stages: apply due faults, land
+        due transfers, admit arrivals, swap host-stored KV back in, wake
+        idle pools up to their next enabling event, pick which role runs,
+        run its round, and handle the dead ends.
+        """
         if not self._any_live():
             return False
         if self._injector is not None:
             self._apply_faults()
             if not self._any_live():
                 return False
-        if self.disaggregated:
-            return self._step_disaggregated()
-        self._admit()
-        self._swap_in_ready()
-        if not self._prefill_queue and not self._decoders():
-            nxt = self._next_arrival()
-            if nxt is None:
-                # every live request is swap-blocked waiting on capacity
-                # held by older work that no longer exists; fall back to
-                # chunked recompute so the run drains. (The other dead
-                # end — a payload too large for even an emptied pool —
-                # already spilled inside _swap_in_ready.)
-                spilled = self._spill_oldest_swapped()
-                assert spilled, "live requests but nothing runnable or arriving"
-            else:
-                self._t_prefill = self._t_decode = max(self.now, nxt)
-                self._admit()
-                self._swap_in_ready()
-
-        decoders = self._decoders()
-        want_decode = decoders and (
-            not self._prefill_queue
-            or self._prefill_streak >= self.max_prefill_rounds_per_decode
-        )
-        if not want_decode and self._prefill_queue:
-            if self._prefill_round():
-                self._prefill_streak += 1
-                return self._any_live()
-            decoders = self._decoders()  # fit loop may have preempted some
-            if not decoders:
-                rid = self._prefill_queue[0][1]
-                raise RuntimeError(
-                    f"KV capacity exhausted: request {rid} cannot prefill even "
-                    "one token after evicting every eligible victim"
-                )
-        if decoders:
-            self._decode_round(decoders)
-            self._prefill_streak = 0
-        return self._any_live()
-
-    def _step_disaggregated(self) -> bool:
-        """One scheduling decision across the two pools.
-
-        Each pool has its own clock; a step lands due transfers, wakes an
-        idle pool up to its next enabling event, then runs one round on
-        whichever runnable pool is further behind in simulated time (ties
-        go to prefill). The decode pool's idle time spent waiting for KV
-        on the wire is recorded as transfer stall.
-        """
         progressed = self._land_transfers()
         self._admit()
         if self._swap_in_ready():
             progressed = True
-        if not self._ready_prefill_entries():
-            nxt = self._next_prefill_event()
-            if nxt is not None:
-                # running decodes / in-flight transfers / pending swap-ins
-                # may still create *earlier* prefill work (follow-up
-                # turns, evictions), so an idle prefill clock may only
-                # catch up to the decode clock — never jump past it —
-                # until pool B drains too
-                if self._decoding or self._swap_wait or self.transfer_stream.in_flight():
-                    nxt = min(nxt, self._t_decode)
-                if nxt > self._t_prefill:
-                    self._t_prefill = nxt
-                    self._admit()
-                    progressed = True
-        if not self._decoding and self._advance_decode_to_wire():
+        if self._wake_idle_pools():
             progressed = True
-
         ready = self._ready_prefill_entries()
+        if not (progressed or ready or self._decoding):
+            # every live request is swap-blocked waiting on capacity held
+            # by older work that no longer exists; fall back to chunked
+            # recompute so the run drains. (The other dead end — a payload
+            # too large for even an emptied pool — already spilled inside
+            # _swap_in_ready.)
+            if not self._spill_oldest_swapped():
+                raise self._wedged(
+                    "runtime stalled: live requests but no runnable rounds, "
+                    "arrivals, or admissible KV transfers (decode pool too "
+                    "small for an in-flight context?)"
+                )
+            ready = self._ready_prefill_entries()
+
         decoders = self._decoders()
-        if ready and (not decoders or self._t_prefill <= self._t_decode):
-            if self._prefill_round():
+        if ready and self._prefill_goes_first(decoders):
+            if self._prefill_round(ready):
+                self._prefill_streak += 1
                 return self._any_live()
             decoders = self._decoders()  # fit loop may have preempted some
             if not decoders:
@@ -565,52 +514,110 @@ class ContinuousBatchingRuntime:
                         return self._any_live()
                     if not self._advance_decode_to_wire():
                         break
-                rid = ready[0][1]
-                raise RuntimeError(
-                    f"prefill-pool KV capacity exhausted: request {rid} cannot "
+                raise self._wedged(
+                    f"KV capacity exhausted: request {ready[0][1]} cannot "
                     "prefill even one token after evicting every eligible victim"
                 )
         if decoders:
             self._decode_round(decoders)
-            return self._any_live()
-        if not progressed and not ready:
-            if self._spill_oldest_swapped():
-                return self._any_live()
-            raise RuntimeError(
-                "runtime stalled: live requests but no runnable rounds, "
-                "arrivals, or admissible KV transfers (decode pool too small "
-                "for an in-flight context?)"
-            )
+            self._prefill_streak = 0
         return self._any_live()
 
+    def _wake_idle_pools(self) -> bool:
+        """Advance idle pool clocks to their next enabling event.
+
+        Shape-dependent rule 1 of 2. A shared pool is idle only when
+        *nothing* is runnable, and then the next arrival is the only
+        event left to wait for. Separate pools idle independently: the
+        prefill pool wakes to its next runnable entry, the decode pool to
+        the next payload on the wire (that wait is transfer stall).
+        """
+        prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
+        if prefill is decode:
+            if self._prefill_queue or self._decoding:
+                return False
+            nxt = self._next_prefill_event()
+            if nxt is None:
+                return False
+            prefill.t = max(prefill.t, nxt)
+            self._admit()
+            self._swap_in_ready()
+            return True
+        woke = False
+        if not self._ready_prefill_entries():
+            nxt = self._next_prefill_event()
+            if nxt is not None:
+                # running decodes / in-flight transfers / pending swap-ins
+                # may still create *earlier* prefill work (follow-up
+                # turns, evictions), so an idle prefill clock may only
+                # catch up to the decode clock — never jump past it —
+                # until the decode pool drains too
+                if self._decoding or self._swap_wait or self.transfer_stream.in_flight():
+                    nxt = min(nxt, decode.t)
+                if nxt > prefill.t:
+                    prefill.t = nxt
+                    self._admit()
+                    woke = True
+        if not self._decoding and self._advance_decode_to_wire():
+            woke = True
+        return woke
+
+    def _prefill_goes_first(self, decoders: list[RequestRecord]) -> bool:
+        """Whether ready prefill work runs before the waiting decoders.
+
+        Shape-dependent rule 2 of 2. On a shared pool the two contend, so
+        prefill is rationed: at most ``max_prefill_rounds_per_decode``
+        rounds between decode rounds. Separate pools run concurrently;
+        the event loop just advances whichever clock is behind (ties go
+        to prefill).
+        """
+        if not decoders:
+            return True
+        prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
+        if prefill is decode:
+            return self._prefill_streak < self.max_prefill_rounds_per_decode
+        return prefill.t <= decode.t
+
+    def _wedged(self, message: str) -> RuntimeError:
+        """The error for a run that cannot make progress, carrying the
+        evidence: requests per state and each pool's clock, holders and
+        KV occupancy."""
+        pools = "; ".join(
+            f"{role} pool: {pool.describe()}"
+            for role, pool in self._distinct_pools.items()
+        )
+        return RuntimeError(f"{message} [states: {self.state_counts()}; {pools}]")
+
     def _advance_decode_to_wire(self) -> bool:
-        """Jump the idle decode clock to the next transfer arrival.
+        """Jump the idle decode clock to the next transfer arrival
+        (``False`` when nothing is on the wire — always, colocated).
 
         Only the wire-bound share of the jump counts as transfer stall:
         idle time that elapsed before the payload even started streaming
         (think time, prefill) is the workload's, not the channel's.
         """
-        pending = [
-            t for t in self.transfer_stream.in_flight() if t.finish > self._t_decode
-        ]
+        if self.transfer_stream is None:
+            return False
+        decode = self._pools[POOL_DECODE]
+        pending = [t for t in self.transfer_stream.in_flight() if t.finish > decode.t]
         if not pending:
             return False
         # target the earliest finish still ahead of the clock, so a due
         # payload the pool keeps refusing never blocks reaching later ones
         nxt = min(pending, key=lambda t: (t.finish, t.request_id))
-        stall = nxt.finish - max(self._t_decode, nxt.start)
+        stall = nxt.finish - max(decode.t, nxt.start)
         if stall > 0:
             self.metrics.record_transfer_stall(stall)
             if self.tracer.enabled:
                 self.tracer.span(
                     "transfer_stall",
-                    max(self._t_decode, nxt.start),
+                    max(decode.t, nxt.start),
                     stall,
                     pool=POOL_DECODE,
                     request_id=nxt.request_id,
                     seq_id=nxt.seq_id,
                 )
-        self._t_decode = nxt.finish
+        decode.t = nxt.finish
         return True
 
     def report(self) -> RuntimeReport:
@@ -627,31 +634,32 @@ class ContinuousBatchingRuntime:
     # pool routing
     # ------------------------------------------------------------------ #
 
-    def _pool_engine(self, pool: str) -> ContextParallelEngine:
-        return self.engine if pool == POOL_PREFILL else self.decode_engine
-
-    def _pool_holders(self, pool: str) -> set[int]:
-        return self._holders_prefill if pool == POOL_PREFILL else self._holders_decode
-
-    def _pool_of(self, rec: RequestRecord) -> str:
-        """Which pool holds an active request's KV."""
+    def _role_of(self, rec: RequestRecord) -> str:
+        """The role under which an active request's KV is held."""
         return POOL_DECODE if rec.state is RequestState.DECODE else POOL_PREFILL
 
-    def _note_kv_occupancy(self, pool: str) -> None:
+    def _note_kv_occupancy(self, role: str) -> None:
         """Sample a pool's claimed KV fraction for the peak metric."""
-        frac = self._pool_engine(pool).kv_utilization()
+        frac = self._pools[role].engine.kv_utilization()
         if frac is not None:
-            self.metrics.record_kv_occupancy(pool, frac)
+            self.metrics.record_kv_occupancy(role, frac)
 
     # ------------------------------------------------------------------ #
     # admission
     # ------------------------------------------------------------------ #
 
     def _admit(self) -> None:
-        """Move eligible chain-head turns into the prefill FIFO."""
+        """Move eligible chain-head turns into the prefill FIFO.
+
+        Conversations *reside* where the decode role runs; the prefill
+        role (re)computes whatever of the committed history its own pool
+        does not hold. Colocated those are the same pool, so a follow-up
+        turn simply extends its resident KV.
+        """
+        prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
         for seq_id in sorted(self._waiting):
             rec = self._records[self._chains[seq_id][0]]
-            if rec.request.arrival > self._t_prefill:
+            if rec.request.arrival > prefill.t:
                 continue
             if (
                 self.faults is not None
@@ -662,12 +670,12 @@ class ContinuousBatchingRuntime:
                 # rejecting at admission costs nothing yet; the rest of
                 # the conversation cascades because its turns can never
                 # run without this one's tokens
-                self._shed_chain(rec, status=RequestState.SHED, at=self._t_prefill)
+                self._shed_chain(rec, status=RequestState.SHED, at=prefill.t)
                 continue
             self._waiting.discard(seq_id)
             rec.state = RequestState.PREFILL
             rec.ready_at = max(rec.ready_at, rec.request.arrival)
-            rec.admitted_at = max(self._t_prefill, rec.ready_at)
+            rec.admitted_at = max(prefill.t, rec.ready_at)
             if self.tracer.enabled:
                 self.tracer.instant(
                     "admit",
@@ -677,59 +685,32 @@ class ContinuousBatchingRuntime:
                     pool=POOL_PREFILL,
                     arrival=rec.request.arrival,
                 )
-            if self.disaggregated:
-                # conversations reside in the decode pool; the prefill pool
-                # recomputes the full committed history each turn and ships
-                # only the positions the decode pool lacks
-                rec.cached_at_start = self.decode_engine.context_length(seq_id)
-                history = self._turn_history[seq_id]
-                if history:
-                    rec.pending_input = np.asarray(
-                        history + list(rec.request.prompt), dtype=np.int64
-                    )
-                if self.prefix_index is not None:
-                    self._drop_stale_resident(rec)
-                    resident = self.engine.context_length(seq_id)
-                    if resident:
-                        # the prefill-pool copy retained after the last
-                        # transfer covers a prefix of this turn's input:
-                        # recompute starts where it ends instead of at 0
-                        rec.prefill_done = resident
-                    else:
-                        self._match_shared_prefix(rec)
-            else:
-                store = self._swap_store[POOL_PREFILL]
-                history = self._turn_history[seq_id]
-                if seq_id in store:
-                    # the idle conversation's resident KV was swapped to
-                    # the host store between turns: restore it (priced at
-                    # PCIe cost, no recompute) before this turn's prefill
-                    # extends it
-                    cached = store[seq_id].tokens
-                    rec.cached_at_start = cached
-                    rec.pending_input = np.asarray(
-                        history + list(rec.request.prompt), dtype=np.int64
-                    )
-                    rec.prefill_done = cached
-                    rec.swapped_from = RequestState.PREFILL
-                    rec.state = RequestState.SWAPPED
-                    self._swap_wait.append(
-                        ((rec.request.arrival, rec.request_id), rec.request_id, POOL_PREFILL)
-                    )
-                    continue
-                if self.prefix_index is not None:
-                    self._drop_stale_resident(rec)
-                rec.cached_at_start = self.engine.context_length(seq_id)
-                if rec.cached_at_start < len(history):
-                    # the idle conversation was evicted (or tail-trimmed)
-                    # between turns: fold the committed history back in and
-                    # resume the prefill from the resident prefix
-                    rec.pending_input = np.asarray(
-                        history + list(rec.request.prompt), dtype=np.int64
-                    )
-                    rec.prefill_done = rec.cached_at_start
-                if self.prefix_index is not None and rec.cached_at_start == 0:
-                    self._match_shared_prefix(rec)
+            history = self._turn_history[seq_id]
+            if history:
+                rec.pending_input = np.asarray(
+                    history + list(rec.request.prompt), dtype=np.int64
+                )
+            if seq_id in prefill.store:
+                # the idle conversation's resident KV was swapped to the
+                # host store between turns: restore it (priced at PCIe
+                # cost, no recompute) before this turn's prefill extends it
+                rec.cached_at_start = rec.prefill_done = prefill.store[seq_id].tokens
+                rec.swapped_from = RequestState.PREFILL
+                rec.state = RequestState.SWAPPED
+                self._swap_wait.append(
+                    ((rec.request.arrival, rec.request_id), rec.request_id, POOL_PREFILL)
+                )
+                continue
+            if self.prefix_index is not None:
+                self._drop_stale_resident(rec)
+            # resume from whatever prefix of the history the prefill pool
+            # still holds: all of it for a colocated follow-up turn, a copy
+            # retained as a prefix-cache donor after the last transfer, or
+            # what an eviction or tail-trim between turns left behind
+            rec.prefill_done = prefill.engine.context_length(seq_id)
+            if self.prefix_index is not None and rec.prefill_done == 0:
+                self._match_shared_prefix(rec)
+            rec.cached_at_start = decode.engine.context_length(seq_id)
             self._enqueue_prefill(rec)
 
     def _enqueue_prefill(self, rec: RequestRecord) -> None:
@@ -739,10 +720,11 @@ class ContinuousBatchingRuntime:
     def _ready_prefill_entries(self) -> list[tuple[tuple[float, int], int]]:
         """FIFO entries allowed to occupy a prefill round at the current
         prefill-pool time (``ready_at`` keeps pool clocks causal)."""
+        now = self._pools[POOL_PREFILL].t
         return [
             (key, rid)
             for key, rid in self._prefill_queue
-            if self._records[rid].ready_at <= self._t_prefill
+            if self._records[rid].ready_at <= now
         ]
 
     def _next_prefill_event(self) -> float | None:
@@ -771,19 +753,20 @@ class ContinuousBatchingRuntime:
         seq_id = rec.seq_id
         if self._turn_history[seq_id]:
             return
-        tokens = self.engine.context_length(seq_id)
-        if tokens:
-            self.engine.evict(seq_id)
-            self._holders_prefill.discard(seq_id)
-            self.metrics.record_prefix_eviction(tokens)
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "prefix_evict",
-                    self._t_prefill,
-                    pool=POOL_PREFILL,
-                    seq_id=seq_id,
-                    tokens=tokens,
-                )
+        prefill = self._pools[POOL_PREFILL]
+        if prefill.engine.context_length(seq_id):
+            self._evict_cached_prefix(seq_id, role=POOL_PREFILL, at=prefill.t)
+
+    def _evict_cached_prefix(self, seq_id: int, *, role: str, at: float) -> None:
+        """Drop a cached prefix resident whole (no request to remedy)."""
+        pool = self._pools[role]
+        tokens = pool.engine.context_length(seq_id)
+        pool.evict(seq_id)
+        self.metrics.record_prefix_eviction(tokens)
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "prefix_evict", at, pool=role, seq_id=seq_id, tokens=tokens
+            )
 
     def _match_shared_prefix(self, rec: RequestRecord) -> None:
         """Adopt the longest indexed prefix of ``rec``'s pending input.
@@ -795,8 +778,9 @@ class ContinuousBatchingRuntime:
         token is always left to prefill — the finishing chunk must
         produce next-token logits to sample from.
         """
+        prefill = self._pools[POOL_PREFILL]
         full = rec.pending_input
-        matched, donor = self.engine.match_prefix(full)
+        matched, donor = prefill.engine.match_prefix(full)
         matched = min(matched, int(full.size) - 1)
         if not self._turn_history[rec.seq_id]:
             # only fresh conversations file warm/cold TTFT samples —
@@ -807,26 +791,24 @@ class ContinuousBatchingRuntime:
             if self.tracer.enabled:
                 self.tracer.instant(
                     "prefix_miss",
-                    self._t_prefill,
+                    prefill.t,
                     pool=POOL_PREFILL,
                     request_id=rec.request_id,
                     seq_id=rec.seq_id,
                 )
             return
-        self.engine.adopt_prefix(rec.seq_id, donor, matched)
-        self._holders_prefill.add(rec.seq_id)
+        prefill.engine.adopt_prefix(rec.seq_id, donor, matched)
+        prefill.holders.add(rec.seq_id)
         rec.prefill_done = matched
         rec.prefix_hit = True
         rec.prefix_shared = matched
         rec.prefix_donor = donor
         self.prefix_index.pin(donor)
-        if not self.disaggregated:
-            rec.cached_at_start = matched
         self.metrics.record_prefix_hit(matched)
         if self.tracer.enabled:
             self.tracer.instant(
                 "prefix_hit",
-                self._t_prefill,
+                prefill.t,
                 pool=POOL_PREFILL,
                 request_id=rec.request_id,
                 seq_id=rec.seq_id,
@@ -835,7 +817,7 @@ class ContinuousBatchingRuntime:
             )
             self.tracer.instant(
                 "prefix_adopt",
-                self._t_prefill,
+                prefill.t,
                 pool=POOL_PREFILL,
                 request_id=rec.request_id,
                 seq_id=rec.seq_id,
@@ -847,14 +829,15 @@ class ContinuousBatchingRuntime:
     # prefill rounds
     # ------------------------------------------------------------------ #
 
-    def _prefill_round(self) -> bool:
-        """Build, fit and execute one chunked prefill round.
+    def _prefill_round(self, entries: list[tuple[tuple[float, int], int]]) -> bool:
+        """Build, fit and execute one chunked prefill round over the
+        ready FIFO ``entries``.
 
         Returns ``False`` when not even a one-token chunk of the FIFO head
         fits after exhausting every eligible victim (the caller decides
         whether decoding can make progress instead).
         """
-        entries = self._ready_prefill_entries()
+        pool = self._pools[POOL_PREFILL]
         by_seq = {self._records[rid].seq_id: self._records[rid] for _, rid in entries}
         pending = []
         for _, rid in entries:
@@ -881,14 +864,12 @@ class ContinuousBatchingRuntime:
             rec = by_seq[chunk.seq_id]
             lo = rec.prefill_done
             prompts[chunk.seq_id] = rec.pending_input[lo : lo + chunk.tokens]
-            chunk_tp.append((chunk.tokens, self.engine.context_length(chunk.seq_id)))
+            chunk_tp.append((chunk.tokens, pool.engine.context_length(chunk.seq_id)))
 
-        out = self.engine.prefill(prompts)
+        out = pool.engine.prefill(prompts)
         price = self.clock.price_prefill(chunk_tp)
-        round_start = self._t_prefill
-        self._t_prefill += price
-        if not self.disaggregated:
-            self._t_decode = self._t_prefill
+        round_start = pool.t
+        pool.t += price
         self.metrics.record_round(POOL_PREFILL, price)
         if self.tracer.enabled:
             self.tracer.span(
@@ -911,7 +892,7 @@ class ContinuousBatchingRuntime:
                     tokens=chunk.tokens,
                 )
         self.prefill_rounds += 1
-        self._holders_prefill.update(prompts)
+        pool.holders.update(prompts)
         self._note_kv_occupancy(POOL_PREFILL)
 
         for chunk in round_:
@@ -925,16 +906,14 @@ class ContinuousBatchingRuntime:
         return True
 
     def _on_prefill_complete(self, rec: RequestRecord, last_logits: np.ndarray) -> None:
-        t = self._t_prefill
+        prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
+        t = prefill.t
         if rec.request.max_new_tokens == 0:
-            if self.disaggregated:
-                if self.prefix_index is None:
-                    # no decode phase: drop the prefill pool's copy; the
-                    # next turn recomputes the history and ships the delta
-                    self.engine.release(rec.seq_id)
-                    self._holders_prefill.discard(rec.seq_id)
-                else:
-                    self.prefix_index.touch(rec.seq_id)
+            if self.transfer_stream is not None:
+                # no decode phase, so nothing ships: the conversation
+                # resides across the wire, and the next turn recomputes
+                # the history (or resumes from the retained copy)
+                self._retire_prefill_copy(rec.seq_id)
             self._finish_turn(rec, at=t)
             return
         if rec.resample_on_prefill:
@@ -954,17 +933,29 @@ class ContinuousBatchingRuntime:
         # post-preemption resume keeps its already-sampled pending token —
         # the re-prefill logits would reproduce it exactly
         rec.resample_on_prefill = True
-        if self.disaggregated:
+        if self.transfer_stream is None:
+            rec.state = RequestState.DECODE  # no wire: decode in place
+            self._decoding.add(rec.request_id)
+        else:
             # first token streamed from the prefill pool's logits; the KV
             # delta now crosses the wire before decode can start
             rec.state = RequestState.KV_TRANSFER
-            delta = self.engine.context_length(rec.seq_id) - self.decode_engine.context_length(
+            delta = prefill.engine.context_length(rec.seq_id) - decode.engine.context_length(
                 rec.seq_id
             )
             self.transfer_stream.schedule(rec.seq_id, rec.request_id, delta, t)
+
+    def _retire_prefill_copy(self, seq_id: int) -> None:
+        """The prefill pool's copy of a conversation that resides in
+        another pool has served its turn: release it, or — prefix cache
+        on — retain it as a donatable cached prefix (KVCache-centric
+        retention, Mooncake-style), so follow-up turns skip the history
+        recompute and future shared-prefix requests can adopt it;
+        capacity pressure evicts it LRU like any cached resident."""
+        if self.prefix_index is None:
+            self._pools[POOL_PREFILL].release(seq_id)
         else:
-            rec.state = RequestState.DECODE
-            self._decoding.add(rec.request_id)
+            self.prefix_index.touch(seq_id)
 
     def _fit_prefill_round(
         self,
@@ -977,26 +968,26 @@ class ContinuousBatchingRuntime:
         qualify, the round drops its own youngest member instead, and the
         last remaining chunk shrinks down to whatever fits.
         """
+        pool = self._pools[POOL_PREFILL]
+        engine = pool.engine
         while round_:
             specs = [
-                SequenceSpec(c.seq_id, c.tokens, self.engine.context_length(c.seq_id))
+                SequenceSpec(c.seq_id, c.tokens, engine.context_length(c.seq_id))
                 for c in round_
             ]
-            if self.engine.fits(self.engine.prefill_token_demand(specs)):
+            if engine.fits(engine.prefill_token_demand(specs)):
                 return round_
             tail_key = max(
                 (by_seq[c.seq_id].request.arrival, by_seq[c.seq_id].request_id)
                 for c in round_
             )
             victim = self._find_victim(
-                pool=POOL_PREFILL,
+                role=POOL_PREFILL,
                 protected={c.seq_id for c in round_},
                 younger_than=tail_key,
             )
             if victim is not None:
-                self._evict(
-                    victim, pool=POOL_PREFILL, at=self._t_prefill, reason="prefill_fit"
-                )
+                self._evict(victim, role=POOL_PREFILL, at=pool.t, reason="prefill_fit")
                 continue
             if len(round_) > 1:
                 # drop the youngest member by FCFS key — under SRPF
@@ -1013,7 +1004,7 @@ class ContinuousBatchingRuntime:
                 round_.pop(youngest)
                 continue
             head = round_[0]
-            cached = self.engine.context_length(head.seq_id)
+            cached = engine.context_length(head.seq_id)
             best = self._max_fitting_chunk(head.seq_id, cached, head.tokens)
             if best == 0:
                 return []
@@ -1022,11 +1013,12 @@ class ContinuousBatchingRuntime:
 
     def _max_fitting_chunk(self, seq_id: int, cached: int, want: int) -> int:
         """Largest chunk of ``[1, want]`` tokens whose demand fits (0 = none)."""
+        engine = self._pools[POOL_PREFILL].engine
         lo, hi, best = 1, want, 0
         while lo <= hi:
             mid = (lo + hi) // 2
-            demand = self.engine.prefill_token_demand([SequenceSpec(seq_id, mid, cached)])
-            if self.engine.fits(demand):
+            demand = engine.prefill_token_demand([SequenceSpec(seq_id, mid, cached)])
+            if engine.fits(demand):
                 best = mid
                 lo = mid + 1
             else:
@@ -1043,31 +1035,29 @@ class ContinuousBatchingRuntime:
         A payload the pool cannot admit — even after evicting every
         eligible (younger or idle) victim — is refused: it stays on the
         landed side of the wire and is retried as decode rounds and
-        conversation completions free blocks.
+        conversation completions free blocks. A colocated runtime has no
+        wire, so there is never anything to land.
         """
-        if not self.disaggregated:
+        if self.transfer_stream is None:
             return False
+        prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
         landed = False
-        for transfer in self.transfer_stream.ready(self._t_decode):
+        for transfer in self.transfer_stream.ready(decode.t):
             rec = self._records[transfer.request_id]
             sid = transfer.seq_id
-            start_pos = self.decode_engine.context_length(sid)
-            tokens = self.engine.context_length(sid) - start_pos
+            start_pos = decode.engine.context_length(sid)
+            tokens = prefill.engine.context_length(sid) - start_pos
             if tokens > transfer.tokens:
                 # the decode pool evicted its resident copy while the delta
                 # was on the wire; the extra history re-ships at full
                 # bandwidth cost before this payload can land
-                self.transfer_stream.extend(
-                    transfer, tokens - transfer.tokens, self._t_decode
-                )
+                self.transfer_stream.extend(transfer, tokens - transfer.tokens, decode.t)
                 landed = True  # wire state changed: this step made progress
                 continue
             if (
                 self._injector is not None
                 and transfer.tokens > 0
-                and self._injector.transfer_fails(
-                    sid, transfer.request_id, now=self._t_decode
-                )
+                and self._injector.transfer_fails(sid, transfer.request_id, now=decode.t)
             ):
                 # mid-stream failure: the payload dies at landing time, so
                 # every wire second it streamed is sunk (cancel at >= finish
@@ -1075,7 +1065,7 @@ class ContinuousBatchingRuntime:
                 # current delta after capped exponential backoff, then —
                 # past the retry budget — fall back to a full re-prefill
                 # of the committed history (always available).
-                self.transfer_stream.cancel(sid, now=self._t_decode)
+                self.transfer_stream.cancel(sid, now=decode.t)
                 rec.transfer_faults += 1
                 attempt = self._injector.transfer_faults_injected(transfer.request_id)
                 if attempt <= self.faults.max_transfer_retries:
@@ -1084,14 +1074,14 @@ class ContinuousBatchingRuntime:
                     if self.tracer.enabled:
                         self.tracer.instant(
                             "fault_retry",
-                            self._t_decode,
+                            decode.t,
                             request_id=rec.request_id,
                             seq_id=sid,
                             attempt=attempt,
                             backoff=delay,
                         )
                     self.transfer_stream.schedule(
-                        sid, transfer.request_id, tokens, self._t_decode + delay
+                        sid, transfer.request_id, tokens, decode.t + delay
                     )
                 else:
                     self.metrics.record_transfer_fault(retried=False)
@@ -1099,19 +1089,19 @@ class ContinuousBatchingRuntime:
                     if self.tracer.enabled:
                         self.tracer.instant(
                             "fault_fallback",
-                            self._t_decode,
+                            decode.t,
                             request_id=rec.request_id,
                             seq_id=sid,
                             reason="transfer",
                         )
-                    self._preempt_record(rec, at=self._t_decode, reason="fault_fallback")
+                    self._preempt_record(rec, at=decode.t, reason="fault_fallback")
                 landed = True
                 continue
-            demand = self.decode_engine.import_token_demand(sid, tokens)
+            demand = decode.engine.import_token_demand(sid, tokens)
             admitted = True
-            while not self.decode_engine.fits(demand):
+            while not decode.engine.fits(demand):
                 victim = self._find_victim(
-                    pool=POOL_DECODE,
+                    role=POOL_DECODE,
                     protected={sid},
                     younger_than=(rec.request.arrival, rec.request_id),
                 )
@@ -1122,7 +1112,7 @@ class ContinuousBatchingRuntime:
                         if self.tracer.enabled:
                             self.tracer.instant(
                                 "kv_transfer_refused",
-                                self._t_decode,
+                                decode.t,
                                 pool=POOL_DECODE,
                                 request_id=rec.request_id,
                                 seq_id=sid,
@@ -1130,23 +1120,14 @@ class ContinuousBatchingRuntime:
                     admitted = False
                     break
                 self._evict(
-                    victim, pool=POOL_DECODE, at=self._t_decode, reason="transfer_admission"
+                    victim, role=POOL_DECODE, at=decode.t, reason="transfer_admission"
                 )
             if not admitted:
                 continue
-            export = self.engine.export_kv(sid, start_pos=start_pos)
-            self.decode_engine.import_kv(export)
-            if self.prefix_index is None:
-                self.engine.release(sid)
-                self._holders_prefill.discard(sid)
-            else:
-                # KVCache-centric retention (Mooncake-style): the prefill
-                # pool keeps its copy as a donatable cached prefix, so
-                # follow-up turns skip the history recompute and future
-                # shared-prefix requests can adopt it; capacity pressure
-                # evicts it LRU like any cached resident
-                self.prefix_index.touch(sid)
-            self._holders_decode.add(sid)
+            export = prefill.engine.export_kv(sid, start_pos=start_pos)
+            decode.engine.import_kv(export)
+            self._retire_prefill_copy(sid)
+            decode.holders.add(sid)
             self.transfer_stream.complete(transfer)
             self.metrics.record_transfer(tokens)
             if self.tracer.enabled:
@@ -1158,7 +1139,7 @@ class ContinuousBatchingRuntime:
                     request_id=rec.request_id,
                     seq_id=sid,
                     tokens=tokens,
-                    landed_at=self._t_decode,
+                    landed_at=decode.t,
                 )
             self._note_kv_occupancy(POOL_DECODE)
             rec.state = RequestState.DECODE
@@ -1172,14 +1153,16 @@ class ContinuousBatchingRuntime:
 
     def _decode_round(self, decoders: list[RequestRecord]) -> None:
         """Advance every decoding request one token (with capacity fitting)."""
+        pool = self._pools[POOL_DECODE]
+        engine = pool.engine
         live = sorted(decoders, key=lambda r: (r.request.arrival, r.request_id))
         while live:
             sids = [r.seq_id for r in live]
-            if self.decode_engine.fits(self.decode_engine.decode_token_demand(sids)):
+            if engine.fits(engine.decode_token_demand(sids)):
                 break
-            victim = self._find_victim(pool=POOL_DECODE, protected=set(), younger_than=None)
+            victim = self._find_victim(role=POOL_DECODE, protected=set(), younger_than=None)
             if victim is None:
-                raise RuntimeError(
+                raise self._wedged(
                     "KV capacity exhausted: a decode step cannot fit even "
                     "after evicting every eligible victim"
                 )
@@ -1196,25 +1179,23 @@ class ContinuousBatchingRuntime:
                     if rid != victim.request_id
                 )
                 if not older_waiting:
-                    raise RuntimeError(
+                    raise self._wedged(
                         "KV capacity exhausted: the last decoding request "
                         "cannot fit its next token and no older request is "
                         "waiting for the space"
                     )
-            self._evict(victim, pool=POOL_DECODE, at=self._t_decode, reason="decode_fit")
+            self._evict(victim, role=POOL_DECODE, at=pool.t, reason="decode_fit")
             if isinstance(victim, RequestRecord) and victim in live:
                 live.remove(victim)
         if not live:
             return
 
-        contexts = [self.decode_engine.context_length(r.seq_id) + 1 for r in live]
+        contexts = [engine.context_length(r.seq_id) + 1 for r in live]
         tokens = {r.seq_id: r.generated[-1] for r in live}
-        out = self.decode_engine.decode(tokens)
+        out = engine.decode(tokens)
         price = self.clock.price_decode(contexts)
-        round_start = self._t_decode
-        self._t_decode += price
-        if not self.disaggregated:
-            self._t_prefill = self._t_decode
+        round_start = pool.t
+        pool.t += price
         self.metrics.record_round(POOL_DECODE, price)
         if self.tracer.enabled:
             self.tracer.span(
@@ -1227,17 +1208,17 @@ class ContinuousBatchingRuntime:
             if len(rec.generated) < rec.request.max_new_tokens:
                 token = int(sample_greedy(out.logits[rec.seq_id]))
                 rec.generated.append(token)
-                rec.token_times.append(self._t_decode)
+                rec.token_times.append(pool.t)
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "decode_token",
-                        self._t_decode,
+                        pool.t,
                         request_id=rec.request_id,
                         seq_id=rec.seq_id,
                     )
             else:
                 # the round just committed the final token's KV
-                self._finish_turn(rec, at=self._t_decode)
+                self._finish_turn(rec, at=pool.t)
 
     # ------------------------------------------------------------------ #
     # preemption
@@ -1248,23 +1229,23 @@ class ContinuousBatchingRuntime:
         rec = self._records[request_id]
         if rec.state not in _ACTIVE_STATES:
             raise ValueError(f"request {request_id} is {rec.state.value}, not preemptible")
-        at = self._t_decode if rec.state is RequestState.DECODE else self._t_prefill
-        self._evict(rec, pool=self._pool_of(rec), at=at, reason="external")
+        role = self._role_of(rec)
+        self._evict(rec, role=role, at=self._pools[role].t, reason="external")
 
     def _find_victim(
         self,
         *,
-        pool: str,
+        role: str,
         protected: set[int],
         younger_than: tuple[float, int] | None,
     ):
-        """Next KV holder of ``pool`` to evict: idle conversations first
-        (no pending turn, then latest next-arrival), then the youngest
-        active request (only if younger than ``younger_than`` when given).
-        ``None`` when nothing is evictable."""
-        engine = self._pool_engine(pool)
+        """Next KV holder of ``role``'s pool to evict: idle conversations
+        first (no pending turn, then latest next-arrival), then the
+        youngest active request (only if younger than ``younger_than``
+        when given). ``None`` when nothing is evictable."""
+        pool = self._pools[role]
         idle_free, idle_pending = [], []
-        for seq_id in sorted(self._pool_holders(pool)):
+        for seq_id in sorted(pool.holders):
             if seq_id in protected:
                 continue
             chain = self._chains.get(seq_id)
@@ -1274,8 +1255,8 @@ class ContinuousBatchingRuntime:
             head = self._records[chain[0]]
             if head.state is RequestState.QUEUED:  # holder waiting between turns
                 idle_pending.append((head.request.arrival, seq_id))
-            elif self.disaggregated and self._pool_of(head) != pool:
-                # the head's KV activity is in the OTHER pool (or host-
+            elif self._pools[self._role_of(head)] is not pool:
+                # the head's KV activity is in ANOTHER pool (or host-
                 # side); this pool's copy (e.g. a resident conversation
                 # whose next turn is re-prefilling) is idle here and
                 # safely re-shippable
@@ -1293,8 +1274,8 @@ class ContinuousBatchingRuntime:
             for rec in (self._records[rid] for rid in sorted(self._live))
             if (rec.state in _ACTIVE_STATES or rec.state is RequestState.PREEMPTED)
             and rec.seq_id not in protected
-            and (not self.disaggregated or self._pool_of(rec) == pool)
-            and engine.context_length(rec.seq_id) > 0
+            and self._pools[self._role_of(rec)] is pool
+            and pool.engine.context_length(rec.seq_id) > 0
         ]
         if not candidates:
             return None
@@ -1327,7 +1308,7 @@ class ContinuousBatchingRuntime:
             return min(sessions)
         return min(idle_free, key=lambda s: (self.prefix_index.last_used(s), s))
 
-    def _evict(self, victim, *, pool: str, at: float, reason: str = "capacity") -> None:
+    def _evict(self, victim, *, role: str, at: float, reason: str = "capacity") -> None:
         """Apply the configured remedy to an idle conversation (``int``
         seq id) or an active request. Trim and swap fall back to full
         eviction when they cannot apply. ``reason`` names the pressure
@@ -1339,35 +1320,26 @@ class ContinuousBatchingRuntime:
             # no request to remedy, so LRU-drop it whole — the allocator's
             # refcounts keep any blocks still shared with live adopters
             # claimed, and the index stops matching it
-            engine = self._pool_engine(pool)
-            tokens = engine.context_length(victim)
-            engine.evict(victim)
-            self._pool_holders(pool).discard(victim)
-            self.metrics.record_prefix_eviction(tokens)
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "prefix_evict", at, pool=pool, seq_id=victim, tokens=tokens
-                )
+            self._evict_cached_prefix(victim, role=role, at=at)
             return
         if self.preemption == "trim" and self._try_trim(
-            victim, pool=pool, at=at, reason=reason
+            victim, role=role, at=at, reason=reason
         ):
             return
         if self.preemption == "swap" and self._try_swap_out(
-            victim, pool=pool, at=at, reason=reason
+            victim, role=role, at=at, reason=reason
         ):
             return
         if isinstance(victim, RequestRecord):
             self._preempt_record(victim, at=at, reason=reason)
             return
-        freed = self._pool_engine(pool).evict(victim)
-        self._pool_holders(pool).discard(victim)
+        freed = self._pools[role].evict(victim)
         self.metrics.record_preemption(freed)
         if self.tracer.enabled:
             self.tracer.instant(
                 "preempt",
                 at,
-                pool=pool,
+                pool=role,
                 seq_id=victim,
                 remedy="recompute",
                 reason=reason,
@@ -1379,31 +1351,19 @@ class ContinuousBatchingRuntime:
         self, rec: RequestRecord, *, at: float, reason: str = "capacity"
     ) -> None:
         """Full eviction of an active request (recompute on resume)."""
-        pool = self._pool_of(rec)
+        role = self._role_of(rec)
+        pool = self._pools[role]
         if rec.state is RequestState.KV_TRANSFER:
             # the payload never arrives; only wire time already streamed
             # by ``at`` is sunk — a still-queued reservation is refunded
             # and transfers behind it re-pack
-            cancelled = self.transfer_stream.cancel(rec.seq_id, now=at)
-            if cancelled is not None:
-                refunded = cancelled.sunk_s <= 0.0
-                self.metrics.record_transfer_cancel(refunded=refunded)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "kv_transfer_cancel",
-                        at,
-                        pool="wire",
-                        request_id=rec.request_id,
-                        seq_id=rec.seq_id,
-                        refunded=refunded,
-                    )
-        freed = self._pool_engine(pool).evict(rec.seq_id)
-        self._pool_holders(pool).discard(rec.seq_id)
-        if not self.disaggregated or pool == POOL_PREFILL:
-            # the adopted shared span lives on the prefill engine; only
-            # an eviction there actually drops it (a disaggregated
-            # decode-pool eviction leaves the retained prefill copy —
-            # and the trim guard protecting it — intact)
+            self._cancel_transfer(rec, at=at)
+        freed = pool.evict(rec.seq_id)
+        if pool is self._pools[POOL_PREFILL]:
+            # the adopted shared span lives in the prefill pool; only an
+            # eviction there actually drops it (evicting a separate
+            # decode pool leaves the retained prefill copy — and the
+            # trim guard protecting it — intact)
             rec.prefix_shared = 0
             if rec.prefix_hit and rec.first_token_at is None:
                 # the adopted prefix is gone before it bought a first
@@ -1411,14 +1371,14 @@ class ContinuousBatchingRuntime:
                 # sample, and the turn record must not report the lost
                 # span as cached
                 rec.prefix_hit = False
-                if not self.disaggregated:
+                if pool is self._pools[POOL_DECODE]:
                     rec.cached_at_start = 0
         self.metrics.record_preemption(freed)
         if self.tracer.enabled:
             self.tracer.instant(
                 "preempt",
                 at,
-                pool=pool,
+                pool=role,
                 request_id=rec.request_id,
                 seq_id=rec.seq_id,
                 remedy="recompute",
@@ -1427,6 +1387,22 @@ class ContinuousBatchingRuntime:
                 evicted=freed,
             )
         self._reschedule_preempted(rec, at=at)
+
+    def _cancel_transfer(self, rec: RequestRecord, *, at: float) -> None:
+        """Take ``rec``'s payload off the wire (it will never land)."""
+        cancelled = self.transfer_stream.cancel(rec.seq_id, now=at)
+        if cancelled is not None:
+            refunded = cancelled.sunk_s <= 0.0
+            self.metrics.record_transfer_cancel(refunded=refunded)
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    "kv_transfer_cancel",
+                    at,
+                    pool="wire",
+                    request_id=rec.request_id,
+                    seq_id=rec.seq_id,
+                    refunded=refunded,
+                )
 
     def _reschedule_preempted(self, rec: RequestRecord, *, at: float) -> None:
         """Send a (fully or partially) evicted request back to the
@@ -1476,7 +1452,7 @@ class ContinuousBatchingRuntime:
     # ------------------------------------------------------------------ #
 
     def _try_trim(
-        self, victim, *, pool: str, at: float, reason: str = "capacity"
+        self, victim, *, role: str, at: float, reason: str = "capacity"
     ) -> bool:
         """Tail-trim remedy: drop the newest KV blocks of the victim.
 
@@ -1493,7 +1469,8 @@ class ContinuousBatchingRuntime:
         if rec is not None and rec.state is RequestState.KV_TRANSFER:
             return False
         seq_id = rec.seq_id if rec is not None else victim
-        engine = self._pool_engine(pool)
+        pool = self._pools[role]
+        engine = pool.engine
         length = engine.context_length(seq_id)
         step = max(1, engine.kv_block_tokens() * engine.world_size)
         keep = length - step
@@ -1502,7 +1479,7 @@ class ContinuousBatchingRuntime:
         if (
             rec is not None
             and keep < rec.prefix_shared
-            and (not self.disaggregated or pool == POOL_PREFILL)
+            and pool is self._pools[POOL_PREFILL]
         ):
             # the adopted shared prefix is pinned for the request's
             # lifetime: trimming into it would drop this request's
@@ -1516,7 +1493,7 @@ class ContinuousBatchingRuntime:
             self.tracer.instant(
                 "preempt",
                 at,
-                pool=pool,
+                pool=role,
                 request_id=rec.request_id if rec is not None else None,
                 seq_id=seq_id,
                 remedy="trim",
@@ -1524,30 +1501,13 @@ class ContinuousBatchingRuntime:
                 victim="active" if rec is not None else "idle",
                 tokens=freed,
             )
-        self._note_kv_occupancy(pool)
+        self._note_kv_occupancy(role)
         if rec is not None:
             self._reschedule_preempted(rec, at=at)
         return True
 
-    def _store_pool(self, pool: str) -> str:
-        """Host-store slot for ``pool`` (colocated: one shared store)."""
-        return pool if self.disaggregated else POOL_PREFILL
-
-    def _pool_time(self, pool: str) -> float:
-        return self._t_prefill if pool == POOL_PREFILL else self._t_decode
-
-    def _advance_pool_clock(self, pool: str, seconds: float) -> None:
-        """Stall ``pool`` for ``seconds`` (swap DMA); colocated clocks
-        stay mirrored."""
-        if pool == POOL_PREFILL:
-            self._t_prefill += seconds
-        else:
-            self._t_decode += seconds
-        if not self.disaggregated:
-            self._t_prefill = self._t_decode = max(self._t_prefill, self._t_decode)
-
     def _try_swap_out(
-        self, victim, *, pool: str, at: float, reason: str = "capacity"
+        self, victim, *, role: str, at: float, reason: str = "capacity"
     ) -> bool:
         """Swap remedy: export the victim's KV whole to the host store.
 
@@ -1555,42 +1515,37 @@ class ContinuousBatchingRuntime:
         the request resumes — decode victims directly, prefill victims
         via the FIFO — once :meth:`_swap_in_ready` imports the payload
         back. Declines (falling back to full eviction) for mid-transfer
-        victims, a full host store, or disaggregated *idle* residents,
-        whose copy the transfer machinery already restores more cheaply
-        than a PCIe round-trip would.
+        victims, a full host store, or *idle* residents the wire can
+        re-ship, which the transfer machinery already restores more
+        cheaply than a PCIe round-trip would.
         """
         rec = victim if isinstance(victim, RequestRecord) else None
         if rec is not None and rec.state is RequestState.KV_TRANSFER:
             return False
-        if rec is None and self.disaggregated:
+        if rec is None and self.transfer_stream is not None:
             return False
         seq_id = rec.seq_id if rec is not None else victim
-        engine = self._pool_engine(pool)
-        tokens = engine.context_length(seq_id)
+        pool = self._pools[role]
+        tokens = pool.engine.context_length(seq_id)
         if tokens == 0:
             return False
-        store_pool = self._store_pool(pool)
-        if seq_id in self._swap_store[store_pool]:
+        if seq_id in pool.store:
             return False
         if self.swap_capacity_tokens is not None and (
-            self._swap_used[store_pool] + tokens > self.swap_capacity_tokens
+            pool.store_tokens + tokens > self.swap_capacity_tokens
         ):
             return False
-        export = engine.export_kv(seq_id)
-        engine.release(seq_id)
-        self._pool_holders(pool).discard(seq_id)
-        self._swap_store[store_pool][seq_id] = export
-        self._swap_used[store_pool] += tokens
+        pool.swap_out(seq_id)
         cost = self.clock.price_swap(tokens)
-        swap_start = self._pool_time(pool)
-        self._advance_pool_clock(pool, cost)
+        swap_start = pool.t
+        pool.t += cost
         self.metrics.record_swap_out(tokens, stall_s=cost)
         if self.tracer.enabled:
             self.tracer.span(
                 "swap_out",
                 swap_start,
                 cost,
-                pool=pool,
+                pool=role,
                 request_id=rec.request_id if rec is not None else None,
                 seq_id=seq_id,
                 tokens=tokens,
@@ -1598,7 +1553,7 @@ class ContinuousBatchingRuntime:
             self.tracer.instant(
                 "preempt",
                 at,
-                pool=pool,
+                pool=role,
                 request_id=rec.request_id if rec is not None else None,
                 seq_id=seq_id,
                 remedy="swap",
@@ -1618,7 +1573,7 @@ class ContinuousBatchingRuntime:
             rec.state = RequestState.SWAPPED
             rec.ready_at = max(rec.ready_at, at + cost)
             self._swap_wait.append(
-                ((rec.request.arrival, rec.request_id), rec.request_id, pool)
+                ((rec.request.arrival, rec.request_id), rec.request_id, role)
             )
         return True
 
@@ -1632,24 +1587,25 @@ class ContinuousBatchingRuntime:
         """
         progressed = False
         for entry in sorted(self._swap_wait):
-            _key, rid, pool = entry
+            _key, rid, role = entry
             rec = self._records[rid]
-            if rec.ready_at > self._pool_time(pool):
+            pool = self._pools[role]
+            if rec.ready_at > pool.t:
                 continue
+            tokens = pool.store[rec.seq_id].tokens
             if self._injector is not None and self._injector.swap_lost(
-                rec.seq_id, rid, now=self._pool_time(pool)
+                rec.seq_id, rid, now=pool.t
             ):
                 # the host-store payload is gone at swap-in time: degrade
                 # to the recompute path a capacity-blocked swap-in already
                 # takes (drop the store entry, re-prefill committed history)
-                tokens = self._swap_store[self._store_pool(pool)][rec.seq_id].tokens
                 self.metrics.record_swap_loss(tokens)
                 self.metrics.record_degraded_fallback()
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "fault_fallback",
-                        self._pool_time(pool),
-                        pool=pool,
+                        pool.t,
+                        pool=role,
                         request_id=rid,
                         seq_id=rec.seq_id,
                         reason="swap_loss",
@@ -1658,51 +1614,41 @@ class ContinuousBatchingRuntime:
                 self._spill_swapped(entry)
                 progressed = True
                 continue
-            engine = self._pool_engine(pool)
-            store_pool = self._store_pool(pool)
-            export = self._swap_store[store_pool][rec.seq_id]
+            engine = pool.engine
             admitted = True
-            while not engine.fits(engine.import_token_demand(rec.seq_id, export.tokens)):
+            while not engine.fits(engine.import_token_demand(rec.seq_id, tokens)):
                 victim = self._find_victim(
-                    pool=pool,
+                    role=role,
                     protected={rec.seq_id},
                     younger_than=(rec.request.arrival, rec.request_id),
                 )
                 if victim is None:
                     admitted = False
                     break
-                self._evict(
-                    victim,
-                    pool=pool,
-                    at=self._pool_time(pool),
-                    reason="swap_in_admission",
-                )
+                self._evict(victim, role=role, at=pool.t, reason="swap_in_admission")
             if not admitted:
-                if not self._pool_holders(pool):
+                if not pool.holders:
                     self._spill_swapped(entry)
                     progressed = True
                 continue
-            engine.import_kv(export)
-            del self._swap_store[store_pool][rec.seq_id]
-            self._swap_used[store_pool] -= export.tokens
-            self._pool_holders(pool).add(rec.seq_id)
+            pool.swap_in(rec.seq_id)
             self._swap_wait.remove(entry)
-            cost = self.clock.price_swap(export.tokens)
-            swap_start = self._pool_time(pool)
-            self._advance_pool_clock(pool, cost)
-            self.metrics.record_swap_in(export.tokens, stall_s=cost)
+            cost = self.clock.price_swap(tokens)
+            swap_start = pool.t
+            pool.t += cost
+            self.metrics.record_swap_in(tokens, stall_s=cost)
             if self.tracer.enabled:
                 self.tracer.span(
                     "swap_in",
                     swap_start,
                     cost,
-                    pool=pool,
+                    pool=role,
                     request_id=rid,
                     seq_id=rec.seq_id,
-                    tokens=export.tokens,
+                    tokens=tokens,
                 )
-            self._note_kv_occupancy(pool)
-            rec.ready_at = max(rec.ready_at, self._pool_time(pool))
+            self._note_kv_occupancy(role)
+            rec.ready_at = max(rec.ready_at, pool.t)
             resume, rec.swapped_from = rec.swapped_from, None
             if resume is RequestState.DECODE:
                 rec.state = RequestState.DECODE
@@ -1716,14 +1662,13 @@ class ContinuousBatchingRuntime:
     def _spill_swapped(self, entry) -> None:
         """Abandon a blocked swap-in: drop the host copy and resume via
         chunked recompute (the remedy of last resort)."""
-        _key, rid, pool = entry
+        _key, rid, role = entry
         rec = self._records[rid]
-        store_pool = self._store_pool(pool)
-        export = self._swap_store[store_pool].pop(rec.seq_id)
-        self._swap_used[store_pool] -= export.tokens
+        pool = self._pools[role]
+        pool.discard_stored(rec.seq_id)
         self._swap_wait.remove(entry)
         rec.swapped_from = None
-        self._reschedule_preempted(rec, at=self._pool_time(pool))
+        self._reschedule_preempted(rec, at=pool.t)
 
     def _spill_oldest_swapped(self) -> bool:
         if not self._swap_wait:
@@ -1758,11 +1703,12 @@ class ContinuousBatchingRuntime:
                 if rec.request.arrival + plan.deadline_s < now:
                     self._shed_chain(rec, status=RequestState.TIMED_OUT, at=now)
         rounds = self.prefill_rounds + self.decode_rounds
-        for pool in self._injector.pool_resets_due(rounds):
-            self._reset_pool(pool, at=self._pool_time(pool))
+        for role in self._injector.pool_resets_due(rounds):
+            self._reset_pool(role, at=self._pools[role].t)
 
-    def _reset_pool(self, pool: str, *, at: float) -> None:
-        """Whole-pool KV reset: every resident block of ``pool`` is gone.
+    def _reset_pool(self, role: str, *, at: float) -> None:
+        """Whole-pool KV reset: every resident block of ``role``'s pool
+        is gone.
 
         Holders whose *active* KV lived here are requeued through the
         ordinary full-eviction path (transfer cancels, prefix-field
@@ -1775,15 +1721,16 @@ class ContinuousBatchingRuntime:
         vanished re-ships the history at landing time. Host-store
         (swapped) payloads live off-pool and survive a reset.
         """
-        engine = self._pool_engine(pool)
-        holders = sorted(self._pool_holders(pool))
+        pool = self._pools[role]
+        engine = pool.engine
+        holders = sorted(pool.holders)
         resident_tokens = sum(engine.context_length(sid) for sid in holders)
         self.metrics.record_pool_reset(resident_tokens)
         if self.tracer.enabled:
             self.tracer.instant(
                 "fault_inject",
                 at,
-                pool=pool,
+                pool=role,
                 kind="pool_reset",
                 tokens=resident_tokens,
                 holders=len(holders),
@@ -1794,9 +1741,12 @@ class ContinuousBatchingRuntime:
             preempt = head is not None and (
                 (
                     head.state in _ACTIVE_STATES
-                    and (not self.disaggregated or self._pool_of(head) == pool)
+                    and self._pools[self._role_of(head)] is pool
                 )
-                or (head.state is RequestState.PREEMPTED and pool == POOL_PREFILL)
+                or (
+                    head.state is RequestState.PREEMPTED
+                    and pool is self._pools[POOL_PREFILL]
+                )
             )
             if preempt:
                 self._preempt_record(head, at=at, reason="pool_reset")
@@ -1808,9 +1758,9 @@ class ContinuousBatchingRuntime:
                     self.metrics.record_prefix_eviction(tokens)
                     if self.tracer.enabled:
                         self.tracer.instant(
-                            "prefix_evict", at, pool=pool, seq_id=seq_id, tokens=tokens
+                            "prefix_evict", at, pool=role, seq_id=seq_id, tokens=tokens
                         )
-            self._pool_holders(pool).discard(seq_id)
+            pool.holders.discard(seq_id)
 
     def _shed_chain(self, rec: RequestRecord, *, status: RequestState, at: float) -> None:
         """Terminally shed ``rec`` (the head turn of its conversation)
@@ -1829,15 +1779,11 @@ class ContinuousBatchingRuntime:
                 status=status if i == 0 else RequestState.SHED,
                 at=at,
             )
-        for pool in (POOL_PREFILL, POOL_DECODE):
-            engine = self._pool_engine(pool)
-            if engine.context_length(seq_id):
-                engine.evict(seq_id)
-            self._pool_holders(pool).discard(seq_id)
-            store_pool = self._store_pool(pool)
-            export = self._swap_store[store_pool].pop(seq_id, None)
-            if export is not None:
-                self._swap_used[store_pool] -= export.tokens
+        for pool in self._distinct_pools.values():
+            if pool.engine.context_length(seq_id):
+                pool.engine.evict(seq_id)
+            pool.holders.discard(seq_id)
+            pool.discard_stored(seq_id)
         del self._chains[seq_id]
         del self._turn_history[seq_id]
 
@@ -1845,19 +1791,7 @@ class ContinuousBatchingRuntime:
         """Move one request to a shed terminal state, detaching it from
         every scheduler structure (FIFO, decode set, swap queue, wire)."""
         if rec.state is RequestState.KV_TRANSFER:
-            cancelled = self.transfer_stream.cancel(rec.seq_id, now=at)
-            if cancelled is not None:
-                refunded = cancelled.sunk_s <= 0.0
-                self.metrics.record_transfer_cancel(refunded=refunded)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "kv_transfer_cancel",
-                        at,
-                        pool="wire",
-                        request_id=rec.request_id,
-                        seq_id=rec.seq_id,
-                        refunded=refunded,
-                    )
+            self._cancel_transfer(rec, at=at)
         if rec.state is RequestState.SWAPPED:
             self._swap_wait = [e for e in self._swap_wait if e[1] != rec.request_id]
         self._dequeue_prefill(rec)
@@ -1938,22 +1872,16 @@ class ContinuousBatchingRuntime:
         if rec.request.last_turn and not chain:
             # conversation over: prune per-seq state (a later submit for
             # the same seq_id starts a fresh conversation)
+            prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
+            if decode is not prefill:
+                decode.release(seq_id)  # a separate decode pool never donates
             if self.prefix_index is None:
-                self.decode_engine.release(seq_id)
-                self._holders_decode.discard(seq_id)
-                if self.disaggregated:
-                    self.engine.release(seq_id)
-                    self._holders_prefill.discard(seq_id)
-            else:
-                # prefix cache on: the prefill-side copy stays resident
+                prefill.release(seq_id)
+            elif prefill.engine.context_length(seq_id):
+                # prefix cache on: the prefill pool's copy stays resident
                 # as an LRU-evictable cached prefix (the engine keeps its
-                # committed tokens indexed); the decode pool never
-                # donates, so its copy is still released
-                if self.disaggregated:
-                    self.decode_engine.release(seq_id)
-                    self._holders_decode.discard(seq_id)
-                if self.engine.context_length(seq_id):
-                    self.prefix_index.touch(seq_id)
+                # committed tokens indexed)
+                self.prefix_index.touch(seq_id)
             del self._chains[seq_id]
             del self._turn_history[seq_id]
 
@@ -1966,13 +1894,6 @@ class ContinuousBatchingRuntime:
 
     def _any_live(self) -> bool:
         return bool(self._live)
-
-    def _next_arrival(self) -> float | None:
-        times = [
-            self._records[self._chains[seq_id][0]].request.arrival
-            for seq_id in sorted(self._waiting)
-        ]
-        return min(times) if times else None
 
     def state_counts(self) -> dict[str, int]:
         """Requests per lifecycle state (diagnostics)."""
@@ -2030,18 +1951,17 @@ class ContinuousBatchingRuntime:
     def kv_leak_report(self) -> list[str]:
         """Audit every pool's KV bookkeeping plus the swap store.
 
-        Concatenates the engines' :meth:`~repro.core.engine
-        .ContextParallelEngine.kv_leak_report` (both pools when
-        disaggregated) and flags host-store payloads that outlived the
-        drain. Empty list = clean — the per-replica audit the fleet's
-        drain contract requires.
+        Concatenates every distinct pool's engine :meth:`~repro.core
+        .engine.ContextParallelEngine.kv_leak_report` and flags host-store
+        payloads that outlived the drain. Empty list = clean — the
+        per-replica audit the fleet's drain contract requires.
         """
-        leaks = list(self.engine.kv_leak_report())
-        if self.disaggregated:
-            leaks += self.decode_engine.kv_leak_report()
-        for pool, store in self._swap_store.items():
-            for seq_id in sorted(store):
+        leaks: list[str] = []
+        for pool in self._distinct_pools.values():
+            leaks += pool.engine.kv_leak_report()
+        for role, pool in self._distinct_pools.items():
+            for seq_id in sorted(pool.store):
                 leaks.append(
-                    f"swap store[{pool}]: seq {seq_id} still holds a host payload"
+                    f"swap store[{role}]: seq {seq_id} still holds a host payload"
                 )
         return leaks

@@ -286,13 +286,22 @@ class TestTransferEdgeCases:
     def test_context_exceeding_decode_pool_raises(self):
         rt = make_runtime(world_p=1, world_d=1, cap_d=32, chunk=16, round_budget=32)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(64), max_new_tokens=2))
-        with pytest.raises(RuntimeError, match="stalled|capacity"):
+        # both pools are named, each with its own clock and occupancy
+        with pytest.raises(
+            RuntimeError,
+            match=r"(stalled|capacity).*states: \{'kv_transfer': 1\}; "
+            r"prefill pool: t=4, 1 holders, KV unbounded; "
+            r"decode pool: t=5, 0 holders, KV 0%",
+        ):
             rt.run(max_steps=50_000)
 
     def test_prefill_pool_too_small_raises(self):
         rt = make_runtime(world_p=1, world_d=1, cap_p=16, chunk=8, round_budget=8)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(64), max_new_tokens=2))
-        with pytest.raises(RuntimeError, match="capacity"):
+        with pytest.raises(
+            RuntimeError,
+            match=r"capacity.*states: \{'prefill': 1\}; prefill pool: .* 1 holders, KV 100%; decode pool",
+        ):
             rt.run(max_steps=50_000)
 
 

@@ -279,7 +279,12 @@ class TestPreemption:
     def test_capacity_too_small_raises(self):
         rt = make_runtime(capacity=16, chunk=8, round_budget=8)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(64), max_new_tokens=2))
-        with pytest.raises(RuntimeError, match="capacity"):
+        # the failure carries its evidence: requests per state and the
+        # pool's clock, holders and occupancy
+        with pytest.raises(
+            RuntimeError,
+            match=r"capacity.*states: \{'prefill': 1\}; prefill pool: t=4, 1 holders, KV 100%",
+        ):
             rt.run(max_steps=100_000)
 
     def test_sole_decoder_yields_pool_to_older_request(self):
