@@ -1,6 +1,10 @@
 """Figure 10 / Appendix D: refit the empirical decision boundary."""
 
+import pytest
+
 from repro.experiments import fig10_heuristic
+
+pytest.importorskip("scipy")  # the refit is the one thing that needs the "fit" extra
 
 
 def bench_fig10_heuristic_fit(benchmark, paper_table):

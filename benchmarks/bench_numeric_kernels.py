@@ -3,12 +3,20 @@
 Times the NumPy substrate itself — the flash kernel, the ring algorithms,
 an end-to-end engine prefill and a continuous-batching runtime replay at
 test scale — so regressions in the simulation's own speed are visible.
-The ``*_no_*skip`` / ``*_fp32_compute`` variants pin the A/B knobs of the
-fused grouped-head kernel (PR 1): the ``no_skip`` variants disable
-masked-block / masked-shard skipping, and the fp32 variant measures the
+The ``*_no_block_skip`` / ``*_fp32_compute`` variants pin the A/B knobs of
+the fused grouped-head kernel (PR 1): masked-block skipping off, and the
 mixed-precision (fp32 compute, fp64 merge) mode. (The seed-equivalent
-``fused=False`` expand-path baseline was retired with the path itself;
-its seed timing survives in ``run_benchmarks.py``'s baseline table.)
+``fused=False`` expand-path baseline was retired with the path itself; its
+seed timing survives in ``run_benchmarks.py``'s baseline table. The
+shard-skip A/B ``bench_ring_passkv_cp4_no_skip`` is gone too: on a full
+prefill it could not move — 11.31 vs 11.38 ms.)
+
+Every benchmark here has an exactness twin in ``tests/properties`` (the
+WLB-LLM-CP layout: a performance compare beside a correctness test):
+``bench_flash_decode_shape`` — ``test_prop_flash_fused.py::TestOneBlockBaseCase``
+and ``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
+``test_prop_merge.py::TestOneShotEqualsSequential``; the rings —
+``test_prop_ring.py``.
 
 Run via ``python benchmarks/run_benchmarks.py`` to record the results into
 ``BENCH_kernels.json``, or directly::
@@ -21,9 +29,11 @@ Run via ``python benchmarks/run_benchmarks.py`` to record the results into
 import numpy as np
 import pytest
 
-from repro.attention.flash import flash_attention
+from repro.attention.flash import AttentionResult, flash_attention
+from repro.attention.masks import run_index
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.engine import ContextParallelEngine
+from repro.core.merge import merge_partials
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
@@ -66,22 +76,47 @@ def bench_flash_attention_fp32_compute(benchmark):
     benchmark(flash_attention, Q, K, V, block_size=64, compute_dtype=np.float32)
 
 
+def bench_flash_decode_shape(benchmark):
+    """The call ``decode_batch`` makes 1.6k times a repetition: one ring
+    step of one rank — 8 query rows (one per sequence) against a fused
+    shard of 32 sequences x 19-30 keys, run structure handed over as the
+    ring hands it. 8 segments x 1 row x <= 30 keys is ~1.6k scores: all
+    fixed cost, which is what the one-block base case is for."""
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(19, 31, 32)
+    runs = np.concatenate(([0], np.cumsum(lengths)))
+    k_seq = np.repeat(np.arange(32), lengths)
+    k_pos = np.concatenate([np.arange(n) for n in lengths])
+    kv = ShardedKV(
+        k=rng.standard_normal((runs[-1], 2, 8)), v=rng.standard_normal((runs[-1], 2, 8)),
+        positions=k_pos, seq_ids=k_seq, runs=runs,
+    )
+    q_seq = np.arange(3, 32, 4)  # the 8 sequences this payload's rows belong to
+    q_runs = (np.arange(9), run_index(q_seq, np.arange(9)))
+    q = rng.standard_normal((8, 8, 8))
+    benchmark(
+        flash_attention, q, kv.k, kv.v,
+        q_pos=lengths[q_seq], k_pos=kv.positions, q_seq=q_seq, k_seq=kv.seq_ids,
+        q_runs=q_runs, k_runs=(kv.runs, kv.run_index),
+    )
+
+
+def bench_merge_partials_cp4(benchmark):
+    """Equation 4 over one rank's N = 4 ring partials of a decode payload
+    (8 rows x 8 heads x 8), one of them a skipped shard's identity."""
+    rng = np.random.default_rng(4)
+    partials = [
+        AttentionResult(out=rng.standard_normal((8, 8, 8)), lse=rng.standard_normal((8, 8)))
+        for _ in range(3)
+    ] + [AttentionResult.empty(8, 8, 8)]
+    benchmark(merge_partials, partials)
+
+
 def bench_ring_passkv_cp4(benchmark):
     queries, kvs = _shards(4)
 
     def run():
         return ring_passkv_prefill(SimProcessGroup(4), queries, kvs, block_size=64)
-
-    benchmark(run)
-
-
-def bench_ring_passkv_cp4_no_skip(benchmark):
-    queries, kvs = _shards(4)
-
-    def run():
-        return ring_passkv_prefill(
-            SimProcessGroup(4), queries, kvs, block_size=64, skip_masked_shards=False
-        )
 
     benchmark(run)
 
@@ -114,7 +149,10 @@ def _decode_shards(k_all, v_all, b, world):
 
 def bench_ring_decode_cp4(benchmark):
     """Batched pass-Q decode: 6 sequences' cached KV spread over 4 ranks
-    (B=6, N=4 also pads two query slots — the shard-skip sweet spot)."""
+    (B=6, N=4 also pads two query slots — the shard-skip sweet spot). The
+    batch object is reused, as ``engine.decode`` reuses it across a round's
+    layers, so rounds after the first time a layer's ring, not the
+    per-round plan."""
     world, b = 4, 6
     kvs = _decode_shards(K, V, b, world)
     batch = DecodeBatch(

@@ -13,5 +13,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
+    # only core/heuristics.py::fit_empirical (the Figure 10 refit) needs it
+    extras_require={"fit": ["scipy>=1.10"]},
 )

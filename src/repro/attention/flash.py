@@ -10,9 +10,9 @@ for the reproduction:
 
 - It proves that the library's merge attention (:mod:`repro.core.merge`,
   paper Appendix B) composes *exactly*: a ring algorithm that merges K
-  partial results from K disjoint KV shards must produce bit-compatible
-  output with a single monolithic kernel call, because both reduce through
-  the same online-softmax recurrence.
+  partial results from K disjoint KV shards must produce the same output
+  as a single monolithic kernel call, because both evaluate the same
+  online-softmax recurrence (Equation 4).
 - ``num_kv_splits`` emulates Flash-Decoding's split-KV execution (the paper
   uses 256 splits for decode) by computing independent partials per split
   and merging them, again through the same recurrence.
@@ -24,11 +24,13 @@ BLAS matmuls, so no per-block ``expand_kv_heads`` copy is ever
 materialized (:mod:`repro.attention.reference` remains the independent
 full-materialization oracle). The permission mask is computed once per call
 and sliced per block; blocks whose mask slice is all-False are skipped
-outright (identity under the online-softmax recurrence), within a block
+outright (identity under the online-softmax recurrence) and within a block
 only the contiguous band of query rows with at least one visible key is
-computed — in causal full prefill this trims roughly half the score work —
-and the first block a sweep touches is *assigned* into the empty running
-state instead of folded (the fold's identity case).
+computed — in causal full prefill this trims roughly half the score work.
+The **one-block sweep is the base case**: the first visible block's
+``(o, lse)`` is the result, and the running ``(acc, m, denom)`` state, its
+allocations and its finalisation exist only from a second block on — a
+decode call (one query row per sequence) is all fixed cost.
 
 **Varlen (sequence-segmented) sweep.** A fused batch — several sequences
 concatenated on the key side, as a rank's KV shard is — never lets a query
@@ -47,9 +49,10 @@ masked, so rows with no visible key still come back ``O = 0, LSE = -inf``.
 Segments of very different size are not padded to the largest:
 :func:`_pad_groups` batches them under a deterministic cost rule (padded
 area at most twice the true area). The run structure arrives with the
-shards (``q_runs`` / ``k_runs``, the ``cu_seqlens`` that
-:class:`repro.core.sharding.ShardedKV` carries); a caller without it costs
-one scan, and an interleaved shard one stable sort.
+shards: ``q_runs`` / ``k_runs`` take the ``cu_seqlens`` offsets or the
+``(offsets, {seq_id: run})`` pair :class:`repro.core.sharding.ShardedKV`
+carries, which leaves nothing to scan at any of the N ring steps; a caller
+with neither costs one scan, and an interleaved shard one stable sort.
 
 Knobs:
 
@@ -64,12 +67,14 @@ Knobs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from repro.attention.gqa import validate_gqa_shapes
-from repro.attention.masks import PAD_SEQ, attention_mask, run_offsets
+from repro.attention.masks import attention_mask, run_index, run_offsets
 from repro.attention.online_softmax import OnlineSoftmaxState
 
 #: Kernel-internal arithmetic dtype when ``compute_dtype`` is not given.
@@ -146,8 +151,9 @@ def flash_attention(
         skip_masked_blocks: skip all-masked KV blocks and trim fully-masked
             query rows (default). Identical results either way.
         q_runs, k_runs: ``cu_seqlens``-style offsets of the constant
-            ``q_seq`` / ``k_seq`` runs, as :class:`repro.core.sharding.ShardedKV`
-            carries them; found by one scan when omitted.
+            ``q_seq`` / ``k_seq`` runs, or the ``(offsets, {seq_id: run})``
+            pair :class:`repro.core.sharding.ShardedKV` carries (the index
+            in run order); found by one scan when omitted.
 
     Returns:
         Exact ``(O, LSE)`` for the full masked attention.
@@ -167,15 +173,13 @@ def flash_attention(
     q_pos = np.asarray(q_pos)
     k_pos = np.asarray(k_pos)
     if scale is None:
-        scale = 1.0 / np.sqrt(dh)
+        scale = 1.0 / math.sqrt(dh)
     dtype = np.dtype(DEFAULT_COMPUTE_DTYPE if compute_dtype is None else compute_dtype)
     sweep = (scale, block_size, num_kv_splits, skip_masked_blocks, dtype)
 
-    # Segmenting pays once the key side fuses >= 2 sequences; two offsets
-    # are one run, so the single-sequence call decides without a lookup.
+    # Segmenting pays once the key side fuses >= 2 sequences.
     k_side = None
-    if mask_fn is None and k_seq is not None and (k_runs is None or len(k_runs) > 2):
-        k_seq = np.asarray(k_seq)
+    if mask_fn is None and k_seq is not None:
         k_side = _sequence_runs(k_seq, k_runs)
     if k_side is None or len(k_side[2]) < 2:
         # One segment: the whole call under its full [Tq, Tk] mask.
@@ -192,56 +196,76 @@ def flash_attention(
     # sequence's keys, so pair the runs by sequence id and attend each pair
     # as one segment of a padded batch.
     q_seq = np.zeros(tq, dtype=np.int64) if q_seq is None else np.asarray(q_seq)
+    k_seq = np.asarray(k_seq)
     if q_pos.shape != q_seq.shape:
         raise ValueError(f"q_pos {q_pos.shape} and q_seq {q_seq.shape} must match")
     if k_pos.shape != k_seq.shape:
         raise ValueError(f"k_pos {k_pos.shape} and k_seq {k_seq.shape} must match")
     q_order, q_off, q_index = _sequence_runs(q_seq, q_runs)
     k_order, k_off, k_index = k_side
-    pairs = [(run, k_index[sid]) for sid, run in q_index.items() if sid in k_index]
-    result = AttentionResult.empty(tq, nh, dh)
-    if not pairs:
-        return result
-    q_run, k_run = np.array(pairs).T
-    q_start, k_start = q_off[q_run], k_off[k_run]
-    rows, keys = q_off[q_run + 1] - q_start, k_off[k_run + 1] - k_start
-    for group in _pad_groups(rows, keys):
-        qi, q_valid = _padded_index(q_start[group], rows[group], q_order)
-        ki, k_valid = _padded_index(k_start[group], keys[group], k_order)
-        mask = q_valid[:, :, None] & k_valid[:, None, :]
+    q_off, k_off = q_off.tolist(), k_off.tolist()
+    spans = [  # (q start, q stop, k start, k stop) per pair
+        (q_off[i], q_off[i + 1], k_off[j], k_off[j + 1])
+        for sid, i in q_index.items()
+        if (j := k_index.get(sid)) is not None
+    ]
+    spans.sort()  # query storage order, whatever order the index came in
+    if not spans:
+        return AttentionResult.empty(tq, nh, dh)
+    q_start, q_stop, k_start, k_stop = np.array(spans).T
+    rows, keys = q_stop - q_start, k_stop - k_start
+    result = None
+    for group, max_rows, max_keys in _pad_groups(rows, keys):
+        qi, q_valid = _padded_index(q_start[group], rows[group], max_rows, q_order)
+        ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)
         if causal:
-            mask &= k_pos[ki][:, None, :] <= q_pos[qi][:, :, None]
+            mask = k_pos[ki][:, None, :] <= q_pos[qi][:, :, None]
+        else:
+            mask = np.ones(qi.shape + ki.shape[1:], dtype=bool)
+        if q_valid is not None:
+            mask &= q_valid[:, :, None]
+        if k_valid is not None:
+            mask &= k_valid[:, None, :]
         out, lse = _attend(q[qi], k[ki], v[ki], mask, *sweep)
-        dest = qi[q_valid]
-        result.out[dest] = out[q_valid]
-        result.lse[dest] = lse[q_valid]
+        if qi.size == tq and q_valid is None and q_order is None and isinstance(group, slice):
+            # one unpadded batch of every query row, in storage order
+            return AttentionResult(out.reshape(tq, nh, dh), lse.reshape(tq, nh))
+        if result is None:
+            result = AttentionResult.empty(tq, nh, dh)
+        kept = slice(None) if q_valid is None else q_valid
+        result.out[qi[kept]] = out[kept]
+        result.lse[qi[kept]] = lse[kept]
     return result
 
 
-def _sequence_runs(seq: np.ndarray, runs: np.ndarray | None):
-    """Locate each non-pad sequence's tokens as one run of ``seq``.
+def _sequence_runs(seq: np.ndarray, runs):
+    """Locate each non-pad sequence's tokens as one run of ``seq``, given
+    its run offsets, the ``(offsets, index)`` pair a shard carries (nothing
+    left to scan) or ``None``.
 
     Returns ``(order, offsets, index)``: sequence ``sid`` is tokens
     ``order[offsets[i]:offsets[i + 1]]`` with ``i = index[sid]``; ``order``
     is ``None`` (storage order) unless some sequence was split over several
     runs — an interleaved shard — and a stable sort had to gather it.
     """
+    offsets, index = runs if isinstance(runs, tuple) else (runs, None)
+    if index is not None:
+        return None, offsets, index
+    seq = np.asarray(seq)
+    if offsets is None:
+        offsets = run_offsets(seq)
     order = None
-    offsets = run_offsets(seq) if runs is None else runs
-    ids = seq[offsets[:-1]].tolist()
-    index = dict(zip(ids, range(len(ids))))
-    pads = ids.count(PAD_SEQ)
-    if len(index) != len(ids) - pads + (pads > 0):
+    index = run_index(seq, offsets)
+    if index is None:
         order = np.argsort(seq, kind="stable")
         offsets = run_offsets(seq[order])
-        ids = seq[order[offsets[:-1]]].tolist()
-        index = dict(zip(ids, range(len(ids))))
-    index.pop(PAD_SEQ, None)
+        index = run_index(seq[order], offsets)
     return order, offsets, index
 
 
 def _pad_groups(rows: np.ndarray, keys: np.ndarray) -> list:
-    """Partition segments into batches padded to a common ``[rows, keys]``.
+    """Partition segments into batches padded to a common ``[rows, keys]``;
+    returns ``(segments, max rows, max keys)`` per batch.
 
     Deterministic cost rule: a batch's padded area (segments x max rows x
     max keys) stays within ``2x`` its true area, so one long sequence fused
@@ -249,32 +273,38 @@ def _pad_groups(rows: np.ndarray, keys: np.ndarray) -> list:
     ones to its length. Segments are taken longest-keys first; each batch
     grows greedily until the next segment would break the rule.
     """
-    area = rows * keys
-    if len(rows) * rows.max() * keys.max() <= 2 * area.sum():
-        return [slice(None)]
+    row_list, key_list = rows.tolist(), keys.tolist()
+    max_rows, max_keys = max(row_list), max(key_list)
+    if len(row_list) * max_rows * max_keys <= 2 * sum(map(mul, row_list, key_list)):
+        return [(slice(None), max_rows, max_keys)]
     groups, current = [], []
-    true = max_rows = max_keys = 0
+    true = max_rows = 0
     for seg in np.lexsort((-rows, -keys)).tolist():
-        seg_rows, seg_area = int(rows[seg]), int(area[seg])
+        seg_rows, seg_area = row_list[seg], row_list[seg] * key_list[seg]
         grown = (len(current) + 1) * max(max_rows, seg_rows) * max_keys
         if current and grown > 2 * (true + seg_area):
-            groups.append(np.array(current))
+            groups.append((np.array(current), max_rows, max_keys))
             current, true, max_rows = [], 0, 0
         if not current:
-            max_keys = int(keys[seg])
+            max_keys = key_list[seg]
         current.append(seg)
         true += seg_area
         max_rows = max(max_rows, seg_rows)
-    groups.append(np.array(current))
+    groups.append((np.array(current), max_rows, max_keys))
     return groups
 
 
-def _padded_index(starts: np.ndarray, lengths: np.ndarray, order: np.ndarray | None):
-    """``[S, max(lengths)]`` gather indices of ``S`` token runs plus their
-    validity mask; padding slots repeat each run's first token."""
-    lane = np.arange(lengths.max())
+def _padded_index(starts: np.ndarray, lengths: np.ndarray, width: int, order: np.ndarray | None):
+    """``[S, width]`` gather indices of ``S`` token runs (``width`` is the
+    longest) plus their validity mask — ``None`` when no run is shorter;
+    padding slots repeat each run's first token."""
+    lane = np.arange(width)
     valid = lane < lengths[:, None]
-    index = starts[:, None] + np.where(valid, lane, 0)
+    if valid.all():
+        valid = None
+    else:
+        lane = np.where(valid, lane, 0)
+    index = starts[:, None] + lane
     return (index if order is None else order[index]), valid
 
 
@@ -336,11 +366,13 @@ def _sweep_range(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped-head online-softmax sweep over KV storage slice ``[lo, hi)``.
 
-    Maintains the running ``(m, denom, acc)`` recurrence in the grouped
-    ``[S, NKV, R, G, ...]`` layout, folding each block in place over only
-    the visible query-row band; untouched rows receive the exact identity
-    update, so the result is bit-compatible with folding full-height
-    partials through :class:`OnlineSoftmaxState`.
+    The first visible block's ``(o, lse)`` *is* the result of a one-block
+    range. Only a second block opens the running ``(acc, m, denom)``
+    recurrence, in the grouped ``[S, NKV, R, G, ...]`` layout, folding each
+    block in place over only the visible query-row band; untouched rows
+    receive the exact identity update, so either way the result is
+    bit-compatible with folding full-height partials through
+    :class:`OnlineSoftmaxState`.
     """
     neg_inf = dtype.type(-np.inf)
     zero = dtype.type(0.0)
@@ -348,69 +380,76 @@ def _sweep_range(
     s, nkv, dh = qg.shape[0], qg.shape[1], qg.shape[3]
     tq = mask.shape[1]
 
-    acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
-    m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
-    denom = np.zeros((s, nkv, tq, g), dtype=np.float64)
-    untouched = True
-
-    for start in range(lo, hi, block_size):
-        stop = min(start + block_size, hi)
-        mblk = mask[:, :, start:stop]
-        if skip_masked_blocks:
-            visible = mblk.any(axis=(0, 2))
-            if not visible.any():
-                continue  # all-masked block: identity under the recurrence
-            r0 = int(visible.argmax())
-            r1 = tq - int(visible[::-1].argmax())
-        else:
+    acc = m = denom = None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for start in range(lo, hi, block_size):
+            stop = min(start + block_size, hi)
+            mblk = mask[:, :, start:stop]
             r0, r1 = 0, tq
-        r = r1 - r0
-        blk = stop - start
+            if skip_masked_blocks:
+                visible = mblk.any(axis=(0, 2))
+                seen = np.count_nonzero(visible)
+                if seen == 0:
+                    continue  # all-masked block: identity under the recurrence
+                if seen < tq:
+                    r0 = int(visible.argmax())
+                    r1 = tq - int(visible[::-1].argmax())
+            r = r1 - r0
+            blk = stop - start
 
-        mb = mblk[:, r0:r1]
-        fully_visible = bool(mb.all())
+            mb = mblk[:, r0:r1]
 
-        # scores[s, n, t, g', j] = q[s, t, n*G+g'] . k[s, j, n] * scale. The
-        # matmul output is owned by this block, so the masking / softmax
-        # chain below mutates it in place instead of allocating per step.
-        scores = np.matmul(qg[:, :, r0 * g : r1 * g, :], kt[:, :, :, start:stop])
-        scores *= scale
-        scores = scores.reshape(s, nkv, r, g, blk)
-        if not fully_visible:
-            np.copyto(scores, neg_inf, where=~mb[:, None, :, None, :])
+            # scores[s, n, t, g', j] = q[s, t, n*G+g'] . k[s, j, n] * scale.
+            # The matmul output is owned by this block, so the masking /
+            # softmax chain below mutates it in place instead of allocating
+            # per step.
+            scores = np.matmul(qg[:, :, r0 * g : r1 * g, :], kt[:, :, :, start:stop])
+            scores *= scale
+            scores = scores.reshape(s, nkv, r, g, blk)
+            if not mb.all():
+                np.copyto(scores, neg_inf, where=~mb[:, None, :, None, :])
 
-        with np.errstate(invalid="ignore"):
-            bm = np.max(scores, axis=-1, keepdims=True)
+            bm = scores.max(axis=-1, keepdims=True)
+            # only a row that sees no key (max -inf) needs guarding below
+            dense = bool(bm.min() > neg_inf)
             # bm_safe is finite everywhere, so masked scores stay -inf after
             # the subtraction and exp maps them to exactly +0 — no re-zero
             # pass is needed.
-            bm_safe = bm if fully_visible else np.where(bm == neg_inf, zero, bm)
+            bm_safe = bm if dense else np.where(bm == neg_inf, zero, bm)
             scores -= bm_safe
             p = np.exp(scores, out=scores)
             bden = p.sum(axis=-1)
             o = np.matmul(
                 p.reshape(s, nkv, r * g, blk), vt[:, :, start:stop, :]
             ).reshape(s, nkv, r, g, dh)
-            if fully_visible:
+            if dense:
                 o /= bden[..., None]
                 blse = bm[..., 0] + np.log(bden)
             else:
-                bden_safe = np.where(bden == 0.0, one, bden)
+                empty = bden == 0.0
+                bden_safe = np.where(empty, one, bden)
                 o /= bden_safe[..., None]
-                np.copyto(o, zero, where=(bden == 0.0)[..., None])
-                blse = np.where(bden > 0, bm_safe[..., 0] + np.log(bden_safe), neg_inf)
+                np.copyto(o, zero, where=empty[..., None])
+                blse = np.where(empty, neg_inf, bm_safe[..., 0] + np.log(bden_safe))
 
-            acc_r, m_r, den_r = acc[:, :, r0:r1], m[:, :, r0:r1], denom[:, :, r0:r1]
-            if untouched:
-                # Folding into the empty state is assignment: the block's
-                # own (o, 1, lse), or the identity where no key was visible.
-                acc_r[...] = o
-                den_r[...] = blse > neg_inf
-                m_r[...] = blse
-                untouched = False
+            if acc is None:
+                # The first block *is* the state: its (o, lse) at full
+                # height, rows outside its band having seen no key.
+                acc, m = o, blse
+                if r < tq:
+                    acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
+                    m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
+                    acc[:, :, r0:r1], m[:, :, r0:r1] = o, blse
                 continue
+            if denom is None:
+                # A second block opens the recurrence; folding the first
+                # into the empty state was assignment (weight 1, or 0 — the
+                # identity — where no key was visible).
+                acc, m = np.asarray(acc, dtype=np.float64), np.asarray(m, dtype=np.float64)
+                denom = (m > -np.inf).astype(np.float64)
             # In-place online-softmax fold over the visible row band —
             # identical math to OnlineSoftmaxState.update.
+            acc_r, m_r, den_r = acc[:, :, r0:r1], m[:, :, r0:r1], denom[:, :, r0:r1]
             new_m = np.maximum(m_r, blse)
             safe = np.where(np.isinf(new_m), 0.0, new_m)
             old_scale = np.exp(m_r - safe)
@@ -421,10 +460,14 @@ def _sweep_range(
             den_r += new_scale
             m_r[...] = new_m
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        den_safe = np.where(denom == 0.0, 1.0, denom)
-        out_g = np.where(denom[..., None] > 0, acc / den_safe[..., None], 0.0)
-        lse_g = np.where(denom > 0, m + np.log(den_safe), -np.inf)
-    out = np.ascontiguousarray(out_g.transpose(0, 2, 1, 3, 4)).reshape(s, tq, nkv * g, dh)
-    lse = np.ascontiguousarray(lse_g.transpose(0, 2, 1, 3)).reshape(s, tq, nkv * g)
-    return out, lse
+        if denom is not None:
+            den_safe = np.where(denom == 0.0, 1.0, denom)
+            acc = np.where(denom[..., None] > 0, acc / den_safe[..., None], 0.0)
+            m = np.where(denom > 0, m + np.log(den_safe), -np.inf)
+        elif acc is None:  # no visible block at all
+            acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
+            m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
+    # (one block: (acc, m) is its (o, lse); finalising would divide by 1, add log 1)
+    out = np.ascontiguousarray(acc.transpose(0, 2, 1, 3, 4), dtype=np.float64)
+    lse = np.ascontiguousarray(m.transpose(0, 2, 1, 3), dtype=np.float64)
+    return out.reshape(s, tq, nkv * g, dh), lse.reshape(s, tq, nkv * g)

@@ -112,6 +112,20 @@ def run_offsets(seq_ids: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], cuts, [n])).astype(np.int64, copy=False)
 
 
+def run_index(seq_ids: np.ndarray, offsets: np.ndarray) -> dict[int, int] | None:
+    """``{seq_id: run}`` over the non-pad runs ``offsets`` cuts ``seq_ids``
+    into, in run order: pairs a query run with its sequence's key run without
+    a scan. ``None`` when some sequence is split over several runs (an
+    interleaved shard), which no storage-order index describes."""
+    ids = np.asarray(seq_ids)[offsets[:-1]].tolist()
+    index = dict(zip(ids, range(len(ids))))
+    pads = ids.count(PAD_SEQ)
+    if len(index) != len(ids) - pads + (pads > 0):
+        return None
+    index.pop(PAD_SEQ, None)
+    return index
+
+
 def mask_fraction(mask: np.ndarray) -> float:
     """Fraction of allowed (query, key) pairs — useful for FLOP accounting.
 

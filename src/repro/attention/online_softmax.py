@@ -1,25 +1,22 @@
 """Streaming (online) softmax accumulation.
 
-This is the numerical core shared by the blocked flash-style kernel and by
-merge attention (paper Appendix B). Given partial attention results computed
-against disjoint key/value chunks, each carrying a log-sum-exp (LSE), the
-exact attention over the union of the chunks is recovered by LSE-weighted
-averaging — Equation (4) of the paper:
+This is the numerical core of merge attention (paper Appendix B). Given
+partial attention results computed against disjoint key/value chunks, each
+carrying a log-sum-exp (LSE), the exact attention over the union of the
+chunks is recovered by LSE-weighted averaging — Equation (4) of the paper:
 
     O = sum_s O_s * exp(LSE_s - LSE_max) / sum_s exp(LSE_s - LSE_max)
 
-The accumulator below implements the same recurrence incrementally so a ring
-loop can fold in one partial result per iteration with O(1) extra memory,
-exactly as the production system merges per-ring-step partials. All running
-buffers (and the scratch used to stage each fold) are allocated once in the
-constructor; ``update`` works strictly in place, so a ring loop folding N
-partials performs zero per-fold array allocation on the accumulator side.
+The accumulator below evaluates it *incrementally*, one partial per fold
+with O(1) extra memory. It is the recurrence's reference form: the blocked
+kernel (:mod:`repro.attention.flash`) folds its second and later KV blocks
+with the same arithmetic inlined and its split-KV partials through this
+class, and :func:`repro.core.merge.merge_partials`, which has all N ring
+partials in hand and reduces them in one shot, is tested against it.
 
 Empty partials are represented by ``LSE = -inf`` and ``O = 0`` and are
 absorbed as identity elements, which is what a causal shard with no visible
-keys produces. ``update`` detects this case up front and returns without
-touching the accumulators — the fast path that makes shard-level masked-step
-skipping in the ring algorithms nearly free.
+keys produces; ``update`` returns early on one without touching the state.
 """
 
 from __future__ import annotations
@@ -48,17 +45,6 @@ class OnlineSoftmaxState:
         self._acc = np.zeros(out_shape, dtype=np.float64)
         self._m = np.full(lse_shape, -np.inf, dtype=np.float64)
         self._denom = np.zeros(lse_shape, dtype=np.float64)
-        # Scratch reused by every update(): one out-shaped staging buffer for
-        # the scaled incoming partial plus three lse-shaped work arrays.
-        self._scaled_out = np.empty(out_shape, dtype=np.float64)
-        self._new_m = np.empty(lse_shape, dtype=np.float64)
-        self._old_scale = np.empty(lse_shape, dtype=np.float64)
-        self._new_scale = np.empty(lse_shape, dtype=np.float64)
-
-    @property
-    def max_lse(self) -> np.ndarray:
-        """Running maximum LSE (read-only view)."""
-        return self._m
 
     def update(self, partial_out: np.ndarray, partial_lse: np.ndarray) -> None:
         """Fold one partial attention result into the state, in place.
@@ -79,21 +65,17 @@ class OnlineSoftmaxState:
         if np.all(np.isneginf(partial_lse)):
             return
 
-        new_m = np.maximum(self._m, partial_lse, out=self._new_m)
+        new_m = np.maximum(self._m, partial_lse)
         # Identity when both sides are empty (-inf): keep zeros. ``safe_m``
         # is always finite, so ``x - safe_m`` is -inf exactly when x is.
         safe_m = np.where(np.isinf(new_m), 0.0, new_m)
-        np.subtract(self._m, safe_m, out=self._old_scale)
-        np.exp(self._old_scale, out=self._old_scale)
-        np.subtract(partial_lse, safe_m, out=self._new_scale)
-        np.exp(self._new_scale, out=self._new_scale)
-        self._acc *= self._old_scale[..., None]
-        np.multiply(partial_out, self._new_scale[..., None], out=self._scaled_out)
-        self._acc += self._scaled_out
-        self._denom *= self._old_scale
-        self._denom += self._new_scale
-        # new_m lives in the _new_m scratch; swap it in rather than copying.
-        self._m, self._new_m = self._new_m, self._m
+        old_scale = np.exp(self._m - safe_m)
+        new_scale = np.exp(partial_lse - safe_m)
+        self._acc *= old_scale[..., None]
+        self._acc += partial_out * new_scale[..., None]
+        self._denom *= old_scale
+        self._denom += new_scale
+        self._m = new_m
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(O, LSE)`` for the union of all folded partials.

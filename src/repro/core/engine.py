@@ -205,15 +205,15 @@ class ContextParallelEngine:
         plan = self.planner.plan(specs, force_algo=force_algo)
 
         shards = shard_sequences(specs, self.world_size)
-        cached = {s.seq_id: s.cached_tokens for s in specs}
 
-        # Per-rank token ids resolved from (seq, pos) coordinates.
-        rank_tokens = []
-        for positions, seq_ids in shards:
-            toks = np.empty(positions.shape[0], dtype=np.int64)
-            for i, (pos, sid) in enumerate(zip(positions, seq_ids)):
-                toks[i] = new_ids[int(sid)][int(pos) - cached[int(sid)]]
-            rank_tokens.append(toks)
+        # Per-rank token ids resolved from (seq, pos) coordinates: with the new
+        # ids end to end (ascending seq id), start(sid) + pos - cached(sid).
+        flat_ids = np.concatenate(list(new_ids.values()))
+        spec_sids = np.array(list(new_ids), dtype=np.int64)
+        base = np.cumsum([s.new_tokens for s in specs]) - [s.total_tokens for s in specs]
+        rank_tokens = [
+            flat_ids[base[np.searchsorted(spec_sids, sids)] + pos] for pos, sids in shards
+        ]
 
         # Stage pipeline: local embed -> (per layer: local qkv + cache
         # append, ring attention, local residual/FFN) -> local unembed.
@@ -329,24 +329,29 @@ class ContextParallelEngine:
         positions = np.array([self.seq_lengths[sid] for sid in sids], dtype=np.int64)
         seq_arr = np.array(sids, dtype=np.int64)
 
+        # What the tokens alone decide is derived once per round, the ring's
+        # plan included: every layer passes the one batch, its queries
+        # written into q_batch in place (the ranks' slots cover it).
         assignment = round_robin_assignment(b, self.world_size, self.decode_steps)
         rank_slots = [np.nonzero(assignment == rank)[0] for rank in range(self.world_size)]
+        rank_pos = [positions[slots] for slots in rank_slots]
+        appends = [
+            [(sids[slot], positions[slot : slot + 1]) for slot in slots.tolist()]
+            for slots in rank_slots
+        ]
+        q_batch = np.empty((b, cfg.n_heads, cfg.head_dim))
+        batch = DecodeBatch(q=q_batch, positions=positions, seq_ids=seq_arr)
 
         xs = [self.model.embed(token_arr[slots]) for slots in rank_slots]
         for layer in range(cfg.n_layers):
-            q_batch = np.zeros((b, cfg.n_heads, cfg.head_dim))
             for rank, slots in enumerate(rank_slots):
                 if slots.size == 0:
                     continue
-                q, k, v = self.model.attn_qkv(layer, xs[rank], positions[slots])
+                q, k, v = self.model.attn_qkv(layer, xs[rank], rank_pos[rank])
                 q_batch[slots] = q
-                for i, slot in enumerate(slots):
-                    self.caches[rank].append(
-                        layer, int(seq_arr[slot]), k[i : i + 1], v[i : i + 1],
-                        positions[slot : slot + 1],
-                    )
+                for i, (sid, pos) in enumerate(appends[rank]):
+                    self.caches[rank].append(layer, sid, k[i : i + 1], v[i : i + 1], pos)
             kv_shards = [self.caches[rank].get(layer, sids) for rank in range(self.world_size)]
-            batch = DecodeBatch(q=q_batch, positions=positions, seq_ids=seq_arr)
             result, _ = ring_passq_decode(
                 self.group, kv_shards, batch, step=self.decode_steps,
                 block_size=self.block_size, compute_dtype=self.compute_dtype,
@@ -362,16 +367,12 @@ class ContextParallelEngine:
             if slots.size == 0:
                 continue
             rank_logits = self.model.unembed(xs[rank])
-            for i, slot in enumerate(slots):
-                logits[int(seq_arr[slot])] = rank_logits[i]
+            logits.update(zip((sid for sid, _ in appends[rank]), rank_logits))
         for i, sid in enumerate(sids):
             self._track_commit(sid, int(positions[i]), [tokens[sid]])
             self.seq_lengths[sid] += 1
         self.decode_steps += 1
-        return DecodeOutput(
-            logits=logits,
-            assignment={int(seq_arr[i]): int(assignment[i]) for i in range(b)},
-        )
+        return DecodeOutput(logits=logits, assignment=dict(zip(sids, assignment.tolist())))
 
     # ------------------------------------------------------------------ #
     # generation convenience

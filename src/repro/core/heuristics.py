@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class RingAlgo(enum.Enum):
@@ -199,6 +198,11 @@ def fit_empirical(
         raise ValueError("inputs must share a shape")
     if np.any(t < 1):
         raise ValueError("new_tokens must be >= 1 for the log features")
+    # imported here: scipy costs more to load than the rest of the package
+    try:
+        from scipy.optimize import minimize
+    except ImportError as exc:
+        raise ImportError("fit_empirical needs scipy: pip install 'repro[fit]'") from exc
     feats = np.stack([np.log(t), np.log(t / (t + p)), np.ones_like(t)], axis=1)
 
     def loss(w: np.ndarray) -> float:

@@ -17,12 +17,12 @@ the pass-Q ring followed by the same permute + All2All + merge as prefill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.attention.flash import AttentionResult, flash_attention
-from repro.attention.masks import PAD_SEQ
+from repro.attention.masks import PAD_SEQ, run_index
 from repro.core.merge import merge_partials
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries
@@ -44,6 +44,9 @@ class DecodeBatch:
     q: np.ndarray
     positions: np.ndarray
     seq_ids: np.ndarray
+    # :func:`_round_plan` by (world size, step), for a caller that passes
+    # one batch at every layer of the round (new ``q`` written in place)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q.ndim != 3:
@@ -79,6 +82,39 @@ def _pad_rows(rows: np.ndarray, pad: int, fill) -> np.ndarray:
     if pad == 0:
         return rows
     return np.concatenate([rows, np.full((pad,) + rows.shape[1:], fill, dtype=rows.dtype)])
+
+
+def _round_plan(batch: DecodeBatch, n: int, step: int) -> tuple:
+    """What the ring derives from the round's tokens, ``n`` and ``step`` —
+    the same at every layer, so kept on the batch. Per rank: the batch
+    ``slots`` it owns and its payload's padded ``coords``; per origin: its
+    payload's ``(offsets, {seq_id: row})`` runs and :func:`query_reach`;
+    ``origins[j][rank]``: whose payload ``rank`` holds at ring step ``j``."""
+    plan = batch._plans.get((n, step))
+    if plan is None:
+        b = batch.batch_size
+        assignment = round_robin_assignment(b, n, step)
+        # Pad the per-rank query count to ceil(B / N): the paper notes this
+        # padding inflates decode work when B is not divisible by N (Table 8).
+        per_rank = -(-b // n) if b else 0
+        slots = [np.nonzero(assignment == rank)[0] for rank in range(n)]
+        coords = [
+            {
+                "pos": _pad_rows(batch.positions[own], per_rank - own.shape[0], 0),
+                "seq": _pad_rows(batch.seq_ids[own], per_rank - own.shape[0], PAD_SEQ),
+                "slots": _pad_rows(own, per_rank - own.shape[0], -1),
+            }
+            for own in slots
+        ]
+        # Every query row is its own sequence (pad rows included), so each
+        # payload's run structure is one row per run.
+        offsets = np.arange(per_rank + 1)
+        q_runs = [(offsets, run_index(c["seq"], offsets)) for c in coords]
+        q_reach = [query_reach(c["pos"], c["seq"], offsets) for c in coords]
+        origins = [[source_rank_at_step(rank, j, n) for rank in range(n)] for j in range(n)]
+        plan = (assignment, per_rank, slots, coords, q_runs, q_reach, origins)
+        batch._plans[(n, step)] = plan
+    return plan
 
 
 def ring_passq_decode(
@@ -130,44 +166,25 @@ def ring_passq_decode(
     if len(kv_shards) != n:
         raise ValueError(f"need one KV shard per rank, got {len(kv_shards)} for world {n}")
     b = batch.batch_size
-    assignment = round_robin_assignment(b, n, step)
-
-    # Pad the per-rank query count to ceil(B / N): the paper notes this
-    # padding inflates decode work when B is not divisible by N (Table 8).
-    per_rank = -(-b // n) if b else 0
     nh, dh = batch.q.shape[1], batch.q.shape[2]
+    assignment, per_rank, slots, coords, q_runs, q_reach, origins = _round_plan(batch, n, step)
 
-    local: list[dict] = []
-    for rank in range(n):
-        slots = np.nonzero(assignment == rank)[0]
-        pad = per_rank - slots.shape[0]
-        local.append(
-            {
-                "q": _pad_rows(batch.q[slots], pad, 0.0),
-                "pos": _pad_rows(batch.positions[slots], pad, 0),
-                "seq": _pad_rows(batch.seq_ids[slots], pad, PAD_SEQ),
-                "slots": _pad_rows(slots, pad, -1),
-            }
-        )
-    # Every query row is its own sequence (pad rows included), so each
-    # payload's run structure is one row per run.
-    q_runs = np.arange(per_rank + 1)
-
-    traveling = list(local)
+    # Only the queries are this layer's own (traveling[s] starts as the
+    # payload originating at rank s; the ring schedule recovers the origin).
+    traveling = [
+        {"q": _pad_rows(batch.q[own], per_rank - own.shape[0], 0.0), **coord}
+        for own, coord in zip(slots, coords)
+    ]
     computed: list[dict[int, AttentionResult]] = [dict() for _ in range(n)]
 
-    # Causal-reach summaries, one scan per shard (local[s] is the payload
-    # originating at rank s; the ring schedule recovers the origin later).
     skip = skip_masked_shards and mask_fn is None
     if skip:
-        q_summary = [query_reach(p["pos"], p["seq"], q_runs) for p in local]
         k_summary = [kv_reach(kv.positions, kv.seq_ids, kv.runs) for kv in kv_shards]
 
     for j in range(n):
-        for rank in range(n):
-            src = source_rank_at_step(rank, j, n)
+        for rank, src in enumerate(origins[j]):
             q = traveling[rank]
-            if skip and partial_fully_masked(q_summary[src], k_summary[rank]):
+            if skip and partial_fully_masked(q_reach[src], k_summary[rank]):
                 computed[rank][src] = AttentionResult.empty(per_rank, nh, dh)
                 continue
             kv = kv_shards[rank]
@@ -185,8 +202,8 @@ def ring_passq_decode(
                 num_kv_splits=num_kv_splits,
                 mask_fn=mask_fn,
                 compute_dtype=compute_dtype,
-                q_runs=q_runs,
-                k_runs=kv.runs,
+                q_runs=q_runs[src],
+                k_runs=(kv.runs, kv.run_index),
             )
         if j < n - 1:
             traveling = group.ring_shift(traveling, step=j, tag="decode-passq")
@@ -198,12 +215,10 @@ def ring_passq_decode(
     ]
     restored = group.all_to_all(matrix, tag="decode-merge")
 
-    out = np.zeros((b, nh, dh), dtype=np.float64)
-    lse = np.full((b, nh), -np.inf, dtype=np.float64)
-    for rank in range(n):
-        merged = merge_partials([AttentionResult(out=o, lse=l) for o, l in restored[rank]])
-        slots = local[rank]["slots"]
-        valid = slots >= 0
-        out[slots[valid]] = merged.out[valid]
-        lse[slots[valid]] = merged.lse[valid]
+    out = np.empty((b, nh, dh), dtype=np.float64)  # the ranks' slots cover it
+    lse = np.empty((b, nh), dtype=np.float64)
+    for own, partials in zip(slots, restored):
+        merged = merge_partials([AttentionResult(out=o, lse=l) for o, l in partials])
+        out[own] = merged.out[: own.shape[0]]
+        lse[own] = merged.lse[: own.shape[0]]
     return AttentionResult(out=out, lse=lse), assignment

@@ -117,7 +117,7 @@ def ring_passkv_prefill(
                         mask_fn=mask_fn,
                         compute_dtype=compute_dtype,
                         q_runs=queries[rank].runs,
-                        k_runs=blk.runs,
+                        k_runs=(blk.runs, blk.run_index),
                     )
                 )
         if step < n - 1:

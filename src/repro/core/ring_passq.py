@@ -105,7 +105,7 @@ def ring_passq_prefill(
                 mask_fn=mask_fn,
                 compute_dtype=compute_dtype,
                 q_runs=q.runs,
-                k_runs=kv.runs,
+                k_runs=(kv.runs, kv.run_index),
             )
         if step < n - 1:
             traveling = group.ring_shift(traveling, step=step, tag="passq")

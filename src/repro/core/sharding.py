@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attention.masks import PAD_SEQ, run_offsets
+from repro.attention.masks import PAD_SEQ, run_index, run_offsets
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,10 @@ class ShardedQueries:
 class ShardedKV:
     """One rank's key/value tokens (cached plus freshly projected).
 
-    ``runs``: as on :class:`ShardedQueries`.
+    ``runs``: as on :class:`ShardedQueries`. ``run_index``: their
+    :func:`repro.attention.masks.run_index`, passed by the producer or found
+    at construction, so that none of the N ring steps that attend the shard
+    re-scans it — the kernel is handed ``(runs, run_index)``.
     """
 
     k: np.ndarray  # [n, NKV, DH]
@@ -101,12 +104,15 @@ class ShardedKV:
     positions: np.ndarray  # [n]
     seq_ids: np.ndarray  # [n]
     runs: np.ndarray | None = field(default=None, metadata=_OFF_WIRE)  # [S + 1]
+    run_index: dict[int, int] | None = field(default=None, metadata=_OFF_WIRE)
 
     def __post_init__(self) -> None:
         if self.k.shape != self.v.shape:
             raise ValueError(f"k {self.k.shape} and v {self.v.shape} must match")
         _validate_coords(self.k, self.positions, self.seq_ids)
         self.runs = _validate_runs(self.runs, self.seq_ids)
+        if self.run_index is None:
+            self.run_index = run_index(self.seq_ids, self.runs)
 
     def __len__(self) -> int:
         return self.k.shape[0]

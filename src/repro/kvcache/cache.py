@@ -184,7 +184,7 @@ class RankKVCache:
         """Fused :class:`ShardedKV` view of this rank's cache at ``layer``.
 
         One run per cached sequence, in ``seq_ids`` order, with the run
-        offsets attached. A single-sequence read returns read-only views
+        offsets and the ``{seq_id: run}`` index attached. A single-sequence read returns read-only views
         of the slab; a fused read copies each column once. Either way the
         result never changes under a later append or trim.
 
@@ -221,6 +221,7 @@ class RankKVCache:
             positions=cols[-1],
             seq_ids=np.repeat(np.array(sids, dtype=np.int64), lengths),
             runs=np.concatenate(([0], np.cumsum(lengths))),
+            run_index=dict(zip(sids, range(len(sids)))),
         )
 
     # ------------------------------------------------------------------ #

@@ -376,6 +376,8 @@ class ContinuousBatchingRuntime:
         self._live: set[int] = set()  # rids not yet FINISHED
         self._decoding: set[int] = set()  # rids in DECODE state
         self._waiting: set[int] = set()  # seq_ids whose chain head is QUEUED
+        # queued_tokens() memo; submit / step / preempt reset it to None
+        self._queued_tokens: int | None = None
 
         # shadow-state sanitizer (opt-in): validates every allocator and
         # engine lifecycle op against an independent model, then checks
@@ -403,6 +405,7 @@ class ContinuousBatchingRuntime:
         order over one persistent KV stream, each waiting for its
         predecessor to finish.
         """
+        self._queued_tokens = None
         if request.request_id < 0:
             request.request_id = self._next_rid
         if request.request_id in self._records:
@@ -472,6 +475,7 @@ class ContinuousBatchingRuntime:
         idle pools up to their next enabling event, pick which role runs,
         run its round, and handle the dead ends.
         """
+        self._queued_tokens = None
         if not self._any_live():
             return False
         if self._injector is not None:
@@ -1226,6 +1230,7 @@ class ContinuousBatchingRuntime:
 
     def preempt(self, request_id: int) -> None:
         """Forcibly evict an active request (tests / external policies)."""
+        self._queued_tokens = None
         rec = self._records[request_id]
         if rec.state not in _ACTIVE_STATES:
             raise ValueError(f"request {request_id} is {rec.state.value}, not preemptible")
@@ -1906,8 +1911,8 @@ class ContinuousBatchingRuntime:
     # scheduler-facing interface (cluster tier)
     # ------------------------------------------------------------------ #
     # A fleet router places conversations by comparing replicas through
-    # exactly these read-only views — they must stay cheap (O(queued))
-    # and side-effect free so routing never perturbs the run it observes.
+    # exactly these read-only views — they must stay cheap (O(1) between
+    # steps) and side-effect free so routing never perturbs the run.
 
     def live_requests(self) -> int:
         """Submitted requests not yet terminal."""
@@ -1925,16 +1930,19 @@ class ContinuousBatchingRuntime:
         FIFO plus the first-turn prompts of conversations still waiting
         to be admitted — a deliberate *approximation* of pending work
         (later turns and decode budgets are invisible until they queue),
-        matching what a production router can actually observe.
+        matching what a production router can actually observe. Memoised:
+        a router probes every replica on every placement.
         """
-        tokens = sum(
-            self._records[rid].prefill_remaining for _, rid in self._prefill_queue
-        )
-        tokens += sum(
-            int(self._records[self._chains[seq_id][0]].request.prompt.size)
-            for seq_id in self._waiting
-        )
-        return tokens
+        if self._queued_tokens is None:
+            tokens = sum(
+                self._records[rid].prefill_remaining for _, rid in self._prefill_queue
+            )
+            tokens += sum(
+                int(self._records[self._chains[seq_id][0]].request.prompt.size)
+                for seq_id in self._waiting
+            )
+            self._queued_tokens = tokens
+        return self._queued_tokens
 
     def busy_time(self) -> float:
         """Cumulative simulated busy seconds across this runtime's pools."""

@@ -1,5 +1,7 @@
 """Tests for the pass-KV/pass-Q selection heuristics (Eqs. 1-3, 5)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,7 @@ class TestEmpiricalModel:
 
     def test_fit_recovers_planted_boundary(self):
         """fit_empirical recovers a linear decision boundary from labels."""
+        pytest.importorskip("scipy")  # the "fit" extra; CI runs without it
         rng = np.random.default_rng(0)
         true = (-1.2, 1.4, 10.0)
         t = rng.integers(64, 200000, size=600).astype(float)
@@ -155,6 +158,11 @@ class TestEmpiricalModel:
         h_fit = fitted[0] * np.log(t) + fitted[1] * np.log(rate) + fitted[2]
         agreement = np.mean((h_fit > 0) == labels)
         assert agreement > 0.97
+
+    def test_fit_without_scipy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # import raises ImportError
+        with pytest.raises(ImportError, match=r"repro\[fit\]"):
+            fit_empirical(np.array([8.0]), np.array([1.0]), np.array([True]))
 
     def test_fit_validation(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,36 @@ class TestDecodeExactness:
         assert group.tracer.count("all2all") == 1
 
 
+class TestRoundPlan:
+    def test_one_batch_across_layers_derives_the_round_once(self, rng, monkeypatch):
+        """What ``engine.decode`` does: one batch per round, each layer's
+        queries written into it in place. The layer-invariant metadata is
+        derived at the first layer only, and the second layer's result is
+        the one a freshly built batch gives."""
+        import repro.core.ring_decode as ring_decode
+
+        derived = []
+        monkeypatch.setattr(
+            ring_decode, "round_robin_assignment",
+            lambda *a: derived.append(a) or round_robin_assignment(*a),
+        )
+        world, batch = 4, 6  # 6 over 4 ranks: pad rows in two payloads
+        kv_shards, layer0, _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
+        group = SimProcessGroup(world)
+        ring_passq_decode(group, kv_shards, layer0, step=0)
+        next_q = rng.standard_normal(layer0.q.shape)
+        layer0.q[...] = next_q  # the next layer's projections, same tokens
+        again, _ = ring_passq_decode(group, kv_shards, layer0, step=0)
+        assert len(derived) == 1
+        fresh = DecodeBatch(q=next_q.copy(), positions=layer0.positions, seq_ids=layer0.seq_ids)
+        want, _ = ring_passq_decode(SimProcessGroup(world), kv_shards, fresh, step=0)
+        assert np.array_equal(again.out, want.out) and np.array_equal(again.lse, want.lse)
+        # another step (or world size) is another plan
+        derived.clear()
+        ring_passq_decode(group, kv_shards, layer0, step=4)
+        assert len(derived) == 1
+
+
 class TestDecodeBatchValidation:
     def test_duplicate_seq_rejected(self, rng):
         q = rng.standard_normal((2, 4, 8))

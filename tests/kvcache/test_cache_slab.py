@@ -72,6 +72,13 @@ class TestGrowth:
         got = cache.get(0, [5, 9, 2])  # 9 is not cached: no run, no gap
         np.testing.assert_array_equal(got.seq_ids, [5, 5, 5, 2, 2, 2, 2])
         np.testing.assert_array_equal(got.runs, [0, 3, 7])
+        # ... and the run index, built from the ids and lengths already in
+        # hand: exactly what a scan of the fused ids would find
+        from repro.attention.masks import run_index
+
+        assert got.run_index == {5: 0, 2: 1} == run_index(got.seq_ids, got.runs)
+        assert cache.get(0, [2]).run_index == {2: 0}
+        assert cache.get(0, [9]).run_index == {}
 
 
 class TestReadsAreStable:

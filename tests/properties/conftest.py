@@ -6,7 +6,8 @@ Every :class:`PagedAllocator` built while these suites run gets an
 hypothesis machines exercise the sanitizer's shadow model against the
 full randomized schedule space for free: any operation the shadow cannot
 explain fails the property at that operation with an op trace, not at the
-end-of-run audit.
+end-of-run audit. The same patch point checks the runtime's memoised
+``queued_tokens()`` against a recount on every read.
 
 Session-scoped (with an explicit ``pytest.MonkeyPatch``) rather than a
 function-scoped autouse fixture: hypothesis's
@@ -42,5 +43,17 @@ def _sanitize_everything():
         orig_init(self, *args, **kwargs)
 
     mp.setattr(ContinuousBatchingRuntime, "__init__", sanitized_init)
+
+    # the router's O(1) load probe is a memo: every read, under every
+    # schedule these suites generate, must equal a fresh count
+    memoised = ContinuousBatchingRuntime.queued_tokens
+
+    def checked_queued_tokens(self):
+        cached = memoised(self)
+        self._queued_tokens = None  # forget it: the next read recounts
+        assert cached == memoised(self), "stale queued_tokens memo"
+        return cached
+
+    mp.setattr(ContinuousBatchingRuntime, "queued_tokens", checked_queued_tokens)
     yield
     mp.undo()

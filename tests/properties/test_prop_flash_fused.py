@@ -179,3 +179,101 @@ class TestDegenerateShards:
         assert res.out.shape == (3, 4, 8) and np.all(np.isneginf(res.lse))
         res = flash_attention(np.zeros((0, 4, 8)), np.zeros((5, 2, 8)), np.zeros((5, 2, 8)))
         assert res.out.shape == (0, 4, 8)
+
+
+# ---------------------------------------------------------------------- #
+# the one-block base case (exactness twin of bench_flash_decode_shape)
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def one_block_case(draw):
+    """``S`` segments under an arbitrary mask: causal-like staircases, key
+    padding, and rows that see nothing — at the top, the bottom (both trim
+    the row band), in the middle (inside the band) or everywhere."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    s = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 9))
+    length = draw(st.integers(1, 12))
+    n_kv, g, dh = draw(st.sampled_from([(1, 1, 4), (2, 4, 8)]))
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((s, r, n_kv * g, dh))
+    k = rng.standard_normal((s, length, n_kv, dh))
+    v = rng.standard_normal((s, length, n_kv, dh))
+    kind = draw(st.sampled_from(["causal", "padded", "random", "full", "empty"]))
+    if kind == "causal":
+        mask = np.arange(length)[None, None, :] <= rng.integers(-2, length, (s, r, 1))
+    elif kind == "padded":
+        mask = np.broadcast_to(
+            np.arange(length)[None, None, :] < rng.integers(0, length + 1, (s, 1, 1)), (s, r, length)
+        ).copy()
+    elif kind == "random":
+        mask = rng.random((s, r, length)) < 0.6
+    else:
+        mask = np.full((s, r, length), kind == "full")
+    for row in draw(st.lists(st.integers(0, r - 1), max_size=3)):
+        mask[:, row] = False  # this row sees no key in any segment
+    return q, k, v, mask
+
+
+def _through_the_recurrence(q, k, v, mask, scale, dtype):
+    """The same block on the path the one-block return bypasses: append one
+    key nobody may see, as a second block, and sweep with block skipping
+    off — the block's partial is assigned into the running state, the
+    masked block folded on top (the identity) and the state finalised."""
+    from repro.attention.flash import _attend
+
+    s, _, length = mask.shape
+    pad = np.zeros((s, 1) + k.shape[2:])
+    return _attend(
+        q, np.concatenate([k, pad], axis=1), np.concatenate([v, pad], axis=1),
+        np.concatenate([mask, np.zeros((s, mask.shape[1], 1), dtype=bool)], axis=2),
+        scale, length, 1, False, np.dtype(dtype),
+    )
+
+
+class TestOneBlockBaseCase:
+    @given(one_block_case(), st.sampled_from([np.float64, np.float32]), st.booleans())
+    @settings(**SETTINGS)
+    def test_equals_the_block_folded_and_finalised(self, case, dtype, skip):
+        from repro.attention.flash import _attend
+        from repro.attention.online_softmax import OnlineSoftmaxState
+
+        q, k, v, mask = case
+        scale = 1.0 / np.sqrt(q.shape[-1])
+        out, lse = _attend(q, k, v, mask, scale, mask.shape[2], 1, skip, np.dtype(dtype))
+        assert out.dtype == lse.dtype == np.float64
+
+        # (1) against the running-state path, bit for bit
+        ref_out, ref_lse = _through_the_recurrence(q, k, v, mask, scale, dtype)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(lse, ref_lse)
+
+        # (2) folding it into an empty OnlineSoftmaxState and finalising —
+        # divide by 1, add log 1 — gives it back, bit for bit
+        state = OnlineSoftmaxState(out.shape, lse.shape)
+        state.update(out, lse)
+        fold_out, fold_lse = state.finalize()
+        assert np.array_equal(out, fold_out)
+        assert np.array_equal(lse, fold_lse)
+
+        # rows with no visible key are the identity element, band or no band
+        dark = ~mask.any(axis=2)
+        assert np.all(np.isneginf(lse[dark])) and np.all(out[dark] == 0)
+        assert np.all(np.isfinite(lse[~dark]))
+
+    def test_first_chunk_causal_prefill_is_one_trimmed_block(self):
+        """``long_prefill``'s first-chunk call: T x T causal, one block; the
+        late-KV half of a load-balanced shard sees no early query rows, so
+        the band trim must survive the one-block return."""
+        rng = np.random.default_rng(5)
+        t = 48
+        q = rng.standard_normal((t, 4, 8))
+        k = rng.standard_normal((t, 2, 8))
+        v = rng.standard_normal((t, 2, 8))
+        q_pos = np.arange(t)
+        k_pos = np.arange(t) + t // 2  # keys start half-way up the queries
+        res = flash_attention(q, k, v, q_pos=q_pos, k_pos=k_pos, block_size=128)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos, k_pos=k_pos)
+        _assert_matches(res, ref_out, ref_lse)
+        assert np.all(np.isneginf(res.lse[: t // 2])) and np.all(res.out[: t // 2] == 0)

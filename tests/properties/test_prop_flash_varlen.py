@@ -6,7 +6,8 @@ sequence id and sweeps them as one padded batch. These properties pin that
 path three ways on random fused batches — against the same kernel run as
 one monolithic segment (forced through ``mask_fn``, which is never
 segmented), against the fully-materialized reference oracle, and against
-itself with the run offsets handed over versus rediscovered — to the
+itself with the run offsets handed over (bare, or with the run index a
+``ShardedKV`` carries) versus rediscovered — to the
 library's contract of ``atol=1e-12, rtol=0`` plus *identical* ``-inf``
 structure (see ``test_prop_flash_fused.py``).
 
@@ -22,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attention.flash import _pad_groups, flash_attention
-from repro.attention.masks import PAD_SEQ, attention_mask, run_offsets
+from repro.attention.flash import _pad_groups, _sequence_runs, flash_attention
+from repro.attention.masks import PAD_SEQ, attention_mask, run_index, run_offsets
 from repro.attention.reference import reference_attention_with_lse
+from repro.core.sharding import ShardedKV
+from repro.distributed.process_group import SimProcessGroup
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -82,6 +85,10 @@ def _call(case, **kw):
     return flash_attention(*tensors, **coords, **kw)
 
 
+def _as_shard(case) -> ShardedKV:
+    return ShardedKV(k=case["k"], v=case["v"], positions=case["k_pos"], seq_ids=case["k_seq"])
+
+
 def _assert_same(res, out, lse, *, atol=1e-12):
     np.testing.assert_allclose(res.out, out, atol=atol, rtol=0)
     empty = np.isneginf(lse)
@@ -125,6 +132,36 @@ class TestSegmentedMatchesMonolithic:
         )
         assert np.array_equal(found.out, given_runs.out)
         assert np.array_equal(found.lse, given_runs.lse)
+        # ... and the (offsets, index) pair a shard carries: nothing scanned
+        # (an interleaved side has no index; the kernel falls back to its sort)
+        q_runs, kv = run_offsets(case["q_seq"]), _as_shard(case)
+        carried = _call(
+            case, **knobs,
+            q_runs=(q_runs, run_index(case["q_seq"], q_runs)), k_runs=(kv.runs, kv.run_index),
+        )
+        assert np.array_equal(found.out, carried.out)
+        assert np.array_equal(found.lse, carried.lse)
+
+    @given(fused_batch())
+    @settings(**SETTINGS)
+    def test_shard_carried_index_is_what_the_kernel_scans(self, batch):
+        case, _ = batch
+        kv = _as_shard(case)
+        order, offsets, index = _sequence_runs(case["k_seq"], None)
+        if order is None:  # one run per sequence: the shard found the same index
+            assert kv.run_index == index and PAD_SEQ not in index
+            assert np.array_equal(kv.runs, offsets)
+            for sid, run in index.items():
+                assert set(case["k_seq"][offsets[run] : offsets[run + 1]].tolist()) == {sid}
+        else:  # interleaved: only the kernel's sort can gather it
+            assert kv.run_index is None
+        # host-side bookkeeping, like ``runs``: not a byte of it on the wire,
+        # and it survives the trip
+        group = SimProcessGroup(2)
+        tensors = (kv.k, kv.v, kv.positions, kv.seq_ids)
+        assert group.payload_nbytes(kv) == group.payload_nbytes(tensors)
+        received = group.ring_shift([kv, kv])[0]
+        assert received.run_index == kv.run_index
 
     @given(fused_batch())
     @settings(**SETTINGS)
@@ -184,8 +221,6 @@ class TestEdges:
         _assert_same(_call(case), ref_out, ref_lse)
 
     def test_runs_must_span_the_shard(self):
-        from repro.core.sharding import ShardedKV
-
         with pytest.raises(ValueError, match="run offsets"):
             ShardedKV(
                 k=np.zeros((3, 1, 4)), v=np.zeros((3, 1, 4)),
@@ -203,16 +238,17 @@ class TestPaddingRule:
         rows = np.array([r for r, _ in segments])
         keys = np.array([k for _, k in segments])
         groups = _pad_groups(rows, keys)
-        members = np.concatenate([np.arange(len(rows))[g] for g in groups])
+        members = np.concatenate([np.arange(len(rows))[g] for g, _, _ in groups])
         assert sorted(members.tolist()) == list(range(len(rows)))  # a partition
-        for g in groups:
+        for g, max_rows, max_keys in groups:
             r, k = rows[g], keys[g]
-            assert len(r) * r.max() * k.max() <= 2 * (r * k).sum()
+            assert (max_rows, max_keys) == (r.max(), k.max())  # the padded shape it reports
+            assert len(r) * max_rows * max_keys <= 2 * (r * k).sum()
 
     def test_short_sequences_are_not_padded_to_a_long_one(self):
         rows = np.array([4] * 10 + [500])
         keys = np.array([30] * 10 + [2000])
-        long_batch, short_batch = (np.arange(11)[g].tolist() for g in _pad_groups(rows, keys))
+        long_batch, short_batch = (np.arange(11)[g].tolist() for g, _, _ in _pad_groups(rows, keys))
         # the rule lets the long sweep carry one short rider (2x its area,
         # exactly); the other nine are swept at their own size
         assert long_batch[0] == 10 and len(long_batch) <= 2
@@ -222,4 +258,4 @@ class TestPaddingRule:
         rng = np.random.default_rng(3)
         rows, keys = rng.integers(1, 50, 30), rng.integers(1, 900, 30)
         a, b = _pad_groups(rows, keys), _pad_groups(rows.copy(), keys.copy())
-        assert [np.arange(30)[g].tolist() for g in a] == [np.arange(30)[g].tolist() for g in b]
+        assert [np.arange(30)[g].tolist() for g, _, _ in a] == [np.arange(30)[g].tolist() for g, _, _ in b]

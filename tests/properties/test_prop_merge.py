@@ -105,3 +105,81 @@ class TestMergeProperties:
         visible = ~np.isneginf(merged.lse)
         assert np.all(merged.out[visible] >= vmin)
         assert np.all(merged.out[visible] <= vmax)
+
+
+# ---------------------------------------------------------------------- #
+# one-shot Equation 4 vs the sequential recurrence (exactness twin of
+# bench_merge_partials_cp4)
+# ---------------------------------------------------------------------- #
+
+
+def _sequential(partials):
+    from repro.attention.online_softmax import OnlineSoftmaxState
+
+    state = OnlineSoftmaxState(partials[0].out.shape, partials[0].lse.shape)
+    for p in partials:
+        state.update(p.out, p.lse)
+    return state.finalize()
+
+
+@st.composite
+def partial_set(draw):
+    """N partials of one ``[T, NH, DH]`` query block with the empties the
+    rings produce: whole partials (a skipped shard), rows empty in every
+    partial (pad queries), rows empty in some; optionally float32."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    n = draw(st.integers(1, 6))
+    t, nh, dh = draw(st.integers(1, 6)), draw(st.sampled_from([1, 4])), 4
+    rng = np.random.default_rng(seed)
+    empty_partials = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    dead_rows = draw(st.sets(st.integers(0, t - 1), max_size=t))
+    partials = []
+    for i in range(n):
+        lse = rng.normal(scale=draw(st.sampled_from([1.0, 30.0])), size=(t, nh))
+        out = rng.standard_normal((t, nh, dh))
+        dark = rng.random((t, nh)) < 0.15
+        if i in empty_partials:
+            dark[:] = True
+        dark[sorted(dead_rows)] = True
+        lse[dark], out[dark] = -np.inf, 0.0
+        if draw(st.booleans()):
+            lse, out = lse.astype(np.float32), out.astype(np.float32)
+        partials.append(AttentionResult(out=out, lse=lse))
+    return partials
+
+
+class TestOneShotEqualsSequential:
+    @given(partial_set())
+    @settings(**SETTINGS)
+    def test_value_and_structure(self, partials):
+        with np.errstate(invalid="raise"):  # no inf - inf on the way, NaN-then-masked or not
+            merged = merge_partials(partials)
+        ref_out, ref_lse = _sequential(partials)
+        assert merged.out.dtype == merged.lse.dtype == np.float64
+        empty = np.isneginf(ref_lse)
+        assert np.array_equal(np.isneginf(merged.lse), empty)  # identical -inf structure
+        assert np.all(merged.out[empty] == 0)
+        np.testing.assert_allclose(merged.out, ref_out, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(merged.lse[~empty], ref_lse[~empty], atol=1e-12, rtol=0)
+
+    def test_single_float64_partial_is_returned_as_is(self):
+        rng = np.random.default_rng(0)
+        one = AttentionResult(out=rng.standard_normal((3, 2, 4)), lse=rng.standard_normal((3, 2)))
+        assert merge_partials([one]) is one
+
+    def test_single_float32_partial_is_promoted(self):
+        rng = np.random.default_rng(1)
+        one = AttentionResult(
+            out=rng.standard_normal((3, 2, 4)).astype(np.float32),
+            lse=rng.standard_normal((3, 2)).astype(np.float32),
+        )
+        merged = merge_partials([one])
+        ref_out, ref_lse = _sequential([one])
+        assert merged.out.dtype == np.float64
+        np.testing.assert_allclose(merged.out, ref_out, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(merged.lse, ref_lse, atol=1e-12, rtol=0)
+
+    def test_all_partials_empty(self):
+        empties = [AttentionResult.empty(4, 2, 8) for _ in range(3)]
+        merged = merge_partials(empties)
+        assert np.all(merged.out == 0) and np.all(np.isneginf(merged.lse))

@@ -494,6 +494,36 @@ class TestPreemptionModes:
         assert rt.report().metrics.swap_stall_s == pytest.approx(10.0)
 
 
+class TestRouterProbes:
+    def test_queued_tokens_memo_follows_submit_step_and_preempt(self):
+        """The router's load probe is memoised; every call that can change
+        it (submit, step, preempt) must leave the next read equal to a
+        recount. Each assertion below kills dropping one of the resets."""
+        rt = make_runtime(chunk=8, round_budget=8)
+
+        def recount():
+            rt._queued_tokens = None
+            return rt.queued_tokens()
+
+        assert rt.queued_tokens() == 0
+        first = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=2))
+        assert rt.queued_tokens() == 40  # submit
+        rt.submit(TurnRequest(request_id=-1, seq_id=1, prompt=prompt(24, seed=3), max_new_tokens=2))
+        assert rt.queued_tokens() == 64
+        seen = {64}
+        while rt.report().records[first].prefill_done < 16:
+            rt.step()
+            probe = rt.queued_tokens()
+            assert probe == recount()  # step
+            seen.add(probe)
+        assert len(seen) > 1, "the probe never moved: the loop proved nothing"
+        before = rt.queued_tokens()
+        rt.preempt(first)
+        assert rt.queued_tokens() == recount() != before  # preempt
+        rt.run(max_steps=1000)
+        assert rt.queued_tokens() == recount() == 0
+
+
 class TestMetricsAndClock:
     def test_unit_clock_timing(self):
         rt = make_runtime(clock=UnitStepClock(prefill_cost=2.0, decode_cost=1.0))

@@ -9,6 +9,9 @@ or add it to ``ALLOWED`` with the reason it may stand alone.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,3 +79,14 @@ def test_every_module_has_an_importer():
     )
     stale = sorted(name for name in ALLOWED if name in imported_by and imported_by[name])
     assert not stale, f"allowlisted modules that now have importers: {stale}"
+
+
+def test_serving_start_up_does_not_import_scipy():
+    """The converse gate: what serving must *not* reach. scipy costs more to
+    import than the rest of the package together and only the offline
+    Figure 10 refit (``fit_empirical``) uses it; CI runs the same check."""
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.runtime, repro.cluster; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
