@@ -1,22 +1,29 @@
 """Numeric-kernel microbenchmarks (simulator performance, not paper claims).
 
-Times the NumPy substrate itself — the flash kernel, the ring algorithms,
-an end-to-end engine prefill and a continuous-batching runtime replay at
-test scale — so regressions in the simulation's own speed are visible.
-The ``*_no_block_skip`` / ``*_fp32_compute`` variants pin the A/B knobs of
-the fused grouped-head kernel (PR 1): masked-block skipping off, and the
-mixed-precision (fp32 compute, fp64 merge) mode. (The seed-equivalent
-``fused=False`` expand-path baseline was retired with the path itself; its
-seed timing survives in ``run_benchmarks.py``'s baseline table. The
-shard-skip A/B ``bench_ring_passkv_cp4_no_skip`` is gone too: on a full
-prefill it could not move — 11.31 vs 11.38 ms.)
+Times the NumPy substrate itself, one layer at a time — the flash kernel,
+Equation 4's merge, the three ring algorithms and one engine prefill at
+test scale — so regressions in the simulation's own speed are visible at
+the layer that caused them. Runtime- and fleet-level wall time is
+``benchmarks/e2e``'s job (four workloads, alternating pairs); the replays
+that used to stand in for it here are gone. The ``*_no_block_skip`` /
+``*_fp32_compute`` variants pin the A/B knobs of the fused grouped-head
+kernel (PR 1): masked-block skipping off, and the mixed-precision (fp32
+compute, fp64 merge) mode. (The seed-equivalent ``fused=False``
+expand-path baseline was retired with the path itself; its seed timing
+survives in ``run_benchmarks.py``'s baseline table. The shard-skip A/B
+``bench_ring_passkv_cp4_no_skip`` is gone too: on a full prefill it could
+not move — 11.31 vs 11.38 ms.)
 
 Every benchmark here has an exactness twin in ``tests/properties`` (the
 WLB-LLM-CP layout: a performance compare beside a correctness test):
-``bench_flash_decode_shape`` — ``test_prop_flash_fused.py::TestOneBlockBaseCase``
-and ``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
-``test_prop_merge.py::TestOneShotEqualsSequential``; the rings —
-``test_prop_ring.py``.
+``bench_flash_attention*`` — ``test_prop_flash_fused.py::TestFusedMatchesReference``;
+``bench_flash_prefill_tile*`` / ``bench_flash_diagonal_tile`` —
+``test_prop_flash_fused.py::TestScoreTile`` (masking, orientation, key
+band; its mutants are listed there); ``bench_flash_decode_shape`` —
+``test_prop_flash_fused.py::TestOneBlockBaseCase`` and
+``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
+``test_prop_merge.py::TestOneShotEqualsSequential``; the rings and the
+engine prefill — ``test_prop_ring.py`` / ``test_prop_engine.py``.
 
 Run via ``python benchmarks/run_benchmarks.py`` to record the results into
 ``BENCH_kernels.json``, or directly::
@@ -37,7 +44,13 @@ from repro.core.merge import merge_partials
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
-from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
+from repro.core.sharding import (
+    SequenceSpec,
+    ShardedKV,
+    ShardedQueries,
+    shard_positions,
+    shard_sequences,
+)
 from repro.distributed.process_group import SimProcessGroup
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
@@ -99,6 +112,53 @@ def bench_flash_decode_shape(benchmark):
         q_pos=lengths[q_seq], k_pos=kv.positions, q_seq=q_seq, k_seq=kv.seq_ids,
         q_runs=q_runs, k_runs=(kv.runs, kv.run_index),
     )
+
+
+def _prefill_step(q_rank, kv_rank, chunks, head_dim):
+    """One ring step of ``long_prefill``: rank ``q_rank``'s 128 rows of the
+    last of ``chunks`` 512-token chunks on CP4 (two 64-row halves, load-
+    balanced) against rank ``kv_rank``'s shard — its 128 keys of every
+    chunk so far, cached ones first — handed over as the ring hands it."""
+    rng = np.random.default_rng(5)
+    q_pos = shard_positions(512, 4, offset=512 * (chunks - 1))[q_rank]
+    k_pos = np.concatenate(
+        [shard_positions(512, 4, offset=512 * c)[kv_rank] for c in range(chunks)]
+    )
+    tq, tk = q_pos.size, k_pos.size
+    args = (
+        rng.standard_normal((tq, 8, head_dim)),
+        rng.standard_normal((tk, 2, head_dim)),
+        rng.standard_normal((tk, 2, head_dim)),
+    )
+    return args, dict(
+        q_pos=q_pos, k_pos=k_pos, q_seq=np.zeros(tq, dtype=np.int64),
+        k_seq=np.zeros(tk, dtype=np.int64), q_runs=np.array([0, tq]),
+        k_runs=(np.array([0, tk]), {0: 0}),
+    )
+
+
+def bench_flash_prefill_tile(benchmark):
+    """The modal ``long_prefill`` call: 128 rows x 8 heads x DH 8 against
+    384 keys of an earlier rank's shard — two fully visible 512 x 128
+    score tiles and one whose late 64 keys no row may see (the key band)."""
+    args, coords = _prefill_step(2, 1, 3, 8)
+    benchmark(flash_attention, *args, **coords)
+
+
+def bench_flash_diagonal_tile(benchmark):
+    """A rank's own shard of the first chunk: two causal triangles and one
+    full square in one 512 x 128 tile that no band can trim — the partial-
+    tile path, which ``chat_pressure``'s small chunks mostly take."""
+    args, coords = _prefill_step(1, 1, 1, 8)
+    benchmark(flash_attention, *args, **coords)
+
+
+def bench_flash_prefill_tile_dh128(benchmark):
+    """``bench_flash_prefill_tile`` at the paper's head dim: the two
+    matmuls outweigh the softmax passes, so the trajectory also holds a
+    compute-bound point."""
+    args, coords = _prefill_step(2, 1, 3, 128)
+    benchmark(flash_attention, *args, **coords)
 
 
 def bench_merge_partials_cp4(benchmark):
@@ -208,250 +268,3 @@ def bench_engine_prefill_cp2(benchmark):
         return engine.prefill({0: toks})
 
     benchmark(run)
-
-
-def bench_runtime_throughput(benchmark):
-    """Tokens/s through the continuous-batching runtime on a replayed
-    4-session x 2-turn trace (chunked prefill + batched decode, CP2).
-
-    ``extra_info['tokens_per_wall_second']`` records decoded tokens per
-    *wall* second — the serving runtime's end-to-end throughput figure."""
-    from repro.runtime import ContinuousBatchingRuntime
-    from repro.serving.scheduler import ChunkedPrefillPolicy
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import submit_scripts_to_runtime
-
-    model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=3)
-    scripts = [
-        gen.conversation(
-            sid, turns=2, first_prompt=40, followup_range=(6, 12), response_range=(3, 5)
-        )
-        for sid in range(4)
-    ]
-
-    def run():
-        runtime = ContinuousBatchingRuntime(
-            ContextParallelEngine(model, world_size=2),
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-            ),
-        )
-        submit_scripts_to_runtime(runtime, scripts, think_time_s=2.0)
-        return runtime.run(max_steps=100_000)
-
-    report = benchmark(run)
-    wall = benchmark.stats.stats.mean if benchmark.stats else None
-    if wall:
-        benchmark.extra_info["tokens_per_wall_second"] = round(
-            report.generated_tokens / wall, 1
-        )
-    benchmark.extra_info["generated_tokens"] = report.generated_tokens
-    benchmark.extra_info["preemptions"] = report.metrics.preemptions
-
-
-def bench_runtime_trace_overhead(benchmark):
-    """The same replay as ``bench_runtime_throughput`` with the tracer
-    hooks in the hot path: the benchmarked (tracer-off) run must stay
-    within noise of ``bench_runtime_throughput`` — a NULL_TRACER guard is
-    all the scheduler pays — while ``extra_info`` records the cost of
-    actually recording (``traced_mean_ms`` / ``trace_overhead_pct``) and
-    the event volume the workload produces."""
-    import time
-
-    from repro.obs import RecordingTracer
-    from repro.runtime import ContinuousBatchingRuntime
-    from repro.serving.scheduler import ChunkedPrefillPolicy
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import submit_scripts_to_runtime
-
-    model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=3)
-    scripts = [
-        gen.conversation(
-            sid, turns=2, first_prompt=40, followup_range=(6, 12), response_range=(3, 5)
-        )
-        for sid in range(4)
-    ]
-
-    def run(tracer=None):
-        runtime = ContinuousBatchingRuntime(
-            ContextParallelEngine(model, world_size=2),
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-            ),
-            tracer=tracer,
-        )
-        submit_scripts_to_runtime(runtime, scripts, think_time_s=2.0)
-        return runtime.run(max_steps=100_000)
-
-    report = benchmark(run)
-
-    def best_of(n, **kwargs):
-        times = []
-        for _ in range(n):
-            t0 = time.perf_counter()
-            run(**kwargs)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    off = best_of(3)
-    tracer = RecordingTracer()
-    t0 = time.perf_counter()
-    traced_report = run(tracer=tracer)
-    traced = time.perf_counter() - t0
-    for _ in range(2):
-        t0 = time.perf_counter()
-        run(tracer=RecordingTracer())
-        traced = min(traced, time.perf_counter() - t0)
-
-    assert traced_report.generated_tokens == report.generated_tokens
-    benchmark.extra_info["trace_events"] = len(tracer.events)
-    benchmark.extra_info["traced_mean_ms"] = round(traced * 1e3, 3)
-    benchmark.extra_info["untraced_mean_ms"] = round(off * 1e3, 3)
-    benchmark.extra_info["trace_overhead_pct"] = round(100.0 * (traced - off) / off, 1)
-
-
-def bench_preemption_modes(benchmark):
-    """One capacity-pressure trace replayed under all three preemption
-    remedies (recompute, tail-trim, CPU swap) back to back.
-
-    Wall time covers the full recompute+trim+swap sweep on a trace whose
-    tight paged pool forces every remedy to fire; ``extra_info`` records
-    the per-mode remedy counts so the JSON shows what actually ran."""
-    from repro.runtime import ContinuousBatchingRuntime
-    from repro.serving.scheduler import ChunkedPrefillPolicy
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import submit_scripts_to_runtime
-
-    model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=11)
-    scripts = [
-        gen.conversation(
-            sid, turns=2, first_prompt=40, followup_range=(6, 14), response_range=(3, 5)
-        )
-        for sid in range(4)
-    ]
-
-    def run():
-        reports = {}
-        for mode in ("recompute", "trim", "swap"):
-            runtime = ContinuousBatchingRuntime(
-                ContextParallelEngine(model, world_size=2, capacity_tokens=64),
-                policy=ChunkedPrefillPolicy(
-                    chunk_tokens=8, max_tokens_per_round=16, max_seqs_per_round=4
-                ),
-                preemption=mode,
-            )
-            submit_scripts_to_runtime(runtime, scripts, think_time_s=2.0)
-            reports[mode] = runtime.run(max_steps=200_000)
-        return reports
-
-    reports = benchmark(run)
-    tokens = {m: sorted(r.generated(i) for i in r.records) for m, r in reports.items()}
-    assert tokens["trim"] == tokens["recompute"] == tokens["swap"]
-    for mode, report in reports.items():
-        m = report.metrics
-        benchmark.extra_info[f"{mode}_remedies"] = (
-            m.preemptions + m.trims + m.swaps_out
-        )
-    benchmark.extra_info["swaps"] = reports["swap"].metrics.swaps_out
-    benchmark.extra_info["trims"] = reports["trim"].metrics.trims
-
-
-def bench_prefix_reuse(benchmark):
-    """One templated shared-prefix trace replayed with the radix prefix
-    cache on and off, back to back, bit-checked against each other.
-
-    Wall time covers both runs; ``extra_info`` records the hit rate,
-    reused tokens and per-mode prefill rounds so the JSON shows the
-    compute the cache actually skipped."""
-    from repro.runtime import ContinuousBatchingRuntime
-    from repro.serving.scheduler import ChunkedPrefillPolicy
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import collect_generated, submit_scripts_to_runtime
-
-    model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=11)
-    scripts = gen.shared_prefix_traffic(
-        n_system_prompts=2, n_fewshot_variants=2, conversations=6,
-        system_tokens=32, fewshot_tokens=12, unique_range=(6, 12),
-        turns=1, response_range=(3, 5),
-    )
-
-    def run():
-        out = {}
-        for cache_on in (True, False):
-            runtime = ContinuousBatchingRuntime(
-                ContextParallelEngine(model, world_size=2),
-                policy=ChunkedPrefillPolicy(
-                    chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-                ),
-                prefix_cache=cache_on,
-            )
-            rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=2.0)
-            out[cache_on] = (runtime.run(max_steps=200_000), rids)
-        return out
-
-    out = benchmark(run)
-    reports = {on: report for on, (report, _) in out.items()}
-    tokens = {on: collect_generated(report, rids) for on, (report, rids) in out.items()}
-    assert tokens[True] == tokens[False]
-    m = reports[True].metrics
-    benchmark.extra_info["hit_rate"] = round(m.prefix_hit_rate, 3)
-    benchmark.extra_info["reused_tokens"] = m.prefix_reused_tokens
-    benchmark.extra_info["prefill_rounds_cached"] = reports[True].prefill_rounds
-    benchmark.extra_info["prefill_rounds_cold"] = reports[False].prefill_rounds
-
-
-def bench_cluster_routing(benchmark):
-    """One shared-prefix trace fanned over a 3-replica fleet under
-    prefix-affinity and round-robin routing, back to back, bit-checked
-    against each other.
-
-    Wall time covers both fleet runs (routing, per-replica engines,
-    merged reporting); ``extra_info`` records each policy's fleet hit
-    rate and placement spread so the JSON shows what affinity bought."""
-    from repro.cluster import ReplicaFleet, make_router
-    from repro.runtime import ContinuousBatchingRuntime
-    from repro.serving.scheduler import ChunkedPrefillPolicy
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import collect_generated, submit_scripts_to_runtime
-
-    model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=11)
-    scripts = gen.shared_prefix_traffic(
-        n_system_prompts=2, n_fewshot_variants=2, conversations=9,
-        system_tokens=32, fewshot_tokens=12, unique_range=(6, 12),
-        turns=2, followup_range=(6, 12), response_range=(3, 5),
-    )
-    scripts = [scripts[i] for i in gen.rng.permutation(len(scripts))]
-
-    def make_runtime(_replica_id):
-        return ContinuousBatchingRuntime(
-            ContextParallelEngine(model, world_size=2),
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-            ),
-            prefix_cache=True,
-        )
-
-    def run():
-        out = {}
-        for policy in ("prefix", "round-robin"):
-            fleet = ReplicaFleet.build(make_runtime, 3, router=make_router(policy))
-            rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=2.0)
-            out[policy] = (fleet.run(max_steps=200_000), rids)
-        return out
-
-    out = benchmark(run)
-    tokens = {p: collect_generated(report, rids) for p, (report, rids) in out.items()}
-    assert tokens["prefix"] == tokens["round-robin"]
-    for policy, (report, _rids) in out.items():
-        key = policy.replace("-", "_")
-        benchmark.extra_info[f"{key}_hit_rate"] = round(
-            report.metrics.prefix_hit_rate, 3
-        )
-        benchmark.extra_info[f"{key}_replicas_used"] = len(
-            set(report.placements.values())
-        )

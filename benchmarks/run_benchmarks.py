@@ -61,6 +61,10 @@ def main(argv: list[str] | None = None) -> int:
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    # One BLAS thread, as benchmarks/e2e pins it: on a shared two-core box a
+    # second OpenBLAS thread turns a 5 ms benchmark into a 100 ms one at random.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
 
     with tempfile.TemporaryDirectory() as tmp:
         raw_json = Path(tmp) / "bench.json"

@@ -17,20 +17,25 @@ for the reproduction:
   uses 256 splits for decode) by computing independent partials per split
   and merging them, again through the same recurrence.
 
-The kernel is a *fused grouped-head* implementation: Q is reshaped once to
-``[NKV, R * G, DH]`` (``G = NH / NKV`` query heads per KV head) and
-contracted directly against ``[L_blk, NKV, DH]`` KV blocks through batched
-BLAS matmuls, so no per-block ``expand_kv_heads`` copy is ever
-materialized (:mod:`repro.attention.reference` remains the independent
-full-materialization oracle). The permission mask is computed once per call
-and sliced per block; blocks whose mask slice is all-False are skipped
-outright (identity under the online-softmax recurrence) and within a block
-only the contiguous band of query rows with at least one visible key is
-computed — in causal full prefill this trims roughly half the score work.
-The **one-block sweep is the base case**: the first visible block's
-``(o, lse)`` is the result, and the running ``(acc, m, denom)`` state, its
-allocations and its finalisation exist only from a second block on — a
-decode call (one query row per sequence) is all fixed cost.
+The kernel is a *fused grouped-head* implementation: Q is laid out once as
+``[NKV, DH, R * G]`` (``G = NH / NKV`` query heads per KV head), the score
+scale folded in by the same pass, and contracted directly against
+``[L_blk, NKV, DH]`` KV blocks through batched BLAS matmuls, so no per-block
+``expand_kv_heads`` copy is ever materialized (:mod:`repro.attention.reference`
+remains the independent full-materialization oracle). The permission mask is
+computed once per call and each block is classified once from its slice: no
+visible pair — skipped outright (the identity under the online-softmax
+recurrence); otherwise only the contiguous band of query rows that see a key
+*and* the band of keys some row sees are computed (causal full prefill: about
+half the score work; a load-balanced shard's late chunk is invisible to every
+row of a later rank). The block's scores live in **one reused score tile**, a
+slice of a module-level scratch buffer that is never handed to a caller, laid
+out keys-major when it holds at least as many query columns as keys (prefill)
+and rows-major otherwise (decode); ``-inf`` never reaches ``exp``. The
+**one-block sweep is the base case**: the first visible block's ``(o, lse)``
+is the result, and the running ``(acc, m, denom)`` state, its allocations and
+its finalisation exist only from a second block on — a decode call (one query
+row per sequence) is all fixed cost.
 
 **Varlen (sequence-segmented) sweep.** A fused batch — several sequences
 concatenated on the key side, as a rank's KV shard is — never lets a query
@@ -60,9 +65,11 @@ Knobs:
   kernel (default ``float64``). The online-softmax merge accumulators stay
   ``float64`` regardless, so ``float32`` compute still merges losslessly —
   the mixed-precision split of Mao et al. (arXiv:2401.08586). The default
-  is bit-compatible with :func:`reference_attention_with_lse`.
-- ``skip_masked_blocks``: disable the all-masked block skip and row
-  trimming (benchmark A/B only; results are identical either way).
+  agrees with :func:`reference_attention_with_lse` to ``atol=1e-12`` with
+  the identical ``O = 0, LSE = -inf`` structure (not bit for bit: the scale
+  fold, summation order and BLAS operand shapes move last bits).
+- ``skip_masked_blocks``: disable the all-masked block skip and the row and
+  key bands (benchmark A/B only; same results to that contract).
 """
 
 from __future__ import annotations
@@ -148,8 +155,9 @@ def flash_attention(
             override sees the whole call, so it is never segmented.
         compute_dtype: kernel arithmetic dtype (default ``float64``; the
             merge accumulation is always ``float64``).
-        skip_masked_blocks: skip all-masked KV blocks and trim fully-masked
-            query rows (default). Identical results either way.
+        skip_masked_blocks: skip all-masked KV blocks and trim each block to
+            the rows and keys that see each other (default). Same results
+            either way, to the ``atol=1e-12`` contract.
         q_runs, k_runs: ``cu_seqlens``-style offsets of the constant
             ``q_seq`` / ``k_seq`` runs, or the ``(offsets, {seq_id: run})``
             pair :class:`repro.core.sharding.ShardedKV` carries (the index
@@ -325,148 +333,198 @@ def _attend(
     s, r, nh, dh = q.shape
     length, nkv = k.shape[1], k.shape[2]
     g = nh // nkv
-    # One [R * G, DH] row-major matrix per (segment, KV head): row t*G + g'
-    # is query head nkv*G + g' of token t. Contracting this against
-    # [DH, L_blk] is the "indexing instead of copying" GQA layout — no
-    # expand_kv_heads.
-    qg = np.ascontiguousarray(
-        np.asarray(q, dtype=dtype).reshape(s, r, nkv, g, dh).transpose(0, 2, 1, 3, 4)
-    ).reshape(s, nkv, r * g, dh)
-    kt = np.asarray(k, dtype=dtype).transpose(0, 2, 3, 1)  # [S, NKV, DH, L]
-    vt = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
+    # One [DH, R * G] matrix per (segment, KV head): column t*G + g' is query
+    # head nkv*G + g' of token t. Contracting a [L_blk, DH] KV block against
+    # it is the "indexing instead of copying" GQA layout — no
+    # expand_kv_heads. The one pass that lays it out also folds in the score
+    # scale, and always writes a buffer of the kernel's own (a no-op
+    # transpose must not hand back the caller's ``q``).
+    qt = np.multiply(
+        q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), scale, dtype=dtype, order="C"
+    ).reshape(s, nkv, dh, r * g)
+    kb = np.asarray(k, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
+    vb = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)
 
     if num_kv_splits == 1:
-        return _sweep_range(
-            qg, kt, vt, mask, scale, block_size, 0, length, skip_masked_blocks, g, dtype
-        )
+        return _sweep_range(qt, kb, vb, mask, block_size, 0, length, skip_masked_blocks, g)
     split_edges = np.linspace(0, length, num_kv_splits + 1, dtype=np.int64)
     state = OnlineSoftmaxState(out_shape=(s, r, nh, dh), lse_shape=(s, r, nh))
     for split in range(num_kv_splits):
         lo, hi = int(split_edges[split]), int(split_edges[split + 1])
-        state.update(
-            *_sweep_range(
-                qg, kt, vt, mask, scale, block_size, lo, hi, skip_masked_blocks, g, dtype
-            )
-        )
+        state.update(*_sweep_range(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g))
     return state.finalize()
 
 
+#: One scratch buffer per dtype, grown to the largest tile seen. Score tiles
+#: (compute dtype) and expanded masks (bool) are slices of it, so a sweep
+#: allocates nothing tile-sized per block. It is never handed to a caller:
+#: what a sweep returns is always memory of its own. Not re-entrant.
+_WORKSPACE: dict[np.dtype, np.ndarray] = {}
+_BOOL = np.dtype(bool)
+
+
+def _scratch(dtype: np.dtype, size: int) -> np.ndarray:
+    """The flat scratch buffer of ``dtype``, at least ``size`` long."""
+    buf = _WORKSPACE.get(dtype)
+    if buf is None or buf.size < size:
+        buf = _WORKSPACE[dtype] = np.empty(size, dtype=dtype)
+    return buf
+
+
+def _band(visible: np.ndarray) -> tuple[int, int]:
+    """``[first, last + 1)`` of the set entries of a 1-D mask that has one."""
+    if visible[0] and visible[-1]:
+        return 0, visible.size
+    return int(visible.argmax()), visible.size - int(visible[::-1].argmax())
+
+
+def _keys_major(columns: int, keys: int) -> bool:
+    """The aspect rule: lay a tile of ``columns = R * G`` query columns by
+    ``keys`` out keys-major once a row of columns is at least as long as a
+    row of keys (prefill: 512 x 128), rows-major otherwise (decode: 4 x 30)."""
+    return columns >= keys
+
+
 def _sweep_range(
-    qg: np.ndarray,
-    kt: np.ndarray,
-    vt: np.ndarray,
+    qt: np.ndarray,
+    kb: np.ndarray,
+    vb: np.ndarray,
     mask: np.ndarray,
-    scale: float,
     block_size: int,
     lo: int,
     hi: int,
     skip_masked_blocks: bool,
     g: int,
-    dtype: np.dtype,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped-head online-softmax sweep over KV storage slice ``[lo, hi)``.
+    """Grouped-head online-softmax sweep over KV storage slice ``[lo, hi)``
+    of (pre-scaled) ``qt [S, NKV, DH, R * G]`` against ``kb, vb [S, NKV, L,
+    DH]``.
 
-    The first visible block's ``(o, lse)`` *is* the result of a one-block
+    Each block's scores live in one reused tile (:data:`_WORKSPACE`) over
+    only the band of rows and the band of keys that see each other; a tile
+    with at least as many query columns as keys is laid out keys-major. The
+    first visible block's ``(o, lse)`` *is* the result of a one-block
     range. Only a second block opens the running ``(acc, m, denom)``
     recurrence, in the grouped ``[S, NKV, R, G, ...]`` layout, folding each
-    block in place over only the visible query-row band; untouched rows
-    receive the exact identity update, so either way the result is
-    bit-compatible with folding full-height partials through
-    :class:`OnlineSoftmaxState`.
+    block in place over its row band; untouched rows receive the exact
+    identity update, so the result equals folding full-height partials
+    through :class:`OnlineSoftmaxState`.
     """
+    dtype = qt.dtype
     neg_inf = dtype.type(-np.inf)
     zero = dtype.type(0.0)
     one = dtype.type(1.0)
-    s, nkv, dh = qg.shape[0], qg.shape[1], qg.shape[3]
+    s, nkv, dh = qt.shape[:3]
     tq = mask.shape[1]
+    qg, kt = qt.swapaxes(-1, -2), kb.swapaxes(-1, -2)  # [S, NKV, R * G, DH], [S, NKV, DH, L]
+    scratch = _scratch(dtype, s * nkv * tq * g * min(block_size, hi - lo))
 
     acc = m = denom = None
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for start in range(lo, hi, block_size):
-            stop = min(start + block_size, hi)
-            mblk = mask[:, :, start:stop]
-            r0, r1 = 0, tq
-            if skip_masked_blocks:
-                visible = mblk.any(axis=(0, 2))
-                seen = np.count_nonzero(visible)
-                if seen == 0:
-                    continue  # all-masked block: identity under the recurrence
-                if seen < tq:
-                    r0 = int(visible.argmax())
-                    r1 = tq - int(visible[::-1].argmax())
-            r = r1 - r0
-            blk = stop - start
-
-            mb = mblk[:, r0:r1]
-
-            # scores[s, n, t, g', j] = q[s, t, n*G+g'] . k[s, j, n] * scale.
-            # The matmul output is owned by this block, so the masking /
-            # softmax chain below mutates it in place instead of allocating
-            # per step.
-            scores = np.matmul(qg[:, :, r0 * g : r1 * g, :], kt[:, :, :, start:stop])
-            scores *= scale
-            scores = scores.reshape(s, nkv, r, g, blk)
-            if not mb.all():
-                np.copyto(scores, neg_inf, where=~mb[:, None, :, None, :])
-
-            bm = scores.max(axis=-1, keepdims=True)
-            # only a row that sees no key (max -inf) needs guarding below
-            dense = bool(bm.min() > neg_inf)
-            # bm_safe is finite everywhere, so masked scores stay -inf after
-            # the subtraction and exp maps them to exactly +0 — no re-zero
-            # pass is needed.
-            bm_safe = bm if dense else np.where(bm == neg_inf, zero, bm)
-            scores -= bm_safe
-            p = np.exp(scores, out=scores)
-            bden = p.sum(axis=-1)
-            o = np.matmul(
-                p.reshape(s, nkv, r * g, blk), vt[:, :, start:stop, :]
-            ).reshape(s, nkv, r, g, dh)
-            if dense:
-                o /= bden[..., None]
-                blse = bm[..., 0] + np.log(bden)
-            else:
-                empty = bden == 0.0
-                bden_safe = np.where(empty, one, bden)
-                o /= bden_safe[..., None]
-                np.copyto(o, zero, where=empty[..., None])
-                blse = np.where(empty, neg_inf, bm_safe[..., 0] + np.log(bden_safe))
-
-            if acc is None:
-                # The first block *is* the state: its (o, lse) at full
-                # height, rows outside its band having seen no key.
-                acc, m = o, blse
-                if r < tq:
-                    acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
-                    m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
-                    acc[:, :, r0:r1], m[:, :, r0:r1] = o, blse
+    for start in range(lo, hi, block_size):
+        stop = min(start + block_size, hi)
+        mb = mask[:, :, start:stop]
+        # Classify the block once — no pair visible (the identity), all, or
+        # some — inside the bands of rows and keys that hold every visible pair.
+        seen = np.count_nonzero(mb)
+        r0, r1 = 0, tq
+        if skip_masked_blocks and seen < mb.size:
+            if seen == 0:
                 continue
-            if denom is None:
-                # A second block opens the recurrence; folding the first
-                # into the empty state was assignment (weight 1, or 0 — the
-                # identity — where no key was visible).
-                acc, m = np.asarray(acc, dtype=np.float64), np.asarray(m, dtype=np.float64)
-                denom = (m > -np.inf).astype(np.float64)
-            # In-place online-softmax fold over the visible row band —
-            # identical math to OnlineSoftmaxState.update.
-            acc_r, m_r, den_r = acc[:, :, r0:r1], m[:, :, r0:r1], denom[:, :, r0:r1]
-            new_m = np.maximum(m_r, blse)
-            safe = np.where(np.isinf(new_m), 0.0, new_m)
-            old_scale = np.exp(m_r - safe)
-            new_scale = np.exp(blse - safe)
-            acc_r *= old_scale[..., None]
-            acc_r += o * new_scale[..., None]
-            den_r *= old_scale
-            den_r += new_scale
-            m_r[...] = new_m
+            if tq > 1:  # (a one-row tile is all fixed cost: scanning it costs more than it trims)
+                r0, r1 = _band(mb.any(axis=(0, 2)))
+                k0, k1 = _band(mb.any(axis=(0, 1)))
+                start, stop = start + k0, start + k1
+                mb = mask[:, r0:r1, start:stop]
+        r, blk = r1 - r0, stop - start
+        dense = seen == s * r * blk  # until a row is found that sees no key
+        size = s * nkv * r * g * blk
 
-        if denom is not None:
-            den_safe = np.where(denom == 0.0, 1.0, denom)
-            acc = np.where(denom[..., None] > 0, acc / den_safe[..., None], 0.0)
-            m = np.where(denom > 0, m + np.log(den_safe), -np.inf)
-        elif acc is None:  # no visible block at all
-            acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
-            m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
+        # tile[s, n, (t, g'), j] = scale * q[s, t, n*G+g'] . k[s, j, n], or
+        # keys-major, its transpose: reductions over keys then run down the
+        # leading axis at SIMD width and the row max broadcasts as one
+        # contiguous row (see _keys_major for when that pays).
+        if _keys_major(r * g, blk):
+            keys_axis = -2
+            tile = view = scratch[:size].reshape(s, nkv, blk, r * g)
+            np.matmul(kb[:, :, start:stop], qt[..., r0 * g : r1 * g], out=tile)
+            if not dense:  # G is the innermost axis: expand the mask over it
+                n = size // nkv
+                seeing = _scratch(_BOOL, n)[:n].reshape(s, 1, blk, r * g)
+                np.copyto(seeing.reshape(s, blk, r, g), mb.transpose(0, 2, 1)[..., None])
+        else:
+            keys_axis = -1
+            tile = scratch[:size].reshape(s, nkv, r * g, blk)
+            np.matmul(qg[:, :, r0 * g : r1 * g], kt[..., start:stop], out=tile)
+            view, seeing = tile.reshape(s, nkv, r, g, blk), mb[:, None, :, None, :]
+
+        # Softmax over the key axis. -inf never reaches exp (it drops
+        # NumPy's SIMD exp onto a scalar fallback, 3-8x slower): a fully
+        # visible tile has none, and a partial tile takes its row max and
+        # its exp over visible entries only — their bits are those of the
+        # -inf formulation — and zeroes the finite leftovers elsewhere.
+        if dense:
+            bm = tile.max(axis=keys_axis, keepdims=True)
+            tile -= bm
+            p = np.exp(tile, out=tile)
+        else:
+            bm = view.max(axis=keys_axis, keepdims=True, where=seeing, initial=neg_inf)
+            dense = bool(bm.min() > neg_inf)
+            view -= bm if dense else np.where(bm == neg_inf, zero, bm)
+            np.exp(view, out=view, where=seeing)
+            view *= seeing
+            p = tile
+        bm = bm.reshape(s, nkv, r, g)
+        bden = p.sum(axis=keys_axis).reshape(s, nkv, r, g)
+        o = np.matmul(
+            p.swapaxes(-1, -2) if keys_axis == -2 else p, vb[:, :, start:stop]
+        ).reshape(s, nkv, r, g, dh)
+        if dense:
+            o /= bden[..., None]
+            blse = bm + np.log(bden)
+        else:  # rows that saw no key: O = 0, LSE = -inf
+            empty = bden == 0.0
+            bden_safe = np.where(empty, one, bden)
+            o /= bden_safe[..., None]
+            np.copyto(o, zero, where=empty[..., None])
+            blse = np.where(empty, neg_inf, bm + np.log(bden_safe))
+
+        if acc is None:
+            # The first block *is* the state: its (o, lse) at full
+            # height, rows outside its band having seen no key.
+            acc, m = o, blse
+            if r < tq:
+                acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
+                m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
+                acc[:, :, r0:r1], m[:, :, r0:r1] = o, blse
+            continue
+        if denom is None:
+            # A second block opens the recurrence; folding the first
+            # into the empty state was assignment (weight 1, or 0 — the
+            # identity — where no key was visible).
+            acc, m = np.asarray(acc, dtype=np.float64), np.asarray(m, dtype=np.float64)
+            denom = (m > -np.inf).astype(np.float64)
+        # In-place online-softmax fold over the visible row band —
+        # identical math to OnlineSoftmaxState.update.
+        acc_r, m_r, den_r = acc[:, :, r0:r1], m[:, :, r0:r1], denom[:, :, r0:r1]
+        new_m = np.maximum(m_r, blse)
+        safe = np.where(np.isinf(new_m), 0.0, new_m)
+        old_scale = np.exp(m_r - safe)
+        new_scale = np.exp(blse - safe)
+        acc_r *= old_scale[..., None]
+        o = o.astype(np.float64, copy=False)  # the fold is float64 whatever the compute dtype
+        o *= new_scale[..., None]
+        acc_r += o
+        den_r *= old_scale
+        den_r += new_scale
+        m_r[...] = new_m
+
+    if denom is not None:
+        den_safe = np.where(denom == 0.0, 1.0, denom)
+        acc = np.where(denom[..., None] > 0, acc / den_safe[..., None], 0.0)
+        m = np.where(denom > 0, m + np.log(den_safe), -np.inf)
+    elif acc is None:  # no visible block at all
+        acc = np.zeros((s, nkv, tq, g, dh), dtype=np.float64)
+        m = np.full((s, nkv, tq, g), -np.inf, dtype=np.float64)
     # (one block: (acc, m) is its (o, lse); finalising would divide by 1, add log 1)
     out = np.ascontiguousarray(acc.transpose(0, 2, 1, 3, 4), dtype=np.float64)
     lse = np.ascontiguousarray(m.transpose(0, 2, 1, 3), dtype=np.float64)

@@ -58,36 +58,17 @@ import numpy as np
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        capacity_scaling,
-        cluster_routing,
-        disagg_runtime,
-        disaggregation,
-        fault_tolerance,
-        gqa_sensitivity,
-        pp_vs_cp,
-        preemption_modes,
-        prefix_reuse,
-        report,
-        serving_load,
-    )
+    from repro.experiments import report
 
-    results = report.run_all(include_fig10=not args.fast)
-    results.append(capacity_scaling.run())
-    results.append(gqa_sensitivity.run())
-    results.append(disaggregation.run())
-    results.append(pp_vs_cp.run())
-    results.append(serving_load.run_runtime())
-    results.append(disagg_runtime.run())
-    results.append(preemption_modes.run())
-    results.append(prefix_reuse.run())
-    results.append(fault_tolerance.run())
-    results.append(cluster_routing.run())
-    if not args.fast:
-        results.append(serving_load.run())
-    for res in results:
-        if args.only and args.only.lower() not in res.experiment_id.lower():
-            continue
+    selected = report.select(args.only, fast=args.fast)
+    if not selected:
+        known = ", ".join(exp_id for exp_id, _ in report.registry(fast=args.fast))
+        print(f"no experiment id contains {args.only!r}; known ids: {known}", file=sys.stderr)
+        return 2
+    for exp_id, run in selected:
+        res = run()
+        if res.experiment_id != exp_id:
+            raise RuntimeError(f"experiment registered as {exp_id!r} reports {res.experiment_id!r}")
         print(res.render_markdown() if args.markdown else res.render())
         print()
     return 0

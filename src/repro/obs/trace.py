@@ -10,8 +10,7 @@ Two tracer flavors:
 
 - :data:`NULL_TRACER` — the default everywhere. ``enabled`` is False and
   every emit method is a no-op; hot paths guard bulk emission with
-  ``if tracer.enabled:`` so a tracer-less run does no per-event work
-  (pinned by ``bench_runtime_trace_overhead``).
+  ``if tracer.enabled:`` so a tracer-less run does no per-event work.
 - :class:`RecordingTracer` — appends :class:`TraceEvent` records for
   later export (:mod:`repro.obs.export`) and reconstruction
   (:mod:`repro.obs.timeline`).

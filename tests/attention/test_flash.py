@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attention import flash
 from repro.attention.flash import flash_attention
 from repro.attention.reference import reference_attention_with_lse
 
@@ -88,3 +89,54 @@ class TestFlashEdgeCases:
         res = flash_attention(q, k, v).astype(np.float32)
         assert res.out.dtype == np.float32
         assert res.lse.dtype == np.float32
+
+
+def _in_workspace(array: np.ndarray) -> bool:
+    return any(np.shares_memory(array, buf) for buf in flash._WORKSPACE.values())
+
+
+class TestWorkspaceAliasing:
+    """The kernel reuses one scratch buffer per dtype and scales ``q`` in
+    the pass that lays it out; neither may ever be visible to a caller."""
+
+    @pytest.mark.parametrize("compute_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "tq,n_heads,n_kv_heads", [(1, 2, 2), (1, 1, 1), (1, 8, 2), (6, 4, 1), (1, 4, 1), (6, 8, 2)]
+    )
+    def test_inputs_are_left_alone(self, rng, compute_dtype, tq, n_heads, n_kv_heads):
+        """Where the grouped transpose of ``q`` is a no-op (one query row
+        and one query head per KV head; for a rows-major layout also one KV
+        head) ``np.ascontiguousarray`` hands back the caller's own buffer —
+        the scale fold must not land in it."""
+        q, k, v = make_qkv(rng, tq, 9, n_heads, n_kv_heads)
+        saved = q.copy(), k.copy(), v.copy()
+        for knobs in ({}, {"block_size": 4}, {"num_kv_splits": 2}):
+            flash_attention(
+                q, k, v, q_pos=np.arange(9 - tq, 9), compute_dtype=compute_dtype, **knobs
+            )
+            for array, copy in zip((q, k, v), saved):
+                assert np.array_equal(array, copy)
+
+    @pytest.mark.parametrize("n_heads,n_kv_heads", [(8, 2), (4, 1)])
+    @pytest.mark.parametrize(
+        "knobs", [{}, {"block_size": 4}, {"block_size": 4, "num_kv_splits": 3}]
+    )
+    def test_results_never_alias_the_workspace(self, rng, knobs, n_heads, n_kv_heads):
+        for tq in (1, 6):  # rows-major and keys-major tiles
+            q, k, v = make_qkv(rng, tq, 12, n_heads, n_kv_heads)
+            res = flash_attention(q, k, v, q_pos=np.arange(12 - tq, 12), **knobs)
+            assert flash._WORKSPACE
+            assert not _in_workspace(res.out) and not _in_workspace(res.lse)
+
+    def test_a_result_survives_later_calls(self, rng):
+        """Call A, call B (larger tile, the other compute dtype), call A
+        again: B must neither disturb A's result nor what A computes next."""
+        qa, ka, va = make_qkv(rng, 6, 12)
+        qb, kb, vb = make_qkv(rng, 40, 70)
+        first = flash_attention(qa, ka, va, q_pos=np.arange(6, 12), block_size=5)
+        kept = first.out.copy(), first.lse.copy()
+        flash_attention(qb, kb, vb, q_pos=np.arange(30, 70), compute_dtype=np.float32)
+        flash_attention(qb, kb, vb, q_pos=np.arange(30, 70))
+        again = flash_attention(qa, ka, va, q_pos=np.arange(6, 12), block_size=5)
+        assert np.array_equal(first.out, kept[0]) and np.array_equal(first.lse, kept[1])
+        assert np.array_equal(again.out, kept[0]) and np.array_equal(again.lse, kept[1])

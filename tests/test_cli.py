@@ -46,6 +46,55 @@ class TestCommands:
         assert main(["experiments", "--fast", "--only", "Table 2", "--markdown"]) == 0
         assert "### Table 2" in capsys.readouterr().out
 
+    def test_experiments_filter_runs_nothing_else(self, capsys, monkeypatch):
+        """``--only`` selects before anything runs: no other experiment's
+        ``run`` is called (it used to run them all and filter the output)."""
+        from repro.experiments import report
+
+        ran = []
+
+        def spying(real=report.registry, **kwargs):
+            def spy(exp_id, run):
+                return lambda: (ran.append(exp_id), run())[1]
+
+            return [(exp_id, spy(exp_id, run)) for exp_id, run in real(**kwargs)]
+
+        monkeypatch.setattr(report, "registry", spying)
+        assert main(["experiments", "--only", "Table 2"]) == 0
+        assert ran == ["Table 2"]
+        assert "Table 2" in capsys.readouterr().out
+
+    def test_experiments_both_figure6_panels_selectable(self, capsys):
+        assert main(["experiments", "--only", "figure 6b"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 6b" in out and "Figure 6a" not in out
+        assert main(["experiments", "--only", "Figure 6"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 6a" in out and "Figure 6b" in out
+
+    def test_experiments_unknown_id_lists_the_known_ones(self, capsys):
+        assert main(["experiments", "--only", "Table 99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Table 99" in captured.err
+        for exp_id in ("Table 2", "Figure 6a", "Figure 10", "Cluster routing"):
+            assert exp_id in captured.err
+
+    def test_experiment_registry_ids_are_the_results_ids(self):
+        """Every analytic entry reports the id it is registered under (the
+        CLI raises on a mismatch; the numeric ones run in the CI
+        ``experiments`` job) and ``--fast`` only ever removes entries."""
+        from repro.experiments import report
+
+        ids = [exp_id for exp_id, _ in report.registry()]
+        assert len(set(ids)) == len(ids)
+        fast = [exp_id for exp_id, _ in report.registry(fast=True)]
+        assert [i for i in ids if i in fast] == fast and len(fast) < len(ids)
+        analytic = report.registry()[: ids.index("Runtime under capacity pressure")]
+        for exp_id, run in analytic:
+            if exp_id != "Figure 10":  # the scipy refit: slow, and an optional extra
+                assert run().experiment_id == exp_id
+
     def test_serve_verifies_exactness(self, capsys):
         assert main([
             "serve", "--sessions", "2", "--turns", "2", "--world", "2",
