@@ -23,7 +23,11 @@ band; its mutants are listed there); ``bench_flash_decode_shape`` —
 ``test_prop_flash_fused.py::TestOneBlockBaseCase`` and
 ``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
 ``test_prop_merge.py::TestOneShotEqualsSequential``; the rings and the
-engine prefill — ``test_prop_ring.py`` / ``test_prop_engine.py``.
+engine prefill — ``test_prop_ring.py`` / ``test_prop_engine.py``;
+``bench_shard_plan`` / ``bench_prefill_token_demand_cp2`` /
+``bench_engine_prefill_tiny_cp1`` —
+``test_prop_sharding.py::TestShardPlanEqualsOracle`` (the concatenating
+implementation kept as oracle; its mutants are listed there).
 
 Run via ``python benchmarks/run_benchmarks.py`` to record the results into
 ``BENCH_kernels.json``, or directly::
@@ -266,5 +270,56 @@ def bench_engine_prefill_cp2(benchmark):
     def run():
         engine = ContextParallelEngine(model, world_size=2)
         return engine.prefill({0: toks})
+
+    benchmark(run)
+
+
+#: What a prefill round plans, at the three shapes the e2e workloads run:
+#: ``[(T, P)]`` per fused sequence and the CP world size.
+SHARD_SHAPES = {
+    "fleet_1x7_cp1": ([(7, 12)], 1),
+    "chat_2x64_cp2": ([(64, 128), (64, 40)], 2),
+    "long_1x512_cp4": ([(512, 1024)], 4),
+}
+
+
+def _round_specs(shape):
+    sizes, world = SHARD_SHAPES[shape]
+    return [SequenceSpec(i, new, cached) for i, (new, cached) in enumerate(sizes)], world
+
+
+@pytest.mark.parametrize("shape", list(SHARD_SHAPES))
+def bench_shard_plan(benchmark, shape):
+    """One round's split materialised: per-rank positions and seq ids, as
+    ``engine.prefill`` derives them once per round. At ``fleet_1x7_cp1``
+    nothing but fixed cost is left to measure."""
+    benchmark(shard_sequences, *_round_specs(shape))
+
+
+def bench_prefill_token_demand_cp2(benchmark):
+    """The admission predicate's input — per-rank KV demand of a fused
+    2 x 64-token round on CP2 — asked at least once per prefill round and
+    once per probe of ``_max_fitting_chunk``'s binary search: the plan's
+    arithmetic alone, no array."""
+    specs, world = _round_specs("chat_2x64_cp2")
+    engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=world)
+    benchmark(engine.prefill_token_demand, specs)
+
+
+def bench_engine_prefill_tiny_cp1(benchmark):
+    """A ``fleet_smallreq`` conversation's two prefill rounds on a one-layer
+    CP1 engine: a 12-token prompt, then 7 tokens behind it (the modal
+    round) — ~40 kFLOP apiece, so each round is its own bookkeeping. The
+    eviction that resets the engine for the next call is timed with them."""
+    model = LlamaModel(tiny_config(n_layers=1), seed=0)
+    engine = ContextParallelEngine(model, world_size=1)
+    prompt = np.arange(12) % model.config.vocab_size
+    followup = np.arange(3, 10) % model.config.vocab_size
+
+    def run():
+        engine.prefill({0: prompt})
+        out = engine.prefill({0: followup})
+        engine.evict(0)
+        return out
 
     benchmark(run)

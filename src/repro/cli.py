@@ -403,7 +403,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for script in scripts:
         ref_turns = reference[script.seq_id]
         for i, rid in enumerate(rids[script.seq_id]):
-            if report.records[rid].state is not RequestState.FINISHED:
+            if report.record(rid).state is not RequestState.FINISHED:
                 # shed/timed-out turns claim nothing; the exactness
                 # contract under faults covers completed requests only
                 skipped += 1

@@ -32,6 +32,7 @@ placement, timing, and completion; never values.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +114,12 @@ class FleetReport:
             merged.update(report.records)
         return merged
 
+    def record(self, request_id: int) -> RequestRecord:
+        """One request's record, read from its owning replica (no merge)."""
+        return self.replica_reports[self.owners[request_id]].record(request_id)
+
     def generated(self, request_id: int) -> list[int]:
-        return list(self.records[request_id].generated)
+        return list(self.record(request_id).generated)
 
     @property
     def completed(self) -> dict[int, RequestRecord]:
@@ -190,6 +195,9 @@ class ReplicaFleet:
         self._next_rid = 0
         self._sticky: dict[int, int] = {}  # seq_id -> replica id
         self._owners: dict[int, int] = {}  # request id -> replica id
+        # (now, id) min-heap over live replicas. Clocks only move forward, so a
+        # stale key is early, never late: re-key the top until it is current.
+        self._clocks: list[tuple[float, int]] = []
 
     @classmethod
     def build(
@@ -211,8 +219,8 @@ class ReplicaFleet:
 
     @property
     def replicas(self) -> list[Replica]:
-        """Replicas in id order."""
-        return [self._replicas[i] for i in sorted(self._replicas)]
+        """Replicas in id order (ids only grow, so insertion order)."""
+        return list(self._replicas.values())
 
     def replica(self, replica_id: int) -> Replica:
         if replica_id not in self._replicas:
@@ -272,7 +280,7 @@ class ReplicaFleet:
                     sticky=True,
                 )
         else:
-            eligible = [r for r in self.replicas if not r.draining]
+            eligible = [r for r in self._replicas.values() if not r.draining]
             if not eligible:
                 raise RuntimeError(
                     "every replica is draining: no placement target for a "
@@ -301,6 +309,8 @@ class ReplicaFleet:
             self._sticky[seq_id] = replica.id
 
         self._owners[request.request_id] = replica.id
+        if not replica.live():  # live replicas are queued already
+            heapq.heappush(self._clocks, (replica.now, replica.id))
         return replica.runtime.submit(request)
 
     def submit_script(
@@ -351,16 +361,37 @@ class ReplicaFleet:
         """Fleet time: the latest replica clock."""
         return max((r.now for r in self._replicas.values()), default=0.0)
 
+    def _lagging(self) -> Replica | None:
+        """The live replica furthest behind (ties to the lowest id), left on
+        top of the clock heap; ``None`` when none is live. Entries are
+        revalidated because a caller may step a runtime directly; the rescan
+        of a dry heap finds replicas made live by a direct ``runtime.submit``."""
+        heap = self._clocks
+        while True:
+            if not heap:
+                heap.extend((r.now, r.id) for r in self._replicas.values() if r.live())
+                if not heap:
+                    return None
+                heapq.heapify(heap)
+            key, rid = heap[0]
+            replica = self._replicas[rid]
+            now = replica.now
+            if not replica.live():
+                heapq.heappop(heap)
+            elif now != key:
+                heapq.heapreplace(heap, (now, rid))
+            else:
+                return replica
+
     def step(self) -> bool:
         """Advance the live replica furthest behind in simulated time by
         one runtime step (ties to the lowest id). Returns ``True`` while
         any replica has unfinished requests."""
-        live = [r for r in self._replicas.values() if r.live()]
-        if not live:
+        lagging = self._lagging()
+        if lagging is None:
             return False
-        lagging = min(live, key=lambda r: (r.now, r.id))
         lagging.runtime.step()
-        return any(r.live() for r in self._replicas.values())
+        return self._lagging() is not None
 
     def run(self, *, max_steps: int | None = None) -> FleetReport:
         """Drive :meth:`step` until every replica drains."""

@@ -31,7 +31,7 @@ from repro.core.planner import PrefillPlan, PrefillPlanner, SelectorKind
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
-from repro.core.sharding import SequenceSpec, ShardedQueries, shard_sequences
+from repro.core.sharding import SequenceSpec, ShardedQueries, ShardPlan
 from repro.distributed.process_group import SimProcessGroup
 from repro.distributed.topology import ClusterTopology
 from repro.distributed.tracer import CommTracer
@@ -204,31 +204,23 @@ class ContextParallelEngine:
             new_ids[sid] = ids
         plan = self.planner.plan(specs, force_algo=force_algo)
 
-        shards = shard_sequences(specs, self.world_size)
-
-        # Per-rank token ids resolved from (seq, pos) coordinates: with the new
-        # ids end to end (ascending seq id), start(sid) + pos - cached(sid).
-        flat_ids = np.concatenate(list(new_ids.values()))
-        spec_sids = np.array(list(new_ids), dtype=np.int64)
-        base = np.cumsum([s.new_tokens for s in specs]) - [s.total_tokens for s in specs]
-        rank_tokens = [
-            flat_ids[base[np.searchsorted(spec_sids, sids)] + pos] for pos, sids in shards
-        ]
+        # The round's split, planned once: every layer reuses its coordinates
+        # and run offsets, and a sequence's rows on a rank are its span's slice.
+        layout = ShardPlan(specs, self.world_size)
+        coords = layout.coordinates()
+        runs = [layout.runs(rank) for rank in range(self.world_size)]
 
         # Stage pipeline: local embed -> (per layer: local qkv + cache
         # append, ring attention, local residual/FFN) -> local unembed.
-        xs = [self.model.embed(toks) for toks in rank_tokens]
+        xs = [self.model.embed(layout.take(rank, new_ids)) for rank in range(self.world_size)]
         batch_sids = [s.seq_id for s in specs]
         for layer in range(cfg.n_layers):
             queries = []
-            for rank in range(self.world_size):
-                positions, seq_ids = shards[rank]
+            for rank, (positions, seq_ids) in enumerate(coords):
                 q, k, v = self.model.attn_qkv(layer, xs[rank], positions)
-                for sid in batch_sids:
-                    idx = np.nonzero(seq_ids == sid)[0]
-                    if idx.size:
-                        self.caches[rank].append(layer, sid, k[idx], v[idx], positions[idx])
-                queries.append(ShardedQueries(q=q, positions=positions, seq_ids=seq_ids))
+                for sid, lo, hi, _, _ in layout.spans[rank]:
+                    self.caches[rank].append(layer, sid, k[lo:hi], v[lo:hi], positions[lo:hi])
+                queries.append(ShardedQueries(q, positions, seq_ids, runs[rank]))
             kv_shards = [self.caches[rank].get(layer, batch_sids) for rank in range(self.world_size)]
             if plan.algo is RingAlgo.PASS_KV:
                 results = ring_passkv_prefill(
@@ -245,18 +237,13 @@ class ContextParallelEngine:
                 xs[rank] = self.model.ffn_residual(layer, xs[rank])
 
         # Reassemble per-sequence logits in position order.
-        logits: dict[int, np.ndarray] = {}
+        logits = {spec.seq_id: np.empty((spec.new_tokens, cfg.vocab_size)) for spec in specs}
+        for rank, (positions, _) in enumerate(coords):
+            for sid, lo, hi, _, _ in layout.spans[rank]:
+                rows = positions[lo:hi] - self.context_length(sid)  # still P: committed below
+                logits[sid][rows] = self.model.unembed(xs[rank][lo:hi])
         for spec in specs:
-            rows = np.empty((spec.new_tokens, cfg.vocab_size))
-            for rank in range(self.world_size):
-                positions, seq_ids = shards[rank]
-                idx = np.nonzero(seq_ids == spec.seq_id)[0]
-                if idx.size == 0:
-                    continue
-                rank_logits = self.model.unembed(xs[rank][idx])
-                rows[positions[idx] - spec.cached_tokens] = rank_logits
-            logits[spec.seq_id] = rows
-            self.seq_lengths[spec.seq_id] = spec.cached_tokens + spec.new_tokens
+            self.seq_lengths[spec.seq_id] = spec.total_tokens
             self._track_commit(spec.seq_id, spec.cached_tokens, new_ids[spec.seq_id])
         return PrefillOutput(logits=logits, plan=plan)
 
@@ -692,22 +679,22 @@ class ContextParallelEngine:
             )
         if export.tokens == 0:
             return
-        spec = SequenceSpec(sid, export.tokens, cached)
-        if not self.fits(self.prefill_token_demand([spec])):
+        layout = ShardPlan([SequenceSpec(sid, export.tokens, cached)], self.world_size)
+        if not self.fits(layout.demand()):
             # checked up-front so a full pool can never leave some ranks
             # mutated: the raise below happens before any cache append
             raise CacheCapacityError(
                 f"sequence {sid}: import of {export.tokens} tokens does not "
                 "fit this engine's KV pools"
             )
-        shards = shard_sequences([spec], self.world_size)
-        for rank, (positions, _seq_ids) in enumerate(shards):
-            if positions.size == 0:
+        for rank, spans in enumerate(layout.spans):
+            if not spans:
                 continue
-            rows = positions - export.start_pos
-            for layer in range(cfg.n_layers):
-                k, v = export.layers[layer]
-                self.caches[rank].append(layer, sid, k[rows], v[rows], positions)
+            positions = layout.take(rank, {sid: export.positions})
+            for layer, (k, v) in enumerate(export.layers):
+                self.caches[rank].append(
+                    layer, sid, layout.take(rank, {sid: k}), layout.take(rank, {sid: v}), positions
+                )
         self.seq_lengths[sid] = export.end_pos
         if self.prefix_index is not None:
             # the payload carries KV but no token identity: the sequence
@@ -719,8 +706,6 @@ class ContextParallelEngine:
 
     def import_token_demand(self, seq_id: int, tokens: int) -> list[dict[int, int]]:
         """Per-rank KV demand an :meth:`import_kv` of ``tokens`` would add."""
-        if tokens == 0:
-            return [{} for _ in range(self.world_size)]
         spec = SequenceSpec(seq_id, tokens, self.context_length(seq_id))
         return self.prefill_token_demand([spec])
 
@@ -735,14 +720,7 @@ class ContextParallelEngine:
         it, so a scheduler can test the round against :meth:`fits` before
         committing.
         """
-        shards = shard_sequences(specs, self.world_size)
-        demands: list[dict[int, int]] = []
-        for _, seq_ids in shards:
-            counts: dict[int, int] = {}
-            for sid in seq_ids:
-                counts[int(sid)] = counts.get(int(sid), 0) + 1
-            demands.append(counts)
-        return demands
+        return ShardPlan(specs, self.world_size).demand()
 
     def decode_token_demand(self, seq_ids: list[int]) -> list[dict[int, int]]:
         """Per-rank ``{seq_id: 1}`` the *next* decode step would append.

@@ -24,6 +24,7 @@ masks remain exact under the permutation (see :mod:`repro.attention.masks`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +163,13 @@ def _validate_runs(runs: np.ndarray | None, seq_ids: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
+def _chunk(base: int, extra: int, index: int) -> tuple[int, int]:
+    """Chunk ``index`` of a split whose first ``extra`` chunks hold
+    ``base + 1`` tokens and the rest ``base``: ``(start, stop)``."""
+    start = index * base + min(index, extra)
+    return start, start + base + (index < extra)
+
+
 def load_balanced_chunks(length: int, world_size: int) -> list[tuple[int, int]]:
     """Split ``[0, length)`` into ``2 * world_size`` contiguous chunks.
 
@@ -174,14 +182,8 @@ def load_balanced_chunks(length: int, world_size: int) -> list[tuple[int, int]]:
         raise ValueError(f"length must be >= 0, got {length}")
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
-    edges = np.linspace(0, length, 2 * world_size + 1, dtype=np.int64)
-    # linspace can be non-integer-spaced; enforce the array_split convention
-    # (sizes floor/ceil of length / 2N) for stable, testable chunking.
-    n_chunks = 2 * world_size
-    base, extra = divmod(length, n_chunks)
-    sizes = [base + 1 if i < extra else base for i in range(n_chunks)]
-    edges = np.concatenate([[0], np.cumsum(sizes)])
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(n_chunks)]
+    base, extra = divmod(length, 2 * world_size)
+    return [_chunk(base, extra, i) for i in range(2 * world_size)]
 
 
 def rank_chunks(length: int, world_size: int, rank: int) -> list[tuple[int, int]]:
@@ -190,6 +192,80 @@ def rank_chunks(length: int, world_size: int, rank: int) -> list[tuple[int, int]
         raise ValueError(f"rank {rank} out of range [0, {world_size})")
     chunks = load_balanced_chunks(length, world_size)
     return [chunks[rank], chunks[2 * world_size - 1 - rank]]
+
+
+class ShardSpan(NamedTuple):
+    """One sequence's rows on one rank: rows ``[row_lo, row_hi)`` hold its
+    ``early`` chunk, then its ``late`` one (its :func:`rank_chunks`)."""
+
+    seq_id: int
+    row_lo: int
+    row_hi: int
+    early: tuple[int, int]
+    late: tuple[int, int]
+
+    def ranges(self) -> list[tuple[int, int]]:
+        """The rows' new-token ranges in row order: one where the chunks abut
+        (rank ``N - 1`` always, so every CP1 span) or ``late`` is empty."""
+        (a, b), (c, d) = self.early, self.late
+        if b == c:
+            return [(a, d)]
+        return [(a, b), (c, d)] if c < d else [(a, b)]
+
+
+class ShardPlan:
+    """One prefill round's load-balanced split, as integer arithmetic.
+
+    One ``divmod`` cuts each sequence's ``T`` new tokens into ``2N`` chunks;
+    ``spans[rank]`` lists the rank's non-empty :class:`ShardSpan` in batch
+    order. Building it touches no array: KV demand is the span lengths, and
+    the arrays a round does need are materialised from the spans on request.
+    """
+
+    def __init__(self, specs: list[SequenceSpec], world_size: int):
+        if world_size < 1:
+            raise ValueError(f"world_size must be >= 1, got {world_size}")
+        if len({spec.seq_id for spec in specs}) != len(specs):
+            raise ValueError("a round shards each sequence once: duplicate seq_id")
+        self.specs = specs
+        self.spans: list[list[ShardSpan]] = [[] for _ in range(world_size)]
+        last = 2 * world_size - 1
+        for spec in specs:
+            base, extra = divmod(spec.new_tokens, last + 1)
+            for rank, spans in enumerate(self.spans):
+                early, late = _chunk(base, extra, rank), _chunk(base, extra, last - rank)
+                rows = early[1] - early[0] + late[1] - late[0]
+                if rows:
+                    lo = spans[-1].row_hi if spans else 0
+                    spans.append(ShardSpan(spec.seq_id, lo, lo + rows, early, late))
+
+    def demand(self) -> list[dict[int, int]]:
+        """Per-rank ``{seq_id: tokens}`` the round appends to the KV cache."""
+        return [{s.seq_id: s.row_hi - s.row_lo for s in spans} for spans in self.spans]
+
+    def runs(self, rank: int) -> np.ndarray:
+        """``cu_seqlens`` offsets of ``rank``'s rows: one run per span."""
+        return np.array([0] + [s.row_hi for s in self.spans[rank]], dtype=np.int64)
+
+    def take(self, rank: int, rows: dict[int, np.ndarray]) -> np.ndarray:
+        """``rank``'s rows of ``rows[seq_id]`` (row ``j`` = new token ``j``) in
+        shard order: a view when one range, empty ``int64`` for an empty rank."""
+        pieces = [rows[s.seq_id][lo:hi] for s in self.spans[rank] for lo, hi in s.ranges()]
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+
+    def coordinates(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-rank ``(positions, seq_ids)``: one ``arange`` per sequence, one
+        ``repeat`` per rank."""
+        new = {
+            s.seq_id: np.arange(s.cached_tokens, s.total_tokens, dtype=np.int64)
+            for s in self.specs
+        }
+        return [
+            (self.take(rank, new), np.repeat(np.array(list(d), dtype=np.int64), list(d.values())))
+            for rank, d in enumerate(self.demand())
+        ]
 
 
 def shard_positions(
@@ -208,14 +284,7 @@ def shard_positions(
         its early chunk and its mirrored late chunk, in position order per
         chunk. Together the arrays partition ``[offset, offset + length)``.
     """
-    out = []
-    for rank in range(world_size):
-        pieces = [
-            np.arange(start + offset, stop + offset, dtype=np.int64)
-            for start, stop in rank_chunks(length, world_size, rank)
-        ]
-        out.append(np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64))
-    return out
+    return [pos for pos, _ in shard_sequences([SequenceSpec(0, length, offset)], world_size)]
 
 
 def shard_sequences(
@@ -228,24 +297,7 @@ def shard_sequences(
     of its slices, preserving batch order. Cached tokens are untouched: they
     already live in the per-rank KV cache from earlier turns.
     """
-    if world_size < 1:
-        raise ValueError(f"world_size must be >= 1, got {world_size}")
-    per_rank_pos: list[list[np.ndarray]] = [[] for _ in range(world_size)]
-    per_rank_seq: list[list[np.ndarray]] = [[] for _ in range(world_size)]
-    for spec in specs:
-        shards = shard_positions(spec.new_tokens, world_size, offset=spec.cached_tokens)
-        for rank, pos in enumerate(shards):
-            per_rank_pos[rank].append(pos)
-            per_rank_seq[rank].append(np.full(pos.shape[0], spec.seq_id, dtype=np.int64))
-    result = []
-    for rank in range(world_size):
-        if per_rank_pos[rank]:
-            result.append(
-                (np.concatenate(per_rank_pos[rank]), np.concatenate(per_rank_seq[rank]))
-            )
-        else:
-            result.append((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
-    return result
+    return ShardPlan(specs, world_size).coordinates()
 
 
 # --------------------------------------------------------------------------- #
@@ -380,12 +432,6 @@ def causal_flops_per_rank(length: int, world_size: int) -> np.ndarray:
 
 def naive_flops_per_rank(length: int, world_size: int) -> np.ndarray:
     """Same metric for naive contiguous sharding (the ablation baseline)."""
-    edges = np.linspace(0, length, world_size + 1, dtype=np.int64)
     base, extra = divmod(length, world_size)
-    sizes = [base + 1 if i < extra else base for i in range(world_size)]
-    edges = np.concatenate([[0], np.cumsum(sizes)])
-    out = []
-    for rank in range(world_size):
-        pos = np.arange(edges[rank], edges[rank + 1], dtype=np.int64)
-        out.append(float(np.sum(pos + 1)))
-    return np.array(out)
+    chunks = [_chunk(base, extra, rank) for rank in range(world_size)]
+    return np.array([float(np.sum(np.arange(lo, hi, dtype=np.int64) + 1)) for lo, hi in chunks])

@@ -211,7 +211,7 @@ class PrefixIndex:
         ``tokens[:length]``. ``(0, None)`` when nothing matches.
         """
         tokens = _as_tokens(tokens)
-        node, i, donor = self._root, 0, None
+        node, i, deepest = self._root, 0, None
         while i < tokens.size:
             child = node.children.get(int(tokens[i]))
             if child is None or not child.holders:
@@ -220,11 +220,14 @@ class PrefixIndex:
             if m == 0:
                 break
             i += m
-            donor = max(child.holders, key=lambda s: (self._last_used.get(s, 0), s))
+            deepest = child
             if m < child.edge.size:
                 break
             node = child
-        return i, donor
+        if deepest is None:
+            return i, None
+        # only the deepest edge's holders cover the whole match
+        return i, max(deepest.holders, key=lambda s: (self._last_used.get(s, 0), s))
 
     # ------------------------------------------------------------------ #
     # pins and LRU

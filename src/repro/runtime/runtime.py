@@ -117,6 +117,7 @@ stream carries no exactness claim.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +178,10 @@ class RuntimeReport:
     def tokens_per_second(self) -> float:
         """Decoded tokens per simulated second over the makespan."""
         return self.generated_tokens / self.makespan if self.makespan > 0 else 0.0
+
+    def record(self, request_id: int) -> RequestRecord:
+        """One request's record (the accessor a fleet report shares)."""
+        return self.records[request_id]
 
     def generated(self, request_id: int) -> list[int]:
         return list(self.records[request_id].generated)
@@ -376,6 +381,8 @@ class ContinuousBatchingRuntime:
         self._live: set[int] = set()  # rids not yet FINISHED
         self._decoding: set[int] = set()  # rids in DECODE state
         self._waiting: set[int] = set()  # seq_ids whose chain head is QUEUED
+        # (head arrival, seq_id) min-heap, pushed with every add to _waiting
+        self._arrivals: list[tuple[float, int]] = []
         # queued_tokens() memo; submit / step / preempt reset it to None
         self._queued_tokens: int | None = None
 
@@ -418,6 +425,7 @@ class ContinuousBatchingRuntime:
         self._live.add(request.request_id)
         if len(chain) == 1:
             self._waiting.add(request.seq_id)
+            heapq.heappush(self._arrivals, (request.arrival, request.seq_id))
         return request.request_id
 
     def submit_script(
@@ -661,7 +669,13 @@ class ContinuousBatchingRuntime:
         turn simply extends its resident KV.
         """
         prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
-        for seq_id in sorted(self._waiting):
+        due = set()
+        while self._arrivals and self._arrivals[0][0] <= prefill.t:
+            due.add(heapq.heappop(self._arrivals)[1])
+        # ascending seq_id, the order the scan of _waiting gave. A popped entry
+        # is stale when its conversation was shed (no longer waiting) or its id
+        # resubmitted with a later arrival (still queued under that one).
+        for seq_id in sorted(due & self._waiting):
             rec = self._records[self._chains[seq_id][0]]
             if rec.request.arrival > prefill.t:
                 continue
@@ -1842,6 +1856,7 @@ class ContinuousBatchingRuntime:
             nxt = self._records[chain[0]]
             nxt.ready_at = max(nxt.ready_at, at)
             self._waiting.add(seq_id)
+            heapq.heappush(self._arrivals, (nxt.request.arrival, seq_id))
         if rec.prefix_donor is not None:
             self.prefix_index.unpin(rec.prefix_donor)
             rec.prefix_donor = None
@@ -1946,7 +1961,7 @@ class ContinuousBatchingRuntime:
 
     def busy_time(self) -> float:
         """Cumulative simulated busy seconds across this runtime's pools."""
-        return float(sum(self.metrics.pool_busy_s.values()))
+        return self.metrics.busy_s
 
     def prefix_match_len(self, tokens) -> int:
         """Longest resident cached prefix of ``tokens`` on the prefill

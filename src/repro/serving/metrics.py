@@ -129,6 +129,12 @@ class ServingMetrics:
         return {labels[0]: v for labels, v in self._pool_busy.items()}
 
     @property
+    def busy_s(self) -> float:
+        """Busy seconds over every pool: at most two roles record rounds and a
+        two-term float sum commutes, so this is the label-ordered sum's bits."""
+        return float(self._pool_busy.total())
+
+    @property
     def pool_rounds(self) -> dict[str, int]:
         return {labels[0]: int(v) for labels, v in self._pool_rounds.items()}
 

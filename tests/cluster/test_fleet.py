@@ -1,10 +1,12 @@
 """Unit tests for the replica fleet: topology, id assignment, report
 merging, metrics rollups, and the duck-typed workload glue."""
 
+import heapq
+
 import numpy as np
 import pytest
 
-from repro.cluster import ReplicaFleet, make_router
+from repro.cluster import FleetReport, ReplicaFleet, make_router
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
@@ -190,6 +192,25 @@ class TestFleetReport:
         for seq_id, turn_rids in rids.items():
             assert streams[seq_id] == [report.generated(r) for r in turn_rids]
 
+    def test_collect_generated_builds_no_merged_dict(self, run, monkeypatch):
+        """`records` merges every replica's dict per access; reading one
+        request through it made a fleet verify quadratic in requests.
+        `record` / `generated` go through `owners` to the owning replica."""
+        _fleet, _scripts, rids, report = run
+        merged = report.records
+        want = {
+            seq_id: [list(merged[rid].generated) for rid in turn_rids]
+            for seq_id, turn_rids in rids.items()
+        }
+        monkeypatch.setattr(
+            FleetReport, "records", property(lambda self: pytest.fail("merged dict built"))
+        )
+        assert collect_generated(report, rids) == want
+        for rid, owner in report.owners.items():
+            assert report.record(rid) is merged[rid]
+            # the runtime report answers the same accessor: the glue duck-types
+            assert report.replica_reports[owner].record(rid) is merged[rid]
+
     def test_kv_leak_reports_cover_every_replica(self, run):
         fleet, _scripts, _rids, report = run
         audits = fleet.kv_leak_reports()
@@ -267,3 +288,141 @@ class TestStepInterleaving:
                 # of where the leader was when it was chosen
                 assert clocks[0] <= fleet.now
         assert fleet.run().statuses() == {"finished": 2}
+
+
+class StubRuntime:
+    """The four things `ReplicaFleet` asks of a runtime while stepping —
+    `now`, `live_requests()`, `step()`, `submit()` — with clock reads
+    counted and the cost of each step scripted."""
+
+    def __init__(self, costs=()):
+        self.t = 0.0
+        self.pending = 0
+        self.costs = list(costs)
+        self.clock_reads = 0
+        self.steps = 0
+
+    @property
+    def now(self):
+        self.clock_reads += 1
+        return self.t
+
+    def live_requests(self):
+        return self.pending
+
+    def submit(self, request):
+        self.pending += 1
+        return request.request_id
+
+    def step(self):
+        self.steps += 1
+        self.t += self.costs.pop(0) if self.costs else 1.0
+        self.pending -= 1
+        return self.pending > 0
+
+
+def stub_request(seq_id):
+    return TurnRequest(
+        request_id=-1, seq_id=seq_id, prompt=np.arange(3, dtype=np.int64), max_new_tokens=1
+    )
+
+
+def checked_step(fleet):
+    """`fleet.step()` with the old scan as oracle: the runtime that stepped
+    is the live `(now, id)` minimum, and the return value says whether any
+    replica is still live."""
+    live = [(r.runtime.t, r.id) for r in fleet.replicas if r.live()]
+    before = {r.id: r.runtime.steps for r in fleet.replicas}
+    more = fleet.step()
+    stepped = [r.id for r in fleet.replicas if r.runtime.steps != before[r.id]]
+    if live:
+        assert stepped == [min(live)[1]], f"stepped {stepped}, the minimum is replica {min(live)[1]}"
+    else:
+        assert stepped == []
+    assert more == any(r.live() for r in fleet.replicas)
+    return more
+
+
+def stub_fleet(costs_per_replica, requests_per_replica):
+    fleet = ReplicaFleet(
+        [StubRuntime(costs) for costs in costs_per_replica], router=make_router("round-robin")
+    )
+    seq_id = 0
+    for _ in range(requests_per_replica):
+        for _replica in fleet.replicas:
+            fleet.submit(stub_request(seq_id))
+            seq_id += 1
+    return fleet
+
+
+class TestClockOrderedStepping:
+    def test_tied_clocks_go_to_the_lowest_id(self):
+        fleet = stub_fleet([[1.0, 1.0], [1.0, 1.0], [0.5, 1.5]], 2)
+        while checked_step(fleet):
+            pass
+        assert [r.runtime.steps for r in fleet.replicas] == [2, 2, 2]
+
+    def test_uneven_rounds_interleave_by_clock(self):
+        fleet = stub_fleet([[3.0, 0.25, 0.25], [0.5, 0.5, 4.0], [1.0, 1.0, 1.0]], 3)
+        while checked_step(fleet):
+            pass
+
+    def test_drained_then_resubmitted_replica_is_stepped_again(self):
+        fleet = stub_fleet([[2.0], [1.0, 1.0, 1.0]], 1)
+        fleet.submit(stub_request(1))  # sticky: replica 1 has two more steps
+        assert checked_step(fleet) and checked_step(fleet)  # 0 drains at t=2, 1 at t=1
+        assert not fleet.replica(0).live()
+        fleet.submit(stub_request(0))  # sticky to the drained replica
+        fleet.submit(stub_request(1))
+        while checked_step(fleet):
+            pass
+        assert [r.runtime.steps for r in fleet.replicas] == [2, 3]
+
+    def test_directly_stepped_runtime_is_rekeyed_not_trusted(self):
+        """A caller may step a replica's runtime behind the fleet's back:
+        its clock moved on, so its queued key is stale (too early)."""
+        fleet = stub_fleet([[1.0] * 4, [1.5] * 4], 4)
+        fleet.replica(0).runtime.step()
+        fleet.replica(0).runtime.step()  # replica 0 now at t=2 with key 0
+        while checked_step(fleet):
+            pass
+
+    def test_directly_drained_runtime_is_dropped(self):
+        fleet = stub_fleet([[1.0], [1.0]], 1)
+        fleet.replica(0).runtime.step()  # drained without the fleet seeing it
+        assert not checked_step(fleet)  # steps replica 1, nothing live after
+        assert not checked_step(fleet)
+
+    def test_direct_submit_is_found_when_the_heap_runs_dry(self):
+        fleet = stub_fleet([[1.0], [1.0]], 0)
+        assert not fleet.step()
+        fleet.replica(1).runtime.submit(stub_request(0))
+        assert not checked_step(fleet)
+        assert fleet.replica(1).runtime.steps == 1
+
+    def test_mutant_stale_key_stepped_without_revalidation_dies(self, monkeypatch):
+        def trusting(self):
+            while self._clocks and not self._replicas[self._clocks[0][1]].live():
+                heapq.heappop(self._clocks)
+            return self._replicas[self._clocks[0][1]] if self._clocks else None
+
+        monkeypatch.setattr(ReplicaFleet, "_lagging", trusting)
+        with pytest.raises(AssertionError, match="the minimum is replica 1"):
+            self.test_directly_stepped_runtime_is_rekeyed_not_trusted()
+
+    def test_clock_reads_per_step_do_not_grow_with_replicas(self):
+        """Scaling guard: the scan read every live replica's clock on every
+        step; the heap reads the stepped replica's and the new top's."""
+
+        def reads_per_step(n):
+            fleet = stub_fleet([[1.0 + 0.01 * i] * 6 for i in range(n)], 6)
+            for r in fleet.replicas:
+                r.runtime.clock_reads = 0
+            steps = 0
+            while fleet.step():
+                steps += 1
+            assert steps + 1 == 6 * n
+            return sum(r.runtime.clock_reads for r in fleet.replicas) / steps
+
+        small, large = reads_per_step(4), reads_per_step(32)
+        assert large <= small + 0.5 and large <= 5

@@ -37,7 +37,7 @@ def assert_exact_vs_sequential(
 
     Args:
         report: a ``RuntimeReport`` or ``FleetReport`` (both expose
-            ``records`` and ``generated``).
+            ``record`` and ``generated``).
         rids: ``{seq_id: [request_id per turn]}``.
         reference: ``{seq_id: [expected tokens per turn]}``.
         completed_only: ``False`` (default) asserts every request
@@ -52,7 +52,7 @@ def assert_exact_vs_sequential(
     suffix = f" ({context})" if context else ""
     for seq_id, turn_rids in rids.items():
         for i, rid in enumerate(turn_rids):
-            rec = report.records[rid]
+            rec = report.record(rid)
             if rec.state is RequestState.FINISHED:
                 got = list(report.generated(rid))
                 want = list(reference[seq_id][i])
@@ -61,7 +61,7 @@ def assert_exact_vs_sequential(
                     f"replay: {got} != {want}{suffix}"
                 )
             elif completed_only:
-                later = [report.records[r] for r in turn_rids[i + 1 :]]
+                later = [report.record(r) for r in turn_rids[i + 1 :]]
                 assert all(
                     rec2.state is not RequestState.FINISHED for rec2 in later
                 ), (

@@ -58,6 +58,36 @@ class TestInsertAndMatch:
         idx.touch(0)
         assert idx.match(toks(1, 2, 3))[1] == 0
 
+    def test_donor_is_the_deepest_levels_and_chosen_once(self):
+        """Three levels whose LRU favourite differs: each match returns the
+        favourite among the holders of the deepest edge it reached, and
+        ranks only those holders (it used to rank every level it crossed)."""
+
+        class CountingDict(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        idx = PrefixIndex()
+        idx.insert(0, toks(1, 2))
+        idx.insert(1, toks(1, 2, 3, 4))
+        idx.insert(2, toks(1, 2, 3, 4, 5, 6))
+        for seq_id in (2, 1, 0):  # level 1 favours 0, level 2 favours 1, level 3 holds only 2
+            idx.touch(seq_id)
+        assert idx.match(toks(1, 2)) == (2, 0)
+        assert idx.match(toks(1, 9)) == (1, 0)
+        assert idx.match(toks(1, 2, 3, 4)) == (4, 1)
+        assert idx.match(toks(1, 2, 3, 9)) == (3, 1)
+        assert idx.match(toks(1, 2, 3, 4, 5, 9)) == (5, 2)
+        idx._last_used = CountingDict(idx._last_used)
+        assert idx.match(toks(1, 2, 3, 4, 5, 6, 7)) == (6, 2)
+        assert idx._last_used.lookups == 1  # the one holder of the deepest edge
+        idx._last_used.lookups = 0
+        assert idx.match(toks(1, 2, 3, 4)) == (4, 1)
+        assert idx._last_used.lookups == 2  # holders {1, 2} of the [3, 4] edge
+
     def test_match_rejects_bad_shape(self):
         idx = PrefixIndex()
         with pytest.raises(ValueError):

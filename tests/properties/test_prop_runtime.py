@@ -39,7 +39,13 @@ from hypothesis import strategies as st
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.runtime import ContinuousBatchingRuntime, RequestState, TurnRequest
+from repro.obs import RecordingTracer
+from repro.runtime import (
+    ContinuousBatchingRuntime,
+    FaultPlan,
+    RequestState,
+    TurnRequest,
+)
 from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import (
@@ -520,3 +526,133 @@ class TestRuntimeExactness:
         a = runtime.engine.prefill({0: probe}).last_logits(0)
         b = engine.prefill({0: probe}).last_logits(0)
         np.testing.assert_allclose(a, b, atol=1e-9, rtol=0)
+
+
+# --------------------------------------------------------------------------- #
+# arrival-ordered admission == the scan it replaced
+# --------------------------------------------------------------------------- #
+# `_admit` used to sort `_waiting` and probe every head on every call; it now
+# pops a heap of (arrival, seq_id). The property: whatever a call handles
+# (admits or sheds), in the order the trace shows it, is exactly what that
+# scan would have handled — ascending seq_id over the heads due by the prefill
+# clock. (The 32 golden digests pin the same thing on fixed schedules; this
+# says which property they were pinning.)
+
+
+class ScanCheckedRuntime(ContinuousBatchingRuntime):
+    """Checks every `_admit` call against the scan, computed independently
+    of the heap from `_waiting` and the chain heads."""
+
+    admit_calls_with_work = 0
+
+    def _admit(self):
+        now = self._pools["prefill"].t
+        due = [
+            seq_id
+            for seq_id in sorted(self._waiting)
+            if self._records[self._chains[seq_id][0]].request.arrival <= now
+        ]
+        seen = len(self.tracer.events)
+        super()._admit()
+        handled = []
+        for event in self.tracer.events[seen:]:
+            # a shed chain emits one `shed` per cascaded turn: one conversation
+            if event.name in ("admit", "shed") and handled[-1:] != [event.seq_id]:
+                handled.append(event.seq_id)
+        assert handled == due, f"admitted/shed {handled}, the scan handles {due} at t={now}"
+        assert not self._waiting.intersection(due)
+        self.admit_calls_with_work += bool(due)
+
+
+def check_admission_equals_scan(arrivals, turns, think, depth):
+    """`arrivals[i]` is conversation i's first arrival; its seq_id is chosen
+    so that seq_id order and arrival order disagree."""
+    gen = WorkloadGenerator(VOCAB, seed=len(arrivals))
+    runtime = ScanCheckedRuntime(
+        ContextParallelEngine(MODEL, world_size=1),
+        policy=ChunkedPrefillPolicy(chunk_tokens=8, max_tokens_per_round=16, max_seqs_per_round=2),
+        faults=FaultPlan(seed=0, max_queue_depth=depth) if depth else None,
+        tracer=RecordingTracer(),
+    )
+    n = len(arrivals)
+    for i, arrival in enumerate(arrivals):
+        script = gen.conversation(
+            (7 * (n - i)) % 23, turns=turns, first_prompt=6, followup_range=(2, 4),
+            response_range=(1, 2),
+        )
+        runtime.submit_script(script, arrival=arrival, think_time=think)
+    report = runtime.run(max_steps=50_000)
+    assert set(report.statuses()) <= {"finished", "shed"}
+    assert runtime.admit_calls_with_work > 0
+    if not depth:
+        assert report.statuses() == {"finished": n * turns}
+    return report.statuses()
+
+
+class TestArrivalOrderedAdmission:
+    def test_fixed_schedule_with_followups_and_shedding(self):
+        """The property's hard corner, pinned: tied arrivals over a queue
+        cap of one shed whole chains while follow-up turns re-enter."""
+        statuses = check_admission_equals_scan([0.0, 0.0, 0.0, 1.0, 1.0, 4.0], 2, 0.25, 1)
+        assert statuses.get("shed", 0) >= 2 and statuses.get("finished", 0) >= 2
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 4.0, 9.5]), min_size=2, max_size=7),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 0.25, 6.0]),
+        st.sampled_from([None, 1, 2]),
+    )
+    @settings(**SETTINGS)
+    def test_admit_and_shed_order_equals_the_scans(self, arrivals, turns, think, depth):
+        check_admission_equals_scan(arrivals, turns, think, depth)
+
+    def test_mutant_heap_keyed_on_seq_id_first_dies(self, monkeypatch):
+        """Ordered by (seq_id, arrival), the lowest seq_id hides every
+        conversation that is due before it."""
+        import repro.runtime.runtime as runtime_module
+
+        class SeqFirstHeap:
+            @staticmethod
+            def heappush(heap, item):
+                heap.append(item)
+                heap.sort(key=lambda entry: (entry[1], entry[0]))
+
+            @staticmethod
+            def heappop(heap):
+                return heap.pop(0)
+
+        case = ([0.0, 0.0, 5.0], 2, 0.25, None)  # seq_ids 21, 14, 7: the late one is lowest
+        check_admission_equals_scan(*case)
+        monkeypatch.setattr(runtime_module, "heapq", SeqFirstHeap)
+        with pytest.raises(AssertionError, match="the scan handles"):
+            check_admission_equals_scan(*case)
+
+    def test_reads_per_admit_do_not_grow_with_waiting_conversations(self):
+        """Scaling guard: a call with one conversation due reads the same
+        number of records whether 4 or 64 others are waiting for a later
+        arrival (the scan read every head on every call)."""
+
+        class CountingDict(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return super().__getitem__(key)
+
+        def reads_with(not_yet_due):
+            runtime = ContinuousBatchingRuntime(ContextParallelEngine(MODEL, world_size=1))
+            prompt = np.arange(4, dtype=np.int64)
+            for i in range(not_yet_due + 1):
+                runtime.submit(
+                    TurnRequest(
+                        request_id=-1, seq_id=i, prompt=prompt, max_new_tokens=1,
+                        arrival=0.0 if i == 0 else 100.0 + i,
+                    )
+                )
+            runtime._records = CountingDict(runtime._records)
+            runtime._admit()
+            assert runtime.queue_depth() == not_yet_due + 1  # one in the FIFO, rest waiting
+            assert len(runtime._prefill_queue) == 1
+            return runtime._records.reads
+
+        assert reads_with(4) == reads_with(64)

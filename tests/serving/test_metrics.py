@@ -170,6 +170,20 @@ class TestServingMetrics:
         assert math.isnan(m.pool_utilization("missing", makespan=8.0))
         assert "pool busy: decode: 0.500s/1 rounds, prefill: 4.000s/2 rounds" in m.summary()
 
+    @pytest.mark.parametrize("first", ["prefill", "decode"])
+    def test_busy_s_is_bit_equal_to_the_label_ordered_sum(self, first):
+        """The router's load probe reads `busy_s` (no dict built per probe);
+        it feeds placement, so it must give the bits the sorted-label sum
+        over `pool_busy_s` gave, whichever pool recorded a round first."""
+        second = "decode" if first == "prefill" else "prefill"
+        m = ServingMetrics()
+        assert m.busy_s == 0.0 and isinstance(m.busy_s, float)
+        for i in range(1, 40):
+            m.record_round(first, 0.1 * i)
+            assert m.busy_s == float(sum(m.pool_busy_s.values()))
+            m.record_round(second, 1e-3 / i)
+            assert m.busy_s == float(sum(m.pool_busy_s.values()))
+
 
 class TestInstanceIndependence:
     """Every replica in a fleet owns its own ServingMetrics; no counter
