@@ -122,35 +122,42 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.engine import ContextParallelEngine
     from repro.model.config import tiny_config
     from repro.model.llama import LlamaModel
+    from repro.obs import RecordingTracer, comm_totals
 
     model = LlamaModel(tiny_config(), seed=0)
     engine = ContextParallelEngine(model, world_size=args.world)
+    engine.group.tracer = tracer = RecordingTracer()
     toks = (np.arange(args.tokens) * 13) % model.config.vocab_size
     out = engine.prefill({0: toks})
     err = float(np.abs(out.logits[0] - model.forward(toks)).max())
     generated = engine.generate({1: toks[: args.tokens // 2]}, max_new_tokens=4)
+    by_kind = {kind: tot.bytes for kind, tot in comm_totals(tracer.events).items() if tot.count}
     print(f"world={args.world} tokens={args.tokens}")
     print(f"prefill algo: {out.plan.algo.value}")
     print(f"losslessness max error vs single device: {err:.3e}")
     print(f"sample generation: {generated[1]}")
-    print(f"comm bytes by kind: {engine.tracer.bytes_by_kind()}")
+    print(f"comm bytes by kind: {by_kind}")
     return 0 if err < 1e-8 else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.engine import ContextParallelEngine
-    from repro.distributed.timeline import save_chrome_trace
     from repro.model.config import tiny_config
     from repro.model.llama import LlamaModel
+    from repro.obs import RecordingTracer, comm_totals, write_chrome
 
     model = LlamaModel(tiny_config(), seed=0)
     engine = ContextParallelEngine(model, world_size=args.world)
+    engine.group.tracer = tracer = RecordingTracer()
     toks = np.arange(args.tokens) % model.config.vocab_size
     engine.prefill({0: toks})
     engine.generate({0: np.array([1])}, max_new_tokens=args.decode_steps)
-    save_chrome_trace(engine.tracer, args.output, process_name=f"cp{args.world}")
-    print(f"wrote {len(engine.tracer)} traced events to {args.output}")
-    print(engine.tracer.summary())
+    write_chrome(tracer.events, args.output)
+    print(f"wrote {len(tracer.events)} traced events to {args.output}")
+    print(f"{'kind':<12} {'count':>6} {'bytes':>14} {'seconds':>10}")
+    for kind, tot in sorted(comm_totals(tracer.events).items()):
+        if tot.count:
+            print(f"{kind:<12} {tot.count:>6} {tot.bytes:>14} {tot.seconds:>10.6f}")
     return 0
 
 

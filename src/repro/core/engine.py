@@ -34,7 +34,6 @@ from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedQueries, ShardPlan
 from repro.distributed.process_group import SimProcessGroup
 from repro.distributed.topology import ClusterTopology
-from repro.distributed.tracer import CommTracer
 from repro.kvcache.cache import CacheCapacityError, RankKVCache
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.model.llama import LlamaModel
@@ -140,8 +139,7 @@ class ContextParallelEngine:
     ):
         self.model = model
         self.world_size = world_size
-        self.tracer = CommTracer()
-        self.group = SimProcessGroup(world_size, topology=topology, tracer=self.tracer)
+        self.group = SimProcessGroup(world_size, topology=topology)
         self.planner = PrefillPlanner(heuristic, selector=selector)
         self.block_size = block_size
         self.compute_dtype = compute_dtype

@@ -9,10 +9,11 @@ properties the reproduction depends on:
 1. **Exact dataflow** — collectives move real NumPy tensors between ranks,
    so the ring algorithms compute real attention and can be checked
    bit-for-bit against single-device execution.
-2. **Exact traffic accounting** — every SendRecv / All2All / AllGather /
-   AllReduce records the logical wire bytes (at the model's element size,
-   not NumPy's float64), feeding the same roofline the paper uses to decide
-   when communication hides under compute.
+2. **Exact traffic accounting** — with a recorder attached, every
+   SendRecv / All2All / AllGather / AllReduce emits a span carrying its
+   logical wire bytes (at the model's element size, not NumPy's float64),
+   feeding the same roofline the paper uses to decide when communication
+   hides under compute.
 
 Modules:
 
@@ -22,7 +23,9 @@ Modules:
   lockstep collective engine.
 - :mod:`repro.distributed.ring` — ring-schedule index arithmetic shared by
   all three ring algorithms.
-- :mod:`repro.distributed.tracer` — communication/compute event recording.
+
+Collectives trace through :mod:`repro.obs.trace` (assign
+``group.tracer``); ``repro.obs.comm_totals`` sums the spans by kind.
 """
 
 from repro.distributed.process_group import SimProcessGroup, payload_elements
@@ -33,12 +36,9 @@ from repro.distributed.topology import (
     gtt_topology,
     single_node_topology,
 )
-from repro.distributed.tracer import CommEvent, CommTracer
 
 __all__ = [
     "ClusterTopology",
-    "CommEvent",
-    "CommTracer",
     "SimProcessGroup",
     "gti_topology",
     "gtt_topology",

@@ -14,6 +14,15 @@ float64, so traced traffic matches what the paper's wire format would carry;
 a dataclass field declared with ``metadata={"wire": False}`` is host-side
 bookkeeping and is not counted.
 
+Tracing is the repository's one tracer (:mod:`repro.obs.trace`): with a
+recorder attached, every collective emits one span named for its kind
+(``sendrecv`` / ``all2all`` / ``allgather`` / ``allreduce``; attrs ``step``,
+``bytes`` = the busiest rank's logical wire bytes, ``tag``) priced by the
+alpha-beta model, laid end to end on a group-local clock — the simulated
+counterpart of the GPU trace the paper inspects (§4.2.1, Table 5). With
+none attached (the default, and every serving engine) a collective does no
+byte walk and retains nothing.
+
 A real network cannot alias buffers between ranks. The simulation keeps that
 guarantee without copying: a collective rebuilds the payload's containers,
 shares its arrays with the receiver and **freezes** them at send
@@ -29,7 +38,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.distributed.topology import ClusterTopology, single_node_topology
-from repro.distributed.tracer import CommTracer
+from repro.obs.trace import NULL_TRACER, Tracer
 
 
 def payload_elements(payload: Any) -> int:
@@ -78,8 +87,8 @@ class SimProcessGroup:
         world_size: number of CP ranks.
         topology: cluster wiring; defaults to a single-node ring, which keeps
             unit tests hardware-agnostic.
-        tracer: optional event sink; a fresh private tracer is created when
-            omitted.
+        tracer: :class:`repro.obs.trace.Tracer` receiving one span per
+            collective (default: the null tracer). Assignable afterwards.
         wire_bytes_per_element: logical bytes per tensor element on the wire
             (paper notation ``e``; 2 for bf16, 1 for fp8).
     """
@@ -89,7 +98,7 @@ class SimProcessGroup:
         world_size: int,
         *,
         topology: ClusterTopology | None = None,
-        tracer: CommTracer | None = None,
+        tracer: Tracer = NULL_TRACER,
         wire_bytes_per_element: int = 2,
     ):
         if world_size < 1:
@@ -112,7 +121,8 @@ class SimProcessGroup:
                 internode_bandwidth=0.75 * 50e9,
                 intranode_bandwidth=450e9,
             )
-        self.tracer = tracer if tracer is not None else CommTracer()
+        self.tracer = tracer
+        self._t = 0.0  # group-local clock: the running sum of traced durations
         self.wire_bytes_per_element = wire_bytes_per_element
 
     # ------------------------------------------------------------------ #
@@ -127,6 +137,11 @@ class SimProcessGroup:
         """Alpha-beta time for one point-to-point CP-rank message."""
         topo = self.topology
         return topo.cp_link_latency + nbytes / topo.cp_link_bandwidth
+
+    def _trace(self, kind: str, nbytes: int, duration: float, *, step: int = -1, tag: str = "") -> None:
+        """Emit one collective's span where the previous one ended."""
+        self.tracer.span(kind, self._t, duration, pool="comm", step=step, bytes=nbytes, tag=tag)
+        self._t += duration
 
     # ------------------------------------------------------------------ #
     # collectives (lockstep: list index == rank)
@@ -148,14 +163,9 @@ class SimProcessGroup:
         self._check_world(payloads)
         if self.world_size == 1:
             return [_deliver(payloads[0])]
-        max_nbytes = max(self.payload_nbytes(p) for p in payloads)
-        self.tracer.record(
-            "sendrecv",
-            step=step,
-            nbytes=max_nbytes,
-            duration=self._xfer_time(max_nbytes),
-            tag=tag,
-        )
+        if self.tracer.enabled:
+            nbytes = max(self.payload_nbytes(p) for p in payloads)
+            self._trace("sendrecv", nbytes, self._xfer_time(nbytes), step=step, tag=tag)
         return [_deliver(payloads[(k - 1) % self.world_size]) for k in range(self.world_size)]
 
     def all_to_all(self, matrix: Sequence[Sequence[Any]], *, tag: str = "") -> list[list[Any]]:
@@ -171,19 +181,17 @@ class SimProcessGroup:
         for row in matrix:
             if len(row) != self.world_size:
                 raise ValueError("all_to_all matrix must be square in world_size")
-        if self.world_size > 1:
+        if self.world_size > 1 and self.tracer.enabled:
             egress = [
                 sum(self.payload_nbytes(matrix[src][dst]) for dst in range(self.world_size) if dst != src)
                 for src in range(self.world_size)
             ]
             nbytes = max(egress)
-            self.tracer.record(
-                "all2all",
-                nbytes=nbytes,
-                duration=self.topology.cp_link_latency * (self.world_size - 1)
-                + nbytes / self.topology.cp_link_bandwidth,
-                tag=tag,
+            duration = (
+                self.topology.cp_link_latency * (self.world_size - 1)
+                + nbytes / self.topology.cp_link_bandwidth
             )
+            self._trace("all2all", nbytes, duration, tag=tag)
         return [
             [_deliver(matrix[src][dst]) for src in range(self.world_size)]
             for dst in range(self.world_size)
@@ -196,15 +204,10 @@ class SimProcessGroup:
         Cost model: ``(N-1)`` ring steps each moving the largest shard.
         """
         self._check_world(payloads)
-        if self.world_size > 1:
+        if self.world_size > 1 and self.tracer.enabled:
             shard = max(self.payload_nbytes(p) for p in payloads)
-            nbytes = shard * (self.world_size - 1)
-            self.tracer.record(
-                "allgather",
-                nbytes=nbytes,
-                duration=(self.world_size - 1) * self._xfer_time(shard),
-                tag=tag,
-            )
+            hops = self.world_size - 1
+            self._trace("allgather", shard * hops, hops * self._xfer_time(shard), tag=tag)
         return [[_deliver(p) for p in payloads] for _ in range(self.world_size)]
 
     def all_reduce_sum(self, arrays: Sequence[np.ndarray], *, tag: str = "") -> list[np.ndarray]:
@@ -215,17 +218,13 @@ class SimProcessGroup:
             if np.asarray(a).shape != first.shape:
                 raise ValueError("all_reduce payloads must share a shape")
         total = np.sum([np.asarray(a, dtype=np.float64) for a in arrays], axis=0)
-        if self.world_size > 1:
+        if self.world_size > 1 and self.tracer.enabled:
             full = self.payload_nbytes(first)
-            nbytes = 2 * (self.world_size - 1) * full // self.world_size
-            self.tracer.record(
+            hops = 2 * (self.world_size - 1)
+            self._trace(
                 "allreduce",
-                nbytes=nbytes,
-                duration=2 * (self.world_size - 1) * self._xfer_time(full // self.world_size),
+                hops * full // self.world_size,
+                hops * self._xfer_time(full // self.world_size),
                 tag=tag,
             )
         return [total.copy() for _ in range(self.world_size)]
-
-    def record_compute(self, *, step: int = -1, duration: float, tag: str = "") -> None:
-        """Trace a per-rank compute interval (e.g. one ring-step attention)."""
-        self.tracer.record("attn", step=step, duration=duration, tag=tag)

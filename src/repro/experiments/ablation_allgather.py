@@ -18,6 +18,7 @@ from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_s
 from repro.distributed.process_group import SimProcessGroup
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
+from repro.obs import RecordingTracer, comm_totals
 from repro.perf.hardware import HostSpec, gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.perf.roofline import kv_bytes
@@ -32,11 +33,10 @@ def traffic_check(world: int = 4, tokens: int = 64) -> tuple[int, int]:
     shards = shard_sequences([SequenceSpec(0, tokens)], world)
     queries = [ShardedQueries(q=q[pos], positions=pos, seq_ids=sid) for pos, sid in shards]
     kvs = [ShardedKV(k=k[pos], v=v[pos], positions=pos, seq_ids=sid) for pos, sid in shards]
-    g_ring = SimProcessGroup(world)
-    ring_passkv_prefill(g_ring, queries, kvs)
-    g_ag = SimProcessGroup(world)
-    allgather_passkv_prefill(g_ag, queries, kvs)
-    return g_ring.tracer.total_bytes("sendrecv"), g_ag.tracer.total_bytes("allgather")
+    ring, gather = RecordingTracer(), RecordingTracer()
+    ring_passkv_prefill(SimProcessGroup(world, tracer=ring), queries, kvs)
+    allgather_passkv_prefill(SimProcessGroup(world, tracer=gather), queries, kvs)
+    return comm_totals(ring.events)["sendrecv"].bytes, comm_totals(gather.events)["allgather"].bytes
 
 
 def run(host: HostSpec | None = None, *, n_ranks: int = 4) -> ExperimentResult:

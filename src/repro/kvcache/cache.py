@@ -63,7 +63,9 @@ class _Stream:
         need = n + rows[-1].shape[0]
         capacity = cols[-1].shape[0] if cols else 0
         if need > capacity or n < self.lent or not cols[-1].flags.writeable:
-            size = max(need, 2 * capacity)
+            # double only to grow; a copy forced by a lent view or a
+            # read-only slab keeps the capacity it has
+            size = max(need, 2 * capacity) if need > capacity else capacity
             fresh = tuple(np.empty((size,) + r.shape[1:], dtype=r.dtype) for r in rows)
             for new, old in zip(fresh, cols):
                 new[:n] = old[:n]

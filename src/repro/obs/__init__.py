@@ -22,9 +22,11 @@ from repro.obs.registry import (
     prometheus_text_multi,
 )
 from repro.obs.timeline import (
+    CommTotal,
     RequestTimeline,
     TTFTBreakdown,
     build_timeline,
+    comm_totals,
     events_for_request,
     explain_ttft,
     format_explanation,
@@ -32,10 +34,12 @@ from repro.obs.timeline import (
     reconcile_fleet,
     request_ids,
 )
-from repro.obs.trace import NULL_TRACER, RecordingTracer, TraceEvent, Tracer
+from repro.obs.trace import NULL_TRACER, EventStream, RecordingTracer, TraceEvent, Tracer
 
 __all__ = [
+    "CommTotal",
     "Counter",
+    "EventStream",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -46,6 +50,7 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "build_timeline",
+    "comm_totals",
     "dumps_jsonl",
     "events_for_request",
     "explain_ttft",

@@ -8,7 +8,8 @@ The Chrome format targets ``chrome://tracing`` / https://ui.perfetto.dev:
 
 - each **replica** is a process (``pid``; bare runtimes land on pid 0),
 - each **pool** is a low-numbered thread track (``prefill``/``decode``
-  rounds render as span rails showing pool occupancy),
+  rounds render as span rails showing pool occupancy; a traced process
+  group's collectives abut on the ``comm`` rail),
 - each **request** is its own thread track (``tid = 100 + request_id``)
   where that request's prefill chunks, wire transfers, swaps, and stall
   spans nest, with instants (admit, first token, preemptions, finish)
@@ -27,7 +28,7 @@ import json
 from repro.obs.trace import TraceEvent
 
 #: Fixed thread-track ids for pool rails; request rails start above these.
-_POOL_TIDS = {"prefill": 1, "decode": 2, "wire": 3, "host": 4}
+_POOL_TIDS = {"prefill": 1, "decode": 2, "wire": 3, "host": 4, "comm": 5}
 _REQUEST_TID_BASE = 100
 #: Simulated seconds -> trace microseconds.
 _US = 1_000_000.0

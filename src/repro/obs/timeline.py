@@ -1,6 +1,6 @@
 """Per-request timeline reconstruction, TTFT attribution, reconciliation.
 
-Three consumers of a recorded event stream live here:
+Four consumers of a recorded event stream live here:
 
 - :func:`build_timeline` / :func:`explain_ttft` — reconstruct one
   request's scheduling story and decompose its TTFT into an **exact
@@ -11,18 +11,22 @@ Three consumers of a recorded event stream live here:
   to the window length).
 - :func:`format_explanation` — the human rendering behind
   ``python -m repro explain REQ_ID --trace PATH``.
+- :func:`comm_totals` — count / wire bytes / simulated seconds of the
+  collective spans a traced process group emitted, by kind.
 - :func:`reconcile` / :func:`reconcile_fleet` — the trace-vs-metrics
-  cross-check: every counter and stall-second total in
-  :class:`~repro.serving.metrics.ServingMetrics` must be *exactly*
-  derivable from the trace (same floats, summed in emission order ==
-  record order). Any drift means a hook site and a ``record_*`` call
-  disagree — reported as a failure by ``serve --verify`` and pinned by
+  cross-check, as replay-and-compare: folding the recorded events into a
+  fresh :class:`~repro.serving.metrics.ServingMetrics` must reproduce
+  every value the live fold holds *exactly* (same floats, summed in
+  emission order). Counters are that fold by construction, so drift
+  means something wrote one around the stream — reported as a failure
+  by ``serve --verify`` and pinned by
   ``tests/properties/test_prop_trace.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.obs.trace import TraceEvent
 
@@ -296,129 +300,57 @@ def format_explanation(events: list[TraceEvent], request_id: int) -> str:
     return "\n".join(lines)
 
 
+# ------------------------- collective totals ---------------------------- #
+
+_COMM_KINDS = ("sendrecv", "all2all", "allgather", "allreduce")
+
+
+class CommTotal(NamedTuple):
+    """Spans of one collective kind: how many, wire bytes, simulated seconds."""
+
+    count: int = 0
+    bytes: int = 0
+    seconds: float = 0.0
+
+
+def comm_totals(events: list[TraceEvent]) -> dict[str, CommTotal]:
+    """Per-kind totals of the collective spans a traced
+    :class:`~repro.distributed.process_group.SimProcessGroup` emitted
+    (every kind is present; the ones never used total zero)."""
+    totals = dict.fromkeys(_COMM_KINDS, CommTotal())
+    for e in events:
+        if e.name in totals:
+            sofar = totals[e.name]
+            totals[e.name] = CommTotal(
+                sofar.count + 1, sofar.bytes + e.attrs["bytes"], sofar.seconds + e.dur
+            )
+    return totals
+
+
 # --------------------------- reconciliation ----------------------------- #
-
-
-def _sum(values) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def reconcile(events: list[TraceEvent], metrics) -> list[str]:
     """Cross-check a trace against a :class:`ServingMetrics` instance.
 
-    Returns drift descriptions (empty == reconciled). Counts must match
-    exactly and stall/TTFT totals must match as *floats*: the trace
-    carries the same values the ``record_*`` calls saw, in the same
-    order, so running sums are bit-identical — there is no tolerance.
+    Replays ``events`` through a fresh instance's fold and returns one
+    drift description per value that differs from the live one (empty ==
+    reconciled). There is no tolerance: the trace carries the values the
+    live fold saw, in the same order, so running float sums are
+    bit-identical. The live counters came from the same fold, so what
+    drifts is a counter written around the stream, an event recorded but
+    never folded (or the reverse), or a trace that is not this run's.
     """
-    drift: list[str] = []
-
-    def check(label: str, derived, recorded) -> None:
-        if derived != recorded:
-            drift.append(f"{label}: trace-derived {derived!r} != metrics {recorded!r}")
-
-    by_name: dict[str, list[TraceEvent]] = {}
+    replayed = type(metrics)()
     for e in events:
-        by_name.setdefault(e.name, []).append(e)
-
-    def named(name: str) -> list[TraceEvent]:
-        return by_name.get(name, [])
-
-    preempts = named("preempt")
-    full = [e for e in preempts if e.attrs.get("remedy") == "recompute"]
-    trims = [e for e in preempts if e.attrs.get("remedy") == "trim"]
-    check("preemptions", len(full), metrics.preemptions)
-    check("evicted_tokens", sum(e.attrs.get("evicted", 0) for e in full), metrics.evicted_tokens)
-    check("trims", len(trims), metrics.trims)
-    check("trimmed_kv_tokens", sum(e.attrs.get("tokens", 0) for e in trims), metrics.trimmed_kv_tokens)
-
-    swaps_out, swaps_in = named("swap_out"), named("swap_in")
-    check("swaps_out", len(swaps_out), metrics.swaps_out)
-    check("swaps_in", len(swaps_in), metrics.swaps_in)
-    check("swapped_out_tokens", sum(e.attrs.get("tokens", 0) for e in swaps_out), metrics.swapped_out_tokens)
-    check("swapped_in_tokens", sum(e.attrs.get("tokens", 0) for e in swaps_in), metrics.swapped_in_tokens)
-    check(
-        "swap_stall_s",
-        _sum(e.dur for e in events if e.name in ("swap_out", "swap_in")),
-        metrics.swap_stall_s,
-    )
-
-    transfers = named("kv_transfer")
-    check("transfers", len(transfers), metrics.transfers)
-    check("transferred_kv_tokens", sum(e.attrs.get("tokens", 0) for e in transfers), metrics.transferred_kv_tokens)
-    check("transfer_refusals", len(named("kv_transfer_refused")), metrics.transfer_refusals)
-    cancels = named("kv_transfer_cancel")
-    check("transfers_cancelled", len(cancels), metrics.transfers_cancelled)
-    check(
-        "transfers_refunded",
-        sum(1 for e in cancels if e.attrs.get("refunded")),
-        metrics.transfers_refunded,
-    )
-    check("transfer_stall_s", _sum(e.dur for e in named("transfer_stall")), metrics.transfer_stall_s)
-
-    hits = named("prefix_hit")
-    check("prefix_hits", len(hits), metrics.prefix_hits)
-    check("prefix_reused_tokens", sum(e.attrs.get("reused", 0) for e in hits), metrics.prefix_reused_tokens)
-    check("prefix_misses", len(named("prefix_miss")), metrics.prefix_misses)
-    evicts = named("prefix_evict")
-    check("prefix_evictions", len(evicts), metrics.prefix_evictions)
-    check("prefix_evicted_tokens", sum(e.attrs.get("tokens", 0) for e in evicts), metrics.prefix_evicted_tokens)
-
-    injects = named("fault_inject")
-    check("transfer_faults", sum(1 for e in injects if e.attrs.get("kind") == "transfer"), metrics.transfer_faults)
-    check("swap_losses", sum(1 for e in injects if e.attrs.get("kind") == "swap"), metrics.swap_losses)
-    resets = [e for e in injects if e.attrs.get("kind") == "pool_reset"]
-    check("pool_resets", len(resets), metrics.pool_resets)
-    check("pool_reset_evicted_tokens", sum(e.attrs.get("tokens", 0) for e in resets), metrics.pool_reset_evicted_tokens)
-    retries = named("fault_retry")
-    check("fault_retries", len(retries), metrics.fault_retries)
-    check("fault_backoff_s", _sum(e.attrs.get("backoff", 0.0) for e in retries), metrics.fault_backoff_s)
-    fallbacks = named("fault_fallback")
-    check("degraded_fallbacks", len(fallbacks), metrics.degraded_fallbacks)
-    check(
-        "swap_lost_tokens",
-        sum(e.attrs.get("tokens", 0) for e in fallbacks if e.attrs.get("reason") == "swap_loss"),
-        metrics.swap_lost_tokens,
-    )
-
-    sheds = named("shed")
-    check("timeouts", sum(1 for e in sheds if e.attrs.get("status") == "timed_out"), metrics.timeouts)
-    check("sheds", sum(1 for e in sheds if e.attrs.get("status") == "shed"), metrics.sheds)
-
-    finishes = named("finish")
-    check("completed_requests", len(finishes), metrics.completed_requests)
-    check(
-        "ttft_samples",
-        [e.attrs["ttft"] for e in finishes if "ttft" in e.attrs],
-        list(metrics.ttft_samples),
-    )
-    check(
-        "ttft_warm_samples",
-        [e.attrs["ttft"] for e in finishes if e.attrs.get("warm") is True],
-        list(metrics.ttft_warm_samples),
-    )
-    check(
-        "ttft_cold_samples",
-        [e.attrs["ttft"] for e in finishes if e.attrs.get("warm") is False],
-        list(metrics.ttft_cold_samples),
-    )
-    check(
-        "ttit_sample_count",
-        sum(e.attrs.get("gaps", 0) for e in finishes),
-        len(metrics.ttit_samples),
-    )
-
-    rounds = metrics.pool_rounds
-    busy = metrics.pool_busy_s
-    for pool, name in (("prefill", "prefill_round"), ("decode", "decode_round")):
-        pool_rounds = named(name)
-        check(f"pool_rounds[{pool}]", len(pool_rounds), rounds.get(pool, 0))
-        check(f"pool_busy_s[{pool}]", _sum(e.dur for e in pool_rounds), busy.get(pool, 0.0))
-
-    return drift
+        replayed.fold(e.name, e.dur, e.attrs)
+    derived, recorded = replayed.folded_state(), metrics.folded_state()
+    drift = [
+        f"{label}: trace-derived {derived[label]!r} != metrics {recorded[label]!r}"
+        for label in derived
+        if derived[label] != recorded[label]
+    ]
+    return drift + metrics.writer_drift()
 
 
 def reconcile_fleet(events: list[TraceEvent], fleet_metrics) -> list[str]:

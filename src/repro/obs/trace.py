@@ -6,7 +6,7 @@ trace**. Events carry simulated timestamps and are appended in the
 runtime's (deterministic) execution order, so the serialized stream is
 itself a schedule fingerprint — tier-1 tests diff it byte-for-byte.
 
-Two tracer flavors:
+Three tracer flavors:
 
 - :data:`NULL_TRACER` — the default everywhere. ``enabled`` is False and
   every emit method is a no-op; hot paths guard bulk emission with
@@ -14,6 +14,11 @@ Two tracer flavors:
 - :class:`RecordingTracer` — appends :class:`TraceEvent` records for
   later export (:mod:`repro.obs.export`) and reconstruction
   (:mod:`repro.obs.timeline`).
+- :class:`EventStream` — what a serving runtime emits through: every
+  event is handed to a *fold* (``ServingMetrics.fold``, the one
+  event → counter mapping) and then, when a recorder is attached, to it.
+  ``enabled`` still means "a recorder is attached" and still guards the
+  events no counter reads, so counters come out the same traced or not.
 
 Label scoping: ``tracer.scoped(replica=2, pool="prefill")`` returns a
 lightweight view that stamps those fields onto every event it emits —
@@ -21,39 +26,49 @@ the fleet hands each runtime a replica-scoped view, the runtime hands
 its transfer stream a wire-scoped one. Scopes compose (a scope of a
 scope merges defaults; inner wins).
 
-Event taxonomy (names are the wire format — exporters and the
-reconciliation property key off them):
+Event taxonomy (names are the wire format — exporters and the fold key
+off them). ``feeds`` mirrors ``repro.serving.metrics.FOLD``: the counters
+an event adds to, or ``trace-only`` when nothing reads it (those stay
+behind ``if tracer.enabled:``); ``tests/test_one_event_stream.py`` holds
+the two tables to each other.
 
-======================  ======  ==============================================
-event                   phase   emitted from
-======================  ======  ==============================================
-``route``               inst.   ``cluster/fleet.py`` submit (attrs: policy,
-                                chosen replica, candidate scores)
-``admit``               inst.   runtime ``_admit`` (attrs: arrival, queue wait,
-                                cached/suffix token split)
-``prefill_round``       span    one fused chunked-prefill round (attrs: algo,
-                                chunk tokens, round price)
-``prefill_chunk``       span    per-request slice of a prefill round
-``first_token``         inst.   prefill completion samples token 0
-``kv_transfer_schedule``/
-``_extend``/``_cancel`` inst.   ``runtime/transfer.py`` stream ops
-``kv_transfer``         span    wire occupancy of a completed transfer
-``kv_transfer_refused`` inst.   decode-side admission refusal
-``transfer_stall``      span    decode blocked on an unlanded transfer
-``decode_round``        span    one decode step over the live batch
-``decode_token``        inst.   per-request token append in a decode round
-``swap_out``/``swap_in``span    PCIe-priced swap DMA (attrs: tokens, stall)
-``preempt``             inst.   victim eviction (attrs: victim, remedy ∈
-                                recompute|trim|swap, reason)
-``prefix_hit``/``_miss``/
-``_adopt``/``_evict``   inst.   radix-cache consult / adoption / LRU drop
-``fault_inject``        inst.   ``runtime/faults.py`` injector verdicts
-``fault_retry``         inst.   transfer retry w/ backoff (attrs: attempt,
-                                backoff seconds)
-``fault_fallback``      inst.   retry budget exhausted → re-prefill
-``shed``                inst.   deadline timeout / queue-depth shed
-``finish``              inst.   request completion (attrs: ttft, tokens)
-======================  ======  ==============================================
+===========================  ======  ============================  ==============================
+event                        phase   feeds                         emitted from
+===========================  ======  ============================  ==============================
+``route``                    inst.   trace-only                    ``cluster/fleet.py`` submit
+``admit``                    inst.   trace-only                    runtime ``_admit``
+``prefill_round``            span    pool busy seconds, rounds     one fused chunked-prefill round
+``prefill_chunk``            span    trace-only                    per-request slice of a round
+``first_token``              inst.   trace-only                    prefill completion samples token 0
+``kv_transfer_schedule``     inst.   trace-only                    ``runtime/transfer.py`` stream ops
+``kv_transfer_extend``       inst.   trace-only                    (same)
+``kv_transfer_cancel``       inst.   cancelled, refunded           runtime takes a payload off the wire
+``kv_transfer``              span    transfers, tokens             wire occupancy of a landed transfer
+``kv_transfer_refused``      inst.   refusals                      decode-side admission refusal
+``transfer_stall``           span    ``dur`` → transfer stall s    decode blocked on an unlanded transfer
+``decode_round``             span    pool busy seconds, rounds     one decode step over the live batch
+``decode_token``             inst.   trace-only                    per-request token append
+``swap_out``                 span    count, tokens, ``dur`` stall  PCIe-priced swap DMA
+``swap_in``                  span    count, tokens, ``dur`` stall  (same)
+``preempt``                  inst.   by ``remedy``: evictions /    victim eviction (``swap`` feeds
+                                     trims and their tokens        nothing: ``swap_out`` counted it)
+``prefix_hit``               inst.   hits, ``reused`` tokens       radix-cache consult
+``prefix_miss``              inst.   misses                        (same)
+``prefix_adopt``             inst.   trace-only                    adoption of a matched prefix
+``prefix_evict``             inst.   evictions, tokens             LRU drop of a cached resident
+``fault_inject``             inst.   by ``kind``: transfer faults  ``runtime/faults.py`` verdicts;
+                                     / swap losses / pool resets   pool resets from the runtime
+``fault_retry``              inst.   retries, ``backoff`` seconds  transfer retry with backoff
+``fault_fallback``           inst.   degraded fallbacks, lost      retry budget exhausted / swap
+                                     swap tokens                   payload lost → re-prefill
+``shed``                     inst.   by ``status``: timeouts /     deadline timeout / queue-depth shed
+                                     sheds
+``finish``                   inst.   completed, TTFT, warm/cold    request completion
+``sendrecv``                 span    trace-only                    ``distributed/process_group.py``:
+``all2all``                  span    trace-only                    one span per collective, ``t`` a
+``allgather``                span    trace-only                    group-local running sum (attrs:
+``allreduce``                span    trace-only                    ``step``, ``bytes``, ``tag``)
+===========================  ======  ============================  ==============================
 """
 
 from __future__ import annotations
@@ -118,15 +133,20 @@ class Tracer:
     ``enabled`` is False; emitters are no-ops. Hook sites that would do
     per-item work to build an event (e.g. one ``prefill_chunk`` per
     request in a fused round) guard on ``tracer.enabled`` first.
+    Subclasses override :meth:`record`, the one primitive ``instant``
+    and ``span`` are spelled in; it consumes ``fields``.
     """
 
     enabled = False
 
-    def instant(self, name: str, t: float, **fields) -> None:
+    def record(self, name: str, phase: str, t: float, dur: float, fields: dict) -> None:
         pass
 
+    def instant(self, name: str, t: float, **fields) -> None:
+        self.record(name, "instant", t, 0.0, fields)
+
     def span(self, name: str, t: float, dur: float, **fields) -> None:
-        pass
+        self.record(name, "span", t, dur, fields)
 
     def scoped(self, **defaults) -> "Tracer":
         """A view stamping default labels; the null tracer returns itself."""
@@ -135,10 +155,6 @@ class Tracer:
 
 #: Shared null tracer — every traced component's default.
 NULL_TRACER = Tracer()
-
-#: Identity/label field names ``instant``/``span`` lift out of **fields;
-#: everything else lands in ``attrs``.
-_IDENT_FIELDS = ("replica", "pool", "request_id", "seq_id")
 
 
 class RecordingTracer(Tracer):
@@ -149,24 +165,17 @@ class RecordingTracer(Tracer):
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
 
-    def _emit(self, name: str, phase: str, t: float, dur: float, fields: dict) -> None:
-        ident = {k: fields.pop(k) for k in _IDENT_FIELDS if k in fields}
+    def record(self, name: str, phase: str, t: float, dur: float, fields: dict) -> None:
+        # identity/label fields lift out of ``fields``; the rest are attrs
+        pop = fields.pop
         self.events.append(
             TraceEvent(
-                name=name,
-                phase=phase,
-                t=float(t),
-                dur=float(dur),
-                attrs=fields,
-                **ident,
+                name, phase, float(t), float(dur),
+                pop("replica", None), pop("pool", None),
+                pop("request_id", None), pop("seq_id", None),
+                fields,
             )
         )
-
-    def instant(self, name: str, t: float, **fields) -> None:
-        self._emit(name, "instant", t, 0.0, fields)
-
-    def span(self, name: str, t: float, dur: float, **fields) -> None:
-        self._emit(name, "span", t, dur, fields)
 
     def scoped(self, **defaults) -> "Tracer":
         return _ScopedTracer(self, defaults)
@@ -189,11 +198,32 @@ class _ScopedTracer(Tracer):
     def events(self) -> list[TraceEvent]:
         return self._root.events
 
-    def instant(self, name: str, t: float, **fields) -> None:
-        self._root.instant(name, t, **{**self._defaults, **fields})
-
-    def span(self, name: str, t: float, dur: float, **fields) -> None:
-        self._root.span(name, t, dur, **{**self._defaults, **fields})
+    def record(self, name: str, phase: str, t: float, dur: float, fields: dict) -> None:
+        self._root.record(name, phase, t, dur, {**self._defaults, **fields})
 
     def scoped(self, **defaults) -> "Tracer":
         return _ScopedTracer(self._root, {**self._defaults, **defaults})
+
+
+class EventStream(Tracer):
+    """A runtime's one emit point: fold every event, then record it.
+
+    ``fold(name, dur, fields)`` sees every event emitted here whether or
+    not anything records, so what it counts cannot depend on tracing;
+    ``enabled`` is the recorder's, and hook sites keep using it to skip
+    building events the fold does not read.
+    """
+
+    def __init__(self, fold, recorder: Tracer | None = None) -> None:
+        self._fold = fold
+        self._recorder = recorder if recorder is not None else NULL_TRACER
+        self.enabled = self._recorder.enabled
+
+    def record(self, name: str, phase: str, t: float, dur: float, fields: dict) -> None:
+        self._fold(name, dur, fields)
+        if self.enabled:
+            self._recorder.record(name, phase, t, dur, fields)
+
+    def scoped(self, **defaults) -> "Tracer":
+        """A view stamping ``defaults`` on what is recorded, same fold."""
+        return EventStream(self._fold, self._recorder.scoped(**defaults))

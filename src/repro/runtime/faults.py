@@ -203,8 +203,10 @@ class FaultInjector:
         tracer: optional :class:`repro.obs.trace.Tracer`; every injected
             verdict (a ``True`` from :meth:`transfer_fails` /
             :meth:`swap_lost`) emits a ``fault_inject`` instant at the
-            simulated time the caller passes via ``now``. Pool resets
-            are emitted by the runtime, which knows the evicted tokens.
+            simulated time the caller passes via ``now`` — unguarded,
+            because the runtime's stream folds it into the fault
+            counters whether or not anything records. Pool resets are
+            emitted by the runtime, which knows the evicted tokens.
     """
 
     def __init__(
@@ -256,15 +258,14 @@ class FaultInjector:
         if self._draw(_KIND_TRANSFER, seq_id, request_id, used) >= self.plan.transfer_fail_rate:
             return False
         self._transfer_faults[request_id] = used + 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "fault_inject",
-                now,
-                request_id=request_id,
-                seq_id=seq_id,
-                kind="transfer",
-                attempt=used + 1,
-            )
+        self.tracer.instant(
+            "fault_inject",
+            now,
+            request_id=request_id,
+            seq_id=seq_id,
+            kind="transfer",
+            attempt=used + 1,
+        )
         return True
 
     def transfer_faults_injected(self, request_id: int) -> int:
@@ -280,15 +281,14 @@ class FaultInjector:
         if self._draw(_KIND_SWAP, seq_id, request_id, used) >= self.plan.swap_loss_rate:
             return False
         self._swap_losses[request_id] = used + 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "fault_inject",
-                now,
-                request_id=request_id,
-                seq_id=seq_id,
-                kind="swap",
-                attempt=used + 1,
-            )
+        self.tracer.instant(
+            "fault_inject",
+            now,
+            request_id=request_id,
+            seq_id=seq_id,
+            kind="swap",
+            attempt=used + 1,
+        )
         return True
 
     def pool_resets_due(self, completed_rounds: int) -> list[str]:

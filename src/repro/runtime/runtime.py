@@ -125,7 +125,7 @@ import numpy as np
 from repro.core.engine import ContextParallelEngine
 from repro.core.sharding import SequenceSpec
 from repro.model.sampling import sample_greedy
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import EventStream
 from repro.runtime.clock import UnitStepClock
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.pool import Pool
@@ -277,11 +277,13 @@ class ContinuousBatchingRuntime:
             first double-free / use-after-free / refcount underflow /
             COW violation, and :meth:`run` checks for undrained leaks
             after the queue empties.
-        tracer: a :class:`repro.obs.trace.Tracer` receiving structured
+        tracer: a :class:`repro.obs.trace.Tracer` recording structured
             scheduling events (admissions, rounds, transfers, swaps,
             preemptions, faults, completions) at simulated timestamps.
-            Defaults to the zero-overhead null tracer; a fleet passes
-            each replica a ``tracer.scoped(replica=i)`` view.
+            Defaults to the null tracer; a fleet passes each replica a
+            ``tracer.scoped(replica=i)`` view. The runtime emits through
+            an :class:`~repro.obs.trace.EventStream` over it, whose fold
+            is where ``metrics``' counters come from — recorded or not.
     """
 
     def __init__(
@@ -339,7 +341,10 @@ class ContinuousBatchingRuntime:
             chunk_tokens=512, max_tokens_per_round=2048, max_seqs_per_round=8
         )
         self.clock = clock if clock is not None else UnitStepClock()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # the one event stream: every hook emits through it, ``metrics``
+        # folds what it emits, and ``tracer`` (if any) records it
+        self.metrics = ServingMetrics()
+        self.tracer = EventStream(self.metrics.fold, tracer)
         self.transfer_stream = (
             (
                 transfer_stream
@@ -366,7 +371,6 @@ class ContinuousBatchingRuntime:
         # by (arrival, rid), with the role they were evicted under
         self._swap_wait: list[tuple[tuple[float, int], int, str]] = []
 
-        self.metrics = ServingMetrics()
         self.prefill_rounds = 0
         self.decode_rounds = 0
         self._records: dict[int, RequestRecord] = {}
@@ -619,16 +623,14 @@ class ContinuousBatchingRuntime:
         nxt = min(pending, key=lambda t: (t.finish, t.request_id))
         stall = nxt.finish - max(decode.t, nxt.start)
         if stall > 0:
-            self.metrics.record_transfer_stall(stall)
-            if self.tracer.enabled:
-                self.tracer.span(
-                    "transfer_stall",
-                    max(decode.t, nxt.start),
-                    stall,
-                    pool=POOL_DECODE,
-                    request_id=nxt.request_id,
-                    seq_id=nxt.seq_id,
-                )
+            self.tracer.span(
+                "transfer_stall",
+                max(decode.t, nxt.start),
+                stall,
+                pool=POOL_DECODE,
+                request_id=nxt.request_id,
+                seq_id=nxt.seq_id,
+            )
         decode.t = nxt.finish
         return True
 
@@ -780,11 +782,7 @@ class ContinuousBatchingRuntime:
         pool = self._pools[role]
         tokens = pool.engine.context_length(seq_id)
         pool.evict(seq_id)
-        self.metrics.record_prefix_eviction(tokens)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "prefix_evict", at, pool=role, seq_id=seq_id, tokens=tokens
-            )
+        self.tracer.instant("prefix_evict", at, pool=role, seq_id=seq_id, tokens=tokens)
 
     def _match_shared_prefix(self, rec: RequestRecord) -> None:
         """Adopt the longest indexed prefix of ``rec``'s pending input.
@@ -805,15 +803,13 @@ class ContinuousBatchingRuntime:
             # follow-up turns are warm by construction
             rec.prefix_eligible = True
         if matched < 1 or donor is None:
-            self.metrics.record_prefix_miss()
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "prefix_miss",
-                    prefill.t,
-                    pool=POOL_PREFILL,
-                    request_id=rec.request_id,
-                    seq_id=rec.seq_id,
-                )
+            self.tracer.instant(
+                "prefix_miss",
+                prefill.t,
+                pool=POOL_PREFILL,
+                request_id=rec.request_id,
+                seq_id=rec.seq_id,
+            )
             return
         prefill.engine.adopt_prefix(rec.seq_id, donor, matched)
         prefill.holders.add(rec.seq_id)
@@ -822,17 +818,16 @@ class ContinuousBatchingRuntime:
         rec.prefix_shared = matched
         rec.prefix_donor = donor
         self.prefix_index.pin(donor)
-        self.metrics.record_prefix_hit(matched)
+        self.tracer.instant(
+            "prefix_hit",
+            prefill.t,
+            pool=POOL_PREFILL,
+            request_id=rec.request_id,
+            seq_id=rec.seq_id,
+            reused=matched,
+            donor=donor,
+        )
         if self.tracer.enabled:
-            self.tracer.instant(
-                "prefix_hit",
-                prefill.t,
-                pool=POOL_PREFILL,
-                request_id=rec.request_id,
-                seq_id=rec.seq_id,
-                reused=matched,
-                donor=donor,
-            )
             self.tracer.instant(
                 "prefix_adopt",
                 prefill.t,
@@ -888,17 +883,16 @@ class ContinuousBatchingRuntime:
         price = self.clock.price_prefill(chunk_tp)
         round_start = pool.t
         pool.t += price
-        self.metrics.record_round(POOL_PREFILL, price)
+        self.tracer.span(
+            "prefill_round",
+            round_start,
+            price,
+            pool=POOL_PREFILL,
+            algo=out.plan.algo.value,
+            tokens=sum(c.tokens for c in round_),
+            seqs=len(round_),
+        )
         if self.tracer.enabled:
-            self.tracer.span(
-                "prefill_round",
-                round_start,
-                price,
-                pool=POOL_PREFILL,
-                algo=out.plan.algo.value,
-                tokens=sum(c.tokens for c in round_),
-                seqs=len(round_),
-            )
             for chunk in round_:
                 self.tracer.span(
                     "prefill_chunk",
@@ -1088,30 +1082,25 @@ class ContinuousBatchingRuntime:
                 attempt = self._injector.transfer_faults_injected(transfer.request_id)
                 if attempt <= self.faults.max_transfer_retries:
                     delay = self.faults.backoff(attempt)
-                    self.metrics.record_transfer_fault(retried=True, backoff_s=delay)
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            "fault_retry",
-                            decode.t,
-                            request_id=rec.request_id,
-                            seq_id=sid,
-                            attempt=attempt,
-                            backoff=delay,
-                        )
+                    self.tracer.instant(
+                        "fault_retry",
+                        decode.t,
+                        request_id=rec.request_id,
+                        seq_id=sid,
+                        attempt=attempt,
+                        backoff=delay,
+                    )
                     self.transfer_stream.schedule(
                         sid, transfer.request_id, tokens, decode.t + delay
                     )
                 else:
-                    self.metrics.record_transfer_fault(retried=False)
-                    self.metrics.record_degraded_fallback()
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            "fault_fallback",
-                            decode.t,
-                            request_id=rec.request_id,
-                            seq_id=sid,
-                            reason="transfer",
-                        )
+                    self.tracer.instant(
+                        "fault_fallback",
+                        decode.t,
+                        request_id=rec.request_id,
+                        seq_id=sid,
+                        reason="transfer",
+                    )
                     self._preempt_record(rec, at=decode.t, reason="fault_fallback")
                 landed = True
                 continue
@@ -1126,15 +1115,13 @@ class ContinuousBatchingRuntime:
                 if victim is None:
                     if not transfer.refused:
                         transfer.refused = True
-                        self.metrics.record_transfer_refusal()
-                        if self.tracer.enabled:
-                            self.tracer.instant(
-                                "kv_transfer_refused",
-                                decode.t,
-                                pool=POOL_DECODE,
-                                request_id=rec.request_id,
-                                seq_id=sid,
-                            )
+                        self.tracer.instant(
+                            "kv_transfer_refused",
+                            decode.t,
+                            pool=POOL_DECODE,
+                            request_id=rec.request_id,
+                            seq_id=sid,
+                        )
                     admitted = False
                     break
                 self._evict(
@@ -1147,18 +1134,16 @@ class ContinuousBatchingRuntime:
             self._retire_prefill_copy(sid)
             decode.holders.add(sid)
             self.transfer_stream.complete(transfer)
-            self.metrics.record_transfer(tokens)
-            if self.tracer.enabled:
-                self.tracer.span(
-                    "kv_transfer",
-                    transfer.start,
-                    transfer.finish - transfer.start,
-                    pool="wire",
-                    request_id=rec.request_id,
-                    seq_id=sid,
-                    tokens=tokens,
-                    landed_at=decode.t,
-                )
+            self.tracer.span(
+                "kv_transfer",
+                transfer.start,
+                transfer.finish - transfer.start,
+                pool="wire",
+                request_id=rec.request_id,
+                seq_id=sid,
+                tokens=tokens,
+                landed_at=decode.t,
+            )
             self._note_kv_occupancy(POOL_DECODE)
             rec.state = RequestState.DECODE
             self._decoding.add(rec.request_id)
@@ -1214,11 +1199,7 @@ class ContinuousBatchingRuntime:
         price = self.clock.price_decode(contexts)
         round_start = pool.t
         pool.t += price
-        self.metrics.record_round(POOL_DECODE, price)
-        if self.tracer.enabled:
-            self.tracer.span(
-                "decode_round", round_start, price, pool=POOL_DECODE, seqs=len(live)
-            )
+        self.tracer.span("decode_round", round_start, price, pool=POOL_DECODE, seqs=len(live))
         self.decode_rounds += 1
         self._note_kv_occupancy(POOL_DECODE)
 
@@ -1353,18 +1334,16 @@ class ContinuousBatchingRuntime:
             self._preempt_record(victim, at=at, reason=reason)
             return
         freed = self._pools[role].evict(victim)
-        self.metrics.record_preemption(freed)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "preempt",
-                at,
-                pool=role,
-                seq_id=victim,
-                remedy="recompute",
-                reason=reason,
-                victim="idle",
-                evicted=freed,
-            )
+        self.tracer.instant(
+            "preempt",
+            at,
+            pool=role,
+            seq_id=victim,
+            remedy="recompute",
+            reason=reason,
+            victim="idle",
+            evicted=freed,
+        )
 
     def _preempt_record(
         self, rec: RequestRecord, *, at: float, reason: str = "capacity"
@@ -1392,36 +1371,31 @@ class ContinuousBatchingRuntime:
                 rec.prefix_hit = False
                 if pool is self._pools[POOL_DECODE]:
                     rec.cached_at_start = 0
-        self.metrics.record_preemption(freed)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "preempt",
-                at,
-                pool=role,
-                request_id=rec.request_id,
-                seq_id=rec.seq_id,
-                remedy="recompute",
-                reason=reason,
-                victim="active",
-                evicted=freed,
-            )
+        self.tracer.instant(
+            "preempt",
+            at,
+            pool=role,
+            request_id=rec.request_id,
+            seq_id=rec.seq_id,
+            remedy="recompute",
+            reason=reason,
+            victim="active",
+            evicted=freed,
+        )
         self._reschedule_preempted(rec, at=at)
 
     def _cancel_transfer(self, rec: RequestRecord, *, at: float) -> None:
         """Take ``rec``'s payload off the wire (it will never land)."""
         cancelled = self.transfer_stream.cancel(rec.seq_id, now=at)
         if cancelled is not None:
-            refunded = cancelled.sunk_s <= 0.0
-            self.metrics.record_transfer_cancel(refunded=refunded)
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "kv_transfer_cancel",
-                    at,
-                    pool="wire",
-                    request_id=rec.request_id,
-                    seq_id=rec.seq_id,
-                    refunded=refunded,
-                )
+            self.tracer.instant(
+                "kv_transfer_cancel",
+                at,
+                pool="wire",
+                request_id=rec.request_id,
+                seq_id=rec.seq_id,
+                refunded=cancelled.sunk_s <= 0.0,  # no wire time wasted
+            )
 
     def _reschedule_preempted(self, rec: RequestRecord, *, at: float) -> None:
         """Send a (fully or partially) evicted request back to the
@@ -1507,19 +1481,17 @@ class ContinuousBatchingRuntime:
             # the remedy chain fall through instead
             return False
         freed = engine.evict_tail(seq_id, keep)
-        self.metrics.record_trim(freed)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "preempt",
-                at,
-                pool=role,
-                request_id=rec.request_id if rec is not None else None,
-                seq_id=seq_id,
-                remedy="trim",
-                reason=reason,
-                victim="active" if rec is not None else "idle",
-                tokens=freed,
-            )
+        self.tracer.instant(
+            "preempt",
+            at,
+            pool=role,
+            request_id=rec.request_id if rec is not None else None,
+            seq_id=seq_id,
+            remedy="trim",
+            reason=reason,
+            victim="active" if rec is not None else "idle",
+            tokens=freed,
+        )
         self._note_kv_occupancy(role)
         if rec is not None:
             self._reschedule_preempted(rec, at=at)
@@ -1558,28 +1530,26 @@ class ContinuousBatchingRuntime:
         cost = self.clock.price_swap(tokens)
         swap_start = pool.t
         pool.t += cost
-        self.metrics.record_swap_out(tokens, stall_s=cost)
-        if self.tracer.enabled:
-            self.tracer.span(
-                "swap_out",
-                swap_start,
-                cost,
-                pool=role,
-                request_id=rec.request_id if rec is not None else None,
-                seq_id=seq_id,
-                tokens=tokens,
-            )
-            self.tracer.instant(
-                "preempt",
-                at,
-                pool=role,
-                request_id=rec.request_id if rec is not None else None,
-                seq_id=seq_id,
-                remedy="swap",
-                reason=reason,
-                victim="active" if rec is not None else "idle",
-                tokens=tokens,
-            )
+        self.tracer.span(
+            "swap_out",
+            swap_start,
+            cost,
+            pool=role,
+            request_id=rec.request_id if rec is not None else None,
+            seq_id=seq_id,
+            tokens=tokens,
+        )
+        self.tracer.instant(  # remedy="swap" feeds no counter: swap_out counted it
+            "preempt",
+            at,
+            pool=role,
+            request_id=rec.request_id if rec is not None else None,
+            seq_id=seq_id,
+            remedy="swap",
+            reason=reason,
+            victim="active" if rec is not None else "idle",
+            tokens=tokens,
+        )
         if rec is not None:
             rec.preemptions += 1
             rec.swapped_from = (
@@ -1618,18 +1588,15 @@ class ContinuousBatchingRuntime:
                 # the host-store payload is gone at swap-in time: degrade
                 # to the recompute path a capacity-blocked swap-in already
                 # takes (drop the store entry, re-prefill committed history)
-                self.metrics.record_swap_loss(tokens)
-                self.metrics.record_degraded_fallback()
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "fault_fallback",
-                        pool.t,
-                        pool=role,
-                        request_id=rid,
-                        seq_id=rec.seq_id,
-                        reason="swap_loss",
-                        tokens=tokens,
-                    )
+                self.tracer.instant(
+                    "fault_fallback",
+                    pool.t,
+                    pool=role,
+                    request_id=rid,
+                    seq_id=rec.seq_id,
+                    reason="swap_loss",
+                    tokens=tokens,
+                )
                 self._spill_swapped(entry)
                 progressed = True
                 continue
@@ -1655,17 +1622,15 @@ class ContinuousBatchingRuntime:
             cost = self.clock.price_swap(tokens)
             swap_start = pool.t
             pool.t += cost
-            self.metrics.record_swap_in(tokens, stall_s=cost)
-            if self.tracer.enabled:
-                self.tracer.span(
-                    "swap_in",
-                    swap_start,
-                    cost,
-                    pool=role,
-                    request_id=rid,
-                    seq_id=rec.seq_id,
-                    tokens=tokens,
-                )
+            self.tracer.span(
+                "swap_in",
+                swap_start,
+                cost,
+                pool=role,
+                request_id=rid,
+                seq_id=rec.seq_id,
+                tokens=tokens,
+            )
             self._note_kv_occupancy(role)
             rec.ready_at = max(rec.ready_at, pool.t)
             resume, rec.swapped_from = rec.swapped_from, None
@@ -1744,16 +1709,14 @@ class ContinuousBatchingRuntime:
         engine = pool.engine
         holders = sorted(pool.holders)
         resident_tokens = sum(engine.context_length(sid) for sid in holders)
-        self.metrics.record_pool_reset(resident_tokens)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "fault_inject",
-                at,
-                pool=role,
-                kind="pool_reset",
-                tokens=resident_tokens,
-                holders=len(holders),
-            )
+        self.tracer.instant(
+            "fault_inject",
+            at,
+            pool=role,
+            kind="pool_reset",
+            tokens=resident_tokens,
+            holders=len(holders),
+        )
         for seq_id in holders:
             chain = self._chains.get(seq_id)
             head = self._records[chain[0]] if chain else None
@@ -1774,11 +1737,9 @@ class ContinuousBatchingRuntime:
             if tokens:
                 engine.evict(seq_id)
                 if head is None and self.prefix_index is not None:
-                    self.metrics.record_prefix_eviction(tokens)
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            "prefix_evict", at, pool=role, seq_id=seq_id, tokens=tokens
-                        )
+                    self.tracer.instant(
+                        "prefix_evict", at, pool=role, seq_id=seq_id, tokens=tokens
+                    )
             pool.holders.discard(seq_id)
 
     def _shed_chain(self, rec: RequestRecord, *, status: RequestState, at: float) -> None:
@@ -1821,18 +1782,9 @@ class ContinuousBatchingRuntime:
             rec.prefix_donor = None
         rec.state = status
         rec.finished_at = at
-        if status is RequestState.TIMED_OUT:
-            self.metrics.record_timeout()
-        else:
-            self.metrics.record_shed()
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "shed",
-                at,
-                request_id=rec.request_id,
-                seq_id=rec.seq_id,
-                status=status.value,
-            )
+        self.tracer.instant(
+            "shed", at, request_id=rec.request_id, seq_id=rec.seq_id, status=status.value
+        )
 
     # ------------------------------------------------------------------ #
     # completion
@@ -1860,6 +1812,8 @@ class ContinuousBatchingRuntime:
         if rec.prefix_donor is not None:
             self.prefix_index.unpin(rec.prefix_donor)
             rec.prefix_donor = None
+        # the three direct writers' two per-turn calls: no event carries a
+        # TurnRecord or the gap values (``finish`` has only their count)
         self.metrics.record_turn(
             TurnRecord(
                 seq_id=seq_id,
@@ -1868,27 +1822,21 @@ class ContinuousBatchingRuntime:
                 response_tokens=len(rec.generated),
                 algo=rec.chunk_algos[-1] if rec.chunk_algos else "none",
                 generated=list(rec.generated),
-            ),
-            ttft=rec.ttft if rec.first_token_at is not None else None,
+            )
         )
-        if rec.prefix_eligible and rec.first_token_at is not None:
-            self.metrics.record_ttft_split(rec.ttft, warm=rec.prefix_hit)
         for gap in rec.ttit_samples():
             self.metrics.record_ttit(gap)
-        if self.tracer.enabled:
-            fields: dict = {
-                "status": "finished",
-                "arrival": rec.request.arrival,
-                "tokens": len(rec.generated),
-                "gaps": max(0, len(rec.token_times) - 1),
-            }
-            if rec.first_token_at is not None:
-                fields["ttft"] = rec.ttft
-                if rec.prefix_eligible:
-                    fields["warm"] = rec.prefix_hit
-            self.tracer.instant(
-                "finish", at, request_id=rec.request_id, seq_id=seq_id, **fields
-            )
+        fields: dict = {
+            "status": "finished",
+            "arrival": rec.request.arrival,
+            "tokens": len(rec.generated),
+            "gaps": max(0, len(rec.token_times) - 1),
+        }
+        if rec.first_token_at is not None:
+            fields["ttft"] = rec.ttft
+            if rec.prefix_eligible:
+                fields["warm"] = rec.prefix_hit
+        self.tracer.instant("finish", at, request_id=rec.request_id, seq_id=seq_id, **fields)
         if rec.request.last_turn and not chain:
             # conversation over: prune per-seq state (a later submit for
             # the same seq_id starts a fresh conversation)

@@ -6,12 +6,15 @@ label, and latency population is a registered instrument, so a runtime's
 whole metric surface exposes as Prometheus text
 (:meth:`ServingMetrics.prometheus_text` /
 :meth:`FleetMetrics.prometheus_text`, the latter adding a ``replica``
-label per series). The public API is unchanged — the attributes below
-are now read-only properties over the registry (the ``record_*`` methods
-remain the only writers), and list-valued attributes
-(``ttft_samples``...) alias the backing histograms' own sample lists, so
-existing readers and the trace-reconciliation property see exactly the
-values the exposition reports.
+label per series). The attributes below are read-only properties over
+the registry, and list-valued attributes (``ttft_samples``...) alias the
+backing histograms' own sample lists, so readers see exactly the values
+the exposition reports.
+
+Counters are a **fold over the runtime's event stream**: :data:`FOLD` maps
+each event name to the counters it feeds, :meth:`ServingMetrics.fold`
+applies it, and nothing else writes them — so a recorded trace replays to
+the same counters (``repro.obs.timeline.reconcile`` checks exactly that).
 """
 
 from __future__ import annotations
@@ -71,26 +74,120 @@ _HISTOGRAMS = {
 }
 
 
+# ------------------------------- the fold -------------------------------- #
+# One row per counted event: ``row(metrics, dur, fields)`` adds the event to
+# the counters it feeds. Amounts are checked before anything is added, so a
+# rejected event changes nothing; sums run in event order, so float totals
+# keep their bits between a live run and a replay of its trace.
+
+
+def _adds(*feeds: tuple[str, object], floor: int = 0):
+    """A row adding to scalar counters: each feed is ``(counter, amount)``
+    with amount ``1`` (count the event), ``"dur"`` (the span's duration)
+    or the name of the event field that carries it; no amount may be
+    below ``floor``."""
+    attrs = [attr for attr, _ in feeds]
+    casts = [float if attr in _FLOAT_COUNTERS else int for attr in attrs]
+
+    def row(m: "ServingMetrics", dur: float, fields: dict) -> None:
+        amounts = [
+            cast(1 if src == 1 else dur if src == "dur" else fields[src])
+            for cast, (_, src) in zip(casts, feeds)
+        ]
+        if min(amounts) < floor:
+            raise ValueError(f"each of {dict(zip(attrs, amounts))} must be >= {floor}")
+        for attr, amount in zip(attrs, amounts):
+            m._counters[attr].inc(amount)
+
+    return row
+
+
+def _by(field: str, default=None, **rows):
+    """A row dispatching on ``fields[field]``; unlisted values take
+    ``default`` (none: they feed nothing)."""
+
+    def row(m: "ServingMetrics", dur: float, fields: dict) -> None:
+        chosen = rows.get(fields.get(field), default)
+        if chosen is not None:
+            chosen(m, dur, fields)
+
+    return row
+
+
+def _round(pool: str):
+    def row(m: "ServingMetrics", dur: float, fields: dict) -> None:
+        m._pool_busy.inc(float(dur), pool=pool)
+        m._pool_rounds.inc(1, pool=pool)
+
+    return row
+
+
+def _fold_finish(m: "ServingMetrics", dur: float, fields: dict) -> None:
+    m._counters["completed_requests"].inc()
+    m._ttit_announced += fields.get("gaps", 0)
+    ttft = fields.get("ttft")
+    if ttft is not None:
+        m._histograms["ttft_samples"].observe(ttft)
+        warm = fields.get("warm")  # only prefix-cache-eligible requests carry it
+        if warm is not None:
+            m._histograms["ttft_warm_samples" if warm else "ttft_cold_samples"].observe(ttft)
+
+
+#: Event name -> row. THE event -> counter mapping: the runtime emits, this
+#: folds, ``obs/trace.py``'s taxonomy table mirrors it in its ``feeds`` column.
+FOLD = {
+    "prefill_round": _round("prefill"),
+    "decode_round": _round("decode"),
+    "preempt": _by(
+        "remedy",
+        recompute=_adds(("preemptions", 1), ("evicted_tokens", "evicted")),
+        trim=_adds(("trims", 1), ("trimmed_kv_tokens", "tokens")),
+    ),
+    "swap_out": _adds(("swaps_out", 1), ("swapped_out_tokens", "tokens"), ("swap_stall_s", "dur")),
+    "swap_in": _adds(("swaps_in", 1), ("swapped_in_tokens", "tokens"), ("swap_stall_s", "dur")),
+    "kv_transfer": _adds(("transfers", 1), ("transferred_kv_tokens", "tokens")),
+    "kv_transfer_refused": _adds(("transfer_refusals", 1)),
+    # a refunded cancel wasted no wire time; refunded is a subset of cancelled
+    "kv_transfer_cancel": _adds(("transfers_cancelled", 1), ("transfers_refunded", "refunded")),
+    "transfer_stall": _adds(("transfer_stall_s", "dur")),
+    # a hit adopted a cached prefix, so it reused at least one token
+    "prefix_hit": _adds(("prefix_hits", 1), ("prefix_reused_tokens", "reused"), floor=1),
+    "prefix_miss": _adds(("prefix_misses", 1)),
+    "prefix_evict": _adds(("prefix_evictions", 1), ("prefix_evicted_tokens", "tokens")),
+    "fault_inject": _by(
+        "kind",
+        transfer=_adds(("transfer_faults", 1)),
+        swap=_adds(("swap_losses", 1)),
+        pool_reset=_adds(("pool_resets", 1), ("pool_reset_evicted_tokens", "tokens")),
+    ),
+    "fault_retry": _adds(("fault_retries", 1), ("fault_backoff_s", "backoff")),
+    "fault_fallback": _by(
+        "reason",
+        default=_adds(("degraded_fallbacks", 1)),
+        swap_loss=_adds(("degraded_fallbacks", 1), ("swap_lost_tokens", "tokens")),
+    ),
+    "shed": _by("status", timed_out=_adds(("timeouts", 1)), shed=_adds(("sheds", 1))),
+    "finish": _fold_finish,
+}
+
+
 class ServingMetrics:
     """Rolling aggregate over completed turns, backed by a registry.
 
-    TTFT/TTIT samples come from the analytic simulator or the serving
-    runtime's step clock (seconds); token and cache-hit accounting comes
-    from the numeric engine's turn records. Preemption/eviction counters
-    are fed by the continuous-batching runtime's capacity-pressure path,
-    broken out by remedy: full evictions (``preemptions``), tail-trims
-    (``trims``), and CPU swaps (``swaps_out``/``swaps_in`` with the PCIe
-    stall seconds they cost the pools).
-    Pool busy-time and KV-transfer counters are fed by the (optionally
-    disaggregated) runtime's event loop: per-pool utilization is
-    ``pool_busy_s[pool] / makespan``, and the transfer-stall counter is
-    the decode-pool idle time spent waiting for KV still on the wire.
-    Fault counters are fed by the runtime's chaos layer
-    (:mod:`repro.runtime.faults`): injected transfer failures (split
-    into backoff retries and re-prefill fallbacks), lost swap payloads,
-    whole-pool resets, degraded-ladder fallbacks, and the
-    deadline/backpressure shedding tallies behind the ``goodput``
-    metric (completed requests per simulated host-second).
+    Every counter, stall-second total, per-pool busy time and TTFT
+    population is fed by :meth:`fold` from the events the
+    continuous-batching runtime emits (capacity-pressure remedies, swaps,
+    KV transfers, prefix-cache consults, the chaos layer's injections and
+    recoveries, sheds, completions, engine rounds); per-pool utilization
+    is ``pool_busy_s[pool] / makespan`` and ``goodput`` is completed
+    requests per simulated host-second.
+
+    Three **direct writers** stay, because no event carries their payload:
+    :meth:`record_turn` (the turn ledger — a whole :class:`TurnRecord`,
+    also what a ``ChatSession`` loop files), :meth:`record_ttit` (the
+    inter-token gap *values*; ``finish`` carries only their count, which
+    :meth:`writer_drift` holds them to) and :meth:`record_kv_occupancy`
+    (the peak-KV gauge: a sampled state, not an event).
 
     Args:
         registry: the :class:`~repro.obs.registry.MetricsRegistry` to
@@ -102,6 +199,7 @@ class ServingMetrics:
         self.registry = registry if registry is not None else MetricsRegistry()
         r = self.registry
         self.turns: list[TurnRecord] = []
+        self._ttit_announced = 0  # TTIT gaps the ``finish`` events said were streamed
         self._counters = {
             attr: r.counter(name, help)
             for attr, (name, help) in {**_INT_COUNTERS, **_FLOAT_COUNTERS}.items()
@@ -146,156 +244,53 @@ class ServingMetrics:
         """Prometheus text exposition of every registered instrument."""
         return self.registry.prometheus_text()
 
-    # ------------------------------ writers ------------------------------ #
+    # ------------------------------- the fold ---------------------------- #
 
-    def record_turn(self, turn: TurnRecord, *, ttft: float | None = None, ttit: float | None = None) -> None:
+    def fold(self, name: str, dur: float, fields: dict) -> None:
+        """Add one event to the counters :data:`FOLD` says it feeds.
+
+        The runtime's :class:`~repro.obs.trace.EventStream` calls this for
+        every event it emits, recorded or not; ``reconcile`` calls it to
+        replay a recorded trace. Events no counter reads are ignored.
+        """
+        row = FOLD.get(name)
+        if row is not None:
+            row(self, dur, fields)
+
+    def folded_state(self) -> dict[str, object]:
+        """Every value the fold owns, by label — what ``reconcile``
+        compares between a replayed trace and the live instance."""
+        state: dict[str, object] = {attr: c.value() for attr, c in self._counters.items()}
+        for attr in ("ttft_samples", "ttft_warm_samples", "ttft_cold_samples"):
+            state[attr] = list(getattr(self, attr))
+        state.update(
+            pool_rounds=self.pool_rounds,
+            pool_busy_s=self.pool_busy_s,
+            ttit_gaps_announced=self._ttit_announced,
+        )
+        return state
+
+    # --------------------------- direct writers -------------------------- #
+
+    def record_turn(self, turn: TurnRecord) -> None:
+        """Ledger one completed turn (its ``finish`` event counts it)."""
         self.turns.append(turn)
-        self._counters["completed_requests"].inc()
-        if ttft is not None:
-            self._histograms["ttft_samples"].observe(ttft)
-        if ttit is not None:
-            self._histograms["ttit_samples"].observe(ttit)
 
     def record_ttit(self, ttit: float) -> None:
         """Record one inter-token gap (runtime decode streaming)."""
         self._histograms["ttit_samples"].observe(ttit)
 
-    def record_preemption(self, evicted_tokens: int) -> None:
-        """Count one capacity-pressure preemption and the KV it evicted."""
-        self._counters["preemptions"].inc()
-        self._counters["evicted_tokens"].inc(int(evicted_tokens))
-
-    def record_trim(self, trimmed_tokens: int) -> None:
-        """Count one tail-trim remedy and the KV tokens it dropped."""
-        self._counters["trims"].inc()
-        self._counters["trimmed_kv_tokens"].inc(int(trimmed_tokens))
-
-    def record_swap_out(self, tokens: int, *, stall_s: float = 0.0) -> None:
-        """Count one device->host KV swap and the pool stall it cost."""
-        if stall_s < 0:
-            raise ValueError(f"swap stall must be >= 0, got {stall_s}")
-        self._counters["swaps_out"].inc()
-        self._counters["swapped_out_tokens"].inc(int(tokens))
-        self._counters["swap_stall_s"].inc(float(stall_s))
-
-    def record_swap_in(self, tokens: int, *, stall_s: float = 0.0) -> None:
-        """Count one host->device KV swap and the pool stall it cost."""
-        if stall_s < 0:
-            raise ValueError(f"swap stall must be >= 0, got {stall_s}")
-        self._counters["swaps_in"].inc()
-        self._counters["swapped_in_tokens"].inc(int(tokens))
-        self._counters["swap_stall_s"].inc(float(stall_s))
-
-    def record_round(self, pool: str, busy_s: float) -> None:
-        """Account one engine round's busy time against ``pool``."""
-        self._pool_busy.inc(float(busy_s), pool=pool)
-        self._pool_rounds.inc(1, pool=pool)
-
     def record_kv_occupancy(self, pool: str, fraction: float) -> None:
         """Sample a pool's claimed KV-block fraction (peak is kept)."""
         self._peak_kv.set_max(float(fraction), pool=pool)
 
-    def record_transfer(self, tokens: int) -> None:
-        """Count one landed prefill->decode KV transfer."""
-        self._counters["transfers"].inc()
-        self._counters["transferred_kv_tokens"].inc(int(tokens))
-
-    def record_transfer_refusal(self) -> None:
-        """Count a transfer the decode pool's admission control refused."""
-        self._counters["transfer_refusals"].inc()
-
-    def record_transfer_cancel(self, *, refunded: bool = False) -> None:
-        """Count a cancelled transfer.
-
-        Args:
-            refunded: the cancel wasted no wire time (the payload never
-                started streaming, so the channel refunded its whole
-                reservation). Refunded cancels are a subset of
-                ``transfers_cancelled``, counted once — a cancel is never
-                both sunk and refunded.
-        """
-        self._counters["transfers_cancelled"].inc()
-        if refunded:
-            self._counters["transfers_refunded"].inc()
-
-    def record_prefix_hit(self, reused_tokens: int) -> None:
-        """Count one prefix-cache lookup that adopted a cached prefix."""
-        if reused_tokens < 1:
-            raise ValueError(f"a prefix hit must reuse >= 1 token, got {reused_tokens}")
-        self._counters["prefix_hits"].inc()
-        self._counters["prefix_reused_tokens"].inc(int(reused_tokens))
-
-    def record_prefix_miss(self) -> None:
-        """Count one prefix-cache lookup that matched nothing."""
-        self._counters["prefix_misses"].inc()
-
-    def record_prefix_eviction(self, tokens: int) -> None:
-        """Count one LRU eviction of a finished cached prefix resident."""
-        self._counters["prefix_evictions"].inc()
-        self._counters["prefix_evicted_tokens"].inc(int(tokens))
-
-    def record_ttft_split(self, ttft: float, *, warm: bool) -> None:
-        """File a TTFT sample under the warm (prefix hit) or cold bucket.
-
-        Split accounting only — callers still record the sample in the
-        overall TTFT population via :meth:`record_turn`.
-        """
-        key = "ttft_warm_samples" if warm else "ttft_cold_samples"
-        self._histograms[key].observe(ttft)
-
-    def record_transfer_fault(self, *, retried: bool, backoff_s: float = 0.0) -> None:
-        """Count one injected mid-stream KV-transfer failure.
-
-        Args:
-            retried: the degradation ladder rescheduled the payload
-                after ``backoff_s`` of capped exponential backoff;
-                ``False`` means the retry budget was spent and the
-                request fell back to full re-prefill (counted separately
-                via :meth:`record_degraded_fallback`).
-            backoff_s: retry delay charged to the wire schedule.
-        """
-        if backoff_s < 0:
-            raise ValueError(f"backoff must be >= 0, got {backoff_s}")
-        self._counters["transfer_faults"].inc()
-        if retried:
-            self._counters["fault_retries"].inc()
-            self._counters["fault_backoff_s"].inc(float(backoff_s))
-
-    def record_swap_loss(self, tokens: int) -> None:
-        """Count one host-store payload lost at swap-in time."""
-        self._counters["swap_losses"].inc()
-        self._counters["swap_lost_tokens"].inc(int(tokens))
-
-    def record_pool_reset(self, evicted_tokens: int) -> None:
-        """Count one whole-pool KV reset and the resident KV it dropped."""
-        self._counters["pool_resets"].inc()
-        self._counters["pool_reset_evicted_tokens"].inc(int(evicted_tokens))
-
-    def record_degraded_fallback(self) -> None:
-        """Count one degradation-ladder bottom-out: a fault recovery that
-        ended in recomputation (re-prefill) instead of the cheap path."""
-        self._counters["degraded_fallbacks"].inc()
-
-    def record_timeout(self) -> None:
-        """Count one request shed for blowing its completion deadline."""
-        self._counters["timeouts"].inc()
-
-    def record_shed(self) -> None:
-        """Count one request shed by queue-depth backpressure (or
-        cascaded from an earlier shed turn of its conversation)."""
-        self._counters["sheds"].inc()
-
-    def record_transfer_stall(self, seconds: float) -> None:
-        """Account decode-pool idle time spent waiting on the KV stream.
-
-        Raises:
-            ValueError: negative stall — a symptom of cancel-refund
-                accounting gone wrong (a repacked schedule must never
-                place a finish behind the clock that waited on it).
-        """
-        if seconds < 0:
-            raise ValueError(f"transfer stall must be >= 0, got {seconds}")
-        self._counters["transfer_stall_s"].inc(float(seconds))
+    def writer_drift(self) -> list[str]:
+        """The one direct writer the stream can cross-check: every
+        ``finish`` announces how many TTIT gaps its turn streamed."""
+        filed = len(self.ttit_samples)
+        if filed == self._ttit_announced:
+            return []
+        return [f"ttit_sample_count: trace-derived {self._ttit_announced!r} != metrics {filed!r}"]
 
     # ------------------------------- views ------------------------------ #
 

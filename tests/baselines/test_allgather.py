@@ -8,7 +8,13 @@ from repro.baselines.allgather_passkv import allgather_passkv_prefill
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import make_qkv, shard_qkv_full_prefill, shard_varseq_full_prefill
+from helpers import (
+    comm,
+    make_qkv,
+    shard_qkv_full_prefill,
+    shard_varseq_full_prefill,
+    traced_group,
+)
 
 
 class TestExactness:
@@ -39,22 +45,22 @@ class TestCommunicationShape:
         world = 4
         q, k, v = make_qkv(rng, 16, 16)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
-        group = SimProcessGroup(world)
+        group = traced_group(world)
         allgather_passkv_prefill(group, queries, kvs)
-        assert group.tracer.count("allgather") == 1
-        assert group.tracer.count("sendrecv") == 0
+        assert comm(group)["allgather"].count == 1
+        assert comm(group)["sendrecv"].count == 0
 
     def test_total_bytes_comparable_to_ring(self, rng):
         """AllGather moves the same KV volume the ring does (N-1 shards)."""
         world = 4
         q, k, v = make_qkv(rng, 16, 16)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
-        g_ring = SimProcessGroup(world)
+        g_ring = traced_group(world)
         ring_passkv_prefill(g_ring, queries, kvs)
-        g_ag = SimProcessGroup(world)
+        g_ag = traced_group(world)
         allgather_passkv_prefill(g_ag, queries, kvs)
-        ring_bytes = g_ring.tracer.total_bytes("sendrecv")
-        ag_bytes = g_ag.tracer.total_bytes("allgather")
+        ring_bytes = comm(g_ring)["sendrecv"].bytes
+        ag_bytes = comm(g_ag)["allgather"].bytes
         assert ag_bytes == pytest.approx(ring_bytes, rel=0.01)
 
     def test_world_mismatch(self, rng):

@@ -7,7 +7,7 @@ from repro.attention.reference import reference_attention_with_lse
 from repro.baselines.tensor_parallel import tp_attention, tp_shard_heads
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import make_qkv
+from helpers import comm, make_qkv, traced_group
 
 
 class TestHeadSharding:
@@ -61,6 +61,6 @@ class TestTpAttention:
 
     def test_traffic_traced(self, rng):
         q, k, v = make_qkv(rng, 8, 8, n_heads=4, n_kv_heads=2)
-        group = SimProcessGroup(2)
+        group = traced_group(2)
         tp_attention(group, q, k, v)
-        assert group.tracer.count("allgather") == 1
+        assert comm(group)["allgather"].count == 1

@@ -226,21 +226,13 @@ class TestFleetMetrics:
             fm.add_replica(0, ServingMetrics(), 2.0)
 
     def test_rollups_sum_over_replicas(self):
-        from repro.serving.request import TurnRecord
-
-        def turn():
-            return TurnRecord(
-                seq_id=0, prompt_tokens=1, cached_tokens=0,
-                response_tokens=1, algo="pass-kv",
-            )
-
         fm = FleetMetrics()
         a, b = ServingMetrics(), ServingMetrics()
         for _ in range(3):
-            a.record_turn(turn())
-        a.record_prefix_hit(10)
-        b.record_turn(turn())
-        b.record_prefix_miss()
+            a.fold("finish", 0.0, {})
+        a.fold("prefix_hit", 0.0, {"reused": 10})
+        b.fold("finish", 0.0, {})
+        b.fold("prefix_miss", 0.0, {})
         fm.add_replica(0, a, 2.0)
         fm.add_replica(1, b, 4.0)
         assert fm.completed_requests == 4
@@ -253,10 +245,8 @@ class TestFleetMetrics:
     def test_ttft_percentiles_pool_replica_samples(self):
         fm = FleetMetrics()
         a, b = ServingMetrics(), ServingMetrics()
-        a.ttft_samples.append(1.0)
-        a.record_ttft_split(1.0, warm=True)
-        b.ttft_samples.append(3.0)
-        b.record_ttft_split(3.0, warm=False)
+        a.fold("finish", 0.0, {"ttft": 1.0, "warm": True})
+        b.fold("finish", 0.0, {"ttft": 3.0, "warm": False})
         fm.add_replica(0, a, 1.0)
         fm.add_replica(1, b, 1.0)
         assert fm.percentile_ttft(50) == pytest.approx(2.0)

@@ -8,7 +8,7 @@ from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_a
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import make_qkv
+from helpers import comm, make_qkv, traced_group
 
 
 def build_decode_scenario(rng, world, batch, ctx_lens):
@@ -111,10 +111,10 @@ class TestDecodeExactness:
     def test_comm_pattern(self, rng):
         world = 4
         kv_shards, batch_obj, _ = build_decode_scenario(rng, world, 4, [12, 12, 12, 12])
-        group = SimProcessGroup(world)
+        group = traced_group(world)
         ring_passq_decode(group, kv_shards, batch_obj, step=0)
-        assert group.tracer.count("sendrecv") == world - 1
-        assert group.tracer.count("all2all") == 1
+        assert comm(group)["sendrecv"].count == world - 1
+        assert comm(group)["all2all"].count == 1
 
 
 class TestRoundPlan:

@@ -8,7 +8,13 @@ from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import make_qkv, shard_qkv_full_prefill, shard_varseq_full_prefill
+from helpers import (
+    comm,
+    make_qkv,
+    shard_qkv_full_prefill,
+    shard_varseq_full_prefill,
+    traced_group,
+)
 
 
 class TestFullPrefill:
@@ -29,10 +35,10 @@ class TestFullPrefill:
         world = 4
         q, k, v = make_qkv(rng, 16, 16)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
-        group = SimProcessGroup(world)
+        group = traced_group(world)
         ring_passkv_prefill(group, queries, kvs)
-        assert group.tracer.count("sendrecv") == world - 1
-        assert group.tracer.count("all2all") == 0
+        assert comm(group)["sendrecv"].count == world - 1
+        assert comm(group)["all2all"].count == 0
 
     def test_varseq_fused_batch(self, rng):
         """Fused variable-length sequences stay isolated and exact."""
@@ -101,14 +107,14 @@ class TestPartialPrefill:
             seq_ids=np.array([0], dtype=np.int64),
         )
         kvs[1] = ShardedKV.concat([kvs[1], extra])
-        group = SimProcessGroup(world)
+        group = traced_group(world)
         ring_passkv_prefill(group, queries, kvs)
-        events = [e for e in group.tracer if e.kind == "sendrecv"]
+        events = [e for e in group.tracer.events if e.name == "sendrecv"]
         assert len(events) == 1
         # both ranks padded to 5 tokens of seq 0: k+v (2) * 5 tokens * 2 heads
         # * 16 dims + positions/seq_ids (2 * 5) elements, x2 wire bytes
         expected_elements = 2 * 5 * 2 * 16 + 2 * 5
-        assert events[0].bytes == expected_elements * group.wire_bytes_per_element
+        assert events[0].attrs["bytes"] == expected_elements * group.wire_bytes_per_element
 
 
 class TestValidation:

@@ -9,7 +9,13 @@ from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import make_qkv, shard_qkv_full_prefill, shard_varseq_full_prefill
+from helpers import (
+    comm,
+    make_qkv,
+    shard_qkv_full_prefill,
+    shard_varseq_full_prefill,
+    traced_group,
+)
 
 
 class TestFullPrefill:
@@ -40,10 +46,10 @@ class TestFullPrefill:
         world = 3
         q, k, v = make_qkv(rng, 12, 12)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
-        group = SimProcessGroup(world)
+        group = traced_group(world)
         ring_passq_prefill(group, queries, kvs)
-        assert group.tracer.count("sendrecv") == world - 1
-        assert group.tracer.count("all2all") == 1
+        assert comm(group)["sendrecv"].count == world - 1
+        assert comm(group)["all2all"].count == 1
 
 
 class TestPartialPrefill:

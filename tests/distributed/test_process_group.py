@@ -6,6 +6,9 @@ import pytest
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup, payload_elements
 from repro.distributed.topology import gtt_topology
+from repro.obs import RecordingTracer
+
+from helpers import comm, traced_group
 
 
 class TestPayloadElements:
@@ -62,17 +65,16 @@ class TestRingShift:
             assert not arr.flags.writeable
 
     def test_singleton_world(self):
-        g = SimProcessGroup(1)
+        g = traced_group(1)
         out = g.ring_shift([np.arange(3)])
         np.testing.assert_array_equal(out[0], np.arange(3))
-        assert g.tracer.count("sendrecv") == 0  # no wire traffic
+        assert g.tracer.events == []  # no wire traffic
 
     def test_bytes_accounting(self):
-        g = SimProcessGroup(2, wire_bytes_per_element=2)
+        g = traced_group(2, wire_bytes_per_element=2)
         g.ring_shift([np.zeros(10), np.zeros(7)])
-        events = list(g.tracer)
-        assert len(events) == 1
-        assert events[0].bytes == 10 * 2  # max payload sets the step size
+        [event] = g.tracer.events
+        assert event.attrs["bytes"] == 10 * 2  # max payload sets the step size
 
     def test_wrong_world_size(self):
         g = SimProcessGroup(3)
@@ -90,11 +92,10 @@ class TestAllToAll:
                 assert out[dst][src][0] == src * 10 + dst
 
     def test_egress_accounting_excludes_self(self):
-        g = SimProcessGroup(2, wire_bytes_per_element=2)
+        g = traced_group(2, wire_bytes_per_element=2)
         matrix = [[np.zeros(5), np.zeros(5)], [np.zeros(5), np.zeros(5)]]
         g.all_to_all(matrix)
-        events = [e for e in g.tracer if e.kind == "all2all"]
-        assert events[0].bytes == 5 * 2  # one off-diagonal payload per rank
+        assert comm(g)["all2all"].bytes == 5 * 2  # one off-diagonal payload per rank
 
     def test_non_square_rejected(self):
         g = SimProcessGroup(2)
@@ -111,11 +112,11 @@ class TestAllGather:
                 np.testing.assert_array_equal(out[k][s], np.full(2, s))
 
     def test_bytes_scale_with_world(self):
-        g2 = SimProcessGroup(2, wire_bytes_per_element=2)
-        g4 = SimProcessGroup(4, wire_bytes_per_element=2)
+        g2 = traced_group(2, wire_bytes_per_element=2)
+        g4 = traced_group(4, wire_bytes_per_element=2)
         g2.all_gather([np.zeros(8)] * 2)
         g4.all_gather([np.zeros(8)] * 4)
-        assert g4.tracer.total_bytes("allgather") == 3 * g2.tracer.total_bytes("allgather")
+        assert comm(g4)["allgather"].bytes == 3 * comm(g2)["allgather"].bytes
 
 
 class TestAllReduce:
@@ -129,6 +130,35 @@ class TestAllReduce:
         g = SimProcessGroup(2)
         with pytest.raises(ValueError):
             g.all_reduce_sum([np.zeros(3), np.zeros(4)])
+
+
+class TestUntracedGroup:
+    """The default group (every serving engine's) does no byte walk and
+    keeps nothing per collective."""
+
+    def test_no_attribute_changes_however_many_collectives(self):
+        g = SimProcessGroup(4)
+        before = {name: repr(value) for name, value in vars(g).items()}
+        for step in range(40):
+            g.ring_shift([np.zeros(8)] * 4, step=step)
+            g.all_to_all([[np.zeros(2)] * 4] * 4)
+            g.all_gather([np.zeros(3)] * 4)
+            g.all_reduce_sum([np.ones(5)] * 4)
+        assert {name: repr(value) for name, value in vars(g).items()} == before
+
+    def test_payload_nbytes_still_answers(self):
+        """The e2e benchmark's payload counter calls it on untraced groups."""
+        g = SimProcessGroup(2, wire_bytes_per_element=2)
+        assert g.payload_nbytes([np.zeros(10), {"a": np.zeros(3)}]) == 26
+
+    def test_attaching_a_recorder_later_starts_recording(self):
+        g = SimProcessGroup(2)
+        g.ring_shift([np.zeros(4)] * 2)
+        g.tracer = RecordingTracer()
+        g.ring_shift([np.zeros(4)] * 2, step=1, tag="passkv")
+        [event] = g.tracer.events
+        assert (event.name, event.t, event.pool) == ("sendrecv", 0.0, "comm")
+        assert event.attrs == {"step": 1, "bytes": 8, "tag": "passkv"}
 
 
 class TestConstruction:

@@ -9,7 +9,8 @@ from repro.core.engine import ContextParallelEngine
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.obs import RecordingTracer
+from repro.distributed.process_group import SimProcessGroup
+from repro.obs import NULL_TRACER, RecordingTracer, comm_totals
 from repro.runtime import ContinuousBatchingRuntime, FaultPlan
 from repro.runtime.state import RequestState
 from repro.serving.scheduler import ChunkedPrefillPolicy
@@ -93,6 +94,16 @@ def assert_leak_free(target, *, context: str = "") -> None:
     else:
         leaks = target.kv_leak_report()
         assert not leaks, f"KV state leaked after drain{suffix}: {leaks}"
+
+
+def traced_group(world_size: int, **kwargs) -> SimProcessGroup:
+    """A process group recording one span per collective."""
+    return SimProcessGroup(world_size, tracer=RecordingTracer(), **kwargs)
+
+
+def comm(group: SimProcessGroup):
+    """Per-kind (count, bytes, seconds) totals of a traced group's collectives."""
+    return comm_totals(group.tracer.events)
 
 
 def make_qkv(
@@ -187,7 +198,7 @@ def trace_scripts(case):
     ]
 
 
-def run_traced(case):
+def run_traced(case, *, record: bool = True):
     """Build fresh engines/clocks/tracer, run the case, return
     ``(tracer, runtime_or_fleet, fleet_or_None, report)``.
 
@@ -196,10 +207,11 @@ def run_traced(case):
     ``preemption``, ``prefix_cache``, ``chunk``, ``capacity``, ``think``,
     ``shared``, ``sessions``, ``turns``, ``faults`` (``FaultPlan`` kwargs
     or ``None``) and optionally ``order`` (prefill packing, default
-    ``"fifo"``).
+    ``"fifo"``). ``record=False`` runs the same case with no recorder
+    attached (the returned tracer is the null tracer).
     """
     plan = FaultPlan(**case["faults"]) if case["faults"] else None
-    tracer = RecordingTracer()
+    tracer = RecordingTracer() if record else NULL_TRACER
 
     def make_runtime(replica_id=None):
         rt_tracer = (

@@ -12,9 +12,10 @@ import pytest
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
-from repro.distributed.process_group import SimProcessGroup
 from repro.model.config import ModelConfig
 from repro.perf.roofline import all2all_bytes, kv_bytes, q_bytes
+
+from helpers import comm, traced_group
 
 
 CFG = ModelConfig(
@@ -38,9 +39,9 @@ class TestPassKvTraffic:
     @pytest.mark.parametrize("world,t", [(2, 64), (4, 64), (4, 96)])
     def test_sendrecv_bytes_match_table3(self, rng, world, t):
         queries, kvs = build(world, t, rng)
-        group = SimProcessGroup(world, wire_bytes_per_element=2)
+        group = traced_group(world, wire_bytes_per_element=2)
         ring_passkv_prefill(group, queries, kvs)
-        traced = group.tracer.total_bytes("sendrecv")
+        traced = comm(group)["sendrecv"].bytes
 
         # Table 3: KV bytes for the whole context; the ring moves one shard
         # per step for N-1 steps -> (N-1)/N of the total, plus coordinate
@@ -55,9 +56,9 @@ class TestPassQTraffic:
     @pytest.mark.parametrize("world,t", [(2, 64), (4, 64)])
     def test_ring_bytes_match_table3(self, rng, world, t):
         queries, kvs = build(world, t, rng)
-        group = SimProcessGroup(world, wire_bytes_per_element=2)
+        group = traced_group(world, wire_bytes_per_element=2)
         ring_passq_prefill(group, queries, kvs)
-        traced = group.tracer.total_bytes("sendrecv")
+        traced = comm(group)["sendrecv"].bytes
         shard_tokens = t / world
         expected_payload = (world - 1) * q_bytes(CFG, t, 2.0) / world
         metadata = (world - 1) * 2 * shard_tokens * 2
@@ -66,9 +67,9 @@ class TestPassQTraffic:
     @pytest.mark.parametrize("world,t", [(2, 64), (4, 64)])
     def test_all2all_bytes_match_appendix_c(self, rng, world, t):
         queries, kvs = build(world, t, rng)
-        group = SimProcessGroup(world, wire_bytes_per_element=2)
+        group = traced_group(world, wire_bytes_per_element=2)
         ring_passq_prefill(group, queries, kvs)
-        traced = group.tracer.total_bytes("all2all")
+        traced = comm(group)["all2all"].bytes
         # Appendix C: (N-1) partials of (D + 1) values per token — our NH
         # heads each carry an LSE, so the exact numeric payload is
         # (D + NH) per token; the paper's D+1 folds heads into one LSE.
@@ -84,9 +85,9 @@ class TestPassQTraffic:
         prefill with this GQA ratio (8/2), KV is cheaper (Eq. 1)."""
         world, t = 4, 64
         queries, kvs = build(world, t, rng)
-        g_kv = SimProcessGroup(world)
+        g_kv = traced_group(world)
         ring_passkv_prefill(g_kv, queries, kvs)
-        g_q = SimProcessGroup(world)
+        g_q = traced_group(world)
         ring_passq_prefill(g_q, queries, kvs)
         # NH=8, NKV=2: KV bytes = 2*(2/8) = 0.5x Q bytes -> pass-KV cheaper
-        assert g_kv.tracer.total_bytes("sendrecv") < g_q.tracer.total_bytes("sendrecv")
+        assert comm(g_kv)["sendrecv"].bytes < comm(g_q)["sendrecv"].bytes

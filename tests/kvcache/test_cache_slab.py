@@ -106,6 +106,28 @@ class TestReadsAreStable:
         assert_unchanged(first, snap)
         np.testing.assert_array_equal(cache.get(0, [0]).positions, np.arange(9))
 
+    def test_trim_and_reextend_under_a_lent_view_does_not_grow_the_slab(self):
+        """A copy forced by a lent view (not by running out of room) keeps
+        the slab's capacity: it used to double on every such copy, so k
+        trim / re-extend cycles held 2^k x the capacity."""
+        cache = make_cache()
+        cache.append(0, 0, *rows(np.arange(10)))
+        stream = cache._streams[(0, 0)]
+        capacity = stream.cols[-1].shape[0]
+        reads = []
+        for cycle in range(6):
+            read = cache.get(0, [0])  # lends the whole filled head
+            reads.append((read, snapshot(read)))
+            assert cache.drop_tail(0, 6) == 4
+            cache.append(0, 0, *rows(np.arange(6, 10), seed=100 + cycle))
+            assert stream.cols[-1].shape[0] == capacity, f"cycle {cycle}"
+        for read, snap in reads:
+            assert_unchanged(read, snap)
+        final = cache.get(0, [0])
+        np.testing.assert_array_equal(final.positions, np.arange(10))
+        np.testing.assert_array_equal(final.k[:6], rows(np.arange(10))[0][:6])
+        np.testing.assert_array_equal(final.k[6:], rows(np.arange(6, 10), seed=105)[0])
+
     def test_single_sequence_read_is_a_read_only_view(self):
         cache = make_cache()
         cache.append(0, 0, *rows(np.arange(6)))

@@ -16,6 +16,9 @@ from repro.obs import (
 from repro.serving.metrics import FleetMetrics, ServingMetrics
 
 
+PREEMPT = {"remedy": "recompute", "evicted": 64, "victim": "active"}
+
+
 def ev(name, t, phase="instant", dur=0.0, **kw):
     attrs = kw.pop("attrs", {})
     return TraceEvent(name=name, phase=phase, t=t, dur=dur, attrs=attrs, **kw)
@@ -121,18 +124,19 @@ class TestReconcile:
 
     def test_matching_preemption_reconciles(self):
         m = ServingMetrics()
-        m.record_preemption(64)
-        events = [
-            ev("preempt", 1.0, request_id=0,
-               attrs={"remedy": "recompute", "evicted": 64, "victim": "active"})
-        ]
+        m.fold("preempt", 0.0, PREEMPT)
+        events = [ev("preempt", 1.0, request_id=0, attrs=PREEMPT)]
         assert reconcile(events, m) == []
 
     def test_missing_event_is_drift(self):
+        """Folded live but absent from the trace (an event dropped by the
+        recorder, or a counter bumped around the stream)."""
         m = ServingMetrics()
-        m.record_preemption(64)
-        drift = reconcile([], m)
-        assert any("preemptions" in d for d in drift)
+        m.fold("preempt", 0.0, PREEMPT)
+        assert reconcile([], m) == [
+            "preemptions: trace-derived 0 != metrics 1",
+            "evicted_tokens: trace-derived 0 != metrics 64",
+        ]
 
     def test_extra_event_is_drift(self):
         events = [
@@ -143,8 +147,8 @@ class TestReconcile:
 
     def test_float_totals_must_match_exactly(self):
         m = ServingMetrics()
-        m.record_transfer_stall(0.1)
-        m.record_transfer_stall(0.2)
+        m.fold("transfer_stall", 0.1, {})
+        m.fold("transfer_stall", 0.2, {})
         good = [
             ev("transfer_stall", 1.0, phase="span", dur=0.1, pool="decode"),
             ev("transfer_stall", 2.0, phase="span", dur=0.2, pool="decode"),
@@ -166,8 +170,32 @@ class TestReconcile:
                attrs={"status": "finished", "tokens": 2, "gaps": 1}),
         ]
         drift = reconcile(events, m)
-        # finish without record_turn: completed_requests drifts
+        # a finish the live metrics never folded: completed_requests drifts
         assert any("completed_requests" in d for d in drift)
+
+    def test_ttit_values_are_held_to_the_announced_count(self):
+        """The gap values are a direct writer's; `finish` says how many."""
+        m = ServingMetrics()
+        finish = {"status": "finished", "tokens": 3, "gaps": 2}
+        m.fold("finish", 0.0, finish)
+        m.record_ttit(0.01)
+        events = [ev("finish", 5.0, request_id=0, attrs=finish)]
+        assert reconcile(events, m) == ["ttit_sample_count: trace-derived 2 != metrics 1"]
+        m.record_ttit(0.01)
+        assert reconcile(events, m) == []
+
+    def test_pool_rounds_and_busy_seconds_reconcile_per_pool(self):
+        m = ServingMetrics()
+        m.fold("prefill_round", 2.0, {})
+        m.fold("decode_round", 0.5, {})
+        events = [
+            ev("prefill_round", 0.0, phase="span", dur=2.0, pool="prefill"),
+            ev("decode_round", 2.0, phase="span", dur=0.5, pool="decode"),
+        ]
+        assert reconcile(events, m) == []
+        drift = reconcile(events[:1], m)
+        assert any(d.startswith("pool_rounds:") for d in drift)
+        assert any(d.startswith("pool_busy_s:") for d in drift)
 
 
 class TestReconcileFleet:
@@ -194,7 +222,7 @@ class TestReconcileFleet:
     def test_per_replica_drift_is_attributed(self):
         fm = FleetMetrics()
         m = ServingMetrics()
-        m.record_preemption(8)
+        m.fold("preempt", 0.0, PREEMPT)
         fm.add_replica(0, m, 1.0)
         fm.add_replica(1, ServingMetrics(), 1.0)
         drift = reconcile_fleet([], fm)

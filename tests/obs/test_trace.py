@@ -1,6 +1,8 @@
 """Unit tests for the tracer: null behavior, scoping, wire round-trip."""
 
-from repro.obs import NULL_TRACER, RecordingTracer, TraceEvent
+import pytest
+
+from repro.obs import NULL_TRACER, EventStream, RecordingTracer, TraceEvent
 
 
 class TestNullTracer:
@@ -65,6 +67,69 @@ class TestScoping:
         view.instant("admit", 1.0)
         assert view.events is t.events
         assert len(t.events) == 1
+
+
+class TestEventStream:
+    """The runtime's one emit point: fold first, then the recorder."""
+
+    @staticmethod
+    def stream(recorder=None):
+        seen = []
+        return EventStream(lambda name, dur, fields: seen.append((name, dur, dict(fields))), recorder), seen
+
+    def test_folds_every_event_with_no_recorder(self):
+        stream, seen = self.stream()
+        assert stream.enabled is False
+        stream.instant("prefix_miss", 1.0, pool="prefill", request_id=3)
+        stream.span("swap_in", 2.0, 0.25, tokens=8)
+        assert seen == [
+            ("prefix_miss", 0.0, {"pool": "prefill", "request_id": 3}),
+            ("swap_in", 0.25, {"tokens": 8}),
+        ]
+
+    def test_enabled_means_a_recorder_is_attached(self):
+        assert self.stream(NULL_TRACER)[0].enabled is False
+        assert self.stream(RecordingTracer())[0].enabled is True
+
+    def test_records_exactly_what_a_bare_recorder_would(self):
+        direct, via = RecordingTracer(), RecordingTracer()
+        stream, seen = self.stream(via)
+        for tracer in (direct, stream):
+            tracer.span("swap_out", 3.0, 0.5, pool="decode", request_id=1, seq_id=1, tokens=64)
+            tracer.instant("finish", 4.0, request_id=1, seq_id=1, status="finished", gaps=0)
+        assert via.events == direct.events
+        assert [name for name, _, _ in seen] == ["swap_out", "finish"]
+
+    def test_fold_runs_before_the_recorder_sees_the_event(self):
+        """A fold that rejects an event keeps it out of the trace too."""
+        recorder = RecordingTracer()
+
+        def fold(name, dur, fields):
+            raise ValueError("rejected")
+
+        with pytest.raises(ValueError):
+            EventStream(fold, recorder).instant("prefix_hit", 1.0, reused=0)
+        assert recorder.events == []
+
+    def test_scoped_view_shares_the_fold_and_stamps_the_recording(self):
+        recorder = RecordingTracer()
+        stream, seen = self.stream(recorder.scoped(replica=2))
+        wire = stream.scoped(pool="wire")
+        wire.instant("kv_transfer_cancel", 5.0, request_id=9, refunded=True)
+        assert seen == [("kv_transfer_cancel", 0.0, {"request_id": 9, "refunded": True})]
+        [e] = recorder.events
+        assert (e.replica, e.pool, e.request_id, e.attrs) == (2, "wire", 9, {"refunded": True})
+        # untraced, the view still folds
+        bare, seen = self.stream()
+        bare.scoped(pool="wire").instant("kv_transfer_cancel", 5.0, refunded=False)
+        assert [name for name, _, _ in seen] == ["kv_transfer_cancel"]
+
+    def test_mutant_scoped_view_without_the_fold_dies(self, monkeypatch):
+        monkeypatch.setattr(
+            EventStream, "scoped", lambda self, **defaults: self._recorder.scoped(**defaults)
+        )
+        with pytest.raises(AssertionError):
+            self.test_scoped_view_shares_the_fold_and_stamps_the_recording()
 
 
 class TestWireFormat:

@@ -545,6 +545,10 @@ class ScanCheckedRuntime(ContinuousBatchingRuntime):
 
     admit_calls_with_work = 0
 
+    def __init__(self, engine, **kwargs):
+        self.recorder = RecordingTracer()  # the runtime emits through a stream over it
+        super().__init__(engine, tracer=self.recorder, **kwargs)
+
     def _admit(self):
         now = self._pools["prefill"].t
         due = [
@@ -552,10 +556,10 @@ class ScanCheckedRuntime(ContinuousBatchingRuntime):
             for seq_id in sorted(self._waiting)
             if self._records[self._chains[seq_id][0]].request.arrival <= now
         ]
-        seen = len(self.tracer.events)
+        seen = len(self.recorder.events)
         super()._admit()
         handled = []
-        for event in self.tracer.events[seen:]:
+        for event in self.recorder.events[seen:]:
             # a shed chain emits one `shed` per cascaded turn: one conversation
             if event.name in ("admit", "shed") and handled[-1:] != [event.seq_id]:
                 handled.append(event.seq_id)
@@ -572,7 +576,6 @@ def check_admission_equals_scan(arrivals, turns, think, depth):
         ContextParallelEngine(MODEL, world_size=1),
         policy=ChunkedPrefillPolicy(chunk_tokens=8, max_tokens_per_round=16, max_seqs_per_round=2),
         faults=FaultPlan(seed=0, max_queue_depth=depth) if depth else None,
-        tracer=RecordingTracer(),
     )
     n = len(arrivals)
     for i, arrival in enumerate(arrivals):

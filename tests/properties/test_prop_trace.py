@@ -9,10 +9,10 @@ The observability layer's two tier-1 invariants (PR 10):
   shape (colocated / disaggregated), remedies, prefix cache, injected
   fault schedules, and multi-replica fleets with every routing policy.
 - **Reconciliation** — every :class:`ServingMetrics` counter and stall
-  total is *exactly* derivable from the trace: each hook site emits its
-  event adjacent to the ``record_*`` call with the same values, so
-  trace-derived sums equal the counters bit-for-bit (no tolerance).
-  Fleet runs reconcile per replica through the scoped labels.
+  total is *exactly* derivable from the trace: counters are a fold over
+  the one event stream the runtime emits through, so replaying the
+  recorded events reproduces them bit-for-bit (no tolerance), traced or
+  not. Fleet runs reconcile per replica through the scoped labels.
 - **Explain exactness** — the TTFT decomposition is an exact partition:
   components sum (in insertion order) to the recorded TTFT *as floats*,
   and the TTFT the trace reconstructs equals the one the metrics
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.router import ROUTING_POLICIES
 from repro.obs import (
+    TraceEvent,
     dumps_jsonl,
     explain_ttft,
     format_explanation,
@@ -37,6 +38,12 @@ from repro.obs import (
 from helpers import run_traced
 
 SETTINGS = dict(max_examples=8, deadline=None)
+
+
+def _drift(events, runtime, fleet, report):
+    if fleet is None:
+        return reconcile(events, runtime.metrics)
+    return reconcile_fleet(events, report.metrics)
 
 
 @st.composite
@@ -104,14 +111,52 @@ class TestReconciliation:
     def test_trace_reconciles_exactly_with_metrics(self, case):
         """Every counter / stall-second / TTFT-sample population in the
         metrics is exactly derivable from the trace (per replica in a
-        fleet). Any drift means a hook site and a record_* call
-        disagree."""
+        fleet). Any drift means something wrote a counter around the
+        event stream."""
         tracer, runtime, fleet, report = run_traced(case)
+        assert _drift(tracer.events, runtime, fleet, report) == [], f"case {case}"
+
+    @given(trace_case())
+    @settings(**SETTINGS)
+    def test_a_counter_bumped_around_the_stream_is_drift(self, case):
+        """Teeth, way 1: the live metrics hold something no event carried."""
+        tracer, runtime, fleet, report = run_traced(case)
+        live = runtime.metrics if fleet is None else report.metrics.replicas[0]
+        live._counters["preemptions"].inc()
+        drift = _drift(tracer.events, runtime, fleet, report)
+        assert len(drift) == 1 and "preemptions" in drift[0], f"case {case}: {drift}"
+
+    @given(trace_case())
+    @settings(**SETTINGS)
+    def test_an_event_the_runtime_never_folded_is_drift(self, case):
+        """Teeth, way 2: the trace holds an event the live fold never saw."""
+        tracer, runtime, fleet, report = run_traced(case)
+        replica = None if fleet is None else 0
+        forged = TraceEvent(
+            "swap_in", "span", t=1.0, dur=0.125, replica=replica, pool="prefill",
+            request_id=0, seq_id=0, attrs={"tokens": 7},
+        )
+        drift = _drift(tracer.events + [forged], runtime, fleet, report)
+        assert sorted(d.split(":")[-2].strip() for d in drift) == [
+            "swap_stall_s", "swapped_in_tokens", "swaps_in",
+        ], f"case {case}: {drift}"
+
+    @given(trace_case())
+    @settings(**SETTINGS)
+    def test_counters_do_not_depend_on_a_recorder(self, case):
+        """The same case with no recorder attached exposes byte-identical
+        metrics: every counted event is folded whether or not anything
+        records it (a counted emit left behind `if tracer.enabled:` reads
+        zero here)."""
+        _, traced, _, traced_report = run_traced(case)
+        _, bare, fleet, bare_report = run_traced(case, record=False)
         if fleet is None:
-            drift = reconcile(tracer.events, runtime.metrics)
+            assert bare.metrics.prometheus_text() == traced.metrics.prometheus_text(), f"case {case}"
         else:
-            drift = reconcile_fleet(tracer.events, report.metrics)
-        assert drift == [], f"case {case}"
+            assert (
+                bare_report.metrics.prometheus_text() == traced_report.metrics.prometheus_text()
+            ), f"case {case}"
+        assert bare_report.makespan == traced_report.makespan
 
 
 class TestExplain:

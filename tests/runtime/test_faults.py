@@ -210,6 +210,34 @@ class TestDegradationLadder:
         for rec in report.records.values():
             assert rec.transfer_faults == 3
 
+    def test_injected_faults_are_counted_with_no_recorder(self, monkeypatch):
+        """`fault_inject` is a counted event, so the injector emits it
+        unguarded; the mutant that leaves it behind `if tracer.enabled:`
+        reads zero on this (untraced) run and dies here."""
+        plan = FaultPlan(seed=1, transfer_fail_rate=1.0, max_transfer_retries=1)
+
+        def check(runtime):
+            submit_scripts_to_runtime(runtime, make_scripts(n=2, turns=1))
+            report = runtime.run(max_steps=200_000)
+            per_request = sum(rec.transfer_faults for rec in report.records.values())
+            assert per_request == 4
+            assert report.metrics.transfer_faults == per_request
+
+        check(make_runtime(disaggregate=True, faults=plan))
+
+        class Guarded:  # the mutant: the injector's emit behind an `enabled` guard
+            def __init__(self, stream):
+                self.stream, self.enabled = stream, stream.enabled
+
+            def instant(self, *args, **fields):
+                if self.enabled:
+                    self.stream.instant(*args, **fields)
+
+        mutant = make_runtime(disaggregate=True, faults=plan)
+        mutant._injector.tracer = Guarded(mutant._injector.tracer)
+        with pytest.raises(AssertionError):
+            check(mutant)
+
     def test_deadline_sheds_and_cascades(self):
         """A request past its deadline dies as ``timed_out`` and every
         later turn of its conversation cascades to ``shed``."""
@@ -373,38 +401,36 @@ class TestReportAndStatus:
 class TestFaultMetrics:
     def test_record_methods(self):
         m = ServingMetrics()
-        m.record_transfer_fault(retried=True, backoff_s=0.5)
-        m.record_transfer_fault(retried=False)
-        m.record_swap_loss(32)
-        m.record_pool_reset(100)
-        m.record_degraded_fallback()
-        m.record_timeout()
-        m.record_shed()
+        # a retried transfer death, then one past the retry budget
+        m.fold("fault_inject", 0.0, {"kind": "transfer", "attempt": 1})
+        m.fold("fault_retry", 0.0, {"attempt": 1, "backoff": 0.5})
+        m.fold("fault_inject", 0.0, {"kind": "transfer", "attempt": 2})
+        m.fold("fault_fallback", 0.0, {"reason": "transfer"})
+        assert (m.transfer_faults, m.degraded_fallbacks) == (2, 1)
+        # a lost swap payload: the loss, then its recompute fallback
+        m.fold("fault_inject", 0.0, {"kind": "swap", "attempt": 1})
+        m.fold("fault_fallback", 0.0, {"reason": "swap_loss", "tokens": 32})
+        m.fold("fault_inject", 0.0, {"kind": "pool_reset", "tokens": 100, "holders": 3})
+        m.fold("shed", 0.0, {"status": "timed_out"})
+        m.fold("shed", 0.0, {"status": "shed"})
         assert m.transfer_faults == 2
         assert m.fault_retries == 1
         assert m.fault_backoff_s == 0.5
         assert (m.swap_losses, m.swap_lost_tokens) == (1, 32)
         assert (m.pool_resets, m.pool_reset_evicted_tokens) == (1, 100)
-        assert m.degraded_fallbacks == 1
+        assert m.degraded_fallbacks == 2
         assert (m.timeouts, m.sheds) == (1, 1)
 
     def test_negative_backoff_rejected(self):
         with pytest.raises(ValueError):
-            ServingMetrics().record_transfer_fault(retried=True, backoff_s=-1.0)
+            ServingMetrics().fold("fault_retry", 0.0, {"attempt": 1, "backoff": -1.0})
 
     def test_goodput_empty_safe(self):
         m = ServingMetrics()
         assert m.goodput(0.0) == 0.0
         assert m.goodput(-1.0) == 0.0
-        from repro.serving.request import TurnRecord
-
         for _ in range(4):
-            m.record_turn(
-                TurnRecord(
-                    seq_id=0, prompt_tokens=1, cached_tokens=0,
-                    response_tokens=1, algo="pass-kv",
-                )
-            )
+            m.fold("finish", 0.0, {"status": "finished"})
         assert m.goodput(2.0) == 2.0
 
     def test_summary_lines_only_when_faults_happened(self):
@@ -412,8 +438,9 @@ class TestFaultMetrics:
         assert "injected faults" not in clean
         assert "shed:" not in clean
         m = ServingMetrics()
-        m.record_transfer_fault(retried=True, backoff_s=1.0)
-        m.record_timeout()
+        m.fold("fault_inject", 0.0, {"kind": "transfer", "attempt": 1})
+        m.fold("fault_retry", 0.0, {"attempt": 1, "backoff": 1.0})
+        m.fold("shed", 0.0, {"status": "timed_out"})
         text = m.summary()
         assert "injected faults: 1 transfer" in text
         assert "shed: 1 timed out" in text

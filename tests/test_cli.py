@@ -22,6 +22,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "losslessness" in out
         assert "pass-kv" in out
+        assert "comm bytes by kind: {'sendrecv': " in out
 
     def test_heuristic_output(self, capsys):
         assert main(["heuristic", "--new-tokens", "1280", "--cached", "126720"]) == 0
@@ -115,6 +116,27 @@ class TestCommands:
         assert "pool utilization:" in out
         assert "verify vs sequential replay: identical" in out
 
+    def test_serve_verify_exits_1_when_a_counter_is_written_around_the_stream(
+        self, capsys, monkeypatch
+    ):
+        from repro.serving.metrics import ServingMetrics
+
+        args = ["serve", "--sessions", "2", "--turns", "1", "--world", "2", "--verify"]
+        assert main(args) == 0
+        assert "verify trace reconciliation: exact" in capsys.readouterr().out
+
+        ledger = ServingMetrics.record_turn
+
+        def record_turn(self, turn):  # the defect: a counter written beside the ledger
+            ledger(self, turn)
+            self._counters["completed_requests"].inc()
+
+        monkeypatch.setattr(ServingMetrics, "record_turn", record_turn)
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "DRIFT completed_requests: trace-derived 2 != metrics 4" in out
+        assert "verify trace reconciliation: 1 counter(s) drifted" in out
+
     def test_serve_sanitize_verifies_exactness(self, capsys):
         assert main([
             "serve", "--sessions", "2", "--turns", "2", "--world", "2",
@@ -164,8 +186,16 @@ class TestCommands:
         out = tmp_path / "trace.json"
         assert main(["trace", "--world", "2", "--tokens", "12", "--output", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert any(e.get("ph") == "X" for e in data["traceEvents"])
-        assert "traced events" in capsys.readouterr().out
+        spans = [e for e in data["traceEvents"] if e.get("ph") == "X"]
+        assert {e["name"] for e in spans} == {"sendrecv", "all2all"}
+        # the one exporter: collective spans abut on their rail
+        from repro.obs import validate_chrome
+
+        assert validate_chrome(data) == []
+        assert len({(e["pid"], e["tid"]) for e in spans}) == 1
+        printed = capsys.readouterr().out
+        assert f"wrote {len(spans)} traced events" in printed
+        assert "sendrecv" in printed and "all2all" in printed
 
 
 class TestServePrefixCache:

@@ -24,12 +24,6 @@ ALLOWED = {
         "deviation-budget regression guard: tests/experiments/test_compare.py "
         "asserts the paper-vs-measured budgets through it"
     ),
-    "repro.perf.memory": (
-        "known orphan this gate found and the ISSUE 15 audit did not: its "
-        "docstring claims the capacity experiment uses it, nothing does. "
-        "ROADMAP open item 3 (Left) decides: wire it into "
-        "experiments/capacity_scaling.py or delete it with tests/perf/test_memory.py"
-    ),
 }
 
 
