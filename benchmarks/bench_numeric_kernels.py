@@ -19,9 +19,12 @@ WLB-LLM-CP layout: a performance compare beside a correctness test):
 ``bench_flash_attention*`` — ``test_prop_flash_fused.py::TestFusedMatchesReference``;
 ``bench_flash_prefill_tile*`` / ``bench_flash_diagonal_tile`` —
 ``test_prop_flash_fused.py::TestScoreTile`` (masking, orientation, key
-band; its mutants are listed there); ``bench_flash_decode_shape`` —
-``test_prop_flash_fused.py::TestOneBlockBaseCase`` and
-``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
+band; its mutants are listed there) and ``::TestShiftFree`` (the
+shift-free sweep every one of them now takes, against the shifted sweep);
+``bench_flash_large_logits`` — ``::TestShiftFree``'s adversarial ranges (the
+fallback fires and is correct); ``bench_flash_decode_shape`` —
+``::TestShiftFree``, ``::TestOneBlockBaseCase`` (the shifted sweep's one-block
+return) and ``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
 ``test_prop_merge.py::TestOneShotEqualsSequential``; the rings and the
 engine prefill — ``test_prop_ring.py`` / ``test_prop_engine.py``;
 ``bench_shard_plan`` / ``bench_prefill_token_demand_cp2`` /
@@ -118,11 +121,12 @@ def bench_flash_decode_shape(benchmark):
     )
 
 
-def _prefill_step(q_rank, kv_rank, chunks, head_dim):
+def _prefill_step(q_rank, kv_rank, chunks, head_dim, spread=1.0):
     """One ring step of ``long_prefill``: rank ``q_rank``'s 128 rows of the
     last of ``chunks`` 512-token chunks on CP4 (two 64-row halves, load-
     balanced) against rank ``kv_rank``'s shard — its 128 keys of every
-    chunk so far, cached ones first — handed over as the ring hands it."""
+    chunk so far, cached ones first — handed over as the ring hands it.
+    ``spread`` scales q and k (scores by its square)."""
     rng = np.random.default_rng(5)
     q_pos = shard_positions(512, 4, offset=512 * (chunks - 1))[q_rank]
     k_pos = np.concatenate(
@@ -130,8 +134,8 @@ def _prefill_step(q_rank, kv_rank, chunks, head_dim):
     )
     tq, tk = q_pos.size, k_pos.size
     args = (
-        rng.standard_normal((tq, 8, head_dim)),
-        rng.standard_normal((tk, 2, head_dim)),
+        rng.standard_normal((tq, 8, head_dim)) * spread,
+        rng.standard_normal((tk, 2, head_dim)) * spread,
         rng.standard_normal((tk, 2, head_dim)),
     )
     return args, dict(
@@ -154,6 +158,16 @@ def bench_flash_diagonal_tile(benchmark):
     full square in one 512 x 128 tile that no band can trim — the partial-
     tile path, which ``chat_pressure``'s small chunks mostly take."""
     args, coords = _prefill_step(1, 1, 1, 8)
+    benchmark(flash_attention, *args, **coords)
+
+
+def bench_flash_large_logits(benchmark):
+    """``bench_flash_prefill_tile`` with q and k scaled by 20 — scores of
+    order +-1e3, past ``exp``'s float64 range — so the shift-free sweep's
+    range check fails and the call is swept again, shifted: the price of the
+    fallback on record (the shifted sweep at these scores, plus one wasted
+    shift-free pass; no workload in ``benchmarks/e2e`` ever pays it)."""
+    args, coords = _prefill_step(2, 1, 3, 8, spread=20.0)
     benchmark(flash_attention, *args, **coords)
 
 

@@ -25,7 +25,7 @@ from repro.attention.gqa import expand_kv_heads, kv_head_for_query_head, validat
 from repro.attention.masks import attention_mask, causal_mask
 from repro.attention.online_softmax import OnlineSoftmaxState
 from repro.attention.reference import reference_attention, reference_attention_with_lse
-from repro.attention.rope import apply_rope, rope_frequencies
+from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
 from repro.attention.windowed import windowed_attention_mask_fn, windowed_mask
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "reference_attention",
     "reference_attention_with_lse",
     "rope_frequencies",
+    "rope_rotation",
     "validate_gqa_shapes",
     "windowed_attention_mask_fn",
     "windowed_mask",

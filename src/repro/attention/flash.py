@@ -31,11 +31,14 @@ half the score work; a load-balanced shard's late chunk is invisible to every
 row of a later rank). The block's scores live in **one reused score tile**, a
 slice of a module-level scratch buffer that is never handed to a caller, laid
 out keys-major when it holds at least as many query columns as keys (prefill)
-and rows-major otherwise (decode); ``-inf`` never reaches ``exp``. The
-**one-block sweep is the base case**: the first visible block's ``(o, lse)``
-is the result, and the running ``(acc, m, denom)`` state, its allocations and
-its finalisation exist only from a second block on — a decode call (one query
-row per sequence) is all fixed cost.
+and rows-major otherwise (decode); ``-inf`` never reaches ``exp``. The sweep
+is **shift-free**: scores are exponentiated as they are, blocks *add*
+(``den += sum P``, ``acc += P . V``, in float64) and ``O = acc / den``,
+``LSE = log den`` happen once — Eq. 4 at shift 0: no row max, no subtraction,
+no rescaling between blocks. An a-posteriori **range check** on ``den`` makes
+that sound, not hopeful (:func:`_sweep_additive`); a call that fails it is
+swept again by the shifted online-softmax sweep (:func:`_sweep_shifted`), which
+is sound for any finite scores. Either way what leaves a sweep is ``(O, LSE)``.
 
 **Varlen (sequence-segmented) sweep.** A fused batch — several sequences
 concatenated on the key side, as a rank's KV shard is — never lets a query
@@ -183,6 +186,8 @@ def flash_attention(
     if scale is None:
         scale = 1.0 / math.sqrt(dh)
     dtype = np.dtype(DEFAULT_COMPUTE_DTYPE if compute_dtype is None else compute_dtype)
+    if dtype.kind != "f":
+        raise ValueError(f"compute_dtype must be a real floating dtype, got {dtype}")
     sweep = (scale, block_size, num_kv_splits, skip_masked_blocks, dtype)
 
     # Segmenting pays once the key side fuses >= 2 sequences.
@@ -385,41 +390,25 @@ def _keys_major(columns: int, keys: int) -> bool:
     return columns >= keys
 
 
-def _sweep_range(
-    qt: np.ndarray,
-    kb: np.ndarray,
-    vb: np.ndarray,
-    mask: np.ndarray,
-    block_size: int,
-    lo: int,
-    hi: int,
-    skip_masked_blocks: bool,
-    g: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped-head online-softmax sweep over KV storage slice ``[lo, hi)``
-    of (pre-scaled) ``qt [S, NKV, DH, R * G]`` against ``kb, vb [S, NKV, L,
-    DH]``.
+def _sweep_range(*sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Grouped-head sweep over KV storage slice ``[lo, hi)`` of (pre-scaled)
+    ``qt [S, NKV, DH, R * G]`` against ``kb, vb [S, NKV, L, DH]``: shift-free
+    where its range check passes — in practice always — else shifted."""
+    return _sweep_additive(*sweep) or _sweep_shifted(*sweep)
 
-    Each block's scores live in one reused tile (:data:`_WORKSPACE`) over
-    only the band of rows and the band of keys that see each other; a tile
-    with at least as many query columns as keys is laid out keys-major. The
-    first visible block's ``(o, lse)`` *is* the result of a one-block
-    range. Only a second block opens the running ``(acc, m, denom)``
-    recurrence, in the grouped ``[S, NKV, R, G, ...]`` layout, folding each
-    block in place over its row band; untouched rows receive the exact
-    identity update, so the result equals folding full-height partials
-    through :class:`OnlineSoftmaxState`.
-    """
-    dtype = qt.dtype
-    neg_inf = dtype.type(-np.inf)
-    zero = dtype.type(0.0)
-    one = dtype.type(1.0)
-    s, nkv, dh = qt.shape[:3]
+
+def _score_tiles(qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g):
+    """The block loop both reducers share. Each visible block of ``[lo, hi)``
+    is classified once, trimmed to the band of rows and the band of keys that
+    see each other, and its scores written into one reused tile
+    (:data:`_WORKSPACE`), keys-major when it has at least as many query
+    columns as keys. Yields ``(r0, r1, start, stop, tile, view, seeing,
+    keys_axis)``: ``seeing`` is the mask laid out like ``view`` (the tile, or
+    its ``[S, NKV, R, G, keys]`` form), ``None`` when every pair is visible."""
+    s, nkv = qt.shape[:2]
     tq = mask.shape[1]
     qg, kt = qt.swapaxes(-1, -2), kb.swapaxes(-1, -2)  # [S, NKV, R * G, DH], [S, NKV, DH, L]
-    scratch = _scratch(dtype, s * nkv * tq * g * min(block_size, hi - lo))
-
-    acc = m = denom = None
+    scratch = _scratch(qt.dtype, s * nkv * tq * g * min(block_size, hi - lo))
     for start in range(lo, hi, block_size):
         stop = min(start + block_size, hi)
         mb = mask[:, :, start:stop]
@@ -436,18 +425,17 @@ def _sweep_range(
                 start, stop = start + k0, start + k1
                 mb = mask[:, r0:r1, start:stop]
         r, blk = r1 - r0, stop - start
-        dense = seen == s * r * blk  # until a row is found that sees no key
         size = s * nkv * r * g * blk
+        seeing = None if seen == s * r * blk else mb[:, None, :, None, :]
 
         # tile[s, n, (t, g'), j] = scale * q[s, t, n*G+g'] . k[s, j, n], or
         # keys-major, its transpose: reductions over keys then run down the
-        # leading axis at SIMD width and the row max broadcasts as one
-        # contiguous row (see _keys_major for when that pays).
+        # leading axis at SIMD width (see _keys_major for when that pays).
         if _keys_major(r * g, blk):
             keys_axis = -2
             tile = view = scratch[:size].reshape(s, nkv, blk, r * g)
             np.matmul(kb[:, :, start:stop], qt[..., r0 * g : r1 * g], out=tile)
-            if not dense:  # G is the innermost axis: expand the mask over it
+            if seeing is not None:  # G is the innermost axis: expand the mask over it
                 n = size // nkv
                 seeing = _scratch(_BOOL, n)[:n].reshape(s, 1, blk, r * g)
                 np.copyto(seeing.reshape(s, blk, r, g), mb.transpose(0, 2, 1)[..., None])
@@ -455,13 +443,96 @@ def _sweep_range(
             keys_axis = -1
             tile = scratch[:size].reshape(s, nkv, r * g, blk)
             np.matmul(qg[:, :, r0 * g : r1 * g], kt[..., start:stop], out=tile)
-            view, seeing = tile.reshape(s, nkv, r, g, blk), mb[:, None, :, None, :]
+            view = tile.reshape(s, nkv, r, g, blk)
+        yield r0, r1, start, stop, tile, view, seeing, keys_axis
 
-        # Softmax over the key axis. -inf never reaches exp (it drops
-        # NumPy's SIMD exp onto a scalar fallback, 3-8x slower): a fully
-        # visible tile has none, and a partial tile takes its row max and
-        # its exp over visible entries only — their bits are those of the
-        # -inf formulation — and zeroes the finite leftovers elsewhere.
+
+def _sweep_additive(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g):
+    """The shift-free sweep — Eq. 4 at shift 0. Blocks add: ``den += sum
+    exp(scores)``, ``acc += exp(scores) . V``, both float64 whatever the
+    compute dtype; ``O = acc / den`` and ``LSE = log den`` once, at the end.
+
+    Sound only while ``exp`` stays in range, which is checked afterwards:
+    every row the mask says sees a key must end with ``den`` inside
+    ``[sqrt(tiny), sqrt(max)]`` of the compute dtype — no term overflowed,
+    and a term that underflowed or went subnormal is below ``sqrt(tiny)`` of
+    the sum — and with a finite output; a zero ``den`` is a blind row only
+    where the mask agrees. Returns ``None`` on any violation (the caller
+    re-runs the range shifted)."""
+    s, nkv, dh = qt.shape[:3]
+    tq = mask.shape[1]
+    limits = np.finfo(qt.dtype)
+    den_min, den_max = math.sqrt(limits.tiny), math.sqrt(limits.max)
+    acc = den = None  # grouped [S, NKV, R, G, ...], float64 whatever the compute dtype
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for r0, r1, start, stop, tile, view, seeing, keys_axis in _score_tiles(
+            qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g
+        ):
+            # -inf never reaches exp (it drops NumPy's SIMD exp onto a scalar
+            # fallback, 3-8x slower): a partial tile takes exp over visible
+            # entries only and zeroes the finite leftovers.
+            if seeing is None:
+                np.exp(tile, out=tile)
+            else:
+                np.exp(view, out=view, where=seeing)
+                view *= seeing
+            r = r1 - r0
+            p = tile.swapaxes(-1, -2) if keys_axis == -2 else tile
+            o = np.matmul(p, vb[:, :, start:stop]).reshape(s, nkv, r, g, dh)
+            d = tile.sum(axis=keys_axis).reshape(s, nkv, r, g)
+            if acc is None:
+                if r == tq:  # sums start at their first term: fresh memory, never the tile's
+                    acc, den = o.astype(np.float64, copy=False), d.astype(np.float64, copy=False)
+                    continue
+                acc, den = np.zeros((s, nkv, tq, g, dh)), np.zeros((s, nkv, tq, g))
+            acc[:, :, r0:r1] += o
+            den[:, :, r0:r1] += d
+        if acc is None:  # no visible block at all
+            return np.zeros((s, tq, nkv * g, dh)), np.full((s, tq, nkv * g), -np.inf)
+
+        highest, lowest = den.max(), den.min()
+        lse = np.log(den.transpose(0, 2, 1, 3), order="C")  # log 0 = -inf: the rows that saw no key ...
+        if lowest == 0.0:  # ... which a zero den means only where the mask agrees
+            sighted = mask[:, :, lo:hi].any(axis=2)[:, None, :, None]
+            lowest = den.min(where=sighted, initial=den_max)
+            den = np.where(sighted, den, 1.0)  # (their acc is 0 already, or the sum below is not finite)
+        # One divide per row, not per element, in the pass that ungroups the heads.
+        weight = np.reciprocal(den).transpose(0, 2, 1, 3)[..., None]
+        out = np.multiply(acc.transpose(0, 2, 1, 3, 4), weight, order="C")
+        if not (den_min <= lowest and highest <= den_max and math.isfinite(out.sum())):
+            return None
+    return out.reshape(s, tq, nkv * g, dh), lse.reshape(s, tq, nkv * g)
+
+
+def _sweep_shifted(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g):
+    """The online-softmax sweep: every block shifted by its row max, sound
+    for any finite scores — the general path behind :func:`_sweep_additive`
+    and its in-module oracle.
+
+    The first visible block's ``(o, lse)`` *is* the result of a one-block
+    range. Only a second block opens the running ``(acc, m, denom)``
+    recurrence, in the grouped ``[S, NKV, R, G, ...]`` layout, folding each
+    block in place over its row band; untouched rows receive the exact
+    identity update, so the result equals folding full-height partials
+    through :class:`OnlineSoftmaxState`.
+    """
+    dtype = qt.dtype
+    neg_inf = dtype.type(-np.inf)
+    zero = dtype.type(0.0)
+    one = dtype.type(1.0)
+    s, nkv, dh = qt.shape[:3]
+    tq = mask.shape[1]
+
+    acc = m = denom = None
+    for r0, r1, start, stop, tile, view, seeing, keys_axis in _score_tiles(
+        qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g
+    ):
+        r = r1 - r0
+        dense = seeing is None  # until a row is found that sees no key
+        # Softmax over the key axis, the row max broadcasting as one
+        # contiguous row of a keys-major tile. A partial tile takes its row
+        # max and its exp over visible entries only — their bits are those
+        # of the -inf formulation — and zeroes the finite leftovers.
         if dense:
             bm = tile.max(axis=keys_axis, keepdims=True)
             tile -= bm

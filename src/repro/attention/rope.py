@@ -30,12 +30,26 @@ def rope_frequencies(head_dim: int, *, theta: float = 500000.0) -> np.ndarray:
     return 1.0 / (theta**exponents)
 
 
+def rope_rotation(
+    positions: np.ndarray, head_dim: int, *, theta: float = 500000.0, freqs: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cos, sin)`` of every token's pair angles, ``[T, 1, DH/2]`` each —
+    what :func:`apply_rope` derives from ``positions``; a caller rotating
+    several tensors by the same positions computes it once."""
+    positions = np.asarray(positions, dtype=np.float64)
+    if freqs is None:
+        freqs = rope_frequencies(head_dim, theta=theta)
+    angles = positions[:, None] * freqs[None, :]  # [T, DH/2]
+    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+
+
 def apply_rope(
     x: np.ndarray,
     positions: np.ndarray,
     *,
     theta: float = 500000.0,
     freqs: np.ndarray | None = None,
+    rotation: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Rotate ``[T, H, DH]`` embeddings by their absolute positions.
 
@@ -44,22 +58,20 @@ def apply_rope(
         positions: ``[T]`` absolute token positions.
         theta: RoPE base (ignored when ``freqs`` is given).
         freqs: precomputed :func:`rope_frequencies` output.
+        rotation: precomputed :func:`rope_rotation` of these ``positions``
+            (``theta`` and ``freqs`` are then ignored).
 
     Returns:
         Rotated tensor with the same shape and dtype promoted to float64.
     """
     x = np.asarray(x, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected [T, H, DH], got shape {x.shape}")
-    if positions.shape[0] != x.shape[0]:
-        raise ValueError(f"positions {positions.shape} must match tokens {x.shape[0]}")
-
-    if freqs is None:
-        freqs = rope_frequencies(x.shape[-1], theta=theta)
-    angles = positions[:, None] * freqs[None, :]  # [T, DH/2]
-    cos = np.cos(angles)[:, None, :]  # [T, 1, DH/2]
-    sin = np.sin(angles)[:, None, :]
+    if np.shape(positions)[0] != x.shape[0]:
+        raise ValueError(f"positions {np.shape(positions)} must match tokens {x.shape[0]}")
+    if rotation is None:
+        rotation = rope_rotation(positions, x.shape[-1], theta=theta, freqs=freqs)
+    cos, sin = rotation  # [T, 1, DH/2]
 
     x_even = x[..., 0::2]
     x_odd = x[..., 1::2]

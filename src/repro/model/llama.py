@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attention.flash import flash_attention
-from repro.attention.rope import apply_rope, rope_frequencies
+from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
 from repro.model.config import ModelConfig
 from repro.model.mlp import swiglu
 from repro.model.norms import rms_norm
@@ -116,8 +116,9 @@ class LlamaModel:
         q = (h @ w.wq).reshape(t, cfg.n_heads, cfg.head_dim)
         k = (h @ w.wk).reshape(t, cfg.n_kv_heads, cfg.head_dim)
         v = (h @ w.wv).reshape(t, cfg.n_kv_heads, cfg.head_dim)
-        q = apply_rope(q, positions, freqs=self._rope_freqs)
-        k = apply_rope(k, positions, freqs=self._rope_freqs)
+        rotation = rope_rotation(positions, cfg.head_dim, freqs=self._rope_freqs)  # one cos/sin for q and k
+        q = apply_rope(q, positions, rotation=rotation)
+        k = apply_rope(k, positions, rotation=rotation)
         return q, k, v
 
     def attn_residual(self, layer: int, x: np.ndarray, attn_out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the blocked flash-style kernel."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ class TestFlashEdgeCases:
         res = flash_attention(q, k, v)
         assert res.tokens == 4
 
+    @pytest.mark.parametrize("compute_dtype", [np.int32, bool, "complex128", object])
+    def test_non_floating_compute_dtype_is_rejected_at_the_boundary(self, rng, compute_dtype):
+        """Not a ``UFuncTypeError`` out of the middle of a sweep, nor a
+        ``finfo`` error out of the range check."""
+        q, k, v = make_qkv(rng, 3, 3)
+        with pytest.raises(ValueError, match="compute_dtype"):
+            flash_attention(q, k, v, compute_dtype=compute_dtype)
+
     def test_astype(self, rng):
         q, k, v = make_qkv(rng, 4, 4)
         res = flash_attention(q, k, v).astype(np.float32)
@@ -97,7 +107,11 @@ def _in_workspace(array: np.ndarray) -> bool:
 
 class TestWorkspaceAliasing:
     """The kernel reuses one scratch buffer per dtype and scales ``q`` in
-    the pass that lays it out; neither may ever be visible to a caller."""
+    the pass that lays it out; neither may ever be visible to a caller —
+    from the shift-free sweep (``spread`` 1) or from the shifted one its
+    range check falls back to (``spread`` 60: scores of order 1e4). Kills:
+    a block's output written into the workspace and kept as the sweep's
+    state (the shift-free sweep's first term *is* its state)."""
 
     @pytest.mark.parametrize("compute_dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
@@ -122,21 +136,24 @@ class TestWorkspaceAliasing:
         "knobs", [{}, {"block_size": 4}, {"block_size": 4, "num_kv_splits": 3}]
     )
     def test_results_never_alias_the_workspace(self, rng, knobs, n_heads, n_kv_heads):
-        for tq in (1, 6):  # rows-major and keys-major tiles
+        # rows-major and keys-major tiles, either sweep
+        for tq, spread in itertools.product((1, 6), (1.0, 60.0)):
             q, k, v = make_qkv(rng, tq, 12, n_heads, n_kv_heads)
-            res = flash_attention(q, k, v, q_pos=np.arange(12 - tq, 12), **knobs)
+            res = flash_attention(q * spread, k * spread, v, q_pos=np.arange(12 - tq, 12), **knobs)
             assert flash._WORKSPACE
             assert not _in_workspace(res.out) and not _in_workspace(res.lse)
 
     def test_a_result_survives_later_calls(self, rng):
         """Call A, call B (larger tile, the other compute dtype), call A
         again: B must neither disturb A's result nor what A computes next."""
-        qa, ka, va = make_qkv(rng, 6, 12)
-        qb, kb, vb = make_qkv(rng, 40, 70)
-        first = flash_attention(qa, ka, va, q_pos=np.arange(6, 12), block_size=5)
-        kept = first.out.copy(), first.lse.copy()
-        flash_attention(qb, kb, vb, q_pos=np.arange(30, 70), compute_dtype=np.float32)
-        flash_attention(qb, kb, vb, q_pos=np.arange(30, 70))
-        again = flash_attention(qa, ka, va, q_pos=np.arange(6, 12), block_size=5)
-        assert np.array_equal(first.out, kept[0]) and np.array_equal(first.lse, kept[1])
-        assert np.array_equal(again.out, kept[0]) and np.array_equal(again.lse, kept[1])
+        for spread in (1.0, 60.0):
+            qa, ka, va = make_qkv(rng, 6, 12)
+            qb, kb, vb = make_qkv(rng, 40, 70)
+            qa, qb = qa * spread, qb * spread
+            first = flash_attention(qa, ka, va, q_pos=np.arange(6, 12), block_size=5)
+            kept = first.out.copy(), first.lse.copy()
+            flash_attention(qb, kb, vb, q_pos=np.arange(30, 70), compute_dtype=np.float32)
+            flash_attention(qb, kb, vb, q_pos=np.arange(30, 70))
+            again = flash_attention(qa, ka, va, q_pos=np.arange(6, 12), block_size=5)
+            assert np.array_equal(first.out, kept[0]) and np.array_equal(first.lse, kept[1])
+            assert np.array_equal(again.out, kept[0]) and np.array_equal(again.lse, kept[1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attention.rope import apply_rope, rope_frequencies
+from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
 
 
 class TestRopeFrequencies:
@@ -56,6 +56,36 @@ class TestApplyRope:
         freqs = rope_frequencies(8, theta=500000.0)
         np.testing.assert_array_equal(
             apply_rope(x, pos), apply_rope(x, pos, freqs=freqs)
+        )
+
+    def test_shared_rotation_equals_independent_calls(self, rng):
+        """One ``(cos, sin)`` applied to q and k — what ``attn_qkv`` does —
+        is bit for bit two independent ``apply_rope`` calls."""
+        pos = np.array([0, 3, 511, 2047, 100000])
+        freqs = rope_frequencies(8)
+        q = rng.standard_normal((5, 8, 8))
+        k = rng.standard_normal((5, 2, 8))
+        rotation = rope_rotation(pos, 8, freqs=freqs)
+        np.testing.assert_array_equal(apply_rope(q, pos, rotation=rotation), apply_rope(q, pos, freqs=freqs))
+        np.testing.assert_array_equal(apply_rope(k, pos, rotation=rotation), apply_rope(k, pos))
+
+    def test_attn_qkv_rotates_q_and_k_as_two_calls_would(self):
+        from repro.model.config import tiny_config
+        from repro.model.llama import LlamaModel
+        from repro.model.norms import rms_norm
+
+        model = LlamaModel(tiny_config(), seed=0)
+        cfg = model.config
+        pos = np.array([7, 0, 19, 4096])
+        x = model.embed(np.arange(4) % cfg.vocab_size)
+        q, k, _ = model.attn_qkv(0, x, pos)
+        w = model._layer(0)
+        h = rms_norm(x, w.attn_norm)
+        np.testing.assert_array_equal(
+            q, apply_rope((h @ w.wq).reshape(4, cfg.n_heads, cfg.head_dim), pos, theta=cfg.rope_theta)
+        )
+        np.testing.assert_array_equal(
+            k, apply_rope((h @ w.wk).reshape(4, cfg.n_kv_heads, cfg.head_dim), pos, theta=cfg.rope_theta)
         )
 
     def test_shape_validation(self, rng):

@@ -16,7 +16,13 @@ been retired; the reference kernel is the remaining independent oracle.)
 ``TestScoreTile`` holds the exactness twins of the score-tile rebuild
 (``bench_flash_prefill_tile*`` / ``bench_flash_diagonal_tile``): masking
 without ``-inf`` ever reaching ``exp``, the keys-major orientation and the
-key band. Each was checked against the seeded defects its docstring names.
+key band. ``TestShiftFree`` pins the shift-free sweep — the kernel's normal
+path — against the shifted one it falls back to, and the range check that
+decides between them (twin of ``bench_flash_large_logits``). Each was
+checked against the seeded defects its docstring names.
+
+The whole module runs with ``RuntimeWarning`` as an error: a kernel path
+that lets an overflowing ``exp`` leak one fails here, not in a user's log.
 """
 
 import itertools
@@ -33,7 +39,20 @@ from repro.attention.reference import reference_attention_with_lse
 from repro.attention.windowed import windowed_attention_mask_fn
 from repro.core.sharding import shard_positions
 
+# (RuntimeWarning is NumPy's class for every floating-point warning; a blanket
+# "error" also trips on third-party DeprecationWarnings raised while hypothesis
+# formats a failure, and buries the failure under an INTERNALERROR.)
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SETTINGS = dict(max_examples=25, deadline=None)
+
+
+def _shifted(kernel, *args, **kwargs):
+    """``kernel`` (``flash._attend`` or ``flash_attention``) with every range
+    swept by the shifted sweep — the path ordinary tiles no longer take."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flash, "_sweep_range", flash._sweep_shifted)
+        return kernel(*args, **kwargs)
 
 
 @st.composite
@@ -233,11 +252,10 @@ def _through_the_recurrence(q, k, v, mask, scale, dtype):
     key nobody may see, as a second block, and sweep with block skipping
     off — the block's partial is assigned into the running state, the
     masked block folded on top (the identity) and the state finalised."""
-    from repro.attention.flash import _attend
-
     s, _, length = mask.shape
     pad = np.zeros((s, 1) + k.shape[2:])
-    return _attend(
+    return _shifted(
+        flash._attend,
         q, np.concatenate([k, pad], axis=1), np.concatenate([v, pad], axis=1),
         np.concatenate([mask, np.zeros((s, mask.shape[1], 1), dtype=bool)], axis=2),
         scale, length, 1, False, np.dtype(dtype),
@@ -245,15 +263,18 @@ def _through_the_recurrence(q, k, v, mask, scale, dtype):
 
 
 class TestOneBlockBaseCase:
+    """The shifted sweep's one-block return, called directly: ordinary
+    tiles take the shift-free sweep (``TestShiftFree``) and reach this one
+    only through the range check."""
+
     @given(one_block_case(), st.sampled_from([np.float64, np.float32]), st.booleans())
     @settings(**SETTINGS)
     def test_equals_the_block_folded_and_finalised(self, case, dtype, skip):
-        from repro.attention.flash import _attend
         from repro.attention.online_softmax import OnlineSoftmaxState
 
         q, k, v, mask = case
         scale = 1.0 / np.sqrt(q.shape[-1])
-        out, lse = _attend(q, k, v, mask, scale, mask.shape[2], 1, skip, np.dtype(dtype))
+        out, lse = _shifted(flash._attend, q, k, v, mask, scale, mask.shape[2], 1, skip, np.dtype(dtype))
         assert out.dtype == lse.dtype == np.float64
 
         # (1) against the running-state path: bit for bit wherever both
@@ -390,13 +411,14 @@ class TestScoreTile:
         """(a) Max and exp over visible entries only, leftovers zeroed, is
         the ``-inf`` formulation bit for bit in the same orientation — also
         where the old one fell off SIMD ``exp`` (scores below -708 / -104).
+        This is the shifted sweep's arithmetic, so it is called directly.
         Kills: the zeroing pass dropped; a partial tile classified fully
         visible; the scale applied twice or not at all."""
         q, k, v, mask = case
         scale = 1.0 / np.sqrt(q.shape[-1])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
-            out, lse = flash._attend(q, k, v, mask, scale, mask.shape[2], 1, False, np.dtype(dtype))
+            out, lse = _shifted(flash._attend, q, k, v, mask, scale, mask.shape[2], 1, False, np.dtype(dtype))
         ref_out, ref_lse = _minus_inf_block(q, k, v, mask, scale, dtype, keys_major)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(lse, ref_lse)
@@ -434,3 +456,203 @@ class TestScoreTile:
             ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
             for knobs in ({}, {"skip_masked_blocks": False}, {"num_kv_splits": 3}):
                 _assert_matches(flash_attention(q, k, v, **coords, **knobs), ref_out, ref_lse)
+
+
+# ---------------------------------------------------------------------- #
+# the shift-free sweep and its range check (exactness twins of
+# bench_flash_prefill_tile* at shift 0 and of bench_flash_large_logits)
+# ---------------------------------------------------------------------- #
+
+
+class _Fallbacks:
+    """Counts the ranges the shift-free sweep handed back to the shifted one."""
+
+    def __init__(self, patch):
+        self.count, inner = 0, flash._sweep_shifted
+
+        def counting(*sweep):
+            self.count += 1
+            return inner(*sweep)
+
+        patch.setattr(flash, "_sweep_shifted", counting)
+
+
+def _assert_close(dtype, out, lse, ref_out, ref_lse):
+    """The contract at ``dtype``: fp64 is merge-exactness's, fp32 is
+    ``test_fp32_compute_fp64_merge``'s; the ``-inf`` rows are exact in both."""
+    if np.dtype(dtype) == np.float64:
+        _assert_matches(AttentionResult(out, lse), ref_out, ref_lse)
+    else:
+        np.testing.assert_allclose(out, ref_out, atol=1e-4, rtol=1e-4)
+        np.testing.assert_allclose(lse, ref_lse, atol=1e-4, rtol=1e-4)
+        empty = np.isneginf(ref_lse)
+        assert np.array_equal(np.isneginf(lse), empty) and np.all(out[empty] == 0.0)
+
+
+def _aligned(rng, rows, keys, dh=4):
+    """``q [rows, 1, dh]`` and ``k [keys, 1, dh]`` along one axis, so that
+    ``score[i, j] = q[i, 0, 0] * k[j, 0, 0] / 2`` exactly, plus random ``v``."""
+    q, k = np.zeros((rows, 1, dh)), np.zeros((keys, 1, dh))
+    q[:, 0, 0], k[:, 0, 0] = 2.0, 1.0
+    return q, k, rng.standard_normal((keys, 1, dh))
+
+
+class TestShiftFree:
+    @given(
+        tile_case(), st.sampled_from([np.float64, np.float32]), st.booleans(), st.booleans(),
+        st.sampled_from([1, 3, 64]),
+    )
+    @settings(**SETTINGS)
+    def test_equals_the_shifted_sweep(self, case, dtype, keys_major, skip, block_size):
+        """(a) Eq. 4 at shift 0 is Eq. 4: the same tiles, summed unshifted,
+        agree with the shifted sweep to the contract — both orientations,
+        one block and many, bands on and off, blind rows and blind segments
+        included — and in-range scores never pay for the fallback.
+        Kills: accumulation left in the compute dtype (the blocks of a
+        many-block fp32 range drift apart); the leftovers of a partial tile
+        not zeroed; ``den`` and ``acc`` banded to different rows."""
+        q, k, v, mask = case
+        scale = 1.0 / np.sqrt(q.shape[-1])
+        args = (q, k, v, mask, scale, block_size, 1, skip, np.dtype(dtype))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
+            fallbacks = _Fallbacks(patch)
+            out, lse = flash._attend(*args)
+            taken = fallbacks.count
+            ref_out, ref_lse = _shifted(flash._attend, *args)
+        assert out.dtype == lse.dtype == np.float64
+        _assert_close(dtype, out, lse, ref_out, ref_lse)
+        dark = ~mask.any(axis=2)
+        assert np.all(np.isneginf(lse[dark])) and np.all(out[dark] == 0)
+        scores = np.einsum("srhd,skhd->srhk", q, np.repeat(k, q.shape[2] // k.shape[2], axis=2)) * scale
+        if np.abs(scores).max() < 30:  # exp stays inside sqrt(finfo) of either dtype
+            assert taken == 0
+
+    @given(gqa_case(), st.sampled_from([np.float64, np.float32]), st.booleans())
+    @settings(**SETTINGS)
+    def test_whole_calls_equal_the_shifted_sweep(self, case, dtype, skip):
+        """(a) ... through ``flash_attention``: splits, ``mask_fn``, permuted
+        coordinates and padded varlen groups whose ``PAD_SEQ`` rows and
+        padding slots are blind. Kills: a zero ``den`` divided through (nan
+        in a blind row); the blind rows of one varlen group written over
+        another's."""
+        q, k, v, coords, block_size, splits = case
+        knobs = dict(
+            block_size=block_size, num_kv_splits=splits, compute_dtype=dtype,
+            skip_masked_blocks=skip, **coords,
+        )
+        res = flash_attention(q, k, v, **knobs)
+        ref = _shifted(flash_attention, q, k, v, **knobs)
+        _assert_close(dtype, res.out, res.lse, ref.out, ref.lse)
+
+    @pytest.mark.parametrize("dtype,big", [(np.float64, 800.0), (np.float32, 100.0)])
+    @pytest.mark.parametrize("block_size", [4, 64])
+    def test_scores_out_of_range_take_the_fallback(self, dtype, big, block_size):
+        """(b) Scores of ``+big`` and ``-big`` in every row (``exp`` overflows,
+        or flushes a whole row to zero, in ``dtype``): the range check must
+        hand the call to the shifted sweep, silently, and the result meets
+        the contract. Kills: the range check dropped (``inf / inf``); the
+        upper bound compared so that ``nan`` passes."""
+        rng = np.random.default_rng(0)
+        q, k, v = _aligned(rng, 6, 12)
+        k[:, 0, 0] = big * rng.choice([-1.0, 1.0], 12)
+        with pytest.MonkeyPatch.context() as patch:
+            fallbacks = _Fallbacks(patch)
+            res = flash_attention(q, k, v, causal=False, block_size=block_size, compute_dtype=dtype)
+        assert fallbacks.count == 1
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        _assert_close(dtype, res.out, res.lse, ref_out, ref_lse)
+
+    @pytest.mark.parametrize(
+        "dtype,depth", [(np.float64, 800.0), (np.float64, 735.0), (np.float32, 100.0)]
+    )
+    def test_an_underflowed_visible_row_is_not_a_blind_row(self, dtype, depth):
+        """(b) One row whose every score is ``-depth`` among ordinary rows,
+        and one row that truly sees no key. At 800 its ``exp`` are all zero:
+        ``den == 0`` in a row the mask says sees keys. At 735 (fp32: 100)
+        they are subnormal: ``den > 0`` but its terms carry two digits. All
+        must fall back; the truly blind row stays ``O = 0, LSE = -inf``.
+        Kills: the blind-row test taken from ``den == 0`` alone (LSE ``-inf``
+        where it is ``-800``); the lower bound dropped (fp32: weights 2 % off.
+        In fp64 ``1 / den`` overflows first and the finite check fires, so
+        only the fp32 case needs the bound)."""
+        rng = np.random.default_rng(1)
+        q, k, v = _aligned(rng, 5, 9)
+        q[:, 0, 0] = rng.standard_normal(5)
+        q[2, 0, 0] = -2.0 * depth
+        k[:, 0, 0] = 1.0 + 0.004 * np.arange(9)  # row 2's scores spread over ~ 3 % of depth
+        q_pos, k_pos = np.array([9, 9, 9, -1, 9]), np.arange(9)  # row 3 precedes every key
+        with pytest.MonkeyPatch.context() as patch:
+            fallbacks = _Fallbacks(patch)
+            res = flash_attention(q, k, v, q_pos=q_pos, k_pos=k_pos, block_size=4, compute_dtype=dtype)
+        assert fallbacks.count == 1
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos, k_pos=k_pos)
+        _assert_close(dtype, res.out, res.lse, ref_out, ref_lse)
+        assert np.all(np.isneginf(res.lse[3])) and np.all(np.isfinite(res.lse[[0, 1, 2, 4]]))
+
+    def test_the_sum_overflows_though_no_term_does(self):
+        """(b) Four keys scoring 709.5: each ``exp`` is 1.3e308, finite, and
+        their sum is not — while ``|V| ~ 1e-10`` keeps the numerator finite,
+        so ``O = acc * (1 / inf)`` would come out a clean 0. Kills: the upper
+        bound dropped in favour of the finite check on the output."""
+        rng = np.random.default_rng(5)
+        q, k, v = _aligned(rng, 3, 4)
+        k[:, 0, 0] = 709.5
+        v = v * 1e-10
+        with pytest.MonkeyPatch.context() as patch:
+            fallbacks = _Fallbacks(patch)
+            res = flash_attention(q, k, v, causal=False)
+        assert fallbacks.count == 1
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        _assert_matches(AttentionResult(res.out * 1e10, res.lse), ref_out * 1e10, ref_lse)
+
+    def test_an_overflowing_block_after_ordinary_blocks(self):
+        """(b) Three ordinary blocks, then one key scoring +800: the sums are
+        already under way when ``exp`` overflows. Kills: the check made per
+        block and only on the first; ``acc`` finite-checked but ``den`` not."""
+        rng = np.random.default_rng(2)
+        q, k, v = _aligned(rng, 4, 16)
+        k[:, 0, 0] = rng.standard_normal(16)
+        k[13, 0, 0] = 800.0
+        with pytest.MonkeyPatch.context() as patch:
+            fallbacks = _Fallbacks(patch)
+            res = flash_attention(q, k, v, causal=False, block_size=4)
+        assert fallbacks.count == 1
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        _assert_matches(res, ref_out, ref_lse)
+
+    def test_huge_values_overflow_the_numerator_only(self):
+        """(b) Scores of ~250 keep ``den`` (~1e108) inside its range, but
+        ``|V| ~ 1e200`` takes ``exp(score) * V`` past float64: the finite
+        check on the output is what catches it. Kills: the output left out of
+        the range check."""
+        rng = np.random.default_rng(3)
+        q, k, v = _aligned(rng, 4, 8)
+        k[:, 0, 0] = 250.0 + rng.standard_normal(8)
+        v = v * 1e200
+        with pytest.MonkeyPatch.context() as patch:
+            fallbacks = _Fallbacks(patch)
+            res = flash_attention(q, k, v, causal=False, block_size=4)
+        assert fallbacks.count == 1
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        _assert_matches(AttentionResult(res.out / 1e200, res.lse), ref_out / 1e200, ref_lse)
+
+    def test_blocks_accumulate_in_float64_whatever_the_compute_dtype(self):
+        """fp32 compute, 512 one-key blocks: the first key's ``exp`` is
+        ``e^17 ~ 2.4e7``, past float32's 24-bit integers, every other key's
+        is 1 — a float32 running sum absorbs all 511 of them, a float64 one
+        none. Takes the shift-free path. Kills: accumulation left in the
+        compute dtype, on the first-term state and on the zero-initialised
+        one."""
+        rng = np.random.default_rng(4)
+        q, k, v = _aligned(rng, 2, 512)
+        k[:, 0, 0], k[0, 0, 0] = 0.0, 17.0
+        v[0] = 0.0
+        for q_pos in (np.array([600, 600]), np.array([600, -1])):  # a full-height first block, and a banded one
+            with pytest.MonkeyPatch.context() as patch:
+                fallbacks = _Fallbacks(patch)
+                res = flash_attention(q, k, v, q_pos=q_pos, block_size=1, compute_dtype=np.float32)
+            assert fallbacks.count == 0
+            ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos)
+            np.testing.assert_allclose(res.out, ref_out, rtol=2e-6, atol=0)
+            np.testing.assert_allclose(res.lse, ref_lse, rtol=2e-6, atol=0)
