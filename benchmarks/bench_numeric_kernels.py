@@ -23,10 +23,16 @@ band; its mutants are listed there) and ``::TestShiftFree`` (the
 shift-free sweep every one of them now takes, against the shifted sweep);
 ``bench_flash_large_logits`` — ``::TestShiftFree``'s adversarial ranges (the
 fallback fires and is correct); ``bench_flash_decode_shape`` —
-``::TestShiftFree``, ``::TestOneBlockBaseCase`` (the shifted sweep's one-block
-return) and ``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
-``test_prop_merge.py::TestOneShotEqualsSequential``; the rings and the
-engine prefill — ``test_prop_ring.py`` / ``test_prop_engine.py``;
+``::TestOneRowBaseCase`` (with ``bench_flash_decode_row_single``: the one-row
+base case of the shift-free sweep, its range check and its fallback),
+``::TestOneBlockBaseCase`` (the shifted sweep's one-block return) and
+``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
+``test_prop_merge.py::TestOneShotEqualsSequential``; ``bench_ring_decode_cp4``
+— ``test_prop_merge.py::TestStackedEqualsPerRank`` and
+``tests/core/test_ring_decode.py::TestStackedMerge`` (one stacked Eq. 4 per
+ring against N per-rank merges, bit for bit); ``bench_cache_get_decode_cp4`` —
+``tests/kvcache/test_cache.py::TestStructureIsSharedAcrossLayers``; the rings
+and the engine prefill — ``test_prop_ring.py`` / ``test_prop_engine.py``;
 ``bench_shard_plan`` / ``bench_prefill_token_demand_cp2`` /
 ``bench_engine_prefill_tiny_cp1`` —
 ``test_prop_sharding.py::TestShardPlanEqualsOracle`` (the concatenating
@@ -59,6 +65,7 @@ from repro.core.sharding import (
     shard_sequences,
 )
 from repro.distributed.process_group import SimProcessGroup
+from repro.kvcache.cache import RankKVCache
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 
@@ -118,6 +125,24 @@ def bench_flash_decode_shape(benchmark):
         flash_attention, q, kv.k, kv.v,
         q_pos=lengths[q_seq], k_pos=kv.positions, q_seq=q_seq, k_seq=kv.seq_ids,
         q_runs=q_runs, k_runs=(kv.runs, kv.run_index),
+    )
+
+
+def bench_flash_decode_row_single(benchmark):
+    """The modal ``chat_pressure`` call (2,296 of a repetition's calls): one
+    decode row x 8 heads against the 73 keys of its own sequence — the key
+    side holds one sequence, so the call is one segment under its full mask,
+    and the one-row base case is all there is to the sweep."""
+    rng = np.random.default_rng(5)
+    kv = ShardedKV(
+        k=rng.standard_normal((73, 2, 8)), v=rng.standard_normal((73, 2, 8)),
+        positions=np.arange(73), seq_ids=np.full(73, 5),
+    )
+    q_seq = np.array([5])
+    benchmark(
+        flash_attention, rng.standard_normal((1, 8, 8)), kv.k, kv.v,
+        q_pos=np.array([73]), k_pos=kv.positions, q_seq=q_seq, k_seq=kv.seq_ids,
+        q_runs=(np.arange(2), run_index(q_seq, np.arange(2))), k_runs=(kv.runs, kv.run_index),
     )
 
 
@@ -241,6 +266,24 @@ def bench_ring_decode_cp4(benchmark):
 
     def run():
         return ring_passq_decode(SimProcessGroup(world), kvs, batch, block_size=64)
+
+    benchmark(run)
+
+
+def bench_cache_get_decode_cp4(benchmark):
+    """One rank's two KV reads of a ``decode_batch`` round on a 2-layer
+    model: 32 sequences x ~23 tokens fused at layer 0, then layer 1 for the
+    same ``seq_ids`` list — which concatenates K and V only and takes the
+    rest (positions, sequence ids, runs, run index, reach) from layer 0."""
+    rng = np.random.default_rng(6)
+    cache = RankKVCache(n_layers=2, n_kv_heads=2, head_dim=8)
+    for sid, n in enumerate(rng.integers(19, 28, 32).tolist()):
+        for layer in range(2):
+            cache.append(layer, sid, rng.standard_normal((n, 2, 8)), rng.standard_normal((n, 2, 8)), np.arange(n))
+    sids = list(range(32))
+
+    def run():  # (a layer-0 read always derives; layer 1 shares what it derived)
+        return cache.get(0, sids), cache.get(1, sids)
 
     benchmark(run)
 

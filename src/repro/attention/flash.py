@@ -39,6 +39,9 @@ no rescaling between blocks. An a-posteriori **range check** on ``den`` makes
 that sound, not hopeful (:func:`_sweep_additive`); a call that fails it is
 swept again by the shifted online-softmax sweep (:func:`_sweep_shifted`), which
 is sound for any finite scores. Either way what leaves a sweep is ``(O, LSE)``.
+One query row per segment with its keys in one block — a decode token — is
+that sweep's **one-row base case**: scores straight into fresh memory, one
+``exp``, ``den`` and ``acc`` at once, under the same range check and fallback.
 
 **Varlen (sequence-segmented) sweep.** A fused batch — several sequences
 concatenated on the key side, as a rank's KV shard is — never lets a query
@@ -77,6 +80,7 @@ Knobs:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -217,29 +221,28 @@ def flash_attention(
     q_order, q_off, q_index = _sequence_runs(q_seq, q_runs)
     k_order, k_off, k_index = k_side
     q_off, k_off = q_off.tolist(), k_off.tolist()
-    spans = [  # (q start, q stop, k start, k stop) per pair
-        (q_off[i], q_off[i + 1], k_off[j], k_off[j + 1])
+    spans = [  # (q start, rows, k start, keys) per pair
+        (q_off[i], q_off[i + 1] - q_off[i], k_off[j], k_off[j + 1] - k_off[j])
         for sid, i in q_index.items()
         if (j := k_index.get(sid)) is not None
     ]
     spans.sort()  # query storage order, whatever order the index came in
     if not spans:
         return AttentionResult.empty(tq, nh, dh)
-    q_start, q_stop, k_start, k_stop = np.array(spans).T
-    rows, keys = q_stop - q_start, k_stop - k_start
+    q_start, rows, k_start, keys = np.array(spans).T
     result = None
     for group, max_rows, max_keys in _pad_groups(rows, keys):
         qi, q_valid = _padded_index(q_start[group], rows[group], max_rows, q_order)
         ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)
         if causal:
-            mask = k_pos[ki][:, None, :] <= q_pos[qi][:, :, None]
+            mask = k_pos.take(ki)[:, None, :] <= q_pos.take(qi)[:, :, None]
         else:
             mask = np.ones(qi.shape + ki.shape[1:], dtype=bool)
         if q_valid is not None:
             mask &= q_valid[:, :, None]
         if k_valid is not None:
             mask &= k_valid[:, None, :]
-        out, lse = _attend(q[qi], k[ki], v[ki], mask, *sweep)
+        out, lse = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, *sweep)
         if qi.size == tq and q_valid is None and q_order is None and isinstance(group, slice):
             # one unpadded batch of every query row, in storage order
             return AttentionResult(out.reshape(tq, nh, dh), lse.reshape(tq, nh))
@@ -311,13 +314,15 @@ def _padded_index(starts: np.ndarray, lengths: np.ndarray, width: int, order: np
     """``[S, width]`` gather indices of ``S`` token runs (``width`` is the
     longest) plus their validity mask — ``None`` when no run is shorter;
     padding slots repeat each run's first token."""
-    lane = np.arange(width)
-    valid = lane < lengths[:, None]
-    if valid.all():
-        valid = None
-    else:
-        lane = np.where(valid, lane, 0)
-    index = starts[:, None] + lane
+    index, valid = starts[:, None], None
+    if width > 1:  # (no run is empty: at width 1 each is exactly its first token)
+        lane = np.arange(width)
+        valid = lane < lengths[:, None]
+        if valid.all():
+            valid = None
+        else:
+            lane = np.where(valid, lane, 0)
+        index = index + lane
     return (index if order is None else order[index]), valid
 
 
@@ -447,6 +452,13 @@ def _score_tiles(qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g):
         yield r0, r1, start, stop, tile, view, seeing, keys_axis
 
 
+@functools.cache
+def _den_range(dtype: np.dtype) -> tuple[float, float]:
+    """``[sqrt(tiny), sqrt(max)]`` of ``dtype``: where a shift-free ``den`` must end."""
+    limits = np.finfo(dtype)
+    return math.sqrt(limits.tiny), math.sqrt(limits.max)
+
+
 def _sweep_additive(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g):
     """The shift-free sweep — Eq. 4 at shift 0. Blocks add: ``den += sum
     exp(scores)``, ``acc += exp(scores) . V``, both float64 whatever the
@@ -461,13 +473,22 @@ def _sweep_additive(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g)
     re-runs the range shifted)."""
     s, nkv, dh = qt.shape[:3]
     tq = mask.shape[1]
-    limits = np.finfo(qt.dtype)
-    den_min, den_max = math.sqrt(limits.tiny), math.sqrt(limits.max)
+    den_min, den_max = _den_range(qt.dtype)
     acc = den = None  # grouped [S, NKV, R, G, ...], float64 whatever the compute dtype
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r0, r1, start, stop, tile, view, seeing, keys_axis in _score_tiles(
-            qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g
-        ):
+        if tq == 1 and hi - lo <= block_size:
+            # The one-row base case — a decode token per segment, its keys in
+            # one block: no bands to find, no tile to reuse, no sums to carry.
+            # Scores go straight into fresh memory, where nothing is -inf, so
+            # exp runs over all of them and the unseen ones are dropped after.
+            tiles = ()
+            p = np.matmul(qt.swapaxes(-1, -2), kb[:, :, lo:hi].swapaxes(-1, -2))  # [S, NKV, G, keys]
+            p = np.where(mask[:, :, None, lo:hi], np.exp(p, out=p), 0.0)
+            acc = np.matmul(p, vb[:, :, lo:hi])[:, :, None].astype(np.float64, copy=False)
+            den = p.sum(axis=-1)[:, :, None].astype(np.float64, copy=False)
+        else:
+            tiles = _score_tiles(qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g)
+        for r0, r1, start, stop, tile, view, seeing, keys_axis in tiles:
             # -inf never reaches exp (it drops NumPy's SIMD exp onto a scalar
             # fallback, 3-8x slower): a partial tile takes exp over visible
             # entries only and zeroes the finite leftovers.

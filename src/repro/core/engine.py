@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.heuristics import HeuristicConfig, RingAlgo
 from repro.core.planner import PrefillPlan, PrefillPlanner, SelectorKind
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedQueries, ShardPlan
@@ -314,18 +314,18 @@ class ContextParallelEngine:
         positions = np.array([self.seq_lengths[sid] for sid in sids], dtype=np.int64)
         seq_arr = np.array(sids, dtype=np.int64)
 
-        # What the tokens alone decide is derived once per round, the ring's
-        # plan included: every layer passes the one batch, its queries
-        # written into q_batch in place (the ranks' slots cover it).
-        assignment = round_robin_assignment(b, self.world_size, self.decode_steps)
-        rank_slots = [np.nonzero(assignment == rank)[0] for rank in range(self.world_size)]
+        # What the tokens alone decide is derived once per round, in the
+        # ring's plan: every layer passes the one batch, its queries written
+        # into q_batch in place (the ranks' slots cover it).
+        q_batch = np.empty((b, cfg.n_heads, cfg.head_dim))
+        batch = DecodeBatch(q=q_batch, positions=positions, seq_ids=seq_arr)
+        plan = round_plan(batch, self.world_size, self.decode_steps)
+        assignment, rank_slots = plan.assignment, plan.slots
         rank_pos = [positions[slots] for slots in rank_slots]
         appends = [
             [(sids[slot], positions[slot : slot + 1]) for slot in slots.tolist()]
             for slots in rank_slots
         ]
-        q_batch = np.empty((b, cfg.n_heads, cfg.head_dim))
-        batch = DecodeBatch(q=q_batch, positions=positions, seq_ids=seq_arr)
 
         xs = [self.model.embed(token_arr[slots]) for slots in rank_slots]
         for layer in range(cfg.n_layers):

@@ -6,10 +6,13 @@ attention over the full context is their LSE-weighted combination:
 
     O = sum_s O_s * exp(LSE_s - LSE_max) / sum_s exp(LSE_s - LSE_max)
 
-All N partials are in hand by then, so :func:`merge_partials` evaluates the
-equation as written — one stacked float64 reduction, mirroring the
-open-sourced xformers ``merge_attentions`` operator the paper cites — and
-is tested against the incremental form of the same recurrence,
+All N partials are in hand by then, so :func:`merge_stacked` evaluates the
+equation as written — one float64 reduction down the leading axis of the
+stacked partials, mirroring the open-sourced xformers ``merge_attentions``
+operator the paper cites. The other axes ride along, so the decode ring
+reduces every rank's equal-shaped partials (``[origin, rank, row, ...]``) in
+one call; :func:`merge_partials` is the list-shaped wrapper. Tested against
+the recurrence's incremental form,
 :class:`repro.attention.online_softmax.OnlineSoftmaxState`.
 """
 
@@ -46,8 +49,17 @@ def merge_partials(partials: list[AttentionResult]) -> AttentionResult:
             )
     if len(partials) == 1 and first.out.dtype == first.lse.dtype == np.float64:
         return first
-    outs = np.array([p.out for p in partials], dtype=np.float64)
-    lses = np.array([p.lse for p in partials], dtype=np.float64)
+    return AttentionResult(
+        *merge_stacked(
+            np.array([p.out for p in partials], dtype=np.float64),
+            np.array([p.lse for p in partials], dtype=np.float64),
+        )
+    )
+
+
+def merge_stacked(outs: np.ndarray, lses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equation 4 down axis 0 of float64 partials stacked as ``outs
+    [P, ..., DH]`` / ``lses [P, ...]``; returns the merged ``(out, lse)``."""
     m = lses.max(axis=0)
     # rows every partial left empty shift by 0, not by -inf: their weights
     # come out exactly 0 and they keep the identity's O = 0, LSE = -inf
@@ -56,9 +68,25 @@ def merge_partials(partials: list[AttentionResult]) -> AttentionResult:
     seen = denom > 0
     den_safe = np.where(seen, denom, 1.0)
     acc = (outs * weights[..., None]).sum(axis=0)
-    return AttentionResult(
-        out=np.where(seen[..., None], acc / den_safe[..., None], 0.0),
-        lse=np.where(seen, m + np.log(den_safe), -np.inf),
+    return (
+        np.where(seen[..., None], acc / den_safe[..., None], 0.0),
+        np.where(seen, m + np.log(den_safe), -np.inf),
+    )
+
+
+def merge_exchanged(restored: list[list[tuple[np.ndarray, np.ndarray]]]) -> tuple[np.ndarray, np.ndarray]:
+    """The decode ring's merge, all ranks at once: ``restored[rank][origin]``
+    is the ``(out, lse)`` partial back from the All2All, every one the same
+    padded shape — a few rows each, where N calls cost more than they reduce
+    (prefill-sized partials merge per rank: stacked, they outgrow the cache).
+    Returns ``(out [rank, row, NH, DH], lse [rank, row, NH])``."""
+    if len(restored) == 1:  # one rank, one partial: it is the answer
+        out, lse = restored[0][0]
+        return out[None], lse[None]
+    by_origin = list(zip(*restored))
+    return merge_stacked(
+        np.array([[out for out, _ in ranks] for ranks in by_origin], dtype=np.float64),
+        np.array([[lse for _, lse in ranks] for ranks in by_origin], dtype=np.float64),
     )
 
 

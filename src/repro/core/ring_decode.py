@@ -18,12 +18,13 @@ the pass-Q ring followed by the same permute + All2All + merge as prefill.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.masks import PAD_SEQ, run_index
-from repro.core.merge import merge_partials
+from repro.core.merge import merge_exchanged
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
@@ -44,7 +45,7 @@ class DecodeBatch:
     q: np.ndarray
     positions: np.ndarray
     seq_ids: np.ndarray
-    # :func:`_round_plan` by (world size, step), for a caller that passes
+    # :func:`round_plan` by (world size, step), for a caller that passes
     # one batch at every layer of the round (new ``q`` written in place)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -84,12 +85,23 @@ def _pad_rows(rows: np.ndarray, pad: int, fill) -> np.ndarray:
     return np.concatenate([rows, np.full((pad,) + rows.shape[1:], fill, dtype=rows.dtype)])
 
 
-def _round_plan(batch: DecodeBatch, n: int, step: int) -> tuple:
-    """What the ring derives from the round's tokens, ``n`` and ``step`` —
-    the same at every layer, so kept on the batch. Per rank: the batch
-    ``slots`` it owns and its payload's padded ``coords``; per origin: its
-    payload's ``(offsets, {seq_id: row})`` runs and :func:`query_reach`;
-    ``origins[j][rank]``: whose payload ``rank`` holds at ring step ``j``."""
+class RoundPlan(NamedTuple):
+    """What a decode round derives from its tokens, the world size and the
+    step — the same at every layer, so derived once and kept on the batch."""
+
+    assignment: np.ndarray  # [B] rank owning each batch slot
+    slots: list  # per rank: the batch slots it owns, ascending
+    per_rank: int  # rows of every payload
+    order: np.ndarray  # [B] each batch slot's row of the merged [rank, row] rows
+    coords: list  # per rank: its payload's padded pos / seq / slots
+    q_runs: list  # per origin: its payload's (offsets, {seq_id: row}) runs
+    q_reach: list  # per origin: its payload's query_reach
+    origins: list  # [j][rank]: whose payload rank holds at ring step j
+
+
+def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
+    """The :class:`RoundPlan` of ``batch`` on ``n`` ranks at decode iteration
+    ``step`` (the engine reads its ``assignment`` and ``slots`` too)."""
     plan = batch._plans.get((n, step))
     if plan is None:
         b = batch.batch_size
@@ -109,11 +121,17 @@ def _round_plan(batch: DecodeBatch, n: int, step: int) -> tuple:
         # Every query row is its own sequence (pad rows included), so each
         # payload's run structure is one row per run.
         offsets = np.arange(per_rank + 1)
-        q_runs = [(offsets, run_index(c["seq"], offsets)) for c in coords]
-        q_reach = [query_reach(c["pos"], c["seq"], offsets) for c in coords]
-        origins = [[source_rank_at_step(rank, j, n) for rank in range(n)] for j in range(n)]
-        plan = (assignment, per_rank, slots, coords, q_runs, q_reach, origins)
-        batch._plans[(n, step)] = plan
+        plan = batch._plans[(n, step)] = RoundPlan(
+            assignment,
+            slots,
+            per_rank,
+            # a rank's slots are n apart, so slot b is its owner's row b // n
+            assignment * per_rank + np.arange(b) // n,
+            coords,
+            [(offsets, run_index(c["seq"], offsets)) for c in coords],
+            [query_reach(c["pos"], c["seq"], offsets) for c in coords],
+            [[source_rank_at_step(rank, j, n) for rank in range(n)] for j in range(n)],
+        )
     return plan
 
 
@@ -165,30 +183,37 @@ def ring_passq_decode(
     n = group.world_size
     if len(kv_shards) != n:
         raise ValueError(f"need one KV shard per rank, got {len(kv_shards)} for world {n}")
-    b = batch.batch_size
     nh, dh = batch.q.shape[1], batch.q.shape[2]
-    assignment, per_rank, slots, coords, q_runs, q_reach, origins = _round_plan(batch, n, step)
+    plan = round_plan(batch, n, step)
+    per_rank = plan.per_rank
 
     # Only the queries are this layer's own (traveling[s] starts as the
     # payload originating at rank s; the ring schedule recovers the origin).
     traveling = [
         {"q": _pad_rows(batch.q[own], per_rank - own.shape[0], 0.0), **coord}
-        for own, coord in zip(slots, coords)
+        for own, coord in zip(plan.slots, plan.coords)
     ]
-    computed: list[dict[int, AttentionResult]] = [dict() for _ in range(n)]
+    # computed[k][s] = the (out, lse) partial rank k computed for origin rank
+    # s; a skipped one is the ring's one shared identity pair.
+    computed: list[list] = [[None] * n for _ in range(n)]
+    empty = AttentionResult.empty(per_rank, nh, dh)
+    identity = (empty.out, empty.lse)
 
     skip = skip_masked_shards and mask_fn is None
     if skip:
-        k_summary = [kv_reach(kv.positions, kv.seq_ids, kv.runs) for kv in kv_shards]
+        k_summary = [
+            kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs)
+            for kv in kv_shards
+        ]
 
     for j in range(n):
-        for rank, src in enumerate(origins[j]):
+        for rank, src in enumerate(plan.origins[j]):
             q = traveling[rank]
-            if skip and partial_fully_masked(q_reach[src], k_summary[rank]):
-                computed[rank][src] = AttentionResult.empty(per_rank, nh, dh)
+            if skip and partial_fully_masked(plan.q_reach[src], k_summary[rank]):
+                computed[rank][src] = identity
                 continue
             kv = kv_shards[rank]
-            computed[rank][src] = flash_attention(
+            result = flash_attention(
                 q["q"],
                 kv.k,
                 kv.v,
@@ -202,23 +227,18 @@ def ring_passq_decode(
                 num_kv_splits=num_kv_splits,
                 mask_fn=mask_fn,
                 compute_dtype=compute_dtype,
-                q_runs=q_runs[src],
+                q_runs=plan.q_runs[src],
                 k_runs=(kv.runs, kv.run_index),
             )
+            computed[rank][src] = (result.out, result.lse)
         if j < n - 1:
             traveling = group.ring_shift(traveling, step=j, tag="decode-passq")
 
-    # Permute + All2All partial outputs back to the source ranks.
-    matrix = [
-        [(computed[holder][origin].out, computed[holder][origin].lse) for origin in range(n)]
-        for holder in range(n)
-    ]
-    restored = group.all_to_all(matrix, tag="decode-merge")
-
-    out = np.empty((b, nh, dh), dtype=np.float64)  # the ranks' slots cover it
-    lse = np.empty((b, nh), dtype=np.float64)
-    for own, partials in zip(slots, restored):
-        merged = merge_partials([AttentionResult(out=o, lse=l) for o, l in partials])
-        out[own] = merged.out[: own.shape[0]]
-        lse[own] = merged.lse[: own.shape[0]]
-    return AttentionResult(out=out, lse=lse), assignment
+    # Permute + All2All partial outputs back to the source ranks, Equation 4
+    # once over every rank's N partials, one gather into batch order (pad
+    # rows — a whole rank's, when it owns no slot — ride along unread).
+    out, lse = merge_exchanged(group.all_to_all(computed, tag="decode-merge"))
+    result = AttentionResult(
+        out=out.reshape(-1, nh, dh).take(plan.order, 0), lse=lse.reshape(-1, nh).take(plan.order, 0)
+    )
+    return result, plan.assignment

@@ -97,7 +97,9 @@ class ShardedKV:
     ``runs``: as on :class:`ShardedQueries`. ``run_index``: their
     :func:`repro.attention.masks.run_index`, passed by the producer or found
     at construction, so that none of the N ring steps that attend the shard
-    re-scans it — the kernel is handed ``(runs, run_index)``.
+    re-scans it — the kernel is handed ``(runs, run_index)``. ``reach``: the
+    shard's :func:`repro.core.ring_skip.kv_reach` where the producer has it
+    (``RankKVCache.get``, once per round), else ``None`` and the ring scans.
     """
 
     k: np.ndarray  # [n, NKV, DH]
@@ -106,6 +108,7 @@ class ShardedKV:
     seq_ids: np.ndarray  # [n]
     runs: np.ndarray | None = field(default=None, metadata=_OFF_WIRE)  # [S + 1]
     run_index: dict[int, int] | None = field(default=None, metadata=_OFF_WIRE)
+    reach: dict[int, int] | None = field(default=None, metadata=_OFF_WIRE)
 
     def __post_init__(self) -> None:
         if self.k.shape != self.v.shape:

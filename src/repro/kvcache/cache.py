@@ -132,6 +132,9 @@ class RankKVCache:
         self.block_size = block_size
         self.quantized = quantized
         self._streams: dict[tuple[int, int], _Stream] = {}
+        # The last layer-0 read's (request, sids, lengths, structure) until the
+        # next write; the structure is every ShardedKV field beside K and V.
+        self._structure: tuple | None = None
         num_blocks = 0 if capacity_tokens is None else -(-capacity_tokens // block_size)
         self._allocator = (
             None
@@ -170,12 +173,16 @@ class RankKVCache:
             raise ValueError("positions must match token count")
         if k.shape[0] == 0:
             return
-        if layer == 0 and self._allocator is not None:
-            try:
-                self._allocator.append((seq_id,), k.shape[0])
-            except OutOfBlocksError as exc:
-                raise CacheCapacityError(str(exc)) from exc
-        stream = self._streams.setdefault((layer, seq_id), _Stream())
+        if layer == 0:
+            self._structure = None
+            if self._allocator is not None:
+                try:
+                    self._allocator.append((seq_id,), k.shape[0])
+                except OutOfBlocksError as exc:
+                    raise CacheCapacityError(str(exc)) from exc
+        stream = self._streams.get((layer, seq_id))
+        if stream is None:
+            stream = self._streams[(layer, seq_id)] = _Stream()
         if self.quantized:
             rec = quantize_kv(k, v)
             stream.append((rec.k_codes, rec.v_codes, rec.k_scales, rec.v_scales, positions))
@@ -186,13 +193,24 @@ class RankKVCache:
         """Fused :class:`ShardedKV` view of this rank's cache at ``layer``.
 
         One run per cached sequence, in ``seq_ids`` order, with the run
-        offsets and the ``{seq_id: run}`` index attached. A single-sequence read returns read-only views
-        of the slab; a fused read copies each column once. Either way the
-        result never changes under a later append or trim.
+        offsets, the ``{seq_id: run}`` index and the ring's ``reach``
+        attached. A single-sequence read returns read-only views of the
+        slab; a fused read copies each column once. Either way the result
+        never changes under a later append or trim.
+
+        Only K and V are a layer's own. The rest — the *structure* — is
+        derived by a layer-0 read and, until the next write, handed as the
+        same read-only objects to a later layer's read for the same
+        ``seq_ids`` list object (a round passes one list at every layer),
+        whose streams must then be as long as layer 0's.
 
         Args:
             layer: transformer layer.
             seq_ids: restrict to these sequences (default: all, sorted).
+
+        Raises:
+            ValueError: when ``layer`` holds other token counts than the
+                layer-0 read whose structure it would share.
         """
         self._check_layer(layer)
         if seq_ids is None:
@@ -205,26 +223,40 @@ class RankKVCache:
                 streams.append(stream)
         if not streams:
             return ShardedKV.empty(self.n_kv_heads, self.head_dim)
+        lengths = [s.n for s in streams]
+        shared = None
+        if layer and self._structure is not None and self._structure[0] is seq_ids:
+            _, had_sids, had_lengths, shared = self._structure
+            if (had_sids, had_lengths) != (sids, lengths):
+                raise ValueError(
+                    f"layer {layer} holds {lengths} tokens of sequences {sids}, layer 0 held "
+                    f"{had_lengths} of {had_sids}: every layer must store the same token set"
+                )
         if len(streams) == 1:
             cols = streams[0].head()  # zero-copy: read-only views of the slab
-        else:
+        else:  # (the positions column is structure)
             cols = tuple(
                 np.concatenate([s.cols[i][: s.n] for s in streams], axis=0)
-                for i in range(len(streams[0].cols))
+                for i in range(len(streams[0].cols) - (shared is not None))
             )
         if self.quantized:
             k, v = dequantize_kv(QuantizedKV(*cols[:4]))
         else:
             k, v = cols[:2]
-        lengths = [s.n for s in streams]
-        return ShardedKV(
-            k=k,
-            v=v,
-            positions=cols[-1],
-            seq_ids=np.repeat(np.array(sids, dtype=np.int64), lengths),
-            runs=np.concatenate(([0], np.cumsum(lengths))),
-            run_index=dict(zip(sids, range(len(sids)))),
-        )
+        if shared is None:
+            runs = np.concatenate(([0], np.cumsum(lengths)))
+            shared = dict(
+                positions=cols[-1],
+                seq_ids=np.repeat(np.array(sids, dtype=np.int64), lengths),
+                runs=runs,
+                run_index=dict(zip(sids, range(len(sids)))),
+                reach=dict(zip(sids, np.minimum.reduceat(cols[-1], runs[:-1]).tolist())),
+            )
+            for name in ("positions", "seq_ids", "runs"):
+                shared[name].flags.writeable = False
+            if layer == 0:
+                self._structure = (seq_ids, sids, lengths, shared)
+        return ShardedKV(k=k, v=v, **shared)
 
     # ------------------------------------------------------------------ #
 
@@ -302,6 +334,7 @@ class RankKVCache:
         if any(sid == dst_seq for (_lyr, sid) in self._streams):
             raise ValueError(f"sequence {dst_seq} already cached on this rank")
         shared = 0
+        self._structure = None
         for layer in range(self.n_layers):
             stream = self._streams.get((layer, src_seq))
             if stream is None:
@@ -333,6 +366,7 @@ class RankKVCache:
         if from_pos < 0:
             raise ValueError(f"from_pos must be >= 0, got {from_pos}")
         freed = 0
+        self._structure = None
         for layer in range(self.n_layers):
             stream = self._streams.get((layer, seq_id))
             if stream is None:
@@ -360,6 +394,7 @@ class RankKVCache:
             runtime uses the return value for eviction accounting.
         """
         freed = self.tokens(seq_id)
+        self._structure = None
         for layer in range(self.n_layers):
             self._streams.pop((layer, seq_id), None)
         if self._allocator is not None:

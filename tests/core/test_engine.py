@@ -100,6 +100,47 @@ class TestDecode:
         after = np.array(engine.cached_tokens(0))
         np.testing.assert_array_equal(after - before, np.ones(world, dtype=int))
 
+    def test_a_round_derives_its_plan_and_its_kv_structure_once(self, monkeypatch):
+        """Per decode round, whatever the layer count: one round-robin
+        assignment (the engine reads the ring's plan, it derives none of its
+        own) and, per rank, one KV structure — positions, sequence ids, runs,
+        run index, reach — that every layer's read shares, so the ring scans
+        no shard for its reach. The logits are an untouched engine's."""
+        import repro.core.ring_decode as ring_decode
+        from repro.kvcache.cache import RankKVCache
+
+        model = LlamaModel(tiny_config(n_layers=3), seed=0)
+        world = 4
+        prompts = {sid: (np.arange(5 + sid) * 7) % 101 for sid in range(6)}
+        tokens = {sid: 3 + sid for sid in prompts}
+        engine = ContextParallelEngine(model, world_size=world)
+        engine.prefill(prompts)
+        want = ContextParallelEngine(model, world_size=world)
+        want.prefill(prompts)
+        want = want.decode(tokens)
+
+        assigned, scanned, reads = [], [], []
+        assignment, reach, get = ring_decode.round_robin_assignment, ring_decode.kv_reach, RankKVCache.get
+        monkeypatch.setattr(
+            ring_decode, "round_robin_assignment", lambda *a: assigned.append(a) or assignment(*a)
+        )
+        monkeypatch.setattr(ring_decode, "kv_reach", lambda *a: scanned.append(a) or reach(*a))
+        monkeypatch.setattr(
+            RankKVCache, "get", lambda self, layer, sids: reads.append((self, get(self, layer, sids))) or reads[-1][1]
+        )
+        got = engine.decode(tokens)
+        assert len(assigned) == 1 and not scanned
+        assert len(reads) == world * 3
+        for cache in engine.caches:
+            shards = [shard for owner, shard in reads if owner is cache]
+            for name in ("positions", "seq_ids", "runs", "run_index", "reach"):
+                assert len({id(getattr(shard, name)) for shard in shards}) == 1
+            assert shards[0].reach == reach(shards[0].positions, shards[0].seq_ids, shards[0].runs)
+            assert not np.array_equal(shards[0].k, shards[1].k)
+        for sid in prompts:
+            np.testing.assert_array_equal(got.logits[sid], want.logits[sid])
+        assert got.assignment == want.assignment
+
     def test_decode_unknown_sequence(self, model):
         engine = ContextParallelEngine(model, world_size=2)
         with pytest.raises(KeyError):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
+from repro.core.merge import merge_partials
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
@@ -115,6 +117,56 @@ class TestDecodeExactness:
         ring_passq_decode(group, kv_shards, batch_obj, step=0)
         assert comm(group)["sendrecv"].count == world - 1
         assert comm(group)["all2all"].count == 1
+        # one row per payload: q [8, 16] plus pos / seq / slot on each SendRecv,
+        # (out [8, 16], lse [8]) to each of the N - 1 peers in the All2All —
+        # a skipped partial's shared identity pair is priced like any other
+        per_element = group.wire_bytes_per_element
+        assert comm(group)["sendrecv"].bytes == (world - 1) * (8 * 16 + 3) * per_element
+        assert comm(group)["all2all"].bytes == (world - 1) * (8 * 16 + 8) * per_element
+
+
+def _per_rank_merge(restored, slots, batch_size):
+    """The merge the ring used to run: ``merge_partials`` once per rank over
+    its N restored partials, each rank's real rows written to its slots."""
+    nh, dh = restored[0][0][0].shape[1:]
+    out, lse = np.empty((batch_size, nh, dh)), np.empty((batch_size, nh))
+    for own, partials in zip(slots, restored):
+        merged = merge_partials([AttentionResult(out=o, lse=l) for o, l in partials])
+        out[own], lse[own] = merged.out[: own.shape[0]], merged.lse[: own.shape[0]]
+    return out, lse
+
+
+class TestStackedMerge:
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    @pytest.mark.parametrize("size", ["0", "1", "N-1", "N+1"])
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_equals_the_per_rank_merge_bit_for_bit(self, rng, world, size, step):
+        """One stacked Equation 4 over every rank's partials — ranks that own
+        no batch slot (B < N) and pad rows riding along unread, skipped
+        partials one shared read-only identity pair — is the N per-rank
+        merges, bit for bit, in batch order."""
+        batch = {"0": 0, "1": 1, "N-1": world - 1, "N+1": world + 1}[size]
+        ctx_lens = [int(c) for c in rng.integers(1, 30, size=batch)]
+        kv_shards, batch_obj, refs = build_decode_scenario(rng, world, batch, ctx_lens)
+        group, seen = SimProcessGroup(world), {}
+        exchange = group.all_to_all
+
+        def recording(matrix, **kwargs):
+            seen["matrix"], seen["restored"] = matrix, exchange(matrix, **kwargs)
+            return seen["restored"]
+
+        group.all_to_all = recording
+        result, assignment = ring_passq_decode(group, kv_shards, batch_obj, step=step)
+        slots = [np.nonzero(assignment == rank)[0] for rank in range(world)]
+        want_out, want_lse = _per_rank_merge(seen["restored"], slots, batch)
+        assert result.out.shape == want_out.shape and result.lse.shape == want_lse.shape
+        assert np.array_equal(result.out, want_out) and np.array_equal(result.lse, want_lse)
+        # every skipped (rank, origin) sent the one identity pair, frozen
+        skipped = [pair for row in seen["matrix"] for pair in row if np.all(np.isneginf(pair[1]))]
+        assert len({id(pair[0]) for pair in skipped}) <= 1
+        assert all(not pair[0].flags.writeable and not pair[1].flags.writeable for pair in skipped)
+        for b in range(batch):  # (exact wherever the step puts the rows: the KV never moves)
+            np.testing.assert_allclose(result.out[b], refs[b][0], atol=1e-10)
 
 
 class TestRoundPlan:
@@ -145,6 +197,39 @@ class TestRoundPlan:
         derived.clear()
         ring_passq_decode(group, kv_shards, layer0, step=4)
         assert len(derived) == 1
+
+
+    def test_one_kv_reach_per_rank_per_round(self, rng, monkeypatch):
+        """The shards ``RankKVCache.get`` hands a round carry their reach —
+        derived by the layer-0 read, the same object at every later layer —
+        so the ring scans none of them; a hand-built shard carries none and
+        is scanned, once per ring. Either way the skip decisions, and so the
+        result, are the same."""
+        import repro.core.ring_decode as ring_decode
+        from repro.core.ring_skip import kv_reach
+        from repro.kvcache.cache import RankKVCache
+
+        world, batch, layers = 4, 6, 3
+        kv_shards, batch_obj, _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
+        caches = [RankKVCache(layers, 2, 16) for _ in range(world)]
+        for cache, shard in zip(caches, kv_shards):
+            for layer in range(layers):
+                for sid in range(batch):
+                    own = shard.seq_ids == sid
+                    cache.append(layer, sid, shard.k[own], shard.v[own], shard.positions[own])
+        scanned = []
+        monkeypatch.setattr(ring_decode, "kv_reach", lambda *a: scanned.append(a) or kv_reach(*a))
+        sids, group = list(range(batch)), SimProcessGroup(world)
+        rounds = [[cache.get(layer, sids) for cache in caches] for layer in range(layers)]
+        results = [ring_passq_decode(group, shards, batch_obj, step=0)[0] for shards in rounds]
+        assert not scanned
+        for rank in range(world):
+            assert len({id(shards[rank].reach) for shards in rounds}) == 1
+            assert rounds[0][rank].reach == kv_reach(kv_shards[rank].positions, kv_shards[rank].seq_ids)
+        want, _ = ring_passq_decode(group, kv_shards, batch_obj, step=0)
+        assert len(scanned) == world
+        for result in results:
+            assert np.array_equal(result.out, want.out) and np.array_equal(result.lse, want.lse)
 
 
 class TestDecodeBatchValidation:

@@ -43,6 +43,9 @@ class TestAppendGet:
         cache.append(1, 1, *kv_chunk(3), np.array([0, 1, 2]))
         assert len(cache.get(0)) == 2
         assert len(cache.get(1)) == 3
+        # ... also for reads that name their sequences (equal lists, not one
+        # round's list: nothing of layer 0's is shared, nothing is checked)
+        assert len(cache.get(0, [1])) == 2 and len(cache.get(1, [1])) == 3
 
     def test_sequence_filter(self):
         cache = make_cache()
@@ -63,6 +66,97 @@ class TestAppendGet:
         cache = make_cache()
         cache.append(0, 1, *kv_chunk(0), np.zeros(0, dtype=np.int64))
         assert cache.total_tokens(0) == 0
+
+
+def _rows(positions, seed=0):
+    """Random ``(k, v, positions)`` rows, different per layer ``seed``."""
+    positions = np.asarray(positions, dtype=np.int64)
+    rng = np.random.default_rng(seed + int(positions[0]))
+    return rng.standard_normal((positions.size, 2, 4)), rng.standard_normal((positions.size, 2, 4)), positions
+
+
+class TestStructureIsSharedAcrossLayers:
+    """Only K and V are a layer's own: what else a read derives — positions,
+    sequence ids, runs, run index, the ring's reach — a layer-0 read hands
+    to the later layers' reads of the same round (the same ``seq_ids`` list),
+    read-only, after checking that their streams are as long as its own."""
+
+    FIELDS = ("positions", "seq_ids", "runs", "run_index", "reach")
+
+    @staticmethod
+    def fill(cache, sids=(5, 2, 8), layers=(0, 1)):
+        for layer in layers:
+            for sid in sids:
+                k, v, p = _rows(np.arange(sid, sid + 2 + sid % 3), seed=layer)
+                cache.append(layer, sid, k, v, p)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("request_ids", [[5, 9, 2, 8], [2]], ids=["fused", "view"])
+    def test_reused_structure_equals_a_fresh_read_field_by_field(self, quantized, request_ids):
+        from repro.core.ring_skip import kv_reach
+
+        cache = make_cache(quantized=quantized)
+        self.fill(cache)
+        first = cache.get(0, request_ids)
+        later = cache.get(1, request_ids)
+        fresh = cache.get(1, list(request_ids))  # an equal list is not the round's list
+        for name in self.FIELDS:
+            assert getattr(later, name) is getattr(first, name)
+            assert getattr(fresh, name) is not getattr(first, name)
+            got, want = getattr(later, name), getattr(fresh, name)
+            assert got == want if isinstance(want, dict) else np.array_equal(got, want)
+        np.testing.assert_array_equal(later.k, fresh.k)
+        np.testing.assert_array_equal(later.v, fresh.v)
+        assert not np.array_equal(later.k, first.k)  # K and V are layer 1's
+        assert later.reach == kv_reach(later.positions, later.seq_ids, later.runs)
+        for name in self.FIELDS[:3]:
+            with pytest.raises(ValueError):
+                getattr(later, name)[0] = 99
+
+    def test_a_length_mismatch_at_one_layer_raises(self):
+        """A layer that holds another token count than layer 0 is never
+        handed layer 0's structure: the read raises."""
+        cache = make_cache()
+        self.fill(cache)
+        cache.append(1, 2, *_rows([9]))  # layer 1 only
+        sids = [5, 2, 8]
+        cache.get(0, sids)
+        with pytest.raises(ValueError, match="same token set"):
+            cache.get(1, sids)
+        assert len(cache.get(1, list(sids))) == len(cache.get(0, sids)) + 1  # unshared reads still serve
+
+    def test_a_missing_stream_at_one_layer_raises(self):
+        cache = make_cache()
+        self.fill(cache)
+        self.fill(cache, sids=(4,), layers=(0,))
+        sids = [5, 4, 2, 8]
+        cache.get(0, sids)
+        with pytest.raises(ValueError, match="same token set"):
+            cache.get(1, sids)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda c: c.append(0, 2, *_rows([20])),
+            lambda c: c.drop_tail(8, 9),
+            lambda c: c.drop(5),
+            lambda c: c.share_prefix(5, 11, 6),
+        ],
+        ids=["append", "drop_tail", "drop", "share_prefix"],
+    )
+    def test_any_write_ends_the_sharing(self, write):
+        """A structure is a round's: after a write the next read derives its
+        own, from the streams as they now are."""
+        cache = make_cache()
+        self.fill(cache)
+        sids = [5, 2, 8]
+        stale = cache.get(0, sids)
+        write(cache)
+        later = cache.get(1, sids)
+        assert later.positions is not stale.positions
+        want = cache.get(1, list(sids))
+        np.testing.assert_array_equal(later.positions, want.positions)
+        np.testing.assert_array_equal(later.seq_ids, want.seq_ids)
 
 
 class TestCapacity:

@@ -81,6 +81,32 @@ class TestGrowth:
         assert cache.get(0, [9]).run_index == {}
 
 
+    def test_appending_to_an_existing_stream_allocates_no_stream(self, monkeypatch):
+        """``append`` looks its stream up and builds a ``_Stream`` only for a
+        (layer, sequence) it has not seen — not one per call to throw away."""
+        import repro.kvcache.cache as cache_module
+
+        built = []
+
+        class Counting(cache_module._Stream):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cache_module, "_Stream", Counting)
+        cache = make_cache()
+        cache.append(0, 7, *rows([0, 1]))
+        cache.append(1, 7, *rows([0, 1]))
+        assert len(built) == 2
+        for pos in range(2, 40):  # through several doublings
+            cache.append(0, 7, *rows([pos]))
+            cache.append(1, 7, *rows([pos]))
+        assert len(built) == 2
+        np.testing.assert_array_equal(cache.get(1, [7]).positions, np.arange(40))
+
+
 class TestReadsAreStable:
     @pytest.mark.parametrize("seq_ids", [[0], [0, 1]], ids=["view", "fused"])
     def test_append_never_changes_a_returned_read(self, seq_ids):

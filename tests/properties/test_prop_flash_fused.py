@@ -656,3 +656,140 @@ class TestShiftFree:
             ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos)
             np.testing.assert_allclose(res.out, ref_out, rtol=2e-6, atol=0)
             np.testing.assert_allclose(res.lse, ref_lse, rtol=2e-6, atol=0)
+
+
+# ---------------------------------------------------------------------- #
+# the one-row base case under the shift-free sweep (exactness twin of
+# bench_flash_decode_shape and bench_flash_decode_row_single)
+# ---------------------------------------------------------------------- #
+
+
+class _Tiles:
+    """Counts the ranges that went through the block loop (``_score_tiles``)."""
+
+    def __init__(self, patch):
+        self.count, inner = 0, flash._score_tiles
+
+        def counting(*sweep):
+            self.count += 1
+            return inner(*sweep)
+
+        patch.setattr(flash, "_score_tiles", counting)
+
+
+@st.composite
+def one_row_case(draw):
+    """A decode ring step as the kernel's varlen prelude hands it over: ``S``
+    segments of one query row against ragged keys padded to a common length
+    (a segment may keep none), holes in what is left, optionally one segment
+    dark outright, and scores optionally spread far outside ``exp``'s range."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    s = draw(st.integers(1, 12))
+    length = draw(st.integers(1, 24))
+    n_kv, g, dh = draw(st.sampled_from([(1, 1, 4), (2, 4, 8), (1, 16, 4)]))
+    rng = np.random.default_rng(seed)
+    spread = draw(st.sampled_from([1.0, 40.0]))
+    q = rng.standard_normal((s, 1, n_kv * g, dh)) * spread
+    k = rng.standard_normal((s, length, n_kv, dh)) * spread
+    v = rng.standard_normal((s, length, n_kv, dh))
+    mask = np.arange(length)[None, None, :] < rng.integers(0, length + 1, (s, 1, 1))  # pad keys
+    if draw(st.booleans()):
+        mask &= rng.random((s, 1, length)) < 0.7
+    if draw(st.booleans()):
+        mask[draw(st.integers(0, s - 1))] = False
+    return q, k, v, mask
+
+
+class TestOneRowBaseCase:
+    @given(one_row_case(), st.sampled_from([np.float64, np.float32]), st.booleans())
+    @settings(**SETTINGS)
+    def test_equals_the_shifted_sweep_and_the_reference(self, case, dtype, skip):
+        """One row per segment, keys inside one block: no tile is cut, and the
+        result is the shifted sweep's and the reference oracle's to the
+        contract, blind rows and the dark segment ``O = 0, LSE = -inf`` in
+        all three. Scores in range never pay for the fallback; out of range
+        (spread 40) it answers. Kills: the mask dropped (pad keys attended);
+        ``exp`` of an unseen score left in ``den``; a blind row divided
+        through; ``acc`` or ``den`` left in the compute dtype's layout."""
+        q, k, v, mask = case
+        scale = 1.0 / np.sqrt(q.shape[-1])
+        args = (q, k, v, mask, scale, mask.shape[2], 1, skip, np.dtype(dtype))
+        with pytest.MonkeyPatch.context() as patch:
+            tiles, fallbacks = _Tiles(patch), _Fallbacks(patch)
+            out, lse = flash._attend(*args)
+            assert tiles.count == fallbacks.count  # (a fallback goes through the block loop)
+            taken = fallbacks.count
+            ref_out, ref_lse = _shifted(flash._attend, *args)
+        assert out.dtype == lse.dtype == np.float64
+        _assert_close(dtype, out, lse, ref_out, ref_lse)
+        dark = ~mask.any(axis=2)
+        assert np.all(np.isneginf(lse[dark])) and np.all(out[dark] == 0)
+        assert np.all(np.isfinite(lse[~dark]))
+        scores = np.einsum("srhd,skhd->srhk", q, np.repeat(k, q.shape[2] // k.shape[2], axis=2)) * scale
+        in_range = np.abs(scores).max() < 30  # exp stays inside sqrt(finfo) of either dtype
+        if in_range:
+            assert taken == 0
+        if in_range or dtype is np.float64:  # (fp32 rounds a score of 1e3 by more than the contract)
+            for seg in range(q.shape[0]):
+                oracle = reference_attention_with_lse(q[seg], k[seg], v[seg], mask_fn=lambda *_: mask[seg])
+                _assert_close(dtype, out[seg], lse[seg], *oracle)
+
+    @pytest.mark.parametrize(
+        "dtype,score", [(np.float64, 800.0), (np.float64, -800.0), (np.float32, 100.0), (np.float32, -100.0)]
+    )
+    def test_out_of_range_returns_none_and_the_fallback_answers(self, dtype, score):
+        """A decode row whose every score is ``+score`` (``exp`` overflows) or
+        ``-score`` (``den`` flushes to zero in a row that sees keys) beside an
+        ordinary row and a blind one: the base case must return ``None`` —
+        not a clean-looking ``O = 0, LSE = -inf`` — and the shifted sweep
+        answer. Kills: the range check skipped on the base case; the
+        blind-row rule taken from ``den == 0`` alone."""
+        rng = np.random.default_rng(6)
+        q = np.zeros((3, 1, 1, 4))
+        k = np.zeros((3, 5, 1, 4))
+        q[..., 0], k[..., 0] = 2.0, 1.0 + 0.01 * np.arange(5)[None, :, None]  # score = q0 * k0 / 2
+        q[1, 0, 0, 0] = 2.0 * score
+        v = rng.standard_normal((3, 5, 1, 4))
+        mask = np.ones((3, 1, 5), dtype=bool)
+        mask[2] = False
+        args = (q, k, v, mask, 0.5, 128, 1, True, np.dtype(dtype))
+        returned = []
+        with pytest.MonkeyPatch.context() as patch:
+            inner = flash._sweep_additive
+            patch.setattr(flash, "_sweep_additive", lambda *sweep: returned.append(inner(*sweep)) or returned[-1])
+            fallbacks = _Fallbacks(patch)
+            out, lse = flash._attend(*args)
+        assert returned == [None] and fallbacks.count == 1
+        for seg in range(3):
+            oracle = reference_attention_with_lse(
+                q[seg], k[seg], v[seg], scale=0.5, mask_fn=lambda *_: mask[seg]
+            )
+            _assert_close(dtype, out[seg], lse[seg], *oracle)
+        assert np.all(np.isneginf(lse[2])) and np.all(np.isfinite(lse[:2]))
+
+    @pytest.mark.parametrize("keys,block_size,through_the_loop", [(8, 8, 0), (8, 128, 0), (9, 8, 1), (16, 8, 1)])
+    def test_only_one_row_in_one_block_takes_it(self, keys, block_size, through_the_loop):
+        """``R = 1`` over two blocks is the block loop's; so is ``R = 2`` in
+        one block. Both still equal the reference."""
+        rng = np.random.default_rng(7)
+        k, v = rng.standard_normal((2, keys, 2, 4))
+        for rows, looped in ((1, through_the_loop), (2, 1)):
+            q = rng.standard_normal((rows, 4, 4))
+            q_pos = np.full(rows, keys)
+            with pytest.MonkeyPatch.context() as patch:
+                tiles = _Tiles(patch)
+                res = flash_attention(q, k, v, q_pos=q_pos, block_size=block_size)
+            assert tiles.count == looped
+            _assert_matches(res, *reference_attention_with_lse(q, k, v, q_pos=q_pos))
+
+    def test_split_kv_decode_takes_it_per_split(self):
+        """Flash-Decoding's split-KV: each split of a one-row call is a
+        one-block range of its own, merged by the recurrence."""
+        rng = np.random.default_rng(8)
+        q = rng.standard_normal((1, 4, 8))
+        k, v = rng.standard_normal((2, 40, 2, 8))
+        with pytest.MonkeyPatch.context() as patch:
+            tiles = _Tiles(patch)
+            res = flash_attention(q, k, v, q_pos=np.array([40]), num_kv_splits=4)
+        assert tiles.count == 0
+        _assert_matches(res, *reference_attention_with_lse(q, k, v, q_pos=np.array([40])))

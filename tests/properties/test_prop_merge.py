@@ -183,3 +183,68 @@ class TestOneShotEqualsSequential:
         empties = [AttentionResult.empty(4, 2, 8) for _ in range(3)]
         merged = merge_partials(empties)
         assert np.all(merged.out == 0) and np.all(np.isneginf(merged.lse))
+
+
+# ---------------------------------------------------------------------- #
+# one stacked reduction per ring vs N per-rank merges (exactness twin of
+# bench_ring_decode_cp4)
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def exchanged_set(draw):
+    """What the decode ring holds after its All2All: ``restored[rank][origin]``,
+    N x N float64 ``(out, lse)`` pairs of one padded shape — skipped shards
+    (one shared identity pair), pad rows empty in every partial, a rank whose
+    rows are all pad (it owns no batch slot), rows empty in some."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    n = draw(st.integers(1, 5))
+    t, nh, dh = draw(st.integers(0, 5)), draw(st.sampled_from([1, 4])), 4
+    rng = np.random.default_rng(seed)
+    identity = AttentionResult.empty(t, nh, dh)
+    identity = (identity.out, identity.lse)
+    idle_ranks = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    restored = []
+    for rank in range(n):
+        pad_rows = sorted(draw(st.sets(st.integers(0, max(t - 1, 0)), max_size=t)))
+        row = []
+        for _origin in range(n):
+            if rank in idle_ranks or draw(st.booleans()):
+                row.append(identity)
+                continue
+            lse = rng.normal(scale=draw(st.sampled_from([1.0, 30.0])), size=(t, nh))
+            out = rng.standard_normal((t, nh, dh))
+            dark = rng.random((t, nh)) < 0.15
+            dark[pad_rows] = True
+            lse[dark], out[dark] = -np.inf, 0.0
+            row.append((out, lse))
+        restored.append(row)
+    return restored
+
+
+class TestStackedEqualsPerRank:
+    @given(exchanged_set())
+    @settings(**SETTINGS)
+    def test_bit_for_bit_and_to_contract(self, restored):
+        """The ring's one reduction over ``[origin, rank, row, ...]`` is, rank
+        by rank, ``merge_partials`` of that rank's N partials bit for bit —
+        the same routine — and ``OnlineSoftmaxState`` to the contract, with
+        the identical ``O = 0, LSE = -inf`` rows. Kills: the reduction run
+        down the rank axis; a rank's all-empty rows shifted by ``-inf``."""
+        from repro.core.merge import merge_exchanged
+
+        with np.errstate(invalid="raise"):
+            out, lse = merge_exchanged(restored)
+        assert out.dtype == lse.dtype == np.float64
+        assert out.shape[:2] == lse.shape[:2] == (len(restored), restored[0][0][0].shape[0])
+        for rank, pairs in enumerate(restored):
+            partials = [AttentionResult(out=o, lse=l) for o, l in pairs]
+            per_rank = merge_partials(partials)
+            assert np.array_equal(out[rank], per_rank.out)
+            assert np.array_equal(lse[rank], per_rank.lse)
+            ref_out, ref_lse = _sequential(partials)
+            empty = np.isneginf(ref_lse)
+            assert np.array_equal(np.isneginf(lse[rank]), empty)
+            assert np.all(out[rank][empty] == 0)
+            np.testing.assert_allclose(out[rank], ref_out, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(lse[rank][~empty], ref_lse[~empty], atol=1e-12, rtol=0)
