@@ -325,20 +325,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else f"CP{pools[0]} prefill -> CP{pools[1]} decode"
     )
     fleet = None
-    if args.replicas == 1:
-        # the bare-runtime path, untouched: a 1-replica fleet's output is
-        # byte-identical to this (the metamorphic property), so keep the
-        # simple object when there is nothing to route
-        runtime = make_runtime()
-    else:
-        from repro.cluster import ReplicaFleet, make_router
+    try:
+        if args.replicas == 1:
+            # the bare-runtime path, untouched: a 1-replica fleet's output is
+            # byte-identical to this (the metamorphic property), so keep the
+            # simple object when there is nothing to route
+            runtime = make_runtime()
+        else:
+            from repro.cluster import ReplicaFleet, make_router
 
-        routing = args.routing if args.routing is not None else "prefix"
-        fleet = ReplicaFleet.build(
-            make_runtime, args.replicas, router=make_router(routing), tracer=tracer
-        )
-        runtime = fleet
-        deploy = f"{args.replicas} x {deploy} ({routing} routing)"
+            routing = args.routing if args.routing is not None else "prefix"
+            fleet = ReplicaFleet.build(
+                make_runtime, args.replicas, router=make_router(routing), tracer=tracer
+            )
+            runtime = fleet
+            deploy = f"{args.replicas} x {deploy} ({routing} routing)"
+    except ValueError as exc:
+        # the engines and runtimes validate their own configuration (a KV
+        # capacity below one token, ...): report it before any time passes
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rids = submit_scripts_to_runtime(runtime, scripts)
     report = runtime.run(max_steps=1_000_000)
 

@@ -40,7 +40,7 @@ import numpy as np
 from repro.cluster.router import PrefixAffinityRouter, Router
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.runtime import ContinuousBatchingRuntime, RuntimeReport
-from repro.runtime.state import RequestRecord, RequestState, TurnRequest
+from repro.runtime.state import RequestRecord, RequestState, TurnRequest, script_turns
 from repro.serving.metrics import FleetMetrics
 from repro.workloads.generator import ConversationScript
 
@@ -327,26 +327,10 @@ class ReplicaFleet:
         which is what lets :func:`repro.workloads.replay
         .submit_scripts_to_runtime` duck-type over runtimes and fleets.
         """
-        if think_time < 0:
-            raise ValueError("think_time must be >= 0")
-        rids = []
-        n = script.turns
-        for i, (prompt, budget) in enumerate(
-            zip(script.prompts, script.response_budgets)
-        ):
-            rids.append(
-                self.submit(
-                    TurnRequest(
-                        request_id=-1,
-                        seq_id=script.seq_id,
-                        prompt=prompt,
-                        max_new_tokens=int(budget),
-                        arrival=arrival + i * think_time,
-                        last_turn=(i == n - 1),
-                    )
-                )
-            )
-        return rids
+        return [
+            self.submit(turn)
+            for turn in script_turns(script, arrival=arrival, think_time=think_time)
+        ]
 
     def placements(self) -> dict[int, int]:
         """Routing outcome so far: conversation seq_id -> replica id."""

@@ -106,7 +106,7 @@ class RankKVCache:
         head_dim: head dimension.
         capacity_tokens: optional per-rank token budget, enforced per layer
             (every layer stores the same token set, so one layer's pool is
-            the binding constraint). ``None`` = unbounded.
+            the binding constraint), at least 1. ``None`` = unbounded.
         block_size: paged-allocator block size in tokens.
         quantized: store KV int8-quantized per (token, head) (paper §2.2's
             memory lever); reads dequantize transparently, trading exact
@@ -125,6 +125,10 @@ class RankKVCache:
     ):
         if n_layers < 1:
             raise ValueError(f"n_layers must be >= 1, got {n_layers}")
+        if capacity_tokens is not None and capacity_tokens < 1:
+            # a pool that cannot hold one token fails every round it is
+            # offered: refuse it here, not at the first prefill
+            raise ValueError(f"capacity_tokens must be >= 1 (or None), got {capacity_tokens}")
         self.n_layers = n_layers
         self.n_kv_heads = n_kv_heads
         self.head_dim = head_dim

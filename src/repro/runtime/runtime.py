@@ -36,11 +36,10 @@ Scheduling model (event-driven, deterministic):
   previous chunks committed, so a long prompt never monopolizes the
   engine and the heuristic can flip to pass-Q as the chunk-local
   cache-hit rate climbs.
-- **Decode interleaving** (colocated): when requests are decoding, at
-  most ``max_prefill_rounds_per_decode`` prefill rounds run between
-  batched decode rounds. Disaggregated pools do not interleave — they run
-  concurrently, and the event loop simply advances whichever pool's clock
-  is behind.
+- **Decode interleaving** (colocated): when requests are decoding, one
+  prefill round runs between batched decode rounds. Disaggregated pools
+  do not interleave — they run concurrently, and the event loop simply
+  advances whichever pool's clock is behind.
 - **KV transfer** (disaggregated): when a turn's last prefill chunk
   commits, its first token streams immediately from the prefill pool's
   logits (TTFT does not wait for the wire); the request then sits in
@@ -54,9 +53,11 @@ Scheduling model (event-driven, deterministic):
   against that pool's paged allocator. Under pressure a pool evicts, in
   order: idle conversations (between turns), then the *youngest* active
   request — never one older than any beneficiary of the round, so
-  admission stays FCFS. A transfer landing is admission-checked the same
-  way and is *refused* (left on the wire, retried) when the decode pool
-  cannot make room. A request evicted mid-transfer has its transfer
+  admission stays FCFS, and never the oldest live request. One victim
+  loop (``_make_room``) serves all four admission points (prefill fit,
+  decode fit, transfer landing, swap-in); a landing that cannot make
+  room is *refused* (left on the wire, retried). A request evicted
+  mid-transfer has its transfer
   cancelled (only wire time already streamed is sunk; a still-queued
   payload refunds its reservation and successors re-pack). Because the
   algorithms are exact for any sharding and chunking, the resumed
@@ -74,9 +75,10 @@ Scheduling model (event-driven, deterministic):
   ``clock.price_swap(tokens)`` PCIe cost, and imports it back — same
   price again — once the pool readmits it, with *no* recompute in either
   direction: a decode victim resumes decoding its pending token
-  directly. Both new remedies fall back to full eviction when they
-  cannot apply (mid-transfer victims, a full host store, a prefix
-  already trimmed to nothing, a payload larger than the empty pool).
+  directly. The remedy is one ladder: the configured rung, then full
+  eviction, which always applies — so trim and swap fall back to it when
+  they cannot (mid-transfer victims, a full host store, a prefix already
+  trimmed to nothing, a payload larger than the empty pool).
   DistServe/Mooncake-class systems trade HBM this way; the discrete
   clocks price each remedy honestly, and none of them may change tokens.
 - **Shared-prefix reuse** (``prefix_cache=True``): admission matches
@@ -129,7 +131,7 @@ from repro.obs.trace import EventStream
 from repro.runtime.clock import UnitStepClock
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.pool import Pool
-from repro.runtime.state import RequestRecord, RequestState, TurnRequest
+from repro.runtime.state import RequestRecord, RequestState, TurnRequest, script_turns
 from repro.runtime.transfer import KVTransferStream
 from repro.serving.metrics import ServingMetrics
 from repro.serving.request import TurnRecord
@@ -138,6 +140,12 @@ from repro.workloads.generator import ConversationScript
 
 #: States in which a request occupies (or is about to occupy) engine KV.
 _ACTIVE_STATES = (RequestState.PREFILL, RequestState.KV_TRANSFER, RequestState.DECODE)
+#: ... plus PREEMPTED: a tail-trimmed residue queued for re-prefill still
+#: holds KV as a request (see :meth:`ContinuousBatchingRuntime._active_in`).
+_HOLDING_STATES = _ACTIVE_STATES + (RequestState.PREEMPTED,)
+
+#: FCFS order of a request: ``(arrival, request_id)``.
+_Key = tuple[float, int]
 
 #: Pool roles: metrics keys, trace labels, and the keys of the runtime's
 #: role -> :class:`Pool` map.
@@ -237,13 +245,7 @@ class ContinuousBatchingRuntime:
         policy: chunked-prefill round packing (default 512-token chunks,
             test scale).
         clock: round pricer (default :class:`UnitStepClock`); also prices
-            KV transfers when disaggregated.
-        transfer_stream: override the KV channel (defaults to a
-            :class:`KVTransferStream` on ``clock``); ignored colocated.
-        max_prefill_rounds_per_decode: prefill rounds allowed between
-            decode rounds while any request is decoding (>= 1). Higher
-            values favour TTFT over TTIT. Only meaningful colocated —
-            disaggregated pools never contend.
+            the :class:`KVTransferStream` when disaggregated.
         preemption: eviction remedy — ``"recompute"`` (full evict +
             exact re-prefill, the default), ``"trim"`` (tail-trim: drop
             newest KV only, re-prefill just the suffix), or ``"swap"``
@@ -293,8 +295,6 @@ class ContinuousBatchingRuntime:
         decode_engine: ContextParallelEngine | None = None,
         policy: ChunkedPrefillPolicy | None = None,
         clock=None,
-        transfer_stream: KVTransferStream | None = None,
-        max_prefill_rounds_per_decode: int = 1,
         preemption: str = "recompute",
         swap_capacity_tokens: int | None = None,
         prefix_cache: bool = False,
@@ -302,11 +302,10 @@ class ContinuousBatchingRuntime:
         sanitize: bool = False,
         tracer=None,
     ):
-        if max_prefill_rounds_per_decode < 1:
-            raise ValueError(
-                f"max_prefill_rounds_per_decode must be >= 1, got {max_prefill_rounds_per_decode}"
-            )
-        if preemption not in ("recompute", "trim", "swap"):
+        # the remedy ladder: the configured rung (a method returning whether
+        # it applied), then full eviction — _evict's tail, which always applies
+        rungs = {"recompute": (), "trim": (self._trim,), "swap": (self._swap_out,)}
+        if preemption not in rungs:
             raise ValueError(
                 f"preemption must be one of 'recompute', 'trim', 'swap', got {preemption!r}"
             )
@@ -346,16 +345,12 @@ class ContinuousBatchingRuntime:
         self.metrics = ServingMetrics()
         self.tracer = EventStream(self.metrics.fold, tracer)
         self.transfer_stream = (
-            (
-                transfer_stream
-                if transfer_stream is not None
-                else KVTransferStream(self.clock, tracer=self.tracer.scoped(pool="wire"))
-            )
+            KVTransferStream(self.clock, tracer=self.tracer.scoped(pool="wire"))
             if self.disaggregated
             else None
         )
-        self.max_prefill_rounds_per_decode = max_prefill_rounds_per_decode
         self.preemption = preemption
+        self._rungs = rungs[preemption]
         self.swap_capacity_tokens = swap_capacity_tokens
         self.faults = faults
         self._injector = (
@@ -369,15 +364,15 @@ class ContinuousBatchingRuntime:
         self.prefix_index = self.engine.enable_prefix_cache() if prefix_cache else None
         # requests whose KV sits in a pool's host store (swap remedy), FCFS
         # by (arrival, rid), with the role they were evicted under
-        self._swap_wait: list[tuple[tuple[float, int], int, str]] = []
+        self._swap_wait: list[tuple[_Key, int, str]] = []
 
         self.prefill_rounds = 0
         self.decode_rounds = 0
         self._records: dict[int, RequestRecord] = {}
         self._chains: dict[int, list[int]] = {}  # seq_id -> unfinished turn rids, in order
         self._turn_history: dict[int, list[int]] = {}  # seq_id -> tokens of finished turns
-        self._prefill_queue: list[tuple[tuple[float, int], int]] = []  # (sort key, rid)
-        self._prefill_streak = 0
+        self._prefill_queue: list[tuple[_Key, int]] = []  # (sort key, rid)
+        self._prefill_since_decode = False  # the pick rule's ration
         self._next_rid = 0
         # incremental indices so per-step bookkeeping is O(active), not
         # O(all requests ever submitted); _records itself retains finished
@@ -444,24 +439,10 @@ class ContinuousBatchingRuntime:
         Turn ``i`` arrives no earlier than ``arrival + i * think_time``
         (and never before its predecessor finishes).
         """
-        if think_time < 0:
-            raise ValueError("think_time must be >= 0")
-        rids = []
-        n = script.turns
-        for i, (prompt, budget) in enumerate(zip(script.prompts, script.response_budgets)):
-            rids.append(
-                self.submit(
-                    TurnRequest(
-                        request_id=-1,
-                        seq_id=script.seq_id,
-                        prompt=prompt,
-                        max_new_tokens=int(budget),
-                        arrival=arrival + i * think_time,
-                        last_turn=(i == n - 1),
-                    )
-                )
-            )
-        return rids
+        return [
+            self.submit(turn)
+            for turn in script_turns(script, arrival=arrival, think_time=think_time)
+        ]
 
     # ------------------------------------------------------------------ #
     # event loop
@@ -518,7 +499,7 @@ class ContinuousBatchingRuntime:
         decoders = self._decoders()
         if ready and self._prefill_goes_first(decoders):
             if self._prefill_round(ready):
-                self._prefill_streak += 1
+                self._prefill_since_decode = True
                 return self._any_live()
             decoders = self._decoders()  # fit loop may have preempted some
             if not decoders:
@@ -536,7 +517,7 @@ class ContinuousBatchingRuntime:
                 )
         if decoders:
             self._decode_round(decoders)
-            self._prefill_streak = 0
+            self._prefill_since_decode = False
         return self._any_live()
 
     def _wake_idle_pools(self) -> bool:
@@ -582,16 +563,15 @@ class ContinuousBatchingRuntime:
         """Whether ready prefill work runs before the waiting decoders.
 
         Shape-dependent rule 2 of 2. On a shared pool the two contend, so
-        prefill is rationed: at most ``max_prefill_rounds_per_decode``
-        rounds between decode rounds. Separate pools run concurrently;
-        the event loop just advances whichever clock is behind (ties go
-        to prefill).
+        prefill is rationed: one round between decode rounds. Separate
+        pools run concurrently; the event loop just advances whichever
+        clock is behind (ties go to prefill).
         """
         if not decoders:
             return True
         prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
         if prefill is decode:
-            return self._prefill_streak < self.max_prefill_rounds_per_decode
+            return not self._prefill_since_decode
         return prefill.t <= decode.t
 
     def _wedged(self, message: str) -> RuntimeError:
@@ -737,7 +717,7 @@ class ContinuousBatchingRuntime:
         key = (rec.request.arrival, rec.request_id)
         bisect.insort(self._prefill_queue, (key, rec.request_id))
 
-    def _ready_prefill_entries(self) -> list[tuple[tuple[float, int], int]]:
+    def _ready_prefill_entries(self) -> list[tuple[_Key, int]]:
         """FIFO entries allowed to occupy a prefill round at the current
         prefill-pool time (``ready_at`` keeps pool clocks causal)."""
         now = self._pools[POOL_PREFILL].t
@@ -842,7 +822,7 @@ class ContinuousBatchingRuntime:
     # prefill rounds
     # ------------------------------------------------------------------ #
 
-    def _prefill_round(self, entries: list[tuple[tuple[float, int], int]]) -> bool:
+    def _prefill_round(self, entries: list[tuple[_Key, int]]) -> bool:
         """Build, fit and execute one chunked prefill round over the
         ready FIFO ``entries``.
 
@@ -980,27 +960,28 @@ class ContinuousBatchingRuntime:
         qualify, the round drops its own youngest member instead, and the
         last remaining chunk shrinks down to whatever fits.
         """
-        pool = self._pools[POOL_PREFILL]
-        engine = pool.engine
-        while round_:
+        engine = self._pools[POOL_PREFILL].engine
+
+        def fits() -> bool:
             specs = [
                 SequenceSpec(c.seq_id, c.tokens, engine.context_length(c.seq_id))
                 for c in round_
             ]
-            if engine.fits(engine.prefill_token_demand(specs)):
-                return round_
+            return engine.fits(engine.prefill_token_demand(specs))
+
+        while round_:
             tail_key = max(
                 (by_seq[c.seq_id].request.arrival, by_seq[c.seq_id].request_id)
                 for c in round_
             )
-            victim = self._find_victim(
-                role=POOL_PREFILL,
+            if self._make_room(
+                POOL_PREFILL,
+                fits,
                 protected={c.seq_id for c in round_},
                 younger_than=tail_key,
-            )
-            if victim is not None:
-                self._evict(victim, role=POOL_PREFILL, at=pool.t, reason="prefill_fit")
-                continue
+                reason="prefill_fit",
+            ):
+                return round_
             if len(round_) > 1:
                 # drop the youngest member by FCFS key — under SRPF
                 # packing the positional tail is the *longest-remaining*
@@ -1105,29 +1086,22 @@ class ContinuousBatchingRuntime:
                 landed = True
                 continue
             demand = decode.engine.import_token_demand(sid, tokens)
-            admitted = True
-            while not decode.engine.fits(demand):
-                victim = self._find_victim(
-                    role=POOL_DECODE,
-                    protected={sid},
-                    younger_than=(rec.request.arrival, rec.request_id),
-                )
-                if victim is None:
-                    if not transfer.refused:
-                        transfer.refused = True
-                        self.tracer.instant(
-                            "kv_transfer_refused",
-                            decode.t,
-                            pool=POOL_DECODE,
-                            request_id=rec.request_id,
-                            seq_id=sid,
-                        )
-                    admitted = False
-                    break
-                self._evict(
-                    victim, role=POOL_DECODE, at=decode.t, reason="transfer_admission"
-                )
-            if not admitted:
+            if not self._make_room(
+                POOL_DECODE,
+                lambda: decode.engine.fits(demand),
+                protected={sid},
+                younger_than=(rec.request.arrival, rec.request_id),
+                reason="transfer_admission",
+            ):
+                if not transfer.refused:
+                    transfer.refused = True
+                    self.tracer.instant(
+                        "kv_transfer_refused",
+                        decode.t,
+                        pool=POOL_DECODE,
+                        request_id=rec.request_id,
+                        seq_id=sid,
+                    )
                 continue
             export = prefill.engine.export_kv(sid, start_pos=start_pos)
             decode.engine.import_kv(export)
@@ -1159,37 +1133,21 @@ class ContinuousBatchingRuntime:
         pool = self._pools[POOL_DECODE]
         engine = pool.engine
         live = sorted(decoders, key=lambda r: (r.request.arrival, r.request_id))
-        while live:
-            sids = [r.seq_id for r in live]
-            if engine.fits(engine.decode_token_demand(sids)):
-                break
-            victim = self._find_victim(role=POOL_DECODE, protected=set(), younger_than=None)
-            if victim is None:
-                raise self._wedged(
-                    "KV capacity exhausted: a decode step cannot fit even "
-                    "after evicting every eligible victim"
-                )
-            if isinstance(victim, RequestRecord) and len(live) == 1 and victim is live[0]:
-                # the sole decoder is itself the youngest KV holder.
-                # Preempting it only makes sense when a strictly older
-                # request is waiting for the space (FCFS hands the pool
-                # over); otherwise re-prefill would just hit this same
-                # wall and the workload genuinely exceeds capacity.
-                vkey = (victim.request.arrival, victim.request_id)
-                older_waiting = any(
-                    (self._records[rid].request.arrival, rid) < vkey
-                    for rid in self._live
-                    if rid != victim.request_id
-                )
-                if not older_waiting:
-                    raise self._wedged(
-                        "KV capacity exhausted: the last decoding request "
-                        "cannot fit its next token and no older request is "
-                        "waiting for the space"
-                    )
-            self._evict(victim, role=POOL_DECODE, at=pool.t, reason="decode_fit")
-            if isinstance(victim, RequestRecord) and victim in live:
-                live.remove(victim)
+
+        def fits() -> bool:
+            # a decoder taken as a victim leaves the batch; none left fits
+            sids = [r.seq_id for r in live if r.request_id in self._decoding]
+            return not sids or engine.fits(engine.decode_token_demand(sids))
+
+        if not self._make_room(
+            POOL_DECODE, fits, protected=set(), younger_than=None, reason="decode_fit"
+        ):
+            raise self._wedged(
+                "KV capacity exhausted: a decode step cannot fit even after "
+                "evicting every eligible victim (the oldest live request is "
+                "never one)"
+            )
+        live = [r for r in live if r.request_id in self._decoding]
         if not live:
             return
 
@@ -1230,19 +1188,40 @@ class ContinuousBatchingRuntime:
         if rec.state not in _ACTIVE_STATES:
             raise ValueError(f"request {request_id} is {rec.state.value}, not preemptible")
         role = self._role_of(rec)
-        self._evict(rec, role=role, at=self._pools[role].t, reason="external")
+        self._evict(rec.seq_id, rec, role=role, at=self._pools[role].t, reason="external")
+
+    def _make_room(
+        self, role: str, fits, *, protected: set[int], younger_than: _Key | None, reason: str
+    ) -> bool:
+        """Evict :meth:`_find_victim`'s picks from ``role``'s pool until
+        ``fits()`` holds; ``False`` when it still does not and nothing is
+        left to evict.
+
+        The one victim loop behind all four admission points (prefill
+        fit, decode fit, transfer landing, swap-in). ``fits`` is probed
+        once before each eviction and once after the last, never more.
+        ``reason`` names the pressure source for the trace.
+        """
+        pool = self._pools[role]
+        while not fits():
+            victim = self._find_victim(role=role, protected=protected, younger_than=younger_than)
+            if victim is None:
+                return False
+            self._evict(*victim, role=role, at=pool.t, reason=reason)
+        return True
 
     def _find_victim(
-        self,
-        *,
-        role: str,
-        protected: set[int],
-        younger_than: tuple[float, int] | None,
-    ):
-        """Next KV holder of ``role``'s pool to evict: idle conversations
-        first (no pending turn, then latest next-arrival), then the
-        youngest active request (only if younger than ``younger_than``
-        when given). ``None`` when nothing is evictable."""
+        self, *, role: str, protected: set[int], younger_than: _Key | None
+    ) -> tuple[int, RequestRecord | None] | None:
+        """Next KV holder of ``role``'s pool to evict, as ``(seq_id, rec)``:
+        idle conversations first (``rec`` is ``None``; no pending turn,
+        then latest next-arrival), then the youngest active request, only
+        if it is younger than ``younger_than``. ``None`` when nothing is
+        evictable.
+
+        ``younger_than=None`` bounds by the oldest live request, which is
+        never a victim: evicting it could only hand its space to a younger
+        request, or send it to re-prefill into the same wall (a livelock)."""
         pool = self._pools[role]
         idle_free, idle_pending = [], []
         for seq_id in sorted(pool.holders):
@@ -1262,27 +1241,31 @@ class ContinuousBatchingRuntime:
                 # safely re-shippable
                 idle_pending.append((head.request.arrival, seq_id))
         if idle_free:
-            return self._pick_idle_free(idle_free)
+            return self._pick_idle_free(idle_free), None
         if idle_pending:
-            return max(idle_pending)[1]
+            return max(idle_pending)[1], None
 
-        # PREEMPTED requests holding KV are tail-trimmed residue queued
-        # for re-prefill; they count as (young) active holders so further
-        # pressure trims or evicts them through record bookkeeping
         candidates = [
             rec
             for rec in (self._records[rid] for rid in sorted(self._live))
-            if (rec.state in _ACTIVE_STATES or rec.state is RequestState.PREEMPTED)
+            if self._active_in(rec, pool)
             and rec.seq_id not in protected
-            and self._pools[self._role_of(rec)] is pool
             and pool.engine.context_length(rec.seq_id) > 0
         ]
         if not candidates:
             return None
         rec = max(candidates, key=lambda r: (r.request.arrival, r.request_id))
-        if younger_than is not None and (rec.request.arrival, rec.request_id) <= younger_than:
+        if younger_than is None:
+            younger_than = min((self._records[rid].request.arrival, rid) for rid in self._live)
+        if (rec.request.arrival, rec.request_id) <= younger_than:
             return None
-        return rec
+        return rec.seq_id, rec
+
+    def _active_in(self, rec: RequestRecord, pool: Pool) -> bool:
+        """Whether ``rec`` holds KV in ``pool`` as a request, not as an
+        idle copy: prefilling, in transfer or decoding there, or PREEMPTED
+        with a tail-trimmed residue (in the prefill pool) to re-prefill."""
+        return rec.state in _HOLDING_STATES and self._pools[self._role_of(rec)] is pool
 
     def _pick_idle_free(self, idle_free: list[int]) -> int:
         """Order the no-pending-turn eviction bucket.
@@ -1308,46 +1291,55 @@ class ContinuousBatchingRuntime:
             return min(sessions)
         return min(idle_free, key=lambda s: (self.prefix_index.last_used(s), s))
 
-    def _evict(self, victim, *, role: str, at: float, reason: str = "capacity") -> None:
-        """Apply the configured remedy to an idle conversation (``int``
-        seq id) or an active request. Trim and swap fall back to full
-        eviction when they cannot apply. ``reason`` names the pressure
-        source for the trace (``prefill_fit``, ``decode_fit``,
-        ``transfer_admission``, ``swap_in_admission``, ``external``,
-        ``fault_fallback``, ``pool_reset``)."""
-        if not isinstance(victim, RequestRecord) and victim not in self._chains:
+    def _evict(
+        self, seq_id: int, rec: RequestRecord | None, *, role: str, at: float, reason: str
+    ) -> None:
+        """Free ``seq_id``'s KV in ``role``'s pool down the remedy ladder:
+        the configured rung, then full eviction, which always applies.
+        ``rec`` is the active request holding the KV, ``None`` for an idle
+        conversation. ``reason`` names the pressure source for the trace
+        (``prefill_fit``, ``decode_fit``, ``transfer_admission``,
+        ``swap_in_admission``, ``external``)."""
+        if rec is None and seq_id not in self._chains:
             # a finished conversation's cached prefix resident: there is
             # no request to remedy, so LRU-drop it whole — the allocator's
             # refcounts keep any blocks still shared with live adopters
             # claimed, and the index stops matching it
-            self._evict_cached_prefix(victim, role=role, at=at)
+            self._evict_cached_prefix(seq_id, role=role, at=at)
             return
-        if self.preemption == "trim" and self._try_trim(
-            victim, role=role, at=at, reason=reason
-        ):
+        # a mid-transfer victim skips the rungs: the payload on the wire
+        # references its prefill-pool KV
+        if rec is None or rec.state is not RequestState.KV_TRANSFER:
+            for rung in self._rungs:
+                if rung(seq_id, rec, role=role, at=at, reason=reason):
+                    return
+        if rec is not None:
+            self._preempt_record(rec, at=at, reason=reason)
             return
-        if self.preemption == "swap" and self._try_swap_out(
-            victim, role=role, at=at, reason=reason
-        ):
-            return
-        if isinstance(victim, RequestRecord):
-            self._preempt_record(victim, at=at, reason=reason)
-            return
-        freed = self._pools[role].evict(victim)
+        freed = self._pools[role].evict(seq_id)
+        self._note_preempt(
+            seq_id, None, role=role, at=at, remedy="recompute", reason=reason, evicted=freed
+        )
+
+    def _note_preempt(
+        self, seq_id: int, rec: RequestRecord | None, *, role: str, at: float, **fields
+    ) -> None:
+        """The ``preempt`` event every rung files. ``fields`` are the
+        remedy, the reason and the KV count under the key the remedy's
+        fold row reads: ``evicted=`` for full eviction, ``tokens=`` for
+        trim and swap (``remedy="swap"`` feeds no counter: ``swap_out``
+        counted it)."""
         self.tracer.instant(
             "preempt",
             at,
             pool=role,
-            seq_id=victim,
-            remedy="recompute",
-            reason=reason,
-            victim="idle",
-            evicted=freed,
+            request_id=None if rec is None else rec.request_id,
+            seq_id=seq_id,
+            victim="idle" if rec is None else "active",
+            **fields,
         )
 
-    def _preempt_record(
-        self, rec: RequestRecord, *, at: float, reason: str = "capacity"
-    ) -> None:
+    def _preempt_record(self, rec: RequestRecord, *, at: float, reason: str) -> None:
         """Full eviction of an active request (recompute on resume)."""
         role = self._role_of(rec)
         pool = self._pools[role]
@@ -1371,16 +1363,8 @@ class ContinuousBatchingRuntime:
                 rec.prefix_hit = False
                 if pool is self._pools[POOL_DECODE]:
                     rec.cached_at_start = 0
-        self.tracer.instant(
-            "preempt",
-            at,
-            pool=role,
-            request_id=rec.request_id,
-            seq_id=rec.seq_id,
-            remedy="recompute",
-            reason=reason,
-            victim="active",
-            evicted=freed,
+        self._note_preempt(
+            rec.seq_id, rec, role=role, at=at, remedy="recompute", reason=reason, evicted=freed
         )
         self._reschedule_preempted(rec, at=at)
 
@@ -1441,27 +1425,24 @@ class ContinuousBatchingRuntime:
             self._enqueue_prefill(rec)
 
     # ------------------------------------------------------------------ #
-    # preemption remedies: tail-trim and CPU-side KV swap
+    # remedy rungs: tail-trim and CPU-side KV swap. Each takes the
+    # resolved victim and returns whether it applied; _evict falls
+    # through to full eviction when it did not.
     # ------------------------------------------------------------------ #
 
-    def _try_trim(
-        self, victim, *, role: str, at: float, reason: str = "capacity"
+    def _trim(
+        self, seq_id: int, rec: RequestRecord | None, *, role: str, at: float, reason: str
     ) -> bool:
-        """Tail-trim remedy: drop the newest KV blocks of the victim.
+        """Tail-trim rung: drop the newest KV blocks of the victim.
 
         The resident prefix survives, so resume re-prefills only the
         trimmed suffix. Each call drops roughly one allocator block per
         rank (the granularity at which trimming actually frees pool
-        capacity); under sustained pressure the fit loops call this
+        capacity); under sustained pressure the victim loop calls this
         repeatedly — the victim shrinks block by block until a single
-        token would remain, at which point the remedy declines and full
-        eviction takes over. Mid-transfer victims decline too (the wire
-        payload references their prefill-pool KV).
+        token would remain, at which point the rung declines and full
+        eviction takes over.
         """
-        rec = victim if isinstance(victim, RequestRecord) else None
-        if rec is not None and rec.state is RequestState.KV_TRANSFER:
-            return False
-        seq_id = rec.seq_id if rec is not None else victim
         pool = self._pools[role]
         engine = pool.engine
         length = engine.context_length(seq_id)
@@ -1478,44 +1459,31 @@ class ContinuousBatchingRuntime:
             # lifetime: trimming into it would drop this request's
             # references to blocks the donor still backs (freeing little
             # to nothing) and force a recompute of reused tokens — let
-            # the remedy chain fall through instead
+            # the ladder fall through instead
             return False
         freed = engine.evict_tail(seq_id, keep)
-        self.tracer.instant(
-            "preempt",
-            at,
-            pool=role,
-            request_id=rec.request_id if rec is not None else None,
-            seq_id=seq_id,
-            remedy="trim",
-            reason=reason,
-            victim="active" if rec is not None else "idle",
-            tokens=freed,
+        self._note_preempt(
+            seq_id, rec, role=role, at=at, remedy="trim", reason=reason, tokens=freed
         )
         self._note_kv_occupancy(role)
         if rec is not None:
             self._reschedule_preempted(rec, at=at)
         return True
 
-    def _try_swap_out(
-        self, victim, *, role: str, at: float, reason: str = "capacity"
+    def _swap_out(
+        self, seq_id: int, rec: RequestRecord | None, *, role: str, at: float, reason: str
     ) -> bool:
-        """Swap remedy: export the victim's KV whole to the host store.
+        """Swap rung: export the victim's KV whole to the host store.
 
         The evicting pool stalls for ``price_swap(tokens)`` (PCIe DMA);
         the request resumes — decode victims directly, prefill victims
         via the FIFO — once :meth:`_swap_in_ready` imports the payload
-        back. Declines (falling back to full eviction) for mid-transfer
-        victims, a full host store, or *idle* residents the wire can
-        re-ship, which the transfer machinery already restores more
-        cheaply than a PCIe round-trip would.
+        back. Declines for a full host store, or *idle* residents the
+        wire can re-ship, which the transfer machinery already restores
+        more cheaply than a PCIe round-trip would.
         """
-        rec = victim if isinstance(victim, RequestRecord) else None
-        if rec is not None and rec.state is RequestState.KV_TRANSFER:
-            return False
         if rec is None and self.transfer_stream is not None:
             return False
-        seq_id = rec.seq_id if rec is not None else victim
         pool = self._pools[role]
         tokens = pool.engine.context_length(seq_id)
         if tokens == 0:
@@ -1539,16 +1507,8 @@ class ContinuousBatchingRuntime:
             seq_id=seq_id,
             tokens=tokens,
         )
-        self.tracer.instant(  # remedy="swap" feeds no counter: swap_out counted it
-            "preempt",
-            at,
-            pool=role,
-            request_id=rec.request_id if rec is not None else None,
-            seq_id=seq_id,
-            remedy="swap",
-            reason=reason,
-            victim="active" if rec is not None else "idle",
-            tokens=tokens,
+        self._note_preempt(
+            seq_id, rec, role=role, at=at, remedy="swap", reason=reason, tokens=tokens
         )
         if rec is not None:
             rec.preemptions += 1
@@ -1601,18 +1561,13 @@ class ContinuousBatchingRuntime:
                 progressed = True
                 continue
             engine = pool.engine
-            admitted = True
-            while not engine.fits(engine.import_token_demand(rec.seq_id, tokens)):
-                victim = self._find_victim(
-                    role=role,
-                    protected={rec.seq_id},
-                    younger_than=(rec.request.arrival, rec.request_id),
-                )
-                if victim is None:
-                    admitted = False
-                    break
-                self._evict(victim, role=role, at=pool.t, reason="swap_in_admission")
-            if not admitted:
+            if not self._make_room(
+                role,
+                lambda: engine.fits(engine.import_token_demand(rec.seq_id, tokens)),
+                protected={rec.seq_id},
+                younger_than=(rec.request.arrival, rec.request_id),
+                reason="swap_in_admission",
+            ):
                 if not pool.holders:
                     self._spill_swapped(entry)
                     progressed = True
@@ -1720,17 +1675,7 @@ class ContinuousBatchingRuntime:
         for seq_id in holders:
             chain = self._chains.get(seq_id)
             head = self._records[chain[0]] if chain else None
-            preempt = head is not None and (
-                (
-                    head.state in _ACTIVE_STATES
-                    and self._pools[self._role_of(head)] is pool
-                )
-                or (
-                    head.state is RequestState.PREEMPTED
-                    and pool is self._pools[POOL_PREFILL]
-                )
-            )
-            if preempt:
+            if head is not None and self._active_in(head, pool):
                 self._preempt_record(head, at=at, reason="pool_reset")
                 continue
             tokens = engine.context_length(seq_id)

@@ -49,9 +49,12 @@ Each conversation turn moves through::
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.workloads.generator import ConversationScript
 
 
 class RequestState(enum.Enum):
@@ -105,6 +108,27 @@ class TurnRequest:
             raise ValueError("max_new_tokens must be >= 0")
         if self.arrival < 0:
             raise ValueError("arrival must be >= 0")
+
+
+def script_turns(
+    script: ConversationScript, *, arrival: float = 0.0, think_time: float = 0.0
+) -> Iterator[TurnRequest]:
+    """A scripted conversation's turns, in submit order, for any
+    ``submit_script``: turn ``i`` arrives no earlier than ``arrival + i *
+    think_time`` (and the runtime never starts it before its predecessor
+    finishes); only the last turn releases the conversation's KV."""
+    if think_time < 0:
+        raise ValueError("think_time must be >= 0")
+    n = script.turns
+    for i, (prompt, budget) in enumerate(zip(script.prompts, script.response_budgets)):
+        yield TurnRequest(
+            request_id=-1,
+            seq_id=script.seq_id,
+            prompt=prompt,
+            max_new_tokens=int(budget),
+            arrival=arrival + i * think_time,
+            last_turn=(i == n - 1),
+        )
 
 
 @dataclass(eq=False)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import ContextParallelEngine
 from repro.kvcache.cache import CacheCapacityError, RankKVCache
+from repro.model.config import tiny_config
+from repro.model.llama import LlamaModel
 
 
 def make_cache(**kwargs):
@@ -183,6 +186,15 @@ class TestCapacity:
     def test_unbounded_by_default(self):
         cache = make_cache()
         assert cache.free_tokens() is None
+
+    @pytest.mark.parametrize("capacity", [0, -5])
+    def test_capacity_below_one_token_rejected(self, capacity):
+        """Refused when the cache is built, so every engine refuses it
+        before its first round."""
+        with pytest.raises(ValueError, match="capacity_tokens"):
+            make_cache(capacity_tokens=capacity)
+        with pytest.raises(ValueError, match="capacity_tokens"):
+            ContextParallelEngine(LlamaModel(tiny_config(), seed=0), 2, capacity_tokens=capacity)
 
 
 class TestBookkeeping:

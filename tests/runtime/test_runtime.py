@@ -110,10 +110,6 @@ class TestLifecycle:
             TurnRequest(request_id=0, seq_id=0, prompt=prompt(4), max_new_tokens=-1)
         with pytest.raises(ValueError):
             TurnRequest(request_id=0, seq_id=0, prompt=prompt(4), max_new_tokens=0, arrival=-1.0)
-        with pytest.raises(ValueError):
-            ContinuousBatchingRuntime(
-                ContextParallelEngine(MODEL, world_size=2), max_prefill_rounds_per_decode=0
-            )
 
 
 class TestContinuousBatching:
@@ -303,6 +299,19 @@ class TestPreemption:
         assert report.metrics.preemptions > 0
         assert report.generated(old) == sequential_tokens(prompt(80), 4, world=1)
         assert report.generated(young) == sequential_tokens(prompt(8, seed=1), 40, world=1)
+
+
+@pytest.mark.parametrize("remedy", ["recompute", "trim", "swap"])
+def test_sole_decoder_that_cannot_grow_raises_instead_of_livelocking(remedy):
+    """The oldest live request is never a victim. A lone conversation
+    whose context outgrows the pool (12 prompt + 10 new tokens against one
+    16-token block) must raise at the wall: evicting it would only send it
+    back to re-prefill into the same wall, every step, until ``max_steps``."""
+    rt = make_runtime(world=1, capacity=16, preemption=remedy)
+    rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(12), max_new_tokens=10))
+    with pytest.raises(RuntimeError, match="decode step cannot fit"):
+        rt.run(max_steps=500)
+    assert rt.report().records[rid].preemptions == 0  # by any remedy
 
 
 class TestPreemptionModes:

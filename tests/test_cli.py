@@ -176,6 +176,19 @@ class TestCommands:
         assert "tail trims:" in out
         assert "verify vs sequential replay: identical" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--capacity", "0"], ["--disaggregate", "1:1", "--decode-capacity", "-4"]],
+        ids=["capacity-0", "decode-capacity-negative"],
+    )
+    def test_serve_rejects_capacity_below_one_token(self, capsys, argv):
+        """Bad KV capacity is a usage error before anything runs, not a
+        traceback after simulated time has passed."""
+        assert main(["serve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "capacity_tokens" in captured.err
+        assert "served" not in captured.out
+
     def test_serve_rejects_swap_capacity_without_swap(self, capsys):
         assert main(["serve", "--swap-capacity", "128"]) == 2
         assert "--preemption swap" in capsys.readouterr().err
