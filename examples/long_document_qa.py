@@ -17,7 +17,6 @@ Run:  python examples/long_document_qa.py
 import numpy as np
 
 from repro import ContextParallelEngine, LlamaModel, tiny_config
-from repro.attention.windowed import windowed_attention_mask_fn
 from repro.attention.flash import flash_attention
 
 
@@ -55,7 +54,7 @@ def main() -> None:
         exact = flash_attention(q, k, v, q_pos=positions, k_pos=positions)
         windowed = flash_attention(
             q, k, v, q_pos=positions, k_pos=positions,
-            mask_fn=windowed_attention_mask_fn(32),
+            mask_fn=lambda qp, kp, *_: (kp <= qp[:, None]) & (kp > qp[:, None] - 32),
         )
         x = model.attn_residual(layer, x, exact.out)
         x = model.ffn_residual(layer, x)

@@ -26,7 +26,6 @@ from repro.attention.masks import attention_mask, causal_mask
 from repro.attention.online_softmax import OnlineSoftmaxState
 from repro.attention.reference import reference_attention, reference_attention_with_lse
 from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
-from repro.attention.windowed import windowed_attention_mask_fn, windowed_mask
 
 __all__ = [
     "AttentionResult",
@@ -42,6 +41,4 @@ __all__ = [
     "rope_frequencies",
     "rope_rotation",
     "validate_gqa_shapes",
-    "windowed_attention_mask_fn",
-    "windowed_mask",
 ]

@@ -157,9 +157,9 @@ def flash_attention(
             into this many independent partials, merged at the end. The
             result is exact for any split count.
         mask_fn: optional mask override in absolute coordinates (see
-            :func:`repro.attention.reference.reference_attention_with_lse`);
-            enables windowed/sink attention through the same kernel. The
-            override sees the whole call, so it is never segmented.
+            :func:`repro.attention.reference.reference_attention_with_lse`),
+            e.g. a sliding window. The override sees the whole call, so it
+            is never segmented.
         compute_dtype: kernel arithmetic dtype (default ``float64``; the
             merge accumulation is always ``float64``).
         skip_masked_blocks: skip all-masked KV blocks and trim each block to

@@ -43,10 +43,8 @@ def reference_attention_with_lse(
         causal: apply the causal predicate.
         scale: score scale; default ``1/sqrt(DH)``.
         mask_fn: optional mask override ``(q_pos, k_pos, q_seq, k_seq) ->
-            bool [Tq, Tk]`` replacing the default causal mask (e.g.
-            :func:`repro.attention.windowed.windowed_attention_mask_fn`).
-            Because it is evaluated in absolute coordinates, any such mask
-            composes with the ring algorithms unchanged.
+            bool [Tq, Tk]`` replacing the default causal mask (e.g. a
+            sliding window, or an arbitrary mask under test).
 
     Returns:
         ``O`` with shape ``[Tq, NH, DH]`` (float64) and ``LSE`` with shape

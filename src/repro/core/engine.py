@@ -114,14 +114,6 @@ class ContextParallelEngine:
         heuristic: hardware constants for the pass-KV/pass-Q selector.
         selector: which published selector the planner runs.
         capacity_tokens: optional per-rank KV capacity (OOM experiments).
-        block_size: local flash kernel block size.
-        quantized_kv_cache: store KV int8-quantized (2x capacity, slightly
-            lossy logits; see :mod:`repro.kvcache.quantized`).
-        compute_dtype: attention-kernel arithmetic dtype threaded through
-            every ring algorithm (default ``None`` = exact float64). The
-            online-softmax merge accumulation stays float64 regardless, so
-            e.g. ``np.float32`` trades last-ulp exactness of the logits for
-            kernel speed while keeping the merge recurrence lossless.
     """
 
     def __init__(
@@ -133,25 +125,14 @@ class ContextParallelEngine:
         heuristic: HeuristicConfig | None = None,
         selector: SelectorKind = SelectorKind.ALL2ALL_AWARE,
         capacity_tokens: int | None = None,
-        block_size: int = 128,
-        quantized_kv_cache: bool = False,
-        compute_dtype=None,
     ):
         self.model = model
         self.world_size = world_size
         self.group = SimProcessGroup(world_size, topology=topology)
         self.planner = PrefillPlanner(heuristic, selector=selector)
-        self.block_size = block_size
-        self.compute_dtype = compute_dtype
         cfg = model.config
         self.caches = [
-            RankKVCache(
-                cfg.n_layers,
-                cfg.n_kv_heads,
-                cfg.head_dim,
-                capacity_tokens=capacity_tokens,
-                quantized=quantized_kv_cache,
-            )
+            RankKVCache(cfg.n_layers, cfg.n_kv_heads, cfg.head_dim, capacity_tokens=capacity_tokens)
             for _ in range(world_size)
         ]
         self.seq_lengths: dict[int, int] = {}
@@ -220,16 +201,8 @@ class ContextParallelEngine:
                     self.caches[rank].append(layer, sid, k[lo:hi], v[lo:hi], positions[lo:hi])
                 queries.append(ShardedQueries(q, positions, seq_ids, runs[rank]))
             kv_shards = [self.caches[rank].get(layer, batch_sids) for rank in range(self.world_size)]
-            if plan.algo is RingAlgo.PASS_KV:
-                results = ring_passkv_prefill(
-                    self.group, queries, kv_shards, block_size=self.block_size,
-                    compute_dtype=self.compute_dtype,
-                )
-            else:
-                results = ring_passq_prefill(
-                    self.group, queries, kv_shards, block_size=self.block_size,
-                    compute_dtype=self.compute_dtype,
-                )
+            ring = ring_passkv_prefill if plan.algo is RingAlgo.PASS_KV else ring_passq_prefill
+            results = ring(self.group, queries, kv_shards)
             for rank in range(self.world_size):
                 xs[rank] = self.model.attn_residual(layer, xs[rank], results[rank].out)
                 xs[rank] = self.model.ffn_residual(layer, xs[rank])
@@ -337,10 +310,7 @@ class ContextParallelEngine:
                 for i, (sid, pos) in enumerate(appends[rank]):
                     self.caches[rank].append(layer, sid, k[i : i + 1], v[i : i + 1], pos)
             kv_shards = [self.caches[rank].get(layer, sids) for rank in range(self.world_size)]
-            result, _ = ring_passq_decode(
-                self.group, kv_shards, batch, step=self.decode_steps,
-                block_size=self.block_size, compute_dtype=self.compute_dtype,
-            )
+            result, _ = ring_passq_decode(self.group, kv_shards, batch, step=self.decode_steps)
             for rank, slots in enumerate(rank_slots):
                 if slots.size == 0:
                     continue

@@ -144,8 +144,6 @@ def ring_passq_decode(
     scale: float | None = None,
     block_size: int = 128,
     num_kv_splits: int = 1,
-    mask_fn=None,
-    compute_dtype=None,
     skip_masked_shards: bool = True,
 ) -> tuple[AttentionResult, np.ndarray]:
     """Batched ring pass-Q decode (Algorithm 4).
@@ -163,16 +161,11 @@ def ring_passq_decode(
         block_size: KV block size of the local kernel.
         num_kv_splits: Flash-Decoding style split-KV factor for the local
             kernel (the paper uses 256 splits on H100).
-        mask_fn: optional absolute-coordinate mask override — e.g. a
-            windowed/sink mask for StreamingLLM-style decode; composes with
-            the ring because masks never depend on storage order.
-        compute_dtype: kernel arithmetic dtype forwarded to the local flash
-            kernel (merge accumulation stays float64; default exact fp64).
         skip_masked_shards: replace provably all-masked ring-step partials
             with the exact identity element instead of calling the kernel —
             in decode this mostly fires for all-pad query payloads (when
             ``B`` is not a multiple of ``N``) and for empty or unrelated
-            KV shards. Disabled under ``mask_fn``.
+            KV shards.
 
     Returns:
         ``(result, assignment)``: ``result`` holds the exact attention
@@ -199,7 +192,7 @@ def ring_passq_decode(
     empty = AttentionResult.empty(per_rank, nh, dh)
     identity = (empty.out, empty.lse)
 
-    skip = skip_masked_shards and mask_fn is None
+    skip = skip_masked_shards
     if skip:
         k_summary = [
             kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs)
@@ -225,8 +218,6 @@ def ring_passq_decode(
                 scale=scale,
                 block_size=block_size,
                 num_kv_splits=num_kv_splits,
-                mask_fn=mask_fn,
-                compute_dtype=compute_dtype,
                 q_runs=plan.q_runs[src],
                 k_runs=(kv.runs, kv.run_index),
             )

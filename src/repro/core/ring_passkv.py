@@ -17,8 +17,6 @@ the ring starts (see :func:`repro.core.sharding.pad_kv_shards`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.core.merge import merge_partials
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
@@ -35,8 +33,6 @@ def ring_passkv_prefill(
     scale: float | None = None,
     block_size: int = 128,
     pad_messages: bool = True,
-    mask_fn=None,
-    compute_dtype=None,
     skip_masked_shards: bool = True,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-KV prefill (Algorithm 2).
@@ -53,17 +49,10 @@ def ring_passkv_prefill(
         pad_messages: enforce the equal-message-size ring invariant by
             padding per-sequence KV slices; disable only in unit tests that
             want to observe raw shard lengths.
-        mask_fn: optional absolute-coordinate mask override (windowed /
-            sink attention); exactness is preserved because masks never
-            depend on storage order.
-        compute_dtype: kernel arithmetic dtype forwarded to the local flash
-            kernel (merge accumulation stays float64; default exact fp64).
         skip_masked_shards: skip ring-step partials whose causal mask is
             provably all-False (see :mod:`repro.core.ring_skip`) — the
             skipped partial is replaced by the exact identity element, so
-            output is unchanged. Disabled automatically under ``mask_fn``,
-            which *replaces* the causal predicate (it may be non-causal),
-            invalidating the reach test.
+            output is unchanged.
 
     Returns:
         Per-rank exact :class:`AttentionResult` for each rank's queries, in
@@ -85,7 +74,7 @@ def ring_passkv_prefill(
     # originated at rank r, so k_summary is indexed by origin rank and the
     # ring schedule (source_rank_at_step) recovers which summary applies to
     # the payload a rank holds at any later step.
-    skip = skip_masked_shards and mask_fn is None
+    skip = skip_masked_shards
     if skip:
         q_summary = [query_reach(qr.positions, qr.seq_ids, qr.runs) for qr in queries]
         k_summary = [kv_reach(blk.positions, blk.seq_ids, blk.runs) for blk in blocks]
@@ -114,8 +103,6 @@ def ring_passkv_prefill(
                         causal=True,
                         scale=scale,
                         block_size=block_size,
-                        mask_fn=mask_fn,
-                        compute_dtype=compute_dtype,
                         q_runs=queries[rank].runs,
                         k_runs=(blk.runs, blk.run_index),
                     )

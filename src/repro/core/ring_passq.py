@@ -15,8 +15,6 @@ because circulating Q moves ``T * NH * DH`` elements versus pass-KV's
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.core.merge import merge_partials
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
@@ -32,8 +30,6 @@ def ring_passq_prefill(
     *,
     scale: float | None = None,
     block_size: int = 128,
-    mask_fn=None,
-    compute_dtype=None,
     skip_masked_shards: bool = True,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-Q prefill (Algorithm 3).
@@ -46,13 +42,9 @@ def ring_passq_prefill(
         kv_shards: per-rank resident KV shards (cached + new), never moved.
         scale: attention score scale (default ``1/sqrt(DH)``).
         block_size: KV block size of the local flash kernel.
-        mask_fn: optional absolute-coordinate mask override (windowed /
-            sink attention).
-        compute_dtype: kernel arithmetic dtype forwarded to the local flash
-            kernel (merge accumulation stays float64; default exact fp64).
         skip_masked_shards: replace provably all-masked ring-step partials
             with the exact identity element instead of calling the kernel
-            (see :mod:`repro.core.ring_skip`); disabled under ``mask_fn``.
+            (see :mod:`repro.core.ring_skip`).
 
     Returns:
         Per-rank exact :class:`AttentionResult`, trimmed back to each rank's
@@ -76,7 +68,7 @@ def ring_passq_prefill(
     # Causal-reach summaries, one scan per shard: padded[s] is the query
     # payload originating at rank s (the ring schedule maps the payload a
     # rank holds at step j back to its origin), KV shards never move.
-    skip = skip_masked_shards and mask_fn is None
+    skip = skip_masked_shards
     if skip:
         q_summary = [query_reach(p.positions, p.seq_ids, p.runs) for p in padded]
         k_summary = [kv_reach(kv.positions, kv.seq_ids, kv.runs) for kv in kv_shards]
@@ -102,8 +94,6 @@ def ring_passq_prefill(
                 causal=True,
                 scale=scale,
                 block_size=block_size,
-                mask_fn=mask_fn,
-                compute_dtype=compute_dtype,
                 q_runs=q.runs,
                 k_runs=(kv.runs, kv.run_index),
             )

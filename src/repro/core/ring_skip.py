@@ -18,10 +18,11 @@ ring schedule — ``source_rank_at_step`` says whose summary applies):
 - keys:    ``{seq_id: min position}`` over non-pad tokens.
 
 A partial is visible iff some sequence id appears on both sides with
-``min(k_pos) <= max(q_pos)``. This is exact for the default causal mask; a
-custom ``mask_fn`` can only *remove* visibility, so callers with a mask
-override either skip conservatively (never) or evaluate the mask — the ring
-algorithms take the conservative route.
+``min(k_pos) <= max(q_pos)``. The rings take no mask override: every
+partial is under the causal, same-sequence mask this test is exact for, so
+it alone decides each skip. The bound is inclusive because a query sees
+its own position — a shard whose first key sits at a query's position
+holds that query's diagonal.
 """
 
 from __future__ import annotations

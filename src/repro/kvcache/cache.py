@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.sharding import ShardedKV
 from repro.kvcache.paged import OutOfBlocksError, PagedAllocator
-from repro.kvcache.quantized import QuantizedKV, dequantize_kv, quantize_kv
 
 
 class CacheCapacityError(RuntimeError):
@@ -40,9 +39,8 @@ class CacheCapacityError(RuntimeError):
 class _Stream:
     """KV slab of one (layer, sequence) stream.
 
-    ``cols`` are parallel arrays over a leading capacity axis, positions
-    last: ``(k, v, pos)`` dense, ``(k_codes, v_codes, k_scales, v_scales,
-    pos)`` quantized. The first ``n`` rows are filled; ``lent`` is the
+    ``cols`` are the parallel ``(k, v, pos)`` arrays over a leading
+    capacity axis. The first ``n`` rows are filled; ``lent`` is the
     longest head of the current slab any outside view may cover.
     """
 
@@ -108,9 +106,6 @@ class RankKVCache:
             (every layer stores the same token set, so one layer's pool is
             the binding constraint), at least 1. ``None`` = unbounded.
         block_size: paged-allocator block size in tokens.
-        quantized: store KV int8-quantized per (token, head) (paper §2.2's
-            memory lever); reads dequantize transparently, trading exact
-            logits for ~2x KV capacity.
     """
 
     def __init__(
@@ -121,7 +116,6 @@ class RankKVCache:
         *,
         capacity_tokens: int | None = None,
         block_size: int = 16,
-        quantized: bool = False,
     ):
         if n_layers < 1:
             raise ValueError(f"n_layers must be >= 1, got {n_layers}")
@@ -134,7 +128,6 @@ class RankKVCache:
         self.head_dim = head_dim
         self.capacity_tokens = capacity_tokens
         self.block_size = block_size
-        self.quantized = quantized
         self._streams: dict[tuple[int, int], _Stream] = {}
         # The last layer-0 read's (request, sids, lengths, structure) until the
         # next write; the structure is every ShardedKV field beside K and V.
@@ -187,11 +180,7 @@ class RankKVCache:
         stream = self._streams.get((layer, seq_id))
         if stream is None:
             stream = self._streams[(layer, seq_id)] = _Stream()
-        if self.quantized:
-            rec = quantize_kv(k, v)
-            stream.append((rec.k_codes, rec.v_codes, rec.k_scales, rec.v_scales, positions))
-        else:
-            stream.append((k, v, positions))
+        stream.append((k, v, positions))
 
     def get(self, layer: int, seq_ids: list[int] | None = None) -> ShardedKV:
         """Fused :class:`ShardedKV` view of this rank's cache at ``layer``.
@@ -241,12 +230,9 @@ class RankKVCache:
         else:  # (the positions column is structure)
             cols = tuple(
                 np.concatenate([s.cols[i][: s.n] for s in streams], axis=0)
-                for i in range(len(streams[0].cols) - (shared is not None))
+                for i in range(3 if shared is None else 2)
             )
-        if self.quantized:
-            k, v = dequantize_kv(QuantizedKV(*cols[:4]))
-        else:
-            k, v = cols[:2]
+        k, v = cols[:2]
         if shared is None:
             runs = np.concatenate(([0], np.cumsum(lengths)))
             shared = dict(

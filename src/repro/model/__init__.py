@@ -15,7 +15,6 @@ Modules:
 - :mod:`repro.model.llama` — :class:`LlamaModel`, stage-decomposed so the
   CP engine can interleave per-rank local compute with ring attention.
 - :mod:`repro.model.norms` / :mod:`repro.model.mlp` — RMSNorm and SwiGLU.
-- :mod:`repro.model.quant` — row-wise FP8-style quantization stand-in.
 - :mod:`repro.model.sampling` — greedy / temperature sampling.
 """
 
@@ -29,18 +28,14 @@ from repro.model.config import (
 from repro.model.llama import LlamaModel
 from repro.model.mlp import swiglu
 from repro.model.norms import rms_norm
-from repro.model.quant import QuantizedLinear, dequantize_rowwise, quantize_rowwise
 from repro.model.sampling import sample_greedy, sample_temperature
 
 __all__ = [
     "LlamaModel",
     "ModelConfig",
-    "QuantizedLinear",
-    "dequantize_rowwise",
     "llama3_405b_config",
     "llama3_70b_config",
     "llama3_8b_config",
-    "quantize_rowwise",
     "rms_norm",
     "sample_greedy",
     "sample_temperature",

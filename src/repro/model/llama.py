@@ -15,9 +15,7 @@ attention, so the model exposes each stage of a block separately:
 gold standard the distributed engine is tested against ("lossless exact").
 
 Weights are generated deterministically from a seed at ``1/sqrt(fan_in)``
-scale, so any two processes construct bit-identical models. When
-``quantize_ffn`` is set the three FFN projections are stored row-wise
-quantized (the paper's FP8 serving configuration).
+scale, so any two processes construct bit-identical models.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
 from repro.model.config import ModelConfig
 from repro.model.mlp import swiglu
 from repro.model.norms import rms_norm
-from repro.model.quant import QuantizedLinear
 
 
 @dataclass
@@ -42,9 +39,9 @@ class _LayerWeights:
     wv: np.ndarray  # [D, NKV*DH]
     wo: np.ndarray  # [NH*DH, D]
     ffn_norm: np.ndarray
-    w_gate: np.ndarray | QuantizedLinear
-    w_up: np.ndarray | QuantizedLinear
-    w_down: np.ndarray | QuantizedLinear
+    w_gate: np.ndarray  # [D, F]
+    w_up: np.ndarray  # [D, F]
+    w_down: np.ndarray  # [F, D]
 
 
 def _init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -57,12 +54,10 @@ class LlamaModel:
     Args:
         config: architecture (see :mod:`repro.model.config`).
         seed: weight-generation seed; equal seeds give equal models.
-        quantize_ffn: store FFN weights row-wise quantized (paper §4.1).
     """
 
-    def __init__(self, config: ModelConfig, *, seed: int = 0, quantize_ffn: bool = False):
+    def __init__(self, config: ModelConfig, *, seed: int = 0):
         self.config = config
-        self.quantize_ffn = quantize_ffn
         rng = np.random.default_rng(seed)
         d, dh = config.model_dim, config.head_dim
         nh, nkv, f = config.n_heads, config.n_kv_heads, config.ffn_dim
@@ -70,6 +65,8 @@ class LlamaModel:
         self.embedding = _init(rng, d, (config.vocab_size, d)) * np.sqrt(d)  # unit-scale rows
         self.layers: list[_LayerWeights] = []
         for _ in range(config.n_layers):
+            # the FFN weights are drawn before the attention weights: this
+            # draw order fixes every weight, logit and trace digest
             gate = _init(rng, d, (d, f))
             up = _init(rng, d, (d, f))
             down = _init(rng, f, (f, d))
@@ -81,9 +78,9 @@ class LlamaModel:
                     wv=_init(rng, d, (d, nkv * dh)),
                     wo=_init(rng, nh * dh, (nh * dh, d)),
                     ffn_norm=np.ones(d),
-                    w_gate=QuantizedLinear.from_weights(gate) if quantize_ffn else gate,
-                    w_up=QuantizedLinear.from_weights(up) if quantize_ffn else up,
-                    w_down=QuantizedLinear.from_weights(down) if quantize_ffn else down,
+                    w_gate=gate,
+                    w_up=up,
+                    w_down=down,
                 )
             )
         self.final_norm = np.ones(d)
@@ -132,10 +129,7 @@ class LlamaModel:
         """Pre-norm SwiGLU FFN + residual add."""
         w = self._layer(layer)
         h = rms_norm(x, w.ffn_norm)
-        gate = w.w_gate.weight if isinstance(w.w_gate, QuantizedLinear) else w.w_gate
-        up = w.w_up.weight if isinstance(w.w_up, QuantizedLinear) else w.w_up
-        down = w.w_down.weight if isinstance(w.w_down, QuantizedLinear) else w.w_down
-        return x + swiglu(h, gate, up, down)
+        return x + swiglu(h, w.w_gate, w.w_up, w.w_down)
 
     def unembed(self, x: np.ndarray) -> np.ndarray:
         """Final norm + unembedding: ``[T, D]`` -> ``[T, vocab]`` logits."""

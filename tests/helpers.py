@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.attention.masks import attention_mask
 from repro.cluster import ReplicaFleet, make_router
 from repro.core.engine import ContextParallelEngine
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
@@ -119,6 +120,19 @@ def make_qkv(
     k = rng.standard_normal((tk, n_kv_heads, head_dim))
     v = rng.standard_normal((tk, n_kv_heads, head_dim))
     return q, k, v
+
+
+def window_mask_fn(window: int, *, sink_tokens: int = 0):
+    """A ``mask_fn`` for the kernels: causal attention over the last
+    ``window`` positions of a query's own sequence, plus the first
+    ``sink_tokens`` positions (attention sinks)."""
+
+    def fn(q_pos, k_pos, q_seq=None, k_seq=None):
+        q_pos, k_pos = np.asarray(q_pos), np.asarray(k_pos)
+        near = (k_pos > q_pos[:, None] - window) | (k_pos < sink_tokens)
+        return attention_mask(q_pos, k_pos, q_seq, k_seq, causal=True) & near
+
+    return fn
 
 
 def shard_qkv_full_prefill(

@@ -93,12 +93,11 @@ class TestStructureIsSharedAcrossLayers:
                 k, v, p = _rows(np.arange(sid, sid + 2 + sid % 3), seed=layer)
                 cache.append(layer, sid, k, v, p)
 
-    @pytest.mark.parametrize("quantized", [False, True])
     @pytest.mark.parametrize("request_ids", [[5, 9, 2, 8], [2]], ids=["fused", "view"])
-    def test_reused_structure_equals_a_fresh_read_field_by_field(self, quantized, request_ids):
+    def test_reused_structure_equals_a_fresh_read_field_by_field(self, request_ids):
         from repro.core.ring_skip import kv_reach
 
-        cache = make_cache(quantized=quantized)
+        cache = make_cache()
         self.fill(cache)
         first = cache.get(0, request_ids)
         later = cache.get(1, request_ids)
@@ -276,15 +275,6 @@ class TestDropTail:
         # slack in seq 1's kept partial block is not)
         assert cache.can_append({2: 7 * 4})
         assert not cache.can_append({2: 7 * 4 + 1})
-
-    def test_quantized_chunks_sliced(self):
-        cache = make_cache(quantized=True)
-        k, v = kv_chunk(4, 3.0)
-        cache.append(0, 1, k, v, np.array([0, 1, 2, 3]))
-        assert cache.drop_tail(1, from_pos=2) == 2
-        got = cache.get(0, [1])
-        np.testing.assert_array_equal(got.positions, [0, 1])
-        np.testing.assert_allclose(got.k, k[:2], rtol=1e-2)
 
     def test_validation(self):
         cache = make_cache()

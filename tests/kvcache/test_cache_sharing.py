@@ -117,13 +117,3 @@ class TestSharePrefix:
         fill(cache, 0, np.arange(5, 9))  # donor holds only positions >= 5
         assert cache.share_prefix(0, 1, 5) == 0
         assert cache.tokens(1) == 0
-
-    def test_quantized_share(self):
-        cache = make_cache(capacity_tokens=64, block_size=4, quantized=True)
-        fill(cache, 0, np.arange(8))
-        shared = cache.share_prefix(0, 1, 6)
-        assert shared == 6
-        src = cache.get(0, [0])
-        dst = cache.get(0, [1])
-        keep = src.positions < 6
-        np.testing.assert_array_equal(dst.k, src.k[keep])

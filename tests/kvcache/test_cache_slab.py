@@ -36,11 +36,10 @@ def assert_unchanged(shard, snap):
 
 
 class TestGrowth:
-    @pytest.mark.parametrize("quantized", [False, True])
-    def test_bytes_survive_several_doublings(self, quantized):
+    def test_bytes_survive_several_doublings(self):
         """One token at a time from empty: the slab reallocates at 1, 2, 4,
         ... and every read returns what a never-growing store would."""
-        cache, twin = make_cache(quantized=quantized), make_cache(quantized=quantized)
+        cache, twin = make_cache(), make_cache()
         ks, vs = [], []
         for pos in range(70):
             k, v, p = rows([pos], seed=pos)
@@ -54,16 +53,6 @@ class TestGrowth:
         np.testing.assert_array_equal(got.positions, np.arange(70))
         np.testing.assert_array_equal(got.runs, [0, 70])
         assert cache.tokens(3) == 70
-
-    def test_quantized_round_trip_is_within_the_code_step(self):
-        cache = make_cache(quantized=True)
-        k, v, p = rows(np.arange(40))
-        cache.append(0, 0, k[:25], v[:25], p[:25])
-        cache.append(0, 0, k[25:], v[25:], p[25:])
-        got = cache.get(0, [0])
-        step = np.abs(k).max(axis=-1, keepdims=True) / 127
-        assert np.all(np.abs(got.k - k) <= step / 2 + 1e-12)
-        assert got.k.dtype == np.float64
 
     def test_fused_read_carries_run_offsets(self):
         cache = make_cache()
@@ -164,8 +153,8 @@ class TestReadsAreStable:
 
 
 class TestCopyOnWrite:
-    def _shared(self, **kw):
-        cache = make_cache(**kw)
+    def _shared(self):
+        cache = make_cache()
         for layer in range(2):
             cache.append(layer, 0, *rows(np.arange(10), seed=layer))
         assert cache.share_prefix(0, 1, 6) == 6
@@ -219,13 +208,3 @@ class TestCopyOnWrite:
         cache.drop_tail(1, 2)
         cache.append(0, 1, *rows(np.arange(2, 6), seed=12))
         assert_unchanged(cache.get(0, [2]), snap)
-
-    def test_quantized_share_and_diverge(self):
-        cache = self._shared(quantized=True)
-        donor = snapshot(cache.get(0, [0]))
-        np.testing.assert_array_equal(cache.get(0, [1]).k, donor[0][:6])
-        cache.append(0, 1, *rows(np.arange(6, 9), seed=5))
-        cache.drop_tail(0, 2)
-        cache.append(0, 0, *rows(np.arange(2, 5), seed=6))
-        np.testing.assert_array_equal(cache.get(0, [1]).k[:6], donor[0][:6])
-        np.testing.assert_array_equal(cache.get(0, [0]).k[:2], donor[0][:2])

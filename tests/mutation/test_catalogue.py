@@ -11,7 +11,9 @@ few seconds).
 Entries so far cover the remedy seam in ``runtime/runtime.py``: the one
 victim loop (``_make_room``), the two bounds on a victim (``_find_victim``:
 younger than the beneficiary, never the oldest live request) and the
-remedy ladder (``_rungs``, then full eviction).
+remedy ladder (``_rungs``, then full eviction); and the rings' shard skip
+(``ring_skip.partial_fully_masked``), which alone decides which ring-step
+partials are replaced by the merge identity.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import ring_decode, ring_passkv, ring_passq
 from repro.obs import dumps_jsonl
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
 
@@ -129,6 +132,18 @@ def _full_eviction_before_rung(monkeypatch):
     monkeypatch.setattr(Runtime, "__init__", reordered)
 
 
+def _ring_skip_off_by_one(monkeypatch):
+    """The shard skip compares ``<`` for ``<=``: a shard whose first key
+    sits at a query's own position counts as masked, so the diagonal
+    partial is replaced by the identity."""
+
+    def strict(q_reach, k_reach):
+        return not any(sid in k_reach and k_reach[sid] < q_max for sid, q_max in q_reach.items())
+
+    for ring in (ring_passkv, ring_passq, ring_decode):
+        monkeypatch.setattr(ring, "partial_fully_masked", strict)
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -143,6 +158,14 @@ def _golden_case(name: str) -> None:
     assert digest == golden.GOLDEN[name], f"golden case {name} moved"
 
 
+@functools.cache
+def _instance(cls: type):
+    """One instance per test class: hypothesis fails a ``@given`` method
+    called from two instances (``differing_executors``), which would pass
+    for a kill."""
+    return cls()
+
+
 def _named_test(nodeid: str, *params) -> None:
     """Runs one fixture-free test, ``path::Class::method`` or
     ``path::function``, in-process; ``params`` pick a parametrized case."""
@@ -151,7 +174,7 @@ def _named_test(nodeid: str, *params) -> None:
     for i, name in enumerate(names):
         target = getattr(target, name)
         if i < len(names) - 1 and isinstance(target, type):
-            target = target()
+            target = _instance(target)
     target(*params)
 
 
@@ -172,6 +195,9 @@ CATALOGUE = [
     ("full-eviction-before-rung", _full_eviction_before_rung,
      functools.partial(_named_test, "runtime/test_runtime.py::TestPreemptionModes"
                        "::test_trim_keeps_prefix_resident")),
+    ("ring-skip-off-by-one", _ring_skip_off_by_one,
+     functools.partial(_named_test, "properties/test_prop_ring.py::TestRingLosslessness"
+                       "::test_passkv_exact_for_any_case")),
 ]
 
 

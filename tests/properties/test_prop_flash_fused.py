@@ -36,8 +36,9 @@ from repro.attention import flash
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.masks import PAD_SEQ
 from repro.attention.reference import reference_attention_with_lse
-from repro.attention.windowed import windowed_attention_mask_fn
 from repro.core.sharding import shard_positions
+
+from helpers import window_mask_fn
 
 # (RuntimeWarning is NumPy's class for every floating-point warning; a blanket
 # "error" also trips on third-party DeprecationWarnings raised while hypothesis
@@ -85,9 +86,7 @@ def gqa_case(draw):
         q_seq = rng.integers(PAD_SEQ, 2, tq)
         k_seq = rng.integers(PAD_SEQ, 2, tk)
     mask_fn = (
-        windowed_attention_mask_fn(
-            int(rng.integers(1, 16)), sink_tokens=int(rng.integers(0, 3))
-        )
+        window_mask_fn(int(rng.integers(1, 16)), sink_tokens=int(rng.integers(0, 3)))
         if masking == "windowed"
         else None
     )

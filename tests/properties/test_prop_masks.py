@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.attention.flash import flash_attention
 from repro.attention.reference import reference_attention_with_lse
-from repro.attention.windowed import windowed_attention_mask_fn
+
+from helpers import window_mask_fn
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -34,7 +35,7 @@ class TestMaskedKernelAgreement:
         mask is evaluated per block in absolute coordinates, so chunking
         cannot change the result."""
         q, k, v, window, sinks, block, splits = case
-        fn = windowed_attention_mask_fn(window, sink_tokens=sinks)
+        fn = window_mask_fn(window, sink_tokens=sinks)
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, mask_fn=fn)
         res = flash_attention(q, k, v, mask_fn=fn, block_size=block, num_kv_splits=splits)
         np.testing.assert_allclose(res.out, ref_out, atol=1e-9)
@@ -46,7 +47,7 @@ class TestMaskedKernelAgreement:
         """A window covering the whole sequence is plain causal attention."""
         q, k, v, _, _, block, _ = case
         t = q.shape[0]
-        fn = windowed_attention_mask_fn(t)
+        fn = window_mask_fn(t)
         windowed, _ = reference_attention_with_lse(q, k, v, mask_fn=fn)
         causal, _ = reference_attention_with_lse(q, k, v)
         np.testing.assert_allclose(windowed, causal, atol=1e-12)
@@ -56,7 +57,7 @@ class TestMaskedKernelAgreement:
     def test_windowed_lse_at_most_causal(self, case):
         """Removing visible keys can only shrink the softmax denominator."""
         q, k, v, window, _, _, _ = case
-        fn = windowed_attention_mask_fn(window)
+        fn = window_mask_fn(window)
         _, lse_w = reference_attention_with_lse(q, k, v, mask_fn=fn)
         _, lse_c = reference_attention_with_lse(q, k, v)
         assert np.all(lse_w <= lse_c + 1e-9)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import ring_passkv, ring_passq
+from repro.core.merge import merge_partials
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 from repro.testing import (
@@ -46,12 +48,14 @@ class TestAssertLossless:
         err = assert_lossless_conversation(model, 2, turns, decode_per_turn=1)
         assert err < 1e-9
 
-    def test_quantized_cache_fails_exactness(self, model):
-        """The utility catches real divergence: int8 KV is not lossless."""
+    def test_dropped_partial_fails_exactness(self, model, monkeypatch):
+        """The utility catches real divergence: a prefill ring whose merge
+        loses its last partial is not lossless."""
+        for ring in (ring_passkv, ring_passq):
+            monkeypatch.setattr(ring, "merge_partials", lambda partials: merge_partials(partials[:-1]))
         with pytest.raises(AssertionError):
             assert_lossless_conversation(
                 model, 2,
                 [np.arange(12) % model.config.vocab_size, np.array([3, 4])],
                 atol=1e-12,
-                quantized_kv_cache=True,
             )
