@@ -165,189 +165,99 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.engine import ContextParallelEngine
     from repro.model.config import llama3_405b_config, tiny_config
     from repro.model.llama import LlamaModel
+    from repro.obs import NULL_TRACER, RecordingTracer
     from repro.perf.hardware import gti_host, gtt_host
     from repro.perf.latency import LatencySimulator
-    from repro.runtime import ContinuousBatchingRuntime, FaultPlan, SimulatedStepClock
+    from repro.runtime import FaultPlan, ServeConfig
     from repro.runtime.state import RequestState
-    from repro.serving.scheduler import ChunkedPrefillPolicy
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import (
         replay_scripts_sequential,
         submit_scripts_to_runtime,
     )
 
-    if args.round_budget < args.chunk:
-        print(
-            f"error: --round-budget ({args.round_budget}) must be >= "
-            f"--chunk ({args.chunk})",
-            file=sys.stderr,
-        )
-        return 2
     model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=args.seed)
-    if args.traffic == "shared-prefix":
-        scripts = gen.shared_prefix_traffic(
-            n_system_prompts=max(1, args.sessions // 4),
-            n_fewshot_variants=2,
-            conversations=args.sessions,
-            system_tokens=args.first_prompt,
-            fewshot_tokens=max(1, args.first_prompt // 3),
-            unique_range=(6, 12),
-            turns=args.turns,
-            followup_range=(6, 12),
-            response_range=(4, 6),
-        )
-    else:
-        scripts = [
-            gen.conversation(
-                sid, turns=args.turns, first_prompt=args.first_prompt,
-                followup_range=(6, 12), response_range=(4, 6),
-            )
-            for sid in range(args.sessions)
-        ]
     host = gti_host() if args.platform == "gti" else gtt_host()
-    sim = LatencySimulator(llama3_405b_config(), host)
-    pools = None
-    if args.disaggregate is not None:
-        try:
-            p, d = (int(x) for x in args.disaggregate.split(":"))
-            if p < 1 or d < 1:
-                raise ValueError
-        except ValueError:
-            print(
-                f"error: --disaggregate wants P:D with positive integers, "
-                f"got {args.disaggregate!r}",
-                file=sys.stderr,
-            )
-            return 2
-        pools = (p, d)
-    if args.decode_capacity is not None and pools is None:
-        print(
-            "error: --decode-capacity only applies with --disaggregate",
-            file=sys.stderr,
-        )
-        return 2
-    if args.world is not None and pools is not None:
-        print(
-            "error: --world conflicts with --disaggregate (pool sizes come "
-            "from P:D)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.swap_capacity is not None and args.preemption != "swap":
-        print(
-            "error: --swap-capacity only applies with --preemption swap",
-            file=sys.stderr,
-        )
-        return 2
-    faults = None
-    if args.faults is not None:
-        # one seed controls workload AND fault plan unless split explicitly
-        fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
-        try:
-            faults = FaultPlan.parse(args.faults, seed=fault_seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.fault_seed is not None:
-        print("error: --fault-seed only applies with --faults", file=sys.stderr)
-        return 2
-    if args.replicas < 1:
-        print(f"error: --replicas must be >= 1, got {args.replicas}", file=sys.stderr)
-        return 2
     # --verify needs a recorded trace for the metrics reconciliation
     # cross-check even when no --trace file was asked for
-    from repro.obs import NULL_TRACER, RecordingTracer
-
     tracer = RecordingTracer() if (args.trace or args.verify) else NULL_TRACER
-    if args.routing is not None and args.replicas == 1:
-        print(
-            "error: --routing only applies with --replicas > 1 "
-            "(a single replica has nothing to route)",
-            file=sys.stderr,
-        )
-        return 2
-    world = args.world if args.world is not None else 2
-
-    remedy = dict(
-        preemption=args.preemption,
-        swap_capacity_tokens=args.swap_capacity,
-        prefix_cache=args.prefix_cache,
-        faults=faults,
-        sanitize=args.sanitize,
-    )
-
-    # fresh policy/clock/engines per replica: replicas share model
-    # weights (read-only) but never scheduler or clock state; fleet
-    # replicas record through a replica-scoped tracer view so every
-    # event in a fleet trace is attributable
-    def make_runtime(replica_id=None):
-        rt_tracer = tracer if replica_id is None else tracer.scoped(replica=replica_id)
-        policy = ChunkedPrefillPolicy(
-            chunk_tokens=args.chunk,
-            max_tokens_per_round=args.round_budget,
-            max_seqs_per_round=8,
-            order=args.policy,
-        )
-        if pools is None:
-            engine = ContextParallelEngine(
-                model, world_size=world, capacity_tokens=args.capacity
-            )
-            return ContinuousBatchingRuntime(
-                engine,
-                policy=policy,
-                clock=SimulatedStepClock(sim, n_ranks=args.priced_ranks),
-                tracer=rt_tracer,
-                **remedy,
-            )
-        decode_cap = (
-            args.decode_capacity if args.decode_capacity is not None else args.capacity
-        )
-        engine = ContextParallelEngine(
-            model, world_size=pools[0], capacity_tokens=args.capacity
-        )
-        decode_engine = ContextParallelEngine(
-            model, world_size=pools[1], capacity_tokens=decode_cap
-        )
-        # a dedicated decode pool streams at single-host TP TTIT (§4.3)
-        return ContinuousBatchingRuntime(
-            engine,
-            decode_engine=decode_engine,
-            policy=policy,
-            clock=SimulatedStepClock(sim, n_ranks=args.priced_ranks, tp_decode=True),
-            tracer=rt_tracer,
-            **remedy,
-        )
-
-    deploy = (
-        f"CP{world}"
-        if pools is None
-        else f"CP{pools[0]} prefill -> CP{pools[1]} decode"
-    )
-    fleet = None
+    # one boundary: an argv check below, or any owner's validation inside
+    # the workload generator, FaultPlan, ServeConfig or the layers it
+    # builds, is a usage error reported before any simulated time passes
     try:
-        if args.replicas == 1:
-            # the bare-runtime path, untouched: a 1-replica fleet's output is
-            # byte-identical to this (the metamorphic property), so keep the
-            # simple object when there is nothing to route
-            runtime = make_runtime()
-        else:
-            from repro.cluster import ReplicaFleet, make_router
-
-            routing = args.routing if args.routing is not None else "prefix"
-            fleet = ReplicaFleet.build(
-                make_runtime, args.replicas, router=make_router(routing), tracer=tracer
+        if args.sessions < 1:
+            raise ValueError(f"--sessions must be >= 1, got {args.sessions}")
+        world, decode_world = (args.world if args.world is not None else 2), None
+        if args.disaggregate is not None:
+            sizes = args.disaggregate.split(":")
+            if len(sizes) != 2 or not all(s.isdigit() and int(s) > 0 for s in sizes):
+                raise ValueError(
+                    f"--disaggregate wants P:D with positive integers, got {args.disaggregate!r}"
+                )
+            if args.world is not None:
+                raise ValueError("--world conflicts with --disaggregate (pool sizes come from P:D)")
+            world, decode_world = (int(s) for s in sizes)
+        if args.fault_seed is not None and args.faults is None:
+            raise ValueError("--fault-seed only applies with --faults")
+        if args.routing is not None and args.replicas == 1:
+            raise ValueError(
+                "--routing only applies with --replicas > 1 (a single replica has nothing to route)"
             )
-            runtime = fleet
-            deploy = f"{args.replicas} x {deploy} ({routing} routing)"
+        gen = WorkloadGenerator(model.config.vocab_size, seed=args.seed)
+        if args.traffic == "shared-prefix":
+            scripts = gen.shared_prefix_traffic(
+                n_system_prompts=max(1, args.sessions // 4),
+                n_fewshot_variants=2,
+                conversations=args.sessions,
+                system_tokens=args.first_prompt,
+                fewshot_tokens=max(1, args.first_prompt // 3),
+                unique_range=(6, 12),
+                turns=args.turns,
+                followup_range=(6, 12),
+                response_range=(4, 6),
+            )
+        else:
+            scripts = [
+                gen.conversation(
+                    sid, turns=args.turns, first_prompt=args.first_prompt,
+                    followup_range=(6, 12), response_range=(4, 6),
+                )
+                for sid in range(args.sessions)
+            ]
+        config = ServeConfig(
+            world=world,
+            decode_world=decode_world,
+            capacity=args.capacity,
+            decode_capacity=args.decode_capacity,
+            chunk=args.chunk,
+            round_budget=args.round_budget,
+            max_seqs=8,
+            order=args.policy,
+            preemption=args.preemption,
+            swap_capacity=args.swap_capacity,
+            prefix_cache=args.prefix_cache,
+            # one seed controls workload AND fault plan unless split explicitly
+            faults=None if args.faults is None else FaultPlan.parse(
+                args.faults, seed=args.seed if args.fault_seed is None else args.fault_seed
+            ),
+            sanitize=args.sanitize,
+            replicas=args.replicas,
+            routing=args.routing if args.routing is not None else "prefix",
+            priced_ranks=args.priced_ranks,
+        )
+        runtime = config.build(
+            model, sim=LatencySimulator(llama3_405b_config(), host), tracer=tracer
+        )
     except ValueError as exc:
-        # the engines and runtimes validate their own configuration (a KV
-        # capacity below one token, ...): report it before any time passes
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rids = submit_scripts_to_runtime(runtime, scripts)
     report = runtime.run(max_steps=1_000_000)
 
+    fleet = config.replicas > 1
+    deploy = f"CP{world}" if decode_world is None else f"CP{world} prefill -> CP{decode_world} decode"
+    if fleet:
+        deploy = f"{config.replicas} x {deploy} ({config.routing} routing)"
     cap = "unbounded" if args.capacity is None else str(args.capacity)
     extras = f"policy: {args.policy}"
     if args.prefix_cache:
@@ -359,8 +269,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"preemption: {args.preemption}, {extras}, "
         f"priced as 405B on CP{args.priced_ranks} {host.name})"
     )
-    if faults is not None:
-        print(f"fault plan (seed {faults.seed}): {faults.describe()}")
+    if config.faults is not None:
+        print(f"fault plan (seed {config.faults.seed}): {config.faults.describe()}")
         outcomes = ", ".join(
             f"{k}: {v}" for k, v in sorted(report.statuses().items())
         )
@@ -369,17 +279,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"rounds: {report.prefill_rounds} prefill, {report.decode_rounds} decode")
     print(f"makespan: {report.makespan:.1f}s simulated, "
           f"{report.tokens_per_second():.2f} decoded tok/s")
-    if fleet is not None:
+    if fleet:
         placed = report.placements
         spread = ", ".join(
             f"replica {rid}: {sum(1 for r in placed.values() if r == rid)} sessions"
             for rid in sorted(report.replica_reports)
         )
         print(f"placements: {spread}")
-        leaks = fleet.kv_leak_reports()
+        leaks = runtime.kv_leak_reports()
         clean = all(not v for v in leaks.values())
         print(f"post-drain KV audit: {'clean' if clean else leaks}")
-    elif pools is not None:
+    elif decode_world is not None:
         util = report.pool_utilization()
         print(
             "pool utilization: "
@@ -407,8 +317,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     reference = replay_scripts_sequential(
         lambda: ContextParallelEngine(
-            LlamaModel(tiny_config(), seed=0),
-            world_size=pools[0] if pools is not None else world,
+            LlamaModel(tiny_config(), seed=0), world_size=world
         ),
         scripts,
     )
@@ -437,7 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # stall total must be exactly derivable from the recorded trace
     from repro.obs import reconcile, reconcile_fleet
 
-    if fleet is not None:
+    if fleet:
         drift = reconcile_fleet(tracer.events, report.metrics)
     else:
         drift = reconcile(tracer.events, runtime.metrics)

@@ -69,8 +69,7 @@ def run(
     from repro.cluster import ReplicaFleet, make_router
     from repro.core.engine import ContextParallelEngine
     from repro.model.llama import LlamaModel
-    from repro.runtime import ContinuousBatchingRuntime, SimulatedStepClock
-    from repro.serving.scheduler import ChunkedPrefillPolicy
+    from repro.runtime import ServeConfig
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import (
         collect_generated,
@@ -121,22 +120,18 @@ def run(
         scripts,
     )
 
-    def make_runtime(_replica_id: int) -> ContinuousBatchingRuntime:
-        return ContinuousBatchingRuntime(
-            ContextParallelEngine(model, world_size=world_size),
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-            ),
-            clock=SimulatedStepClock(sim, n_ranks=priced_ranks),
-            prefix_cache=True,
-        )
-
     cells: dict[tuple[int, str], object] = {}
     for replicas in replica_sweep:
         for policy in POLICIES:
-            fleet = ReplicaFleet.build(
-                make_runtime, replicas, router=make_router(policy)
-            )
+            fleet = ServeConfig(
+                world=world_size,
+                prefix_cache=True,
+                replicas=replicas,
+                routing=policy,
+                priced_ranks=priced_ranks,
+            ).build(model, sim=sim)
+            if replicas == 1:  # the rows below read the fleet's rollups
+                fleet = ReplicaFleet([fleet], router=make_router(policy))
             rids = submit_scripts_to_runtime(
                 fleet, scripts, start_offset_s=1.0, think_time_s=5.0
             )

@@ -55,10 +55,8 @@ def run(
     the KV stream at ring bandwidth — the same constants the analytic
     simulator uses, so the two columns are comparable.
     """
-    from repro.core.engine import ContextParallelEngine
     from repro.model.llama import LlamaModel
-    from repro.runtime import ContinuousBatchingRuntime, SimulatedStepClock
-    from repro.serving.scheduler import ChunkedPrefillPolicy
+    from repro.runtime import ServeConfig
     from repro.workloads.generator import WorkloadGenerator
 
     host = host if host is not None else gtt_host()
@@ -74,28 +72,12 @@ def run(
         for sid in range(n_sessions)
     ]
 
-    def make_policy():
-        return ChunkedPrefillPolicy(
-            chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-        )
-
     def measure(disaggregated: bool):
-        if disaggregated:
-            engine = ContextParallelEngine(model, world_size=prefill_world)
-            decode_engine = ContextParallelEngine(model, world_size=decode_world)
-            runtime = ContinuousBatchingRuntime(
-                engine,
-                decode_engine=decode_engine,
-                policy=make_policy(),
-                clock=SimulatedStepClock(sim, n_ranks=priced_ranks, tp_decode=True),
-            )
-        else:
-            engine = ContextParallelEngine(model, world_size=prefill_world)
-            runtime = ContinuousBatchingRuntime(
-                engine,
-                policy=make_policy(),
-                clock=SimulatedStepClock(sim, n_ranks=priced_ranks),
-            )
+        runtime = ServeConfig(
+            world=prefill_world,
+            decode_world=decode_world if disaggregated else None,
+            priced_ranks=priced_ranks,
+        ).build(model, sim=sim)
         rids = submit_scripts_to_runtime(runtime, scripts)
         report = runtime.run(max_steps=1_000_000)
         tokens = {

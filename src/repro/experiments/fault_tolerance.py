@@ -62,9 +62,8 @@ def run(
     """
     from repro.core.engine import ContextParallelEngine
     from repro.model.llama import LlamaModel
-    from repro.runtime import ContinuousBatchingRuntime, FaultPlan, SimulatedStepClock
+    from repro.runtime import FaultPlan, ServeConfig
     from repro.runtime.state import RequestState
-    from repro.serving.scheduler import ChunkedPrefillPolicy
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import (
         replay_scripts_sequential,
@@ -82,11 +81,7 @@ def run(
         for sid in range(n_sessions)
     ]
     total_requests = sum(s.turns for s in scripts)
-    clock = SimulatedStepClock(
-        LatencySimulator(llama3_405b_config(), host),
-        n_ranks=priced_ranks,
-        tp_decode=True,
-    )
+    sim = LatencySimulator(llama3_405b_config(), host)
     reference = replay_scripts_sequential(
         lambda: ContextParallelEngine(model, world_size=world_size), scripts
     )
@@ -115,27 +110,19 @@ def run(
             deadline_s=deadline_s,
         )
         for mode in MODES:
-            engine = ContextParallelEngine(
-                model, world_size=world_size, capacity_tokens=capacity
-            )
-            decode_engine = ContextParallelEngine(
-                model, world_size=world_size, capacity_tokens=capacity
-            )
-            runtime = ContinuousBatchingRuntime(
-                engine,
-                decode_engine=decode_engine,
-                policy=ChunkedPrefillPolicy(
-                    chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-                ),
-                clock=clock,
+            runtime = ServeConfig(
+                world=world_size,
+                decode_world=world_size,
+                capacity=capacity,
                 preemption=mode,
-                swap_capacity_tokens=4096 if mode == "swap" else None,
+                swap_capacity=4096 if mode == "swap" else None,
                 faults=plan,
-            )
+                priced_ranks=priced_ranks,
+            ).build(model, sim=sim)
             rids = submit_scripts_to_runtime(runtime, scripts)
             report = runtime.run(max_steps=400_000)
 
-            leaks = engine.kv_leak_report() + decode_engine.kv_leak_report()
+            leaks = runtime.kv_leak_report()
             if leaks:
                 raise AssertionError(
                     f"KV state leaked at rate {rate} / {mode}: {leaks}"

@@ -23,8 +23,6 @@ change *timing only*, pinned by ``tests/properties/test_prop_runtime``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config, tiny_config
 from repro.perf.hardware import HostSpec, gtt_host
@@ -53,10 +51,8 @@ def run(
     decoded tokens are asserted identical across modes — only the
     remedy's timing differs.
     """
-    from repro.core.engine import ContextParallelEngine
     from repro.model.llama import LlamaModel
-    from repro.runtime import ContinuousBatchingRuntime, SimulatedStepClock
-    from repro.serving.scheduler import ChunkedPrefillPolicy
+    from repro.runtime import ServeConfig
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import submit_scripts_to_runtime
 
@@ -70,9 +66,7 @@ def run(
         )
         for sid in range(n_sessions)
     ]
-    clock = SimulatedStepClock(
-        LatencySimulator(llama3_405b_config(), host), n_ranks=priced_ranks
-    )
+    sim = LatencySimulator(llama3_405b_config(), host)
 
     res = ExperimentResult(
         experiment_id="Preemption modes",
@@ -93,17 +87,9 @@ def run(
     for capacity in capacities:
         tokens_by_mode = {}
         for mode in MODES:
-            engine = ContextParallelEngine(
-                model, world_size=world_size, capacity_tokens=capacity
-            )
-            runtime = ContinuousBatchingRuntime(
-                engine,
-                policy=ChunkedPrefillPolicy(
-                    chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-                ),
-                clock=clock,
-                preemption=mode,
-            )
+            runtime = ServeConfig(
+                world=world_size, capacity=capacity, preemption=mode, priced_ranks=priced_ranks
+            ).build(model, sim=sim)
             rids = submit_scripts_to_runtime(runtime, scripts)
             report = runtime.run(max_steps=400_000)
             tokens_by_mode[mode] = {

@@ -68,8 +68,7 @@ def run(
     """
     from repro.core.engine import ContextParallelEngine
     from repro.model.llama import LlamaModel
-    from repro.runtime import ContinuousBatchingRuntime, SimulatedStepClock
-    from repro.serving.scheduler import ChunkedPrefillPolicy
+    from repro.runtime import ServeConfig
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import (
         collect_generated,
@@ -95,31 +94,6 @@ def run(
         ],
     )
 
-    def build_runtime(deployment: str, cache_on: bool) -> ContinuousBatchingRuntime:
-        policy = ChunkedPrefillPolicy(
-            chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-        )
-        if deployment == "colocated":
-            return ContinuousBatchingRuntime(
-                ContextParallelEngine(
-                    model, world_size=world_size, capacity_tokens=capacity
-                ),
-                policy=policy,
-                clock=SimulatedStepClock(sim, n_ranks=priced_ranks),
-                prefix_cache=cache_on,
-            )
-        return ContinuousBatchingRuntime(
-            ContextParallelEngine(
-                model, world_size=world_size, capacity_tokens=capacity
-            ),
-            decode_engine=ContextParallelEngine(
-                model, world_size=decode_world, capacity_tokens=capacity
-            ),
-            policy=policy,
-            clock=SimulatedStepClock(sim, n_ranks=priced_ranks, tp_decode=True),
-            prefix_cache=cache_on,
-        )
-
     for deployment in DEPLOYMENTS:
         for n_templates in template_sweep:
             gen = WorkloadGenerator(model.config.vocab_size, seed=seed)
@@ -136,7 +110,13 @@ def run(
             tokens_by_mode = {}
             reports = {}
             for cache_on in (True, False):
-                runtime = build_runtime(deployment, cache_on)
+                runtime = ServeConfig(
+                    world=world_size,
+                    decode_world=None if deployment == "colocated" else decode_world,
+                    capacity=capacity,
+                    prefix_cache=cache_on,
+                    priced_ranks=priced_ranks,
+                ).build(model, sim=sim)
                 rids = submit_scripts_to_runtime(
                     runtime, scripts, start_offset_s=30.0, think_time_s=30.0
                 )

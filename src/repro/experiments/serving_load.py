@@ -101,10 +101,8 @@ def run_runtime(
     """
     from repro.model.config import tiny_config
     from repro.model.llama import LlamaModel
-    from repro.core.engine import ContextParallelEngine
     from repro.perf.latency import LatencySimulator
-    from repro.runtime import ContinuousBatchingRuntime, SimulatedStepClock
-    from repro.serving.scheduler import ChunkedPrefillPolicy
+    from repro.runtime import ServeConfig
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import collect_generated, submit_scripts_to_runtime
 
@@ -122,9 +120,7 @@ def run_runtime(
         )
         for sid in range(n_sessions)
     ]
-    clock = SimulatedStepClock(
-        LatencySimulator(llama3_405b_config(), host), n_ranks=priced_ranks
-    )
+    sim = LatencySimulator(llama3_405b_config(), host)
 
     res = ExperimentResult(
         experiment_id="Runtime under capacity pressure",
@@ -142,17 +138,9 @@ def run_runtime(
     for capacity in (None, 160, 96):
         tokens_by_policy = {}
         for order in ("fifo", "srpf"):
-            engine = ContextParallelEngine(
-                model, world_size=world_size, capacity_tokens=capacity
-            )
-            runtime = ContinuousBatchingRuntime(
-                engine,
-                policy=ChunkedPrefillPolicy(
-                    chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4,
-                    order=order,
-                ),
-                clock=clock,
-            )
+            runtime = ServeConfig(
+                world=world_size, capacity=capacity, order=order, priced_ranks=priced_ranks
+            ).build(model, sim=sim)
             rids = submit_scripts_to_runtime(runtime, scripts)
             report = runtime.run(max_steps=100_000)
             tokens_by_policy[order] = collect_generated(report, rids)

@@ -14,7 +14,9 @@ through the radix prefix cache (:mod:`repro.kvcache.prefix_index`) with
 refcounted copy-on-write paged blocks. One engine gives the colocated
 deployment; a second engine turns
 it into the disaggregated prefill/decode pools of §4.3, connected by a
-priced, serialized KV-transfer stream. A seeded fault plan
+priced, serialized KV-transfer stream. :class:`ServeConfig`
+(:mod:`repro.runtime.config`) is the one way to build either shape, or
+a fleet of them. A seeded fault plan
 (:mod:`repro.runtime.faults`) makes every fallible component fail on
 purpose — mid-stream transfer deaths, lost swap payloads, whole-pool KV
 resets, deadlines and queue backpressure — with a degradation ladder
@@ -25,6 +27,7 @@ timing, and — under faults — completion change.
 """
 
 from repro.runtime.clock import SimulatedStepClock, UnitStepClock
+from repro.runtime.config import ServeConfig
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.runtime import ContinuousBatchingRuntime, RuntimeReport
 from repro.runtime.state import RequestRecord, RequestState, TurnRequest
@@ -38,6 +41,7 @@ __all__ = [
     "RequestRecord",
     "RequestState",
     "RuntimeReport",
+    "ServeConfig",
     "SimulatedStepClock",
     "Transfer",
     "TurnRequest",

@@ -232,6 +232,11 @@ class RuntimeReport:
 class ContinuousBatchingRuntime:
     """Event-driven continuous batching over one or two CP engine pools.
 
+    Deployments are built through :meth:`repro.runtime.ServeConfig.build`,
+    which wires engines, policy, clock and (for ``replicas > 1``) a fleet
+    from plain values; call this constructor directly only for a piece
+    ``ServeConfig`` does not make, such as a hand-priced clock.
+
     Args:
         engine: the numeric engine running prefill rounds (and, when no
             ``decode_engine`` is given, decode rounds too — the colocated
@@ -838,7 +843,7 @@ class ContinuousBatchingRuntime:
             pending.append((rec.seq_id, rec.prefill_remaining))
         round_ = self.policy.build_round(pending)
         round_ = self._fit_prefill_round(round_, by_seq)
-        if not round_ and getattr(self.policy, "order", "fifo") != "fifo":
+        if not round_ and self.policy.order != "fifo":
             # liveness fallback for non-FIFO packing: the FIFO head is the
             # oldest request, so it alone can evict every younger holder —
             # a reordered round of young requests must not starve it

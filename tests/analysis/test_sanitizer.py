@@ -3,6 +3,8 @@ clean lifecycles stay silent, and sanitized runtimes are byte-identical."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.sanitizer import (
@@ -13,8 +15,7 @@ from repro.analysis.sanitizer import (
 )
 from repro.core.engine import ContextParallelEngine
 from repro.kvcache.paged import OutOfBlocksError, PagedAllocator
-from repro.runtime.runtime import ContinuousBatchingRuntime
-from repro.serving.scheduler import ChunkedPrefillPolicy
+from repro.runtime import ServeConfig
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -227,22 +228,6 @@ class TestEngineSanitizer:
 
 
 class TestSanitizedRuntime:
-    def make_runtime(self, tiny_model, *, sanitize, disaggregate=False, **kw):
-        engine = ContextParallelEngine(tiny_model, world_size=2, capacity_tokens=192)
-        kwargs = dict(
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-            ),
-            sanitize=sanitize,
-            **kw,
-        )
-        if disaggregate:
-            decode = ContextParallelEngine(
-                tiny_model, world_size=2, capacity_tokens=192
-            )
-            return ContinuousBatchingRuntime(engine, decode_engine=decode, **kwargs)
-        return ContinuousBatchingRuntime(engine, **kwargs)
-
     def run_tokens(self, runtime, vocab):
         gen = WorkloadGenerator(vocab, seed=3)
         for sid in range(3):
@@ -253,19 +238,20 @@ class TestSanitizedRuntime:
     @pytest.mark.parametrize("shape", ["colocated", "disaggregated", "prefix"])
     def test_sanitize_true_is_transparent(self, tiny_model, shape):
         vocab = tiny_model.config.vocab_size
-        kw = dict(
-            disaggregate=(shape == "disaggregated"),
+        config = ServeConfig(
+            decode_world=2 if shape == "disaggregated" else None,
+            capacity=192,
             prefix_cache=(shape == "prefix"),
         )
-        base = self.run_tokens(self.make_runtime(tiny_model, sanitize=False, **kw), vocab)
-        checked = self.run_tokens(self.make_runtime(tiny_model, sanitize=True, **kw), vocab)
+        base = self.run_tokens(config.build(tiny_model), vocab)
+        checked = self.run_tokens(replace(config, sanitize=True).build(tiny_model), vocab)
         assert base == checked
 
     def test_runtime_exposes_sanitizers_and_checks_drain(self, tiny_model):
-        rt = self.make_runtime(tiny_model, sanitize=True, disaggregate=True)
+        rt = ServeConfig(decode_world=2, capacity=192, sanitize=True).build(tiny_model)
         assert len(rt.sanitizers) == 2
         self.run_tokens(rt, tiny_model.config.vocab_size)  # run() calls check_drained
 
     def test_unsanitized_runtime_has_no_sanitizers(self, tiny_model):
-        rt = self.make_runtime(tiny_model, sanitize=False)
+        rt = ServeConfig(capacity=192).build(tiny_model)
         assert rt.sanitizers == []

@@ -2,17 +2,16 @@
 merging, metrics rollups, and the duck-typed workload glue."""
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cluster import FleetReport, ReplicaFleet, make_router
-from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.runtime import ContinuousBatchingRuntime, TurnRequest
+from repro.runtime import ServeConfig, TurnRequest
 from repro.serving.metrics import FleetMetrics, ServingMetrics
-from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import collect_generated, submit_scripts_to_runtime
 
@@ -20,14 +19,8 @@ MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
 
 
-def make_runtime(_replica_id=0, *, prefix_cache=False):
-    return ContinuousBatchingRuntime(
-        ContextParallelEngine(MODEL, world_size=1),
-        policy=ChunkedPrefillPolicy(
-            chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-        ),
-        prefix_cache=prefix_cache,
-    )
+#: One CP1 replica; ``replace(CP1, replicas=n, ...)`` is a fleet of them.
+CP1 = ServeConfig(world=1)
 
 
 def make_scripts(n=3, turns=2, seed=3):
@@ -42,36 +35,36 @@ class TestConstruction:
 
     def test_build_rejects_non_positive_counts(self):
         with pytest.raises(ValueError, match="replica count"):
-            ReplicaFleet.build(make_runtime, 0)
+            replace(CP1, replicas=0).build(MODEL)
 
     def test_build_calls_factory_with_sequential_ids(self):
         seen = []
 
         def factory(replica_id):
             seen.append(replica_id)
-            return make_runtime()
+            return CP1.build(MODEL)
 
         fleet = ReplicaFleet.build(factory, 3)
         assert seen == [0, 1, 2]
         assert [r.id for r in fleet.replicas] == [0, 1, 2]
 
     def test_default_router_is_prefix_affinity(self):
-        assert ReplicaFleet([make_runtime()]).router.name == "prefix"
+        assert ReplicaFleet([CP1.build(MODEL)]).router.name == "prefix"
 
     def test_unknown_replica_id_raises(self):
         with pytest.raises(KeyError, match="unknown replica"):
-            ReplicaFleet([make_runtime()]).replica(7)
+            ReplicaFleet([CP1.build(MODEL)]).replica(7)
 
 
 class TestIdsAndStickiness:
     def test_fleet_assigns_globally_unique_request_ids(self):
-        fleet = ReplicaFleet.build(make_runtime, 3, router=make_router("round-robin"))
+        fleet = replace(CP1, replicas=3, routing="round-robin").build(MODEL)
         scripts = make_scripts(n=4, turns=2)
         rids = [rid for s in scripts for rid in fleet.submit_script(s)]
         assert rids == list(range(8))
 
     def test_explicit_request_id_honoured_and_advances_counter(self):
-        fleet = ReplicaFleet([make_runtime()])
+        fleet = ReplicaFleet([CP1.build(MODEL)])
         gen = WorkloadGenerator(VOCAB, seed=0)
         req = TurnRequest(
             request_id=10, seq_id=0, prompt=gen.prompt(8),
@@ -85,7 +78,7 @@ class TestIdsAndStickiness:
         assert fleet.submit(follow) == 11
 
     def test_duplicate_request_id_rejected(self):
-        fleet = ReplicaFleet([make_runtime()])
+        fleet = ReplicaFleet([CP1.build(MODEL)])
         gen = WorkloadGenerator(VOCAB, seed=0)
 
         def req(rid, seq, last):
@@ -99,7 +92,7 @@ class TestIdsAndStickiness:
             fleet.submit(req(0, 1, True))
 
     def test_follow_up_turns_stick_to_placement(self):
-        fleet = ReplicaFleet.build(make_runtime, 3, router=make_router("round-robin"))
+        fleet = replace(CP1, replicas=3, routing="round-robin").build(MODEL)
         scripts = make_scripts(n=3, turns=3)
         for s in scripts:
             fleet.submit_script(s)
@@ -110,22 +103,22 @@ class TestIdsAndStickiness:
 
     def test_negative_think_time_rejected(self):
         with pytest.raises(ValueError, match="think_time"):
-            ReplicaFleet([make_runtime()]).submit_script(
+            ReplicaFleet([CP1.build(MODEL)]).submit_script(
                 make_scripts(n=1)[0], think_time=-1.0
             )
 
 
 class TestTopologyChanges:
     def test_add_replica_assigns_next_id_and_routes(self):
-        fleet = ReplicaFleet.build(make_runtime, 2, router=make_router("round-robin"))
-        assert fleet.add_replica(make_runtime()) == 2
+        fleet = replace(CP1, replicas=2, routing="round-robin").build(MODEL)
+        assert fleet.add_replica(CP1.build(MODEL)) == 2
         scripts = make_scripts(n=3, turns=1)
         for s in scripts:
             fleet.submit_script(s)
         assert sorted(fleet.placements().values()) == [0, 1, 2]
 
     def test_join_readmits_a_drained_replica(self):
-        fleet = ReplicaFleet.build(make_runtime, 2, router=make_router("round-robin"))
+        fleet = replace(CP1, replicas=2, routing="round-robin").build(MODEL)
         fleet.drain(0)
         scripts = make_scripts(n=3, turns=1)
         fleet.submit_script(scripts[0])
@@ -139,11 +132,7 @@ class TestTopologyChanges:
 class TestFleetReport:
     @pytest.fixture(scope="class")
     def run(self):
-        fleet = ReplicaFleet.build(
-            lambda i: make_runtime(i, prefix_cache=True),
-            2,
-            router=make_router("round-robin"),
-        )
+        fleet = replace(CP1, prefix_cache=True, replicas=2, routing="round-robin").build(MODEL)
         scripts = make_scripts(n=4, turns=2)
         rids = submit_scripts_to_runtime(fleet, scripts)
         report = fleet.run(max_steps=200_000)
@@ -266,7 +255,7 @@ class TestFleetMetrics:
 
 class TestStepInterleaving:
     def test_step_advances_furthest_behind_replica(self):
-        fleet = ReplicaFleet.build(make_runtime, 2, router=make_router("round-robin"))
+        fleet = replace(CP1, replicas=2, routing="round-robin").build(MODEL)
         scripts = make_scripts(n=2, turns=1)
         for s in scripts:
             fleet.submit_script(s)

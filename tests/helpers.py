@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attention.masks import attention_mask
-from repro.cluster import ReplicaFleet, make_router
-from repro.core.engine import ContextParallelEngine
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 from repro.distributed.process_group import SimProcessGroup
 from repro.obs import NULL_TRACER, RecordingTracer, comm_totals
-from repro.runtime import ContinuousBatchingRuntime, FaultPlan
+from repro.runtime import FaultPlan, ServeConfig
 from repro.runtime.state import RequestState
-from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import submit_scripts_to_runtime
 
@@ -213,7 +210,7 @@ def trace_scripts(case):
 
 
 def run_traced(case, *, record: bool = True):
-    """Build fresh engines/clocks/tracer, run the case, return
+    """Build the case through :class:`ServeConfig` with a fresh tracer, run it, return
     ``(tracer, runtime_or_fleet, fleet_or_None, report)``.
 
     ``case`` is a dict that fully determines the run: ``seed``,
@@ -224,46 +221,20 @@ def run_traced(case, *, record: bool = True):
     ``"fifo"``). ``record=False`` runs the same case with no recorder
     attached (the returned tracer is the null tracer).
     """
-    plan = FaultPlan(**case["faults"]) if case["faults"] else None
     tracer = RecordingTracer() if record else NULL_TRACER
-
-    def make_runtime(replica_id=None):
-        rt_tracer = (
-            tracer if replica_id is None else tracer.scoped(replica=replica_id)
-        )
-        kwargs = dict(
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=case["chunk"],
-                max_tokens_per_round=2 * case["chunk"],
-                max_seqs_per_round=4,
-                order=case.get("order", "fifo"),
-            ),
-            preemption=case["preemption"],
-            prefix_cache=case["prefix_cache"],
-            faults=plan,
-            tracer=rt_tracer,
-        )
-        engine = ContextParallelEngine(
-            TRACE_MODEL, world_size=2, capacity_tokens=case["capacity"]
-        )
-        if case["disaggregate"]:
-            decode = ContextParallelEngine(
-                TRACE_MODEL, world_size=2, capacity_tokens=case["capacity"]
-            )
-            return ContinuousBatchingRuntime(engine, decode_engine=decode, **kwargs)
-        return ContinuousBatchingRuntime(engine, **kwargs)
-
-    if case["n_replicas"] == 1:
-        runtime = make_runtime()
-        fleet = None
-    else:
-        fleet = ReplicaFleet.build(
-            make_runtime,
-            case["n_replicas"],
-            router=make_router(case["policy"]),
-            tracer=tracer,
-        )
-        runtime = fleet
+    runtime = ServeConfig(
+        decode_world=2 if case["disaggregate"] else None,
+        capacity=case["capacity"],
+        chunk=case["chunk"],
+        round_budget=2 * case["chunk"],
+        order=case.get("order", "fifo"),
+        preemption=case["preemption"],
+        prefix_cache=case["prefix_cache"],
+        faults=FaultPlan(**case["faults"]) if case["faults"] else None,
+        replicas=case["n_replicas"],
+        routing=case["policy"],
+    ).build(TRACE_MODEL, tracer=tracer)
+    fleet = runtime if case["n_replicas"] > 1 else None
     submit_scripts_to_runtime(runtime, trace_scripts(case), think_time_s=case["think"])
     report = runtime.run(max_steps=200_000)
     return tracer, runtime, fleet, report

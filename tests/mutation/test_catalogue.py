@@ -11,9 +11,11 @@ few seconds).
 Entries so far cover the remedy seam in ``runtime/runtime.py``: the one
 victim loop (``_make_room``), the two bounds on a victim (``_find_victim``:
 younger than the beneficiary, never the oldest live request) and the
-remedy ladder (``_rungs``, then full eviction); and the rings' shard skip
+remedy ladder (``_rungs``, then full eviction); the rings' shard skip
 (``ring_skip.partial_fully_masked``), which alone decides which ring-step
-partials are replaced by the merge identity.
+partials are replaced by the merge identity; and what the deployment
+builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
+decode pricing and the decode pool's capacity.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from pathlib import Path
 
 import pytest
 
+from dataclasses import replace
+
 from repro.core import ring_decode, ring_passkv, ring_passq
 from repro.obs import dumps_jsonl
+from repro.runtime import config as serve_config
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
 
 from helpers import run_traced
@@ -144,6 +149,37 @@ def _ring_skip_off_by_one(monkeypatch):
         monkeypatch.setattr(ring, "partial_fully_masked", strict)
 
 
+def _replicas_share_unscoped_tracer(monkeypatch):
+    """Fleet replicas record through the fleet's tracer itself instead of
+    ``tracer.scoped(replica=i)``, so their events carry no replica."""
+    runtime = serve_config.ServeConfig._runtime
+
+    def unscoped(self, model, sim, tracer):
+        return runtime(self, model, sim, getattr(tracer, "_root", tracer))
+
+    monkeypatch.setattr(serve_config.ServeConfig, "_runtime", unscoped)
+
+
+def _tp_decode_not_derived(monkeypatch):
+    """The built clock prices decode at CP whatever the deployment shape."""
+    clock = serve_config.SimulatedStepClock
+
+    def cp_only(sim, *, n_ranks, tp_decode=False):
+        return clock(sim, n_ranks=n_ranks)
+
+    monkeypatch.setattr(serve_config, "SimulatedStepClock", cp_only)
+
+
+def _decode_pool_sized_by_capacity(monkeypatch):
+    """The decode pool is built with ``capacity``, not ``decode_capacity``."""
+    runtime = serve_config.ServeConfig._runtime
+
+    def prefill_sized(self, model, sim, tracer):
+        return runtime(replace(self, decode_capacity=None), model, sim, tracer)
+
+    monkeypatch.setattr(serve_config.ServeConfig, "_runtime", prefill_sized)
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -198,6 +234,14 @@ CATALOGUE = [
     ("ring-skip-off-by-one", _ring_skip_off_by_one,
      functools.partial(_named_test, "properties/test_prop_ring.py::TestRingLosslessness"
                        "::test_passkv_exact_for_any_case")),
+    ("replicas-share-unscoped-tracer", _replicas_share_unscoped_tracer,
+     functools.partial(_golden_case, "fleet3-disagg-swap-noprefix-clean-least-loaded")),
+    ("tp-decode-not-derived", _tp_decode_not_derived,
+     functools.partial(_named_test, "runtime/test_serve_config.py"
+                       "::test_decode_is_tp_priced_exactly_when_disaggregated", 2)),
+    ("decode-pool-sized-by-capacity", _decode_pool_sized_by_capacity,
+     functools.partial(_named_test, "runtime/test_serve_config.py"
+                       "::test_decode_capacity_sizes_only_the_decode_pool")),
 ]
 
 

@@ -22,7 +22,8 @@ the value of a single decoded token:
   property suite).
 """
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 from helpers import assert_exact_vs_sequential, assert_leak_free
 from hypothesis import given, settings
@@ -33,8 +34,7 @@ from repro.cluster.router import ROUTING_POLICIES
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.runtime import ContinuousBatchingRuntime, FaultPlan
-from repro.serving.scheduler import ChunkedPrefillPolicy
+from repro.runtime import FaultPlan, ServeConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import (
     replay_scripts_sequential,
@@ -50,35 +50,19 @@ def fresh_engine(world):
     return ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=world)
 
 
-def make_runtime_factory(*, world, disaggregate, chunk, capacity, prefix_cache, plan):
-    """A fleet-ready factory: every call returns a fresh, fully
-    independent runtime (own engines, clocks, metrics, injector) over
-    the shared read-only model."""
-
-    def make_runtime(_replica_id):
-        kwargs = dict(
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk,
-                max_tokens_per_round=2 * chunk,
-                max_seqs_per_round=4,
-            ),
-            prefix_cache=prefix_cache,
-            faults=plan,
-        )
-        engine = ContextParallelEngine(MODEL, world_size=world, capacity_tokens=capacity)
-        if disaggregate:
-            decode_engine = ContextParallelEngine(
-                MODEL, world_size=world, capacity_tokens=capacity
-            )
-            return ContinuousBatchingRuntime(engine, decode_engine=decode_engine, **kwargs)
-        return ContinuousBatchingRuntime(engine, **kwargs)
-
-    return make_runtime
+def as_fleet(config):
+    """``config`` built as a fleet, a fleet of one included (``build``
+    serves a lone replica as the bare runtime)."""
+    built = config.build(MODEL)
+    if config.replicas > 1:
+        return built
+    return ReplicaFleet([built], router=make_router(config.routing))
 
 
 @st.composite
 def cluster_case(draw, *, with_faults=False):
-    """Traffic x replica count x routing policy (x fault schedule)."""
+    """Traffic x replica count x routing policy (x fault schedule), as
+    ``(scripts, config, think)``."""
     seed = draw(st.integers(0, 2**31 - 1))
     n_replicas = draw(st.integers(1, 3))
     policy = draw(st.sampled_from(ROUTING_POLICIES))
@@ -123,15 +107,18 @@ def cluster_case(draw, *, with_faults=False):
             )
             for sid in range(draw(st.integers(1, 4)))
         ]
-    factory = make_runtime_factory(
+    config = ServeConfig(
         world=world,
-        disaggregate=disaggregate,
-        chunk=chunk,
+        decode_world=world if disaggregate else None,
         capacity=capacity,
+        chunk=chunk,
+        round_budget=2 * chunk,
         prefix_cache=prefix_cache,
-        plan=plan,
+        faults=plan,
+        replicas=n_replicas,
+        routing=policy,
     )
-    return scripts, n_replicas, policy, world, think, factory
+    return scripts, config, think
 
 
 def _assert_sticky(report):
@@ -152,15 +139,16 @@ class TestFleetExactness:
         """Fault-free: every request finishes, every stream matches
         sequential replay, every replica audits leak-free, stickiness
         holds — for any (traffic, replicas, policy) draw."""
-        scripts, n_replicas, policy, world, think, factory = case
-        fleet = ReplicaFleet.build(factory, n_replicas, router=make_router(policy))
+        scripts, config, think = case
+        policy, n_replicas = config.routing, config.replicas
+        fleet = as_fleet(config)
         rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=think)
         report = fleet.run(max_steps=200_000)
 
         assert report.statuses() == {
             "finished": sum(s.turns for s in scripts)
         }, f"policy={policy}, replicas={n_replicas}"
-        reference = replay_scripts_sequential(lambda: fresh_engine(world), scripts)
+        reference = replay_scripts_sequential(lambda: fresh_engine(config.world), scripts)
         assert_exact_vs_sequential(
             report, rids, reference,
             context=f"policy={policy}, replicas={n_replicas}",
@@ -174,8 +162,9 @@ class TestFleetExactness:
         """Under any injected fault schedule (independently replayed on
         each replica): the fleet drains, completed turns stay
         bit-identical, nothing leaks on any replica."""
-        scripts, n_replicas, policy, world, think, factory = case
-        fleet = ReplicaFleet.build(factory, n_replicas, router=make_router(policy))
+        scripts, config, think = case
+        policy, n_replicas = config.routing, config.replicas
+        fleet = as_fleet(config)
         rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=think)
         report = fleet.run(max_steps=200_000)
 
@@ -184,7 +173,7 @@ class TestFleetExactness:
                 f"request {rec.request_id} wedged in {rec.state} "
                 f"(policy={policy}, replicas={n_replicas})"
             )
-        reference = replay_scripts_sequential(lambda: fresh_engine(world), scripts)
+        reference = replay_scripts_sequential(lambda: fresh_engine(config.world), scripts)
         assert_exact_vs_sequential(
             report, rids, reference, completed_only=True,
             context=f"policy={policy}, replicas={n_replicas}",
@@ -198,12 +187,10 @@ class TestFleetExactness:
         """Metamorphic over policy: the same traffic through each of the
         three routers decodes identical token streams — placement and
         timing may differ, values may not."""
-        scripts, n_replicas, _policy, world, think, factory = case
+        scripts, config, think = case
 
         def streams(policy):
-            fleet = ReplicaFleet.build(
-                factory, n_replicas, router=make_router(policy)
-            )
+            fleet = as_fleet(replace(config, routing=policy))
             rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=think)
             report = fleet.run(max_steps=200_000)
             return {
@@ -216,7 +203,7 @@ class TestFleetExactness:
         for policy in ROUTING_POLICIES[1:]:
             assert streams(policy) == base, (
                 f"policy {policy} changed token values vs "
-                f"{ROUTING_POLICIES[0]} ({n_replicas} replicas)"
+                f"{ROUTING_POLICIES[0]} ({config.replicas} replicas)"
             )
 
 
@@ -227,7 +214,8 @@ class TestFleetOfOneIsTheRuntime:
         """Metamorphic anchor: a 1-replica fleet is byte-for-byte the
         bare runtime (streams, statuses, makespan), for every policy —
         the router has one choice and the step loop degenerates."""
-        scripts, _n, policy, _world, think, factory = case
+        scripts, config, think = case
+        config = replace(config, replicas=1)
 
         def signature(target):
             rids = submit_scripts_to_runtime(target, scripts, think_time_s=think)
@@ -242,10 +230,8 @@ class TestFleetOfOneIsTheRuntime:
                 report.makespan,
             )
 
-        bare = signature(factory(0))
-        fleet = signature(
-            ReplicaFleet.build(factory, 1, router=make_router(policy))
-        )
+        bare = signature(config.build(MODEL))
+        fleet = signature(as_fleet(config))
         assert fleet == bare
 
 
@@ -256,10 +242,11 @@ class TestDrainSchedules:
         """Drain a replica between submissions: conversations already
         placed there finish there (stickiness overrides drain), no new
         conversation lands on it, and the run stays exact and leak-free."""
-        scripts, n_replicas, policy, world, think, factory = case
-        if n_replicas < 2:
-            n_replicas = 2  # draining the only replica is the error path
-        fleet = ReplicaFleet.build(factory, n_replicas, router=make_router(policy))
+        scripts, config, think = case
+        # draining the only replica is the error path
+        config = replace(config, replicas=max(2, config.replicas))
+        policy, n_replicas = config.routing, config.replicas
+        fleet = config.build(MODEL)
         target = drain_at % n_replicas
 
         cut = max(1, len(scripts) // 2)
@@ -280,7 +267,7 @@ class TestDrainSchedules:
 
         report = fleet.run(max_steps=200_000)
         assert report.statuses() == {"finished": sum(s.turns for s in scripts)}
-        reference = replay_scripts_sequential(lambda: fresh_engine(world), scripts)
+        reference = replay_scripts_sequential(lambda: fresh_engine(config.world), scripts)
         assert_exact_vs_sequential(
             report, rids, reference,
             context=f"policy={policy}, drained replica {target}",
@@ -289,11 +276,7 @@ class TestDrainSchedules:
         _assert_sticky(report)
 
     def test_all_draining_rejects_new_conversations(self):
-        factory = make_runtime_factory(
-            world=1, disaggregate=False, chunk=16, capacity=None,
-            prefix_cache=False, plan=None,
-        )
-        fleet = ReplicaFleet.build(factory, 2, router=make_router("round-robin"))
+        fleet = ServeConfig(world=1, replicas=2, routing="round-robin").build(MODEL)
         fleet.drain(0)
         fleet.drain(1)
         gen = WorkloadGenerator(VOCAB, seed=0)

@@ -26,6 +26,8 @@ seed over the same workload reproduces the identical outcome map,
 token streams, and fault counts.
 """
 
+from dataclasses import replace
+
 import pytest
 from helpers import assert_exact_vs_sequential, assert_leak_free
 from hypothesis import given, settings
@@ -34,8 +36,7 @@ from hypothesis import strategies as st
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.runtime import ContinuousBatchingRuntime, FaultPlan, RequestState
-from repro.serving.scheduler import ChunkedPrefillPolicy
+from repro.runtime import FaultPlan, ServeConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import (
     replay_scripts_sequential,
@@ -55,7 +56,8 @@ def fresh_engine(world):
 
 @st.composite
 def fault_case(draw):
-    """A workload plus a fault plan plus a deployment/remedy choice."""
+    """A workload plus a fault plan plus a remedy choice, as
+    ``(scripts, config, think)``; each test picks the pool sizes."""
     seed = draw(st.integers(0, 2**31 - 1))
     n_sessions = draw(st.integers(1, 4))
     turns = draw(st.integers(1, 3))
@@ -87,31 +89,16 @@ def fault_case(draw):
         )
         for sid in range(n_sessions)
     ]
-    return scripts, chunk, capacity, think, mode, prefix_cache, plan
-
-
-def _build(scripts, chunk, capacity, mode, prefix_cache, plan, split):
-    """A runtime over ``split`` (int = colocated world, tuple = pools)."""
-    kwargs = dict(
-        policy=ChunkedPrefillPolicy(
-            chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-        ),
+    config = ServeConfig(
+        capacity=capacity,
+        chunk=chunk,
+        round_budget=2 * chunk,
         preemption=mode,
-        swap_capacity_tokens=4096 if mode == "swap" else None,
+        swap_capacity=4096 if mode == "swap" else None,
         prefix_cache=prefix_cache,
         faults=plan,
     )
-    if isinstance(split, tuple):
-        world_p, world_d = split
-        engine = ContextParallelEngine(
-            MODEL, world_size=world_p, capacity_tokens=capacity
-        )
-        decode_engine = ContextParallelEngine(
-            MODEL, world_size=world_d, capacity_tokens=capacity
-        )
-        return ContinuousBatchingRuntime(engine, decode_engine=decode_engine, **kwargs)
-    engine = ContextParallelEngine(MODEL, world_size=split, capacity_tokens=capacity)
-    return ContinuousBatchingRuntime(engine, **kwargs)
+    return scripts, config, think
 
 
 def _check_run(runtime, scripts, think, replay_world):
@@ -149,8 +136,8 @@ class TestFaultScheduleExactness:
     def test_colocated_faulted_runs_stay_exact(self, case, world):
         """Any fault schedule over a colocated runtime: drains, completed
         requests bit-identical to sequential replay, leak-free."""
-        scripts, chunk, capacity, think, mode, prefix_cache, plan = case
-        runtime = _build(scripts, chunk, capacity, mode, prefix_cache, plan, world)
+        scripts, config, think = case
+        runtime = replace(config, world=world).build(MODEL)
         _check_run(runtime, scripts, think, world)
 
     @given(fault_case(), st.sampled_from([(1, 2), (2, 1), (2, 2)]))
@@ -158,8 +145,8 @@ class TestFaultScheduleExactness:
     def test_disaggregated_faulted_runs_stay_exact(self, case, split):
         """Any fault schedule over any prefill/decode split — transfer
         deaths mid-wire, resets of either pool — same three guarantees."""
-        scripts, chunk, capacity, think, mode, prefix_cache, plan = case
-        runtime = _build(scripts, chunk, capacity, mode, prefix_cache, plan, split)
+        scripts, config, think = case
+        runtime = replace(config, world=split[0], decode_world=split[1]).build(MODEL)
         _check_run(runtime, scripts, think, split[0])
 
     @given(fault_case())
@@ -167,12 +154,10 @@ class TestFaultScheduleExactness:
     def test_same_fault_seed_reproduces_the_run(self, case):
         """One seed pins the whole faulted run: outcome map, token
         streams, fault counts, and makespan all replay identically."""
-        scripts, chunk, capacity, think, mode, prefix_cache, plan = case
+        scripts, config, think = case
 
         def signature():
-            runtime = _build(
-                scripts, chunk, capacity, mode, prefix_cache, plan, (2, 2)
-            )
+            runtime = replace(config, decode_world=2).build(MODEL)
             rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
             report = runtime.run(max_steps=200_000)
             streams = {
@@ -203,7 +188,7 @@ class TestFaultBudgetsDrain:
         scripts = [gen.conversation(sid, turns=2, first_prompt=30) for sid in range(2)]
         plan = FaultPlan(seed=1, transfer_fail_rate=1.0, max_transfer_retries=2,
                          backoff_base_s=0.25)
-        runtime = _build(scripts, 16, None, "recompute", False, plan, (2, 2))
+        runtime = ServeConfig(decode_world=2, faults=plan).build(MODEL)
         report = _check_run(runtime, scripts, 0.0, 2)
         assert report.statuses() == {"finished": 4}
         m = report.metrics
@@ -217,7 +202,9 @@ class TestFaultBudgetsDrain:
         gen = WorkloadGenerator(VOCAB, seed=5)
         scripts = [gen.conversation(sid, turns=2, first_prompt=40) for sid in range(4)]
         plan = FaultPlan(seed=2, swap_loss_rate=1.0)
-        runtime = _build(scripts, 16, 96, "swap", False, plan, 2)
+        runtime = ServeConfig(
+            capacity=96, preemption="swap", swap_capacity=4096, faults=plan
+        ).build(MODEL)
         report = _check_run(runtime, scripts, 0.0, 2)
         assert report.statuses() == {"finished": 8}
         if report.metrics.swaps_out:
@@ -231,7 +218,7 @@ class TestFaultBudgetsDrain:
         gen = WorkloadGenerator(VOCAB, seed=9)
         scripts = [gen.conversation(sid, turns=2, first_prompt=30) for sid in range(3)]
         plan = FaultPlan(seed=4, pool_resets=pool_resets, pool_reset_window=10)
-        runtime = _build(scripts, 16, None, "recompute", True, plan, (2, 2))
+        runtime = ServeConfig(decode_world=2, prefix_cache=True, faults=plan).build(MODEL)
         report = _check_run(runtime, scripts, 0.0, 2)
         assert report.statuses() == {"finished": 6}
         assert report.metrics.pool_resets == pool_resets

@@ -30,6 +30,8 @@ token identically to sequential replay — reuse changes what a prompt
 costs, never what it computes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import assert_exact_vs_sequential
@@ -44,6 +46,7 @@ from repro.runtime import (
     ContinuousBatchingRuntime,
     FaultPlan,
     RequestState,
+    ServeConfig,
     TurnRequest,
 )
 from repro.serving.scheduler import ChunkedPrefillPolicy
@@ -83,7 +86,8 @@ def trace_case(draw):
         )
         for sid in range(n_sessions)
     ]
-    return scripts, world, chunk, capacity, think
+    config = ServeConfig(world=world, capacity=capacity, chunk=chunk, round_budget=2 * chunk)
+    return scripts, config, think
 
 
 @st.composite
@@ -112,28 +116,25 @@ def shared_trace_case(draw):
         followup_range=(4, 12),
         response_range=(2, 5),
     )
-    return scripts, world, chunk, capacity, think, order
+    config = ServeConfig(
+        world=world, capacity=capacity, chunk=chunk, round_budget=2 * chunk, order=order
+    )
+    return scripts, config, think
 
 
 class TestRuntimeExactness:
     @given(trace_case())
     @settings(**SETTINGS)
     def test_tokens_identical_to_sequential_replay(self, case):
-        scripts, world, chunk, capacity, think = case
-        engine = ContextParallelEngine(MODEL, world_size=world, capacity_tokens=capacity)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-            ),
-        )
+        scripts, config, think = case
+        runtime = config.build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         report = runtime.run(max_steps=200_000)
-        reference = replay_scripts_sequential(lambda: fresh_engine(world), scripts)
+        reference = replay_scripts_sequential(lambda: fresh_engine(config.world), scripts)
         # asserts every request FINISHED and every stream bit-identical
         assert_exact_vs_sequential(
             report, rids, reference,
-            context=f"capacity={capacity}, chunk={chunk}, "
+            context=f"capacity={config.capacity}, chunk={config.chunk}, "
                     f"preemptions={report.metrics.preemptions}",
         )
         # the trace is fully accounted
@@ -144,14 +145,9 @@ class TestRuntimeExactness:
     def test_forced_preemption_resumes_exactly(self, case, every):
         """Evicting the youngest active request every few steps — far more
         preemption than capacity pressure produces — never changes tokens."""
-        scripts, world, chunk, _, think = case
-        engine = ContextParallelEngine(MODEL, world_size=world)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-            ),
-        )
+        scripts, config, think = case
+        world = config.world
+        runtime = replace(config, capacity=None).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         steps = 0
         forced = 0
@@ -180,19 +176,12 @@ class TestRuntimeExactness:
     @settings(**SETTINGS)
     def test_disaggregated_pools_identical_to_sequential_replay(self, case, split):
         """Any prefill/decode pool split serves bit-identical tokens."""
-        scripts, _world, chunk, capacity, think = case
+        scripts, config, think = case
         world_p, world_d = split
-        engine = ContextParallelEngine(MODEL, world_size=world_p)
-        decode_engine = ContextParallelEngine(
-            MODEL, world_size=world_d, capacity_tokens=capacity
-        )
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            decode_engine=decode_engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-            ),
-        )
+        capacity, chunk = config.capacity, config.chunk
+        runtime = replace(
+            config, world=world_p, decode_world=world_d, capacity=None, decode_capacity=capacity
+        ).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         report = runtime.run(max_steps=200_000)
         reference = replay_scripts_sequential(lambda: fresh_engine(world_p), scripts)
@@ -213,17 +202,9 @@ class TestRuntimeExactness:
         """Evicting the youngest active request every few steps — from
         either pool, cancelling transfers mid-stream — never changes
         tokens."""
-        scripts, _world, chunk, _, think = case
+        scripts, config, think = case
         world_p, world_d = split
-        engine = ContextParallelEngine(MODEL, world_size=world_p)
-        decode_engine = ContextParallelEngine(MODEL, world_size=world_d)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            decode_engine=decode_engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-            ),
-        )
+        runtime = replace(config, world=world_p, decode_world=world_d, capacity=None).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         steps = 0
         forced = 0
@@ -259,17 +240,14 @@ class TestRuntimeExactness:
     def test_preemption_remedies_identical_to_sequential_replay(self, case, mode):
         """Organic capacity pressure under tail-trim / CPU-swap remedies
         never changes tokens."""
-        scripts, world, chunk, capacity, think = case
-        engine = ContextParallelEngine(MODEL, world_size=world, capacity_tokens=capacity)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-            ),
+        scripts, config, think = case
+        world, capacity = config.world, config.capacity
+        runtime = replace(
+            config,
             preemption=mode,
             # a tight host store exercises the swap->full-evict fallback
-            swap_capacity_tokens=256 if mode == "swap" else None,
-        )
+            swap_capacity=256 if mode == "swap" else None,
+        ).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         report = runtime.run(max_steps=200_000)
         reference = replay_scripts_sequential(lambda: fresh_engine(world), scripts)
@@ -288,15 +266,9 @@ class TestRuntimeExactness:
         """A forced-eviction storm resolved by tail-trims / CPU swaps —
         far more remedy applications than capacity pressure produces —
         never changes tokens (the ``--preemption swap`` bit-check)."""
-        scripts, world, chunk, _, think = case
-        engine = ContextParallelEngine(MODEL, world_size=world)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-            ),
-            preemption=mode,
-        )
+        scripts, config, think = case
+        world = config.world
+        runtime = replace(config, capacity=None, preemption=mode).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         steps = 0
         forced = 0
@@ -337,18 +309,11 @@ class TestRuntimeExactness:
         """Remedy storms across disaggregated pools (decode-pool trims
         reship deltas, decode-pool swaps skip the wire entirely) never
         change tokens."""
-        scripts, _world, chunk, _, think = case
+        scripts, config, think = case
         world_p, world_d = split
-        engine = ContextParallelEngine(MODEL, world_size=world_p)
-        decode_engine = ContextParallelEngine(MODEL, world_size=world_d)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            decode_engine=decode_engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-            ),
-            preemption=mode,
-        )
+        runtime = replace(
+            config, world=world_p, decode_world=world_d, capacity=None, preemption=mode
+        ).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         steps = 0
         forced = 0
@@ -386,17 +351,9 @@ class TestRuntimeExactness:
         """Shared-prefix traffic through the radix prefix cache — any
         hit/miss/adoption/LRU-eviction schedule under any preemption
         remedy and packing order — decodes bit-identical tokens."""
-        scripts, world, chunk, capacity, think, order = case
-        engine = ContextParallelEngine(MODEL, world_size=world, capacity_tokens=capacity)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk,
-                max_seqs_per_round=4, order=order,
-            ),
-            preemption=mode,
-            prefix_cache=True,
-        )
+        scripts, config, think = case
+        world, capacity, chunk, order = config.world, config.capacity, config.chunk, config.order
+        runtime = replace(config, preemption=mode, prefix_cache=True).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         report = runtime.run(max_steps=200_000)
         reference = replay_scripts_sequential(lambda: fresh_engine(world), scripts)
@@ -419,19 +376,12 @@ class TestRuntimeExactness:
         """Prefix cache on the prefill pool of any disaggregated split:
         retained residents, delta-only reshipping and index adoptions
         never change tokens."""
-        scripts, _world, chunk, capacity, think, order = case
+        scripts, config, think = case
         world_p, world_d = split
-        engine = ContextParallelEngine(MODEL, world_size=world_p, capacity_tokens=capacity)
-        decode_engine = ContextParallelEngine(MODEL, world_size=world_d)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            decode_engine=decode_engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk,
-                max_seqs_per_round=4, order=order,
-            ),
-            prefix_cache=True,
-        )
+        capacity, chunk = config.capacity, config.chunk
+        runtime = replace(
+            config, world=world_p, decode_world=world_d, prefix_cache=True
+        ).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         report = runtime.run(max_steps=200_000)
         reference = replay_scripts_sequential(lambda: fresh_engine(world_p), scripts)
@@ -447,17 +397,9 @@ class TestRuntimeExactness:
         """A forced-eviction storm over shared-prefix traffic — donors
         and borrowers evicted mid-flight, copy-on-write splits, pinned
         prefixes dropped as last resort — never changes tokens."""
-        scripts, world, chunk, _, think, order = case
-        engine = ContextParallelEngine(MODEL, world_size=world)
-        runtime = ContinuousBatchingRuntime(
-            engine,
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=chunk, max_tokens_per_round=2 * chunk,
-                max_seqs_per_round=4, order=order,
-            ),
-            preemption=mode,
-            prefix_cache=True,
-        )
+        scripts, config, think = case
+        world, order = config.world, config.order
+        runtime = replace(config, capacity=None, preemption=mode, prefix_cache=True).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         steps = 0
         forced = 0
@@ -490,10 +432,7 @@ class TestRuntimeExactness:
         gen = WorkloadGenerator(VOCAB, seed=7)
         prompt = gen.prompt(40)
 
-        runtime = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=world),
-            policy=ChunkedPrefillPolicy(chunk_tokens=8, max_tokens_per_round=16),
-        )
+        runtime = ServeConfig(world=world, chunk=8, round_budget=16).build(MODEL)
         rid = runtime.submit(
             TurnRequest(
                 request_id=-1, seq_id=0, prompt=prompt, max_new_tokens=budget,
@@ -643,7 +582,7 @@ class TestArrivalOrderedAdmission:
                 return super().__getitem__(key)
 
         def reads_with(not_yet_due):
-            runtime = ContinuousBatchingRuntime(ContextParallelEngine(MODEL, world_size=1))
+            runtime = ServeConfig(world=1).build(MODEL)
             prompt = np.arange(4, dtype=np.int64)
             for i in range(not_yet_due + 1):
                 runtime.submit(

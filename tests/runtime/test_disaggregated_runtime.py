@@ -18,6 +18,7 @@ from repro.model.llama import LlamaModel
 from repro.runtime import (
     ContinuousBatchingRuntime,
     RequestState,
+    ServeConfig,
     TurnRequest,
     UnitStepClock,
 )
@@ -29,26 +30,9 @@ MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
 
 
-def make_runtime(
-    *,
-    world_p=2,
-    world_d=1,
-    cap_p=None,
-    cap_d=None,
-    chunk=16,
-    round_budget=32,
-    **kw,
-):
-    engine = ContextParallelEngine(MODEL, world_size=world_p, capacity_tokens=cap_p)
-    decode_engine = ContextParallelEngine(MODEL, world_size=world_d, capacity_tokens=cap_d)
-    return ContinuousBatchingRuntime(
-        engine,
-        decode_engine=decode_engine,
-        policy=ChunkedPrefillPolicy(
-            chunk_tokens=chunk, max_tokens_per_round=round_budget, max_seqs_per_round=4
-        ),
-        **kw,
-    )
+#: Packing of ``ServeConfig()``, for the tests that hand-price a clock and
+#: so construct the runtime directly.
+POLICY = ChunkedPrefillPolicy(chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4)
 
 
 def prompt(n, seed=0):
@@ -62,7 +46,7 @@ def sequential_tokens(prompt_ids, budget, *, world=2):
 
 class TestLifecycle:
     def test_single_request_exact_across_pools(self):
-        rt = make_runtime()
+        rt = ServeConfig(decode_world=1).build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=6))
         report = rt.run(max_steps=10_000)
         rec = report.records[rid]
@@ -72,7 +56,7 @@ class TestLifecycle:
         assert report.metrics.transferred_kv_tokens == 40
 
     def test_kv_moves_from_prefill_to_decode_pool(self):
-        rt = make_runtime()
+        rt = ServeConfig(decode_world=1).build(MODEL)
         rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=3, prompt=prompt(24), max_new_tokens=4, last_turn=False
@@ -85,7 +69,12 @@ class TestLifecycle:
         assert rt.decode_engine.context_length(3) == 24 + 4
 
     def test_transfer_state_visible_and_first_token_precedes_landing(self):
-        rt = make_runtime(clock=UnitStepClock(transfer_cost=7.0))
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=2),
+            decode_engine=ContextParallelEngine(MODEL, world_size=1),
+            policy=POLICY,
+            clock=UnitStepClock(transfer_cost=7.0),
+        )
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(16), max_new_tokens=2))
         saw_transfer = False
         while rt.step():
@@ -103,7 +92,7 @@ class TestLifecycle:
         """Follow-up turns ship only the positions the decode pool lacks."""
         gen = WorkloadGenerator(VOCAB, seed=9)
         script = gen.conversation(0, turns=3, first_prompt=30)
-        rt = make_runtime(world_p=2, world_d=2)
+        rt = ServeConfig(world=2, decode_world=2).build(MODEL)
         rids = rt.submit_script(script, think_time=3.0)
         report = rt.run(max_steps=20_000)
 
@@ -127,7 +116,7 @@ class TestLifecycle:
         """An idle prefill clock must not jump past running decodes to a
         far-future arrival: a follow-up turn created by those decodes
         prefills as soon as its predecessor finishes."""
-        rt = make_runtime()
+        rt = ServeConfig(decode_world=1).build(MODEL)
         rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=prompt(16), max_new_tokens=4,
                         last_turn=False)
@@ -145,7 +134,7 @@ class TestLifecycle:
 
     def test_zero_budget_turn_never_transfers(self):
         """A max_new_tokens=0 turn finishes at prefill; no payload moves."""
-        rt = make_runtime()
+        rt = ServeConfig(decode_world=1).build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=0))
         report = rt.run(max_steps=1000)
         assert report.records[rid].state is RequestState.FINISHED
@@ -158,7 +147,7 @@ class TestLifecycle:
         """A decode-less middle turn leaves the decode pool stale; the next
         turn's delta transfer covers the gap."""
         p1, p2, p3 = prompt(20), prompt(8, seed=2), prompt(6, seed=4)
-        rt = make_runtime(world_p=2, world_d=2)
+        rt = ServeConfig(world=2, decode_world=2).build(MODEL)
         r1 = rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=p1, max_new_tokens=3, last_turn=False)
         )
@@ -185,7 +174,12 @@ class TestTransferEdgeCases:
     def test_eviction_mid_stream_resumes_exactly(self):
         """Preempting a request whose KV is on the wire cancels the
         transfer, drops the prefill-pool copy, and resumes bit-exactly."""
-        rt = make_runtime(clock=UnitStepClock(transfer_cost=9.0))
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=2),
+            decode_engine=ContextParallelEngine(MODEL, world_size=1),
+            policy=POLICY,
+            clock=UnitStepClock(transfer_cost=9.0),
+        )
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=5))
         preempted = False
         while rt.step():
@@ -205,7 +199,7 @@ class TestTransferEdgeCases:
         """A transfer that cannot fit behind an *older* active decoder is
         refused (left on the wire) and lands once the decoder finishes —
         FCFS is never violated to admit it."""
-        rt = make_runtime(world_p=1, world_d=1, cap_d=90, chunk=16, round_budget=32)
+        rt = ServeConfig(world=1, decode_world=1, decode_capacity=90, chunk=16, round_budget=32).build(MODEL)
         old = rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=prompt(30), max_new_tokens=20)
         )
@@ -228,7 +222,7 @@ class TestTransferEdgeCases:
         the evicted conversation still resumes exactly."""
         gen = WorkloadGenerator(VOCAB, seed=2)
         script = gen.conversation(0, turns=2, first_prompt=40, response_range=(3, 3))
-        rt = make_runtime(world_p=1, world_d=1, cap_d=96, chunk=16, round_budget=32)
+        rt = ServeConfig(world=1, decode_world=1, decode_capacity=96, chunk=16, round_budget=32).build(MODEL)
         rids = rt.submit_script(script, think_time=500.0)  # long idle gap
         crowd = rt.submit(
             TurnRequest(
@@ -249,8 +243,10 @@ class TestTransferEdgeCases:
         while its follow-up delta is on the wire, the landing re-ships the
         full history and pays the channel again for the extra tokens."""
         cost = 500.0
-        rt = make_runtime(
-            world_p=1, world_d=1, cap_d=96, chunk=16, round_budget=32,
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=1),
+            decode_engine=ContextParallelEngine(MODEL, world_size=1, capacity_tokens=96),
+            policy=POLICY,
             clock=UnitStepClock(transfer_cost=cost),
         )
         y1 = rt.submit(
@@ -284,7 +280,7 @@ class TestTransferEdgeCases:
         assert report.generated(z) == sequential_tokens(prompt(30, seed=3), 40, world=1)
 
     def test_context_exceeding_decode_pool_raises(self):
-        rt = make_runtime(world_p=1, world_d=1, cap_d=32, chunk=16, round_budget=32)
+        rt = ServeConfig(world=1, decode_world=1, decode_capacity=32, chunk=16, round_budget=32).build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(64), max_new_tokens=2))
         # both pools are named, each with its own clock and occupancy
         with pytest.raises(
@@ -296,7 +292,7 @@ class TestTransferEdgeCases:
             rt.run(max_steps=50_000)
 
     def test_prefill_pool_too_small_raises(self):
-        rt = make_runtime(world_p=1, world_d=1, cap_p=16, chunk=8, round_budget=8)
+        rt = ServeConfig(world=1, decode_world=1, capacity=16, chunk=8, round_budget=8).build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(64), max_new_tokens=2))
         with pytest.raises(
             RuntimeError,
@@ -314,7 +310,7 @@ class TestPoolPressure:
             gen.conversation(sid, turns=2, first_prompt=48, response_range=(4, 6))
             for sid in range(4)
         ]
-        rt = make_runtime(world_p=2, world_d=2, cap_p=80, chunk=16, round_budget=64)
+        rt = ServeConfig(world=2, decode_world=2, capacity=80, chunk=16, round_budget=64).build(MODEL)
         rid_map = {s.seq_id: rt.submit_script(s, arrival=float(i)) for i, s in enumerate(scripts)}
         report = rt.run(max_steps=200_000)
         assert report.metrics.preemptions > 0
@@ -327,7 +323,7 @@ class TestPoolPressure:
     def test_decode_pool_pressure_roundtrips_through_prefill(self):
         """A decode-pool eviction sends the request back through prefill
         and a fresh transfer, still bit-exact."""
-        rt = make_runtime(world_p=2, world_d=1, cap_d=96, chunk=16, round_budget=32)
+        rt = ServeConfig(world=2, decode_world=1, decode_capacity=96, chunk=16, round_budget=32).build(MODEL)
         old = rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=prompt(70), max_new_tokens=20)
         )
@@ -342,7 +338,12 @@ class TestPoolPressure:
 
 class TestMetrics:
     def test_per_pool_accounting(self):
-        rt = make_runtime(clock=UnitStepClock(prefill_cost=2.0, decode_cost=0.5, transfer_cost=1.0))
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=2),
+            decode_engine=ContextParallelEngine(MODEL, world_size=1),
+            policy=POLICY,
+            clock=UnitStepClock(prefill_cost=2.0, decode_cost=0.5, transfer_cost=1.0),
+        )
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(32), max_new_tokens=3))
         report = rt.run(max_steps=1000)
         m = report.metrics
@@ -359,7 +360,12 @@ class TestMetrics:
 
     def test_transfer_wait_never_reorders_tokens(self):
         """token_times are monotone per request even across the pool hop."""
-        rt = make_runtime(clock=UnitStepClock(transfer_cost=3.0))
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=2),
+            decode_engine=ContextParallelEngine(MODEL, world_size=1),
+            policy=POLICY,
+            clock=UnitStepClock(transfer_cost=3.0),
+        )
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(24), max_new_tokens=5))
         report = rt.run(max_steps=1000)
         times = report.records[rid].token_times

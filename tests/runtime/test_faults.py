@@ -15,35 +15,15 @@ import pytest
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.runtime import ContinuousBatchingRuntime, FaultInjector, FaultPlan
+from repro.runtime import FaultInjector, FaultPlan, ServeConfig
 from repro.runtime.faults import _MAX_SWAP_LOSSES
 from repro.runtime.state import RequestState, TERMINAL_STATES
 from repro.serving.metrics import ServingMetrics
-from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import submit_scripts_to_runtime
 
 MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
-
-
-def make_runtime(*, disaggregate=False, capacity=None, preemption="recompute",
-                 faults=None, swap_capacity=None):
-    engine = ContextParallelEngine(MODEL, world_size=2, capacity_tokens=capacity)
-    kwargs = dict(
-        policy=ChunkedPrefillPolicy(
-            chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-        ),
-        preemption=preemption,
-        swap_capacity_tokens=swap_capacity,
-        faults=faults,
-    )
-    if disaggregate:
-        decode_engine = ContextParallelEngine(
-            MODEL, world_size=2, capacity_tokens=capacity
-        )
-        return ContinuousBatchingRuntime(engine, decode_engine=decode_engine, **kwargs)
-    return ContinuousBatchingRuntime(engine, **kwargs)
 
 
 def make_scripts(n=3, turns=2, first_prompt=40, seed=3):
@@ -193,7 +173,7 @@ class TestDegradationLadder:
         and every request still finishes."""
         plan = FaultPlan(seed=1, transfer_fail_rate=1.0, max_transfer_retries=2,
                          backoff_base_s=0.5, backoff_cap_s=8.0)
-        runtime = make_runtime(disaggregate=True, faults=plan)
+        runtime = ServeConfig(decode_world=2, faults=plan).build(MODEL)
         scripts = make_scripts(n=2, turns=1)
         submit_scripts_to_runtime(runtime, scripts)
         report = runtime.run(max_steps=200_000)
@@ -223,7 +203,7 @@ class TestDegradationLadder:
             assert per_request == 4
             assert report.metrics.transfer_faults == per_request
 
-        check(make_runtime(disaggregate=True, faults=plan))
+        check(ServeConfig(decode_world=2, faults=plan).build(MODEL))
 
         class Guarded:  # the mutant: the injector's emit behind an `enabled` guard
             def __init__(self, stream):
@@ -233,7 +213,7 @@ class TestDegradationLadder:
                 if self.enabled:
                     self.stream.instant(*args, **fields)
 
-        mutant = make_runtime(disaggregate=True, faults=plan)
+        mutant = ServeConfig(decode_world=2, faults=plan).build(MODEL)
         mutant._injector.tracer = Guarded(mutant._injector.tracer)
         with pytest.raises(AssertionError):
             check(mutant)
@@ -242,7 +222,7 @@ class TestDegradationLadder:
         """A request past its deadline dies as ``timed_out`` and every
         later turn of its conversation cascades to ``shed``."""
         plan = FaultPlan(seed=1, deadline_s=0.5)
-        runtime = make_runtime(faults=plan)
+        runtime = ServeConfig(faults=plan).build(MODEL)
         scripts = make_scripts(n=2, turns=3)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=0.0)
         report = runtime.run(max_steps=200_000)
@@ -260,7 +240,7 @@ class TestDegradationLadder:
         """With the prefill queue at its cap, new arrivals are rejected
         before touching any engine state."""
         plan = FaultPlan(seed=1, max_queue_depth=1)
-        runtime = make_runtime(faults=plan)
+        runtime = ServeConfig(faults=plan).build(MODEL)
         scripts = make_scripts(n=6, turns=1, first_prompt=60)
         rids = submit_scripts_to_runtime(runtime, scripts, start_offset_s=0.0)
         report = runtime.run(max_steps=200_000)
@@ -277,7 +257,7 @@ class TestDegradationLadder:
 
     def test_pool_reset_requeues_and_finishes(self):
         plan = FaultPlan(seed=2, pool_resets=2, pool_reset_window=8)
-        runtime = make_runtime(faults=plan, capacity=144)
+        runtime = ServeConfig(faults=plan, capacity=144).build(MODEL)
         scripts = make_scripts(n=3, turns=2)
         submit_scripts_to_runtime(runtime, scripts)
         report = runtime.run(max_steps=200_000)
@@ -320,16 +300,7 @@ class TestDegradationLadder:
         ]
         plan = FaultPlan(seed=5614, pool_resets=1, pool_reset_window=24,
                          backoff_base_s=0.5)
-        runtime = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=2),
-            decode_engine=ContextParallelEngine(MODEL, world_size=2),
-            policy=ChunkedPrefillPolicy(
-                chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4
-            ),
-            preemption="recompute",
-            prefix_cache=True,
-            faults=plan,
-        )
+        runtime = ServeConfig(decode_world=2, prefix_cache=True, faults=plan).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=0.0)
         report = runtime.run(max_steps=200_000)
         assert report.statuses() == {"finished": 4}
@@ -349,7 +320,7 @@ class TestDegradationLadder:
         scripts = make_scripts()
 
         def run(faults):
-            runtime = make_runtime(faults=faults)
+            runtime = ServeConfig(faults=faults).build(MODEL)
             rids = submit_scripts_to_runtime(runtime, scripts)
             report = runtime.run(max_steps=200_000)
             return (
@@ -371,7 +342,7 @@ class TestReportAndStatus:
 
     def test_report_completed_statuses_goodput(self):
         plan = FaultPlan(seed=1, deadline_s=0.5)
-        runtime = make_runtime(faults=plan)
+        runtime = ServeConfig(faults=plan).build(MODEL)
         scripts = make_scripts(n=2, turns=2)
         submit_scripts_to_runtime(runtime, scripts, think_time_s=0.0)
         report = runtime.run(max_steps=200_000)
@@ -388,7 +359,7 @@ class TestReportAndStatus:
         assert report.metrics.goodput(report.makespan) == pytest.approx(want)
 
     def test_status_none_while_in_flight(self):
-        runtime = make_runtime()
+        runtime = ServeConfig().build(MODEL)
         scripts = make_scripts(n=1, turns=1)
         submit_scripts_to_runtime(runtime, scripts)
         runtime.step()

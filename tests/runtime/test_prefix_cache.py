@@ -1,13 +1,13 @@
 """Runtime-level prefix cache: admission, retention, LRU, pinning."""
 
+from dataclasses import replace
+
 import numpy as np
-import pytest
 
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.runtime import ContinuousBatchingRuntime, RequestState, TurnRequest
-from repro.serving.scheduler import ChunkedPrefillPolicy
+from repro.runtime import RequestState, ServeConfig, TurnRequest
 from repro.workloads.generator import ConversationScript, WorkloadGenerator
 from repro.workloads.replay import (
     replay_scripts_sequential,
@@ -18,19 +18,8 @@ MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
 
 
-def policy(chunk=16):
-    return ChunkedPrefillPolicy(
-        chunk_tokens=chunk, max_tokens_per_round=2 * chunk, max_seqs_per_round=4
-    )
-
-
-def runtime(world=2, capacity=None, **kw):
-    return ContinuousBatchingRuntime(
-        ContextParallelEngine(MODEL, world_size=world, capacity_tokens=capacity),
-        policy=policy(),
-        prefix_cache=True,
-        **kw,
-    )
+#: The prefix-cached deployment most tests here serve through.
+CACHED = ServeConfig(prefix_cache=True)
 
 
 def shared_scripts(n=4, shared_tokens=40, seed=5, turns=1):
@@ -55,7 +44,7 @@ def fresh(world):
 class TestAdmission:
     def test_hits_charge_only_the_suffix(self):
         scripts = shared_scripts(n=3, shared_tokens=48)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         # stagger arrivals past each predecessor's prefill so the full
         # shared span is committed before the next conversation matches
         rids = submit_scripts_to_runtime(
@@ -67,9 +56,7 @@ class TestAdmission:
         assert m.prefix_reused_tokens == 2 * 48
         # warm requests skipped the shared span: with 16-token chunks a
         # cold 56-token prompt takes 4 rounds, a warm one takes 1
-        cold = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=2), policy=policy()
-        )
+        cold = ServeConfig().build(MODEL)
         cold_rids = submit_scripts_to_runtime(
             cold, scripts, start_offset_s=10.0, think_time_s=60.0
         )
@@ -83,7 +70,7 @@ class TestAdmission:
 
     def test_warm_and_cold_ttft_buckets(self):
         scripts = shared_scripts(n=4, shared_tokens=48)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         submit_scripts_to_runtime(rt, scripts, think_time_s=60.0)
         report = rt.run(max_steps=100_000)
         m = report.metrics
@@ -98,7 +85,7 @@ class TestAdmission:
         token — the finishing chunk must produce logits to sample."""
         gen = WorkloadGenerator(VOCAB, seed=9)
         p = gen.prompt(20)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=p, max_new_tokens=2))
         rt.run(max_steps=10_000)
         # identical prompt: matches all 20 committed prompt tokens, capped
@@ -110,7 +97,7 @@ class TestAdmission:
 
     def test_tokens_match_sequential_replay(self):
         scripts = shared_scripts(n=4, shared_tokens=40, turns=2)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         rids = submit_scripts_to_runtime(rt, scripts, think_time_s=2.0)
         report = rt.run(max_steps=100_000)
         reference = replay_scripts_sequential(lambda: fresh(2), scripts)
@@ -122,7 +109,7 @@ class TestRetentionAndLru:
     def test_finished_conversation_stays_donatable(self):
         gen = WorkloadGenerator(VOCAB, seed=7)
         shared = gen.prompt(30)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=0,
@@ -145,7 +132,7 @@ class TestRetentionAndLru:
         gen = WorkloadGenerator(VOCAB, seed=13)
         # 80 tokens/rank = 5 blocks: two 42-token residents claim 4,
         # admitting a third forces exactly one LRU eviction
-        rt = runtime(capacity=80)
+        rt = replace(CACHED, capacity=80).build(MODEL)
         # two independent conversations become cached residents
         for sid in (0, 1):
             rt.submit(
@@ -169,7 +156,7 @@ class TestRetentionAndLru:
         must not inherit its KV."""
         gen = WorkloadGenerator(VOCAB, seed=3)
         p1, p2 = gen.prompt(24), gen.prompt(24)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=p1, max_new_tokens=2))
         rt.run(max_steps=10_000)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=p2, max_new_tokens=3))
@@ -190,7 +177,7 @@ class TestPinning:
     def test_donor_pinned_for_borrower_lifetime(self):
         gen = WorkloadGenerator(VOCAB, seed=21)
         shared = gen.prompt(30)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=0,
@@ -216,12 +203,9 @@ class TestPinning:
         shared prefix — it declines and the fallback chain evicts whole."""
         gen = WorkloadGenerator(VOCAB, seed=31)
         shared = gen.prompt(40)
-        rt = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=1),
-            policy=policy(chunk=64),
-            prefix_cache=True,
-            preemption="trim",
-        )
+        rt = ServeConfig(
+            world=1, chunk=64, round_budget=128, prefix_cache=True, preemption="trim"
+        ).build(MODEL)
         rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=0,
@@ -274,20 +258,8 @@ class TestDisaggregatedRetention:
     def test_followup_ships_only_delta_without_recompute(self):
         gen = WorkloadGenerator(VOCAB, seed=17)
         scripts = shared_scripts(n=2, shared_tokens=32, turns=2, seed=17)
-        base = dict(
-            policy=policy(),
-        )
-        on = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=2),
-            decode_engine=ContextParallelEngine(MODEL, world_size=2),
-            prefix_cache=True,
-            **base,
-        )
-        off = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=2),
-            decode_engine=ContextParallelEngine(MODEL, world_size=2),
-            **base,
-        )
+        on = replace(CACHED, decode_world=2).build(MODEL)
+        off = ServeConfig(decode_world=2).build(MODEL)
         rids_on = submit_scripts_to_runtime(on, scripts, think_time_s=5.0)
         rids_off = submit_scripts_to_runtime(off, scripts, think_time_s=5.0)
         rep_on = on.run(max_steps=100_000)
@@ -306,12 +278,7 @@ class TestDisaggregatedRetention:
 
     def test_prefill_pool_copy_survives_transfer(self):
         gen = WorkloadGenerator(VOCAB, seed=23)
-        rt = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=1),
-            decode_engine=ContextParallelEngine(MODEL, world_size=2),
-            policy=policy(),
-            prefix_cache=True,
-        )
+        rt = replace(CACHED, world=1, decode_world=2).build(MODEL)
         rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=gen.prompt(20), max_new_tokens=2)
         )
@@ -327,7 +294,7 @@ class TestWarmColdHonesty:
         its turn record must not report the lost span as cached."""
         gen = WorkloadGenerator(VOCAB, seed=41)
         shared = gen.prompt(40)
-        rt = runtime()
+        rt = CACHED.build(MODEL)
         rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=0,
@@ -362,12 +329,7 @@ class TestWarmColdHonesty:
         and warm TTFT classification must survive."""
         gen = WorkloadGenerator(VOCAB, seed=47)
         shared = gen.prompt(30)
-        rt = ContinuousBatchingRuntime(
-            ContextParallelEngine(MODEL, world_size=2),
-            decode_engine=ContextParallelEngine(MODEL, world_size=2),
-            policy=policy(),
-            prefix_cache=True,
-        )
+        rt = replace(CACHED, decode_world=2).build(MODEL)
         rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=0,

@@ -16,6 +16,7 @@ from repro.model.llama import LlamaModel
 from repro.runtime import (
     ContinuousBatchingRuntime,
     RequestState,
+    ServeConfig,
     TurnRequest,
     UnitStepClock,
 )
@@ -27,15 +28,9 @@ MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
 
 
-def make_runtime(*, world=2, capacity=None, chunk=16, round_budget=32, seqs=4, **kw):
-    engine = ContextParallelEngine(MODEL, world_size=world, capacity_tokens=capacity)
-    return ContinuousBatchingRuntime(
-        engine,
-        policy=ChunkedPrefillPolicy(
-            chunk_tokens=chunk, max_tokens_per_round=round_budget, max_seqs_per_round=seqs
-        ),
-        **kw,
-    )
+#: Packing of ``ServeConfig()``, for the tests that hand-price a clock and
+#: so construct the runtime directly.
+POLICY = ChunkedPrefillPolicy(chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4)
 
 
 def prompt(n, seed=0):
@@ -49,7 +44,7 @@ def sequential_tokens(prompt_ids, budget, *, world=2):
 
 class TestLifecycle:
     def test_single_request_runs_to_completion(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=5))
         report = rt.run(max_steps=1000)
         rec = report.records[rid]
@@ -62,13 +57,13 @@ class TestLifecycle:
         assert report.decode_rounds == 5
 
     def test_tokens_match_sequential(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=6))
         report = rt.run(max_steps=1000)
         assert report.generated(rid) == sequential_tokens(prompt(40), 6)
 
     def test_zero_budget_turn_finishes_at_prefill(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=0))
         report = rt.run(max_steps=100)
         rec = report.records[rid]
@@ -78,13 +73,13 @@ class TestLifecycle:
         assert report.decode_rounds == 0
 
     def test_kv_released_after_last_turn(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=7, prompt=prompt(20), max_new_tokens=3))
         rt.run(max_steps=1000)
         assert rt.engine.context_length(7) == 0
 
     def test_kv_kept_when_not_last_turn(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=7, prompt=prompt(20), max_new_tokens=3, last_turn=False
@@ -94,11 +89,11 @@ class TestLifecycle:
         assert rt.engine.context_length(7) == 23
 
     def test_step_false_when_idle(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         assert rt.step() is False
 
     def test_duplicate_request_id_rejected(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rt.submit(TurnRequest(request_id=3, seq_id=0, prompt=prompt(4), max_new_tokens=0))
         with pytest.raises(ValueError):
             rt.submit(TurnRequest(request_id=3, seq_id=1, prompt=prompt(4), max_new_tokens=0))
@@ -116,7 +111,7 @@ class TestContinuousBatching:
     def test_prefill_chunks_interleave_with_decode(self):
         """While one long prompt prefills in chunks, an already-decoding
         request keeps streaming tokens between the chunks."""
-        rt = make_runtime(chunk=8, round_budget=8)
+        rt = ServeConfig(chunk=8, round_budget=8).build(MODEL)
         short = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=8))
         long_ = rt.submit(
             TurnRequest(request_id=-1, seq_id=1, prompt=prompt(64, seed=3), max_new_tokens=2)
@@ -131,7 +126,7 @@ class TestContinuousBatching:
         assert short_rec.token_times[-1] < long_rec.first_token_at
 
     def test_fused_round_batches_multiple_prompts(self):
-        rt = make_runtime(chunk=16, round_budget=64)
+        rt = ServeConfig(chunk=16, round_budget=64).build(MODEL)
         for sid in range(4):
             rt.submit(
                 TurnRequest(
@@ -142,7 +137,7 @@ class TestContinuousBatching:
         assert report.prefill_rounds == 1  # all four prompts fused
 
     def test_decode_rounds_batch_all_decoders(self):
-        rt = make_runtime(chunk=32, round_budget=64)
+        rt = ServeConfig(chunk=32, round_budget=64).build(MODEL)
         for sid in range(3):
             rt.submit(
                 TurnRequest(
@@ -154,7 +149,7 @@ class TestContinuousBatching:
         assert report.decode_rounds == 4
 
     def test_arrival_times_respected(self):
-        rt = make_runtime(clock=UnitStepClock())
+        rt = ServeConfig().build(MODEL)
         early = rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=1)
         )
@@ -169,7 +164,7 @@ class TestContinuousBatching:
         assert report.records[late].admitted_at >= 50.0
 
     def test_turn_chain_waits_for_predecessor(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         first = rt.submit(
             TurnRequest(
                 request_id=-1, seq_id=0, prompt=prompt(24), max_new_tokens=4, last_turn=False
@@ -187,7 +182,7 @@ class TestContinuousBatching:
     def test_multi_turn_matches_chat_session(self):
         gen = WorkloadGenerator(VOCAB, seed=9)
         script = gen.conversation(0, turns=3, first_prompt=30)
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rids = rt.submit_script(script, think_time=3.0)
         report = rt.run(max_steps=2000)
 
@@ -204,7 +199,7 @@ class TestPreemption:
             gen.conversation(sid, turns=2, first_prompt=48, response_range=(4, 6))
             for sid in range(4)
         ]
-        rt = make_runtime(capacity=80)
+        rt = ServeConfig(capacity=80).build(MODEL)
         rid_map = {s.seq_id: rt.submit_script(s, arrival=float(i)) for i, s in enumerate(scripts)}
         report = rt.run(max_steps=100_000)
         assert report.metrics.preemptions > 0
@@ -216,7 +211,7 @@ class TestPreemption:
                 assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
 
     def test_forced_preemption_mid_decode_resumes_exactly(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=8))
         preempted = False
         while rt.step():
@@ -232,7 +227,7 @@ class TestPreemption:
         assert report.generated(rid) == sequential_tokens(prompt(40), 8)
 
     def test_forced_preemption_mid_prefill_resumes_exactly(self):
-        rt = make_runtime(chunk=8, round_budget=8)
+        rt = ServeConfig(chunk=8, round_budget=8).build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=4))
         preempted = False
         while rt.step():
@@ -244,7 +239,7 @@ class TestPreemption:
         assert rt.report().generated(rid) == sequential_tokens(prompt(40), 4)
 
     def test_preempt_requires_active_request(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rid = rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=0, arrival=9.0)
         )
@@ -254,7 +249,7 @@ class TestPreemption:
     def test_idle_conversation_evicted_under_pressure(self):
         """A conversation waiting between turns loses its KV before any
         active request is preempted, and still resumes exactly."""
-        rt = make_runtime(capacity=64)
+        rt = ServeConfig(capacity=64).build(MODEL)
         gen = WorkloadGenerator(VOCAB, seed=2)
         script = gen.conversation(0, turns=2, first_prompt=30, response_range=(3, 3))
         rids = rt.submit_script(script, think_time=500.0)  # long idle gap
@@ -273,7 +268,7 @@ class TestPreemption:
             assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
 
     def test_capacity_too_small_raises(self):
-        rt = make_runtime(capacity=16, chunk=8, round_budget=8)
+        rt = ServeConfig(capacity=16, chunk=8, round_budget=8).build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(64), max_new_tokens=2))
         # the failure carries its evidence: requests per state and the
         # pool's clock, holders and occupancy
@@ -288,7 +283,7 @@ class TestPreemption:
         holder and an older request needs the space, the decoder is
         preempted (and resumes exactly) instead of the runtime declaring
         the pool exhausted — each conversation fits capacity alone."""
-        rt = make_runtime(world=1, capacity=96, chunk=8, round_budget=16)
+        rt = ServeConfig(world=1, capacity=96, chunk=8, round_budget=16).build(MODEL)
         old = rt.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=prompt(80), max_new_tokens=4)
         )
@@ -307,7 +302,7 @@ def test_sole_decoder_that_cannot_grow_raises_instead_of_livelocking(remedy):
     whose context outgrows the pool (12 prompt + 10 new tokens against one
     16-token block) must raise at the wall: evicting it would only send it
     back to re-prefill into the same wall, every step, until ``max_steps``."""
-    rt = make_runtime(world=1, capacity=16, preemption=remedy)
+    rt = ServeConfig(world=1, capacity=16, preemption=remedy).build(MODEL)
     rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(12), max_new_tokens=10))
     with pytest.raises(RuntimeError, match="decode step cannot fit"):
         rt.run(max_steps=500)
@@ -320,16 +315,16 @@ class TestPreemptionModes:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="preemption"):
-            make_runtime(preemption="hibernate")
+            ServeConfig(preemption="hibernate").build(MODEL)
         with pytest.raises(ValueError, match="swap_capacity"):
-            make_runtime(preemption="trim", swap_capacity_tokens=100)
+            ServeConfig(preemption="trim", swap_capacity=100).build(MODEL)
         with pytest.raises(ValueError, match="swap_capacity"):
-            make_runtime(preemption="swap", swap_capacity_tokens=-1)
+            ServeConfig(preemption="swap", swap_capacity=-1).build(MODEL)
 
     def test_trim_keeps_prefix_resident(self):
         """A trimmed decode victim keeps a KV prefix and re-prefills only
         the dropped suffix — exactly."""
-        rt = make_runtime(preemption="trim")
+        rt = ServeConfig(preemption="trim").build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=8))
         trimmed = False
         while rt.step():
@@ -354,7 +349,7 @@ class TestPreemptionModes:
             gen.conversation(sid, turns=2, first_prompt=48, response_range=(4, 6))
             for sid in range(4)
         ]
-        rt = make_runtime(capacity=80, preemption="trim")
+        rt = ServeConfig(capacity=80, preemption="trim").build(MODEL)
         rid_map = {s.seq_id: rt.submit_script(s, arrival=float(i)) for i, s in enumerate(scripts)}
         report = rt.run(max_steps=100_000)
         assert report.metrics.trims > 0
@@ -367,7 +362,7 @@ class TestPreemptionModes:
     def test_trimmed_idle_conversation_resumes_from_prefix(self):
         """An idle conversation trimmed between turns re-prefills only
         the trimmed suffix when its next turn admits."""
-        rt = make_runtime(capacity=64, preemption="trim")
+        rt = ServeConfig(capacity=64, preemption="trim").build(MODEL)
         gen = WorkloadGenerator(VOCAB, seed=2)
         script = gen.conversation(0, turns=2, first_prompt=30, response_range=(3, 3))
         rids = rt.submit_script(script, think_time=500.0)
@@ -390,7 +385,7 @@ class TestPreemptionModes:
     def test_swap_decode_victim_resumes_without_recompute(self):
         """A swapped decode victim goes SWAPPED, swaps back in, and
         resumes decoding directly — zero extra prefill rounds."""
-        rt = make_runtime(preemption="swap")
+        rt = ServeConfig(preemption="swap").build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=8))
         swapped = False
         while rt.step():
@@ -408,14 +403,14 @@ class TestPreemptionModes:
         assert m.preemptions == 0
         assert report.generated(rid) == sequential_tokens(prompt(40), 8)
         # no re-prefill happened: same prefill rounds as an undisturbed run
-        undisturbed = make_runtime()
+        undisturbed = ServeConfig().build(MODEL)
         undisturbed.submit(
             TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=8)
         )
         assert report.prefill_rounds == undisturbed.run(max_steps=10_000).prefill_rounds
 
     def test_swap_mid_prefill_resumes_exactly(self):
-        rt = make_runtime(chunk=8, round_budget=8, preemption="swap")
+        rt = ServeConfig(chunk=8, round_budget=8, preemption="swap").build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=4))
         swapped = False
         while rt.step():
@@ -430,7 +425,7 @@ class TestPreemptionModes:
     def test_swap_store_capacity_falls_back_to_full_evict(self):
         """A host store too small for the victim declines the swap; the
         eviction degrades to recompute and stays exact."""
-        rt = make_runtime(preemption="swap", swap_capacity_tokens=4)
+        rt = ServeConfig(preemption="swap", swap_capacity=4).build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=6))
         forced = False
         while rt.step():
@@ -448,7 +443,7 @@ class TestPreemptionModes:
     def test_swapped_idle_conversation_restored_for_next_turn(self):
         """An idle conversation swapped out between turns swaps back in
         when its next turn arrives — the history is never recomputed."""
-        rt = make_runtime(capacity=64, preemption="swap")
+        rt = ServeConfig(capacity=64, preemption="swap").build(MODEL)
         gen = WorkloadGenerator(VOCAB, seed=2)
         script = gen.conversation(0, turns=2, first_prompt=30, response_range=(3, 3))
         rids = rt.submit_script(script, think_time=500.0)
@@ -475,7 +470,7 @@ class TestPreemptionModes:
             gen.conversation(sid, turns=2, first_prompt=48, response_range=(4, 6))
             for sid in range(4)
         ]
-        rt = make_runtime(capacity=80, preemption="swap", swap_capacity_tokens=400)
+        rt = ServeConfig(capacity=80, preemption="swap", swap_capacity=400).build(MODEL)
         rid_map = {s.seq_id: rt.submit_script(s, arrival=float(i)) for i, s in enumerate(scripts)}
         report = rt.run(max_steps=100_000)
         assert report.metrics.swaps_out > 0
@@ -488,8 +483,12 @@ class TestPreemptionModes:
 
     def test_swap_cost_priced_by_clock(self):
         """Swap-out + swap-in each stall the pool by the clock's price."""
-        clock = UnitStepClock(swap_cost=5.0)
-        rt = make_runtime(preemption="swap", clock=clock)
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=2),
+            policy=POLICY,
+            clock=UnitStepClock(swap_cost=5.0),
+            preemption="swap",
+        )
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(24), max_new_tokens=6))
         swapped = False
         while rt.step():
@@ -508,7 +507,7 @@ class TestRouterProbes:
         """The router's load probe is memoised; every call that can change
         it (submit, step, preempt) must leave the next read equal to a
         recount. Each assertion below kills dropping one of the resets."""
-        rt = make_runtime(chunk=8, round_budget=8)
+        rt = ServeConfig(chunk=8, round_budget=8).build(MODEL)
 
         def recount():
             rt._queued_tokens = None
@@ -535,7 +534,11 @@ class TestRouterProbes:
 
 class TestMetricsAndClock:
     def test_unit_clock_timing(self):
-        rt = make_runtime(clock=UnitStepClock(prefill_cost=2.0, decode_cost=1.0))
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=2),
+            policy=POLICY,
+            clock=UnitStepClock(prefill_cost=2.0, decode_cost=1.0),
+        )
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(32), max_new_tokens=3))
         report = rt.run(max_steps=1000)
         # 2 prefill rounds * 2.0 + 3 decode rounds * 1.0
@@ -545,7 +548,7 @@ class TestMetricsAndClock:
         assert rec.ttit_samples() == pytest.approx([1.0, 1.0])
 
     def test_streaming_metrics_recorded(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(16), max_new_tokens=4))
         report = rt.run(max_steps=1000)
         m = report.metrics
@@ -555,7 +558,7 @@ class TestMetricsAndClock:
         assert report.tokens_per_second() > 0
 
     def test_turn_records_carry_cache_state(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         gen = WorkloadGenerator(VOCAB, seed=1)
         rt.submit_script(gen.conversation(0, turns=2, first_prompt=20))
         report = rt.run(max_steps=1000)
@@ -565,7 +568,7 @@ class TestMetricsAndClock:
         assert 0 < second.miss_rate < 1
 
     def test_state_counts(self):
-        rt = make_runtime()
+        rt = ServeConfig().build(MODEL)
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=1))
         assert rt.state_counts() == {"queued": 1}
         rt.run(max_steps=100)

@@ -151,7 +151,7 @@ class TestCommands:
 
     def test_serve_rejects_decode_capacity_without_disaggregate(self, capsys):
         assert main(["serve", "--decode-capacity", "64"]) == 2
-        assert "--disaggregate" in capsys.readouterr().err
+        assert "decode_capacity only applies to a disaggregated" in capsys.readouterr().err
 
     def test_serve_rejects_world_with_disaggregate(self, capsys):
         assert main(["serve", "--world", "4", "--disaggregate", "1:1"]) == 2
@@ -189,9 +189,22 @@ class TestCommands:
         assert captured.err.startswith("error: ") and "capacity_tokens" in captured.err
         assert "served" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--turns", "0"], ["--first-prompt", "0"], ["--sessions", "-1", "--verify"]],
+        ids=["turns-0", "first-prompt-0", "sessions-negative-verify"],
+    )
+    def test_serve_rejects_empty_workload(self, capsys, argv):
+        """A workload with nothing to serve is a usage error: no traceback
+        from the generator, and no verify that checked zero turns."""
+        assert main(["serve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "served" not in captured.out
+
     def test_serve_rejects_swap_capacity_without_swap(self, capsys):
         assert main(["serve", "--swap-capacity", "128"]) == 2
-        assert "--preemption swap" in capsys.readouterr().err
+        assert "preemption='swap'" in capsys.readouterr().err
 
     def test_trace_writes_json(self, capsys, tmp_path):
         import json
@@ -278,7 +291,7 @@ class TestServeFleet:
 
     def test_serve_rejects_zero_replicas(self, capsys):
         assert main(["serve", "--replicas", "0"]) == 2
-        assert "--replicas" in capsys.readouterr().err
+        assert "replica count must be >= 1" in capsys.readouterr().err
 
     def test_serve_rejects_routing_without_fleet(self, capsys):
         assert main(["serve", "--routing", "prefix"]) == 2
