@@ -66,7 +66,6 @@ def run(
             routing fails to beat round-robin on warm p50 TTFT or hit
             rate at a replica count >= 2.
     """
-    from repro.cluster import ReplicaFleet, make_router
     from repro.core.engine import ContextParallelEngine
     from repro.model.llama import LlamaModel
     from repro.runtime import ServeConfig
@@ -129,9 +128,7 @@ def run(
                 replicas=replicas,
                 routing=policy,
                 priced_ranks=priced_ranks,
-            ).build(model, sim=sim)
-            if replicas == 1:  # the rows below read the fleet's rollups
-                fleet = ReplicaFleet([fleet], router=make_router(policy))
+            ).build_fleet(model, sim=sim)  # the rows read fleet rollups
             rids = submit_scripts_to_runtime(
                 fleet, scripts, start_offset_s=1.0, think_time_s=5.0
             )

@@ -65,8 +65,8 @@ class ServeConfig:
     def __post_init__(self):
         if self.decode_capacity is not None and self.decode_world is None:
             raise ValueError(
-                "decode_capacity only applies to a disaggregated deployment "
-                "(set decode_world)"
+                "a decode-pool capacity needs a disaggregated deployment "
+                "(a separate decode pool)"
             )
 
     def build(self, model, *, sim=None, tracer=None):
@@ -77,11 +77,17 @@ class ServeConfig:
         ``None`` prices every round with :class:`UnitStepClock`) and
         ``tracer``, through which replica *i* records as
         ``tracer.scoped(replica=i)``. Engines, policy and clock are built
-        per runtime.
+        per runtime. A lone runtime records through ``tracer`` itself.
         """
-        tracer = tracer if tracer is not None else NULL_TRACER
         if self.replicas == 1:
-            return self._runtime(model, sim, tracer)
+            return self._runtime(model, sim, tracer if tracer is not None else NULL_TRACER)
+        return self.build_fleet(model, sim=sim, tracer=tracer)
+
+    def build_fleet(self, model, *, sim=None, tracer=None):
+        """:meth:`build` as a :class:`~repro.cluster.ReplicaFleet` always,
+        a fleet of one included — for callers that read fleet rollups at
+        every replica count."""
+        tracer = tracer if tracer is not None else NULL_TRACER
         # repro.cluster imports the runtime module: import it at call time
         from repro.cluster import ReplicaFleet, make_router
 

@@ -316,12 +316,10 @@ class ContinuousBatchingRuntime:
             )
         if swap_capacity_tokens is not None:
             if preemption != "swap":
-                raise ValueError(
-                    "swap_capacity_tokens only applies with preemption='swap'"
-                )
+                raise ValueError("a swap capacity only applies to swap preemption")
             if swap_capacity_tokens < 0:
                 raise ValueError(
-                    f"swap_capacity_tokens must be >= 0, got {swap_capacity_tokens}"
+                    f"a swap capacity must be >= 0 tokens, got {swap_capacity_tokens}"
                 )
         if decode_engine is not None and decode_engine.model is not engine.model:
             raise ValueError(

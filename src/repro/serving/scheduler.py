@@ -162,8 +162,8 @@ class ChunkedPrefillPolicy:
             raise ValueError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
         if max_tokens_per_round < chunk_tokens:
             raise ValueError(
-                f"max_tokens_per_round ({max_tokens_per_round}) must be >= "
-                f"chunk_tokens ({chunk_tokens})"
+                f"a round's token budget ({max_tokens_per_round}) must be >= "
+                f"the prefill chunk ({chunk_tokens})"
             )
         if max_seqs_per_round < 1:
             raise ValueError(f"max_seqs_per_round must be >= 1, got {max_seqs_per_round}")

@@ -16,7 +16,7 @@ the value of a single decoded token:
   bookkeeping audits clean;
 - **stickiness is absolute** — all turns of a conversation execute on
   the replica that served its first turn (drain included);
-- **a fleet of one is the runtime** — ``ReplicaFleet([runtime])`` is
+- **a fleet of one is the runtime** — ``build_fleet`` at one replica is
   byte-for-byte the bare runtime: same streams, statuses, makespan
   (the metamorphic anchor tying the cluster tier to the single-runtime
   property suite).
@@ -29,7 +29,6 @@ from helpers import assert_exact_vs_sequential, assert_leak_free
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ReplicaFleet, make_router
 from repro.cluster.router import ROUTING_POLICIES
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
@@ -48,15 +47,6 @@ SETTINGS = dict(max_examples=10, deadline=None)
 
 def fresh_engine(world):
     return ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=world)
-
-
-def as_fleet(config):
-    """``config`` built as a fleet, a fleet of one included (``build``
-    serves a lone replica as the bare runtime)."""
-    built = config.build(MODEL)
-    if config.replicas > 1:
-        return built
-    return ReplicaFleet([built], router=make_router(config.routing))
 
 
 @st.composite
@@ -141,7 +131,7 @@ class TestFleetExactness:
         holds — for any (traffic, replicas, policy) draw."""
         scripts, config, think = case
         policy, n_replicas = config.routing, config.replicas
-        fleet = as_fleet(config)
+        fleet = config.build_fleet(MODEL)
         rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=think)
         report = fleet.run(max_steps=200_000)
 
@@ -164,7 +154,7 @@ class TestFleetExactness:
         bit-identical, nothing leaks on any replica."""
         scripts, config, think = case
         policy, n_replicas = config.routing, config.replicas
-        fleet = as_fleet(config)
+        fleet = config.build_fleet(MODEL)
         rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=think)
         report = fleet.run(max_steps=200_000)
 
@@ -190,7 +180,7 @@ class TestFleetExactness:
         scripts, config, think = case
 
         def streams(policy):
-            fleet = as_fleet(replace(config, routing=policy))
+            fleet = replace(config, routing=policy).build_fleet(MODEL)
             rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=think)
             report = fleet.run(max_steps=200_000)
             return {
@@ -231,7 +221,7 @@ class TestFleetOfOneIsTheRuntime:
             )
 
         bare = signature(config.build(MODEL))
-        fleet = signature(as_fleet(config))
+        fleet = signature(config.build_fleet(MODEL))
         assert fleet == bare
 
 

@@ -30,8 +30,8 @@ MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
 
 
-#: Packing of ``ServeConfig()``, for the tests that hand-price a clock and
-#: so construct the runtime directly.
+#: Packing of ``ServeConfig()``, for the tests that hand-price a clock or
+#: pair pools ``ServeConfig`` does not build, and so construct the runtime.
 POLICY = ChunkedPrefillPolicy(chunk_tokens=16, max_tokens_per_round=32, max_seqs_per_round=4)
 
 
@@ -292,7 +292,13 @@ class TestTransferEdgeCases:
             rt.run(max_steps=50_000)
 
     def test_prefill_pool_too_small_raises(self):
-        rt = ServeConfig(world=1, decode_world=1, capacity=16, chunk=8, round_budget=8).build(MODEL)
+        # a bounded prefill pool beside an unbounded decode pool, a shape
+        # ServeConfig does not build (decode_capacity=None means capacity)
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=1, capacity_tokens=16),
+            decode_engine=ContextParallelEngine(MODEL, world_size=1),
+            policy=ChunkedPrefillPolicy(chunk_tokens=8, max_tokens_per_round=8, max_seqs_per_round=4),
+        )
         rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(64), max_new_tokens=2))
         with pytest.raises(
             RuntimeError,
@@ -310,7 +316,12 @@ class TestPoolPressure:
             gen.conversation(sid, turns=2, first_prompt=48, response_range=(4, 6))
             for sid in range(4)
         ]
-        rt = ServeConfig(world=2, decode_world=2, capacity=80, chunk=16, round_budget=64).build(MODEL)
+        # only pool A is bounded, so every preemption below is a pool-A one
+        rt = ContinuousBatchingRuntime(
+            ContextParallelEngine(MODEL, world_size=2, capacity_tokens=80),
+            decode_engine=ContextParallelEngine(MODEL, world_size=2),
+            policy=ChunkedPrefillPolicy(chunk_tokens=16, max_tokens_per_round=64, max_seqs_per_round=4),
+        )
         rid_map = {s.seq_id: rt.submit_script(s, arrival=float(i)) for i, s in enumerate(scripts)}
         report = rt.run(max_steps=200_000)
         assert report.metrics.preemptions > 0

@@ -316,9 +316,9 @@ class TestPreemptionModes:
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="preemption"):
             ServeConfig(preemption="hibernate").build(MODEL)
-        with pytest.raises(ValueError, match="swap_capacity"):
+        with pytest.raises(ValueError, match="swap capacity"):
             ServeConfig(preemption="trim", swap_capacity=100).build(MODEL)
-        with pytest.raises(ValueError, match="swap_capacity"):
+        with pytest.raises(ValueError, match="swap capacity"):
             ServeConfig(preemption="swap", swap_capacity=-1).build(MODEL)
 
     def test_trim_keeps_prefix_resident(self):

@@ -4,8 +4,8 @@
 decode pool); every other bad value is rejected by the layer that owns
 it, and ``build`` only has to surface that layer's ``ValueError``. The
 rest pins what ``build`` derives: TP-priced decode exactly when a decode
-pool exists, one replica-scoped tracer view per fleet replica, and the
-decode pool's capacity.
+pool exists, one replica-scoped tracer view per fleet replica, a fleet
+of one from ``build_fleet``, and the decode pool's capacity.
 """
 
 from dataclasses import replace
@@ -37,7 +37,7 @@ def pool(engine):
 
 
 def test_decode_capacity_without_decode_pool_rejected():
-    with pytest.raises(ValueError, match="decode_capacity only applies to a disaggregated"):
+    with pytest.raises(ValueError, match="decode-pool capacity needs a disaggregated"):
         ServeConfig(decode_capacity=64)
 
 
@@ -49,12 +49,12 @@ def test_decode_capacity_without_decode_pool_rejected():
         (dict(capacity=0), "capacity_tokens"),
         (dict(decode_world=2, decode_capacity=-4), "capacity_tokens"),
         (dict(chunk=0), "chunk_tokens"),
-        (dict(round_budget=8), "max_tokens_per_round"),
+        (dict(round_budget=8), "token budget"),
         (dict(max_seqs=0), "max_seqs_per_round"),
         (dict(order="lifo"), "order"),
         (dict(preemption="hibernate"), "preemption"),
-        (dict(swap_capacity=100), "swap_capacity_tokens"),
-        (dict(preemption="swap", swap_capacity=-1), "swap_capacity_tokens"),
+        (dict(swap_capacity=100), "swap preemption"),
+        (dict(preemption="swap", swap_capacity=-1), "swap capacity"),
         (dict(replicas=0), "replica count"),
         (dict(replicas=2, routing="random"), "routing policy"),
     ],
@@ -107,6 +107,12 @@ def test_lone_replica_records_through_the_tracer_itself():
     submit_scripts_to_runtime(runtime, [gen.conversation(0, turns=1, first_prompt=12)])
     runtime.run(max_steps=10_000)
     assert tracer.events and all(e.replica is None for e in tracer.events)
+
+
+def test_build_fleet_wraps_a_lone_replica():
+    fleet = ServeConfig(routing="round-robin").build_fleet(MODEL)
+    assert isinstance(fleet, ReplicaFleet) and fleet.router.name == "round-robin"
+    assert [type(r.runtime) for r in fleet.replicas] == [ContinuousBatchingRuntime]
 
 
 def test_decode_capacity_defaults_to_capacity():

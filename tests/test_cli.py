@@ -151,7 +151,7 @@ class TestCommands:
 
     def test_serve_rejects_decode_capacity_without_disaggregate(self, capsys):
         assert main(["serve", "--decode-capacity", "64"]) == 2
-        assert "decode_capacity only applies to a disaggregated" in capsys.readouterr().err
+        assert "decode-pool capacity needs a disaggregated" in capsys.readouterr().err
 
     def test_serve_rejects_world_with_disaggregate(self, capsys):
         assert main(["serve", "--world", "4", "--disaggregate", "1:1"]) == 2
@@ -204,7 +204,11 @@ class TestCommands:
 
     def test_serve_rejects_swap_capacity_without_swap(self, capsys):
         assert main(["serve", "--swap-capacity", "128"]) == 2
-        assert "preemption='swap'" in capsys.readouterr().err
+        assert "swap capacity only applies to swap preemption" in capsys.readouterr().err
+
+    def test_serve_rejects_round_budget_below_chunk(self, capsys):
+        assert main(["serve", "--round-budget", "8"]) == 2
+        assert "token budget (8) must be >= the prefill chunk (16)" in capsys.readouterr().err
 
     def test_trace_writes_json(self, capsys, tmp_path):
         import json
