@@ -1,10 +1,11 @@
 """Tests for serving metrics aggregation."""
 
 import math
+import re
 
 import pytest
 
-from repro.serving.metrics import ServingMetrics
+from repro.serving.metrics import FleetMetrics, ServingMetrics
 from repro.serving.request import TurnRecord
 
 
@@ -195,6 +196,17 @@ class TestServingMetrics:
         assert math.isnan(m.pool_utilization("missing", makespan=8.0))
         assert "pool busy: decode: 0.500s/1 rounds, prefill: 4.000s/2 rounds" in m.summary()
 
+    @pytest.mark.parametrize("event", ["prefill_round", "decode_round"])
+    def test_negative_round_duration_rejected(self, event):
+        """A round that ends before it starts is a clock bug: reject it
+        before either pool counter moves."""
+        m = ServingMetrics()
+        fold(m, event, dur=0.5)
+        before = m.folded_state()
+        with pytest.raises(ValueError):
+            fold(m, event, dur=-1e-9)
+        assert m.folded_state() == before
+
     @pytest.mark.parametrize("first", ["prefill", "decode"])
     def test_busy_s_is_bit_equal_to_the_label_ordered_sum(self, first):
         """The router's load probe reads `busy_s` (no dict built per probe);
@@ -382,3 +394,292 @@ class TestInstanceIndependence:
         fm.prefix_hit_rate
         fm.percentile_ttft(50)
         assert (m.prefix_hits, m.prefix_misses, list(m.ttft_samples)) == before
+
+
+#: What ``_fed()`` exposes.
+FED_TEXT = """\
+# HELP repro_completed_requests_total Requests that reached FINISHED
+# TYPE repro_completed_requests_total counter
+repro_completed_requests_total 6
+# HELP repro_degraded_fallbacks_total Fault recoveries that bottomed out in recompute
+# TYPE repro_degraded_fallbacks_total counter
+repro_degraded_fallbacks_total 0
+# HELP repro_fault_backoff_seconds_total Retry backoff seconds charged to the wire schedule
+# TYPE repro_fault_backoff_seconds_total counter
+repro_fault_backoff_seconds_total 2
+# HELP repro_fault_retries_total Failed transfers rescheduled after backoff
+# TYPE repro_fault_retries_total counter
+repro_fault_retries_total 1
+# HELP repro_kv_peak_utilization Peak claimed KV-block fraction per pool
+# TYPE repro_kv_peak_utilization gauge
+repro_kv_peak_utilization{pool="decode"} 0.25
+repro_kv_peak_utilization{pool="prefill"} 0.5
+# HELP repro_kv_transfer_refusals_total Transfers the decode pool's admission refused
+# TYPE repro_kv_transfer_refusals_total counter
+repro_kv_transfer_refusals_total 0
+# HELP repro_kv_transfers_cancelled_total In-flight transfers cancelled by eviction/shed
+# TYPE repro_kv_transfers_cancelled_total counter
+repro_kv_transfers_cancelled_total 0
+# HELP repro_kv_transfers_refunded_total Cancelled transfers that wasted no wire time
+# TYPE repro_kv_transfers_refunded_total counter
+repro_kv_transfers_refunded_total 0
+# HELP repro_kv_transfers_total Landed prefill-to-decode KV transfers
+# TYPE repro_kv_transfers_total counter
+repro_kv_transfers_total 0
+# HELP repro_pool_busy_seconds_total Engine busy seconds per pool
+# TYPE repro_pool_busy_seconds_total counter
+repro_pool_busy_seconds_total{pool="decode"} 0.75
+repro_pool_busy_seconds_total{pool="prefill"} 2
+# HELP repro_pool_reset_evicted_kv_tokens_total Resident KV tokens dropped by pool resets
+# TYPE repro_pool_reset_evicted_kv_tokens_total counter
+repro_pool_reset_evicted_kv_tokens_total 0
+# HELP repro_pool_resets_total Whole-pool KV resets injected
+# TYPE repro_pool_resets_total counter
+repro_pool_resets_total 0
+# HELP repro_pool_rounds_total Engine rounds executed per pool
+# TYPE repro_pool_rounds_total counter
+repro_pool_rounds_total{pool="decode"} 2
+repro_pool_rounds_total{pool="prefill"} 1
+# HELP repro_preempt_evicted_kv_tokens_total KV tokens dropped by full evictions
+# TYPE repro_preempt_evicted_kv_tokens_total counter
+repro_preempt_evicted_kv_tokens_total 120
+# HELP repro_preemptions_total Full KV evictions under capacity pressure
+# TYPE repro_preemptions_total counter
+repro_preemptions_total 1
+# HELP repro_prefix_evicted_kv_tokens_total KV tokens dropped by prefix evictions
+# TYPE repro_prefix_evicted_kv_tokens_total counter
+repro_prefix_evicted_kv_tokens_total 0
+# HELP repro_prefix_evictions_total LRU evictions of cached prefix residents
+# TYPE repro_prefix_evictions_total counter
+repro_prefix_evictions_total 0
+# HELP repro_prefix_hits_total Prefix-cache lookups that adopted a cached prefix
+# TYPE repro_prefix_hits_total counter
+repro_prefix_hits_total 0
+# HELP repro_prefix_misses_total Prefix-cache lookups that matched nothing
+# TYPE repro_prefix_misses_total counter
+repro_prefix_misses_total 0
+# HELP repro_prefix_reused_kv_tokens_total KV tokens adopted from cached prefixes
+# TYPE repro_prefix_reused_kv_tokens_total counter
+repro_prefix_reused_kv_tokens_total 0
+# HELP repro_sheds_total Requests shed by backpressure or cascade
+# TYPE repro_sheds_total counter
+repro_sheds_total 0
+# HELP repro_swap_losses_total Host-store payloads lost at swap-in time
+# TYPE repro_swap_losses_total counter
+repro_swap_losses_total 0
+# HELP repro_swap_lost_kv_tokens_total KV tokens in lost swap payloads
+# TYPE repro_swap_lost_kv_tokens_total counter
+repro_swap_lost_kv_tokens_total 0
+# HELP repro_swap_stall_seconds_total Pool stall seconds spent on swap DMA
+# TYPE repro_swap_stall_seconds_total counter
+repro_swap_stall_seconds_total 0.1
+# HELP repro_swapped_in_kv_tokens_total KV tokens swapped back from the host store
+# TYPE repro_swapped_in_kv_tokens_total counter
+repro_swapped_in_kv_tokens_total 0
+# HELP repro_swapped_out_kv_tokens_total KV tokens swapped out to the host store
+# TYPE repro_swapped_out_kv_tokens_total counter
+repro_swapped_out_kv_tokens_total 8
+# HELP repro_swaps_in_total Host-to-device KV swap-ins
+# TYPE repro_swaps_in_total counter
+repro_swaps_in_total 0
+# HELP repro_swaps_out_total Device-to-host KV swap-outs
+# TYPE repro_swaps_out_total counter
+repro_swaps_out_total 1
+# HELP repro_timeouts_total Requests shed for blowing their deadline
+# TYPE repro_timeouts_total counter
+repro_timeouts_total 0
+# HELP repro_transfer_faults_total Injected mid-stream KV-transfer failures
+# TYPE repro_transfer_faults_total counter
+repro_transfer_faults_total 0
+# HELP repro_transfer_stall_seconds_total Decode idle seconds waiting on the KV wire
+# TYPE repro_transfer_stall_seconds_total counter
+repro_transfer_stall_seconds_total 0.25
+# HELP repro_transferred_kv_tokens_total KV tokens landed over the transfer wire
+# TYPE repro_transferred_kv_tokens_total counter
+repro_transferred_kv_tokens_total 0
+# HELP repro_trimmed_kv_tokens_total KV tokens dropped by tail-trims
+# TYPE repro_trimmed_kv_tokens_total counter
+repro_trimmed_kv_tokens_total 0
+# HELP repro_trims_total Tail-trim preemption remedies applied
+# TYPE repro_trims_total counter
+repro_trims_total 0
+# HELP repro_ttft_cold_seconds TTFT of prefix-cache-eligible requests that missed
+# TYPE repro_ttft_cold_seconds histogram
+repro_ttft_cold_seconds_bucket{le="0.001"} 0
+repro_ttft_cold_seconds_bucket{le="0.005"} 0
+repro_ttft_cold_seconds_bucket{le="0.01"} 0
+repro_ttft_cold_seconds_bucket{le="0.05"} 0
+repro_ttft_cold_seconds_bucket{le="0.1"} 0
+repro_ttft_cold_seconds_bucket{le="0.25"} 0
+repro_ttft_cold_seconds_bucket{le="0.5"} 0
+repro_ttft_cold_seconds_bucket{le="1"} 0
+repro_ttft_cold_seconds_bucket{le="2.5"} 0
+repro_ttft_cold_seconds_bucket{le="5"} 0
+repro_ttft_cold_seconds_bucket{le="10"} 0
+repro_ttft_cold_seconds_bucket{le="30"} 0
+repro_ttft_cold_seconds_bucket{le="60"} 0
+repro_ttft_cold_seconds_bucket{le="120"} 0
+repro_ttft_cold_seconds_bucket{le="300"} 0
+repro_ttft_cold_seconds_bucket{le="+Inf"} 0
+repro_ttft_cold_seconds_sum 0
+repro_ttft_cold_seconds_count 0
+# HELP repro_ttft_seconds Time to first token per completed request
+# TYPE repro_ttft_seconds histogram
+repro_ttft_seconds_bucket{le="0.001"} 1
+repro_ttft_seconds_bucket{le="0.005"} 1
+repro_ttft_seconds_bucket{le="0.01"} 1
+repro_ttft_seconds_bucket{le="0.05"} 1
+repro_ttft_seconds_bucket{le="0.1"} 2
+repro_ttft_seconds_bucket{le="0.25"} 2
+repro_ttft_seconds_bucket{le="0.5"} 2
+repro_ttft_seconds_bucket{le="1"} 3
+repro_ttft_seconds_bucket{le="2.5"} 4
+repro_ttft_seconds_bucket{le="5"} 4
+repro_ttft_seconds_bucket{le="10"} 4
+repro_ttft_seconds_bucket{le="30"} 4
+repro_ttft_seconds_bucket{le="60"} 5
+repro_ttft_seconds_bucket{le="120"} 5
+repro_ttft_seconds_bucket{le="300"} 5
+repro_ttft_seconds_bucket{le="+Inf"} 6
+repro_ttft_seconds_sum 395.6005
+repro_ttft_seconds_count 6
+# HELP repro_ttft_warm_seconds TTFT of prefix-cache-eligible requests that hit
+# TYPE repro_ttft_warm_seconds histogram
+repro_ttft_warm_seconds_bucket{le="0.001"} 0
+repro_ttft_warm_seconds_bucket{le="0.005"} 0
+repro_ttft_warm_seconds_bucket{le="0.01"} 0
+repro_ttft_warm_seconds_bucket{le="0.05"} 0
+repro_ttft_warm_seconds_bucket{le="0.1"} 1
+repro_ttft_warm_seconds_bucket{le="0.25"} 1
+repro_ttft_warm_seconds_bucket{le="0.5"} 1
+repro_ttft_warm_seconds_bucket{le="1"} 1
+repro_ttft_warm_seconds_bucket{le="2.5"} 1
+repro_ttft_warm_seconds_bucket{le="5"} 1
+repro_ttft_warm_seconds_bucket{le="10"} 1
+repro_ttft_warm_seconds_bucket{le="30"} 1
+repro_ttft_warm_seconds_bucket{le="60"} 1
+repro_ttft_warm_seconds_bucket{le="120"} 1
+repro_ttft_warm_seconds_bucket{le="300"} 1
+repro_ttft_warm_seconds_bucket{le="+Inf"} 1
+repro_ttft_warm_seconds_sum 0.1
+repro_ttft_warm_seconds_count 1
+# HELP repro_ttit_seconds Inter-token gaps of streamed responses
+# TYPE repro_ttit_seconds histogram
+repro_ttit_seconds_bucket{le="0.001"} 0
+repro_ttit_seconds_bucket{le="0.005"} 1
+repro_ttit_seconds_bucket{le="0.01"} 2
+repro_ttit_seconds_bucket{le="0.05"} 2
+repro_ttit_seconds_bucket{le="0.1"} 2
+repro_ttit_seconds_bucket{le="0.25"} 2
+repro_ttit_seconds_bucket{le="0.5"} 2
+repro_ttit_seconds_bucket{le="1"} 2
+repro_ttit_seconds_bucket{le="2.5"} 2
+repro_ttit_seconds_bucket{le="5"} 2
+repro_ttit_seconds_bucket{le="10"} 2
+repro_ttit_seconds_bucket{le="30"} 2
+repro_ttit_seconds_bucket{le="60"} 2
+repro_ttit_seconds_bucket{le="120"} 2
+repro_ttit_seconds_bucket{le="300"} 2
+repro_ttit_seconds_bucket{le="+Inf"} 2
+repro_ttit_seconds_sum 0.013000000000000001
+repro_ttit_seconds_count 2
+"""
+
+
+def _fed() -> ServingMetrics:
+    """Int and float counters (one float integral), both pool-labelled
+    counters, the peak gauge, and histograms with samples below, on,
+    between and above the bucket bounds; ``ttft_cold_samples`` stays empty."""
+    m = ServingMetrics()
+    fold(m, "preempt", remedy="recompute", evicted=120, victim="active")
+    fold(m, "swap_out", dur=0.1, tokens=8)
+    fold(m, "transfer_stall", dur=0.25)
+    fold(m, "fault_retry", attempt=1, backoff=2.0)
+    fold(m, "prefill_round", dur=2.0)
+    fold(m, "decode_round", dur=0.5)
+    fold(m, "decode_round", dur=0.25)
+    m.record_kv_occupancy("prefill", 0.5)
+    m.record_kv_occupancy("decode", 0.25)
+    m.record_kv_occupancy("decode", 0.125)
+    finished(m, ttft=0.0005, gaps=0)
+    finished(m, ttft=0.1, warm=True, gaps=0)
+    for ttft in (1.0, 2.5, 42.0, 350.0):
+        finished(m, ttft=ttft, gaps=0)
+    m.record_ttit(0.01)
+    m.record_ttit(0.003)
+    return m
+
+
+def _blocks(text: str) -> dict[str, list[str]]:
+    """Exposition lines by family, each block opening with its HELP line."""
+    blocks: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        if line.startswith("# HELP "):
+            block = blocks.setdefault(line.split()[2], [])
+        block.append(line)
+    return blocks
+
+
+class TestExposition:
+    """The Prometheus text, byte for byte: families sorted by name with one
+    HELP/TYPE header each, label values sorted, cumulative buckets then
+    ``+Inf``, ``_sum`` and ``_count``, integral values bare, and in a fleet
+    ``replica`` as the first label."""
+
+    def test_runtime_text(self):
+        assert _fed().prometheus_text() == FED_TEXT
+
+    def test_fleet_text(self):
+        fm = FleetMetrics()
+        for rid in (1, 0):  # added out of order: series still list replica 0 first
+            m = ServingMetrics()
+            fold(m, "prefill_round", dur=1.5 + rid)
+            fold(m, "preempt", remedy="recompute", evicted=8 * (rid + 1))
+            finished(m, ttft=0.05 * (rid + 1))  # each on a bucket bound
+            fm.add_replica(rid, m, 10.0)
+        m.record_kv_occupancy("decode", 0.5)  # replica 0 only
+        text = fm.prometheus_text()
+        blocks = _blocks(text)
+        assert list(blocks) == list(_blocks(FED_TEXT))
+        assert text.count("# HELP ") == text.count("# TYPE ") == len(blocks)
+        for name, block in blocks.items():
+            for line in block[2:]:
+                assert re.match(rf'{name}(_bucket|_sum|_count)?{{replica="[01]"[,}}]', line), line
+        assert blocks["repro_preempt_evicted_kv_tokens_total"][2:] == [
+            'repro_preempt_evicted_kv_tokens_total{replica="0"} 8',
+            'repro_preempt_evicted_kv_tokens_total{replica="1"} 16',
+        ]
+        assert blocks["repro_pool_busy_seconds_total"] == [
+            "# HELP repro_pool_busy_seconds_total Engine busy seconds per pool",
+            "# TYPE repro_pool_busy_seconds_total counter",
+            'repro_pool_busy_seconds_total{replica="0",pool="prefill"} 1.5',
+            'repro_pool_busy_seconds_total{replica="1",pool="prefill"} 2.5',
+        ]
+        assert blocks["repro_kv_peak_utilization"][2:] == [
+            'repro_kv_peak_utilization{replica="0",pool="decode"} 0.5',
+        ]
+        ttft = blocks["repro_ttft_seconds"]
+        assert len(ttft) == 2 + 2 * 18
+        assert [line for line in ttft if "0.05" in line or "Inf" in line or "_bucket" not in line] == [
+            "# HELP repro_ttft_seconds Time to first token per completed request",
+            "# TYPE repro_ttft_seconds histogram",
+            'repro_ttft_seconds_bucket{replica="0",le="0.05"} 1',
+            'repro_ttft_seconds_bucket{replica="0",le="+Inf"} 1',
+            'repro_ttft_seconds_sum{replica="0"} 0.05',
+            'repro_ttft_seconds_count{replica="0"} 1',
+            'repro_ttft_seconds_bucket{replica="1",le="0.05"} 0',
+            'repro_ttft_seconds_bucket{replica="1",le="+Inf"} 1',
+            'repro_ttft_seconds_sum{replica="1"} 0.1',
+            'repro_ttft_seconds_count{replica="1"} 1',
+        ]
+
+    def test_empty(self):
+        """An idle runtime exposes every family at zero (no pool series
+        yet); an empty fleet exposes nothing."""
+        zeroed = "".join(
+            (line if line.startswith("#") else line.rpartition(" ")[0] + " 0") + "\n"
+            for line in FED_TEXT.splitlines()
+            if 'pool="' not in line
+        )
+        assert ServingMetrics().prometheus_text() == zeroed
+        assert FleetMetrics().prometheus_text() == ""
