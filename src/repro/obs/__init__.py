@@ -1,9 +1,10 @@
-"""Observability layer: deterministic tracer, exporters, metrics registry.
+"""Observability layer: deterministic tracer, exporters, timeline explainer.
 
 Everything here runs on simulated time only (no wall-clock reads — the
 determinism linter holds this package to DET102 with zero
-suppressions), so same-seed runs produce byte-identical traces and
-byte-identical Prometheus expositions.
+suppressions), so same-seed runs produce byte-identical traces. Counters
+are not kept here: they are a fold over the event stream in
+:mod:`repro.serving.metrics`, which also renders them as Prometheus text.
 """
 
 from repro.obs.export import (
@@ -13,13 +14,6 @@ from repro.obs.export import (
     validate_chrome,
     write_chrome,
     write_jsonl,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    prometheus_text_multi,
 )
 from repro.obs.timeline import (
     CommTotal,
@@ -38,11 +32,7 @@ from repro.obs.trace import NULL_TRACER, EventStream, RecordingTracer, TraceEven
 
 __all__ = [
     "CommTotal",
-    "Counter",
     "EventStream",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "RecordingTracer",
     "RequestTimeline",
@@ -56,7 +46,6 @@ __all__ = [
     "explain_ttft",
     "format_explanation",
     "load_jsonl",
-    "prometheus_text_multi",
     "reconcile",
     "reconcile_fleet",
     "request_ids",

@@ -1,29 +1,25 @@
 """Serving metrics aggregation (TTFT / TTIT / cache hit rates).
 
-Since the observability layer (PR 10) these aggregates are *re-based* on
-:class:`repro.obs.registry.MetricsRegistry`: every scalar counter, pool
-label, and latency population is a registered instrument, so a runtime's
-whole metric surface exposes as Prometheus text
-(:meth:`ServingMetrics.prometheus_text` /
-:meth:`FleetMetrics.prometheus_text`, the latter adding a ``replica``
-label per series). The attributes below are read-only properties over
-the registry, and list-valued attributes (``ttft_samples``...) alias the
-backing histograms' own sample lists, so readers see exactly the values
-the exposition reports.
-
 Counters are a **fold over the runtime's event stream**: :data:`FOLD` maps
 each event name to the counters it feeds, :meth:`ServingMetrics.fold`
 applies it, and nothing else writes them — so a recorded trace replays to
 the same counters (``repro.obs.timeline.reconcile`` checks exactly that).
+
+A :class:`ServingMetrics` holds its values as plain numbers, sample lists
+and ``pool -> value`` dicts. The name tables below give each one its
+Prometheus metric, and one renderer (:func:`_exposition`) turns them into
+text for a runtime (:meth:`ServingMetrics.prometheus_text`) and for a
+fleet (:meth:`FleetMetrics.prometheus_text`, a ``replica`` label first on
+every series). Same-seed runs expose byte-identical text.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.registry import MetricsRegistry, prometheus_text_multi
 from repro.serving.request import TurnRecord
 
 #: Integer event counters: attribute -> (metric name, help).
@@ -73,6 +69,23 @@ _HISTOGRAMS = {
     "ttft_warm_samples": ("repro_ttft_warm_seconds", "TTFT of prefix-cache-eligible requests that hit"),
 }
 
+#: Per-pool values: the ``pool -> value`` view -> (metric name, help, type).
+_POOL_FAMILIES = {
+    "pool_busy_s": ("repro_pool_busy_seconds_total", "Engine busy seconds per pool", "counter"),
+    "pool_rounds": ("repro_pool_rounds_total", "Engine rounds executed per pool", "counter"),
+    "peak_kv_utilization": ("repro_kv_peak_utilization", "Peak claimed KV-block fraction per pool", "gauge"),
+}
+
+#: Every scalar counter: the keys of ``ServingMetrics._counters``.
+_COUNTERS = {**_INT_COUNTERS, **_FLOAT_COUNTERS}
+
+#: Histogram bucket upper bounds (simulated seconds): wide enough for TTFT at
+#: paper scale (tens of seconds) and TTIT (tens of milliseconds) alike.
+_BUCKETS = (
+    0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+    10.0, 30.0, 60.0, 120.0, 300.0,
+)
+
 
 # ------------------------------- the fold -------------------------------- #
 # One row per counted event: ``row(metrics, dur, fields)`` adds the event to
@@ -97,7 +110,7 @@ def _adds(*feeds: tuple[str, object], floor: int = 0):
         if min(amounts) < floor:
             raise ValueError(f"each of {dict(zip(attrs, amounts))} must be >= {floor}")
         for attr, amount in zip(attrs, amounts):
-            m._counters[attr].inc(amount)
+            m._counters[attr] += amount
 
     return row
 
@@ -116,21 +129,25 @@ def _by(field: str, default=None, **rows):
 
 def _round(pool: str):
     def row(m: "ServingMetrics", dur: float, fields: dict) -> None:
-        m._pool_busy.inc(float(dur), pool=pool)
-        m._pool_rounds.inc(1, pool=pool)
+        busy = float(dur)
+        if busy < 0:
+            raise ValueError(f"{pool} round duration must be >= 0, got {busy}")
+        m._pool_busy[pool] = m._pool_busy.get(pool, 0) + busy
+        m._pool_rounds[pool] = m._pool_rounds.get(pool, 0) + 1
 
     return row
 
 
 def _fold_finish(m: "ServingMetrics", dur: float, fields: dict) -> None:
-    m._counters["completed_requests"].inc()
+    m._counters["completed_requests"] += 1
     m._ttit_announced += fields.get("gaps", 0)
     ttft = fields.get("ttft")
     if ttft is not None:
-        m._histograms["ttft_samples"].observe(ttft)
+        ttft = float(ttft)
+        m._samples["ttft_samples"].append(ttft)
         warm = fields.get("warm")  # only prefix-cache-eligible requests carry it
         if warm is not None:
-            m._histograms["ttft_warm_samples" if warm else "ttft_cold_samples"].observe(ttft)
+            m._samples["ttft_warm_samples" if warm else "ttft_cold_samples"].append(ttft)
 
 
 #: Event name -> row. THE event -> counter mapping: the runtime emits, this
@@ -172,7 +189,7 @@ FOLD = {
 
 
 class ServingMetrics:
-    """Rolling aggregate over completed turns, backed by a registry.
+    """Rolling aggregate over completed turns.
 
     Every counter, stall-second total, per-pool busy time and TTFT
     population is fed by :meth:`fold` from the events the
@@ -188,61 +205,43 @@ class ServingMetrics:
     inter-token gap *values*; ``finish`` carries only their count, which
     :meth:`writer_drift` holds them to) and :meth:`record_kv_occupancy`
     (the peak-KV gauge: a sampled state, not an event).
-
-    Args:
-        registry: the :class:`~repro.obs.registry.MetricsRegistry` to
-            register instruments on (default: a fresh private one, so
-            every instance — one per fleet replica — owns its state).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        r = self.registry
+    def __init__(self) -> None:
         self.turns: list[TurnRecord] = []
         self._ttit_announced = 0  # TTIT gaps the ``finish`` events said were streamed
-        self._counters = {
-            attr: r.counter(name, help)
-            for attr, (name, help) in {**_INT_COUNTERS, **_FLOAT_COUNTERS}.items()
-        }
-        self._histograms = {
-            attr: r.histogram(name, help) for attr, (name, help) in _HISTOGRAMS.items()
-        }
-        self._pool_busy = r.counter(
-            "repro_pool_busy_seconds_total", "Engine busy seconds per pool", labels=("pool",)
-        )
-        self._pool_rounds = r.counter(
-            "repro_pool_rounds_total", "Engine rounds executed per pool", labels=("pool",)
-        )
-        self._peak_kv = r.gauge(
-            "repro_kv_peak_utilization", "Peak claimed KV-block fraction per pool", labels=("pool",)
-        )
+        self._counters: dict[str, float] = dict.fromkeys(_COUNTERS, 0)
+        self._samples: dict[str, list[float]] = {attr: [] for attr in _HISTOGRAMS}
+        self._pool_busy: dict[str, float] = {}
+        self._pool_rounds: dict[str, int] = {}
+        self._peak_kv: dict[str, float] = {}
 
-    # ---------------------- registry-backed attributes ------------------- #
+    # ------------------------------ attributes --------------------------- #
     # Scalar counters and sample lists are generated as properties after
-    # the class body (one per _INT_COUNTERS/_FLOAT_COUNTERS/_HISTOGRAMS
-    # entry); only the pool-labeled dict views need hand-written ones.
+    # the class body (one per _COUNTERS/_HISTOGRAMS entry); the per-pool
+    # views are copies in pool-name order, the order the exposition lists.
 
     @property
     def pool_busy_s(self) -> dict[str, float]:
-        return {labels[0]: v for labels, v in self._pool_busy.items()}
+        return dict(sorted(self._pool_busy.items()))
 
     @property
     def busy_s(self) -> float:
         """Busy seconds over every pool: at most two roles record rounds and a
-        two-term float sum commutes, so this is the label-ordered sum's bits."""
-        return float(self._pool_busy.total())
+        two-term float sum commutes, so this is the pool-ordered sum's bits."""
+        return float(sum(self._pool_busy.values()))
 
     @property
     def pool_rounds(self) -> dict[str, int]:
-        return {labels[0]: int(v) for labels, v in self._pool_rounds.items()}
+        return dict(sorted(self._pool_rounds.items()))
 
     @property
     def peak_kv_utilization(self) -> dict[str, float]:
-        return {labels[0]: v for labels, v in self._peak_kv.items()}
+        return dict(sorted(self._peak_kv.items()))
 
     def prometheus_text(self) -> str:
-        """Prometheus text exposition of every registered instrument."""
-        return self.registry.prometheus_text()
+        """Prometheus text exposition of every metric family."""
+        return _exposition({None: self})
 
     # ------------------------------- the fold ---------------------------- #
 
@@ -260,9 +259,9 @@ class ServingMetrics:
     def folded_state(self) -> dict[str, object]:
         """Every value the fold owns, by label — what ``reconcile``
         compares between a replayed trace and the live instance."""
-        state: dict[str, object] = {attr: c.value() for attr, c in self._counters.items()}
+        state: dict[str, object] = dict(self._counters)
         for attr in ("ttft_samples", "ttft_warm_samples", "ttft_cold_samples"):
-            state[attr] = list(getattr(self, attr))
+            state[attr] = list(self._samples[attr])
         state.update(
             pool_rounds=self.pool_rounds,
             pool_busy_s=self.pool_busy_s,
@@ -278,11 +277,11 @@ class ServingMetrics:
 
     def record_ttit(self, ttit: float) -> None:
         """Record one inter-token gap (runtime decode streaming)."""
-        self._histograms["ttit_samples"].observe(ttit)
+        self._samples["ttit_samples"].append(float(ttit))
 
     def record_kv_occupancy(self, pool: str, fraction: float) -> None:
         """Sample a pool's claimed KV-block fraction (peak is kept)."""
-        self._peak_kv.set_max(float(fraction), pool=pool)
+        self._peak_kv[pool] = max(self._peak_kv.get(pool, float("-inf")), float(fraction))
 
     def writer_drift(self) -> list[str]:
         """The one direct writer the stream can cross-check: every
@@ -318,15 +317,11 @@ class ServingMetrics:
 
     def percentile_ttft(self, q: float) -> float:
         """TTFT percentile in seconds; ``nan`` when no samples exist."""
-        if not self.ttft_samples:
-            return float("nan")
-        return float(np.percentile(self.ttft_samples, q))
+        return _percentile(self.ttft_samples, q)
 
     def percentile_ttit(self, q: float) -> float:
         """TTIT percentile in seconds; ``nan`` when no samples exist."""
-        if not self.ttit_samples:
-            return float("nan")
-        return float(np.percentile(self.ttit_samples, q))
+        return _percentile(self.ttit_samples, q)
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -341,10 +336,7 @@ class ServingMetrics:
 
     def percentile_ttft_split(self, q: float, *, warm: bool) -> float:
         """Warm- or cold-bucket TTFT percentile; ``nan`` without samples."""
-        samples = self.ttft_warm_samples if warm else self.ttft_cold_samples
-        if not samples:
-            return float("nan")
-        return float(np.percentile(samples, q))
+        return _percentile(self.ttft_warm_samples if warm else self.ttft_cold_samples, q)
 
     def pool_utilization(self, pool: str, makespan: float) -> float:
         """Busy fraction of ``pool`` over ``makespan`` (nan when unknown)."""
@@ -446,31 +438,77 @@ class ServingMetrics:
         return "\n".join(lines)
 
 
-def _counter_property(attr: str, cast) -> property:
-    def fget(self):
-        return cast(self._counters[attr].value())
-
-    fget.__doc__ = f"Registry-backed ``{attr}`` counter (read-only)."
-    return property(fget)
+def _counter_property(attr: str) -> property:
+    cast = float if attr in _FLOAT_COUNTERS else int
+    return property(lambda self: cast(self._counters[attr]), doc=f"The ``{attr}`` counter.")
 
 
 def _samples_property(attr: str) -> property:
-    def fget(self):
-        return self._histograms[attr].samples
-
-    fget.__doc__ = (
-        f"Raw ``{attr}`` list (aliases the backing histogram's samples)."
-    )
-    return property(fget)
+    return property(lambda self: self._samples[attr], doc=f"The ``{attr}`` list itself.")
 
 
-for _attr in _INT_COUNTERS:
-    setattr(ServingMetrics, _attr, _counter_property(_attr, int))
-for _attr in _FLOAT_COUNTERS:
-    setattr(ServingMetrics, _attr, _counter_property(_attr, float))
+for _attr in _COUNTERS:
+    setattr(ServingMetrics, _attr, _counter_property(_attr))
 for _attr in _HISTOGRAMS:
     setattr(ServingMetrics, _attr, _samples_property(_attr))
 del _attr
+
+
+def _percentile(samples: list[float], q: float) -> float:
+    """The ``q``-th percentile of ``samples``; ``nan`` when there are none."""
+    return float(np.percentile(samples, q)) if samples else float("nan")
+
+
+# ----------------------------- exposition -------------------------------- #
+
+
+def _value(v: float) -> str:
+    """A sample value: integral values print bare, others by ``repr``."""
+    return str(int(v)) if float(v).is_integer() else repr(float(v))
+
+
+def _labels(replica: int | None, **labels: object) -> str:
+    """A series' label set, ``replica`` first; ``""`` when it has none."""
+    pairs = [] if replica is None else [f'replica="{replica}"']
+    pairs += [f'{name}="{value}"' for name, value in labels.items()]
+    return "{" + ",".join(pairs) + "}" if pairs else ""
+
+
+def _exposition(replicas: dict[int | None, ServingMetrics]) -> str:
+    """Prometheus text over ``replica id -> metrics`` (``{None: m}``: one
+    runtime, no ``replica`` label). Families sort by name with one
+    HELP/TYPE header each; within one, replicas list in id order and pools
+    in name order. A histogram lists cumulative buckets, ``+Inf``, ``_sum``
+    (of the samples in arrival order) and ``_count``."""
+    families: dict[str, list[str]] = {}
+
+    def family(name: str, kind: str, help: str) -> list[str]:
+        return families.setdefault(name, [f"# HELP {name} {help}", f"# TYPE {name} {kind}"])
+
+    for rid in sorted(replicas):
+        m = replicas[rid]
+        for attr, (name, help) in _COUNTERS.items():
+            value = m._counters[attr]
+            family(name, "counter", help).append(f"{name}{_labels(rid)} {_value(value)}")
+        for attr, (name, help, kind) in _POOL_FAMILIES.items():
+            family(name, kind, help).extend(
+                f"{name}{_labels(rid, pool=pool)} {_value(v)}"
+                for pool, v in getattr(m, attr).items()
+            )
+        for attr, (name, help) in _HISTOGRAMS.items():
+            samples = m._samples[attr]
+            ordered = sorted(samples)
+            lines = family(name, "histogram", help)
+            lines.extend(
+                f"{name}_bucket{_labels(rid, le=_value(bound))} {bisect_right(ordered, bound)}"
+                for bound in _BUCKETS
+            )
+            lines += [
+                f'{name}_bucket{_labels(rid, le="+Inf")} {len(samples)}',
+                f"{name}_sum{_labels(rid)} {_value(sum(samples))}",
+                f"{name}_count{_labels(rid)} {len(samples)}",
+            ]
+    return "".join(f"{line}\n" for name in sorted(families) for line in families[name])
 
 
 @dataclass
@@ -552,17 +590,11 @@ class FleetMetrics:
     def percentile_ttft(self, q: float) -> float:
         """Fleet TTFT percentile over every replica's samples; ``nan``
         when no replica has any."""
-        samples = self._ttft_population()
-        if not samples:
-            return float("nan")
-        return float(np.percentile(samples, q))
+        return _percentile(self._ttft_population(), q)
 
     def percentile_ttft_split(self, q: float, *, warm: bool) -> float:
         """Fleet warm/cold TTFT percentile; ``nan`` without samples."""
-        samples = self._ttft_population(warm=warm)
-        if not samples:
-            return float("nan")
-        return float(np.percentile(samples, q))
+        return _percentile(self._ttft_population(warm=warm), q)
 
     def fleet_goodput(self, makespan: float) -> float:
         """Fleet-completed requests per simulated second of fleet time
@@ -572,11 +604,9 @@ class FleetMetrics:
         return self.completed_requests / makespan
 
     def prometheus_text(self) -> str:
-        """Merged Prometheus exposition over every replica's registry,
-        each sample line labeled ``replica="<id>"``."""
-        return prometheus_text_multi(
-            {rid: m.registry for rid, m in self.replicas.items()}
-        )
+        """Prometheus exposition over every replica, each series labeled
+        ``replica="<id>"`` first; ``""`` for a fleet with no replicas."""
+        return _exposition(self.replicas)
 
     def summary(self) -> str:
         lines = [f"replicas: {len(self.replicas)}"]

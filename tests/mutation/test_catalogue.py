@@ -13,13 +13,16 @@ victim loop (``_make_room``), the two bounds on a victim (``_find_victim``:
 younger than the beneficiary, never the oldest live request) and the
 remedy ladder (``_rungs``, then full eviction); the rings' shard skip
 (``ring_skip.partial_fully_masked``), which alone decides which ring-step
-partials are replaced by the merge identity; and what the deployment
+partials are replaced by the merge identity; what the deployment
 builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
-decode pricing and the decode pool's capacity.
+decode pricing and the decode pool's capacity; and the counters
+(``serving/metrics.py``): a round's duration check and the Prometheus
+exposition's bucket bounds and replica label.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import importlib.util
@@ -33,6 +36,7 @@ from repro.core import ring_decode, ring_passkv, ring_passq
 from repro.obs import dumps_jsonl
 from repro.runtime import config as serve_config
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
+from repro.serving import metrics as serving_metrics
 
 from helpers import run_traced
 
@@ -180,6 +184,31 @@ def _decode_pool_sized_by_capacity(monkeypatch):
     monkeypatch.setattr(serve_config.ServeConfig, "_runtime", prefill_sized)
 
 
+def _bucket_bound_exclusive(monkeypatch):
+    """A histogram bucket counts samples ``< le`` instead of ``<= le``."""
+    monkeypatch.setattr(serving_metrics, "bisect_right", bisect.bisect_left)
+
+
+def _replica_label_dropped(monkeypatch):
+    """The fleet exposition renders every replica's series unlabelled."""
+    labels = serving_metrics._labels
+    monkeypatch.setattr(serving_metrics, "_labels", lambda replica, **kw: labels(None, **kw))
+
+
+def _round_duration_unchecked(monkeypatch):
+    """A round's duration is added to its pool however negative it is."""
+
+    def unchecked(pool):
+        def row(m, dur, fields):
+            m._pool_busy[pool] = m._pool_busy.get(pool, 0) + float(dur)
+            m._pool_rounds[pool] = m._pool_rounds.get(pool, 0) + 1
+
+        return row
+
+    for pool in ("prefill", "decode"):
+        monkeypatch.setitem(serving_metrics.FOLD, f"{pool}_round", unchecked(pool))
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -242,6 +271,13 @@ CATALOGUE = [
     ("decode-pool-sized-by-capacity", _decode_pool_sized_by_capacity,
      functools.partial(_named_test, "runtime/test_serve_config.py"
                        "::test_decode_capacity_sizes_only_the_decode_pool")),
+    ("bucket-bound-exclusive", _bucket_bound_exclusive,
+     functools.partial(_named_test, "serving/test_metrics.py::TestExposition::test_runtime_text")),
+    ("replica-label-dropped", _replica_label_dropped,
+     functools.partial(_named_test, "serving/test_metrics.py::TestExposition::test_fleet_text")),
+    ("round-duration-unchecked", _round_duration_unchecked,
+     functools.partial(_named_test, "serving/test_metrics.py::TestServingMetrics"
+                       "::test_negative_round_duration_rejected", "prefill_round")),
 ]
 
 
@@ -251,5 +287,6 @@ CATALOGUE = [
 def test_seeded_mutant_is_killed(monkeypatch, mutant, killer):
     killer()  # passes on the real code, so a broken killer cannot "kill"
     mutant(monkeypatch)
-    with pytest.raises(Exception):  # an assertion, or the run itself breaking
+    # an assertion, a pytest failure (``DID NOT RAISE``), or the run itself breaking
+    with pytest.raises((Exception, pytest.fail.Exception)):
         killer()

@@ -122,7 +122,7 @@ class TestReconciliation:
         """Teeth, way 1: the live metrics hold something no event carried."""
         tracer, runtime, fleet, report = run_traced(case)
         live = runtime.metrics if fleet is None else report.metrics.replicas[0]
-        live._counters["preemptions"].inc()
+        live._counters["preemptions"] += 1
         drift = _drift(tracer.events, runtime, fleet, report)
         assert len(drift) == 1 and "preemptions" in drift[0], f"case {case}: {drift}"
 

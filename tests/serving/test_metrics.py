@@ -356,7 +356,7 @@ class TestInstanceIndependence:
 
     def test_no_shared_mutable_defaults(self):
         a, b = ServingMetrics(), ServingMetrics()
-        assert a.registry is not b.registry, "ServingMetrics.registry is shared"
+        assert a._counters is not b._counters, "ServingMetrics counters are shared"
         for name in (
             "turns",
             "ttft_samples",

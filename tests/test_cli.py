@@ -129,7 +129,7 @@ class TestCommands:
 
         def record_turn(self, turn):  # the defect: a counter written beside the ledger
             ledger(self, turn)
-            self._counters["completed_requests"].inc()
+            self._counters["completed_requests"] += 1
 
         monkeypatch.setattr(ServingMetrics, "record_turn", record_turn)
         assert main(args) == 1
