@@ -1,164 +1,111 @@
-"""Unit tests for the labeled metrics registry and its exposition."""
+"""Unit tests for the Prometheus exposition of labeled counters, gauges and
+histograms, driven through ``ServingMetrics`` and ``FleetMetrics``."""
 
-import pytest
+from repro.serving.metrics import FleetMetrics, ServingMetrics, _exposition
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, prometheus_text_multi
+
+def fold(m, name, dur=0.0, **fields):
+    m.fold(name, dur, fields)
+
+
+def block(text, name):
+    """The HELP/TYPE header and series lines of one family."""
+    lines = text.splitlines()
+    start = lines.index(next(line for line in lines if line.startswith(f"# HELP {name} ")))
+    end = next(
+        (i for i in range(start + 2, len(lines)) if lines[i].startswith("# HELP ")), len(lines)
+    )
+    return lines[start:end]
 
 
 class TestCounter:
-    def test_unlabeled_inc_and_value(self):
-        c = Counter("x_total", "help")
-        assert c.value() == 0
-        c.inc()
-        c.inc(3)
-        assert c.value() == 4
-        assert c.total() == 4
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            Counter("x_total", "help").inc(-1)
-
     def test_labeled_values_are_independent(self):
-        c = Counter("pool_total", "help", ("pool",))
-        c.inc(2, pool="prefill")
-        c.inc(1, pool="decode")
-        assert c.value(pool="prefill") == 2
-        assert c.value(pool="decode") == 1
-        assert c.total() == 3
-
-    def test_wrong_label_set_rejected(self):
-        c = Counter("pool_total", "help", ("pool",))
-        with pytest.raises(ValueError, match="wants labels"):
-            c.inc(1)
-        with pytest.raises(ValueError, match="wants labels"):
-            c.inc(1, node="a")
+        m = ServingMetrics()
+        fold(m, "prefill_round", dur=1.0)
+        fold(m, "decode_round", dur=0.5)
+        fold(m, "prefill_round", dur=1.0)
+        assert m.pool_rounds == {"decode": 1, "prefill": 2}
+        assert m.pool_busy_s == {"decode": 0.5, "prefill": 2.0}
+        assert m.busy_s == 2.5
+        assert block(m.prometheus_text(), "repro_pool_rounds_total")[2:] == [
+            'repro_pool_rounds_total{pool="decode"} 1',
+            'repro_pool_rounds_total{pool="prefill"} 2',
+        ]
 
     def test_expose_sorts_label_values(self):
-        c = Counter("pool_total", "help", ("pool",))
-        c.inc(1, pool="prefill")
-        c.inc(2, pool="decode")
-        lines = c.expose()
-        assert lines[0] == "# HELP pool_total help"
-        assert lines[1] == "# TYPE pool_total counter"
-        assert lines[2] == 'pool_total{pool="decode"} 2'
-        assert lines[3] == 'pool_total{pool="prefill"} 1'
-
-
-class TestGauge:
-    def test_set_and_set_max(self):
-        g = Gauge("kv_peak", "help", ("pool",))
-        g.set_max(0.25, pool="decode")
-        g.set_max(0.75, pool="decode")
-        g.set_max(0.5, pool="decode")
-        assert g.value(pool="decode") == 0.75
-
-    def test_set_overwrites(self):
-        g = Gauge("depth", "help")
-        g.set(3.0)
-        g.set(1.0)
-        assert g.value() == 1.0
-
-    def test_unseen_labels_read_zero(self):
-        g = Gauge("kv_peak", "help", ("pool",))
-        assert g.value(pool="prefill") == 0.0
+        m = ServingMetrics()
+        fold(m, "prefill_round", dur=1.0)  # prefill seen first, listed second
+        fold(m, "decode_round", dur=2.0)
+        m.record_kv_occupancy("prefill", 0.25)
+        m.record_kv_occupancy("decode", 0.75)
+        text = m.prometheus_text()
+        assert block(text, "repro_pool_busy_seconds_total") == [
+            "# HELP repro_pool_busy_seconds_total Engine busy seconds per pool",
+            "# TYPE repro_pool_busy_seconds_total counter",
+            'repro_pool_busy_seconds_total{pool="decode"} 2',
+            'repro_pool_busy_seconds_total{pool="prefill"} 1',
+        ]
+        assert block(text, "repro_kv_peak_utilization") == [
+            "# HELP repro_kv_peak_utilization Peak claimed KV-block fraction per pool",
+            "# TYPE repro_kv_peak_utilization gauge",
+            'repro_kv_peak_utilization{pool="decode"} 0.75',
+            'repro_kv_peak_utilization{pool="prefill"} 0.25',
+        ]
 
 
 class TestHistogram:
     def test_empty_histogram_exposes_zero_counts(self):
         """A scrape of an idle runtime is valid: every bucket (including
         +Inf), _sum, and _count expose 0."""
-        h = Histogram("ttft_seconds", "help", buckets=(0.1, 1.0))
-        lines = h.expose()
-        assert 'ttft_seconds_bucket{le="0.1"} 0' in lines
-        assert 'ttft_seconds_bucket{le="1"} 0' in lines
-        assert 'ttft_seconds_bucket{le="+Inf"} 0' in lines
-        assert "ttft_seconds_sum 0" in lines
-        assert "ttft_seconds_count 0" in lines
+        lines = block(ServingMetrics().prometheus_text(), "repro_ttft_seconds")
+        assert lines[:2] == [
+            "# HELP repro_ttft_seconds Time to first token per completed request",
+            "# TYPE repro_ttft_seconds histogram",
+        ]
+        assert 'repro_ttft_seconds_bucket{le="0.1"} 0' in lines
+        assert 'repro_ttft_seconds_bucket{le="1"} 0' in lines
+        assert 'repro_ttft_seconds_bucket{le="+Inf"} 0' in lines
+        assert "repro_ttft_seconds_sum 0" in lines
+        assert "repro_ttft_seconds_count 0" in lines
+        assert all(line.endswith(" 0") for line in lines[2:])
 
     def test_cumulative_buckets(self):
-        h = Histogram("ttft_seconds", "help", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(v)
-        lines = h.expose()
-        assert 'ttft_seconds_bucket{le="0.1"} 1' in lines
-        assert 'ttft_seconds_bucket{le="1"} 3' in lines
-        assert 'ttft_seconds_bucket{le="10"} 4' in lines
-        assert 'ttft_seconds_bucket{le="+Inf"} 5' in lines
-        assert "ttft_seconds_count 5" in lines
-
-    def test_samples_list_is_the_live_backing_store(self):
-        """ServingMetrics' ttft_samples property aliases this list, so
-        identity (not just equality) is part of the contract."""
-        h = Histogram("ttft_seconds", "help")
-        alias = h.samples
-        h.observe(1.5)
-        assert alias == [1.5]
-        assert h.samples is alias
-
-    def test_unsorted_buckets_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            Histogram("x", "help", buckets=(1.0, 0.1))
+        m = ServingMetrics()
+        for v in (0.05, 0.5, 0.5, 5.0, 500.0):
+            m.record_ttit(v)
+        lines = block(m.prometheus_text(), "repro_ttit_seconds")
+        assert 'repro_ttit_seconds_bucket{le="0.05"} 1' in lines  # a bound is inclusive
+        assert 'repro_ttit_seconds_bucket{le="0.1"} 1' in lines
+        assert 'repro_ttit_seconds_bucket{le="1"} 3' in lines
+        assert 'repro_ttit_seconds_bucket{le="10"} 4' in lines
+        assert 'repro_ttit_seconds_bucket{le="300"} 4' in lines
+        assert 'repro_ttit_seconds_bucket{le="+Inf"} 5' in lines
+        assert "repro_ttit_seconds_sum 506.05" in lines
+        assert "repro_ttit_seconds_count 5" in lines
 
 
 class TestRegistry:
-    def test_same_shape_reregistration_returns_existing(self):
-        r = MetricsRegistry()
-        a = r.counter("x_total", "help")
-        b = r.counter("x_total", "help")
-        assert a is b
-        a.inc(2)
-        assert b.value() == 2
-
-    def test_label_collision_raises(self):
-        r = MetricsRegistry()
-        r.counter("x_total", "help", labels=("pool",))
-        with pytest.raises(ValueError, match="colliding"):
-            r.counter("x_total", "help", labels=("node",))
-
-    def test_kind_collision_raises(self):
-        r = MetricsRegistry()
-        r.counter("x", "help")
-        with pytest.raises(ValueError, match="colliding"):
-            r.gauge("x", "help")
-
-    def test_help_collision_raises(self):
-        r = MetricsRegistry()
-        r.counter("x_total", "one help")
-        with pytest.raises(ValueError, match="colliding"):
-            r.counter("x_total", "another help")
-
     def test_exposition_is_sorted_and_deterministic(self):
         def build():
-            r = MetricsRegistry()
-            r.counter("b_total", "b").inc(1)
-            r.counter("a_total", "a").inc(2)
-            r.histogram("h_seconds", "h", buckets=(1.0,)).observe(0.5)
-            return r.prometheus_text()
+            m = ServingMetrics()
+            fold(m, "prefix_miss")
+            fold(m, "preempt", remedy="recompute", evicted=4)
+            fold(m, "decode_round", dur=0.25)
+            fold(m, "finish", status="finished", ttft=0.5)
+            return m.prometheus_text()
 
         text = build()
         assert text == build()
-        assert text.index("# HELP a_total") < text.index("# HELP b_total")
-        assert text.index("# HELP b_total") < text.index("# HELP h_seconds")
+        names = [line.split()[2] for line in text.splitlines() if line.startswith("# HELP ")]
+        assert names == sorted(names)
+        assert len(names) == len(set(names))
+        assert text.count("# TYPE ") == len(names)
         assert text.endswith("\n")
 
     def test_empty_registry_exposes_empty(self):
-        assert MetricsRegistry().prometheus_text() == ""
+        assert _exposition({}) == ""
 
 
 class TestMultiReplicaExposition:
-    def test_replica_label_prepended(self):
-        regs = {}
-        for rid in (0, 1):
-            r = MetricsRegistry()
-            r.counter("x_total", "help").inc(rid + 1)
-            r.counter("pool_total", "help", labels=("pool",)).inc(5, pool="prefill")
-            regs[rid] = r
-        text = prometheus_text_multi(regs)
-        assert 'x_total{replica="0"} 1' in text
-        assert 'x_total{replica="1"} 2' in text
-        assert 'pool_total{replica="0",pool="prefill"} 5' in text
-        # one family header, not one per replica
-        assert text.count("# HELP x_total help") == 1
-
     def test_empty_multi_exposes_empty(self):
-        assert prometheus_text_multi({}) == ""
+        assert FleetMetrics().prometheus_text() == ""
