@@ -10,10 +10,11 @@ numerically exact.
 Run:  python examples/multi_turn_chat.py
 """
 
+from collections import Counter
+
 import numpy as np
 
 from repro import ContextParallelEngine, HeuristicConfig, LlamaModel, tiny_config
-from repro.serving.metrics import ServingMetrics
 from repro.serving.session import ChatSession
 from repro.workloads.generator import WorkloadGenerator
 
@@ -33,7 +34,6 @@ def main() -> None:
         world_size=world_size,
     )
     engine = ContextParallelEngine(model, world_size=world_size, heuristic=heuristic)
-    metrics = ServingMetrics()
 
     gen = WorkloadGenerator(cfg.vocab_size, seed=42)
     script = gen.conversation(
@@ -43,15 +43,19 @@ def main() -> None:
     session = ChatSession(engine, seq_id=0)
     for turn_idx, (prompt, budget) in enumerate(zip(script.prompts, script.response_budgets)):
         record = session.send(prompt, max_new_tokens=budget)
-        metrics.record_turn(record)
         print(
             f"turn {turn_idx}: T={record.prompt_tokens:>4} P={record.cached_tokens:>4} "
             f"miss={record.miss_rate:6.1%}  algo={record.algo:<8} "
             f"generated={record.generated}"
         )
 
+    turns = session.turns
     print()
-    print(metrics.summary())
+    print(f"turns: {len(turns)}")
+    print(f"prompt tokens: {sum(t.prompt_tokens for t in turns)}")
+    print(f"generated tokens: {sum(t.response_tokens for t in turns)}")
+    print(f"mean cache hit rate: {np.mean([1.0 - t.miss_rate for t in turns]):.3f}")
+    print(f"algo counts: {dict(Counter(t.algo for t in turns))}")
     print(f"per-rank cached tokens: {engine.cached_tokens(0)} (balanced)")
 
     # final losslessness audit: replay the whole conversation single-device

@@ -70,9 +70,6 @@ class Router:
     def placed(self, replica, tokens: np.ndarray) -> None:
         """Record that the fleet placed ``tokens`` on ``replica``."""
 
-    def forget(self, replica) -> None:
-        """Drop any per-replica routing state (replica removed)."""
-
     def scores(self, tokens: np.ndarray, replicas: list) -> dict:
         """Per-replica placement scores for the trace's ``route`` events
         (empty when the policy is not score-based). Must be side-effect
@@ -158,9 +155,6 @@ class PrefixAffinityRouter(Router):
         # seen", so holders never need to track eviction
         self._inserts += 1
         shadow.insert(self._inserts, np.asarray(tokens, dtype=np.int64))
-
-    def forget(self, replica) -> None:
-        self._shadow.pop(replica.id, None)
 
 
 def make_router(policy: str) -> Router:

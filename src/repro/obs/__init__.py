@@ -26,6 +26,7 @@ from repro.obs.timeline import (
     format_explanation,
     reconcile,
     reconcile_fleet,
+    replay,
     request_ids,
 )
 from repro.obs.trace import NULL_TRACER, EventStream, RecordingTracer, TraceEvent, Tracer
@@ -48,6 +49,7 @@ __all__ = [
     "load_jsonl",
     "reconcile",
     "reconcile_fleet",
+    "replay",
     "request_ids",
     "to_chrome",
     "validate_chrome",

@@ -13,14 +13,14 @@ Four consumers of a recorded event stream live here:
   ``python -m repro explain REQ_ID --trace PATH``.
 - :func:`comm_totals` — count / wire bytes / simulated seconds of the
   collective spans a traced process group emitted, by kind.
-- :func:`reconcile` / :func:`reconcile_fleet` — the trace-vs-metrics
-  cross-check, as replay-and-compare: folding the recorded events into a
-  fresh :class:`~repro.serving.metrics.ServingMetrics` must reproduce
-  every value the live fold holds *exactly* (same floats, summed in
-  emission order). Counters are that fold by construction, so drift
-  means something wrote one around the stream — reported as a failure
-  by ``serve --verify`` and pinned by
-  ``tests/properties/test_prop_trace.py``.
+- :func:`replay` / :func:`reconcile` / :func:`reconcile_fleet` — the
+  trace-vs-metrics cross-check, as replay-and-compare: folding the
+  recorded events into a fresh
+  :class:`~repro.serving.metrics.ServingMetrics` must reproduce every
+  value the live fold holds *exactly* (same floats, summed in emission
+  order). Metrics are that fold by construction, so drift means
+  something wrote a value around the stream — reported as a failure by
+  ``serve --verify`` and pinned by ``tests/properties/test_prop_trace.py``.
 """
 
 from __future__ import annotations
@@ -253,9 +253,9 @@ def format_explanation(events: list[TraceEvent], request_id: int) -> str:
     arrival = tl.arrival
     if arrival is not None:
         lines.append(f"  arrival t={arrival:.6f}")
+    hit = next((e.attrs for e in tl.events if e.name == "prefix_hit"), None)
     for admit in tl.admits:
-        cached = admit.attrs.get("cached", 0)
-        cached_s = f", {cached} prefix tokens cached" if cached else ""
+        cached_s = f", {hit['reused']} prefix tokens cached (donor seq {hit['donor']})" if hit else ""
         lines.append(f"  admitted t={admit.t:.6f}{cached_s}")
     for p in tl.preempts:
         lines.append(
@@ -330,27 +330,38 @@ def comm_totals(events: list[TraceEvent]) -> dict[str, CommTotal]:
 # --------------------------- reconciliation ----------------------------- #
 
 
+def replay(events: list[TraceEvent], metrics):
+    """Fold recorded ``events`` into ``metrics`` and return it, each with
+    its ``pool`` / ``request_id`` / ``seq_id`` labels back among its fields:
+    the dict the live stream handed the fold."""
+    for e in events:
+        fields = dict(e.attrs)
+        for label in ("pool", "request_id", "seq_id"):
+            value = getattr(e, label)
+            if value is not None:
+                fields[label] = value
+        metrics.fold(e.name, e.dur, fields)
+    return metrics
+
+
 def reconcile(events: list[TraceEvent], metrics) -> list[str]:
     """Cross-check a trace against a :class:`ServingMetrics` instance.
 
-    Replays ``events`` through a fresh instance's fold and returns one
-    drift description per value that differs from the live one (empty ==
+    Replays ``events`` into a fresh instance and returns one drift
+    description per value that differs from the live one (empty ==
     reconciled). There is no tolerance: the trace carries the values the
     live fold saw, in the same order, so running float sums are
-    bit-identical. The live counters came from the same fold, so what
-    drifts is a counter written around the stream, an event recorded but
+    bit-identical. The live values came from the same fold, so what
+    drifts is a value written around the stream, an event recorded but
     never folded (or the reverse), or a trace that is not this run's.
     """
-    replayed = type(metrics)()
-    for e in events:
-        replayed.fold(e.name, e.dur, e.attrs)
-    derived, recorded = replayed.folded_state(), metrics.folded_state()
-    drift = [
+    derived = replay(events, type(metrics)()).folded_state()
+    recorded = metrics.folded_state()
+    return [
         f"{label}: trace-derived {derived[label]!r} != metrics {recorded[label]!r}"
         for label in derived
         if derived[label] != recorded[label]
     ]
-    return drift + metrics.writer_drift()
 
 
 def reconcile_fleet(events: list[TraceEvent], fleet_metrics) -> list[str]:

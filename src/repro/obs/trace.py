@@ -63,12 +63,19 @@ event                        phase   feeds                         emitted from
                                      swap tokens                   payload lost → re-prefill
 ``shed``                     inst.   by ``status``: timeouts /     deadline timeout / queue-depth shed
                                      sheds
-``finish``                   inst.   completed, TTFT, warm/cold    request completion
+``finish``                   inst.   completed, TTFT, warm/cold,   request completion, with the
+                                     ``ttit`` values, turn ledger  ledger's ``prompt``, ``cached``,
+                                                                   ``algo`` and ``generated``
 ``sendrecv``                 span    trace-only                    ``distributed/process_group.py``:
 ``all2all``                  span    trace-only                    one span per collective, ``t`` a
 ``allgather``                span    trace-only                    group-local running sum (attrs:
 ``allreduce``                span    trace-only                    ``step``, ``bytes``, ``tag``)
 ===========================  ======  ============================  ==============================
+
+Five events also carry ``kv={pool: fraction}``, the pool's KV occupancy
+sampled right after the change they record, for the peak-KV gauge (absent
+for an unbounded engine): ``prefill_round``, ``decode_round``,
+``kv_transfer`` (naming the decode pool), a trim's ``preempt``, ``swap_in``.
 """
 
 from __future__ import annotations

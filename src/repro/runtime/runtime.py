@@ -134,7 +134,6 @@ from repro.runtime.pool import Pool
 from repro.runtime.state import RequestRecord, RequestState, TurnRequest, script_turns
 from repro.runtime.transfer import KVTransferStream
 from repro.serving.metrics import ServingMetrics
-from repro.serving.request import TurnRecord
 from repro.serving.scheduler import ChunkAssignment, ChunkedPrefillPolicy
 from repro.workloads.generator import ConversationScript
 
@@ -635,11 +634,11 @@ class ContinuousBatchingRuntime:
         """The role under which an active request's KV is held."""
         return POOL_DECODE if rec.state is RequestState.DECODE else POOL_PREFILL
 
-    def _note_kv_occupancy(self, role: str) -> None:
-        """Sample a pool's claimed KV fraction for the peak metric."""
+    def _kv_sample(self, role: str) -> dict:
+        """The ``kv`` field of an event that samples ``role``'s pool: its
+        claimed KV fraction, or no field when the engine is unbounded."""
         frac = self._pools[role].engine.kv_utilization()
-        if frac is not None:
-            self.metrics.record_kv_occupancy(role, frac)
+        return {} if frac is None else {"kv": {role: frac}}
 
     # ------------------------------------------------------------------ #
     # admission
@@ -874,6 +873,7 @@ class ContinuousBatchingRuntime:
             algo=out.plan.algo.value,
             tokens=sum(c.tokens for c in round_),
             seqs=len(round_),
+            **self._kv_sample(POOL_PREFILL),
         )
         if self.tracer.enabled:
             for chunk in round_:
@@ -888,7 +888,6 @@ class ContinuousBatchingRuntime:
                 )
         self.prefill_rounds += 1
         pool.holders.update(prompts)
-        self._note_kv_occupancy(POOL_PREFILL)
 
         for chunk in round_:
             rec = by_seq[chunk.seq_id]
@@ -1120,8 +1119,8 @@ class ContinuousBatchingRuntime:
                 seq_id=sid,
                 tokens=tokens,
                 landed_at=decode.t,
+                **self._kv_sample(POOL_DECODE),
             )
-            self._note_kv_occupancy(POOL_DECODE)
             rec.state = RequestState.DECODE
             self._decoding.add(rec.request_id)
             landed = True
@@ -1160,9 +1159,11 @@ class ContinuousBatchingRuntime:
         price = self.clock.price_decode(contexts)
         round_start = pool.t
         pool.t += price
-        self.tracer.span("decode_round", round_start, price, pool=POOL_DECODE, seqs=len(live))
+        self.tracer.span(
+            "decode_round", round_start, price, pool=POOL_DECODE, seqs=len(live),
+            **self._kv_sample(POOL_DECODE),
+        )
         self.decode_rounds += 1
-        self._note_kv_occupancy(POOL_DECODE)
 
         for rec in live:
             if len(rec.generated) < rec.request.max_new_tokens:
@@ -1466,9 +1467,9 @@ class ContinuousBatchingRuntime:
             return False
         freed = engine.evict_tail(seq_id, keep)
         self._note_preempt(
-            seq_id, rec, role=role, at=at, remedy="trim", reason=reason, tokens=freed
+            seq_id, rec, role=role, at=at, remedy="trim", reason=reason, tokens=freed,
+            **self._kv_sample(role),
         )
-        self._note_kv_occupancy(role)
         if rec is not None:
             self._reschedule_preempted(rec, at=at)
         return True
@@ -1588,8 +1589,8 @@ class ContinuousBatchingRuntime:
                 request_id=rid,
                 seq_id=rec.seq_id,
                 tokens=tokens,
+                **self._kv_sample(role),
             )
-            self._note_kv_occupancy(role)
             rec.ready_at = max(rec.ready_at, pool.t)
             resume, rec.swapped_from = rec.swapped_from, None
             if resume is RequestState.DECODE:
@@ -1760,25 +1761,15 @@ class ContinuousBatchingRuntime:
         if rec.prefix_donor is not None:
             self.prefix_index.unpin(rec.prefix_donor)
             rec.prefix_donor = None
-        # the three direct writers' two per-turn calls: no event carries a
-        # TurnRecord or the gap values (``finish`` has only their count)
-        self.metrics.record_turn(
-            TurnRecord(
-                seq_id=seq_id,
-                prompt_tokens=int(rec.request.prompt.size),
-                cached_tokens=rec.cached_at_start,
-                response_tokens=len(rec.generated),
-                algo=rec.chunk_algos[-1] if rec.chunk_algos else "none",
-                generated=list(rec.generated),
-            )
-        )
-        for gap in rec.ttit_samples():
-            self.metrics.record_ttit(gap)
         fields: dict = {
             "status": "finished",
             "arrival": rec.request.arrival,
             "tokens": len(rec.generated),
-            "gaps": max(0, len(rec.token_times) - 1),
+            "ttit": rec.ttit_samples(),
+            "prompt": int(rec.request.prompt.size),
+            "cached": int(rec.cached_at_start),
+            "algo": rec.chunk_algos[-1] if rec.chunk_algos else "none",
+            "generated": list(rec.generated),
         }
         if rec.first_token_at is not None:
             fields["ttft"] = rec.ttft

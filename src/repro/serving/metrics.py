@@ -1,9 +1,10 @@
 """Serving metrics aggregation (TTFT / TTIT / cache hit rates).
 
-Counters are a **fold over the runtime's event stream**: :data:`FOLD` maps
-each event name to the counters it feeds, :meth:`ServingMetrics.fold`
-applies it, and nothing else writes them — so a recorded trace replays to
-the same counters (``repro.obs.timeline.reconcile`` checks exactly that).
+Every value here is a **fold over the runtime's event stream**: :data:`FOLD`
+maps each event name to the counters it feeds, :meth:`ServingMetrics.fold`
+applies it (plus the peak-KV gauge from the ``kv`` field the sampling
+events carry), and nothing else writes them — so a recorded trace replays
+to the same values (``repro.obs.timeline.reconcile`` checks exactly that).
 
 A :class:`ServingMetrics` holds its values as plain numbers, sample lists
 and ``pool -> value`` dicts. The name tables below give each one its
@@ -139,8 +140,19 @@ def _round(pool: str):
 
 
 def _fold_finish(m: "ServingMetrics", dur: float, fields: dict) -> None:
+    # a finish is a ledgered turn: ``tokens`` is its response length
+    turn = TurnRecord(
+        seq_id=fields["seq_id"],
+        prompt_tokens=fields["prompt"],
+        cached_tokens=fields["cached"],
+        response_tokens=fields["tokens"],
+        algo=fields["algo"],
+        generated=fields["generated"],
+    )
+    ttit = [float(gap) for gap in fields["ttit"]]
     m._counters["completed_requests"] += 1
-    m._ttit_announced += fields.get("gaps", 0)
+    m.turns.append(turn)
+    m._samples["ttit_samples"].extend(ttit)
     ttft = fields.get("ttft")
     if ttft is not None:
         ttft = float(ttft)
@@ -191,25 +203,19 @@ FOLD = {
 class ServingMetrics:
     """Rolling aggregate over completed turns.
 
-    Every counter, stall-second total, per-pool busy time and TTFT
-    population is fed by :meth:`fold` from the events the
+    Every value is fed by :meth:`fold` from the events the
     continuous-batching runtime emits (capacity-pressure remedies, swaps,
     KV transfers, prefix-cache consults, the chaos layer's injections and
-    recoveries, sheds, completions, engine rounds); per-pool utilization
-    is ``pool_busy_s[pool] / makespan`` and ``goodput`` is completed
-    requests per simulated host-second.
-
-    Three **direct writers** stay, because no event carries their payload:
-    :meth:`record_turn` (the turn ledger — a whole :class:`TurnRecord`,
-    also what a ``ChatSession`` loop files), :meth:`record_ttit` (the
-    inter-token gap *values*; ``finish`` carries only their count, which
-    :meth:`writer_drift` holds them to) and :meth:`record_kv_occupancy`
-    (the peak-KV gauge: a sampled state, not an event).
+    recoveries, sheds, completions, engine rounds): the counters,
+    stall-second totals, per-pool busy time, the TTFT and TTIT
+    populations, the turn ledger (one :class:`TurnRecord` per ``finish``)
+    and the per-pool peak KV occupancy. Nothing writes them directly.
+    Per-pool utilization is ``pool_busy_s[pool] / makespan`` and
+    ``goodput`` is completed requests per simulated host-second.
     """
 
     def __init__(self) -> None:
         self.turns: list[TurnRecord] = []
-        self._ttit_announced = 0  # TTIT gaps the ``finish`` events said were streamed
         self._counters: dict[str, float] = dict.fromkeys(_COUNTERS, 0)
         self._samples: dict[str, list[float]] = {attr: [] for attr in _HISTOGRAMS}
         self._pool_busy: dict[str, float] = {}
@@ -246,50 +252,35 @@ class ServingMetrics:
     # ------------------------------- the fold ---------------------------- #
 
     def fold(self, name: str, dur: float, fields: dict) -> None:
-        """Add one event to the counters :data:`FOLD` says it feeds.
+        """Add one event to the values :data:`FOLD` says it feeds.
 
         The runtime's :class:`~repro.obs.trace.EventStream` calls this for
         every event it emits, recorded or not; ``reconcile`` calls it to
-        replay a recorded trace. Events no counter reads are ignored.
+        replay a recorded trace. Events no row reads are ignored; a
+        ``kv={pool: fraction}`` sample raises that pool's peak.
         """
         row = FOLD.get(name)
         if row is not None:
             row(self, dur, fields)
+        kv = fields.get("kv")
+        if kv is not None:
+            peak = self._peak_kv
+            for pool, fraction in kv.items():
+                peak[pool] = max(peak.get(pool, fraction), fraction)
 
     def folded_state(self) -> dict[str, object]:
         """Every value the fold owns, by label — what ``reconcile``
         compares between a replayed trace and the live instance."""
         state: dict[str, object] = dict(self._counters)
-        for attr in ("ttft_samples", "ttft_warm_samples", "ttft_cold_samples"):
+        for attr in _HISTOGRAMS:
             state[attr] = list(self._samples[attr])
         state.update(
             pool_rounds=self.pool_rounds,
             pool_busy_s=self.pool_busy_s,
-            ttit_gaps_announced=self._ttit_announced,
+            peak_kv_utilization=self.peak_kv_utilization,
+            turns=list(self.turns),
         )
         return state
-
-    # --------------------------- direct writers -------------------------- #
-
-    def record_turn(self, turn: TurnRecord) -> None:
-        """Ledger one completed turn (its ``finish`` event counts it)."""
-        self.turns.append(turn)
-
-    def record_ttit(self, ttit: float) -> None:
-        """Record one inter-token gap (runtime decode streaming)."""
-        self._samples["ttit_samples"].append(float(ttit))
-
-    def record_kv_occupancy(self, pool: str, fraction: float) -> None:
-        """Sample a pool's claimed KV-block fraction (peak is kept)."""
-        self._peak_kv[pool] = max(self._peak_kv.get(pool, float("-inf")), float(fraction))
-
-    def writer_drift(self) -> list[str]:
-        """The one direct writer the stream can cross-check: every
-        ``finish`` announces how many TTIT gaps its turn streamed."""
-        filed = len(self.ttit_samples)
-        if filed == self._ttit_announced:
-            return []
-        return [f"ttit_sample_count: trace-derived {self._ttit_announced!r} != metrics {filed!r}"]
 
     # ------------------------------- views ------------------------------ #
 

@@ -15,7 +15,9 @@ from repro.serving.metrics import FleetMetrics, ServingMetrics
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import collect_generated, submit_scripts_to_runtime
 
-MODEL = LlamaModel(tiny_config(), seed=0)
+from helpers import finish_fields
+
+MODEL =LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
 
 
@@ -218,9 +220,9 @@ class TestFleetMetrics:
         fm = FleetMetrics()
         a, b = ServingMetrics(), ServingMetrics()
         for _ in range(3):
-            a.fold("finish", 0.0, {})
+            a.fold("finish", 0.0, finish_fields())
         a.fold("prefix_hit", 0.0, {"reused": 10})
-        b.fold("finish", 0.0, {})
+        b.fold("finish", 0.0, finish_fields())
         b.fold("prefix_miss", 0.0, {})
         fm.add_replica(0, a, 2.0)
         fm.add_replica(1, b, 4.0)
@@ -234,8 +236,8 @@ class TestFleetMetrics:
     def test_ttft_percentiles_pool_replica_samples(self):
         fm = FleetMetrics()
         a, b = ServingMetrics(), ServingMetrics()
-        a.fold("finish", 0.0, {"ttft": 1.0, "warm": True})
-        b.fold("finish", 0.0, {"ttft": 3.0, "warm": False})
+        a.fold("finish", 0.0, finish_fields(ttft=1.0, warm=True))
+        b.fold("finish", 0.0, finish_fields(ttft=3.0, warm=False))
         fm.add_replica(0, a, 1.0)
         fm.add_replica(1, b, 1.0)
         assert fm.percentile_ttft(50) == pytest.approx(2.0)

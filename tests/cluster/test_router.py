@@ -164,14 +164,6 @@ class TestPrefixAffinity:
         deep = StubReplica(0, depth=3)
         assert router.score(deep, toks(1)) == pytest.approx(-12.0)
 
-    def test_forget_drops_shadow_state(self):
-        router = PrefixAffinityRouter()
-        replica = StubReplica(0)
-        router.placed(replica, toks(1, 2, 3))
-        assert router.match_len(replica, toks(1, 2, 3)) == 3
-        router.forget(replica)
-        assert router.match_len(replica, toks(1, 2, 3)) == 0
-
 
 class TestPlacementDeterminism:
     @pytest.mark.parametrize("policy", ROUTING_POLICIES)

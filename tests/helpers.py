@@ -186,6 +186,22 @@ def shard_varseq_full_prefill(
     return queries, kvs
 
 
+def finish_fields(**fields) -> dict:
+    """A ``finish`` event's fields, identity labels included: a turn of
+    conversation 0 that streamed nothing, unless ``fields`` say otherwise."""
+    return {
+        "status": "finished",
+        "seq_id": 0,
+        "tokens": 0,
+        "ttit": [],
+        "prompt": 1,
+        "cached": 0,
+        "algo": "pass-kv",
+        "generated": [],
+        **fields,
+    }
+
+
 def trace_scripts(case):
     """The conversations a traced serving ``case`` submits."""
     gen = WorkloadGenerator(TRACE_MODEL.config.vocab_size, seed=case["seed"])

@@ -15,9 +15,12 @@ remedy ladder (``_rungs``, then full eviction); the rings' shard skip
 (``ring_skip.partial_fully_masked``), which alone decides which ring-step
 partials are replaced by the merge identity; what the deployment
 builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
-decode pricing and the decode pool's capacity; and the counters
-(``serving/metrics.py``): a round's duration check and the Prometheus
-exposition's bucket bounds and replica label.
+decode pricing and the decode pool's capacity; the counters
+(``serving/metrics.py``): a round's duration check, the ``finish`` row's
+TTIT values, the peak-KV clause and the Prometheus exposition's bucket
+bounds and replica label; and the trace replay behind ``reconcile``
+(``obs/timeline.py``), which must hand the fold each event's identity
+labels.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import pytest
 from dataclasses import replace
 
 from repro.core import ring_decode, ring_passkv, ring_passq
-from repro.obs import dumps_jsonl
+from repro.obs import dumps_jsonl, timeline
 from repro.runtime import config as serve_config
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
 from repro.serving import metrics as serving_metrics
@@ -209,6 +212,40 @@ def _round_duration_unchecked(monkeypatch):
         monkeypatch.setitem(serving_metrics.FOLD, f"{pool}_round", unchecked(pool))
 
 
+def _finish_drops_last_ttit_gap(monkeypatch):
+    """The ``finish`` row files every TTIT gap but the turn's last."""
+    finish = serving_metrics._fold_finish
+
+    def dropping(m, dur, fields):
+        finish(m, dur, {**fields, "ttit": fields["ttit"][:-1]})
+
+    monkeypatch.setitem(serving_metrics.FOLD, "finish", dropping)
+
+
+def _peak_kv_keeps_latest(monkeypatch):
+    """The peak-KV clause keeps each pool's latest sample, not its max."""
+
+    def fold(self, name, dur, fields):
+        row = serving_metrics.FOLD.get(name)
+        if row is not None:
+            row(self, dur, fields)
+        self._peak_kv.update(fields.get("kv", {}))
+
+    monkeypatch.setattr(serving_metrics.ServingMetrics, "fold", fold)
+
+
+def _replay_without_labels(monkeypatch):
+    """``reconcile`` replays each event's attrs alone, without the
+    ``pool`` / ``request_id`` / ``seq_id`` labels the live fold saw."""
+
+    def bare(events, metrics):
+        for e in events:
+            metrics.fold(e.name, e.dur, dict(e.attrs))
+        return metrics
+
+    monkeypatch.setattr(timeline, "replay", bare)
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -278,6 +315,14 @@ CATALOGUE = [
     ("round-duration-unchecked", _round_duration_unchecked,
      functools.partial(_named_test, "serving/test_metrics.py::TestServingMetrics"
                        "::test_negative_round_duration_rejected", "prefill_round")),
+    ("finish-drops-last-ttit-gap", _finish_drops_last_ttit_gap,
+     functools.partial(_named_test, "serving/test_metrics.py::TestFoldTable::test_finish_row")),
+    ("peak-kv-keeps-latest", _peak_kv_keeps_latest,
+     functools.partial(_named_test, "serving/test_metrics.py::TestServingMetrics"
+                       "::test_kv_occupancy_keeps_peak")),
+    ("replay-without-labels", _replay_without_labels,
+     functools.partial(_named_test, "obs/test_request_timeline.py::TestReconcile"
+                       "::test_finish_replays_under_its_labels")),
 ]
 
 

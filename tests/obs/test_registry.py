@@ -3,6 +3,8 @@ histograms, driven through ``ServingMetrics`` and ``FleetMetrics``."""
 
 from repro.serving.metrics import FleetMetrics, ServingMetrics, _exposition
 
+from helpers import finish_fields
+
 
 def fold(m, name, dur=0.0, **fields):
     m.fold(name, dur, fields)
@@ -34,10 +36,8 @@ class TestCounter:
 
     def test_expose_sorts_label_values(self):
         m = ServingMetrics()
-        fold(m, "prefill_round", dur=1.0)  # prefill seen first, listed second
-        fold(m, "decode_round", dur=2.0)
-        m.record_kv_occupancy("prefill", 0.25)
-        m.record_kv_occupancy("decode", 0.75)
+        fold(m, "prefill_round", dur=1.0, kv={"prefill": 0.25})  # prefill seen first, listed second
+        fold(m, "decode_round", dur=2.0, kv={"decode": 0.75})
         text = m.prometheus_text()
         assert block(text, "repro_pool_busy_seconds_total") == [
             "# HELP repro_pool_busy_seconds_total Engine busy seconds per pool",
@@ -71,8 +71,7 @@ class TestHistogram:
 
     def test_cumulative_buckets(self):
         m = ServingMetrics()
-        for v in (0.05, 0.5, 0.5, 5.0, 500.0):
-            m.record_ttit(v)
+        fold(m, "finish", **finish_fields(ttit=[0.05, 0.5, 0.5, 5.0, 500.0]))
         lines = block(m.prometheus_text(), "repro_ttit_seconds")
         assert 'repro_ttit_seconds_bucket{le="0.05"} 1' in lines  # a bound is inclusive
         assert 'repro_ttit_seconds_bucket{le="0.1"} 1' in lines
@@ -91,7 +90,7 @@ class TestRegistry:
             fold(m, "prefix_miss")
             fold(m, "preempt", remedy="recompute", evicted=4)
             fold(m, "decode_round", dur=0.25)
-            fold(m, "finish", status="finished", ttft=0.5)
+            fold(m, "finish", **finish_fields(ttft=0.5))
             return m.prometheus_text()
 
         text = build()

@@ -11,10 +11,12 @@ from repro.obs import (
     format_explanation,
     reconcile,
     reconcile_fleet,
+    replay,
     request_ids,
 )
 from repro.serving.metrics import FleetMetrics, ServingMetrics
 
+from helpers import finish_fields, run_traced
 
 PREEMPT = {"remedy": "recompute", "evicted": 64, "victim": "active"}
 
@@ -109,6 +111,24 @@ class TestExplainTtft:
         with pytest.raises(ValueError, match="streamed no token"):
             explain_ttft(events, 0)
 
+    def test_format_names_the_prefix_a_request_adopted(self):
+        """The admitted line reports the request's own ``prefix_hit``:
+        how many tokens it reused and from which donor."""
+        case = dict(
+            seed=20250927, n_replicas=1, policy="prefix", disaggregate=False,
+            preemption="recompute", prefix_cache=True, chunk=8, capacity=None,
+            think=1.0, shared=True, sessions=4, turns=1, faults=None,
+        )
+        events = run_traced(case)[0].events
+        hits = [e for e in events if e.name == "prefix_hit"]
+        assert hits
+        for hit in hits:
+            text = format_explanation(events, hit.request_id)
+            reused, donor = hit.attrs["reused"], hit.attrs["donor"]
+            assert f", {reused} prefix tokens cached (donor seq {donor})" in text
+        missed = next(e.request_id for e in events if e.name == "prefix_miss")
+        assert "prefix tokens cached" not in format_explanation(events, missed)
+
     def test_format_renders_shed_requests(self):
         events = [
             ev("admit", 0.0, request_id=0, attrs={"arrival": 0.0}),
@@ -162,27 +182,53 @@ class TestReconcile:
         drift = reconcile(bad, m)
         assert any("transfer_stall_s" in d for d in drift)
 
+    @staticmethod
+    def finish(m=None, **fields):
+        """A ``finish`` event as recorded (labels lifted out of the attrs),
+        folded live into ``m`` first when given."""
+        fields = finish_fields(request_id=0, **fields)
+        if m is not None:
+            m.fold("finish", 0.0, dict(fields))
+        labels = {k: fields.pop(k) for k in ("request_id", "seq_id")}
+        return ev("finish", 5.0, attrs=fields, **labels)
+
     def test_ttft_list_equality(self):
         m = ServingMetrics()
-        m.record_ttit(0.01)
-        events = [
-            ev("finish", 5.0, request_id=0,
-               attrs={"status": "finished", "tokens": 2, "gaps": 1}),
-        ]
-        drift = reconcile(events, m)
-        # a finish the live metrics never folded: completed_requests drifts
-        assert any("completed_requests" in d for d in drift)
+        self.finish(m, ttft=1.0)
+        assert reconcile([self.finish(ttft=1.0)], m) == []
+        drift = reconcile([self.finish(ttft=1.0 + 1e-12)], m)
+        assert len(drift) == 1 and drift[0].startswith("ttft_samples:")
 
-    def test_ttit_values_are_held_to_the_announced_count(self):
-        """The gap values are a direct writer's; `finish` says how many."""
+    def test_a_ttit_value_mismatch_is_drift(self):
+        """Every gap value is on the trace, so a changed value is drift
+        even when the count agrees."""
         m = ServingMetrics()
-        finish = {"status": "finished", "tokens": 3, "gaps": 2}
-        m.fold("finish", 0.0, finish)
-        m.record_ttit(0.01)
-        events = [ev("finish", 5.0, request_id=0, attrs=finish)]
-        assert reconcile(events, m) == ["ttit_sample_count: trace-derived 2 != metrics 1"]
-        m.record_ttit(0.01)
+        self.finish(m, tokens=3, ttit=[0.01, 0.02])
+        assert reconcile([self.finish(tokens=3, ttit=[0.01, 0.02])], m) == []
+        drift = reconcile([self.finish(tokens=3, ttit=[0.01, 0.03])], m)
+        assert len(drift) == 1 and drift[0].startswith("ttit_samples:")
+
+    def test_finish_replays_under_its_labels(self):
+        """The recorder lifts ``seq_id`` out of the attrs; replay puts it
+        back, so the ledgered turn keeps its conversation."""
+        m = ServingMetrics()
+        self.finish(m, seq_id=3, prompt=9, tokens=2, generated=[4, 5])
+        event = self.finish(seq_id=3, prompt=9, tokens=2, generated=[4, 5])
+        assert "seq_id" not in event.attrs and event.seq_id == 3
+        assert reconcile([event], m) == []
+        assert [t.seq_id for t in replay([event], ServingMetrics()).turns] == [3]
+        drift = reconcile([self.finish(seq_id=4, prompt=9, tokens=2, generated=[4, 5])], m)
+        assert len(drift) == 1 and drift[0].startswith("turns:")
+
+    def test_peak_kv_is_replayed_per_pool(self):
+        m = ServingMetrics()
+        m.fold("decode_round", 0.5, {"pool": "decode", "kv": {"decode": 0.5}})
+        events = [ev("decode_round", 0.0, phase="span", dur=0.5, pool="decode",
+                     attrs={"kv": {"decode": 0.5}})]
         assert reconcile(events, m) == []
+        events[0].attrs["kv"]["decode"] = 0.25
+        drift = reconcile(events, m)
+        assert len(drift) == 1 and drift[0].startswith("peak_kv_utilization:")
 
     def test_pool_rounds_and_busy_seconds_reconcile_per_pool(self):
         m = ServingMetrics()

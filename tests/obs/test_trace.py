@@ -96,7 +96,7 @@ class TestEventStream:
         stream, seen = self.stream(via)
         for tracer in (direct, stream):
             tracer.span("swap_out", 3.0, 0.5, pool="decode", request_id=1, seq_id=1, tokens=64)
-            tracer.instant("finish", 4.0, request_id=1, seq_id=1, status="finished", gaps=0)
+            tracer.instant("finish", 4.0, request_id=1, seq_id=1, status="finished", ttit=[])
         assert via.events == direct.events
         assert [name for name, _, _ in seen] == ["swap_out", "finish"]
 

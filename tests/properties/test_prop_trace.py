@@ -8,17 +8,19 @@ The observability layer's two tier-1 invariants (PR 10):
   **byte-identical** JSONL serializations. Quantified over deployment
   shape (colocated / disaggregated), remedies, prefix cache, injected
   fault schedules, and multi-replica fleets with every routing policy.
-- **Reconciliation** — every :class:`ServingMetrics` counter and stall
-  total is *exactly* derivable from the trace: counters are a fold over
-  the one event stream the runtime emits through, so replaying the
-  recorded events reproduces them bit-for-bit (no tolerance), traced or
-  not. Fleet runs reconcile per replica through the scoped labels.
+- **Reconciliation** — every value a :class:`ServingMetrics` holds
+  (counters, stall totals, TTFT/TTIT samples, the turn ledger, peak KV)
+  is *exactly* derivable from the trace: it is a fold over the one event
+  stream the runtime emits through, so replaying the recorded events
+  reproduces it bit-for-bit (no tolerance), traced or not. Fleet runs
+  reconcile per replica through the scoped labels.
 - **Explain exactness** — the TTFT decomposition is an exact partition:
   components sum (in insertion order) to the recorded TTFT *as floats*,
   and the TTFT the trace reconstructs equals the one the metrics
   recorded.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,10 +36,41 @@ from repro.obs import (
     to_chrome,
     validate_chrome,
 )
+from repro.serving.request import TurnRecord
 
 from helpers import run_traced
 
 SETTINGS = dict(max_examples=8, deadline=None)
+
+
+def _bump_counter(m):
+    m._counters["preemptions"] += 1
+
+
+def _bump_ttit(m):
+    if m.ttit_samples:
+        m.ttit_samples[-1] += 1.0  # a value changed, the count kept
+    else:
+        m.ttit_samples.append(1.0)
+
+
+def _append_turn(m):
+    m.turns.append(TurnRecord(0, 1, 0, 0, "pass-kv"))
+
+
+def _raise_peak(m):
+    pool = next(iter(m._peak_kv), "prefill")
+    m._peak_kv[pool] = m._peak_kv.get(pool, 0.0) + 1.0
+
+
+#: One value of each kind the fold owns, written around the stream: the
+#: drift label it must show up under -> the write.
+_AROUND_THE_STREAM = {
+    "preemptions": _bump_counter,
+    "ttit_samples": _bump_ttit,
+    "turns": _append_turn,
+    "peak_kv_utilization": _raise_peak,
+}
 
 
 def _drift(events, runtime, fleet, report):
@@ -116,15 +149,18 @@ class TestReconciliation:
         tracer, runtime, fleet, report = run_traced(case)
         assert _drift(tracer.events, runtime, fleet, report) == [], f"case {case}"
 
-    @given(trace_case())
+    @pytest.mark.parametrize("label", sorted(_AROUND_THE_STREAM))
+    @given(case=trace_case())
     @settings(**SETTINGS)
-    def test_a_counter_bumped_around_the_stream_is_drift(self, case):
-        """Teeth, way 1: the live metrics hold something no event carried."""
+    def test_a_counter_bumped_around_the_stream_is_drift(self, label, case):
+        """Teeth, way 1: the live metrics hold something no event carried
+        — a counter, a TTIT value at an unchanged count, a ledger entry or
+        a pool's peak KV."""
         tracer, runtime, fleet, report = run_traced(case)
         live = runtime.metrics if fleet is None else report.metrics.replicas[0]
-        live._counters["preemptions"] += 1
+        _AROUND_THE_STREAM[label](live)
         drift = _drift(tracer.events, runtime, fleet, report)
-        assert len(drift) == 1 and "preemptions" in drift[0], f"case {case}: {drift}"
+        assert len(drift) == 1 and f"{label}: trace-derived" in drift[0], f"case {case}: {drift}"
 
     @given(trace_case())
     @settings(**SETTINGS)

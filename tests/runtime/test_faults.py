@@ -22,7 +22,9 @@ from repro.serving.metrics import ServingMetrics
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.replay import submit_scripts_to_runtime
 
-MODEL = LlamaModel(tiny_config(), seed=0)
+from helpers import finish_fields
+
+MODEL =LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
 
 
@@ -401,7 +403,7 @@ class TestFaultMetrics:
         assert m.goodput(0.0) == 0.0
         assert m.goodput(-1.0) == 0.0
         for _ in range(4):
-            m.fold("finish", 0.0, {"status": "finished"})
+            m.fold("finish", 0.0, finish_fields())
         assert m.goodput(2.0) == 2.0
 
     def test_summary_lines_only_when_faults_happened(self):

@@ -8,12 +8,7 @@ import pytest
 from repro.serving.metrics import FleetMetrics, ServingMetrics
 from repro.serving.request import TurnRecord
 
-
-def turn(prompt, cached, response=2, algo="pass-kv"):
-    return TurnRecord(
-        seq_id=0, prompt_tokens=prompt, cached_tokens=cached,
-        response_tokens=response, algo=algo,
-    )
+from helpers import finish_fields
 
 
 def fold(m, name, dur=0.0, **fields):
@@ -22,9 +17,11 @@ def fold(m, name, dur=0.0, **fields):
 
 
 def finished(m, ttft=None, **fields):
+    """One ``finish``: a turn of conversation 0 that streamed nothing,
+    unless ``fields`` say otherwise."""
     if ttft is not None:
         fields["ttft"] = ttft
-    fold(m, "finish", status="finished", **fields)
+    fold(m, "finish", **finish_fields(**fields))
 
 
 def folded(m):
@@ -35,29 +32,28 @@ def folded(m):
 class TestServingMetrics:
     def test_token_accounting(self):
         m = ServingMetrics()
-        m.record_turn(turn(100, 0, response=5))
-        m.record_turn(turn(10, 105, response=3))
+        finished(m, prompt=100, tokens=5)
+        finished(m, prompt=10, cached=105, tokens=3)
         assert m.total_prompt_tokens == 110
         assert m.total_generated_tokens == 8
 
     def test_cache_hit_rate(self):
         m = ServingMetrics()
-        m.record_turn(turn(100, 0))      # hit rate 0
-        m.record_turn(turn(50, 50))      # hit rate 0.5
+        finished(m, prompt=100)             # hit rate 0
+        finished(m, prompt=50, cached=50)   # hit rate 0.5
         assert m.mean_cache_hit_rate == pytest.approx(0.25)
 
     def test_algo_counts(self):
         m = ServingMetrics()
-        m.record_turn(turn(10, 0, algo="pass-kv"))
-        m.record_turn(turn(1, 100, algo="pass-q"))
-        m.record_turn(turn(1, 200, algo="pass-q"))
+        finished(m, prompt=10, algo="pass-kv")
+        finished(m, prompt=1, cached=100, algo="pass-q")
+        finished(m, prompt=1, cached=200, algo="pass-q")
         assert m.algo_counts() == {"pass-kv": 1, "pass-q": 2}
 
     def test_latency_percentiles(self):
         m = ServingMetrics()
         for t in [1.0, 2.0, 3.0]:
-            finished(m, ttft=t, gaps=1)
-            m.record_ttit(t / 100)
+            finished(m, ttft=t, ttit=[t / 100])
         assert m.percentile_ttft(50) == pytest.approx(2.0)
         assert m.percentile_ttit(100) == pytest.approx(0.03)
 
@@ -80,17 +76,16 @@ class TestServingMetrics:
         assert folded(m) == {"preemptions": 2, "evicted_tokens": 128}
         assert "preemptions: 2 (128 KV tokens evicted)" in m.summary()
 
-    def test_record_ttit_stream(self):
+    def test_ttit_stream(self):
         m = ServingMetrics()
-        for gap in (0.01, 0.02, 0.03):
-            m.record_ttit(gap)
+        finished(m, ttit=[0.01, 0.02])
+        finished(m, ttit=[0.03])
+        assert m.ttit_samples == [0.01, 0.02, 0.03]  # stream order, across finishes
         assert m.percentile_ttit(50) == pytest.approx(0.02)
 
     def test_summary_renders(self):
         m = ServingMetrics()
-        m.record_turn(turn(10, 0))
-        finished(m, ttft=1.5, gaps=1)
-        m.record_ttit(0.05)
+        finished(m, ttft=1.5, prompt=10, ttit=[0.05])
         text = m.summary()
         assert "turns: 1" in text
         assert "TTFT p50/p95/p99" in text
@@ -177,12 +172,16 @@ class TestServingMetrics:
         assert "KV swaps" not in text
 
     def test_kv_occupancy_keeps_peak(self):
+        """Any event may carry a ``kv`` sample; each pool keeps its max."""
         m = ServingMetrics()
-        m.record_kv_occupancy("decode", 0.25)
-        m.record_kv_occupancy("decode", 0.75)
-        m.record_kv_occupancy("decode", 0.5)
-        assert m.peak_kv_utilization == {"decode": 0.75}
-        assert "peak KV occupancy: decode: 75.0%" in m.summary()
+        fold(m, "decode_round", dur=0.5, kv={"decode": 0.25})
+        fold(m, "swap_in", dur=0.5, tokens=8, kv={"decode": 0.75})
+        fold(m, "decode_round", dur=0.5, kv={"decode": 0.5})
+        fold(m, "kv_transfer", tokens=8, kv={"decode": 0.125})
+        fold(m, "preempt", remedy="trim", tokens=8, kv={"prefill": 0.5})
+        fold(m, "decode_round", dur=0.5)  # an unbounded pool samples nothing
+        assert m.peak_kv_utilization == {"decode": 0.75, "prefill": 0.5}
+        assert "peak KV occupancy: decode: 75.0%, prefill: 50.0%" in m.summary()
 
     def test_pool_accounting(self):
         m = ServingMetrics()
@@ -250,17 +249,34 @@ class TestFoldTable:
 
     def test_finish_row(self):
         m = ServingMetrics()
-        finished(m, ttft=2.0, warm=True, tokens=4, gaps=3)   # eligible, hit
-        finished(m, ttft=5.0, warm=False, tokens=2, gaps=1)  # eligible, missed
-        finished(m, ttft=1.0, tokens=1, gaps=0)              # follow-up turn: no split
-        finished(m, tokens=0, gaps=0)                        # streamed nothing: no TTFT
+        # eligible, hit
+        finished(m, ttft=2.0, warm=True, seq_id=3, prompt=9, cached=4, algo="pass-q",
+                 tokens=4, generated=[7, 1, 7, 2], ttit=[0.5, 0.25, 0.125])
+        # eligible, missed
+        finished(m, ttft=5.0, warm=False, tokens=2, generated=[5, 6], ttit=[0.0625])
+        finished(m, ttft=1.0, tokens=1, generated=[8])  # follow-up turn: no split
+        finished(m)                                     # streamed nothing: no TTFT
         assert folded(m) == {
             "completed_requests": 4,
             "ttft_samples": [2.0, 5.0, 1.0],
             "ttft_warm_samples": [2.0],
             "ttft_cold_samples": [5.0],
-            "ttit_gaps_announced": 4,
+            "ttit_samples": [0.5, 0.25, 0.125, 0.0625],
+            "turns": [
+                TurnRecord(3, 9, 4, 4, "pass-q", [7, 1, 7, 2]),
+                TurnRecord(0, 1, 0, 2, "pass-kv", [5, 6]),
+                TurnRecord(0, 1, 0, 1, "pass-kv", [8]),
+                TurnRecord(0, 1, 0, 0, "pass-kv", []),
+            ],
         }
+
+    def test_a_finish_missing_its_ledger_changes_nothing(self):
+        m = ServingMetrics()
+        fields = finish_fields(ttft=1.0, ttit=[0.5])
+        del fields["algo"]
+        with pytest.raises(KeyError):
+            m.fold("finish", 0.0, fields)
+        assert folded(m) == {}
 
     def test_fault_rows(self):
         m = ServingMetrics()
@@ -304,14 +320,6 @@ class TestFoldTable:
             fold(m, "swap_out", dur=d, tokens=1)
             total += d
         assert m.swap_stall_s == total and m.swap_stall_s != sum(reversed(durs))
-
-    def test_writer_drift_holds_ttit_values_to_the_announced_count(self):
-        m = ServingMetrics()
-        finished(m, ttft=1.0, gaps=2)
-        m.record_ttit(0.01)
-        assert m.writer_drift() == ["ttit_sample_count: trace-derived 2 != metrics 1"]
-        m.record_ttit(0.01)
-        assert m.writer_drift() == []
 
 
 class TestMutantsDie:
@@ -595,18 +603,13 @@ def _fed() -> ServingMetrics:
     fold(m, "swap_out", dur=0.1, tokens=8)
     fold(m, "transfer_stall", dur=0.25)
     fold(m, "fault_retry", attempt=1, backoff=2.0)
-    fold(m, "prefill_round", dur=2.0)
-    fold(m, "decode_round", dur=0.5)
-    fold(m, "decode_round", dur=0.25)
-    m.record_kv_occupancy("prefill", 0.5)
-    m.record_kv_occupancy("decode", 0.25)
-    m.record_kv_occupancy("decode", 0.125)
-    finished(m, ttft=0.0005, gaps=0)
-    finished(m, ttft=0.1, warm=True, gaps=0)
+    fold(m, "prefill_round", dur=2.0, kv={"prefill": 0.5})
+    fold(m, "decode_round", dur=0.5, kv={"decode": 0.25})
+    fold(m, "decode_round", dur=0.25, kv={"decode": 0.125})
+    finished(m, ttft=0.0005, ttit=[0.01, 0.003])
+    finished(m, ttft=0.1, warm=True)
     for ttft in (1.0, 2.5, 42.0, 350.0):
-        finished(m, ttft=ttft, gaps=0)
-    m.record_ttit(0.01)
-    m.record_ttit(0.003)
+        finished(m, ttft=ttft)
     return m
 
 
@@ -637,7 +640,7 @@ class TestExposition:
             fold(m, "preempt", remedy="recompute", evicted=8 * (rid + 1))
             finished(m, ttft=0.05 * (rid + 1))  # each on a bucket bound
             fm.add_replica(rid, m, 10.0)
-        m.record_kv_occupancy("decode", 0.5)  # replica 0 only
+        fold(m, "preempt", remedy="swap", tokens=8, kv={"decode": 0.5})  # replica 0 only
         text = fm.prometheus_text()
         blocks = _blocks(text)
         assert list(blocks) == list(_blocks(FED_TEXT))

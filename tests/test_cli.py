@@ -119,19 +119,19 @@ class TestCommands:
     def test_serve_verify_exits_1_when_a_counter_is_written_around_the_stream(
         self, capsys, monkeypatch
     ):
-        from repro.serving.metrics import ServingMetrics
+        from repro.runtime.runtime import ContinuousBatchingRuntime
 
         args = ["serve", "--sessions", "2", "--turns", "1", "--world", "2", "--verify"]
         assert main(args) == 0
         assert "verify trace reconciliation: exact" in capsys.readouterr().out
 
-        ledger = ServingMetrics.record_turn
+        finish_turn = ContinuousBatchingRuntime._finish_turn
 
-        def record_turn(self, turn):  # the defect: a counter written beside the ledger
-            ledger(self, turn)
-            self._counters["completed_requests"] += 1
+        def defective(self, rec, *, at):  # the defect: a counter written beside the stream
+            finish_turn(self, rec, at=at)
+            self.metrics._counters["completed_requests"] += 1
 
-        monkeypatch.setattr(ServingMetrics, "record_turn", record_turn)
+        monkeypatch.setattr(ContinuousBatchingRuntime, "_finish_turn", defective)
         assert main(args) == 1
         out = capsys.readouterr().out
         assert "DRIFT completed_requests: trace-derived 2 != metrics 4" in out
