@@ -101,37 +101,37 @@ def _cases():
 CASES = _cases()
 
 GOLDEN = {
-    "coloc-recompute-noprefix-clean": "9d304bddf997b340999187533e1512e320113325876a761ab85924c830d793be",
-    "coloc-recompute-noprefix-faults": "e1673ba8b016a607137316e236faa773a3849728961047ecc5fe67d91f7899d8",
-    "coloc-recompute-prefix-clean": "64e74514e15d8833c6582ffe88a5ac7711b1d22cfdbc8b37cc36f26b13f7db33",
-    "coloc-recompute-prefix-faults": "73549f321b27ef3b9b7edeff3912440b5fc7c6f6ec9f3bee7c6860655bb02dee",
-    "coloc-trim-noprefix-clean": "c11af64cba096c1ce318c7eac1616663c2be366031ba4e463cf9d6c18068e521",
-    "coloc-trim-noprefix-faults": "263fdc86851edfed76259dc76979370743942431a08784ad99feb1841b2fd2ee",
-    "coloc-trim-prefix-clean": "7698212ac14c967604f1a11e18c6be97885a578686df81f9733d1af7037204ae",
-    "coloc-trim-prefix-faults": "9d02ba8a7a9b9ae69e85d83c281b15434881b2ffc0bf7d3638e20b23653d9eb1",
-    "coloc-swap-noprefix-clean": "ae31edb9758603d970b6fc0819aedceddec844df525a32e7f136104972319b53",
-    "coloc-swap-noprefix-faults": "20d76829d72c6dfb08cd9d4c8060cee64a3c6f6e478d05a550d7b7cb0e83b428",
-    "coloc-swap-prefix-clean": "81ccfdfe6824bde711c732e25f985fa81782a58529adac79f41a0b83a77adf12",
-    "coloc-swap-prefix-faults": "6e4a02903290924dd92e709387cdd66f07b434444097f272c6ee8d27ddfeb47d",
-    "disagg-recompute-noprefix-clean": "7bafb4ad8a588c6feb6abc1e2242adbf558158ab07cc1553de2dad10de308723",
-    "disagg-recompute-noprefix-faults": "47d8fc7607e0bdf194eef198ecb9c2e15eca8fd9adc61f600f14ce2080a1be89",
-    "disagg-recompute-prefix-clean": "241018d05dcbe582790db36f64dac01a0126bf25ea8a9fb4632c042ec67fdcde",
-    "disagg-recompute-prefix-faults": "65b45bca93e5d0220f18dc4f9dcf70265855aadbb6486f3eae813fd7ef4635f0",
-    "disagg-trim-noprefix-clean": "31c6da59ec5189e54234e89a4006abdb95270c285fa2e69335b5939254274316",
-    "disagg-trim-noprefix-faults": "8df3580cde77a9dff2be10f3bc4c14e7ad648a9f9001325d6436df9c5cd9c852",
-    "disagg-trim-prefix-clean": "f27f9c971d4cfcad766020cecebcb25eb089b1acb2692e9c9d07b337224fe3a9",
-    "disagg-trim-prefix-faults": "ddf8265205cafb78ece83fb72c6cf8fa00d75f213ad4a47557ea5f48fedb20f8",
-    "disagg-swap-noprefix-clean": "48206fce86bd1769968a45b1c68a01e1b525aee26919eb9c9b234cf66624f902",
-    "disagg-swap-noprefix-faults": "898636f10d1dc90424c0779d3123f1d72e01793e50a3d17af1a12389f1c3e76e",
-    "disagg-swap-prefix-clean": "3e5e499d8b47e3825d50a91bd10f9397a45dc3ad77b7f64b2809944a5df40f96",
-    "disagg-swap-prefix-faults": "633137c915e2af3bdadb0e1b9dc4e76633468c23ea9e11c5bb02af9307f0b1ed",
-    "coloc-swap-prefix-clean-srpf": "f94cb5fb5f35211bc76db3f7a2adad33c0035810c62191c0cb239377a864e411",
-    "disagg-trim-prefix-clean-srpf": "d25431bd2ead9a69ca6513e03618d4537a0df297625f273b6e0163887e4f1da7",
-    "coloc-unbounded": "e233d05af1e4ca06223adf6f6fd910f6b9b549d25ceac8133f064373e4222066",
-    "disagg-unbounded": "7e7f599eaf99f7d964630711341a8cc407bc59a2765d8078328159f097c8b00a",
-    "fleet3-coloc-swap-prefix-faults": "cb5e0e2eba713126778ef6006683a47570b4053d031e02c6a6d5c6cff3fb3a19",
-    "fleet3-disagg-trim-prefix-faults": "c21e6586de1b9121eb2c777b4006583de11066073ccd0f382b38162170c1bf3a",
-    "fleet3-disagg-swap-noprefix-clean-least-loaded": "5554ae58ff155f6239763f8dbcc9a5138d297ec86d1e8d76ce22bfa2eeec4578",
+    "coloc-recompute-noprefix-clean": "7d45211ab8d2932c42788358d16175f0af36dd92d1753e7d7b40df67972e274e",
+    "coloc-recompute-noprefix-faults": "4df8e820d250c760f7d035a2d6949d14e6e1946b2a40f40c04f654de211f13d7",
+    "coloc-recompute-prefix-clean": "a7f3fa807e3d4bf03813ae87e99247fcc77b8a159fcc08242cabbbdc2433bfc8",
+    "coloc-recompute-prefix-faults": "1749f3ce2882203b956a72fb91befdb7374550f5b7ebb051d98627813000b52b",
+    "coloc-trim-noprefix-clean": "97af57066328366cd7d37759407dddeaf6e54f5a87bb41fc0e9ff3854caaaea3",
+    "coloc-trim-noprefix-faults": "0cc4e018514728b93c73cfe8e0b285a539217d75796f76bd777f5203e49292b7",
+    "coloc-trim-prefix-clean": "a2510d419c1ecd9fe9410e5b9875c9a037c26d8ccda7e6b0c4ea6e939c61c74c",
+    "coloc-trim-prefix-faults": "0eba1b66e3c0abe969e700fea8d60cbb5c4870f365c2a8fb574696f5e8b4e5c2",
+    "coloc-swap-noprefix-clean": "17fa8eecf44c3e436d39b6f4af06a634553145ec7824e4c4cb4a3d915d77b088",
+    "coloc-swap-noprefix-faults": "90d8133744123bbd2dead37c5db2d014152188051cb3a6e55bbf1458f99866f5",
+    "coloc-swap-prefix-clean": "843f96d9013f1820692e750a2501658c5dc8719473ab0ee40248a51a07db3b60",
+    "coloc-swap-prefix-faults": "08bdbec718d284b9c43d0724f58d8fb1d1822ad2cea19bcc6105456f21920afe",
+    "disagg-recompute-noprefix-clean": "32dd64ad861a7c5649d030d0b579bc921cc6574ccbf9d3c6fc7c5a5baeb38cf9",
+    "disagg-recompute-noprefix-faults": "e8ad8a82164996a9964c9e6b749207d9956994c491d3fde0eac13c066f4dd435",
+    "disagg-recompute-prefix-clean": "b14103e897fc5f2500e68a4034d669936e524358ea6721a646f35f4f60679fdd",
+    "disagg-recompute-prefix-faults": "1d88297d908f23ec03c0640ff6813d9147d56e4831ff1919b121263cde62bad1",
+    "disagg-trim-noprefix-clean": "e3b77c7e4b246dfe4bd09861e206096da61ac61c85b511485262af09d2c02232",
+    "disagg-trim-noprefix-faults": "ff60f5a99d90051ffd9b06ceb4fe8ef2ecfeb061817ef1678077b23b1cd220ff",
+    "disagg-trim-prefix-clean": "c8e0764d4f70c66cda6fc24b17118349a57a6bc1c1185173fd1f272fc237b458",
+    "disagg-trim-prefix-faults": "e8c88de4594d028e96cb0b6223d6c58a185d1e1c5c25ca5f18692416e4d469ca",
+    "disagg-swap-noprefix-clean": "8631607c4e9291bcfe0ad7587ac6bd06dda4eac20b79ac42cd6888911501ebba",
+    "disagg-swap-noprefix-faults": "11afb831197cd6a2d53820051d8423e175b4c747347aef970459125d68466c2d",
+    "disagg-swap-prefix-clean": "3dd79c6b1c984870c9d819167c953fdadae90ba5be96ea810af26d318f037f16",
+    "disagg-swap-prefix-faults": "75094aebd984b41dde2b3ebcdb8ea086a6115f7caf5a2a9f76a74c97a14b8f9f",
+    "coloc-swap-prefix-clean-srpf": "95b6c4fd637017340a1d45295528783c537356332f57c49355cf0f4c397f3eab",
+    "disagg-trim-prefix-clean-srpf": "e37144778f9644ab0905a880ec63eea2f2763f3a97facfc4eedae9251a2cc71d",
+    "coloc-unbounded": "bd1ab59e285a6e1090bbc067791356d0feaae62a8654487af269b075012ed11c",
+    "disagg-unbounded": "2cb54c20aa1043805382164d999110569ae4ece270a656c76ce3ec8e1c11d187",
+    "fleet3-coloc-swap-prefix-faults": "a5c3aee240c97e327fc5801ec6c966c967bb921d1087206b158e928ee16c7889",
+    "fleet3-disagg-trim-prefix-faults": "e088b2ce3042e94198e7e6afc57f1c65d7ecc334d7548568e8401dfa4e5b8094",
+    "fleet3-disagg-swap-noprefix-clean-least-loaded": "ffe2131406dfaa6ad849b810219bf431afe89c14cd72e2e3b45fd28b7d1215ad",
 }
 
 
