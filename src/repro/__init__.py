@@ -43,7 +43,6 @@ from repro.core.sharding import (
     shard_sequences,
 )
 from repro.distributed.process_group import SimProcessGroup
-from repro.distributed.topology import gti_topology, gtt_topology
 from repro.model.config import (
     ModelConfig,
     llama3_405b_config,
@@ -100,9 +99,7 @@ __all__ = [
     "SimProcessGroup",
     "__version__",
     "gti_host",
-    "gti_topology",
     "gtt_host",
-    "gtt_topology",
     "llama3_405b_config",
     "llama3_70b_config",
     "llama3_8b_config",

@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.heuristics import HeuristicConfig, RingAlgo
-from repro.core.planner import PrefillPlan, PrefillPlanner, SelectorKind
+from repro.core.planner import PrefillPlan, PrefillPlanner
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedQueries, ShardPlan
 from repro.distributed.process_group import SimProcessGroup
-from repro.distributed.topology import ClusterTopology
 from repro.kvcache.cache import CacheCapacityError, RankKVCache
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.model.llama import LlamaModel
@@ -110,9 +109,8 @@ class ContextParallelEngine:
     Args:
         model: the stage-decomposed transformer.
         world_size: number of CP ranks.
-        topology: cluster wiring (defaults to a generic simulated fabric).
-        heuristic: hardware constants for the pass-KV/pass-Q selector.
-        selector: which published selector the planner runs.
+        heuristic: hardware constants for the pass-KV/pass-Q selector
+            (Algorithm 5); ``None`` plans by miss rate alone.
         capacity_tokens: optional per-rank KV capacity (OOM experiments).
     """
 
@@ -121,15 +119,13 @@ class ContextParallelEngine:
         model: LlamaModel,
         world_size: int,
         *,
-        topology: ClusterTopology | None = None,
         heuristic: HeuristicConfig | None = None,
-        selector: SelectorKind = SelectorKind.ALL2ALL_AWARE,
         capacity_tokens: int | None = None,
     ):
         self.model = model
         self.world_size = world_size
-        self.group = SimProcessGroup(world_size, topology=topology)
-        self.planner = PrefillPlanner(heuristic, selector=selector)
+        self.group = SimProcessGroup(world_size)
+        self.planner = PrefillPlanner(heuristic)
         cfg = model.config
         self.caches = [
             RankKVCache(cfg.n_layers, cfg.n_kv_heads, cfg.head_dim, capacity_tokens=capacity_tokens)

@@ -143,7 +143,6 @@ def ring_passq_decode(
     step: int = 0,
     scale: float | None = None,
     block_size: int = 128,
-    num_kv_splits: int = 1,
     skip_masked_shards: bool = True,
 ) -> tuple[AttentionResult, np.ndarray]:
     """Batched ring pass-Q decode (Algorithm 4).
@@ -159,8 +158,6 @@ def ring_passq_decode(
         step: decode iteration index, drives the round-robin offset.
         scale: attention score scale (default ``1/sqrt(DH)``).
         block_size: KV block size of the local kernel.
-        num_kv_splits: Flash-Decoding style split-KV factor for the local
-            kernel (the paper uses 256 splits on H100).
         skip_masked_shards: replace provably all-masked ring-step partials
             with the exact identity element instead of calling the kernel —
             in decode this mostly fires for all-pad query payloads (when
@@ -217,7 +214,6 @@ def ring_passq_decode(
                 causal=True,
                 scale=scale,
                 block_size=block_size,
-                num_kv_splits=num_kv_splits,
                 q_runs=plan.q_runs[src],
                 k_runs=(kv.runs, kv.run_index),
             )

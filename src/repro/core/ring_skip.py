@@ -89,26 +89,3 @@ def partial_fully_masked(q_reach: dict[int, int], k_reach: dict[int, int]) -> bo
         if k_min is not None and k_min <= q_max:
             return False
     return True
-
-
-def shard_fully_masked(
-    q_pos: np.ndarray,
-    k_pos: np.ndarray,
-    q_seq: np.ndarray | None = None,
-    k_seq: np.ndarray | None = None,
-    *,
-    causal: bool = True,
-) -> bool:
-    """O(Tq + Tk) test that ``attention_mask(...)`` would be all-False.
-
-    Convenience wrapper combining :func:`query_reach`, :func:`kv_reach`
-    and :func:`partial_fully_masked` for one-off (non-ring) callers; the
-    ring algorithms precompute the two summaries instead so each shard is
-    scanned once, not once per ring step.
-    """
-    q = query_reach(q_pos, q_seq)
-    k = kv_reach(k_pos, k_seq)
-    if not causal:
-        # Any shared non-pad sequence id means at least one visible pair.
-        return all(sid not in k for sid in q)
-    return partial_fully_masked(q, k)

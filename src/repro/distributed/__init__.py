@@ -11,14 +11,14 @@ properties the reproduction depends on:
    bit-for-bit against single-device execution.
 2. **Exact traffic accounting** — with a recorder attached, every
    SendRecv / All2All / AllGather / AllReduce emits a span carrying its
-   logical wire bytes (at the model's element size, not NumPy's float64),
-   feeding the same roofline the paper uses to decide when communication
-   hides under compute.
+   logical wire bytes (bf16, not NumPy's float64), priced by the same
+   :class:`repro.perf.hardware.HostSpec` formulas the latency model uses
+   to decide when communication hides under compute (at
+   :func:`repro.perf.hardware.gtt_host` constants). There is no second
+   description of the wire.
 
 Modules:
 
-- :mod:`repro.distributed.topology` — cluster wiring (node counts, NIC
-  bandwidths, message latencies) with GTT (RDMA) and GTI (TCP) presets.
 - :mod:`repro.distributed.process_group` — :class:`SimProcessGroup`, the
   lockstep collective engine.
 - :mod:`repro.distributed.ring` — ring-schedule index arithmetic shared by
@@ -30,20 +30,10 @@ Collectives trace through :mod:`repro.obs.trace` (assign
 
 from repro.distributed.process_group import SimProcessGroup, payload_elements
 from repro.distributed.ring import ring_neighbors, source_rank_at_step
-from repro.distributed.topology import (
-    ClusterTopology,
-    gti_topology,
-    gtt_topology,
-    single_node_topology,
-)
 
 __all__ = [
-    "ClusterTopology",
     "SimProcessGroup",
-    "gti_topology",
-    "gtt_topology",
     "payload_elements",
     "ring_neighbors",
-    "single_node_topology",
     "source_rank_at_step",
 ]

@@ -8,20 +8,24 @@ to an SPMD program synchronised at every collective — which is exactly the
 structure of the paper's ring algorithms (one SendRecv per ring step).
 
 Payloads are arbitrary nests of ``list`` / ``tuple`` / ``dict`` / dataclass
-containing NumPy arrays. Byte accounting uses a configurable *logical*
-element size (default 2 bytes, bf16) rather than the arrays' in-memory
-float64, so traced traffic matches what the paper's wire format would carry;
-a dataclass field declared with ``metadata={"wire": False}`` is host-side
-bookkeeping and is not counted.
+containing NumPy arrays. Byte accounting uses the *logical* element size
+of bf16 (2 bytes, ``LatencySimulator``'s default) rather than the arrays'
+in-memory float64, so traced traffic matches what the paper's wire format
+would carry; a dataclass field declared with ``metadata={"wire": False}``
+is host-side bookkeeping and is not counted.
 
 Tracing is the repository's one tracer (:mod:`repro.obs.trace`): with a
 recorder attached, every collective emits one span named for its kind
 (``sendrecv`` / ``all2all`` / ``allgather`` / ``allreduce``; attrs ``step``,
-``bytes`` = the busiest rank's logical wire bytes, ``tag``) priced by the
-alpha-beta model, laid end to end on a group-local clock — the simulated
-counterpart of the GPU trace the paper inspects (§4.2.1, Table 5). With
-none attached (the default, and every serving engine) a collective does no
-byte walk and retains nothing.
+``bytes`` = the busiest rank's logical wire bytes, ``tag``) laid end to end
+on a group-local clock — the simulated counterpart of the GPU trace the
+paper inspects (§4.2.1, Table 5). A span's ``dur`` is the
+:func:`repro.perf.hardware.gtt_host` price of its kind, through the same
+:class:`~repro.perf.hardware.HostSpec` formula
+:class:`~repro.perf.latency.LatencySimulator` charges, so the trace and the
+tables share one hardware model. With no recorder attached (the default,
+and every serving engine) a collective does no byte walk and retains
+nothing.
 
 A real network cannot alias buffers between ranks. The simulation keeps that
 guarantee without copying: a collective rebuilds the payload's containers,
@@ -37,8 +41,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.distributed.topology import ClusterTopology, single_node_topology
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.perf.hardware import gtt_host
+
+#: The wire every collective span is priced on.
+_HOST = gtt_host()
+#: Logical bytes per tensor element on the wire (bf16).
+_ELEMENT_BYTES = 2
 
 
 def payload_elements(payload: Any) -> int:
@@ -81,62 +90,29 @@ def _deliver(payload: Any) -> Any:
 
 
 class SimProcessGroup:
-    """Simulated collective-communication group over ``world_size`` CP ranks.
+    """Simulated collective-communication group over ``world_size`` CP ranks,
+    each one :func:`repro.perf.hardware.gtt_host` host.
 
     Args:
         world_size: number of CP ranks.
-        topology: cluster wiring; defaults to a single-node ring, which keeps
-            unit tests hardware-agnostic.
         tracer: :class:`repro.obs.trace.Tracer` receiving one span per
             collective (default: the null tracer). Assignable afterwards.
-        wire_bytes_per_element: logical bytes per tensor element on the wire
-            (paper notation ``e``; 2 for bf16, 1 for fp8).
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        *,
-        topology: ClusterTopology | None = None,
-        tracer: Tracer = NULL_TRACER,
-        wire_bytes_per_element: int = 2,
-    ):
+    def __init__(self, world_size: int, *, tracer: Tracer = NULL_TRACER):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        if topology is not None and topology.world_size != world_size:
-            raise ValueError(
-                f"topology has {topology.world_size} nodes but world_size={world_size}"
-            )
-        if wire_bytes_per_element <= 0:
-            raise ValueError("wire_bytes_per_element must be positive")
         self.world_size = world_size
-        self.topology = topology if topology is not None else single_node_topology().with_nodes(1)
-        if topology is None and world_size > 1:
-            # Default multi-rank wiring: treat each rank as its own node on
-            # a generic high-bandwidth fabric.
-            self.topology = ClusterTopology(
-                name=f"sim-{world_size}n",
-                num_nodes=world_size,
-                gpus_per_node=8,
-                internode_bandwidth=0.75 * 50e9,
-                intranode_bandwidth=450e9,
-            )
         self.tracer = tracer
         self._t = 0.0  # group-local clock: the running sum of traced durations
-        self.wire_bytes_per_element = wire_bytes_per_element
 
     # ------------------------------------------------------------------ #
-    # byte/time model
+    # bytes and spans
     # ------------------------------------------------------------------ #
 
     def payload_nbytes(self, payload: Any) -> int:
         """Logical wire bytes of one payload."""
-        return payload_elements(payload) * self.wire_bytes_per_element
-
-    def _xfer_time(self, nbytes: int) -> float:
-        """Alpha-beta time for one point-to-point CP-rank message."""
-        topo = self.topology
-        return topo.cp_link_latency + nbytes / topo.cp_link_bandwidth
+        return payload_elements(payload) * _ELEMENT_BYTES
 
     def _trace(self, kind: str, nbytes: int, duration: float, *, step: int = -1, tag: str = "") -> None:
         """Emit one collective's span where the previous one ended."""
@@ -157,15 +133,16 @@ class SimProcessGroup:
         """One ring SendRecv: rank ``k`` receives rank ``(k-1) % N``'s payload.
 
         Every rank sends and receives simultaneously (full-duplex links), so
-        the simulated duration of the step is the max single-message time.
-        Returns the received payloads: the senders' arrays, frozen.
+        the step takes one SendRecv of the largest payload
+        (:meth:`HostSpec.sendrecv_s`). Returns the received payloads: the
+        senders' arrays, frozen.
         """
         self._check_world(payloads)
         if self.world_size == 1:
             return [_deliver(payloads[0])]
         if self.tracer.enabled:
             nbytes = max(self.payload_nbytes(p) for p in payloads)
-            self._trace("sendrecv", nbytes, self._xfer_time(nbytes), step=step, tag=tag)
+            self._trace("sendrecv", nbytes, _HOST.sendrecv_s(nbytes), step=step, tag=tag)
         return [_deliver(payloads[(k - 1) % self.world_size]) for k in range(self.world_size)]
 
     def all_to_all(self, matrix: Sequence[Sequence[Any]], *, tag: str = "") -> list[list[Any]]:
@@ -173,9 +150,9 @@ class SimProcessGroup:
 
         ``matrix[src][dst]`` is the payload rank ``src`` sends to rank
         ``dst``; the return value ``out[dst][src]`` is that payload as
-        received. Duration is modelled as the busiest rank's total egress
-        over its single NIC, matching the paper's Appendix C formula
-        ``(N-1) * (D+1) * T * e / BW``.
+        received. Priced as the busiest rank's total egress
+        (:meth:`HostSpec.all2all_s`), matching the paper's Appendix C
+        formula ``(N-1) * (D+1) * T * e / BW``.
         """
         self._check_world(matrix)
         for row in matrix:
@@ -187,11 +164,7 @@ class SimProcessGroup:
                 for src in range(self.world_size)
             ]
             nbytes = max(egress)
-            duration = (
-                self.topology.cp_link_latency * (self.world_size - 1)
-                + nbytes / self.topology.cp_link_bandwidth
-            )
-            self._trace("all2all", nbytes, duration, tag=tag)
+            self._trace("all2all", nbytes, _HOST.all2all_s(nbytes, self.world_size), tag=tag)
         return [
             [_deliver(matrix[src][dst]) for src in range(self.world_size)]
             for dst in range(self.world_size)
@@ -201,17 +174,18 @@ class SimProcessGroup:
         """Every rank receives every rank's payload (ring all-gather cost).
 
         Returns ``out[k][s]`` = rank ``s``'s payload as seen by rank ``k``.
-        Cost model: ``(N-1)`` ring steps each moving the largest shard.
+        Priced as ``(N-1)`` SendRecvs of the largest shard.
         """
         self._check_world(payloads)
         if self.world_size > 1 and self.tracer.enabled:
             shard = max(self.payload_nbytes(p) for p in payloads)
             hops = self.world_size - 1
-            self._trace("allgather", shard * hops, hops * self._xfer_time(shard), tag=tag)
+            self._trace("allgather", shard * hops, hops * _HOST.sendrecv_s(shard), tag=tag)
         return [[_deliver(p) for p in payloads] for _ in range(self.world_size)]
 
     def all_reduce_sum(self, arrays: Sequence[np.ndarray], *, tag: str = "") -> list[np.ndarray]:
-        """Sum-reduce an array across ranks (ring AllReduce cost: 2(N-1)/N)."""
+        """Sum-reduce an array across ranks (:meth:`HostSpec.allreduce_s`;
+        each rank moves ``2(N-1)/N`` of the array)."""
         self._check_world(arrays)
         first = np.asarray(arrays[0])
         for a in arrays[1:]:
@@ -220,11 +194,6 @@ class SimProcessGroup:
         total = np.sum([np.asarray(a, dtype=np.float64) for a in arrays], axis=0)
         if self.world_size > 1 and self.tracer.enabled:
             full = self.payload_nbytes(first)
-            hops = 2 * (self.world_size - 1)
-            self._trace(
-                "allreduce",
-                hops * full // self.world_size,
-                hops * self._xfer_time(full // self.world_size),
-                tag=tag,
-            )
+            moved = 2 * (self.world_size - 1) * full // self.world_size
+            self._trace("allreduce", moved, _HOST.allreduce_s(full, self.world_size), tag=tag)
         return [total.copy() for _ in range(self.world_size)]

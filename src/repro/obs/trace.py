@@ -67,9 +67,11 @@ event                        phase   feeds                         emitted from
                                      ``ttit`` values, turn ledger  ledger's ``prompt``, ``cached``,
                                                                    ``algo`` and ``generated``
 ``sendrecv``                 span    trace-only                    ``distributed/process_group.py``:
-``all2all``                  span    trace-only                    one span per collective, ``t`` a
-``allgather``                span    trace-only                    group-local running sum (attrs:
-``allreduce``                span    trace-only                    ``step``, ``bytes``, ``tag``)
+``all2all``                  span    trace-only                    one span per collective, ``dur``
+``allgather``                span    trace-only                    the ``gtt_host()`` formula for its
+``allreduce``                span    trace-only                    kind and bytes, ``t`` a group-local
+                                                                   running sum (attrs: ``step``,
+                                                                   ``bytes``, ``tag``)
 ===========================  ======  ============================  ==============================
 
 Five events also carry ``kv={pool: fraction}``, the pool's KV occupancy

@@ -29,6 +29,13 @@ measurements and then reused for every experiment (no per-table tuning):
   the CP2..CP8 and Table 4 partial-prefill TTFTs.
 - decode per-layer overhead 130 us and 7 us kernel-launch floor — fit
   from Tables 6/8 TTIT decompositions.
+
+:class:`HostSpec` is the one description of the wire. Its per-message
+formulas (:meth:`HostSpec.sendrecv_s`, :meth:`HostSpec.all2all_s`,
+:meth:`HostSpec.allreduce_s`) are what both
+:class:`repro.perf.latency.LatencySimulator` and the simulated process
+group's collective spans (:mod:`repro.distributed.process_group`, at
+:func:`gtt_host` constants) charge.
 """
 
 from __future__ import annotations
@@ -121,6 +128,22 @@ class HostSpec:
     def hbm_bandwidth(self) -> float:
         """Host-level aggregate HBM bandwidth."""
         return self.gpus_per_host * self.gpu.hbm_bandwidth
+
+    def sendrecv_s(self, nbytes: float) -> float:
+        """One ring SendRecv of ``nbytes`` between two CP ranks."""
+        return self.message_latency + nbytes / self.ring_bandwidth
+
+    def all2all_s(self, nbytes: float, n_ranks: int) -> float:
+        """An All2All in which the busiest rank sends ``nbytes`` in total
+        to its ``n_ranks - 1`` peers, one message each."""
+        return (n_ranks - 1) * self.message_latency + nbytes / self.all2all_bandwidth
+
+    def allreduce_s(self, nbytes: float, n_ranks: int) -> float:
+        """A ring AllReduce of an ``nbytes`` array over ``n_ranks`` hosts."""
+        return (
+            2.0 * nbytes * (n_ranks - 1) / n_ranks / self.allreduce_bandwidth
+            + self.allreduce_latency * (n_ranks - 1)
+        )
 
     def with_ring_bandwidth(self, bw: float) -> "HostSpec":
         return replace(self, ring_bandwidth=bw, all2all_bandwidth=bw)

@@ -93,7 +93,7 @@ class LatencySimulator:
                 shard = kv_bytes(cfg, new_tokens, cached_tokens, e) * batch / n_ranks
             else:
                 shard = q_bytes(cfg, new_tokens, e) * batch / n_ranks
-            sendrecv = host.message_latency + shard / host.ring_bandwidth
+            sendrecv = host.sendrecv_s(shard)
         else:
             sendrecv = 0.0
 
@@ -104,9 +104,7 @@ class LatencySimulator:
         if algo is RingAlgo.PASS_Q and n_ranks > 1:
             tokens_per_rank = new_tokens * batch / n_ranks
             bytes_per_rank = all2all_bytes(cfg, tokens_per_rank, n_ranks, e)
-            a2a_total = layers * (
-                (n_ranks - 1) * host.message_latency + bytes_per_rank / host.all2all_bandwidth
-            )
+            a2a_total = layers * host.all2all_s(bytes_per_rank, n_ranks)
 
         overhead = self._elementwise_time(new_tokens * batch / n_ranks)
         if n_ranks > 1:
@@ -144,11 +142,7 @@ class LatencySimulator:
         allreduce_total = 0.0
         if n_nodes > 1:
             activation = tokens * batch * cfg.model_dim * e
-            per_allreduce = (
-                2.0 * activation * (n_nodes - 1) / n_nodes / host.allreduce_bandwidth
-                + host.allreduce_latency * (n_nodes - 1)
-            )
-            allreduce_total = layers * 2 * per_allreduce
+            allreduce_total = layers * 2 * host.allreduce_s(activation, n_nodes)
 
         overhead = self._elementwise_time(tokens * batch / n_nodes)
         total = gemm_total + attn_total + allreduce_total + overhead
@@ -201,8 +195,10 @@ class LatencySimulator:
 
         if n_ranks > 1:
             q_msg = queries_per_rank * cfg.model_dim * e / host.gpus_per_host
-            sendrecv = (n_ranks - 1) * (host.message_latency + q_msg / host.ring_bandwidth)
+            sendrecv = (n_ranks - 1) * host.sendrecv_s(q_msg)
             a2a_bytes = (n_ranks - 1) * queries_per_rank * (cfg.model_dim + 1) * e
+            # Not host.all2all_s: the 2.5-message latency is fit to Table 8's
+            # measured decode All2All, not counted per peer.
             all2all = 2.5 * host.message_latency + a2a_bytes / host.all2all_bandwidth
         else:
             sendrecv = 0.0
@@ -259,6 +255,18 @@ class LatencySimulator:
             overhead=overhead,
             total=total,
         )
+
+    # ------------------------------------------------------------------ #
+    # KV moves
+    # ------------------------------------------------------------------ #
+
+    def kv_transfer_s(self, tokens: int) -> float:
+        """Stream ``tokens`` of KV between pools at ring bandwidth."""
+        return tokens * self.config.kv_bytes_per_token(self.element_bytes) / self.host.ring_bandwidth
+
+    def kv_swap_s(self, tokens: int) -> float:
+        """Move ``tokens`` of KV one way between HBM and host DRAM."""
+        return tokens * self.config.kv_bytes_per_token(self.element_bytes) / self.host.pcie_bandwidth
 
     # ------------------------------------------------------------------ #
     # helpers

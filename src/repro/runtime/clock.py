@@ -25,14 +25,14 @@ Pricing conventions (documented approximations):
   context in the batch (or single-host TP TTIT when the clock prices a
   dedicated decode pool, §4.3).
 - A pool-to-pool KV transfer of ``n`` tokens is priced at full-stream
-  bandwidth cost (``n * kv_bytes_per_token / ring_bandwidth`` for the
-  calibrated clock); the disaggregated runtime overlaps it with compute
+  bandwidth cost (``LatencySimulator.kv_transfer_s``: ``n *
+  kv_bytes_per_token / ring_bandwidth``); the disaggregated runtime overlaps it with compute
   explicitly instead of the analytic model's ``1/n_layers`` exposure
   approximation.
 - A CPU-side KV swap of ``n`` tokens (the runtime's ``--preemption swap``
   remedy: DMA the victim's KV to host DRAM instead of recomputing it) is
-  priced at PCIe-bandwidth cost (``n * kv_bytes_per_token /
-  pcie_bandwidth`` for the calibrated clock), charged once per direction.
+  priced at PCIe-bandwidth cost (``LatencySimulator.kv_swap_s``: ``n *
+  kv_bytes_per_token / pcie_bandwidth``), charged once per direction.
   The swapping pool stalls for the DMA — the honest price DistServe /
   Mooncake-class systems pay for trading HBM against host memory.
 - Fault-retry backoff delays (:meth:`repro.runtime.faults.FaultPlan
@@ -142,8 +142,7 @@ class SimulatedStepClock:
         """Full-stream KV transfer cost at calibrated ring bandwidth."""
         if tokens < 0:
             raise ValueError(f"tokens must be >= 0, got {tokens}")
-        bytes_ = tokens * self.sim.config.kv_bytes_per_token(self.sim.element_bytes)
-        return bytes_ / self.sim.host.ring_bandwidth
+        return self.sim.kv_transfer_s(tokens)
 
     def price_swap(self, tokens: int) -> float:
         """One-way device<->host KV swap cost at PCIe bandwidth.
@@ -154,5 +153,4 @@ class SimulatedStepClock:
         """
         if tokens < 0:
             raise ValueError(f"tokens must be >= 0, got {tokens}")
-        bytes_ = tokens * self.sim.config.kv_bytes_per_token(self.sim.element_bytes)
-        return bytes_ / self.sim.host.pcie_bandwidth
+        return self.sim.kv_swap_s(tokens)

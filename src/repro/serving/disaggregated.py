@@ -11,8 +11,11 @@ system that decouples the parallelization scheme for prefill and decode"*
   to a TP8 decode host (layer-wise, overlappable with ongoing prefill),
   and decode runs at single-host TTIT.
 
-The KV-transfer cost uses the same topology constants as the ring model,
-so the break-even analysis is consistent with the rest of the simulator.
+The KV stream is priced by ``LatencySimulator.kv_transfer_s`` at the
+host's ring bandwidth — the runtime's transfer price too — so the
+break-even analysis is consistent with the rest of the simulator. Layer-wise
+transfers start as each layer's prefill finishes, so only the last layer's
+``1 / n_layers`` of the stream is exposed on the critical path.
 """
 
 from __future__ import annotations
@@ -57,22 +60,9 @@ class DisaggregatedSimulator:
 
     def __init__(self, config: ModelConfig, host: HostSpec, *, element_bytes: float = 2.0):
         self.config = config
-        self.host = host
-        self.element_bytes = element_bytes
         self.sim = LatencySimulator(config, host, element_bytes=element_bytes)
 
     # ------------------------------------------------------------------ #
-
-    def kv_transfer_time(self, context: int) -> float:
-        """Stream the full KV cache from the prefill pool to a decode host.
-
-        Layer-wise transfers can start as soon as a layer's prefill
-        finishes, so on the critical path only the *last* layer's shard is
-        exposed; we report the full stream time and expose
-        ``1 / n_layers`` of it.
-        """
-        total_bytes = context * self.config.kv_bytes_per_token(self.element_bytes)
-        return total_bytes / self.host.ring_bandwidth
 
     def colocated(self, context: int, output_tokens: int, *, n_ranks: int) -> RequestLatency:
         """One CP-N pool serving both phases."""
@@ -93,7 +83,7 @@ class DisaggregatedSimulator:
     def disaggregated(self, context: int, output_tokens: int, *, prefill_ranks: int) -> RequestLatency:
         """CP prefill pool + TP8 decode host with layer-overlapped KV stream."""
         prefill = self.sim.cp_prefill(context, n_ranks=prefill_ranks).total
-        transfer = self.kv_transfer_time(context)
+        transfer = self.sim.kv_transfer_s(context)
         exposed_tail = transfer / self.config.n_layers
         ttft = prefill + exposed_tail
         ttit = self.sim.tp_decode(context, n_nodes=1).total

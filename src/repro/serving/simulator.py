@@ -38,7 +38,6 @@ import numpy as np
 from repro.model.config import ModelConfig
 from repro.perf.hardware import HostSpec
 from repro.perf.latency import LatencySimulator
-from repro.serving.disaggregated import DisaggregatedSimulator
 
 
 @dataclass(frozen=True)
@@ -132,14 +131,13 @@ class ClusterServingSimulator:
         self.n_ranks = n_ranks
         self.disaggregated = disaggregated
         self.sim = LatencySimulator(config, host)
-        self._disagg = DisaggregatedSimulator(config, host)
 
     # ------------------------------------------------------------------ #
 
     def _prefill_time(self, context: int) -> float:
         t = self.sim.cp_prefill(context, n_ranks=self.n_ranks).total
         if self.disaggregated:
-            t += self._disagg.kv_transfer_time(context) / self.config.n_layers
+            t += self.sim.kv_transfer_s(context) / self.config.n_layers
         return t
 
     def _decode_round_time(self, contexts: list[int]) -> float:
@@ -150,6 +148,22 @@ class ClusterServingSimulator:
         if self.disaggregated or self.n_ranks == 1:
             return self.sim.tp_decode(ctx, batch=batch, n_nodes=1).total
         return self.sim.cp_decode(ctx, batch=batch, n_ranks=self.n_ranks).total
+
+    def _decode_round(
+        self, active: dict[int, tuple[Completion, Arrival]], now: float, report: ServingReport
+    ) -> float:
+        """Advance every active sequence one token; retire the finished.
+        Returns the clock after the round."""
+        contexts = [arr.context_tokens + comp.decoded for comp, arr in active.values()]
+        now += self._decode_round_time(contexts)
+        report.decode_rounds += 1
+        for rid, (comp, arr) in list(active.items()):
+            comp.decoded += 1
+            if comp.decoded >= arr.output_tokens:
+                comp.finish = now
+                report.completions.append(comp)
+                del active[rid]
+        return now
 
     def simulate(self, arrivals: list[Arrival]) -> ServingReport:
         """Run the event loop over a sorted arrival stream."""
@@ -183,20 +197,7 @@ class ClusterServingSimulator:
                     active[req.request_id] = (comp, req)
                 continue
             if active:
-                contexts = [
-                    arr.context_tokens + comp.decoded for comp, arr in active.values()
-                ]
-                now += self._decode_round_time(contexts)
-                report.decode_rounds += 1
-                done = []
-                for rid, (comp, arr) in active.items():
-                    comp.decoded += 1
-                    if comp.decoded >= arr.output_tokens:
-                        comp.finish = now
-                        report.completions.append(comp)
-                        done.append(rid)
-                for rid in done:
-                    del active[rid]
+                now = self._decode_round(active, now, report)
                 continue
             # idle: jump to the next arrival
             now = max(now, pending[0].time)
@@ -233,20 +234,7 @@ class ClusterServingSimulator:
                 active[req.request_id] = (comp, req)
                 continue
             if active:
-                contexts = [
-                    arr.context_tokens + comp.decoded for comp, arr in active.values()
-                ]
-                t_dec += self._decode_round_time(contexts)
-                report.decode_rounds += 1
-                done = []
-                for rid, (comp, arr) in active.items():
-                    comp.decoded += 1
-                    if comp.decoded >= arr.output_tokens:
-                        comp.finish = t_dec
-                        report.completions.append(comp)
-                        done.append(rid)
-                for rid in done:
-                    del active[rid]
+                t_dec = self._decode_round(active, t_dec, report)
                 continue
             t_dec = joins[0][0]
 

@@ -1,7 +1,8 @@
 """Workload replay glue: conversation scripts -> arrival streams / runtimes.
 
 Connects the workload consumers: the *numeric* engine replays
-:class:`repro.workloads.generator.ConversationScript` turn by turn, the
+:class:`repro.workloads.generator.ConversationScript` turn by turn through
+a :class:`repro.serving.session.ChatSession` (the sequential reference), the
 *discrete-event* serving simulator consumes
 :class:`repro.serving.simulator.Arrival` streams, and the
 *continuous-batching runtime* (:mod:`repro.runtime`) replays whole
@@ -11,8 +12,6 @@ runtime-vs-sequential exactness property testable.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.serving.simulator import Arrival
 from repro.workloads.generator import ConversationScript
@@ -144,41 +143,3 @@ def replay_scripts_sequential(make_engine, scripts: list[ConversationScript]) ->
         session.close()
     return out
 
-
-def replay_script_numeric(engine, script: ConversationScript) -> list[dict]:
-    """Replay one script on the numeric engine; return per-turn records.
-
-    Args:
-        engine: a :class:`repro.core.engine.ContextParallelEngine` whose
-            model vocabulary covers the script's token ids.
-        script: the scripted conversation.
-
-    Returns:
-        Per-turn dicts: ``{"turn", "T", "P", "miss_rate", "algo",
-        "generated"}``.
-    """
-    records = []
-    sid = script.seq_id
-    for turn_idx, (prompt, budget) in enumerate(
-        zip(script.prompts, script.response_budgets)
-    ):
-        cached = engine.context_length(sid)
-        out = engine.prefill({sid: np.asarray(prompt, dtype=np.int64)})
-        generated: list[int] = []
-        logits = out.last_logits(sid)
-        for _ in range(budget):
-            tok = int(np.argmax(logits))
-            step = engine.decode({sid: tok})
-            generated.append(tok)
-            logits = step.logits[sid]
-        records.append(
-            {
-                "turn": turn_idx,
-                "T": int(prompt.size),
-                "P": cached,
-                "miss_rate": out.plan.miss_rate,
-                "algo": out.plan.algo.value,
-                "generated": generated,
-            }
-        )
-    return records

@@ -114,7 +114,7 @@ class TestPartialPrefill:
         # both ranks padded to 5 tokens of seq 0: k+v (2) * 5 tokens * 2 heads
         # * 16 dims + positions/seq_ids (2 * 5) elements, x2 wire bytes
         expected_elements = 2 * 5 * 2 * 16 + 2 * 5
-        assert events[0].attrs["bytes"] == expected_elements * group.wire_bytes_per_element
+        assert events[0].attrs["bytes"] == expected_elements * 2
 
 
 class TestValidation:

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attention.masks import PAD_SEQ, attention_mask
-from repro.core.ring_skip import (
-    kv_reach,
-    partial_fully_masked,
-    query_reach,
-    shard_fully_masked,
-)
+from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -61,17 +56,17 @@ class TestShardFullyMaskedProperty:
         seed=st.integers(0, 2**31 - 1),
         tq=st.integers(0, 12),
         tk=st.integers(0, 12),
-        causal=st.booleans(),
     )
     @settings(**SETTINGS)
-    def test_matches_materialized_mask(self, seed, tq, tk, causal):
-        """The O(T) predicate agrees with ``not attention_mask(...).any()``
-        for arbitrary (position, sequence, PAD) layouts."""
+    def test_matches_materialized_mask(self, seed, tq, tk):
+        """The O(T) predicate over the two reach summaries agrees with
+        ``not attention_mask(...).any()`` under the causal mask the rings
+        use, for arbitrary (position, sequence, PAD) layouts."""
         rng = np.random.default_rng(seed)
         q_pos = rng.integers(0, 8, tq)
         k_pos = rng.integers(0, 8, tk)
         q_seq = rng.integers(PAD_SEQ, 2, tq)
         k_seq = rng.integers(PAD_SEQ, 2, tk)
-        predicted = shard_fully_masked(q_pos, k_pos, q_seq, k_seq, causal=causal)
-        actual = not attention_mask(q_pos, k_pos, q_seq, k_seq, causal=causal).any()
+        predicted = partial_fully_masked(query_reach(q_pos, q_seq), kv_reach(k_pos, k_seq))
+        actual = not attention_mask(q_pos, k_pos, q_seq, k_seq, causal=True).any()
         assert predicted == actual

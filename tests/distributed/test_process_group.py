@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import ContextParallelEngine
+from repro.core.heuristics import RingAlgo
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup, payload_elements
-from repro.distributed.topology import gtt_topology
+from repro.model.config import llama3_405b_config, tiny_config
+from repro.model.llama import LlamaModel
 from repro.obs import RecordingTracer
+from repro.perf.hardware import gtt_host
+from repro.perf.latency import LatencySimulator
+from repro.perf.roofline import kv_bytes, q_bytes
 
 from helpers import comm, traced_group
 
@@ -71,7 +77,7 @@ class TestRingShift:
         assert g.tracer.events == []  # no wire traffic
 
     def test_bytes_accounting(self):
-        g = traced_group(2, wire_bytes_per_element=2)
+        g = traced_group(2)
         g.ring_shift([np.zeros(10), np.zeros(7)])
         [event] = g.tracer.events
         assert event.attrs["bytes"] == 10 * 2  # max payload sets the step size
@@ -92,7 +98,7 @@ class TestAllToAll:
                 assert out[dst][src][0] == src * 10 + dst
 
     def test_egress_accounting_excludes_self(self):
-        g = traced_group(2, wire_bytes_per_element=2)
+        g = traced_group(2)
         matrix = [[np.zeros(5), np.zeros(5)], [np.zeros(5), np.zeros(5)]]
         g.all_to_all(matrix)
         assert comm(g)["all2all"].bytes == 5 * 2  # one off-diagonal payload per rank
@@ -112,8 +118,8 @@ class TestAllGather:
                 np.testing.assert_array_equal(out[k][s], np.full(2, s))
 
     def test_bytes_scale_with_world(self):
-        g2 = traced_group(2, wire_bytes_per_element=2)
-        g4 = traced_group(4, wire_bytes_per_element=2)
+        g2 = traced_group(2)
+        g4 = traced_group(4)
         g2.all_gather([np.zeros(8)] * 2)
         g4.all_gather([np.zeros(8)] * 4)
         assert comm(g4)["allgather"].bytes == 3 * comm(g2)["allgather"].bytes
@@ -148,7 +154,7 @@ class TestUntracedGroup:
 
     def test_payload_nbytes_still_answers(self):
         """The e2e benchmark's payload counter calls it on untraced groups."""
-        g = SimProcessGroup(2, wire_bytes_per_element=2)
+        g = SimProcessGroup(2)
         assert g.payload_nbytes([np.zeros(10), {"a": np.zeros(3)}]) == 26
 
     def test_attaching_a_recorder_later_starts_recording(self):
@@ -162,16 +168,53 @@ class TestUntracedGroup:
 
 
 class TestConstruction:
-    def test_topology_world_mismatch(self):
-        with pytest.raises(ValueError):
-            SimProcessGroup(4, topology=gtt_topology(2))
-
-    def test_matching_topology(self):
-        g = SimProcessGroup(2, topology=gtt_topology(2))
-        assert g.topology.name == "GTT-2n"
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             SimProcessGroup(0)
-        with pytest.raises(ValueError):
-            SimProcessGroup(2, wire_bytes_per_element=0)
+
+
+def _gtt_formula(kind: str, nbytes: int, world: int) -> float:
+    """The ``gtt_host()`` price of one collective of ``kind`` whose span
+    carries ``nbytes``, spelled out from the constants so a change to a
+    ``HostSpec`` formula shows here."""
+    h = gtt_host()
+    if kind == "sendrecv":
+        return h.message_latency + nbytes / h.ring_bandwidth
+    if kind == "all2all":
+        return (world - 1) * h.message_latency + nbytes / h.all2all_bandwidth
+    if kind == "allgather":  # N - 1 SendRecvs of the largest shard
+        hops = world - 1
+        return hops * (h.message_latency + nbytes // hops / h.ring_bandwidth)
+    assert kind == "allreduce"  # the span carries 2(N-1)/N of the array
+    full = nbytes * world // (2 * (world - 1))
+    return 2.0 * full * (world - 1) / world / h.allreduce_bandwidth + h.allreduce_latency * (world - 1)
+
+
+class TestOneHardwareModel:
+    """Collective spans and ``LatencySimulator`` are priced by one
+    ``HostSpec``: a span's ``dur`` is the formula for its kind and bytes."""
+
+    def test_every_collective_span_is_priced_by_the_host_formula(self):
+        model = LlamaModel(tiny_config(), seed=0)
+        engine = ContextParallelEngine(model, world_size=4)
+        group = engine.group
+        group.tracer = RecordingTracer()
+        toks = np.arange(40) % model.config.vocab_size
+        engine.prefill({0: toks}, force_algo=RingAlgo.PASS_KV)
+        engine.prefill({0: toks[:3]}, force_algo=RingAlgo.PASS_Q)
+        engine.generate({0: toks[:1]}, max_new_tokens=2)
+        group.all_gather([np.zeros(8), np.zeros(5), np.zeros(8), np.zeros(2)])
+        group.all_reduce_sum([np.ones(6)] * 4)
+
+        spans = group.tracer.events
+        assert {e.name for e in spans} == {"sendrecv", "all2all", "allgather", "allreduce"}
+        for e in spans:
+            assert e.dur == _gtt_formula(e.name, e.attrs["bytes"], 4), e
+
+    @pytest.mark.parametrize("algo", [RingAlgo.PASS_KV, RingAlgo.PASS_Q])
+    def test_latency_model_prices_a_ring_step_by_the_same_formula(self, algo):
+        cfg = llama3_405b_config()
+        new, cached, world = 3200, 124800, 4
+        prefill = LatencySimulator(cfg, gtt_host()).cp_prefill(new, cached, n_ranks=world, algo=algo)
+        message = kv_bytes(cfg, new, cached) if algo is RingAlgo.PASS_KV else q_bytes(cfg, new)
+        assert prefill.sendrecv_per_iter == _gtt_formula("sendrecv", message / world, world)

@@ -11,7 +11,7 @@ from helpers import comm, traced_group
 
 class TestCommTracer:
     def test_record_and_aggregate(self):
-        g = traced_group(2, wire_bytes_per_element=2)
+        g = traced_group(2)
         g.ring_shift([np.zeros(50)] * 2, step=0)
         g.ring_shift([np.zeros(100)] * 2, step=1)
         g.all_to_all([[np.zeros(25)] * 2] * 2)

@@ -39,7 +39,7 @@ class TestPassKvTraffic:
     @pytest.mark.parametrize("world,t", [(2, 64), (4, 64), (4, 96)])
     def test_sendrecv_bytes_match_table3(self, rng, world, t):
         queries, kvs = build(world, t, rng)
-        group = traced_group(world, wire_bytes_per_element=2)
+        group = traced_group(world)
         ring_passkv_prefill(group, queries, kvs)
         traced = comm(group)["sendrecv"].bytes
 
@@ -56,7 +56,7 @@ class TestPassQTraffic:
     @pytest.mark.parametrize("world,t", [(2, 64), (4, 64)])
     def test_ring_bytes_match_table3(self, rng, world, t):
         queries, kvs = build(world, t, rng)
-        group = traced_group(world, wire_bytes_per_element=2)
+        group = traced_group(world)
         ring_passq_prefill(group, queries, kvs)
         traced = comm(group)["sendrecv"].bytes
         shard_tokens = t / world
@@ -67,7 +67,7 @@ class TestPassQTraffic:
     @pytest.mark.parametrize("world,t", [(2, 64), (4, 64)])
     def test_all2all_bytes_match_appendix_c(self, rng, world, t):
         queries, kvs = build(world, t, rng)
-        group = traced_group(world, wire_bytes_per_element=2)
+        group = traced_group(world)
         ring_passq_prefill(group, queries, kvs)
         traced = comm(group)["all2all"].bytes
         # Appendix C: (N-1) partials of (D + 1) values per token — our NH

@@ -18,9 +18,10 @@ builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
 decode pricing and the decode pool's capacity; the counters
 (``serving/metrics.py``): a round's duration check, the ``finish`` row's
 TTIT values, the peak-KV clause and the Prometheus exposition's bucket
-bounds and replica label; and the trace replay behind ``reconcile``
+bounds and replica label; the trace replay behind ``reconcile``
 (``obs/timeline.py``), which must hand the fold each event's identity
-labels.
+labels; and the pricing of collective spans (``HostSpec.all2all_s`` and
+``distributed/process_group.py``), which must be the hardware model's own.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ import pytest
 from dataclasses import replace
 
 from repro.core import ring_decode, ring_passkv, ring_passq
+from repro.distributed import process_group
 from repro.obs import dumps_jsonl, timeline
+from repro.perf.hardware import HostSpec
 from repro.runtime import config as serve_config
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
 from repro.serving import metrics as serving_metrics
@@ -246,6 +249,25 @@ def _replay_without_labels(monkeypatch):
     monkeypatch.setattr(timeline, "replay", bare)
 
 
+def _all2all_without_latency(monkeypatch):
+    """An All2All is priced as its bytes alone, without the ``(N-1)``
+    per-peer message latency."""
+    monkeypatch.setattr(HostSpec, "all2all_s", lambda self, nbytes, n_ranks: nbytes / self.all2all_bandwidth)
+
+
+def _allgather_single_hop(monkeypatch):
+    """An AllGather is priced as one SendRecv of the largest shard instead
+    of ``N-1``."""
+    trace = process_group.SimProcessGroup._trace
+
+    def one_hop(self, kind, nbytes, duration, **kw):
+        if kind == "allgather":
+            duration = process_group._HOST.sendrecv_s(nbytes // (self.world_size - 1))
+        trace(self, kind, nbytes, duration, **kw)
+
+    monkeypatch.setattr(process_group.SimProcessGroup, "_trace", one_hop)
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -279,6 +301,11 @@ def _named_test(nodeid: str, *params) -> None:
             target = _instance(target)
     target(*params)
 
+
+_ONE_HARDWARE_MODEL = (
+    "distributed/test_process_group.py::TestOneHardwareModel"
+    "::test_every_collective_span_is_priced_by_the_host_formula"
+)
 
 CATALOGUE = [
     ("make-room-evicts-once", _make_room_evicts_once,
@@ -323,6 +350,10 @@ CATALOGUE = [
     ("replay-without-labels", _replay_without_labels,
      functools.partial(_named_test, "obs/test_request_timeline.py::TestReconcile"
                        "::test_finish_replays_under_its_labels")),
+    ("all2all-without-latency", _all2all_without_latency,
+     functools.partial(_named_test, _ONE_HARDWARE_MODEL)),
+    ("allgather-single-hop", _allgather_single_hop,
+     functools.partial(_named_test, _ONE_HARDWARE_MODEL)),
 ]
 
 

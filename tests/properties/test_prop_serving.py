@@ -90,6 +90,6 @@ class TestServingInvariants:
             slack = 0.0
             if disagg:
                 slack = max(
-                    sim._disagg.kv_transfer_time(131072) / CFG.n_layers, 0.0
+                    sim.sim.kv_transfer_s(131072) / CFG.n_layers, 0.0
                 )
             assert s2 >= e1 - slack - 1e-9

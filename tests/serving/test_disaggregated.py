@@ -24,17 +24,13 @@ class TestLatencies:
         assert colo.ttit > disagg.ttit
 
     def test_kv_transfer_scales_with_context(self, sim):
-        assert sim.kv_transfer_time(262144) == pytest.approx(
-            2 * sim.kv_transfer_time(131072)
-        )
+        assert sim.sim.kv_transfer_s(262144) == pytest.approx(2 * sim.sim.kv_transfer_s(131072))
 
     def test_transfer_tail_exposed_in_ttft(self, sim):
         colo = sim.colocated(131072, 0, n_ranks=4)
         disagg = sim.disaggregated(131072, 0, prefill_ranks=4)
         tail = disagg.ttft - colo.ttft
-        assert tail == pytest.approx(
-            sim.kv_transfer_time(131072) / sim.config.n_layers
-        )
+        assert tail == pytest.approx(sim.sim.kv_transfer_s(131072) / sim.config.n_layers)
 
     def test_total_composition(self, sim):
         r = sim.disaggregated(131072, 50, prefill_ranks=2)

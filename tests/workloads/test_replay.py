@@ -1,13 +1,9 @@
 """Tests for workload replay glue."""
 
-import numpy as np
 import pytest
 
-from repro.core.engine import ContextParallelEngine
-from repro.model.config import tiny_config
-from repro.model.llama import LlamaModel
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.replay import replay_script_numeric, script_to_arrivals
+from repro.workloads.replay import script_to_arrivals
 
 
 class TestScriptToArrivals:
@@ -41,20 +37,3 @@ class TestScriptToArrivals:
         with pytest.raises(ValueError):
             script_to_arrivals([], turn_gap_s=-1)
 
-
-class TestReplayNumeric:
-    def test_records_and_hit_rates(self):
-        model = LlamaModel(tiny_config(), seed=9)
-        engine = ContextParallelEngine(model, world_size=2)
-        gen = WorkloadGenerator(model.config.vocab_size, seed=4)
-        script = gen.conversation(
-            0, turns=3, first_prompt=60, followup_range=(2, 3), response_range=(1, 2)
-        )
-        records = replay_script_numeric(engine, script)
-        assert len(records) == 3
-        assert records[0]["miss_rate"] == 1.0
-        assert records[1]["miss_rate"] < 0.1
-        assert all(len(r["generated"]) >= 1 for r in records)
-        # engine context equals total prompt + generated tokens
-        total = script.total_prompt_tokens + sum(len(r["generated"]) for r in records)
-        assert engine.context_length(0) == total
