@@ -142,4 +142,3 @@ def replay_scripts_sequential(make_engine, scripts: list[ConversationScript]) ->
         out[script.seq_id] = turns
         session.close()
     return out
-

@@ -77,4 +77,3 @@ class TestCapacity:
         engine = ContextParallelEngine(model, world_size=2, capacity_tokens=32)
         out = engine.prefill({0: np.arange(20) % model.config.vocab_size})
         assert 0 in out.logits
-

@@ -36,4 +36,3 @@ class TestScriptToArrivals:
     def test_validation(self):
         with pytest.raises(ValueError):
             script_to_arrivals([], turn_gap_s=-1)
-
