@@ -169,9 +169,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.perf.hardware import gti_host, gtt_host
     from repro.perf.latency import LatencySimulator
     from repro.runtime import FaultPlan, ServeConfig
-    from repro.runtime.state import RequestState
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import (
+        divergences,
         replay_scripts_sequential,
         submit_scripts_to_runtime,
     )
@@ -253,6 +253,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     rids = submit_scripts_to_runtime(runtime, scripts)
     report = runtime.run(max_steps=1_000_000)
+    leaks = runtime.kv_leak_report()
 
     fleet = config.replicas > 1
     deploy = f"CP{world}" if decode_world is None else f"CP{world} prefill -> CP{decode_world} decode"
@@ -286,9 +287,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for rid in sorted(report.replica_reports)
         )
         print(f"placements: {spread}")
-        leaks = runtime.kv_leak_reports()
-        clean = all(not v for v in leaks.values())
-        print(f"post-drain KV audit: {'clean' if clean else leaks}")
+        print(f"post-drain KV audit: {leaks or 'clean'}")
     elif decode_world is not None:
         util = report.pool_utilization()
         print(
@@ -316,27 +315,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.verify:
         return 0
     reference = replay_scripts_sequential(
-        lambda: ContextParallelEngine(
-            LlamaModel(tiny_config(), seed=0), world_size=world
-        ),
-        scripts,
+        lambda: ContextParallelEngine(model, world_size=world), scripts
     )
-    mismatches = compared = skipped = 0
-    for script in scripts:
-        ref_turns = reference[script.seq_id]
-        for i, rid in enumerate(rids[script.seq_id]):
-            if report.record(rid).state is not RequestState.FINISHED:
-                # shed/timed-out turns claim nothing; the exactness
-                # contract under faults covers completed requests only
-                skipped += 1
-                continue
-            compared += 1
-            got = list(report.generated(rid))
-            if got != list(ref_turns[i]):
-                mismatches += 1
-                print(f"MISMATCH seq {script.seq_id} turn {i}: "
-                      f"{got} != {ref_turns[i]}")
-    verdict = "identical" if mismatches == 0 else f"{mismatches} turns differ"
+    mismatches = divergences(report, rids, reference)
+    for problem in mismatches:
+        print(f"MISMATCH {problem}")
+    # shed/timed-out turns claim nothing: the exactness contract under
+    # faults covers completed requests only
+    compared = len(report.completed)
+    skipped = sum(map(len, rids.values())) - compared
+    verdict = f"{len(mismatches)} turns differ" if mismatches else "identical"
     scope = f"{compared} completed turns"
     if skipped:
         scope += f", {skipped} shed/timed-out skipped"
@@ -355,7 +343,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     recon = "exact" if not drift else f"{len(drift)} counter(s) drifted"
     print(f"verify trace reconciliation: {recon} "
           f"({len(tracer.events)} events vs metrics)")
-    return 0 if mismatches == 0 and not drift else 1
+    for leak in leaks:
+        print(f"LEAK {leak}")
+    return 1 if mismatches or drift or leaks else 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

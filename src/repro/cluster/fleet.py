@@ -398,6 +398,15 @@ class ReplicaFleet:
             for rid in sorted(self._replicas)
         }
 
+    def kv_leak_report(self) -> list[str]:
+        """The runtime's audit surface: every replica's problems, each
+        prefixed with its replica; empty = the fleet drained leak-free."""
+        return [
+            f"replica {rid}: {leak}"
+            for rid, leaks in self.kv_leak_reports().items()
+            for leak in leaks
+        ]
+
     def report(self) -> FleetReport:
         metrics = FleetMetrics()
         reports: dict[int, RuntimeReport] = {}

@@ -34,31 +34,23 @@ from __future__ import annotations
 import math
 
 from repro.experiments.base import ExperimentResult
-from repro.model.config import llama3_405b_config, tiny_config
-from repro.perf.hardware import HostSpec, gtt_host
-from repro.perf.latency import LatencySimulator
+from repro.experiments.serving_grid import run_grid
+from repro.model.config import tiny_config
+from repro.runtime import ServeConfig
+from repro.workloads.generator import WorkloadGenerator
 
 #: Routing policies compared, in sweep order.
 POLICIES = ("prefix", "round-robin")
 
 
-def run(
-    host: HostSpec | None = None,
-    *,
-    conversations: int = 12,
-    n_templates: int = 2,
-    replica_sweep: tuple[int, ...] = (1, 2, 3),
-    world_size: int = 2,
-    priced_ranks: int = 4,
-    seed: int = 11,
-) -> ExperimentResult:
+def run(*, replica_sweep: tuple[int, ...] = (1, 2, 3)) -> ExperimentResult:
     """Replica count x routing policy for shared-prefix traffic.
 
-    Numerics run the tiny model on CP ``world_size`` per replica; the
-    step clock prices rounds for Llama3 405B on ``priced_ranks`` CP
-    hosts. Conversations arrive in a tight burst (1 s apart, 5 s think
-    time) so routing decides queueing, not just cache reuse. ``n_templates`` system
-    prompts fan out over ``conversations`` two-turn sessions.
+    Numerics run the tiny model on CP2 per replica; the step clock prices
+    rounds for Llama3 405B on CP4 hosts. Conversations arrive in a tight
+    burst (1 s apart, 5 s think time) so routing decides queueing, not
+    just cache reuse. Two system prompts fan out over twelve two-turn
+    sessions. One replica is a lone runtime: there is nothing to route.
 
     Raises:
         AssertionError: a completed stream differs from sequential
@@ -66,126 +58,60 @@ def run(
             routing fails to beat round-robin on warm p50 TTFT or hit
             rate at a replica count >= 2.
     """
-    from repro.core.engine import ContextParallelEngine
-    from repro.model.llama import LlamaModel
-    from repro.runtime import ServeConfig
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import (
-        collect_generated,
-        replay_scripts_sequential,
-        submit_scripts_to_runtime,
-    )
-
-    host = host if host is not None else gtt_host()
-    model = LlamaModel(tiny_config(), seed=0)
-    sim = LatencySimulator(llama3_405b_config(), host)
-
     res = ExperimentResult(
         experiment_id="Cluster routing",
         title=(
-            f"{conversations} shared-prefix conversations "
-            f"({n_templates} templates) over a replica fleet "
-            f"(CP{world_size} numerics per replica, CP{priced_ranks} 405B "
-            f"pricing)"
+            "12 shared-prefix conversations (2 templates) over a replica fleet "
+            "(CP2 numerics per replica, CP4 405B pricing)"
         ),
         headers=[
-            "replicas", "routing", "hit rate", "reused tokens",
-            "p50 TTFT warm (s)", "p50 TTFT cold (s)", "p50 TTFT (s)",
-            "goodput (req/s)", "replicas used",
+            "replicas", "routing", "hit rate", "reused tokens", "p50 TTFT warm (s)",
+            "p50 TTFT cold (s)", "p50 TTFT (s)", "goodput (req/s)", "replicas used",
         ],
     )
-
-    gen = WorkloadGenerator(model.config.vocab_size, seed=seed)
+    gen = WorkloadGenerator(tiny_config().vocab_size, seed=11)
     scripts = gen.shared_prefix_traffic(
-        n_system_prompts=n_templates,
-        n_fewshot_variants=2,
-        conversations=conversations,
-        system_tokens=48,
-        fewshot_tokens=16,
-        unique_range=(8, 16),
-        turns=2,
-        followup_range=(6, 12),
-        response_range=(3, 5),
+        n_system_prompts=2, n_fewshot_variants=2, conversations=12,
+        unique_range=(8, 16), turns=2, response_range=(3, 5),
     )
     # seeded arrival shuffle: shared_prefix_traffic cycles templates
     # round-robin, so without it a round-robin router whose replica
     # count divides the template count would align with the cycle and
     # get perfect affinity by accident
     scripts = [scripts[i] for i in gen.rng.permutation(len(scripts))]
-    reference = replay_scripts_sequential(
-        lambda: ContextParallelEngine(
-            LlamaModel(tiny_config(), seed=0), world_size=world_size
-        ),
-        scripts,
-    )
-
-    cells: dict[tuple[int, str], object] = {}
-    for replicas in replica_sweep:
-        for policy in POLICIES:
-            fleet = ServeConfig(
-                world=world_size,
-                prefix_cache=True,
-                replicas=replicas,
-                routing=policy,
-                priced_ranks=priced_ranks,
-            ).build_fleet(model, sim=sim)  # the rows read fleet rollups
-            rids = submit_scripts_to_runtime(
-                fleet, scripts, start_offset_s=1.0, think_time_s=5.0
-            )
-            report = fleet.run(max_steps=400_000)
-
-            # exactness: routing never changes a completed stream
-            got = collect_generated(report, rids)
-            for s in scripts:
-                assert got[s.seq_id] == reference[s.seq_id], (
-                    "serving-level exactness violated: routing "
-                    f"({policy}, {replicas} replicas) changed decoded "
-                    f"tokens for seq {s.seq_id}"
-                )
-            # leak audit: every replica drained clean
-            for rid_, leaks in fleet.kv_leak_reports().items():
-                assert not leaks, (
-                    f"replica {rid_} leaked KV after drain "
-                    f"({policy}, {replicas} replicas): {leaks}"
-                )
-
-            m = report.metrics
-            used = len(set(report.placements.values()))
-            cells[(replicas, policy)] = m
-            res.add_row(
-                replicas,
-                policy,
-                m.prefix_hit_rate,
-                sum(r.prefix_reused_tokens for r in m.replicas.values()),
-                m.percentile_ttft_split(50, warm=True),
-                m.percentile_ttft_split(50, warm=False),
-                m.percentile_ttft(50),
-                m.fleet_goodput(report.makespan),
-                f"{used}/{replicas}",
-            )
+    cells = {
+        f"{replicas} replicas, {policy}": ServeConfig(
+            prefix_cache=True, replicas=replicas, routing=policy
+        )
+        for replicas in replica_sweep
+        for policy in POLICIES
+    }
+    reports = run_grid(res.experiment_id, scripts, cells, think_time_s=5.0)
+    for config, report in zip(cells.values(), reports.values()):
+        m = report.metrics
+        used = len(set(report.placements.values())) if config.replicas > 1 else 1
+        res.add_row(
+            config.replicas, config.routing, m.prefix_hit_rate, m.prefix_reused_tokens,
+            m.percentile_ttft_split(50, warm=True), m.percentile_ttft_split(50, warm=False),
+            m.percentile_ttft(50), report.goodput(), f"{used}/{config.replicas}",
+        )
 
     # the headline: at any fleet size >= 2, affinity beats round-robin
     # on both reuse and the median warm first token
-    for replicas in replica_sweep:
-        if replicas < 2:
-            continue
-        m_prefix = cells[(replicas, "prefix")]
-        m_rr = cells[(replicas, "round-robin")]
-        assert m_prefix.prefix_hit_rate > m_rr.prefix_hit_rate, (
-            f"prefix routing hit rate {m_prefix.prefix_hit_rate:.0%} not "
-            f"above round-robin {m_rr.prefix_hit_rate:.0%} at "
-            f"{replicas} replicas"
-        )
-        warm_prefix = m_prefix.percentile_ttft_split(50, warm=True)
-        warm_rr = m_rr.percentile_ttft_split(50, warm=True)
+    for replicas in (r for r in replica_sweep if r > 1):
+        prefix, rr = (reports[f"{replicas} replicas, {policy}"].metrics for policy in POLICIES)
+        warm = prefix.percentile_ttft_split(50, warm=True)
+        warm_rr = rr.percentile_ttft_split(50, warm=True)
         if math.isnan(warm_rr):
             # round-robin produced no warm request at all — compare
             # against its overall median instead of vacuously passing
-            warm_rr = m_rr.percentile_ttft(50)
-        assert warm_prefix < warm_rr, (
-            f"prefix routing warm p50 TTFT {warm_prefix:.3f}s not below "
-            f"round-robin {warm_rr:.3f}s at {replicas} replicas"
-        )
+            warm_rr = rr.percentile_ttft(50)
+        if not (prefix.prefix_hit_rate > rr.prefix_hit_rate and warm < warm_rr):
+            raise AssertionError(
+                f"{res.experiment_id} [{replicas} replicas]: prefix routing (hit rate "
+                f"{prefix.prefix_hit_rate:.0%}, warm p50 TTFT {warm:.3f}s) does not beat "
+                f"round-robin ({rr.prefix_hit_rate:.0%}, {warm_rr:.3f}s)"
+            )
 
     res.notes.append(
         "Every cell decodes bit-identical tokens to sequential "

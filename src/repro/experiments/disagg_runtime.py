@@ -22,136 +22,68 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.base import ExperimentResult
+from repro.experiments.serving_grid import run_grid
 from repro.model.config import llama3_405b_config, tiny_config
-from repro.perf.hardware import HostSpec, gtt_host
-from repro.perf.latency import LatencySimulator
+from repro.perf.hardware import gtt_host
+from repro.runtime import ServeConfig
 from repro.serving.simulator import ClusterServingSimulator
-from repro.workloads.replay import script_to_arrivals, submit_scripts_to_runtime
+from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.replay import script_to_arrivals
 
 
-def _ttit_ms(metrics) -> tuple[float, float]:
-    """Mean/p95 TTIT in ms from a :class:`ServingMetrics` (nan-safe)."""
-    mean = float(np.mean(metrics.ttit_samples)) if metrics.ttit_samples else float("nan")
-    return mean * 1e3, metrics.percentile_ttit(95) * 1e3
-
-
-def run(
-    host: HostSpec | None = None,
-    *,
-    n_sessions: int = 4,
-    turns: int = 2,
-    first_prompt: int = 48,
-    prefill_world: int = 2,
-    decode_world: int = 2,
-    priced_ranks: int = 4,
-    seed: int = 11,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Measured colocated vs disaggregated serving, with predictions.
 
-    Numerics run the tiny model (colocated on ``prefill_world`` ranks;
-    disaggregated as ``prefill_world``:``decode_world`` pools); the step
-    clock prices rounds for Llama3 405B on ``priced_ranks`` CP hosts,
-    with the disaggregated decode pool priced at single-host TP TTIT and
-    the KV stream at ring bandwidth — the same constants the analytic
-    simulator uses, so the two columns are comparable.
+    Numerics run the tiny model (colocated on CP2; disaggregated as
+    CP2:CP2 pools); the step clock prices rounds for Llama3 405B on CP4
+    hosts, with the disaggregated decode pool priced at single-host TP
+    TTIT and the KV stream at ring bandwidth — the same constants the
+    analytic simulator uses, so the two columns are comparable.
     """
-    from repro.model.llama import LlamaModel
-    from repro.runtime import ServeConfig
-    from repro.workloads.generator import WorkloadGenerator
-
-    host = host if host is not None else gtt_host()
-    cfg405 = llama3_405b_config()
-    sim = LatencySimulator(cfg405, host)
-    model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=seed)
-    scripts = [
-        gen.conversation(
-            sid, turns=turns, first_prompt=first_prompt,
-            followup_range=(6, 12), response_range=(4, 6),
-        )
-        for sid in range(n_sessions)
-    ]
-
-    def measure(disaggregated: bool):
-        runtime = ServeConfig(
-            world=prefill_world,
-            decode_world=decode_world if disaggregated else None,
-            priced_ranks=priced_ranks,
-        ).build(model, sim=sim)
-        rids = submit_scripts_to_runtime(runtime, scripts)
-        report = runtime.run(max_steps=1_000_000)
-        tokens = {
-            script.seq_id: [report.generated(rid) for rid in rids[script.seq_id]]
-            for script in scripts
-        }
-        return report, tokens
-
-    def predict(disaggregated: bool):
-        cluster = ClusterServingSimulator(
-            cfg405, host, n_ranks=priced_ranks, disaggregated=disaggregated
-        )
-        report = cluster.simulate(script_to_arrivals(scripts))
-        per_token = [
-            (c.finish - c.first_token) / c.decoded
-            for c in report.completions
-            if c.decoded
-        ]
-        mean_ttit = float(np.mean(per_token) * 1e3) if per_token else float("nan")
-        p95_ttit = float(np.percentile(per_token, 95) * 1e3) if per_token else float("nan")
-        return report, mean_ttit, p95_ttit
-
     res = ExperimentResult(
         experiment_id="Disaggregated runtime",
-        title=(
-            f"{n_sessions} sessions x {turns} turns: colocated CP{prefill_world} vs "
-            f"CP{prefill_world}:CP{decode_world} pools (priced as 405B, CP{priced_ranks})"
-        ),
+        title="4 sessions x 2 turns: colocated CP2 vs CP2:CP2 pools (priced as 405B, CP4)",
         headers=[
-            "deployment", "source",
-            "mean TTFT (s)", "p95 TTFT (s)",
-            "mean TTIT (ms)", "p95 TTIT (ms)",
-            "makespan (s)",
+            "deployment", "source", "mean TTFT (s)", "p95 TTFT (s)",
+            "mean TTIT (ms)", "p95 TTIT (ms)", "makespan (s)",
         ],
     )
-
-    colo_report, colo_tokens = measure(False)
-    disagg_report, disagg_tokens = measure(True)
-    if colo_tokens != disagg_tokens:
-        raise AssertionError(
-            "serving-level exactness violated: disaggregated tokens diverged "
-            "from colocated replay"
-        )
-
-    for name, report in (("colocated", colo_report), ("disaggregated", disagg_report)):
+    gen = WorkloadGenerator(tiny_config().vocab_size, seed=11)
+    scripts = [
+        gen.conversation(sid, turns=2, first_prompt=48, followup_range=(6, 12), response_range=(4, 6))
+        for sid in range(4)
+    ]
+    cells = {"colocated": ServeConfig(), "disaggregated": ServeConfig(decode_world=2)}
+    reports = run_grid(res.experiment_id, scripts, cells)
+    for name, report in reports.items():
         m = report.metrics
-        mean_ttit, p95_ttit = _ttit_ms(m)
         res.add_row(
-            name, "runtime (measured)",
-            float(np.mean(m.ttft_samples)), m.percentile_ttft(95),
-            mean_ttit, p95_ttit,
-            report.makespan,
+            name, "runtime (measured)", float(np.mean(m.ttft_samples)), m.percentile_ttft(95),
+            float(np.mean(m.ttit_samples)) * 1e3, m.percentile_ttit(95) * 1e3, report.makespan,
         )
-    for name, disagg in (("colocated", False), ("disaggregated", True)):
-        report, mean_ttit, p95_ttit = predict(disagg)
+    for name in cells:
+        report = ClusterServingSimulator(
+            llama3_405b_config(), gtt_host(), n_ranks=4, disaggregated=name == "disaggregated"
+        ).simulate(script_to_arrivals(scripts))
+        per_token = [(c.finish - c.first_token) / c.decoded for c in report.completions if c.decoded]
         res.add_row(
-            name, "simulator (predicted)",
-            report.mean_ttft(), float(np.percentile(report.ttfts(), 95)),
-            mean_ttit, p95_ttit,
-            report.makespan,
+            name, "simulator (predicted)", report.mean_ttft(), float(np.percentile(report.ttfts(), 95)),
+            float(np.mean(per_token) * 1e3), float(np.percentile(per_token, 95) * 1e3), report.makespan,
         )
 
-    stall = disagg_report.metrics.transfer_stall_s
+    disagg = reports["disaggregated"]
+    stall = disagg.metrics.transfer_stall_s
     res.notes.append(
         "Both runtime runs decode bit-identical tokens (asserted): pool "
         "splits and transfer schedules change timing, never values."
     )
     res.notes.append(
-        f"Disaggregated run: {disagg_report.metrics.transfers} KV transfers "
-        f"({disagg_report.metrics.transferred_kv_tokens} tokens), "
+        f"Disaggregated run: {disagg.metrics.transfers} KV transfers "
+        f"({disagg.metrics.transferred_kv_tokens} tokens), "
         f"{stall:.2f}s decode-pool stall waiting on the wire; pool "
         "utilization "
         + ", ".join(
-            f"{pool}: {frac:.1%}" for pool, frac in disagg_report.pool_utilization().items()
+            f"{pool}: {frac:.1%}" for pool, frac in disagg.pool_utilization().items()
         )
         + "."
     )

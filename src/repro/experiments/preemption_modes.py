@@ -24,97 +24,54 @@ change *timing only*, pinned by ``tests/properties/test_prop_runtime``.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.model.config import llama3_405b_config, tiny_config
-from repro.perf.hardware import HostSpec, gtt_host
-from repro.perf.latency import LatencySimulator
+from repro.experiments.serving_grid import run_grid
+from repro.model.config import tiny_config
+from repro.runtime import ServeConfig
+from repro.workloads.generator import WorkloadGenerator
 
 #: The remedies compared, in sweep order.
 MODES = ("recompute", "trim", "swap")
 
 
-def run(
-    host: HostSpec | None = None,
-    *,
-    n_sessions: int = 5,
-    turns: int = 3,
-    first_prompt: int = 80,
-    world_size: int = 2,
-    capacities: tuple[int, ...] = (160, 128, 96),
-    priced_ranks: int = 4,
-    seed: int = 11,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Recompute vs tail-trim vs CPU-swap on the same pressured trace.
 
-    Numerics run the tiny model at ``world_size``; the step clock prices
-    rounds (and PCIe swaps) for Llama3 405B on ``priced_ranks`` CP
-    hosts. Every (capacity, mode) cell replays the *same* trace and the
-    decoded tokens are asserted identical across modes — only the
-    remedy's timing differs.
+    Numerics run the tiny model on CP2; the step clock prices rounds (and
+    PCIe swaps) for Llama3 405B on CP4 hosts. Every (capacity, mode) cell
+    replays the *same* trace and decodes the sequential replay's tokens —
+    only the remedy's timing differs.
     """
-    from repro.model.llama import LlamaModel
-    from repro.runtime import ServeConfig
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import submit_scripts_to_runtime
-
-    host = host if host is not None else gtt_host()
-    model = LlamaModel(tiny_config(), seed=0)
-    gen = WorkloadGenerator(model.config.vocab_size, seed=seed)
-    scripts = [
-        gen.conversation(
-            sid, turns=turns, first_prompt=first_prompt,
-            followup_range=(8, 16), response_range=(4, 6),
-        )
-        for sid in range(n_sessions)
-    ]
-    sim = LatencySimulator(llama3_405b_config(), host)
-
     res = ExperimentResult(
         experiment_id="Preemption modes",
         title=(
-            f"{n_sessions} sessions x {turns} turns under KV pressure: "
-            f"recompute vs tail-trim vs CPU swap "
-            f"(CP{world_size} numerics, CP{priced_ranks} 405B pricing)"
+            "5 sessions x 3 turns under KV pressure: recompute vs tail-trim vs "
+            "CPU swap (CP2 numerics, CP4 405B pricing)"
         ),
         headers=[
-            "KV capacity/rank", "preemption",
-            "full evicts", "trims", "swaps out/in",
-            "prefill rounds",
-            "p50 TTFT (s)", "p95 TTFT (s)", "p95 TTIT (ms)",
+            "KV capacity/rank", "preemption", "full evicts", "trims", "swaps out/in",
+            "prefill rounds", "p50 TTFT (s)", "p95 TTFT (s)", "p95 TTIT (ms)",
             "makespan (s)", "goodput (tok/s)",
         ],
     )
-
-    for capacity in capacities:
-        tokens_by_mode = {}
-        for mode in MODES:
-            runtime = ServeConfig(
-                world=world_size, capacity=capacity, preemption=mode, priced_ranks=priced_ranks
-            ).build(model, sim=sim)
-            rids = submit_scripts_to_runtime(runtime, scripts)
-            report = runtime.run(max_steps=400_000)
-            tokens_by_mode[mode] = {
-                script.seq_id: [report.generated(rid) for rid in rids[script.seq_id]]
-                for script in scripts
-            }
-            m = report.metrics
-            res.add_row(
-                capacity,
-                mode,
-                m.preemptions,
-                m.trims,
-                f"{m.swaps_out}/{m.swaps_in}",
-                report.prefill_rounds,
-                m.percentile_ttft(50),
-                m.percentile_ttft(95),
-                m.percentile_ttit(95) * 1e3,
-                report.makespan,
-                report.tokens_per_second(),
-            )
-        if any(tokens_by_mode[m] != tokens_by_mode["recompute"] for m in MODES):
-            raise AssertionError(
-                "serving-level exactness violated: preemption remedies "
-                f"changed decoded tokens at capacity {capacity}"
-            )
+    gen = WorkloadGenerator(tiny_config().vocab_size, seed=11)
+    scripts = [
+        gen.conversation(sid, turns=3, first_prompt=80, followup_range=(8, 16), response_range=(4, 6))
+        for sid in range(5)
+    ]
+    cells = {
+        f"capacity {capacity}, {mode}": ServeConfig(capacity=capacity, preemption=mode)
+        for capacity in (160, 128, 96)
+        for mode in MODES
+    }
+    reports = run_grid(res.experiment_id, scripts, cells)
+    for config, report in zip(cells.values(), reports.values()):
+        m = report.metrics
+        res.add_row(
+            config.capacity, config.preemption, m.preemptions, m.trims,
+            f"{m.swaps_out}/{m.swaps_in}", report.prefill_rounds, m.percentile_ttft(50),
+            m.percentile_ttft(95), m.percentile_ttit(95) * 1e3, report.makespan,
+            report.tokens_per_second(),
+        )
 
     res.notes.append(
         "Same trace, bit-identical tokens in every cell (asserted): the "

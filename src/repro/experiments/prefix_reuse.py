@@ -33,59 +33,34 @@ hit/miss/eviction/copy-on-write schedules.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.model.config import llama3_405b_config, tiny_config
-from repro.perf.hardware import HostSpec, gtt_host
-from repro.perf.latency import LatencySimulator
+from repro.experiments.serving_grid import run_grid
+from repro.model.config import tiny_config
+from repro.runtime import ServeConfig
+from repro.workloads.generator import WorkloadGenerator
 
 #: Deployment shapes compared, in sweep order.
 DEPLOYMENTS = ("colocated", "disaggregated")
 
 
-def run(
-    host: HostSpec | None = None,
-    *,
-    conversations: int = 8,
-    template_sweep: tuple[int, ...] = (1, 2, 4),
-    world_size: int = 2,
-    decode_world: int = 2,
-    capacity: int = 256,
-    priced_ranks: int = 4,
-    seed: int = 11,
-) -> ExperimentResult:
+def run(*, template_sweep: tuple[int, ...] = (1, 2, 4)) -> ExperimentResult:
     """Hit rate vs TTFT and capacity for the radix prefix cache.
 
-    Numerics run the tiny model (prefill pool at ``world_size``, decode
-    pool at ``decode_world`` when disaggregated); the step clock prices
-    rounds for Llama3 405B on ``priced_ranks`` CP hosts. ``capacity``
-    bounds each pool's per-rank KV tokens tightly enough that retained
-    cached prefixes eventually LRU-evict. Conversations arrive staggered
-    (30 s apart), so TTFT measures service, not queueing.
+    Numerics run the tiny model (CP2 prefill pool, CP2 decode pool when
+    disaggregated); the step clock prices rounds for Llama3 405B on CP4
+    hosts. 256 KV tokens per rank bound each pool tightly enough that
+    retained cached prefixes eventually LRU-evict. Conversations arrive
+    staggered (30 s apart), so TTFT measures service, not queueing.
 
     Raises:
-        AssertionError: tokens differ between cache on/off/sequential
-            replay, or a row with hit rate >= 50% fails to put warm TTFT
-            strictly below cold TTFT.
+        AssertionError: a cell's tokens differ from sequential replay, or
+            a row with hit rate >= 50% fails to put warm TTFT strictly
+            below cold TTFT.
     """
-    from repro.core.engine import ContextParallelEngine
-    from repro.model.llama import LlamaModel
-    from repro.runtime import ServeConfig
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import (
-        collect_generated,
-        replay_scripts_sequential,
-        submit_scripts_to_runtime,
-    )
-
-    host = host if host is not None else gtt_host()
-    model = LlamaModel(tiny_config(), seed=0)
-    sim = LatencySimulator(llama3_405b_config(), host)
-
     res = ExperimentResult(
         experiment_id="Prefix reuse",
         title=(
-            f"{conversations} templated conversations through the radix "
-            f"prefix cache (CP{world_size} numerics, CP{priced_ranks} 405B "
-            f"pricing, {capacity} KV tokens/rank)"
+            "8 templated conversations through the radix prefix cache "
+            "(CP2 numerics, CP4 405B pricing, 256 KV tokens/rank)"
         ),
         headers=[
             "deployment", "templates", "hit rate", "reused tokens",
@@ -93,69 +68,38 @@ def run(
             "peak KV (cache)", "peak KV (no cache)", "prefix evictions",
         ],
     )
-
+    reports = {}
+    for n_templates in template_sweep:
+        scripts = WorkloadGenerator(tiny_config().vocab_size, seed=11).shared_prefix_traffic(
+            n_system_prompts=n_templates, n_fewshot_variants=2, conversations=8,
+            unique_range=(8, 16), response_range=(3, 5),
+        )
+        cells = {
+            f"{deployment}, {n_templates} templates, cache {cache}": ServeConfig(
+                decode_world=None if deployment == "colocated" else 2,
+                capacity=256,
+                prefix_cache=cache == "on",
+            )
+            for deployment in DEPLOYMENTS
+            for cache in ("on", "off")
+        }
+        reports |= run_grid(
+            res.experiment_id, scripts, cells, start_offset_s=30.0, think_time_s=30.0
+        )
     for deployment in DEPLOYMENTS:
         for n_templates in template_sweep:
-            gen = WorkloadGenerator(model.config.vocab_size, seed=seed)
-            scripts = gen.shared_prefix_traffic(
-                n_system_prompts=n_templates,
-                n_fewshot_variants=2,
-                conversations=conversations,
-                system_tokens=48,
-                fewshot_tokens=16,
-                unique_range=(8, 16),
-                turns=1,
-                response_range=(3, 5),
-            )
-            tokens_by_mode = {}
-            reports = {}
-            for cache_on in (True, False):
-                runtime = ServeConfig(
-                    world=world_size,
-                    decode_world=None if deployment == "colocated" else decode_world,
-                    capacity=capacity,
-                    prefix_cache=cache_on,
-                    priced_ranks=priced_ranks,
-                ).build(model, sim=sim)
-                rids = submit_scripts_to_runtime(
-                    runtime, scripts, start_offset_s=30.0, think_time_s=30.0
-                )
-                report = runtime.run(max_steps=400_000)
-                reports[cache_on] = report
-                tokens_by_mode[cache_on] = collect_generated(report, rids)
-            reference = replay_scripts_sequential(
-                lambda: ContextParallelEngine(
-                    LlamaModel(tiny_config(), seed=0), world_size=world_size
-                ),
-                scripts,
-            )
-            for s in scripts:
-                for cache_on in (True, False):
-                    assert tokens_by_mode[cache_on][s.seq_id] == reference[s.seq_id], (
-                        "serving-level exactness violated: prefix cache "
-                        f"(on={cache_on}) changed decoded tokens for seq "
-                        f"{s.seq_id} ({deployment}, {n_templates} templates)"
-                    )
-
-            m_on = reports[True].metrics
-            m_off = reports[False].metrics
-            hit_rate = m_on.prefix_hit_rate
+            cell = f"{deployment}, {n_templates} templates, cache"
+            m_on, m_off = reports[f"{cell} on"].metrics, reports[f"{cell} off"].metrics
             warm = m_on.percentile_ttft_split(50, warm=True)
             cold = m_on.percentile_ttft_split(50, warm=False)
-            if hit_rate >= 0.5 and m_on.ttft_warm_samples and m_on.ttft_cold_samples:
-                assert warm < cold, (
-                    f"warm p50 TTFT {warm:.3f}s not strictly below cold "
-                    f"{cold:.3f}s at hit rate {hit_rate:.0%} "
-                    f"({deployment}, {n_templates} templates)"
+            if m_on.prefix_hit_rate >= 0.5 and not warm < cold:
+                raise AssertionError(
+                    f"{res.experiment_id} [{cell} on]: warm p50 TTFT {warm:.3f}s not strictly "
+                    f"below cold {cold:.3f}s at hit rate {m_on.prefix_hit_rate:.0%}"
                 )
             res.add_row(
-                deployment,
-                n_templates,
-                hit_rate,
-                m_on.prefix_reused_tokens,
-                warm,
-                cold,
-                m_off.percentile_ttft(50),
+                deployment, n_templates, m_on.prefix_hit_rate, m_on.prefix_reused_tokens,
+                warm, cold, m_off.percentile_ttft(50),
                 f"{m_on.peak_kv_utilization.get('prefill', 0.0):.0%}",
                 f"{m_off.peak_kv_utilization.get('prefill', 0.0):.0%}",
                 m_on.prefix_evictions,

@@ -14,9 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.base import ExperimentResult
-from repro.model.config import llama3_405b_config
+from repro.experiments.serving_grid import run_grid
+from repro.model.config import llama3_405b_config, tiny_config
 from repro.perf.hardware import HostSpec, gtt_host
+from repro.runtime import ServeConfig
 from repro.serving.simulator import ClusterServingSimulator, poisson_arrivals
+from repro.workloads.generator import WorkloadGenerator
 
 
 def run(
@@ -75,16 +78,7 @@ def run(
     return res
 
 
-def run_runtime(
-    host: HostSpec | None = None,
-    *,
-    n_sessions: int = 4,
-    turns: int = 2,
-    first_prompt: int = 48,
-    world_size: int = 2,
-    priced_ranks: int = 4,
-    seed: int = 11,
-) -> ExperimentResult:
+def run_runtime() -> ExperimentResult:
     """Capacity-pressure sweep through the continuous-batching runtime.
 
     Replays one multi-session trace through the *numeric* runtime at a
@@ -94,73 +88,40 @@ def run_runtime(
     extra prefill rounds, later simulated finish times and a falling
     goodput — the behaviour the analytic simulator can only assert,
     demonstrated here by a system whose every token is bit-checked
-    against sequential replay (see ``tests/properties/test_prop_runtime``).
+    against sequential replay (:func:`~repro.experiments.serving_grid.run_grid`).
 
-    Numerics run the tiny model at ``world_size``; the step clock prices
-    rounds for Llama3 405B on ``priced_ranks`` CP hosts.
+    Numerics run the tiny model on CP2; the step clock prices rounds for
+    Llama3 405B on CP4 hosts.
     """
-    from repro.model.config import tiny_config
-    from repro.model.llama import LlamaModel
-    from repro.perf.latency import LatencySimulator
-    from repro.runtime import ServeConfig
-    from repro.workloads.generator import WorkloadGenerator
-    from repro.workloads.replay import collect_generated, submit_scripts_to_runtime
-
-    host = host if host is not None else gtt_host()
-    cfg = tiny_config()
-    model = LlamaModel(cfg, seed=0)
-    gen = WorkloadGenerator(cfg.vocab_size, seed=seed)
+    res = ExperimentResult(
+        experiment_id="Runtime under capacity pressure",
+        title="4 sessions x 2 turns through the continuous-batching runtime (CP2 numerics, CP4 pricing)",
+        headers=[
+            "KV capacity/rank", "policy", "preemptions", "KV tokens evicted", "prefill rounds",
+            "decode rounds", "mean TTFT (s)", "p95 TTFT (s)", "makespan (s)",
+        ],
+    )
+    gen = WorkloadGenerator(tiny_config().vocab_size, seed=11)
     # a length-mixed trace (one 3x-long prompt per four sessions) so the
     # FIFO-vs-SRPF packing comparison has head-of-line blocking to remove
     scripts = [
-        gen.conversation(
-            sid, turns=turns,
-            first_prompt=first_prompt * (3 if sid % 4 == 0 else 1),
-            followup_range=(6, 12), response_range=(4, 6),
-        )
-        for sid in range(n_sessions)
+        gen.conversation(sid, turns=2, first_prompt=48 * (3 if sid % 4 == 0 else 1),
+                         followup_range=(6, 12), response_range=(4, 6))
+        for sid in range(4)
     ]
-    sim = LatencySimulator(llama3_405b_config(), host)
-
-    res = ExperimentResult(
-        experiment_id="Runtime under capacity pressure",
-        title=(
-            f"{n_sessions} sessions x {turns} turns through the "
-            f"continuous-batching runtime (CP{world_size} numerics, "
-            f"CP{priced_ranks} pricing)"
-        ),
-        headers=[
-            "KV capacity/rank", "policy", "preemptions", "KV tokens evicted",
-            "prefill rounds", "decode rounds",
-            "mean TTFT (s)", "p95 TTFT (s)", "makespan (s)",
-        ],
-    )
-    for capacity in (None, 160, 96):
-        tokens_by_policy = {}
-        for order in ("fifo", "srpf"):
-            runtime = ServeConfig(
-                world=world_size, capacity=capacity, order=order, priced_ranks=priced_ranks
-            ).build(model, sim=sim)
-            rids = submit_scripts_to_runtime(runtime, scripts)
-            report = runtime.run(max_steps=100_000)
-            tokens_by_policy[order] = collect_generated(report, rids)
-            m = report.metrics
-            res.add_row(
-                "unbounded" if capacity is None else capacity,
-                order,
-                m.preemptions,
-                m.evicted_tokens,
-                report.prefill_rounds,
-                report.decode_rounds,
-                float(np.mean(m.ttft_samples)),
-                m.percentile_ttft(95),
-                report.makespan,
-            )
-        if tokens_by_policy["srpf"] != tokens_by_policy["fifo"]:
-            raise AssertionError(
-                "serving-level exactness violated: the chunk-packing order "
-                f"changed decoded tokens at capacity {capacity}"
-            )
+    cells = {
+        f"capacity {capacity}, {order}": ServeConfig(capacity=capacity, order=order)
+        for capacity in (None, 160, 96)
+        for order in ("fifo", "srpf")
+    }
+    reports = run_grid(res.experiment_id, scripts, cells)
+    for config, report in zip(cells.values(), reports.values()):
+        m = report.metrics
+        res.add_row(
+            config.capacity or "unbounded", config.order, m.preemptions, m.evicted_tokens,
+            report.prefill_rounds, report.decode_rounds, float(np.mean(m.ttft_samples)),
+            m.percentile_ttft(95), report.makespan,
+        )
     res.notes.append(
         "Same trace, same (bit-identical) tokens at every capacity and "
         "packing order (asserted) - shrinking the paged KV pool only adds "

@@ -561,6 +561,10 @@ class FleetMetrics:
         return sum(m.prefix_misses for m in self.replicas.values())
 
     @property
+    def prefix_reused_tokens(self) -> int:
+        return sum(m.prefix_reused_tokens for m in self.replicas.values())
+
+    @property
     def prefix_hit_rate(self) -> float:
         """Fleet-wide prefix-cache hit rate (all lookups pooled)."""
         total = self.prefix_hits + self.prefix_misses
@@ -586,13 +590,6 @@ class FleetMetrics:
     def percentile_ttft_split(self, q: float, *, warm: bool) -> float:
         """Fleet warm/cold TTFT percentile; ``nan`` without samples."""
         return _percentile(self._ttft_population(warm=warm), q)
-
-    def fleet_goodput(self, makespan: float) -> float:
-        """Fleet-completed requests per simulated second of fleet time
-        (``makespan`` should be the latest replica clock)."""
-        if makespan <= 0:
-            return 0.0
-        return self.completed_requests / makespan
 
     def prometheus_text(self) -> str:
         """Prometheus exposition over every replica, each series labeled

@@ -74,7 +74,7 @@ def submit_scripts_to_runtime(
             :class:`repro.cluster.ReplicaFleet` (the fleet routes each
             conversation to a replica; this glue neither knows nor
             cares, which is what keeps fleet runs comparable to
-            single-runtime runs via :func:`collect_generated`).
+            single-runtime runs via :func:`divergences`).
         scripts: the scripted conversations (unique seq_ids).
 
     Returns:
@@ -93,25 +93,49 @@ def submit_scripts_to_runtime(
     return rids
 
 
-def collect_generated(report, rids: dict[int, list[int]]) -> dict[int, list[list[int]]]:
-    """Per-conversation decoded tokens from a runtime report.
+def divergences(
+    report, rids: dict[int, list[int]], reference: dict[int, list[list[int]]]
+) -> list[str]:
+    """Where a run breaks serving-exactness against its sequential replay.
 
-    Shapes the output exactly like :func:`replay_scripts_sequential`'s
-    (``{seq_id: [generated token ids per turn]}``), so bit-equality
-    sweeps — cache on/off, packing orders, preemption remedies, runtime
-    vs sequential replay — are one dict comparison.
+    Two rules, per conversation: every ``FINISHED`` turn decoded exactly
+    its replay's tokens, and no turn finished after an earlier turn of the
+    conversation did not (a shed or timed-out turn sheds its whole tail).
+    A turn that did not finish claims nothing else, so the same check
+    covers fault-free and faulted runs.
 
     Args:
         report: a :class:`repro.runtime.RuntimeReport` or a
-            :class:`repro.cluster.FleetReport` (same ``generated``
-            surface; fleet request ids are globally unique).
+            :class:`repro.cluster.FleetReport` (both answer ``record``;
+            a fleet reads each request from its owning replica).
         rids: ``{seq_id: [request_id per turn]}`` as returned by
             :func:`submit_scripts_to_runtime`.
+        reference: ``{seq_id: [tokens per turn]}`` as returned by
+            :func:`replay_scripts_sequential`.
+
+    Returns:
+        One line per violation; empty means exact.
     """
-    return {
-        seq_id: [list(report.generated(rid)) for rid in turn_rids]
-        for seq_id, turn_rids in rids.items()
-    }
+    from repro.runtime.state import RequestState
+
+    problems: list[str] = []
+    for seq_id, turn_rids in rids.items():
+        ended = None  # the first turn of this conversation that did not finish
+        for i, rid in enumerate(turn_rids):
+            rec = report.record(rid)
+            if rec.state is not RequestState.FINISHED:
+                ended = ended or (i, rec.state.value)
+                continue
+            if ended:
+                problems.append(
+                    f"seq {seq_id} turn {i} finished after turn {ended[0]} ended {ended[1]}"
+                )
+            got, want = list(rec.generated), list(reference[seq_id][i])
+            if got != want:
+                problems.append(
+                    f"seq {seq_id} turn {i} diverged from sequential replay: {got} != {want}"
+                )
+    return problems
 
 
 def replay_scripts_sequential(make_engine, scripts: list[ConversationScript]) -> dict[int, list[list[int]]]:
@@ -127,6 +151,8 @@ def replay_scripts_sequential(make_engine, scripts: list[ConversationScript]) ->
             per conversation so decode round-robin offsets start
             identically).
         scripts: the scripted conversations.
+
+    Compare a run against the result with :func:`divergences`.
 
     Returns:
         ``{seq_id: [generated token ids per turn]}``.

@@ -10,10 +10,10 @@ import pytest
 from repro.cluster import FleetReport, ReplicaFleet, make_router
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
-from repro.runtime import ServeConfig, TurnRequest
+from repro.runtime import ContinuousBatchingRuntime, ServeConfig, TurnRequest
 from repro.serving.metrics import FleetMetrics, ServingMetrics
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.replay import collect_generated, submit_scripts_to_runtime
+from repro.workloads.replay import divergences, submit_scripts_to_runtime
 
 from helpers import finish_fields
 
@@ -174,16 +174,21 @@ class TestFleetReport:
         )
 
     def test_duck_typed_glue_collects_fleet_streams(self, run):
-        """collect_generated written against RuntimeReport works on a
+        """divergences, written against RuntimeReport, checks a
         FleetReport unchanged — the interface lift the workloads glue
         relies on."""
         _fleet, _scripts, rids, report = run
-        streams = collect_generated(report, rids)
-        assert set(streams) == set(rids)
-        for seq_id, turn_rids in rids.items():
-            assert streams[seq_id] == [report.generated(r) for r in turn_rids]
+        streams = {
+            seq_id: [report.generated(r) for r in turn_rids]
+            for seq_id, turn_rids in rids.items()
+        }
+        assert divergences(report, rids, streams) == []
+        seq_id = next(iter(rids))
+        streams[seq_id][-1] = streams[seq_id][-1] + [0]
+        [problem] = divergences(report, rids, streams)
+        assert problem.startswith(f"seq {seq_id} turn {len(rids[seq_id]) - 1} diverged")
 
-    def test_collect_generated_builds_no_merged_dict(self, run, monkeypatch):
+    def test_divergences_builds_no_merged_dict(self, run, monkeypatch):
         """`records` merges every replica's dict per access; reading one
         request through it made a fleet verify quadratic in requests.
         `record` / `generated` go through `owners` to the owning replica."""
@@ -196,17 +201,21 @@ class TestFleetReport:
         monkeypatch.setattr(
             FleetReport, "records", property(lambda self: pytest.fail("merged dict built"))
         )
-        assert collect_generated(report, rids) == want
+        assert divergences(report, rids, want) == []
         for rid, owner in report.owners.items():
             assert report.record(rid) is merged[rid]
             # the runtime report answers the same accessor: the glue duck-types
             assert report.replica_reports[owner].record(rid) is merged[rid]
 
-    def test_kv_leak_reports_cover_every_replica(self, run):
+    def test_kv_leak_reports_cover_every_replica(self, run, monkeypatch):
         fleet, _scripts, _rids, report = run
         audits = fleet.kv_leak_reports()
         assert sorted(audits) == [r.id for r in fleet.replicas]
         assert all(not leaks for leaks in audits.values())
+        assert fleet.kv_leak_report() == []
+        # the flat audit a lone runtime also answers names each replica
+        monkeypatch.setattr(ContinuousBatchingRuntime, "kv_leak_report", lambda self: ["seeded"])
+        assert fleet.kv_leak_report() == [f"replica {r.id}: seeded" for r in fleet.replicas]
 
 
 class TestFleetMetrics:
@@ -229,9 +238,8 @@ class TestFleetMetrics:
         assert fm.completed_requests == 4
         assert (fm.prefix_hits, fm.prefix_misses) == (1, 1)
         assert fm.prefix_hit_rate == pytest.approx(0.5)
+        assert fm.prefix_reused_tokens == 10
         assert fm.replica_goodput(0) == pytest.approx(1.5)
-        assert fm.fleet_goodput(4.0) == pytest.approx(1.0)
-        assert fm.fleet_goodput(0.0) == 0.0
 
     def test_ttft_percentiles_pool_replica_samples(self):
         fm = FleetMetrics()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import (
     capacity_scaling,
+    disagg_runtime,
     disaggregation,
     fault_tolerance,
     gqa_sensitivity,
@@ -81,6 +82,48 @@ class TestServingLoad:
         per_token = result.column("mean ms/token")
         for colo, disagg in zip(per_token[0::2], per_token[1::2]):
             assert disagg < colo
+
+
+class TestRuntimeUnderCapacityPressure:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return serving_load.run_runtime()
+
+    @pytest.mark.parametrize("order", ["fifo", "srpf"])
+    def test_preemptions_never_fall_as_capacity_shrinks(self, result, order):
+        """Unbounded KV never preempts, and each tighter capacity preempts
+        at least as often as the one before it, under either packing order."""
+        counts = [
+            n for n, policy in zip(result.column("preemptions"), result.column("policy"))
+            if policy == order
+        ]
+        assert result.column("KV capacity/rank")[0] == "unbounded"
+        assert counts[0] == 0
+        assert counts == sorted(counts)
+
+
+class TestDisaggregatedRuntime:
+    @pytest.fixture(scope="class")
+    def ttit(self):
+        """``{(deployment, source): (mean, p95)}`` TTIT in ms."""
+        result = disagg_runtime.run()
+        return {
+            (row[0], row[1].split()[0]): (mean, p95)
+            for row, mean, p95 in zip(
+                result.rows, result.column("mean TTIT (ms)"), result.column("p95 TTIT (ms)")
+            )
+        }
+
+    def test_disaggregation_cuts_the_measured_ttit_tail(self, ttit):
+        """Colocated decode rounds stall behind interleaved prefill chunks;
+        the dedicated decode pool does not."""
+        assert ttit[("disaggregated", "runtime")][1] < ttit[("colocated", "runtime")][1]
+
+    def test_measured_disaggregated_ttit_matches_the_prediction(self, ttit):
+        """The decode pool streams at the simulator's clean TP-decode TTIT."""
+        measured = ttit[("disaggregated", "runtime")][0]
+        predicted = ttit[("disaggregated", "simulator")][0]
+        assert measured == pytest.approx(predicted, rel=0.01)
 
 
 class TestPreemptionModes:

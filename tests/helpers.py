@@ -13,7 +13,7 @@ from repro.obs import NULL_TRACER, RecordingTracer, comm_totals
 from repro.runtime import FaultPlan, ServeConfig
 from repro.runtime.state import RequestState
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.replay import submit_scripts_to_runtime
+from repro.workloads.replay import divergences, submit_scripts_to_runtime
 
 #: Model every traced serving case runs (weights are read-only).
 TRACE_MODEL = LlamaModel(tiny_config(), seed=0)
@@ -27,71 +27,38 @@ def assert_exact_vs_sequential(
     completed_only: bool = False,
     context: str = "",
 ) -> None:
-    """The serving-exactness bit-equality harness.
-
-    Compares a runtime/fleet report's decoded streams against a
-    sequential per-conversation replay (the shapes
-    :func:`repro.workloads.replay.submit_scripts_to_runtime` and
-    :func:`repro.workloads.replay.replay_scripts_sequential` produce).
+    """The serving-exactness harness over
+    :func:`repro.workloads.replay.divergences`.
 
     Args:
-        report: a ``RuntimeReport`` or ``FleetReport`` (both expose
-            ``record`` and ``generated``).
+        report: a ``RuntimeReport`` or ``FleetReport``.
         rids: ``{seq_id: [request_id per turn]}``.
         reference: ``{seq_id: [expected tokens per turn]}``.
-        completed_only: ``False`` (default) asserts every request
-            reached ``FINISHED`` and every stream matches — the
-            fault-free contract. ``True`` rescopes to fault schedules:
-            only ``FINISHED`` turns are compared, and a non-finished
-            turn's conversation must not finish any *later* turn (a
-            shed chain sheds its whole tail).
+        completed_only: ``False`` (default) also asserts every request
+            reached ``FINISHED`` — the fault-free contract. ``True``
+            rescopes to fault schedules: shed and timed-out turns are
+            legal as long as ``divergences`` finds nothing.
         context: appended to failure messages (fault plans, policies,
             counters — whatever identifies the schedule that diverged).
     """
+    problems = divergences(report, rids, reference)
+    if not completed_only:
+        problems += [
+            f"seq {seq_id} turn {i} did not finish: {report.record(rid).state}"
+            for seq_id, turn_rids in rids.items()
+            for i, rid in enumerate(turn_rids)
+            if report.record(rid).state is not RequestState.FINISHED
+        ]
     suffix = f" ({context})" if context else ""
-    for seq_id, turn_rids in rids.items():
-        for i, rid in enumerate(turn_rids):
-            rec = report.record(rid)
-            if rec.state is RequestState.FINISHED:
-                got = list(report.generated(rid))
-                want = list(reference[seq_id][i])
-                assert got == want, (
-                    f"seq {seq_id} turn {i} diverged from sequential "
-                    f"replay: {got} != {want}{suffix}"
-                )
-            elif completed_only:
-                later = [report.record(r) for r in turn_rids[i + 1 :]]
-                assert all(
-                    rec2.state is not RequestState.FINISHED for rec2 in later
-                ), (
-                    f"seq {seq_id} finished a turn after turn {i} "
-                    f"ended {rec.state}{suffix}"
-                )
-            else:
-                raise AssertionError(
-                    f"seq {seq_id} turn {i} did not finish: "
-                    f"{rec.state}{suffix}"
-                )
+    assert not problems, "; ".join(problems) + suffix
 
 
 def assert_leak_free(target, *, context: str = "") -> None:
-    """Post-drain KV audit for a runtime or a whole fleet.
-
-    Asserts the engines' KV bookkeeping audits clean (no orphaned KV,
-    leaked paged blocks/refcounts, dangling radix anchors or stale
-    pins) and that no host-side swap payload outlived the drain —
-    per replica when ``target`` is a :class:`repro.cluster.ReplicaFleet`.
-    """
-    suffix = f" ({context})" if context else ""
-    if hasattr(target, "kv_leak_reports"):  # a fleet: audit every replica
-        for replica_id, leaks in target.kv_leak_reports().items():
-            assert not leaks, (
-                f"replica {replica_id} leaked KV state after drain"
-                f"{suffix}: {leaks}"
-            )
-    else:
-        leaks = target.kv_leak_report()
-        assert not leaks, f"KV state leaked after drain{suffix}: {leaks}"
+    """Post-drain KV audit for a runtime or a whole fleet: no orphaned
+    KV, leaked paged blocks/refcounts, dangling radix anchors, stale pins
+    or host-side swap payload outlived the drain, on any replica."""
+    leaks = target.kv_leak_report()
+    assert not leaks, f"KV state leaked after drain ({context}): {leaks}"
 
 
 def traced_group(world_size: int, **kwargs) -> SimProcessGroup:

@@ -20,8 +20,11 @@ decode pricing and the decode pool's capacity; the counters
 TTIT values, the peak-KV clause and the Prometheus exposition's bucket
 bounds and replica label; the trace replay behind ``reconcile``
 (``obs/timeline.py``), which must hand the fold each event's identity
-labels; and the pricing of collective spans (``HostSpec.all2all_s`` and
-``distributed/process_group.py``), which must be the hardware model's own.
+labels; the serving-exactness check (``workloads/replay.py::divergences``),
+which must compare every turn and catch a turn finished after its
+conversation was shed; and the pricing of collective spans
+(``HostSpec.all2all_s`` and ``distributed/process_group.py``), which must
+be the hardware model's own.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from repro.obs import dumps_jsonl, timeline
 from repro.perf.hardware import HostSpec
 from repro.runtime import config as serve_config
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
+from repro.runtime.state import RequestState
 from repro.serving import metrics as serving_metrics
+from repro.workloads import replay
 
 from helpers import run_traced
 
@@ -249,6 +254,31 @@ def _replay_without_labels(monkeypatch):
     monkeypatch.setattr(timeline, "replay", bare)
 
 
+def _divergences_first_turn_only(monkeypatch):
+    """The exactness check compares each conversation's first turn only."""
+    divergences = replay.divergences
+
+    def first_turn(report, rids, reference):
+        return divergences(report, {s: turn_rids[:1] for s, turn_rids in rids.items()}, reference)
+
+    monkeypatch.setattr(replay, "divergences", first_turn)
+
+
+def _divergences_ignores_shed_chain(monkeypatch):
+    """The exactness check compares every finished turn and nothing else,
+    so a turn that finishes after its conversation's shed turn passes."""
+
+    def finished_only(report, rids, reference):
+        return [
+            f"seq {seq_id} turn {i}"
+            for seq_id, turn_rids in rids.items()
+            for i, rec in enumerate(map(report.record, turn_rids))
+            if rec.state is RequestState.FINISHED and list(rec.generated) != reference[seq_id][i]
+        ]
+
+    monkeypatch.setattr(replay, "divergences", finished_only)
+
+
 def _all2all_without_latency(monkeypatch):
     """An All2All is priced as its bytes alone, without the ``(N-1)``
     per-peer message latency."""
@@ -350,6 +380,12 @@ CATALOGUE = [
     ("replay-without-labels", _replay_without_labels,
      functools.partial(_named_test, "obs/test_request_timeline.py::TestReconcile"
                        "::test_finish_replays_under_its_labels")),
+    ("divergences-first-turn-only", _divergences_first_turn_only,
+     functools.partial(_named_test, "workloads/test_replay.py::TestDivergences"
+                       "::test_divergence_in_a_later_turn_is_reported")),
+    ("divergences-ignores-shed-chain", _divergences_ignores_shed_chain,
+     functools.partial(_named_test, "workloads/test_replay.py::TestDivergences"
+                       "::test_turn_finishing_after_its_shed_turn_is_reported")),
     ("all2all-without-latency", _all2all_without_latency,
      functools.partial(_named_test, _ONE_HARDWARE_MODEL)),
     ("allgather-single-hop", _allgather_single_hop,

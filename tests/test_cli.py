@@ -137,6 +137,20 @@ class TestCommands:
         assert "DRIFT completed_requests: trace-derived 2 != metrics 4" in out
         assert "verify trace reconciliation: 1 counter(s) drifted" in out
 
+    @pytest.mark.parametrize(
+        ("shape", "leak"),
+        [([], "LEAK rank 0: seeded"), (["--replicas", "2"], "LEAK replica 0: rank 0: seeded")],
+        ids=["runtime", "fleet"],
+    )
+    def test_serve_verify_exits_1_on_a_kv_leak(self, capsys, monkeypatch, shape, leak):
+        from repro.runtime.runtime import ContinuousBatchingRuntime
+
+        monkeypatch.setattr(ContinuousBatchingRuntime, "kv_leak_report", lambda self: ["rank 0: seeded"])
+        assert main(["serve", "--sessions", "2", "--turns", "1", "--verify", *shape]) == 1
+        out = capsys.readouterr().out
+        assert "verify vs sequential replay: identical" in out
+        assert leak in out.splitlines()
+
     def test_serve_sanitize_verifies_exactness(self, capsys):
         assert main([
             "serve", "--sessions", "2", "--turns", "2", "--world", "2",
