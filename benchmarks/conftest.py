@@ -4,11 +4,11 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Each ``bench_*`` file either regenerates one paper table/figure via
-:mod:`repro.experiments` or times the numeric substrate itself
-(``bench_numeric_kernels.py``), using pytest-benchmark. The regenerated
-rows are printed (use ``-s`` to see them inline; they are also echoed into
-the benchmark's ``extra_info``).
+``bench_numeric_kernels.py`` times the numeric substrate itself (the flash
+kernel, the rings, the engine) with pytest-benchmark;
+``run_benchmarks.py`` distills it into ``BENCH_kernels.json``. The paper's
+tables and figures are regenerated by ``python -m repro experiments`` and
+their claims are tier-1 tests (``tests/experiments/test_paper_claims.py``).
 
 ``--smoke`` caps every benchmark at a single round so CI can import- and
 run-check the benchmark files without paying for statistics
@@ -39,17 +39,3 @@ def pytest_configure(config):
         # Post-argparse override: must be the parsed value (bool), not the
         # CLI string "off", which pytest-benchmark would treat as truthy.
         config.option.benchmark_warmup = False
-
-
-def emit(benchmark, result) -> None:
-    """Attach a rendered experiment table to the benchmark record and print it."""
-    text = result.render()
-    print("\n" + text + "\n")
-    benchmark.extra_info["experiment"] = result.experiment_id
-    benchmark.extra_info["rows"] = len(result.rows)
-
-
-@pytest.fixture
-def paper_table():
-    """Helper printing + annotating experiment results."""
-    return emit

@@ -18,7 +18,7 @@ Quickstart::
     step = engine.decode({0: 7})
 
 See ``examples/`` for multi-turn serving and million-token scaling studies,
-and ``benchmarks/`` for the per-table/figure reproduction harness.
+and :mod:`repro.experiments` for the per-table/figure reproduction.
 """
 
 from repro.core.engine import ContextParallelEngine, DecodeOutput, PrefillOutput

@@ -9,7 +9,8 @@ of operations during inference, especially with variant sequence lengths in
 a batch and partial prefill" (the paper's stated reason to prefer the ring).
 
 The traced ``allgather`` bytes versus the ring's overlappable ``sendrecv``
-bytes drive the ablation benchmark ``bench_ablation_allgather.py``.
+bytes drive the all-gather ablation
+(:mod:`repro.experiments.ablation_allgather`).
 """
 
 from __future__ import annotations

@@ -2,9 +2,14 @@
 
 Each module exposes ``run(...) -> ExperimentResult`` that recomputes the
 corresponding table or figure from the calibrated analytic model (and, for
-the losslessness/ablation experiments, from the numeric simulator). The
-``benchmarks/`` harness wraps these with pytest-benchmark; ``report.py``
-renders them all into EXPERIMENTS.md.
+the losslessness/ablation experiments, from the numeric simulator).
+``report.py`` lists them all for ``python -m repro experiments``. A table
+the paper published keeps its numbers as ``PAPER_*`` constants in its own
+module, rendered as ``paper <column>`` columns. The claims are tier-1
+tests: ``tests/perf/test_calibration.py`` pins the model near each paper
+number, ``tests/experiments/test_paper_claims.py`` holds the qualitative
+claims (one test per claim, named by table or figure and section), and
+``tests/experiments/test_compare.py`` bounds every rendered paper column.
 
 Index (paper -> module):
 

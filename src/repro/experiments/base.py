@@ -15,8 +15,11 @@ class ExperimentResult:
         headers: column names.
         rows: list of value tuples aligned with ``headers``.
         notes: free-form commentary (substitutions, deviations).
-        paper_values: optional ``{row_key: paper_number}`` anchors used by
-            tests and the EXPERIMENTS.md paper-vs-measured column.
+
+    A table the paper published carries its numbers as ``paper <column>``
+    columns beside the model's (:mod:`repro.experiments.compare` pairs
+    them); each published number lives once, as a ``PAPER_*`` constant of
+    the module that regenerates its table or figure.
     """
 
     experiment_id: str
@@ -24,7 +27,6 @@ class ExperimentResult:
     headers: list[str]
     rows: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    paper_values: dict[str, float] = field(default_factory=dict)
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.headers):
@@ -39,7 +41,7 @@ class ExperimentResult:
         return [row[idx] for row in self.rows]
 
     def render(self) -> str:
-        """Fixed-width text table (what the benchmark harness prints)."""
+        """Fixed-width text table (what ``python -m repro experiments`` prints)."""
         widths = [
             max(len(str(h)), *(len(_fmt(r[i])) for r in self.rows)) if self.rows else len(str(h))
             for i, h in enumerate(self.headers)
@@ -54,7 +56,7 @@ class ExperimentResult:
         return "\n".join(lines)
 
     def render_markdown(self) -> str:
-        """GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
+        """GitHub-flavoured markdown table (``experiments --markdown``)."""
         lines = [f"### {self.experiment_id}: {self.title}", ""]
         lines.append("| " + " | ".join(str(h) for h in self.headers) + " |")
         lines.append("|" + "|".join("---" for _ in self.headers) + "|")

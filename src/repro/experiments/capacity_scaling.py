@@ -92,5 +92,4 @@ def run(host: HostSpec | None = None) -> ExperimentResult:
         f"§3.6 numeric check: pinned decode OOMs after {pinned} steps; "
         f"round-robin sustains {rr} (full aggregate capacity)."
     )
-    res.paper_values["min_ranks_for_1m"] = 8
     return res

@@ -2,9 +2,9 @@
 
 Several regenerated tables embed the paper's published numbers as
 ``paper <column>`` columns. This module pairs them with the corresponding
-model columns and produces deviation statistics — the quantitative version
-of EXPERIMENTS.md's "status" column, and a global regression guard: a test
-asserts the whole reproduction stays within its deviation budget.
+model columns and produces deviation statistics — a global regression
+guard: a test asserts the whole reproduction stays within its deviation
+budget.
 """
 
 from __future__ import annotations

@@ -73,9 +73,6 @@ def run(host: HostSpec | None = None) -> ExperimentResult:
         "max latency gap among misclassified",
         float(mis_gap.max()) if mis_gap.size else 0.0,
     )
-    res.paper_values["paper_alpha"] = -1.059
-    res.paper_values["paper_beta"] = 1.145
-    res.paper_values["paper_gamma"] = 12.112
     res.notes.append(
         "Qualitative match to Appendix D: beta > 0 (higher miss rate -> "
         "pass-KV) and misclassifications cluster at the boundary where the "

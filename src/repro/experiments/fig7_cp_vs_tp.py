@@ -29,8 +29,6 @@ def run(host: HostSpec | None = None) -> ExperimentResult:
         tp = sim.tp_prefill(FIG7_CONTEXT, n_nodes=n).total
         cp = sim.cp_prefill(FIG7_CONTEXT, n_ranks=n).total
         res.add_row(n, tp, cp, base / tp, base / cp, n)
-    res.paper_values["tp16_ttft_s"] = 29.917
-    res.paper_values["cp2_ttft_s"] = 21.042
     res.notes.append(
         "Paper: TP-vs-CP latency gap grows from ~15-40% at 2 nodes to ~100% at 8 "
         "(AllReduce exposed on the critical path; Section 4.2.2)."

@@ -43,5 +43,4 @@ def run(config: ModelConfig | None = None, *, tokens: int = 131072) -> Experimen
         f"Q bytes={q_bytes(cfg, t):.3e}, KV bytes={kv_bytes(cfg, t, p):.3e} "
         f"(GEMM total {gemm_flops(cfg, t):.3e} FLOPs)."
     )
-    res.paper_values["tp_over_cp_ratio"] = 16.0
     return res

@@ -68,7 +68,6 @@ def run(host: HostSpec | None = None) -> ExperimentResult:
             select_algo_with_all2all(hc, t, p).value,
             paper_kv, paper_q,
         )
-    res.paper_values["tipping_point_miss_rate"] = 0.05
     res.notes.append(
         "Paper tipping point ~5% miss (ties within 1% from 3.25%); the "
         "simulated crossover lands between 2.5% and 3.25%, inside the "

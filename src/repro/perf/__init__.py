@@ -4,9 +4,10 @@ The paper's evaluation ran on H100 fleets we do not have; its latency
 numbers, however, are well explained by the roofline analysis the paper
 itself develops in §3.4 and Appendices A/C. This package implements that
 analysis as an executable model and calibrates it against the paper's own
-anchor measurements (see :data:`repro.perf.hardware.CALIBRATION_ANCHORS`).
+measurements (:mod:`repro.perf.hardware` gives each constant's
+provenance; ``tests/perf/test_calibration.py`` pins the model to them).
 Every table and figure in the evaluation is regenerated from this model by
-the scripts in ``benchmarks/``.
+:mod:`repro.experiments`.
 
 Modules:
 
@@ -33,7 +34,6 @@ from repro.perf.flops import (
     weight_bytes,
 )
 from repro.perf.hardware import (
-    CALIBRATION_ANCHORS,
     GPUSpec,
     HostSpec,
     gti_host,
@@ -50,7 +50,6 @@ from repro.perf.roofline import (
 )
 
 __all__ = [
-    "CALIBRATION_ANCHORS",
     "DecodeLatency",
     "GPUSpec",
     "HostSpec",

@@ -1,4 +1,4 @@
-"""Hardware specifications and calibration anchors.
+"""Hardware specifications and the provenance of their calibration.
 
 The paper's platforms (§4.1):
 
@@ -169,25 +169,3 @@ def gti_host() -> HostSpec:
         message_latency=60e-6,
     )
 
-
-#: Anchor measurements from the paper used to fit the constants above.
-#: ``(description, paper_value, where)`` — tests assert the model stays
-#: within tolerance of each anchor.
-CALIBRATION_ANCHORS: list[tuple[str, float, str]] = [
-    ("TP8 128K full prefill TTFT (s)", 42.010, "Table 6"),
-    ("CP2 128K full prefill TTFT (s)", 21.042, "Table 7"),
-    ("CP4 128K full prefill TTFT (s)", 10.950, "Table 7"),
-    ("CP8 128K full prefill TTFT (s)", 5.85, "Section 4.2.1"),
-    ("CP16 1M full prefill TTFT (s)", 77.0, "Figure 8"),
-    ("CP4 partial prefill pass-KV TTFT @ 1% miss (ms)", 1023.39, "Table 4"),
-    ("CP4 partial prefill pass-Q TTFT @ 1% miss (ms)", 898.71, "Table 4"),
-    ("CP4 partial prefill pass-KV TTFT @ 100% miss (ms)", 11462.15, "Table 4"),
-    ("CP4 SendRecv per ring iteration @ 2.5% miss (us)", 627.0, "Table 5"),
-    ("CP4 ATTN per ring iteration @ 2.5% miss (us)", 414.0, "Table 5"),
-    ("CP4 pass-Q All2All @ 10% miss (us)", 1023.0, "Table 5"),
-    ("TP8 128K decode TTIT (ms)", 46.26, "Table 6"),
-    ("CP2 128K decode TTIT (ms)", 60.23, "Table 7"),
-    ("CP4 128K decode TTIT (ms)", 71.31, "Table 7"),
-    ("TP8 decode individual attention op 128K B=1 (us)", 38.9, "Table 8"),
-    ("CP2 decode whole pass-Q 128K B=1 (us)", 157.7, "Table 8"),
-]

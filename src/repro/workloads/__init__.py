@@ -7,7 +7,7 @@ generates them:
 - :mod:`repro.workloads.generator` — deterministic token/prompt generators
   and multi-turn conversation scripts.
 - :mod:`repro.workloads.traces` — the parameter grids behind each table
-  and figure, shared by the benchmark harness and EXPERIMENTS.md.
+  and figure, shared by the experiments and the tests.
 """
 
 from repro.workloads.generator import ConversationScript, WorkloadGenerator

@@ -1,7 +1,7 @@
 """Parameter grids for every reproduced table and figure.
 
-Centralising the sweeps keeps the benchmark harness, the tests and
-EXPERIMENTS.md in exact agreement about what each experiment runs.
+Centralising the sweeps keeps the experiments and the tests in exact
+agreement about what each experiment runs.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ class TestGlobalBudget:
             table8_decode_attention.run(),
         ]
 
-    # documented deviations (EXPERIMENTS.md "Known deviations"):
+    # known deviations, each wider than the 15% default:
     # - CP2 TTFT at 8K is dominated by fixed costs our model over-charges;
     # - decode "whole pass-Q" at batch 4 misses unmodelled per-sequence
     #   kernel overheads on the single-host row.

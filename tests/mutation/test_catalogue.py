@@ -22,9 +22,12 @@ bounds and replica label; the trace replay behind ``reconcile``
 (``obs/timeline.py``), which must hand the fold each event's identity
 labels; the serving-exactness check (``workloads/replay.py::divergences``),
 which must compare every turn and catch a turn finished after its
-conversation was shed; and the pricing of collective spans
+conversation was shed; the pricing of collective spans
 (``HostSpec.all2all_s`` and ``distributed/process_group.py``), which must
-be the hardware model's own.
+be the hardware model's own; and the latency model behind the paper's
+tables (``HostSpec.sendrecv_s`` / ``allreduce_s`` and the ring overlap in
+``perf/latency.py``), whose killers are paper claims
+(``experiments/test_paper_claims.py``) or calibration tests.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ from dataclasses import replace
 
 from repro.core import ring_decode, ring_passkv, ring_passq
 from repro.distributed import process_group
+from repro.model.config import llama3_405b_config
 from repro.obs import dumps_jsonl, timeline
-from repro.perf.hardware import HostSpec
+from repro.perf import latency
+from repro.perf.hardware import HostSpec, gtt_host
 from repro.runtime import config as serve_config
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
 from repro.runtime.state import RequestState
@@ -298,6 +303,24 @@ def _allgather_single_hop(monkeypatch):
     monkeypatch.setattr(process_group.SimProcessGroup, "_trace", one_hop)
 
 
+def _sendrecv_without_latency(monkeypatch):
+    """A ring SendRecv is priced as its bytes alone, without the
+    per-message latency that dominates decode's tiny Q messages."""
+    monkeypatch.setattr(HostSpec, "sendrecv_s", lambda self, nbytes: nbytes / self.ring_bandwidth)
+
+
+def _ring_overlap_dropped(monkeypatch):
+    """A ring step costs its attention plus its SendRecv instead of their
+    max, so pass-KV communication never hides under compute."""
+    monkeypatch.setattr(latency, "max", lambda a, b: a + b, raising=False)
+
+
+def _allreduce_free(monkeypatch):
+    """The TP baseline's activation AllReduce costs nothing, so
+    multi-node TP scales like CP."""
+    monkeypatch.setattr(HostSpec, "allreduce_s", lambda self, nbytes, n_ranks: 0.0)
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -336,6 +359,8 @@ _ONE_HARDWARE_MODEL = (
     "distributed/test_process_group.py::TestOneHardwareModel"
     "::test_every_collective_span_is_priced_by_the_host_formula"
 )
+
+_SIM_405B = latency.LatencySimulator(llama3_405b_config(), gtt_host())
 
 CATALOGUE = [
     ("make-room-evicts-once", _make_room_evicts_once,
@@ -390,6 +415,14 @@ CATALOGUE = [
      functools.partial(_named_test, _ONE_HARDWARE_MODEL)),
     ("allgather-single-hop", _allgather_single_hop,
      functools.partial(_named_test, _ONE_HARDWARE_MODEL)),
+    ("sendrecv-without-latency", _sendrecv_without_latency,
+     functools.partial(_named_test, "perf/test_calibration.py::TestDecodeAnchors"
+                       "::test_cp2_whole_passq", _SIM_405B)),
+    ("ring-overlap-dropped", _ring_overlap_dropped,
+     functools.partial(_named_test, "experiments/test_paper_claims.py"
+                       "::test_figure6b_gti_scales_like_gtt_to_4_nodes")),
+    ("allreduce-free", _allreduce_free,
+     functools.partial(_named_test, "experiments/test_paper_claims.py::test_figure7_tp_plateaus")),
 ]
 
 

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.experiments.fig8_million_token import (
+    PAPER_FIG8_CP16_TTFT,
+    PAPER_FIG8_MFU,
+    PAPER_FIG8_TF_PER_GPU,
+)
 from repro.model.config import llama3_405b_config
 from repro.perf.flops import (
     achieved_flops_per_gpu,
@@ -49,9 +54,10 @@ class TestAppendixA:
         """77 s on 128 H100s -> ~502 TF/s/GPU -> ~63% of 800 TF/s peak."""
         cfg = llama3_405b_config()
         total = model_flops(cfg, 1_000_000, 0)
-        per_gpu = achieved_flops_per_gpu(total, 77.0, 128)
-        assert per_gpu == pytest.approx(502e12, rel=0.05)
-        assert mfu(total, 77.0, 128, 800e12) == pytest.approx(0.63, abs=0.03)
+        ttft = PAPER_FIG8_CP16_TTFT[1048576]
+        per_gpu = achieved_flops_per_gpu(total, ttft, 128)
+        assert per_gpu == pytest.approx(PAPER_FIG8_TF_PER_GPU * 1e12, rel=0.05)
+        assert mfu(total, ttft, 128, 800e12) == pytest.approx(PAPER_FIG8_MFU, abs=0.03)
 
     def test_attention_dominates_at_1m(self):
         cfg = llama3_405b_config()

@@ -1,8 +1,8 @@
-"""Tests for hardware specs and calibration bookkeeping."""
+"""Tests for hardware specs."""
 
 import pytest
 
-from repro.perf.hardware import CALIBRATION_ANCHORS, GPUSpec, HostSpec, gti_host, gtt_host
+from repro.perf.hardware import gti_host, gtt_host
 
 
 class TestHostSpecs:
@@ -34,13 +34,3 @@ class TestHostSpecs:
         assert gtt_host().gpu.peak_flops == pytest.approx(800e12)
         assert gtt_host().gpu.hbm_bandwidth == pytest.approx(2.4e12)
 
-
-class TestCalibrationAnchors:
-    def test_anchor_table_nonempty(self):
-        assert len(CALIBRATION_ANCHORS) >= 15
-
-    def test_anchor_provenance(self):
-        """Every anchor names a table/figure/section of the paper."""
-        for desc, value, where in CALIBRATION_ANCHORS:
-            assert value > 0
-            assert any(w in where for w in ("Table", "Figure", "Section"))
