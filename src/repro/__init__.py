@@ -64,14 +64,13 @@ from repro.runtime import (
 from repro.serving.disaggregated import DisaggregatedSimulator
 from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.serving.session import ChatSession
-from repro.serving.simulator import ClusterServingSimulator, poisson_arrivals
 from repro.testing import assert_lossless_conversation, assert_lossless_prefill
 from repro.version import __version__
+from repro.workloads.generator import poisson_arrivals
 
 __all__ = [
     "ChatSession",
     "ChunkedPrefillPolicy",
-    "ClusterServingSimulator",
     "ContextParallelEngine",
     "ContinuousBatchingRuntime",
     "DisaggregatedSimulator",

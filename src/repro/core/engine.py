@@ -18,6 +18,8 @@ paper's pieces into a serving loop:
 Everything is lockstep-simulated but *numerically real*: the engine's
 logits are tested to match a single-device forward of the same model on the
 same token history — the paper's "lossless exact" property.
+:class:`repro.core.shape_engine.ShapeEngine` keeps this bookkeeping and
+drops the numerics, for contexts no test-scale model could compute.
 """
 
 from __future__ import annotations
@@ -166,17 +168,8 @@ class ContextParallelEngine:
             :class:`PrefillOutput` with per-sequence logits for every new
             token position.
         """
-        if not prompts:
-            raise ValueError("prefill requires at least one sequence")
         cfg = self.model.config
-        specs = []
-        new_ids: dict[int, np.ndarray] = {}
-        for sid, ids in sorted(prompts.items()):
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.ndim != 1 or ids.size == 0:
-                raise ValueError(f"sequence {sid}: token ids must be a non-empty 1-D array")
-            specs.append(SequenceSpec(sid, int(ids.size), self.seq_lengths.get(sid, 0)))
-            new_ids[sid] = ids
+        specs, new_ids = self._prefill_specs(prompts)
         plan = self.planner.plan(specs, force_algo=force_algo)
 
         # The round's split, planned once: every layer reuses its coordinates
@@ -209,9 +202,7 @@ class ContextParallelEngine:
             for sid, lo, hi, _, _ in layout.spans[rank]:
                 rows = positions[lo:hi] - self.context_length(sid)  # still P: committed below
                 logits[sid][rows] = self.model.unembed(xs[rank][lo:hi])
-        for spec in specs:
-            self.seq_lengths[spec.seq_id] = spec.total_tokens
-            self._track_commit(spec.seq_id, spec.cached_tokens, new_ids[spec.seq_id])
+        self._commit_prefill(specs, new_ids)
         return PrefillOutput(logits=logits, plan=plan)
 
     def prefill_chunked(
@@ -271,13 +262,8 @@ class ContextParallelEngine:
         Returns:
             :class:`DecodeOutput` with per-sequence next-token logits.
         """
-        if not tokens:
-            raise ValueError("decode requires at least one sequence")
         cfg = self.model.config
-        sids = sorted(tokens)
-        for sid in sids:
-            if sid not in self.seq_lengths:
-                raise KeyError(f"sequence {sid} has no prefilled context")
+        sids = self._decode_sids(tokens)
         b = len(sids)
         token_arr = np.array([tokens[sid] for sid in sids], dtype=np.int64)
         positions = np.array([self.seq_lengths[sid] for sid in sids], dtype=np.int64)
@@ -319,11 +305,51 @@ class ContextParallelEngine:
                 continue
             rank_logits = self.model.unembed(xs[rank])
             logits.update(zip((sid for sid, _ in appends[rank]), rank_logits))
-        for i, sid in enumerate(sids):
-            self._track_commit(sid, int(positions[i]), [tokens[sid]])
+        self._commit_decode(sids, positions, tokens)
+        return DecodeOutput(logits=logits, assignment=dict(zip(sids, assignment.tolist())))
+
+    # ------------------------------------------------------------------ #
+    # round validation and commit (shared with ShapeEngine)
+    # ------------------------------------------------------------------ #
+
+    def _prefill_specs(
+        self, prompts: dict[int, np.ndarray]
+    ) -> tuple[list[SequenceSpec], dict[int, np.ndarray]]:
+        """A prefill round's specs in seq-id order and its new ids as int64."""
+        if not prompts:
+            raise ValueError("prefill requires at least one sequence")
+        specs = []
+        new_ids: dict[int, np.ndarray] = {}
+        for sid, ids in sorted(prompts.items()):
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.ndim != 1 or ids.size == 0:
+                raise ValueError(f"sequence {sid}: token ids must be a non-empty 1-D array")
+            specs.append(SequenceSpec(sid, int(ids.size), self.seq_lengths.get(sid, 0)))
+            new_ids[sid] = ids
+        return specs, new_ids
+
+    def _commit_prefill(self, specs: list[SequenceSpec], new_ids: dict[int, np.ndarray]) -> None:
+        """Extend each sequence's committed context by its round's new ids."""
+        for spec in specs:
+            self.seq_lengths[spec.seq_id] = spec.total_tokens
+            self._track_commit(spec.seq_id, spec.cached_tokens, new_ids[spec.seq_id])
+
+    def _decode_sids(self, tokens: dict[int, int]) -> list[int]:
+        """A decode step's sequences in batch (seq-id) order."""
+        if not tokens:
+            raise ValueError("decode requires at least one sequence")
+        sids = sorted(tokens)
+        for sid in sids:
+            if sid not in self.seq_lengths:
+                raise KeyError(f"sequence {sid} has no prefilled context")
+        return sids
+
+    def _commit_decode(self, sids: list[int], positions, tokens: dict[int, int]) -> None:
+        """Commit one decode step: each sequence's token at its position."""
+        for sid, pos in zip(sids, positions):
+            self._track_commit(sid, int(pos), [tokens[sid]])
             self.seq_lengths[sid] += 1
         self.decode_steps += 1
-        return DecodeOutput(logits=logits, assignment=dict(zip(sids, assignment.tolist())))
 
     # ------------------------------------------------------------------ #
     # generation convenience

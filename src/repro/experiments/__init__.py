@@ -26,15 +26,17 @@ Index (paper -> module):
 - Ablations -> :mod:`repro.experiments.ablation_sharding`,
   :mod:`repro.experiments.ablation_allgather`
 - §4.3 disaggregation (analytic) -> :mod:`repro.experiments.disaggregation`
-- serving under Poisson load (analytic) -> :func:`repro.experiments.serving_load.run`
 
 The serving experiments below are grids of ``ServeConfig`` cells run by
 :func:`repro.experiments.serving_grid.run_grid`, which checks every cell
 against sequential replay and a post-drain leak audit:
 
+- serving under Poisson load, 128K prompts on
+  :class:`~repro.core.shape_engine.ShapeEngine` (colocated vs
+  disaggregated) -> :func:`repro.experiments.serving_load.run`
 - runtime under KV capacity pressure (capacity x packing order) ->
   :func:`repro.experiments.serving_load.run_runtime`
-- §4.3 disaggregation (measured runtime vs simulator prediction) ->
+- §4.3 disaggregation (measured runtime, colocated vs disaggregated) ->
   :mod:`repro.experiments.disagg_runtime`
 - preemption remedies under KV pressure ->
   :mod:`repro.experiments.preemption_modes`

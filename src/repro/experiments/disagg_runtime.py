@@ -1,14 +1,13 @@
-"""Extension experiment: measured disaggregation vs the analytic simulator.
+"""Extension experiment: measured colocated vs disaggregated serving.
 
 :mod:`repro.experiments.disaggregation` prices the §4.3 architecture with
-closed-form per-request latencies, and
-:class:`repro.serving.simulator.ClusterServingSimulator` predicts its
-system-level TTFT/TTIT under load — but both only *model* the interference
-colocated serving suffers. This experiment runs the same multi-session
-trace through the executable continuous-batching runtime twice — one
-colocated engine, then a prefill pool feeding a decode pool over the
-priced KV-transfer stream — and puts the *measured* TTFT/TTIT next to the
-discrete-event simulator's prediction for the same deployment shape.
+closed-form per-request latencies, which only *model* the interference
+colocated serving suffers. This experiment runs one multi-session trace
+through the executable continuous-batching runtime twice — one colocated
+engine, then a prefill pool feeding a decode pool over the priced
+KV-transfer stream — and measures it. "Serving under load"
+(:func:`repro.experiments.serving_load.run`) asks the same question at the
+paper's 128K prompts.
 
 The headline is the TTIT tail: colocated decode rounds stall behind every
 interleaved prefill chunk (p95 TTIT carries whole prefill rounds), while
@@ -23,22 +22,18 @@ import numpy as np
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.serving_grid import run_grid
-from repro.model.config import llama3_405b_config, tiny_config
-from repro.perf.hardware import gtt_host
+from repro.model.config import tiny_config
 from repro.runtime import ServeConfig
-from repro.serving.simulator import ClusterServingSimulator
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.replay import script_to_arrivals
 
 
 def run() -> ExperimentResult:
-    """Measured colocated vs disaggregated serving, with predictions.
+    """Measured colocated vs disaggregated serving.
 
     Numerics run the tiny model (colocated on CP2; disaggregated as
     CP2:CP2 pools); the step clock prices rounds for Llama3 405B on CP4
     hosts, with the disaggregated decode pool priced at single-host TP
-    TTIT and the KV stream at ring bandwidth — the same constants the
-    analytic simulator uses, so the two columns are comparable.
+    TTIT and the KV stream at ring bandwidth.
     """
     res = ExperimentResult(
         experiment_id="Disaggregated runtime",
@@ -61,15 +56,6 @@ def run() -> ExperimentResult:
             name, "runtime (measured)", float(np.mean(m.ttft_samples)), m.percentile_ttft(95),
             float(np.mean(m.ttit_samples)) * 1e3, m.percentile_ttit(95) * 1e3, report.makespan,
         )
-    for name in cells:
-        report = ClusterServingSimulator(
-            llama3_405b_config(), gtt_host(), n_ranks=4, disaggregated=name == "disaggregated"
-        ).simulate(script_to_arrivals(scripts))
-        per_token = [(c.finish - c.first_token) / c.decoded for c in report.completions if c.decoded]
-        res.add_row(
-            name, "simulator (predicted)", report.mean_ttft(), float(np.percentile(report.ttfts(), 95)),
-            float(np.mean(per_token) * 1e3), float(np.percentile(per_token, 95) * 1e3), report.makespan,
-        )
 
     disagg = reports["disaggregated"]
     stall = disagg.metrics.transfer_stall_s
@@ -88,14 +74,10 @@ def run() -> ExperimentResult:
         + "."
     )
     res.notes.append(
-        "Interference is the measured story the analytic model predicts: "
-        "the disaggregated decode pool's measured TTIT lands on the "
-        "simulator's clean TP-decode prediction, while measured colocated "
-        "TTIT is *worse* than predicted — the runtime interleaves decode "
-        "with every prefill chunk (fine-grained stalls the simulator's "
-        "whole-prefill-at-a-time model underestimates). Measured TTFTs run "
-        "above the predictions for the complementary reason: chunked "
-        "prefill rounds serialize against the decode interleave instead of "
-        "running one monolithic dedicated prefill."
+        "Interference is the measured story the analytic model only "
+        "predicts: the disaggregated decode pool streams at its clean "
+        "TP-decode round price, while colocated TTIT carries the prefill "
+        "chunks the runtime interleaves between decode rounds (p95 TTIT "
+        "holds whole prefill rounds)."
     )
     return res

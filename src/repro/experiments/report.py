@@ -65,7 +65,7 @@ def registry(*, fast: bool = False) -> Registry:
         ("Cluster routing", cluster_routing.run),
         ("Serving under load", serving_load.run),
     ]
-    slow = {"Figure 10", "Serving under load"} if fast else set()
+    slow = {"Figure 10"} if fast else set()
     return [entry for entry in entries if entry[0] not in slow]
 
 

@@ -1,25 +1,27 @@
 """Extension experiment: TTFT/throughput under load, colocated vs disaggregated.
 
-Drives the discrete-event simulator with a Poisson stream of 128K-context
-requests and compares CP4 colocated (prefill preempts decode) against CP4
-prefill + dedicated TP8 decode — the serving-architecture question raised
-by §4.3. :func:`run_runtime` asks the same system-level questions of the
-*numeric* continuous-batching runtime instead: real engine rounds, real
-paged-KV capacity pressure, real preemptions — with latencies priced at
-paper scale by the calibrated model.
+:func:`run` drives a Poisson stream of 128K-context requests through the
+continuous-batching runtime on :class:`~repro.core.shape_engine.ShapeEngine`
+(the real scheduler, paged-KV accounting and KV wire, with no K/V or
+attention) and compares CP4 colocated (prefill rounds interleave with
+decode) against a CP4 prefill pool feeding a one-rank decode pool priced
+at TP8 TTIT — the serving-architecture question raised by §4.3.
+:func:`run_runtime` asks the capacity question of the *numeric* runtime:
+real engine rounds, real paged-KV capacity pressure, real preemptions —
+with latencies priced at paper scale by the calibrated model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.shape_engine import ShapeModel
 from repro.experiments.base import ExperimentResult
 from repro.experiments.serving_grid import run_grid
-from repro.model.config import llama3_405b_config, tiny_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.model.config import tiny_config
+from repro.perf.hardware import HostSpec
 from repro.runtime import ServeConfig
-from repro.serving.simulator import ClusterServingSimulator, poisson_arrivals
-from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.generator import ConversationScript, WorkloadGenerator, poisson_arrivals
 
 
 def run(
@@ -30,9 +32,6 @@ def run(
     context_tokens: int = 131072,
     output_tokens: int = 64,
 ) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
-    cfg = llama3_405b_config()
-
     res = ExperimentResult(
         experiment_id="Serving under load",
         title=(
@@ -46,27 +45,28 @@ def run(
             "throughput (req/s)",
         ],
     )
+    prompt = np.zeros(context_tokens, dtype=np.int64)
+    scripts = [ConversationScript(sid, [prompt], [output_tokens]) for sid in range(n_requests)]
+    # one whole prompt per prefill round, unbounded KV
+    whole = dict(world=n_ranks, chunk=context_tokens, round_budget=context_tokens, priced_ranks=n_ranks)
+    cells = {"colocated": ServeConfig(**whole), "disaggregated": ServeConfig(**whole, decode_world=1)}
     for rate in (0.02, 0.05, 0.08):
-        arrivals = poisson_arrivals(
-            rate, n_requests,
-            context_tokens=context_tokens, output_tokens=output_tokens, seed=7,
+        reports = run_grid(
+            res.experiment_id, scripts, cells, model=ShapeModel(tiny_config()), host=host,
+            arrivals=poisson_arrivals(rate, n_requests, seed=7),
         )
-        for disagg in (False, True):
-            sim = ClusterServingSimulator(cfg, host, n_ranks=n_ranks, disaggregated=disagg)
-            report = sim.simulate(arrivals)
-            per_token = [
-                (c.finish - c.first_token) / max(c.decoded, 1)
-                for c in report.completions
-            ]
-            e2e = [c.finish - c.arrival for c in report.completions]
+        for mode, report in reports.items():
+            done = list(report.completed.values())
+            per_token = [(r.finished_at - r.first_token_at) / len(r.generated) for r in done]
+            e2e = [r.finished_at - r.request.arrival for r in done]
             res.add_row(
                 rate,
-                "disaggregated" if disagg else "colocated",
-                report.mean_ttft(),
-                report.p99_ttft(),
+                mode,
+                float(np.mean(report.metrics.ttft_samples)),
+                report.metrics.percentile_ttft(99),
                 1e3 * sum(per_token) / len(per_token),
                 sum(e2e) / len(e2e),
-                report.throughput(),
+                report.goodput(),
             )
     res.notes.append(
         "TTFT is prefill-pool-bound and similar in both modes; the decode "
@@ -74,6 +74,14 @@ def run(
         "prefill (ms/token includes multi-second gaps), while the "
         "dedicated decode host streams tokens at TP8 TTIT - the "
         "Mooncake/DistServe architecture the paper recommends (§4.3)."
+    )
+    res.notes.append(
+        "Every row is the continuous-batching runtime on ShapeEngine (the "
+        "real planner, sharding, paged-KV accounting and KV wire; no K/V, "
+        "no attention), one whole prompt per prefill round, unbounded KV, "
+        "every stream checked against sequential replay. The one-rank "
+        "decode pool receives each request's whole KV over the priced wire "
+        "before its first decode round, and its ms/token carries that wait."
     )
     return res
 
@@ -86,8 +94,7 @@ def run_runtime() -> ExperimentResult:
     capacity shrinks, admission control starts preempting: requests lose
     their cache and pay exact re-prefill on resume, which shows up as
     extra prefill rounds, later simulated finish times and a falling
-    goodput — the behaviour the analytic simulator can only assert,
-    demonstrated here by a system whose every token is bit-checked
+    goodput — demonstrated by a system whose every token is bit-checked
     against sequential replay (:func:`~repro.experiments.serving_grid.run_grid`).
 
     Numerics run the tiny model on CP2; the step clock prices rounds for

@@ -19,8 +19,8 @@ Pricing conventions (documented approximations):
 
 - A fused prefill round with per-sequence ``(T_i, P_i)`` chunks is priced
   as one varseq round of ``sum(T_i)`` new tokens against the *deepest*
-  cached context ``max(P_i)`` — the same max-pacing convention the
-  discrete-event simulator uses for decode rounds.
+  cached context ``max(P_i)`` — the max-pacing convention decode rounds
+  use too.
 - A decode round is priced at the batched CP decode TTIT of the longest
   context in the batch (or single-host TP TTIT when the clock prices a
   dedicated decode pool, §4.3).

@@ -1,7 +1,8 @@
 """One way to build a serving deployment: :class:`ServeConfig`.
 
-A deployment is engines (one pool colocated, two disaggregated), a
-chunked-prefill policy, a step clock and the runtime over them — or N
+A deployment is engines (one pool colocated, two disaggregated; numeric
+or shape-only, as the model handed to :meth:`ServeConfig.build` decides),
+a chunked-prefill policy, a step clock and the runtime over them — or N
 independent such runtimes behind a router. ``ServeConfig`` holds the
 plain values that pick those pieces; :meth:`ServeConfig.build` wires them
 through the constructors, which stay the one code path and keep
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.engine import ContextParallelEngine
+from repro.core.shape_engine import build_engine
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.clock import SimulatedStepClock, UnitStepClock
 from repro.runtime.faults import FaultPlan
@@ -72,6 +73,9 @@ class ServeConfig:
     def build(self, model, *, sim=None, tracer=None):
         """A fresh runtime, or a fleet of fresh runtimes when ``replicas > 1``.
 
+        ``model`` picks the engines (:func:`~repro.core.shape_engine.build_engine`):
+        a :class:`~repro.model.llama.LlamaModel` runs the numeric engine, a
+        :class:`~repro.core.shape_engine.ShapeModel` the shape-only one.
         Replicas share what is read-only or shared on purpose: ``model``
         weights, ``sim`` (a :class:`~repro.perf.latency.LatencySimulator`;
         ``None`` prices every round with :class:`UnitStepClock`) and
@@ -99,15 +103,13 @@ class ServeConfig:
         )
 
     def _runtime(self, model, sim, tracer) -> ContinuousBatchingRuntime:
-        engine = ContextParallelEngine(model, world_size=self.world, capacity_tokens=self.capacity)
+        engine = build_engine(model, self.world, capacity_tokens=self.capacity)
         decode_engine = None
         if self.decode_world is not None:
             decode_capacity = (
                 self.decode_capacity if self.decode_capacity is not None else self.capacity
             )
-            decode_engine = ContextParallelEngine(
-                model, world_size=self.decode_world, capacity_tokens=decode_capacity
-            )
+            decode_engine = build_engine(model, self.decode_world, capacity_tokens=decode_capacity)
         clock = (
             UnitStepClock()
             if sim is None

@@ -1,9 +1,12 @@
-"""Continuous-batching serving runtime over the numeric CP engine(s).
+"""Continuous-batching serving runtime over the CP engine(s).
 
 :class:`ContinuousBatchingRuntime` is the subsystem where every layer of
 the reproduction executes together under live traffic: the
 :class:`repro.core.engine.ContextParallelEngine` produces numerically exact
-logits, the :class:`repro.serving.scheduler.ChunkedPrefillPolicy` packs
+logits (or, at the paper's context lengths,
+:class:`repro.core.shape_engine.ShapeEngine` the same KV bookkeeping with
+tokens from a token source), the
+:class:`repro.serving.scheduler.ChunkedPrefillPolicy` packs
 budget-bounded prefill chunks, the paged KV allocator enforces per-rank
 capacity, the planner's pass-KV/pass-Q heuristic fires per chunk, and the
 :mod:`repro.runtime.clock` prices every engine round in simulated seconds
@@ -20,9 +23,8 @@ host swap store); the deployment shape is how many distinct pools:
 - **Disaggregated** (``decode_engine`` given; §4.3, citing DistServe and
   Mooncake): two pools joined by a serialized, bandwidth-priced
   :class:`repro.runtime.transfer.KVTransferStream`. Each pool advances
-  its own clock, so decode TTIT is interference-free — what
-  :class:`repro.serving.simulator.ClusterServingSimulator` predicts and
-  the "Disaggregated runtime" experiment checks.
+  its own clock, so decode TTIT is interference-free — what the
+  "Disaggregated runtime" and "Serving under load" experiments measure.
 
 One ``step`` serves both (apply faults, land transfers, admit, swap in,
 wake idle pools, pick a round, run it, handle dead ends); only the wake
@@ -169,14 +171,21 @@ class RuntimeReport:
             preemption/eviction and KV-transfer counters).
         makespan: simulated seconds from 0 to the last round's end
             (the later of the two pool clocks when disaggregated).
-        prefill_rounds / decode_rounds: executed engine rounds by kind.
     """
 
     records: dict[int, RequestRecord] = field(default_factory=dict)
     metrics: ServingMetrics = field(default_factory=ServingMetrics)
     makespan: float = 0.0
-    prefill_rounds: int = 0
-    decode_rounds: int = 0
+
+    @property
+    def prefill_rounds(self) -> int:
+        """Executed prefill rounds (the fold's ``pool_rounds``)."""
+        return self.metrics.pool_rounds.get(POOL_PREFILL, 0)
+
+    @property
+    def decode_rounds(self) -> int:
+        """Executed decode rounds (the fold's ``pool_rounds``)."""
+        return self.metrics.pool_rounds.get(POOL_DECODE, 0)
 
     @property
     def generated_tokens(self) -> int:
@@ -368,8 +377,6 @@ class ContinuousBatchingRuntime:
         # by (arrival, rid), with the role they were evicted under
         self._swap_wait: list[tuple[_Key, int, str]] = []
 
-        self.prefill_rounds = 0
-        self.decode_rounds = 0
         self._records: dict[int, RequestRecord] = {}
         self._chains: dict[int, list[int]] = {}  # seq_id -> unfinished turn rids, in order
         self._turn_history: dict[int, list[int]] = {}  # seq_id -> tokens of finished turns
@@ -622,8 +629,6 @@ class ContinuousBatchingRuntime:
             records=dict(self._records),
             metrics=self.metrics,
             makespan=self.now,
-            prefill_rounds=self.prefill_rounds,
-            decode_rounds=self.decode_rounds,
         )
 
     # ------------------------------------------------------------------ #
@@ -886,7 +891,6 @@ class ContinuousBatchingRuntime:
                     seq_id=chunk.seq_id,
                     tokens=chunk.tokens,
                 )
-        self.prefill_rounds += 1
         pool.holders.update(prompts)
 
         for chunk in round_:
@@ -1163,7 +1167,6 @@ class ContinuousBatchingRuntime:
             "decode_round", round_start, price, pool=POOL_DECODE, seqs=len(live),
             **self._kv_sample(POOL_DECODE),
         )
-        self.decode_rounds += 1
 
         for rec in live:
             if len(rec.generated) < rec.request.max_new_tokens:
@@ -1645,7 +1648,7 @@ class ContinuousBatchingRuntime:
                 rec = self._records[chain[0]]
                 if rec.request.arrival + plan.deadline_s < now:
                     self._shed_chain(rec, status=RequestState.TIMED_OUT, at=now)
-        rounds = self.prefill_rounds + self.decode_rounds
+        rounds = sum(self.metrics.pool_rounds.values())
         for role in self._injector.pool_resets_due(rounds):
             self._reset_pool(role, at=self._pools[role].t)
 
@@ -1745,11 +1748,15 @@ class ContinuousBatchingRuntime:
         self._live.discard(rec.request_id)
         self._decoding.discard(rec.request_id)
         seq_id = rec.seq_id
-        self._turn_history[seq_id].extend(int(t) for t in rec.request.prompt)
-        self._turn_history[seq_id].extend(rec.generated)
         chain = self._chains[seq_id]
         assert chain and chain[0] == rec.request_id, "turn finished out of chain order"
         chain.pop(0)
+        over = rec.request.last_turn and not chain
+        if not over:
+            # the next turn re-prefills this one's tokens as history; an
+            # ended conversation's history is deleted below instead
+            self._turn_history[seq_id].extend(int(t) for t in rec.request.prompt)
+            self._turn_history[seq_id].extend(rec.generated)
         if chain:
             # next turn's head is now eligible — but its prefill consumes
             # this turn's tokens, so it can never run before this finish
@@ -1776,7 +1783,7 @@ class ContinuousBatchingRuntime:
             if rec.prefix_eligible:
                 fields["warm"] = rec.prefix_hit
         self.tracer.instant("finish", at, request_id=rec.request_id, seq_id=seq_id, **fields)
-        if rec.request.last_turn and not chain:
+        if over:
             # conversation over: prune per-seq state (a later submit for
             # the same seq_id starts a fresh conversation)
             prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]

@@ -1,4 +1,4 @@
-"""Serving layer: multi-turn sessions, batching, and metrics.
+"""Serving layer: multi-turn sessions, chunked-prefill packing, and metrics.
 
 The paper frames CP inference around multi-turn online messaging (§3.3):
 full prefill on the first prompt, auto-regressive decode for the response,
@@ -6,34 +6,29 @@ then *partial prefill* for every follow-up against the persistent sharded
 KV cache. This package provides that serving loop on top of
 :class:`repro.core.engine.ContextParallelEngine`:
 
-- :mod:`repro.serving.request` — request/turn records.
+- :mod:`repro.serving.request` — turn records.
 - :mod:`repro.serving.session` — :class:`ChatSession`, one conversation's
   prefill/decode driver with cache-hit accounting.
-- :mod:`repro.serving.scheduler` — fused variable-length batch assembly
-  (Figure 1's fused inputs) over a FIFO of requests, plus the
-  chunk-granularity round packing the continuous-batching runtime
-  (:mod:`repro.runtime`) schedules with.
+- :mod:`repro.serving.scheduler` — the chunk-granularity round packing
+  (Figure 1's fused varseq rounds) of the one scheduler, the
+  continuous-batching runtime (:mod:`repro.runtime`); the paper's
+  long-context regime runs through that runtime on
+  :class:`repro.core.shape_engine.ShapeEngine`.
+- :mod:`repro.serving.disaggregated` — §4.3's closed-form per-request
+  model of colocated vs disaggregated serving.
 - :mod:`repro.serving.metrics` — TTFT/TTIT/cache-hit aggregation and
   preemption/eviction accounting.
 """
 
 from repro.serving.metrics import ServingMetrics
-from repro.serving.request import PrefillRequest, TurnRecord
-from repro.serving.scheduler import (
-    ChunkAssignment,
-    ChunkedPrefillPolicy,
-    FusedBatch,
-    Scheduler,
-)
+from repro.serving.request import TurnRecord
+from repro.serving.scheduler import ChunkAssignment, ChunkedPrefillPolicy
 from repro.serving.session import ChatSession
 
 __all__ = [
     "ChatSession",
     "ChunkAssignment",
     "ChunkedPrefillPolicy",
-    "FusedBatch",
-    "PrefillRequest",
-    "Scheduler",
     "ServingMetrics",
     "TurnRecord",
 ]

@@ -1,36 +1,8 @@
-"""Request and turn records for the serving layer."""
+"""Turn records for the serving layer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
-
-
-@dataclass
-class PrefillRequest:
-    """One prompt submitted for (full or partial) prefill.
-
-    Attributes:
-        seq_id: conversation / sequence identifier.
-        token_ids: the new prompt tokens.
-        max_new_tokens: decode budget for the response.
-    """
-
-    seq_id: int
-    token_ids: np.ndarray
-    max_new_tokens: int = 0
-
-    def __post_init__(self) -> None:
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        if self.token_ids.ndim != 1 or self.token_ids.size == 0:
-            raise ValueError(f"request {self.seq_id}: token_ids must be non-empty 1-D")
-        if self.max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be >= 0")
-
-    @property
-    def prompt_tokens(self) -> int:
-        return int(self.token_ids.size)
 
 
 @dataclass

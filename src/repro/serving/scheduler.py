@@ -1,24 +1,21 @@
-"""Fused variable-length batch assembly.
+"""Fused variable-length round packing for the continuous-batching runtime.
 
 The paper's prefill algorithms operate on *fused varseq* inputs: several
 sequences of different lengths packed into one round (Figure 1, §3.5.1),
-each load-balance sharded independently. Two round builders live here:
-
-- :class:`Scheduler` builds whole-request rounds from a FIFO of
-  :class:`repro.serving.request.PrefillRequest`, bounded by a token budget
-  per round (a stand-in for activation-memory limits).
-- :class:`ChunkedPrefillPolicy` builds *chunk*-granularity rounds for the
-  continuous-batching runtime (:mod:`repro.runtime`): each pending prompt
-  contributes at most ``chunk_tokens`` of its remaining input per round, so
-  long prompts prefill as a series of budget-bounded partial prefills
-  interleaved with decode rounds instead of monopolizing the engine. This
-  is the paper's multi-turn partial-prefill machinery (§3.3, Figure 2 —
-  new tokens attend over whatever KV earlier rounds committed) repurposed
-  as chunked prefill in the Sarathi/vLLM sense; because each chunk is a
-  partial prefill with a rising cache-hit rate, the §3.5.2 pass-KV/pass-Q
-  heuristic re-fires per chunk. In the disaggregated deployment (§4.3)
-  these rounds are what the prefill pool executes, and in the colocated
-  one they bound how long any decode round can be starved.
+each load-balance sharded independently. :class:`ChunkedPrefillPolicy`
+builds those rounds at *chunk* granularity for the runtime
+(:mod:`repro.runtime`): each pending prompt contributes at most
+``chunk_tokens`` of its remaining input per round, so long prompts prefill
+as a series of budget-bounded partial prefills interleaved with decode
+rounds instead of monopolizing the engine (a chunk as long as the prompt
+gives whole-request rounds). This is the paper's multi-turn
+partial-prefill machinery (§3.3, Figure 2 — new tokens attend over
+whatever KV earlier rounds committed) repurposed as chunked prefill in the
+Sarathi/vLLM sense; because each chunk is a partial prefill with a rising
+cache-hit rate, the §3.5.2 pass-KV/pass-Q heuristic re-fires per chunk. In
+the disaggregated deployment (§4.3) these rounds are what the prefill pool
+executes, and in the colocated one they bound how long any decode round
+can be starved.
 
 Capacity admission is *not* decided here: the runtime checks each built
 round's exact per-rank KV demand against the paged pools before executing
@@ -27,79 +24,7 @@ it, shrinking or evicting per its FCFS rules.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.serving.request import PrefillRequest
-
-
-@dataclass
-class FusedBatch:
-    """One prefill round's worth of requests.
-
-    Attributes:
-        requests: the fused requests, admission order preserved.
-    """
-
-    requests: list[PrefillRequest] = field(default_factory=list)
-
-    @property
-    def total_new_tokens(self) -> int:
-        return sum(r.prompt_tokens for r in self.requests)
-
-    @property
-    def seq_ids(self) -> list[int]:
-        return [r.seq_id for r in self.requests]
-
-    def prompts(self) -> dict[int, np.ndarray]:
-        """Engine-ready ``{seq_id: token_ids}`` mapping."""
-        return {r.seq_id: r.token_ids for r in self.requests}
-
-
-class Scheduler:
-    """FIFO batcher with a per-round token budget.
-
-    Args:
-        max_tokens_per_batch: cap on the fused round's new-token total. A
-            single request larger than the cap still forms its own round
-            (it cannot be split without changing semantics).
-        max_seqs_per_batch: cap on the number of fused sequences.
-    """
-
-    def __init__(self, *, max_tokens_per_batch: int = 131072, max_seqs_per_batch: int = 16):
-        if max_tokens_per_batch < 1 or max_seqs_per_batch < 1:
-            raise ValueError("batch limits must be >= 1")
-        self.max_tokens_per_batch = max_tokens_per_batch
-        self.max_seqs_per_batch = max_seqs_per_batch
-        self._queue: deque[PrefillRequest] = deque()
-
-    def submit(self, request: PrefillRequest) -> None:
-        """Enqueue a request. Duplicate pending seq_ids are rejected (a
-        sequence can only appear once per round)."""
-        if any(r.seq_id == request.seq_id for r in self._queue):
-            raise ValueError(f"sequence {request.seq_id} already queued")
-        self._queue.append(request)
-
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def next_batch(self) -> FusedBatch | None:
-        """Pop the next fused round, or ``None`` when idle."""
-        if not self._queue:
-            return None
-        batch = FusedBatch()
-        budget = self.max_tokens_per_batch
-        while self._queue and len(batch.requests) < self.max_seqs_per_batch:
-            head = self._queue[0]
-            if batch.requests and head.prompt_tokens > budget:
-                break
-            batch.requests.append(self._queue.popleft())
-            budget -= head.prompt_tokens
-            if budget <= 0:
-                break
-        return batch
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

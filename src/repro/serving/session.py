@@ -54,7 +54,7 @@ class ChatSession:
         prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
         cached = self.context_length
         out = self.engine.prefill({self.seq_id: prompt_ids})
-        self.history.extend(int(t) for t in prompt_ids)
+        self.history.extend(prompt_ids.tolist())
 
         record = TurnRecord(
             seq_id=self.seq_id,

@@ -191,3 +191,13 @@ class WorkloadGenerator:
                 script.response_budgets.append(int(self.rng.integers(lo_r, hi_r + 1)))
             scripts.append(script)
         return scripts
+
+
+def poisson_arrivals(rate_per_s: float, n_requests: int, *, seed: int = 0) -> list[float]:
+    """Arrival times (s, ascending) of a homogeneous Poisson stream: the
+    running sum of ``n_requests`` seeded exponential gaps of mean
+    ``1 / rate_per_s``."""
+    if rate_per_s <= 0:
+        raise ValueError(f"rate must be > 0, got {rate_per_s}")
+    gaps = np.random.default_rng(seed).exponential(1.0 / rate_per_s, size=n_requests)
+    return np.cumsum(gaps).tolist()

@@ -1,57 +1,18 @@
-"""Workload replay glue: conversation scripts -> arrival streams / runtimes.
+"""Workload replay glue: conversation scripts -> runtimes and their reference.
 
-Connects the workload consumers: the *numeric* engine replays
+Connects the workload consumers: an engine replays
 :class:`repro.workloads.generator.ConversationScript` turn by turn through
-a :class:`repro.serving.session.ChatSession` (the sequential reference), the
-*discrete-event* serving simulator consumes
-:class:`repro.serving.simulator.Arrival` streams, and the
-*continuous-batching runtime* (:mod:`repro.runtime`) replays whole
-multi-session traces live. This module converts between them so the same
-scripted traffic can drive every level — which is what makes the
+a :class:`repro.serving.session.ChatSession` (the sequential reference),
+and the continuous-batching runtime (:mod:`repro.runtime`) replays whole
+multi-session traces live — on the numeric engine or, at the paper's
+context lengths, on :class:`repro.core.shape_engine.ShapeEngine`.
+:func:`divergences` compares the two, which is what makes the
 runtime-vs-sequential exactness property testable.
 """
 
 from __future__ import annotations
 
-from repro.serving.simulator import Arrival
 from repro.workloads.generator import ConversationScript
-
-
-def script_to_arrivals(
-    scripts: list[ConversationScript],
-    *,
-    turn_gap_s: float = 30.0,
-    start_offset_s: float = 1.0,
-) -> list[Arrival]:
-    """Flatten conversation scripts into a serving-simulator arrival stream.
-
-    Each turn becomes one request whose context is the conversation's
-    running token count (cached history + the new prompt — what the prefill
-    pool must attend over), with the decode budget as output tokens. Turns
-    of one conversation are spaced ``turn_gap_s`` apart (user think time);
-    conversations start staggered by ``start_offset_s``.
-    """
-    if turn_gap_s < 0 or start_offset_s < 0:
-        raise ValueError("gaps must be non-negative")
-    arrivals: list[Arrival] = []
-    rid = 0
-    for conv_idx, script in enumerate(scripts):
-        cached = 0
-        t = start_offset_s * (conv_idx + 1)
-        for prompt, budget in zip(script.prompts, script.response_budgets):
-            context = cached + int(prompt.size)
-            arrivals.append(
-                Arrival(
-                    request_id=rid,
-                    time=t,
-                    context_tokens=context,
-                    output_tokens=int(budget),
-                )
-            )
-            rid += 1
-            cached = context + int(budget)
-            t += turn_gap_s
-    return sorted(arrivals, key=lambda a: a.time)
 
 
 def submit_scripts_to_runtime(
@@ -60,12 +21,13 @@ def submit_scripts_to_runtime(
     *,
     start_offset_s: float = 1.0,
     think_time_s: float = 30.0,
+    arrivals: list[float] | None = None,
 ) -> dict[int, list[int]]:
     """Submit a multi-session trace to a continuous-batching runtime.
 
-    Conversations start staggered by ``start_offset_s``; follow-up turns
-    arrive ``think_time_s`` apart (and never before their predecessor
-    finishes — the runtime enforces the chain).
+    Conversations start staggered by ``start_offset_s``, or at
+    ``arrivals``; follow-up turns arrive ``think_time_s`` apart (and never
+    before their predecessor finishes — the runtime enforces the chain).
 
     Args:
         runtime: anything exposing the scheduler-facing submission
@@ -76,6 +38,8 @@ def submit_scripts_to_runtime(
             cares, which is what keeps fleet runs comparable to
             single-runtime runs via :func:`divergences`).
         scripts: the scripted conversations (unique seq_ids).
+        arrivals: each conversation's first arrival, in script order
+            (default: ``start_offset_s * (i + 1)`` for script ``i``).
 
     Returns:
         ``{seq_id: [request_id per turn]}`` for correlating the runtime's
@@ -83,14 +47,12 @@ def submit_scripts_to_runtime(
     """
     if start_offset_s < 0 or think_time_s < 0:
         raise ValueError("gaps must be non-negative")
-    rids: dict[int, list[int]] = {}
-    for conv_idx, script in enumerate(scripts):
-        rids[script.seq_id] = runtime.submit_script(
-            script,
-            arrival=start_offset_s * (conv_idx + 1),
-            think_time=think_time_s,
-        )
-    return rids
+    if arrivals is None:
+        arrivals = [start_offset_s * (i + 1) for i in range(len(scripts))]
+    return {
+        script.seq_id: runtime.submit_script(script, arrival=arrival, think_time=think_time_s)
+        for script, arrival in zip(scripts, arrivals, strict=True)
+    }
 
 
 def divergences(

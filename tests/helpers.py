@@ -192,7 +192,7 @@ def trace_scripts(case):
     ]
 
 
-def run_traced(case, *, record: bool = True):
+def run_traced(case, *, record: bool = True, model=TRACE_MODEL):
     """Build the case through :class:`ServeConfig` with a fresh tracer, run it, return
     ``(tracer, runtime_or_fleet, fleet_or_None, report)``.
 
@@ -202,7 +202,9 @@ def run_traced(case, *, record: bool = True):
     ``shared``, ``sessions``, ``turns``, ``faults`` (``FaultPlan`` kwargs
     or ``None``) and optionally ``order`` (prefill packing, default
     ``"fifo"``). ``record=False`` runs the same case with no recorder
-    attached (the returned tracer is the null tracer).
+    attached (the returned tracer is the null tracer). ``model`` builds the
+    engines: a :class:`~repro.core.shape_engine.ShapeModel` replays the case
+    on shape-only ones.
     """
     tracer = RecordingTracer() if record else NULL_TRACER
     runtime = ServeConfig(
@@ -216,8 +218,22 @@ def run_traced(case, *, record: bool = True):
         faults=FaultPlan(**case["faults"]) if case["faults"] else None,
         replicas=case["n_replicas"],
         routing=case["policy"],
-    ).build(TRACE_MODEL, tracer=tracer)
+    ).build(model, tracer=tracer)
     fleet = runtime if case["n_replicas"] > 1 else None
     submit_scripts_to_runtime(runtime, trace_scripts(case), think_time_s=case["think"])
     report = runtime.run(max_steps=200_000)
     return tracer, runtime, fleet, report
+
+
+def token_source(report):
+    """A finished run's tokens as a token source, to replay the run on
+    shape-only engines: ``next_token(seq_id, position)`` is the token at
+    ``position`` of the stream ``seq_id``'s requests committed (each turn's
+    prompt, then its decoded tokens, in submission order), and 0 past it."""
+    streams: dict[int, list[int]] = {}
+    for rid in sorted(report.records):
+        rec = report.records[rid]
+        streams.setdefault(rec.seq_id, []).extend(rec.request.prompt.tolist() + rec.generated)
+    return lambda seq_id, position: (
+        streams[seq_id][position] if position < len(streams[seq_id]) else 0
+    )

@@ -27,7 +27,9 @@ conversation was shed; the pricing of collective spans
 be the hardware model's own; and the latency model behind the paper's
 tables (``HostSpec.sendrecv_s`` / ``allreduce_s`` and the ring overlap in
 ``perf/latency.py``), whose killers are paper claims
-(``experiments/test_paper_claims.py``) or calibration tests.
+(``experiments/test_paper_claims.py``) or calibration tests; and the
+shape-only engine (``core/shape_engine.py``), whose decode must rotate its
+placement as the numeric engine does, killed by a golden case's replay.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import pytest
 from dataclasses import replace
 
 from repro.core import ring_decode, ring_passkv, ring_passq
+from repro.core.shape_engine import ShapeEngine
 from repro.distributed import process_group
 from repro.model.config import llama3_405b_config
 from repro.obs import dumps_jsonl, timeline
@@ -321,6 +324,21 @@ def _allreduce_free(monkeypatch):
     monkeypatch.setattr(HostSpec, "allreduce_s", lambda self, nbytes, n_ranks: 0.0)
 
 
+def _shape_decode_unrotated(monkeypatch):
+    """ShapeEngine's decode places every step as its first, ignoring the
+    ``decode_steps`` round-robin offset (§3.6) the numeric engine rotates by."""
+    decode = ShapeEngine.decode
+
+    def unrotated(self, tokens):
+        steps, self.decode_steps = self.decode_steps, 0
+        try:
+            return decode(self, tokens)
+        finally:
+            self.decode_steps = steps + 1
+
+    monkeypatch.setattr(ShapeEngine, "decode", unrotated)
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -423,6 +441,9 @@ CATALOGUE = [
                        "::test_figure6b_gti_scales_like_gtt_to_4_nodes")),
     ("allreduce-free", _allreduce_free,
      functools.partial(_named_test, "experiments/test_paper_claims.py::test_figure7_tp_plateaus")),
+    ("shape-decode-unrotated", _shape_decode_unrotated,
+     functools.partial(_named_test, "runtime/test_golden_traces.py::test_trace_digest_is_unchanged",
+                       "coloc-recompute-noprefix-clean")),
 ]
 
 

@@ -9,6 +9,11 @@ fleets. A behaviour-identical refactor of the runtime leaves every
 digest where it is; a change that means to move scheduling re-baselines
 the affected digests in its own commit and says which events moved.
 
+Each case is also replayed through :class:`repro.core.shape_engine.ShapeEngine`,
+fed the tokens its numeric run decoded (``helpers.token_source``), and must
+hit the same digest: scheduling reads lengths and token ids, never
+activations, and the two engines keep the same KV bookkeeping.
+
 Regenerate (only with such a commit) by printing
 ``hashlib.sha256(dumps_jsonl(run_traced(case)[0].events).encode())``
 for each entry of ``CASES``.
@@ -19,9 +24,10 @@ import itertools
 
 import pytest
 
+from repro.core.shape_engine import ShapeModel
 from repro.obs import dumps_jsonl
 
-from helpers import run_traced
+from helpers import TRACE_MODEL, run_traced, token_source
 
 # six shared-prefix conversations of three turns over CP2 pools of 40 KV
 # tokens per rank: tight enough that every remedy, refusal, re-ship and
@@ -139,11 +145,20 @@ def test_matrix_is_fully_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
 
 
+def _digest(tracer) -> str:
+    return hashlib.sha256(dumps_jsonl(tracer.events).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_digest_is_unchanged(name):
-    tracer, _, _, _ = run_traced(CASES[name])
-    digest = hashlib.sha256(dumps_jsonl(tracer.events).encode()).hexdigest()
-    assert digest == GOLDEN[name], (
+    tracer, _, _, report = run_traced(CASES[name])
+    assert _digest(tracer) == GOLDEN[name], (
         f"{name}: the trace moved ({len(tracer.events)} events now) — a "
         "behaviour-identical refactor must not change it"
+    )
+    # the same run on shape-only engines, fed the tokens it decoded
+    shape = ShapeModel(TRACE_MODEL.config, token_source(report))
+    assert _digest(run_traced(CASES[name], model=shape)[0]) == GOLDEN[name], (
+        f"{name}: the ShapeEngine replay moved — a scheduling decision read "
+        "more than lengths and token ids, or the engines' KV bookkeeping parted"
     )

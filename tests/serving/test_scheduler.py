@@ -1,112 +1,8 @@
-"""Tests for the fused-batch scheduler and the chunked-prefill policy."""
+"""Tests for the chunked-prefill policy."""
 
-import numpy as np
 import pytest
 
-from repro.serving.request import PrefillRequest
-from repro.serving.scheduler import ChunkAssignment, ChunkedPrefillPolicy, Scheduler
-
-
-def req(seq_id, n):
-    return PrefillRequest(seq_id=seq_id, token_ids=np.arange(n) % 50)
-
-
-class TestScheduler:
-    def test_fifo_order(self):
-        s = Scheduler(max_tokens_per_batch=1000)
-        for i in range(3):
-            s.submit(req(i, 10))
-        batch = s.next_batch()
-        assert batch.seq_ids == [0, 1, 2]
-        assert s.pending() == 0
-
-    def test_token_budget_splits(self):
-        s = Scheduler(max_tokens_per_batch=25)
-        s.submit(req(0, 20))
-        s.submit(req(1, 20))
-        first = s.next_batch()
-        assert first.seq_ids == [0]
-        second = s.next_batch()
-        assert second.seq_ids == [1]
-
-    def test_oversized_request_runs_alone(self):
-        s = Scheduler(max_tokens_per_batch=8)
-        s.submit(req(0, 100))
-        batch = s.next_batch()
-        assert batch.seq_ids == [0]
-
-    def test_seq_cap(self):
-        s = Scheduler(max_tokens_per_batch=10_000, max_seqs_per_batch=2)
-        for i in range(5):
-            s.submit(req(i, 4))
-        assert s.next_batch().seq_ids == [0, 1]
-        assert s.next_batch().seq_ids == [2, 3]
-        assert s.next_batch().seq_ids == [4]
-
-    def test_idle_returns_none(self):
-        assert Scheduler().next_batch() is None
-
-    def test_duplicate_seq_rejected(self):
-        s = Scheduler()
-        s.submit(req(0, 4))
-        with pytest.raises(ValueError):
-            s.submit(req(0, 6))
-
-    def test_prompts_mapping(self):
-        s = Scheduler()
-        s.submit(req(3, 7))
-        batch = s.next_batch()
-        prompts = batch.prompts()
-        assert list(prompts) == [3]
-        assert prompts[3].shape == (7,)
-        assert batch.total_new_tokens == 7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Scheduler(max_tokens_per_batch=0)
-        with pytest.raises(ValueError):
-            Scheduler(max_seqs_per_batch=0)
-        with pytest.raises(ValueError):
-            PrefillRequest(seq_id=0, token_ids=np.zeros(0))
-        with pytest.raises(ValueError):
-            PrefillRequest(seq_id=0, token_ids=np.arange(3), max_new_tokens=-1)
-
-    def test_exact_budget_boundary(self):
-        """Requests that exactly exhaust the budget close the round; the
-        next request starts a fresh one (no off-by-one under-fill)."""
-        s = Scheduler(max_tokens_per_batch=30)
-        s.submit(req(0, 10))
-        s.submit(req(1, 20))
-        s.submit(req(2, 1))
-        first = s.next_batch()
-        assert first.seq_ids == [0, 1]
-        assert first.total_new_tokens == 30
-        assert s.next_batch().seq_ids == [2]
-
-    def test_one_over_budget_boundary(self):
-        """One token over the budget defers the request to the next round."""
-        s = Scheduler(max_tokens_per_batch=30)
-        s.submit(req(0, 10))
-        s.submit(req(1, 21))
-        assert s.next_batch().seq_ids == [0]
-        assert s.next_batch().seq_ids == [1]
-
-    def test_oversized_request_never_merges(self):
-        """An oversized request forms its own round even when later small
-        requests would still fit under the nominal budget."""
-        s = Scheduler(max_tokens_per_batch=8)
-        s.submit(req(0, 100))
-        s.submit(req(1, 2))
-        first = s.next_batch()
-        assert first.seq_ids == [0]
-        assert s.next_batch().seq_ids == [1]
-
-    def test_seq_cap_exactly_at_boundary(self):
-        s = Scheduler(max_tokens_per_batch=10_000, max_seqs_per_batch=3)
-        for i in range(3):
-            s.submit(req(i, 4))
-        assert s.next_batch().seq_ids == [0, 1, 2]
-        assert s.next_batch() is None
+from repro.serving.scheduler import ChunkAssignment, ChunkedPrefillPolicy
 
 
 class TestChunkedPrefillPolicy:

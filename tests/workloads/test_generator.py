@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.generator import WorkloadGenerator, poisson_arrivals
 
 
 class TestWorkloadGenerator:
@@ -185,3 +185,17 @@ class TestSharedPrefixTraffic:
             self.make(unique_range=(0, 4))
         with pytest.raises(ValueError):
             self.make(turns=0)
+
+
+class TestPoissonArrivals:
+    def test_deterministic(self):
+        assert poisson_arrivals(0.5, 10, seed=3) == poisson_arrivals(0.5, 10, seed=3)
+
+    def test_sorted_and_positive(self):
+        times = poisson_arrivals(2.0, 50)
+        assert times == sorted(times)
+        assert times[0] > 0
+
+    def test_rate_validation(self):
+        with pytest.raises(ValueError):
+            poisson_arrivals(0.0, 5)
