@@ -61,7 +61,6 @@ from repro.runtime import (
     TurnRequest,
     UnitStepClock,
 )
-from repro.serving.disaggregated import DisaggregatedSimulator
 from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.serving.session import ChatSession
 from repro.testing import assert_lossless_conversation, assert_lossless_prefill
@@ -73,7 +72,6 @@ __all__ = [
     "ChunkedPrefillPolicy",
     "ContextParallelEngine",
     "ContinuousBatchingRuntime",
-    "DisaggregatedSimulator",
     "RequestState",
     "RuntimeReport",
     "SimulatedStepClock",

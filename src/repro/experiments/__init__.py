@@ -25,12 +25,14 @@ Index (paper -> module):
 - Figure 10 -> :mod:`repro.experiments.fig10_heuristic`
 - Ablations -> :mod:`repro.experiments.ablation_sharding`,
   :mod:`repro.experiments.ablation_allgather`
-- §4.3 disaggregation (analytic) -> :mod:`repro.experiments.disaggregation`
 
 The serving experiments below are grids of ``ServeConfig`` cells run by
 :func:`repro.experiments.serving_grid.run_grid`, which checks every cell
 against sequential replay and a post-drain leak audit:
 
+- §4.3 disaggregation break-even (one 128K request per response length on
+  :class:`~repro.core.shape_engine.ShapeEngine`, colocated vs
+  disaggregated) -> :mod:`repro.experiments.disaggregation`
 - serving under Poisson load, 128K prompts on
   :class:`~repro.core.shape_engine.ShapeEngine` (colocated vs
   disaggregated) -> :func:`repro.experiments.serving_load.run`

@@ -19,14 +19,12 @@ from repro.perf.flops import weight_bytes
 from repro.perf.hardware import HostSpec, gtt_host
 
 
-def max_context_tokens(
-    n_ranks: int,
-    host: HostSpec,
-    *,
-    kv_element_bytes: float = 2.0,
-    activation_reserve: float = 0.15,
-) -> int:
-    """Max single-sequence context a CP deployment can cache.
+#: Share of each host's HBM held back for activations.
+ACTIVATION_RESERVE = 0.15
+
+
+def max_context_tokens(n_ranks: int, host: HostSpec) -> int:
+    """Max single-sequence context a CP deployment can cache in bf16 KV.
 
     Per rank: HBM minus FP8 weights minus an activation reserve, divided by
     per-token KV bytes; aggregate = per-rank * N (load-balanced sharding
@@ -35,10 +33,10 @@ def max_context_tokens(
     cfg = llama3_405b_config()
     hbm = host.gpus_per_host * host.gpu.hbm_capacity
     weights = weight_bytes(cfg)  # FP8 FFN + BF16 rest, TP-sharded across the host
-    budget = (1.0 - activation_reserve) * hbm - weights
+    budget = (1.0 - ACTIVATION_RESERVE) * hbm - weights
     if budget <= 0:
         return 0
-    return int(budget / cfg.kv_bytes_per_token(kv_element_bytes)) * n_ranks
+    return int(budget / cfg.kv_bytes_per_token()) * n_ranks
 
 
 def decode_oom_comparison(*, capacity_per_rank: int = 64, world: int = 4) -> tuple[int, int]:
@@ -73,15 +71,10 @@ def run(host: HostSpec | None = None) -> ExperimentResult:
     res = ExperimentResult(
         experiment_id="Capacity scaling",
         title="Max cacheable context vs CP ranks (Llama3 405B)",
-        headers=["ranks", "GPUs", "max context (bf16 KV)", "max context (int8 KV)"],
+        headers=["ranks", "GPUs", "max context (bf16 KV)"],
     )
     for n in (1, 2, 4, 8, 16):
-        res.add_row(
-            n,
-            n * host.gpus_per_host,
-            max_context_tokens(n, host, kv_element_bytes=2.0),
-            max_context_tokens(n, host, kv_element_bytes=1.0),
-        )
+        res.add_row(n, n * host.gpus_per_host, max_context_tokens(n, host))
     pinned, rr = decode_oom_comparison()
     res.notes.append(
         "bf16 KV crosses 1M at 4 ranks in this single-sequence budget; the "

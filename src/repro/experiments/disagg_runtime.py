@@ -1,13 +1,12 @@
 """Extension experiment: measured colocated vs disaggregated serving.
 
-:mod:`repro.experiments.disaggregation` prices the §4.3 architecture with
-closed-form per-request latencies, which only *model* the interference
-colocated serving suffers. This experiment runs one multi-session trace
-through the executable continuous-batching runtime twice — one colocated
-engine, then a prefill pool feeding a decode pool over the priced
-KV-transfer stream — and measures it. "Serving under load"
-(:func:`repro.experiments.serving_load.run`) asks the same question at the
-paper's 128K prompts.
+This experiment runs one multi-session trace through the numeric
+continuous-batching runtime twice — one colocated engine, then a prefill
+pool feeding a decode pool over the priced KV-transfer stream — and
+measures the interference colocated serving suffers. At the paper's 128K
+prompts, :mod:`repro.experiments.disaggregation` (one request per response
+length) and "Serving under load" (:func:`repro.experiments.serving_load.run`)
+ask the same question on the shape-only engine.
 
 The headline is the TTIT tail: colocated decode rounds stall behind every
 interleaved prefill chunk (p95 TTIT carries whole prefill rounds), while
@@ -39,7 +38,7 @@ def run() -> ExperimentResult:
         experiment_id="Disaggregated runtime",
         title="4 sessions x 2 turns: colocated CP2 vs CP2:CP2 pools (priced as 405B, CP4)",
         headers=[
-            "deployment", "source", "mean TTFT (s)", "p95 TTFT (s)",
+            "deployment", "mean TTFT (s)", "p95 TTFT (s)",
             "mean TTIT (ms)", "p95 TTIT (ms)", "makespan (s)",
         ],
     )
@@ -53,7 +52,7 @@ def run() -> ExperimentResult:
     for name, report in reports.items():
         m = report.metrics
         res.add_row(
-            name, "runtime (measured)", float(np.mean(m.ttft_samples)), m.percentile_ttft(95),
+            name, float(np.mean(m.ttft_samples)), m.percentile_ttft(95),
             float(np.mean(m.ttit_samples)) * 1e3, m.percentile_ttit(95) * 1e3, report.makespan,
         )
 
@@ -74,10 +73,9 @@ def run() -> ExperimentResult:
         + "."
     )
     res.notes.append(
-        "Interference is the measured story the analytic model only "
-        "predicts: the disaggregated decode pool streams at its clean "
-        "TP-decode round price, while colocated TTIT carries the prefill "
-        "chunks the runtime interleaves between decode rounds (p95 TTIT "
-        "holds whole prefill rounds)."
+        "Interference is measured, not modelled: the disaggregated decode "
+        "pool streams at its clean TP-decode round price, while colocated "
+        "TTIT carries the prefill chunks the runtime interleaves between "
+        "decode rounds (p95 TTIT holds whole prefill rounds)."
     )
     return res

@@ -19,25 +19,22 @@ from repro.core.shape_engine import ShapeModel
 from repro.experiments.base import ExperimentResult
 from repro.experiments.serving_grid import run_grid
 from repro.model.config import tiny_config
-from repro.perf.hardware import HostSpec
 from repro.runtime import ServeConfig
 from repro.workloads.generator import ConversationScript, WorkloadGenerator, poisson_arrivals
 
 
-def run(
-    host: HostSpec | None = None,
-    *,
-    n_ranks: int = 4,
-    n_requests: int = 24,
-    context_tokens: int = 131072,
-    output_tokens: int = 64,
-) -> ExperimentResult:
+#: The §4.3 deployment pair at the paper's 128K context, one whole prompt
+#: per prefill round and unbounded KV: CP4 colocated, and a CP4 prefill
+#: pool feeding a one-rank decode pool priced at TP8 TTIT.
+CONTEXT = 131072
+_WHOLE = dict(world=4, chunk=CONTEXT, round_budget=CONTEXT, priced_ranks=4)
+CELLS = {"colocated": ServeConfig(**_WHOLE), "disaggregated": ServeConfig(**_WHOLE, decode_world=1)}
+
+
+def run() -> ExperimentResult:
     res = ExperimentResult(
         experiment_id="Serving under load",
-        title=(
-            f"Poisson load, {context_tokens // 1024}K context, "
-            f"{output_tokens} output tokens, CP{n_ranks}"
-        ),
+        title="Poisson load, 128K context, 64 output tokens, CP4",
         headers=[
             "arrival rate (req/s)", "mode",
             "mean TTFT (s)", "p99 TTFT (s)",
@@ -45,15 +42,12 @@ def run(
             "throughput (req/s)",
         ],
     )
-    prompt = np.zeros(context_tokens, dtype=np.int64)
-    scripts = [ConversationScript(sid, [prompt], [output_tokens]) for sid in range(n_requests)]
-    # one whole prompt per prefill round, unbounded KV
-    whole = dict(world=n_ranks, chunk=context_tokens, round_budget=context_tokens, priced_ranks=n_ranks)
-    cells = {"colocated": ServeConfig(**whole), "disaggregated": ServeConfig(**whole, decode_world=1)}
+    prompt = np.zeros(CONTEXT, dtype=np.int64)
+    scripts = [ConversationScript(sid, [prompt], [64]) for sid in range(24)]
     for rate in (0.02, 0.05, 0.08):
         reports = run_grid(
-            res.experiment_id, scripts, cells, model=ShapeModel(tiny_config()), host=host,
-            arrivals=poisson_arrivals(rate, n_requests, seed=7),
+            res.experiment_id, scripts, CELLS, model=ShapeModel(tiny_config()),
+            arrivals=poisson_arrivals(rate, len(scripts), seed=7),
         )
         for mode, report in reports.items():
             done = list(report.completed.values())

@@ -26,9 +26,11 @@ Pricing conventions (documented approximations):
   dedicated decode pool, §4.3).
 - A pool-to-pool KV transfer of ``n`` tokens is priced at full-stream
   bandwidth cost (``LatencySimulator.kv_transfer_s``: ``n *
-  kv_bytes_per_token / ring_bandwidth``); the disaggregated runtime overlaps it with compute
-  explicitly instead of the analytic model's ``1/n_layers`` exposure
-  approximation.
+  kv_bytes_per_token / ring_bandwidth``). A turn's whole KV ships after
+  its prefill and lands before its first decode round; both pools keep
+  running rounds meanwhile. This is the one model of §4.3's KV stream;
+  layer-wise streaming would belong in :class:`repro.runtime.transfer
+  .KVTransferStream`.
 - A CPU-side KV swap of ``n`` tokens (the runtime's ``--preemption swap``
   remedy: DMA the victim's KV to host DRAM instead of recomputing it) is
   priced at PCIe-bandwidth cost (``LatencySimulator.kv_swap_s``: ``n *

@@ -14,8 +14,6 @@ KV cache. This package provides that serving loop on top of
   continuous-batching runtime (:mod:`repro.runtime`); the paper's
   long-context regime runs through that runtime on
   :class:`repro.core.shape_engine.ShapeEngine`.
-- :mod:`repro.serving.disaggregated` — §4.3's closed-form per-request
-  model of colocated vs disaggregated serving.
 - :mod:`repro.serving.metrics` — TTFT/TTIT/cache-hit aggregation and
   preemption/eviction accounting.
 """

@@ -50,15 +50,17 @@ class TestGqaSensitivity:
 
 
 class TestDisaggregation:
-    def test_long_outputs_favor_disaggregation(self):
-        res = disaggregation.run()
-        assert res.column("winner")[-1] == "disaggregated"
+    @pytest.fixture(scope="class")
+    def result(self):
+        return disaggregation.run()
 
-    def test_ttit_constant_per_mode(self):
-        res = disaggregation.run()
-        colo = set(res.column("colocated TTIT (ms)"))
-        disagg = set(res.column("disaggregated TTIT (ms)"))
-        assert len(colo) == 1 and len(disagg) == 1
+    def test_long_outputs_favor_disaggregation(self, result):
+        assert result.column("winner")[-1] == "disaggregated"
+
+    def test_ttit_constant_per_mode(self, result):
+        colo = result.column("colocated p50 TTIT (ms)")
+        disagg = result.column("disaggregated p50 TTIT (ms)")
+        assert max(colo) / min(colo) < 1.01 and max(disagg) / min(disagg) < 1.01
         assert min(colo) > max(disagg)
 
 
@@ -70,22 +72,6 @@ class TestPpVsCp:
         assert cp == sorted(cp, reverse=True)
         assert cp[-1] < cp[0] / 4
         assert max(pp) / min(pp) < 1.05
-
-
-class TestServingLoad:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return serving_load.run(n_requests=10)
-
-    def test_modes_alternate(self, result):
-        modes = result.column("mode")
-        assert modes[0::2] == ["colocated"] * (len(modes) // 2)
-        assert modes[1::2] == ["disaggregated"] * (len(modes) // 2)
-
-    def test_disaggregated_tokens_flow_faster(self, result):
-        per_token = result.column("mean ms/token")
-        for colo, disagg in zip(per_token[0::2], per_token[1::2]):
-            assert disagg < colo
 
 
 class TestRuntimeUnderCapacityPressure:
@@ -109,25 +95,25 @@ class TestRuntimeUnderCapacityPressure:
 class TestDisaggregatedRuntime:
     @pytest.fixture(scope="class")
     def ttit(self):
-        """``{(deployment, source): (mean, p95)}`` TTIT in ms."""
+        """``{deployment: (mean, p95)}`` TTIT in ms."""
         result = disagg_runtime.run()
         return {
-            (row[0], row[1].split()[0]): (mean, p95)
-            for row, mean, p95 in zip(
-                result.rows, result.column("mean TTIT (ms)"), result.column("p95 TTIT (ms)")
+            deployment: (mean, p95)
+            for deployment, mean, p95 in zip(
+                result.column("deployment"), result.column("mean TTIT (ms)"), result.column("p95 TTIT (ms)")
             )
         }
 
     def test_disaggregation_cuts_the_measured_ttit_tail(self, ttit):
         """Colocated decode rounds stall behind interleaved prefill chunks;
         the dedicated decode pool does not."""
-        assert ttit[("disaggregated", "runtime")][1] < ttit[("colocated", "runtime")][1]
+        assert ttit["disaggregated"][1] < ttit["colocated"][1]
 
     def test_measured_disaggregated_ttit_matches_the_prediction(self, ttit):
         """The decode pool streams at the clean single-host TP-decode TTIT
         the latency model prices."""
         predicted = 1e3 * LatencySimulator(llama3_405b_config(), gtt_host()).tp_decode(64).total
-        assert ttit[("disaggregated", "runtime")][0] == pytest.approx(predicted, rel=0.01)
+        assert ttit["disaggregated"][0] == pytest.approx(predicted, rel=0.01)
 
 
 class TestPreemptionModes:

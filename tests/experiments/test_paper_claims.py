@@ -12,12 +12,15 @@ The tests take no fixtures (bar the two slow sweeps), so the mutation
 catalogue can run them as killers of a seeded pricing bug.
 """
 
+import re
+
 import pytest
 
 from repro.experiments import (
     ablation_allgather,
     ablation_sharding,
     capacity_scaling,
+    disaggregation,
     fig6_prefill_scaling,
     fig7_cp_vs_tp,
     fig8_million_token,
@@ -273,25 +276,57 @@ def test_section1_pp_throughput_keeps_pace_with_cp():
     assert res.column("PP prefills/s (saturated)")[-1] > 0.9 * res.column("CP prefills/s")[-1]
 
 
+def test_section4_3_disaggregation_breaks_even_after_the_kv_wait():
+    """One 128K request through the runtime: the decode pool waits once for
+    the prompt's whole KV, then saves TTIT on every token. Colocated wins
+    the 4-token response, disaggregation every one from 16 tokens, and the
+    note's break-even, derived from the measured wait, sits at the flip."""
+    res = disaggregation.run()
+    winner = dict(zip(res.column("output tokens"), res.column("winner")))
+    assert winner[4] == "colocated"
+    assert all(w == "disaggregated" for n, w in winner.items() if n >= 16)
+    winners = list(winner.values())
+    assert sum(a != b for a, b in zip(winners, winners[1:])) == 1
+    colo, disagg = (res.column(f"{mode} p50 TTIT (ms)") for mode in ("colocated", "disaggregated"))
+    for ttit in (colo, disagg):
+        assert max(ttit) / min(ttit) < 1.01
+    assert min(colo) > max(disagg)
+    break_even = int(re.search(r"Break-even at (\d+) output tokens", res.notes[0]).group(1))
+    last_colocated = max(n for n, w in winner.items() if w == "colocated")
+    first_disaggregated = min(n for n, w in winner.items() if w == "disaggregated")
+    assert last_colocated < break_even <= first_disaggregated
+
+
 @pytest.fixture(scope="module")
 def serving():
-    """``{mode: [row per arrival rate]}`` of the Poisson-load sweep."""
-    by_mode = {}
-    for row in serving_load.run().rows:
-        by_mode.setdefault(row[1], []).append(row)
-    return by_mode
+    """The Poisson-load sweep: one row per (arrival rate, mode)."""
+    return serving_load.run()
+
+
+def _mode_rows(serving, mode):
+    return [row for row in serving.rows if row[1] == mode]
+
+
+def test_section4_3_serving_rows_alternate_modes(serving):
+    modes = serving.column("mode")
+    assert modes == ["colocated", "disaggregated"] * (len(modes) // 2)
+
+
+def test_section4_3_disaggregated_tokens_flow_faster(serving):
+    for colo, disagg in zip(_mode_rows(serving, "colocated"), _mode_rows(serving, "disaggregated")):
+        assert disagg[4] < colo[4]
 
 
 def test_section4_3_disaggregation_never_worsens_e2e_latency(serving):
-    for colo, disagg in zip(serving["colocated"], serving["disaggregated"]):
+    for colo, disagg in zip(_mode_rows(serving, "colocated"), _mode_rows(serving, "disaggregated")):
         assert disagg[5] <= colo[5]
 
 
 def test_section4_3_colocated_decode_stalls_grow_with_load(serving):
-    per_token = [row[4] for row in serving["colocated"]]
+    per_token = [row[4] for row in _mode_rows(serving, "colocated")]
     assert per_token == sorted(per_token)
 
 
 def test_section4_3_disaggregated_decode_flat_under_load(serving):
-    per_token = [row[4] for row in serving["disaggregated"]]
+    per_token = [row[4] for row in _mode_rows(serving, "disaggregated")]
     assert max(per_token) / min(per_token) < 1.05

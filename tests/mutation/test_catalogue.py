@@ -25,8 +25,9 @@ which must compare every turn and catch a turn finished after its
 conversation was shed; the pricing of collective spans
 (``HostSpec.all2all_s`` and ``distributed/process_group.py``), which must
 be the hardware model's own; and the latency model behind the paper's
-tables (``HostSpec.sendrecv_s`` / ``allreduce_s`` and the ring overlap in
-``perf/latency.py``), whose killers are paper claims
+tables (``HostSpec.sendrecv_s`` / ``allreduce_s``, the ring overlap in
+``perf/latency.py`` and ``LatencySimulator.kv_transfer_s``, the price of
+§4.3's KV stream), whose killers are paper claims
 (``experiments/test_paper_claims.py``) or calibration tests; and the
 shape-only engine (``core/shape_engine.py``), whose decode must rotate its
 placement as the numeric engine does, killed by a golden case's replay.
@@ -324,6 +325,12 @@ def _allreduce_free(monkeypatch):
     monkeypatch.setattr(HostSpec, "allreduce_s", lambda self, nbytes, n_ranks: 0.0)
 
 
+def _kv_transfer_free(monkeypatch):
+    """A prefill-to-decode KV transfer costs nothing, so disaggregation's
+    one wire wait vanishes and it wins every response length."""
+    monkeypatch.setattr(latency.LatencySimulator, "kv_transfer_s", lambda self, tokens: 0.0)
+
+
 def _shape_decode_unrotated(monkeypatch):
     """ShapeEngine's decode places every step as its first, ignoring the
     ``decode_steps`` round-robin offset (§3.6) the numeric engine rotates by."""
@@ -441,6 +448,9 @@ CATALOGUE = [
                        "::test_figure6b_gti_scales_like_gtt_to_4_nodes")),
     ("allreduce-free", _allreduce_free,
      functools.partial(_named_test, "experiments/test_paper_claims.py::test_figure7_tp_plateaus")),
+    ("kv-transfer-free", _kv_transfer_free,
+     functools.partial(_named_test, "experiments/test_paper_claims.py"
+                       "::test_section4_3_disaggregation_breaks_even_after_the_kv_wait")),
     ("shape-decode-unrotated", _shape_decode_unrotated,
      functools.partial(_named_test, "runtime/test_golden_traces.py::test_trace_digest_is_unchanged",
                        "coloc-recompute-noprefix-clean")),

@@ -78,3 +78,9 @@ class TestBatching:
             sim.cp_decode(0, n_ranks=2)
         with pytest.raises(ValueError):
             sim.cp_decode(100, batch=0, n_ranks=2)
+
+
+class TestKVTransfer:
+    def test_kv_transfer_scales_with_context(self, sim):
+        """§4.3's prefill-to-decode KV stream is priced per token shipped."""
+        assert sim.kv_transfer_s(262144) == pytest.approx(2 * sim.kv_transfer_s(131072))
