@@ -16,7 +16,7 @@ Run:  python examples/long_document_qa.py
 
 import numpy as np
 
-from repro import ContextParallelEngine, LlamaModel, tiny_config
+from repro import ChatSession, ContextParallelEngine, LlamaModel, tiny_config
 from repro.attention.flash import flash_attention
 
 
@@ -32,14 +32,14 @@ def main() -> None:
     document = np.concatenate([filler[:20], needle, filler[20:], probe])
 
     engine = ContextParallelEngine(model, world_size=4)
-    out = engine.prefill_chunked(0, document, chunk_tokens=64)
+    chunks = [engine.prefill({0: document[i : i + 64]}) for i in range(0, document.size, 64)]
     print(f"document: {document.size} tokens across 4 CP ranks "
-          f"(chunks of 64, final algo={out.plan.algo.value})")
+          f"(chunks of 64, final algo={chunks[-1].plan.algo.value})")
     print(f"per-rank KV: {engine.cached_tokens(0)}")
 
     # --- exactness: CP logits == single-device logits ---------------------
     ref = model.forward(document)
-    err = np.abs(out.logits[0] - ref).max()
+    err = np.abs(np.concatenate([out.logits[0] for out in chunks]) - ref).max()
     print(f"losslessness over the whole document: max err = {err:.2e}")
     assert err < 1e-8
 
@@ -65,7 +65,9 @@ def main() -> None:
     assert final_gap > 1e-6
 
     # --- answer generation is identical to single-device greedy ----------
-    cp_answer = engine.generate({0: np.array([needle[2]])}, max_new_tokens=4)[0]
+    cp_answer = ChatSession(engine, seq_id=0).send(
+        np.array([needle[2]]), max_new_tokens=4
+    ).generated
     history = list(document) + [int(needle[2])]
     expected = []
     for _ in range(4):

@@ -11,7 +11,7 @@ Run:  python examples/text_chat.py
 
 import numpy as np
 
-from repro import ContextParallelEngine, LlamaModel, tiny_config
+from repro import ChatSession, ContextParallelEngine, LlamaModel, tiny_config
 from repro.model.tokenizer import VOCAB_SIZE, ByteTokenizer
 
 
@@ -19,6 +19,7 @@ def main() -> None:
     tok = ByteTokenizer()
     model = LlamaModel(tiny_config(vocab_size=VOCAB_SIZE), seed=2024)
     engine = ContextParallelEngine(model, world_size=3)
+    session = ChatSession(engine, seq_id=0)
 
     user_turns = [
         "Summarize the design of pass-KV ring attention.",
@@ -29,9 +30,7 @@ def main() -> None:
     history_ids: list[int] = []
     for turn_idx, text in enumerate(user_turns):
         prompt = tok.encode(text, add_bos=(turn_idx == 0))
-        reply_ids = engine.generate(
-            {0: prompt}, max_new_tokens=12, stop_tokens={tok.eos_id}
-        )[0]
+        reply_ids = session.send(prompt, max_new_tokens=12).generated
         history_ids.extend(int(t) for t in prompt)
         history_ids.extend(reply_ids)
 

@@ -63,7 +63,6 @@ from repro.runtime import (
 )
 from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.serving.session import ChatSession
-from repro.testing import assert_lossless_conversation, assert_lossless_prefill
 from repro.version import __version__
 from repro.workloads.generator import poisson_arrivals
 
@@ -77,8 +76,6 @@ __all__ = [
     "SimulatedStepClock",
     "TurnRequest",
     "UnitStepClock",
-    "assert_lossless_conversation",
-    "assert_lossless_prefill",
     "poisson_arrivals",
     "DecodeBatch",
     "DecodeOutput",

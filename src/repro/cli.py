@@ -82,9 +82,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     host = gti_host() if args.platform == "gti" else gtt_host()
     sim = LatencySimulator(llama3_405b_config(), host)
+    try:
+        ttfts = {n: sim.cp_prefill(args.context, n_ranks=n).total for n in (1, 2, 4, 8, 16, 32)}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"planning {args.context} tokens on {host.name}, SLA {args.sla:.1f}s")
-    for n in (1, 2, 4, 8, 16, 32):
-        ttft = sim.cp_prefill(args.context, n_ranks=n).total
+    for n, ttft in ttfts.items():
         flops = model_flops(sim.config, args.context)
         util = mfu(flops, ttft, n * host.gpus_per_host, host.gpu.peak_flops)
         marker = " <-- meets SLA" if ttft <= args.sla else ""
@@ -107,14 +111,22 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
     from repro.perf.latency import LatencySimulator
 
     sim = LatencySimulator(llama3_405b_config(), gtt_host())
-    hc = sim.heuristic_config(args.ranks)
-    t, p = args.new_tokens, args.cached
+    t, p, n = args.new_tokens, args.cached, args.ranks
+    try:
+        hc = sim.heuristic_config(n)
+        picks = {
+            "Algorithm 1:": select_algo_simple(hc, t, p).value,
+            "Algorithm 5:": select_algo_with_all2all(hc, t, p).value,
+            "empirical (paper):": select_algo_empirical(t, p).value,
+            "simulated oracle:": sim.cp_prefill(t, p, n_ranks=n).algo,
+        }
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rate = t / (t + p) if t + p else 0.0
-    print(f"T={t} P={p} miss rate={rate:.2%} on CP{args.ranks}")
-    print(f"  Algorithm 1:        {select_algo_simple(hc, t, p).value}")
-    print(f"  Algorithm 5:        {select_algo_with_all2all(hc, t, p).value}")
-    print(f"  empirical (paper):  {select_algo_empirical(t, p).value}")
-    print(f"  simulated oracle:   {sim.best_algo(t, p, n_ranks=args.ranks).value}")
+    print(f"T={t} P={p} miss rate={rate:.2%} on CP{n}")
+    for label, algo in picks.items():
+        print(f"  {label:<20}{algo}")
     return 0
 
 
@@ -123,19 +135,24 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.model.config import tiny_config
     from repro.model.llama import LlamaModel
     from repro.obs import RecordingTracer, comm_totals
+    from repro.serving.session import ChatSession
 
     model = LlamaModel(tiny_config(), seed=0)
-    engine = ContextParallelEngine(model, world_size=args.world)
-    engine.group.tracer = tracer = RecordingTracer()
     toks = (np.arange(args.tokens) * 13) % model.config.vocab_size
-    out = engine.prefill({0: toks})
+    try:
+        engine = ContextParallelEngine(model, world_size=args.world)
+        engine.group.tracer = tracer = RecordingTracer()
+        out = engine.prefill({0: toks})
+        turn = ChatSession(engine, 1).send(toks[: args.tokens // 2], max_new_tokens=4)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     err = float(np.abs(out.logits[0] - model.forward(toks)).max())
-    generated = engine.generate({1: toks[: args.tokens // 2]}, max_new_tokens=4)
     by_kind = {kind: tot.bytes for kind, tot in comm_totals(tracer.events).items() if tot.count}
     print(f"world={args.world} tokens={args.tokens}")
     print(f"prefill algo: {out.plan.algo.value}")
     print(f"losslessness max error vs single device: {err:.3e}")
-    print(f"sample generation: {generated[1]}")
+    print(f"sample generation: {turn.generated}")
     print(f"comm bytes by kind: {by_kind}")
     return 0 if err < 1e-8 else 1
 
@@ -145,13 +162,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.model.config import tiny_config
     from repro.model.llama import LlamaModel
     from repro.obs import RecordingTracer, comm_totals, write_chrome
+    from repro.serving.session import ChatSession
 
     model = LlamaModel(tiny_config(), seed=0)
-    engine = ContextParallelEngine(model, world_size=args.world)
-    engine.group.tracer = tracer = RecordingTracer()
     toks = np.arange(args.tokens) % model.config.vocab_size
-    engine.prefill({0: toks})
-    engine.generate({0: np.array([1])}, max_new_tokens=args.decode_steps)
+    try:
+        engine = ContextParallelEngine(model, world_size=args.world)
+        engine.group.tracer = tracer = RecordingTracer()
+        engine.prefill({0: toks})
+        ChatSession(engine, 0).send(np.array([1]), max_new_tokens=args.decode_steps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_chrome(tracer.events, args.output)
     print(f"wrote {len(tracer.events)} traced events to {args.output}")
     print(f"{'kind':<12} {'count':>6} {'bytes':>14} {'seconds':>10}")

@@ -205,48 +205,6 @@ class ContextParallelEngine:
         self._commit_prefill(specs, new_ids)
         return PrefillOutput(logits=logits, plan=plan)
 
-    def prefill_chunked(
-        self,
-        seq_id: int,
-        token_ids: np.ndarray,
-        *,
-        chunk_tokens: int,
-        force_algo: RingAlgo | None = None,
-    ) -> PrefillOutput:
-        """Prefill one long prompt as a sequence of partial prefills.
-
-        Chunked prefill bounds peak activation memory for very long
-        prompts: each chunk runs as a partial prefill against the KV cached
-        by the previous chunks. Because the algorithms are exact, the
-        concatenated logits equal a one-shot prefill's (tested).
-
-        Args:
-            seq_id: sequence to extend.
-            token_ids: the full new prompt.
-            chunk_tokens: chunk size (>= 1).
-            force_algo: optional override applied to every chunk.
-
-        Returns:
-            A :class:`PrefillOutput` whose logits cover the whole prompt;
-            ``plan`` is the final chunk's plan.
-        """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if chunk_tokens < 1:
-            raise ValueError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
-        if token_ids.ndim != 1 or token_ids.size == 0:
-            raise ValueError("token_ids must be a non-empty 1-D array")
-        pieces: list[np.ndarray] = []
-        plan = None
-        for start in range(0, token_ids.size, chunk_tokens):
-            out = self.prefill(
-                {seq_id: token_ids[start : start + chunk_tokens]},
-                force_algo=force_algo,
-            )
-            pieces.append(out.logits[seq_id])
-            plan = out.plan
-        assert plan is not None
-        return PrefillOutput(logits={seq_id: np.concatenate(pieces, axis=0)}, plan=plan)
-
     # ------------------------------------------------------------------ #
     # decode
     # ------------------------------------------------------------------ #
@@ -350,63 +308,6 @@ class ContextParallelEngine:
             self._track_commit(sid, int(pos), [tokens[sid]])
             self.seq_lengths[sid] += 1
         self.decode_steps += 1
-
-    # ------------------------------------------------------------------ #
-    # generation convenience
-    # ------------------------------------------------------------------ #
-
-    def generate(
-        self,
-        prompts: dict[int, np.ndarray],
-        *,
-        max_new_tokens: int,
-        temperature: float | None = None,
-        rng: np.random.Generator | None = None,
-        stop_tokens: set[int] | None = None,
-    ) -> dict[int, list[int]]:
-        """Prefill + autoregressive decode in one call.
-
-        Args:
-            prompts: ``{seq_id: token ids}`` — full or follow-up prompts.
-            max_new_tokens: decode budget per sequence.
-            temperature: ``None`` = greedy; otherwise softmax sampling.
-            rng: generator for temperature sampling (required when
-                ``temperature`` is set).
-            stop_tokens: token ids that end a sequence's generation early.
-
-        Returns:
-            ``{seq_id: generated token ids}`` (may be shorter than the
-            budget when a stop token fires).
-        """
-        from repro.model.sampling import sample_greedy, sample_temperature
-
-        if max_new_tokens < 0:
-            raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
-        if temperature is not None and rng is None:
-            raise ValueError("temperature sampling requires an rng")
-        out = self.prefill(prompts)
-        generated: dict[int, list[int]] = {sid: [] for sid in prompts}
-        next_logits = {sid: out.last_logits(sid) for sid in prompts}
-        live = set(prompts)
-        for _ in range(max_new_tokens):
-            if not live:
-                break
-            tokens: dict[int, int] = {}
-            for sid in sorted(live):
-                logits = next_logits[sid]
-                if temperature is None:
-                    tok = int(sample_greedy(logits))
-                else:
-                    tok = int(sample_temperature(logits[None, :], temperature, rng)[0])
-                tokens[sid] = tok
-                generated[sid].append(tok)
-            step = self.decode(tokens)
-            for sid, tok in tokens.items():
-                if stop_tokens and tok in stop_tokens:
-                    live.discard(sid)
-                else:
-                    next_logits[sid] = step.logits[sid]
-        return generated
 
     # ------------------------------------------------------------------ #
     # shared-prefix KV reuse (radix prefix cache)
@@ -524,10 +425,6 @@ class ContextParallelEngine:
     # ------------------------------------------------------------------ #
     # bookkeeping
     # ------------------------------------------------------------------ #
-
-    def release(self, seq_id: int) -> None:
-        """Evict a finished conversation from every rank's cache."""
-        self.evict(seq_id)
 
     def evict(self, seq_id: int) -> int:
         """Evict ``seq_id`` from every rank; return total tokens freed.

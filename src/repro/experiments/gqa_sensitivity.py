@@ -25,7 +25,7 @@ from repro.model.config import (
 )
 from repro.perf.hardware import HostSpec, gtt_host
 from repro.perf.latency import LatencySimulator
-from repro.perf.roofline import cp_block_comm_bytes, tp_block_comm_bytes
+from repro.perf.roofline import kv_bytes, tp_block_comm_bytes
 
 
 def mha_405b_config() -> ModelConfig:
@@ -47,7 +47,7 @@ def run(host: HostSpec | None = None, *, n_ranks: int = 4, tokens: int = 131072)
     for cfg in (llama3_405b_config(), llama3_70b_config(), llama3_8b_config(), mha_405b_config()):
         sim = LatencySimulator(cfg, host)
         hc = sim.heuristic_config(n_ranks)
-        ratio = tp_block_comm_bytes(cfg, tokens) / cp_block_comm_bytes(cfg, tokens, 0)
+        ratio = tp_block_comm_bytes(cfg, tokens) / kv_bytes(cfg, tokens, 0)
         res.add_row(
             cfg.name,
             cfg.n_heads,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult
 from repro.model.config import ModelConfig, llama3_405b_config
 from repro.perf.flops import attention_flops, gemm_flops
-from repro.perf.roofline import cp_block_comm_bytes, kv_bytes, q_bytes, tp_block_comm_bytes
+from repro.perf.roofline import kv_bytes, q_bytes, tp_block_comm_bytes
 
 
 def run(config: ModelConfig | None = None, *, tokens: int = 131072) -> ExperimentResult:
@@ -22,7 +22,7 @@ def run(config: ModelConfig | None = None, *, tokens: int = 131072) -> Experimen
         headers=["quantity", "TP", "CP (pass-KV)", "TP / CP"],
     )
     tp = tp_block_comm_bytes(cfg, tokens, element_bytes=1.0)  # elements
-    cp = cp_block_comm_bytes(cfg, tokens, 0, element_bytes=1.0)
+    cp = kv_bytes(cfg, tokens, 0, element_bytes=1.0)
     res.add_row("comm elements / block", tp, cp, tp / cp)
     res.add_row(
         "parameter bytes / GPU",

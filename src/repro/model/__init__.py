@@ -15,7 +15,7 @@ Modules:
 - :mod:`repro.model.llama` — :class:`LlamaModel`, stage-decomposed so the
   CP engine can interleave per-rank local compute with ring attention.
 - :mod:`repro.model.norms` / :mod:`repro.model.mlp` — RMSNorm and SwiGLU.
-- :mod:`repro.model.sampling` — greedy / temperature sampling.
+- :mod:`repro.model.sampling` — greedy sampling.
 """
 
 from repro.model.config import (
@@ -28,7 +28,7 @@ from repro.model.config import (
 from repro.model.llama import LlamaModel
 from repro.model.mlp import swiglu
 from repro.model.norms import rms_norm
-from repro.model.sampling import sample_greedy, sample_temperature
+from repro.model.sampling import sample_greedy
 
 __all__ = [
     "LlamaModel",
@@ -38,7 +38,6 @@ __all__ = [
     "llama3_8b_config",
     "rms_norm",
     "sample_greedy",
-    "sample_temperature",
     "swiglu",
     "tiny_config",
 ]

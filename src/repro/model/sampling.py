@@ -12,27 +12,3 @@ def sample_greedy(logits: np.ndarray) -> np.ndarray:
         raise ValueError("logits must have a vocab axis")
     return np.argmax(logits, axis=-1).astype(np.int64)
 
-
-def sample_temperature(
-    logits: np.ndarray, temperature: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Softmax sampling at the given temperature.
-
-    Args:
-        logits: ``[B, vocab]`` (2-D only, for clarity).
-        temperature: > 0; lower is greedier.
-        rng: NumPy generator for determinism in tests.
-    """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be [B, vocab], got {logits.shape}")
-    z = logits / temperature
-    z -= z.max(axis=-1, keepdims=True)
-    probs = np.exp(z)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return np.array(
-        [rng.choice(probs.shape[1], p=probs[b]) for b in range(probs.shape[0])],
-        dtype=np.int64,
-    )

@@ -15,8 +15,9 @@ Modules:
   with the achieved-rate constants and their calibration provenance.
 - :mod:`repro.perf.flops` — GEMM and causal-attention FLOP counting and
   MFU (Appendix A).
-- :mod:`repro.perf.roofline` — message sizes (Tables 2-3) and the overlap
-  predicates (Equations 1-3, 5).
+- :mod:`repro.perf.roofline` — message sizes (Tables 2-3, Appendix C); the
+  overlap thresholds (Equations 1-3, 5) are
+  :class:`repro.core.heuristics.HeuristicConfig`'s.
 - :mod:`repro.perf.latency` — :class:`LatencySimulator` producing TTFT and
   TTIT with full component breakdowns for CP (pass-KV / pass-Q) and the
   multi-node TP baseline.
@@ -41,9 +42,6 @@ from repro.perf.hardware import (
 )
 from repro.perf.latency import LatencySimulator
 from repro.perf.roofline import (
-    can_hide_passkv_comm,
-    can_hide_passq_comm,
-    cp_attn_message_bytes,
     kv_bytes,
     q_bytes,
     tp_block_comm_bytes,
@@ -57,9 +55,6 @@ __all__ = [
     "PrefillLatency",
     "attention_flops",
     "attention_pairs",
-    "can_hide_passkv_comm",
-    "can_hide_passq_comm",
-    "cp_attn_message_bytes",
     "gemm_flops",
     "gti_host",
     "gtt_host",

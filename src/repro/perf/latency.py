@@ -297,12 +297,6 @@ class LatencySimulator:
             world_size=n_ranks,
         )
 
-    def best_algo(self, new_tokens: int, cached_tokens: int, *, n_ranks: int) -> RingAlgo:
-        """Oracle selection: simulate both variants, return the faster."""
-        kv = self.cp_prefill(new_tokens, cached_tokens, n_ranks=n_ranks, algo=RingAlgo.PASS_KV)
-        qq = self.cp_prefill(new_tokens, cached_tokens, n_ranks=n_ranks, algo=RingAlgo.PASS_Q)
-        return RingAlgo.PASS_KV if kv.total <= qq.total else RingAlgo.PASS_Q
-
     @staticmethod
     def _check(tokens: int, ranks: int, batch: int) -> None:
         if tokens < 1:

@@ -1,9 +1,10 @@
-"""Message sizes and overlap predicates (paper §3.4, Tables 2-3, Eqs. 1-3).
+"""Message sizes (paper §3.4, Tables 2-3, Appendix C).
 
-These closed forms decide *which tensor to circulate* and *whether the ring
-communication hides under attention compute*. They are shared by the
-heuristics (:mod:`repro.core.heuristics`), the latency simulator
-(:mod:`repro.perf.latency`) and the Table 2 benchmark.
+These closed forms give the bytes each ring variant and the TP baseline
+move: the latency simulator (:mod:`repro.perf.latency`) prices them, and
+the Table 2 and GQA-sensitivity experiments compare them. The overlap
+thresholds of Equations 1-3 and 5 live once, on
+:class:`repro.core.heuristics.HeuristicConfig`.
 """
 
 from __future__ import annotations
@@ -28,73 +29,10 @@ def kv_bytes(
     return 2.0 * total * config.model_dim * (config.n_kv_heads / config.n_heads) * element_bytes
 
 
-def cp_attn_message_bytes(
-    config: ModelConfig,
-    new_tokens: int,
-    cached_tokens: int,
-    *,
-    element_bytes: float = 2.0,
-) -> float:
-    """Bytes the cheaper ring variant circulates per layer:
-    ``min(Q bytes, KV bytes)``."""
-    return min(
-        q_bytes(config, new_tokens, element_bytes),
-        kv_bytes(config, new_tokens, cached_tokens, element_bytes),
-    )
-
-
 def tp_block_comm_bytes(config: ModelConfig, tokens: int, element_bytes: float = 2.0) -> float:
     """TP communication per transformer block: two AllReduces of the
     activation, ``2 * T * NH * DH * e`` (Table 2)."""
     return 2.0 * tokens * config.model_dim * element_bytes
-
-
-def cp_block_comm_bytes(
-    config: ModelConfig,
-    new_tokens: int,
-    cached_tokens: int = 0,
-    element_bytes: float = 2.0,
-) -> float:
-    """CP communication per transformer block (pass-KV): the KV tensors,
-    ``T * NKV * DH * e`` each for K and V (Table 2 lists the aggregate as
-    ``T * NKV * DH`` elements; we count K and V explicitly)."""
-    return kv_bytes(config, new_tokens, cached_tokens, element_bytes)
-
-
-def can_hide_passkv_comm(
-    config: ModelConfig,
-    new_tokens: int,
-    n_ranks: int,
-    *,
-    compute_flops: float,
-    bandwidth: float,
-    element_bytes: float = 2.0,
-) -> bool:
-    """Equation (2): pass-KV SendRecv hides under attention iff
-    ``T >= N * C * NKV * e / (2 * NH * BW)``."""
-    threshold = (
-        n_ranks
-        * compute_flops
-        * config.n_kv_heads
-        * element_bytes
-        / (2.0 * config.n_heads * bandwidth)
-    )
-    return new_tokens >= threshold
-
-
-def can_hide_passq_comm(
-    config: ModelConfig,
-    total_context: int,
-    n_ranks: int,
-    *,
-    compute_flops: float,
-    bandwidth: float,
-    element_bytes: float = 2.0,
-) -> bool:
-    """Equation (3): pass-Q ring SendRecv hides under attention iff
-    ``(T + P) >= N * e * C / (4 * BW)``."""
-    threshold = n_ranks * element_bytes * compute_flops / (4.0 * bandwidth)
-    return total_context >= threshold
 
 
 def all2all_bytes(

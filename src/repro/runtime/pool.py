@@ -44,15 +44,10 @@ class Pool:
         self.holders.discard(seq_id)
         return freed
 
-    def release(self, seq_id: int) -> None:
-        """Forget ``seq_id`` entirely (KV and per-sequence engine state)."""
-        self.engine.release(seq_id)
-        self.holders.discard(seq_id)
-
     def swap_out(self, seq_id: int) -> None:
         """Move ``seq_id``'s KV whole from the engine to the host store."""
         export = self.engine.export_kv(seq_id)
-        self.release(seq_id)
+        self.evict(seq_id)
         self.store[seq_id] = export
         self.store_tokens += export.tokens
 

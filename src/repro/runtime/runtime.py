@@ -951,7 +951,7 @@ class ContinuousBatchingRuntime:
         recompute and future shared-prefix requests can adopt it;
         capacity pressure evicts it LRU like any cached resident."""
         if self.prefix_index is None:
-            self._pools[POOL_PREFILL].release(seq_id)
+            self._pools[POOL_PREFILL].evict(seq_id)
         else:
             self.prefix_index.touch(seq_id)
 
@@ -1788,9 +1788,9 @@ class ContinuousBatchingRuntime:
             # the same seq_id starts a fresh conversation)
             prefill, decode = self._pools[POOL_PREFILL], self._pools[POOL_DECODE]
             if decode is not prefill:
-                decode.release(seq_id)  # a separate decode pool never donates
+                decode.evict(seq_id)  # a separate decode pool never donates
             if self.prefix_index is None:
-                prefill.release(seq_id)
+                prefill.evict(seq_id)
             elif prefill.engine.context_length(seq_id):
                 # prefix cache on: the prefill pool's copy stays resident
                 # as an LRU-evictable cached prefix (the engine keeps its

@@ -8,7 +8,9 @@ KV cache. This package provides that serving loop on top of
 
 - :mod:`repro.serving.request` — turn records.
 - :mod:`repro.serving.session` — :class:`ChatSession`, one conversation's
-  prefill/decode driver with cache-hit accounting.
+  prefill/decode driver with cache-hit accounting: the only way to run a
+  turn outside the runtime, and the sequential reference it is checked
+  against.
 - :mod:`repro.serving.scheduler` — the chunk-granularity round packing
   (Figure 1's fused varseq rounds) of the one scheduler, the
   continuous-batching runtime (:mod:`repro.runtime`); the paper's

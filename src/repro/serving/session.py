@@ -4,7 +4,10 @@
 :class:`repro.core.engine.ContextParallelEngine`: it submits the first
 prompt as full prefill, greedily decodes a response, and submits follow-up
 prompts as partial prefill over the persistent sharded KV cache — the exact
-multi-turn loop of paper §3.3. Each turn's ``(T, P)`` pair and the planner's
+multi-turn loop of paper §3.3. It is the one turn driver outside the
+continuous-batching runtime: the sequential reference the runtime is
+bit-checked against, and what the CLI, the examples and the tests call to
+run a conversation. Each turn's ``(T, P)`` pair and the planner's
 pass-KV/pass-Q choice are recorded so tests can assert the heuristic flips
 to pass-Q at high cache-hit rates.
 """
@@ -46,11 +49,16 @@ class ChatSession:
 
         Args:
             prompt_ids: new prompt token ids.
-            max_new_tokens: response decode budget.
+            max_new_tokens: response decode budget (>= 0).
 
         Returns:
             The completed :class:`TurnRecord` (also appended to ``turns``).
+
+        Raises:
+            ValueError: ``max_new_tokens`` is negative.
         """
+        if max_new_tokens < 0:
+            raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
         prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
         cached = self.context_length
         out = self.engine.prefill({self.seq_id: prompt_ids})
@@ -77,4 +85,4 @@ class ChatSession:
 
     def close(self) -> None:
         """Evict this conversation's KV from every rank."""
-        self.engine.release(self.seq_id)
+        self.engine.evict(self.seq_id)

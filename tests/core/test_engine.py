@@ -157,6 +157,6 @@ class TestRelease:
         engine = ContextParallelEngine(model, world_size=2)
         engine.prefill({0: np.arange(10) % model.config.vocab_size})
         assert engine.context_length(0) == 10
-        engine.release(0)
+        assert engine.evict(0) == 10
         assert engine.context_length(0) == 0
         assert sum(engine.cached_tokens(0)) == 0

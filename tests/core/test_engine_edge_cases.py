@@ -48,7 +48,7 @@ class TestSequenceLifecycle:
     def test_seq_id_reuse_after_release(self, model):
         engine = ContextParallelEngine(model, world_size=2)
         engine.prefill({0: np.arange(8)})
-        engine.release(0)
+        engine.evict(0)
         toks = (np.arange(5) + 3) % model.config.vocab_size
         out = engine.prefill({0: toks})
         # a released id starts fresh: logits match a from-scratch forward

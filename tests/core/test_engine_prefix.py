@@ -6,6 +6,7 @@ import pytest
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
+from repro.serving.session import ChatSession
 
 MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
@@ -66,11 +67,11 @@ class TestMatchAdopt:
         eng.prefill({0: np.concatenate([shared, prompt(6)])})
         eng.adopt_prefix(1, 0, 24)
         eng.prefill({1: tail})
-        got = eng.generate({1: ext}, max_new_tokens=5)[1]
+        got = ChatSession(eng, 1).send(ext, max_new_tokens=5).generated
 
         ref = engine()
         ref.prefill({1: np.concatenate([shared, tail])})
-        want = ref.generate({1: ext}, max_new_tokens=5)[1]
+        want = ChatSession(ref, 1).send(ext, max_new_tokens=5).generated
         assert got == want
 
     def test_adopter_becomes_donor(self):
@@ -149,11 +150,11 @@ class TestIndexLockstep:
         p, ext = prompt(12), prompt(3)
         eng.prefill({0: p})
         export = eng.export_kv(0)
-        eng.release(0)
+        eng.evict(0)
         eng.import_kv(export)
-        got = eng.generate({0: ext}, max_new_tokens=4)[0]
+        got = ChatSession(eng, 0).send(ext, max_new_tokens=4).generated
         ref = engine()
         ref.prefill({0: p})
-        want = ref.generate({0: ext}, max_new_tokens=4)[0]
+        want = ChatSession(ref, 0).send(ext, max_new_tokens=4).generated
         assert got == want
         assert eng.match_prefix(p) == (0, None)

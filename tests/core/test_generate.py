@@ -1,4 +1,4 @@
-"""Tests for the engine's generation convenience loop."""
+"""Tests for greedy generation through the one turn driver, ChatSession."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
+from repro.serving.session import ChatSession
 
 
 @pytest.fixture(scope="module")
@@ -13,60 +14,45 @@ def model():
     return LlamaModel(tiny_config(), seed=31)
 
 
+def single_device_greedy(model, history, n):
+    history = list(history)
+    expected = []
+    for _ in range(n):
+        logits = model.forward(np.array(history))
+        tok = int(np.argmax(logits[-1]))
+        expected.append(tok)
+        history.append(tok)
+    return expected
+
+
 class TestGenerate:
     def test_greedy_matches_single_device(self, model):
-        engine = ContextParallelEngine(model, world_size=3)
+        """Both the full-prefill turn and the partial-prefill follow-up
+        decode the single-device greedy tokens."""
+        session = ChatSession(ContextParallelEngine(model, world_size=3), seq_id=0)
         prompt = (np.arange(9) * 5) % model.config.vocab_size
-        got = engine.generate({0: prompt}, max_new_tokens=4)[0]
-
-        history = list(prompt)
-        expected = []
-        for _ in range(4):
-            logits = model.forward(np.array(history))
-            tok = int(np.argmax(logits[-1]))
-            expected.append(tok)
-            history.append(tok)
-        assert got == expected
-
-    def test_batched_generation(self, model):
-        engine = ContextParallelEngine(model, world_size=2)
-        prompts = {
-            0: np.arange(6) % model.config.vocab_size,
-            1: (np.arange(10) + 1) % model.config.vocab_size,
-        }
-        out = engine.generate(prompts, max_new_tokens=3)
-        assert set(out) == {0, 1}
-        assert all(len(v) == 3 for v in out.values())
-
-    def test_temperature_deterministic_with_rng(self, model):
-        a = ContextParallelEngine(model, world_size=2).generate(
-            {0: np.arange(5)}, max_new_tokens=3,
-            temperature=1.0, rng=np.random.default_rng(4),
+        assert session.send(prompt, max_new_tokens=4).generated == single_device_greedy(
+            model, prompt, 4
         )
-        b = ContextParallelEngine(model, world_size=2).generate(
-            {0: np.arange(5)}, max_new_tokens=3,
-            temperature=1.0, rng=np.random.default_rng(4),
-        )
-        assert a == b
-
-    def test_stop_tokens_end_early(self, model):
-        engine = ContextParallelEngine(model, world_size=2)
-        prompt = np.arange(8) % model.config.vocab_size
-        # find the first greedy token, then stop on it
-        probe = ContextParallelEngine(model, world_size=2).generate(
-            {0: prompt}, max_new_tokens=1
-        )[0][0]
-        out = engine.generate({0: prompt}, max_new_tokens=5, stop_tokens={probe})
-        assert out[0] == [probe]
+        follow_up = np.array([3, 1, 4])
+        got = session.send(follow_up, max_new_tokens=3).generated
+        assert got == single_device_greedy(model, session.history[: -len(got)], 3)
 
     def test_zero_budget(self, model):
-        engine = ContextParallelEngine(model, world_size=2)
-        out = engine.generate({0: np.arange(4)}, max_new_tokens=0)
-        assert out[0] == []
+        """A zero budget is a prefill-only turn; the next turn decodes on top."""
+        session = ChatSession(ContextParallelEngine(model, world_size=2), seq_id=0)
+        rec = session.send(np.arange(4), max_new_tokens=0)
+        assert rec.generated == [] and rec.response_tokens == 0
+        assert session.context_length == 4
+        got = session.send(np.array([7]), max_new_tokens=2).generated
+        assert got == single_device_greedy(model, [0, 1, 2, 3, 7], 2)
 
     def test_validation(self, model):
-        engine = ContextParallelEngine(model, world_size=2)
-        with pytest.raises(ValueError):
-            engine.generate({0: np.arange(4)}, max_new_tokens=-1)
-        with pytest.raises(ValueError):
-            engine.generate({0: np.arange(4)}, max_new_tokens=2, temperature=0.5)
+        """A negative budget on a follow-up turn leaves the cached
+        conversation untouched."""
+        session = ChatSession(ContextParallelEngine(model, world_size=2), seq_id=0)
+        session.send(np.arange(4), max_new_tokens=1)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            session.send(np.arange(3), max_new_tokens=-1)
+        assert session.context_length == 5 and len(session.history) == 5
+        assert len(session.turns) == 1

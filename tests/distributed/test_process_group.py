@@ -13,6 +13,7 @@ from repro.obs import RecordingTracer
 from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.perf.roofline import kv_bytes, q_bytes
+from repro.serving.session import ChatSession
 
 from helpers import comm, traced_group
 
@@ -202,7 +203,7 @@ class TestOneHardwareModel:
         toks = np.arange(40) % model.config.vocab_size
         engine.prefill({0: toks}, force_algo=RingAlgo.PASS_KV)
         engine.prefill({0: toks[:3]}, force_algo=RingAlgo.PASS_Q)
-        engine.generate({0: toks[:1]}, max_new_tokens=2)
+        ChatSession(engine, 0).send(toks[:1], max_new_tokens=2)
         group.all_gather([np.zeros(8), np.zeros(5), np.zeros(8), np.zeros(2)])
         group.all_reduce_sum([np.ones(6)] * 4)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.sampling import sample_greedy, sample_temperature
+from repro.model.sampling import sample_greedy
 
 
 class TestGreedy:
@@ -18,29 +18,3 @@ class TestGreedy:
         with pytest.raises(ValueError):
             sample_greedy(np.float64(3.0))
 
-
-class TestTemperature:
-    def test_low_temperature_approaches_greedy(self):
-        rng = np.random.default_rng(0)
-        logits = np.array([[0.0, 4.0, 1.0]])
-        samples = [sample_temperature(logits, 0.01, rng)[0] for _ in range(50)]
-        assert all(s == 1 for s in samples)
-
-    def test_high_temperature_spreads(self):
-        rng = np.random.default_rng(0)
-        logits = np.array([[0.0, 1.0, 0.5]])
-        samples = {int(sample_temperature(logits, 100.0, rng)[0]) for _ in range(200)}
-        assert samples == {0, 1, 2}
-
-    def test_deterministic_given_rng(self):
-        logits = np.array([[0.0, 1.0, 2.0]])
-        a = sample_temperature(logits, 1.0, np.random.default_rng(7))
-        b = sample_temperature(logits, 1.0, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_temperature(np.zeros((1, 3)), 0.0, rng)
-        with pytest.raises(ValueError):
-            sample_temperature(np.zeros(3), 1.0, rng)

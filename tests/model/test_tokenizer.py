@@ -7,6 +7,7 @@ from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 from repro.model.tokenizer import BOS_ID, EOS_ID, VOCAB_SIZE, ByteTokenizer
+from repro.serving.session import ChatSession
 
 
 class TestByteTokenizer:
@@ -50,7 +51,7 @@ class TestByteTokenizer:
         )
         engine = ContextParallelEngine(model, world_size=2)
         prompt = tok.encode("ring attention")
-        generated = engine.generate({0: prompt}, max_new_tokens=6)[0]
+        generated = ChatSession(engine, 0).send(prompt, max_new_tokens=6).generated
         # reference greedy loop
         history = list(prompt)
         for _ in range(6):

@@ -13,7 +13,8 @@ victim loop (``_make_room``), the two bounds on a victim (``_find_victim``:
 younger than the beneficiary, never the oldest live request) and the
 remedy ladder (``_rungs``, then full eviction); the rings' shard skip
 (``ring_skip.partial_fully_masked``), which alone decides which ring-step
-partials are replaced by the merge identity; what the deployment
+partials are replaced by the merge identity, and the prefill rings' merge
+of every step's partial (``merge_partials``); what the deployment
 builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
 decode pricing and the decode pool's capacity; the counters
 (``serving/metrics.py``): a round's duration check, the ``finish`` row's
@@ -46,6 +47,7 @@ import pytest
 from dataclasses import replace
 
 from repro.core import ring_decode, ring_passkv, ring_passq
+from repro.core.merge import merge_partials
 from repro.core.shape_engine import ShapeEngine
 from repro.distributed import process_group
 from repro.model.config import llama3_405b_config
@@ -171,6 +173,13 @@ def _ring_skip_off_by_one(monkeypatch):
 
     for ring in (ring_passkv, ring_passq, ring_decode):
         monkeypatch.setattr(ring, "partial_fully_masked", strict)
+
+
+def _merge_drops_last_partial(monkeypatch):
+    """Both prefill rings merge every ring step's partial but the last, so
+    the attention output loses the keys of one shard."""
+    for ring in (ring_passkv, ring_passq):
+        monkeypatch.setattr(ring, "merge_partials", lambda partials: merge_partials(partials[:-1]))
 
 
 def _replicas_share_unscoped_tracer(monkeypatch):
@@ -385,6 +394,8 @@ _ONE_HARDWARE_MODEL = (
     "::test_every_collective_span_is_priced_by_the_host_formula"
 )
 
+_PASSKV_EXACT = "properties/test_prop_ring.py::TestRingLosslessness::test_passkv_exact_for_any_case"
+
 _SIM_405B = latency.LatencySimulator(llama3_405b_config(), gtt_host())
 
 CATALOGUE = [
@@ -404,9 +415,9 @@ CATALOGUE = [
     ("full-eviction-before-rung", _full_eviction_before_rung,
      functools.partial(_named_test, "runtime/test_runtime.py::TestPreemptionModes"
                        "::test_trim_keeps_prefix_resident")),
-    ("ring-skip-off-by-one", _ring_skip_off_by_one,
-     functools.partial(_named_test, "properties/test_prop_ring.py::TestRingLosslessness"
-                       "::test_passkv_exact_for_any_case")),
+    ("ring-skip-off-by-one", _ring_skip_off_by_one, functools.partial(_named_test, _PASSKV_EXACT)),
+    ("merge-drops-last-partial", _merge_drops_last_partial,
+     functools.partial(_named_test, _PASSKV_EXACT)),
     ("replicas-share-unscoped-tracer", _replicas_share_unscoped_tracer,
      functools.partial(_golden_case, "fleet3-disagg-swap-noprefix-clean-least-loaded")),
     ("tp-decode-not-derived", _tp_decode_not_derived,

@@ -66,16 +66,16 @@ class TestAlgoSelection:
 
     def test_best_algo_crossover(self, sim):
         """Figure 9: pass-Q wins at very low miss rates, pass-KV at high."""
-        assert sim.best_algo(1280, 126720, n_ranks=4) is RingAlgo.PASS_Q
-        assert sim.best_algo(12800, 115200, n_ranks=4) is RingAlgo.PASS_KV
-        assert sim.best_algo(128000, 0, n_ranks=4) is RingAlgo.PASS_KV
+        assert sim.cp_prefill(1280, 126720, n_ranks=4).algo == RingAlgo.PASS_Q.value
+        assert sim.cp_prefill(12800, 115200, n_ranks=4).algo == RingAlgo.PASS_KV.value
+        assert sim.cp_prefill(128000, 0, n_ranks=4).algo == RingAlgo.PASS_KV.value
 
     def test_crossover_near_paper_tipping_point(self, sim):
         """The simulated tipping point falls in the paper's 2.5-5% band."""
         total = 128000
         flips = []
         for t in (1280, 3200, 4160, 6400, 12800):
-            algo = sim.best_algo(t, total - t, n_ranks=4)
+            algo = RingAlgo(sim.cp_prefill(t, total - t, n_ranks=4).algo)
             flips.append((t / total, algo))
         rates_q = [r for r, a in flips if a is RingAlgo.PASS_Q]
         rates_kv = [r for r, a in flips if a is RingAlgo.PASS_KV]

@@ -2,17 +2,9 @@
 
 import pytest
 
+from repro.core.heuristics import HeuristicConfig
 from repro.model.config import llama3_405b_config, tiny_config
-from repro.perf.roofline import (
-    all2all_bytes,
-    can_hide_passkv_comm,
-    can_hide_passq_comm,
-    cp_attn_message_bytes,
-    cp_block_comm_bytes,
-    kv_bytes,
-    q_bytes,
-    tp_block_comm_bytes,
-)
+from repro.perf.roofline import all2all_bytes, kv_bytes, q_bytes, tp_block_comm_bytes
 
 
 CFG = llama3_405b_config()
@@ -32,53 +24,55 @@ class TestMessageSizes:
     def test_kv_bytes_include_cache(self):
         assert kv_bytes(CFG, 100, 900) == kv_bytes(CFG, 1000, 0)
 
-    def test_min_message_selection(self):
-        # full prefill: KV smaller
-        assert cp_attn_message_bytes(CFG, 10000, 0) == kv_bytes(CFG, 10000, 0)
-        # high hit rate: Q smaller
-        assert cp_attn_message_bytes(CFG, 100, 100000) == q_bytes(CFG, 100)
-
     def test_table2_cp_vs_tp(self):
         """Table 2: per block, TP moves 2*T*NH*DH vs CP's T*NKV*DH-scale
         KV traffic — a 16x gap for full prefill on this model."""
         t = 131072
         tp = tp_block_comm_bytes(CFG, t)
-        cp = cp_block_comm_bytes(CFG, t, 0)
+        cp = kv_bytes(CFG, t, 0)
         assert tp / cp == pytest.approx(16.0)
+
+
+def overlap_config(model, n_ranks):
+    """The Eq. 2/3 thresholds of ``model`` on GTT hosts (8 x 540 TF/s,
+    220 GB/s ring bandwidth)."""
+    return HeuristicConfig(
+        n_heads=model.n_heads,
+        n_kv_heads=model.n_kv_heads,
+        element_bytes=2.0,
+        peak_compute=8 * 540e12,
+        bandwidth=220e9,
+        world_size=n_ranks,
+    )
 
 
 class TestOverlapPredicates:
     def test_eq2_monotone_in_t(self):
-        kw = dict(compute_flops=8 * 540e12, bandwidth=220e9)
-        assert can_hide_passkv_comm(CFG, 128000, 4, **kw)
-        assert not can_hide_passkv_comm(CFG, 100, 4, **kw)
+        threshold = overlap_config(CFG, 4).passkv_overlap_threshold
+        assert 100 < threshold <= 128000
 
     def test_eq2_threshold_independent_of_p(self):
         """The paper stresses the pass-KV threshold doesn't involve P."""
-        kw = dict(compute_flops=8 * 540e12, bandwidth=220e9)
-        assert can_hide_passkv_comm(CFG, 12800, 4, **kw)
-        # (no P parameter even exists in the predicate)
+        assert overlap_config(CFG, 4).passkv_overlap_threshold <= 12800
+        # (no P field even exists in the configuration)
 
     def test_eq3_total_context(self):
-        kw = dict(compute_flops=8 * 540e12, bandwidth=220e9)
-        assert can_hide_passq_comm(CFG, 128000, 4, **kw)
-        assert not can_hide_passq_comm(CFG, 1000, 4, **kw)
+        threshold = overlap_config(CFG, 4).passq_overlap_threshold
+        assert 1000 < threshold <= 128000
 
     def test_more_ranks_raise_thresholds(self):
-        kw = dict(compute_flops=8 * 540e12, bandwidth=220e9)
         t = 15000
-        assert can_hide_passkv_comm(CFG, t, 4, **kw)
-        assert not can_hide_passkv_comm(CFG, t, 16, **kw)
+        assert overlap_config(CFG, 4).passkv_overlap_threshold <= t
+        assert overlap_config(CFG, 16).passkv_overlap_threshold > t
 
     def test_gqa_ratio_matters(self):
         """An MHA model (NKV == NH) has 16x bigger KV messages, making
         pass-KV much harder to hide."""
         mha = tiny_config(n_heads=8, n_kv_heads=8)
         gqa = tiny_config(n_heads=8, n_kv_heads=1)
-        kw = dict(compute_flops=8 * 540e12, bandwidth=220e9)
         t = 60000
-        assert can_hide_passkv_comm(gqa, t, 4, **kw)
-        assert not can_hide_passkv_comm(mha, t, 4, **kw)
+        assert overlap_config(gqa, 4).passkv_overlap_threshold <= t
+        assert overlap_config(mha, 4).passkv_overlap_threshold > t
 
 
 class TestAll2AllBytes:

@@ -74,3 +74,11 @@ class TestChatSession:
         session.send(np.arange(6), max_new_tokens=1)
         session.close()
         assert engine.context_length(0) == 0
+
+    def test_budget_validation(self, model):
+        """A negative budget is rejected before the engine is touched."""
+        engine = ContextParallelEngine(model, world_size=2)
+        session = ChatSession(engine, seq_id=0)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            session.send(np.arange(4), max_new_tokens=-1)
+        assert engine.context_length(0) == 0 and session.turns == []

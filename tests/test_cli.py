@@ -224,6 +224,31 @@ class TestCommands:
         assert main(["serve", "--round-budget", "8"]) == 2
         assert "token budget (8) must be >= the prefill chunk (16)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--tokens", "1"],
+            ["demo", "--world", "0"],
+            ["trace", "--decode-steps", "-1"],
+            ["plan", "--context", "0"],
+            ["heuristic", "--new-tokens", "0", "--cached", "5"],
+            ["heuristic", "--new-tokens", "5", "--cached", "5", "--ranks", "0"],
+        ],
+        ids=["demo-tokens-1", "demo-world-0", "trace-decode-steps-negative",
+             "plan-context-0", "heuristic-new-tokens-0", "heuristic-ranks-0"],
+    )
+    def test_bad_argv_is_a_usage_error(self, capsys, tmp_path, argv):
+        """The owner's ValueError surfaces as exit 2 with an ``error:``
+        line before anything is printed or written."""
+        output = tmp_path / "trace.json"
+        if argv[0] == "trace":
+            argv = [*argv, "--output", str(output)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not output.exists()
+
     def test_trace_writes_json(self, capsys, tmp_path):
         import json
 
