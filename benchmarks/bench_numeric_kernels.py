@@ -5,14 +5,14 @@ Equation 4's merge, the three ring algorithms and one engine prefill at
 test scale — so regressions in the simulation's own speed are visible at
 the layer that caused them. Runtime- and fleet-level wall time is
 ``benchmarks/e2e``'s job (four workloads, alternating pairs); the replays
-that used to stand in for it here are gone. The ``*_no_block_skip`` /
-``*_fp32_compute`` variants pin the A/B knobs of the fused grouped-head
-kernel (PR 1): masked-block skipping off, and the mixed-precision (fp32
-compute, fp64 merge) mode. (The seed-equivalent ``fused=False``
+that used to stand in for it here are gone. ``*_fp32_compute`` times the
+kernel's one A/B choice, its precision (``compute_dtype``: fp32 compute,
+fp64 merge). Masked blocks and masked ring-step partials are always
+skipped, so there is no off path left to time; neither was ever the
+faster one (blocks: 6.24 ms off against 3.47 ms on; shards, on a full
+prefill: 11.38 against 11.31 ms). The seed-equivalent ``fused=False``
 expand-path baseline was retired with the path itself; its seed timing
-survives in ``run_benchmarks.py``'s baseline table. The shard-skip A/B
-``bench_ring_passkv_cp4_no_skip`` is gone too: on a full prefill it could
-not move — 11.31 vs 11.38 ms.)
+survives in ``run_benchmarks.py``'s baseline table.
 
 Every benchmark here has an exactness twin in ``tests/properties`` (the
 WLB-LLM-CP layout: a performance compare beside a correctness test):
@@ -91,11 +91,6 @@ def bench_reference_attention(benchmark):
 
 def bench_flash_attention(benchmark):
     benchmark(flash_attention, Q, K, V, block_size=64)
-
-
-def bench_flash_attention_no_block_skip(benchmark):
-    """Fused kernel with masked-block skipping / row trimming disabled."""
-    benchmark(flash_attention, Q, K, V, block_size=64, skip_masked_blocks=False)
 
 
 def bench_flash_attention_fp32_compute(benchmark):

@@ -29,7 +29,7 @@ from repro.core.heuristics import (
     select_algo_simple,
     select_algo_with_all2all,
 )
-from repro.core.merge import merge_attention, merge_partials
+from repro.core.merge import merge_partials
 from repro.core.planner import PrefillPlanner, SelectorKind
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
@@ -98,7 +98,6 @@ __all__ = [
     "llama3_70b_config",
     "llama3_8b_config",
     "load_balanced_chunks",
-    "merge_attention",
     "merge_partials",
     "ring_passkv_prefill",
     "ring_passq_decode",

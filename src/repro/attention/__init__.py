@@ -12,9 +12,8 @@ ring algorithms in :mod:`repro.core` are built on:
   distributed algorithms are tested against.
 - :mod:`repro.attention.flash` — a blocked online-softmax kernel that returns
   ``(O, LSE)`` pairs, mirroring the FlashAttention-3 / Flash-Decoding
-  contract the paper relies on for partial-attention merging.
-- :mod:`repro.attention.online_softmax` — the streaming softmax accumulator
-  (Milakov & Gimelshein 2018) shared by the flash kernel and merge attention.
+  contract the paper relies on for partial-attention merging (Eq. 4 itself
+  is :mod:`repro.core.merge`).
 - :mod:`repro.attention.rope` — rotary position embeddings applied by the
   model substrate before attention.
 - :mod:`repro.attention.gqa` — grouped-query-attention head bookkeeping.
@@ -23,13 +22,11 @@ ring algorithms in :mod:`repro.core` are built on:
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.gqa import expand_kv_heads, kv_head_for_query_head, validate_gqa_shapes
 from repro.attention.masks import attention_mask, causal_mask
-from repro.attention.online_softmax import OnlineSoftmaxState
 from repro.attention.reference import reference_attention, reference_attention_with_lse
 from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
 
 __all__ = [
     "AttentionResult",
-    "OnlineSoftmaxState",
     "apply_rope",
     "attention_mask",
     "causal_mask",

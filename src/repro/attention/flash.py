@@ -13,14 +13,11 @@ for the reproduction:
   partial results from K disjoint KV shards must produce the same output
   as a single monolithic kernel call, because both evaluate the same
   online-softmax recurrence (Equation 4).
-- ``num_kv_splits`` emulates Flash-Decoding's split-KV execution (the paper
-  uses 256 splits for decode) by computing independent partials per split
-  and merging them, again through the same recurrence.
 
 The kernel is a *fused grouped-head* implementation: Q is laid out once as
 ``[NKV, DH, R * G]`` (``G = NH / NKV`` query heads per KV head), the score
-scale folded in by the same pass, and contracted directly against
-``[L_blk, NKV, DH]`` KV blocks through batched BLAS matmuls, so no per-block
+scale ``1/sqrt(DH)`` folded in by the same pass, and contracted directly
+against ``[L_blk, NKV, DH]`` KV blocks through batched BLAS matmuls, so no per-block
 ``expand_kv_heads`` copy is ever materialized (:mod:`repro.attention.reference`
 remains the independent full-materialization oracle). The permission mask is
 computed once per call and each block is classified once from its slice: no
@@ -65,17 +62,16 @@ shards: ``q_runs`` / ``k_runs`` take the ``cu_seqlens`` offsets or the
 carries, which leaves nothing to scan at any of the N ring steps; a caller
 with neither costs one scan, and an interleaved shard one stable sort.
 
-Knobs:
-
-- ``compute_dtype``: dtype for score/softmax/value arithmetic inside the
-  kernel (default ``float64``). The online-softmax merge accumulators stay
-  ``float64`` regardless, so ``float32`` compute still merges losslessly —
-  the mixed-precision split of Mao et al. (arXiv:2401.08586). The default
-  agrees with :func:`reference_attention_with_lse` to ``atol=1e-12`` with
-  the identical ``O = 0, LSE = -inf`` structure (not bit for bit: the scale
-  fold, summation order and BLAS operand shapes move last bits).
-- ``skip_masked_blocks``: disable the all-masked block skip and the row and
-  key bands (benchmark A/B only; same results to that contract).
+Every call takes the one path the engine drives: the causal,
+same-sequence mask (or ``mask_fn``'s), all-masked blocks skipped. What a
+caller chooses is the block length and the precision: ``compute_dtype`` is
+the dtype for score/softmax/value arithmetic inside the kernel (default
+``float64``). The online-softmax merge accumulators stay ``float64``
+regardless, so ``float32`` compute still merges losslessly — the
+mixed-precision split of Mao et al. (arXiv:2401.08586). The default agrees
+with :func:`reference_attention_with_lse` to ``atol=1e-12`` with the
+identical ``O = 0, LSE = -inf`` structure (not bit for bit: the scale fold,
+summation order and BLAS operand shapes move last bits).
 """
 
 from __future__ import annotations
@@ -89,7 +85,6 @@ import numpy as np
 
 from repro.attention.gqa import validate_gqa_shapes
 from repro.attention.masks import attention_mask, run_index, run_offsets
-from repro.attention.online_softmax import OnlineSoftmaxState
 
 #: Kernel-internal arithmetic dtype when ``compute_dtype`` is not given.
 DEFAULT_COMPUTE_DTYPE = np.float64
@@ -111,9 +106,6 @@ class AttentionResult:
     def tokens(self) -> int:
         return self.out.shape[0]
 
-    def astype(self, dtype) -> "AttentionResult":
-        return AttentionResult(self.out.astype(dtype), self.lse.astype(dtype))
-
     @staticmethod
     def empty(tokens: int, n_heads: int, head_dim: int) -> "AttentionResult":
         """Fully-masked result: zero output, ``LSE = -inf`` — the identity
@@ -134,37 +126,26 @@ def flash_attention(
     k_pos: np.ndarray | None = None,
     q_seq: np.ndarray | None = None,
     k_seq: np.ndarray | None = None,
-    causal: bool = True,
-    scale: float | None = None,
     block_size: int = 128,
-    num_kv_splits: int = 1,
     mask_fn=None,
     compute_dtype=None,
-    skip_masked_blocks: bool = True,
     q_runs: np.ndarray | None = None,
     k_runs: np.ndarray | None = None,
 ) -> AttentionResult:
-    """Blocked exact GQA attention returning :class:`AttentionResult`.
+    """Blocked exact causal GQA attention (score scale ``1/sqrt(DH)``)
+    returning :class:`AttentionResult`.
 
     Args:
         q, k, v: GQA tensors ``[Tq, NH, DH]`` / ``[Tk, NKV, DH]``.
         q_pos, k_pos, q_seq, k_seq: token coordinates (see
-            :mod:`repro.attention.masks`).
-        causal: apply the causal predicate.
-        scale: score scale, default ``1/sqrt(DH)``.
+            :mod:`repro.attention.masks`), ``(Tq,)`` / ``(Tk,)`` each.
         block_size: KV block length for the online-softmax sweep.
-        num_kv_splits: emulate Flash-Decoding split-KV: the KV range is cut
-            into this many independent partials, merged at the end. The
-            result is exact for any split count.
         mask_fn: optional mask override in absolute coordinates (see
             :func:`repro.attention.reference.reference_attention_with_lse`),
             e.g. a sliding window. The override sees the whole call, so it
             is never segmented.
         compute_dtype: kernel arithmetic dtype (default ``float64``; the
             merge accumulation is always ``float64``).
-        skip_masked_blocks: skip all-masked KV blocks and trim each block to
-            the rows and keys that see each other (default). Same results
-            either way, to the ``atol=1e-12`` contract.
         q_runs, k_runs: ``cu_seqlens``-style offsets of the constant
             ``q_seq`` / ``k_seq`` runs, or the ``(offsets, {seq_id: run})``
             pair :class:`repro.core.sharding.ShardedKV` carries (the index
@@ -172,13 +153,19 @@ def flash_attention(
 
     Returns:
         Exact ``(O, LSE)`` for the full masked attention.
+
+    Raises:
+        ValueError: on a coordinate of the wrong length, a non-positive
+            ``block_size`` or a non-floating ``compute_dtype``.
     """
     tq, tk, nh, nkv = validate_gqa_shapes(q, k, v)
     dh = q.shape[-1]
+    _check_length("q_pos", q_pos, tq)
+    _check_length("q_seq", q_seq, tq)
+    _check_length("k_pos", k_pos, tk)
+    _check_length("k_seq", k_seq, tk)
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    if num_kv_splits <= 0:
-        raise ValueError(f"num_kv_splits must be positive, got {num_kv_splits}")
     if tk == 0 or tq == 0:
         return AttentionResult.empty(tq, nh, dh)
     if q_pos is None:
@@ -187,12 +174,9 @@ def flash_attention(
         k_pos = np.arange(tk, dtype=np.int64)
     q_pos = np.asarray(q_pos)
     k_pos = np.asarray(k_pos)
-    if scale is None:
-        scale = 1.0 / math.sqrt(dh)
     dtype = np.dtype(DEFAULT_COMPUTE_DTYPE if compute_dtype is None else compute_dtype)
     if dtype.kind != "f":
         raise ValueError(f"compute_dtype must be a real floating dtype, got {dtype}")
-    sweep = (scale, block_size, num_kv_splits, skip_masked_blocks, dtype)
 
     # Segmenting pays once the key side fuses >= 2 sequences.
     k_side = None
@@ -205,19 +189,14 @@ def flash_attention(
             if mask.shape != (tq, tk):
                 raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
         else:
-            mask = attention_mask(q_pos, k_pos, q_seq, k_seq, causal=causal)
-        out, lse = _attend(q[None], k[None], v[None], mask[None], *sweep)
+            mask = attention_mask(q_pos, k_pos, q_seq, k_seq)
+        out, lse = _attend(q[None], k[None], v[None], mask[None], block_size, dtype)
         return AttentionResult(out=out[0], lse=lse[0])
 
     # The key side fuses several sequences: a query only ever sees its own
     # sequence's keys, so pair the runs by sequence id and attend each pair
     # as one segment of a padded batch.
     q_seq = np.zeros(tq, dtype=np.int64) if q_seq is None else np.asarray(q_seq)
-    k_seq = np.asarray(k_seq)
-    if q_pos.shape != q_seq.shape:
-        raise ValueError(f"q_pos {q_pos.shape} and q_seq {q_seq.shape} must match")
-    if k_pos.shape != k_seq.shape:
-        raise ValueError(f"k_pos {k_pos.shape} and k_seq {k_seq.shape} must match")
     q_order, q_off, q_index = _sequence_runs(q_seq, q_runs)
     k_order, k_off, k_index = k_side
     q_off, k_off = q_off.tolist(), k_off.tolist()
@@ -234,15 +213,12 @@ def flash_attention(
     for group, max_rows, max_keys in _pad_groups(rows, keys):
         qi, q_valid = _padded_index(q_start[group], rows[group], max_rows, q_order)
         ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)
-        if causal:
-            mask = k_pos.take(ki)[:, None, :] <= q_pos.take(qi)[:, :, None]
-        else:
-            mask = np.ones(qi.shape + ki.shape[1:], dtype=bool)
+        mask = k_pos.take(ki)[:, None, :] <= q_pos.take(qi)[:, :, None]
         if q_valid is not None:
             mask &= q_valid[:, :, None]
         if k_valid is not None:
             mask &= k_valid[:, None, :]
-        out, lse = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, *sweep)
+        out, lse = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, block_size, dtype)
         if qi.size == tq and q_valid is None and q_order is None and isinstance(group, slice):
             # one unpadded batch of every query row, in storage order
             return AttentionResult(out.reshape(tq, nh, dh), lse.reshape(tq, nh))
@@ -252,6 +228,12 @@ def flash_attention(
         result.out[qi[kept]] = out[kept]
         result.lse[qi[kept]] = lse[kept]
     return result
+
+
+def _check_length(name: str, coord, tokens: int) -> None:
+    """Raises unless ``coord`` is ``None`` or ``(tokens,)``-shaped."""
+    if coord is not None and (np.ndim(coord) != 1 or len(coord) != tokens):
+        raise ValueError(f"{name} has shape {np.shape(coord)}, expected ({tokens},)")
 
 
 def _sequence_runs(seq: np.ndarray, runs):
@@ -331,38 +313,27 @@ def _attend(
     k: np.ndarray,
     v: np.ndarray,
     mask: np.ndarray,
-    scale: float,
     block_size: int,
-    num_kv_splits: int,
-    skip_masked_blocks: bool,
     dtype: np.dtype,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attend ``S`` independent segments: ``q [S, R, NH, DH]`` against
     ``k, v [S, L, NKV, DH]`` under ``mask [S, R, L]``; returns
     ``(out [S, R, NH, DH], lse [S, R, NH])``."""
     s, r, nh, dh = q.shape
-    length, nkv = k.shape[1], k.shape[2]
+    nkv = k.shape[2]
     g = nh // nkv
     # One [DH, R * G] matrix per (segment, KV head): column t*G + g' is query
     # head nkv*G + g' of token t. Contracting a [L_blk, DH] KV block against
     # it is the "indexing instead of copying" GQA layout — no
     # expand_kv_heads. The one pass that lays it out also folds in the score
-    # scale, and always writes a buffer of the kernel's own (a no-op
-    # transpose must not hand back the caller's ``q``).
+    # scale 1/sqrt(DH), and always writes a buffer of the kernel's own (a
+    # no-op transpose must not hand back the caller's ``q``).
     qt = np.multiply(
-        q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), scale, dtype=dtype, order="C"
+        q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), 1.0 / math.sqrt(dh), dtype=dtype, order="C"
     ).reshape(s, nkv, dh, r * g)
     kb = np.asarray(k, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
     vb = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)
-
-    if num_kv_splits == 1:
-        return _sweep_range(qt, kb, vb, mask, block_size, 0, length, skip_masked_blocks, g)
-    split_edges = np.linspace(0, length, num_kv_splits + 1, dtype=np.int64)
-    state = OnlineSoftmaxState(out_shape=(s, r, nh, dh), lse_shape=(s, r, nh))
-    for split in range(num_kv_splits):
-        lo, hi = int(split_edges[split]), int(split_edges[split + 1])
-        state.update(*_sweep_range(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g))
-    return state.finalize()
+    return _sweep_range(qt, kb, vb, mask, block_size, g)
 
 
 #: One scratch buffer per dtype, grown to the largest tile seen. Score tiles
@@ -396,32 +367,32 @@ def _keys_major(columns: int, keys: int) -> bool:
 
 
 def _sweep_range(*sweep) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped-head sweep over KV storage slice ``[lo, hi)`` of (pre-scaled)
+    """Grouped-head sweep over every key of (pre-scaled)
     ``qt [S, NKV, DH, R * G]`` against ``kb, vb [S, NKV, L, DH]``: shift-free
     where its range check passes — in practice always — else shifted."""
     return _sweep_additive(*sweep) or _sweep_shifted(*sweep)
 
 
-def _score_tiles(qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g):
-    """The block loop both reducers share. Each visible block of ``[lo, hi)``
-    is classified once, trimmed to the band of rows and the band of keys that
+def _score_tiles(qt, kb, mask, block_size, g):
+    """The block loop both reducers share. Each visible block of keys is
+    classified once, trimmed to the band of rows and the band of keys that
     see each other, and its scores written into one reused tile
     (:data:`_WORKSPACE`), keys-major when it has at least as many query
     columns as keys. Yields ``(r0, r1, start, stop, tile, view, seeing,
     keys_axis)``: ``seeing`` is the mask laid out like ``view`` (the tile, or
     its ``[S, NKV, R, G, keys]`` form), ``None`` when every pair is visible."""
     s, nkv = qt.shape[:2]
-    tq = mask.shape[1]
+    tq, length = mask.shape[1:]
     qg, kt = qt.swapaxes(-1, -2), kb.swapaxes(-1, -2)  # [S, NKV, R * G, DH], [S, NKV, DH, L]
-    scratch = _scratch(qt.dtype, s * nkv * tq * g * min(block_size, hi - lo))
-    for start in range(lo, hi, block_size):
-        stop = min(start + block_size, hi)
+    scratch = _scratch(qt.dtype, s * nkv * tq * g * min(block_size, length))
+    for start in range(0, length, block_size):
+        stop = min(start + block_size, length)
         mb = mask[:, :, start:stop]
         # Classify the block once — no pair visible (the identity), all, or
         # some — inside the bands of rows and keys that hold every visible pair.
         seen = np.count_nonzero(mb)
         r0, r1 = 0, tq
-        if skip_masked_blocks and seen < mb.size:
+        if seen < mb.size:
             if seen == 0:
                 continue
             if tq > 1:  # (a one-row tile is all fixed cost: scanning it costs more than it trims)
@@ -459,7 +430,7 @@ def _den_range(dtype: np.dtype) -> tuple[float, float]:
     return math.sqrt(limits.tiny), math.sqrt(limits.max)
 
 
-def _sweep_additive(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g):
+def _sweep_additive(qt, kb, vb, mask, block_size, g):
     """The shift-free sweep — Eq. 4 at shift 0. Blocks add: ``den += sum
     exp(scores)``, ``acc += exp(scores) . V``, both float64 whatever the
     compute dtype; ``O = acc / den`` and ``LSE = log den`` once, at the end.
@@ -470,24 +441,24 @@ def _sweep_additive(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g)
     and a term that underflowed or went subnormal is below ``sqrt(tiny)`` of
     the sum — and with a finite output; a zero ``den`` is a blind row only
     where the mask agrees. Returns ``None`` on any violation (the caller
-    re-runs the range shifted)."""
+    re-runs the sweep shifted)."""
     s, nkv, dh = qt.shape[:3]
-    tq = mask.shape[1]
+    tq, length = mask.shape[1:]
     den_min, den_max = _den_range(qt.dtype)
     acc = den = None  # grouped [S, NKV, R, G, ...], float64 whatever the compute dtype
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if tq == 1 and hi - lo <= block_size:
+        if tq == 1 and length <= block_size:
             # The one-row base case — a decode token per segment, its keys in
             # one block: no bands to find, no tile to reuse, no sums to carry.
             # Scores go straight into fresh memory, where nothing is -inf, so
             # exp runs over all of them and the unseen ones are dropped after.
             tiles = ()
-            p = np.matmul(qt.swapaxes(-1, -2), kb[:, :, lo:hi].swapaxes(-1, -2))  # [S, NKV, G, keys]
-            p = np.where(mask[:, :, None, lo:hi], np.exp(p, out=p), 0.0)
-            acc = np.matmul(p, vb[:, :, lo:hi])[:, :, None].astype(np.float64, copy=False)
+            p = np.matmul(qt.swapaxes(-1, -2), kb.swapaxes(-1, -2))  # [S, NKV, G, keys]
+            p = np.where(mask[:, :, None], np.exp(p, out=p), 0.0)
+            acc = np.matmul(p, vb)[:, :, None].astype(np.float64, copy=False)
             den = p.sum(axis=-1)[:, :, None].astype(np.float64, copy=False)
         else:
-            tiles = _score_tiles(qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g)
+            tiles = _score_tiles(qt, kb, mask, block_size, g)
         for r0, r1, start, stop, tile, view, seeing, keys_axis in tiles:
             # -inf never reaches exp (it drops NumPy's SIMD exp onto a scalar
             # fallback, 3-8x slower): a partial tile takes exp over visible
@@ -514,7 +485,7 @@ def _sweep_additive(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g)
         highest, lowest = den.max(), den.min()
         lse = np.log(den.transpose(0, 2, 1, 3), order="C")  # log 0 = -inf: the rows that saw no key ...
         if lowest == 0.0:  # ... which a zero den means only where the mask agrees
-            sighted = mask[:, :, lo:hi].any(axis=2)[:, None, :, None]
+            sighted = mask.any(axis=2)[:, None, :, None]
             lowest = den.min(where=sighted, initial=den_max)
             den = np.where(sighted, den, 1.0)  # (their acc is 0 already, or the sum below is not finite)
         # One divide per row, not per element, in the pass that ungroups the heads.
@@ -525,17 +496,17 @@ def _sweep_additive(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g)
     return out.reshape(s, tq, nkv * g, dh), lse.reshape(s, tq, nkv * g)
 
 
-def _sweep_shifted(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g):
+def _sweep_shifted(qt, kb, vb, mask, block_size, g):
     """The online-softmax sweep: every block shifted by its row max, sound
     for any finite scores — the general path behind :func:`_sweep_additive`
     and its in-module oracle.
 
     The first visible block's ``(o, lse)`` *is* the result of a one-block
-    range. Only a second block opens the running ``(acc, m, denom)``
+    sweep. Only a second block opens the running ``(acc, m, denom)``
     recurrence, in the grouped ``[S, NKV, R, G, ...]`` layout, folding each
     block in place over its row band; untouched rows receive the exact
     identity update, so the result equals folding full-height partials
-    through :class:`OnlineSoftmaxState`.
+    one at a time through Eq. 4.
     """
     dtype = qt.dtype
     neg_inf = dtype.type(-np.inf)
@@ -545,9 +516,7 @@ def _sweep_shifted(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g):
     tq = mask.shape[1]
 
     acc = m = denom = None
-    for r0, r1, start, stop, tile, view, seeing, keys_axis in _score_tiles(
-        qt, kb, mask, block_size, lo, hi, skip_masked_blocks, g
-    ):
+    for r0, r1, start, stop, tile, view, seeing, keys_axis in _score_tiles(qt, kb, mask, block_size, g):
         r = r1 - r0
         dense = seeing is None  # until a row is found that sees no key
         # Softmax over the key axis, the row max broadcasting as one
@@ -595,8 +564,7 @@ def _sweep_shifted(qt, kb, vb, mask, block_size, lo, hi, skip_masked_blocks, g):
             # identity — where no key was visible).
             acc, m = np.asarray(acc, dtype=np.float64), np.asarray(m, dtype=np.float64)
             denom = (m > -np.inf).astype(np.float64)
-        # In-place online-softmax fold over the visible row band —
-        # identical math to OnlineSoftmaxState.update.
+        # In-place online-softmax fold of Eq. 4 over the visible row band.
         acc_r, m_r, den_r = acc[:, :, r0:r1], m[:, :, r0:r1], denom[:, :, r0:r1]
         new_m = np.maximum(m_r, blse)
         safe = np.where(np.isinf(new_m), 0.0, new_m)

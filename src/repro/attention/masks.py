@@ -125,14 +125,3 @@ def run_index(seq_ids: np.ndarray, offsets: np.ndarray) -> dict[int, int] | None
     index.pop(PAD_SEQ, None)
     return index
 
-
-def mask_fraction(mask: np.ndarray) -> float:
-    """Fraction of allowed (query, key) pairs — useful for FLOP accounting.
-
-    For a single full-prefill causal sequence this tends to ``~0.5`` (the
-    causal triangle), which is where the ``1/2`` factor in the paper's
-    Appendix A attention-FLOPs formula comes from.
-    """
-    if mask.size == 0:
-        return 0.0
-    return float(np.count_nonzero(mask)) / float(mask.size)

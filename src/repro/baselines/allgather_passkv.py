@@ -25,13 +25,11 @@ def allgather_passkv_prefill(
     queries: list[ShardedQueries],
     kv_shards: list[ShardedKV],
     *,
-    scale: float | None = None,
     block_size: int = 128,
-    pad_messages: bool = True,
 ) -> list[AttentionResult]:
     """Exact prefill attention via AllGather(KV) + one local attention.
 
-    Same signature and (exact) output as
+    Same signature, padded KV slices and (exact) output as
     :func:`repro.core.ring_passkv.ring_passkv_prefill`; only the
     communication schedule differs.
     """
@@ -42,10 +40,7 @@ def allgather_passkv_prefill(
             f"queries={len(queries)}, kvs={len(kv_shards)}"
         )
 
-    if pad_messages:
-        blocks, _ = pad_kv_shards(list(kv_shards))
-    else:
-        blocks = list(kv_shards)
+    blocks, _ = pad_kv_shards(list(kv_shards))
 
     payloads = [
         {"k": b.k, "v": b.v, "pos": b.positions, "seq": b.seq_ids} for b in blocks
@@ -70,8 +65,6 @@ def allgather_passkv_prefill(
                 k_pos=merged.positions,
                 q_seq=queries[rank].seq_ids,
                 k_seq=merged.seq_ids,
-                causal=True,
-                scale=scale,
                 block_size=block_size,
             )
         )

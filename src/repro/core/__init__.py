@@ -26,7 +26,7 @@ from repro.core.heuristics import (
     select_algo_with_all2all,
     select_algo_empirical,
 )
-from repro.core.merge import merge_attention, merge_partials
+from repro.core.merge import merge_partials
 from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
@@ -47,7 +47,6 @@ __all__ = [
     "ShardedKV",
     "ShardedQueries",
     "load_balanced_chunks",
-    "merge_attention",
     "merge_partials",
     "pad_kv_shards",
     "ring_passkv_prefill",

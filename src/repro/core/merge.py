@@ -12,8 +12,8 @@ stacked partials, mirroring the open-sourced xformers ``merge_attentions``
 operator the paper cites. The other axes ride along, so the decode ring
 reduces every rank's equal-shaped partials (``[origin, rank, row, ...]``) in
 one call; :func:`merge_partials` is the list-shaped wrapper. Tested against
-the recurrence's incremental form,
-:class:`repro.attention.online_softmax.OnlineSoftmaxState`.
+the recurrence's incremental form (Milakov & Gimelshein 2018), one partial
+folded at a time, which the test suite keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -89,10 +89,3 @@ def merge_exchanged(restored: list[list[tuple[np.ndarray, np.ndarray]]]) -> tupl
         np.array([[lse for _, lse in ranks] for ranks in by_origin], dtype=np.float64),
     )
 
-
-def merge_attention(outs: list[np.ndarray], lses: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level convenience wrapper around :func:`merge_partials`."""
-    if len(outs) != len(lses):
-        raise ValueError(f"got {len(outs)} outputs but {len(lses)} LSEs")
-    merged = merge_partials([AttentionResult(out=o, lse=l) for o, l in zip(outs, lses)])
-    return merged.out, merged.lse

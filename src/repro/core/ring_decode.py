@@ -141,9 +141,7 @@ def ring_passq_decode(
     batch: DecodeBatch,
     *,
     step: int = 0,
-    scale: float | None = None,
     block_size: int = 128,
-    skip_masked_shards: bool = True,
 ) -> tuple[AttentionResult, np.ndarray]:
     """Batched ring pass-Q decode (Algorithm 4).
 
@@ -156,13 +154,12 @@ def ring_passq_decode(
             before calling, mirroring the production engine.
         batch: this iteration's single-token-per-sequence queries.
         step: decode iteration index, drives the round-robin offset.
-        scale: attention score scale (default ``1/sqrt(DH)``).
         block_size: KV block size of the local kernel.
-        skip_masked_shards: replace provably all-masked ring-step partials
-            with the exact identity element instead of calling the kernel —
-            in decode this mostly fires for all-pad query payloads (when
-            ``B`` is not a multiple of ``N``) and for empty or unrelated
-            KV shards.
+
+    A provably all-masked ring-step partial is the exact identity element,
+    not a kernel call (see :mod:`repro.core.ring_skip`). In decode that is
+    mostly an all-pad query payload (when ``B`` is not a multiple of ``N``)
+    or an empty or unrelated KV shard.
 
     Returns:
         ``(result, assignment)``: ``result`` holds the exact attention
@@ -189,17 +186,15 @@ def ring_passq_decode(
     empty = AttentionResult.empty(per_rank, nh, dh)
     identity = (empty.out, empty.lse)
 
-    skip = skip_masked_shards
-    if skip:
-        k_summary = [
-            kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs)
-            for kv in kv_shards
-        ]
+    k_summary = [
+        kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs)
+        for kv in kv_shards
+    ]
 
     for j in range(n):
         for rank, src in enumerate(plan.origins[j]):
             q = traveling[rank]
-            if skip and partial_fully_masked(plan.q_reach[src], k_summary[rank]):
+            if partial_fully_masked(plan.q_reach[src], k_summary[rank]):
                 computed[rank][src] = identity
                 continue
             kv = kv_shards[rank]
@@ -211,8 +206,6 @@ def ring_passq_decode(
                 k_pos=kv.positions,
                 q_seq=q["seq"],
                 k_seq=kv.seq_ids,
-                causal=True,
-                scale=scale,
                 block_size=block_size,
                 q_runs=plan.q_runs[src],
                 k_runs=(kv.runs, kv.run_index),

@@ -30,10 +30,7 @@ def ring_passkv_prefill(
     queries: list[ShardedQueries],
     kv_shards: list[ShardedKV],
     *,
-    scale: float | None = None,
     block_size: int = 128,
-    pad_messages: bool = True,
-    skip_masked_shards: bool = True,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-KV prefill (Algorithm 2).
 
@@ -43,16 +40,13 @@ def ring_passkv_prefill(
             sharded; see :func:`repro.core.sharding.shard_sequences`).
         kv_shards: per-rank KV shards containing both cached tokens from
             previous turns and the freshly projected KV of this turn's new
-            tokens.
-        scale: attention score scale (default ``1/sqrt(DH)``).
+            tokens. Per-sequence KV slices are padded to a common length
+            before the ring starts (the equal-message-size invariant).
         block_size: KV block size of the local flash kernel.
-        pad_messages: enforce the equal-message-size ring invariant by
-            padding per-sequence KV slices; disable only in unit tests that
-            want to observe raw shard lengths.
-        skip_masked_shards: skip ring-step partials whose causal mask is
-            provably all-False (see :mod:`repro.core.ring_skip`) — the
-            skipped partial is replaced by the exact identity element, so
-            output is unchanged.
+
+    A ring-step partial whose causal mask is provably all-False (see
+    :mod:`repro.core.ring_skip`) is never computed: the exact identity
+    element stands in for it, so the output is unchanged.
 
     Returns:
         Per-rank exact :class:`AttentionResult` for each rank's queries, in
@@ -65,25 +59,20 @@ def ring_passkv_prefill(
             f"queries={len(queries)}, kvs={len(kv_shards)}"
         )
 
-    if pad_messages:
-        blocks, _ = pad_kv_shards(list(kv_shards))
-    else:
-        blocks = list(kv_shards)
+    blocks, _ = pad_kv_shards(list(kv_shards))
 
     # Causal-reach summaries, computed once per shard. blocks[r] at step 0
     # originated at rank r, so k_summary is indexed by origin rank and the
     # ring schedule (source_rank_at_step) recovers which summary applies to
     # the payload a rank holds at any later step.
-    skip = skip_masked_shards
-    if skip:
-        q_summary = [query_reach(qr.positions, qr.seq_ids, qr.runs) for qr in queries]
-        k_summary = [kv_reach(blk.positions, blk.seq_ids, blk.runs) for blk in blocks]
+    q_summary = [query_reach(qr.positions, qr.seq_ids, qr.runs) for qr in queries]
+    k_summary = [kv_reach(blk.positions, blk.seq_ids, blk.runs) for blk in blocks]
 
     partials: list[list[AttentionResult]] = [[] for _ in range(n)]
     for step in range(n):
         for rank in range(n):
             src = source_rank_at_step(rank, step, n)
-            if skip and partial_fully_masked(q_summary[rank], k_summary[src]):
+            if partial_fully_masked(q_summary[rank], k_summary[src]):
                 # Provably all-masked partial: append the identity element
                 # without touching the kernel (in causal full prefill this
                 # skips roughly half of all rank x step partials).
@@ -100,8 +89,6 @@ def ring_passkv_prefill(
                         k_pos=blk.positions,
                         q_seq=queries[rank].seq_ids,
                         k_seq=blk.seq_ids,
-                        causal=True,
-                        scale=scale,
                         block_size=block_size,
                         q_runs=queries[rank].runs,
                         k_runs=(blk.runs, blk.run_index),

@@ -28,9 +28,7 @@ def ring_passq_prefill(
     queries: list[ShardedQueries],
     kv_shards: list[ShardedKV],
     *,
-    scale: float | None = None,
     block_size: int = 128,
-    skip_masked_shards: bool = True,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-Q prefill (Algorithm 3).
 
@@ -40,11 +38,10 @@ def ring_passq_prefill(
             near-equal lengths; shards are padded to the max so ring
             messages are equal-sized (padding outputs are dropped).
         kv_shards: per-rank resident KV shards (cached + new), never moved.
-        scale: attention score scale (default ``1/sqrt(DH)``).
         block_size: KV block size of the local flash kernel.
-        skip_masked_shards: replace provably all-masked ring-step partials
-            with the exact identity element instead of calling the kernel
-            (see :mod:`repro.core.ring_skip`).
+
+    A provably all-masked ring-step partial is the exact identity element,
+    not a kernel call (see :mod:`repro.core.ring_skip`).
 
     Returns:
         Per-rank exact :class:`AttentionResult`, trimmed back to each rank's
@@ -68,16 +65,14 @@ def ring_passq_prefill(
     # Causal-reach summaries, one scan per shard: padded[s] is the query
     # payload originating at rank s (the ring schedule maps the payload a
     # rank holds at step j back to its origin), KV shards never move.
-    skip = skip_masked_shards
-    if skip:
-        q_summary = [query_reach(p.positions, p.seq_ids, p.runs) for p in padded]
-        k_summary = [kv_reach(kv.positions, kv.seq_ids, kv.runs) for kv in kv_shards]
+    q_summary = [query_reach(p.positions, p.seq_ids, p.runs) for p in padded]
+    k_summary = [kv_reach(kv.positions, kv.seq_ids, kv.runs) for kv in kv_shards]
 
     for step in range(n):
         for rank in range(n):
             src = source_rank_at_step(rank, step, n)
             q = traveling[rank]
-            if skip and partial_fully_masked(q_summary[src], k_summary[rank]):
+            if partial_fully_masked(q_summary[src], k_summary[rank]):
                 computed[rank][src] = AttentionResult.empty(
                     len(q), q.q.shape[1], q.q.shape[2]
                 )
@@ -91,8 +86,6 @@ def ring_passq_prefill(
                 k_pos=kv.positions,
                 q_seq=q.seq_ids,
                 k_seq=kv.seq_ids,
-                causal=True,
-                scale=scale,
                 block_size=block_size,
                 q_runs=q.runs,
                 k_runs=(kv.runs, kv.run_index),

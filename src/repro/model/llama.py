@@ -143,7 +143,6 @@ class LlamaModel:
         *,
         positions: np.ndarray | None = None,
         seq_ids: np.ndarray | None = None,
-        block_size: int = 256,
     ) -> np.ndarray:
         """Single-device causal forward pass — the gold standard.
 
@@ -151,7 +150,6 @@ class LlamaModel:
             token_ids: ``[T]`` fused token ids.
             positions: absolute positions (default: storage order).
             seq_ids: sequence ids for fused batches (default: one sequence).
-            block_size: flash kernel block size.
 
         Returns:
             ``[T, vocab]`` logits.
@@ -167,7 +165,7 @@ class LlamaModel:
                 q, k, v,
                 q_pos=positions, k_pos=positions,
                 q_seq=seq_ids, k_seq=seq_ids,
-                causal=True, block_size=block_size,
+                block_size=256,
             )
             x = self.attn_residual(layer, x, attn.out)
             x = self.ffn_residual(layer, x)

@@ -8,6 +8,7 @@ import pytest
 from repro.attention import flash
 from repro.attention.flash import flash_attention
 from repro.attention.reference import reference_attention_with_lse
+from repro.core.merge import merge_partials
 
 from helpers import make_qkv
 
@@ -23,15 +24,16 @@ class TestFlashMatchesReference:
 
     @pytest.mark.parametrize("splits", [1, 2, 5, 17, 50])
     def test_kv_split_invariance(self, rng, splits):
-        """Flash-Decoding style split-KV is exact for any split count."""
+        """Flash-Decoding style split-KV is exact for any split count: one
+        kernel call per KV split, merged by Eq. 4 (empty splits included)."""
         q, k, v = make_qkv(rng, 5, 33)
-        ref_out, ref_lse = reference_attention_with_lse(
-            q, k, v, q_pos=np.arange(28, 33), k_pos=np.arange(33)
-        )
-        res = flash_attention(
-            q, k, v, q_pos=np.arange(28, 33), k_pos=np.arange(33),
-            block_size=7, num_kv_splits=splits,
-        )
+        q_pos, k_pos = np.arange(28, 33), np.arange(33)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos, k_pos=k_pos)
+        edges = np.linspace(0, 33, splits + 1, dtype=np.int64)
+        res = merge_partials([
+            flash_attention(q, k[lo:hi], v[lo:hi], q_pos=q_pos, k_pos=k_pos[lo:hi], block_size=7)
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ])
         np.testing.assert_allclose(res.out, ref_out, atol=1e-12)
         np.testing.assert_allclose(res.lse, ref_lse, atol=1e-12)
 
@@ -76,11 +78,6 @@ class TestFlashEdgeCases:
         with pytest.raises(ValueError):
             flash_attention(q, k, v, block_size=0)
 
-    def test_invalid_splits(self, rng):
-        q, k, v = make_qkv(rng, 3, 3)
-        with pytest.raises(ValueError):
-            flash_attention(q, k, v, num_kv_splits=0)
-
     def test_result_tokens_property(self, rng):
         q, k, v = make_qkv(rng, 4, 4)
         res = flash_attention(q, k, v)
@@ -94,11 +91,19 @@ class TestFlashEdgeCases:
         with pytest.raises(ValueError, match="compute_dtype"):
             flash_attention(q, k, v, compute_dtype=compute_dtype)
 
-    def test_astype(self, rng):
-        q, k, v = make_qkv(rng, 4, 4)
-        res = flash_attention(q, k, v).astype(np.float32)
-        assert res.out.dtype == np.float32
-        assert res.lse.dtype == np.float32
+    @pytest.mark.parametrize(
+        "name,tokens", [("q_pos", 4), ("q_pos", 6), ("q_seq", 4), ("k_pos", 5), ("k_pos", 7), ("k_seq", 5)]
+    )
+    @pytest.mark.parametrize("k_seq", [None, np.repeat([0, 1], 3)])
+    def test_coordinate_of_the_wrong_length_is_rejected(self, rng, name, tokens, k_seq):
+        """5 query rows and 6 keys: a coordinate of any other length raises,
+        naming itself, on the one-segment path and the varlen one (two
+        sequences on the key side) — not a 4-row result, nor an answer over
+        keys that do not exist."""
+        q, k, v = make_qkv(rng, 5, 6)
+        coords = {"k_seq": k_seq, name: np.arange(tokens)}
+        with pytest.raises(ValueError, match=name):
+            flash_attention(q, k, v, **coords)
 
 
 def _in_workspace(array: np.ndarray) -> bool:
@@ -124,7 +129,7 @@ class TestWorkspaceAliasing:
         the scale fold must not land in it."""
         q, k, v = make_qkv(rng, tq, 9, n_heads, n_kv_heads)
         saved = q.copy(), k.copy(), v.copy()
-        for knobs in ({}, {"block_size": 4}, {"num_kv_splits": 2}):
+        for knobs in ({}, {"block_size": 4}, {"block_size": 1}):
             flash_attention(
                 q, k, v, q_pos=np.arange(9 - tq, 9), compute_dtype=compute_dtype, **knobs
             )
@@ -133,7 +138,7 @@ class TestWorkspaceAliasing:
 
     @pytest.mark.parametrize("n_heads,n_kv_heads", [(8, 2), (4, 1)])
     @pytest.mark.parametrize(
-        "knobs", [{}, {"block_size": 4}, {"block_size": 4, "num_kv_splits": 3}]
+        "knobs", [{}, {"block_size": 4}, {"block_size": 4, "compute_dtype": np.float32}]
     )
     def test_results_never_alias_the_workspace(self, rng, knobs, n_heads, n_kv_heads):
         # rows-major and keys-major tiles, either sweep

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attention.masks import PAD_SEQ, attention_mask, causal_mask, mask_fraction
+from repro.attention.masks import PAD_SEQ, attention_mask, causal_mask
 
 
 class TestCausalMask:
@@ -69,10 +69,3 @@ class TestAttentionMask:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             attention_mask(np.arange(3), np.arange(3), q_seq=np.zeros(2, dtype=int))
-
-    def test_mask_fraction_causal_half(self):
-        mask = attention_mask(np.arange(100), np.arange(100))
-        assert mask_fraction(mask) == pytest.approx(0.505, abs=1e-3)
-
-    def test_mask_fraction_empty(self):
-        assert mask_fraction(np.zeros((0, 5), dtype=bool)) == 0.0

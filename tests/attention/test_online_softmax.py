@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.attention.online_softmax import OnlineSoftmaxState
 from repro.attention.reference import reference_attention_with_lse
 
-from helpers import make_qkv
+from helpers import OnlineSoftmaxState, make_qkv
 
 
 class TestOnlineSoftmaxState:

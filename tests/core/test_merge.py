@@ -5,7 +5,7 @@ import pytest
 
 from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.merge import merge_attention, merge_partials
+from repro.core.merge import merge_partials
 
 from helpers import make_qkv
 
@@ -74,20 +74,3 @@ class TestMergePartials:
         b = AttentionResult(out=np.zeros((3, 2, 4)), lse=np.zeros((3, 2)))
         with pytest.raises(ValueError):
             merge_partials([a, b])
-
-
-class TestMergeAttentionWrapper:
-    def test_array_interface(self, rng):
-        q, k, v = make_qkv(rng, 4, 16)
-        kpos = np.arange(16)
-        qpos = np.arange(12, 16)
-        full_out, full_lse = reference_attention_with_lse(q, k, v, q_pos=qpos, k_pos=kpos)
-        o1, l1 = reference_attention_with_lse(q, k[:8], v[:8], q_pos=qpos, k_pos=kpos[:8])
-        o2, l2 = reference_attention_with_lse(q, k[8:], v[8:], q_pos=qpos, k_pos=kpos[8:])
-        out, lse = merge_attention([o1, o2], [l1, l2])
-        np.testing.assert_allclose(out, full_out, atol=1e-12)
-        np.testing.assert_allclose(lse, full_lse, atol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            merge_attention([np.zeros((1, 1, 2))], [])

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+import contextlib
+import inspect
+import textwrap
 
+import numpy as np
+import pytest
+
+from repro.attention import flash
 from repro.attention.masks import attention_mask
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.model.config import tiny_config
@@ -97,6 +103,84 @@ def window_mask_fn(window: int, *, sink_tokens: int = 0):
         return attention_mask(q_pos, k_pos, q_seq, k_seq, causal=True) & near
 
     return fn
+
+
+def patch_source(patch, module, name: str, old: str, new: str) -> None:
+    """Replaces ``module.name`` through ``patch`` (a ``MonkeyPatch``) with
+    its own source edited at one place — ``old``, which must occur exactly
+    once, becomes ``new`` — compiled against the module's globals: a seeded
+    defect, or a path the code offers no switch for."""
+    lines, first = inspect.getsourcelines(getattr(module, name))
+    source = textwrap.dedent("".join(lines))
+    assert source.count(old) == 1, f"{old!r} is not one place in {name}"
+    # Padded to its own line numbers in the module's file, and run in the
+    # module's live globals, so a later monkeypatch of a name it calls
+    # still reaches it.
+    code = compile("\n" * (first - 1) + source.replace(old, new), module.__file__, "exec")
+    namespace: dict = {}
+    exec(code, vars(module), namespace)
+    patch.setattr(module, name, namespace[name])
+
+
+@contextlib.contextmanager
+def every_block_swept():
+    """The flash kernel with its block skip off: every block of keys scored
+    in full, none skipped, no band of rows or keys trimmed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch_source(patch, flash, "_score_tiles", "if seen < mb.size:", "if False:")
+        yield
+
+
+class OnlineSoftmaxState:
+    """Eq. 4 (paper Appendix B) in its incremental form, one partial folded
+    at a time with O(1) extra memory — the test oracle for the one-shot
+    :func:`repro.core.merge.merge_partials` and the kernel's shifted sweep.
+
+    The state tracks, per (token, head): the running max LSE ``m``, the
+    running denominator ``denom = sum_s exp(LSE_s - m)`` and the running
+    numerator ``acc = sum_s O_s * exp(LSE_s - m)``, all in float64 whatever
+    the partials' dtype. ``finalize`` returns ``acc / denom`` and the combined
+    LSE ``m + log(denom)``. An empty partial (``LSE = -inf``, ``O = 0``) is
+    the identity element; ``update`` returns early on one.
+    """
+
+    def __init__(self, out_shape: tuple[int, ...], lse_shape: tuple[int, ...]):
+        if out_shape[: len(lse_shape)] != lse_shape:
+            raise ValueError(f"lse shape {lse_shape} must prefix output shape {out_shape}")
+        self._acc = np.zeros(out_shape, dtype=np.float64)
+        self._m = np.full(lse_shape, -np.inf, dtype=np.float64)
+        self._denom = np.zeros(lse_shape, dtype=np.float64)
+
+    def update(self, partial_out: np.ndarray, partial_lse: np.ndarray) -> None:
+        """Fold one partial ``(O_s [..., DH], LSE_s [...])`` into the state."""
+        partial_out = np.asarray(partial_out)
+        partial_lse = np.asarray(partial_lse)
+        if partial_out.shape != self._acc.shape:
+            raise ValueError(f"partial out shape {partial_out.shape} != {self._acc.shape}")
+        if partial_lse.shape != self._m.shape:
+            raise ValueError(f"partial lse shape {partial_lse.shape} != {self._m.shape}")
+        if np.all(np.isneginf(partial_lse)):
+            return
+        new_m = np.maximum(self._m, partial_lse)
+        # Identity when both sides are empty (-inf): keep zeros. ``safe_m``
+        # is always finite, so ``x - safe_m`` is -inf exactly when x is.
+        safe_m = np.where(np.isinf(new_m), 0.0, new_m)
+        old_scale = np.exp(self._m - safe_m)
+        new_scale = np.exp(partial_lse - safe_m)
+        self._acc *= old_scale[..., None]
+        self._acc += partial_out * new_scale[..., None]
+        self._denom *= old_scale
+        self._denom += new_scale
+        self._m = new_m
+
+    def finalize(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(O, LSE)`` over every folded partial; a token that never saw a
+        key comes back ``O = 0, LSE = -inf``."""
+        seen = self._denom > 0
+        denom = np.where(seen, self._denom, 1.0)
+        out = np.where(seen[..., None], self._acc / denom[..., None], 0.0)
+        lse = np.where(seen, self._m + np.log(denom), -np.inf)
+        return out, lse
 
 
 def shard_qkv_full_prefill(

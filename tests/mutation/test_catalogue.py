@@ -31,7 +31,12 @@ tables (``HostSpec.sendrecv_s`` / ``allreduce_s``, the ring overlap in
 §4.3's KV stream), whose killers are paper claims
 (``experiments/test_paper_claims.py``) or calibration tests; and the
 shape-only engine (``core/shape_engine.py``), whose decode must rotate its
-placement as the numeric engine does, killed by a golden case's replay.
+placement as the numeric engine does, killed by a golden case's replay;
+and the flash kernel's shift-free sweep (``attention/flash.py::
+_sweep_additive``), whose one-row base case must mask, and whose range
+check must run at every height and tell a blind row by the mask, not by
+``den == 0``. Those three are one-line edits of the sweep's source
+(``helpers.patch_source``), compiled into the kernel module in its place.
 """
 
 from __future__ import annotations
@@ -42,10 +47,12 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dataclasses import replace
 
+from repro.attention import flash
 from repro.core import ring_decode, ring_passkv, ring_passq
 from repro.core.merge import merge_partials
 from repro.core.shape_engine import ShapeEngine
@@ -60,7 +67,7 @@ from repro.runtime.state import RequestState
 from repro.serving import metrics as serving_metrics
 from repro.workloads import replay
 
-from helpers import run_traced
+from helpers import patch_source, run_traced
 
 TESTS = Path(__file__).resolve().parents[1]
 
@@ -355,6 +362,34 @@ def _shape_decode_unrotated(monkeypatch):
     monkeypatch.setattr(ShapeEngine, "decode", unrotated)
 
 
+def _one_row_mask_dropped(monkeypatch):
+    """The one-row base case exponentiates every score and keeps them all:
+    a decode row attends its segment's pad keys and unseen keys."""
+    patch_source(
+        monkeypatch, flash, "_sweep_additive",
+        "np.where(mask[:, :, None], np.exp(p, out=p), 0.0)", "np.exp(p, out=p)",
+    )
+
+
+def _one_row_range_unchecked(monkeypatch):
+    """The range check runs only on sweeps of two or more rows, so a decode
+    row whose ``exp`` overflowed or flushed to zero is returned as is."""
+    patch_source(
+        monkeypatch, flash, "_sweep_additive",
+        "if not (den_min <= lowest", "if tq > 1 and not (den_min <= lowest",
+    )
+
+
+def _blind_rows_by_den(monkeypatch):
+    """A row is blind wherever its ``den`` is 0, whatever the mask says: a
+    row whose every visible ``exp`` underflowed passes the range check as
+    ``O = 0, LSE = -inf``."""
+    patch_source(
+        monkeypatch, flash, "_sweep_additive",
+        "sighted = mask.any(axis=2)[:, None, :, None]", "sighted = den > 0",
+    )
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -395,6 +430,8 @@ _ONE_HARDWARE_MODEL = (
 )
 
 _PASSKV_EXACT = "properties/test_prop_ring.py::TestRingLosslessness::test_passkv_exact_for_any_case"
+
+_ONE_ROW = "properties/test_prop_flash_fused.py::TestOneRowBaseCase"
 
 _SIM_405B = latency.LatencySimulator(llama3_405b_config(), gtt_host())
 
@@ -465,6 +502,14 @@ CATALOGUE = [
     ("shape-decode-unrotated", _shape_decode_unrotated,
      functools.partial(_named_test, "runtime/test_golden_traces.py::test_trace_digest_is_unchanged",
                        "coloc-recompute-noprefix-clean")),
+    ("one-row-mask-dropped", _one_row_mask_dropped,
+     functools.partial(_named_test, f"{_ONE_ROW}::test_equals_the_shifted_sweep_and_the_reference")),
+    ("one-row-range-unchecked", _one_row_range_unchecked,
+     functools.partial(_named_test, f"{_ONE_ROW}::test_out_of_range_returns_none_and_the_fallback_answers",
+                       np.float64, 800.0)),
+    ("blind-rows-by-den", _blind_rows_by_den,
+     functools.partial(_named_test, f"{_ONE_ROW}::test_out_of_range_returns_none_and_the_fallback_answers",
+                       np.float64, -800.0)),
 ]
 
 

@@ -5,13 +5,12 @@
 float64 — the only remaining slack being last-ulp BLAS kernel-selection
 differences and the online-softmax fold — plus *exact* structural equality
 of the masked/empty pattern (which tokens have ``LSE = -inf`` and zero
-output). The properties sweep GQA ratios, block sizes, ``num_kv_splits``,
-permuted positions, padded fused batches, windowed ``mask_fn`` and
+output). The properties sweep GQA ratios, block sizes, KV splits merged by
+Eq. 4, permuted positions, padded fused batches, windowed ``mask_fn`` and
 empty/all-masked shards, and pin the fused kernel against the
-fully-materialized reference oracle under the Flash-Decoding split-KV
-recurrence and the ``skip_masked_blocks`` A/B knob. (The legacy
-``fused=False`` expand path these properties originally cross-checked has
-been retired; the reference kernel is the remaining independent oracle.)
+fully-materialized reference oracle. (The legacy ``fused=False`` expand
+path these properties originally cross-checked has been retired; the
+reference kernel is the remaining independent oracle.)
 
 ``TestScoreTile`` holds the exactness twins of the score-tile rebuild
 (``bench_flash_prefill_tile*`` / ``bench_flash_diagonal_tile``): masking
@@ -36,9 +35,10 @@ from repro.attention import flash
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.masks import PAD_SEQ
 from repro.attention.reference import reference_attention_with_lse
+from repro.core.merge import merge_partials
 from repro.core.sharding import shard_positions
 
-from helpers import window_mask_fn
+from helpers import OnlineSoftmaxState, every_block_swept, window_mask_fn
 
 # (RuntimeWarning is NumPy's class for every floating-point warning; a blanket
 # "error" also trips on third-party DeprecationWarnings raised while hypothesis
@@ -54,6 +54,11 @@ def _shifted(kernel, *args, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flash, "_sweep_range", flash._sweep_shifted)
         return kernel(*args, **kwargs)
+
+
+def _all_visible(q_pos, k_pos, *_):
+    """A ``mask_fn`` under which every query sees every key."""
+    return np.ones((len(q_pos), len(k_pos)), dtype=bool)
 
 
 @st.composite
@@ -92,8 +97,7 @@ def gqa_case(draw):
     )
     coords = dict(q_pos=q_pos, k_pos=k_pos, q_seq=q_seq, k_seq=k_seq, mask_fn=mask_fn)
     block_size = draw(st.integers(1, tk + 3))
-    splits = draw(st.integers(1, 5))
-    return q, k, v, coords, block_size, splits
+    return q, k, v, coords, block_size
 
 
 def _assert_matches(res, ref_out, ref_lse):
@@ -109,41 +113,48 @@ class TestFusedMatchesReference:
     @given(gqa_case())
     @settings(**SETTINGS)
     def test_blocked_fused_matches_reference(self, case):
-        q, k, v, coords, block_size, splits = case
+        q, k, v, coords, block_size = case
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
-        res = flash_attention(q, k, v, block_size=block_size, num_kv_splits=splits, **coords)
+        res = flash_attention(q, k, v, block_size=block_size, **coords)
         _assert_matches(res, ref_out, ref_lse)
 
     @given(gqa_case())
     @settings(**SETTINGS)
     def test_single_block_fused_matches_reference(self, case):
-        """One block, one split: the fused kernel is the reference kernel
-        modulo the grouped-head layout (no online-softmax fold involved)."""
-        q, k, v, coords, _, _ = case
+        """One block: the fused kernel is the reference kernel modulo the
+        grouped-head layout (no online-softmax fold involved)."""
+        q, k, v, coords, _ = case
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
         res = flash_attention(q, k, v, block_size=k.shape[0] + 1, **coords)
         _assert_matches(res, ref_out, ref_lse)
 
-    @given(gqa_case())
+    @given(gqa_case(), st.integers(1, 5))
     @settings(**SETTINGS)
-    def test_split_invariance(self, case):
-        """Any split-KV count folds to the same result (the recurrence the
-        retired expand path used to cross-check)."""
-        q, k, v, coords, block_size, splits = case
-        a = flash_attention(q, k, v, block_size=block_size, num_kv_splits=1, **coords)
-        b = flash_attention(q, k, v, block_size=block_size, num_kv_splits=splits, **coords)
-        _assert_matches(a, b.out, b.lse)
+    def test_split_invariance(self, case, splits):
+        """Flash-Decoding's split-KV: one call per KV split, merged by Eq. 4,
+        is the one call — the composition every ring partial relies on."""
+        q, k, v, coords, block_size = case
+        whole = flash_attention(q, k, v, block_size=block_size, **coords)
+        edges = np.linspace(0, k.shape[0], splits + 1, dtype=np.int64)
+        k_pos, k_seq = coords["k_pos"], coords["k_seq"]
+        parts = [
+            flash_attention(
+                q, k[lo:hi], v[lo:hi], block_size=block_size,
+                **{**coords, "k_pos": k_pos[lo:hi], "k_seq": None if k_seq is None else k_seq[lo:hi]},
+            )
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        _assert_matches(merge_partials(parts), whole.out, whole.lse)
 
     @given(gqa_case())
     @settings(**SETTINGS)
     def test_block_skip_is_pure_execution_strategy(self, case):
-        """skip_masked_blocks changes which BLAS calls run, not the result."""
-        q, k, v, coords, block_size, splits = case
-        a = flash_attention(q, k, v, block_size=block_size, num_kv_splits=splits, **coords)
-        b = flash_attention(
-            q, k, v, block_size=block_size, num_kv_splits=splits,
-            skip_masked_blocks=False, **coords,
-        )
+        """The block skip and the bands change which BLAS calls run, not the
+        result."""
+        q, k, v, coords, block_size = case
+        a = flash_attention(q, k, v, block_size=block_size, **coords)
+        with every_block_swept():
+            b = flash_attention(q, k, v, block_size=block_size, **coords)
         _assert_matches(a, b.out, b.lse)
 
     @given(gqa_case())
@@ -151,12 +162,9 @@ class TestFusedMatchesReference:
     def test_fp32_compute_fp64_merge(self, case):
         """float32 kernel compute with float64 merge accumulation stays
         within float32 resolution of the exact fp64 result."""
-        q, k, v, coords, block_size, splits = case
+        q, k, v, coords, block_size = case
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
-        res = flash_attention(
-            q, k, v, block_size=block_size, num_kv_splits=splits,
-            compute_dtype=np.float32, **coords,
-        )
+        res = flash_attention(q, k, v, block_size=block_size, compute_dtype=np.float32, **coords)
         np.testing.assert_allclose(res.out, ref_out, atol=1e-4, rtol=1e-4)
         np.testing.assert_allclose(res.lse, ref_lse, atol=1e-4, rtol=1e-4)
         assert np.array_equal(np.isneginf(res.lse), np.isneginf(ref_lse))
@@ -246,19 +254,20 @@ def one_block_case(draw):
     return q, k, v, mask
 
 
-def _through_the_recurrence(q, k, v, mask, scale, dtype):
+def _through_the_recurrence(q, k, v, mask, dtype):
     """The same block on the path the one-block return bypasses: append one
-    key nobody may see, as a second block, and sweep with block skipping
-    off — the block's partial is assigned into the running state, the
-    masked block folded on top (the identity) and the state finalised."""
+    key nobody may see, as a second block, and sweep every block — the
+    block's partial is assigned into the running state, the masked block
+    folded on top (the identity) and the state finalised."""
     s, _, length = mask.shape
     pad = np.zeros((s, 1) + k.shape[2:])
-    return _shifted(
-        flash._attend,
-        q, np.concatenate([k, pad], axis=1), np.concatenate([v, pad], axis=1),
-        np.concatenate([mask, np.zeros((s, mask.shape[1], 1), dtype=bool)], axis=2),
-        scale, length, 1, False, np.dtype(dtype),
-    )
+    with every_block_swept():
+        return _shifted(
+            flash._attend,
+            q, np.concatenate([k, pad], axis=1), np.concatenate([v, pad], axis=1),
+            np.concatenate([mask, np.zeros((s, mask.shape[1], 1), dtype=bool)], axis=2),
+            length, np.dtype(dtype),
+        )
 
 
 class TestOneBlockBaseCase:
@@ -266,14 +275,11 @@ class TestOneBlockBaseCase:
     tiles take the shift-free sweep (``TestShiftFree``) and reach this one
     only through the range check."""
 
-    @given(one_block_case(), st.sampled_from([np.float64, np.float32]), st.booleans())
+    @given(one_block_case(), st.sampled_from([np.float64, np.float32]))
     @settings(**SETTINGS)
-    def test_equals_the_block_folded_and_finalised(self, case, dtype, skip):
-        from repro.attention.online_softmax import OnlineSoftmaxState
-
+    def test_equals_the_block_folded_and_finalised(self, case, dtype):
         q, k, v, mask = case
-        scale = 1.0 / np.sqrt(q.shape[-1])
-        out, lse = _shifted(flash._attend, q, k, v, mask, scale, mask.shape[2], 1, skip, np.dtype(dtype))
+        out, lse = _shifted(flash._attend, q, k, v, mask, mask.shape[2], np.dtype(dtype))
         assert out.dtype == lse.dtype == np.float64
 
         # (1) against the running-state path: bit for bit wherever both
@@ -281,18 +287,14 @@ class TestOneBlockBaseCase:
         # narrower tile sums its row in another order (and meets BLAS at
         # another shape), so a trimmed band is held to the contract every
         # other skip on/off comparison in this file uses.
-        ref_out, ref_lse = _through_the_recurrence(q, k, v, mask, scale, dtype)
+        ref_out, ref_lse = _through_the_recurrence(q, k, v, mask, dtype)
         rows, keys = mask.any(axis=(0, 2)), mask.any(axis=(0, 1))
         untrimmed = not rows.any() or (rows[[0, -1]].all() and keys[[0, -1]].all())
-        if not skip or len(rows) == 1 or untrimmed:
+        if len(rows) == 1 or untrimmed:
             assert np.array_equal(out, ref_out)
             assert np.array_equal(lse, ref_lse)
-        elif dtype is np.float64:
-            _assert_matches(AttentionResult(out, lse), ref_out, ref_lse)
         else:
-            np.testing.assert_allclose(out, ref_out, atol=1e-4, rtol=1e-4)
-            np.testing.assert_allclose(lse, ref_lse, atol=1e-4, rtol=1e-4)
-            assert np.array_equal(np.isneginf(lse), np.isneginf(ref_lse))
+            _assert_close(dtype, out, lse, ref_out, ref_lse)
 
         # (2) folding it into an empty OnlineSoftmaxState and finalising —
         # divide by 1, add log 1 — gives it back, bit for bit
@@ -359,7 +361,7 @@ def tile_case(draw):
     return q, k, v, mask
 
 
-def _minus_inf_block(q, k, v, mask, scale, dtype, keys_major):
+def _minus_inf_block(q, k, v, mask, dtype, keys_major):
     """One block the way the kernel used to mask it — ``-inf`` written into
     the scores, then max -> shift -> exp -> sum — on the same tile: same
     operands, same orientation, so a visible entry meets the same
@@ -368,7 +370,7 @@ def _minus_inf_block(q, k, v, mask, scale, dtype, keys_major):
     nkv = k.shape[2]
     g = nh // nkv
     qt = np.multiply(
-        q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), scale, dtype=dtype, order="C"
+        q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), 1.0 / np.sqrt(dh), dtype=dtype, order="C"
     ).reshape(s, nkv, dh, r * g)
     kb, vb = (x.astype(dtype).transpose(0, 2, 1, 3) for x in (k, v))
     if keys_major:
@@ -414,11 +416,10 @@ class TestScoreTile:
         Kills: the zeroing pass dropped; a partial tile classified fully
         visible; the scale applied twice or not at all."""
         q, k, v, mask = case
-        scale = 1.0 / np.sqrt(q.shape[-1])
-        with pytest.MonkeyPatch.context() as patch:
+        with every_block_swept(), pytest.MonkeyPatch.context() as patch:
             patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
-            out, lse = _shifted(flash._attend, q, k, v, mask, scale, mask.shape[2], 1, False, np.dtype(dtype))
-        ref_out, ref_lse = _minus_inf_block(q, k, v, mask, scale, dtype, keys_major)
+            out, lse = _shifted(flash._attend, q, k, v, mask, mask.shape[2], np.dtype(dtype))
+        ref_out, ref_lse = _minus_inf_block(q, k, v, mask, dtype, keys_major)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(lse, ref_lse)
         dark = ~mask.any(axis=2)
@@ -429,14 +430,12 @@ class TestScoreTile:
     def test_orientation_is_pure_execution_strategy(self, case):
         """(b) Keys-major and rows-major tiles agree to the contract on
         tiles either side of the aspect rule, whichever the rule picks."""
-        q, k, v, coords, block_size, splits = case
+        q, k, v, coords, block_size = case
         results = []
         for keys_major in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
-                results.append(
-                    flash_attention(q, k, v, block_size=block_size, num_kv_splits=splits, **coords)
-                )
+                results.append(flash_attention(q, k, v, block_size=block_size, **coords))
         _assert_matches(results[0], results[1].out, results[1].lse)
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
         _assert_matches(results[0], ref_out, ref_lse)
@@ -445,16 +444,16 @@ class TestScoreTile:
     def test_key_band_over_every_rank_pair(self, cached_chunks):
         """(c) The ``long_prefill`` calls: all 16 (query rank, source rank)
         pairs of a load-balanced CP4 chunk behind 0 / 128 / 384 cached keys
-        per rank, bands on and off, one split and three. For a source rank
-        below the query rank the late half of the new block is invisible
-        to every row. Kills: the key band off by one at either edge; the
-        workspace slice one element short."""
+        per rank, in blocks of 128 and of 48 (band edges inside a block).
+        For a source rank below the query rank the late half of the new
+        block is invisible to every row. Kills: the key band off by one at
+        either edge; the workspace slice one element short."""
         rng = np.random.default_rng(cached_chunks)
         for q_rank, kv_rank in itertools.product(range(4), repeat=2):
             q, k, v, coords = _ring_step(rng, q_rank, kv_rank, cached_chunks)
             ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
-            for knobs in ({}, {"skip_masked_blocks": False}, {"num_kv_splits": 3}):
-                _assert_matches(flash_attention(q, k, v, **coords, **knobs), ref_out, ref_lse)
+            for block_size in (128, 48):
+                _assert_matches(flash_attention(q, k, v, **coords, block_size=block_size), ref_out, ref_lse)
 
 
 # ---------------------------------------------------------------------- #
@@ -498,21 +497,20 @@ def _aligned(rng, rows, keys, dh=4):
 
 class TestShiftFree:
     @given(
-        tile_case(), st.sampled_from([np.float64, np.float32]), st.booleans(), st.booleans(),
-        st.sampled_from([1, 3, 64]),
+        tile_case(), st.sampled_from([np.float64, np.float32]), st.booleans(), st.sampled_from([1, 3, 64]),
     )
     @settings(**SETTINGS)
-    def test_equals_the_shifted_sweep(self, case, dtype, keys_major, skip, block_size):
+    def test_equals_the_shifted_sweep(self, case, dtype, keys_major, block_size):
         """(a) Eq. 4 at shift 0 is Eq. 4: the same tiles, summed unshifted,
         agree with the shifted sweep to the contract — both orientations,
-        one block and many, bands on and off, blind rows and blind segments
-        included — and in-range scores never pay for the fallback.
+        one block and many, blind rows and blind segments included — and
+        in-range scores never pay for the fallback.
         Kills: accumulation left in the compute dtype (the blocks of a
         many-block fp32 range drift apart); the leftovers of a partial tile
         not zeroed; ``den`` and ``acc`` banded to different rows."""
         q, k, v, mask = case
         scale = 1.0 / np.sqrt(q.shape[-1])
-        args = (q, k, v, mask, scale, block_size, 1, skip, np.dtype(dtype))
+        args = (q, k, v, mask, block_size, np.dtype(dtype))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
             fallbacks = _Fallbacks(patch)
@@ -527,19 +525,16 @@ class TestShiftFree:
         if np.abs(scores).max() < 30:  # exp stays inside sqrt(finfo) of either dtype
             assert taken == 0
 
-    @given(gqa_case(), st.sampled_from([np.float64, np.float32]), st.booleans())
+    @given(gqa_case(), st.sampled_from([np.float64, np.float32]))
     @settings(**SETTINGS)
-    def test_whole_calls_equal_the_shifted_sweep(self, case, dtype, skip):
-        """(a) ... through ``flash_attention``: splits, ``mask_fn``, permuted
+    def test_whole_calls_equal_the_shifted_sweep(self, case, dtype):
+        """(a) ... through ``flash_attention``: ``mask_fn``, permuted
         coordinates and padded varlen groups whose ``PAD_SEQ`` rows and
         padding slots are blind. Kills: a zero ``den`` divided through (nan
         in a blind row); the blind rows of one varlen group written over
         another's."""
-        q, k, v, coords, block_size, splits = case
-        knobs = dict(
-            block_size=block_size, num_kv_splits=splits, compute_dtype=dtype,
-            skip_masked_blocks=skip, **coords,
-        )
+        q, k, v, coords, block_size = case
+        knobs = dict(block_size=block_size, compute_dtype=dtype, **coords)
         res = flash_attention(q, k, v, **knobs)
         ref = _shifted(flash_attention, q, k, v, **knobs)
         _assert_close(dtype, res.out, res.lse, ref.out, ref.lse)
@@ -557,7 +552,7 @@ class TestShiftFree:
         k[:, 0, 0] = big * rng.choice([-1.0, 1.0], 12)
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = _Fallbacks(patch)
-            res = flash_attention(q, k, v, causal=False, block_size=block_size, compute_dtype=dtype)
+            res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=block_size, compute_dtype=dtype)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_close(dtype, res.out, res.lse, ref_out, ref_lse)
@@ -600,7 +595,7 @@ class TestShiftFree:
         v = v * 1e-10
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = _Fallbacks(patch)
-            res = flash_attention(q, k, v, causal=False)
+            res = flash_attention(q, k, v, mask_fn=_all_visible)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_matches(AttentionResult(res.out * 1e10, res.lse), ref_out * 1e10, ref_lse)
@@ -615,7 +610,7 @@ class TestShiftFree:
         k[13, 0, 0] = 800.0
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = _Fallbacks(patch)
-            res = flash_attention(q, k, v, causal=False, block_size=4)
+            res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_matches(res, ref_out, ref_lse)
@@ -631,7 +626,7 @@ class TestShiftFree:
         v = v * 1e200
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = _Fallbacks(patch)
-            res = flash_attention(q, k, v, causal=False, block_size=4)
+            res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_matches(AttentionResult(res.out / 1e200, res.lse), ref_out / 1e200, ref_lse)
@@ -700,9 +695,9 @@ def one_row_case(draw):
 
 
 class TestOneRowBaseCase:
-    @given(one_row_case(), st.sampled_from([np.float64, np.float32]), st.booleans())
+    @given(one_row_case(), st.sampled_from([np.float64, np.float32]))
     @settings(**SETTINGS)
-    def test_equals_the_shifted_sweep_and_the_reference(self, case, dtype, skip):
+    def test_equals_the_shifted_sweep_and_the_reference(self, case, dtype):
         """One row per segment, keys inside one block: no tile is cut, and the
         result is the shifted sweep's and the reference oracle's to the
         contract, blind rows and the dark segment ``O = 0, LSE = -inf`` in
@@ -712,7 +707,7 @@ class TestOneRowBaseCase:
         through; ``acc`` or ``den`` left in the compute dtype's layout."""
         q, k, v, mask = case
         scale = 1.0 / np.sqrt(q.shape[-1])
-        args = (q, k, v, mask, scale, mask.shape[2], 1, skip, np.dtype(dtype))
+        args = (q, k, v, mask, mask.shape[2], np.dtype(dtype))
         with pytest.MonkeyPatch.context() as patch:
             tiles, fallbacks = _Tiles(patch), _Fallbacks(patch)
             out, lse = flash._attend(*args)
@@ -751,7 +746,7 @@ class TestOneRowBaseCase:
         v = rng.standard_normal((3, 5, 1, 4))
         mask = np.ones((3, 1, 5), dtype=bool)
         mask[2] = False
-        args = (q, k, v, mask, 0.5, 128, 1, True, np.dtype(dtype))
+        args = (q, k, v, mask, 128, np.dtype(dtype))  # (DH = 4: the kernel's scale is 1/2)
         returned = []
         with pytest.MonkeyPatch.context() as patch:
             inner = flash._sweep_additive
@@ -780,15 +775,3 @@ class TestOneRowBaseCase:
                 res = flash_attention(q, k, v, q_pos=q_pos, block_size=block_size)
             assert tiles.count == looped
             _assert_matches(res, *reference_attention_with_lse(q, k, v, q_pos=q_pos))
-
-    def test_split_kv_decode_takes_it_per_split(self):
-        """Flash-Decoding's split-KV: each split of a one-row call is a
-        one-block range of its own, merged by the recurrence."""
-        rng = np.random.default_rng(8)
-        q = rng.standard_normal((1, 4, 8))
-        k, v = rng.standard_normal((2, 40, 2, 8))
-        with pytest.MonkeyPatch.context() as patch:
-            tiles = _Tiles(patch)
-            res = flash_attention(q, k, v, q_pos=np.array([40]), num_kv_splits=4)
-        assert tiles.count == 0
-        _assert_matches(res, *reference_attention_with_lse(q, k, v, q_pos=np.array([40])))

@@ -14,8 +14,8 @@ structure (see ``test_prop_flash_fused.py``).
 The batches cover what the rings and the cache produce and what they never
 do: unequal lengths (one long sequence among short ones, so the padding
 rule has to split the batch), ``PAD_SEQ`` runs, sequences present on only
-one side, interleaved (non-run) sequence ids, an empty key side,
-``compute_dtype=float32`` and ``num_kv_splits > 1``.
+one side, interleaved (non-run) sequence ids, an empty key side and
+``compute_dtype=float32``.
 """
 
 import numpy as np
@@ -28,6 +28,8 @@ from repro.attention.masks import PAD_SEQ, attention_mask, run_index, run_offset
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
+
+from helpers import every_block_swept
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -71,11 +73,7 @@ def fused_batch(draw):
         q_seq=q_seq,
         k_seq=k_seq,
     )
-    knobs = dict(
-        block_size=draw(st.sampled_from([1, 3, 16, 128])),
-        num_kv_splits=draw(st.integers(1, 3)),
-        causal=draw(st.sampled_from([True, True, False])),
-    )
+    knobs = dict(block_size=draw(st.sampled_from([1, 3, 16, 128])))
     return case, knobs
 
 
@@ -102,12 +100,11 @@ class TestSegmentedMatchesMonolithic:
     @settings(**SETTINGS)
     def test_against_one_segment_and_the_reference(self, batch):
         case, knobs = batch
-        causal = knobs["causal"]
         seen = []
 
         def whole_call_mask(q_pos, k_pos, q_seq, k_seq):
             seen.append((len(q_pos), len(k_pos)))
-            return attention_mask(q_pos, k_pos, q_seq, k_seq, causal=causal)
+            return attention_mask(q_pos, k_pos, q_seq, k_seq)
 
         segmented = _call(case, **knobs)
         monolithic = _call(case, **knobs, mask_fn=whole_call_mask)
@@ -116,7 +113,7 @@ class TestSegmentedMatchesMonolithic:
             # mask_fn saw the whole call exactly once: it was not segmented
             assert seen == [(case["q_seq"].size, case["k_seq"].size)]
             ref_out, ref_lse = reference_attention_with_lse(
-                case["q"], case["k"], case["v"], causal=causal,
+                case["q"], case["k"], case["v"],
                 **{key: case[key] for key in ("q_pos", "k_pos", "q_seq", "k_seq")},
             )
             _assert_same(segmented, ref_out, ref_lse)
@@ -177,7 +174,8 @@ class TestSegmentedMatchesMonolithic:
     def test_block_skipping_is_invisible(self, batch):
         case, knobs = batch
         a = _call(case, **knobs)
-        b = _call(case, **knobs, skip_masked_blocks=False)
+        with every_block_swept():
+            b = _call(case, **knobs)
         _assert_same(a, b.out, b.lse)
 
 

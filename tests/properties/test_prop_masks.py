@@ -23,21 +23,20 @@ def masked_case(draw):
     window = draw(st.integers(1, t))
     sinks = draw(st.integers(0, 3))
     block = draw(st.integers(1, t))
-    splits = draw(st.integers(1, 4))
-    return q, k, v, window, sinks, block, splits
+    return q, k, v, window, sinks, block
 
 
 class TestMaskedKernelAgreement:
     @given(masked_case())
     @settings(**SETTINGS)
     def test_flash_equals_reference_under_windowed_mask(self, case):
-        """Blocked/split execution is exact for any window/sink mask: the
+        """Blocked execution is exact for any window/sink mask: the
         mask is evaluated per block in absolute coordinates, so chunking
         cannot change the result."""
-        q, k, v, window, sinks, block, splits = case
+        q, k, v, window, sinks, block = case
         fn = window_mask_fn(window, sink_tokens=sinks)
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, mask_fn=fn)
-        res = flash_attention(q, k, v, mask_fn=fn, block_size=block, num_kv_splits=splits)
+        res = flash_attention(q, k, v, mask_fn=fn, block_size=block)
         np.testing.assert_allclose(res.out, ref_out, atol=1e-9)
         np.testing.assert_allclose(res.lse, ref_lse, atol=1e-9)
 
@@ -45,7 +44,7 @@ class TestMaskedKernelAgreement:
     @settings(**SETTINGS)
     def test_window_of_t_equals_causal(self, case):
         """A window covering the whole sequence is plain causal attention."""
-        q, k, v, _, _, block, _ = case
+        q, k, v, _, _, block = case
         t = q.shape[0]
         fn = window_mask_fn(t)
         windowed, _ = reference_attention_with_lse(q, k, v, mask_fn=fn)
@@ -56,7 +55,7 @@ class TestMaskedKernelAgreement:
     @settings(**SETTINGS)
     def test_windowed_lse_at_most_causal(self, case):
         """Removing visible keys can only shrink the softmax denominator."""
-        q, k, v, window, _, _, _ = case
+        q, k, v, window, _, _ = case
         fn = window_mask_fn(window)
         _, lse_w = reference_attention_with_lse(q, k, v, mask_fn=fn)
         _, lse_c = reference_attention_with_lse(q, k, v)

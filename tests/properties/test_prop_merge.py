@@ -8,6 +8,8 @@ from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.merge import merge_partials
 
+from helpers import OnlineSoftmaxState
+
 SETTINGS = dict(max_examples=40, deadline=None)
 
 
@@ -114,8 +116,6 @@ class TestMergeProperties:
 
 
 def _sequential(partials):
-    from repro.attention.online_softmax import OnlineSoftmaxState
-
     state = OnlineSoftmaxState(partials[0].out.shape, partials[0].lse.shape)
     for p in partials:
         state.update(p.out, p.lse)
