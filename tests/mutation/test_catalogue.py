@@ -456,7 +456,7 @@ CATALOGUE = [
     ("merge-drops-last-partial", _merge_drops_last_partial,
      functools.partial(_named_test, _PASSKV_EXACT)),
     ("replicas-share-unscoped-tracer", _replicas_share_unscoped_tracer,
-     functools.partial(_golden_case, "fleet3-disagg-swap-noprefix-clean-least-loaded")),
+     functools.partial(_golden_case, "fleet3-disagg-swap-noprefix-clean-round-robin")),
     ("tp-decode-not-derived", _tp_decode_not_derived,
      functools.partial(_named_test, "runtime/test_serve_config.py"
                        "::test_decode_is_tp_priced_exactly_when_disaggregated", 2)),

@@ -97,8 +97,8 @@ def _cases():
         BASE, n_replicas=3, sessions=9, disaggregate=True, preemption="trim",
         prefix_cache=True, faults=dict(FAULTS),
     )
-    cases["fleet3-disagg-swap-noprefix-clean-least-loaded"] = dict(
-        BASE, n_replicas=3, sessions=9, policy="least-loaded", disaggregate=True,
+    cases["fleet3-disagg-swap-noprefix-clean-round-robin"] = dict(
+        BASE, n_replicas=3, sessions=9, policy="round-robin", disaggregate=True,
         preemption="swap", prefix_cache=False, faults=None,
     )
     return cases
@@ -137,7 +137,7 @@ GOLDEN = {
     "disagg-unbounded": "2cb54c20aa1043805382164d999110569ae4ece270a656c76ce3ec8e1c11d187",
     "fleet3-coloc-swap-prefix-faults": "a5c3aee240c97e327fc5801ec6c966c967bb921d1087206b158e928ee16c7889",
     "fleet3-disagg-trim-prefix-faults": "e088b2ce3042e94198e7e6afc57f1c65d7ecc334d7548568e8401dfa4e5b8094",
-    "fleet3-disagg-swap-noprefix-clean-least-loaded": "ffe2131406dfaa6ad849b810219bf431afe89c14cd72e2e3b45fd28b7d1215ad",
+    "fleet3-disagg-swap-noprefix-clean-round-robin": "c179554696fbb99e37e06cf19d562a2667014335d5883e792bb81d42239dd42e",
 }
 
 
