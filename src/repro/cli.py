@@ -30,7 +30,7 @@ Commands:
   the workload and the fault schedule); ``--replicas N`` serves the
   trace through a cluster-tier fleet of N independent replicas (each
   with the chosen deployment shape) behind ``--routing
-  {prefix,round-robin,least-loaded}`` — prefix-affinity routing places
+  {prefix,round-robin}`` — prefix-affinity routing places
   each conversation on the replica whose radix index holds its longest
   cached prefix, balanced against load and queue depth, with session
   stickiness for follow-up turns; ``--verify`` bit-checks every
@@ -528,13 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(default) keeps the bare single runtime",
     )
     p_serve.add_argument(
-        "--routing", choices=["prefix", "round-robin", "least-loaded"],
+        "--routing", choices=["prefix", "round-robin"],
         default=None,
         help="fleet routing policy for new conversations (only with "
              "--replicas > 1; default prefix): prefix-affinity scores "
              "replicas by cached-prefix match minus load and queue depth, "
-             "round-robin cycles, least-loaded picks the fewest queued "
-             "prefill tokens; follow-up turns always stick to their "
+             "round-robin cycles; follow-up turns always stick to their "
              "conversation's replica",
     )
     p_serve.add_argument("--chunk", type=int, default=16, help="prefill chunk tokens")

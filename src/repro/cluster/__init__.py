@@ -11,7 +11,6 @@ routing changes placement and timing, never token values.
 from repro.cluster.fleet import FleetReport, Replica, ReplicaFleet
 from repro.cluster.router import (
     ROUTING_POLICIES,
-    LeastLoadedRouter,
     PrefixAffinityRouter,
     RoundRobinRouter,
     Router,
@@ -24,7 +23,6 @@ __all__ = [
     "ReplicaFleet",
     "Router",
     "RoundRobinRouter",
-    "LeastLoadedRouter",
     "PrefixAffinityRouter",
     "ROUTING_POLICIES",
     "make_router",

@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.cluster.router import PrefixAffinityRouter, Router
 from repro.obs.trace import NULL_TRACER
-from repro.runtime.runtime import ContinuousBatchingRuntime, RuntimeReport
-from repro.runtime.state import RequestRecord, RequestState, TurnRequest, script_turns
+from repro.runtime.runtime import ContinuousBatchingRuntime, RuntimeReport, ServingReport
+from repro.runtime.state import RequestRecord, TurnRequest, script_turns
 from repro.serving.metrics import FleetMetrics
 from repro.workloads.generator import ConversationScript
 
@@ -82,61 +82,25 @@ class Replica:
 
 
 @dataclass
-class FleetReport:
-    """Merged outcome of a fleet run.
-
-    Like :class:`repro.runtime.runtime.RuntimeReport` this is a *live
-    view* over the replicas' mutable state (take it after the fleet
-    drains for a stable read), and it deliberately mirrors the runtime
-    report's query surface — ``records`` / ``generated`` / ``completed``
-    / ``statuses`` / ``goodput`` — so workload glue and verification
-    harnesses written against one runtime work against a fleet unchanged.
+class FleetReport(ServingReport):
+    """Merged outcome of a fleet run: the runtime report's request queries
+    (``record`` / ``generated`` / ``completed`` / ``statuses`` /
+    ``goodput``) over every replica's records, merged once by
+    :meth:`ReplicaFleet.report` — ids are fleet-unique — so workload glue
+    and verification harnesses written against one runtime work against a
+    fleet unchanged. ``makespan`` is the latest replica clock.
 
     Attributes:
+        metrics: per-replica + aggregate :class:`FleetMetrics`.
         replica_reports: each replica's own :class:`RuntimeReport`.
         owners: fleet request id -> replica id that executed it.
         placements: conversation seq_id -> replica id (routing outcome).
-        metrics: per-replica + aggregate :class:`FleetMetrics`.
-        makespan: the latest replica clock (fleet wall time).
     """
 
+    metrics: FleetMetrics = field(default_factory=FleetMetrics)
     replica_reports: dict[int, RuntimeReport] = field(default_factory=dict)
     owners: dict[int, int] = field(default_factory=dict)
     placements: dict[int, int] = field(default_factory=dict)
-    metrics: FleetMetrics = field(default_factory=FleetMetrics)
-    makespan: float = 0.0
-
-    @property
-    def records(self) -> dict[int, RequestRecord]:
-        """Every request record across the fleet (ids globally unique)."""
-        merged: dict[int, RequestRecord] = {}
-        for report in self.replica_reports.values():
-            merged.update(report.records)
-        return merged
-
-    def record(self, request_id: int) -> RequestRecord:
-        """One request's record, read from its owning replica (no merge)."""
-        return self.replica_reports[self.owners[request_id]].record(request_id)
-
-    def generated(self, request_id: int) -> list[int]:
-        return list(self.record(request_id).generated)
-
-    @property
-    def completed(self) -> dict[int, RequestRecord]:
-        """FINISHED records — the serving-exactness population."""
-        return {
-            rid: rec
-            for rid, rec in self.records.items()
-            if rec.state is RequestState.FINISHED
-        }
-
-    @property
-    def generated_tokens(self) -> int:
-        return sum(len(r.generated) for r in self.records.values())
-
-    def tokens_per_second(self) -> float:
-        """Fleet-decoded tokens per simulated second of fleet time."""
-        return self.generated_tokens / self.makespan if self.makespan > 0 else 0.0
 
     @property
     def prefill_rounds(self) -> int:
@@ -145,18 +109,6 @@ class FleetReport:
     @property
     def decode_rounds(self) -> int:
         return sum(r.decode_rounds for r in self.replica_reports.values())
-
-    def statuses(self) -> dict[str, int]:
-        """Terminal-status histogram across every replica."""
-        counts: dict[str, int] = {}
-        for rec in self.records.values():
-            key = rec.status or "running"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def goodput(self) -> float:
-        """Fleet-completed requests per simulated second of fleet time."""
-        return len(self.completed) / self.makespan if self.makespan > 0 else 0.0
 
 
 class ReplicaFleet:
@@ -258,17 +210,31 @@ class ReplicaFleet:
         non-draining replicas (in id order); follow-up turns stick to
         the conversation's replica. Ids are fleet-assigned and globally
         unique (an explicit non-negative id is honoured, like
-        :meth:`ContinuousBatchingRuntime.submit`).
+        :meth:`ContinuousBatchingRuntime.submit`). A prompt id outside the
+        vocabulary raises ``ValueError`` before anything moves: no id is
+        spent, and placements, owners and the router stay as they were.
         """
+        seq_id = request.seq_id
+        sticky = seq_id in self._sticky
+        if sticky:
+            targets = [self._replicas[self._sticky[seq_id]]]
+        else:
+            targets = [r for r in self._replicas.values() if not r.draining]
+            if not targets:
+                raise RuntimeError(
+                    "every replica is draining: no placement target for a "
+                    "new conversation"
+                )
+        # checked before an id is spent or the router's cursor or shadow index moves
+        request.check_vocab(min(r.runtime.vocab_size for r in targets))
         if request.request_id < 0:
             request.request_id = self._next_rid
         if request.request_id in self._owners:
             raise ValueError(f"request {request.request_id} already submitted")
         self._next_rid = max(self._next_rid, request.request_id) + 1
 
-        seq_id = request.seq_id
-        if seq_id in self._sticky:
-            replica = self._replicas[self._sticky[seq_id]]
+        if sticky:
+            replica = targets[0]
             if self.tracer.enabled:
                 self.tracer.instant(
                     "route",
@@ -280,20 +246,14 @@ class ReplicaFleet:
                     sticky=True,
                 )
         else:
-            eligible = [r for r in self._replicas.values() if not r.draining]
-            if not eligible:
-                raise RuntimeError(
-                    "every replica is draining: no placement target for a "
-                    "new conversation"
-                )
             tokens = np.asarray(request.prompt, dtype=np.int64)
-            replica = self.router.place(tokens, eligible)
+            replica = self.router.place(tokens, targets)
             if self.tracer.enabled:
                 # scores are read *before* placed() updates the shadow
                 # index, so they are the ones place() actually compared
                 scores = {
                     str(rid): score
-                    for rid, score in self.router.scores(tokens, eligible).items()
+                    for rid, score in self.router.scores(tokens, targets).items()
                 }
                 self.tracer.instant(
                     "route",
@@ -410,11 +370,14 @@ class ReplicaFleet:
     def report(self) -> FleetReport:
         metrics = FleetMetrics()
         reports: dict[int, RuntimeReport] = {}
+        records: dict[int, RequestRecord] = {}
         for rid in sorted(self._replicas):
             runtime = self._replicas[rid].runtime
             reports[rid] = runtime.report()
+            records.update(reports[rid].records)
             metrics.add_replica(rid, runtime.metrics, runtime.now)
         return FleetReport(
+            records=records,
             replica_reports=reports,
             owners=dict(self._owners),
             placements=self.placements(),

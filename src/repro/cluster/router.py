@@ -13,16 +13,14 @@ Policies (CLI names in parentheses):
   replicas in id order. The classic load-spreading baseline — and the
   baseline prefix-affinity routing must beat on warm TTFT and hit rate
   for shared-prefix traffic (the cluster-routing experiment's claim).
-- :class:`LeastLoadedRouter` (``least-loaded``): fewest queued prefill
-  tokens; ties broken by least cumulative busy time, then lowest id.
 - :class:`PrefixAffinityRouter` (``prefix``): the SGLang
   cache-aware-routing / Mooncake global-scheduler design. Each replica
   is scored by how much of the conversation's first prompt its radix
   prefix index already holds, discounted by load and queue depth::
 
       score(r) = matched(r)
-                 - load_weight  * (queued_tokens(r) + busy_time(r))
-                 - queue_weight * queue_depth(r)
+                 - LOAD_WEIGHT  * (queued_tokens(r) + busy_time(r))
+                 - QUEUE_WEIGHT * queue_depth(r)
 
   ``matched(r)`` is the longer of (a) the replica's *live* radix-index
   match (:meth:`ContinuousBatchingRuntime.prefix_match_len`) and (b) the
@@ -48,7 +46,14 @@ import numpy as np
 from repro.kvcache.prefix_index import PrefixIndex
 
 #: CLI / config names of the built-in policies.
-ROUTING_POLICIES = ("prefix", "round-robin", "least-loaded")
+ROUTING_POLICIES = ("prefix", "round-robin")
+
+#: Tokens of prefix match a unit of load (queued prefill tokens + simulated
+#: busy seconds) cancels in :class:`PrefixAffinityRouter`'s score.
+LOAD_WEIGHT = 0.25
+#: Tokens of prefix match one queued request cancels: queue depth is the
+#: coarser, faster-moving congestion signal, so it is weighted harder.
+QUEUE_WEIGHT = 4.0
 
 
 class Router:
@@ -92,35 +97,13 @@ class RoundRobinRouter(Router):
         return choice
 
 
-class LeastLoadedRouter(Router):
-    """Fewest queued prefill tokens; ties: least busy time, lowest id."""
-
-    name = "least-loaded"
-
-    def place(self, tokens, replicas):
-        return min(
-            replicas, key=lambda r: (r.queued_tokens(), r.busy_time(), r.id)
-        )
-
-
 class PrefixAffinityRouter(Router):
-    """Score replicas by prefix-cache affinity, balanced against load.
-
-    Args:
-        load_weight: tokens of match length a unit of load (queued
-            prefill tokens + simulated busy seconds) cancels.
-        queue_weight: tokens of match length one queued request cancels
-            (queue depth is the coarser, faster-moving congestion
-            signal, so it is weighted harder than raw tokens).
-    """
+    """Score replicas by prefix-cache affinity, balanced against load
+    (:data:`LOAD_WEIGHT`, :data:`QUEUE_WEIGHT`)."""
 
     name = "prefix"
 
-    def __init__(self, *, load_weight: float = 0.25, queue_weight: float = 4.0):
-        if load_weight < 0 or queue_weight < 0:
-            raise ValueError("router weights must be >= 0")
-        self.load_weight = load_weight
-        self.queue_weight = queue_weight
+    def __init__(self):
         self._shadow: dict[int, PrefixIndex] = {}
         self._inserts = 0
 
@@ -137,8 +120,8 @@ class PrefixAffinityRouter(Router):
         """The documented affinity-minus-load score (higher is better)."""
         return (
             self.match_len(replica, tokens)
-            - self.load_weight * (replica.queued_tokens() + replica.busy_time())
-            - self.queue_weight * replica.queue_depth()
+            - LOAD_WEIGHT * (replica.queued_tokens() + replica.busy_time())
+            - QUEUE_WEIGHT * replica.queue_depth()
         )
 
     def place(self, tokens, replicas):
@@ -163,8 +146,6 @@ def make_router(policy: str) -> Router:
         return PrefixAffinityRouter()
     if policy == "round-robin":
         return RoundRobinRouter()
-    if policy == "least-loaded":
-        return LeastLoadedRouter()
     raise ValueError(
         f"unknown routing policy {policy!r}; expected one of {ROUTING_POLICIES}"
     )

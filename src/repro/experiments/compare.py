@@ -86,12 +86,3 @@ def deviation_report(results: list[ExperimentResult]) -> ExperimentResult:
                 d.experiment_id, d.column, d.n, 100 * d.mean_rel, 100 * d.max_rel
             )
     return summary
-
-
-def worst_deviation(results: list[ExperimentResult]) -> float:
-    """The single worst relative deviation across all compared columns."""
-    worst = 0.0
-    for result in results:
-        for d in deviations(result):
-            worst = max(worst, d.max_rel)
-    return worst

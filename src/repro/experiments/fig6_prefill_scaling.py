@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.core.heuristics import RingAlgo
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gti_host, gtt_host
+from repro.perf.hardware import HostSpec, gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.workloads.traces import FIG6_CONTEXT_LENGTHS, FIG6_GTI_RANKS, FIG6_GTT_RANKS
 
@@ -45,8 +45,3 @@ def run(host: HostSpec | None = None, *, ranks: list[int] | None = None) -> Expe
             "achieved TCP bandwidth (pass-KV comm still hides, Eq. 2)."
         )
     return res
-
-
-def run_both() -> list[ExperimentResult]:
-    """Both panels (GTT and GTI)."""
-    return [run(gtt_host()), run(gti_host())]

@@ -9,7 +9,6 @@ from repro.experiments import (
     ablation_sharding,
     capacity_scaling,
     cluster_routing,
-    disagg_runtime,
     disaggregation,
     fault_tolerance,
     fig6_prefill_scaling,
@@ -58,7 +57,6 @@ def registry(*, fast: bool = False) -> Registry:
         ("Disaggregation", disaggregation.run),
         ("CP vs PP", pp_vs_cp.run),
         ("Runtime under capacity pressure", serving_load.run_runtime),
-        ("Disaggregated runtime", disagg_runtime.run),
         ("Preemption modes", preemption_modes.run),
         ("Prefix reuse", prefix_reuse.run),
         ("Fault tolerance", fault_tolerance.run),

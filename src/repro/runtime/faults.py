@@ -152,7 +152,7 @@ class FaultPlan:
         Keys: ``transfer`` (fail rate), ``swap`` (loss rate),
         ``pool_reset`` (count), ``window`` (reset round window),
         ``retries``, ``backoff``, ``backoff_cap``, ``deadline``
-        (seconds), ``queue`` (max depth). Unknown keys raise.
+        (seconds), ``queue`` (max depth). Unknown and repeated keys raise.
         """
         kwargs: dict = {}
         for part in spec.split(","):
@@ -167,6 +167,8 @@ class FaultPlan:
                     f"bad fault spec item {part!r}: want key=value with key in {{{known}}}"
                 )
             field_name, cast = _SPEC_KEYS[key]
+            if field_name in kwargs:
+                raise ValueError(f"fault spec key {key!r} given twice")
             try:
                 kwargs[field_name] = cast(value)
             except ValueError as exc:

@@ -24,7 +24,7 @@ host swap store); the deployment shape is how many distinct pools:
   Mooncake): two pools joined by a serialized, bandwidth-priced
   :class:`repro.runtime.transfer.KVTransferStream`. Each pool advances
   its own clock, so decode TTIT is interference-free — what the
-  "Disaggregated runtime" and "Serving under load" experiments measure.
+  "Disaggregation" and "Serving under load" experiments measure.
 
 One ``step`` serves both (apply faults, land transfers, admit, swap in,
 wake idle pools, pick a round, run it, handle dead ends); only the wake
@@ -155,37 +155,21 @@ POOL_DECODE = "decode"
 
 
 @dataclass
-class RuntimeReport:
-    """Aggregate outcome of a runtime run.
-
-    This is a *live view*, not a snapshot: ``records`` and ``metrics``
-    reference the runtime's own mutable state, so a report taken mid-run
-    keeps updating as further steps execute (which is what lets tests and
-    external policies inspect in-flight requests cheaply). Take the
-    report after :meth:`ContinuousBatchingRuntime.run` drains — or copy
-    fields — when a frozen snapshot is needed.
+class ServingReport:
+    """The request queries a runtime's and a fleet's report share.
 
     Attributes:
-        records: every submitted request's record, by request id.
-        metrics: rolled-up serving metrics (turns, TTFT/TTIT percentiles,
-            preemption/eviction and KV-transfer counters).
-        makespan: simulated seconds from 0 to the last round's end
-            (the later of the two pool clocks when disaggregated).
+        records: every submitted request's record, by request id. The
+            keyspace is fixed when the report is taken; the records are the
+            runtime's own, so one taken mid-run keeps updating as further
+            steps execute (take the report after ``run`` drains for a stable
+            read).
+        makespan: simulated seconds from 0 to the last round's end (the
+            latest pool clock, or the latest replica's in a fleet).
     """
 
     records: dict[int, RequestRecord] = field(default_factory=dict)
-    metrics: ServingMetrics = field(default_factory=ServingMetrics)
     makespan: float = 0.0
-
-    @property
-    def prefill_rounds(self) -> int:
-        """Executed prefill rounds (the fold's ``pool_rounds``)."""
-        return self.metrics.pool_rounds.get(POOL_PREFILL, 0)
-
-    @property
-    def decode_rounds(self) -> int:
-        """Executed decode rounds (the fold's ``pool_rounds``)."""
-        return self.metrics.pool_rounds.get(POOL_DECODE, 0)
 
     @property
     def generated_tokens(self) -> int:
@@ -196,7 +180,7 @@ class RuntimeReport:
         return self.generated_tokens / self.makespan if self.makespan > 0 else 0.0
 
     def record(self, request_id: int) -> RequestRecord:
-        """One request's record (the accessor a fleet report shares)."""
+        """One request's record."""
         return self.records[request_id]
 
     def generated(self, request_id: int) -> list[int]:
@@ -228,6 +212,29 @@ class RuntimeReport:
         """Completed requests per simulated host-second over the makespan
         (DistServe's serving-quality axis; 0 before any time elapses)."""
         return len(self.completed) / self.makespan if self.makespan > 0 else 0.0
+
+
+@dataclass
+class RuntimeReport(ServingReport):
+    """Aggregate outcome of a runtime run.
+
+    Attributes:
+        metrics: the runtime's own rolled-up serving metrics (turns,
+            TTFT/TTIT percentiles, preemption/eviction and KV-transfer
+            counters), live like the records.
+    """
+
+    metrics: ServingMetrics = field(default_factory=ServingMetrics)
+
+    @property
+    def prefill_rounds(self) -> int:
+        """Executed prefill rounds (the fold's ``pool_rounds``)."""
+        return self.metrics.pool_rounds.get(POOL_PREFILL, 0)
+
+    @property
+    def decode_rounds(self) -> int:
+        """Executed decode rounds (the fold's ``pool_rounds``)."""
+        return self.metrics.pool_rounds.get(POOL_DECODE, 0)
 
     def pool_utilization(self) -> dict[str, float]:
         """Busy fraction per pool over the makespan."""
@@ -335,6 +342,7 @@ class ContinuousBatchingRuntime:
                 "LlamaModel instance to both engines"
             )
         self.engine = engine
+        self.vocab_size = engine.model.config.vocab_size
         self.decode_engine = decode_engine if decode_engine is not None else engine
         self.disaggregated = self.decode_engine is not engine
         prefill = Pool(engine)
@@ -418,8 +426,10 @@ class ContinuousBatchingRuntime:
 
         Turns sharing a ``seq_id`` form a conversation: they run in submit
         order over one persistent KV stream, each waiting for its
-        predecessor to finish.
+        predecessor to finish. A prompt id outside the model's vocabulary
+        raises ``ValueError`` here and changes nothing.
         """
+        request.check_vocab(self.vocab_size)
         self._queued_tokens = None
         if request.request_id < 0:
             request.request_id = self._next_rid
@@ -624,7 +634,8 @@ class ContinuousBatchingRuntime:
         return True
 
     def report(self) -> RuntimeReport:
-        """Current :class:`RuntimeReport` (a live view; see its docs)."""
+        """Current :class:`RuntimeReport` (live records; see
+        :class:`ServingReport`)."""
         return RuntimeReport(
             records=dict(self._records),
             metrics=self.metrics,

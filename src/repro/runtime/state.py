@@ -49,6 +49,7 @@ Each conversation turn moves through::
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -106,8 +107,19 @@ class TurnRequest:
             raise ValueError(f"request {self.request_id}: prompt must be non-empty 1-D")
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
-        if self.arrival < 0:
-            raise ValueError("arrival must be >= 0")
+        if not (math.isfinite(self.arrival) and self.arrival >= 0):
+            raise ValueError(f"arrival must be a finite number >= 0, got {self.arrival}")
+
+    def check_vocab(self, vocab_size: int) -> None:
+        """Raise ``ValueError`` unless every prompt id lies in ``[0,
+        vocab_size)`` — run at submit, so a bad id fails there and not in
+        the middle of a round it shares with other requests."""
+        lo, hi = int(self.prompt.min()), int(self.prompt.max())
+        if lo < 0 or hi >= vocab_size:
+            raise ValueError(
+                f"seq {self.seq_id}: prompt token ids must lie in [0, {vocab_size}), "
+                f"got {lo}..{hi}"
+            )
 
 
 def script_turns(
@@ -117,8 +129,8 @@ def script_turns(
     ``submit_script``: turn ``i`` arrives no earlier than ``arrival + i *
     think_time`` (and the runtime never starts it before its predecessor
     finishes); only the last turn releases the conversation's KV."""
-    if think_time < 0:
-        raise ValueError("think_time must be >= 0")
+    if not (math.isfinite(think_time) and think_time >= 0):
+        raise ValueError(f"think_time must be a finite number >= 0, got {think_time}")
     n = script.turns
     for i, (prompt, budget) in enumerate(zip(script.prompts, script.response_budgets)):
         yield TurnRequest(

@@ -532,10 +532,6 @@ class FleetMetrics:
 
     # -------------------------- per-replica views ------------------------ #
 
-    def hit_rate(self, replica_id: int) -> float:
-        """One replica's prefix-cache hit rate."""
-        return self.replicas[replica_id].prefix_hit_rate
-
     def replica_goodput(self, replica_id: int) -> float:
         """One replica's completed requests per simulated second."""
         return self.replicas[replica_id].goodput(self.makespans[replica_id])

@@ -86,12 +86,6 @@ class WorkloadGenerator:
             raise ValueError(f"length must be >= 1, got {length}")
         return self.rng.integers(0, self.vocab_size, size=length, dtype=np.int64)
 
-    def varseq_batch(self, lengths: list[int], *, first_seq_id: int = 0) -> dict[int, np.ndarray]:
-        """A fused batch: ``{seq_id: prompt}`` with the requested lengths."""
-        return {
-            first_seq_id + i: self.prompt(length) for i, length in enumerate(lengths)
-        }
-
     def conversation(
         self,
         seq_id: int,
@@ -120,10 +114,6 @@ class WorkloadGenerator:
             script.prompts.append(self.prompt(int(self.rng.integers(lo_f, hi_f + 1))))
             script.response_budgets.append(int(self.rng.integers(lo_r, hi_r + 1)))
         return script
-
-    def decode_batch_sizes(self, n: int, *, low: int = 1, high: int = 8) -> list[int]:
-        """Batch-size samples for decode sweeps."""
-        return [int(b) for b in self.rng.integers(low, high + 1, size=n)]
 
     def shared_prefix_traffic(
         self,

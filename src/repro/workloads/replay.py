@@ -68,8 +68,8 @@ def divergences(
 
     Args:
         report: a :class:`repro.runtime.RuntimeReport` or a
-            :class:`repro.cluster.FleetReport` (both answer ``record``;
-            a fleet reads each request from its owning replica).
+            :class:`repro.cluster.FleetReport` (both answer
+            :class:`~repro.runtime.runtime.ServingReport`'s ``record``).
         rids: ``{seq_id: [request_id per turn]}`` as returned by
             :func:`submit_scripts_to_runtime`.
         reference: ``{seq_id: [tokens per turn]}`` as returned by

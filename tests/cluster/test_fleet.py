@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cluster import FleetReport, ReplicaFleet, make_router
+from repro.cluster import ReplicaFleet, make_router
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 from repro.runtime import ContinuousBatchingRuntime, ServeConfig, TurnRequest
@@ -92,6 +92,28 @@ class TestIdsAndStickiness:
         fleet.submit(req(0, 0, False))
         with pytest.raises(ValueError, match="already submitted"):
             fleet.submit(req(0, 1, True))
+
+    def test_out_of_vocabulary_prompt_changes_nothing(self):
+        """The fleet checks a prompt before it spends an id or routes:
+        round-robin's cursor moves inside ``place``, so a check after it
+        would skip a replica for the next conversation, and a rejected
+        follow-up turn would leave an owner behind."""
+        fleet = replace(CP1, replicas=2, routing="round-robin").build(MODEL)
+        gen = WorkloadGenerator(VOCAB, seed=0)
+
+        def turn(seq_id, ids):
+            return TurnRequest(
+                request_id=-1, seq_id=seq_id, prompt=ids, max_new_tokens=1, last_turn=False,
+            )
+
+        assert fleet.submit(turn(0, gen.prompt(4))) == 0
+        for seq_id in (0, 1):  # a follow-up turn, then a new conversation
+            with pytest.raises(ValueError, match=rf"prompt token ids must lie in \[0, {VOCAB}\)"):
+                fleet.submit(turn(seq_id, [VOCAB, 1]))
+            assert fleet.placements() == {0: 0}
+            assert fleet.report().owners == {0: 0}
+        assert fleet.submit(turn(1, gen.prompt(4))) == 1  # the id counter did not move
+        assert fleet.placements() == {0: 0, 1: 1}  # nor did the cursor
 
     def test_follow_up_turns_stick_to_placement(self):
         fleet = replace(CP1, replicas=3, routing="round-robin").build(MODEL)
@@ -189,23 +211,31 @@ class TestFleetReport:
         assert problem.startswith(f"seq {seq_id} turn {len(rids[seq_id]) - 1} diverged")
 
     def test_divergences_builds_no_merged_dict(self, run, monkeypatch):
-        """`records` merges every replica's dict per access; reading one
-        request through it made a fleet verify quadratic in requests.
-        `record` / `generated` go through `owners` to the owning replica."""
-        _fleet, _scripts, rids, report = run
-        merged = report.records
+        """`report()` merges the replicas' records once; every read after
+        it (`records`, `record`, `generated`, divergences) goes through
+        that one dict. A merge per access made a fleet verify quadratic in
+        requests."""
+        fleet, _scripts, rids, report = run
+        calls = []
+        runtime_report = ContinuousBatchingRuntime.report
+        monkeypatch.setattr(
+            ContinuousBatchingRuntime, "report",
+            lambda self: calls.append(self) or runtime_report(self),
+        )
+        fresh = fleet.report()
+        assert len(calls) == len(fleet.replicas)  # each replica read once
+        merged = vars(fresh)["records"]  # a plain attribute, not a property
+        assert merged == report.records and merged is not report.records
         want = {
             seq_id: [list(merged[rid].generated) for rid in turn_rids]
             for seq_id, turn_rids in rids.items()
         }
-        monkeypatch.setattr(
-            FleetReport, "records", property(lambda self: pytest.fail("merged dict built"))
-        )
-        assert divergences(report, rids, want) == []
-        for rid, owner in report.owners.items():
-            assert report.record(rid) is merged[rid]
+        assert divergences(fresh, rids, want) == []
+        for rid, owner in fresh.owners.items():
+            assert fresh.record(rid) is merged[rid]
             # the runtime report answers the same accessor: the glue duck-types
-            assert report.replica_reports[owner].record(rid) is merged[rid]
+            assert fresh.replica_reports[owner].record(rid) is merged[rid]
+        assert fresh.records is merged and len(calls) == len(fleet.replicas)
 
     def test_kv_leak_reports_cover_every_replica(self, run, monkeypatch):
         fleet, _scripts, _rids, report = run
@@ -282,7 +312,10 @@ class TestStepInterleaving:
 class StubRuntime:
     """The four things `ReplicaFleet` asks of a runtime while stepping —
     `now`, `live_requests()`, `step()`, `submit()` — with clock reads
-    counted and the cost of each step scripted."""
+    counted and the cost of each step scripted, plus the `vocab_size` a
+    submitted prompt is checked against."""
+
+    vocab_size = VOCAB
 
     def __init__(self, costs=()):
         self.t = 0.0

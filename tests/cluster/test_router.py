@@ -11,7 +11,6 @@ import pytest
 
 from repro.cluster.router import (
     ROUTING_POLICIES,
-    LeastLoadedRouter,
     PrefixAffinityRouter,
     Router,
     RoundRobinRouter,
@@ -85,40 +84,7 @@ class TestRoundRobin:
         assert router.place(toks(1), [loaded, idle]).id == 0
 
 
-class TestLeastLoaded:
-    def test_fewest_queued_tokens_wins(self):
-        router = LeastLoadedRouter()
-        replicas = [
-            StubReplica(0, queued=100),
-            StubReplica(1, queued=10),
-            StubReplica(2, queued=50),
-        ]
-        assert router.place(toks(1), replicas).id == 1
-
-    def test_tie_breaks_busy_time_then_lowest_id(self):
-        router = LeastLoadedRouter()
-        assert (
-            router.place(
-                toks(1),
-                [StubReplica(0, queued=10, busy=5.0), StubReplica(1, queued=10, busy=1.0)],
-            ).id
-            == 1
-        )
-        assert (
-            router.place(
-                toks(1), [StubReplica(1, queued=10), StubReplica(0, queued=10)]
-            ).id
-            == 0
-        )
-
-
 class TestPrefixAffinity:
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError, match="weights must be >= 0"):
-            PrefixAffinityRouter(load_weight=-0.1)
-        with pytest.raises(ValueError, match="weights must be >= 0"):
-            PrefixAffinityRouter(queue_weight=-1.0)
-
     def test_idle_tie_breaks_to_lowest_id(self):
         router = PrefixAffinityRouter()
         replicas = [StubReplica(2), StubReplica(0), StubReplica(1)]
@@ -148,9 +114,10 @@ class TestPrefixAffinity:
         assert router.match_len(replica, toks(1, 2, 3, 4)) == 4
 
     def test_load_discount_beats_affinity(self):
-        """score = match - load_weight*(queued+busy) - queue_weight*depth:
-        enough queued work on the warm replica routes past the cache."""
-        router = PrefixAffinityRouter(load_weight=0.25, queue_weight=4.0)
+        """score = match - LOAD_WEIGHT*(queued+busy) - QUEUE_WEIGHT*depth
+        (0.25 and 4.0): enough queued work on the warm replica routes past
+        the cache."""
+        router = PrefixAffinityRouter()
         prefix = list(range(16))
         warm = StubReplica(0, queued=200)  # 16 - 0.25*200 = -34
         cold = StubReplica(1)              # 0
@@ -160,7 +127,7 @@ class TestPrefixAffinity:
         assert router.score(cold, toks(*prefix)) == pytest.approx(0.0)
 
     def test_queue_depth_weighted_harder_than_tokens(self):
-        router = PrefixAffinityRouter(load_weight=0.25, queue_weight=4.0)
+        router = PrefixAffinityRouter()
         deep = StubReplica(0, depth=3)
         assert router.score(deep, toks(1)) == pytest.approx(-12.0)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import (
     capacity_scaling,
-    disagg_runtime,
     disaggregation,
     fault_tolerance,
     gqa_sensitivity,
@@ -63,6 +62,14 @@ class TestDisaggregation:
         assert max(colo) / min(colo) < 1.01 and max(disagg) / min(disagg) < 1.01
         assert min(colo) > max(disagg)
 
+    def test_disaggregated_ttit_is_the_tp_decode_price(self, result):
+        """The decode pool streams at the clean single-host TP-decode TTIT
+        the latency model prices at the row's context."""
+        sim = LatencySimulator(llama3_405b_config(), gtt_host())
+        predicted = 1e3 * sim.tp_decode(serving_load.CONTEXT, batch=1, n_nodes=1).total
+        for ttit in result.column("disaggregated p50 TTIT (ms)"):
+            assert ttit == pytest.approx(predicted, rel=0.01)
+
 
 class TestPpVsCp:
     def test_cp_latency_falls_pp_flat(self):
@@ -90,30 +97,6 @@ class TestRuntimeUnderCapacityPressure:
         assert result.column("KV capacity/rank")[0] == "unbounded"
         assert counts[0] == 0
         assert counts == sorted(counts)
-
-
-class TestDisaggregatedRuntime:
-    @pytest.fixture(scope="class")
-    def ttit(self):
-        """``{deployment: (mean, p95)}`` TTIT in ms."""
-        result = disagg_runtime.run()
-        return {
-            deployment: (mean, p95)
-            for deployment, mean, p95 in zip(
-                result.column("deployment"), result.column("mean TTIT (ms)"), result.column("p95 TTIT (ms)")
-            )
-        }
-
-    def test_disaggregation_cuts_the_measured_ttit_tail(self, ttit):
-        """Colocated decode rounds stall behind interleaved prefill chunks;
-        the dedicated decode pool does not."""
-        assert ttit["disaggregated"][1] < ttit["colocated"][1]
-
-    def test_measured_disaggregated_ttit_matches_the_prediction(self, ttit):
-        """The decode pool streams at the clean single-host TP-decode TTIT
-        the latency model prices."""
-        predicted = 1e3 * LatencySimulator(llama3_405b_config(), gtt_host()).tp_decode(64).total
-        assert ttit["disaggregated"][0] == pytest.approx(predicted, rel=0.01)
 
 
 class TestPreemptionModes:

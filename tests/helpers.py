@@ -105,21 +105,23 @@ def window_mask_fn(window: int, *, sink_tokens: int = 0):
     return fn
 
 
-def patch_source(patch, module, name: str, old: str, new: str) -> None:
-    """Replaces ``module.name`` through ``patch`` (a ``MonkeyPatch``) with
-    its own source edited at one place — ``old``, which must occur exactly
-    once, becomes ``new`` — compiled against the module's globals: a seeded
-    defect, or a path the code offers no switch for."""
-    lines, first = inspect.getsourcelines(getattr(module, name))
+def patch_source(patch, owner, name: str, old: str, new: str) -> None:
+    """Replaces ``owner.name`` — a module's function or a class's method —
+    through ``patch`` (a ``MonkeyPatch``) with its own source edited at one
+    place — ``old``, which must occur exactly once, becomes ``new`` —
+    compiled against its module's globals: a seeded defect, or a path the
+    code offers no switch for."""
+    function = getattr(owner, name)
+    lines, first = inspect.getsourcelines(function)
     source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1, f"{old!r} is not one place in {name}"
     # Padded to its own line numbers in the module's file, and run in the
     # module's live globals, so a later monkeypatch of a name it calls
     # still reaches it.
-    code = compile("\n" * (first - 1) + source.replace(old, new), module.__file__, "exec")
+    code = compile("\n" * (first - 1) + source.replace(old, new), function.__code__.co_filename, "exec")
     namespace: dict = {}
-    exec(code, vars(module), namespace)
-    patch.setattr(module, name, namespace[name])
+    exec(code, function.__globals__, namespace)
+    patch.setattr(owner, name, namespace[name])
 
 
 @contextlib.contextmanager

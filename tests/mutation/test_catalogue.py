@@ -37,6 +37,9 @@ _sweep_additive``), whose one-row base case must mask, and whose range
 check must run at every height and tell a blind row by the mask, not by
 ``den == 0``. Those three are one-line edits of the sweep's source
 (``helpers.patch_source``), compiled into the kernel module in its place.
+Two more edit the boundary where bad input must fail: a turn's arrival
+must be a finite time (``TurnRequest.__post_init__``), and the fleet must
+check a prompt's vocabulary before it routes (``ReplicaFleet.submit``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import bisect
 import functools
 import hashlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +57,7 @@ import pytest
 from dataclasses import replace
 
 from repro.attention import flash
+from repro.cluster import ReplicaFleet
 from repro.core import ring_decode, ring_passkv, ring_passq
 from repro.core.merge import merge_partials
 from repro.core.shape_engine import ShapeEngine
@@ -63,7 +68,7 @@ from repro.perf import latency
 from repro.perf.hardware import HostSpec, gtt_host
 from repro.runtime import config as serve_config
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
-from repro.runtime.state import RequestState
+from repro.runtime.state import RequestState, TurnRequest
 from repro.serving import metrics as serving_metrics
 from repro.workloads import replay
 
@@ -390,6 +395,24 @@ def _blind_rows_by_den(monkeypatch):
     )
 
 
+def _nan_arrival_admitted(monkeypatch):
+    """A turn's arrival is checked by ``arrival < 0`` alone, which a NaN
+    (and an infinity) passes: the runtime never drains."""
+    patch_source(
+        monkeypatch, TurnRequest, "__post_init__",
+        "not (math.isfinite(self.arrival) and self.arrival >= 0)", "self.arrival < 0",
+    )
+
+
+def _fleet_checks_vocab_after_routing(monkeypatch):
+    """The fleet leaves the vocabulary check to the replica's own submit,
+    after the router placed the turn and the fleet recorded its owner."""
+    patch_source(
+        monkeypatch, ReplicaFleet, "submit",
+        "request.check_vocab(min(r.runtime.vocab_size for r in targets))", "pass",
+    )
+
+
 # ---------------------------------------------------------------------- #
 # killers
 # ---------------------------------------------------------------------- #
@@ -510,6 +533,12 @@ CATALOGUE = [
     ("blind-rows-by-den", _blind_rows_by_den,
      functools.partial(_named_test, f"{_ONE_ROW}::test_out_of_range_returns_none_and_the_fallback_answers",
                        np.float64, -800.0)),
+    ("nan-arrival-admitted", _nan_arrival_admitted,
+     functools.partial(_named_test, "runtime/test_runtime.py::test_arrival_must_be_a_finite_time",
+                       math.nan)),
+    ("fleet-checks-vocab-after-routing", _fleet_checks_vocab_after_routing,
+     functools.partial(_named_test, "cluster/test_fleet.py::TestIdsAndStickiness"
+                       "::test_out_of_vocabulary_prompt_changes_nothing")),
 ]
 
 

@@ -101,6 +101,13 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize("spec", ["transfer=0.1,transfer=0.9", "deadline=3, queue=4, deadline=3"])
+    def test_parse_rejects_a_repeated_key(self, spec):
+        """A later item must not silently overwrite an earlier one."""
+        key = spec.partition("=")[0]
+        with pytest.raises(ValueError, match=f"fault spec key '{key}' given twice"):
+            FaultPlan.parse(spec)
+
     def test_describe_lists_non_defaults_only(self):
         desc = FaultPlan(seed=9, transfer_fail_rate=0.2, deadline_s=30.0).describe()
         assert "transfer_fail_rate=0.2" in desc

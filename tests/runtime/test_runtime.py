@@ -7,6 +7,8 @@ full runtime-vs-sequential exactness property lives in
 ``tests/properties/test_prop_runtime.py``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,43 @@ def test_sole_decoder_that_cannot_grow_raises_instead_of_livelocking(remedy):
     with pytest.raises(RuntimeError, match="decode step cannot fit"):
         rt.run(max_steps=500)
     assert rt.report().records[rid].preemptions == 0  # by any remedy
+
+
+@pytest.mark.parametrize("arrival", [math.nan, math.inf, -1.0])
+def test_arrival_must_be_a_finite_time(arrival):
+    """A NaN arrival passed ``arrival < 0`` (every comparison with NaN is
+    false) and wedged the runtime and the fleet: ``run`` raised "did not
+    drain" at ``max_steps``, or spun forever without it. It fails when the
+    turn is built now, before any runtime or fleet sees it."""
+    with pytest.raises(ValueError, match="arrival must be a finite number >= 0"):
+        TurnRequest(request_id=-1, seq_id=0, prompt=prompt(4), max_new_tokens=1, arrival=arrival)
+
+
+@pytest.mark.parametrize("think_time", [math.nan, math.inf, -1.0])
+def test_think_time_must_be_a_finite_time(think_time):
+    """An infinite think time puts turn 0 at ``arrival + 0 * inf``, a NaN."""
+    script = WorkloadGenerator(VOCAB, seed=0).conversation(0, turns=2, first_prompt=8)
+    rt = ServeConfig().build(MODEL)
+    with pytest.raises(ValueError, match="think_time must be a finite number >= 0"):
+        rt.submit_script(script, think_time=think_time)
+    assert rt.report().records == {}
+
+
+@pytest.mark.parametrize("ids", [[10**6, 3], [VOCAB, 0], [-1, 2]], ids=["far", "vocab", "negative"])
+def test_out_of_vocabulary_prompt_fails_at_submit(ids):
+    """A bad id passed submit and raised from the embedding inside the
+    prefill round, leaving it and the unrelated request fused into the
+    same round stuck in ``prefill``. Submit rejects it now and changes
+    nothing: no id is spent, and the other requests run to the end."""
+    rt = ServeConfig().build(MODEL)
+    good = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=3))
+    with pytest.raises(ValueError, match=rf"prompt token ids must lie in \[0, {VOCAB}\)"):
+        rt.submit(TurnRequest(request_id=-1, seq_id=1, prompt=ids, max_new_tokens=3))
+    late = rt.submit(TurnRequest(request_id=-1, seq_id=2, prompt=prompt(4, seed=1), max_new_tokens=1))
+    assert late == good + 1
+    report = rt.run(max_steps=1000)
+    assert sorted(report.records) == [good, late]
+    assert report.statuses() == {"finished": 2}
 
 
 class TestPreemptionModes:

@@ -220,6 +220,13 @@ class TestCommands:
         assert main(["serve", "--swap-capacity", "128"]) == 2
         assert "swap capacity only applies to swap preemption" in capsys.readouterr().err
 
+    def test_serve_rejects_a_repeated_fault_key(self, capsys):
+        """``transfer=0.1,transfer=0.9`` is a usage error, not a 0.9 plan."""
+        assert main(["serve", "--faults", "transfer=0.1,transfer=0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "'transfer' given twice" in captured.err
+        assert captured.out == ""
+
     def test_serve_rejects_round_budget_below_chunk(self, capsys):
         assert main(["serve", "--round-budget", "8"]) == 2
         assert "token budget (8) must be >= the prefill chunk (16)" in capsys.readouterr().err
@@ -318,13 +325,6 @@ class TestServeFleet:
         out = capsys.readouterr().out
         assert "(round-robin routing)" in out
         assert "verify vs sequential replay: identical" in out
-
-    def test_serve_fleet_least_loaded(self, capsys):
-        assert main([
-            "serve", "--replicas", "2", "--routing", "least-loaded",
-            "--sessions", "3", "--verify",
-        ]) == 0
-        assert "verify vs sequential replay: identical" in capsys.readouterr().out
 
     def test_serve_replicas_one_keeps_single_runtime_output(self, capsys):
         assert main(["serve", "--replicas", "1", "--sessions", "2"]) == 0

@@ -17,12 +17,6 @@ class TestWorkloadGenerator:
         p = gen.prompt(1000)
         assert p.min() >= 0 and p.max() < 50
 
-    def test_varseq_batch(self):
-        gen = WorkloadGenerator(100, seed=2)
-        batch = gen.varseq_batch([5, 9, 3], first_seq_id=10)
-        assert sorted(batch) == [10, 11, 12]
-        assert batch[11].shape == (9,)
-
     def test_conversation_script(self):
         gen = WorkloadGenerator(100, seed=3)
         script = gen.conversation(0, turns=4, first_prompt=200, followup_range=(8, 16))
@@ -45,12 +39,6 @@ class TestWorkloadGenerator:
             cached += p.size + 8  # + response
         assert rates[0] == 1.0
         assert all(r < 0.15 for r in rates[1:])
-
-    def test_decode_batch_sizes(self):
-        gen = WorkloadGenerator(100, seed=5)
-        sizes = gen.decode_batch_sizes(20, low=2, high=6)
-        assert len(sizes) == 20
-        assert all(2 <= s <= 6 for s in sizes)
 
     def test_validation(self):
         with pytest.raises(ValueError):
