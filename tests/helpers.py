@@ -118,7 +118,8 @@ def patch_source(patch, owner, name: str, old: str, new: str) -> None:
     # Padded to its own line numbers in the module's file, and run in the
     # module's live globals, so a later monkeypatch of a name it calls
     # still reaches it.
-    code = compile("\n" * (first - 1) + source.replace(old, new), function.__code__.co_filename, "exec")
+    padded = "\n" * (first - 1) + source.replace(old, new)
+    code = compile(padded, function.__code__.co_filename, "exec")
     namespace: dict = {}
     exec(code, function.__globals__, namespace)
     patch.setattr(owner, name, namespace[name])
