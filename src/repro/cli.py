@@ -20,10 +20,8 @@ Commands:
   ``--prefix-cache`` turns on shared-prefix KV reuse (a radix index over
   committed tokens with refcounted copy-on-write paged blocks);
   ``--traffic shared-prefix`` replays the templated N-system-prompts x
-  M-few-shot-variants workload that exercises it;
-  ``--policy {fifo,srpf}`` picks the chunk-packing order
-  (shortest-remaining-prefill-first trades head-of-line blocking for
-  mean TTFT); ``--faults`` arms the deterministic chaos layer
+  M-few-shot-variants workload that exercises it; ``--faults`` arms the
+  deterministic chaos layer
   (``transfer=0.2,swap=0.2,pool_reset=1,deadline=30,queue=16`` — see
   :meth:`repro.runtime.faults.FaultPlan.parse`), seeded by
   ``--fault-seed`` (default: ``--seed``, so one seed reproduces both
@@ -52,9 +50,21 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
+
+
+def _check_writable(flag: str, path: str) -> None:
+    """Raise ``ValueError`` unless ``path`` opens for writing, so a bad
+    output path is a usage error before the run, not a traceback after
+    it. An existing file is left as it is; a missing one is created."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ValueError(f"{flag} {path!r} is not writable: {exc.strerror}") from None
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -63,7 +73,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     selected = report.select(args.only, fast=args.fast)
     if not selected:
         known = ", ".join(exp_id for exp_id, _ in report.registry(fast=args.fast))
-        print(f"no experiment id contains {args.only!r}; known ids: {known}", file=sys.stderr)
+        print(
+            f"error: no experiment id contains {args.only!r}; known ids: {known}", file=sys.stderr
+        )
         return 2
     for exp_id, run in selected:
         res = run()
@@ -83,6 +95,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     host = gti_host() if args.platform == "gti" else gtt_host()
     sim = LatencySimulator(llama3_405b_config(), host)
     try:
+        if not (args.sla > 0 and math.isfinite(args.sla)):
+            raise ValueError(f"--sla must be a finite number of seconds > 0, got {args.sla}")
         ttfts = {n: sim.cp_prefill(args.context, n_ranks=n).total for n in (1, 2, 4, 8, 16, 32)}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -171,6 +185,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         engine.group.tracer = tracer = RecordingTracer()
         engine.prefill({0: toks})
         ChatSession(engine, 0).send(np.array([1]), max_new_tokens=args.decode_steps)
+        _check_writable("--output", args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -254,7 +269,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             chunk=args.chunk,
             round_budget=args.round_budget,
             max_seqs=8,
-            order=args.policy,
             preemption=args.preemption,
             swap_capacity=args.swap_capacity,
             prefix_cache=args.prefix_cache,
@@ -270,6 +284,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         runtime = config.build(
             model, sim=LatencySimulator(llama3_405b_config(), host), tracer=tracer
         )
+        for flag, path in (("--trace", args.trace), ("--prom", args.prom)):
+            if path:
+                _check_writable(flag, path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -282,14 +299,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if fleet:
         deploy = f"{config.replicas} x {deploy} ({config.routing} routing)"
     cap = "unbounded" if args.capacity is None else str(args.capacity)
-    extras = f"policy: {args.policy}"
-    if args.prefix_cache:
-        extras += ", prefix cache: on"
+    cache = ", prefix cache: on" if args.prefix_cache else ""
     print(
         f"served {args.sessions} sessions x {args.turns} turns "
         f"({args.traffic} traffic) on {deploy} "
         f"(KV capacity/rank: {cap}, chunk: {args.chunk}, "
-        f"preemption: {args.preemption}, {extras}, "
+        f"preemption: {args.preemption}{cache}, "
         f"priced as 405B on CP{args.priced_ranks} {host.name})"
     )
     if config.faults is not None:
@@ -502,11 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload shape: independent multi-turn conversations "
              "(default), or templated shared-prefix traffic (N system "
              "prompts x M few-shot variants) that exercises the prefix cache",
-    )
-    p_serve.add_argument(
-        "--policy", choices=["fifo", "srpf"], default="fifo",
-        help="chunked-prefill packing order: arrival order (fifo, default) "
-             "or shortest-remaining-prefill-first (srpf)",
     )
     p_serve.add_argument(
         "--faults", metavar="SPEC", default=None,

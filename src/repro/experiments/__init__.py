@@ -37,8 +37,6 @@ against sequential replay and a post-drain leak audit:
   :class:`~repro.core.shape_engine.ShapeEngine` (colocated vs
   disaggregated) -> :func:`repro.experiments.serving_load.run`. These two
   are the one §4.3 comparison: CP colocated against a dedicated decode pool
-- runtime under KV capacity pressure (capacity x packing order) ->
-  :func:`repro.experiments.serving_load.run_runtime`
 - preemption remedies under KV pressure ->
   :mod:`repro.experiments.preemption_modes`
 - shared-prefix KV reuse (radix prefix cache, warm-vs-cold TTFT) ->

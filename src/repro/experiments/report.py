@@ -56,7 +56,6 @@ def registry(*, fast: bool = False) -> Registry:
         ("GQA sensitivity", gqa_sensitivity.run),
         ("Disaggregation", disaggregation.run),
         ("CP vs PP", pp_vs_cp.run),
-        ("Runtime under capacity pressure", serving_load.run_runtime),
         ("Preemption modes", preemption_modes.run),
         ("Prefix reuse", prefix_reuse.run),
         ("Fault tolerance", fault_tolerance.run),

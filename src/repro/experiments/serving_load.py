@@ -6,9 +6,6 @@ continuous-batching runtime on :class:`~repro.core.shape_engine.ShapeEngine`
 attention) and compares CP4 colocated (prefill rounds interleave with
 decode) against a CP4 prefill pool feeding a one-rank decode pool priced
 at TP8 TTIT — the serving-architecture question raised by §4.3.
-:func:`run_runtime` asks the capacity question of the *numeric* runtime:
-real engine rounds, real paged-KV capacity pressure, real preemptions —
-with latencies priced at paper scale by the calibrated model.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.serving_grid import run_grid
 from repro.model.config import tiny_config
 from repro.runtime import ServeConfig
-from repro.workloads.generator import ConversationScript, WorkloadGenerator, poisson_arrivals
+from repro.workloads.generator import ConversationScript, poisson_arrivals
 
 
 #: The §4.3 deployment pair at the paper's 128K context, one whole prompt
@@ -79,66 +76,3 @@ def run() -> ExperimentResult:
     )
     return res
 
-
-def run_runtime() -> ExperimentResult:
-    """Capacity-pressure sweep through the continuous-batching runtime.
-
-    Replays one multi-session trace through the *numeric* runtime at a
-    sweep of per-rank KV capacities (unbounded down to barely-fits). As
-    capacity shrinks, admission control starts preempting: requests lose
-    their cache and pay exact re-prefill on resume, which shows up as
-    extra prefill rounds, later simulated finish times and a falling
-    goodput — demonstrated by a system whose every token is bit-checked
-    against sequential replay (:func:`~repro.experiments.serving_grid.run_grid`).
-
-    Numerics run the tiny model on CP2; the step clock prices rounds for
-    Llama3 405B on CP4 hosts.
-    """
-    res = ExperimentResult(
-        experiment_id="Runtime under capacity pressure",
-        title="4 sessions x 2 turns through the continuous-batching runtime (CP2 numerics, CP4 pricing)",
-        headers=[
-            "KV capacity/rank", "policy", "preemptions", "KV tokens evicted", "prefill rounds",
-            "decode rounds", "mean TTFT (s)", "p95 TTFT (s)", "makespan (s)",
-        ],
-    )
-    gen = WorkloadGenerator(tiny_config().vocab_size, seed=11)
-    # a length-mixed trace (one 3x-long prompt per four sessions) so the
-    # FIFO-vs-SRPF packing comparison has head-of-line blocking to remove
-    scripts = [
-        gen.conversation(sid, turns=2, first_prompt=48 * (3 if sid % 4 == 0 else 1),
-                         followup_range=(6, 12), response_range=(4, 6))
-        for sid in range(4)
-    ]
-    cells = {
-        f"capacity {capacity}, {order}": ServeConfig(capacity=capacity, order=order)
-        for capacity in (None, 160, 96)
-        for order in ("fifo", "srpf")
-    }
-    reports = run_grid(res.experiment_id, scripts, cells)
-    for config, report in zip(cells.values(), reports.values()):
-        m = report.metrics
-        res.add_row(
-            config.capacity or "unbounded", config.order, m.preemptions, m.evicted_tokens,
-            report.prefill_rounds, report.decode_rounds, float(np.mean(m.ttft_samples)),
-            m.percentile_ttft(95), report.makespan,
-        )
-    res.notes.append(
-        "Same trace, same (bit-identical) tokens at every capacity and "
-        "packing order (asserted) - shrinking the paged KV pool only adds "
-        "preemptions, whose exact re-prefill work surfaces as extra "
-        "prefill rounds and a longer simulated makespan. The runtime "
-        "turns the paper's OOM-postponing load-balance argument (§3.6) "
-        "into an executable capacity/latency trade-off curve."
-    )
-    mean_ttft = res.column("mean TTFT (s)")
-    res.notes.append(
-        "FIFO vs SRPF mean TTFT per capacity: "
-        + "; ".join(
-            f"{res.column('KV capacity/rank')[i]}: {mean_ttft[i]:.2f}s -> {mean_ttft[i + 1]:.2f}s"
-            for i in range(0, len(mean_ttft), 2)
-        )
-        + " - shortest-remaining-prefill-first slips short prompts past the "
-        "long head-of-line prompt, trading its TTFT for everyone else's."
-    )
-    return res

@@ -7,8 +7,8 @@ independent such runtimes behind a router. ``ServeConfig`` holds the
 plain values that pick those pieces; :meth:`ServeConfig.build` wires them
 through the constructors, which stay the one code path and keep
 validating what they own (engine: world size and capacity; policy: chunk,
-round budget and order; :class:`~repro.runtime.faults.FaultPlan`: rates;
-runtime: preemption and swap capacity; fleet: the replica count).
+round budget and sequence cap; :class:`~repro.runtime.faults.FaultPlan`:
+rates; runtime: preemption and swap capacity; fleet: the replica count).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class ServeConfig:
             unbounded).
         decode_capacity: per-rank KV tokens of the decode pool (``None`` =
             ``capacity``); only with ``decode_world``.
-        chunk / round_budget / max_seqs / order: chunked-prefill packing
+        chunk / round_budget / max_seqs: chunked-prefill packing
             (:class:`~repro.serving.scheduler.ChunkedPrefillPolicy`).
         preemption / swap_capacity / prefix_cache / faults / sanitize:
             the runtime options of the same names
@@ -53,7 +53,6 @@ class ServeConfig:
     chunk: int = 16
     round_budget: int = 32
     max_seqs: int = 4
-    order: str = "fifo"
     preemption: str = "recompute"
     swap_capacity: int | None = None
     prefix_cache: bool = False
@@ -124,7 +123,6 @@ class ServeConfig:
                 chunk_tokens=self.chunk,
                 max_tokens_per_round=self.round_budget,
                 max_seqs_per_round=self.max_seqs,
-                order=self.order,
             ),
             clock=clock,
             preemption=self.preemption,

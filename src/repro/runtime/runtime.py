@@ -856,16 +856,6 @@ class ContinuousBatchingRuntime:
             pending.append((rec.seq_id, rec.prefill_remaining))
         round_ = self.policy.build_round(pending)
         round_ = self._fit_prefill_round(round_, by_seq)
-        if not round_ and self.policy.order != "fifo":
-            # liveness fallback for non-FIFO packing: the FIFO head is the
-            # oldest request, so it alone can evict every younger holder —
-            # a reordered round of young requests must not starve it
-            head = next((entry for entry in pending if entry[1] > 0), None)
-            if head is not None:
-                round_ = self._fit_prefill_round(
-                    [ChunkAssignment(seq_id=head[0], tokens=min(head[1], self.policy.chunk_tokens))],
-                    by_seq,
-                )
         if not round_:
             return False
 
@@ -987,10 +977,8 @@ class ContinuousBatchingRuntime:
             return engine.fits(engine.prefill_token_demand(specs))
 
         while round_:
-            tail_key = max(
-                (by_seq[c.seq_id].request.arrival, by_seq[c.seq_id].request_id)
-                for c in round_
-            )
+            tail = by_seq[round_[-1].seq_id]
+            tail_key = (tail.request.arrival, tail.request_id)
             if self._make_room(
                 POOL_PREFILL,
                 fits,
@@ -1000,18 +988,8 @@ class ContinuousBatchingRuntime:
             ):
                 return round_
             if len(round_) > 1:
-                # drop the youngest member by FCFS key — under SRPF
-                # packing the positional tail is the *longest-remaining*
-                # request (often the oldest), which must not be the one
-                # squeezed out of its own round
-                youngest = max(
-                    range(len(round_)),
-                    key=lambda i: (
-                        by_seq[round_[i].seq_id].request.arrival,
-                        by_seq[round_[i].seq_id].request_id,
-                    ),
-                )
-                round_.pop(youngest)
+                # the round is in FCFS order: its tail is the youngest
+                round_.pop()
                 continue
             head = round_[0]
             cached = engine.context_length(head.seq_id)

@@ -55,24 +55,14 @@ class ChunkedPrefillPolicy:
     spreads across several rounds — each run as a partial prefill over
     the KV committed by its predecessors, so the planner's pass-KV/pass-Q
     heuristic fires per chunk as the effective cache-hit rate climbs.
-
-    Two packing orders:
-
-    - ``"fifo"`` (default): arrival order — every request makes steady
-      progress, the tail never starves.
-    - ``"srpf"``: shortest-remaining-prefill-first — rounds favour the
-      requests closest to their first token, which trades head-of-line
-      blocking (one long prompt ahead of many short ones) for mean TTFT.
-      The sort is stable, so equal remainders keep arrival order, and
-      capacity eviction stays FCFS-safe regardless of packing order (a
-      victim must be younger than every beneficiary).
+    Chunks pack in arrival order, so every request makes steady progress
+    and the tail never starves.
 
     Args:
         chunk_tokens: per-request chunk size cap (>= 1).
         max_tokens_per_round: fused round new-token budget; must be >=
             ``chunk_tokens`` so the FIFO head always makes progress.
         max_seqs_per_round: cap on fused sequences per round.
-        order: ``"fifo"`` or ``"srpf"`` packing order.
     """
 
     def __init__(
@@ -81,7 +71,6 @@ class ChunkedPrefillPolicy:
         chunk_tokens: int = 8192,
         max_tokens_per_round: int = 131072,
         max_seqs_per_round: int = 16,
-        order: str = "fifo",
     ):
         if chunk_tokens < 1:
             raise ValueError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
@@ -92,23 +81,17 @@ class ChunkedPrefillPolicy:
             )
         if max_seqs_per_round < 1:
             raise ValueError(f"max_seqs_per_round must be >= 1, got {max_seqs_per_round}")
-        if order not in ("fifo", "srpf"):
-            raise ValueError(f"order must be 'fifo' or 'srpf', got {order!r}")
         self.chunk_tokens = chunk_tokens
         self.max_tokens_per_round = max_tokens_per_round
         self.max_seqs_per_round = max_seqs_per_round
-        self.order = order
 
     def build_round(self, pending: list[tuple[int, int]]) -> list[ChunkAssignment]:
         """Pack one round from ``[(seq_id, tokens_remaining), ...]``.
 
-        ``pending`` arrives in FIFO order; ``order="srpf"`` stably
-        reorders it by remaining tokens first. Returns possibly-empty
-        chunk assignments in packing order. Entries with zero remaining
-        tokens are skipped.
+        ``pending`` arrives in FIFO order. Returns possibly-empty chunk
+        assignments in that order. Entries with zero remaining tokens are
+        skipped.
         """
-        if self.order == "srpf":
-            pending = sorted(pending, key=lambda entry: entry[1])
         round_: list[ChunkAssignment] = []
         budget = self.max_tokens_per_round
         for seq_id, remaining in pending:

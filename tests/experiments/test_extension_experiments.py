@@ -81,24 +81,6 @@ class TestPpVsCp:
         assert max(pp) / min(pp) < 1.05
 
 
-class TestRuntimeUnderCapacityPressure:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return serving_load.run_runtime()
-
-    @pytest.mark.parametrize("order", ["fifo", "srpf"])
-    def test_preemptions_never_fall_as_capacity_shrinks(self, result, order):
-        """Unbounded KV never preempts, and each tighter capacity preempts
-        at least as often as the one before it, under either packing order."""
-        counts = [
-            n for n, policy in zip(result.column("preemptions"), result.column("policy"))
-            if policy == order
-        ]
-        assert result.column("KV capacity/rank")[0] == "unbounded"
-        assert counts[0] == 0
-        assert counts == sorted(counts)
-
-
 class TestPreemptionModes:
     @pytest.fixture(scope="class")
     def result(self):
@@ -108,6 +90,22 @@ class TestPreemptionModes:
         modes = result.column("preemption")
         n_caps = len(modes) // len(preemption_modes.MODES)
         assert modes == list(preemption_modes.MODES) * n_caps
+
+    def test_full_evicts_never_fall_as_capacity_shrinks(self, result):
+        """Under recompute, each tighter capacity evicts at least as often
+        as the one before it."""
+        rows = [
+            (capacity, evicts)
+            for capacity, mode, evicts in zip(
+                result.column("KV capacity/rank"),
+                result.column("preemption"),
+                result.column("full evicts"),
+            )
+            if mode == "recompute"
+        ]
+        capacities, evicts = zip(*rows)
+        assert list(capacities) == sorted(capacities, reverse=True)
+        assert list(evicts) == sorted(evicts)
 
     def test_trim_and_swap_beat_recompute_on_p95_ttft(self, result):
         """The acceptance headline: both cheaper remedies improve tail

@@ -286,9 +286,8 @@ def run_traced(case, *, record: bool = True, model=TRACE_MODEL):
     ``case`` is a dict that fully determines the run: ``seed``,
     ``n_replicas``, ``policy`` (routing), ``disaggregate``,
     ``preemption``, ``prefix_cache``, ``chunk``, ``capacity``, ``think``,
-    ``shared``, ``sessions``, ``turns``, ``faults`` (``FaultPlan`` kwargs
-    or ``None``) and optionally ``order`` (prefill packing, default
-    ``"fifo"``). ``record=False`` runs the same case with no recorder
+    ``shared``, ``sessions``, ``turns`` and ``faults`` (``FaultPlan`` kwargs
+    or ``None``). ``record=False`` runs the same case with no recorder
     attached (the returned tracer is the null tracer). ``model`` builds the
     engines: a :class:`~repro.core.shape_engine.ShapeModel` replays the case
     on shape-only ones.
@@ -299,7 +298,6 @@ def run_traced(case, *, record: bool = True, model=TRACE_MODEL):
         capacity=case["capacity"],
         chunk=case["chunk"],
         round_budget=2 * case["chunk"],
-        order=case.get("order", "fifo"),
         preemption=case["preemption"],
         prefix_cache=case["prefix_cache"],
         faults=FaultPlan(**case["faults"]) if case["faults"] else None,

@@ -11,7 +11,9 @@ few seconds).
 Entries so far cover the remedy seam in ``runtime/runtime.py``: the one
 victim loop (``_make_room``), the two bounds on a victim (``_find_victim``:
 younger than the beneficiary, never the oldest live request) and the
-remedy ladder (``_rungs``, then full eviction); the rings' shard skip
+remedy ladder (``_rungs``, then full eviction), and the prefill fit
+(``_fit_prefill_round``), which must squeeze out a round's youngest
+member — its FCFS tail — before its oldest; the rings' shard skip
 (``ring_skip.partial_fully_masked``), which alone decides which ring-step
 partials are replaced by the merge identity, and the prefill rings' merge
 of every step's partial (``merge_partials``); what the deployment
@@ -147,6 +149,12 @@ def _trim_ignores_adopted_prefix(monkeypatch):
             rec.prefix_shared = shared
 
     monkeypatch.setattr(Runtime, "_trim", unguarded)
+
+
+def _fit_drops_oldest_member(monkeypatch):
+    """A prefill round that cannot fit drops its head, the oldest request,
+    instead of its youngest tail."""
+    patch_source(monkeypatch, Runtime, "_fit_prefill_round", "round_.pop()", "round_.pop(0)")
 
 
 def _swap_ignores_store_budget(monkeypatch):
@@ -468,7 +476,11 @@ CATALOGUE = [
                        "::test_sole_decoder_that_cannot_grow_raises_instead_of_livelocking",
                        "swap")),
     ("trim-ignores-adopted-prefix", _trim_ignores_adopted_prefix,
-     functools.partial(_golden_case, "disagg-trim-prefix-clean-srpf")),
+     functools.partial(_named_test, "runtime/test_prefix_cache.py::TestPinning"
+                       "::test_trim_respects_shared_prefix_floor")),
+    ("fit-drops-oldest-member", _fit_drops_oldest_member,
+     functools.partial(_named_test, "runtime/test_runtime.py::TestPreemption"
+                       "::test_capacity_pressure_preempts_and_stays_exact")),
     ("swap-ignores-store-budget", _swap_ignores_store_budget,
      functools.partial(_named_test, "runtime/test_runtime.py::TestPreemptionModes"
                        "::test_swap_store_capacity_falls_back_to_full_evict")),

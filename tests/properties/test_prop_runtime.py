@@ -24,10 +24,9 @@ identical — the remedies may change only what an eviction costs.
 The prefix-cache variants extend it over *sharing*: with the radix
 prefix cache enabled, any schedule of index hits and misses, adoptions
 through refcounted copy-on-write paged blocks, LRU evictions of cached
-residents, remedy applications against borrowers and donors, pool
-splits, and chunk-packing orders (FIFO or SRPF) must still decode every
-token identically to sequential replay — reuse changes what a prompt
-costs, never what it computes.
+residents, remedy applications against borrowers and donors, and pool
+splits must still decode every token identically to sequential replay —
+reuse changes what a prompt costs, never what it computes.
 """
 
 from dataclasses import replace
@@ -103,7 +102,6 @@ def shared_trace_case(draw):
     # organic preemptions of borrowers and donors alike
     capacity = draw(st.sampled_from([None, 96, 144]))
     think = draw(st.sampled_from([0.0, 2.5]))
-    order = draw(st.sampled_from(["fifo", "srpf"]))
     gen = WorkloadGenerator(VOCAB, seed=seed)
     scripts = gen.shared_prefix_traffic(
         n_system_prompts=templates,
@@ -116,9 +114,7 @@ def shared_trace_case(draw):
         followup_range=(4, 12),
         response_range=(2, 5),
     )
-    config = ServeConfig(
-        world=world, capacity=capacity, chunk=chunk, round_budget=2 * chunk, order=order
-    )
+    config = ServeConfig(world=world, capacity=capacity, chunk=chunk, round_budget=2 * chunk)
     return scripts, config, think
 
 
@@ -350,9 +346,9 @@ class TestRuntimeExactness:
     def test_prefix_cache_identical_to_sequential_replay(self, case, mode):
         """Shared-prefix traffic through the radix prefix cache — any
         hit/miss/adoption/LRU-eviction schedule under any preemption
-        remedy and packing order — decodes bit-identical tokens."""
+        remedy — decodes bit-identical tokens."""
         scripts, config, think = case
-        world, capacity, chunk, order = config.world, config.capacity, config.chunk, config.order
+        world, capacity, chunk = config.world, config.capacity, config.chunk
         runtime = replace(config, preemption=mode, prefix_cache=True).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         report = runtime.run(max_steps=200_000)
@@ -360,7 +356,7 @@ class TestRuntimeExactness:
         assert_exact_vs_sequential(
             report, rids, reference,
             context=f"capacity={capacity}, chunk={chunk}, mode={mode}, "
-                    f"order={order}, hits={report.metrics.prefix_hits}, "
+                    f"hits={report.metrics.prefix_hits}, "
                     f"prefix evictions={report.metrics.prefix_evictions}, "
                     f"preemptions={report.metrics.preemptions}",
         )
@@ -398,7 +394,7 @@ class TestRuntimeExactness:
         and borrowers evicted mid-flight, copy-on-write splits, pinned
         prefixes dropped as last resort — never changes tokens."""
         scripts, config, think = case
-        world, order = config.world, config.order
+        world = config.world
         runtime = replace(config, capacity=None, preemption=mode, prefix_cache=True).build(MODEL)
         rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
         steps = 0
@@ -422,7 +418,7 @@ class TestRuntimeExactness:
         reference = replay_scripts_sequential(lambda: fresh_engine(world), scripts)
         assert_exact_vs_sequential(
             report, rids, reference,
-            context=f"mode={mode}, order={order}, forced={forced}",
+            context=f"mode={mode}, forced={forced}",
         )
 
     def test_final_logits_match_sequential(self):

@@ -4,7 +4,7 @@ Every clock is simulated, so the JSONL trace of a seeded run is a pure
 function of the configuration (``tests/properties/test_prop_trace.py``
 pins that). This file pins the *bytes*: one SHA-256 per configuration
 over a fixed, explicit matrix — deployment shape x preemption remedy x
-prefix cache x fault plan, plus an SRPF packing case and 3-replica
+prefix cache x fault plan, plus unbounded runs and 3-replica
 fleets. A behaviour-identical refactor of the runtime leaves every
 digest where it is; a change that means to move scheduling re-baselines
 the affected digests in its own commit and says which events moved.
@@ -72,14 +72,6 @@ def _cases():
             prefix_cache=prefix,
             faults=dict(FAULTS) if faults else None,
         )
-    cases["coloc-swap-prefix-clean-srpf"] = dict(
-        BASE, disaggregate=False, preemption="swap", prefix_cache=True,
-        faults=None, order="srpf",
-    )
-    cases["disagg-trim-prefix-clean-srpf"] = dict(
-        BASE, disaggregate=True, preemption="trim", prefix_cache=True,
-        faults=None, order="srpf",
-    )
     # no capacity pressure: the idle-pool wake rules and wire stalls alone
     cases["coloc-unbounded"] = dict(
         BASE, capacity=None, disaggregate=False, preemption="recompute",
@@ -131,8 +123,6 @@ GOLDEN = {
     "disagg-swap-noprefix-faults": "11afb831197cd6a2d53820051d8423e175b4c747347aef970459125d68466c2d",
     "disagg-swap-prefix-clean": "3dd79c6b1c984870c9d819167c953fdadae90ba5be96ea810af26d318f037f16",
     "disagg-swap-prefix-faults": "75094aebd984b41dde2b3ebcdb8ea086a6115f7caf5a2a9f76a74c97a14b8f9f",
-    "coloc-swap-prefix-clean-srpf": "95b6c4fd637017340a1d45295528783c537356332f57c49355cf0f4c397f3eab",
-    "disagg-trim-prefix-clean-srpf": "e37144778f9644ab0905a880ec63eea2f2763f3a97facfc4eedae9251a2cc71d",
     "coloc-unbounded": "bd1ab59e285a6e1090bbc067791356d0feaae62a8654487af269b075012ed11c",
     "disagg-unbounded": "2cb54c20aa1043805382164d999110569ae4ece270a656c76ce3ec8e1c11d187",
     "fleet3-coloc-swap-prefix-faults": "a5c3aee240c97e327fc5801ec6c966c967bb921d1087206b158e928ee16c7889",

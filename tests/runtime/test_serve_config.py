@@ -51,7 +51,6 @@ def test_decode_capacity_without_decode_pool_rejected():
         (dict(chunk=0), "chunk_tokens"),
         (dict(round_budget=8), "token budget"),
         (dict(max_seqs=0), "max_seqs_per_round"),
-        (dict(order="lifo"), "order"),
         (dict(preemption="hibernate"), "preemption"),
         (dict(swap_capacity=100), "swap preemption"),
         (dict(preemption="swap", swap_capacity=-1), "swap capacity"),

@@ -43,29 +43,10 @@ class TestChunkedPrefillPolicy:
         round_ = p.build_round([(0, 0), (1, 5)])
         assert [(c.seq_id, c.tokens) for c in round_] == [(1, 5)]
 
+    def test_packs_in_arrival_order(self):
+        p = ChunkedPrefillPolicy(chunk_tokens=16, max_tokens_per_round=40)
+        round_ = p.build_round([(0, 100), (1, 6), (2, 30)])
+        assert [(c.seq_id, c.tokens) for c in round_] == [(0, 16), (1, 6), (2, 16)]
+
     def test_empty_pending(self):
         assert ChunkedPrefillPolicy().build_round([]) == []
-
-
-class TestSrpfOrder:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChunkedPrefillPolicy(order="sjf")
-        assert ChunkedPrefillPolicy(order="srpf").order == "srpf"
-        assert ChunkedPrefillPolicy().order == "fifo"
-
-    def test_srpf_packs_shortest_remaining_first(self):
-        p = ChunkedPrefillPolicy(chunk_tokens=16, max_tokens_per_round=40, order="srpf")
-        round_ = p.build_round([(0, 100), (1, 6), (2, 30)])
-        assert [(c.seq_id, c.tokens) for c in round_] == [(1, 6), (2, 16), (0, 16)]
-
-    def test_srpf_sort_is_stable_on_ties(self):
-        p = ChunkedPrefillPolicy(chunk_tokens=8, max_tokens_per_round=32, order="srpf")
-        round_ = p.build_round([(3, 10), (1, 10), (2, 10)])
-        # equal remainders keep FIFO (submission) order
-        assert [c.seq_id for c in round_] == [3, 1, 2]
-
-    def test_fifo_unchanged_by_knob(self):
-        fifo = ChunkedPrefillPolicy(chunk_tokens=16, max_tokens_per_round=40)
-        srpf_input = [(0, 100), (1, 6), (2, 30)]
-        assert [c.seq_id for c in fifo.build_round(srpf_input)] == [0, 1, 2]

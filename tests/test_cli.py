@@ -77,7 +77,7 @@ class TestCommands:
         assert main(["experiments", "--only", "Table 99"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "Table 99" in captured.err
+        assert captured.err.startswith("error: ") and "Table 99" in captured.err
         for exp_id in ("Table 2", "Figure 6a", "Figure 10", "Cluster routing"):
             assert exp_id in captured.err
 
@@ -91,7 +91,7 @@ class TestCommands:
         assert len(set(ids)) == len(ids)
         fast = [exp_id for exp_id, _ in report.registry(fast=True)]
         assert [i for i in ids if i in fast] == fast and len(fast) < len(ids)
-        analytic = report.registry()[: ids.index("Runtime under capacity pressure")]
+        analytic = report.registry()[: ids.index("Preemption modes")]
         for exp_id, run in analytic:
             if exp_id != "Figure 10":  # the scipy refit: slow, and an optional extra
                 assert run().experiment_id == exp_id
@@ -238,11 +238,13 @@ class TestCommands:
             ["demo", "--world", "0"],
             ["trace", "--decode-steps", "-1"],
             ["plan", "--context", "0"],
+            *(["plan", "--context", "1000", "--sla", sla] for sla in ("0", "-1", "nan", "inf")),
             ["heuristic", "--new-tokens", "0", "--cached", "5"],
             ["heuristic", "--new-tokens", "5", "--cached", "5", "--ranks", "0"],
         ],
         ids=["demo-tokens-1", "demo-world-0", "trace-decode-steps-negative",
-             "plan-context-0", "heuristic-new-tokens-0", "heuristic-ranks-0"],
+             "plan-context-0", "plan-sla-0", "plan-sla-negative", "plan-sla-nan", "plan-sla-inf",
+             "heuristic-new-tokens-0", "heuristic-ranks-0"],
     )
     def test_bad_argv_is_a_usage_error(self, capsys, tmp_path, argv):
         """The owner's ValueError surfaces as exit 2 with an ``error:``
@@ -255,6 +257,20 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
         assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--trace"], ["serve", "--prom"], ["trace", "--output"]],
+        ids=["serve-trace", "serve-prom", "trace-output"],
+    )
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv):
+        """An output path that cannot be written is found before the run,
+        not as a traceback after the whole report has been printed."""
+        path = tmp_path / "missing" / "out.txt"
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.out == ""
 
     def test_trace_writes_json(self, capsys, tmp_path):
         import json
@@ -291,15 +307,6 @@ class TestServePrefixCache:
             "--prefix-cache", "--traffic", "shared-prefix", "--verify",
         ]) == 0
         assert "verify vs sequential replay: identical" in capsys.readouterr().out
-
-    def test_serve_srpf_policy_verifies_exactness(self, capsys):
-        assert main([
-            "serve", "--sessions", "3", "--turns", "2", "--world", "2",
-            "--policy", "srpf", "--capacity", "80", "--verify",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "policy: srpf" in out
-        assert "verify vs sequential replay: identical" in out
 
 
 class TestServeFleet:
