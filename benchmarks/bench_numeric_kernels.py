@@ -26,11 +26,14 @@ fallback fires and is correct); ``bench_flash_decode_shape`` —
 ``::TestOneRowBaseCase`` (with ``bench_flash_decode_row_single``: the one-row
 base case of the shift-free sweep, its range check and its fallback),
 ``::TestOneBlockBaseCase`` (the shifted sweep's one-block return) and
-``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` —
-``test_prop_merge.py::TestOneShotEqualsSequential``; ``bench_ring_decode_cp4``
-— ``test_prop_merge.py::TestStackedEqualsPerRank`` and
-``tests/core/test_ring_decode.py::TestStackedMerge`` (one stacked Eq. 4 per
-ring against N per-rank merges, bit for bit); ``bench_cache_get_decode_cp4`` —
+``test_prop_flash_varlen.py``; ``bench_merge_partials_cp4`` (the Eq. 4 a
+rank runs only when a step fell back to the shifted sweep) —
+``test_prop_merge.py::TestOneShotEqualsSequential``; ``bench_ring_passkv_cp4``
+and ``bench_ring_decode_cp4`` — ``test_prop_merge.py::TestRunningSum`` (each
+rank's kernel sums added and normalised once, against one-shot Eq. 4),
+``tests/core/test_ring_decode.py::TestStackedMerge`` (the decode ring's
+per-rank sums, bit for bit) and ``tests/core/test_ring_fallback.py`` (one
+step shifted, the rest summed); ``bench_cache_get_decode_cp4`` —
 ``tests/kvcache/test_cache.py::TestStructureIsSharedAcrossLayers``; the rings
 and the engine prefill — ``test_prop_ring.py`` / ``test_prop_engine.py``;
 ``bench_shard_plan`` / ``bench_prefill_token_demand_cp2`` /
@@ -200,8 +203,9 @@ def bench_flash_prefill_tile_dh128(benchmark):
 
 
 def bench_merge_partials_cp4(benchmark):
-    """Equation 4 over one rank's N = 4 ring partials of a decode payload
-    (8 rows x 8 heads x 8), one of them a skipped shard's identity."""
+    """Equation 4 over one rank's N = 4 partials of a decode payload (8 rows
+    x 8 heads x 8), one of them the identity — the merge a ring runs only
+    behind a failed range check (its steps otherwise add their sums)."""
     rng = np.random.default_rng(4)
     partials = [
         AttentionResult(out=rng.standard_normal((8, 8, 8)), lse=rng.standard_normal((8, 8)))

@@ -35,7 +35,11 @@ is **shift-free**: scores are exponentiated as they are, blocks *add*
 no rescaling between blocks. An a-posteriori **range check** on ``den`` makes
 that sound, not hopeful (:func:`_sweep_additive`); a call that fails it is
 swept again by the shifted online-softmax sweep (:func:`_sweep_shifted`), which
-is sound for any finite scores. Either way what leaves a sweep is ``(O, LSE)``.
+is sound for any finite scores. What leaves a call is ``(O, LSE)`` — or, with
+``sums=True``, the checked sums themselves, ``(acc, den)``, which the ring
+algorithms add across ring steps (Eq. 4 at shift 0 across calls too) and
+normalise once (:class:`repro.core.merge.RunningSum`); a call that fell back
+has no sums in range and answers ``(O, LSE)`` either way.
 One query row per segment with its keys in one block — a decode token — is
 that sweep's **one-row base case**: scores straight into fresh memory, one
 ``exp``, ``den`` and ``acc`` at once, under the same range check and fallback.
@@ -109,12 +113,25 @@ class AttentionResult:
     @staticmethod
     def empty(tokens: int, n_heads: int, head_dim: int) -> "AttentionResult":
         """Fully-masked result: zero output, ``LSE = -inf`` — the identity
-        element of merge attention. Used by the ring algorithms to stand in
-        for skipped (provably all-masked) partials."""
+        element of merge attention (its shift-free sums are ``(0, 0)``)."""
         return AttentionResult(
             out=np.zeros((tokens, n_heads, head_dim), dtype=np.float64),
             lse=np.full((tokens, n_heads), -np.inf, dtype=np.float64),
         )
+
+    @staticmethod
+    def from_sums(acc: np.ndarray, den: np.ndarray, *, out: np.ndarray | None = None) -> "AttentionResult":
+        """Normalise float64 shift-free sums ``acc [..., DH]`` / ``den [...]``
+        (what :func:`flash_attention` returns with ``sums=True``): ``O = acc /
+        den``, ``LSE = log den``; a row with ``den == 0`` saw no key and comes
+        back ``O = 0, LSE = -inf``. ``out`` may be ``acc`` itself."""
+        if den.min(initial=1.0) > 0.0:
+            lse = np.log(den)
+        else:
+            with np.errstate(divide="ignore"):  # log 0 = -inf: the blind rows ...
+                lse = np.log(den)
+            den = np.where(den > 0.0, den, 1.0)  # ... whose acc is 0
+        return AttentionResult(out=np.multiply(acc, np.reciprocal(den)[..., None], out=out), lse=lse)
 
 
 def flash_attention(
@@ -131,9 +148,10 @@ def flash_attention(
     compute_dtype=None,
     q_runs: np.ndarray | None = None,
     k_runs: np.ndarray | None = None,
-) -> AttentionResult:
+    sums: bool = False,
+) -> AttentionResult | tuple[np.ndarray, np.ndarray]:
     """Blocked exact causal GQA attention (score scale ``1/sqrt(DH)``)
-    returning :class:`AttentionResult`.
+    returning :class:`AttentionResult`, or its shift-free sums.
 
     Args:
         q, k, v: GQA tensors ``[Tq, NH, DH]`` / ``[Tk, NKV, DH]``.
@@ -150,13 +168,20 @@ def flash_attention(
             ``q_seq`` / ``k_seq`` runs, or the ``(offsets, {seq_id: run})``
             pair :class:`repro.core.sharding.ShardedKV` carries (the index
             in run order); found by one scan when omitted.
+        sums: return the shift-free sums instead of normalising them — what
+            the rings add across steps (Eq. 4 at shift 0).
 
     Returns:
-        Exact ``(O, LSE)`` for the full masked attention.
+        Exact ``(O, LSE)`` for the full masked attention. With ``sums``, the
+        float64 tuple ``(acc [Tq, NH, DH], den [Tq, NH])`` —
+        ``AttentionResult.from_sums`` of it is that ``(O, LSE)``, a blind
+        row is ``(0, 0)`` — unless a range check failed, in which case the
+        shifted sweep's :class:`AttentionResult` (sums would be out of range).
 
     Raises:
         ValueError: on a coordinate of the wrong length, a non-positive
-            ``block_size`` or a non-floating ``compute_dtype``.
+            ``block_size``, a non-floating ``compute_dtype``, or a ``q``,
+            ``k`` or ``v`` value that is not finite where the sweep reads it.
     """
     tq, tk, nh, nkv = validate_gqa_shapes(q, k, v)
     dh = q.shape[-1]
@@ -167,7 +192,7 @@ def flash_attention(
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
     if tk == 0 or tq == 0:
-        return AttentionResult.empty(tq, nh, dh)
+        return _blind(tq, nh, dh, sums)
     if q_pos is None:
         q_pos = np.arange(tq, dtype=np.int64)
     if k_pos is None:
@@ -190,8 +215,7 @@ def flash_attention(
                 raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
         else:
             mask = attention_mask(q_pos, k_pos, q_seq, k_seq)
-        out, lse = _attend(q[None], k[None], v[None], mask[None], block_size, dtype)
-        return AttentionResult(out=out[0], lse=lse[0])
+        return _unstacked(_attend(q[None], k[None], v[None], mask[None], block_size, dtype, sums), tq, nh, dh, sums)
 
     # The key side fuses several sequences: a query only ever sees its own
     # sequence's keys, so pair the runs by sequence id and attend each pair
@@ -207,9 +231,9 @@ def flash_attention(
     ]
     spans.sort()  # query storage order, whatever order the index came in
     if not spans:
-        return AttentionResult.empty(tq, nh, dh)
+        return _blind(tq, nh, dh, sums)
     q_start, rows, k_start, keys = np.array(spans).T
-    result = None
+    pieces = []
     for group, max_rows, max_keys in _pad_groups(rows, keys):
         qi, q_valid = _padded_index(q_start[group], rows[group], max_rows, q_order)
         ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)
@@ -218,15 +242,48 @@ def flash_attention(
             mask &= q_valid[:, :, None]
         if k_valid is not None:
             mask &= k_valid[:, None, :]
-        out, lse = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, block_size, dtype)
+        swept = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, block_size, dtype, sums)
         if qi.size == tq and q_valid is None and q_order is None and isinstance(group, slice):
             # one unpadded batch of every query row, in storage order
-            return AttentionResult(out.reshape(tq, nh, dh), lse.reshape(tq, nh))
-        if result is None:
-            result = AttentionResult.empty(tq, nh, dh)
+            return _unstacked(swept, tq, nh, dh, sums)
         kept = slice(None) if q_valid is None else q_valid
-        result.out[qi[kept]] = out[kept]
-        result.lse[qi[kept]] = lse[kept]
+        pieces.append((qi[kept], kept, swept))
+    return _scattered(pieces, tq, nh, dh, sums)
+
+
+def _blind(tq: int, nh: int, dh: int, sums: bool):
+    """The answer of a call in which no row sees a key: zero sums, or
+    ``O = 0, LSE = -inf``."""
+    if sums:
+        return np.zeros((tq, nh, dh)), np.zeros((tq, nh))
+    return AttentionResult.empty(tq, nh, dh)
+
+
+def _unstacked(swept, tq: int, nh: int, dh: int, sums: bool):
+    """The call's answer from one sweep of ``S`` segments of ``R`` rows with
+    ``S * R == Tq`` in storage order: ``[S, R, ...]`` arrays viewed as
+    ``[Tq, ...]``."""
+    if isinstance(swept, AttentionResult):  # a range check failed: (O, LSE), sums or not
+        return AttentionResult(out=swept.out.reshape(tq, nh, dh), lse=swept.lse.reshape(tq, nh))
+    a, b = swept[0].reshape(tq, nh, dh), swept[1].reshape(tq, nh)
+    return (a, b) if sums else AttentionResult(out=a, lse=b)
+
+
+def _scattered(pieces: list, tq: int, nh: int, dh: int, sums: bool):
+    """The call's answer from padded group sweeps, ``(query rows, kept
+    slots, swept)`` each; rows no group holds are blind. Sums stay sums
+    unless some group's range check failed: then every group is normalised."""
+    summed = sums and not any(isinstance(swept, AttentionResult) for *_, swept in pieces)
+    result = _blind(tq, nh, dh, summed)
+    into = result if summed else (result.out, result.lse)
+    for rows, kept, swept in pieces:
+        if isinstance(swept, AttentionResult):
+            swept = swept.out, swept.lse
+        elif sums and not summed:
+            swept = AttentionResult.from_sums(*swept)
+            swept = swept.out, swept.lse
+        for dst, src in zip(into, swept):
+            dst[rows] = src[kept]
     return result
 
 
@@ -315,10 +372,13 @@ def _attend(
     mask: np.ndarray,
     block_size: int,
     dtype: np.dtype,
-) -> tuple[np.ndarray, np.ndarray]:
+    sums: bool = False,
+):
     """Attend ``S`` independent segments: ``q [S, R, NH, DH]`` against
     ``k, v [S, L, NKV, DH]`` under ``mask [S, R, L]``; returns
-    ``(out [S, R, NH, DH], lse [S, R, NH])``."""
+    ``(out [S, R, NH, DH], lse [S, R, NH])`` — with ``sums``, the sums
+    ``(acc [S, R, NH, DH], den [S, R, NH])`` unless the range check failed,
+    then the shifted sweep's ``(O, LSE)`` as an :class:`AttentionResult`."""
     s, r, nh, dh = q.shape
     nkv = k.shape[2]
     g = nh // nkv
@@ -333,7 +393,10 @@ def _attend(
     ).reshape(s, nkv, dh, r * g)
     kb = np.asarray(k, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
     vb = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)
-    return _sweep_range(qt, kb, vb, mask, block_size, g)
+    sweep = (qt, kb, vb, mask, block_size, g)
+    if sums:
+        return _sweep_additive(*sweep, True) or AttentionResult(*_shifted_fallback(*sweep))
+    return _sweep_range(*sweep)
 
 
 #: One scratch buffer per dtype, grown to the largest tile seen. Score tiles
@@ -367,10 +430,22 @@ def _keys_major(columns: int, keys: int) -> bool:
 
 
 def _sweep_range(*sweep) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped-head sweep over every key of (pre-scaled)
-    ``qt [S, NKV, DH, R * G]`` against ``kb, vb [S, NKV, L, DH]``: shift-free
-    where its range check passes — in practice always — else shifted."""
-    return _sweep_additive(*sweep) or _sweep_shifted(*sweep)
+    """``(out [S, R, NH, DH], lse [S, R, NH])`` of a grouped-head sweep over
+    every key of (pre-scaled) ``qt [S, NKV, DH, R * G]`` against ``kb, vb
+    [S, NKV, L, DH]``: shift-free where its range check passes — in practice
+    always — else shifted."""
+    return _sweep_additive(*sweep) or _shifted_fallback(*sweep)
+
+
+def _shifted_fallback(qt, kb, vb, *rest):
+    """The shifted sweep behind a failed range check. A value of ``q``,
+    ``k`` or ``v`` that is not finite fails the check too, and no sweep can
+    answer it: that raises instead, naming the first such operand, before
+    any arithmetic can warn."""
+    for name, operand in (("q", qt), ("k", kb), ("v", vb)):
+        if not np.isfinite(operand).all():
+            raise ValueError(f"flash_attention: {name} holds a value that is not finite in {operand.dtype}")
+    return _sweep_shifted(qt, kb, vb, *rest)
 
 
 def _score_tiles(qt, kb, mask, block_size, g):
@@ -430,16 +505,18 @@ def _den_range(dtype: np.dtype) -> tuple[float, float]:
     return math.sqrt(limits.tiny), math.sqrt(limits.max)
 
 
-def _sweep_additive(qt, kb, vb, mask, block_size, g):
+def _sweep_additive(qt, kb, vb, mask, block_size, g, sums=False):
     """The shift-free sweep — Eq. 4 at shift 0. Blocks add: ``den += sum
     exp(scores)``, ``acc += exp(scores) . V``, both float64 whatever the
-    compute dtype; ``O = acc / den`` and ``LSE = log den`` once, at the end.
+    compute dtype; ``O = acc / den`` and ``LSE = log den`` once, at the end
+    — of the call, or with ``sums`` of a ring, which adds the sums its steps
+    return (``acc [S, R, NH, DH]``, ``den [S, R, NH]``) and normalises them.
 
     Sound only while ``exp`` stays in range, which is checked afterwards:
     every row the mask says sees a key must end with ``den`` inside
     ``[sqrt(tiny), sqrt(max)]`` of the compute dtype — no term overflowed,
     and a term that underflowed or went subnormal is below ``sqrt(tiny)`` of
-    the sum — and with a finite output; a zero ``den`` is a blind row only
+    the sum — and with a finite ``acc``; a zero ``den`` is a blind row only
     where the mask agrees. Returns ``None`` on any violation (the caller
     re-runs the sweep shifted)."""
     s, nkv, dh = qt.shape[:3]
@@ -479,20 +556,29 @@ def _sweep_additive(qt, kb, vb, mask, block_size, g):
                 acc, den = np.zeros((s, nkv, tq, g, dh)), np.zeros((s, nkv, tq, g))
             acc[:, :, r0:r1] += o
             den[:, :, r0:r1] += d
-        if acc is None:  # no visible block at all
-            return np.zeros((s, tq, nkv * g, dh)), np.full((s, tq, nkv * g), -np.inf)
+        if acc is None:  # no visible block at all: zero sums, or O = 0 and LSE = -inf
+            return np.zeros((s, tq, nkv * g, dh)), np.full((s, tq, nkv * g), 0.0 if sums else -np.inf)
 
+        # The range check, shared by both exits.
         highest, lowest = den.max(), den.min()
-        lse = np.log(den.transpose(0, 2, 1, 3), order="C")  # log 0 = -inf: the rows that saw no key ...
-        if lowest == 0.0:  # ... which a zero den means only where the mask agrees
+        blind = lowest == 0.0  # a row that saw no key, which a zero den means only where the mask agrees
+        if blind:
             sighted = mask.any(axis=2)[:, None, :, None]
             lowest = den.min(where=sighted, initial=den_max)
-            den = np.where(sighted, den, 1.0)  # (their acc is 0 already, or the sum below is not finite)
+        # (a blind row's acc is 0, or the sum below is not finite)
+        if not (den_min <= lowest and highest <= den_max and math.isfinite(acc.sum())):
+            return None
+
+        if sums:  # in token order: a view wherever ungrouping the heads is one (one row per segment)
+            return acc.transpose(0, 2, 1, 3, 4).reshape(s, tq, nkv * g, dh), den.transpose(0, 2, 1, 3).reshape(
+                s, tq, nkv * g
+            )
+        lse = np.log(den.transpose(0, 2, 1, 3), order="C")  # log 0 = -inf: the blind rows
+        if blind:
+            den = np.where(sighted, den, 1.0)  # (their acc is 0)
         # One divide per row, not per element, in the pass that ungroups the heads.
         weight = np.reciprocal(den).transpose(0, 2, 1, 3)[..., None]
         out = np.multiply(acc.transpose(0, 2, 1, 3, 4), weight, order="C")
-        if not (den_min <= lowest and highest <= den_max and math.isfinite(out.sum())):
-            return None
     return out.reshape(s, tq, nkv * g, dh), lse.reshape(s, tq, nkv * g)
 
 

@@ -1,18 +1,27 @@
 """Merge attention (paper Appendix B, Equation 4).
 
-Each CP rank ends a ring sweep holding N partial attention results
-``(O_s, LSE_s)`` for its queries — one per KV shard origin ``s``. The exact
-attention over the full context is their LSE-weighted combination:
+Each CP rank's queries meet N disjoint KV shards over a ring sweep — one
+partial attention result per shard origin ``s``. The exact attention over
+the full context is their LSE-weighted combination:
 
     O = sum_s O_s * exp(LSE_s - LSE_max) / sum_s exp(LSE_s - LSE_max)
 
-All N partials are in hand by then, so :func:`merge_stacked` evaluates the
-equation as written — one float64 reduction down the leading axis of the
-stacked partials, mirroring the open-sourced xformers ``merge_attentions``
-operator the paper cites. The other axes ride along, so the decode ring
-reduces every rank's equal-shaped partials (``[origin, rank, row, ...]``) in
-one call; :func:`merge_partials` is the list-shaped wrapper. Tested against
-the recurrence's incremental form (Milakov & Gimelshein 2018), one partial
+Eq. 4 holds for any common shift of the scores, not only ``LSE_max``. At
+shift 0 a partial is its unnormalised sums ``acc_s = sum exp(score) * V``
+and ``den_s = sum exp(score)`` — what the flash kernel holds before it
+divides — and the equation is addition: ``O = sum_s acc_s / sum_s den_s``,
+``LSE = log sum_s den_s``. So a ring composes as it goes
+(:class:`RunningSum`): each step's float64 sums, range-checked by the
+kernel (:func:`repro.attention.flash.flash_attention` with ``sums=True``),
+are added to the rank's running pair, and the rank normalises once.
+
+Only a step whose range check failed arrives normalised, as ``(O, LSE)``
+from the kernel's shifted sweep; the rank's normalised running sum and
+those partials are then merged by :func:`merge_stacked`, Eq. 4 as written —
+one float64 reduction down the leading axis of the stacked partials,
+mirroring the open-sourced xformers ``merge_attentions`` operator the paper
+cites. :func:`merge_partials` is its list-shaped wrapper. Tested against the
+recurrence's incremental form (Milakov & Gimelshein 2018), one partial
 folded at a time, which the test suite keeps as the oracle.
 """
 
@@ -74,18 +83,51 @@ def merge_stacked(outs: np.ndarray, lses: np.ndarray) -> tuple[np.ndarray, np.nd
     )
 
 
-def merge_exchanged(restored: list[list[tuple[np.ndarray, np.ndarray]]]) -> tuple[np.ndarray, np.ndarray]:
-    """The decode ring's merge, all ranks at once: ``restored[rank][origin]``
-    is the ``(out, lse)`` partial back from the All2All, every one the same
-    padded shape — a few rows each, where N calls cost more than they reduce
-    (prefill-sized partials merge per rank: stacked, they outgrow the cache).
-    Returns ``(out [rank, row, NH, DH], lse [rank, row, NH])``."""
-    if len(restored) == 1:  # one rank, one partial: it is the answer
-        out, lse = restored[0][0]
-        return out[None], lse[None]
-    by_origin = list(zip(*restored))
-    return merge_stacked(
-        np.array([[out for out, _ in ranks] for ranks in by_origin], dtype=np.float64),
-        np.array([[lse for _, lse in ranks] for ranks in by_origin], dtype=np.float64),
-    )
+class RunningSum:
+    """One rank's ring partials, composed as they arrive.
 
+    :meth:`add` takes what a ring step's kernel call returned: a float64
+    sums pair ``(acc [T, NH, DH], den [T, NH])`` is added to the running
+    pair — Eq. 4 at shift 0 — and an :class:`AttentionResult`, a step whose
+    range check failed, is kept for Eq. 4 at the end. A skipped step is the
+    zero pair: it adds nothing (pass-KV does not add it). The running
+    pair is summed into in place once it is writable: the first pair is
+    taken as is, and a frozen one — a collective delivered it — is copied
+    by the first add after it, so a pair handed over writable must not be
+    read again.
+    """
+
+    __slots__ = ("acc", "den", "shifted")
+
+    def __init__(self, partials=()) -> None:
+        self.acc: np.ndarray | None = None
+        self.den: np.ndarray | None = None
+        self.shifted: list[AttentionResult] = []
+        for partial in partials:
+            self.add(partial)
+
+    def add(self, partial: AttentionResult | tuple[np.ndarray, np.ndarray]) -> None:
+        if isinstance(partial, AttentionResult):
+            self.shifted.append(partial)
+            return
+        acc, den = partial
+        if self.acc is None:
+            self.acc, self.den = acc, den
+        elif self.acc.flags.writeable:
+            self.acc += acc
+            self.den += den
+        else:
+            self.acc, self.den = self.acc + acc, self.den + den
+
+    def result(self, tokens: int, n_heads: int, head_dim: int) -> AttentionResult:
+        """The rank's exact ``(O, LSE)``: the running sums normalised once
+        (over their own ``acc`` when writable), merged through Eq. 4 with
+        the shifted partials if there are any; the identity when nothing was
+        added."""
+        partials = self.shifted
+        if self.acc is not None:
+            out = self.acc if self.acc.flags.writeable else None
+            partials = [AttentionResult.from_sums(self.acc, self.den, out=out), *partials]
+        if not partials:
+            return AttentionResult.empty(tokens, n_heads, head_dim)
+        return merge_partials(partials)

@@ -12,7 +12,9 @@ at decode step ``t``, the token of batch slot ``b`` is owned by rank
 ``(b + t) mod N``, so generated KV spreads evenly across all CP ranks. With
 ``T = 1`` per sequence, circulating Q (plus the batch ids, Algorithm 4) is
 essentially always cheaper than circulating KV (Equation 1), so decode uses
-the pass-Q ring followed by the same permute + All2All + merge as prefill.
+the pass-Q ring followed by the same permute + All2All + merge as prefill:
+the All2All carries each partial's shift-free sums and the source rank adds
+them (merge attention at shift 0, see :mod:`repro.core.merge`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.masks import PAD_SEQ, run_index
-from repro.core.merge import merge_exchanged
+from repro.core.merge import RunningSum
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
@@ -180,11 +182,11 @@ def ring_passq_decode(
         {"q": _pad_rows(batch.q[own], per_rank - own.shape[0], 0.0), **coord}
         for own, coord in zip(plan.slots, plan.coords)
     ]
-    # computed[k][s] = the (out, lse) partial rank k computed for origin rank
-    # s; a skipped one is the ring's one shared identity pair.
+    # computed[k][s] = the sums rank k computed for origin rank s (an
+    # AttentionResult where a range check failed); a skipped one is the
+    # ring's one shared zero pair.
     computed: list[list] = [[None] * n for _ in range(n)]
-    empty = AttentionResult.empty(per_rank, nh, dh)
-    identity = (empty.out, empty.lse)
+    identity = (np.zeros((per_rank, nh, dh)), np.zeros((per_rank, nh)))
 
     k_summary = [
         kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs)
@@ -198,7 +200,7 @@ def ring_passq_decode(
                 computed[rank][src] = identity
                 continue
             kv = kv_shards[rank]
-            result = flash_attention(
+            computed[rank][src] = flash_attention(
                 q["q"],
                 kv.k,
                 kv.v,
@@ -209,16 +211,20 @@ def ring_passq_decode(
                 block_size=block_size,
                 q_runs=plan.q_runs[src],
                 k_runs=(kv.runs, kv.run_index),
+                sums=True,
             )
-            computed[rank][src] = (result.out, result.lse)
         if j < n - 1:
             traveling = group.ring_shift(traveling, step=j, tag="decode-passq")
 
-    # Permute + All2All partial outputs back to the source ranks, Equation 4
-    # once over every rank's N partials, one gather into batch order (pad
-    # rows — a whole rank's, when it owns no slot — ride along unread).
-    out, lse = merge_exchanged(group.all_to_all(computed, tag="decode-merge"))
+    # Permute + All2All the partial sums back to the source ranks, each of
+    # which adds its N, then one gather into batch order (pad rows — a whole
+    # rank's, when it owns no slot — ride along unread).
+    merged = [
+        RunningSum(received).result(per_rank, nh, dh)
+        for received in group.all_to_all(computed, tag="decode-merge")
+    ]
     result = AttentionResult(
-        out=out.reshape(-1, nh, dh).take(plan.order, 0), lse=lse.reshape(-1, nh).take(plan.order, 0)
+        out=np.concatenate([m.out for m in merged]).take(plan.order, 0),
+        lse=np.concatenate([m.lse for m in merged]).take(plan.order, 0),
     )
     return result, plan.assignment

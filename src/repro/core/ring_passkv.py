@@ -4,8 +4,10 @@ Each CP rank keeps its queries stationary and circulates its KV shard around
 the ring. At ring step ``j``, rank ``k`` holds the KV shard that originated
 at rank ``s = (k - j) mod N``, computes the partial attention
 ``O_s_k = GQA(Q_k, KV_s)``, and forwards the shard to its next neighbour
-(overlapped with the compute on real hardware). After ``N`` partials the
-exact output is recovered with merge attention (Appendix B).
+(overlapped with the compute on real hardware). The partials compose as
+they arrive: each step's shift-free sums are added to the rank's running
+pair, and the rank normalises once after ``N`` steps — merge attention
+(Appendix B) at shift 0, see :mod:`repro.core.merge`.
 
 Why pass-KV for full prefill: with GQA, KV messages are ``2 * NKV / NH`` the
 size of Q messages (16x smaller for Llama3 405B), and with ``P = 0`` the
@@ -18,7 +20,7 @@ the ring starts (see :func:`repro.core.sharding.pad_kv_shards`).
 from __future__ import annotations
 
 from repro.attention.flash import AttentionResult, flash_attention
-from repro.core.merge import merge_partials
+from repro.core.merge import RunningSum
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries, pad_kv_shards
 from repro.distributed.process_group import SimProcessGroup
@@ -45,8 +47,8 @@ def ring_passkv_prefill(
         block_size: KV block size of the local flash kernel.
 
     A ring-step partial whose causal mask is provably all-False (see
-    :mod:`repro.core.ring_skip`) is never computed: the exact identity
-    element stands in for it, so the output is unchanged.
+    :mod:`repro.core.ring_skip`) is never computed: it is the identity
+    element, zero sums, so nothing is added and the output is unchanged.
 
     Returns:
         Per-rank exact :class:`AttentionResult` for each rank's queries, in
@@ -68,33 +70,34 @@ def ring_passkv_prefill(
     q_summary = [query_reach(qr.positions, qr.seq_ids, qr.runs) for qr in queries]
     k_summary = [kv_reach(blk.positions, blk.seq_ids, blk.runs) for blk in blocks]
 
-    partials: list[list[AttentionResult]] = [[] for _ in range(n)]
+    # Each rank's running sums, added to in place: one partial's memory per
+    # rank, whatever N.
+    running = [RunningSum() for _ in range(n)]
     for step in range(n):
         for rank in range(n):
             src = source_rank_at_step(rank, step, n)
             if partial_fully_masked(q_summary[rank], k_summary[src]):
-                # Provably all-masked partial: append the identity element
+                # Provably all-masked partial: the identity, zero sums,
                 # without touching the kernel (in causal full prefill this
                 # skips roughly half of all rank x step partials).
-                tq, nh, dh = queries[rank].q.shape
-                partials[rank].append(AttentionResult.empty(tq, nh, dh))
-            else:
-                blk = blocks[rank]
-                partials[rank].append(
-                    flash_attention(
-                        queries[rank].q,
-                        blk.k,
-                        blk.v,
-                        q_pos=queries[rank].positions,
-                        k_pos=blk.positions,
-                        q_seq=queries[rank].seq_ids,
-                        k_seq=blk.seq_ids,
-                        block_size=block_size,
-                        q_runs=queries[rank].runs,
-                        k_runs=(blk.runs, blk.run_index),
-                    )
+                continue
+            blk = blocks[rank]
+            running[rank].add(
+                flash_attention(
+                    queries[rank].q,
+                    blk.k,
+                    blk.v,
+                    q_pos=queries[rank].positions,
+                    k_pos=blk.positions,
+                    q_seq=queries[rank].seq_ids,
+                    k_seq=blk.seq_ids,
+                    block_size=block_size,
+                    q_runs=queries[rank].runs,
+                    k_runs=(blk.runs, blk.run_index),
+                    sums=True,
                 )
+            )
         if step < n - 1:
             blocks = group.ring_shift(blocks, step=step, tag="passkv")
 
-    return [merge_partials(p) for p in partials]
+    return [sums.result(*qr.q.shape) for sums, qr in zip(running, queries)]

@@ -6,6 +6,9 @@ rank ``k`` holds ``O^k_s`` — the partial for rank ``s``'s queries against
 rank ``k``'s KV — so a permute + All2All over the CP group restores them to
 their source ranks before the merge. That All2All sits on the critical path
 and is what the refined heuristic of Appendix C (Algorithm 5) accounts for.
+What it carries is each partial's shift-free sums ``(acc, den)`` — as many
+elements as ``(O, LSE)`` — and the source rank adds them and normalises
+once (merge attention at shift 0, see :mod:`repro.core.merge`).
 
 pass-Q wins when ``T`` (new tokens) is small relative to the persistent KV
 length ``P`` — the high-cache-hit-rate partial prefill and decode regimes —
@@ -15,8 +18,10 @@ because circulating Q moves ``T * NH * DH`` elements versus pass-KV's
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.attention.flash import AttentionResult, flash_attention
-from repro.core.merge import merge_partials
+from repro.core.merge import RunningSum
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries, pad_query_shards
 from repro.distributed.process_group import SimProcessGroup
@@ -41,7 +46,7 @@ def ring_passq_prefill(
         block_size: KV block size of the local flash kernel.
 
     A provably all-masked ring-step partial is the exact identity element,
-    not a kernel call (see :mod:`repro.core.ring_skip`).
+    zero sums, not a kernel call (see :mod:`repro.core.ring_skip`).
 
     Returns:
         Per-rank exact :class:`AttentionResult`, trimmed back to each rank's
@@ -59,8 +64,12 @@ def ring_passq_prefill(
 
     # traveling[k] = the query payload currently held by rank k.
     traveling: list[ShardedQueries] = list(padded)
-    # computed[k][s] = partial result rank k computed for origin rank s.
-    computed: list[dict[int, AttentionResult]] = [dict() for _ in range(n)]
+    # computed[k][s] = the sums rank k computed for origin rank s (an
+    # AttentionResult where a range check failed); a skipped one is the
+    # ring's one shared zero pair.
+    computed: list[list] = [[None] * n for _ in range(n)]
+    tq, nh, dh = padded[0].q.shape
+    identity = (np.zeros((tq, nh, dh)), np.zeros((tq, nh)))
 
     # Causal-reach summaries, one scan per shard: padded[s] is the query
     # payload originating at rank s (the ring schedule maps the payload a
@@ -73,9 +82,7 @@ def ring_passq_prefill(
             src = source_rank_at_step(rank, step, n)
             q = traveling[rank]
             if partial_fully_masked(q_summary[src], k_summary[rank]):
-                computed[rank][src] = AttentionResult.empty(
-                    len(q), q.q.shape[1], q.q.shape[2]
-                )
+                computed[rank][src] = identity
                 continue
             kv = kv_shards[rank]
             computed[rank][src] = flash_attention(
@@ -89,26 +96,16 @@ def ring_passq_prefill(
                 block_size=block_size,
                 q_runs=q.runs,
                 k_runs=(kv.runs, kv.run_index),
+                sums=True,
             )
         if step < n - 1:
             traveling = group.ring_shift(traveling, step=step, tag="passq")
 
-    # Permute + All2All: rank k sends O^k_s (as (out, lse)) back to rank s.
-    matrix = [
-        [
-            (computed[holder][origin].out, computed[holder][origin].lse)
-            for origin in range(n)
-        ]
-        for holder in range(n)
-    ]
-    restored = group.all_to_all(matrix, tag="passq-merge")
-
+    # Permute + All2All: rank k sends O^k_s (as its sums) back to rank s,
+    # which adds what it receives.
     results = []
-    for rank in range(n):
-        partials = [
-            AttentionResult(out=out, lse=lse) for out, lse in restored[rank]
-        ]
-        merged = merge_partials(partials)
+    for rank, received in enumerate(group.all_to_all(computed, tag="passq-merge")):
+        merged = RunningSum(received).result(tq, nh, dh)
         keep = original_lengths[rank]
         results.append(AttentionResult(out=merged.out[:keep], lse=merged.lse[:keep]))
     return results

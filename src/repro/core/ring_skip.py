@@ -5,9 +5,9 @@ resident queries and one origin rank's payload. Under the causal mask a
 large fraction of those partials are provably all-masked — every key in the
 shard sits strictly after every query of the same sequence, or the payload
 is pure padding (``PAD_SEQ``). Computing such a partial produces exactly the
-identity element of merge attention (``O = 0``, ``LSE = -inf``), so the ring
-algorithms can skip the kernel call outright and append
-:meth:`repro.attention.flash.AttentionResult.empty` instead, bit-for-bit
+identity element of merge attention (``O = 0``, ``LSE = -inf``; as shift-free
+sums, ``(0, 0)``), so the ring algorithms can skip the kernel call outright
+and stand zero sums in for it (pass-KV adds nothing at all), bit-for-bit
 unchanged output.
 
 The predicate only needs two per-shard summaries, each computed **once**

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.attention import flash
-from repro.attention.flash import flash_attention
+from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.merge import merge_partials
 
-from helpers import make_qkv
+from helpers import Fallbacks, make_qkv
 
 
 class TestFlashMatchesReference:
@@ -104,6 +104,77 @@ class TestFlashEdgeCases:
         coords = {"k_seq": k_seq, name: np.arange(tokens)}
         with pytest.raises(ValueError, match=name):
             flash_attention(q, k, v, **coords)
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("operand", ["q", "k", "v"])
+    def test_non_finite_operand_is_rejected_naming_it(self, rng, operand, value):
+        """A NaN or infinity where the sweep reads it fails the range check,
+        and the shifted sweep could only return NaN (a ring's running sums
+        would carry it into every row of the rank): the call raises, naming
+        the operand, normalising or not, one sequence or fused ones."""
+        q, k, v = make_qkv(rng, 5, 6)
+        {"q": q, "k": k, "v": v}[operand][0, 0, 0] = value
+        for k_seq in (None, np.repeat([0, 1], 3)):
+            for sums in (False, True):
+                with pytest.raises(ValueError, match=f"{operand} holds a value that is not finite"):
+                    flash_attention(q, k, v, q_seq=k_seq[:5] if k_seq is not None else None, k_seq=k_seq, sums=sums)
+
+
+class TestSums:
+    """``sums=True``: the shift-free ``(acc, den)`` the call would have
+    normalised, which the rings add across steps."""
+
+    @pytest.mark.parametrize(
+        "tq,tk,seqs", [(7, 7, None), (6, 12, [4, 2]), (4, 11, [1, 1, 1, 1])]
+    )
+    def test_from_sums_is_the_normalised_call_bit_for_bit(self, rng, tq, tk, seqs):
+        """One sequence, fused sequences, one-row segments (decode rows):
+        ``AttentionResult.from_sums`` of the sums is the plain call's
+        ``(O, LSE)`` bit for bit, blind rows (``den == 0``, ``acc == 0``)
+        included; the sums are float64, fresh and the caller's to write."""
+        q, k, v = make_qkv(rng, tq, tk)
+        if seqs is None:
+            coords = {"q_pos": np.arange(tk - tq - 1, tk - 1)}  # (row 0 precedes every key: blind)
+        else:
+            k_seq = np.repeat(np.arange(len(seqs)), np.diff(np.linspace(0, tk, len(seqs) + 1).astype(int)))
+            coords = {"q_seq": np.repeat(np.arange(len(seqs)), seqs), "k_seq": k_seq, "q_pos": np.full(tq, tk)}
+            coords["q_seq"][0] = 99  # a sequence with no keys: blind
+        whole = flash_attention(q, k, v, **coords)
+        acc, den = flash_attention(q, k, v, **coords, sums=True)
+        assert acc.dtype == den.dtype == np.float64 and acc.shape == whole.out.shape
+        assert acc.flags.writeable and not _in_workspace(acc) and not _in_workspace(den)
+        blind = np.isneginf(whole.lse)
+        assert blind.any() and np.all(den[blind] == 0) and np.all(acc[blind] == 0)
+        again = AttentionResult.from_sums(acc, den, out=acc)
+        assert np.array_equal(again.out, whole.out) and np.array_equal(again.lse, whole.lse)
+
+    def test_a_varlen_group_out_of_range_normalises_the_whole_call(self, rng):
+        """Fused sequences of 40, 3 and 3 keys sweep as two padded groups;
+        scores of ``+-800`` in sequence 1 send its group to the shifted
+        sweep, so the call returns ``(O, LSE)`` for every row, the other
+        group's sums normalised, equal to the reference."""
+        lengths = [40, 3, 3]
+        q, k, v = make_qkv(rng, sum(lengths), sum(lengths))
+        seq = np.repeat(np.arange(3), lengths)
+        pos = np.concatenate([np.arange(n) for n in lengths])
+        q[..., 0], k[..., 0] = 0.0, 0.0
+        q[seq == 1, :, 0], k[seq == 1, :, 0] = 40.0, -80.0 * np.array([[1.0], [-1.0], [1.0]])
+        coords = dict(q_pos=pos, k_pos=pos, q_seq=seq, k_seq=seq)
+        with pytest.MonkeyPatch.context() as patch:
+            fallbacks = Fallbacks(patch)
+            res = flash_attention(q, k, v, **coords, sums=True)
+        assert fallbacks.count == 1 and isinstance(res, AttentionResult)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
+        np.testing.assert_allclose(res.out, ref_out, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(res.lse, ref_lse, atol=1e-12, rtol=0)
+
+    def test_nothing_visible_is_zero_sums(self, rng):
+        q, k, v = make_qkv(rng, 3, 4)
+        for coords in ({"k_pos": np.arange(4) + 3}, {"q_seq": np.zeros(3), "k_seq": np.array([1, 1, 2, 2])}):
+            acc, den = flash_attention(q, k, v, **coords, sums=True)
+            assert acc.shape == (3, 8, 16) and den.shape == (3, 8)
+            assert not acc.any() and not den.any()
 
 
 def _in_workspace(array: np.ndarray) -> bool:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.merge import merge_partials
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
@@ -109,20 +108,21 @@ class TestDecodeExactness:
         assert comm(group)["sendrecv"].count == world - 1
         assert comm(group)["all2all"].count == 1
         # one row per payload: q [8, 16] plus pos / seq / slot on each SendRecv,
-        # (out [8, 16], lse [8]) to each of the N - 1 peers in the All2All —
-        # a skipped partial's shared identity pair is priced like any other
+        # (acc [8, 16], den [8]) to each of the N - 1 peers in the All2All —
+        # a skipped partial's shared zero pair is priced like any other
         per_element = 2  # bf16 on the wire
         assert comm(group)["sendrecv"].bytes == (world - 1) * (8 * 16 + 3) * per_element
         assert comm(group)["all2all"].bytes == (world - 1) * (8 * 16 + 8) * per_element
 
 
 def _per_rank_merge(restored, slots, batch_size):
-    """The merge the ring used to run: ``merge_partials`` once per rank over
-    its N restored partials, each rank's real rows written to its slots."""
+    """The merge as one rank runs it alone: its N restored sums added in
+    origin order and normalised once, each rank's real rows written to its
+    slots."""
     nh, dh = restored[0][0][0].shape[1:]
     out, lse = np.empty((batch_size, nh, dh)), np.empty((batch_size, nh))
     for own, partials in zip(slots, restored):
-        merged = merge_partials([AttentionResult(out=o, lse=l) for o, l in partials])
+        merged = AttentionResult.from_sums(sum(a for a, _ in partials), sum(d for _, d in partials))
         out[own], lse[own] = merged.out[: own.shape[0]], merged.lse[: own.shape[0]]
     return out, lse
 
@@ -132,10 +132,11 @@ class TestStackedMerge:
     @pytest.mark.parametrize("size", ["0", "1", "N-1", "N+1"])
     @pytest.mark.parametrize("step", [0, 3])
     def test_equals_the_per_rank_merge_bit_for_bit(self, rng, world, size, step):
-        """One stacked Equation 4 over every rank's partials — ranks that own
-        no batch slot (B < N) and pad rows riding along unread, skipped
-        partials one shared read-only identity pair — is the N per-rank
-        merges, bit for bit, in batch order."""
+        """Each rank adds the sums the All2All restored to it and normalises
+        once — ranks that own no batch slot (B < N) and pad rows riding along
+        unread, skipped partials one shared read-only zero pair — and the
+        ring's result is those N per-rank merges, bit for bit, in batch
+        order."""
         batch = {"0": 0, "1": 1, "N-1": world - 1, "N+1": world + 1}[size]
         ctx_lens = [int(c) for c in rng.integers(1, 30, size=batch)]
         kv_shards, batch_obj, refs = build_decode_scenario(rng, world, batch, ctx_lens)
@@ -152,8 +153,8 @@ class TestStackedMerge:
         want_out, want_lse = _per_rank_merge(seen["restored"], slots, batch)
         assert result.out.shape == want_out.shape and result.lse.shape == want_lse.shape
         assert np.array_equal(result.out, want_out) and np.array_equal(result.lse, want_lse)
-        # every skipped (rank, origin) sent the one identity pair, frozen
-        skipped = [pair for row in seen["matrix"] for pair in row if np.all(np.isneginf(pair[1]))]
+        # every skipped (rank, origin) sent the one zero pair, frozen
+        skipped = [pair for row in seen["matrix"] for pair in row if not pair[1].any()]
         assert len({id(pair[0]) for pair in skipped}) <= 1
         assert all(not pair[0].flags.writeable and not pair[1].flags.writeable for pair in skipped)
         for b in range(batch):  # (exact wherever the step puts the rows: the KV never moves)

@@ -1,5 +1,7 @@
 """Tests for ring pass-KV prefill (Algorithm 2): lossless exactness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,32 @@ class TestValidation:
         group = SimProcessGroup(3)
         with pytest.raises(ValueError):
             ring_passkv_prefill(group, queries, kvs)
+
+
+def _transient_per_rank(world: int) -> float:
+    """Peak traced bytes of one ring call — results included, inputs and the
+    kernel's workspace (warmed by a first call) not — per rank, in units of
+    one rank's output partial (``out`` + ``lse``)."""
+    rng = np.random.default_rng(world)
+    q, k, v = make_qkv(rng, 256, 256)
+    queries, kvs = shard_qkv_full_prefill(q, k, v, world)
+    ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / world / (results[0].out.nbytes + results[0].lse.nbytes)
+
+
+class TestMemory:
+    def test_transient_per_rank_does_not_grow_with_the_world(self):
+        """Each rank adds its steps' sums into one running pair and
+        normalises it in place, so what a rank holds at once is about one
+        partial whatever N — not N partials and an N-high Eq. 4 stack (12x
+        one partial at CP8 when the ring held and merged them)."""
+        cp2, cp8 = _transient_per_rank(2), _transient_per_rank(8)
+        assert cp8 <= 4.0, f"CP8 holds {cp8:.1f} partials per rank"
+        assert cp8 <= cp2, f"CP8 holds {cp8:.1f} partials per rank, CP2 {cp2:.1f}"

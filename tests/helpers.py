@@ -125,6 +125,20 @@ def patch_source(patch, owner, name: str, old: str, new: str) -> None:
     patch.setattr(owner, name, namespace[name])
 
 
+class Fallbacks:
+    """Counts, under ``patch`` (a ``MonkeyPatch``), the ranges the flash
+    kernel's shift-free sweep handed to the shifted one."""
+
+    def __init__(self, patch):
+        self.count, inner = 0, flash._sweep_shifted
+
+        def counting(*sweep):
+            self.count += 1
+            return inner(*sweep)
+
+        patch.setattr(flash, "_sweep_shifted", counting)
+
+
 @contextlib.contextmanager
 def every_block_swept():
     """The flash kernel with its block skip off: every block of keys scored

@@ -15,8 +15,8 @@ remedy ladder (``_rungs``, then full eviction), and the prefill fit
 (``_fit_prefill_round``), which must squeeze out a round's youngest
 member — its FCFS tail — before its oldest; the rings' shard skip
 (``ring_skip.partial_fully_masked``), which alone decides which ring-step
-partials are replaced by the merge identity, and the prefill rings' merge
-of every step's partial (``merge_partials``); what the deployment
+partials are replaced by the merge identity, and the prefill rings' sum
+of every step's partial (``merge.RunningSum``); what the deployment
 builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
 decode pricing and the decode pool's capacity; the counters
 (``serving/metrics.py``): a round's duration check, the ``finish`` row's
@@ -42,6 +42,10 @@ check must run at every height and tell a blind row by the mask, not by
 Two more edit the boundary where bad input must fail: a turn's arrival
 must be a finite time (``TurnRequest.__post_init__``), and the fleet must
 check a prompt's vocabulary before it routes (``ReplicaFleet.submit``).
+One edits the process group's delivery (``process_group._deliver``), which
+must freeze every array it hands a receiver: the rings' source ranks add
+the sums they receive. An entry may name several killers; each must pass
+on the real code and fail on the mutant.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from dataclasses import replace
 from repro.attention import flash
 from repro.cluster import ReplicaFleet
 from repro.core import ring_decode, ring_passkv, ring_passq
-from repro.core.merge import merge_partials
+from repro.core.merge import RunningSum
 from repro.core.shape_engine import ShapeEngine
 from repro.distributed import process_group
 from repro.model.config import llama3_405b_config
@@ -195,11 +199,22 @@ def _ring_skip_off_by_one(monkeypatch):
         monkeypatch.setattr(ring, "partial_fully_masked", strict)
 
 
+class _DropsLastSums(RunningSum):
+    """A running sum that never adds the last partial handed to it."""
+
+    def add(self, partial):
+        held = getattr(self, "held", None)
+        if held is not None:
+            super().add(held)
+        self.held = partial
+
+
 def _merge_drops_last_partial(monkeypatch):
-    """Both prefill rings merge every ring step's partial but the last, so
-    the attention output loses the keys of one shard."""
+    """Both prefill rings' running sums drop the last partial handed to
+    them — pass-KV's last computed step, the last holder's at a pass-Q
+    source rank — so the attention output loses the keys of one shard."""
     for ring in (ring_passkv, ring_passq):
-        monkeypatch.setattr(ring, "merge_partials", lambda partials: merge_partials(partials[:-1]))
+        monkeypatch.setattr(ring, "RunningSum", _DropsLastSums)
 
 
 def _replicas_share_unscoped_tracer(monkeypatch):
@@ -403,6 +418,12 @@ def _blind_rows_by_den(monkeypatch):
     )
 
 
+def _delivered_payload_thawed(monkeypatch):
+    """A collective hands the receiver the sender's arrays without freezing
+    them, so either side can write into a buffer the other still reads."""
+    patch_source(monkeypatch, process_group, "_deliver", "payload.flags.writeable = False", "pass")
+
+
 def _nan_arrival_admitted(monkeypatch):
     """A turn's arrival is checked by ``arrival < 0`` alone, which a NaN
     (and an infinity) passes: the runtime never drains."""
@@ -462,6 +483,8 @@ _ONE_HARDWARE_MODEL = (
 
 _PASSKV_EXACT = "properties/test_prop_ring.py::TestRingLosslessness::test_passkv_exact_for_any_case"
 
+_PASSQ_EXACT = "properties/test_prop_ring.py::TestRingLosslessness::test_passq_exact_for_any_case"
+
 _ONE_ROW = "properties/test_prop_flash_fused.py::TestOneRowBaseCase"
 
 _SIM_405B = latency.LatencySimulator(llama3_405b_config(), gtt_host())
@@ -489,7 +512,7 @@ CATALOGUE = [
                        "::test_trim_keeps_prefix_resident")),
     ("ring-skip-off-by-one", _ring_skip_off_by_one, functools.partial(_named_test, _PASSKV_EXACT)),
     ("merge-drops-last-partial", _merge_drops_last_partial,
-     functools.partial(_named_test, _PASSKV_EXACT)),
+     (functools.partial(_named_test, _PASSKV_EXACT), functools.partial(_named_test, _PASSQ_EXACT))),
     ("replicas-share-unscoped-tracer", _replicas_share_unscoped_tracer,
      functools.partial(_golden_case, "fleet3-disagg-swap-noprefix-clean-round-robin")),
     ("tp-decode-not-derived", _tp_decode_not_derived,
@@ -551,6 +574,8 @@ CATALOGUE = [
     ("fleet-checks-vocab-after-routing", _fleet_checks_vocab_after_routing,
      functools.partial(_named_test, "cluster/test_fleet.py::TestIdsAndStickiness"
                        "::test_out_of_vocabulary_prompt_changes_nothing")),
+    ("delivered-payload-thawed", _delivered_payload_thawed,
+     functools.partial(_named_test, "distributed/test_process_group.py::TestRingShift::test_no_aliasing")),
 ]
 
 
@@ -558,8 +583,11 @@ CATALOGUE = [
     ("mutant", "killer"), [entry[1:] for entry in CATALOGUE], ids=[entry[0] for entry in CATALOGUE]
 )
 def test_seeded_mutant_is_killed(monkeypatch, mutant, killer):
-    killer()  # passes on the real code, so a broken killer cannot "kill"
+    killers = killer if isinstance(killer, tuple) else (killer,)
+    for kill in killers:
+        kill()  # passes on the real code, so a broken killer cannot "kill"
     mutant(monkeypatch)
-    # an assertion, a pytest failure (``DID NOT RAISE``), or the run itself breaking
-    with pytest.raises((Exception, pytest.fail.Exception)):
-        killer()
+    for kill in killers:
+        # an assertion, a pytest failure (``DID NOT RAISE``), or the run itself breaking
+        with pytest.raises((Exception, pytest.fail.Exception)):
+            kill()

@@ -38,7 +38,7 @@ from repro.attention.reference import reference_attention_with_lse
 from repro.core.merge import merge_partials
 from repro.core.sharding import shard_positions
 
-from helpers import OnlineSoftmaxState, every_block_swept, window_mask_fn
+from helpers import Fallbacks, OnlineSoftmaxState, every_block_swept, window_mask_fn
 
 # (RuntimeWarning is NumPy's class for every floating-point warning; a blanket
 # "error" also trips on third-party DeprecationWarnings raised while hypothesis
@@ -462,19 +462,6 @@ class TestScoreTile:
 # ---------------------------------------------------------------------- #
 
 
-class _Fallbacks:
-    """Counts the ranges the shift-free sweep handed back to the shifted one."""
-
-    def __init__(self, patch):
-        self.count, inner = 0, flash._sweep_shifted
-
-        def counting(*sweep):
-            self.count += 1
-            return inner(*sweep)
-
-        patch.setattr(flash, "_sweep_shifted", counting)
-
-
 def _assert_close(dtype, out, lse, ref_out, ref_lse):
     """The contract at ``dtype``: fp64 is merge-exactness's, fp32 is
     ``test_fp32_compute_fp64_merge``'s; the ``-inf`` rows are exact in both."""
@@ -513,7 +500,7 @@ class TestShiftFree:
         args = (q, k, v, mask, block_size, np.dtype(dtype))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
-            fallbacks = _Fallbacks(patch)
+            fallbacks = Fallbacks(patch)
             out, lse = flash._attend(*args)
             taken = fallbacks.count
             ref_out, ref_lse = _shifted(flash._attend, *args)
@@ -551,7 +538,7 @@ class TestShiftFree:
         q, k, v = _aligned(rng, 6, 12)
         k[:, 0, 0] = big * rng.choice([-1.0, 1.0], 12)
         with pytest.MonkeyPatch.context() as patch:
-            fallbacks = _Fallbacks(patch)
+            fallbacks = Fallbacks(patch)
             res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=block_size, compute_dtype=dtype)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
@@ -567,9 +554,9 @@ class TestShiftFree:
         they are subnormal: ``den > 0`` but its terms carry two digits. All
         must fall back; the truly blind row stays ``O = 0, LSE = -inf``.
         Kills: the blind-row test taken from ``den == 0`` alone (LSE ``-inf``
-        where it is ``-800``); the lower bound dropped (fp32: weights 2 % off.
-        In fp64 ``1 / den`` overflows first and the finite check fires, so
-        only the fp32 case needs the bound)."""
+        where it is ``-800``); the lower bound dropped (fp32: weights 2 % off;
+        fp64: ``1 / den`` overflows — the finite check is on ``acc``, which
+        stays finite, so the bound is what catches both)."""
         rng = np.random.default_rng(1)
         q, k, v = _aligned(rng, 5, 9)
         q[:, 0, 0] = rng.standard_normal(5)
@@ -577,7 +564,7 @@ class TestShiftFree:
         k[:, 0, 0] = 1.0 + 0.004 * np.arange(9)  # row 2's scores spread over ~ 3 % of depth
         q_pos, k_pos = np.array([9, 9, 9, -1, 9]), np.arange(9)  # row 3 precedes every key
         with pytest.MonkeyPatch.context() as patch:
-            fallbacks = _Fallbacks(patch)
+            fallbacks = Fallbacks(patch)
             res = flash_attention(q, k, v, q_pos=q_pos, k_pos=k_pos, block_size=4, compute_dtype=dtype)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos, k_pos=k_pos)
@@ -588,13 +575,13 @@ class TestShiftFree:
         """(b) Four keys scoring 709.5: each ``exp`` is 1.3e308, finite, and
         their sum is not — while ``|V| ~ 1e-10`` keeps the numerator finite,
         so ``O = acc * (1 / inf)`` would come out a clean 0. Kills: the upper
-        bound dropped in favour of the finite check on the output."""
+        bound dropped in favour of the finite check on ``acc``."""
         rng = np.random.default_rng(5)
         q, k, v = _aligned(rng, 3, 4)
         k[:, 0, 0] = 709.5
         v = v * 1e-10
         with pytest.MonkeyPatch.context() as patch:
-            fallbacks = _Fallbacks(patch)
+            fallbacks = Fallbacks(patch)
             res = flash_attention(q, k, v, mask_fn=_all_visible)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
@@ -609,7 +596,7 @@ class TestShiftFree:
         k[:, 0, 0] = rng.standard_normal(16)
         k[13, 0, 0] = 800.0
         with pytest.MonkeyPatch.context() as patch:
-            fallbacks = _Fallbacks(patch)
+            fallbacks = Fallbacks(patch)
             res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
@@ -618,14 +605,14 @@ class TestShiftFree:
     def test_huge_values_overflow_the_numerator_only(self):
         """(b) Scores of ~250 keep ``den`` (~1e108) inside its range, but
         ``|V| ~ 1e200`` takes ``exp(score) * V`` past float64: the finite
-        check on the output is what catches it. Kills: the output left out of
+        check on ``acc`` is what catches it. Kills: the numerator left out of
         the range check."""
         rng = np.random.default_rng(3)
         q, k, v = _aligned(rng, 4, 8)
         k[:, 0, 0] = 250.0 + rng.standard_normal(8)
         v = v * 1e200
         with pytest.MonkeyPatch.context() as patch:
-            fallbacks = _Fallbacks(patch)
+            fallbacks = Fallbacks(patch)
             res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
@@ -644,7 +631,7 @@ class TestShiftFree:
         v[0] = 0.0
         for q_pos in (np.array([600, 600]), np.array([600, -1])):  # a full-height first block, and a banded one
             with pytest.MonkeyPatch.context() as patch:
-                fallbacks = _Fallbacks(patch)
+                fallbacks = Fallbacks(patch)
                 res = flash_attention(q, k, v, q_pos=q_pos, block_size=1, compute_dtype=np.float32)
             assert fallbacks.count == 0
             ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos)
@@ -709,7 +696,7 @@ class TestOneRowBaseCase:
         scale = 1.0 / np.sqrt(q.shape[-1])
         args = (q, k, v, mask, mask.shape[2], np.dtype(dtype))
         with pytest.MonkeyPatch.context() as patch:
-            tiles, fallbacks = _Tiles(patch), _Fallbacks(patch)
+            tiles, fallbacks = _Tiles(patch), Fallbacks(patch)
             out, lse = flash._attend(*args)
             assert tiles.count == fallbacks.count  # (a fallback goes through the block loop)
             taken = fallbacks.count
@@ -751,7 +738,7 @@ class TestOneRowBaseCase:
         with pytest.MonkeyPatch.context() as patch:
             inner = flash._sweep_additive
             patch.setattr(flash, "_sweep_additive", lambda *sweep: returned.append(inner(*sweep)) or returned[-1])
-            fallbacks = _Fallbacks(patch)
+            fallbacks = Fallbacks(patch)
             out, lse = flash._attend(*args)
         assert returned == [None] and fallbacks.count == 1
         for seg in range(3):

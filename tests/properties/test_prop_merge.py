@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attention.flash import AttentionResult
+from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.merge import merge_partials
+from repro.core.merge import RunningSum, merge_partials
 
 from helpers import OnlineSoftmaxState
 
@@ -186,65 +186,49 @@ class TestOneShotEqualsSequential:
 
 
 # ---------------------------------------------------------------------- #
-# one stacked reduction per ring vs N per-rank merges (exactness twin of
-# bench_ring_decode_cp4)
+# a rank's running shift-free sums vs one-shot Equation 4 (exactness twin
+# of bench_ring_passkv_cp4 and bench_ring_decode_cp4)
 # ---------------------------------------------------------------------- #
 
 
-@st.composite
-def exchanged_set(draw):
-    """What the decode ring holds after its All2All: ``restored[rank][origin]``,
-    N x N float64 ``(out, lse)`` pairs of one padded shape — skipped shards
-    (one shared identity pair), pad rows empty in every partial, a rank whose
-    rows are all pad (it owns no batch slot), rows empty in some."""
-    seed = draw(st.integers(0, 2**31 - 1))
-    n = draw(st.integers(1, 5))
-    t, nh, dh = draw(st.integers(0, 5)), draw(st.sampled_from([1, 4])), 4
-    rng = np.random.default_rng(seed)
-    identity = AttentionResult.empty(t, nh, dh)
-    identity = (identity.out, identity.lse)
-    idle_ranks = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    restored = []
-    for rank in range(n):
-        pad_rows = sorted(draw(st.sets(st.integers(0, max(t - 1, 0)), max_size=t)))
-        row = []
-        for _origin in range(n):
-            if rank in idle_ranks or draw(st.booleans()):
-                row.append(identity)
-                continue
-            lse = rng.normal(scale=draw(st.sampled_from([1.0, 30.0])), size=(t, nh))
-            out = rng.standard_normal((t, nh, dh))
-            dark = rng.random((t, nh)) < 0.15
-            dark[pad_rows] = True
-            lse[dark], out[dark] = -np.inf, 0.0
-            row.append((out, lse))
-        restored.append(row)
-    return restored
-
-
-class TestStackedEqualsPerRank:
-    @given(exchanged_set())
+class TestRunningSum:
+    @given(attention_case(), st.lists(st.booleans(), min_size=6, max_size=6), st.booleans())
     @settings(**SETTINGS)
-    def test_bit_for_bit_and_to_contract(self, restored):
-        """The ring's one reduction over ``[origin, rank, row, ...]`` is, rank
-        by rank, ``merge_partials`` of that rank's N partials bit for bit —
-        the same routine — and ``OnlineSoftmaxState`` to the contract, with
-        the identical ``O = 0, LSE = -inf`` rows. Kills: the reduction run
-        down the rank axis; a rank's all-empty rows shifted by ``-inf``."""
-        from repro.core.merge import merge_exchanged
-
-        with np.errstate(invalid="raise"):
-            out, lse = merge_exchanged(restored)
-        assert out.dtype == lse.dtype == np.float64
-        assert out.shape[:2] == lse.shape[:2] == (len(restored), restored[0][0][0].shape[0])
-        for rank, pairs in enumerate(restored):
-            partials = [AttentionResult(out=o, lse=l) for o, l in pairs]
-            per_rank = merge_partials(partials)
-            assert np.array_equal(out[rank], per_rank.out)
-            assert np.array_equal(lse[rank], per_rank.lse)
-            ref_out, ref_lse = _sequential(partials)
+    def test_sums_add_to_the_one_shot_merge(self, case, normalised, frozen):
+        """Each KV chunk's kernel sums added as they arrive — some chunks
+        handed over already normalised, as a step whose range check failed
+        is, and every pair frozen as a collective delivers it, or writable
+        as the rank's own kernel returns it — equal one-shot Eq. 4 over the
+        normalised chunks and the reference, with the identical ``-inf``
+        rows, and never write into a frozen pair. Kills: a step's sums
+        dropped; a normalised partial merged without the running sums; the
+        first frozen pair added into."""
+        q, k, v, q_pos, k_pos, edges = case
+        running, partials, kept = RunningSum(), [], []
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            coords = dict(q_pos=q_pos, k_pos=k_pos[lo:hi], block_size=4)
+            whole = flash_attention(q, k[lo:hi], v[lo:hi], **coords)
+            partials.append(whole)
+            if normalised[i]:
+                running.add(whole)
+                continue
+            acc, den = flash_attention(q, k[lo:hi], v[lo:hi], **coords, sums=True)
+            if frozen:
+                acc.flags.writeable = den.flags.writeable = False
+                kept.append((acc, acc.copy(), den, den.copy()))
+            running.add((acc, den))
+        with np.errstate(all="raise"):
+            merged = running.result(*q.shape)
+        one_shot = merge_partials(partials)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos, k_pos=k_pos)
+        for out, lse in ((merged.out, merged.lse), (one_shot.out, one_shot.lse)):
             empty = np.isneginf(ref_lse)
-            assert np.array_equal(np.isneginf(lse[rank]), empty)
-            assert np.all(out[rank][empty] == 0)
-            np.testing.assert_allclose(out[rank], ref_out, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(lse[rank][~empty], ref_lse[~empty], atol=1e-12, rtol=0)
+            assert np.array_equal(np.isneginf(lse), empty) and np.all(out[empty] == 0)
+            np.testing.assert_allclose(out, ref_out, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(lse[~empty], ref_lse[~empty], atol=1e-12, rtol=0)
+        for acc, acc_then, den, den_then in kept:
+            assert np.array_equal(acc, acc_then) and np.array_equal(den, den_then)
+
+    def test_nothing_added_is_the_identity(self):
+        merged = RunningSum().result(3, 2, 4)
+        assert np.all(merged.out == 0) and np.all(np.isneginf(merged.lse))
