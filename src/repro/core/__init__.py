@@ -6,12 +6,12 @@ substrates (:mod:`repro.attention`, :mod:`repro.distributed`,
 
 - :mod:`repro.core.sharding` — load-balanced 2N-chunk sharding (§3.5.1).
 - :mod:`repro.core.merge` — merge attention (Appendix B, Eq. 4).
-- :mod:`repro.core.ring_passkv` — Algorithm 2: fused varseq ring pass-KV
-  partial/full prefill.
-- :mod:`repro.core.ring_passq` — Algorithm 3: ring pass-Q prefill with
-  permute + All2All output restore.
-- :mod:`repro.core.ring_decode` — Algorithm 4: batched round-robin ring
-  pass-Q decode.
+- :mod:`repro.core.ring_skip` — the one ring sweep of Algorithms 2-4 and
+  its causal shard skip, behind three adapters:
+  :mod:`repro.core.ring_passkv` (Algorithm 2: fused varseq pass-KV
+  prefill), :mod:`repro.core.ring_passq` (Algorithm 3: pass-Q prefill)
+  and :mod:`repro.core.ring_decode` (Algorithm 4: batched round-robin
+  pass-Q decode).
 - :mod:`repro.core.heuristics` — Algorithms 1 & 5 and the empirical
   ``h(T, P)`` selector (Appendix D).
 - :mod:`repro.core.engine` — the multi-turn context-parallel inference

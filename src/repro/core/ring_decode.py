@@ -11,10 +11,9 @@ The paper's fix is **round-robin assignment offset by one each iteration**:
 at decode step ``t``, the token of batch slot ``b`` is owned by rank
 ``(b + t) mod N``, so generated KV spreads evenly across all CP ranks. With
 ``T = 1`` per sequence, circulating Q (plus the batch ids, Algorithm 4) is
-essentially always cheaper than circulating KV (Equation 1), so decode uses
-the pass-Q ring followed by the same permute + All2All + merge as prefill:
-the All2All carries each partial's shift-free sums and the source rank adds
-them (merge attention at shift 0, see :mod:`repro.core.merge`).
+essentially always cheaper than circulating KV (Equation 1), so decode runs
+the pass-Q ring of prefill (:func:`repro.core.ring_skip.ring_sweep`) over
+round-robin payloads, then gathers the rows back into batch order.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.attention.flash import AttentionResult, flash_attention
+from repro.attention.flash import AttentionResult
 from repro.attention.masks import PAD_SEQ, run_index
-from repro.core.merge import RunningSum
-from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
-from repro.core.sharding import ShardedKV, ShardedQueries
+from repro.core.ring_skip import query_reach, ring_sweep
+from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
-from repro.distributed.ring import source_rank_at_step
 
 
 @dataclass(frozen=True)
@@ -39,9 +36,9 @@ class DecodeBatch:
 
     Attributes:
         q: ``[B, NH, DH]`` query projections of the freshly sampled tokens.
-        positions: ``[B]`` absolute position of each new token (== current
-            sequence length before this step).
-        seq_ids: ``[B]`` sequence ids (must be unique within the batch).
+        positions: ``[B]`` integer absolute position of each new token
+            (== current sequence length before this step).
+        seq_ids: ``[B]`` integer sequence ids (unique within the batch).
     """
 
     q: np.ndarray
@@ -57,6 +54,9 @@ class DecodeBatch:
         b = self.q.shape[0]
         if self.positions.shape != (b,) or self.seq_ids.shape != (b,):
             raise ValueError("positions and seq_ids must be [B]")
+        for name, coord in (("positions", self.positions), ("seq_ids", self.seq_ids)):
+            if coord.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, got {coord.dtype}")
         if len(np.unique(self.seq_ids)) != b:
             raise ValueError("decode batch must contain each sequence at most once")
 
@@ -98,7 +98,6 @@ class RoundPlan(NamedTuple):
     coords: list  # per rank: its payload's padded pos / seq / slots
     q_runs: list  # per origin: its payload's (offsets, {seq_id: row}) runs
     q_reach: list  # per origin: its payload's query_reach
-    origins: list  # [j][rank]: whose payload rank holds at ring step j
 
 
 def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
@@ -132,7 +131,6 @@ def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
             coords,
             [(offsets, run_index(c["seq"], offsets)) for c in coords],
             [query_reach(c["pos"], c["seq"], offsets) for c in coords],
-            [[source_rank_at_step(rank, j, n) for rank in range(n)] for j in range(n)],
         )
     return plan
 
@@ -158,10 +156,9 @@ def ring_passq_decode(
         step: decode iteration index, drives the round-robin offset.
         block_size: KV block size of the local kernel.
 
-    A provably all-masked ring-step partial is the exact identity element,
-    not a kernel call (see :mod:`repro.core.ring_skip`). In decode that is
-    mostly an all-pad query payload (when ``B`` is not a multiple of ``N``)
-    or an empty or unrelated KV shard.
+    The ring is :func:`repro.core.ring_skip.ring_sweep`'s; its skipped
+    partials are mostly an all-pad query payload (when ``B`` is not a
+    multiple of ``N``) or an empty or unrelated KV shard.
 
     Returns:
         ``(result, assignment)``: ``result`` holds the exact attention
@@ -169,60 +166,18 @@ def ring_passq_decode(
         and ``assignment[b]`` is the rank that owned slot ``b`` this step
         (where its KV was appended).
     """
-    n = group.world_size
-    if len(kv_shards) != n:
-        raise ValueError(f"need one KV shard per rank, got {len(kv_shards)} for world {n}")
-    nh, dh = batch.q.shape[1], batch.q.shape[2]
-    plan = round_plan(batch, n, step)
-    per_rank = plan.per_rank
-
-    # Only the queries are this layer's own (traveling[s] starts as the
-    # payload originating at rank s; the ring schedule recovers the origin).
-    traveling = [
-        {"q": _pad_rows(batch.q[own], per_rank - own.shape[0], 0.0), **coord}
+    plan = round_plan(batch, group.world_size, step)
+    # Only the queries are this layer's own; their batch slots ride along.
+    q_wire = [
+        {"q": _pad_rows(batch.q[own], plan.per_rank - own.shape[0], 0.0), **coord}
         for own, coord in zip(plan.slots, plan.coords)
     ]
-    # computed[k][s] = the sums rank k computed for origin rank s (an
-    # AttentionResult where a range check failed); a skipped one is the
-    # ring's one shared zero pair.
-    computed: list[list] = [[None] * n for _ in range(n)]
-    identity = (np.zeros((per_rank, nh, dh)), np.zeros((per_rank, nh)))
-
-    k_summary = [
-        kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs)
-        for kv in kv_shards
-    ]
-
-    for j in range(n):
-        for rank, src in enumerate(plan.origins[j]):
-            q = traveling[rank]
-            if partial_fully_masked(plan.q_reach[src], k_summary[rank]):
-                computed[rank][src] = identity
-                continue
-            kv = kv_shards[rank]
-            computed[rank][src] = flash_attention(
-                q["q"],
-                kv.k,
-                kv.v,
-                q_pos=q["pos"],
-                k_pos=kv.positions,
-                q_seq=q["seq"],
-                k_seq=kv.seq_ids,
-                block_size=block_size,
-                q_runs=plan.q_runs[src],
-                k_runs=(kv.runs, kv.run_index),
-                sums=True,
-            )
-        if j < n - 1:
-            traveling = group.ring_shift(traveling, step=j, tag="decode-passq")
-
-    # Permute + All2All the partial sums back to the source ranks, each of
-    # which adds its N, then one gather into batch order (pad rows — a whole
-    # rank's, when it owns no slot — ride along unread).
-    merged = [
-        RunningSum(received).result(per_rank, nh, dh)
-        for received in group.all_to_all(computed, tag="decode-merge")
-    ]
+    merged = ring_sweep(
+        group, q_wire, plan.q_runs, plan.q_reach, kv_shards,
+        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size,
+    )
+    # One gather into batch order (pad rows — a whole rank's, when it owns
+    # no slot — ride along unread).
     result = AttentionResult(
         out=np.concatenate([m.out for m in merged]).take(plan.order, 0),
         lse=np.concatenate([m.lse for m in merged]).take(plan.order, 0),

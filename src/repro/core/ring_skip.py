@@ -1,35 +1,42 @@
-"""Shard-level causal skip predicate for the ring hot path.
+"""The one ring sweep of Algorithms 2-4, and its shard-level causal skip.
 
-At every ring step each rank computes a *partial* attention between its
-resident queries and one origin rank's payload. Under the causal mask a
-large fraction of those partials are provably all-masked — every key in the
-shard sits strictly after every query of the same sequence, or the payload
-is pure padding (``PAD_SEQ``). Computing such a partial produces exactly the
-identity element of merge attention (``O = 0``, ``LSE = -inf``; as shift-free
-sums, ``(0, 0)``), so the ring algorithms can skip the kernel call outright
-and stand zero sums in for it (pass-KV adds nothing at all), bit-for-bit
-unchanged output.
+Pass-KV prefill (Algorithm 2), pass-Q prefill (Algorithm 3) and batched
+pass-Q decode (Algorithm 4) are one schedule, run by :func:`ring_sweep`:
+at step ``j`` rank ``k`` holds the payload that started on rank
+``(k - j) mod N``. They differ in which side travels and where a step's
+shift-free sums ``(acc, den)`` go: pass-KV adds them into the holder's
+:class:`~repro.core.merge.RunningSum` as they arrive (one partial's memory
+per rank, whatever ``N``); pass-Q keeps them per origin and one All2All
+returns them there. Each rank adds and normalises once (merge attention at
+shift 0). Only arrays travel; a payload's runs and reach stay with its origin.
 
-The predicate only needs two per-shard summaries, each computed **once**
-before the ring starts (the origin metadata travels implicitly with the
-ring schedule — ``source_rank_at_step`` says whose summary applies):
-
-- queries: ``{seq_id: max position}`` over non-pad tokens,
-- keys:    ``{seq_id: min position}`` over non-pad tokens.
-
-A partial is visible iff some sequence id appears on both sides with
-``min(k_pos) <= max(q_pos)``. The rings take no mask override: every
-partial is under the causal, same-sequence mask this test is exact for, so
-it alone decides each skip. The bound is inclusive because a query sees
-its own position — a shard whose first key sits at a query's position
-holds that query's diagonal.
+**The skip.** Under the causal mask many partials are provably all-masked:
+every key in the shard sits strictly after every query of its sequence, or
+the payload is pure padding (``PAD_SEQ``). Such a partial is the merge
+identity (``O = 0``, ``LSE = -inf``; as sums, ``(0, 0)``), so the sweep
+never calls the kernel for it — pass-KV adds nothing, pass-Q sends the
+ring's one shared zero pair — and the output is bit-for-bit the same. The
+test reads two summaries per shard, each computed **once** before the ring
+starts: :func:`query_reach` (``{seq_id: max position}``) and
+:func:`kv_reach` (``{seq_id: min position}``) over non-pad tokens. A
+partial is visible iff some sequence id appears on both sides with
+``min(k_pos) <= max(q_pos)`` — inclusive, because a query sees its own
+position. The rings take no mask override: every partial is under the
+causal, same-sequence mask this test is exact for, so it alone decides.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.masks import PAD_SEQ, run_offsets
+from repro.core.merge import RunningSum
+from repro.core.sharding import ShardedKV, ShardedQueries
+from repro.distributed.process_group import SimProcessGroup
+from repro.distributed.ring import source_rank_at_step
 
 
 def query_reach(
@@ -89,3 +96,107 @@ def partial_fully_masked(q_reach: dict[int, int], k_reach: dict[int, int]) -> bo
         if k_min is not None and k_min <= q_max:
             return False
     return True
+
+
+def query_side(shards: list[ShardedQueries]) -> tuple[list[dict], list[tuple], list[dict]]:
+    """:func:`ring_sweep`'s query arguments for per-rank query shards."""
+    wire, runs, reach = [], [], []
+    for s in shards:
+        wire.append({"q": s.q, "pos": s.positions, "seq": s.seq_ids})
+        runs.append((s.runs, s.run_index))
+        reach.append(query_reach(s.positions, s.seq_ids, s.runs))
+    return wire, runs, reach
+
+
+@functools.cache
+def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
+    """``[step][rank]``: the origin of the payload ``rank`` holds at ``step``."""
+    return tuple(tuple(source_rank_at_step(rank, step, n) for rank in range(n)) for step in range(n))
+
+
+def ring_sweep(
+    group: SimProcessGroup,
+    q_wire: list[dict],
+    q_runs: list[tuple],
+    q_reach: list[dict[int, int]],
+    kv_shards: list[ShardedKV],
+    *,
+    pass_q: bool,
+    tags: tuple[str, str | None],
+    block_size: int,
+) -> list[AttentionResult]:
+    """One exact ring: each rank's attention for the queries that started on it.
+
+    Args:
+        q_wire: per origin rank, the queries' on-wire arrays: ``"q"``
+            ``[T, NH, DH]``, ``"pos"``, ``"seq"`` and whatever rides beside
+            them (decode's batch ``slots``); one ``T`` when they travel.
+        q_runs, q_reach: per origin rank, the queries' ``(offsets, index)``
+            runs and :func:`query_reach`.
+        kv_shards: per-rank KV shards, of one length when they travel.
+        pass_q: the queries travel (pass-Q), not the KV (pass-KV).
+        tags: the ring shift's collective tag, then pass-Q's All2All's.
+
+    Raises:
+        ValueError: unless there is one query payload and KV shard per rank,
+            every query payload ``[*, NH, DH]`` and every KV shard
+            ``[*, NKV, DH]`` as on rank 0 (naming the first rank that differs).
+    """
+    n = group.world_size
+    if len(q_wire) != n or len(kv_shards) != n:
+        raise ValueError(
+            f"need one query payload and KV shard per rank: world={n}, "
+            f"queries={len(q_wire)}, kvs={len(kv_shards)}"
+        )
+    heads = (q_wire[0]["q"].shape[1:], kv_shards[0].k.shape[1:])
+    kv_wire, k_runs, k_reach = [], [], []
+    for rank, (w, kv) in enumerate(zip(q_wire, kv_shards)):
+        got = (w["q"].shape[1:], kv.k.shape[1:])
+        if got != heads:  # (another head layout would attend in another GQA grouping)
+            i = int(got[0] == heads[0])
+            side = ("query payload", "KV shard")[i]
+            raise ValueError(f"rank {rank}'s {side} has [NH, DH] {got[i]}, rank 0's {heads[i]}")
+        kv_wire.append({"k": kv.k, "v": kv.v, "pos": kv.positions, "seq": kv.seq_ids})
+        k_runs.append((kv.runs, kv.run_index))
+        k_reach.append(kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs))
+
+    held = q_wire if pass_q else kv_wire  # the travelling side, by holder
+    if pass_q:
+        # sent[k][s]: the sums rank k computed for origin s, for the All2All;
+        # a skipped step sends the ring's one shared zero pair
+        tq, nh, dh = q_wire[0]["q"].shape
+        zero = (np.zeros((tq, nh, dh)), np.zeros((tq, nh)))
+        sent = [[zero] * n for _ in range(n)]
+    else:
+        running = [RunningSum() for _ in range(n)]
+    for step, origins in enumerate(_schedule(n)):
+        for rank, src in enumerate(origins):
+            qo, ko = (src, rank) if pass_q else (rank, src)  # origins of the held Q and KV
+            if partial_fully_masked(q_reach[qo], k_reach[ko]):
+                continue
+            q, kv = (held[rank], kv_wire[rank]) if pass_q else (q_wire[rank], held[rank])
+            sums = flash_attention(
+                q["q"],
+                kv["k"],
+                kv["v"],
+                q_pos=q["pos"],
+                k_pos=kv["pos"],
+                q_seq=q["seq"],
+                k_seq=kv["seq"],
+                block_size=block_size,
+                q_runs=q_runs[qo],
+                k_runs=k_runs[ko],
+                sums=True,
+            )
+            if pass_q:
+                sent[rank][src] = sums
+            else:
+                running[rank].add(sums)
+            del sums  # (a step's sums must not outlive it into the next kernel call)
+        if step < n - 1:
+            held = group.ring_shift(held, step=step, tag=tags[0])
+
+    if pass_q:  # each origin adds the sums its holders computed for it
+        received = group.all_to_all(sent, tag=tags[1])
+        return [RunningSum(got).result(*w["q"].shape) for got, w in zip(received, q_wire)]
+    return [sums.result(*w["q"].shape) for sums, w in zip(running, q_wire)]

@@ -23,7 +23,7 @@ masks remain exact under the permutation (see :mod:`repro.attention.masks`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,30 +61,28 @@ class SequenceSpec:
         return self.new_tokens / self.total_tokens
 
 
-#: Field metadata: host-side bookkeeping every rank derives from the batch
-#: schedule, not tensor bytes on the CP wire (the process group's byte
-#: accounting skips it).
-_OFF_WIRE = {"wire": False}
-
-
 @dataclass
 class ShardedQueries:
     """One rank's query-side tokens (projected Q plus coordinates).
 
     ``runs`` are the ``cu_seqlens``-style offsets of the shard's
-    constant-``seq_ids`` runs (see :func:`repro.attention.masks.run_offsets`);
+    constant-``seq_ids`` runs (see :func:`repro.attention.masks.run_offsets`)
+    and ``run_index`` their :func:`repro.attention.masks.run_index`;
     producers that assemble the shard run by run pass them, otherwise one
-    scan at construction finds them, so the kernel never has to.
+    scan at construction finds them, so no ring step's kernel call has to.
     """
 
     q: np.ndarray  # [n, NH, DH]
     positions: np.ndarray  # [n] absolute positions within each token's sequence
     seq_ids: np.ndarray  # [n]
-    runs: np.ndarray | None = field(default=None, metadata=_OFF_WIRE)  # [S + 1]
+    runs: np.ndarray | None = None  # [S + 1]
+    run_index: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
         _validate_coords(self.q, self.positions, self.seq_ids)
         self.runs = _validate_runs(self.runs, self.seq_ids)
+        if self.run_index is None:
+            self.run_index = run_index(self.seq_ids, self.runs)
 
     def __len__(self) -> int:
         return self.q.shape[0]
@@ -94,10 +92,7 @@ class ShardedQueries:
 class ShardedKV:
     """One rank's key/value tokens (cached plus freshly projected).
 
-    ``runs``: as on :class:`ShardedQueries`. ``run_index``: their
-    :func:`repro.attention.masks.run_index`, passed by the producer or found
-    at construction, so that none of the N ring steps that attend the shard
-    re-scans it — the kernel is handed ``(runs, run_index)``. ``reach``: the
+    ``runs`` and ``run_index``: as on :class:`ShardedQueries`. ``reach``: the
     shard's :func:`repro.core.ring_skip.kv_reach` where the producer has it
     (``RankKVCache.get``, once per round), else ``None`` and the ring scans.
     """
@@ -106,9 +101,9 @@ class ShardedKV:
     v: np.ndarray  # [n, NKV, DH]
     positions: np.ndarray  # [n]
     seq_ids: np.ndarray  # [n]
-    runs: np.ndarray | None = field(default=None, metadata=_OFF_WIRE)  # [S + 1]
-    run_index: dict[int, int] | None = field(default=None, metadata=_OFF_WIRE)
-    reach: dict[int, int] | None = field(default=None, metadata=_OFF_WIRE)
+    runs: np.ndarray | None = None  # [S + 1]
+    run_index: dict[int, int] | None = None
+    reach: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.k.shape != self.v.shape:
@@ -324,7 +319,6 @@ def pad_kv_shards(shards: list[ShardedKV]) -> tuple[list[ShardedKV], int]:
     """
     if not shards:
         raise ValueError("need at least one shard")
-    n_kv, dh = shards[0].k.shape[1], shards[0].k.shape[2]
 
     # Storage spans of every non-pad sequence, read off each shard's runs
     # (a sequence split over several runs keeps its storage order).
@@ -347,6 +341,7 @@ def pad_kv_shards(shards: list[ShardedKV]) -> tuple[list[ShardedKV], int]:
     padded: list[ShardedKV] = []
     pad_total = 0
     for shard, spans in zip(shards, per_shard):
+        n_kv, dh = shard.k.shape[1:]  # (one rank's own heads: the ring checks they agree)
         pieces_k, pieces_v, pieces_pos = [], [], []
         run_ids, run_lens = [], []
         for sid in all_seq_ids:
@@ -396,7 +391,6 @@ def pad_query_shards(shards: list[ShardedQueries]) -> tuple[list[ShardedQueries]
     if not shards:
         raise ValueError("need at least one shard")
     want = max(len(s) for s in shards)
-    nh, dh = shards[0].q.shape[1], shards[0].q.shape[2]
     padded = []
     pad_total = 0
     for shard in shards:
@@ -407,7 +401,7 @@ def pad_query_shards(shards: list[ShardedQueries]) -> tuple[list[ShardedQueries]
             continue
         padded.append(
             ShardedQueries(
-                q=np.concatenate([shard.q, np.zeros((pad, nh, dh), dtype=shard.q.dtype)], axis=0),
+                q=np.concatenate([shard.q, np.zeros((pad, *shard.q.shape[1:]), dtype=shard.q.dtype)]),
                 positions=np.concatenate([shard.positions, np.zeros(pad, dtype=np.int64)]),
                 seq_ids=np.concatenate([shard.seq_ids, np.full(pad, PAD_SEQ, dtype=np.int64)]),
                 runs=np.append(shard.runs, want),

@@ -8,11 +8,10 @@ to an SPMD program synchronised at every collective — which is exactly the
 structure of the paper's ring algorithms (one SendRecv per ring step).
 
 Payloads are arbitrary nests of ``list`` / ``tuple`` / ``dict`` / dataclass
-containing NumPy arrays. Byte accounting uses the *logical* element size
-of bf16 (2 bytes, ``LatencySimulator``'s default) rather than the arrays'
-in-memory float64, so traced traffic matches what the paper's wire format
-would carry; a dataclass field declared with ``metadata={"wire": False}``
-is host-side bookkeeping and is not counted.
+containing NumPy arrays, all of them on the wire. Byte accounting uses the
+*logical* element size of bf16 (2 bytes, ``LatencySimulator``'s default)
+rather than the arrays' in-memory float64, so traced traffic matches what
+the paper's wire format would carry.
 
 Tracing is the repository's one tracer (:mod:`repro.obs.trace`): with a
 recorder attached, every collective emits one span named for its kind
@@ -63,11 +62,7 @@ def payload_elements(payload: Any) -> int:
     if isinstance(payload, (int, float, np.integer, np.floating)):
         return 1
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        return sum(
-            payload_elements(getattr(payload, f.name))
-            for f in dataclasses.fields(payload)
-            if f.metadata.get("wire", True)
-        )
+        return sum(payload_elements(getattr(payload, f.name)) for f in dataclasses.fields(payload))
     raise TypeError(f"unsupported payload type {type(payload)!r}")
 
 

@@ -4,8 +4,8 @@ All three ring algorithms (pass-KV prefill, pass-Q prefill, pass-Q decode)
 share one schedule: at ring step ``j``, rank ``k`` holds the payload that
 originated at rank ``(k - j) mod N``, having received it from its previous
 neighbour ``(k - 1) mod N`` and about to forward it to ``(k + 1) mod N``.
-Keeping this arithmetic in one place keeps the three algorithm
-implementations honest with each other and gives the tests a single oracle.
+The one ring sweep (:func:`repro.core.ring_skip.ring_sweep`) runs it, and
+the tests hold it to this arithmetic as their single oracle.
 """
 
 from __future__ import annotations

@@ -107,6 +107,7 @@ class TestDecode:
         run index, reach — that every layer's read shares, so the ring scans
         no shard for its reach. The logits are an untouched engine's."""
         import repro.core.ring_decode as ring_decode
+        import repro.core.ring_skip as ring_skip
         from repro.kvcache.cache import RankKVCache
 
         model = LlamaModel(tiny_config(n_layers=3), seed=0)
@@ -120,11 +121,11 @@ class TestDecode:
         want = want.decode(tokens)
 
         assigned, scanned, reads = [], [], []
-        assignment, reach, get = ring_decode.round_robin_assignment, ring_decode.kv_reach, RankKVCache.get
+        assignment, reach, get = ring_decode.round_robin_assignment, ring_skip.kv_reach, RankKVCache.get
         monkeypatch.setattr(
             ring_decode, "round_robin_assignment", lambda *a: assigned.append(a) or assignment(*a)
         )
-        monkeypatch.setattr(ring_decode, "kv_reach", lambda *a: scanned.append(a) or reach(*a))
+        monkeypatch.setattr(ring_skip, "kv_reach", lambda *a: scanned.append(a) or reach(*a))
         monkeypatch.setattr(
             RankKVCache, "get", lambda self, layer, sids: reads.append((self, get(self, layer, sids))) or reads[-1][1]
         )

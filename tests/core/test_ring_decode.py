@@ -197,7 +197,7 @@ class TestRoundPlan:
         so the ring scans none of them; a hand-built shard carries none and
         is scanned, once per ring. Either way the skip decisions, and so the
         result, are the same."""
-        import repro.core.ring_decode as ring_decode
+        import repro.core.ring_skip as ring_skip
         from repro.core.ring_skip import kv_reach
         from repro.kvcache.cache import RankKVCache
 
@@ -210,7 +210,7 @@ class TestRoundPlan:
                     own = shard.seq_ids == sid
                     cache.append(layer, sid, shard.k[own], shard.v[own], shard.positions[own])
         scanned = []
-        monkeypatch.setattr(ring_decode, "kv_reach", lambda *a: scanned.append(a) or kv_reach(*a))
+        monkeypatch.setattr(ring_skip, "kv_reach", lambda *a: scanned.append(a) or kv_reach(*a))
         sids, group = list(range(batch)), SimProcessGroup(world)
         rounds = [[cache.get(layer, sids) for cache in caches] for layer in range(layers)]
         results = [ring_passq_decode(group, shards, batch_obj, step=0)[0] for shards in rounds]

@@ -112,3 +112,25 @@ class TestValidation:
         queries, kvs = shard_qkv_full_prefill(q, k, v, 2)
         with pytest.raises(ValueError):
             ring_passq_prefill(SimProcessGroup(4), queries, kvs)
+
+
+class TestShardSkip:
+    def test_skip_reads_the_travelling_queries_reach(self):
+        """Each rank's queries sit beside another sequence's KV, so only the
+        travelling payloads see keys: the skip must test a payload by its
+        origin's query reach, wherever it is held."""
+        rng = np.random.default_rng(3)
+        pos = np.arange(4)
+        seqs = {sid: [rng.standard_normal((4, h, 8)) for h in (4, 2, 2)] for sid in (0, 1)}
+        queries = [
+            ShardedQueries(q=seqs[sid][0], positions=pos, seq_ids=np.full(4, sid)) for sid in (0, 1)
+        ]
+        kvs = [
+            ShardedKV(k=seqs[sid][1], v=seqs[sid][2], positions=pos, seq_ids=np.full(4, sid))
+            for sid in (1, 0)
+        ]
+        results = ring_passq_prefill(SimProcessGroup(2), queries, kvs)
+        for res, sid in zip(results, (0, 1)):
+            ref_out, ref_lse = reference_attention_with_lse(*seqs[sid])
+            np.testing.assert_allclose(res.out, ref_out, atol=1e-12)
+            np.testing.assert_allclose(res.lse, ref_lse, atol=1e-12)

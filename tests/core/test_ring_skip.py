@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attention.masks import PAD_SEQ, attention_mask
+from repro.core.ring_decode import DecodeBatch, ring_passq_decode
+from repro.core.ring_passkv import ring_passkv_prefill
+from repro.core.ring_passq import ring_passq_prefill
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
+from repro.core.sharding import ShardedKV, ShardedQueries
+from repro.distributed.process_group import SimProcessGroup
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -70,3 +75,47 @@ class TestShardFullyMaskedProperty:
         predicted = partial_fully_masked(query_reach(q_pos, q_seq), kv_reach(k_pos, k_seq))
         actual = not attention_mask(q_pos, k_pos, q_seq, k_seq, causal=True).any()
         assert predicted == actual
+
+
+def _shards(q_heads, kv_heads):
+    """Two ranks' shards of sequence 0 (positions 0-3 and 4-7), each with
+    its own query and KV head count."""
+    rng = np.random.default_rng(0)
+    pos = [np.arange(4), np.arange(4, 8)]
+    queries = [
+        ShardedQueries(q=rng.standard_normal((4, h, 8)), positions=p, seq_ids=np.zeros(4, dtype=np.int64))
+        for h, p in zip(q_heads, pos)
+    ]
+    kvs = [
+        ShardedKV(
+            k=rng.standard_normal((4, h, 8)), v=rng.standard_normal((4, h, 8)),
+            positions=p, seq_ids=np.zeros(4, dtype=np.int64),
+        )
+        for h, p in zip(kv_heads, pos)
+    ]
+    return queries, kvs
+
+
+def _decode(kv_heads, positions):
+    _, kvs = _shards((4, 4), kv_heads)
+    batch = DecodeBatch(q=np.ones((2, 4, 8)), positions=positions, seq_ids=np.array([0, 1]))
+    return ring_passq_decode(SimProcessGroup(2), kvs, batch)
+
+
+class TestOneHeadLayout:
+    @pytest.mark.parametrize(
+        ("run", "match"),
+        [
+            (lambda: ring_passkv_prefill(SimProcessGroup(2), *_shards((4, 4), (2, 1))), "rank 1's KV shard"),
+            (lambda: ring_passq_prefill(SimProcessGroup(2), *_shards((4, 2), (2, 2))), "rank 1's query"),
+            (lambda: _decode((2, 1), np.array([7, 7])), "rank 1's KV shard"),
+            (lambda: _decode((2, 2), np.array([2.5, 7.0])), "positions must be integers"),
+        ],
+        ids=["passkv-kv-heads", "passq-query-heads", "decode-kv-heads", "decode-float-positions"],
+    )
+    def test_a_rank_that_differs_is_named(self, run, match):
+        """Every rank of a ring shares one head layout, and a decode batch
+        has integer coordinates; a ring that silently mixed layouts would
+        attend rank 1 in another GQA grouping or answer with its heads."""
+        with pytest.raises(ValueError, match=match):
+            run()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attention.masks import PAD_SEQ, run_offsets
+from repro.attention.masks import PAD_SEQ, run_index, run_offsets
 from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
@@ -229,6 +229,7 @@ class TestRunOffsets:
         assert runs[0] == 0 and runs[-1] == len(shard) and np.all(np.diff(runs) > 0)
         for lo, hi in zip(runs[:-1], runs[1:]):
             assert len(set(shard.seq_ids[lo:hi].tolist())) == 1
+        assert shard.run_index == run_index(shard.seq_ids, runs)  # handed over or found
 
     def test_found_by_one_scan_when_not_handed_over(self):
         seq = np.array([3, 3, PAD_SEQ, 7, 7, 7, 3], dtype=np.int64)
@@ -281,7 +282,11 @@ class TestRunOffsets:
         assert pad_total == 4
 
     def test_runs_are_not_wire_bytes(self):
-        from repro.distributed.process_group import payload_elements
+        """A ring ships a shard's arrays alone: its runs, run index and reach
+        are looked up by the payload's origin, never sent."""
+        from repro.core.ring_passkv import ring_passkv_prefill
+
+        from helpers import comm, traced_group
 
         shard = ShardedKV(
             k=np.zeros((6, 2, 4)), v=np.zeros((6, 2, 4)),
@@ -289,7 +294,10 @@ class TestRunOffsets:
             seq_ids=np.repeat(np.arange(3), 2).astype(np.int64),
         )
         assert shard.runs.size == 4
-        assert payload_elements(shard) == 2 * 6 * 2 * 4 + 2 * 6
+        queries = ShardedQueries(q=np.zeros((6, 4, 4)), positions=shard.positions, seq_ids=shard.seq_ids)
+        group = traced_group(2)
+        ring_passkv_prefill(group, [queries, queries], [shard, shard])
+        assert comm(group)["sendrecv"].bytes == 2 * (2 * 6 * 2 * 4 + 2 * 6)  # bf16 on the wire
 
     def test_reach_summaries_agree_with_and_without_runs(self):
         from repro.core.ring_skip import kv_reach, query_reach

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.attention.flash import AttentionResult
 from repro.core.engine import ContextParallelEngine
 from repro.core.heuristics import RingAlgo
-from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup, payload_elements
 from repro.model.config import llama3_405b_config, tiny_config
 from repro.model.llama import LlamaModel
@@ -30,11 +30,12 @@ class TestPayloadElements:
         assert payload_elements(None) == 0
 
     def test_dataclass(self):
-        kv = ShardedKV(
-            k=np.zeros((2, 2, 4)), v=np.zeros((2, 2, 4)),
-            positions=np.zeros(2, dtype=np.int64), seq_ids=np.zeros(2, dtype=np.int64),
-        )
-        assert payload_elements(kv) == 16 + 16 + 2 + 2
+        """Every field is on the wire: a pass-Q step that fell back ships
+        its normalised partial."""
+        partial = AttentionResult(out=np.zeros((2, 2, 4)), lse=np.zeros((2, 2)))
+        assert payload_elements(partial) == 16 + 4
+        received = SimProcessGroup(2).all_to_all([[partial, partial], [partial, partial]])[1][0]
+        assert isinstance(received, AttentionResult) and not received.lse.flags.writeable
 
     def test_unsupported(self):
         with pytest.raises(TypeError):

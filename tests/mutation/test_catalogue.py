@@ -13,10 +13,13 @@ victim loop (``_make_room``), the two bounds on a victim (``_find_victim``:
 younger than the beneficiary, never the oldest live request) and the
 remedy ladder (``_rungs``, then full eviction), and the prefill fit
 (``_fit_prefill_round``), which must squeeze out a round's youngest
-member — its FCFS tail — before its oldest; the rings' shard skip
-(``ring_skip.partial_fully_masked``), which alone decides which ring-step
-partials are replaced by the merge identity, and the prefill rings' sum
-of every step's partial (``merge.RunningSum``); what the deployment
+member — its FCFS tail — before its oldest; the one ring sweep
+(``ring_skip.ring_sweep``): its shard skip (``partial_fully_masked``),
+which alone decides which ring-step partials are replaced by the merge
+identity and must test a pass-Q payload by its origin's reach, and its sum
+of every step's partial (``RunningSum``); the varlen kernel's pairing of a
+padded group's query and key runs, and the KV cache's round structure,
+which a write must end (``RankKVCache.append``); what the deployment
 builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
 decode pricing and the decode pool's capacity; the counters
 (``serving/metrics.py``): a round's duration check, the ``finish`` row's
@@ -64,10 +67,11 @@ from dataclasses import replace
 
 from repro.attention import flash
 from repro.cluster import ReplicaFleet
-from repro.core import ring_decode, ring_passkv, ring_passq
+from repro.core import ring_decode, ring_passkv, ring_passq, ring_skip
 from repro.core.merge import RunningSum
 from repro.core.shape_engine import ShapeEngine
 from repro.distributed import process_group
+from repro.kvcache.cache import RankKVCache
 from repro.model.config import llama3_405b_config
 from repro.obs import dumps_jsonl, timeline
 from repro.perf import latency
@@ -195,8 +199,20 @@ def _ring_skip_off_by_one(monkeypatch):
     def strict(q_reach, k_reach):
         return not any(sid in k_reach and k_reach[sid] < q_max for sid, q_max in q_reach.items())
 
-    for ring in (ring_passkv, ring_passq, ring_decode):
-        monkeypatch.setattr(ring, "partial_fully_masked", strict)
+    monkeypatch.setattr(ring_skip, "partial_fully_masked", strict)
+
+
+def _passq_skips_by_holder_reach(monkeypatch):
+    """The pass-Q skip test reads the query reach of the rank holding the
+    payload, not of the rank it started on: a travelling payload's visible
+    partial is skipped wherever the holder's own queries see none of its KV."""
+    patch_source(
+        monkeypatch, ring_skip, "ring_sweep",
+        "qo, ko = (src, rank) if pass_q else (rank, src)",
+        "qo, ko = (rank, rank) if pass_q else (rank, src)",
+    )
+    for ring in (ring_passkv, ring_passq, ring_decode):  # (each binds the sweep by name)
+        monkeypatch.setattr(ring, "ring_sweep", ring_skip.ring_sweep)
 
 
 class _DropsLastSums(RunningSum):
@@ -210,11 +226,10 @@ class _DropsLastSums(RunningSum):
 
 
 def _merge_drops_last_partial(monkeypatch):
-    """Both prefill rings' running sums drop the last partial handed to
-    them — pass-KV's last computed step, the last holder's at a pass-Q
-    source rank — so the attention output loses the keys of one shard."""
-    for ring in (ring_passkv, ring_passq):
-        monkeypatch.setattr(ring, "RunningSum", _DropsLastSums)
+    """The ring sweep's running sums drop the last partial handed to them —
+    pass-KV's last computed step, the last holder's at a pass-Q source
+    rank — so the attention output loses the keys of one shard."""
+    monkeypatch.setattr(ring_skip, "RunningSum", _DropsLastSums)
 
 
 def _replicas_share_unscoped_tracer(monkeypatch):
@@ -418,6 +433,26 @@ def _blind_rows_by_den(monkeypatch):
     )
 
 
+def _varlen_group_pairs_wrong_run(monkeypatch):
+    """A padded group of the varlen sweep gathers its key runs in reverse
+    (``_pad_groups``' segments, starts and lengths reversed together), so
+    every query run of a group of two or more meets another sequence's keys."""
+    patch_source(
+        monkeypatch, flash, "flash_attention",
+        "ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)",
+        "ki, k_valid = _padded_index(k_start[group][::-1], keys[group][::-1], max_keys, k_order)",
+    )
+    # (the killer's module binds the kernel by name)
+    monkeypatch.setattr(_test_module(_VARLEN), "flash_attention", flash.flash_attention)
+
+
+def _stale_structure_after_append(monkeypatch):
+    """A layer-0 append leaves the round's shared read structure in place,
+    so a later layer's read reuses positions, runs and reach from before
+    the write."""
+    patch_source(monkeypatch, RankKVCache, "append", "self._structure = None", "pass")
+
+
 def _delivered_payload_thawed(monkeypatch):
     """A collective hands the receiver the sender's arrays without freezing
     them, so either side can write into a buffer the other still reads."""
@@ -487,6 +522,8 @@ _PASSQ_EXACT = "properties/test_prop_ring.py::TestRingLosslessness::test_passq_e
 
 _ONE_ROW = "properties/test_prop_flash_fused.py::TestOneRowBaseCase"
 
+_VARLEN = "properties/test_prop_flash_varlen.py"
+
 _SIM_405B = latency.LatencySimulator(llama3_405b_config(), gtt_host())
 
 CATALOGUE = [
@@ -513,6 +550,15 @@ CATALOGUE = [
     ("ring-skip-off-by-one", _ring_skip_off_by_one, functools.partial(_named_test, _PASSKV_EXACT)),
     ("merge-drops-last-partial", _merge_drops_last_partial,
      (functools.partial(_named_test, _PASSKV_EXACT), functools.partial(_named_test, _PASSQ_EXACT))),
+    ("passq-skips-by-holder-reach", _passq_skips_by_holder_reach,
+     functools.partial(_named_test, "core/test_ring_passq.py::TestShardSkip"
+                       "::test_skip_reads_the_travelling_queries_reach")),
+    ("varlen-group-pairs-wrong-run", _varlen_group_pairs_wrong_run,
+     functools.partial(_named_test, f"{_VARLEN}::TestSegmentedMatchesMonolithic"
+                       "::test_against_one_segment_and_the_reference")),
+    ("stale-structure-after-append", _stale_structure_after_append,
+     functools.partial(_named_test, "kvcache/test_cache.py::TestStructureIsSharedAcrossLayers"
+                       "::test_any_write_ends_the_sharing", "append")),
     ("replicas-share-unscoped-tracer", _replicas_share_unscoped_tracer,
      functools.partial(_golden_case, "fleet3-disagg-swap-noprefix-clean-round-robin")),
     ("tp-decode-not-derived", _tp_decode_not_derived,

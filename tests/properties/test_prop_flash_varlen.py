@@ -27,7 +27,6 @@ from repro.attention.flash import _pad_groups, _sequence_runs, flash_attention
 from repro.attention.masks import PAD_SEQ, attention_mask, run_index, run_offsets
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.sharding import ShardedKV
-from repro.distributed.process_group import SimProcessGroup
 
 from helpers import every_block_swept
 
@@ -152,13 +151,6 @@ class TestSegmentedMatchesMonolithic:
                 assert set(case["k_seq"][offsets[run] : offsets[run + 1]].tolist()) == {sid}
         else:  # interleaved: only the kernel's sort can gather it
             assert kv.run_index is None
-        # host-side bookkeeping, like ``runs``: not a byte of it on the wire,
-        # and it survives the trip
-        group = SimProcessGroup(2)
-        tensors = (kv.k, kv.v, kv.positions, kv.seq_ids)
-        assert group.payload_nbytes(kv) == group.payload_nbytes(tensors)
-        received = group.ring_shift([kv, kv])[0]
-        assert received.run_index == kv.run_index
 
     @given(fused_batch())
     @settings(**SETTINGS)

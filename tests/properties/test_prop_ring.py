@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attention.reference import reference_attention_with_lse
-from repro.core import ring_decode, ring_passkv, ring_passq
+from repro.core import ring_skip
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
@@ -90,11 +90,11 @@ class TestRingLosslessness:
 
 
 @contextlib.contextmanager
-def _every_partial_computed(ring):
-    """``ring`` with its shard skip off: the predicate never fires, so
-    every ring-step partial is a kernel call."""
+def _every_partial_computed():
+    """The rings' one sweep with its shard skip off: the predicate never
+    fires, so every ring-step partial is a kernel call."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ring, "partial_fully_masked", lambda q_reach, k_reach: False)
+        patch.setattr(ring_skip, "partial_fully_masked", lambda q_reach, k_reach: False)
         yield
 
 
@@ -108,7 +108,7 @@ class TestShardSkipIsPureExecutionStrategy:
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
         a = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
-        with _every_partial_computed(ring_passkv):
+        with _every_partial_computed():
             b = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
@@ -120,7 +120,7 @@ class TestShardSkipIsPureExecutionStrategy:
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
         a = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
-        with _every_partial_computed(ring_passq):
+        with _every_partial_computed():
             b = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
@@ -141,7 +141,7 @@ class TestShardSkipIsPureExecutionStrategy:
             seq_ids=np.array(sids, dtype=np.int64),
         )
         a, assign_a = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
-        with _every_partial_computed(ring_decode):
+        with _every_partial_computed():
             b, assign_b = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
         assert np.array_equal(assign_a, assign_b)
         assert np.array_equal(a.out, b.out)
