@@ -66,6 +66,15 @@ shards: ``q_runs`` / ``k_runs`` take the ``cu_seqlens`` offsets or the
 carries, which leaves nothing to scan at any of the N ring steps; a caller
 with neither costs one scan, and an interleaved shard one stable sort.
 
+**The layout builder.** All of that — the one-segment mask, or the
+pairing, the padding groups, each group's gather indices and its causal and
+validity mask — reads the coordinates and runs and nothing of ``q``, ``k``
+or ``v``. :func:`attention_layout` builds it as one :class:`Layout` value;
+:func:`flash_attention` takes one as ``layout`` and builds it itself when
+none is handed over, so a caller that attends the same coordinates again
+over new tensors — a decode round's ring at every layer — builds it once and
+each later call only gathers and sweeps.
+
 Every call takes the one path the engine drives: the causal,
 same-sequence mask (or ``mask_fn``'s), all-masked blocks skipped. What a
 caller chooses is the block length and the precision: ``compute_dtype`` is
@@ -84,6 +93,7 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +101,7 @@ from repro.attention.gqa import validate_gqa_shapes
 from repro.attention.masks import attention_mask, run_index, run_offsets
 
 #: Kernel-internal arithmetic dtype when ``compute_dtype`` is not given.
-DEFAULT_COMPUTE_DTYPE = np.float64
+DEFAULT_COMPUTE_DTYPE = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,100 @@ class AttentionResult:
         return AttentionResult(out=np.multiply(acc, np.reciprocal(den)[..., None], out=out), lse=lse)
 
 
+class Layout(NamedTuple):
+    """Where a call's query rows meet their keys — everything the kernel
+    derives from the coordinates and nothing from ``q``, ``k`` or ``v``, so
+    one layout serves every call over the same coordinates
+    (:func:`attention_layout` builds it).
+
+    ``groups`` holds one padded batch of segments each, ``(qi, ki, mask,
+    rows, kept)``: the ``[S, R]`` / ``[S, L]`` gather indices of its query
+    and key runs (``None``, ``None`` when the whole call is the one
+    segment), its ``[S, R, L]`` mask, and the query rows its kept slots
+    ``kept`` answer. ``whole``: the one batch holds every query row in
+    storage order, unpadded, so its sweep is the answer as it stands. No
+    group: no row sees a key."""
+
+    tq: int
+    tk: int
+    groups: tuple
+    whole: bool
+
+
+def attention_layout(
+    tq: int,
+    tk: int,
+    *,
+    q_pos: np.ndarray | None = None,
+    k_pos: np.ndarray | None = None,
+    q_seq: np.ndarray | None = None,
+    k_seq: np.ndarray | None = None,
+    mask_fn=None,
+    q_runs: np.ndarray | None = None,
+    k_runs: np.ndarray | None = None,
+) -> Layout:
+    """The :class:`Layout` of a call of ``tq`` queries against ``tk`` keys at
+    these coordinates (arguments as :func:`flash_attention`'s).
+
+    Raises:
+        ValueError: on a coordinate of the wrong length, or a ``mask_fn``
+            result of the wrong shape.
+    """
+    _check_length("q_pos", q_pos, tq)
+    _check_length("q_seq", q_seq, tq)
+    _check_length("k_pos", k_pos, tk)
+    _check_length("k_seq", k_seq, tk)
+    if tk == 0 or tq == 0:
+        return Layout(tq, tk, (), False)
+    q_pos = np.arange(tq, dtype=np.int64) if q_pos is None else np.asarray(q_pos)
+    k_pos = np.arange(tk, dtype=np.int64) if k_pos is None else np.asarray(k_pos)
+
+    # Segmenting pays once the key side fuses >= 2 sequences.
+    k_side = None
+    if mask_fn is None and k_seq is not None:
+        k_side = _sequence_runs(k_seq, k_runs)
+    if k_side is None or len(k_side[2]) < 2:
+        # One segment: the whole call under its full [Tq, Tk] mask.
+        if mask_fn is not None:
+            mask = np.asarray(mask_fn(q_pos, k_pos, q_seq, k_seq), dtype=bool)
+            if mask.shape != (tq, tk):
+                raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
+        else:
+            mask = attention_mask(q_pos, k_pos, q_seq, k_seq)
+        return Layout(tq, tk, ((None, None, mask[None], None, None),), True)
+
+    # The key side fuses several sequences: a query only ever sees its own
+    # sequence's keys, so pair the runs by sequence id and attend each pair
+    # as one segment of a padded batch.
+    q_seq = np.zeros(tq, dtype=np.int64) if q_seq is None else np.asarray(q_seq)
+    q_order, q_off, q_index = _sequence_runs(q_seq, q_runs)
+    k_order, k_off, k_index = k_side
+    q_off, k_off = q_off.tolist(), k_off.tolist()
+    spans = [  # (q start, rows, k start, keys) per pair
+        (q_off[i], q_off[i + 1] - q_off[i], k_off[j], k_off[j + 1] - k_off[j])
+        for sid, i in q_index.items()
+        if (j := k_index.get(sid)) is not None
+    ]
+    spans.sort()  # query storage order, whatever order the index came in
+    if not spans:
+        return Layout(tq, tk, (), False)
+    q_start, rows, k_start, keys = np.array(spans).T
+    groups = []
+    for group, max_rows, max_keys in _pad_groups(rows, keys):
+        qi, q_valid = _padded_index(q_start[group], rows[group], max_rows, q_order)
+        ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)
+        mask = k_pos.take(ki)[:, None, :] <= q_pos.take(qi)[:, :, None]
+        if q_valid is not None:
+            mask &= q_valid[:, :, None]
+        if k_valid is not None:
+            mask &= k_valid[:, None, :]
+        kept = slice(None) if q_valid is None else q_valid
+        groups.append((qi, ki, mask, qi[kept], kept))
+    # one unpadded batch (_pad_groups' lone slice) of every query row, in storage order
+    whole = isinstance(group, slice) and qi.size == tq and q_valid is None and q_order is None
+    return Layout(tq, tk, tuple(groups), whole)
+
+
 def flash_attention(
     q: np.ndarray,
     k: np.ndarray,
@@ -149,6 +253,7 @@ def flash_attention(
     q_runs: np.ndarray | None = None,
     k_runs: np.ndarray | None = None,
     sums: bool = False,
+    layout: Layout | None = None,
 ) -> AttentionResult | tuple[np.ndarray, np.ndarray]:
     """Blocked exact causal GQA attention (score scale ``1/sqrt(DH)``)
     returning :class:`AttentionResult`, or its shift-free sums.
@@ -170,6 +275,10 @@ def flash_attention(
             in run order); found by one scan when omitted.
         sums: return the shift-free sums instead of normalising them — what
             the rings add across steps (Eq. 4 at shift 0).
+        layout: the :func:`attention_layout` of these coordinates, runs and
+            ``mask_fn``, built once by a caller that makes several calls
+            over them; built here when omitted. A handed layout is trusted
+            as handed runs are: the coordinates are not read again.
 
     Returns:
         Exact ``(O, LSE)`` for the full masked attention. With ``sums``, the
@@ -179,75 +288,34 @@ def flash_attention(
         shifted sweep's :class:`AttentionResult` (sums would be out of range).
 
     Raises:
-        ValueError: on a coordinate of the wrong length, a non-positive
-            ``block_size``, a non-floating ``compute_dtype``, or a ``q``,
-            ``k`` or ``v`` value that is not finite where the sweep reads it.
+        ValueError: on a coordinate of the wrong length, a layout of another
+            ``(Tq, Tk)``, a non-positive ``block_size``, a non-floating
+            ``compute_dtype``, or a ``q``, ``k`` or ``v`` value that is not
+            finite where the sweep reads it.
     """
     tq, tk, nh, nkv = validate_gqa_shapes(q, k, v)
     dh = q.shape[-1]
-    _check_length("q_pos", q_pos, tq)
-    _check_length("q_seq", q_seq, tq)
-    _check_length("k_pos", k_pos, tk)
-    _check_length("k_seq", k_seq, tk)
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    if tk == 0 or tq == 0:
-        return _blind(tq, nh, dh, sums)
-    if q_pos is None:
-        q_pos = np.arange(tq, dtype=np.int64)
-    if k_pos is None:
-        k_pos = np.arange(tk, dtype=np.int64)
-    q_pos = np.asarray(q_pos)
-    k_pos = np.asarray(k_pos)
-    dtype = np.dtype(DEFAULT_COMPUTE_DTYPE if compute_dtype is None else compute_dtype)
+    dtype = DEFAULT_COMPUTE_DTYPE if compute_dtype is None else np.dtype(compute_dtype)
     if dtype.kind != "f":
         raise ValueError(f"compute_dtype must be a real floating dtype, got {dtype}")
+    if layout is None:
+        layout = attention_layout(
+            tq, tk, q_pos=q_pos, k_pos=k_pos, q_seq=q_seq, k_seq=k_seq, mask_fn=mask_fn, q_runs=q_runs, k_runs=k_runs
+        )
+    elif (layout.tq, layout.tk) != (tq, tk):
+        raise ValueError(f"layout is for {(layout.tq, layout.tk)} queries and keys, got {(tq, tk)}")
 
-    # Segmenting pays once the key side fuses >= 2 sequences.
-    k_side = None
-    if mask_fn is None and k_seq is not None:
-        k_side = _sequence_runs(k_seq, k_runs)
-    if k_side is None or len(k_side[2]) < 2:
-        # One segment: the whole call under its full [Tq, Tk] mask.
-        if mask_fn is not None:
-            mask = np.asarray(mask_fn(q_pos, k_pos, q_seq, k_seq), dtype=bool)
-            if mask.shape != (tq, tk):
-                raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
-        else:
-            mask = attention_mask(q_pos, k_pos, q_seq, k_seq)
-        return _unstacked(_attend(q[None], k[None], v[None], mask[None], block_size, dtype, sums), tq, nh, dh, sums)
-
-    # The key side fuses several sequences: a query only ever sees its own
-    # sequence's keys, so pair the runs by sequence id and attend each pair
-    # as one segment of a padded batch.
-    q_seq = np.zeros(tq, dtype=np.int64) if q_seq is None else np.asarray(q_seq)
-    q_order, q_off, q_index = _sequence_runs(q_seq, q_runs)
-    k_order, k_off, k_index = k_side
-    q_off, k_off = q_off.tolist(), k_off.tolist()
-    spans = [  # (q start, rows, k start, keys) per pair
-        (q_off[i], q_off[i + 1] - q_off[i], k_off[j], k_off[j + 1] - k_off[j])
-        for sid, i in q_index.items()
-        if (j := k_index.get(sid)) is not None
-    ]
-    spans.sort()  # query storage order, whatever order the index came in
-    if not spans:
-        return _blind(tq, nh, dh, sums)
-    q_start, rows, k_start, keys = np.array(spans).T
     pieces = []
-    for group, max_rows, max_keys in _pad_groups(rows, keys):
-        qi, q_valid = _padded_index(q_start[group], rows[group], max_rows, q_order)
-        ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)
-        mask = k_pos.take(ki)[:, None, :] <= q_pos.take(qi)[:, :, None]
-        if q_valid is not None:
-            mask &= q_valid[:, :, None]
-        if k_valid is not None:
-            mask &= k_valid[:, None, :]
-        swept = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, block_size, dtype, sums)
-        if qi.size == tq and q_valid is None and q_order is None and isinstance(group, slice):
-            # one unpadded batch of every query row, in storage order
+    for qi, ki, mask, rows, kept in layout.groups:
+        if qi is None:
+            swept = _attend(q[None], k[None], v[None], mask, block_size, dtype, sums)
+        else:
+            swept = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, block_size, dtype, sums)
+        if layout.whole:
             return _unstacked(swept, tq, nh, dh, sums)
-        kept = slice(None) if q_valid is None else q_valid
-        pieces.append((qi[kept], kept, swept))
+        pieces.append((rows, kept, swept))
     return _scattered(pieces, tq, nh, dh, sums)
 
 
@@ -387,10 +455,15 @@ def _attend(
     # it is the "indexing instead of copying" GQA layout — no
     # expand_kv_heads. The one pass that lays it out also folds in the score
     # scale 1/sqrt(DH), and always writes a buffer of the kernel's own (a
-    # no-op transpose must not hand back the caller's ``q``).
-    qt = np.multiply(
-        q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), 1.0 / math.sqrt(dh), dtype=dtype, order="C"
-    ).reshape(s, nkv, dh, r * g)
+    # no-op transpose must not hand back the caller's ``q``). One row per
+    # segment (decode) is a plain [NKV, G, DH] -> [NKV, DH, G] transpose.
+    cast = None if q.dtype == dtype else dtype
+    if r == 1:
+        qt = np.multiply(q.reshape(s, nkv, g, dh).transpose(0, 1, 3, 2), 1.0 / math.sqrt(dh), dtype=cast, order="C")
+    else:
+        qt = np.multiply(
+            q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), 1.0 / math.sqrt(dh), dtype=cast, order="C"
+        ).reshape(s, nkv, dh, r * g)
     kb = np.asarray(k, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
     vb = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)
     sweep = (qt, kb, vb, mask, block_size, g)
@@ -533,7 +606,7 @@ def _sweep_additive(qt, kb, vb, mask, block_size, g, sums=False):
             p = np.matmul(qt.swapaxes(-1, -2), kb.swapaxes(-1, -2))  # [S, NKV, G, keys]
             p = np.where(mask[:, :, None], np.exp(p, out=p), 0.0)
             acc = np.matmul(p, vb)[:, :, None].astype(np.float64, copy=False)
-            den = p.sum(axis=-1)[:, :, None].astype(np.float64, copy=False)
+            den = np.add.reduce(p, -1)[:, :, None].astype(np.float64, copy=False)
         else:
             tiles = _score_tiles(qt, kb, mask, block_size, g)
         for r0, r1, start, stop, tile, view, seeing, keys_axis in tiles:
@@ -560,13 +633,13 @@ def _sweep_additive(qt, kb, vb, mask, block_size, g, sums=False):
             return np.zeros((s, tq, nkv * g, dh)), np.full((s, tq, nkv * g), 0.0 if sums else -np.inf)
 
         # The range check, shared by both exits.
-        highest, lowest = den.max(), den.min()
+        highest, lowest = np.maximum.reduce(den, None), np.minimum.reduce(den, None)
         blind = lowest == 0.0  # a row that saw no key, which a zero den means only where the mask agrees
         if blind:
             sighted = mask.any(axis=2)[:, None, :, None]
             lowest = den.min(where=sighted, initial=den_max)
         # (a blind row's acc is 0, or the sum below is not finite)
-        if not (den_min <= lowest and highest <= den_max and math.isfinite(acc.sum())):
+        if not (den_min <= lowest and highest <= den_max and math.isfinite(np.add.reduce(acc, None))):
             return None
 
         if sums:  # in token order: a view wherever ungrouping the heads is one (one row per segment)

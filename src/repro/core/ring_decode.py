@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.attention.flash import AttentionResult
 from repro.attention.masks import PAD_SEQ, run_index
-from repro.core.ring_skip import query_reach, ring_sweep
+from repro.core.ring_skip import PairLayouts, query_reach, ring_sweep
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
@@ -98,6 +98,7 @@ class RoundPlan(NamedTuple):
     coords: list  # per rank: its payload's padded pos / seq / slots
     q_runs: list  # per origin: its payload's (offsets, {seq_id: row}) runs
     q_reach: list  # per origin: its payload's query_reach
+    layouts: PairLayouts  # the ring's pairs, planned by its first layer
 
 
 def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
@@ -131,6 +132,7 @@ def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
             coords,
             [(offsets, run_index(c["seq"], offsets)) for c in coords],
             [query_reach(c["pos"], c["seq"], offsets) for c in coords],
+            PairLayouts(),
         )
     return plan
 
@@ -174,7 +176,7 @@ def ring_passq_decode(
     ]
     merged = ring_sweep(
         group, q_wire, plan.q_runs, plan.q_reach, kv_shards,
-        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size,
+        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size, layouts=plan.layouts,
     )
     # One gather into batch order (pad rows — a whole rank's, when it owns
     # no slot — ride along unread).

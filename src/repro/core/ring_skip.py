@@ -23,6 +23,10 @@ partial is visible iff some sequence id appears on both sides with
 ``min(k_pos) <= max(q_pos)`` — inclusive, because a query sees its own
 position. The rings take no mask override: every partial is under the
 causal, same-sequence mask this test is exact for, so it alone decides.
+A caller that runs the same ring again over new ``q``, ``k`` and ``v`` —
+a decode round, once per layer — hands the sweep a :class:`PairLayouts`,
+which keeps each pair's decision, and the kernel layout of each pair it
+computes, for the next run over the same structure.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import functools
 
 import numpy as np
 
-from repro.attention.flash import AttentionResult, flash_attention
+from repro.attention.flash import AttentionResult, Layout, attention_layout, flash_attention
 from repro.attention.masks import PAD_SEQ, run_offsets
 from repro.core.merge import RunningSum
 from repro.core.sharding import ShardedKV, ShardedQueries
@@ -108,6 +112,34 @@ def query_side(shards: list[ShardedQueries]) -> tuple[list[dict], list[tuple], l
     return wire, runs, reach
 
 
+class PairLayouts:
+    """A ring's plan per ``(step, rank)`` pair, kept across runs of the same
+    ring over new ``q``, ``k`` and ``v`` (a decode round's layers): ``None``
+    where the pair's partial is masked, else its kernel
+    :class:`~repro.attention.flash.Layout`. The first run decides and lays
+    out each pair; a later run reuses its plan only while every rank's
+    query coordinates and runs and KV positions, runs and run index are the
+    very objects it was built from (what a round plan and
+    ``RankKVCache.get`` share across layers), and starts over otherwise."""
+
+    def __init__(self) -> None:
+        self.built_from: list = []
+        self.pairs: dict[tuple[int, int], Layout | None] = {}
+
+    def for_structure(self, q_wire: list[dict], q_runs: list[tuple], kv_shards: list[ShardedKV]) -> dict:
+        """The pairs planned over this structure: what a run over the same
+        objects left, else none."""
+        structure = [
+            (w["pos"], w["seq"], runs, kv.positions, kv.runs, kv.run_index)
+            for w, runs, kv in zip(q_wire, q_runs, kv_shards)
+        ]
+        if len(structure) != len(self.built_from) or any(
+            a is not b for now, then in zip(structure, self.built_from) for a, b in zip(now, then)
+        ):
+            self.built_from, self.pairs = structure, {}
+        return self.pairs
+
+
 @functools.cache
 def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
     """``[step][rank]``: the origin of the payload ``rank`` holds at ``step``."""
@@ -124,6 +156,7 @@ def ring_sweep(
     pass_q: bool,
     tags: tuple[str, str | None],
     block_size: int,
+    layouts: PairLayouts | None = None,
 ) -> list[AttentionResult]:
     """One exact ring: each rank's attention for the queries that started on it.
 
@@ -136,6 +169,9 @@ def ring_sweep(
         kv_shards: per-rank KV shards, of one length when they travel.
         pass_q: the queries travel (pass-Q), not the KV (pass-KV).
         tags: the ring shift's collective tag, then pass-Q's All2All's.
+        layouts: the pairs' plan, kept by a caller that runs this ring again
+            over the same structure; without one, each visible pair's kernel
+            call lays itself out.
 
     Raises:
         ValueError: unless there is one query payload and KV shard per rank,
@@ -169,12 +205,26 @@ def ring_sweep(
         sent = [[zero] * n for _ in range(n)]
     else:
         running = [RunningSum() for _ in range(n)]
+    pairs = None if layouts is None else layouts.for_structure(q_wire, q_runs, kv_shards)
     for step, origins in enumerate(_schedule(n)):
         for rank, src in enumerate(origins):
             qo, ko = (src, rank) if pass_q else (rank, src)  # origins of the held Q and KV
-            if partial_fully_masked(q_reach[qo], k_reach[ko]):
-                continue
             q, kv = (held[rank], kv_wire[rank]) if pass_q else (q_wire[rank], held[rank])
+            if pairs is None:  # decided here; the kernel call lays the pair out
+                layout = None
+                if partial_fully_masked(q_reach[qo], k_reach[ko]):
+                    continue
+            else:  # decided and laid out by the first run over this structure
+                if (step, rank) not in pairs:
+                    masked = partial_fully_masked(q_reach[qo], k_reach[ko])
+                    pairs[step, rank] = None if masked else attention_layout(
+                        q["q"].shape[0], kv["k"].shape[0],
+                        q_pos=q["pos"], k_pos=kv["pos"], q_seq=q["seq"], k_seq=kv["seq"],
+                        q_runs=q_runs[qo], k_runs=k_runs[ko],
+                    )
+                layout = pairs[step, rank]
+                if layout is None:
+                    continue
             sums = flash_attention(
                 q["q"],
                 kv["k"],
@@ -187,6 +237,7 @@ def ring_sweep(
                 q_runs=q_runs[qo],
                 k_runs=k_runs[ko],
                 sums=True,
+                layout=layout,
             )
             if pass_q:
                 sent[rank][src] = sums

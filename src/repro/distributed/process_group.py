@@ -47,6 +47,8 @@ from repro.perf.hardware import gtt_host
 _HOST = gtt_host()
 #: Logical bytes per tensor element on the wire (bf16).
 _ELEMENT_BYTES = 2
+#: The scalars a payload may carry, one element each (immutable: delivered as they are).
+_SCALARS = (int, float, np.integer, np.floating)
 
 
 def payload_elements(payload: Any) -> int:
@@ -59,7 +61,7 @@ def payload_elements(payload: Any) -> int:
         return sum(payload_elements(p) for p in payload)
     if isinstance(payload, dict):
         return sum(payload_elements(v) for v in payload.values())
-    if isinstance(payload, (int, float, np.integer, np.floating)):
+    if isinstance(payload, _SCALARS):
         return 1
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         return sum(payload_elements(getattr(payload, f.name)) for f in dataclasses.fields(payload))
@@ -68,7 +70,12 @@ def payload_elements(payload: Any) -> int:
 
 def _deliver(payload: Any) -> Any:
     """The receiver's side of a sent payload: fresh containers around the
-    sender's arrays, which are frozen so neither side can write them."""
+    sender's arrays, which are frozen so neither side can write them.
+
+    Raises:
+        TypeError: on what :func:`payload_elements` rejects too — an object
+            the receiver would otherwise share with the sender, unfrozen.
+    """
     if isinstance(payload, np.ndarray):
         payload.flags.writeable = False
         return payload
@@ -81,7 +88,9 @@ def _deliver(payload: Any) -> Any:
             payload,
             **{f.name: _deliver(getattr(payload, f.name)) for f in dataclasses.fields(payload)},
         )
-    return payload  # None and scalars are immutable
+    if payload is None or isinstance(payload, _SCALARS):
+        return payload  # immutable
+    raise TypeError(f"unsupported payload type {type(payload)!r}")
 
 
 class SimProcessGroup:

@@ -103,9 +103,11 @@ class TestDecode:
     def test_a_round_derives_its_plan_and_its_kv_structure_once(self, monkeypatch):
         """Per decode round, whatever the layer count: one round-robin
         assignment (the engine reads the ring's plan, it derives none of its
-        own) and, per rank, one KV structure — positions, sequence ids, runs,
+        own); per rank, one KV structure — positions, sequence ids, runs,
         run index, reach — that every layer's read shares, so the ring scans
-        no shard for its reach. The logits are an untouched engine's."""
+        no shard for its reach; and per visible (step, rank) pair of the
+        ring, one kernel layout, built at the first layer and handed to the
+        kernel at every layer. The logits are an untouched engine's."""
         import repro.core.ring_decode as ring_decode
         import repro.core.ring_skip as ring_skip
         from repro.kvcache.cache import RankKVCache
@@ -129,9 +131,17 @@ class TestDecode:
         monkeypatch.setattr(
             RankKVCache, "get", lambda self, layer, sids: reads.append((self, get(self, layer, sids))) or reads[-1][1]
         )
+        built, handed = [], []
+        layout, kernel = ring_skip.attention_layout, ring_skip.flash_attention
+        monkeypatch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(layout(*a, **kw)) or built[-1])
+        monkeypatch.setattr(
+            ring_skip, "flash_attention", lambda *a, **kw: handed.append(kw["layout"]) or kernel(*a, **kw)
+        )
         got = engine.decode(tokens)
         assert len(assigned) == 1 and not scanned
         assert len(reads) == world * 3
+        assert built and len(handed) == 3 * len(built)
+        assert all(sum(h is b for h in handed) == 3 for b in built)
         for cache in engine.caches:
             shards = [shard for owner, shard in reads if owner is cache]
             for name in ("positions", "seq_ids", "runs", "run_index", "reach"):

@@ -224,6 +224,31 @@ class TestRoundPlan:
             assert np.array_equal(result.out, want.out) and np.array_equal(result.lse, want.lse)
 
 
+class TestPairLayouts:
+    """A round plans its ring's (step, rank) pairs once — the skip decision
+    and, for a pair it computes, the kernel layout — and its later layers
+    reuse that plan only over the structure it was planned on."""
+
+    def test_a_reused_batch_replans_over_another_kv_structure(self, rng):
+        """The same batch, its plan built over one set of KV shards, then run
+        over shards of another structure — each rank's tokens, as many as
+        before, stored with their sequences in reverse order: the result is
+        a fresh batch's, bit for bit, and exact."""
+        world, batch = 4, 6
+        kv_shards, reused, refs = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
+        ring_passq_decode(SimProcessGroup(world), kv_shards, reused, step=0)
+        moved = []
+        for kv in kv_shards:
+            order = np.argsort(-kv.seq_ids, kind="stable")
+            moved.append(ShardedKV(k=kv.k[order], v=kv.v[order], positions=kv.positions[order], seq_ids=kv.seq_ids[order]))
+        got, _ = ring_passq_decode(SimProcessGroup(world), moved, reused, step=0)
+        fresh = DecodeBatch(q=reused.q.copy(), positions=reused.positions, seq_ids=reused.seq_ids)
+        want, _ = ring_passq_decode(SimProcessGroup(world), moved, fresh, step=0)
+        assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
+        for b in range(batch):
+            np.testing.assert_allclose(got.out[b], refs[b][0], atol=1e-10)
+
+
 class TestDecodeBatchValidation:
     def test_duplicate_seq_rejected(self, rng):
         q = rng.standard_normal((2, 4, 8))

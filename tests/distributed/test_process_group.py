@@ -64,6 +64,17 @@ class TestRingShift:
             payloads[1]["x"][0] = 99.0
         assert payloads[1]["x"][0] == 1.0
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("payload", [object, lambda: "text"], ids=["object", "str"])
+    def test_a_payload_it_cannot_freeze_is_rejected(self, traced, payload):
+        """What the wire cannot carry is refused whether or not a recorder
+        is attached, never handed to the receiver as the sender's object."""
+        g = traced_group(2) if traced else SimProcessGroup(2)
+        with pytest.raises(TypeError, match="unsupported payload type"):
+            g.ring_shift([payload(), payload()])
+        with pytest.raises(TypeError, match="unsupported payload type"):
+            g.all_to_all([[payload(), None], [None, payload()]])
+
     def test_collectives_freeze_every_payload_array(self):
         g = SimProcessGroup(2)
         sent = [[(np.zeros(2), np.ones(2)) for _ in range(2)] for _ in range(2)]

@@ -45,9 +45,11 @@ check must run at every height and tell a blind row by the mask, not by
 Two more edit the boundary where bad input must fail: a turn's arrival
 must be a finite time (``TurnRequest.__post_init__``), and the fleet must
 check a prompt's vocabulary before it routes (``ReplicaFleet.submit``).
-One edits the process group's delivery (``process_group._deliver``), which
-must freeze every array it hands a receiver: the rings' source ranks add
-the sums they receive. An entry may name several killers; each must pass
+Two edit the process group's delivery (``process_group._deliver``), which
+must freeze every array it hands a receiver — the rings' source ranks add
+the sums they receive — and refuse what it cannot freeze. One edits the
+ring sweep's pair plan (``ring_skip.PairLayouts``), which a decode round's
+later layers may reuse only over the KV structure it was built on. An entry may name several killers; each must pass
 on the real code and fail on the mutant.
 """
 
@@ -438,12 +440,10 @@ def _varlen_group_pairs_wrong_run(monkeypatch):
     (``_pad_groups``' segments, starts and lengths reversed together), so
     every query run of a group of two or more meets another sequence's keys."""
     patch_source(
-        monkeypatch, flash, "flash_attention",
+        monkeypatch, flash, "attention_layout",
         "ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)",
         "ki, k_valid = _padded_index(k_start[group][::-1], keys[group][::-1], max_keys, k_order)",
     )
-    # (the killer's module binds the kernel by name)
-    monkeypatch.setattr(_test_module(_VARLEN), "flash_attention", flash.flash_attention)
 
 
 def _stale_structure_after_append(monkeypatch):
@@ -457,6 +457,25 @@ def _delivered_payload_thawed(monkeypatch):
     """A collective hands the receiver the sender's arrays without freezing
     them, so either side can write into a buffer the other still reads."""
     patch_source(monkeypatch, process_group, "_deliver", "payload.flags.writeable = False", "pass")
+
+
+def _deliver_passes_unknown_payload(monkeypatch):
+    """A collective hands the receiver an object it cannot freeze (a plain
+    object, a ``str``) as the sender's own, shared between ranks."""
+    patch_source(
+        monkeypatch, process_group, "_deliver",
+        'raise TypeError(f"unsupported payload type {type(payload)!r}")', "return payload",
+    )
+
+
+def _decode_layout_reused_across_structures(monkeypatch):
+    """A ring's pair plan outlives a change of the structure it was built
+    over: a decode batch reused over other KV shards hands the kernel
+    layouts of shards it no longer reads."""
+    patch_source(
+        monkeypatch, ring_skip.PairLayouts, "for_structure",
+        "self.built_from, self.pairs = structure, {}", "self.built_from = structure",
+    )
 
 
 def _nan_arrival_admitted(monkeypatch):
@@ -622,6 +641,12 @@ CATALOGUE = [
                        "::test_out_of_vocabulary_prompt_changes_nothing")),
     ("delivered-payload-thawed", _delivered_payload_thawed,
      functools.partial(_named_test, "distributed/test_process_group.py::TestRingShift::test_no_aliasing")),
+    ("deliver-passes-unknown-payload", _deliver_passes_unknown_payload,
+     functools.partial(_named_test, "distributed/test_process_group.py::TestRingShift"
+                       "::test_a_payload_it_cannot_freeze_is_rejected", False, object)),
+    ("decode-layout-reused-across-structures", _decode_layout_reused_across_structures,
+     functools.partial(_named_test, "core/test_ring_decode.py::TestPairLayouts"
+                       "::test_a_reused_batch_replans_over_another_kv_structure", np.random.default_rng(7))),
 ]
 
 

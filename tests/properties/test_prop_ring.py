@@ -4,7 +4,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attention.reference import reference_attention_with_lse
@@ -14,6 +14,8 @@ from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
+
+from helpers import Fallbacks
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -141,8 +143,102 @@ class TestShardSkipIsPureExecutionStrategy:
             seq_ids=np.array(sids, dtype=np.int64),
         )
         a, assign_a = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
+        # (a fresh batch: the first one's round plan holds its skip decisions)
+        batch = DecodeBatch(q=batch.q, positions=batch.positions, seq_ids=batch.seq_ids)
         with _every_partial_computed():
             b, assign_b = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
         assert np.array_equal(assign_a, assign_b)
         assert np.array_equal(a.out, b.out)
         assert np.array_equal(a.lse, b.lse)
+
+
+@st.composite
+def decode_round_case(draw):
+    """A decode round's structure — world, per-sequence contexts, step —
+    and whether its second layer aims one pair's scores at +-800."""
+    world = draw(st.integers(1, 4))
+    contexts = draw(st.lists(st.integers(1, 20), min_size=1, max_size=2 * world + 1))
+    return world, contexts, draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(0, 2**31 - 1))
+
+
+def _decode_layers(world, contexts, step, aim, seed, layers=3):
+    """Per layer: the queries and each rank's KV arrays over one fixed
+    structure (each context striped over the ranks, the new token's KV on
+    its owner). With ``aim``, the second layer's sequence-0 query scores
+    +-800 against its keys on one rank only, so that one pair falls back."""
+    rng = np.random.default_rng(seed)
+    nh, nkv, dh = 4, 2, 16
+    owner = (np.arange(len(contexts)) + step) % world
+    placed = [[] for _ in range(world)]  # per rank: (seq, positions)
+    for sid, ctx in enumerate(contexts):
+        stripes = np.array_split(np.arange(ctx), world)
+        stripes[owner[sid]] = np.append(stripes[owner[sid]], ctx)
+        for rank, pos in enumerate(stripes):
+            if pos.size:
+                placed[rank].append((sid, pos.astype(np.int64)))
+    aimed_rank = next(rank for rank in range(world) if any(sid == 0 for sid, _ in placed[rank]))
+    per_layer = []
+    for layer in range(layers):
+        q = rng.standard_normal((len(contexts), nh, dh))
+        shards = []
+        for rank, parts in enumerate(placed):
+            n = sum(pos.size for _, pos in parts)
+            k, v = rng.standard_normal((n, nkv, dh)), rng.standard_normal((n, nkv, dh))
+            if aim and layer == 1:
+                q[0, :, 0], k[:, :, 0] = 40.0, 0.0
+                if rank == aimed_rank:  # sequence 0 is this shard's first run (ids ascend)
+                    first = parts[0][1].size
+                    k[:first, :, 0] = 80.0 * rng.choice([-1.0, 1.0], (first, nkv))
+            shards.append((k, v))
+        per_layer.append((q, shards))
+    coords = [
+        (
+            np.concatenate([pos for _, pos in parts]) if parts else np.zeros(0, dtype=np.int64),
+            np.concatenate([np.full(pos.size, sid) for sid, pos in parts]) if parts else np.zeros(0, dtype=np.int64),
+        )
+        for parts in placed
+    ]
+    return per_layer, coords
+
+
+class TestDecodeRoundReuse:
+    @given(decode_round_case())
+    @example((4, [5, 9, 3, 12, 7, 2], 1, True, 3))  # B = 6 over N = 4: two payloads pad
+    @example((4, [6, 11, 4], 0, True, 5))  # B = 3 < N = 4: rank 3 owns no slot
+    @settings(**SETTINGS)
+    def test_a_reused_batch_equals_fresh_batches_bit_for_bit(self, case):
+        """``engine.decode``'s round: one batch whose queries are rewritten
+        in place at every layer, KV shards whose structure objects every
+        layer shares (as ``RankKVCache.get`` shares them). Each layer's ring
+        equals a fresh batch over freshly built shards bit for bit —
+        including a second layer whose aimed pair falls back to the shifted
+        sweep — and only the first layer lays pairs out."""
+        world, contexts, step, aim, seed = case
+        per_layer, coords = _decode_layers(world, contexts, step, aim, seed)
+        batch = len(contexts)
+        positions, sids = np.array(contexts, dtype=np.int64), np.arange(batch, dtype=np.int64)
+        structure = [ShardedKV(k=k, v=v, positions=pos, seq_ids=seq) for (k, v), (pos, seq) in zip(per_layer[0][1], coords)]
+        reused = DecodeBatch(q=np.empty_like(per_layer[0][0]), positions=positions, seq_ids=sids)
+        built, laid_out = [], []  # every layout built; those the reused batch's layers built
+        with pytest.MonkeyPatch.context() as patch:
+            layout = ring_skip.attention_layout
+            patch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(1) or layout(*a, **kw))
+            fallbacks = Fallbacks(patch)
+            for layer, (q, shards) in enumerate(per_layer):
+                reused.q[...] = q
+                layer_kv = [
+                    ShardedKV(k=k, v=v, positions=s.positions, seq_ids=s.seq_ids, runs=s.runs, run_index=s.run_index)
+                    for (k, v), s in zip(shards, structure)
+                ]
+                before = len(built), fallbacks.count
+                got, _ = ring_passq_decode(SimProcessGroup(world), layer_kv, reused, step=step)
+                laid_out.append(len(built) - before[0])
+                assert fallbacks.count - before[1] == (aim and layer == 1)
+                fresh = DecodeBatch(q=q.copy(), positions=positions.copy(), seq_ids=sids.copy())
+                fresh_kv = [
+                    ShardedKV(k=k, v=v, positions=pos.copy(), seq_ids=seq.copy())
+                    for (k, v), (pos, seq) in zip(shards, coords)
+                ]
+                want, _ = ring_passq_decode(SimProcessGroup(world), fresh_kv, fresh, step=step)
+                assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
+        assert laid_out[0] > 0 and not any(laid_out[1:])
