@@ -101,7 +101,7 @@ from repro.attention.gqa import validate_gqa_shapes
 from repro.attention.masks import attention_mask, run_index, run_offsets
 
 #: Kernel-internal arithmetic dtype when ``compute_dtype`` is not given.
-DEFAULT_COMPUTE_DTYPE = np.dtype(np.float64)
+DEFAULT_COMPUTE_DTYPE = np.float64
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def flash_attention(
     dh = q.shape[-1]
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    dtype = DEFAULT_COMPUTE_DTYPE if compute_dtype is None else np.dtype(compute_dtype)
+    dtype = np.dtype(DEFAULT_COMPUTE_DTYPE if compute_dtype is None else compute_dtype)
     if dtype.kind != "f":
         raise ValueError(f"compute_dtype must be a real floating dtype, got {dtype}")
     if layout is None:
@@ -455,15 +455,10 @@ def _attend(
     # it is the "indexing instead of copying" GQA layout — no
     # expand_kv_heads. The one pass that lays it out also folds in the score
     # scale 1/sqrt(DH), and always writes a buffer of the kernel's own (a
-    # no-op transpose must not hand back the caller's ``q``). One row per
-    # segment (decode) is a plain [NKV, G, DH] -> [NKV, DH, G] transpose.
-    cast = None if q.dtype == dtype else dtype
-    if r == 1:
-        qt = np.multiply(q.reshape(s, nkv, g, dh).transpose(0, 1, 3, 2), 1.0 / math.sqrt(dh), dtype=cast, order="C")
-    else:
-        qt = np.multiply(
-            q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), 1.0 / math.sqrt(dh), dtype=cast, order="C"
-        ).reshape(s, nkv, dh, r * g)
+    # no-op transpose must not hand back the caller's ``q``).
+    qt = np.multiply(
+        q.reshape(s, r, nkv, g, dh).transpose(0, 2, 4, 1, 3), 1.0 / math.sqrt(dh), dtype=dtype, order="C"
+    ).reshape(s, nkv, dh, r * g)
     kb = np.asarray(k, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
     vb = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)
     sweep = (qt, kb, vb, mask, block_size, g)
@@ -606,7 +601,7 @@ def _sweep_additive(qt, kb, vb, mask, block_size, g, sums=False):
             p = np.matmul(qt.swapaxes(-1, -2), kb.swapaxes(-1, -2))  # [S, NKV, G, keys]
             p = np.where(mask[:, :, None], np.exp(p, out=p), 0.0)
             acc = np.matmul(p, vb)[:, :, None].astype(np.float64, copy=False)
-            den = np.add.reduce(p, -1)[:, :, None].astype(np.float64, copy=False)
+            den = p.sum(axis=-1)[:, :, None].astype(np.float64, copy=False)
         else:
             tiles = _score_tiles(qt, kb, mask, block_size, g)
         for r0, r1, start, stop, tile, view, seeing, keys_axis in tiles:
@@ -633,13 +628,13 @@ def _sweep_additive(qt, kb, vb, mask, block_size, g, sums=False):
             return np.zeros((s, tq, nkv * g, dh)), np.full((s, tq, nkv * g), 0.0 if sums else -np.inf)
 
         # The range check, shared by both exits.
-        highest, lowest = np.maximum.reduce(den, None), np.minimum.reduce(den, None)
+        highest, lowest = den.max(), den.min()
         blind = lowest == 0.0  # a row that saw no key, which a zero den means only where the mask agrees
         if blind:
             sighted = mask.any(axis=2)[:, None, :, None]
             lowest = den.min(where=sighted, initial=den_max)
         # (a blind row's acc is 0, or the sum below is not finite)
-        if not (den_min <= lowest and highest <= den_max and math.isfinite(np.add.reduce(acc, None))):
+        if not (den_min <= lowest and highest <= den_max and math.isfinite(acc.sum())):
             return None
 
         if sums:  # in token order: a view wherever ungrouping the heads is one (one row per segment)

@@ -117,22 +117,21 @@ class PairLayouts:
     ring over new ``q``, ``k`` and ``v`` (a decode round's layers): ``None``
     where the pair's partial is masked, else its kernel
     :class:`~repro.attention.flash.Layout`. The first run decides and lays
-    out each pair; a later run reuses its plan only while every rank's
-    query coordinates and runs and KV positions, runs and run index are the
-    very objects it was built from (what a round plan and
-    ``RankKVCache.get`` share across layers), and starts over otherwise."""
+    out each pair; a later run reuses its plan only while every rank's KV
+    positions, runs and run index are the very objects it was built from
+    (what ``RankKVCache.get`` shares across layers), and starts over
+    otherwise. The query side is not checked: it is fixed by the round plan
+    that owns the store, whose coordinates and runs every layer's queries
+    ride on."""
 
     def __init__(self) -> None:
         self.built_from: list = []
         self.pairs: dict[tuple[int, int], Layout | None] = {}
 
-    def for_structure(self, q_wire: list[dict], q_runs: list[tuple], kv_shards: list[ShardedKV]) -> dict:
-        """The pairs planned over this structure: what a run over the same
-        objects left, else none."""
-        structure = [
-            (w["pos"], w["seq"], runs, kv.positions, kv.runs, kv.run_index)
-            for w, runs, kv in zip(q_wire, q_runs, kv_shards)
-        ]
+    def for_structure(self, kv_shards: list[ShardedKV]) -> dict:
+        """The pairs planned over these shards' structure: what a run over
+        the same objects left, else none."""
+        structure = [(kv.positions, kv.runs, kv.run_index) for kv in kv_shards]
         if len(structure) != len(self.built_from) or any(
             a is not b for now, then in zip(structure, self.built_from) for a, b in zip(now, then)
         ):
@@ -170,8 +169,9 @@ def ring_sweep(
         pass_q: the queries travel (pass-Q), not the KV (pass-KV).
         tags: the ring shift's collective tag, then pass-Q's All2All's.
         layouts: the pairs' plan, kept by a caller that runs this ring again
-            over the same structure; without one, each visible pair's kernel
-            call lays itself out.
+            over the same query payloads' coordinates (a decode round's
+            plan); without one, each pair is decided and laid out for this
+            run alone.
 
     Raises:
         ValueError: unless there is one query payload and KV shard per rank,
@@ -205,45 +205,32 @@ def ring_sweep(
         sent = [[zero] * n for _ in range(n)]
     else:
         running = [RunningSum() for _ in range(n)]
-    pairs = None if layouts is None else layouts.for_structure(q_wire, q_runs, kv_shards)
+    # Each pair is decided and laid out here, once; the plan is kept only
+    # where the caller keeps it (a prefill ring's layouts hold masks the
+    # size of its partials, so it holds one pair's at a time).
+    pairs = {} if layouts is None else layouts.for_structure(kv_shards)
     for step, origins in enumerate(_schedule(n)):
         for rank, src in enumerate(origins):
             qo, ko = (src, rank) if pass_q else (rank, src)  # origins of the held Q and KV
             q, kv = (held[rank], kv_wire[rank]) if pass_q else (q_wire[rank], held[rank])
-            if pairs is None:  # decided here; the kernel call lays the pair out
-                layout = None
-                if partial_fully_masked(q_reach[qo], k_reach[ko]):
-                    continue
-            else:  # decided and laid out by the first run over this structure
-                if (step, rank) not in pairs:
-                    masked = partial_fully_masked(q_reach[qo], k_reach[ko])
-                    pairs[step, rank] = None if masked else attention_layout(
-                        q["q"].shape[0], kv["k"].shape[0],
-                        q_pos=q["pos"], k_pos=kv["pos"], q_seq=q["seq"], k_seq=kv["seq"],
-                        q_runs=q_runs[qo], k_runs=k_runs[ko],
-                    )
+            if (step, rank) in pairs:
                 layout = pairs[step, rank]
-                if layout is None:
-                    continue
-            sums = flash_attention(
-                q["q"],
-                kv["k"],
-                kv["v"],
-                q_pos=q["pos"],
-                k_pos=kv["pos"],
-                q_seq=q["seq"],
-                k_seq=kv["seq"],
-                block_size=block_size,
-                q_runs=q_runs[qo],
-                k_runs=k_runs[ko],
-                sums=True,
-                layout=layout,
-            )
+            else:
+                layout = None if partial_fully_masked(q_reach[qo], k_reach[ko]) else attention_layout(
+                    q["q"].shape[0], kv["k"].shape[0],
+                    q_pos=q["pos"], k_pos=kv["pos"], q_seq=q["seq"], k_seq=kv["seq"],
+                    q_runs=q_runs[qo], k_runs=k_runs[ko],
+                )
+                if layouts is not None:
+                    pairs[step, rank] = layout
+            if layout is None:
+                continue
+            sums = flash_attention(q["q"], kv["k"], kv["v"], block_size=block_size, sums=True, layout=layout)
             if pass_q:
                 sent[rank][src] = sums
             else:
                 running[rank].add(sums)
-            del sums  # (a step's sums must not outlive it into the next kernel call)
+            del sums, layout  # (a step's sums and layout must not outlive it into the next step)
         if step < n - 1:
             held = group.ring_shift(held, step=step, tag=tags[0])
 
