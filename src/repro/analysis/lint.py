@@ -21,6 +21,9 @@ DET202 dict-popitem         ``dict.popitem()`` (LIFO on insertion order) in
                             scheduling-decision modules
 DET301 id-ordering          ``id()`` inside a ``sorted``/``min``/``max``/``.sort``
                             key — memory addresses are not stable across runs
+DET401 assert-statement     an ``assert`` statement outside ``tests/`` and
+                            ``benchmarks/`` — ``python -O`` strips it, so the
+                            check it makes runs or not by interpreter flag
 ====== ==================== =======================================================
 
 Findings on a line can be suppressed with a trailing
@@ -124,12 +127,28 @@ RULES: tuple[LintRule, ...] = (
         ),
         scope="all linted files",
     ),
+    LintRule(
+        rule_id="DET401",
+        name="assert-statement",
+        summary="assert statement in program code",
+        doc=(
+            "Flags assert statements. python -O (which CI runs the "
+            "experiments under) strips them, so an invariant checked by one "
+            "holds or silently breaks depending on an interpreter flag. "
+            "Raise an explicit exception (RuntimeError for a broken "
+            "invariant) that names what was violated. tests/ and "
+            "benchmarks/ are exempt: their asserts are the checks pytest "
+            "runs."
+        ),
+        scope="all linted files except tests/ and benchmarks/",
+    ),
 )
 
 RULES_BY_ID: dict[str, LintRule] = {r.rule_id: r for r in RULES}
 
 SCHEDULING_DIRS = ("runtime", "serving", "cluster")
 CLOCK_EXEMPT_DIRS = ("benchmarks",)
+ASSERT_EXEMPT_DIRS = ("tests", "benchmarks")
 
 _NP_LEGACY_RANDOM = {
     "seed", "rand", "randn", "randint", "random", "random_sample",
@@ -269,6 +288,7 @@ class _Checker(ast.NodeVisitor):
         parts = Path(relpath).parts
         self.in_scheduling = any(p in SCHEDULING_DIRS for p in parts)
         self.in_benchmarks = any(p in CLOCK_EXEMPT_DIRS for p in parts)
+        self.asserts_allowed = any(p in ASSERT_EXEMPT_DIRS for p in parts)
         self.findings: list[Finding] = []
         self.tree = ast.parse(source, filename=relpath)
         self.facts = _SetFacts.collect(self.tree)
@@ -416,6 +436,17 @@ class _Checker(ast.NodeVisitor):
                         "DET102", node,
                         f"wall-clock datetime {node.attr}() outside benchmarks/",
                     )
+        self.generic_visit(node)
+
+    # ---- DET401: assert statements --------------------------------------
+
+    def visit_Assert(self, node: ast.Assert) -> None:
+        if not self.asserts_allowed:
+            self._flag(
+                "DET401", node,
+                "assert statement — python -O strips it; raise an explicit "
+                "exception (RuntimeError for a broken invariant) that names it",
+            )
         self.generic_visit(node)
 
     # ---- DET201: set iteration ----------------------------------------

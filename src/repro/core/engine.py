@@ -33,6 +33,7 @@ from repro.core.planner import PrefillPlan, PrefillPlanner
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
+from repro.core.ring_skip import RingPlan
 from repro.core.sharding import SequenceSpec, ShardedQueries, ShardPlan
 from repro.distributed.process_group import SimProcessGroup
 from repro.kvcache.cache import CacheCapacityError, RankKVCache
@@ -172,26 +173,32 @@ class ContextParallelEngine:
         specs, new_ids = self._prefill_specs(prompts)
         plan = self.planner.plan(specs, force_algo=force_algo)
 
-        # The round's split, planned once: every layer reuses its coordinates
-        # and run offsets, and a sequence's rows on a rank are its span's slice.
+        # The round's split, planned once: every layer reuses its coordinates,
+        # run offsets and run index, and a sequence's rows on a rank are its
+        # span's slice.
         layout = ShardPlan(specs, self.world_size)
         coords = layout.coordinates()
         runs = [layout.runs(rank) for rank in range(self.world_size)]
+        indexes = [{span.seq_id: i for i, span in enumerate(spans)} for spans in layout.spans]
 
         # Stage pipeline: local embed -> (per layer: local qkv + cache
         # append, ring attention, local residual/FFN) -> local unembed.
         xs = [self.model.embed(layout.take(rank, new_ids)) for rank in range(self.world_size)]
         batch_sids = [s.seq_id for s in specs]
+        ring = ring_passkv_prefill if plan.algo is RingAlgo.PASS_KV else ring_passq_prefill
+        # The ring's padding, skip decisions and kernel layouts, planned by
+        # the first layer (over the structure every layer's reads share) and
+        # reused by the rest; a one-layer round has no rest to plan for.
+        ring_plan = RingPlan() if cfg.n_layers > 1 else None
         for layer in range(cfg.n_layers):
             queries = []
             for rank, (positions, seq_ids) in enumerate(coords):
                 q, k, v = self.model.attn_qkv(layer, xs[rank], positions)
                 for sid, lo, hi, _, _ in layout.spans[rank]:
                     self.caches[rank].append(layer, sid, k[lo:hi], v[lo:hi], positions[lo:hi])
-                queries.append(ShardedQueries(q, positions, seq_ids, runs[rank]))
+                queries.append(ShardedQueries(q, positions, seq_ids, runs[rank], indexes[rank]))
             kv_shards = [self.caches[rank].get(layer, batch_sids) for rank in range(self.world_size)]
-            ring = ring_passkv_prefill if plan.algo is RingAlgo.PASS_KV else ring_passq_prefill
-            results = ring(self.group, queries, kv_shards)
+            results = ring(self.group, queries, kv_shards, plan=ring_plan)
             for rank in range(self.world_size):
                 xs[rank] = self.model.attn_residual(layer, xs[rank], results[rank].out)
                 xs[rank] = self.model.ffn_residual(layer, xs[rank])
@@ -357,7 +364,9 @@ class ContextParallelEngine:
             ``length`` (the adopted token count).
 
         Raises:
-            RuntimeError: prefix cache disabled.
+            RuntimeError: prefix cache disabled, or the ranks' caches shard
+                the donor's prefix to another token count than ``length``
+                (a broken invariant: ``seq_lengths`` would misdescribe them).
             ValueError: ``seq_id`` already resident, or ``length``
                 outside the donor's tracked committed history.
         """
@@ -375,9 +384,11 @@ class ContextParallelEngine:
         shared = sum(
             cache.share_prefix(donor_seq, seq_id, length) for cache in self.caches
         )
-        assert shared == length, (
-            f"donor {donor_seq} prefix [0, {length}) shards to {shared} tokens"
-        )
+        if shared != length:
+            raise RuntimeError(
+                f"an adopted prefix must shard to exactly its length: donor {donor_seq}'s "
+                f"prefix [0, {length}) shards to {shared} tokens"
+            )
         self.seq_lengths[seq_id] = length
         self._committed[seq_id] = list(donor_hist[:length])
         self.prefix_index.insert(

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.attention.flash import AttentionResult
 from repro.attention.masks import PAD_SEQ, run_index
-from repro.core.ring_skip import PairLayouts, query_reach, ring_sweep
+from repro.core.ring_skip import RingPlan, RingSides, kv_structure, query_reach, ring_sweep
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
@@ -98,7 +98,7 @@ class RoundPlan(NamedTuple):
     coords: list  # per rank: its payload's padded pos / seq / slots
     q_runs: list  # per origin: its payload's (offsets, {seq_id: row}) runs
     q_reach: list  # per origin: its payload's query_reach
-    layouts: PairLayouts  # the ring's pairs, planned by its first layer
+    layouts: RingPlan  # the ring's pairs and KV structure, planned by its first layer
 
 
 def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
@@ -132,7 +132,7 @@ def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
             coords,
             [(offsets, run_index(c["seq"], offsets)) for c in coords],
             [query_reach(c["pos"], c["seq"], offsets) for c in coords],
-            PairLayouts(),
+            RingPlan(),
         )
     return plan
 
@@ -174,9 +174,14 @@ def ring_passq_decode(
         {"q": _pad_rows(batch.q[own], plan.per_rank - own.shape[0], 0.0), **coord}
         for own, coord in zip(plan.slots, plan.coords)
     ]
+    # The KV side's structure is the cache's, the same at every layer.
+    pairs = plan.layouts.for_structure(kv_shards)
+    if plan.layouts.sides is None:
+        plan.layouts.sides = RingSides(plan.q_runs, plan.q_reach, *kv_structure(kv_shards))
+    kv_wire = [{"k": kv.k, "v": kv.v, "pos": kv.positions, "seq": kv.seq_ids} for kv in kv_shards]
     merged = ring_sweep(
-        group, q_wire, plan.q_runs, plan.q_reach, kv_shards,
-        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size, layouts=plan.layouts,
+        group, q_wire, kv_wire, plan.layouts.sides,
+        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size, pairs=pairs,
     )
     # One gather into batch order (pad rows — a whole rank's, when it owns
     # no slot — ride along unread).

@@ -13,14 +13,14 @@ size of Q messages (16x smaller for Llama3 405B), and with ``P = 0`` the
 attention compute per step comfortably hides the SendRecv (Equation 2). The
 fused-varseq variant here also honours the equal-message-size invariant by
 padding per-sequence KV slices to ``L_i = max_j (P^i_j + T^i_j)`` before
-the ring starts (see :func:`repro.core.sharding.pad_kv_shards`).
+the ring starts (see :func:`repro.core.sharding.plan_kv_padding`).
 """
 
 from __future__ import annotations
 
 from repro.attention.flash import AttentionResult
-from repro.core.ring_skip import query_side, ring_sweep
-from repro.core.sharding import ShardedKV, ShardedQueries, pad_kv_shards
+from repro.core.ring_skip import RingPlan, planned_sides, ring_sweep
+from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
 
@@ -30,6 +30,7 @@ def ring_passkv_prefill(
     kv_shards: list[ShardedKV],
     *,
     block_size: int = 128,
+    plan: RingPlan | None = None,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-KV prefill (Algorithm 2).
 
@@ -42,12 +43,17 @@ def ring_passkv_prefill(
             tokens. Per-sequence KV slices are padded to a common length
             before the ring starts (the equal-message-size invariant).
         block_size: KV block size of the local flash kernel.
+        plan: the round's :class:`~repro.core.ring_skip.RingPlan`, handed
+            over by a caller that runs this ring at every layer over shards
+            of one structure: the padding, the skip decisions and the
+            kernel layouts are planned by the first run and reused.
 
     Returns:
         Per-rank exact :class:`AttentionResult` for each rank's queries, in
         the rank's local token order.
     """
-    blocks, _ = pad_kv_shards(list(kv_shards))
+    sides, pairs = planned_sides(plan, queries, kv_shards, pass_q=False)
     return ring_sweep(
-        group, *query_side(queries), blocks, pass_q=False, tags=("passkv", None), block_size=block_size
+        group, *sides.wire(queries, kv_shards), sides.structure,
+        pass_q=False, tags=("passkv", None), block_size=block_size, pairs=pairs,
     )

@@ -19,8 +19,8 @@ because circulating Q moves ``T * NH * DH`` elements versus pass-KV's
 from __future__ import annotations
 
 from repro.attention.flash import AttentionResult
-from repro.core.ring_skip import query_side, ring_sweep
-from repro.core.sharding import ShardedKV, ShardedQueries, pad_query_shards
+from repro.core.ring_skip import RingPlan, planned_sides, ring_sweep
+from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
 
@@ -30,6 +30,7 @@ def ring_passq_prefill(
     kv_shards: list[ShardedKV],
     *,
     block_size: int = 128,
+    plan: RingPlan | None = None,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-Q prefill (Algorithm 3).
 
@@ -40,15 +41,17 @@ def ring_passq_prefill(
             messages are equal-sized (padding outputs are dropped).
         kv_shards: per-rank resident KV shards (cached + new), never moved.
         block_size: KV block size of the local flash kernel.
+        plan: the round's :class:`~repro.core.ring_skip.RingPlan`, as for
+            :func:`repro.core.ring_passkv.ring_passkv_prefill`.
 
     Returns:
         Per-rank exact :class:`AttentionResult`, trimmed back to each rank's
         original (pre-padding) query count.
     """
-    padded, _ = pad_query_shards(list(queries))
+    sides, pairs = planned_sides(plan, queries, kv_shards, pass_q=True)
     results = ring_sweep(
-        group, *query_side(padded), kv_shards,
-        pass_q=True, tags=("passq", "passq-merge"), block_size=block_size,
+        group, *sides.wire(queries, kv_shards), sides.structure,
+        pass_q=True, tags=("passq", "passq-merge"), block_size=block_size, pairs=pairs,
     )
     return [
         AttentionResult(out=r.out[: len(qr)], lse=r.lse[: len(qr)])

@@ -23,22 +23,29 @@ partial is visible iff some sequence id appears on both sides with
 ``min(k_pos) <= max(q_pos)`` — inclusive, because a query sees its own
 position. The rings take no mask override: every partial is under the
 causal, same-sequence mask this test is exact for, so it alone decides.
-A caller that runs the same ring again over new ``q``, ``k`` and ``v`` —
-a decode round, once per layer — hands the sweep a :class:`PairLayouts`,
-which keeps each pair's decision, and the kernel layout of each pair it
-computes, for the next run over the same structure.
+**The plan.** A round runs its ring once per layer, and only ``q``, ``k``
+and ``v`` change between layers. So a caller that runs the same ring again
+— ``engine.prefill`` and ``engine.decode``, once per layer — keeps a
+:class:`RingPlan` for the round: each ``(step, rank)`` pair's skip decision
+and kernel layout, and what the ring's adapter derives from the shards'
+structure — for a prefill ring, both sides' padding
+(:class:`~repro.core.sharding.Padding`), runs and reach
+(:class:`PaddedSides`). The first layer plans; every later layer over the
+very same structure objects only fills its ``q``, ``k`` and ``v`` into the
+planned messages and sweeps. A single-use call plans for itself alone.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.attention.flash import AttentionResult, Layout, attention_layout, flash_attention
 from repro.attention.masks import PAD_SEQ, run_offsets
 from repro.core.merge import RunningSum
-from repro.core.sharding import ShardedKV, ShardedQueries
+from repro.core.sharding import Padding, ShardedKV, ShardedQueries, plan_kv_padding, plan_query_padding
 from repro.distributed.process_group import SimProcessGroup
 from repro.distributed.ring import source_rank_at_step
 
@@ -102,41 +109,108 @@ def partial_fully_masked(q_reach: dict[int, int], k_reach: dict[int, int]) -> bo
     return True
 
 
-def query_side(shards: list[ShardedQueries]) -> tuple[list[dict], list[tuple], list[dict]]:
-    """:func:`ring_sweep`'s query arguments for per-rank query shards."""
-    wire, runs, reach = [], [], []
-    for s in shards:
-        wire.append({"q": s.q, "pos": s.positions, "seq": s.seq_ids})
-        runs.append((s.runs, s.run_index))
-        reach.append(query_reach(s.positions, s.seq_ids, s.runs))
-    return wire, runs, reach
+class RingSides(NamedTuple):
+    """What :func:`ring_sweep` reads of each side's structure, per origin
+    rank: the queries' and the KV's ``(offsets, index)`` runs and reach."""
+
+    q_runs: list[tuple]
+    q_reach: list[dict[int, int]]
+    k_runs: list[tuple]
+    k_reach: list[dict[int, int]]
 
 
-class PairLayouts:
-    """A ring's plan per ``(step, rank)`` pair, kept across runs of the same
-    ring over new ``q``, ``k`` and ``v`` (a decode round's layers): ``None``
+def kv_structure(shards: list[ShardedKV]) -> tuple[list[tuple], list[dict[int, int]]]:
+    """Per KV shard, its ``(runs, run_index)`` and its reach — the one
+    ``RankKVCache.get`` attached, else one scan."""
+    runs, reach = [], []
+    for kv in shards:
+        runs.append((kv.runs, kv.run_index))
+        reach.append(kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs))
+    return runs, reach
+
+
+class PaddedSides(NamedTuple):
+    """A prefill ring's two sides as :class:`~repro.core.sharding.Padding`
+    messages per rank — the travelling side padded to equal lengths, the
+    other as it stands — and the structure the sweep reads of them."""
+
+    q: list[Padding]
+    kv: list[Padding]
+    structure: RingSides
+
+    def wire(self, queries: list[ShardedQueries], kv_shards: list[ShardedKV]) -> tuple[list[dict], list[dict]]:
+        """This layer's on-wire arrays: its ``q``, ``k`` and ``v``, padded,
+        beside the planned coordinates."""
+        q_wire = [{"q": p.fill(s.q), "pos": p.positions, "seq": p.seq_ids} for s, p in zip(queries, self.q)]
+        kv_wire = [
+            {"k": p.fill(s.k), "v": p.fill(s.v), "pos": p.positions, "seq": p.seq_ids}
+            for s, p in zip(kv_shards, self.kv)
+        ]
+        return q_wire, kv_wire
+
+
+def padded_sides(queries: list[ShardedQueries], kv_shards: list[ShardedKV], *, pass_q: bool) -> PaddedSides:
+    """Plan a prefill ring's sides: pass-Q pads the queries, pass-KV the KV."""
+    if pass_q:
+        q, _ = plan_query_padding(queries)
+        kv = [Padding.as_is(s) for s in kv_shards]
+    else:
+        q = [Padding.as_is(s) for s in queries]
+        kv, _ = plan_kv_padding(kv_shards)
+    q_runs, q_reach = [], []
+    for p in q:
+        q_runs.append((p.runs, p.run_index))
+        q_reach.append(query_reach(p.positions, p.seq_ids, p.runs))
+    _, k_reach = kv_structure(kv_shards)  # (padding moves no sequence's first key)
+    return PaddedSides(q, kv, RingSides(q_runs, q_reach, [(p.runs, p.run_index) for p in kv], k_reach))
+
+
+class RingPlan:
+    """A ring's plan, kept across runs of the same ring over new ``q``,
+    ``k`` and ``v`` (a round's layers): per ``(step, rank)`` pair, ``None``
     where the pair's partial is masked, else its kernel
-    :class:`~repro.attention.flash.Layout`. The first run decides and lays
-    out each pair; a later run reuses its plan only while every rank's KV
-    positions, runs and run index are the very objects it was built from
-    (what ``RankKVCache.get`` shares across layers), and starts over
-    otherwise. The query side is not checked: it is fixed by the round plan
-    that owns the store, whose coordinates and runs every layer's queries
-    ride on."""
+    :class:`~repro.attention.flash.Layout` (``pairs``), and what the ring's
+    adapter derived from the shards' structure (``sides``: a prefill ring's
+    :class:`PaddedSides`, decode's :class:`RingSides`). The first run plans;
+    a later run reuses the plan only while every shard it is handed carries
+    the very ``positions``, ``seq_ids`` and ``runs`` objects the plan was
+    built from — what ``RankKVCache.get`` shares across a round's layers,
+    and what the engine's queries ride on — and starts over otherwise. A
+    decode ring checks its KV shards alone: its query side is fixed by the
+    round plan that owns this one.
+
+    A kept plan holds one round's: each visible pair's layout (its
+    ``[S, R, L]`` mask and gather indices, about one bool per query–key
+    pair of the partial) and the padded coordinates. It dies with the round.
+    """
 
     def __init__(self) -> None:
         self.built_from: list = []
         self.pairs: dict[tuple[int, int], Layout | None] = {}
+        self.sides: PaddedSides | RingSides | None = None
 
-    def for_structure(self, kv_shards: list[ShardedKV]) -> dict:
-        """The pairs planned over these shards' structure: what a run over
-        the same objects left, else none."""
-        structure = [(kv.positions, kv.runs, kv.run_index) for kv in kv_shards]
+    def for_structure(self, *sides: list) -> dict:
+        """The pairs planned over these shards' structure (one list of
+        shards per side): what a run over the same objects left, else none."""
+        structure = [(s.positions, s.seq_ids, s.runs) for shards in sides for s in shards]
         if len(structure) != len(self.built_from) or any(
             a is not b for now, then in zip(structure, self.built_from) for a, b in zip(now, then)
         ):
-            self.built_from, self.pairs = structure, {}
+            self.built_from, self.pairs, self.sides = structure, {}, None
         return self.pairs
+
+
+def planned_sides(
+    plan: RingPlan | None, queries: list[ShardedQueries], kv_shards: list[ShardedKV], *, pass_q: bool
+) -> tuple[PaddedSides, dict | None]:
+    """A prefill ring's sides and pairs: ``plan``'s while it was built over
+    these shards' structure, else planned now (and kept on ``plan``)."""
+    if plan is None:
+        return padded_sides(queries, kv_shards, pass_q=pass_q), None
+    pairs = plan.for_structure(queries, kv_shards)
+    if plan.sides is None:
+        plan.sides = padded_sides(queries, kv_shards, pass_q=pass_q)
+    return plan.sides, pairs
 
 
 @functools.cache
@@ -148,14 +222,13 @@ def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
 def ring_sweep(
     group: SimProcessGroup,
     q_wire: list[dict],
-    q_runs: list[tuple],
-    q_reach: list[dict[int, int]],
-    kv_shards: list[ShardedKV],
+    kv_wire: list[dict],
+    sides: RingSides,
     *,
     pass_q: bool,
     tags: tuple[str, str | None],
     block_size: int,
-    layouts: PairLayouts | None = None,
+    pairs: dict | None = None,
 ) -> list[AttentionResult]:
     """One exact ring: each rank's attention for the queries that started on it.
 
@@ -163,38 +236,37 @@ def ring_sweep(
         q_wire: per origin rank, the queries' on-wire arrays: ``"q"``
             ``[T, NH, DH]``, ``"pos"``, ``"seq"`` and whatever rides beside
             them (decode's batch ``slots``); one ``T`` when they travel.
-        q_runs, q_reach: per origin rank, the queries' ``(offsets, index)``
-            runs and :func:`query_reach`.
-        kv_shards: per-rank KV shards, of one length when they travel.
+        kv_wire: per origin rank, the KV's on-wire arrays: ``"k"`` and
+            ``"v"`` ``[T, NKV, DH]``, ``"pos"``, ``"seq"``; one ``T`` when
+            they travel.
+        sides: per origin rank, both sides' ``(offsets, index)`` runs and
+            reach (:class:`RingSides`).
         pass_q: the queries travel (pass-Q), not the KV (pass-KV).
         tags: the ring shift's collective tag, then pass-Q's All2All's.
-        layouts: the pairs' plan, kept by a caller that runs this ring again
-            over the same query payloads' coordinates (a decode round's
-            plan); without one, each pair is decided and laid out for this
-            run alone.
+        pairs: the pairs' plan, ``RingPlan.for_structure``'s, kept by a
+            caller that runs this ring again over the same structure (a
+            round's layers); without one, each pair is decided and laid out
+            for this run alone.
 
     Raises:
-        ValueError: unless there is one query payload and KV shard per rank,
-            every query payload ``[*, NH, DH]`` and every KV shard
+        ValueError: unless there is one query payload and KV payload per
+            rank, every query payload ``[*, NH, DH]`` and every KV payload
             ``[*, NKV, DH]`` as on rank 0 (naming the first rank that differs).
     """
     n = group.world_size
-    if len(q_wire) != n or len(kv_shards) != n:
+    if len(q_wire) != n or len(kv_wire) != n:
         raise ValueError(
             f"need one query payload and KV shard per rank: world={n}, "
-            f"queries={len(q_wire)}, kvs={len(kv_shards)}"
+            f"queries={len(q_wire)}, kvs={len(kv_wire)}"
         )
-    heads = (q_wire[0]["q"].shape[1:], kv_shards[0].k.shape[1:])
-    kv_wire, k_runs, k_reach = [], [], []
-    for rank, (w, kv) in enumerate(zip(q_wire, kv_shards)):
-        got = (w["q"].shape[1:], kv.k.shape[1:])
+    heads = (q_wire[0]["q"].shape[1:], kv_wire[0]["k"].shape[1:])
+    for rank, (w, kv) in enumerate(zip(q_wire, kv_wire)):
+        got = (w["q"].shape[1:], kv["k"].shape[1:])
         if got != heads:  # (another head layout would attend in another GQA grouping)
             i = int(got[0] == heads[0])
             side = ("query payload", "KV shard")[i]
             raise ValueError(f"rank {rank}'s {side} has [NH, DH] {got[i]}, rank 0's {heads[i]}")
-        kv_wire.append({"k": kv.k, "v": kv.v, "pos": kv.positions, "seq": kv.seq_ids})
-        k_runs.append((kv.runs, kv.run_index))
-        k_reach.append(kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs))
+    q_runs, q_reach, k_runs, k_reach = sides
 
     held = q_wire if pass_q else kv_wire  # the travelling side, by holder
     if pass_q:
@@ -206,9 +278,9 @@ def ring_sweep(
     else:
         running = [RunningSum() for _ in range(n)]
     # Each pair is decided and laid out here, once; the plan is kept only
-    # where the caller keeps it (a prefill ring's layouts hold masks the
-    # size of its partials, so it holds one pair's at a time).
-    pairs = {} if layouts is None else layouts.for_structure(kv_shards)
+    # where the caller keeps it, for the round.
+    keep = pairs is not None
+    pairs = pairs if keep else {}
     for step, origins in enumerate(_schedule(n)):
         for rank, src in enumerate(origins):
             qo, ko = (src, rank) if pass_q else (rank, src)  # origins of the held Q and KV
@@ -221,7 +293,7 @@ def ring_sweep(
                     q_pos=q["pos"], k_pos=kv["pos"], q_seq=q["seq"], k_seq=kv["seq"],
                     q_runs=q_runs[qo], k_runs=k_runs[ko],
                 )
-                if layouts is not None:
+                if keep:
                     pairs[step, rank] = layout
             if layout is None:
                 continue
@@ -230,7 +302,7 @@ def ring_sweep(
                 sent[rank][src] = sums
             else:
                 running[rank].add(sums)
-            del sums, layout  # (a step's sums and layout must not outlive it into the next step)
+            del sums, layout  # (a step's sums must not outlive it into the next step)
         if step < n - 1:
             held = group.ring_shift(held, step=step, tag=tags[0])
 

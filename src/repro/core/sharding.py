@@ -19,6 +19,14 @@ Three use cases, all reduced to the same primitive:
 
 Every sharded token carries its absolute ``(seq_id, position)`` so causal
 masks remain exact under the permutation (see :mod:`repro.attention.masks`).
+
+Ring messages must be equal-sized, so the travelling side is padded. The
+padding is split in two: :func:`plan_kv_padding` / :func:`plan_query_padding`
+plan each rank's message from the shards' structure alone (a
+:class:`Padding`: coordinates, runs, run index and where the shard's rows
+go), and :meth:`Padding.fill` pads one layer's ``k``, ``v`` or ``q`` into
+it — the shard itself when it needs no padding. A prefill round plans once
+and fills at every layer; :func:`pad_kv_shards` does both for a single use.
 """
 
 from __future__ import annotations
@@ -303,19 +311,70 @@ def shard_sequences(
 # --------------------------------------------------------------------------- #
 
 
-def pad_kv_shards(shards: list[ShardedKV]) -> tuple[list[ShardedKV], int]:
-    """Pad per-rank KV shards to equal length per sequence (Algorithm 2).
+class Padding(NamedTuple):
+    """One rank's ring message, planned from its shard's structure alone.
+
+    ``positions``, ``seq_ids``, ``runs`` and ``run_index`` are the padded
+    message's coordinates (as on :class:`ShardedKV`); ``rows`` says where
+    the shard's own rows go: ``None`` when the shard is its message as it
+    stands, else ``(length, src, dst)`` — the message is ``length`` rows of
+    zeros with ``message[dst] = shard[src]``. Only a layer's ``k``, ``v``
+    (or ``q``) are left to :meth:`fill`, so a round plans once and fills at
+    every layer.
+    """
+
+    positions: np.ndarray
+    seq_ids: np.ndarray
+    runs: np.ndarray
+    run_index: dict[int, int] | None
+    rows: tuple | None
+
+    @staticmethod
+    def as_is(shard: ShardedKV | ShardedQueries) -> "Padding":
+        """The shard as its own message."""
+        return Padding(shard.positions, shard.seq_ids, shard.runs, shard.run_index, None)
+
+    def fill(self, x: np.ndarray) -> np.ndarray:
+        """The message of ``x``, the shard's ``[n, heads, dim]`` rows: ``x``
+        itself when the shard needs no padding, else a padded copy."""
+        if self.rows is None:
+            return x
+        length, src, dst = self.rows
+        out = np.zeros((length, *x.shape[1:]), dtype=x.dtype)
+        out[dst] = x[src]
+        return out
+
+
+def _rows(ranges: list[tuple[int, int]]):
+    """The rows ``[lo, hi)`` of ``ranges`` in order: one slice where they
+    abut, else one index array (a ``repeat``, no loop over rows)."""
+    if all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])):
+        return slice(ranges[0][0], ranges[-1][1]) if ranges else slice(0, 0)
+    lo, hi = np.array(ranges, dtype=np.int64).T
+    lengths = hi - lo
+    return np.repeat(lo - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+def plan_kv_padding(shards: list[ShardedKV]) -> tuple[list[Padding], int]:
+    """The :class:`Padding` of each KV shard for the ring (Algorithm 2).
 
     The ring algorithm must exchange equal-sized messages between CP ranks
     ("to adhere to collective communication interfaces"). Multi-turn chat,
     padding and decode leave ranks holding slightly different KV counts, so
     for every sequence ``i`` present on any rank we pad each rank's slice of
-    that sequence to ``L_i = max_j (P^i_j + T^i_j)``. Padding entries carry
-    ``seq_id = PAD_SEQ`` and are never attended.
+    that sequence to ``L_i = max_j (P^i_j + T^i_j)``: every message holds
+    the sequences in ascending id order, each one run of its own tokens (in
+    storage order) followed by its padding. Padding entries carry
+    ``seq_id = PAD_SEQ`` and are never attended. A shard already laid out
+    that way with no padding to add is its own message.
 
     Returns:
-        ``(padded_shards, pad_tokens_total)`` — the second element feeds the
+        ``(paddings, pad_tokens_total)`` — the second element feeds the
         perf model, since padded bytes travel the wire like real ones.
+
+    Raises:
+        RuntimeError: if the messages planned are not all of one length
+            (a shard whose runs claim rows it does not hold).
     """
     if not shards:
         raise ValueError("need at least one shard")
@@ -338,49 +397,71 @@ def pad_kv_shards(shards: list[ShardedKV]) -> tuple[list[ShardedKV], int]:
         for sid in all_seq_ids
     }
 
-    padded: list[ShardedKV] = []
+    paddings: list[Padding] = []
     pad_total = 0
     for shard, spans in zip(shards, per_shard):
-        n_kv, dh = shard.k.shape[1:]  # (one rank's own heads: the ring checks they agree)
-        pieces_k, pieces_v, pieces_pos = [], [], []
+        src, dst, pieces_pos = [], [], []
         run_ids, run_lens = [], []
+        at = 0
         for sid in all_seq_ids:
             have = 0
             for lo, hi in spans.get(sid, ()):
-                pieces_k.append(shard.k[lo:hi])
-                pieces_v.append(shard.v[lo:hi])
+                src.append((lo, hi))
                 pieces_pos.append(shard.positions[lo:hi])
                 have += hi - lo
             if have:
+                dst.append((at, at + have))
                 run_ids.append(sid)
                 run_lens.append(have)
             pad = per_seq_max[sid] - have
             if pad:
                 pad_total += pad
-                pieces_k.append(np.zeros((pad, n_kv, dh), dtype=shard.k.dtype))
-                pieces_v.append(np.zeros((pad, n_kv, dh), dtype=shard.v.dtype))
                 pieces_pos.append(np.zeros(pad, dtype=np.int64))
                 run_ids.append(PAD_SEQ)
                 run_lens.append(pad)
-        if pieces_k:
-            padded.append(
-                ShardedKV(
-                    k=np.concatenate(pieces_k, axis=0),
-                    v=np.concatenate(pieces_v, axis=0),
-                    positions=np.concatenate(pieces_pos),
-                    seq_ids=np.repeat(np.array(run_ids, dtype=np.int64), run_lens),
-                    runs=np.concatenate(([0], np.cumsum(run_lens))),
-                )
+            at += per_seq_max[sid]
+        storage = list(zip(shard.runs[:-1].tolist(), shard.runs[1:].tolist()))
+        if src == storage and len(run_ids) == len(src) and at == len(shard):
+            # one run per sequence, in id order, nothing to pad
+            paddings.append(Padding.as_is(shard))
+            continue
+        paddings.append(
+            Padding(
+                positions=np.concatenate(pieces_pos) if pieces_pos else np.zeros(0, dtype=np.int64),
+                seq_ids=np.repeat(np.array(run_ids, dtype=np.int64), run_lens),
+                runs=np.concatenate(([0], np.cumsum(run_lens, dtype=np.int64))),
+                run_index={sid: i for i, sid in enumerate(run_ids) if sid != PAD_SEQ},
+                rows=(at, _rows(src), _rows(dst)),
             )
-        else:
-            padded.append(ShardedKV.empty(n_kv, dh))
-    lengths = {len(p) for p in padded}
-    assert len(lengths) == 1, f"padding failed to equalise shard lengths: {lengths}"
+        )
+    lengths = {len(p.positions) for p in paddings}
+    if len(lengths) != 1:
+        raise RuntimeError(f"padding failed to equalise shard lengths: {sorted(lengths)}")
+    return paddings, pad_total
+
+
+def pad_kv_shards(shards: list[ShardedKV]) -> tuple[list[ShardedKV], int]:
+    """Pad per-rank KV shards to equal length per sequence (Algorithm 2):
+    :func:`plan_kv_padding`'s messages, filled. A shard that needs no
+    padding is returned as it is.
+
+    Returns:
+        ``(padded_shards, pad_tokens_total)``.
+    """
+    paddings, pad_total = plan_kv_padding(shards)
+    padded = [
+        shard if p.rows is None else ShardedKV(
+            k=p.fill(shard.k), v=p.fill(shard.v), positions=p.positions,
+            seq_ids=p.seq_ids, runs=p.runs, run_index=p.run_index, reach=shard.reach,
+        )
+        for shard, p in zip(shards, paddings)
+    ]
     return padded, pad_total
 
 
-def pad_query_shards(shards: list[ShardedQueries]) -> tuple[list[ShardedQueries], int]:
-    """Pad per-rank query shards to a common length (pass-Q invariant).
+def plan_query_padding(shards: list[ShardedQueries]) -> tuple[list[Padding], int]:
+    """The :class:`Padding` of each query shard for pass-Q (Algorithm 3):
+    every rank's queries topped up to the longest shard's count.
 
     Load-balanced sharding already distributes queries within one token of
     evenly; padding tops every rank up to the max so ring messages are
@@ -391,23 +472,26 @@ def pad_query_shards(shards: list[ShardedQueries]) -> tuple[list[ShardedQueries]
     if not shards:
         raise ValueError("need at least one shard")
     want = max(len(s) for s in shards)
-    padded = []
+    paddings = []
     pad_total = 0
     for shard in shards:
         pad = want - len(shard)
         pad_total += pad
         if pad == 0:
-            padded.append(shard)
+            paddings.append(Padding.as_is(shard))
             continue
-        padded.append(
-            ShardedQueries(
-                q=np.concatenate([shard.q, np.zeros((pad, *shard.q.shape[1:]), dtype=shard.q.dtype)]),
+        seq_ids = np.concatenate([shard.seq_ids, np.full(pad, PAD_SEQ, dtype=np.int64)])
+        runs = np.append(shard.runs, want)
+        paddings.append(
+            Padding(
                 positions=np.concatenate([shard.positions, np.zeros(pad, dtype=np.int64)]),
-                seq_ids=np.concatenate([shard.seq_ids, np.full(pad, PAD_SEQ, dtype=np.int64)]),
-                runs=np.append(shard.runs, want),
+                seq_ids=seq_ids,
+                runs=runs,
+                run_index=run_index(seq_ids, runs),
+                rows=(want, slice(0, len(shard)), slice(0, len(shard))),
             )
         )
-    return padded, pad_total
+    return paddings, pad_total
 
 
 # --------------------------------------------------------------------------- #

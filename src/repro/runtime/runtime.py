@@ -1692,7 +1692,11 @@ class ContinuousBatchingRuntime:
         and unpins any adopted donor, so shedding is leak-free."""
         seq_id = rec.seq_id
         chain = self._chains.get(seq_id)
-        assert chain and chain[0] == rec.request_id, "only chain heads are shed"
+        if not chain or chain[0] != rec.request_id:
+            raise RuntimeError(
+                f"only chain heads are shed: request {rec.request_id} is not the head of "
+                f"conversation {seq_id}'s chain {chain}"
+            )
         self._waiting.discard(seq_id)
         for i, rid in enumerate(list(chain)):
             self._shed_one(
@@ -1738,7 +1742,11 @@ class ContinuousBatchingRuntime:
         self._decoding.discard(rec.request_id)
         seq_id = rec.seq_id
         chain = self._chains[seq_id]
-        assert chain and chain[0] == rec.request_id, "turn finished out of chain order"
+        if not chain or chain[0] != rec.request_id:
+            raise RuntimeError(
+                f"turns finish in chain order: request {rec.request_id} finished before "
+                f"the head of conversation {seq_id}'s chain {chain}"
+            )
         chain.pop(0)
         over = rec.request.last_turn and not chain
         if not over:

@@ -189,6 +189,26 @@ class TestSuppressions:
         assert lint_source(src, "runtime/x.py") == []
 
 
+class TestAssertStatement:
+    def test_assert_flagged_in_program_code(self):
+        src = "def f(x):\n    assert x > 0, 'x must be positive'\n    return x\n"
+        fs = lint_source(src, "repro/core/x.py")
+        assert [(f.rule_id, f.line) for f in fs] == [("DET401", 2)]
+
+    def test_explicit_raise_clean(self):
+        src = "def f(x):\n    if x <= 0:\n        raise RuntimeError('x must be positive')\n    return x\n"
+        assert lint_source(src, "repro/core/x.py") == []
+
+    def test_tests_and_benchmarks_exempt(self):
+        src = "assert 1 + 1 == 2\n"
+        assert lint_source(src, "tests/core/test_x.py") == []
+        assert lint_source(src, "benchmarks/e2e/run.py") == []
+
+    def test_suppression_respected(self):
+        src = "assert True  # repro-lint: disable=DET401\n"
+        assert lint_source(src, "repro/core/x.py") == []
+
+
 class TestEngineAndReporting:
     def test_findings_sorted_and_formatted(self):
         src = "import random\nfor x in {1}:\n    print(x)\n"

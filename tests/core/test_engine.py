@@ -56,6 +56,51 @@ class TestFullPrefill:
             engine.prefill({0: np.zeros(0, dtype=np.int64)})
 
 
+class TestPrefillRound:
+    def test_a_round_plans_its_ring_once(self, monkeypatch):
+        """Per prefill round, whatever the layer count: one padding plan of
+        the travelling side (the KV's for pass-KV, the queries' for pass-Q),
+        and per visible (step, rank) pair of the ring one kernel layout,
+        built at the first layer and handed to the kernel at every layer —
+        over rounds whose ranks hold different per-sequence KV counts, so
+        the padding is real. The logits are an untouched engine's."""
+        import repro.core.ring_skip as ring_skip
+
+        model = LlamaModel(tiny_config(n_layers=3), seed=0)
+        world, vocab = 4, model.config.vocab_size
+        rounds = [
+            ({0: np.arange(13) % vocab, 1: (np.arange(21) * 3) % vocab, 2: np.arange(6) + 1}, RingAlgo.PASS_KV),
+            ({0: np.arange(5) + 7, 2: np.arange(3) + 2}, RingAlgo.PASS_KV),
+            ({1: np.arange(3) + 9}, RingAlgo.PASS_Q),
+        ]
+        untouched = ContextParallelEngine(model, world_size=world)
+        want = [untouched.prefill(prompts, force_algo=algo) for prompts, algo in rounds]
+
+        built, handed, paddings = [], [], []
+        layout, kernel = ring_skip.attention_layout, ring_skip.flash_attention
+        monkeypatch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(layout(*a, **kw)) or built[-1])
+        monkeypatch.setattr(
+            ring_skip, "flash_attention", lambda *a, **kw: handed.append(kw["layout"]) or kernel(*a, **kw)
+        )
+        for name in ("plan_kv_padding", "plan_query_padding"):
+            planner = getattr(ring_skip, name)
+            monkeypatch.setattr(
+                ring_skip, name, lambda shards, planner=planner: paddings.append(planner(shards)) or paddings[-1]
+            )
+        engine = ContextParallelEngine(model, world_size=world)
+        padded = []
+        for (prompts, algo), expected in zip(rounds, want):
+            built.clear(), handed.clear(), paddings.clear()
+            got = engine.prefill(prompts, force_algo=algo)
+            assert len(paddings) == 1
+            padded.append(any(p.rows is not None for p in paddings[0][0]))
+            assert built and len(handed) == 3 * len(built)
+            assert all(sum(h is b for h in handed) == 3 for b in built)
+            for sid in prompts:
+                np.testing.assert_array_equal(got.logits[sid], expected.logits[sid])
+        assert padded[1:] == [True, True]  # (KV counts, then query counts, differ by rank)
+
+
 class TestDecode:
     def test_decode_matches_forward(self, model):
         engine = ContextParallelEngine(model, world_size=2)

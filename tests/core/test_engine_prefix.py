@@ -29,6 +29,22 @@ class TestMatchAdopt:
         with pytest.raises(RuntimeError):
             eng.adopt_prefix(1, 0, 4)
 
+    def test_a_prefix_sharded_to_another_count_raises(self, monkeypatch):
+        """The ranks must share exactly ``length`` tokens between them, or
+        ``seq_lengths`` would misdescribe the adopter: a broken count is a
+        RuntimeError naming that invariant, also under ``python -O``."""
+        from repro.kvcache.cache import RankKVCache
+
+        eng = engine()
+        eng.enable_prefix_cache()
+        eng.prefill({0: prompt(12)})
+        share = RankKVCache.share_prefix
+        monkeypatch.setattr(
+            RankKVCache, "share_prefix", lambda self, *a: share(self, *a) - (self is eng.caches[0])
+        )
+        with pytest.raises(RuntimeError, match="must shard to exactly its length"):
+            eng.adopt_prefix(1, 0, 8)
+
     def test_match_tracks_chunked_commits_and_decode(self):
         eng = engine()
         eng.enable_prefix_cache()

@@ -7,10 +7,12 @@ import pytest
 
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.ring_passkv import ring_passkv_prefill
+from repro.core.ring_skip import RingPlan
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
 from helpers import (
+    PrefillRound,
     comm,
     make_qkv,
     shard_qkv_full_prefill,
@@ -117,6 +119,39 @@ class TestPartialPrefill:
         # * 16 dims + positions/seq_ids (2 * 5) elements, x2 wire bytes
         expected_elements = 2 * 5 * 2 * 16 + 2 * 5
         assert events[0].attrs["bytes"] == expected_elements * 2
+
+
+class TestRingPlan:
+    """A prefill round hands its ring one plan at every layer: the padding,
+    the skip decisions and the kernel layouts the first run planned over
+    the structure every layer's shards share."""
+
+    def test_a_kept_plan_replans_over_another_structure(self, rng):
+        """One plan, run over a fused partial-prefill round whose ranks hold
+        different per-sequence KV counts (so the KV is padded), then over
+        shards that hold the same token counts per rank and sequence in
+        another structure — each rank's sequences stored in reverse order:
+        the result is a fresh ring's, bit for bit, and exact."""
+        world = 3
+        prefill = PrefillRound(world, {0: ([6, 5, 0], 6), 1: ([0, 0, 4], 9), 2: ([0, 0, 0], 5)})
+        per_seq = prefill.arrays(rng)
+        queries, kvs = prefill.shards(per_seq)
+        plan = RingPlan()
+        ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=plan)
+        moved = []
+        for kv in kvs:
+            order = np.argsort(-kv.seq_ids, kind="stable")
+            moved.append(ShardedKV(k=kv.k[order], v=kv.v[order], positions=kv.positions[order], seq_ids=kv.seq_ids[order]))
+        got = ring_passkv_prefill(SimProcessGroup(world), queries, moved, plan=plan)
+        want = ring_passkv_prefill(SimProcessGroup(world), queries, moved)
+        refs = {}
+        for sid, (q, k, v) in per_seq.items():
+            p, t = prefill.context(sid)
+            refs[sid] = reference_attention_with_lse(q, k, v, q_pos=np.arange(p, p + t), k_pos=np.arange(p + t))[0]
+        for g, w, qs in zip(got, want, queries):
+            assert np.array_equal(g.out, w.out) and np.array_equal(g.lse, w.lse)
+            for i, (pos, sid) in enumerate(zip(qs.positions.tolist(), qs.seq_ids.tolist())):
+                np.testing.assert_allclose(g.out[i], refs[sid][pos - prefill.context(sid)[0]], atol=1e-10)
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ from repro.core.sharding import (
     load_balanced_chunks,
     naive_flops_per_rank,
     pad_kv_shards,
-    pad_query_shards,
+    plan_query_padding,
     rank_chunks,
     shard_positions,
     shard_sequences,
@@ -178,16 +178,26 @@ class TestPadding:
             )
             for n in (4, 2, 3)
         ]
-        padded, pad_total = pad_query_shards(shards)
-        assert all(len(p) == 4 for p in padded)
+        paddings, pad_total = plan_query_padding(shards)
+        assert all(p.fill(s.q).shape[0] == len(p.positions) == 4 for p, s in zip(paddings, shards))
         assert pad_total == 2 + 1
-        assert np.count_nonzero(padded[1].seq_ids == PAD_SEQ) == 2
+        assert np.count_nonzero(paddings[1].seq_ids == PAD_SEQ) == 2
+        assert paddings[0].rows is None  # (the longest shard is its own message)
+
+    def test_messages_of_unequal_length_raise(self, monkeypatch):
+        """Equal ring messages are an invariant, checked without ``assert``:
+        a shard whose runs claim rows it does not hold (five of sequence 0,
+        over three rows) would send a shorter message than its peer."""
+        short = self._kv(3)
+        monkeypatch.setattr(short, "runs", np.array([0, 5]))
+        with pytest.raises(RuntimeError, match="padding failed to equalise shard lengths"):
+            pad_kv_shards([short, self._kv(5)])
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             pad_kv_shards([])
         with pytest.raises(ValueError):
-            pad_query_shards([])
+            plan_query_padding([])
 
 
 class TestShardContainers:
@@ -262,8 +272,9 @@ class TestRunOffsets:
             )
             for n in (4, 2)
         ]
-        for shard in pad_query_shards(queries)[0]:
-            self._is_run_structure(shard)
+        for shard, p in zip(queries, plan_query_padding(queries)[0]):
+            padded = ShardedQueries(p.fill(shard.q), p.positions, p.seq_ids, p.runs, p.run_index)
+            self._is_run_structure(padded)
 
     def test_interleaved_sequence_pads_like_a_contiguous_one(self):
         """A sequence split over several runs keeps its storage order."""

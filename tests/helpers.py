@@ -11,7 +11,7 @@ import pytest
 
 from repro.attention import flash
 from repro.attention.masks import attention_mask
-from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
+from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, ShardPlan, shard_sequences
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 from repro.distributed.process_group import SimProcessGroup
@@ -252,6 +252,74 @@ def shard_varseq_full_prefill(
             )
             kvs.append(ShardedKV.empty(nkv, dh))
     return queries, kvs
+
+
+class PrefillRound:
+    """A fused partial-prefill round's coordinates on ``world`` ranks (Figure
+    2). ``seqs[sid] = (cached, new)``: ``cached[r]`` of the sequence's
+    tokens already sit on rank ``r`` (rank 0 the lowest positions, then
+    rank 1's, ...), and its ``new`` tokens are load-balance sharded. Each
+    rank's KV holds every sequence's cached tokens, then its new ones, in
+    sequence-id order — what ``RankKVCache.get`` reads for the round."""
+
+    def __init__(self, world: int, seqs: dict[int, tuple[list[int], int]]):
+        self.seqs = dict(sorted(seqs.items()))
+        specs = [SequenceSpec(sid, new, sum(cached)) for sid, (cached, new) in self.seqs.items()]
+        self.q_coords = ShardPlan(specs, world).coordinates()
+        self.kv_coords = []
+        for rank, (pos, seq) in enumerate(self.q_coords):
+            k_pos, k_seq = [], []
+            for sid, (cached, _) in self.seqs.items():
+                first = sum(cached[:rank])
+                mine = np.concatenate([np.arange(first, first + cached[rank]), pos[seq == sid]])
+                k_pos.append(mine)
+                k_seq.append(np.full(mine.size, sid))
+            self.kv_coords.append(
+                (np.concatenate(k_pos).astype(np.int64), np.concatenate(k_seq).astype(np.int64))
+            )
+
+    def context(self, sid: int) -> tuple[int, int]:
+        """``(P, T)`` of sequence ``sid``."""
+        cached, new = self.seqs[sid]
+        return sum(cached), new
+
+    def arrays(self, rng: np.random.Generator, nh: int = 4, nkv: int = 2, dh: int = 16) -> dict:
+        """Per sequence, a layer's ``(q, k, v)``: ``q`` row ``j`` is position
+        ``P + j``, ``k`` and ``v`` row ``p`` position ``p``."""
+        out = {}
+        for sid in self.seqs:
+            p, t = self.context(sid)
+            out[sid] = (
+                rng.standard_normal((t, nh, dh)),
+                rng.standard_normal((p + t, nkv, dh)),
+                rng.standard_normal((p + t, nkv, dh)),
+            )
+        return out
+
+    def shards(self, per_seq: dict, like=None) -> tuple[list[ShardedQueries], list[ShardedKV]]:
+        """Each rank's query and KV shard of ``per_seq``'s rows; with ``like``
+        (another layer's shards), over its very coordinate and run objects,
+        as a round's layers are; else over fresh copies."""
+
+        def rows(side: int, pos: np.ndarray, seq: np.ndarray) -> np.ndarray:
+            shape = next(iter(per_seq.values()))[side].shape[1:]
+            picked = [
+                per_seq[s][side][p - (self.context(s)[0] if side == 0 else 0)]
+                for p, s in zip(pos.tolist(), seq.tolist())
+            ]
+            return np.stack(picked) if picked else np.zeros((0, *shape))
+
+        queries, kvs = [], []
+        for rank, ((q_pos, q_seq), (k_pos, k_seq)) in enumerate(zip(self.q_coords, self.kv_coords)):
+            q, k, v = rows(0, q_pos, q_seq), rows(1, k_pos, k_seq), rows(2, k_pos, k_seq)
+            if like is None:
+                queries.append(ShardedQueries(q=q, positions=q_pos.copy(), seq_ids=q_seq.copy()))
+                kvs.append(ShardedKV(k=k, v=v, positions=k_pos.copy(), seq_ids=k_seq.copy()))
+            else:
+                lq, lkv = like[0][rank], like[1][rank]
+                queries.append(ShardedQueries(q, lq.positions, lq.seq_ids, lq.runs, lq.run_index))
+                kvs.append(ShardedKV(k, v, lkv.positions, lkv.seq_ids, lkv.runs, lkv.run_index, lkv.reach))
+        return queries, kvs
 
 
 def finish_fields(**fields) -> dict:

@@ -230,6 +230,18 @@ class TestDropTail:
         got = cache.get(0, [1])
         assert got.k[2, 0, 0] == 2.0
 
+    def test_the_cut_falls_exactly_at_from_pos(self):
+        """Over consecutive positions the token just below ``from_pos``
+        stays and the one at it goes, at every layer and in the pool: a cut
+        moved one position either way keeps or frees one token too many."""
+        cache = make_cache(capacity_tokens=16, block_size=1)
+        for layer in range(2):
+            cache.append(layer, 1, *kv_chunk(6), np.arange(6))
+        assert cache.drop_tail(1, from_pos=4) == 2
+        for layer in range(2):
+            assert cache.get(layer, [1]).positions.tolist() == [0, 1, 2, 3]
+        assert cache.tokens(1) == 4 and cache.free_tokens() == 12
+
     def test_out_of_order_stream_is_refused_at_the_cut(self):
         """The tail cut is a fill-count cut, so it must see a stream whose
         positions ascend; one that does not is an error, not a silent

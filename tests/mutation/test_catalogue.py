@@ -47,9 +47,11 @@ must be a finite time (``TurnRequest.__post_init__``), and the fleet must
 check a prompt's vocabulary before it routes (``ReplicaFleet.submit``).
 Two edit the process group's delivery (``process_group._deliver``), which
 must freeze every array it hands a receiver — the rings' source ranks add
-the sums they receive — and refuse what it cannot freeze. One edits the
-ring sweep's pair plan (``ring_skip.PairLayouts``), which a decode round's
-later layers may reuse only over the KV structure it was built on. An entry may name several killers; each must pass
+the sums they receive — and refuse what it cannot freeze. Two edit a
+ring's plan (``ring_skip.RingPlan``), which a round's later layers may
+reuse only over the structure it was built on: a decode round's and a
+prefill round's (``ring_skip.planned_sides``). One moves the KV cache's
+tail cut (``RankKVCache.drop_tail``) by one position. An entry may name several killers; each must pass
 on the real code and fail on the mutant.
 """
 
@@ -469,12 +471,32 @@ def _deliver_passes_unknown_payload(monkeypatch):
 
 
 def _decode_layout_reused_across_structures(monkeypatch):
-    """A ring's pair plan outlives a change of the structure it was built
-    over: a decode batch reused over other KV shards hands the kernel
-    layouts of shards it no longer reads."""
+    """A ring's plan outlives a change of the structure it was built over:
+    a decode batch reused over other KV shards hands the kernel layouts of
+    shards it no longer reads."""
     patch_source(
-        monkeypatch, ring_skip.PairLayouts, "for_structure",
-        "self.built_from, self.pairs = structure, {}", "self.built_from = structure",
+        monkeypatch, ring_skip.RingPlan, "for_structure",
+        "self.built_from, self.pairs, self.sides = structure, {}, None", "self.built_from = structure",
+    )
+
+
+def _prefill_plan_reused_across_structures(monkeypatch):
+    """A prefill ring takes its plan's padding, skip decisions and layouts
+    without asking whether the shards are the ones they were planned over."""
+    patch_source(
+        monkeypatch, ring_skip, "planned_sides",
+        "pairs = plan.for_structure(queries, kv_shards)", "pairs = plan.pairs",
+    )
+    for ring in (ring_passkv, ring_passq):  # (each binds it by name)
+        monkeypatch.setattr(ring, "planned_sides", ring_skip.planned_sides)
+
+
+def _tail_trim_off_by_one(monkeypatch):
+    """The tail cut keeps the token at ``from_pos``: a trimmed sequence
+    keeps one position it gave back (and charges the pool for it)."""
+    patch_source(
+        monkeypatch, RankKVCache, "drop_tail",
+        "keep = stream.count_below(from_pos)", "keep = stream.count_below(from_pos + 1)",
     )
 
 
@@ -647,6 +669,12 @@ CATALOGUE = [
     ("decode-layout-reused-across-structures", _decode_layout_reused_across_structures,
      functools.partial(_named_test, "core/test_ring_decode.py::TestPairLayouts"
                        "::test_a_reused_batch_replans_over_another_kv_structure", np.random.default_rng(7))),
+    ("prefill-plan-reused-across-structures", _prefill_plan_reused_across_structures,
+     functools.partial(_named_test, "core/test_ring_passkv.py::TestRingPlan"
+                       "::test_a_kept_plan_replans_over_another_structure", np.random.default_rng(7))),
+    ("tail-trim-off-by-one", _tail_trim_off_by_one,
+     functools.partial(_named_test, "kvcache/test_cache.py::TestDropTail"
+                       "::test_the_cut_falls_exactly_at_from_pos")),
 ]
 
 

@@ -12,10 +12,11 @@ from repro.core import ring_skip
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
+from repro.core.ring_skip import RingPlan
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import Fallbacks
+from helpers import Fallbacks, PrefillRound
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -107,11 +108,12 @@ class TestShardSkipIsPureExecutionStrategy:
     @given(varseq_case())
     @settings(**SETTINGS)
     def test_passkv_skip_on_off_identical(self, case):
+        """(Each side on a fresh plan: a kept one holds its skip decisions.)"""
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        a = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        a = ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
         with _every_partial_computed():
-            b = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+            b = ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
             assert np.array_equal(ra.lse, rb.lse)
@@ -119,11 +121,12 @@ class TestShardSkipIsPureExecutionStrategy:
     @given(varseq_case())
     @settings(**SETTINGS)
     def test_passq_skip_on_off_identical(self, case):
+        """(Each side on a fresh plan, as above.)"""
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        a = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+        a = ring_passq_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
         with _every_partial_computed():
-            b = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+            b = ring_passq_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
             assert np.array_equal(ra.lse, rb.lse)
@@ -242,3 +245,69 @@ class TestDecodeRoundReuse:
                 want, _ = ring_passq_decode(SimProcessGroup(world), fresh_kv, fresh, step=step)
                 assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
         assert laid_out[0] > 0 and not any(laid_out[1:])
+
+
+@st.composite
+def prefill_round_case(draw):
+    """A fused partial-prefill round — world, and per sequence its cached
+    tokens on each rank and its new tokens — and whether its second layer
+    aims one pair's scores at +-800."""
+    world = draw(st.integers(1, 4))
+    seqs = {
+        sid: ([draw(st.integers(0, 6)) for _ in range(world)], draw(st.integers(1, 12)))
+        for sid in range(draw(st.integers(1, 3)))
+    }
+    return world, seqs, draw(st.booleans()), draw(st.integers(0, 2**31 - 1))
+
+
+def _aim_first_rank(prefill, per_seq):
+    """Sequence 0's queries on rank 0 score +-800 against sequence 0's keys
+    on rank 0 and ordinarily everywhere else (``test_ring_fallback._aim``):
+    rank 0 holds sequence 0's first new token and its key, so exactly one
+    pair of the ring — rank 0's queries against rank 0's KV — falls back."""
+    q, k, _ = per_seq[0]
+    p, _ = prefill.context(0)
+    (q_pos, q_seq), (k_pos, k_seq) = prefill.q_coords[0], prefill.kv_coords[0]
+    keys = k_pos[k_seq == 0]
+    q[..., 0], k[..., 0] = 0.0, 0.0
+    q[q_pos[q_seq == 0] - p, :, 0] = 40.0
+    k[keys, :, 0] = 80.0 * np.random.default_rng(keys.size).choice([-1.0, 1.0], (keys.size, k.shape[1]))
+
+
+class TestPrefillRoundReuse:
+    @pytest.mark.parametrize("ring", [ring_passkv_prefill, ring_passq_prefill], ids=["passkv", "passq"])
+    @given(prefill_round_case())
+    @example((3, {0: ([5, 2, 0], 2), 1: ([0, 0, 0], 9), 2: ([3, 1, 3], 1)}, True, 1))  # rank 2 holds no KV of sequence 0
+    @example((4, {0: ([0, 7, 1, 0], 5), 1: ([2, 0, 0, 6], 3)}, True, 2))
+    @settings(**SETTINGS)
+    def test_a_kept_plan_equals_fresh_rings_bit_for_bit(self, ring, case):
+        """``engine.prefill``'s round: one plan handed to the ring at every
+        layer, each layer's shards new ``q``, ``k``, ``v`` over the same
+        coordinate objects (as ``RankKVCache.get`` shares them), ranks
+        holding different per-sequence KV counts. Each layer equals a fresh
+        ring over freshly built shards bit for bit — including a second
+        layer whose aimed pair falls back to the shifted sweep — and only
+        the first layer pads and lays pairs out."""
+        world, seqs, aim, seed = case
+        rng = np.random.default_rng(seed)
+        prefill = PrefillRound(world, seqs)
+        plan, structure = RingPlan(), prefill.shards(prefill.arrays(rng))
+        built, padded = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            layout = ring_skip.attention_layout
+            patch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(1) or layout(*a, **kw))
+            for name in ("plan_kv_padding", "plan_query_padding"):
+                planner = getattr(ring_skip, name)
+                patch.setattr(ring_skip, name, lambda shards, planner=planner: padded.append(1) or planner(shards))
+            fallbacks = Fallbacks(patch)
+            for layer in range(3):
+                per_seq = prefill.arrays(rng)
+                if aim and layer == 1:
+                    _aim_first_rank(prefill, per_seq)
+                before = len(built), len(padded), fallbacks.count
+                got = ring(SimProcessGroup(world), *prefill.shards(per_seq, like=structure), plan=plan)
+                assert (len(built) > before[0], len(padded) - before[1]) == (layer == 0, int(layer == 0))
+                assert fallbacks.count - before[2] == (aim and layer == 1)
+                want = ring(SimProcessGroup(world), *prefill.shards(per_seq))
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.out, w.out) and np.array_equal(g.lse, w.lse)

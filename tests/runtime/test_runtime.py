@@ -44,6 +44,30 @@ def sequential_tokens(prompt_ids, budget, *, world=2):
     return list(ChatSession(engine, 0).send(prompt_ids, max_new_tokens=budget).generated)
 
 
+class TestChainOrder:
+    """A conversation's turns leave its chain from the head only. A broken
+    chain is a RuntimeError naming the invariant, also under ``python -O``."""
+
+    @staticmethod
+    def _two_turns():
+        rt = ServeConfig().build(MODEL)
+        first = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(8), max_new_tokens=2, last_turn=False))
+        second = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(4, seed=1), max_new_tokens=2))
+        return rt, first, second
+
+    def test_only_chain_heads_are_shed(self, monkeypatch):
+        rt, first, second = self._two_turns()
+        monkeypatch.setitem(rt._chains, 0, [second, first])
+        with pytest.raises(RuntimeError, match="only chain heads are shed"):
+            rt._shed_chain(rt._records[first], status=RequestState.SHED, at=0.0)
+
+    def test_turns_finish_in_chain_order(self, monkeypatch):
+        rt, first, second = self._two_turns()
+        monkeypatch.setitem(rt._chains, 0, [second, first])
+        with pytest.raises(RuntimeError, match="turns finish in chain order"):
+            rt._finish_turn(rt._records[first], at=0.0)
+
+
 class TestLifecycle:
     def test_single_request_runs_to_completion(self):
         rt = ServeConfig().build(MODEL)
