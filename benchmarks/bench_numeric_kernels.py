@@ -57,7 +57,7 @@ from repro.attention.masks import run_index
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.engine import ContextParallelEngine
 from repro.core.merge import merge_partials
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode
+from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import (
@@ -252,9 +252,9 @@ def _decode_shards(k_all, v_all, b, world):
 def bench_ring_decode_cp4(benchmark):
     """Batched pass-Q decode: 6 sequences' cached KV spread over 4 ranks
     (B=6, N=4 also pads two query slots — the shard-skip sweet spot). The
-    batch object is reused, as ``engine.decode`` reuses it across a round's
-    layers, so rounds after the first time a layer's ring, not the
-    per-round plan."""
+    round's plan is built once, outside the timed call, and handed to every
+    call, as ``engine.decode`` hands it to every layer, so each round times
+    a layer's ring, not the per-round plan."""
     world, b = 4, 6
     kvs = _decode_shards(K, V, b, world)
     batch = DecodeBatch(
@@ -263,17 +263,19 @@ def bench_ring_decode_cp4(benchmark):
         seq_ids=np.arange(b, dtype=np.int64),
     )
 
+    plan = round_plan(batch, kvs, 0)
+
     def run():
-        return ring_passq_decode(SimProcessGroup(world), kvs, batch, block_size=64)
+        return ring_passq_decode(SimProcessGroup(world), kvs, batch, block_size=64, plan=plan)
 
     benchmark(run)
 
 
 def bench_cache_get_decode_cp4(benchmark):
     """One rank's two KV reads of a ``decode_batch`` round on a 2-layer
-    model: 32 sequences x ~23 tokens fused at layer 0, then layer 1 for the
-    same ``seq_ids`` list — which concatenates K and V only and takes the
-    rest (positions, sequence ids, runs, run index, reach) from layer 0."""
+    model: 32 sequences x ~23 tokens fused at layer 0, then layer 1 handed
+    the layer-0 read as ``like`` — which concatenates K and V only and takes
+    the rest (positions, sequence ids, runs, run index, reach) from it."""
     rng = np.random.default_rng(6)
     cache = RankKVCache(n_layers=2, n_kv_heads=2, head_dim=8)
     for sid, n in enumerate(rng.integers(19, 28, 32).tolist()):
@@ -282,7 +284,8 @@ def bench_cache_get_decode_cp4(benchmark):
     sids = list(range(32))
 
     def run():  # (a layer-0 read always derives; layer 1 shares what it derived)
-        return cache.get(0, sids), cache.get(1, sids)
+        first = cache.get(0, sids)
+        return first, cache.get(1, sids, like=first)
 
     benchmark(run)
 
@@ -294,7 +297,9 @@ def bench_runtime_decode_hotloop(benchmark):
 
     This is the runtime's hot loop at serving scale — post PR 1 the
     engine's prefill is dense-linear-bound, so decode rounds dominate
-    replayed-trace wall time (the ROADMAP's decode-path perf item)."""
+    replayed-trace wall time (the ROADMAP's decode-path perf item). Each
+    step's plan is built once, outside the timed calls, as ``engine.decode``
+    builds one per round for all its layers."""
     world, b, t = 4, 24, 1536
     rng = np.random.default_rng(7)
     k_all = rng.standard_normal((t, 2, 32))
@@ -306,11 +311,12 @@ def bench_runtime_decode_hotloop(benchmark):
         seq_ids=np.arange(b, dtype=np.int64),
     )
     group = SimProcessGroup(world)
+    plans = [round_plan(batch, kvs, step) for step in range(4)]
 
     def run():
         return [
-            ring_passq_decode(group, kvs, batch, step=step, block_size=64)
-            for step in range(4)
+            ring_passq_decode(group, kvs, batch, step=step, block_size=64, plan=plan)
+            for step, plan in enumerate(plans)
         ]
 
     benchmark(run)

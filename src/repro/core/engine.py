@@ -33,7 +33,7 @@ from repro.core.planner import PrefillPlan, PrefillPlanner
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
-from repro.core.ring_skip import RingPlan
+from repro.core.ring_skip import plan_prefill
 from repro.core.sharding import SequenceSpec, ShardedQueries, ShardPlan
 from repro.distributed.process_group import SimProcessGroup
 from repro.kvcache.cache import CacheCapacityError, RankKVCache
@@ -185,11 +185,11 @@ class ContextParallelEngine:
         # append, ring attention, local residual/FFN) -> local unembed.
         xs = [self.model.embed(layout.take(rank, new_ids)) for rank in range(self.world_size)]
         batch_sids = [s.seq_id for s in specs]
-        ring = ring_passkv_prefill if plan.algo is RingAlgo.PASS_KV else ring_passq_prefill
-        # The ring's padding, skip decisions and kernel layouts, planned by
-        # the first layer (over the structure every layer's reads share) and
-        # reused by the rest; a one-layer round has no rest to plan for.
-        ring_plan = RingPlan() if cfg.n_layers > 1 else None
+        pass_q = plan.algo is not RingAlgo.PASS_KV
+        ring = ring_passq_prefill if pass_q else ring_passkv_prefill
+        # A round's structure is fixed across its layers: the ring's plan
+        # (padding, skip decisions, kernel layouts) is built over layer 0's
+        # shards, and every later layer's reads take layer 0's structure.
         for layer in range(cfg.n_layers):
             queries = []
             for rank, (positions, seq_ids) in enumerate(coords):
@@ -197,7 +197,11 @@ class ContextParallelEngine:
                 for sid, lo, hi, _, _ in layout.spans[rank]:
                     self.caches[rank].append(layer, sid, k[lo:hi], v[lo:hi], positions[lo:hi])
                 queries.append(ShardedQueries(q, positions, seq_ids, runs[rank], indexes[rank]))
-            kv_shards = [self.caches[rank].get(layer, batch_sids) for rank in range(self.world_size)]
+            if layer == 0:
+                kv_shards = kv0 = [cache.get(0, batch_sids) for cache in self.caches]
+                ring_plan = plan_prefill(queries, kv0, pass_q=pass_q)
+            else:
+                kv_shards = [cache.get(layer, batch_sids, like=kv) for cache, kv in zip(self.caches, kv0)]
             results = ring(self.group, queries, kv_shards, plan=ring_plan)
             for rank in range(self.world_size):
                 xs[rank] = self.model.attn_residual(layer, xs[rank], results[rank].out)
@@ -234,13 +238,13 @@ class ContextParallelEngine:
         positions = np.array([self.seq_lengths[sid] for sid in sids], dtype=np.int64)
         seq_arr = np.array(sids, dtype=np.int64)
 
-        # What the tokens alone decide is derived once per round, in the
-        # ring's plan: every layer passes the one batch, its queries written
-        # into q_batch in place (the ranks' slots cover it).
+        # Every layer passes the one batch (its queries written into q_batch in
+        # place; the ranks' slots cover it) and the one plan, built over layer
+        # 0's reads, whose structure every later layer's reads take.
         q_batch = np.empty((b, cfg.n_heads, cfg.head_dim))
         batch = DecodeBatch(q=q_batch, positions=positions, seq_ids=seq_arr)
-        plan = round_plan(batch, self.world_size, self.decode_steps)
-        assignment, rank_slots = plan.assignment, plan.slots
+        assignment = round_robin_assignment(b, self.world_size, self.decode_steps)
+        rank_slots = [np.nonzero(assignment == rank)[0] for rank in range(self.world_size)]
         rank_pos = [positions[slots] for slots in rank_slots]
         appends = [
             [(sids[slot], positions[slot : slot + 1]) for slot in slots.tolist()]
@@ -256,8 +260,12 @@ class ContextParallelEngine:
                 q_batch[slots] = q
                 for i, (sid, pos) in enumerate(appends[rank]):
                     self.caches[rank].append(layer, sid, k[i : i + 1], v[i : i + 1], pos)
-            kv_shards = [self.caches[rank].get(layer, sids) for rank in range(self.world_size)]
-            result, _ = ring_passq_decode(self.group, kv_shards, batch, step=self.decode_steps)
+            if layer == 0:
+                kv_shards = kv0 = [cache.get(0, sids) for cache in self.caches]
+                plan = round_plan(batch, kv0, self.decode_steps)
+            else:
+                kv_shards = [cache.get(layer, sids, like=kv) for cache, kv in zip(self.caches, kv0)]
+            result, _ = ring_passq_decode(self.group, kv_shards, batch, step=self.decode_steps, plan=plan)
             for rank, slots in enumerate(rank_slots):
                 if slots.size == 0:
                     continue

@@ -18,15 +18,15 @@ round-robin payloads, then gathers the rows back into batch order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.attention.flash import AttentionResult
 from repro.attention.masks import PAD_SEQ, run_index
-from repro.core.ring_skip import RingPlan, RingSides, kv_structure, query_reach, ring_sweep
-from repro.core.sharding import ShardedKV
+from repro.core.ring_skip import RingPlan, plan_ring, ring_sweep
+from repro.core.sharding import Padding, ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
 
@@ -44,9 +44,6 @@ class DecodeBatch:
     q: np.ndarray
     positions: np.ndarray
     seq_ids: np.ndarray
-    # :func:`round_plan` by (world size, step), for a caller that passes
-    # one batch at every layer of the round (new ``q`` written in place)
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q.ndim != 3:
@@ -88,53 +85,41 @@ def _pad_rows(rows: np.ndarray, pad: int, fill) -> np.ndarray:
 
 
 class RoundPlan(NamedTuple):
-    """What a decode round derives from its tokens, the world size and the
-    step — the same at every layer, so derived once and kept on the batch."""
+    """What a decode round derives from its tokens, the world size, the step
+    and its layer-0 KV reads — the same at every layer."""
 
     assignment: np.ndarray  # [B] rank owning each batch slot
-    slots: list  # per rank: the batch slots it owns, ascending
-    per_rank: int  # rows of every payload
+    ids: list  # per rank: its payload's batch ids (its slots, -1 padded)
     order: np.ndarray  # [B] each batch slot's row of the merged [rank, row] rows
-    coords: list  # per rank: its payload's padded pos / seq / slots
-    q_runs: list  # per origin: its payload's (offsets, {seq_id: row}) runs
-    q_reach: list  # per origin: its payload's query_reach
-    layouts: RingPlan  # the ring's pairs and KV structure, planned by its first layer
+    ring: RingPlan  # the ring's messages and pairs
 
 
-def round_plan(batch: DecodeBatch, n: int, step: int) -> RoundPlan:
-    """The :class:`RoundPlan` of ``batch`` on ``n`` ranks at decode iteration
-    ``step`` (the engine reads its ``assignment`` and ``slots`` too)."""
-    plan = batch._plans.get((n, step))
-    if plan is None:
-        b = batch.batch_size
-        assignment = round_robin_assignment(b, n, step)
-        # Pad the per-rank query count to ceil(B / N): the paper notes this
-        # padding inflates decode work when B is not divisible by N (Table 8).
-        per_rank = -(-b // n) if b else 0
-        slots = [np.nonzero(assignment == rank)[0] for rank in range(n)]
-        coords = [
-            {
-                "pos": _pad_rows(batch.positions[own], per_rank - own.shape[0], 0),
-                "seq": _pad_rows(batch.seq_ids[own], per_rank - own.shape[0], PAD_SEQ),
-                "slots": _pad_rows(own, per_rank - own.shape[0], -1),
-            }
-            for own in slots
-        ]
-        # Every query row is its own sequence (pad rows included), so each
-        # payload's run structure is one row per run.
-        offsets = np.arange(per_rank + 1)
-        plan = batch._plans[(n, step)] = RoundPlan(
-            assignment,
-            slots,
-            per_rank,
-            # a rank's slots are n apart, so slot b is its owner's row b // n
-            assignment * per_rank + np.arange(b) // n,
-            coords,
-            [(offsets, run_index(c["seq"], offsets)) for c in coords],
-            [query_reach(c["pos"], c["seq"], offsets) for c in coords],
-            RingPlan(),
-        )
-    return plan
+def round_plan(batch: DecodeBatch, kv_shards: list[ShardedKV], step: int) -> RoundPlan:
+    """The :class:`RoundPlan` of ``batch`` over one KV shard per rank at
+    decode iteration ``step``."""
+    n, b = len(kv_shards), batch.batch_size
+    assignment = round_robin_assignment(b, n, step)
+    # Pad the per-rank query count to ceil(B / N): the paper notes this
+    # padding inflates decode work when B is not divisible by N (Table 8).
+    per_rank = -(-b // n) if b else 0
+    # Every query row is its own sequence (pad rows included), so each
+    # payload's run structure is one row per run.
+    offsets = np.arange(per_rank + 1)
+    q, ids = [], []
+    for rank in range(n):
+        own = np.nonzero(assignment == rank)[0]  # the batch slots it owns, ascending
+        pad = per_rank - own.shape[0]
+        seq = _pad_rows(batch.seq_ids[own], pad, PAD_SEQ)
+        rows = (per_rank, own, slice(0, own.shape[0]))  # the batch's q rows it carries
+        q.append(Padding(_pad_rows(batch.positions[own], pad, 0), seq, offsets, run_index(seq, offsets), rows))
+        ids.append(_pad_rows(own, pad, -1))
+    return RoundPlan(
+        assignment,
+        ids,
+        # a rank's slots are n apart, so slot b is its owner's row b // n
+        assignment * per_rank + np.arange(b) // n,
+        plan_ring(q, [b] * n, kv_shards, pass_q=True),
+    )
 
 
 def ring_passq_decode(
@@ -144,6 +129,7 @@ def ring_passq_decode(
     *,
     step: int = 0,
     block_size: int = 128,
+    plan: RoundPlan | None = None,
 ) -> tuple[AttentionResult, np.ndarray]:
     """Batched ring pass-Q decode (Algorithm 4).
 
@@ -157,6 +143,10 @@ def ring_passq_decode(
         batch: this iteration's single-token-per-sequence queries.
         step: decode iteration index, drives the round-robin offset.
         block_size: KV block size of the local kernel.
+        plan: the round's :class:`RoundPlan` (:func:`round_plan` over
+            layer 0's reads), handed over by a caller that runs this ring at
+            every layer with the batch's ``q`` rewritten in place; without
+            one, the call plans for itself.
 
     The ring is :func:`repro.core.ring_skip.ring_sweep`'s; its skipped
     partials are mostly an all-pad query payload (when ``B`` is not a
@@ -168,20 +158,14 @@ def ring_passq_decode(
         and ``assignment[b]`` is the rank that owned slot ``b`` this step
         (where its KV was appended).
     """
-    plan = round_plan(batch, group.world_size, step)
+    plan = plan if plan is not None else round_plan(batch, kv_shards, step)
     # Only the queries are this layer's own; their batch slots ride along.
-    q_wire = [
-        {"q": _pad_rows(batch.q[own], plan.per_rank - own.shape[0], 0.0), **coord}
-        for own, coord in zip(plan.slots, plan.coords)
-    ]
-    # The KV side's structure is the cache's, the same at every layer.
-    pairs = plan.layouts.for_structure(kv_shards)
-    if plan.layouts.sides is None:
-        plan.layouts.sides = RingSides(plan.q_runs, plan.q_reach, *kv_structure(kv_shards))
-    kv_wire = [{"k": kv.k, "v": kv.v, "pos": kv.positions, "seq": kv.seq_ids} for kv in kv_shards]
+    q_wire, kv_wire = plan.ring.wire([batch.q] * len(kv_shards), kv_shards)
+    for wire, ids in zip(q_wire, plan.ids):
+        wire["slots"] = ids
     merged = ring_sweep(
-        group, q_wire, kv_wire, plan.layouts.sides,
-        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size, pairs=pairs,
+        group, q_wire, kv_wire, plan.ring.pairs,
+        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size,
     )
     # One gather into batch order (pad rows — a whole rank's, when it owns
     # no slot — ride along unread).

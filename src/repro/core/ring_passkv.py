@@ -19,7 +19,7 @@ the ring starts (see :func:`repro.core.sharding.plan_kv_padding`).
 from __future__ import annotations
 
 from repro.attention.flash import AttentionResult
-from repro.core.ring_skip import RingPlan, planned_sides, ring_sweep
+from repro.core.ring_skip import RingPlan, plan_prefill, ring_sweep
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
@@ -43,17 +43,17 @@ def ring_passkv_prefill(
             tokens. Per-sequence KV slices are padded to a common length
             before the ring starts (the equal-message-size invariant).
         block_size: KV block size of the local flash kernel.
-        plan: the round's :class:`~repro.core.ring_skip.RingPlan`, handed
-            over by a caller that runs this ring at every layer over shards
-            of one structure: the padding, the skip decisions and the
-            kernel layouts are planned by the first run and reused.
+        plan: the round's :class:`~repro.core.ring_skip.RingPlan`
+            (:func:`~repro.core.ring_skip.plan_prefill` over layer 0's
+            shards), handed over by a caller that runs this ring at every
+            layer; without one, the call plans for itself.
 
     Returns:
         Per-rank exact :class:`AttentionResult` for each rank's queries, in
         the rank's local token order.
     """
-    sides, pairs = planned_sides(plan, queries, kv_shards, pass_q=False)
+    plan = plan if plan is not None else plan_prefill(queries, kv_shards, pass_q=False)
     return ring_sweep(
-        group, *sides.wire(queries, kv_shards), sides.structure,
-        pass_q=False, tags=("passkv", None), block_size=block_size, pairs=pairs,
+        group, *plan.wire([s.q for s in queries], kv_shards), plan.pairs,
+        pass_q=False, tags=("passkv", None), block_size=block_size,
     )

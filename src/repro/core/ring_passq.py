@@ -19,7 +19,7 @@ because circulating Q moves ``T * NH * DH`` elements versus pass-KV's
 from __future__ import annotations
 
 from repro.attention.flash import AttentionResult
-from repro.core.ring_skip import RingPlan, planned_sides, ring_sweep
+from repro.core.ring_skip import RingPlan, plan_prefill, ring_sweep
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
@@ -48,10 +48,10 @@ def ring_passq_prefill(
         Per-rank exact :class:`AttentionResult`, trimmed back to each rank's
         original (pre-padding) query count.
     """
-    sides, pairs = planned_sides(plan, queries, kv_shards, pass_q=True)
+    plan = plan if plan is not None else plan_prefill(queries, kv_shards, pass_q=True)
     results = ring_sweep(
-        group, *sides.wire(queries, kv_shards), sides.structure,
-        pass_q=True, tags=("passq", "passq-merge"), block_size=block_size, pairs=pairs,
+        group, *plan.wire([s.q for s in queries], kv_shards), plan.pairs,
+        pass_q=True, tags=("passq", "passq-merge"), block_size=block_size,
     )
     return [
         AttentionResult(out=r.out[: len(qr)], lse=r.lse[: len(qr)])

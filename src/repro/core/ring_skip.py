@@ -24,15 +24,14 @@ partial is visible iff some sequence id appears on both sides with
 position. The rings take no mask override: every partial is under the
 causal, same-sequence mask this test is exact for, so it alone decides.
 **The plan.** A round runs its ring once per layer, and only ``q``, ``k``
-and ``v`` change between layers. So a caller that runs the same ring again
-— ``engine.prefill`` and ``engine.decode``, once per layer — keeps a
-:class:`RingPlan` for the round: each ``(step, rank)`` pair's skip decision
-and kernel layout, and what the ring's adapter derives from the shards'
-structure — for a prefill ring, both sides' padding
-(:class:`~repro.core.sharding.Padding`), runs and reach
-(:class:`PaddedSides`). The first layer plans; every later layer over the
-very same structure objects only fills its ``q``, ``k`` and ``v`` into the
-planned messages and sweeps. A single-use call plans for itself alone.
+and ``v`` change between layers. So what a ring derives from structure —
+the messages' padding (:class:`~repro.core.sharding.Padding`), each
+``(step, rank)`` pair's skip decision and its kernel layout — is one plain
+value, a :class:`RingPlan`, built eagerly by :func:`plan_ring` from layer
+0's query shards and KV reads. ``engine.prefill`` and ``engine.decode``
+build one per round and hand it to the ring at every layer; a single-use
+call builds one for itself through the same function. The sweep only reads
+it. A plan handed a shard of another token count raises.
 """
 
 from __future__ import annotations
@@ -109,39 +108,53 @@ def partial_fully_masked(q_reach: dict[int, int], k_reach: dict[int, int]) -> bo
     return True
 
 
-class RingSides(NamedTuple):
-    """What :func:`ring_sweep` reads of each side's structure, per origin
-    rank: the queries' and the KV's ``(offsets, index)`` runs and reach."""
-
-    q_runs: list[tuple]
-    q_reach: list[dict[int, int]]
-    k_runs: list[tuple]
-    k_reach: list[dict[int, int]]
+@functools.cache
+def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
+    """``[step][rank]``: the origin of the payload ``rank`` holds at ``step``."""
+    return tuple(tuple(source_rank_at_step(rank, step, n) for rank in range(n)) for step in range(n))
 
 
-def kv_structure(shards: list[ShardedKV]) -> tuple[list[tuple], list[dict[int, int]]]:
-    """Per KV shard, its ``(runs, run_index)`` and its reach — the one
-    ``RankKVCache.get`` attached, else one scan."""
-    runs, reach = [], []
-    for kv in shards:
-        runs.append((kv.runs, kv.run_index))
-        reach.append(kv.reach if kv.reach is not None else kv_reach(kv.positions, kv.seq_ids, kv.runs))
-    return runs, reach
+class RingPlan(NamedTuple):
+    """A ring's plan, built from its shards' structure alone (positions,
+    sequence ids, runs, reach) and never from ``q``, ``k`` or ``v``, so one
+    plan serves every layer of a round: per origin rank, its query and KV
+    :class:`~repro.core.sharding.Padding` messages; per rank, the
+    ``(query, KV)`` token counts it was built for; per ``(step, rank)``
+    pair, the pair's kernel :class:`~repro.attention.flash.Layout`, or
+    ``None`` where the partial is masked.
 
-
-class PaddedSides(NamedTuple):
-    """A prefill ring's two sides as :class:`~repro.core.sharding.Padding`
-    messages per rank — the travelling side padded to equal lengths, the
-    other as it stands — and the structure the sweep reads of them."""
+    A plan holds one round's layouts: each visible pair's ``[S, R, L]``
+    mask and gather indices, about one bool per query–key pair of the
+    partial, beside the padded coordinates. It dies with the round.
+    """
 
     q: list[Padding]
     kv: list[Padding]
-    structure: RingSides
+    counts: list[tuple[int, int]]
+    pairs: tuple[tuple[Layout | None, ...], ...]
 
-    def wire(self, queries: list[ShardedQueries], kv_shards: list[ShardedKV]) -> tuple[list[dict], list[dict]]:
-        """This layer's on-wire arrays: its ``q``, ``k`` and ``v``, padded,
-        beside the planned coordinates."""
-        q_wire = [{"q": p.fill(s.q), "pos": p.positions, "seq": p.seq_ids} for s, p in zip(queries, self.q)]
+    def wire(self, qs: list[np.ndarray], kv_shards: list[ShardedKV]) -> tuple[list[dict], list[dict]]:
+        """This layer's on-wire arrays: each rank's query rows ``qs`` and
+        its shard's ``k`` and ``v``, filled into the planned messages beside
+        the planned coordinates.
+
+        Raises:
+            ValueError: unless there is one query array and KV shard per
+                planned rank, each of the token counts the plan was built
+                for (naming the first rank that differs).
+        """
+        n = len(self.counts)
+        if len(qs) != n or len(kv_shards) != n:
+            raise ValueError(f"the plan is for {n} ranks, handed {len(qs)} queries and {len(kv_shards)} KV shards")
+        counts = [(len(q), len(s.k)) for q, s in zip(qs, kv_shards)]
+        if counts != self.counts:
+            rank = next(r for r, (got, want) in enumerate(zip(counts, self.counts)) if got != want)
+            (nq, nk), (wq, wk) = counts[rank], self.counts[rank]
+            raise ValueError(
+                f"rank {rank} holds {nq} query and {nk} KV tokens, its plan {wq} and {wk}: "
+                "a plan serves the structure it was built from"
+            )
+        q_wire = [{"q": p.fill(q), "pos": p.positions, "seq": p.seq_ids} for q, p in zip(qs, self.q)]
         kv_wire = [
             {"k": p.fill(s.k), "v": p.fill(s.v), "pos": p.positions, "seq": p.seq_ids}
             for s, p in zip(kv_shards, self.kv)
@@ -149,86 +162,50 @@ class PaddedSides(NamedTuple):
         return q_wire, kv_wire
 
 
-def padded_sides(queries: list[ShardedQueries], kv_shards: list[ShardedKV], *, pass_q: bool) -> PaddedSides:
-    """Plan a prefill ring's sides: pass-Q pads the queries, pass-KV the KV."""
-    if pass_q:
-        q, _ = plan_query_padding(queries)
-        kv = [Padding.as_is(s) for s in kv_shards]
-    else:
-        q = [Padding.as_is(s) for s in queries]
-        kv, _ = plan_kv_padding(kv_shards)
-    q_runs, q_reach = [], []
-    for p in q:
-        q_runs.append((p.runs, p.run_index))
-        q_reach.append(query_reach(p.positions, p.seq_ids, p.runs))
-    _, k_reach = kv_structure(kv_shards)  # (padding moves no sequence's first key)
-    return PaddedSides(q, kv, RingSides(q_runs, q_reach, [(p.runs, p.run_index) for p in kv], k_reach))
-
-
-class RingPlan:
-    """A ring's plan, kept across runs of the same ring over new ``q``,
-    ``k`` and ``v`` (a round's layers): per ``(step, rank)`` pair, ``None``
-    where the pair's partial is masked, else its kernel
-    :class:`~repro.attention.flash.Layout` (``pairs``), and what the ring's
-    adapter derived from the shards' structure (``sides``: a prefill ring's
-    :class:`PaddedSides`, decode's :class:`RingSides`). The first run plans;
-    a later run reuses the plan only while every shard it is handed carries
-    the very ``positions``, ``seq_ids`` and ``runs`` objects the plan was
-    built from — what ``RankKVCache.get`` shares across a round's layers,
-    and what the engine's queries ride on — and starts over otherwise. A
-    decode ring checks its KV shards alone: its query side is fixed by the
-    round plan that owns this one.
-
-    A kept plan holds one round's: each visible pair's layout (its
-    ``[S, R, L]`` mask and gather indices, about one bool per query–key
-    pair of the partial) and the padded coordinates. It dies with the round.
+def plan_ring(q: list[Padding], q_counts: list[int], kv_shards: list[ShardedKV], *, pass_q: bool) -> RingPlan:
+    """The :class:`RingPlan` of a ring over these query messages (of
+    ``q_counts`` tokens each) and KV shards: pass-KV pads the KV
+    (:func:`~repro.core.sharding.plan_kv_padding`), pass-Q sends it as it
+    stands; each ``(step, rank)`` pair is decided on the origins' reach and,
+    where visible, laid out. The KV reach is the one ``RankKVCache.get``
+    attached, else one scan (padding moves no sequence's first key).
     """
-
-    def __init__(self) -> None:
-        self.built_from: list = []
-        self.pairs: dict[tuple[int, int], Layout | None] = {}
-        self.sides: PaddedSides | RingSides | None = None
-
-    def for_structure(self, *sides: list) -> dict:
-        """The pairs planned over these shards' structure (one list of
-        shards per side): what a run over the same objects left, else none."""
-        structure = [(s.positions, s.seq_ids, s.runs) for shards in sides for s in shards]
-        if len(structure) != len(self.built_from) or any(
-            a is not b for now, then in zip(structure, self.built_from) for a, b in zip(now, then)
-        ):
-            self.built_from, self.pairs, self.sides = structure, {}, None
-        return self.pairs
-
-
-def planned_sides(
-    plan: RingPlan | None, queries: list[ShardedQueries], kv_shards: list[ShardedKV], *, pass_q: bool
-) -> tuple[PaddedSides, dict | None]:
-    """A prefill ring's sides and pairs: ``plan``'s while it was built over
-    these shards' structure, else planned now (and kept on ``plan``)."""
-    if plan is None:
-        return padded_sides(queries, kv_shards, pass_q=pass_q), None
-    pairs = plan.for_structure(queries, kv_shards)
-    if plan.sides is None:
-        plan.sides = padded_sides(queries, kv_shards, pass_q=pass_q)
-    return plan.sides, pairs
+    if len(q) != len(kv_shards):
+        raise ValueError(f"need one query payload per KV shard: queries={len(q)}, kvs={len(kv_shards)}")
+    kv = [Padding.as_is(s) for s in kv_shards] if pass_q else plan_kv_padding(kv_shards)[0]
+    q_reach = [query_reach(p.positions, p.seq_ids, p.runs) for p in q]
+    k_reach = [s.reach if s.reach is not None else kv_reach(s.positions, s.seq_ids, s.runs) for s in kv_shards]
+    pairs = []
+    for origins in _schedule(len(q)):
+        layouts = []
+        for rank, src in enumerate(origins):
+            qo, ko = (src, rank) if pass_q else (rank, src)  # origins of the held Q and KV
+            a, b = q[qo], kv[ko]
+            layouts.append(None if partial_fully_masked(q_reach[qo], k_reach[ko]) else attention_layout(
+                len(a.positions), len(b.positions),
+                q_pos=a.positions, k_pos=b.positions, q_seq=a.seq_ids, k_seq=b.seq_ids,
+                q_runs=(a.runs, a.run_index), k_runs=(b.runs, b.run_index),
+            ))
+        pairs.append(tuple(layouts))
+    return RingPlan(q, kv, [(nq, len(s.k)) for nq, s in zip(q_counts, kv_shards)], tuple(pairs))
 
 
-@functools.cache
-def _schedule(n: int) -> tuple[tuple[int, ...], ...]:
-    """``[step][rank]``: the origin of the payload ``rank`` holds at ``step``."""
-    return tuple(tuple(source_rank_at_step(rank, step, n) for rank in range(n)) for step in range(n))
+def plan_prefill(queries: list[ShardedQueries], kv_shards: list[ShardedKV], *, pass_q: bool) -> RingPlan:
+    """A prefill ring's plan: pass-Q pads the queries
+    (:func:`~repro.core.sharding.plan_query_padding`), pass-KV the KV."""
+    q = plan_query_padding(queries)[0] if pass_q else [Padding.as_is(s) for s in queries]
+    return plan_ring(q, [len(s) for s in queries], kv_shards, pass_q=pass_q)
 
 
 def ring_sweep(
     group: SimProcessGroup,
     q_wire: list[dict],
     kv_wire: list[dict],
-    sides: RingSides,
+    pairs: tuple[tuple[Layout | None, ...], ...],
     *,
     pass_q: bool,
     tags: tuple[str, str | None],
     block_size: int,
-    pairs: dict | None = None,
 ) -> list[AttentionResult]:
     """One exact ring: each rank's attention for the queries that started on it.
 
@@ -239,14 +216,10 @@ def ring_sweep(
         kv_wire: per origin rank, the KV's on-wire arrays: ``"k"`` and
             ``"v"`` ``[T, NKV, DH]``, ``"pos"``, ``"seq"``; one ``T`` when
             they travel.
-        sides: per origin rank, both sides' ``(offsets, index)`` runs and
-            reach (:class:`RingSides`).
+        pairs: ``[step][rank]``, the pair's kernel layout, ``None`` where
+            masked (:attr:`RingPlan.pairs`).
         pass_q: the queries travel (pass-Q), not the KV (pass-KV).
         tags: the ring shift's collective tag, then pass-Q's All2All's.
-        pairs: the pairs' plan, ``RingPlan.for_structure``'s, kept by a
-            caller that runs this ring again over the same structure (a
-            round's layers); without one, each pair is decided and laid out
-            for this run alone.
 
     Raises:
         ValueError: unless there is one query payload and KV payload per
@@ -266,7 +239,6 @@ def ring_sweep(
             i = int(got[0] == heads[0])
             side = ("query payload", "KV shard")[i]
             raise ValueError(f"rank {rank}'s {side} has [NH, DH] {got[i]}, rank 0's {heads[i]}")
-    q_runs, q_reach, k_runs, k_reach = sides
 
     held = q_wire if pass_q else kv_wire  # the travelling side, by holder
     if pass_q:
@@ -277,32 +249,17 @@ def ring_sweep(
         sent = [[zero] * n for _ in range(n)]
     else:
         running = [RunningSum() for _ in range(n)]
-    # Each pair is decided and laid out here, once; the plan is kept only
-    # where the caller keeps it, for the round.
-    keep = pairs is not None
-    pairs = pairs if keep else {}
-    for step, origins in enumerate(_schedule(n)):
-        for rank, src in enumerate(origins):
-            qo, ko = (src, rank) if pass_q else (rank, src)  # origins of the held Q and KV
-            q, kv = (held[rank], kv_wire[rank]) if pass_q else (q_wire[rank], held[rank])
-            if (step, rank) in pairs:
-                layout = pairs[step, rank]
-            else:
-                layout = None if partial_fully_masked(q_reach[qo], k_reach[ko]) else attention_layout(
-                    q["q"].shape[0], kv["k"].shape[0],
-                    q_pos=q["pos"], k_pos=kv["pos"], q_seq=q["seq"], k_seq=kv["seq"],
-                    q_runs=q_runs[qo], k_runs=k_runs[ko],
-                )
-                if keep:
-                    pairs[step, rank] = layout
+    for step, (origins, layouts) in enumerate(zip(_schedule(n), pairs)):
+        for rank, (src, layout) in enumerate(zip(origins, layouts)):
             if layout is None:
                 continue
+            q, kv = (held[rank], kv_wire[rank]) if pass_q else (q_wire[rank], held[rank])
             sums = flash_attention(q["q"], kv["k"], kv["v"], block_size=block_size, sums=True, layout=layout)
             if pass_q:
                 sent[rank][src] = sums
             else:
                 running[rank].add(sums)
-            del sums, layout  # (a step's sums must not outlive it into the next step)
+            del sums  # (a step's sums must not outlive it into the next step)
         if step < n - 1:
             held = group.ring_shift(held, step=step, tag=tags[0])
 

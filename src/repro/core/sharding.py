@@ -102,7 +102,7 @@ class ShardedKV:
 
     ``runs`` and ``run_index``: as on :class:`ShardedQueries`. ``reach``: the
     shard's :func:`repro.core.ring_skip.kv_reach` where the producer has it
-    (``RankKVCache.get``, once per round), else ``None`` and the ring scans.
+    (``RankKVCache.get``, once per round), else ``None`` and the plan scans.
     """
 
     k: np.ndarray  # [n, NKV, DH]

@@ -129,9 +129,6 @@ class RankKVCache:
         self.capacity_tokens = capacity_tokens
         self.block_size = block_size
         self._streams: dict[tuple[int, int], _Stream] = {}
-        # The last layer-0 read's (request, sids, lengths, structure) until the
-        # next write; the structure is every ShardedKV field beside K and V.
-        self._structure: tuple | None = None
         num_blocks = 0 if capacity_tokens is None else -(-capacity_tokens // block_size)
         self._allocator = (
             None
@@ -171,7 +168,6 @@ class RankKVCache:
         if k.shape[0] == 0:
             return
         if layer == 0:
-            self._structure = None
             if self._allocator is not None:
                 try:
                     self._allocator.append((seq_id,), k.shape[0])
@@ -182,7 +178,7 @@ class RankKVCache:
             stream = self._streams[(layer, seq_id)] = _Stream()
         stream.append((k, v, positions))
 
-    def get(self, layer: int, seq_ids: list[int] | None = None) -> ShardedKV:
+    def get(self, layer: int, seq_ids: list[int] | None = None, *, like: ShardedKV | None = None) -> ShardedKV:
         """Fused :class:`ShardedKV` view of this rank's cache at ``layer``.
 
         One run per cached sequence, in ``seq_ids`` order, with the run
@@ -191,19 +187,19 @@ class RankKVCache:
         slab; a fused read copies each column once. Either way the result
         never changes under a later append or trim.
 
-        Only K and V are a layer's own. The rest — the *structure* — is
-        derived by a layer-0 read and, until the next write, handed as the
-        same read-only objects to a later layer's read for the same
-        ``seq_ids`` list object (a round passes one list at every layer),
-        whose streams must then be as long as layer 0's.
+        Only K and V are a layer's own. The rest — the *structure* — a round
+        derives once: its later layers' reads pass the round's layer-0 read
+        as ``like`` and take its structure, as the same read-only objects,
+        once their streams are checked to hold its token set.
 
         Args:
             layer: transformer layer.
             seq_ids: restrict to these sequences (default: all, sorted).
+            like: a read of the same ``seq_ids`` at another layer whose
+                structure this read shares.
 
         Raises:
-            ValueError: when ``layer`` holds other token counts than the
-                layer-0 read whose structure it would share.
+            ValueError: when ``layer`` holds another token set than ``like``.
         """
         self._check_layer(layer)
         if seq_ids is None:
@@ -214,39 +210,40 @@ class RankKVCache:
             if stream is not None:
                 sids.append(sid)
                 streams.append(stream)
-        if not streams:
-            return ShardedKV.empty(self.n_kv_heads, self.head_dim)
         lengths = [s.n for s in streams]
-        shared = None
-        if layer and self._structure is not None and self._structure[0] is seq_ids:
-            _, had_sids, had_lengths, shared = self._structure
+        if like is not None:
+            had_sids, had_lengths = list(like.run_index), (like.runs[1:] - like.runs[:-1]).tolist()
             if (had_sids, had_lengths) != (sids, lengths):
                 raise ValueError(
-                    f"layer {layer} holds {lengths} tokens of sequences {sids}, layer 0 held "
-                    f"{had_lengths} of {had_sids}: every layer must store the same token set"
+                    f"layer {layer} holds {lengths} tokens of sequences {sids}, the round's first "
+                    f"read {had_lengths} of {had_sids}: every layer must store the same token set"
                 )
+        if not streams:
+            return ShardedKV.empty(self.n_kv_heads, self.head_dim)
         if len(streams) == 1:
             cols = streams[0].head()  # zero-copy: read-only views of the slab
         else:  # (the positions column is structure)
             cols = tuple(
                 np.concatenate([s.cols[i][: s.n] for s in streams], axis=0)
-                for i in range(3 if shared is None else 2)
+                for i in range(3 if like is None else 2)
             )
         k, v = cols[:2]
-        if shared is None:
-            runs = np.concatenate(([0], np.cumsum(lengths)))
-            shared = dict(
-                positions=cols[-1],
-                seq_ids=np.repeat(np.array(sids, dtype=np.int64), lengths),
-                runs=runs,
-                run_index=dict(zip(sids, range(len(sids)))),
-                reach=dict(zip(sids, np.minimum.reduceat(cols[-1], runs[:-1]).tolist())),
+        if like is not None:
+            return ShardedKV(
+                k=k, v=v, positions=like.positions, seq_ids=like.seq_ids,
+                runs=like.runs, run_index=like.run_index, reach=like.reach,
             )
-            for name in ("positions", "seq_ids", "runs"):
-                shared[name].flags.writeable = False
-            if layer == 0:
-                self._structure = (seq_ids, sids, lengths, shared)
-        return ShardedKV(k=k, v=v, **shared)
+        runs = np.concatenate(([0], np.cumsum(lengths)))
+        structure = dict(
+            positions=cols[-1],
+            seq_ids=np.repeat(np.array(sids, dtype=np.int64), lengths),
+            runs=runs,
+            run_index=dict(zip(sids, range(len(sids)))),
+            reach=dict(zip(sids, np.minimum.reduceat(cols[-1], runs[:-1]).tolist())),
+        )
+        for name in ("positions", "seq_ids", "runs"):
+            structure[name].flags.writeable = False
+        return ShardedKV(k=k, v=v, **structure)
 
     # ------------------------------------------------------------------ #
 
@@ -324,7 +321,6 @@ class RankKVCache:
         if any(sid == dst_seq for (_lyr, sid) in self._streams):
             raise ValueError(f"sequence {dst_seq} already cached on this rank")
         shared = 0
-        self._structure = None
         for layer in range(self.n_layers):
             stream = self._streams.get((layer, src_seq))
             if stream is None:
@@ -356,7 +352,6 @@ class RankKVCache:
         if from_pos < 0:
             raise ValueError(f"from_pos must be >= 0, got {from_pos}")
         freed = 0
-        self._structure = None
         for layer in range(self.n_layers):
             stream = self._streams.get((layer, seq_id))
             if stream is None:
@@ -384,7 +379,6 @@ class RankKVCache:
             runtime uses the return value for eviction accounting.
         """
         freed = self.tokens(seq_id)
-        self._structure = None
         for layer in range(self.n_layers):
             self._streams.pop((layer, seq_id), None)
         if self._allocator is not None:

@@ -146,14 +146,15 @@ class TestDecode:
         np.testing.assert_array_equal(after - before, np.ones(world, dtype=int))
 
     def test_a_round_derives_its_plan_and_its_kv_structure_once(self, monkeypatch):
-        """Per decode round, whatever the layer count: one round-robin
-        assignment (the engine reads the ring's plan, it derives none of its
-        own); per rank, one KV structure — positions, sequence ids, runs,
-        run index, reach — that every layer's read shares, so the ring scans
-        no shard for its reach; and per visible (step, rank) pair of the
-        ring, one kernel layout, built at the first layer and handed to the
-        kernel at every layer. The logits are an untouched engine's."""
-        import repro.core.ring_decode as ring_decode
+        """Per decode round, whatever the layer count: one round plan, built
+        over the layer-0 reads and handed to the ring at every layer; per
+        rank, one KV structure — positions, sequence ids, runs, run index,
+        reach — that every later layer's read takes from the layer-0 read,
+        so the ring scans no shard for its reach; and per visible (step,
+        rank) pair of the ring, one kernel layout, built with the plan and
+        handed to the kernel at every layer. The logits are an untouched
+        engine's."""
+        import repro.core.engine as engine_module
         import repro.core.ring_skip as ring_skip
         from repro.kvcache.cache import RankKVCache
 
@@ -167,14 +168,18 @@ class TestDecode:
         want.prefill(prompts)
         want = want.decode(tokens)
 
-        assigned, scanned, reads = [], [], []
-        assignment, reach, get = ring_decode.round_robin_assignment, ring_skip.kv_reach, RankKVCache.get
+        planned, handed_plans, scanned, reads = [], [], [], []
+        round_plan, ring, reach, get = (
+            engine_module.round_plan, engine_module.ring_passq_decode, ring_skip.kv_reach, RankKVCache.get
+        )
+        monkeypatch.setattr(engine_module, "round_plan", lambda *a: planned.append(round_plan(*a)) or planned[-1])
         monkeypatch.setattr(
-            ring_decode, "round_robin_assignment", lambda *a: assigned.append(a) or assignment(*a)
+            engine_module, "ring_passq_decode", lambda *a, **kw: handed_plans.append(kw["plan"]) or ring(*a, **kw)
         )
         monkeypatch.setattr(ring_skip, "kv_reach", lambda *a: scanned.append(a) or reach(*a))
         monkeypatch.setattr(
-            RankKVCache, "get", lambda self, layer, sids: reads.append((self, get(self, layer, sids))) or reads[-1][1]
+            RankKVCache, "get",
+            lambda self, layer, sids, **kw: reads.append((self, get(self, layer, sids, **kw))) or reads[-1][1],
         )
         built, handed = [], []
         layout, kernel = ring_skip.attention_layout, ring_skip.flash_attention
@@ -183,7 +188,8 @@ class TestDecode:
             ring_skip, "flash_attention", lambda *a, **kw: handed.append(kw["layout"]) or kernel(*a, **kw)
         )
         got = engine.decode(tokens)
-        assert len(assigned) == 1 and not scanned
+        assert len(planned) == 1 and not scanned
+        assert len(handed_plans) == 3 and all(plan is planned[0] for plan in handed_plans)
         assert len(reads) == world * 3
         assert built and len(handed) == 3 * len(built)
         assert all(sum(h is b for h in handed) == 3 for b in built)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan, round_robin_assignment
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
@@ -164,9 +164,10 @@ class TestStackedMerge:
 class TestRoundPlan:
     def test_one_batch_across_layers_derives_the_round_once(self, rng, monkeypatch):
         """What ``engine.decode`` does: one batch per round, each layer's
-        queries written into it in place. The layer-invariant metadata is
-        derived at the first layer only, and the second layer's result is
-        the one a freshly built batch gives."""
+        queries written into it in place, and one plan built over the first
+        layer's shards handed to the ring at every layer. The round is
+        derived by the plan alone — a ring handed it derives nothing — and
+        the second layer's result is the one a freshly built batch gives."""
         import repro.core.ring_decode as ring_decode
 
         derived = []
@@ -177,26 +178,28 @@ class TestRoundPlan:
         world, batch = 4, 6  # 6 over 4 ranks: pad rows in two payloads
         kv_shards, layer0, _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
         group = SimProcessGroup(world)
-        ring_passq_decode(group, kv_shards, layer0, step=0)
+        plan = round_plan(layer0, kv_shards, 0)
+        ring_passq_decode(group, kv_shards, layer0, step=0, plan=plan)
         next_q = rng.standard_normal(layer0.q.shape)
         layer0.q[...] = next_q  # the next layer's projections, same tokens
-        again, _ = ring_passq_decode(group, kv_shards, layer0, step=0)
+        again, _ = ring_passq_decode(group, kv_shards, layer0, step=0, plan=plan)
         assert len(derived) == 1
         fresh = DecodeBatch(q=next_q.copy(), positions=layer0.positions, seq_ids=layer0.seq_ids)
         want, _ = ring_passq_decode(SimProcessGroup(world), kv_shards, fresh, step=0)
         assert np.array_equal(again.out, want.out) and np.array_equal(again.lse, want.lse)
-        # another step (or world size) is another plan
+        # a ring handed no plan plans for itself, each call
         derived.clear()
         ring_passq_decode(group, kv_shards, layer0, step=4)
-        assert len(derived) == 1
+        ring_passq_decode(group, kv_shards, layer0, step=4)
+        assert len(derived) == 2
 
 
     def test_one_kv_reach_per_rank_per_round(self, rng, monkeypatch):
         """The shards ``RankKVCache.get`` hands a round carry their reach —
-        derived by the layer-0 read, the same object at every later layer —
-        so the ring scans none of them; a hand-built shard carries none and
-        is scanned, once per ring. Either way the skip decisions, and so the
-        result, are the same."""
+        derived by the layer-0 read and taken, as the same object, by every
+        later layer's read ``like`` it — so the plan scans none of them; a
+        hand-built shard carries none and is scanned, once per plan. Either
+        way the skip decisions, and so the result, are the same."""
         import repro.core.ring_skip as ring_skip
         from repro.core.ring_skip import kv_reach
         from repro.kvcache.cache import RankKVCache
@@ -212,8 +215,12 @@ class TestRoundPlan:
         scanned = []
         monkeypatch.setattr(ring_skip, "kv_reach", lambda *a: scanned.append(a) or kv_reach(*a))
         sids, group = list(range(batch)), SimProcessGroup(world)
-        rounds = [[cache.get(layer, sids) for cache in caches] for layer in range(layers)]
-        results = [ring_passq_decode(group, shards, batch_obj, step=0)[0] for shards in rounds]
+        first = [cache.get(0, sids) for cache in caches]
+        rounds = [first] + [
+            [cache.get(layer, sids, like=kv) for cache, kv in zip(caches, first)] for layer in range(1, layers)
+        ]
+        plan = round_plan(batch_obj, first, 0)
+        results = [ring_passq_decode(group, shards, batch_obj, step=0, plan=plan)[0] for shards in rounds]
         assert not scanned
         for rank in range(world):
             assert len({id(shards[rank].reach) for shards in rounds}) == 1
@@ -226,25 +233,28 @@ class TestRoundPlan:
 
 class TestPairLayouts:
     """A round plans its ring's (step, rank) pairs once — the skip decision
-    and, for a pair it computes, the kernel layout — and its later layers
-    reuse that plan only over the structure it was planned on."""
+    and, for a pair it computes, the kernel layout — over the structure of
+    its first layer's shards, and a plan serves that structure only."""
 
-    def test_a_reused_batch_replans_over_another_kv_structure(self, rng):
-        """The same batch, its plan built over one set of KV shards, then run
-        over shards of another structure — each rank's tokens, as many as
-        before, stored with their sequences in reverse order: the result is
-        a fresh batch's, bit for bit, and exact."""
+    def test_a_plan_handed_another_kv_token_count_raises(self, rng):
+        """A round's plan, built over one set of KV shards, handed shards in
+        which one rank holds a token more: the ring raises, naming the
+        rank, before any step runs — it never replans behind the caller's
+        back. A ring handed no plan over the same shards is exact."""
         world, batch = 4, 6
         kv_shards, reused, refs = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
-        ring_passq_decode(SimProcessGroup(world), kv_shards, reused, step=0)
-        moved = []
-        for kv in kv_shards:
-            order = np.argsort(-kv.seq_ids, kind="stable")
-            moved.append(ShardedKV(k=kv.k[order], v=kv.v[order], positions=kv.positions[order], seq_ids=kv.seq_ids[order]))
-        got, _ = ring_passq_decode(SimProcessGroup(world), moved, reused, step=0)
-        fresh = DecodeBatch(q=reused.q.copy(), positions=reused.positions, seq_ids=reused.seq_ids)
-        want, _ = ring_passq_decode(SimProcessGroup(world), moved, fresh, step=0)
-        assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
+        plan = round_plan(reused, kv_shards, 0)
+        grown = list(kv_shards)
+        kv = grown[2]
+        grown[2] = ShardedKV(
+            k=np.concatenate([kv.k, kv.k[:1]]), v=np.concatenate([kv.v, kv.v[:1]]),
+            positions=np.append(kv.positions, 10**6), seq_ids=np.append(kv.seq_ids, 99),
+        )
+        group = traced_group(world)
+        with pytest.raises(ValueError, match="rank 2 holds"):
+            ring_passq_decode(group, grown, reused, step=0, plan=plan)
+        assert not group.tracer.events
+        got, _ = ring_passq_decode(SimProcessGroup(world), grown, reused, step=0)
         for b in range(batch):
             np.testing.assert_allclose(got.out[b], refs[b][0], atol=1e-10)
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.ring_passkv import ring_passkv_prefill
-from repro.core.ring_skip import RingPlan
+from repro.core.ring_skip import plan_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
@@ -123,27 +123,30 @@ class TestPartialPrefill:
 
 class TestRingPlan:
     """A prefill round hands its ring one plan at every layer: the padding,
-    the skip decisions and the kernel layouts the first run planned over
-    the structure every layer's shards share."""
+    the skip decisions and the kernel layouts, built over the first layer's
+    shards, serving their structure only."""
 
-    def test_a_kept_plan_replans_over_another_structure(self, rng):
-        """One plan, run over a fused partial-prefill round whose ranks hold
-        different per-sequence KV counts (so the KV is padded), then over
-        shards that hold the same token counts per rank and sequence in
-        another structure — each rank's sequences stored in reverse order:
-        the result is a fresh ring's, bit for bit, and exact."""
+    def test_a_plan_handed_another_token_count_raises(self, rng):
+        """A plan built over a fused partial-prefill round whose ranks hold
+        different per-sequence KV counts (so the KV is padded), handed the
+        same shards but one rank's KV a token short: the ring raises,
+        naming the rank, before any step runs — it never replans behind
+        the caller's back. Over the shards it was built for, the plan's
+        result is a fresh ring's, bit for bit, and exact."""
         world = 3
         prefill = PrefillRound(world, {0: ([6, 5, 0], 6), 1: ([0, 0, 4], 9), 2: ([0, 0, 0], 5)})
         per_seq = prefill.arrays(rng)
         queries, kvs = prefill.shards(per_seq)
-        plan = RingPlan()
-        ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=plan)
-        moved = []
-        for kv in kvs:
-            order = np.argsort(-kv.seq_ids, kind="stable")
-            moved.append(ShardedKV(k=kv.k[order], v=kv.v[order], positions=kv.positions[order], seq_ids=kv.seq_ids[order]))
-        got = ring_passkv_prefill(SimProcessGroup(world), queries, moved, plan=plan)
-        want = ring_passkv_prefill(SimProcessGroup(world), queries, moved)
+        plan = plan_prefill(queries, kvs, pass_q=False)
+        short = list(kvs)
+        kv = short[1]
+        short[1] = ShardedKV(k=kv.k[:-1], v=kv.v[:-1], positions=kv.positions[:-1], seq_ids=kv.seq_ids[:-1])
+        group = traced_group(world)
+        with pytest.raises(ValueError, match="rank 1 holds"):
+            ring_passkv_prefill(group, queries, short, plan=plan)
+        assert not group.tracer.events
+        got = ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=plan)
+        want = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
         refs = {}
         for sid, (q, k, v) in per_seq.items():
             p, t = prefill.context(sid)

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attention.masks import PAD_SEQ, attention_mask
+from repro.attention.reference import reference_attention_with_lse
 from repro.core.ring_decode import DecodeBatch, ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
+
+from helpers import PrefillRound
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -119,3 +122,36 @@ class TestOneHeadLayout:
         attend rank 1 in another GQA grouping or answer with its heads."""
         with pytest.raises(ValueError, match=match):
             run()
+
+
+#: A fused round on CP3: sequence 0 a partial prefill over KV cached 4 / 2 /
+#: 3 on the ranks, sequence 1 a full prefill, so every rank's sum takes
+#: several visible partials and a pass-KV shard is padded.
+_FIXED = ((3, {0: ([4, 2, 3], 7), 1: ([0, 0, 0], 11)}), 5)
+
+
+def _exact(ring) -> None:
+    """``ring`` over the fixed round equals the per-sequence reference."""
+    (world, seqs), seed = _FIXED
+    prefill = PrefillRound(world, seqs)
+    per_seq = prefill.arrays(np.random.default_rng(seed))
+    queries, kvs = prefill.shards(per_seq)
+    results = ring(SimProcessGroup(world), queries, kvs)
+    for sid, (q, k, v) in per_seq.items():
+        p, t = prefill.context(sid)
+        want_out, want_lse = reference_attention_with_lse(q, k, v, q_pos=np.arange(p, p + t), k_pos=np.arange(p + t))
+        for res, qs in zip(results, queries):
+            rows = np.flatnonzero(qs.seq_ids == sid)
+            np.testing.assert_allclose(res.out[rows], want_out[qs.positions[rows] - p], atol=1e-10)
+            np.testing.assert_allclose(res.lse[rows], want_lse[qs.positions[rows] - p], atol=1e-10)
+
+
+class TestFixedShapeExactness:
+    """One fixed round through each prefill ring: the cheap exactness check
+    beside ``test_prop_ring.py``'s whole-ring properties."""
+
+    def test_passkv_exact(self):
+        _exact(ring_passkv_prefill)
+
+    def test_passq_exact(self):
+        _exact(ring_passq_prefill)

@@ -80,9 +80,10 @@ def _rows(positions, seed=0):
 
 class TestStructureIsSharedAcrossLayers:
     """Only K and V are a layer's own: what else a read derives — positions,
-    sequence ids, runs, run index, the ring's reach — a layer-0 read hands
-    to the later layers' reads of the same round (the same ``seq_ids`` list),
-    read-only, after checking that their streams are as long as its own."""
+    sequence ids, runs, run index, the ring's reach — a round's later layers
+    take from its layer-0 read, handed over as ``like``, read-only, after
+    checking that their streams hold its token set. The cache keeps nothing
+    from a read."""
 
     FIELDS = ("positions", "seq_ids", "runs", "run_index", "reach")
 
@@ -100,8 +101,8 @@ class TestStructureIsSharedAcrossLayers:
         cache = make_cache()
         self.fill(cache)
         first = cache.get(0, request_ids)
-        later = cache.get(1, request_ids)
-        fresh = cache.get(1, list(request_ids))  # an equal list is not the round's list
+        later = cache.get(1, request_ids, like=first)
+        fresh = cache.get(1, request_ids)  # without ``like``, a read derives its own
         for name in self.FIELDS:
             assert getattr(later, name) is getattr(first, name)
             assert getattr(fresh, name) is not getattr(first, name)
@@ -116,25 +117,25 @@ class TestStructureIsSharedAcrossLayers:
                 getattr(later, name)[0] = 99
 
     def test_a_length_mismatch_at_one_layer_raises(self):
-        """A layer that holds another token count than layer 0 is never
-        handed layer 0's structure: the read raises."""
+        """A layer that holds another token count than the layer-0 read it
+        is handed is never given that read's structure: the read raises."""
         cache = make_cache()
         self.fill(cache)
         cache.append(1, 2, *_rows([9]))  # layer 1 only
         sids = [5, 2, 8]
-        cache.get(0, sids)
+        first = cache.get(0, sids)
         with pytest.raises(ValueError, match="same token set"):
-            cache.get(1, sids)
-        assert len(cache.get(1, list(sids))) == len(cache.get(0, sids)) + 1  # unshared reads still serve
+            cache.get(1, sids, like=first)
+        assert len(cache.get(1, sids)) == len(first) + 1  # its own reads still serve
 
     def test_a_missing_stream_at_one_layer_raises(self):
         cache = make_cache()
         self.fill(cache)
         self.fill(cache, sids=(4,), layers=(0,))
         sids = [5, 4, 2, 8]
-        cache.get(0, sids)
+        first = cache.get(0, sids)
         with pytest.raises(ValueError, match="same token set"):
-            cache.get(1, sids)
+            cache.get(1, sids, like=first)
 
     WRITES = {
         "append": lambda c: c.append(0, 2, *_rows([20])),
@@ -145,8 +146,9 @@ class TestStructureIsSharedAcrossLayers:
 
     @pytest.mark.parametrize("write", list(WRITES))
     def test_any_write_ends_the_sharing(self, write):
-        """A structure is a round's: after a write the next read derives its
-        own, from the streams as they now are."""
+        """The cache keeps nothing from a read: after a write, a read not
+        handed ``like`` derives its structure from the streams as they now
+        are, whatever was read before."""
         cache = make_cache()
         self.fill(cache)
         sids = [5, 2, 8]

@@ -16,10 +16,10 @@ remedy ladder (``_rungs``, then full eviction), and the prefill fit
 member — its FCFS tail — before its oldest; the one ring sweep
 (``ring_skip.ring_sweep``): its shard skip (``partial_fully_masked``),
 which alone decides which ring-step partials are replaced by the merge
-identity and must test a pass-Q payload by its origin's reach, and its sum
-of every step's partial (``RunningSum``); the varlen kernel's pairing of a
-padded group's query and key runs, and the KV cache's round structure,
-which a write must end (``RankKVCache.append``); what the deployment
+identity and must test a pass-Q payload by its origin's reach (decided
+once per round, in ``ring_skip.plan_ring``), and its sum of every step's
+partial (``RunningSum``); the varlen kernel's pairing of a padded group's
+query and key runs; what the deployment
 builder (``runtime/config.py``) derives: per-replica tracer scopes, TP
 decode pricing and the decode pool's capacity; the counters
 (``serving/metrics.py``): a round's duration check, the ``finish`` row's
@@ -47,12 +47,17 @@ must be a finite time (``TurnRequest.__post_init__``), and the fleet must
 check a prompt's vocabulary before it routes (``ReplicaFleet.submit``).
 Two edit the process group's delivery (``process_group._deliver``), which
 must freeze every array it hands a receiver — the rings' source ranks add
-the sums they receive — and refuse what it cannot freeze. Two edit a
-ring's plan (``ring_skip.RingPlan``), which a round's later layers may
-reuse only over the structure it was built on: a decode round's and a
-prefill round's (``ring_skip.planned_sides``). One moves the KV cache's
-tail cut (``RankKVCache.drop_tail``) by one position. An entry may name several killers; each must pass
-on the real code and fail on the mutant.
+the sums they receive — and refuse what it cannot freeze. Two edit the
+seams of a round's one structure: a later layer's KV read must check that
+it holds the token set of the layer-0 read it takes its structure from
+(``RankKVCache.get``), and a ring's plan must refuse a shard of another
+token count than it was built for (``ring_skip.RingPlan.wire``). One moves
+the KV cache's tail cut (``RankKVCache.drop_tail``) by one position. Two
+edit the runtime's KV moves: dropping a host-store payload must hand its
+tokens back to the swap budget (``Pool.discard_stored``), and a cancelled
+transfer must refund its un-streamed wire time (``KVTransferStream.cancel``).
+An entry may name several killers; each must pass on the real code and
+fail on the mutant.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from dataclasses import replace
 
 from repro.attention import flash
 from repro.cluster import ReplicaFleet
-from repro.core import ring_decode, ring_passkv, ring_passq, ring_skip
+from repro.core import ring_decode, ring_skip
 from repro.core.merge import RunningSum
 from repro.core.shape_engine import ShapeEngine
 from repro.distributed import process_group
@@ -81,8 +86,10 @@ from repro.obs import dumps_jsonl, timeline
 from repro.perf import latency
 from repro.perf.hardware import HostSpec, gtt_host
 from repro.runtime import config as serve_config
+from repro.runtime.pool import Pool
 from repro.runtime.runtime import ContinuousBatchingRuntime as Runtime
 from repro.runtime.state import RequestState, TurnRequest
+from repro.runtime.transfer import KVTransferStream
 from repro.serving import metrics as serving_metrics
 from repro.workloads import replay
 
@@ -211,12 +218,11 @@ def _passq_skips_by_holder_reach(monkeypatch):
     payload, not of the rank it started on: a travelling payload's visible
     partial is skipped wherever the holder's own queries see none of its KV."""
     patch_source(
-        monkeypatch, ring_skip, "ring_sweep",
+        monkeypatch, ring_skip, "plan_ring",
         "qo, ko = (src, rank) if pass_q else (rank, src)",
         "qo, ko = (rank, rank) if pass_q else (rank, src)",
     )
-    for ring in (ring_passkv, ring_passq, ring_decode):  # (each binds the sweep by name)
-        monkeypatch.setattr(ring, "ring_sweep", ring_skip.ring_sweep)
+    monkeypatch.setattr(ring_decode, "plan_ring", ring_skip.plan_ring)  # (bound by name)
 
 
 class _DropsLastSums(RunningSum):
@@ -448,11 +454,18 @@ def _varlen_group_pairs_wrong_run(monkeypatch):
     )
 
 
-def _stale_structure_after_append(monkeypatch):
-    """A layer-0 append leaves the round's shared read structure in place,
-    so a later layer's read reuses positions, runs and reach from before
-    the write."""
-    patch_source(monkeypatch, RankKVCache, "append", "self._structure = None", "pass")
+def _like_read_skips_token_set_check(monkeypatch):
+    """A later layer's read takes the layer-0 read's structure without
+    checking that its streams hold the same token set."""
+    patch_source(
+        monkeypatch, RankKVCache, "get", "if (had_sids, had_lengths) != (sids, lengths):", "if False:"
+    )
+
+
+def _plan_accepts_another_length(monkeypatch):
+    """A ring's plan fills a shard of another token count into messages
+    planned for the shard it was built over."""
+    patch_source(monkeypatch, ring_skip.RingPlan, "wire", "if counts != self.counts:", "if False:")
 
 
 def _delivered_payload_thawed(monkeypatch):
@@ -470,27 +483,6 @@ def _deliver_passes_unknown_payload(monkeypatch):
     )
 
 
-def _decode_layout_reused_across_structures(monkeypatch):
-    """A ring's plan outlives a change of the structure it was built over:
-    a decode batch reused over other KV shards hands the kernel layouts of
-    shards it no longer reads."""
-    patch_source(
-        monkeypatch, ring_skip.RingPlan, "for_structure",
-        "self.built_from, self.pairs, self.sides = structure, {}, None", "self.built_from = structure",
-    )
-
-
-def _prefill_plan_reused_across_structures(monkeypatch):
-    """A prefill ring takes its plan's padding, skip decisions and layouts
-    without asking whether the shards are the ones they were planned over."""
-    patch_source(
-        monkeypatch, ring_skip, "planned_sides",
-        "pairs = plan.for_structure(queries, kv_shards)", "pairs = plan.pairs",
-    )
-    for ring in (ring_passkv, ring_passq):  # (each binds it by name)
-        monkeypatch.setattr(ring, "planned_sides", ring_skip.planned_sides)
-
-
 def _tail_trim_off_by_one(monkeypatch):
     """The tail cut keeps the token at ``from_pos``: a trimmed sequence
     keeps one position it gave back (and charges the pool for it)."""
@@ -498,6 +490,18 @@ def _tail_trim_off_by_one(monkeypatch):
         monkeypatch, RankKVCache, "drop_tail",
         "keep = stream.count_below(from_pos)", "keep = stream.count_below(from_pos + 1)",
     )
+
+
+def _discard_keeps_store_tokens(monkeypatch):
+    """Dropping a host-store payload (a swap-in, a discard) leaves its
+    tokens charged to the store, so the swap budget shrinks for good."""
+    patch_source(monkeypatch, Pool, "discard_stored", "self.store_tokens -= export.tokens", "pass")
+
+
+def _transfer_refund_dropped(monkeypatch):
+    """A cancelled transfer hands back none of its un-streamed wire time:
+    the channel stays reserved and its successors stay queued behind it."""
+    patch_source(monkeypatch, KVTransferStream, "cancel", "if refund > 0.0:", "if False:")
 
 
 def _nan_arrival_admitted(monkeypatch):
@@ -559,7 +563,7 @@ _ONE_HARDWARE_MODEL = (
 
 _PASSKV_EXACT = "properties/test_prop_ring.py::TestRingLosslessness::test_passkv_exact_for_any_case"
 
-_PASSQ_EXACT = "properties/test_prop_ring.py::TestRingLosslessness::test_passq_exact_for_any_case"
+_FIXED_EXACT = "core/test_ring_skip.py::TestFixedShapeExactness"
 
 _ONE_ROW = "properties/test_prop_flash_fused.py::TestOneRowBaseCase"
 
@@ -590,16 +594,17 @@ CATALOGUE = [
                        "::test_trim_keeps_prefix_resident")),
     ("ring-skip-off-by-one", _ring_skip_off_by_one, functools.partial(_named_test, _PASSKV_EXACT)),
     ("merge-drops-last-partial", _merge_drops_last_partial,
-     (functools.partial(_named_test, _PASSKV_EXACT), functools.partial(_named_test, _PASSQ_EXACT))),
+     (functools.partial(_named_test, f"{_FIXED_EXACT}::test_passkv_exact"),
+      functools.partial(_named_test, f"{_FIXED_EXACT}::test_passq_exact"))),
     ("passq-skips-by-holder-reach", _passq_skips_by_holder_reach,
      functools.partial(_named_test, "core/test_ring_passq.py::TestShardSkip"
                        "::test_skip_reads_the_travelling_queries_reach")),
     ("varlen-group-pairs-wrong-run", _varlen_group_pairs_wrong_run,
      functools.partial(_named_test, f"{_VARLEN}::TestSegmentedMatchesMonolithic"
                        "::test_against_one_segment_and_the_reference")),
-    ("stale-structure-after-append", _stale_structure_after_append,
+    ("like-read-skips-token-set-check", _like_read_skips_token_set_check,
      functools.partial(_named_test, "kvcache/test_cache.py::TestStructureIsSharedAcrossLayers"
-                       "::test_any_write_ends_the_sharing", "append")),
+                       "::test_a_length_mismatch_at_one_layer_raises")),
     ("replicas-share-unscoped-tracer", _replicas_share_unscoped_tracer,
      functools.partial(_golden_case, "fleet3-disagg-swap-noprefix-clean-round-robin")),
     ("tp-decode-not-derived", _tp_decode_not_derived,
@@ -666,15 +671,20 @@ CATALOGUE = [
     ("deliver-passes-unknown-payload", _deliver_passes_unknown_payload,
      functools.partial(_named_test, "distributed/test_process_group.py::TestRingShift"
                        "::test_a_payload_it_cannot_freeze_is_rejected", False, object)),
-    ("decode-layout-reused-across-structures", _decode_layout_reused_across_structures,
-     functools.partial(_named_test, "core/test_ring_decode.py::TestPairLayouts"
-                       "::test_a_reused_batch_replans_over_another_kv_structure", np.random.default_rng(7))),
-    ("prefill-plan-reused-across-structures", _prefill_plan_reused_across_structures,
-     functools.partial(_named_test, "core/test_ring_passkv.py::TestRingPlan"
-                       "::test_a_kept_plan_replans_over_another_structure", np.random.default_rng(7))),
+    ("plan-accepts-another-length", _plan_accepts_another_length,
+     (functools.partial(_named_test, "core/test_ring_decode.py::TestPairLayouts"
+                        "::test_a_plan_handed_another_kv_token_count_raises", np.random.default_rng(7)),
+      functools.partial(_named_test, "core/test_ring_passkv.py::TestRingPlan"
+                        "::test_a_plan_handed_another_token_count_raises", np.random.default_rng(7)))),
     ("tail-trim-off-by-one", _tail_trim_off_by_one,
      functools.partial(_named_test, "kvcache/test_cache.py::TestDropTail"
                        "::test_the_cut_falls_exactly_at_from_pos")),
+    ("discard-keeps-store-tokens", _discard_keeps_store_tokens,
+     functools.partial(_named_test, "runtime/test_runtime.py::TestPreemptionModes"
+                       "::test_a_swap_in_hands_the_store_budget_back")),
+    ("transfer-refund-dropped", _transfer_refund_dropped,
+     functools.partial(_named_test, "runtime/test_transfer.py::TestKVTransferStream"
+                       "::test_cancel_queued_refunds_fully_and_unblocks_successors")),
 ]
 
 

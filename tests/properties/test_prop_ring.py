@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from repro.attention.reference import reference_attention_with_lse
 from repro.core import ring_skip
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode
+from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
-from repro.core.ring_skip import RingPlan
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
@@ -108,12 +107,11 @@ class TestShardSkipIsPureExecutionStrategy:
     @given(varseq_case())
     @settings(**SETTINGS)
     def test_passkv_skip_on_off_identical(self, case):
-        """(Each side on a fresh plan: a kept one holds its skip decisions.)"""
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        a = ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
+        a = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
         with _every_partial_computed():
-            b = ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
+            b = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
             assert np.array_equal(ra.lse, rb.lse)
@@ -121,12 +119,11 @@ class TestShardSkipIsPureExecutionStrategy:
     @given(varseq_case())
     @settings(**SETTINGS)
     def test_passq_skip_on_off_identical(self, case):
-        """(Each side on a fresh plan, as above.)"""
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        a = ring_passq_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
+        a = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
         with _every_partial_computed():
-            b = ring_passq_prefill(SimProcessGroup(world), queries, kvs, plan=RingPlan())
+            b = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
             assert np.array_equal(ra.lse, rb.lse)
@@ -146,8 +143,6 @@ class TestShardSkipIsPureExecutionStrategy:
             seq_ids=np.array(sids, dtype=np.int64),
         )
         a, assign_a = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
-        # (a fresh batch: the first one's round plan holds its skip decisions)
-        batch = DecodeBatch(q=batch.q, positions=batch.positions, seq_ids=batch.seq_ids)
         with _every_partial_computed():
             b, assign_b = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
         assert np.array_equal(assign_a, assign_b)
@@ -212,7 +207,8 @@ class TestDecodeRoundReuse:
     def test_a_reused_batch_equals_fresh_batches_bit_for_bit(self, case):
         """``engine.decode``'s round: one batch whose queries are rewritten
         in place at every layer, KV shards whose structure objects every
-        layer shares (as ``RankKVCache.get`` shares them). Each layer's ring
+        layer shares (as ``RankKVCache.get(..., like=)`` shares them), and
+        one plan built over the first layer's shards. Each layer's ring
         equals a fresh batch over freshly built shards bit for bit —
         including a second layer whose aimed pair falls back to the shifted
         sweep — and only the first layer lays pairs out."""
@@ -234,7 +230,9 @@ class TestDecodeRoundReuse:
                     for (k, v), s in zip(shards, structure)
                 ]
                 before = len(built), fallbacks.count
-                got, _ = ring_passq_decode(SimProcessGroup(world), layer_kv, reused, step=step)
+                if layer == 0:
+                    plan = round_plan(reused, layer_kv, step)
+                got, _ = ring_passq_decode(SimProcessGroup(world), layer_kv, reused, step=step, plan=plan)
                 laid_out.append(len(built) - before[0])
                 assert fallbacks.count - before[1] == (aim and layer == 1)
                 fresh = DecodeBatch(q=q.copy(), positions=positions.copy(), seq_ids=sids.copy())
@@ -281,9 +279,10 @@ class TestPrefillRoundReuse:
     @example((4, {0: ([0, 7, 1, 0], 5), 1: ([2, 0, 0, 6], 3)}, True, 2))
     @settings(**SETTINGS)
     def test_a_kept_plan_equals_fresh_rings_bit_for_bit(self, ring, case):
-        """``engine.prefill``'s round: one plan handed to the ring at every
-        layer, each layer's shards new ``q``, ``k``, ``v`` over the same
-        coordinate objects (as ``RankKVCache.get`` shares them), ranks
+        """``engine.prefill``'s round: one plan, built over the first layer's
+        shards, handed to the ring at every layer, each layer's shards new
+        ``q``, ``k``, ``v`` over the same coordinate objects (as
+        ``RankKVCache.get(..., like=)`` shares them), ranks
         holding different per-sequence KV counts. Each layer equals a fresh
         ring over freshly built shards bit for bit — including a second
         layer whose aimed pair falls back to the shifted sweep — and only
@@ -291,7 +290,7 @@ class TestPrefillRoundReuse:
         world, seqs, aim, seed = case
         rng = np.random.default_rng(seed)
         prefill = PrefillRound(world, seqs)
-        plan, structure = RingPlan(), prefill.shards(prefill.arrays(rng))
+        structure = prefill.shards(prefill.arrays(rng))
         built, padded = [], []
         with pytest.MonkeyPatch.context() as patch:
             layout = ring_skip.attention_layout
@@ -305,7 +304,10 @@ class TestPrefillRoundReuse:
                 if aim and layer == 1:
                     _aim_first_rank(prefill, per_seq)
                 before = len(built), len(padded), fallbacks.count
-                got = ring(SimProcessGroup(world), *prefill.shards(per_seq, like=structure), plan=plan)
+                shards = prefill.shards(per_seq, like=structure)
+                if layer == 0:
+                    plan = ring_skip.plan_prefill(*shards, pass_q=ring is ring_passq_prefill)
+                got = ring(SimProcessGroup(world), *shards, plan=plan)
                 assert (len(built) > before[0], len(padded) - before[1]) == (layer == 0, int(layer == 0))
                 assert fallbacks.count - before[2] == (aim and layer == 1)
                 want = ring(SimProcessGroup(world), *prefill.shards(per_seq))

@@ -503,6 +503,24 @@ class TestPreemptionModes:
         assert report.metrics.preemptions == 1
         assert report.generated(rid) == sequential_tokens(prompt(40), 6)
 
+    def test_a_swap_in_hands_the_store_budget_back(self):
+        """A store that holds one swapped request at a time takes the same
+        request twice: swapping it back in frees the budget it took, so the
+        second preemption swaps again instead of degrading to recompute."""
+        rt = ServeConfig(preemption="swap", swap_capacity=40).build(MODEL)
+        rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(24), max_new_tokens=8))
+        preempt_at, states = [2, 5], []
+        while rt.step():
+            rec = rt.report().records[rid]
+            if preempt_at and rec.state is RequestState.DECODE and len(rec.generated) == preempt_at[0]:
+                preempt_at.pop(0)
+                rt.preempt(rid)
+                states.append(rec.state)
+        assert states == [RequestState.SWAPPED, RequestState.SWAPPED]
+        report = rt.report()
+        assert report.metrics.swaps_out == report.metrics.swaps_in == 2
+        assert report.generated(rid) == sequential_tokens(prompt(24), 8)
+
     def test_swapped_idle_conversation_restored_for_next_turn(self):
         """An idle conversation swapped out between turns swaps back in
         when its next turn arrives — the history is never recomputed."""
