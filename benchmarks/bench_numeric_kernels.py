@@ -5,9 +5,9 @@ Equation 4's merge, the three ring algorithms and one engine prefill at
 test scale — so regressions in the simulation's own speed are visible at
 the layer that caused them. Runtime- and fleet-level wall time is
 ``benchmarks/e2e``'s job (four workloads, alternating pairs); the replays
-that used to stand in for it here are gone. ``*_fp32_compute`` times the
-kernel's one A/B choice, its precision (``compute_dtype``: fp32 compute,
-fp64 merge). Masked blocks and masked ring-step partials are always
+that used to stand in for it here are gone. ``*_fp32_compute`` and
+``bench_flash_prefill_tile_dh128_fp32`` time the kernel's one A/B choice,
+its precision (``compute_dtype``: fp32 compute, fp64 merge). Masked blocks and masked ring-step partials are always
 skipped, so there is no off path left to time; neither was ever the
 faster one (blocks: 6.24 ms off against 3.47 ms on; shards, on a full
 prefill: 11.38 against 11.31 ms). The seed-equivalent ``fused=False``
@@ -57,9 +57,10 @@ from repro.attention.masks import run_index
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.engine import ContextParallelEngine
 from repro.core.merge import merge_partials
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan
+from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
+from repro.core.ring_skip import plan_prefill
 from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
@@ -202,6 +203,14 @@ def bench_flash_prefill_tile_dh128(benchmark):
     benchmark(flash_attention, *args, **coords)
 
 
+def bench_flash_prefill_tile_dh128_fp32(benchmark):
+    """``bench_flash_prefill_tile_dh128`` with fp32 kernel arithmetic
+    (``compute_dtype``): the shape where the option can pay, since the
+    matmuls dominate — the number that decides whether it is kept."""
+    args, coords = _prefill_step(2, 1, 3, 128)
+    benchmark(flash_attention, *args, **coords, compute_dtype=np.float32)
+
+
 def bench_merge_partials_cp4(benchmark):
     """Equation 4 over one rank's N = 4 partials of a decode payload (8 rows
     x 8 heads x 8), one of them the identity — the merge a ring runs only
@@ -249,24 +258,28 @@ def _decode_shards(k_all, v_all, b, world):
     return kvs
 
 
+def _decode_round(q, position, kvs, step):
+    """One decode round's ring inputs as ``engine.decode`` builds them:
+    per rank, the one-token queries of the slots it owns at ``step``, those
+    slots, and the round's plan."""
+    owner = round_robin_assignment(len(q), len(kvs), step)
+    slots = [np.nonzero(owner == rank)[0] for rank in range(len(kvs))]
+    queries = [ShardedQueries(q=q[s], positions=np.full(len(s), position), seq_ids=s) for s in slots]
+    return queries, slots, plan_prefill(queries, kvs, pass_q=True)
+
+
 def bench_ring_decode_cp4(benchmark):
     """Batched pass-Q decode: 6 sequences' cached KV spread over 4 ranks
     (B=6, N=4 also pads two query slots — the shard-skip sweet spot). The
-    round's plan is built once, outside the timed call, and handed to every
-    call, as ``engine.decode`` hands it to every layer, so each round times
-    a layer's ring, not the per-round plan."""
+    round's queries and plan are built once, outside the timed call, and
+    handed to every call, as ``engine.decode`` hands its plan to every
+    layer, so each round times a layer's ring, not the per-round plan."""
     world, b = 4, 6
     kvs = _decode_shards(K, V, b, world)
-    batch = DecodeBatch(
-        q=RNG.standard_normal((b, 8, 32)),
-        positions=np.full(b, T // b, dtype=np.int64),
-        seq_ids=np.arange(b, dtype=np.int64),
-    )
-
-    plan = round_plan(batch, kvs, 0)
+    queries, slots, plan = _decode_round(RNG.standard_normal((b, 8, 32)), T // b, kvs, 0)
 
     def run():
-        return ring_passq_decode(SimProcessGroup(world), kvs, batch, block_size=64, plan=plan)
+        return ring_passq_decode(SimProcessGroup(world), queries, kvs, slots=slots, block_size=64, plan=plan)
 
     benchmark(run)
 
@@ -298,25 +311,21 @@ def bench_runtime_decode_hotloop(benchmark):
     This is the runtime's hot loop at serving scale — post PR 1 the
     engine's prefill is dense-linear-bound, so decode rounds dominate
     replayed-trace wall time (the ROADMAP's decode-path perf item). Each
-    step's plan is built once, outside the timed calls, as ``engine.decode``
-    builds one per round for all its layers."""
+    step's queries and plan are built once, outside the timed calls, as
+    ``engine.decode`` builds them once per round for all its layers."""
     world, b, t = 4, 24, 1536
     rng = np.random.default_rng(7)
     k_all = rng.standard_normal((t, 2, 32))
     v_all = rng.standard_normal((t, 2, 32))
     kvs = _decode_shards(k_all, v_all, b, world)
-    batch = DecodeBatch(
-        q=rng.standard_normal((b, 8, 32)),
-        positions=np.full(b, t // b, dtype=np.int64),
-        seq_ids=np.arange(b, dtype=np.int64),
-    )
+    q = rng.standard_normal((b, 8, 32))
     group = SimProcessGroup(world)
-    plans = [round_plan(batch, kvs, step) for step in range(4)]
+    rounds = [_decode_round(q, t // b, kvs, step) for step in range(4)]
 
     def run():
         return [
-            ring_passq_decode(group, kvs, batch, step=step, block_size=64, plan=plan)
-            for step, plan in enumerate(plans)
+            ring_passq_decode(group, queries, kvs, slots=slots, block_size=64, plan=plan)
+            for queries, slots, plan in rounds
         ]
 
     benchmark(run)

@@ -31,7 +31,7 @@ from repro.core.heuristics import (
 )
 from repro.core.merge import merge_partials
 from repro.core.planner import PrefillPlanner, SelectorKind
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import (
@@ -77,7 +77,6 @@ __all__ = [
     "TurnRequest",
     "UnitStepClock",
     "poisson_arrivals",
-    "DecodeBatch",
     "DecodeOutput",
     "HeuristicConfig",
     "LatencySimulator",

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.heuristics import HeuristicConfig, RingAlgo
 from repro.core.planner import PrefillPlan, PrefillPlanner
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.ring_skip import plan_prefill
@@ -233,51 +233,47 @@ class ContextParallelEngine:
         """
         cfg = self.model.config
         sids = self._decode_sids(tokens)
-        b = len(sids)
         token_arr = np.array([tokens[sid] for sid in sids], dtype=np.int64)
         positions = np.array([self.seq_lengths[sid] for sid in sids], dtype=np.int64)
         seq_arr = np.array(sids, dtype=np.int64)
 
-        # Every layer passes the one batch (its queries written into q_batch in
-        # place; the ranks' slots cover it) and the one plan, built over layer
-        # 0's reads, whose structure every later layer's reads take.
-        q_batch = np.empty((b, cfg.n_heads, cfg.head_dim))
-        batch = DecodeBatch(q=q_batch, positions=positions, seq_ids=seq_arr)
-        assignment = round_robin_assignment(b, self.world_size, self.decode_steps)
+        # The round's split, made once: each rank's batch slots, their
+        # coordinates, run offsets (every query its own sequence, so one run
+        # per token) and run index. Every layer builds each rank's queries
+        # over them, as prefill does, and passes the one plan, built over
+        # layer 0's reads, whose structure every later layer's reads take.
+        assignment = round_robin_assignment(len(sids), self.world_size, self.decode_steps)
         rank_slots = [np.nonzero(assignment == rank)[0] for rank in range(self.world_size)]
-        rank_pos = [positions[slots] for slots in rank_slots]
-        appends = [
-            [(sids[slot], positions[slot : slot + 1]) for slot in slots.tolist()]
-            for slots in rank_slots
-        ]
+        coords = [(positions[slots], seq_arr[slots]) for slots in rank_slots]
+        runs = [np.arange(len(slots) + 1) for slots in rank_slots]
+        indexes = [{sid: i for i, sid in enumerate(seq.tolist())} for _, seq in coords]
+        no_queries = np.empty((0, cfg.n_heads, cfg.head_dim))  # a rank that owns no slot
 
         xs = [self.model.embed(token_arr[slots]) for slots in rank_slots]
         for layer in range(cfg.n_layers):
-            for rank, slots in enumerate(rank_slots):
-                if slots.size == 0:
-                    continue
-                q, k, v = self.model.attn_qkv(layer, xs[rank], rank_pos[rank])
-                q_batch[slots] = q
-                for i, (sid, pos) in enumerate(appends[rank]):
-                    self.caches[rank].append(layer, sid, k[i : i + 1], v[i : i + 1], pos)
+            queries = []
+            for rank, (pos, seq) in enumerate(coords):
+                q = no_queries
+                if pos.size:
+                    q, k, v = self.model.attn_qkv(layer, xs[rank], pos)
+                    for i, sid in enumerate(indexes[rank]):
+                        self.caches[rank].append(layer, sid, k[i : i + 1], v[i : i + 1], pos[i : i + 1])
+                queries.append(ShardedQueries(q, pos, seq, runs[rank], indexes[rank]))
             if layer == 0:
                 kv_shards = kv0 = [cache.get(0, sids) for cache in self.caches]
-                plan = round_plan(batch, kv0, self.decode_steps)
+                plan = plan_prefill(queries, kv0, pass_q=True)
             else:
                 kv_shards = [cache.get(layer, sids, like=kv) for cache, kv in zip(self.caches, kv0)]
-            result, _ = ring_passq_decode(self.group, kv_shards, batch, step=self.decode_steps, plan=plan)
-            for rank, slots in enumerate(rank_slots):
-                if slots.size == 0:
-                    continue
-                xs[rank] = self.model.attn_residual(layer, xs[rank], result.out[slots])
-                xs[rank] = self.model.ffn_residual(layer, xs[rank])
+            results = ring_passq_decode(self.group, queries, kv_shards, slots=rank_slots, plan=plan)
+            for rank, (slots, result) in enumerate(zip(rank_slots, results)):
+                if slots.size:
+                    xs[rank] = self.model.attn_residual(layer, xs[rank], result.out)
+                    xs[rank] = self.model.ffn_residual(layer, xs[rank])
 
         logits: dict[int, np.ndarray] = {}
         for rank, slots in enumerate(rank_slots):
-            if slots.size == 0:
-                continue
-            rank_logits = self.model.unembed(xs[rank])
-            logits.update(zip((sid for sid, _ in appends[rank]), rank_logits))
+            if slots.size:
+                logits.update(zip(indexes[rank], self.model.unembed(xs[rank])))  # (in slot order)
         self._commit_decode(sids, positions, tokens)
         return DecodeOutput(logits=logits, assignment=dict(zip(sids, assignment.tolist())))
 

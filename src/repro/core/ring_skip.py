@@ -154,11 +154,15 @@ class RingPlan(NamedTuple):
                 f"rank {rank} holds {nq} query and {nk} KV tokens, its plan {wq} and {wk}: "
                 "a plan serves the structure it was built from"
             )
-        q_wire = [{"q": p.fill(q), "pos": p.positions, "seq": p.seq_ids} for q, p in zip(qs, self.q)]
-        kv_wire = [
-            {"k": p.fill(s.k), "v": p.fill(s.v), "pos": p.positions, "seq": p.seq_ids}
-            for s, p in zip(kv_shards, self.kv)
+        # a message planned as its shard (``rows is None``) is handed over as it is
+        q_wire = [
+            {"q": q if p.rows is None else p.fill(q), "pos": p.positions, "seq": p.seq_ids}
+            for q, p in zip(qs, self.q)
         ]
+        kv_wire = []
+        for s, p in zip(kv_shards, self.kv):
+            k, v = (s.k, s.v) if p.rows is None else (p.fill(s.k), p.fill(s.v))
+            kv_wire.append({"k": k, "v": v, "pos": p.positions, "seq": p.seq_ids})
         return q_wire, kv_wire
 
 

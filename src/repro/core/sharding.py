@@ -15,7 +15,8 @@ Three use cases, all reduced to the same primitive:
 - **Partial prefill**: only the *new* tokens (positions ``[P, P+T)``) are
   load-balance sharded; cached tokens keep whatever layout previous turns
   gave them (Figure 2).
-- **Decode** round-robin sharding lives in :mod:`repro.core.ring_decode`.
+- **Decode** round-robin sharding lives in :mod:`repro.core.ring_decode`;
+  each rank's one-token queries are a :class:`ShardedQueries` too.
 
 Every sharded token carries its absolute ``(seq_id, position)`` so causal
 masks remain exact under the permutation (see :mod:`repro.attention.masks`).
@@ -71,13 +72,17 @@ class SequenceSpec:
 
 @dataclass
 class ShardedQueries:
-    """One rank's query-side tokens (projected Q plus coordinates).
+    """One rank's query-side tokens (projected Q plus coordinates): a
+    prefill round's load-balanced shard, or a decode round's one-token
+    queries of the batch slots the rank owns.
 
     ``runs`` are the ``cu_seqlens``-style offsets of the shard's
     constant-``seq_ids`` runs (see :func:`repro.attention.masks.run_offsets`)
     and ``run_index`` their :func:`repro.attention.masks.run_index`;
     producers that assemble the shard run by run pass them, otherwise one
     scan at construction finds them, so no ring step's kernel call has to.
+    ``positions`` and ``seq_ids`` must be integers: the pass-Q rings carry
+    them on the wire and the causal skip compares them exactly.
     """
 
     q: np.ndarray  # [n, NH, DH]
@@ -88,6 +93,9 @@ class ShardedQueries:
 
     def __post_init__(self) -> None:
         _validate_coords(self.q, self.positions, self.seq_ids)
+        for name, coord in (("positions", self.positions), ("seq_ids", self.seq_ids)):
+            if coord.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, got {coord.dtype}")
         self.runs = _validate_runs(self.runs, self.seq_ids)
         if self.run_index is None:
             self.run_index = run_index(self.seq_ids, self.runs)

@@ -3,8 +3,10 @@
 Long-context serving cannot reserve max-context-length contiguous buffers
 per sequence; the standard fix (Kwon et al. 2023, cited in §2.2) is to
 allocate KV memory in fixed-size token blocks on demand. This allocator
-tracks block ownership per (layer, sequence) stream and is the capacity
-authority behind :class:`repro.kvcache.cache.RankKVCache`: when the free
+tracks block ownership per stream, keyed by any tuple, and is the capacity
+authority behind :class:`repro.kvcache.cache.RankKVCache`, which charges
+it for layer 0 only, one ``(seq_id,)`` stream per sequence (every layer
+holds the same tokens, so one layer's blocks price them all): when the free
 list empties, the cache raises the OOM the paper's load-balancing work is
 designed to postpone (§3.6: without round-robin decode sharding, one rank
 OOMs before aggregate capacity is reached).

@@ -146,8 +146,10 @@ class TestDecode:
         np.testing.assert_array_equal(after - before, np.ones(world, dtype=int))
 
     def test_a_round_derives_its_plan_and_its_kv_structure_once(self, monkeypatch):
-        """Per decode round, whatever the layer count: one round plan, built
-        over the layer-0 reads and handed to the ring at every layer; per
+        """Per decode round, whatever the layer count: one round-robin
+        assignment; one ring plan, built by the pass-Q prefill planner over
+        the layer-0 queries and reads and handed to the ring at every layer,
+        each layer's queries over the round's one set of coordinates; per
         rank, one KV structure — positions, sequence ids, runs, run index,
         reach — that every later layer's read takes from the layer-0 read,
         so the ring scans no shard for its reach; and per visible (step,
@@ -168,31 +170,38 @@ class TestDecode:
         want.prefill(prompts)
         want = want.decode(tokens)
 
-        planned, handed_plans, scanned, reads = [], [], [], []
-        round_plan, ring, reach, get = (
-            engine_module.round_plan, engine_module.ring_passq_decode, ring_skip.kv_reach, RankKVCache.get
+        planned, handed, scanned, reads, assigned = [], [], [], [], []
+        plan_prefill, ring, reach, get, assign = (
+            engine_module.plan_prefill, engine_module.ring_passq_decode, ring_skip.kv_reach, RankKVCache.get,
+            engine_module.round_robin_assignment,
         )
-        monkeypatch.setattr(engine_module, "round_plan", lambda *a: planned.append(round_plan(*a)) or planned[-1])
         monkeypatch.setattr(
-            engine_module, "ring_passq_decode", lambda *a, **kw: handed_plans.append(kw["plan"]) or ring(*a, **kw)
+            engine_module, "plan_prefill", lambda *a, **kw: planned.append(plan_prefill(*a, **kw)) or planned[-1]
         )
+        monkeypatch.setattr(
+            engine_module, "ring_passq_decode", lambda *a, **kw: handed.append((a[1], kw["plan"])) or ring(*a, **kw)
+        )
+        monkeypatch.setattr(engine_module, "round_robin_assignment", lambda *a: assigned.append(a) or assign(*a))
         monkeypatch.setattr(ring_skip, "kv_reach", lambda *a: scanned.append(a) or reach(*a))
         monkeypatch.setattr(
             RankKVCache, "get",
             lambda self, layer, sids, **kw: reads.append((self, get(self, layer, sids, **kw))) or reads[-1][1],
         )
-        built, handed = [], []
+        built, laid_out = [], []
         layout, kernel = ring_skip.attention_layout, ring_skip.flash_attention
         monkeypatch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(layout(*a, **kw)) or built[-1])
         monkeypatch.setattr(
-            ring_skip, "flash_attention", lambda *a, **kw: handed.append(kw["layout"]) or kernel(*a, **kw)
+            ring_skip, "flash_attention", lambda *a, **kw: laid_out.append(kw["layout"]) or kernel(*a, **kw)
         )
         got = engine.decode(tokens)
+        assert len(assigned) == 1
         assert len(planned) == 1 and not scanned
-        assert len(handed_plans) == 3 and all(plan is planned[0] for plan in handed_plans)
+        assert len(handed) == 3 and all(plan is planned[0] for _, plan in handed)
+        for name in ("positions", "seq_ids", "runs", "run_index"):  # (rank 0 owns slots 0 and 4)
+            assert len({id(getattr(queries[0], name)) for queries, _ in handed}) == 1
         assert len(reads) == world * 3
-        assert built and len(handed) == 3 * len(built)
-        assert all(sum(h is b for h in handed) == 3 for b in built)
+        assert built and len(laid_out) == 3 * len(built)
+        assert all(sum(h is b for h in laid_out) == 3 for b in built)
         for cache in engine.caches:
             shards = [shard for owner, shard in reads if owner is cache]
             for name in ("positions", "seq_ids", "runs", "run_index", "reach"):

@@ -5,16 +5,19 @@ import pytest
 
 from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan, round_robin_assignment
-from repro.core.sharding import ShardedKV
+from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
+from repro.core.ring_skip import plan_prefill
+from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import comm, make_qkv, traced_group
+from helpers import comm, decode_round, in_batch_order, make_qkv, traced_group
 
 
 def build_decode_scenario(rng, world, batch, ctx_lens):
     """Per-sequence contexts sharded round-robin-ish across ranks, plus one
-    new decode token per sequence (its KV appended to its owner's shard)."""
+    new decode token per sequence (its KV appended to its owner's shard):
+    the KV shards, the batch ``(q, positions, seq_ids)`` in batch order, and
+    each slot's reference ``(out, lse)``."""
     assert len(ctx_lens) == batch
     nh, nkv, dh = 8, 2, 16
     seq_kv = {}
@@ -53,10 +56,14 @@ def build_decode_scenario(rng, world, batch, ctx_lens):
         ShardedKV.concat(parts) if parts else ShardedKV.empty(nkv, dh)
         for parts in rank_parts
     ]
-    batch_obj = DecodeBatch(
-        q=batch_q, positions=positions, seq_ids=np.arange(batch, dtype=np.int64)
-    )
-    return kv_shards, batch_obj, refs
+    return kv_shards, (batch_q, positions, np.arange(batch, dtype=np.int64)), refs
+
+
+def decode(group, kv_shards, batch, step=0):
+    """The decode ring over ``batch`` split as the engine splits it at
+    ``step``: its result in batch order, and each rank's slots."""
+    queries, slots = decode_round(*batch, group.world_size, step)
+    return in_batch_order(ring_passq_decode(group, queries, kv_shards, slots=slots), slots), slots
 
 
 class TestRoundRobin:
@@ -90,21 +97,20 @@ class TestDecodeExactness:
     @pytest.mark.parametrize("world,batch", [(1, 1), (2, 1), (2, 4), (3, 5), (4, 2)])
     def test_matches_reference(self, rng, world, batch):
         ctx_lens = [int(c) for c in rng.integers(5, 40, size=batch)]
-        kv_shards, batch_obj, refs = build_decode_scenario(rng, world, batch, ctx_lens)
-        group = SimProcessGroup(world)
-        result, assignment = ring_passq_decode(group, kv_shards, batch_obj, step=0)
+        kv_shards, batch_qs, refs = build_decode_scenario(rng, world, batch, ctx_lens)
+        queries, slots = decode_round(*batch_qs, world)
+        results = ring_passq_decode(SimProcessGroup(world), queries, kv_shards, slots=slots)
+        assert [len(r.out) for r in results] == [len(s) for s in slots]  # each rank its own rows
+        result = in_batch_order(results, slots)
         for b in range(batch):
             np.testing.assert_allclose(result.out[b], refs[b][0], atol=1e-10)
             np.testing.assert_allclose(result.lse[b], refs[b][1], atol=1e-10)
-        np.testing.assert_array_equal(
-            assignment, round_robin_assignment(batch, world, 0)
-        )
 
     def test_comm_pattern(self, rng):
         world = 4
-        kv_shards, batch_obj, _ = build_decode_scenario(rng, world, 4, [12, 12, 12, 12])
+        kv_shards, batch_qs, _ = build_decode_scenario(rng, world, 4, [12, 12, 12, 12])
         group = traced_group(world)
-        ring_passq_decode(group, kv_shards, batch_obj, step=0)
+        decode(group, kv_shards, batch_qs)
         assert comm(group)["sendrecv"].count == world - 1
         assert comm(group)["all2all"].count == 1
         # one row per payload: q [8, 16] plus pos / seq / slot on each SendRecv,
@@ -115,16 +121,13 @@ class TestDecodeExactness:
         assert comm(group)["all2all"].bytes == (world - 1) * (8 * 16 + 8) * per_element
 
 
-def _per_rank_merge(restored, slots, batch_size):
+def _per_rank_merge(restored):
     """The merge as one rank runs it alone: its N restored sums added in
-    origin order and normalised once, each rank's real rows written to its
-    slots."""
-    nh, dh = restored[0][0][0].shape[1:]
-    out, lse = np.empty((batch_size, nh, dh)), np.empty((batch_size, nh))
-    for own, partials in zip(slots, restored):
-        merged = AttentionResult.from_sums(sum(a for a, _ in partials), sum(d for _, d in partials))
-        out[own], lse[own] = merged.out[: own.shape[0]], merged.lse[: own.shape[0]]
-    return out, lse
+    origin order and normalised once."""
+    return [
+        AttentionResult.from_sums(sum(a for a, _ in partials), sum(d for _, d in partials))
+        for partials in restored
+    ]
 
 
 class TestStackedMerge:
@@ -135,11 +138,10 @@ class TestStackedMerge:
         """Each rank adds the sums the All2All restored to it and normalises
         once — ranks that own no batch slot (B < N) and pad rows riding along
         unread, skipped partials one shared read-only zero pair — and the
-        ring's result is those N per-rank merges, bit for bit, in batch
-        order."""
+        ring's result on each rank is its merge's real rows, bit for bit."""
         batch = {"0": 0, "1": 1, "N-1": world - 1, "N+1": world + 1}[size]
         ctx_lens = [int(c) for c in rng.integers(1, 30, size=batch)]
-        kv_shards, batch_obj, refs = build_decode_scenario(rng, world, batch, ctx_lens)
+        kv_shards, batch_qs, refs = build_decode_scenario(rng, world, batch, ctx_lens)
         group, seen = SimProcessGroup(world), {}
         exchange = group.all_to_all
 
@@ -148,50 +150,52 @@ class TestStackedMerge:
             return seen["restored"]
 
         group.all_to_all = recording
-        result, assignment = ring_passq_decode(group, kv_shards, batch_obj, step=step)
-        slots = [np.nonzero(assignment == rank)[0] for rank in range(world)]
-        want_out, want_lse = _per_rank_merge(seen["restored"], slots, batch)
-        assert result.out.shape == want_out.shape and result.lse.shape == want_lse.shape
-        assert np.array_equal(result.out, want_out) and np.array_equal(result.lse, want_lse)
+        queries, slots = decode_round(*batch_qs, world, step)
+        results = ring_passq_decode(group, queries, kv_shards, slots=slots)
+        for result, merged, own in zip(results, _per_rank_merge(seen["restored"]), slots):
+            assert result.out.shape == (len(own), *merged.out.shape[1:])
+            assert np.array_equal(result.out, merged.out[: len(own)])
+            assert np.array_equal(result.lse, merged.lse[: len(own)])
         # every skipped (rank, origin) sent the one zero pair, frozen
         skipped = [pair for row in seen["matrix"] for pair in row if not pair[1].any()]
         assert len({id(pair[0]) for pair in skipped}) <= 1
         assert all(not pair[0].flags.writeable and not pair[1].flags.writeable for pair in skipped)
+        result = in_batch_order(results, slots)
         for b in range(batch):  # (exact wherever the step puts the rows: the KV never moves)
             np.testing.assert_allclose(result.out[b], refs[b][0], atol=1e-10)
 
 
 class TestRoundPlan:
     def test_one_batch_across_layers_derives_the_round_once(self, rng, monkeypatch):
-        """What ``engine.decode`` does: one batch per round, each layer's
-        queries written into it in place, and one plan built over the first
-        layer's shards handed to the ring at every layer. The round is
-        derived by the plan alone — a ring handed it derives nothing — and
-        the second layer's result is the one a freshly built batch gives."""
+        """What ``engine.decode`` does: per layer, each rank's queries over
+        the round's one set of coordinates, and one plan, built over the
+        first layer's shards by the pass-Q prefill planner, handed to the
+        ring at every layer. A ring handed the plan plans nothing, and the
+        second layer's result is the one a fresh round gives."""
         import repro.core.ring_decode as ring_decode
 
-        derived = []
+        planned = []
         monkeypatch.setattr(
-            ring_decode, "round_robin_assignment",
-            lambda *a: derived.append(a) or round_robin_assignment(*a),
+            ring_decode, "plan_prefill", lambda *a, **kw: planned.append(a) or plan_prefill(*a, **kw)
         )
         world, batch = 4, 6  # 6 over 4 ranks: pad rows in two payloads
-        kv_shards, layer0, _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
+        kv_shards, (q, positions, sids), _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
+        layer0, slots = decode_round(q, positions, sids, world)
         group = SimProcessGroup(world)
-        plan = round_plan(layer0, kv_shards, 0)
-        ring_passq_decode(group, kv_shards, layer0, step=0, plan=plan)
-        next_q = rng.standard_normal(layer0.q.shape)
-        layer0.q[...] = next_q  # the next layer's projections, same tokens
-        again, _ = ring_passq_decode(group, kv_shards, layer0, step=0, plan=plan)
-        assert len(derived) == 1
-        fresh = DecodeBatch(q=next_q.copy(), positions=layer0.positions, seq_ids=layer0.seq_ids)
-        want, _ = ring_passq_decode(SimProcessGroup(world), kv_shards, fresh, step=0)
-        assert np.array_equal(again.out, want.out) and np.array_equal(again.lse, want.lse)
+        plan = plan_prefill(layer0, kv_shards, pass_q=True)
+        ring_passq_decode(group, layer0, kv_shards, slots=slots, plan=plan)
+        next_q = rng.standard_normal(q.shape)  # the next layer's projections, same tokens
+        layer1 = [ShardedQueries(next_q[own], s.positions, s.seq_ids, s.runs, s.run_index) for own, s in zip(slots, layer0)]
+        again = ring_passq_decode(group, layer1, kv_shards, slots=slots, plan=plan)
+        assert not planned
+        want, _ = decode(SimProcessGroup(world), kv_shards, (next_q, positions, sids))
+        got = in_batch_order(again, slots)
+        assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
         # a ring handed no plan plans for itself, each call
-        derived.clear()
-        ring_passq_decode(group, kv_shards, layer0, step=4)
-        ring_passq_decode(group, kv_shards, layer0, step=4)
-        assert len(derived) == 2
+        planned.clear()
+        ring_passq_decode(group, layer1, kv_shards, slots=slots)
+        ring_passq_decode(group, layer1, kv_shards, slots=slots)
+        assert len(planned) == 2
 
 
     def test_one_kv_reach_per_rank_per_round(self, rng, monkeypatch):
@@ -205,7 +209,7 @@ class TestRoundPlan:
         from repro.kvcache.cache import RankKVCache
 
         world, batch, layers = 4, 6, 3
-        kv_shards, batch_obj, _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
+        kv_shards, batch_qs, _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
         caches = [RankKVCache(layers, 2, 16) for _ in range(world)]
         for cache, shard in zip(caches, kv_shards):
             for layer in range(layers):
@@ -219,13 +223,17 @@ class TestRoundPlan:
         rounds = [first] + [
             [cache.get(layer, sids, like=kv) for cache, kv in zip(caches, first)] for layer in range(1, layers)
         ]
-        plan = round_plan(batch_obj, first, 0)
-        results = [ring_passq_decode(group, shards, batch_obj, step=0, plan=plan)[0] for shards in rounds]
+        queries, slots = decode_round(*batch_qs, world)
+        plan = plan_prefill(queries, first, pass_q=True)
+        results = [
+            in_batch_order(ring_passq_decode(group, queries, shards, slots=slots, plan=plan), slots)
+            for shards in rounds
+        ]
         assert not scanned
         for rank in range(world):
             assert len({id(shards[rank].reach) for shards in rounds}) == 1
             assert rounds[0][rank].reach == kv_reach(kv_shards[rank].positions, kv_shards[rank].seq_ids)
-        want, _ = ring_passq_decode(group, kv_shards, batch_obj, step=0)
+        want, _ = decode(group, kv_shards, batch_qs)
         assert len(scanned) == world
         for result in results:
             assert np.array_equal(result.out, want.out) and np.array_equal(result.lse, want.lse)
@@ -242,8 +250,9 @@ class TestPairLayouts:
         rank, before any step runs — it never replans behind the caller's
         back. A ring handed no plan over the same shards is exact."""
         world, batch = 4, 6
-        kv_shards, reused, refs = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
-        plan = round_plan(reused, kv_shards, 0)
+        kv_shards, batch_qs, refs = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
+        queries, slots = decode_round(*batch_qs, world)
+        plan = plan_prefill(queries, kv_shards, pass_q=True)
         grown = list(kv_shards)
         kv = grown[2]
         grown[2] = ShardedKV(
@@ -252,28 +261,34 @@ class TestPairLayouts:
         )
         group = traced_group(world)
         with pytest.raises(ValueError, match="rank 2 holds"):
-            ring_passq_decode(group, grown, reused, step=0, plan=plan)
+            ring_passq_decode(group, queries, grown, slots=slots, plan=plan)
         assert not group.tracer.events
-        got, _ = ring_passq_decode(SimProcessGroup(world), grown, reused, step=0)
+        got, _ = decode(SimProcessGroup(world), grown, batch_qs)
         for b in range(batch):
             np.testing.assert_allclose(got.out[b], refs[b][0], atol=1e-10)
 
 
 class TestDecodeBatchValidation:
-    def test_duplicate_seq_rejected(self, rng):
-        q = rng.standard_normal((2, 4, 8))
-        with pytest.raises(ValueError):
-            DecodeBatch(q=q, positions=np.zeros(2, dtype=np.int64), seq_ids=np.array([1, 1]))
-
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError):
-            DecodeBatch(
+            ShardedQueries(
                 q=rng.standard_normal((2, 4)),
                 positions=np.zeros(2, dtype=np.int64),
                 seq_ids=np.array([0, 1]),
             )
 
     def test_kv_shard_count_checked(self, rng):
-        kv_shards, batch_obj, _ = build_decode_scenario(rng, 2, 2, [8, 8])
+        kv_shards, batch_qs, _ = build_decode_scenario(rng, 2, 2, [8, 8])
         with pytest.raises(ValueError):
-            ring_passq_decode(SimProcessGroup(3), kv_shards, batch_obj, step=0)
+            decode(SimProcessGroup(3), kv_shards, batch_qs)
+
+    def test_one_batch_id_per_query(self, rng):
+        """Each message carries its queries' batch ids: a rank handed
+        another count of ids than queries is refused before any step."""
+        kv_shards, batch_qs, _ = build_decode_scenario(rng, 2, 3, [8, 8, 8])
+        queries, slots = decode_round(*batch_qs, 2)
+        group = traced_group(2)
+        for wrong in ([slots[0], slots[1][:0]], slots[:1]):
+            with pytest.raises(ValueError, match="one batch id per query"):
+                ring_passq_decode(group, queries, kv_shards, slots=wrong)
+        assert not group.tracer.events

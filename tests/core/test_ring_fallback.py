@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import Fallbacks, make_qkv, shard_qkv_full_prefill
+from helpers import Fallbacks, decode_round, in_batch_order, make_qkv, shard_qkv_full_prefill
 
 WORLD = 4
 
@@ -69,12 +69,12 @@ def test_decode_ring_with_one_shifted_step(rng):
                 seq = np.full(pos.size, b)
                 parts[rank].append(ShardedKV(k=k[pos], v=v[pos], positions=pos, seq_ids=seq))
     kv_shards = [ShardedKV.concat(p) if p else ShardedKV.empty(2, 16) for p in parts]
-    decode = DecodeBatch(
-        q=np.concatenate([q for q, _, _ in seqs]), positions=np.array(contexts), seq_ids=np.arange(batch)
+    queries, slots = decode_round(
+        np.concatenate([q for q, _, _ in seqs]), np.array(contexts), np.arange(batch), WORLD
     )
     with pytest.MonkeyPatch.context() as patch:
         fallbacks = Fallbacks(patch)
-        result, _ = ring_passq_decode(SimProcessGroup(WORLD), kv_shards, decode, step=0)
+        result = in_batch_order(ring_passq_decode(SimProcessGroup(WORLD), queries, kv_shards, slots=slots), slots)
     assert fallbacks.count == 1
     for b, (ctx, (q, k, v)) in enumerate(zip(contexts, seqs)):
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=np.array([ctx]))

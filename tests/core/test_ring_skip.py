@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from repro.attention.masks import PAD_SEQ, attention_mask
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode
+from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import PrefillRound
+from helpers import PrefillRound, decode_round
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -101,8 +101,8 @@ def _shards(q_heads, kv_heads):
 
 def _decode(kv_heads, positions):
     _, kvs = _shards((4, 4), kv_heads)
-    batch = DecodeBatch(q=np.ones((2, 4, 8)), positions=positions, seq_ids=np.array([0, 1]))
-    return ring_passq_decode(SimProcessGroup(2), kvs, batch)
+    queries, slots = decode_round(np.ones((2, 4, 8)), positions, np.array([0, 1]), 2)
+    return ring_passq_decode(SimProcessGroup(2), queries, kvs, slots=slots)
 
 
 class TestOneHeadLayout:
@@ -117,7 +117,7 @@ class TestOneHeadLayout:
         ids=["passkv-kv-heads", "passq-query-heads", "decode-kv-heads", "decode-float-positions"],
     )
     def test_a_rank_that_differs_is_named(self, run, match):
-        """Every rank of a ring shares one head layout, and a decode batch
+        """Every rank of a ring shares one head layout, and a query shard
         has integer coordinates; a ring that silently mixed layouts would
         attend rank 1 in another GQA grouping or answer with its heads."""
         with pytest.raises(ValueError, match=match):

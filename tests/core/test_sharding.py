@@ -216,6 +216,15 @@ class TestShardContainers:
                 seq_ids=np.zeros(3, dtype=np.int64),
             )
 
+    @pytest.mark.parametrize("name", ["positions", "seq_ids"])
+    def test_query_coordinates_must_be_integers(self, name):
+        """Both pass-Q rings (prefill and decode) put a query shard's
+        coordinates on the wire and test the causal skip on them exactly."""
+        coords = {"positions": np.arange(3), "seq_ids": np.zeros(3, dtype=np.int64)}
+        coords[name] = coords[name].astype(np.float64)
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            ShardedQueries(q=np.zeros((3, 2, 4)), **coords)
+
     def test_concat_and_empty(self):
         empty = ShardedKV.empty(2, 4)
         assert len(empty) == 0

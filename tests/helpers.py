@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.attention import flash
+from repro.attention.flash import AttentionResult
 from repro.attention.masks import attention_mask
+from repro.core.ring_decode import round_robin_assignment
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, ShardPlan, shard_sequences
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
@@ -252,6 +254,28 @@ def shard_varseq_full_prefill(
             )
             kvs.append(ShardedKV.empty(nkv, dh))
     return queries, kvs
+
+
+def decode_round(
+    q: np.ndarray, positions: np.ndarray, seq_ids: np.ndarray, world: int, step: int = 0
+) -> tuple[list[ShardedQueries], list[np.ndarray]]:
+    """A decode batch given in batch order (row ``b`` is slot ``b``), split
+    as ``engine.decode`` splits it: per rank, the one-token queries of the
+    slots it owns at ``step`` (:func:`round_robin_assignment`), and those
+    slots."""
+    owner = round_robin_assignment(len(q), world, step)
+    slots = [np.nonzero(owner == rank)[0] for rank in range(world)]
+    return [ShardedQueries(q=q[s], positions=positions[s], seq_ids=seq_ids[s]) for s in slots], slots
+
+
+def in_batch_order(results: list[AttentionResult], slots: list[np.ndarray]) -> AttentionResult:
+    """A decode ring's per-rank results scattered back into batch order."""
+    batch = sum(len(s) for s in slots)
+    out = np.empty((batch, *results[0].out.shape[1:]))
+    lse = np.empty((batch, *results[0].lse.shape[1:]))
+    for r, s in zip(results, slots):
+        out[s], lse[s] = r.out, r.lse
+    return AttentionResult(out=out, lse=lse)
 
 
 class PrefillRound:

@@ -52,7 +52,12 @@ seams of a round's one structure: a later layer's KV read must check that
 it holds the token set of the layer-0 read it takes its structure from
 (``RankKVCache.get``), and a ring's plan must refuse a shard of another
 token count than it was built for (``ring_skip.RingPlan.wire``). One moves
-the KV cache's tail cut (``RankKVCache.drop_tail``) by one position. Two
+the KV cache's tail cut (``RankKVCache.drop_tail``) by one position, and one
+lets a stream append in place below its ``lent`` mark (``_Stream.append``),
+under a read that still covers those rows. One makes a preempted request
+resample its pending token on resume (``_reschedule_preempted``), and one
+takes Algorithm 4's batch ids off the decode ring's query messages
+(``ring_decode.ring_passq_decode``). Two
 edit the runtime's KV moves: dropping a host-store payload must hand its
 tokens back to the swap budget (``Pool.discard_stored``), and a cancelled
 transfer must refund its un-streamed wire time (``KVTransferStream.cancel``).
@@ -80,7 +85,7 @@ from repro.core import ring_decode, ring_skip
 from repro.core.merge import RunningSum
 from repro.core.shape_engine import ShapeEngine
 from repro.distributed import process_group
-from repro.kvcache.cache import RankKVCache
+from repro.kvcache.cache import RankKVCache, _Stream
 from repro.model.config import llama3_405b_config
 from repro.obs import dumps_jsonl, timeline
 from repro.perf import latency
@@ -222,7 +227,16 @@ def _passq_skips_by_holder_reach(monkeypatch):
         "qo, ko = (src, rank) if pass_q else (rank, src)",
         "qo, ko = (rank, rank) if pass_q else (rank, src)",
     )
-    monkeypatch.setattr(ring_decode, "plan_ring", ring_skip.plan_ring)  # (bound by name)
+    # (every ring plans through ``plan_prefill``, which reaches ``plan_ring``
+    # through ``ring_skip``'s globals: no module binds ``plan_ring`` itself)
+
+
+def _decode_slots_off_the_wire(monkeypatch):
+    """The decode ring stops carrying each query message's batch ids
+    (Algorithm 4's ``slots``): its SendRecvs move fewer bytes than the
+    paper's schedule prices."""
+    patch_source(monkeypatch, ring_decode, "ring_passq_decode", 'wire["slots"] =', "_ =")
+    monkeypatch.setattr(_test_module("core/test_ring_decode.py"), "ring_passq_decode", ring_decode.ring_passq_decode)  # (bound by name)
 
 
 class _DropsLastSums(RunningSum):
@@ -454,6 +468,25 @@ def _varlen_group_pairs_wrong_run(monkeypatch):
     )
 
 
+def _resume_resamples_pending_token(monkeypatch):
+    """A preempted request that had sampled tokens resamples on resume: the
+    re-prefill's logits reproduce the pending token, appended a second time."""
+    patch_source(
+        monkeypatch, Runtime, "_reschedule_preempted",
+        "rec.resample_on_prefill = not rec.generated", "rec.resample_on_prefill = True",
+    )
+
+
+def _lent_mark_ignored(monkeypatch):
+    """A stream appends in place below its ``lent`` high-water mark: after a
+    tail cut, the rows a returned read still covers are overwritten."""
+    patch_source(
+        monkeypatch, _Stream, "append",
+        "if need > capacity or n < self.lent or not cols[-1].flags.writeable:",
+        "if need > capacity or not cols[-1].flags.writeable:",
+    )
+
+
 def _like_read_skips_token_set_check(monkeypatch):
     """A later layer's read takes the layer-0 read's structure without
     checking that its streams hold the same token set."""
@@ -599,6 +632,9 @@ CATALOGUE = [
     ("passq-skips-by-holder-reach", _passq_skips_by_holder_reach,
      functools.partial(_named_test, "core/test_ring_passq.py::TestShardSkip"
                        "::test_skip_reads_the_travelling_queries_reach")),
+    ("decode-slots-off-the-wire", _decode_slots_off_the_wire,
+     functools.partial(_named_test, "core/test_ring_decode.py::TestDecodeExactness::test_comm_pattern",
+                       np.random.default_rng(7))),
     ("varlen-group-pairs-wrong-run", _varlen_group_pairs_wrong_run,
      functools.partial(_named_test, f"{_VARLEN}::TestSegmentedMatchesMonolithic"
                        "::test_against_one_segment_and_the_reference")),
@@ -676,6 +712,12 @@ CATALOGUE = [
                         "::test_a_plan_handed_another_kv_token_count_raises", np.random.default_rng(7)),
       functools.partial(_named_test, "core/test_ring_passkv.py::TestRingPlan"
                         "::test_a_plan_handed_another_token_count_raises", np.random.default_rng(7)))),
+    ("resume-resamples-pending-token", _resume_resamples_pending_token,
+     functools.partial(_named_test, "runtime/test_runtime.py::TestPreemption"
+                       "::test_forced_preemption_mid_decode_resumes_exactly")),
+    ("lent-mark-ignored", _lent_mark_ignored,
+     functools.partial(_named_test, "kvcache/test_cache_slab.py::TestReadsAreStable"
+                       "::test_trim_then_append_never_changes_a_returned_read")),
     ("tail-trim-off-by-one", _tail_trim_off_by_one,
      functools.partial(_named_test, "kvcache/test_cache.py::TestDropTail"
                        "::test_the_cut_falls_exactly_at_from_pos")),

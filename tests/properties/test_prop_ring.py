@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from repro.attention.reference import reference_attention_with_lse
 from repro.core import ring_skip
-from repro.core.ring_decode import DecodeBatch, ring_passq_decode, round_plan
+from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import Fallbacks, PrefillRound
+from helpers import Fallbacks, PrefillRound, decode_round, in_batch_order
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -137,17 +137,18 @@ class TestShardSkipIsPureExecutionStrategy:
         _, kvs = build_shards(world, per_seq)
         rng = np.random.default_rng(step)
         sids = sorted(per_seq)
-        batch = DecodeBatch(
-            q=rng.standard_normal((len(sids), 4, 8)),
-            positions=np.array([per_seq[s][0].shape[0] - 1 for s in sids]),
-            seq_ids=np.array(sids, dtype=np.int64),
+        queries, slots = decode_round(
+            rng.standard_normal((len(sids), 4, 8)),
+            np.array([per_seq[s][0].shape[0] - 1 for s in sids]),
+            np.array(sids, dtype=np.int64),
+            world, step,
         )
-        a, assign_a = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
+        a = ring_passq_decode(SimProcessGroup(world), queries, kvs, slots=slots)
         with _every_partial_computed():
-            b, assign_b = ring_passq_decode(SimProcessGroup(world), kvs, batch, step=step)
-        assert np.array_equal(assign_a, assign_b)
-        assert np.array_equal(a.out, b.out)
-        assert np.array_equal(a.lse, b.lse)
+            b = ring_passq_decode(SimProcessGroup(world), queries, kvs, slots=slots)
+        for ra, rb in zip(a, b):
+            assert np.array_equal(ra.out, rb.out)
+            assert np.array_equal(ra.lse, rb.lse)
 
 
 @st.composite
@@ -205,42 +206,43 @@ class TestDecodeRoundReuse:
     @example((4, [6, 11, 4], 0, True, 5))  # B = 3 < N = 4: rank 3 owns no slot
     @settings(**SETTINGS)
     def test_a_reused_batch_equals_fresh_batches_bit_for_bit(self, case):
-        """``engine.decode``'s round: one batch whose queries are rewritten
-        in place at every layer, KV shards whose structure objects every
-        layer shares (as ``RankKVCache.get(..., like=)`` shares them), and
-        one plan built over the first layer's shards. Each layer's ring
-        equals a fresh batch over freshly built shards bit for bit —
-        including a second layer whose aimed pair falls back to the shifted
-        sweep — and only the first layer lays pairs out."""
+        """``engine.decode``'s round: per layer, each rank's queries over the
+        round's one set of query coordinates, KV shards whose structure
+        objects every layer shares (as ``RankKVCache.get(..., like=)``
+        shares them), and one plan built over the first layer's shards.
+        Each layer's ring equals a fresh round over freshly built shards bit
+        for bit — including a second layer whose aimed pair falls back to
+        the shifted sweep — and only the first layer lays pairs out."""
         world, contexts, step, aim, seed = case
         per_layer, coords = _decode_layers(world, contexts, step, aim, seed)
         batch = len(contexts)
         positions, sids = np.array(contexts, dtype=np.int64), np.arange(batch, dtype=np.int64)
         structure = [ShardedKV(k=k, v=v, positions=pos, seq_ids=seq) for (k, v), (pos, seq) in zip(per_layer[0][1], coords)]
-        reused = DecodeBatch(q=np.empty_like(per_layer[0][0]), positions=positions, seq_ids=sids)
-        built, laid_out = [], []  # every layout built; those the reused batch's layers built
+        first, slots = decode_round(per_layer[0][0], positions, sids, world, step)
+        built, laid_out = [], []  # every layout built; those the reused round's layers built
         with pytest.MonkeyPatch.context() as patch:
             layout = ring_skip.attention_layout
             patch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(1) or layout(*a, **kw))
             fallbacks = Fallbacks(patch)
             for layer, (q, shards) in enumerate(per_layer):
-                reused.q[...] = q
+                queries = [ShardedQueries(q[own], s.positions, s.seq_ids, s.runs, s.run_index) for own, s in zip(slots, first)]
                 layer_kv = [
                     ShardedKV(k=k, v=v, positions=s.positions, seq_ids=s.seq_ids, runs=s.runs, run_index=s.run_index)
                     for (k, v), s in zip(shards, structure)
                 ]
                 before = len(built), fallbacks.count
                 if layer == 0:
-                    plan = round_plan(reused, layer_kv, step)
-                got, _ = ring_passq_decode(SimProcessGroup(world), layer_kv, reused, step=step, plan=plan)
+                    plan = ring_skip.plan_prefill(queries, layer_kv, pass_q=True)
+                got = ring_passq_decode(SimProcessGroup(world), queries, layer_kv, slots=slots, plan=plan)
                 laid_out.append(len(built) - before[0])
                 assert fallbacks.count - before[1] == (aim and layer == 1)
-                fresh = DecodeBatch(q=q.copy(), positions=positions.copy(), seq_ids=sids.copy())
+                fresh, fresh_slots = decode_round(q.copy(), positions.copy(), sids.copy(), world, step)
                 fresh_kv = [
                     ShardedKV(k=k, v=v, positions=pos.copy(), seq_ids=seq.copy())
                     for (k, v), (pos, seq) in zip(shards, coords)
                 ]
-                want, _ = ring_passq_decode(SimProcessGroup(world), fresh_kv, fresh, step=step)
+                want = ring_passq_decode(SimProcessGroup(world), fresh, fresh_kv, slots=fresh_slots)
+                got, want = in_batch_order(got, slots), in_batch_order(want, fresh_slots)
                 assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
         assert laid_out[0] > 0 and not any(laid_out[1:])
 
