@@ -57,7 +57,7 @@ from repro.attention.masks import run_index
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.engine import ContextParallelEngine
 from repro.core.merge import merge_partials
-from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.ring_skip import plan_prefill
@@ -65,6 +65,7 @@ from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
     ShardedQueries,
+    round_robin_assignment,
     shard_positions,
     shard_sequences,
 )
@@ -227,7 +228,8 @@ def bench_ring_passkv_cp4(benchmark):
     queries, kvs = _shards(4)
 
     def run():
-        return ring_passkv_prefill(SimProcessGroup(4), queries, kvs, block_size=64)
+        plan = plan_prefill(queries, kvs, pass_q=False)  # (a single-use ring plans inside the timed call)
+        return ring_passkv_prefill(SimProcessGroup(4), plan, [s.q for s in queries], kvs, block_size=64)
 
     benchmark(run)
 
@@ -236,7 +238,8 @@ def bench_ring_passq_cp4(benchmark):
     queries, kvs = _shards(4)
 
     def run():
-        return ring_passq_prefill(SimProcessGroup(4), queries, kvs, block_size=64)
+        plan = plan_prefill(queries, kvs, pass_q=True)
+        return ring_passq_prefill(SimProcessGroup(4), plan, [s.q for s in queries], kvs, block_size=64)
 
     benchmark(run)
 
@@ -259,27 +262,29 @@ def _decode_shards(k_all, v_all, b, world):
 
 
 def _decode_round(q, position, kvs, step):
-    """One decode round's ring inputs as ``engine.decode`` builds them:
-    per rank, the one-token queries of the slots it owns at ``step``, those
-    slots, and the round's plan."""
+    """One decode round's ring inputs as the engine builds them once per
+    round: per rank, the query rows of the slots it owns at ``step``, those
+    slots ``-1``-padded to the message length, and the round's plan."""
     owner = round_robin_assignment(len(q), len(kvs), step)
     slots = [np.nonzero(owner == rank)[0] for rank in range(len(kvs))]
     queries = [ShardedQueries(q=q[s], positions=np.full(len(s), position), seq_ids=s) for s in slots]
-    return queries, slots, plan_prefill(queries, kvs, pass_q=True)
+    width = max(len(s) for s in slots)
+    padded = [np.concatenate([s, np.full(width - len(s), -1, dtype=np.int64)]) for s in slots]
+    return [s.q for s in queries], padded, plan_prefill(queries, kvs, pass_q=True)
 
 
 def bench_ring_decode_cp4(benchmark):
     """Batched pass-Q decode: 6 sequences' cached KV spread over 4 ranks
     (B=6, N=4 also pads two query slots — the shard-skip sweet spot). The
-    round's queries and plan are built once, outside the timed call, and
-    handed to every call, as ``engine.decode`` hands its plan to every
+    round's queries, batch ids and plan are built once, outside the timed
+    call, and handed to every call, as the engine hands them to every
     layer, so each round times a layer's ring, not the per-round plan."""
     world, b = 4, 6
     kvs = _decode_shards(K, V, b, world)
-    queries, slots, plan = _decode_round(RNG.standard_normal((b, 8, 32)), T // b, kvs, 0)
+    qs, slots, plan = _decode_round(RNG.standard_normal((b, 8, 32)), T // b, kvs, 0)
 
     def run():
-        return ring_passq_decode(SimProcessGroup(world), queries, kvs, slots=slots, block_size=64, plan=plan)
+        return ring_passq_decode(SimProcessGroup(world), plan, qs, kvs, slots=slots, block_size=64)
 
     benchmark(run)
 
@@ -311,8 +316,8 @@ def bench_runtime_decode_hotloop(benchmark):
     This is the runtime's hot loop at serving scale — post PR 1 the
     engine's prefill is dense-linear-bound, so decode rounds dominate
     replayed-trace wall time (the ROADMAP's decode-path perf item). Each
-    step's queries and plan are built once, outside the timed calls, as
-    ``engine.decode`` builds them once per round for all its layers."""
+    step's queries, batch ids and plan are built once, outside the timed
+    calls, as the engine builds them once per round for all its layers."""
     world, b, t = 4, 24, 1536
     rng = np.random.default_rng(7)
     k_all = rng.standard_normal((t, 2, 32))
@@ -324,8 +329,8 @@ def bench_runtime_decode_hotloop(benchmark):
 
     def run():
         return [
-            ring_passq_decode(group, queries, kvs, slots=slots, block_size=64, plan=plan)
-            for queries, slots, plan in rounds
+            ring_passq_decode(group, plan, qs, kvs, slots=slots, block_size=64)
+            for qs, slots, plan in rounds
         ]
 
     benchmark(run)

@@ -31,14 +31,16 @@ from repro.core.heuristics import (
 )
 from repro.core.merge import merge_partials
 from repro.core.planner import PrefillPlanner, SelectorKind
-from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
+from repro.core.ring_skip import plan_prefill
 from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
     ShardedQueries,
     load_balanced_chunks,
+    round_robin_assignment,
     shard_positions,
     shard_sequences,
 )
@@ -98,6 +100,7 @@ __all__ = [
     "llama3_8b_config",
     "load_balanced_chunks",
     "merge_partials",
+    "plan_prefill",
     "ring_passkv_prefill",
     "ring_passq_decode",
     "ring_passq_prefill",

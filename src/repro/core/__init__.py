@@ -4,10 +4,11 @@ This package implements the paper's primary contribution on top of the
 substrates (:mod:`repro.attention`, :mod:`repro.distributed`,
 :mod:`repro.kvcache`, :mod:`repro.model`, :mod:`repro.perf`):
 
-- :mod:`repro.core.sharding` — load-balanced 2N-chunk sharding (§3.5.1).
+- :mod:`repro.core.sharding` — a round's split: load-balanced 2N-chunk
+  sharding (§3.5.1) and decode's round-robin placement (§3.6).
 - :mod:`repro.core.merge` — merge attention (Appendix B, Eq. 4).
-- :mod:`repro.core.ring_skip` — the one ring sweep of Algorithms 2-4 and
-  its causal shard skip, behind three adapters:
+- :mod:`repro.core.ring_skip` — the one ring sweep of Algorithms 2-4, its
+  causal shard skip and its per-round plan, behind three adapters:
   :mod:`repro.core.ring_passkv` (Algorithm 2: fused varseq pass-KV
   prefill), :mod:`repro.core.ring_passq` (Algorithm 3: pass-Q prefill)
   and :mod:`repro.core.ring_decode` (Algorithm 4: batched round-robin
@@ -30,12 +31,14 @@ from repro.core.merge import merge_partials
 from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
+from repro.core.ring_skip import plan_prefill
 from repro.core.sharding import (
     ShardedKV,
     ShardedQueries,
     SequenceSpec,
     load_balanced_chunks,
     pad_kv_shards,
+    round_robin_assignment,
     shard_positions,
     shard_sequences,
 )
@@ -49,9 +52,11 @@ __all__ = [
     "load_balanced_chunks",
     "merge_partials",
     "pad_kv_shards",
+    "plan_prefill",
     "ring_passkv_prefill",
     "ring_passq_decode",
     "ring_passq_prefill",
+    "round_robin_assignment",
     "select_algo_empirical",
     "select_algo_simple",
     "select_algo_with_all2all",

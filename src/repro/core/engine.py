@@ -15,6 +15,10 @@ paper's pieces into a serving loop:
   per-step offset so generated KV spreads across ranks (§3.6), attention by
   batched ring pass-Q decode (Algorithm 4).
 
+All three are one stage pipeline: a round's split
+(:class:`~repro.core.sharding.ShardPlan`, load-balanced or round-robin)
+runs through one round body, then the round's own logits and commit.
+
 Everything is lockstep-simulated but *numerically real*: the engine's
 logits are tested to match a single-device forward of the same model on the
 same token history — the paper's "lossless exact" property.
@@ -30,7 +34,7 @@ import numpy as np
 
 from repro.core.heuristics import HeuristicConfig, RingAlgo
 from repro.core.planner import PrefillPlan, PrefillPlanner
-from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
 from repro.core.ring_skip import plan_prefill
@@ -147,7 +151,7 @@ class ContextParallelEngine:
         self._index_dirty: set[int] = set()
 
     # ------------------------------------------------------------------ #
-    # prefill (full and partial)
+    # prefill (full and partial) and decode: a split, the round body, logits
     # ------------------------------------------------------------------ #
 
     def prefill(
@@ -169,56 +173,24 @@ class ContextParallelEngine:
             :class:`PrefillOutput` with per-sequence logits for every new
             token position.
         """
-        cfg = self.model.config
-        specs, new_ids = self._prefill_specs(prompts)
+        if not prompts:
+            raise ValueError("prefill requires at least one sequence")
+        specs, new_ids = [], {}
+        for sid, ids in sorted(prompts.items()):
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.ndim != 1 or ids.size == 0:
+                raise ValueError(f"sequence {sid}: token ids must be a non-empty 1-D array")
+            specs.append(SequenceSpec(sid, int(ids.size), self.seq_lengths.get(sid, 0)))
+            new_ids[sid] = ids
         plan = self.planner.plan(specs, force_algo=force_algo)
-
-        # The round's split, planned once: every layer reuses its coordinates,
-        # run offsets and run index, and a sequence's rows on a rank are its
-        # span's slice.
-        layout = ShardPlan(specs, self.world_size)
-        coords = layout.coordinates()
-        runs = [layout.runs(rank) for rank in range(self.world_size)]
-        indexes = [{span.seq_id: i for i, span in enumerate(spans)} for spans in layout.spans]
-
-        # Stage pipeline: local embed -> (per layer: local qkv + cache
-        # append, ring attention, local residual/FFN) -> local unembed.
-        xs = [self.model.embed(layout.take(rank, new_ids)) for rank in range(self.world_size)]
-        batch_sids = [s.seq_id for s in specs]
+        split = ShardPlan(specs, self.world_size)
         pass_q = plan.algo is not RingAlgo.PASS_KV
         ring = ring_passq_prefill if pass_q else ring_passkv_prefill
-        # A round's structure is fixed across its layers: the ring's plan
-        # (padding, skip decisions, kernel layouts) is built over layer 0's
-        # shards, and every later layer's reads take layer 0's structure.
-        for layer in range(cfg.n_layers):
-            queries = []
-            for rank, (positions, seq_ids) in enumerate(coords):
-                q, k, v = self.model.attn_qkv(layer, xs[rank], positions)
-                for sid, lo, hi, _, _ in layout.spans[rank]:
-                    self.caches[rank].append(layer, sid, k[lo:hi], v[lo:hi], positions[lo:hi])
-                queries.append(ShardedQueries(q, positions, seq_ids, runs[rank], indexes[rank]))
-            if layer == 0:
-                kv_shards = kv0 = [cache.get(0, batch_sids) for cache in self.caches]
-                ring_plan = plan_prefill(queries, kv0, pass_q=pass_q)
-            else:
-                kv_shards = [cache.get(layer, batch_sids, like=kv) for cache, kv in zip(self.caches, kv0)]
-            results = ring(self.group, queries, kv_shards, plan=ring_plan)
-            for rank in range(self.world_size):
-                xs[rank] = self.model.attn_residual(layer, xs[rank], results[rank].out)
-                xs[rank] = self.model.ffn_residual(layer, xs[rank])
-
-        # Reassemble per-sequence logits in position order.
-        logits = {spec.seq_id: np.empty((spec.new_tokens, cfg.vocab_size)) for spec in specs}
-        for rank, (positions, _) in enumerate(coords):
-            for sid, lo, hi, _, _ in layout.spans[rank]:
-                rows = positions[lo:hi] - self.context_length(sid)  # still P: committed below
-                logits[sid][rows] = self.model.unembed(xs[rank][lo:hi])
-        self._commit_prefill(specs, new_ids)
+        logits = self._prefill_logits(split, self._round(split, new_ids, ring, pass_q=pass_q))
+        for spec in specs:
+            self.seq_lengths[spec.seq_id] = spec.total_tokens
+            self._track_commit(spec.seq_id, spec.cached_tokens, new_ids[spec.seq_id])
         return PrefillOutput(logits=logits, plan=plan)
-
-    # ------------------------------------------------------------------ #
-    # decode
-    # ------------------------------------------------------------------ #
 
     def decode(self, tokens: dict[int, int]) -> DecodeOutput:
         """Run one decode step: one new token per listed sequence.
@@ -231,94 +203,99 @@ class ContextParallelEngine:
         Returns:
             :class:`DecodeOutput` with per-sequence next-token logits.
         """
-        cfg = self.model.config
-        sids = self._decode_sids(tokens)
-        token_arr = np.array([tokens[sid] for sid in sids], dtype=np.int64)
-        positions = np.array([self.seq_lengths[sid] for sid in sids], dtype=np.int64)
-        seq_arr = np.array(sids, dtype=np.int64)
-
-        # The round's split, made once: each rank's batch slots, their
-        # coordinates, run offsets (every query its own sequence, so one run
-        # per token) and run index. Every layer builds each rank's queries
-        # over them, as prefill does, and passes the one plan, built over
-        # layer 0's reads, whose structure every later layer's reads take.
-        assignment = round_robin_assignment(len(sids), self.world_size, self.decode_steps)
-        rank_slots = [np.nonzero(assignment == rank)[0] for rank in range(self.world_size)]
-        coords = [(positions[slots], seq_arr[slots]) for slots in rank_slots]
-        runs = [np.arange(len(slots) + 1) for slots in rank_slots]
-        indexes = [{sid: i for i, sid in enumerate(seq.tolist())} for _, seq in coords]
-        no_queries = np.empty((0, cfg.n_heads, cfg.head_dim))  # a rank that owns no slot
-
-        xs = [self.model.embed(token_arr[slots]) for slots in rank_slots]
-        for layer in range(cfg.n_layers):
-            queries = []
-            for rank, (pos, seq) in enumerate(coords):
-                q = no_queries
-                if pos.size:
-                    q, k, v = self.model.attn_qkv(layer, xs[rank], pos)
-                    for i, sid in enumerate(indexes[rank]):
-                        self.caches[rank].append(layer, sid, k[i : i + 1], v[i : i + 1], pos[i : i + 1])
-                queries.append(ShardedQueries(q, pos, seq, runs[rank], indexes[rank]))
-            if layer == 0:
-                kv_shards = kv0 = [cache.get(0, sids) for cache in self.caches]
-                plan = plan_prefill(queries, kv0, pass_q=True)
-            else:
-                kv_shards = [cache.get(layer, sids, like=kv) for cache, kv in zip(self.caches, kv0)]
-            results = ring_passq_decode(self.group, queries, kv_shards, slots=rank_slots, plan=plan)
-            for rank, (slots, result) in enumerate(zip(rank_slots, results)):
-                if slots.size:
-                    xs[rank] = self.model.attn_residual(layer, xs[rank], result.out)
-                    xs[rank] = self.model.ffn_residual(layer, xs[rank])
-
-        logits: dict[int, np.ndarray] = {}
-        for rank, slots in enumerate(rank_slots):
-            if slots.size:
-                logits.update(zip(indexes[rank], self.model.unembed(xs[rank])))  # (in slot order)
-        self._commit_decode(sids, positions, tokens)
-        return DecodeOutput(logits=logits, assignment=dict(zip(sids, assignment.tolist())))
-
-    # ------------------------------------------------------------------ #
-    # round validation and commit (shared with ShapeEngine)
-    # ------------------------------------------------------------------ #
-
-    def _prefill_specs(
-        self, prompts: dict[int, np.ndarray]
-    ) -> tuple[list[SequenceSpec], dict[int, np.ndarray]]:
-        """A prefill round's specs in seq-id order and its new ids as int64."""
-        if not prompts:
-            raise ValueError("prefill requires at least one sequence")
-        specs = []
-        new_ids: dict[int, np.ndarray] = {}
-        for sid, ids in sorted(prompts.items()):
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.ndim != 1 or ids.size == 0:
-                raise ValueError(f"sequence {sid}: token ids must be a non-empty 1-D array")
-            specs.append(SequenceSpec(sid, int(ids.size), self.seq_lengths.get(sid, 0)))
-            new_ids[sid] = ids
-        return specs, new_ids
-
-    def _commit_prefill(self, specs: list[SequenceSpec], new_ids: dict[int, np.ndarray]) -> None:
-        """Extend each sequence's committed context by its round's new ids."""
-        for spec in specs:
-            self.seq_lengths[spec.seq_id] = spec.total_tokens
-            self._track_commit(spec.seq_id, spec.cached_tokens, new_ids[spec.seq_id])
-
-    def _decode_sids(self, tokens: dict[int, int]) -> list[int]:
-        """A decode step's sequences in batch (seq-id) order."""
         if not tokens:
             raise ValueError("decode requires at least one sequence")
         sids = sorted(tokens)
         for sid in sids:
             if sid not in self.seq_lengths:
                 raise KeyError(f"sequence {sid} has no prefilled context")
-        return sids
+        split = self._decode_split(sids)
+        ids = {sid: np.array([tokens[sid]], dtype=np.int64) for sid in sids}
 
-    def _commit_decode(self, sids: list[int], positions, tokens: dict[int, int]) -> None:
-        """Commit one decode step: each sequence's token at its position."""
-        for sid, pos in zip(sids, positions):
-            self._track_commit(sid, int(pos), [tokens[sid]])
+        def ring(group, plan, qs, kv_shards):  # (the batch ids are padded at the first layer's call only)
+            return ring_passq_decode(group, plan, qs, kv_shards, slots=split.batch_ids())
+
+        logits = self._decode_logits(split, self._round(split, ids, ring, pass_q=True))
+        for sid in sids:
+            self._track_commit(sid, self.seq_lengths[sid], [tokens[sid]])
             self.seq_lengths[sid] += 1
         self.decode_steps += 1
+        assignment = {span.seq_id: rank for rank, spans in enumerate(split.spans) for span in spans}
+        return DecodeOutput(logits=logits, assignment=assignment)
+
+    def _decode_split(self, sids: list[int]) -> ShardPlan:
+        """The next decode step's round-robin split of ``sids`` (in batch
+        order), at the current ``decode_steps`` offset."""
+        lengths = self.seq_lengths
+        positions = [lengths[sid] if sid in lengths else 0 for sid in sids]
+        return ShardPlan.round_robin(sids, positions, self.world_size, self.decode_steps)
+
+    def _round(self, split: ShardPlan, ids: dict[int, np.ndarray], ring, *, pass_q: bool) -> list[np.ndarray]:
+        """The stage pipeline of one round, per rank: embed ``split``'s rows
+        of ``ids``; then per layer Q/K/V projection and the cache appends,
+        ``ring`` attention, the residual and FFN — each rank-local but the
+        ring. Returns each rank's hidden rows.
+
+        A round's structure is fixed across its layers, so it is derived
+        once: each rank's :class:`ShardedQueries` over the split's
+        coordinates, runs and run index, and over them and layer 0's KV
+        reads the ring's plan (``plan_prefill``); every later layer's reads
+        take layer 0's structure (``like=``) and the ring gets the plan and
+        that layer's ``q`` rows. A rank that holds no rows is embedded but
+        projects, attends (beyond its share of the ring) and transforms
+        nothing.
+        """
+        cfg = self.model.config
+        coords = split.coordinates()
+        xs = [self.model.embed(split.take(rank, ids)) for rank in range(self.world_size)]
+        held = [rank for rank, spans in enumerate(split.spans) if spans]
+        qs = [np.empty((0, cfg.n_heads, cfg.head_dim))] * self.world_size
+        ks, vs = qs[:], qs[:]
+        for layer in range(cfg.n_layers):
+            for rank in held:
+                qs[rank], ks[rank], vs[rank] = self.model.attn_qkv(layer, xs[rank], coords[rank][0])
+            self._append(layer, split, coords, ks, vs)
+            if layer == 0:
+                queries = [
+                    ShardedQueries(q, pos, seq, split.runs(rank), {span[0]: i for i, span in enumerate(spans)})
+                    for rank, (q, (pos, seq), spans) in enumerate(zip(qs, coords, split.spans))
+                ]
+                kv_shards = kv0 = [cache.get(0, split.seq_ids) for cache in self.caches]
+                plan = plan_prefill(queries, kv0, pass_q=pass_q)
+            else:
+                kv_shards = [cache.get(layer, split.seq_ids, like=kv) for cache, kv in zip(self.caches, kv0)]
+            results = ring(self.group, plan, qs, kv_shards)
+            for rank in held:
+                xs[rank] = self.model.attn_residual(layer, xs[rank], results[rank].out)
+                xs[rank] = self.model.ffn_residual(layer, xs[rank])
+        return xs
+
+    def _append(self, layer: int, split: ShardPlan, coords, ks: list[np.ndarray], vs: list[np.ndarray]) -> None:
+        """Append each rank's rows of one layer's K/V (``ks[rank]``,
+        ``vs[rank]``, at ``coords[rank]``'s positions) to its cache, one
+        sequence (span) at a time."""
+        for cache, spans, k, v, (positions, _) in zip(self.caches, split.spans, ks, vs, coords):
+            for sid, lo, hi, _, _ in spans:
+                cache.append(layer, sid, k[lo:hi], v[lo:hi], positions[lo:hi])
+
+    def _prefill_logits(self, split: ShardPlan, xs: list[np.ndarray]) -> dict[int, np.ndarray]:
+        """Each sequence's ``[T_new, vocab]`` logits in position order: one
+        unembed per span, its rows placed by position."""
+        logits = {s.seq_id: np.empty((s.new_tokens, self.model.config.vocab_size)) for s in split.specs}
+        for rank, (positions, _) in enumerate(split.coordinates()):
+            for sid, lo, hi, _, _ in split.spans[rank]:
+                rows = positions[lo:hi] - self.context_length(sid)  # still P: committed after
+                logits[sid][rows] = self.model.unembed(xs[rank][lo:hi])
+        return logits
+
+    def _decode_logits(self, split: ShardPlan, xs: list[np.ndarray]) -> dict[int, np.ndarray]:
+        """Each sequence's ``[vocab]`` next-token logits: one unembed per
+        rank that holds rows."""
+        logits: dict[int, np.ndarray] = {}
+        for (_, seq_ids), x in zip(split.coordinates(), xs):
+            if seq_ids.size:
+                logits.update(zip(seq_ids.tolist(), self.model.unembed(x)))
+        return logits
 
     # ------------------------------------------------------------------ #
     # shared-prefix KV reuse (radix prefix cache)
@@ -414,10 +391,10 @@ class ContextParallelEngine:
             return
         hist = self._committed.get(seq_id)
         if cached_before == 0:
-            hist = [int(t) for t in ids]
+            hist = list(map(int, ids))
             self._committed[seq_id] = hist
         elif hist is not None and len(hist) == cached_before:
-            hist.extend(int(t) for t in ids)
+            hist.extend(map(int, ids))
         else:
             # resident KV with unknown token identity (an imported swap /
             # transfer payload): not donatable
@@ -625,17 +602,9 @@ class ContextParallelEngine:
         return ShardPlan(specs, self.world_size).demand()
 
     def decode_token_demand(self, seq_ids: list[int]) -> list[dict[int, int]]:
-        """Per-rank ``{seq_id: 1}`` the *next* decode step would append.
-
-        Uses the current ``decode_steps`` counter, i.e. the round-robin
-        offset the next :meth:`decode` call will actually use.
-        """
-        sids = sorted(seq_ids)
-        assignment = round_robin_assignment(len(sids), self.world_size, self.decode_steps)
-        demands: list[dict[int, int]] = [{} for _ in range(self.world_size)]
-        for i, sid in enumerate(sids):
-            demands[int(assignment[i])][sid] = 1
-        return demands
+        """Per-rank ``{seq_id: 1}`` the *next* decode step would append:
+        the demand of the split :meth:`decode` would make."""
+        return self._decode_split(sorted(seq_ids)).demand()
 
     def fits(self, demands: list[dict[int, int]]) -> bool:
         """Whether per-rank token demands fit every rank's KV pool."""

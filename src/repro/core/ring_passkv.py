@@ -18,42 +18,43 @@ the ring starts (see :func:`repro.core.sharding.plan_kv_padding`).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.attention.flash import AttentionResult
-from repro.core.ring_skip import RingPlan, plan_prefill, ring_sweep
-from repro.core.sharding import ShardedKV, ShardedQueries
+from repro.core.ring_skip import RingPlan, ring_sweep
+from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
 
 def ring_passkv_prefill(
     group: SimProcessGroup,
-    queries: list[ShardedQueries],
+    plan: RingPlan,
+    qs: list[np.ndarray],
     kv_shards: list[ShardedKV],
     *,
     block_size: int = 128,
-    plan: RingPlan | None = None,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-KV prefill (Algorithm 2).
 
     Args:
-        group: lockstep process group (world_size == len(queries)).
-        queries: per-rank query shards (new tokens only, load-balance
-            sharded; see :func:`repro.core.sharding.shard_sequences`).
+        group: lockstep process group (world_size == len(qs)).
+        plan: the round's :class:`~repro.core.ring_skip.RingPlan`, built by
+            :func:`~repro.core.ring_skip.plan_prefill` with ``pass_q=False``
+            over the per-rank query shards (new tokens only, load-balance
+            sharded; see :func:`repro.core.sharding.shard_sequences`) and
+            KV shards of the round's first layer. It pads per-sequence KV
+            slices to a common length (the equal-message-size invariant).
+        qs: per rank, this layer's ``[n, NH, DH]`` query rows.
         kv_shards: per-rank KV shards containing both cached tokens from
             previous turns and the freshly projected KV of this turn's new
-            tokens. Per-sequence KV slices are padded to a common length
-            before the ring starts (the equal-message-size invariant).
+            tokens, of the token counts the plan was built for.
         block_size: KV block size of the local flash kernel.
-        plan: the round's :class:`~repro.core.ring_skip.RingPlan`
-            (:func:`~repro.core.ring_skip.plan_prefill` over layer 0's
-            shards), handed over by a caller that runs this ring at every
-            layer; without one, the call plans for itself.
 
     Returns:
         Per-rank exact :class:`AttentionResult` for each rank's queries, in
         the rank's local token order.
     """
-    plan = plan if plan is not None else plan_prefill(queries, kv_shards, pass_q=False)
     return ring_sweep(
-        group, *plan.wire([s.q for s in queries], kv_shards), plan.pairs,
+        group, *plan.wire(qs, kv_shards), plan.pairs,
         pass_q=False, tags=("passkv", None), block_size=block_size,
     )

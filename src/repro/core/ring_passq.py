@@ -18,42 +18,41 @@ because circulating Q moves ``T * NH * DH`` elements versus pass-KV's
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.attention.flash import AttentionResult
-from repro.core.ring_skip import RingPlan, plan_prefill, ring_sweep
-from repro.core.sharding import ShardedKV, ShardedQueries
+from repro.core.ring_skip import RingPlan, ring_sweep
+from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
 
 def ring_passq_prefill(
     group: SimProcessGroup,
-    queries: list[ShardedQueries],
+    plan: RingPlan,
+    qs: list[np.ndarray],
     kv_shards: list[ShardedKV],
     *,
     block_size: int = 128,
-    plan: RingPlan | None = None,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-Q prefill (Algorithm 3).
 
     Args:
         group: lockstep process group.
-        queries: per-rank query shards. Load-balanced sharding guarantees
-            near-equal lengths; shards are padded to the max so ring
-            messages are equal-sized (padding outputs are dropped).
+        plan: the round's :class:`~repro.core.ring_skip.RingPlan`, built by
+            :func:`~repro.core.ring_skip.plan_prefill` with ``pass_q=True``.
+            Load-balanced sharding guarantees near-equal query counts; the
+            plan pads every message to the longest (padding outputs are
+            dropped).
+        qs: per rank, this layer's ``[n, NH, DH]`` query rows.
         kv_shards: per-rank resident KV shards (cached + new), never moved.
         block_size: KV block size of the local flash kernel.
-        plan: the round's :class:`~repro.core.ring_skip.RingPlan`, as for
-            :func:`repro.core.ring_passkv.ring_passkv_prefill`.
 
     Returns:
         Per-rank exact :class:`AttentionResult`, trimmed back to each rank's
         original (pre-padding) query count.
     """
-    plan = plan if plan is not None else plan_prefill(queries, kv_shards, pass_q=True)
     results = ring_sweep(
-        group, *plan.wire([s.q for s in queries], kv_shards), plan.pairs,
+        group, *plan.wire(qs, kv_shards), plan.pairs,
         pass_q=True, tags=("passq", "passq-merge"), block_size=block_size,
     )
-    return [
-        AttentionResult(out=r.out[: len(qr)], lse=r.lse[: len(qr)])
-        for r, qr in zip(results, queries)
-    ]
+    return [AttentionResult(out=r.out[:n], lse=r.lse[:n]) for r, (n, _) in zip(results, plan.counts)]

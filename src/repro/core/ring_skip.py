@@ -28,10 +28,10 @@ and ``v`` change between layers. So what a ring derives from structure —
 the messages' padding (:class:`~repro.core.sharding.Padding`), each
 ``(step, rank)`` pair's skip decision and its kernel layout — is one plain
 value, a :class:`RingPlan`, built eagerly by :func:`plan_ring` from layer
-0's query shards and KV reads. ``engine.prefill`` and ``engine.decode``
-build one per round and hand it to the ring at every layer; a single-use
-call builds one for itself through the same function. The sweep only reads
-it. A plan handed a shard of another token count raises.
+0's query shards and KV reads. The engine's one round body builds one
+per round and hands it to the ring at every layer; every ring takes a plan,
+so a single-use caller plans first with :func:`plan_prefill`. The sweep
+only reads it. A plan handed a shard of another token count raises.
 """
 
 from __future__ import annotations

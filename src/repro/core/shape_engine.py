@@ -3,15 +3,17 @@
 :class:`ShapeEngine` is a :class:`~repro.core.engine.ContextParallelEngine`
 that stores no K/V and computes no attention, so the continuous-batching
 runtime serves 128K-1M-token prompts (Table 6, Figure 8, §4.3) in seconds
-of wall time. It overrides :meth:`~ShapeEngine.prefill` and
-:meth:`~ShapeEngine.decode` only. A prefill round still runs the real
-:class:`~repro.core.planner.PrefillPlanner` plan and
-:class:`~repro.core.sharding.ShardPlan` split, a decode step the real
-round-robin assignment (§3.6), and each appends the same positions to the
-same per-rank :class:`~repro.kvcache.cache.RankKVCache` and paged
-allocator as the numeric engine — with K/V rows of zero width. Capacity
-checks, token demand, eviction, KV export/import, prefix reuse and the
-leak audit are the base class's own code.
+of wall time. Its rounds are the numeric engine's ``prefill`` and
+``decode``: the real :class:`~repro.core.planner.PrefillPlanner` plan and
+the real :class:`~repro.core.sharding.ShardPlan` split, load-balanced for
+a prefill round and round-robin for a decode step (§3.6). It overrides
+two hooks only: the round body, whose every layer appends the split's
+rows through the base body's append — the same positions to the same
+per-rank :class:`~repro.kvcache.cache.RankKVCache` and paged allocator as
+the numeric engine, with K/V rows of zero width — and plans, rings and
+transforms nothing; and the logits. Capacity checks, token demand,
+eviction, KV export/import, prefix reuse and the leak audit are the base
+class's own code.
 
 Scheduling reads lengths and token ids, never activations, so a runtime
 tells the two engines apart only by their tokens. Those come from the
@@ -28,9 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.engine import ContextParallelEngine, DecodeOutput, PrefillOutput
-from repro.core.ring_decode import round_robin_assignment
-from repro.core.sharding import ShardPlan
+from repro.core.engine import ContextParallelEngine
 from repro.model.config import ModelConfig
 
 
@@ -55,42 +55,33 @@ class ShapeEngine(ContextParallelEngine):
     """The numeric engine's bookkeeping without K/V or attention.
 
     Build it on a :class:`ShapeModel` (:func:`build_engine` does). Logits
-    hold one one-hot row per sequence: a prefill's is its last new
-    token's, which is all :meth:`PrefillOutput.last_logits` reads.
+    hold one one-hot row per sequence, the token source's next token: a
+    prefill's is its last new token's, which is all
+    :meth:`~repro.core.engine.PrefillOutput.last_logits` reads.
     """
 
-    def prefill(self, prompts: dict[int, np.ndarray], *, force_algo=None) -> PrefillOutput:
+    def _round(self, split, ids, ring, *, pass_q: bool) -> None:
         cfg = self.model.config
-        specs, new_ids = self._prefill_specs(prompts)
-        plan = self.planner.plan(specs, force_algo=force_algo)
-        layout = ShardPlan(specs, self.world_size)
-        for rank, (positions, _) in enumerate(layout.coordinates()):
-            for sid, lo, hi, _, _ in layout.spans[rank]:
-                kv = np.empty((hi - lo, cfg.n_kv_heads, cfg.head_dim))
-                for layer in range(cfg.n_layers):
-                    self.caches[rank].append(layer, sid, kv, kv, positions[lo:hi])
-        self._commit_prefill(specs, new_ids)
-        logits = {
-            s.seq_id: np.eye(1, cfg.vocab_size, self.model.next_token(s.seq_id, s.total_tokens))
-            for s in specs
-        }
-        return PrefillOutput(logits=logits, plan=plan)
+        coords = split.coordinates()
+        kv = [np.empty((max([len(positions) for positions, _ in coords]), cfg.n_kv_heads, cfg.head_dim))] * len(coords)
+        for layer in range(cfg.n_layers):
+            self._append(layer, split, coords, kv, kv)
 
-    def decode(self, tokens: dict[int, int]) -> DecodeOutput:
-        cfg = self.model.config
-        sids = self._decode_sids(tokens)
-        positions = [self.seq_lengths[sid] for sid in sids]
-        ranks = round_robin_assignment(len(sids), self.world_size, self.decode_steps).tolist()
-        kv = np.empty((1, cfg.n_kv_heads, cfg.head_dim))
-        for sid, pos, rank in zip(sids, positions, ranks):
-            for layer in range(cfg.n_layers):
-                self.caches[rank].append(layer, sid, kv, kv, np.array([pos]))
-        self._commit_decode(sids, positions, tokens)
-        logits = {
-            sid: np.eye(1, cfg.vocab_size, self.model.next_token(sid, pos + 1))[0]
-            for sid, pos in zip(sids, positions)
-        }
-        return DecodeOutput(logits=logits, assignment=dict(zip(sids, ranks)))
+    def _prefill_logits(self, split, xs) -> dict[int, np.ndarray]:
+        vocab, token = self.model.config.vocab_size, self.model.next_token
+        return {s.seq_id: _one_hot(vocab, token(s.seq_id, s.total_tokens))[None] for s in split.specs}
+
+    def _decode_logits(self, split, xs) -> dict[int, np.ndarray]:
+        vocab, token, lengths = self.model.config.vocab_size, self.model.next_token, self.seq_lengths
+        # (not yet committed: a decode token's position is its sequence's length)
+        return {sid: _one_hot(vocab, token(sid, lengths[sid] + 1)) for sid in split.seq_ids}
+
+
+def _one_hot(vocab: int, token: int) -> np.ndarray:
+    """A ``[vocab]`` logit row that greedy sampling reads as ``token``."""
+    row = np.zeros(vocab)
+    row[token] = 1.0
+    return row
 
 
 def build_engine(model, world_size: int, *, capacity_tokens: int | None = None) -> ContextParallelEngine:

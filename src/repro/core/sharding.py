@@ -8,15 +8,19 @@ one "early" chunk and one mirrored "late" chunk. Every rank then owns the
 same token count (balancing KV-cache bytes) and, summed over its two chunks,
 the same causal attention area (balancing FLOPs).
 
-Three use cases, all reduced to the same primitive:
+Three use cases, one split value (:class:`ShardPlan`):
 
 - **Full prefill** of fused variable-length batches: each sequence is
   sharded independently and each rank concatenates its slices (Figure 1).
 - **Partial prefill**: only the *new* tokens (positions ``[P, P+T)``) are
   load-balance sharded; cached tokens keep whatever layout previous turns
   gave them (Figure 2).
-- **Decode** round-robin sharding lives in :mod:`repro.core.ring_decode`;
-  each rank's one-token queries are a :class:`ShardedQueries` too.
+- **Decode**: each sequence's one new token goes to one rank, round-robin
+  with a per-step offset (§3.6, :func:`round_robin_assignment`,
+  :meth:`ShardPlan.round_robin`).
+
+This module is the only place that decides where a round's tokens go; the
+engines read the split.
 
 Every sharded token carries its absolute ``(seq_id, position)`` so causal
 masks remain exact under the permutation (see :mod:`repro.attention.masks`).
@@ -210,7 +214,10 @@ def rank_chunks(length: int, world_size: int, rank: int) -> list[tuple[int, int]
 
 class ShardSpan(NamedTuple):
     """One sequence's rows on one rank: rows ``[row_lo, row_hi)`` hold its
-    ``early`` chunk, then its ``late`` one (its :func:`rank_chunks`)."""
+    ``early`` chunk, then its ``late`` one (its :func:`rank_chunks`), each a
+    ``(start, stop)`` range of the sequence's new tokens — one range where
+    they abut (rank ``N - 1`` always, so every CP1 span), and ``late`` may
+    be empty (a decode row: ``(0, 1)``, ``(1, 1)``)."""
 
     seq_id: int
     row_lo: int
@@ -218,31 +225,45 @@ class ShardSpan(NamedTuple):
     early: tuple[int, int]
     late: tuple[int, int]
 
-    def ranges(self) -> list[tuple[int, int]]:
-        """The rows' new-token ranges in row order: one where the chunks abut
-        (rank ``N - 1`` always, so every CP1 span) or ``late`` is empty."""
-        (a, b), (c, d) = self.early, self.late
-        if b == c:
-            return [(a, d)]
-        return [(a, b), (c, d)] if c < d else [(a, b)]
+
+def round_robin_assignment(batch_size: int, world_size: int, step: int) -> np.ndarray:
+    """Rank owning each batch slot at decode iteration ``step``.
+
+    ``rank(b) = (b + step) mod N`` — the offset-by-one rotation that levels
+    KV-cache growth across ranks (§3.6).
+    """
+    if batch_size < 0:
+        raise ValueError(f"batch_size must be >= 0, got {batch_size}")
+    if world_size < 1:
+        raise ValueError(f"world_size must be >= 1, got {world_size}")
+    if step < 0:
+        raise ValueError(f"step must be >= 0, got {step}")
+    return (np.arange(batch_size, dtype=np.int64) + step) % world_size
 
 
 class ShardPlan:
-    """One prefill round's load-balanced split, as integer arithmetic.
+    """One round's split of its new tokens over the ranks, as integer
+    arithmetic: a prefill round's load-balanced one, or (built by
+    :meth:`round_robin`) a decode round's.
 
-    One ``divmod`` cuts each sequence's ``T`` new tokens into ``2N`` chunks;
-    ``spans[rank]`` lists the rank's non-empty :class:`ShardSpan` in batch
-    order. Building it touches no array: KV demand is the span lengths, and
-    the arrays a round does need are materialised from the spans on request.
+    ``seq_ids`` lists the round's sequences in batch order and
+    ``spans[rank]`` the rank's non-empty :class:`ShardSpan` in batch order.
+    A load-balanced split keeps its ``specs``: one ``divmod`` cuts each
+    sequence's ``T`` new tokens into ``2N`` chunks. Building it touches no
+    array: KV demand is the span lengths, and the arrays a round does need
+    are materialised from the spans on request.
     """
 
     def __init__(self, specs: list[SequenceSpec], world_size: int):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        if len({spec.seq_id for spec in specs}) != len(specs):
-            raise ValueError("a round shards each sequence once: duplicate seq_id")
         self.specs = specs
+        self.seq_ids = [spec.seq_id for spec in specs]
+        if len(set(self.seq_ids)) != len(specs):
+            raise ValueError("a round shards each sequence once: duplicate seq_id")
         self.spans: list[list[ShardSpan]] = [[] for _ in range(world_size)]
+        self._coords: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._batch_ids: list[np.ndarray] | None = None
         last = 2 * world_size - 1
         for spec in specs:
             base, extra = divmod(spec.new_tokens, last + 1)
@@ -253,9 +274,41 @@ class ShardPlan:
                     lo = spans[-1].row_hi if spans else 0
                     spans.append(ShardSpan(spec.seq_id, lo, lo + rows, early, late))
 
+    @classmethod
+    def round_robin(cls, seq_ids: list[int], positions: list[int], world_size: int, step: int) -> "ShardPlan":
+        """A decode round's split (§3.6): sequence ``seq_ids[b]``'s one new
+        token, at ``positions[b]``, is row ``b // N`` of rank
+        ``(b + step) mod N`` (:func:`round_robin_assignment`), so rank ``r``
+        holds every ``N``-th slot from ``(r - step) mod N`` and its
+        coordinates are those slices of ``positions`` and ``seq_ids``. It
+        has no ``specs``."""
+        if world_size < 1 or step < 0:
+            raise ValueError(f"need world_size >= 1 and step >= 0, got {world_size} and {step}")
+        split = cls.__new__(cls)
+        split.specs, split.seq_ids, split._batch_ids = None, seq_ids, None
+        split.spans = [[] for _ in range(world_size)]
+        for b, sid in enumerate(seq_ids):
+            row = b // world_size
+            split.spans[(b + step) % world_size].append(ShardSpan(sid, row, row + 1, (0, 1), (1, 1)))
+        pos, seq = np.array(positions, dtype=np.int64), np.array(seq_ids, dtype=np.int64)
+        empty = (pos[:0], seq[:0])  # (every rank that owns no slot: B < N)
+        split._coords = [
+            (pos[(rank - step) % world_size :: world_size], seq[(rank - step) % world_size :: world_size])
+            if spans else empty
+            for rank, spans in enumerate(split.spans)
+        ]
+        return split
+
     def demand(self) -> list[dict[int, int]]:
-        """Per-rank ``{seq_id: tokens}`` the round appends to the KV cache."""
-        return [{s.seq_id: s.row_hi - s.row_lo for s in spans} for spans in self.spans]
+        """Per-rank ``{seq_id: tokens}`` the round appends to the KV cache
+        (plain loops: the runtime's capacity checks ask it every round)."""
+        demands = []
+        for spans in self.spans:
+            demand = {}
+            for sid, lo, hi, _, _ in spans:
+                demand[sid] = hi - lo
+            demands.append(demand)
+        return demands
 
     def runs(self, rank: int) -> np.ndarray:
         """``cu_seqlens`` offsets of ``rank``'s rows: one run per span."""
@@ -263,23 +316,48 @@ class ShardPlan:
 
     def take(self, rank: int, rows: dict[int, np.ndarray]) -> np.ndarray:
         """``rank``'s rows of ``rows[seq_id]`` (row ``j`` = new token ``j``) in
-        shard order: a view when one range, empty ``int64`` for an empty rank."""
-        pieces = [rows[s.seq_id][lo:hi] for s in self.spans[rank] for lo, hi in s.ranges()]
+        shard order — each span's ``early`` then ``late`` range, one range
+        where they abut: a view when one range, empty ``int64`` for an
+        empty rank."""
+        pieces = [
+            rows[sid][lo:hi]
+            for sid, _, _, (a, b), (c, d) in self.spans[rank]
+            for lo, hi in (((a, d),) if b == c else ((a, b), (c, d)))
+            if lo < hi
+        ]
         if len(pieces) == 1:
             return pieces[0]
         return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
 
+    def batch_ids(self) -> list[np.ndarray]:
+        """Per rank, the batch index (in ``seq_ids``) of each row's
+        sequence, ``-1`` on the rows that pad it to the longest rank's:
+        Algorithm 4's batch ids, which ride beside a pass-Q query message.
+        Made on the first call; later calls return the same arrays."""
+        if self._batch_ids is None:
+            index = dict(zip(self.seq_ids, range(len(self.seq_ids))))
+            ids = np.empty((len(self.spans), max([spans[-1].row_hi if spans else 0 for spans in self.spans])), np.int64)
+            ids.fill(-1)
+            for rows, spans in zip(ids, self.spans):
+                for sid, lo, hi, _, _ in spans:
+                    rows[lo:hi] = index[sid]
+            self._batch_ids = list(ids)
+        return self._batch_ids
+
     def coordinates(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-rank ``(positions, seq_ids)``: one ``arange`` per sequence, one
-        ``repeat`` per rank."""
-        new = {
-            s.seq_id: np.arange(s.cached_tokens, s.total_tokens, dtype=np.int64)
-            for s in self.specs
-        }
-        return [
-            (self.take(rank, new), np.repeat(np.array(list(d), dtype=np.int64), list(d.values())))
-            for rank, d in enumerate(self.demand())
-        ]
+        """Per-rank ``(positions, seq_ids)``: a load-balanced split makes
+        them on the first call, one ``arange`` per sequence and one
+        ``repeat`` per rank; later calls return the same arrays."""
+        if self._coords is None:
+            new = {
+                s.seq_id: np.arange(s.cached_tokens, s.total_tokens, dtype=np.int64)
+                for s in self.specs
+            }
+            self._coords = [
+                (self.take(rank, new), np.repeat(np.array(list(d), dtype=np.int64), list(d.values())))
+                for rank, d in enumerate(self.demand())
+            ]
+        return self._coords
 
 
 def shard_positions(

@@ -14,6 +14,7 @@ import numpy as np
 from repro.baselines.allgather_passkv import allgather_passkv_prefill
 from repro.core.heuristics import RingAlgo
 from repro.core.ring_passkv import ring_passkv_prefill
+from repro.core.ring_skip import plan_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 from repro.experiments.base import ExperimentResult
@@ -34,7 +35,8 @@ def traffic_check(world: int = 4, tokens: int = 64) -> tuple[int, int]:
     queries = [ShardedQueries(q=q[pos], positions=pos, seq_ids=sid) for pos, sid in shards]
     kvs = [ShardedKV(k=k[pos], v=v[pos], positions=pos, seq_ids=sid) for pos, sid in shards]
     ring, gather = RecordingTracer(), RecordingTracer()
-    ring_passkv_prefill(SimProcessGroup(world, tracer=ring), queries, kvs)
+    plan = plan_prefill(queries, kvs, pass_q=False)
+    ring_passkv_prefill(SimProcessGroup(world, tracer=ring), plan, [s.q for s in queries], kvs)
     allgather_passkv_prefill(SimProcessGroup(world, tracer=gather), queries, kvs)
     return comm_totals(ring.events)["sendrecv"].bytes, comm_totals(gather.events)["allgather"].bytes
 

@@ -11,6 +11,7 @@ from repro.distributed.process_group import SimProcessGroup
 from helpers import (
     comm,
     make_qkv,
+    run_ring,
     shard_qkv_full_prefill,
     shard_varseq_full_prefill,
     traced_group,
@@ -33,7 +34,7 @@ class TestExactness:
         per_seq = {0: make_qkv(rng, 10, 10), 1: make_qkv(rng, 15, 15)}
         queries, kvs = shard_varseq_full_prefill(per_seq, world)
         ag = allgather_passkv_prefill(SimProcessGroup(world), queries, kvs)
-        ring = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        ring = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         for a, b in zip(ag, ring):
             np.testing.assert_allclose(a.out, b.out, atol=1e-10)
 
@@ -56,7 +57,7 @@ class TestCommunicationShape:
         q, k, v = make_qkv(rng, 16, 16)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
         g_ring = traced_group(world)
-        ring_passkv_prefill(g_ring, queries, kvs)
+        run_ring(ring_passkv_prefill, g_ring, queries, kvs)
         g_ag = traced_group(world)
         allgather_passkv_prefill(g_ag, queries, kvs)
         ring_bytes = comm(g_ring)["sendrecv"].bytes

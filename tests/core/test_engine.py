@@ -145,43 +145,65 @@ class TestDecode:
         after = np.array(engine.cached_tokens(0))
         np.testing.assert_array_equal(after - before, np.ones(world, dtype=int))
 
-    def test_a_round_derives_its_plan_and_its_kv_structure_once(self, monkeypatch):
-        """Per decode round, whatever the layer count: one round-robin
-        assignment; one ring plan, built by the pass-Q prefill planner over
-        the layer-0 queries and reads and handed to the ring at every layer,
-        each layer's queries over the round's one set of coordinates; per
-        rank, one KV structure — positions, sequence ids, runs, run index,
-        reach — that every later layer's read takes from the layer-0 read,
-        so the ring scans no shard for its reach; and per visible (step,
-        rank) pair of the ring, one kernel layout, built with the plan and
-        handed to the kernel at every layer. The logits are an untouched
-        engine's."""
+    @pytest.mark.parametrize("batch", [3, 6], ids=["B<N", "B>N"])
+    @pytest.mark.parametrize("kind", ["decode", "passkv", "passq"])
+    def test_a_round_derives_its_plan_and_its_kv_structure_once(self, monkeypatch, kind, batch):
+        """Per round, decode or prefill, whatever the layer count: one
+        split; each rank's ``ShardedQueries`` built once (``__post_init__``
+        runs ``world`` times); one ring plan, built by the pass-Q or pass-KV
+        prefill planner over the layer-0 queries and reads and handed to the
+        ring at every layer with that layer's ``q`` rows; decode's padded
+        batch ids the same arrays at every layer; per rank one KV structure
+        — positions, sequence ids, runs, run index, reach — that every
+        later layer's read takes from the layer-0 read, so the plan scans no
+        shard for its reach; and per visible (step, rank) pair one kernel
+        layout, built with the plan and handed to the kernel at every layer.
+        The logits are an untouched engine's."""
         import repro.core.engine as engine_module
         import repro.core.ring_skip as ring_skip
+        from repro.core.sharding import ShardedQueries, ShardPlan
         from repro.kvcache.cache import RankKVCache
 
         model = LlamaModel(tiny_config(n_layers=3), seed=0)
         world = 4
-        prompts = {sid: (np.arange(5 + sid) * 7) % 101 for sid in range(6)}
-        tokens = {sid: 3 + sid for sid in prompts}
-        engine = ContextParallelEngine(model, world_size=world)
-        engine.prefill(prompts)
-        want = ContextParallelEngine(model, world_size=world)
-        want.prefill(prompts)
-        want = want.decode(tokens)
+        prompts = {sid: (np.arange(5 + sid) * 7) % 101 for sid in range(batch)}
+        if kind == "decode":
+            ring_name = "ring_passq_decode"
 
-        planned, handed, scanned, reads, assigned = [], [], [], [], []
-        plan_prefill, ring, reach, get, assign = (
-            engine_module.plan_prefill, engine_module.ring_passq_decode, ring_skip.kv_reach, RankKVCache.get,
-            engine_module.round_robin_assignment,
-        )
+            def run(engine):
+                return engine.decode({sid: 3 + sid for sid in prompts})
+        else:
+            ring_name = f"ring_{kind}_prefill"
+            algo = RingAlgo.PASS_KV if kind == "passkv" else RingAlgo.PASS_Q
+
+            def run(engine):
+                return engine.prefill({sid: np.arange(2 + sid) + 1 for sid in prompts}, force_algo=algo)
+
+        engine, untouched = (ContextParallelEngine(model, world_size=world) for _ in range(2))
+        for e in (engine, untouched):
+            e.prefill(prompts)
+        want = run(untouched)
+
+        splits, built_queries, planned, handed, scanned, reads = [], [], [], [], [], []
+
+        class CountedSplit(ShardPlan):
+            def __init__(self, *args):
+                splits.append(self)
+                super().__init__(*args)
+
+            @classmethod
+            def round_robin(cls, *args):
+                splits.append(super().round_robin(*args))
+                return splits[-1]
+
+        post_init, plan_prefill, ring = ShardedQueries.__post_init__, engine_module.plan_prefill, getattr(engine_module, ring_name)
+        reach, get = ring_skip.kv_reach, RankKVCache.get
+        monkeypatch.setattr(engine_module, "ShardPlan", CountedSplit)
+        monkeypatch.setattr(ShardedQueries, "__post_init__", lambda self: built_queries.append(self) or post_init(self))
         monkeypatch.setattr(
             engine_module, "plan_prefill", lambda *a, **kw: planned.append(plan_prefill(*a, **kw)) or planned[-1]
         )
-        monkeypatch.setattr(
-            engine_module, "ring_passq_decode", lambda *a, **kw: handed.append((a[1], kw["plan"])) or ring(*a, **kw)
-        )
-        monkeypatch.setattr(engine_module, "round_robin_assignment", lambda *a: assigned.append(a) or assign(*a))
+        monkeypatch.setattr(engine_module, ring_name, lambda *a, **kw: handed.append((a, kw)) or ring(*a, **kw))
         monkeypatch.setattr(ring_skip, "kv_reach", lambda *a: scanned.append(a) or reach(*a))
         monkeypatch.setattr(
             RankKVCache, "get",
@@ -193,12 +215,17 @@ class TestDecode:
         monkeypatch.setattr(
             ring_skip, "flash_attention", lambda *a, **kw: laid_out.append(kw["layout"]) or kernel(*a, **kw)
         )
-        got = engine.decode(tokens)
-        assert len(assigned) == 1
+        got = run(engine)
+        assert len(splits) == 1
+        assert len(built_queries) == world
         assert len(planned) == 1 and not scanned
-        assert len(handed) == 3 and all(plan is planned[0] for _, plan in handed)
-        for name in ("positions", "seq_ids", "runs", "run_index"):  # (rank 0 owns slots 0 and 4)
-            assert len({id(getattr(queries[0], name)) for queries, _ in handed}) == 1
+        assert len(handed) == 3 and all(args[1] is planned[0] for args, _ in handed)
+        for args, _ in handed:  # each layer's own q rows, one array per rank
+            assert len(args[2]) == world and all(isinstance(q, np.ndarray) for q in args[2])
+        if kind == "decode":
+            slots = [kw["slots"] for _, kw in handed]
+            assert all(s is slots[0] for s in slots)
+            assert [len(ids) for ids in slots[0]] == [len(p.positions) for p in planned[0].q]
         assert len(reads) == world * 3
         assert built and len(laid_out) == 3 * len(built)
         assert all(sum(h is b for h in laid_out) == 3 for b in built)
@@ -208,9 +235,11 @@ class TestDecode:
                 assert len({id(getattr(shard, name)) for shard in shards}) == 1
             assert shards[0].reach == reach(shards[0].positions, shards[0].seq_ids, shards[0].runs)
             assert not np.array_equal(shards[0].k, shards[1].k)
+        assert sorted(got.logits) == sorted(want.logits)
         for sid in prompts:
             np.testing.assert_array_equal(got.logits[sid], want.logits[sid])
-        assert got.assignment == want.assignment
+        if kind == "decode":
+            assert got.assignment == want.assignment
 
     def test_decode_unknown_sequence(self, model):
         engine = ContextParallelEngine(model, world_size=2)

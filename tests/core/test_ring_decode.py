@@ -5,12 +5,12 @@ import pytest
 
 from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_skip import plan_prefill
-from repro.core.sharding import ShardedKV, ShardedQueries
+from repro.core.sharding import ShardedKV, ShardedQueries, round_robin_assignment
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import comm, decode_round, in_batch_order, make_qkv, traced_group
+from helpers import comm, decode_round, in_batch_order, make_qkv, run_ring, traced_group
 
 
 def build_decode_scenario(rng, world, batch, ctx_lens):
@@ -63,7 +63,7 @@ def decode(group, kv_shards, batch, step=0):
     """The decode ring over ``batch`` split as the engine splits it at
     ``step``: its result in batch order, and each rank's slots."""
     queries, slots = decode_round(*batch, group.world_size, step)
-    return in_batch_order(ring_passq_decode(group, queries, kv_shards, slots=slots), slots), slots
+    return in_batch_order(run_ring(ring_passq_decode, group, queries, kv_shards, slots=slots), slots), slots
 
 
 class TestRoundRobin:
@@ -99,7 +99,7 @@ class TestDecodeExactness:
         ctx_lens = [int(c) for c in rng.integers(5, 40, size=batch)]
         kv_shards, batch_qs, refs = build_decode_scenario(rng, world, batch, ctx_lens)
         queries, slots = decode_round(*batch_qs, world)
-        results = ring_passq_decode(SimProcessGroup(world), queries, kv_shards, slots=slots)
+        results = run_ring(ring_passq_decode, SimProcessGroup(world), queries, kv_shards, slots=slots)
         assert [len(r.out) for r in results] == [len(s) for s in slots]  # each rank its own rows
         result = in_batch_order(results, slots)
         for b in range(batch):
@@ -151,7 +151,7 @@ class TestStackedMerge:
 
         group.all_to_all = recording
         queries, slots = decode_round(*batch_qs, world, step)
-        results = ring_passq_decode(group, queries, kv_shards, slots=slots)
+        results = run_ring(ring_passq_decode, group, queries, kv_shards, slots=slots)
         for result, merged, own in zip(results, _per_rank_merge(seen["restored"]), slots):
             assert result.out.shape == (len(own), *merged.out.shape[1:])
             assert np.array_equal(result.out, merged.out[: len(own)])
@@ -167,36 +167,28 @@ class TestStackedMerge:
 
 class TestRoundPlan:
     def test_one_batch_across_layers_derives_the_round_once(self, rng, monkeypatch):
-        """What ``engine.decode`` does: per layer, each rank's queries over
-        the round's one set of coordinates, and one plan, built over the
-        first layer's shards by the pass-Q prefill planner, handed to the
-        ring at every layer. A ring handed the plan plans nothing, and the
-        second layer's result is the one a fresh round gives."""
-        import repro.core.ring_decode as ring_decode
+        """What the engine's round body does: one plan, built over the first
+        layer's shards by the pass-Q prefill planner, and the batch ids
+        padded once, both handed to the ring at every layer with only that
+        layer's ``q`` rows. A ring plans nothing, and the second layer's
+        result is the one a fresh round gives."""
+        import repro.core.ring_skip as ring_skip
 
-        planned = []
-        monkeypatch.setattr(
-            ring_decode, "plan_prefill", lambda *a, **kw: planned.append(a) or plan_prefill(*a, **kw)
-        )
         world, batch = 4, 6  # 6 over 4 ranks: pad rows in two payloads
         kv_shards, (q, positions, sids), _ = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
         layer0, slots = decode_round(q, positions, sids, world)
         group = SimProcessGroup(world)
         plan = plan_prefill(layer0, kv_shards, pass_q=True)
-        ring_passq_decode(group, layer0, kv_shards, slots=slots, plan=plan)
+        padded = [np.concatenate([own, np.full(2 - len(own), -1)]) for own in slots]
+        planned, plan_ring = [], ring_skip.plan_ring
+        monkeypatch.setattr(ring_skip, "plan_ring", lambda *a, **kw: planned.append(a) or plan_ring(*a, **kw))
+        ring_passq_decode(group, plan, [s.q for s in layer0], kv_shards, slots=padded)
         next_q = rng.standard_normal(q.shape)  # the next layer's projections, same tokens
-        layer1 = [ShardedQueries(next_q[own], s.positions, s.seq_ids, s.runs, s.run_index) for own, s in zip(slots, layer0)]
-        again = ring_passq_decode(group, layer1, kv_shards, slots=slots, plan=plan)
+        again = ring_passq_decode(group, plan, [next_q[own] for own in slots], kv_shards, slots=padded)
         assert not planned
         want, _ = decode(SimProcessGroup(world), kv_shards, (next_q, positions, sids))
         got = in_batch_order(again, slots)
         assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
-        # a ring handed no plan plans for itself, each call
-        planned.clear()
-        ring_passq_decode(group, layer1, kv_shards, slots=slots)
-        ring_passq_decode(group, layer1, kv_shards, slots=slots)
-        assert len(planned) == 2
-
 
     def test_one_kv_reach_per_rank_per_round(self, rng, monkeypatch):
         """The shards ``RankKVCache.get`` hands a round carry their reach —
@@ -225,8 +217,9 @@ class TestRoundPlan:
         ]
         queries, slots = decode_round(*batch_qs, world)
         plan = plan_prefill(queries, first, pass_q=True)
+        padded = [np.concatenate([own, np.full(2 - len(own), -1)]) for own in slots]
         results = [
-            in_batch_order(ring_passq_decode(group, queries, shards, slots=slots, plan=plan), slots)
+            in_batch_order(ring_passq_decode(group, plan, [s.q for s in queries], shards, slots=padded), slots)
             for shards in rounds
         ]
         assert not scanned
@@ -248,7 +241,7 @@ class TestPairLayouts:
         """A round's plan, built over one set of KV shards, handed shards in
         which one rank holds a token more: the ring raises, naming the
         rank, before any step runs — it never replans behind the caller's
-        back. A ring handed no plan over the same shards is exact."""
+        back. A ring over the same shards' own plan is exact."""
         world, batch = 4, 6
         kv_shards, batch_qs, refs = build_decode_scenario(rng, world, batch, [9, 4, 17, 1, 12, 6])
         queries, slots = decode_round(*batch_qs, world)
@@ -260,8 +253,9 @@ class TestPairLayouts:
             positions=np.append(kv.positions, 10**6), seq_ids=np.append(kv.seq_ids, 99),
         )
         group = traced_group(world)
+        padded = [np.concatenate([own, np.full(2 - len(own), -1)]) for own in slots]
         with pytest.raises(ValueError, match="rank 2 holds"):
-            ring_passq_decode(group, queries, grown, slots=slots, plan=plan)
+            ring_passq_decode(group, plan, [s.q for s in queries], grown, slots=padded)
         assert not group.tracer.events
         got, _ = decode(SimProcessGroup(world), grown, batch_qs)
         for b in range(batch):
@@ -283,12 +277,13 @@ class TestDecodeBatchValidation:
             decode(SimProcessGroup(3), kv_shards, batch_qs)
 
     def test_one_batch_id_per_query(self, rng):
-        """Each message carries its queries' batch ids: a rank handed
-        another count of ids than queries is refused before any step."""
+        """Each message carries its rows' batch ids: a rank handed another
+        count of ids than its message has rows is refused before any step."""
         kv_shards, batch_qs, _ = build_decode_scenario(rng, 2, 3, [8, 8, 8])
         queries, slots = decode_round(*batch_qs, 2)
+        plan = plan_prefill(queries, kv_shards, pass_q=True)
         group = traced_group(2)
-        for wrong in ([slots[0], slots[1][:0]], slots[:1]):
-            with pytest.raises(ValueError, match="one batch id per query"):
-                ring_passq_decode(group, queries, kv_shards, slots=wrong)
+        for wrong in ([slots[0], slots[1]], slots[:1]):  # (rank 1's message: one row of padding)
+            with pytest.raises(ValueError, match="one batch id per message row"):
+                ring_passq_decode(group, plan, [s.q for s in queries], kv_shards, slots=wrong)
         assert not group.tracer.events

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.ring_decode import ring_passq_decode, round_robin_assignment
+from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
-from repro.core.sharding import ShardedKV
+from repro.core.sharding import ShardedKV, round_robin_assignment
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import Fallbacks, decode_round, in_batch_order, make_qkv, shard_qkv_full_prefill
+from helpers import Fallbacks, decode_round, in_batch_order, make_qkv, run_ring, shard_qkv_full_prefill
 
 WORLD = 4
 
@@ -44,7 +44,7 @@ def test_prefill_ring_with_one_shifted_step(rng, ring):
     queries, kvs = shard_qkv_full_prefill(q, k, v, WORLD)
     with pytest.MonkeyPatch.context() as patch:
         fallbacks = Fallbacks(patch)
-        results = ring(SimProcessGroup(WORLD), queries, kvs)
+        results = run_ring(ring, SimProcessGroup(WORLD), queries, kvs)
     assert fallbacks.count == 1
     ref_out, ref_lse = reference_attention_with_lse(q, k, v)
     for res, qs in zip(results, queries):
@@ -74,7 +74,7 @@ def test_decode_ring_with_one_shifted_step(rng):
     )
     with pytest.MonkeyPatch.context() as patch:
         fallbacks = Fallbacks(patch)
-        result = in_batch_order(ring_passq_decode(SimProcessGroup(WORLD), queries, kv_shards, slots=slots), slots)
+        result = in_batch_order(run_ring(ring_passq_decode, SimProcessGroup(WORLD), queries, kv_shards, slots=slots), slots)
     assert fallbacks.count == 1
     for b, (ctx, (q, k, v)) in enumerate(zip(contexts, seqs)):
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=np.array([ctx]))

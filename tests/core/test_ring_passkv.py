@@ -15,6 +15,7 @@ from helpers import (
     PrefillRound,
     comm,
     make_qkv,
+    run_ring,
     shard_qkv_full_prefill,
     shard_varseq_full_prefill,
     traced_group,
@@ -29,7 +30,7 @@ class TestFullPrefill:
         ref_out, ref_lse = reference_attention_with_lse(q, k, v)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
         group = SimProcessGroup(world)
-        results = ring_passkv_prefill(group, queries, kvs)
+        results = run_ring(ring_passkv_prefill, group, queries, kvs)
         for res, qs in zip(results, queries):
             np.testing.assert_allclose(res.out, ref_out[qs.positions], atol=1e-10)
             np.testing.assert_allclose(res.lse, ref_lse[qs.positions], atol=1e-10)
@@ -40,7 +41,7 @@ class TestFullPrefill:
         q, k, v = make_qkv(rng, 16, 16)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
         group = traced_group(world)
-        ring_passkv_prefill(group, queries, kvs)
+        run_ring(ring_passkv_prefill, group, queries, kvs)
         assert comm(group)["sendrecv"].count == world - 1
         assert comm(group)["all2all"].count == 0
 
@@ -54,7 +55,7 @@ class TestFullPrefill:
         }
         queries, kvs = shard_varseq_full_prefill(per_seq, world)
         group = SimProcessGroup(world)
-        results = ring_passkv_prefill(group, queries, kvs)
+        results = run_ring(ring_passkv_prefill, group, queries, kvs)
         refs = {
             sid: reference_attention_with_lse(*qkv) for sid, qkv in per_seq.items()
         }
@@ -95,7 +96,7 @@ class TestPartialPrefill:
                 )
             )
         group = SimProcessGroup(world)
-        results = ring_passkv_prefill(group, queries, kvs)
+        results = run_ring(ring_passkv_prefill, group, queries, kvs)
         for res, qs in zip(results, queries):
             np.testing.assert_allclose(res.out, ref_out[qs.positions - p_len], atol=1e-10)
 
@@ -112,7 +113,7 @@ class TestPartialPrefill:
         )
         kvs[1] = ShardedKV.concat([kvs[1], extra])
         group = traced_group(world)
-        ring_passkv_prefill(group, queries, kvs)
+        run_ring(ring_passkv_prefill, group, queries, kvs)
         events = [e for e in group.tracer.events if e.name == "sendrecv"]
         assert len(events) == 1
         # both ranks padded to 5 tokens of seq 0: k+v (2) * 5 tokens * 2 heads
@@ -143,10 +144,10 @@ class TestRingPlan:
         short[1] = ShardedKV(k=kv.k[:-1], v=kv.v[:-1], positions=kv.positions[:-1], seq_ids=kv.seq_ids[:-1])
         group = traced_group(world)
         with pytest.raises(ValueError, match="rank 1 holds"):
-            ring_passkv_prefill(group, queries, short, plan=plan)
+            ring_passkv_prefill(group, plan, [s.q for s in queries], short)
         assert not group.tracer.events
-        got = ring_passkv_prefill(SimProcessGroup(world), queries, kvs, plan=plan)
-        want = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        got = ring_passkv_prefill(SimProcessGroup(world), plan, [s.q for s in queries], kvs)
+        want = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         refs = {}
         for sid, (q, k, v) in per_seq.items():
             p, t = prefill.context(sid)
@@ -163,7 +164,7 @@ class TestValidation:
         queries, kvs = shard_qkv_full_prefill(q, k, v, 2)
         group = SimProcessGroup(3)
         with pytest.raises(ValueError):
-            ring_passkv_prefill(group, queries, kvs)
+            run_ring(ring_passkv_prefill, group, queries, kvs)
 
 
 def _transient_per_rank(world: int) -> float:
@@ -173,11 +174,11 @@ def _transient_per_rank(world: int) -> float:
     rng = np.random.default_rng(world)
     q, k, v = make_qkv(rng, 256, 256)
     queries, kvs = shard_qkv_full_prefill(q, k, v, world)
-    ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+    run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        results = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        results = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -12,6 +12,7 @@ from repro.distributed.process_group import SimProcessGroup
 from helpers import (
     comm,
     make_qkv,
+    run_ring,
     shard_qkv_full_prefill,
     shard_varseq_full_prefill,
     traced_group,
@@ -26,7 +27,7 @@ class TestFullPrefill:
         ref_out, ref_lse = reference_attention_with_lse(q, k, v)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
         group = SimProcessGroup(world)
-        results = ring_passq_prefill(group, queries, kvs)
+        results = run_ring(ring_passq_prefill, group, queries, kvs)
         for res, qs in zip(results, queries):
             np.testing.assert_allclose(res.out, ref_out[qs.positions], atol=1e-10)
             np.testing.assert_allclose(res.lse, ref_lse[qs.positions], atol=1e-10)
@@ -36,8 +37,8 @@ class TestFullPrefill:
         world = 4
         q, k, v = make_qkv(rng, 26, 26)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
-        res_q = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
-        res_kv = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        res_q = run_ring(ring_passq_prefill, SimProcessGroup(world), queries, kvs)
+        res_kv = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         for a, b in zip(res_q, res_kv):
             np.testing.assert_allclose(a.out, b.out, atol=1e-10)
             np.testing.assert_allclose(a.lse, b.lse, atol=1e-10)
@@ -47,7 +48,7 @@ class TestFullPrefill:
         q, k, v = make_qkv(rng, 12, 12)
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
         group = traced_group(world)
-        ring_passq_prefill(group, queries, kvs)
+        run_ring(ring_passq_prefill, group, queries, kvs)
         assert comm(group)["sendrecv"].count == world - 1
         assert comm(group)["all2all"].count == 1
 
@@ -77,7 +78,7 @@ class TestPartialPrefill:
                 )
             )
         group = SimProcessGroup(world)
-        results = ring_passq_prefill(group, queries, kvs)
+        results = run_ring(ring_passq_prefill, group, queries, kvs)
         for res, qs in zip(results, queries):
             np.testing.assert_allclose(res.out, ref_out[qs.positions - p_len], atol=1e-10)
 
@@ -90,7 +91,7 @@ class TestPartialPrefill:
         queries, kvs = shard_qkv_full_prefill(q, k, v, world)
         lengths = [len(qs) for qs in queries]
         assert max(lengths) != min(lengths)  # padding actually exercised
-        results = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+        results = run_ring(ring_passq_prefill, SimProcessGroup(world), queries, kvs)
         for res, qs in zip(results, queries):
             assert res.out.shape[0] == len(qs)
             np.testing.assert_allclose(res.out, ref_out[qs.positions], atol=1e-10)
@@ -99,7 +100,7 @@ class TestPartialPrefill:
         world = 2
         per_seq = {0: make_qkv(rng, 11, 11), 1: make_qkv(rng, 19, 19)}
         queries, kvs = shard_varseq_full_prefill(per_seq, world)
-        results = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+        results = run_ring(ring_passq_prefill, SimProcessGroup(world), queries, kvs)
         refs = {sid: reference_attention_with_lse(*qkv) for sid, qkv in per_seq.items()}
         for res, qs in zip(results, queries):
             for i, (p, s) in enumerate(zip(qs.positions, qs.seq_ids)):
@@ -111,7 +112,7 @@ class TestValidation:
         q, k, v = make_qkv(rng, 8, 8)
         queries, kvs = shard_qkv_full_prefill(q, k, v, 2)
         with pytest.raises(ValueError):
-            ring_passq_prefill(SimProcessGroup(4), queries, kvs)
+            run_ring(ring_passq_prefill, SimProcessGroup(4), queries, kvs)
 
 
 class TestShardSkip:
@@ -129,7 +130,7 @@ class TestShardSkip:
             ShardedKV(k=seqs[sid][1], v=seqs[sid][2], positions=pos, seq_ids=np.full(4, sid))
             for sid in (1, 0)
         ]
-        results = ring_passq_prefill(SimProcessGroup(2), queries, kvs)
+        results = run_ring(ring_passq_prefill, SimProcessGroup(2), queries, kvs)
         for res, sid in zip(results, (0, 1)):
             ref_out, ref_lse = reference_attention_with_lse(*seqs[sid])
             np.testing.assert_allclose(res.out, ref_out, atol=1e-12)

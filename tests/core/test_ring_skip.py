@@ -14,7 +14,7 @@ from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import PrefillRound, decode_round
+from helpers import PrefillRound, decode_round, run_ring
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -102,15 +102,15 @@ def _shards(q_heads, kv_heads):
 def _decode(kv_heads, positions):
     _, kvs = _shards((4, 4), kv_heads)
     queries, slots = decode_round(np.ones((2, 4, 8)), positions, np.array([0, 1]), 2)
-    return ring_passq_decode(SimProcessGroup(2), queries, kvs, slots=slots)
+    return run_ring(ring_passq_decode, SimProcessGroup(2), queries, kvs, slots=slots)
 
 
 class TestOneHeadLayout:
     @pytest.mark.parametrize(
         ("run", "match"),
         [
-            (lambda: ring_passkv_prefill(SimProcessGroup(2), *_shards((4, 4), (2, 1))), "rank 1's KV shard"),
-            (lambda: ring_passq_prefill(SimProcessGroup(2), *_shards((4, 2), (2, 2))), "rank 1's query"),
+            (lambda: run_ring(ring_passkv_prefill, SimProcessGroup(2), *_shards((4, 4), (2, 1))), "rank 1's KV shard"),
+            (lambda: run_ring(ring_passq_prefill, SimProcessGroup(2), *_shards((4, 2), (2, 2))), "rank 1's query"),
             (lambda: _decode((2, 1), np.array([7, 7])), "rank 1's KV shard"),
             (lambda: _decode((2, 2), np.array([2.5, 7.0])), "positions must be integers"),
         ],
@@ -136,7 +136,7 @@ def _exact(ring) -> None:
     prefill = PrefillRound(world, seqs)
     per_seq = prefill.arrays(np.random.default_rng(seed))
     queries, kvs = prefill.shards(per_seq)
-    results = ring(SimProcessGroup(world), queries, kvs)
+    results = run_ring(ring, SimProcessGroup(world), queries, kvs)
     for sid, (q, k, v) in per_seq.items():
         p, t = prefill.context(sid)
         want_out, want_lse = reference_attention_with_lse(q, k, v, q_pos=np.arange(p, p + t), k_pos=np.arange(p + t))

@@ -15,10 +15,13 @@ from repro.runtime import ServeConfig
 CONFIG = tiny_config()
 
 
-def test_overrides_only_prefill_and_decode():
+def test_overrides_only_the_round_body_and_the_logits():
+    """Its rounds are the numeric engine's ``prefill`` and ``decode``: the
+    same split, commit and outputs around a body that only appends."""
     assert sorted(name for name in vars(ShapeEngine) if not name.startswith("__")) == [
-        "decode",
-        "prefill",
+        "_decode_logits",
+        "_prefill_logits",
+        "_round",
     ]
 
 
@@ -45,6 +48,24 @@ def test_kv_accounting_matches_the_numeric_engine():
     assert shape.kv_utilization() == numeric.kv_utilization()
     assert shape.kv_leak_report() == []
     assert shape.caches[0].get(0, [0]).k.shape[1:] == (CONFIG.n_kv_heads, 0)
+
+
+def test_rounds_place_tokens_as_the_numeric_engine_does():
+    """The shared round (split, body's append, commit) on both engines: a
+    fused prefill, then three decode rounds of the whole batch (B > N) and
+    of part of it (B < N) put every token on the same rank."""
+    numeric = build_engine(LlamaModel(CONFIG, seed=0), 4)
+    shape = build_engine(ShapeModel(CONFIG), 4)
+    prompts = {sid: np.arange(3 + 2 * sid) % CONFIG.vocab_size for sid in range(6)}
+    numeric.prefill(prompts)
+    shape.prefill(prompts)
+    for sid in prompts:
+        assert shape.cached_tokens(sid) == numeric.cached_tokens(sid)
+    for batch in (range(6), range(0, 6, 2), range(6)):
+        tokens = {sid: sid + 1 for sid in batch}
+        assert shape.decode(tokens).assignment == numeric.decode(tokens).assignment
+        for sid in prompts:
+            assert shape.cached_tokens(sid) == numeric.cached_tokens(sid)
 
 
 def test_tokens_come_from_the_source():

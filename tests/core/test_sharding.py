@@ -8,12 +8,14 @@ from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
     ShardedQueries,
+    ShardPlan,
     causal_flops_per_rank,
     load_balanced_chunks,
     naive_flops_per_rank,
     pad_kv_shards,
     plan_query_padding,
     rank_chunks,
+    round_robin_assignment,
     shard_positions,
     shard_sequences,
 )
@@ -129,6 +131,41 @@ class TestShardSequences:
     def test_invalid_world(self):
         with pytest.raises(ValueError):
             shard_sequences([SequenceSpec(0, 4)], 0)
+
+
+class TestRoundRobinSplit:
+    @pytest.mark.parametrize("world", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch", [0, 1, 3, 4, 9])
+    @pytest.mark.parametrize("step", [0, 1, 6])
+    def test_places_each_slot_as_the_assignment_does(self, world, batch, step):
+        """A decode round's split puts slot ``b`` on rank ``(b + step) mod
+        N`` as one row, in batch order on each rank; its coordinates,
+        demand, runs, row gather and batch ids all read that placement."""
+        sids = [10 * b + 7 for b in range(batch)]
+        positions = [40 + b for b in range(batch)]
+        split = ShardPlan.round_robin(sids, positions, world, step)
+        owner = round_robin_assignment(batch, world, step)
+        width = max([int((owner == rank).sum()) for rank in range(world)] + [0])
+        tokens = {sid: np.array([b]) for b, sid in enumerate(sids)}
+        for rank, (spans, (pos, seq), demand, ids) in enumerate(
+            zip(split.spans, split.coordinates(), split.demand(), split.batch_ids())
+        ):
+            mine = np.flatnonzero(owner == rank)
+            assert [span.seq_id for span in spans] == [sids[b] for b in mine]
+            assert [(span.row_lo, span.row_hi) for span in spans] == [(j, j + 1) for j in range(mine.size)]
+            np.testing.assert_array_equal(pos, np.array(positions, dtype=np.int64)[mine])
+            np.testing.assert_array_equal(seq, np.array(sids, dtype=np.int64)[mine])
+            assert pos.dtype == seq.dtype == np.int64
+            assert demand == {sids[b]: 1 for b in mine}
+            np.testing.assert_array_equal(split.runs(rank), np.arange(mine.size + 1))
+            np.testing.assert_array_equal(split.take(rank, tokens), mine)
+            np.testing.assert_array_equal(ids, np.concatenate([mine, np.full(width - mine.size, -1)]))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ShardPlan.round_robin([1], [0], 0, 0)
+        with pytest.raises(ValueError):
+            ShardPlan.round_robin([1], [0], 2, -1)
 
 
 class TestSequenceSpec:
@@ -306,7 +343,7 @@ class TestRunOffsets:
         are looked up by the payload's origin, never sent."""
         from repro.core.ring_passkv import ring_passkv_prefill
 
-        from helpers import comm, traced_group
+        from helpers import comm, run_ring, traced_group
 
         shard = ShardedKV(
             k=np.zeros((6, 2, 4)), v=np.zeros((6, 2, 4)),
@@ -316,7 +353,7 @@ class TestRunOffsets:
         assert shard.runs.size == 4
         queries = ShardedQueries(q=np.zeros((6, 4, 4)), positions=shard.positions, seq_ids=shard.seq_ids)
         group = traced_group(2)
-        ring_passkv_prefill(group, [queries, queries], [shard, shard])
+        run_ring(ring_passkv_prefill, group, [queries, queries], [shard, shard])
         assert comm(group)["sendrecv"].bytes == 2 * (2 * 6 * 2 * 4 + 2 * 6)  # bf16 on the wire
 
     def test_reach_summaries_agree_with_and_without_runs(self):

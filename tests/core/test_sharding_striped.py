@@ -13,7 +13,7 @@ from repro.core.sharding_striped import (
 )
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import make_qkv
+from helpers import make_qkv, run_ring
 
 
 class TestStripedPositions:
@@ -66,6 +66,6 @@ class TestStripedThroughRing:
             sid = np.zeros(pos.shape[0], dtype=np.int64)
             queries.append(ShardedQueries(q=q[pos], positions=pos, seq_ids=sid))
             kvs.append(ShardedKV(k=k[pos], v=v[pos], positions=pos, seq_ids=sid))
-        results = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        results = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         for res, qs in zip(results, queries):
             np.testing.assert_allclose(res.out, ref_out[qs.positions], atol=1e-10)

@@ -7,7 +7,7 @@ import numpy as np
 from repro.core.ring_passq import ring_passq_prefill
 from repro.obs import to_chrome, validate_chrome, write_chrome
 
-from helpers import make_qkv, shard_qkv_full_prefill, traced_group
+from helpers import make_qkv, run_ring, shard_qkv_full_prefill, traced_group
 
 
 def _spans(trace):
@@ -45,7 +45,7 @@ class TestChromeTrace:
         q, k, v = make_qkv(rng, 16, 16)
         queries, kvs = shard_qkv_full_prefill(q, k, v, 3)
         group = traced_group(3)
-        ring_passq_prefill(group, queries, kvs)
+        run_ring(ring_passq_prefill, group, queries, kvs)
         path = tmp_path / "trace.json"
         write_chrome(group.tracer.events, str(path))
         loaded = json.loads(path.read_text())

@@ -12,8 +12,15 @@ import pytest
 from repro.attention import flash
 from repro.attention.flash import AttentionResult
 from repro.attention.masks import attention_mask
-from repro.core.ring_decode import round_robin_assignment
-from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, ShardPlan, shard_sequences
+from repro.core.ring_skip import plan_prefill
+from repro.core.sharding import (
+    SequenceSpec,
+    ShardedKV,
+    ShardedQueries,
+    ShardPlan,
+    round_robin_assignment,
+    shard_sequences,
+)
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 from repro.distributed.process_group import SimProcessGroup
@@ -266,6 +273,19 @@ def decode_round(
     owner = round_robin_assignment(len(q), world, step)
     slots = [np.nonzero(owner == rank)[0] for rank in range(world)]
     return [ShardedQueries(q=q[s], positions=positions[s], seq_ids=seq_ids[s]) for s in slots], slots
+
+
+def run_ring(ring, group, queries, kv_shards, *, slots=None, **kw) -> list[AttentionResult]:
+    """A single-use call of ``ring`` (one of the three ring adapters), made
+    as a round makes its first layer's: plan with ``plan_prefill`` (pass-Q
+    unless ``ring`` is pass-KV's), then ring over the plan and each rank's
+    ``q`` rows. Decode's per-rank ``slots`` are ``-1``-padded to the
+    message length first."""
+    plan = plan_prefill(queries, kv_shards, pass_q=ring.__name__ != "ring_passkv_prefill")
+    if slots is not None:
+        width = len(plan.q[0].positions)
+        kw["slots"] = [np.concatenate([s, np.full(width - len(s), -1, dtype=np.int64)]) for s in slots]
+    return ring(group, plan, [s.q for s in queries], kv_shards, **kw)
 
 
 def in_batch_order(results: list[AttentionResult], slots: list[np.ndarray]) -> AttentionResult:

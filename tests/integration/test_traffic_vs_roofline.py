@@ -15,7 +15,7 @@ from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_s
 from repro.model.config import ModelConfig
 from repro.perf.roofline import all2all_bytes, kv_bytes, q_bytes
 
-from helpers import comm, traced_group
+from helpers import comm, run_ring, traced_group
 
 
 CFG = ModelConfig(
@@ -40,7 +40,7 @@ class TestPassKvTraffic:
     def test_sendrecv_bytes_match_table3(self, rng, world, t):
         queries, kvs = build(world, t, rng)
         group = traced_group(world)
-        ring_passkv_prefill(group, queries, kvs)
+        run_ring(ring_passkv_prefill, group, queries, kvs)
         traced = comm(group)["sendrecv"].bytes
 
         # Table 3: KV bytes for the whole context; the ring moves one shard
@@ -57,7 +57,7 @@ class TestPassQTraffic:
     def test_ring_bytes_match_table3(self, rng, world, t):
         queries, kvs = build(world, t, rng)
         group = traced_group(world)
-        ring_passq_prefill(group, queries, kvs)
+        run_ring(ring_passq_prefill, group, queries, kvs)
         traced = comm(group)["sendrecv"].bytes
         shard_tokens = t / world
         expected_payload = (world - 1) * q_bytes(CFG, t, 2.0) / world
@@ -68,7 +68,7 @@ class TestPassQTraffic:
     def test_all2all_bytes_match_appendix_c(self, rng, world, t):
         queries, kvs = build(world, t, rng)
         group = traced_group(world)
-        ring_passq_prefill(group, queries, kvs)
+        run_ring(ring_passq_prefill, group, queries, kvs)
         traced = comm(group)["all2all"].bytes
         # Appendix C: (N-1) partials of (D + 1) values per token — our NH
         # heads each carry an LSE, so the exact numeric payload is
@@ -86,8 +86,8 @@ class TestPassQTraffic:
         world, t = 4, 64
         queries, kvs = build(world, t, rng)
         g_kv = traced_group(world)
-        ring_passkv_prefill(g_kv, queries, kvs)
+        run_ring(ring_passkv_prefill, g_kv, queries, kvs)
         g_q = traced_group(world)
-        ring_passq_prefill(g_q, queries, kvs)
+        run_ring(ring_passq_prefill, g_q, queries, kvs)
         # NH=8, NKV=2: KV bytes = 2*(2/8) = 0.5x Q bytes -> pass-KV cheaper
         assert comm(g_kv)["sendrecv"].bytes < comm(g_q)["sendrecv"].bytes

@@ -34,10 +34,13 @@ be the hardware model's own; and the latency model behind the paper's
 tables (``HostSpec.sendrecv_s`` / ``allreduce_s``, the ring overlap in
 ``perf/latency.py`` and ``LatencySimulator.kv_transfer_s``, the price of
 §4.3's KV stream), whose killers are paper claims
-(``experiments/test_paper_claims.py``) or calibration tests; and the
-shape-only engine (``core/shape_engine.py``), whose decode must rotate its
-placement as the numeric engine does, killed by a golden case's replay;
-and the flash kernel's shift-free sweep (``attention/flash.py::
+(``experiments/test_paper_claims.py``) or calibration tests; the decode
+round's split (``ShardPlan.round_robin``), which both engines read and
+which must rotate its placement by the step, killed by the KV-balance
+test and a golden case; the engines' one round body
+(``ContextParallelEngine._round``), which must skip exactly the ranks
+that hold no rows, and the prefill logits, whose rows a partial prefill
+offsets by its cached length; and the flash kernel's shift-free sweep (``attention/flash.py::
 _sweep_additive``), whose one-row base case must mask, and whose range
 check must run at every height and tell a blind row by the mask, not by
 ``den == 0``. Those three are one-line edits of the sweep's source
@@ -83,10 +86,12 @@ from repro.attention import flash
 from repro.cluster import ReplicaFleet
 from repro.core import ring_decode, ring_skip
 from repro.core.merge import RunningSum
-from repro.core.shape_engine import ShapeEngine
+from repro.core.engine import ContextParallelEngine
+from repro.core.sharding import ShardPlan
 from repro.distributed import process_group
 from repro.kvcache.cache import RankKVCache, _Stream
-from repro.model.config import llama3_405b_config
+from repro.model.config import llama3_405b_config, tiny_config
+from repro.model.llama import LlamaModel
 from repro.obs import dumps_jsonl, timeline
 from repro.perf import latency
 from repro.perf.hardware import HostSpec, gtt_host
@@ -415,18 +420,31 @@ def _kv_transfer_free(monkeypatch):
 
 
 def _shape_decode_unrotated(monkeypatch):
-    """ShapeEngine's decode places every step as its first, ignoring the
-    ``decode_steps`` round-robin offset (§3.6) the numeric engine rotates by."""
-    decode = ShapeEngine.decode
+    """The round-robin split places every decode step as its first,
+    ignoring the ``decode_steps`` offset (§3.6): both engines' decode rounds
+    read this one split, so a sequence's generated KV piles up on ranks."""
+    patch_source(
+        monkeypatch, ShardPlan, "round_robin",
+        "split.specs, split.seq_ids, split._batch_ids = None, seq_ids, None",
+        "step = 0; split.specs, split.seq_ids, split._batch_ids = None, seq_ids, None",
+    )
 
-    def unrotated(self, tokens):
-        steps, self.decode_steps = self.decode_steps, 0
-        try:
-            return decode(self, tokens)
-        finally:
-            self.decode_steps = steps + 1
 
-    monkeypatch.setattr(ShapeEngine, "decode", unrotated)
+def _partial_prefill_logits_unshifted(monkeypatch):
+    """A prefill round places each span's logit rows at their absolute
+    positions, not offset by the sequence's cached length: a partial
+    prefill's rows land past its new tokens."""
+    patch_source(
+        monkeypatch, ContextParallelEngine, "_prefill_logits",
+        "rows = positions[lo:hi] - self.context_length(sid)", "rows = positions[lo:hi]",
+    )
+
+
+def _round_body_skips_nonempty_rank(monkeypatch):
+    """The round body's empty-rank test is off by one: a rank that holds
+    one sequence's rows is taken for empty, so it projects, transforms and
+    unembeds nothing."""
+    patch_source(monkeypatch, ContextParallelEngine, "_round", "if spans]", "if len(spans) > 1]")
 
 
 def _one_row_mask_dropped(monkeypatch):
@@ -604,6 +622,9 @@ _VARLEN = "properties/test_prop_flash_varlen.py"
 
 _SIM_405B = latency.LatencySimulator(llama3_405b_config(), gtt_host())
 
+#: ``tests/core/test_engine.py``'s module model, for its fixture-taking killers.
+_TINY_3 = LlamaModel(tiny_config(), seed=3)
+
 CATALOGUE = [
     ("make-room-evicts-once", _make_room_evicts_once,
      functools.partial(_golden_case, "coloc-recompute-prefix-clean")),
@@ -686,8 +707,15 @@ CATALOGUE = [
      functools.partial(_named_test, "experiments/test_paper_claims.py"
                        "::test_section4_3_disaggregation_breaks_even_after_the_kv_wait")),
     ("shape-decode-unrotated", _shape_decode_unrotated,
-     functools.partial(_named_test, "runtime/test_golden_traces.py::test_trace_digest_is_unchanged",
-                       "coloc-recompute-noprefix-clean")),
+     (functools.partial(_named_test, "core/test_engine.py::TestDecode::test_round_robin_balances_decode_kv",
+                        _TINY_3),
+      functools.partial(_named_test, "runtime/test_golden_traces.py::test_trace_digest_is_unchanged",
+                        "coloc-recompute-noprefix-clean"))),
+    ("partial-prefill-logits-unshifted", _partial_prefill_logits_unshifted,
+     functools.partial(_named_test, "core/test_engine_multiturn.py::TestMultiTurn"
+                       "::test_partial_prefill_matches_forward", LlamaModel(tiny_config(), seed=11))),
+    ("round-body-skips-nonempty-rank", _round_body_skips_nonempty_rank,
+     functools.partial(_named_test, "core/test_engine.py::TestDecode::test_batched_decode", _TINY_3)),
     ("one-row-mask-dropped", _one_row_mask_dropped,
      functools.partial(_named_test, f"{_ONE_ROW}::test_equals_the_shifted_sweep_and_the_reference")),
     ("one-row-range-unchecked", _one_row_range_unchecked,

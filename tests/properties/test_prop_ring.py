@@ -15,7 +15,7 @@ from repro.core.ring_passq import ring_passq_prefill
 from repro.core.sharding import SequenceSpec, ShardedKV, ShardedQueries, shard_sequences
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import Fallbacks, PrefillRound, decode_round, in_batch_order
+from helpers import Fallbacks, PrefillRound, decode_round, in_batch_order, run_ring
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -61,7 +61,7 @@ class TestRingLosslessness:
     def test_passkv_exact_for_any_case(self, case):
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        results = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        results = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         refs = {sid: reference_attention_with_lse(*qkv)[0] for sid, qkv in per_seq.items()}
         for res, qs in zip(results, queries):
             for i, (p, s) in enumerate(zip(qs.positions, qs.seq_ids)):
@@ -72,7 +72,7 @@ class TestRingLosslessness:
     def test_passq_exact_for_any_case(self, case):
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        results = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+        results = run_ring(ring_passq_prefill, SimProcessGroup(world), queries, kvs)
         refs = {sid: reference_attention_with_lse(*qkv)[0] for sid, qkv in per_seq.items()}
         for res, qs in zip(results, queries):
             for i, (p, s) in enumerate(zip(qs.positions, qs.seq_ids)):
@@ -84,8 +84,8 @@ class TestRingLosslessness:
         """pass-KV and pass-Q are interchangeable: identical results."""
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        a = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
-        b = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+        a = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
+        b = run_ring(ring_passq_prefill, SimProcessGroup(world), queries, kvs)
         for ra, rb in zip(a, b):
             np.testing.assert_allclose(ra.out, rb.out, atol=1e-9)
             np.testing.assert_allclose(ra.lse, rb.lse, atol=1e-9)
@@ -109,9 +109,9 @@ class TestShardSkipIsPureExecutionStrategy:
     def test_passkv_skip_on_off_identical(self, case):
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        a = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+        a = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         with _every_partial_computed():
-            b = ring_passkv_prefill(SimProcessGroup(world), queries, kvs)
+            b = run_ring(ring_passkv_prefill, SimProcessGroup(world), queries, kvs)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
             assert np.array_equal(ra.lse, rb.lse)
@@ -121,9 +121,9 @@ class TestShardSkipIsPureExecutionStrategy:
     def test_passq_skip_on_off_identical(self, case):
         world, per_seq = case
         queries, kvs = build_shards(world, per_seq)
-        a = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+        a = run_ring(ring_passq_prefill, SimProcessGroup(world), queries, kvs)
         with _every_partial_computed():
-            b = ring_passq_prefill(SimProcessGroup(world), queries, kvs)
+            b = run_ring(ring_passq_prefill, SimProcessGroup(world), queries, kvs)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
             assert np.array_equal(ra.lse, rb.lse)
@@ -143,9 +143,9 @@ class TestShardSkipIsPureExecutionStrategy:
             np.array(sids, dtype=np.int64),
             world, step,
         )
-        a = ring_passq_decode(SimProcessGroup(world), queries, kvs, slots=slots)
+        a = run_ring(ring_passq_decode, SimProcessGroup(world), queries, kvs, slots=slots)
         with _every_partial_computed():
-            b = ring_passq_decode(SimProcessGroup(world), queries, kvs, slots=slots)
+            b = run_ring(ring_passq_decode, SimProcessGroup(world), queries, kvs, slots=slots)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.out, rb.out)
             assert np.array_equal(ra.lse, rb.lse)
@@ -206,10 +206,10 @@ class TestDecodeRoundReuse:
     @example((4, [6, 11, 4], 0, True, 5))  # B = 3 < N = 4: rank 3 owns no slot
     @settings(**SETTINGS)
     def test_a_reused_batch_equals_fresh_batches_bit_for_bit(self, case):
-        """``engine.decode``'s round: per layer, each rank's queries over the
-        round's one set of query coordinates, KV shards whose structure
-        objects every layer shares (as ``RankKVCache.get(..., like=)``
-        shares them), and one plan built over the first layer's shards.
+        """The engine's decode round: per layer, each rank's query rows, KV
+        shards whose structure objects every layer shares (as
+        ``RankKVCache.get(..., like=)`` shares them), and one plan and one
+        set of padded batch ids, made over the first layer's shards.
         Each layer's ring equals a fresh round over freshly built shards bit
         for bit — including a second layer whose aimed pair falls back to
         the shifted sweep — and only the first layer lays pairs out."""
@@ -233,7 +233,9 @@ class TestDecodeRoundReuse:
                 before = len(built), fallbacks.count
                 if layer == 0:
                     plan = ring_skip.plan_prefill(queries, layer_kv, pass_q=True)
-                got = ring_passq_decode(SimProcessGroup(world), queries, layer_kv, slots=slots, plan=plan)
+                    width = len(plan.q[0].positions)
+                    padded = [np.concatenate([own, np.full(width - len(own), -1)]) for own in slots]
+                got = ring_passq_decode(SimProcessGroup(world), plan, [s.q for s in queries], layer_kv, slots=padded)
                 laid_out.append(len(built) - before[0])
                 assert fallbacks.count - before[1] == (aim and layer == 1)
                 fresh, fresh_slots = decode_round(q.copy(), positions.copy(), sids.copy(), world, step)
@@ -241,7 +243,7 @@ class TestDecodeRoundReuse:
                     ShardedKV(k=k, v=v, positions=pos.copy(), seq_ids=seq.copy())
                     for (k, v), (pos, seq) in zip(shards, coords)
                 ]
-                want = ring_passq_decode(SimProcessGroup(world), fresh, fresh_kv, slots=fresh_slots)
+                want = run_ring(ring_passq_decode, SimProcessGroup(world), fresh, fresh_kv, slots=fresh_slots)
                 got, want = in_batch_order(got, slots), in_batch_order(want, fresh_slots)
                 assert np.array_equal(got.out, want.out) and np.array_equal(got.lse, want.lse)
         assert laid_out[0] > 0 and not any(laid_out[1:])
@@ -281,7 +283,7 @@ class TestPrefillRoundReuse:
     @example((4, {0: ([0, 7, 1, 0], 5), 1: ([2, 0, 0, 6], 3)}, True, 2))
     @settings(**SETTINGS)
     def test_a_kept_plan_equals_fresh_rings_bit_for_bit(self, ring, case):
-        """``engine.prefill``'s round: one plan, built over the first layer's
+        """The engine's prefill round: one plan, built over the first layer's
         shards, handed to the ring at every layer, each layer's shards new
         ``q``, ``k``, ``v`` over the same coordinate objects (as
         ``RankKVCache.get(..., like=)`` shares them), ranks
@@ -309,9 +311,9 @@ class TestPrefillRoundReuse:
                 shards = prefill.shards(per_seq, like=structure)
                 if layer == 0:
                     plan = ring_skip.plan_prefill(*shards, pass_q=ring is ring_passq_prefill)
-                got = ring(SimProcessGroup(world), *shards, plan=plan)
+                got = ring(SimProcessGroup(world), plan, [s.q for s in shards[0]], shards[1])
                 assert (len(built) > before[0], len(padded) - before[1]) == (layer == 0, int(layer == 0))
                 assert fallbacks.count - before[2] == (aim and layer == 1)
-                want = ring(SimProcessGroup(world), *prefill.shards(per_seq))
+                want = run_ring(ring, SimProcessGroup(world), *prefill.shards(per_seq))
                 for g, w in zip(got, want):
                     assert np.array_equal(g.out, w.out) and np.array_equal(g.lse, w.lse)
