@@ -65,7 +65,7 @@ from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
     ShardedQueries,
-    round_robin_assignment,
+    ShardPlan,
     shard_positions,
     shard_sequences,
 )
@@ -265,8 +265,8 @@ def _decode_round(q, position, kvs, step):
     """One decode round's ring inputs as the engine builds them once per
     round: per rank, the query rows of the slots it owns at ``step``, those
     slots ``-1``-padded to the message length, and the round's plan."""
-    owner = round_robin_assignment(len(q), len(kvs), step)
-    slots = [np.nonzero(owner == rank)[0] for rank in range(len(kvs))]
+    split = ShardPlan.round_robin(list(range(len(q))), [0] * len(q), len(kvs), step)
+    slots = [np.array([span.seq_id for span in spans], dtype=np.int64) for spans in split.spans]
     queries = [ShardedQueries(q=q[s], positions=np.full(len(s), position), seq_ids=s) for s in slots]
     width = max(len(s) for s in slots)
     padded = [np.concatenate([s, np.full(width - len(s), -1, dtype=np.int64)]) for s in slots]

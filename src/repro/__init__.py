@@ -39,8 +39,6 @@ from repro.core.sharding import (
     SequenceSpec,
     ShardedKV,
     ShardedQueries,
-    load_balanced_chunks,
-    round_robin_assignment,
     shard_positions,
     shard_sequences,
 )
@@ -98,13 +96,11 @@ __all__ = [
     "llama3_405b_config",
     "llama3_70b_config",
     "llama3_8b_config",
-    "load_balanced_chunks",
     "merge_partials",
     "plan_prefill",
     "ring_passkv_prefill",
     "ring_passq_decode",
     "ring_passq_prefill",
-    "round_robin_assignment",
     "select_algo_empirical",
     "select_algo_simple",
     "select_algo_with_all2all",

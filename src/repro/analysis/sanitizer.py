@@ -470,10 +470,6 @@ class KVSanitizer:
                 self.trace.snapshot(),
             )
 
-    def verify(self) -> None:
-        for s in self.rank_sanitizers:
-            s.verify()
-
     def check_drained(self) -> None:
         """Drain-point check: all KV belongs to still-resident sequences.
 

@@ -20,7 +20,7 @@ ring algorithms in :mod:`repro.core` are built on:
 """
 
 from repro.attention.flash import AttentionResult, flash_attention
-from repro.attention.gqa import expand_kv_heads, kv_head_for_query_head, validate_gqa_shapes
+from repro.attention.gqa import expand_kv_heads, validate_gqa_shapes
 from repro.attention.masks import attention_mask, causal_mask
 from repro.attention.reference import reference_attention, reference_attention_with_lse
 from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
@@ -32,7 +32,6 @@ __all__ = [
     "causal_mask",
     "expand_kv_heads",
     "flash_attention",
-    "kv_head_for_query_head",
     "reference_attention",
     "reference_attention_with_lse",
     "rope_frequencies",

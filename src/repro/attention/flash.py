@@ -116,10 +116,6 @@ class AttentionResult:
     out: np.ndarray
     lse: np.ndarray
 
-    @property
-    def tokens(self) -> int:
-        return self.out.shape[0]
-
     @staticmethod
     def empty(tokens: int, n_heads: int, head_dim: int) -> "AttentionResult":
         """Fully-masked result: zero output, ``LSE = -inf`` — the identity

@@ -17,19 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def kv_head_for_query_head(query_head: int, n_heads: int, n_kv_heads: int) -> int:
-    """Index of the KV head serving a given query head.
-
-    Query heads are partitioned into ``n_kv_heads`` contiguous groups of size
-    ``n_heads // n_kv_heads`` (the Llama convention).
-    """
-    if n_heads % n_kv_heads != 0:
-        raise ValueError(f"n_heads={n_heads} not divisible by n_kv_heads={n_kv_heads}")
-    if not 0 <= query_head < n_heads:
-        raise ValueError(f"query_head={query_head} out of range [0, {n_heads})")
-    return query_head // (n_heads // n_kv_heads)
-
-
 def expand_kv_heads(kv: np.ndarray, n_heads: int) -> np.ndarray:
     """Broadcast ``[S, NKV, DH]`` KV tensor to ``[S, NH, DH]``.
 

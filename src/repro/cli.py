@@ -205,7 +205,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import NULL_TRACER, RecordingTracer
     from repro.perf.hardware import gti_host, gtt_host
     from repro.perf.latency import LatencySimulator
-    from repro.runtime import FaultPlan, ServeConfig
+    from repro.runtime import FaultPlan, RuntimeWedged, ServeConfig
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.replay import (
         divergences,
@@ -291,7 +291,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rids = submit_scripts_to_runtime(runtime, scripts)
-    report = runtime.run(max_steps=1_000_000)
+    try:
+        report = runtime.run(max_steps=1_000_000)
+    except RuntimeWedged as exc:
+        # KV capacity too small for the traffic: a configuration error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     leaks = runtime.kv_leak_report()
 
     fleet = config.replicas > 1

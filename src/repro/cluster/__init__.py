@@ -3,9 +3,9 @@
 :class:`ReplicaFleet` runs N independent continuous-batching runtimes;
 a :class:`Router` (:class:`PrefixAffinityRouter` by default, SGLang
 cache-aware-routing / Mooncake global-scheduler shaped) places each new
-conversation, with session stickiness for follow-up turns and
-drain/join elasticity. Serving exactness extends across the fleet:
-routing changes placement and timing, never token values.
+conversation, with session stickiness for follow-up turns. Serving
+exactness extends across the fleet: routing changes placement and
+timing, never token values.
 """
 
 from repro.cluster.fleet import FleetReport, Replica, ReplicaFleet

@@ -14,8 +14,6 @@ replayable:
   the same thing everywhere.
 - **Session stickiness.** A conversation's first turn is routed; every
   follow-up turn goes to the same replica — its KV lives there.
-  Stickiness overrides :meth:`ReplicaFleet.drain`: draining only stops
-  *new* conversations, resident ones finish where they are.
 - **Causal interleaving.** :meth:`ReplicaFleet.step` always advances the
   replica that is furthest behind in simulated time (ties to the lowest
   id), so cross-replica event order is deterministic and independent of
@@ -25,7 +23,7 @@ Exactness rescope: because replicas share nothing at execution time
 (routing only picks a placement before any engine round runs), every
 completed request's greedy token stream is bit-identical to sequential
 :class:`repro.serving.session.ChatSession` replay *regardless of routing
-policy, replica count, drain schedule, or injected faults* — the
+policy, replica count, or injected faults* — the
 property ``tests/properties/test_prop_cluster.py`` pins. Routing changes
 placement, timing, and completion; never values.
 """
@@ -46,14 +44,13 @@ from repro.workloads.generator import ConversationScript
 
 
 class Replica:
-    """One runtime slot in the fleet: identity, drain flag, and the
-    read-only views routers score (delegating to the runtime's
-    scheduler-facing interface)."""
+    """One runtime slot in the fleet: identity and the read-only views
+    routers score (delegating to the runtime's scheduler-facing
+    interface)."""
 
     def __init__(self, replica_id: int, runtime: ContinuousBatchingRuntime):
         self.id = replica_id
         self.runtime = runtime
-        self.draining = False
 
     @property
     def now(self) -> float:
@@ -73,12 +70,6 @@ class Replica:
 
     def match_len(self, tokens) -> int:
         return self.runtime.prefix_match_len(tokens)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Replica(id={self.id}, draining={self.draining}, "
-            f"live={self.runtime.live_requests()}, now={self.now:.3f})"
-        )
 
 
 @dataclass
@@ -112,7 +103,7 @@ class FleetReport(ServingReport):
 
 
 class ReplicaFleet:
-    """N runtimes behind a routing policy, with drain/join elasticity.
+    """N runtimes behind a routing policy.
 
     Args:
         runtimes: the replica runtimes, assigned ids 0..N-1 in order.
@@ -143,7 +134,6 @@ class ReplicaFleet:
         self._replicas: dict[int, Replica] = {
             i: Replica(i, rt) for i, rt in enumerate(runtimes)
         }
-        self._next_replica_id = len(runtimes)
         self._next_rid = 0
         self._sticky: dict[int, int] = {}  # seq_id -> replica id
         self._owners: dict[int, int] = {}  # request id -> replica id
@@ -166,40 +156,6 @@ class ReplicaFleet:
         return cls([make_runtime(i) for i in range(n)], router=router, tracer=tracer)
 
     # ------------------------------------------------------------------ #
-    # topology
-    # ------------------------------------------------------------------ #
-
-    @property
-    def replicas(self) -> list[Replica]:
-        """Replicas in id order (ids only grow, so insertion order)."""
-        return list(self._replicas.values())
-
-    def replica(self, replica_id: int) -> Replica:
-        if replica_id not in self._replicas:
-            raise KeyError(f"unknown replica {replica_id}")
-        return self._replicas[replica_id]
-
-    def add_replica(self, runtime: ContinuousBatchingRuntime) -> int:
-        """Join a fresh runtime into the fleet; returns its replica id."""
-        rid = self._next_replica_id
-        self._next_replica_id += 1
-        self._replicas[rid] = Replica(rid, runtime)
-        return rid
-
-    def drain(self, replica_id: int) -> None:
-        """Stop routing *new* conversations to a replica.
-
-        Resident conversations keep running to completion there
-        (stickiness overrides drain — their KV cannot move), so a drain
-        followed by :meth:`run` leaves the replica empty and auditable.
-        """
-        self.replica(replica_id).draining = True
-
-    def join(self, replica_id: int) -> None:
-        """Readmit a drained replica to routing."""
-        self.replica(replica_id).draining = False
-
-    # ------------------------------------------------------------------ #
     # submission / routing
     # ------------------------------------------------------------------ #
 
@@ -207,7 +163,7 @@ class ReplicaFleet:
         """Route and enqueue one turn; returns its fleet request id.
 
         First turns of a conversation are placed by the router over the
-        non-draining replicas (in id order); follow-up turns stick to
+        replicas (in id order); follow-up turns stick to
         the conversation's replica. Ids are fleet-assigned and globally
         unique (an explicit non-negative id is honoured, like
         :meth:`ContinuousBatchingRuntime.submit`). A prompt id outside the
@@ -219,12 +175,7 @@ class ReplicaFleet:
         if sticky:
             targets = [self._replicas[self._sticky[seq_id]]]
         else:
-            targets = [r for r in self._replicas.values() if not r.draining]
-            if not targets:
-                raise RuntimeError(
-                    "every replica is draining: no placement target for a "
-                    "new conversation"
-                )
+            targets = list(self._replicas.values())
         # checked before an id is spent or the router's cursor or shadow index moves
         request.check_vocab(min(r.runtime.vocab_size for r in targets))
         if request.request_id < 0:

@@ -9,7 +9,7 @@ runtime's quantifies over remedies.
 
 Policies (CLI names in parentheses):
 
-- :class:`RoundRobinRouter` (``round-robin``): cycle over non-draining
+- :class:`RoundRobinRouter` (``round-robin``): cycle over the
   replicas in id order. The classic load-spreading baseline — and the
   baseline prefix-affinity routing must beat on warm TTFT and hit rate
   for shared-prefix traffic (the cluster-routing experiment's claim).
@@ -59,10 +59,8 @@ QUEUE_WEIGHT = 4.0
 class Router:
     """Interface a fleet routing policy implements.
 
-    ``place`` only ever sees replicas that accept new conversations
-    (the fleet filters draining ones); ``placed`` is the notification
-    hook the fleet calls with the winner so stateful policies (shadow
-    indexes, cursors) can update.
+    ``placed`` is the notification hook the fleet calls with the winner
+    so stateful policies (shadow indexes, cursors) can update.
     """
 
     name: str = "base"

@@ -36,9 +36,7 @@ from repro.core.sharding import (
     ShardedKV,
     ShardedQueries,
     SequenceSpec,
-    load_balanced_chunks,
     pad_kv_shards,
-    round_robin_assignment,
     shard_positions,
     shard_sequences,
 )
@@ -49,14 +47,12 @@ __all__ = [
     "SequenceSpec",
     "ShardedKV",
     "ShardedQueries",
-    "load_balanced_chunks",
     "merge_partials",
     "pad_kv_shards",
     "plan_prefill",
     "ring_passkv_prefill",
     "ring_passq_decode",
     "ring_passq_prefill",
-    "round_robin_assignment",
     "select_algo_empirical",
     "select_algo_simple",
     "select_algo_with_all2all",

@@ -688,6 +688,6 @@ class ContextParallelEngine:
                         f"{self.seq_lengths[sid]} are resident"
                     )
             for sid in sorted(self.prefix_index.pins()):
-                if sid not in self.prefix_index:
+                if sid not in self.prefix_index.anchors():
                     problems.append(f"stale pin on non-anchor seq {sid}")
         return problems

@@ -16,8 +16,7 @@ Three use cases, one split value (:class:`ShardPlan`):
   load-balance sharded; cached tokens keep whatever layout previous turns
   gave them (Figure 2).
 - **Decode**: each sequence's one new token goes to one rank, round-robin
-  with a per-step offset (§3.6, :func:`round_robin_assignment`,
-  :meth:`ShardPlan.round_robin`).
+  with a per-step offset (§3.6, :meth:`ShardPlan.round_robin`).
 
 This module is the only place that decides where a round's tokens go; the
 engines read the split.
@@ -65,13 +64,6 @@ class SequenceSpec:
     @property
     def total_tokens(self) -> int:
         return self.new_tokens + self.cached_tokens
-
-    @property
-    def miss_rate(self) -> float:
-        """KV-cache miss rate ``T / (T + P)`` — the paper's heuristic input."""
-        if self.total_tokens == 0:
-            return 0.0
-        return self.new_tokens / self.total_tokens
 
 
 @dataclass
@@ -188,33 +180,9 @@ def _chunk(base: int, extra: int, index: int) -> tuple[int, int]:
     return start, start + base + (index < extra)
 
 
-def load_balanced_chunks(length: int, world_size: int) -> list[tuple[int, int]]:
-    """Split ``[0, length)`` into ``2 * world_size`` contiguous chunks.
-
-    Chunk sizes differ by at most one token (``np.array_split`` convention:
-    earlier chunks take the remainder). Returns ``[(start, stop), ...]`` of
-    length ``2 * world_size``; zero-length chunks appear when
-    ``length < 2 * world_size``.
-    """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if world_size < 1:
-        raise ValueError(f"world_size must be >= 1, got {world_size}")
-    base, extra = divmod(length, 2 * world_size)
-    return [_chunk(base, extra, i) for i in range(2 * world_size)]
-
-
-def rank_chunks(length: int, world_size: int, rank: int) -> list[tuple[int, int]]:
-    """The two chunks ``(C_rank, C_{2N-1-rank})`` assigned to ``rank``."""
-    if not 0 <= rank < world_size:
-        raise ValueError(f"rank {rank} out of range [0, {world_size})")
-    chunks = load_balanced_chunks(length, world_size)
-    return [chunks[rank], chunks[2 * world_size - 1 - rank]]
-
-
 class ShardSpan(NamedTuple):
     """One sequence's rows on one rank: rows ``[row_lo, row_hi)`` hold its
-    ``early`` chunk, then its ``late`` one (its :func:`rank_chunks`), each a
+    ``early`` chunk ``C_rank``, then its ``late`` one ``C_{2N-1-rank}``, each a
     ``(start, stop)`` range of the sequence's new tokens — one range where
     they abut (rank ``N - 1`` always, so every CP1 span), and ``late`` may
     be empty (a decode row: ``(0, 1)``, ``(1, 1)``)."""
@@ -224,21 +192,6 @@ class ShardSpan(NamedTuple):
     row_hi: int
     early: tuple[int, int]
     late: tuple[int, int]
-
-
-def round_robin_assignment(batch_size: int, world_size: int, step: int) -> np.ndarray:
-    """Rank owning each batch slot at decode iteration ``step``.
-
-    ``rank(b) = (b + step) mod N`` — the offset-by-one rotation that levels
-    KV-cache growth across ranks (§3.6).
-    """
-    if batch_size < 0:
-        raise ValueError(f"batch_size must be >= 0, got {batch_size}")
-    if world_size < 1:
-        raise ValueError(f"world_size must be >= 1, got {world_size}")
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    return (np.arange(batch_size, dtype=np.int64) + step) % world_size
 
 
 class ShardPlan:
@@ -278,25 +231,20 @@ class ShardPlan:
     def round_robin(cls, seq_ids: list[int], positions: list[int], world_size: int, step: int) -> "ShardPlan":
         """A decode round's split (§3.6): sequence ``seq_ids[b]``'s one new
         token, at ``positions[b]``, is row ``b // N`` of rank
-        ``(b + step) mod N`` (:func:`round_robin_assignment`), so rank ``r``
-        holds every ``N``-th slot from ``(r - step) mod N`` and its
-        coordinates are those slices of ``positions`` and ``seq_ids``. It
-        has no ``specs``."""
+        ``(b + step) mod N`` — the offset-by-one rotation that levels
+        KV-cache growth across ranks — so rank ``r`` holds every ``N``-th
+        slot from ``(r - step) mod N`` and its coordinates are those slices
+        of ``positions`` and ``seq_ids``. It has no ``specs``. Building it
+        makes the spans only: a capacity check reads just its demand."""
         if world_size < 1 or step < 0:
             raise ValueError(f"need world_size >= 1 and step >= 0, got {world_size} and {step}")
         split = cls.__new__(cls)
-        split.specs, split.seq_ids, split._batch_ids = None, seq_ids, None
+        split.specs, split.seq_ids, split._coords, split._batch_ids = None, seq_ids, None, None
+        split._rotation = positions, step
         split.spans = [[] for _ in range(world_size)]
         for b, sid in enumerate(seq_ids):
             row = b // world_size
             split.spans[(b + step) % world_size].append(ShardSpan(sid, row, row + 1, (0, 1), (1, 1)))
-        pos, seq = np.array(positions, dtype=np.int64), np.array(seq_ids, dtype=np.int64)
-        empty = (pos[:0], seq[:0])  # (every rank that owns no slot: B < N)
-        split._coords = [
-            (pos[(rank - step) % world_size :: world_size], seq[(rank - step) % world_size :: world_size])
-            if spans else empty
-            for rank, spans in enumerate(split.spans)
-        ]
         return split
 
     def demand(self) -> list[dict[int, int]]:
@@ -345,10 +293,20 @@ class ShardPlan:
         return self._batch_ids
 
     def coordinates(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-rank ``(positions, seq_ids)``: a load-balanced split makes
-        them on the first call, one ``arange`` per sequence and one
-        ``repeat`` per rank; later calls return the same arrays."""
-        if self._coords is None:
+        """Per-rank ``(positions, seq_ids)``, made on the first call; later
+        calls return the same arrays. A load-balanced split makes them with
+        one ``arange`` per sequence and one ``repeat`` per rank, a
+        round-robin one as strided slices of its batch arrays."""
+        if self._coords is None and self.specs is None:
+            positions, step = self._rotation
+            n = len(self.spans)
+            pos, seq = np.array(positions, dtype=np.int64), np.array(self.seq_ids, dtype=np.int64)
+            empty = (pos[:0], seq[:0])  # (every rank that owns no slot: B < N)
+            self._coords = [
+                (pos[(rank - step) % n :: n], seq[(rank - step) % n :: n]) if spans else empty
+                for rank, spans in enumerate(self.spans)
+            ]
+        elif self._coords is None:
             new = {
                 s.seq_id: np.arange(s.cached_tokens, s.total_tokens, dtype=np.int64)
                 for s in self.specs

@@ -29,11 +29,10 @@ Collectives trace through :mod:`repro.obs.trace` (assign
 """
 
 from repro.distributed.process_group import SimProcessGroup, payload_elements
-from repro.distributed.ring import ring_neighbors, source_rank_at_step
+from repro.distributed.ring import source_rank_at_step
 
 __all__ = [
     "SimProcessGroup",
     "payload_elements",
-    "ring_neighbors",
     "source_rank_at_step",
 ]

@@ -11,15 +11,6 @@ the tests hold it to this arithmetic as their single oracle.
 from __future__ import annotations
 
 
-def ring_neighbors(rank: int, world_size: int) -> tuple[int, int]:
-    """``(prev, next)`` neighbours of ``rank`` on the ring.
-
-    Messages flow ``prev -> rank -> next``.
-    """
-    _check(rank, world_size)
-    return (rank - 1) % world_size, (rank + 1) % world_size
-
-
 def source_rank_at_step(rank: int, step: int, world_size: int) -> int:
     """Origin rank of the payload held by ``rank`` at ring step ``step``.
 
@@ -27,19 +18,10 @@ def source_rank_at_step(rank: int, step: int, world_size: int) -> int:
     has seen every origin exactly once (paper Algorithms 2-4: ``s = (k - j)
     mod N``).
     """
-    _check(rank, world_size)
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    return (rank - step) % world_size
-
-
-def visit_order(rank: int, world_size: int) -> list[int]:
-    """Origins visited by ``rank`` over a full ring sweep, in step order."""
-    return [source_rank_at_step(rank, j, world_size) for j in range(world_size)]
-
-
-def _check(rank: int, world_size: int) -> None:
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
     if not 0 <= rank < world_size:
         raise ValueError(f"rank {rank} out of range [0, {world_size})")
+    if step < 0:
+        raise ValueError(f"step must be >= 0, got {step}")
+    return (rank - step) % world_size

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.sharding import causal_flops_per_rank, naive_flops_per_rank
-from repro.core.sharding_striped import striped_flops_per_rank
+from repro.core.sharding_striped import striped_imbalance
 from repro.experiments.base import ExperimentResult
 
 
@@ -27,12 +27,9 @@ def run(*, length: int = 131072, rank_counts: list[int] | None = None) -> Experi
         ],
     )
     for n in rank_counts:
-        lb = causal_flops_per_rank(length, n)
-        sp = striped_flops_per_rank(length, n)
-        nv = naive_flops_per_rank(length, n)
-        lb_ratio = float(lb.max() / lb.mean())
-        sp_ratio = float(sp.max() / sp.mean())
-        nv_ratio = float(nv.max() / nv.mean())
+        lb_ratio = imbalance(causal_flops_per_rank(length, n))
+        sp_ratio = striped_imbalance(length, n)
+        nv_ratio = imbalance(naive_flops_per_rank(length, n))
         res.add_row(
             n,
             lb_ratio,

@@ -68,10 +68,12 @@ def run(host: HostSpec | None = None) -> ExperimentResult:
             select_algo_with_all2all(hc, t, p).value,
             paper_kv, paper_q,
         )
+    cross = crossover_miss_rate(res)
+    below = max((row[2] for row in res.rows if row[2] / 100.0 < cross), default=0.0)
     res.notes.append(
         "Paper tipping point ~5% miss (ties within 1% from 3.25%); the "
-        "simulated crossover lands between 2.5% and 3.25%, inside the "
-        "paper's near-tie band."
+        f"simulated crossover lands between {below:g}% and {100 * cross:g}%, "
+        "inside the paper's near-tie band."
     )
     return res
 

@@ -252,18 +252,6 @@ class RankKVCache:
         stream = self._streams.get((layer, seq_id))
         return 0 if stream is None else stream.tokens()
 
-    def total_tokens(self, layer: int = 0) -> int:
-        """Total tokens cached at ``layer`` across sequences."""
-        return sum(
-            stream.tokens() for (lyr, _), stream in self._streams.items() if lyr == layer
-        )
-
-    def free_tokens(self) -> int | None:
-        """Remaining appendable tokens, or ``None`` when unbounded."""
-        if self._allocator is None:
-            return None
-        return self._allocator.free_tokens()
-
     def utilization(self) -> float | None:
         """Claimed fraction of this rank's block pool (``None`` = unbounded)."""
         if self._allocator is None:

@@ -64,10 +64,6 @@ class PagedAllocator:
         count once — this is what prefix sharing saves)."""
         return self.num_blocks - len(self._free)
 
-    @property
-    def capacity_tokens(self) -> int:
-        return self.num_blocks * self.block_size
-
     def free_tokens(self) -> int:
         """Tokens that can still be appended across all streams.
 

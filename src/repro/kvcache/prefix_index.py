@@ -278,9 +278,3 @@ class PrefixIndex:
     def anchor_length(self, seq_id: int) -> int:
         """Indexed token count of ``seq_id`` (0 = not an anchor)."""
         return self._lengths.get(seq_id, 0)
-
-    def __contains__(self, seq_id: int) -> bool:
-        return seq_id in self._lengths
-
-    def __len__(self) -> int:
-        return len(self._lengths)

@@ -58,16 +58,6 @@ class ModelConfig:
         """Per-token K (or V) width: ``NKV * DH``."""
         return self.n_kv_heads * self.head_dim
 
-    @property
-    def gqa_group_size(self) -> int:
-        """Query heads per KV head."""
-        return self.n_heads // self.n_kv_heads
-
-    @property
-    def kv_message_ratio(self) -> float:
-        """``2 * NKV / NH`` — Equation (1)'s constant threshold."""
-        return 2.0 * self.n_kv_heads / self.n_heads
-
     # -------------------------- parameter counts ------------------------ #
 
     @property

@@ -41,6 +41,3 @@ class ByteTokenizer:
         """Token ids -> string (specials dropped, invalid UTF-8 replaced)."""
         data = bytes(int(t) for t in np.asarray(token_ids).ravel() if 0 <= int(t) < 256)
         return data.decode("utf-8", errors="replace")
-
-    def __len__(self) -> int:
-        return VOCAB_SIZE

@@ -67,14 +67,6 @@ class RequestTimeline:
             return self.route.t
         return None
 
-    @property
-    def status(self) -> str:
-        if self.finish is not None:
-            return "finished"
-        if self.shed is not None:
-            return str(self.shed.attrs.get("status", "shed"))
-        return "incomplete"
-
 
 @dataclass
 class TTFTBreakdown:
@@ -89,13 +81,6 @@ class TTFTBreakdown:
     @property
     def ttft(self) -> float:
         return self.first_token_at - self.arrival
-
-    @property
-    def total(self) -> float:
-        total = 0.0
-        for v in self.components.values():
-            total += v
-        return total
 
 
 def events_for_request(events: list[TraceEvent], request_id: int) -> list[TraceEvent]:
@@ -176,9 +161,8 @@ def explain_ttft(events: list[TraceEvent], request_id: int) -> TTFTBreakdown:
     if arrival is None:
         raise ValueError(f"request {request_id} was never admitted or routed")
     if tl.first_token is None:
-        raise ValueError(
-            f"request {request_id} streamed no token (status: {tl.status})"
-        )
+        status = "finished" if tl.finish else tl.shed.attrs.get("status", "shed") if tl.shed else "incomplete"
+        raise ValueError(f"request {request_id} streamed no token (status: {status})")
     ft = tl.first_token.t
     claims = _claims_in_window(tl, arrival, ft)
     first_preempt = min((p.t for p in tl.preempts), default=None)
@@ -295,8 +279,8 @@ def format_explanation(events: list[TraceEvent], request_id: int) -> str:
                 lines.append(f"    decode-window stalls: {detail}")
     elif tl.shed is not None:
         lines.append(f"  shed t={tl.shed.t:.6f} ({tl.shed.attrs.get('status', 'shed')})")
-    elif tl.first_token is None:
-        lines.append(f"  no first token recorded (status: {tl.status})")
+    elif tl.first_token is None:  # (neither finished nor shed)
+        lines.append("  no first token recorded (status: incomplete)")
     return "\n".join(lines)
 
 

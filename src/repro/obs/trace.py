@@ -203,10 +203,6 @@ class _ScopedTracer(Tracer):
         self._root = root
         self._defaults = defaults
 
-    @property
-    def events(self) -> list[TraceEvent]:
-        return self._root.events
-
     def record(self, name: str, phase: str, t: float, dur: float, fields: dict) -> None:
         self._root.record(name, phase, t, dur, {**self._defaults, **fields})
 

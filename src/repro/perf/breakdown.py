@@ -38,11 +38,6 @@ class PrefillLatency:
     overhead: float
     total: float
 
-    @property
-    def ttft(self) -> float:
-        """Alias for ``total`` (time-to-first-token)."""
-        return self.total
-
 
 @dataclass(frozen=True)
 class DecodeLatency:
@@ -75,8 +70,3 @@ class DecodeLatency:
     whole_attn: float
     overhead: float
     total: float
-
-    @property
-    def ttit(self) -> float:
-        """Alias for ``total`` (time-to-incremental-token)."""
-        return self.total

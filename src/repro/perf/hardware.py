@@ -40,7 +40,7 @@ group's collective spans (:mod:`repro.distributed.process_group`, at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,6 @@ class HostSpec:
             2.0 * nbytes * (n_ranks - 1) / n_ranks / self.allreduce_bandwidth
             + self.allreduce_latency * (n_ranks - 1)
         )
-
-    def with_ring_bandwidth(self, bw: float) -> "HostSpec":
-        return replace(self, ring_bandwidth=bw, all2all_bandwidth=bw)
 
 
 def gtt_host() -> HostSpec:

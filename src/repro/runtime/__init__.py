@@ -29,7 +29,7 @@ timing, and — under faults — completion change.
 from repro.runtime.clock import SimulatedStepClock, UnitStepClock
 from repro.runtime.config import ServeConfig
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.runtime import ContinuousBatchingRuntime, RuntimeReport
+from repro.runtime.runtime import ContinuousBatchingRuntime, RuntimeReport, RuntimeWedged
 from repro.runtime.state import RequestRecord, RequestState, TurnRequest
 from repro.runtime.transfer import KVTransferStream, Transfer
 
@@ -41,6 +41,7 @@ __all__ = [
     "RequestRecord",
     "RequestState",
     "RuntimeReport",
+    "RuntimeWedged",
     "ServeConfig",
     "SimulatedStepClock",
     "Transfer",

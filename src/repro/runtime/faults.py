@@ -306,7 +306,3 @@ class FaultInjector:
             due.append(self._reset_schedule[self._resets_fired][1])
             self._resets_fired += 1
         return due
-
-    def reset_schedule(self) -> list[tuple[int, str]]:
-        """The pre-drawn ``(round, pool)`` reset schedule (diagnostics)."""
-        return list(self._reset_schedule)

@@ -154,6 +154,11 @@ POOL_PREFILL = "prefill"
 POOL_DECODE = "decode"
 
 
+class RuntimeWedged(RuntimeError):
+    """A run that cannot make progress: its KV capacity cannot hold the
+    traffic it was given, even after evicting every eligible victim."""
+
+
 @dataclass
 class ServingReport:
     """The request queries a runtime's and a fleet's report share.
@@ -182,9 +187,6 @@ class ServingReport:
     def record(self, request_id: int) -> RequestRecord:
         """One request's record."""
         return self.records[request_id]
-
-    def generated(self, request_id: int) -> list[int]:
-        return list(self.records[request_id].generated)
 
     @property
     def completed(self) -> dict[int, RequestRecord]:
@@ -593,7 +595,7 @@ class ContinuousBatchingRuntime:
             return not self._prefill_since_decode
         return prefill.t <= decode.t
 
-    def _wedged(self, message: str) -> RuntimeError:
+    def _wedged(self, message: str) -> RuntimeWedged:
         """The error for a run that cannot make progress, carrying the
         evidence: requests per state and each pool's clock, holders and
         KV occupancy."""
@@ -601,7 +603,7 @@ class ContinuousBatchingRuntime:
             f"{role} pool: {pool.describe()}"
             for role, pool in self._distinct_pools.items()
         )
-        return RuntimeError(f"{message} [states: {self.state_counts()}; {pools}]")
+        return RuntimeWedged(f"{message} [states: {self.state_counts()}; {pools}]")
 
     def _advance_decode_to_wire(self) -> bool:
         """Jump the idle decode clock to the next transfer arrival

@@ -545,10 +545,6 @@ class FleetMetrics:
     # --------------------------- fleet rollups --------------------------- #
 
     @property
-    def completed_requests(self) -> int:
-        return sum(m.completed_requests for m in self.replicas.values())
-
-    @property
     def prefix_hits(self) -> int:
         return sum(m.prefix_hits for m in self.replicas.values())
 

@@ -18,7 +18,6 @@ from repro.workloads.traces import (
     FIG6_CONTEXT_LENGTHS,
     FIG8_CONTEXT_LENGTHS,
     TABLE4_SWEEP,
-    table4_rows,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "poisson_arrivals",
     "replay_scripts_sequential",
     "submit_scripts_to_runtime",
-    "table4_rows",
 ]

@@ -51,34 +51,7 @@ class WorkloadGenerator:
             raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
         self.vocab_size = vocab_size
         self.seed = seed
-        self._spawn_path: tuple[int, ...] = ()
         self.rng = np.random.default_rng(seed)
-
-    def substream(self, key: int) -> "WorkloadGenerator":
-        """A child generator on an independent, key-derived seed stream.
-
-        ``gen.substream(k)`` depends only on ``(gen.seed, k)`` — never on
-        how much traffic the parent (or any sibling) has already drawn —
-        so per-replica traffic stays bit-reproducible regardless of
-        replica count or generation order: replica ``k`` of a 3-replica
-        fleet and replica ``k`` of a 5-replica fleet see identical
-        streams. Nested substreams extend the key path
-        (``gen.substream(a).substream(b)`` derives from ``(seed, a, b)``).
-
-        Derivation uses :class:`numpy.random.SeedSequence` spawn keys,
-        which guarantees children are independent of the parent stream
-        and of every differently-keyed sibling (a naive ``[seed, key]``
-        entropy list is *not* enough: SeedSequence zero-pads entropy, so
-        ``[seed, 0]`` would collide with the parent's own stream).
-        """
-        if key < 0:
-            raise ValueError(f"substream key must be >= 0, got {key}")
-        child = WorkloadGenerator(self.vocab_size, seed=self.seed)
-        child._spawn_path = self._spawn_path + (int(key),)
-        child.rng = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=child._spawn_path)
-        )
-        return child
 
     def prompt(self, length: int) -> np.ndarray:
         """Uniform random token ids of the given length."""

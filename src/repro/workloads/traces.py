@@ -61,11 +61,3 @@ TABLE8_SCENARIOS: list[tuple[int, int, list[int]]] = [
     (131072, 1, [1, 2, 4]),
     (32768, 4, [1, 2, 4]),
 ]
-
-
-def table4_rows() -> list[dict]:
-    """Table 4's rows as dicts: ``{"P", "T", "miss_rate"}``."""
-    rows = []
-    for p, t in TABLE4_SWEEP:
-        rows.append({"P": p, "T": t, "miss_rate": t / (t + p)})
-    return rows

@@ -78,11 +78,6 @@ class TestFlashEdgeCases:
         with pytest.raises(ValueError):
             flash_attention(q, k, v, block_size=0)
 
-    def test_result_tokens_property(self, rng):
-        q, k, v = make_qkv(rng, 4, 4)
-        res = flash_attention(q, k, v)
-        assert res.tokens == 4
-
     @pytest.mark.parametrize("compute_dtype", [np.int32, bool, "complex128", object])
     def test_non_floating_compute_dtype_is_rejected_at_the_boundary(self, rng, compute_dtype):
         """Not a ``UFuncTypeError`` out of the middle of a sweep, nor a

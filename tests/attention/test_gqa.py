@@ -3,32 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attention.gqa import expand_kv_heads, kv_head_for_query_head, validate_gqa_shapes
-
-
-class TestKvHeadMapping:
-    def test_llama3_405b_grouping(self):
-        """128 query heads over 8 KV heads: groups of 16."""
-        assert kv_head_for_query_head(0, 128, 8) == 0
-        assert kv_head_for_query_head(15, 128, 8) == 0
-        assert kv_head_for_query_head(16, 128, 8) == 1
-        assert kv_head_for_query_head(127, 128, 8) == 7
-
-    def test_mha_identity(self):
-        for h in range(8):
-            assert kv_head_for_query_head(h, 8, 8) == h
-
-    def test_mqa_all_zero(self):
-        for h in range(8):
-            assert kv_head_for_query_head(h, 8, 1) == 0
-
-    def test_invalid_grouping(self):
-        with pytest.raises(ValueError):
-            kv_head_for_query_head(0, 10, 3)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            kv_head_for_query_head(8, 8, 2)
+from repro.attention.gqa import expand_kv_heads, validate_gqa_shapes
 
 
 class TestExpandKvHeads:

@@ -24,7 +24,6 @@ class StubReplica:
 
     def __init__(self, replica_id, *, queued=0, busy=0.0, depth=0, live_match=None):
         self.id = replica_id
-        self.draining = False
         self._queued = queued
         self._busy = busy
         self._depth = depth

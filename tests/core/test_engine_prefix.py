@@ -118,9 +118,9 @@ class TestMatchAdopt:
         eng = engine(capacity_tokens=64)
         eng.enable_prefix_cache()
         eng.prefill({0: prompt(32)})
-        free_before = [c.free_tokens() for c in eng.caches]
+        free_before = [c._allocator.free_tokens() for c in eng.caches]
         eng.adopt_prefix(1, 0, 32)
-        assert [c.free_tokens() for c in eng.caches] == free_before
+        assert [c._allocator.free_tokens() for c in eng.caches] == free_before
 
 
 class TestIndexLockstep:

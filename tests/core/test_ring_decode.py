@@ -7,10 +7,10 @@ from repro.attention.flash import AttentionResult
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_skip import plan_prefill
-from repro.core.sharding import ShardedKV, ShardedQueries, round_robin_assignment
+from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import comm, decode_round, in_batch_order, make_qkv, run_ring, traced_group
+from helpers import comm, decode_round, in_batch_order, make_qkv, round_robin_owners, run_ring, traced_group
 
 
 def build_decode_scenario(rng, world, batch, ctx_lens):
@@ -24,7 +24,7 @@ def build_decode_scenario(rng, world, batch, ctx_lens):
     refs = {}
     batch_q = np.zeros((batch, nh, dh))
     positions = np.zeros(batch, dtype=np.int64)
-    assignment = round_robin_assignment(batch, world, step=0)
+    assignment = round_robin_owners(batch, world)
 
     rank_parts = [[] for _ in range(world)]
     for b, ctx in enumerate(ctx_lens):
@@ -68,8 +68,8 @@ def decode(group, kv_shards, batch, step=0):
 
 class TestRoundRobin:
     def test_offset_rotates(self):
-        a0 = round_robin_assignment(4, 4, 0)
-        a1 = round_robin_assignment(4, 4, 1)
+        a0 = round_robin_owners(4, 4, 0)
+        a1 = round_robin_owners(4, 4, 1)
         np.testing.assert_array_equal(a0, [0, 1, 2, 3])
         np.testing.assert_array_equal(a1, [1, 2, 3, 0])
 
@@ -79,18 +79,10 @@ class TestRoundRobin:
         world, batch = 4, 4
         visits = np.zeros((batch, world), dtype=int)
         for step in range(world):
-            a = round_robin_assignment(batch, world, step)
+            a = round_robin_owners(batch, world, step)
             for b in range(batch):
                 visits[b, a[b]] += 1
         assert np.all(visits == 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            round_robin_assignment(-1, 4, 0)
-        with pytest.raises(ValueError):
-            round_robin_assignment(4, 0, 0)
-        with pytest.raises(ValueError):
-            round_robin_assignment(4, 4, -1)
 
 
 class TestDecodeExactness:

@@ -9,10 +9,18 @@ from repro.attention.reference import reference_attention_with_lse
 from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
-from repro.core.sharding import ShardedKV, round_robin_assignment
+from repro.core.sharding import ShardedKV
 from repro.distributed.process_group import SimProcessGroup
 
-from helpers import Fallbacks, decode_round, in_batch_order, make_qkv, run_ring, shard_qkv_full_prefill
+from helpers import (
+    Fallbacks,
+    decode_round,
+    in_batch_order,
+    make_qkv,
+    round_robin_owners,
+    run_ring,
+    shard_qkv_full_prefill,
+)
 
 WORLD = 4
 
@@ -56,7 +64,7 @@ def test_decode_ring_with_one_shifted_step(rng):
     only: one of the ring's 16 steps takes the shifted sweep."""
     contexts = [9, 30, 21, 1, 14, 26]
     batch = len(contexts)
-    assignment = round_robin_assignment(batch, WORLD, step=0)
+    assignment = round_robin_owners(batch, WORLD)
     seqs = [make_qkv(rng, 1, ctx + 1) for ctx in contexts]
     parts = [[] for _ in range(WORLD)]
     for b, (ctx, (q, k, v)) in enumerate(zip(contexts, seqs)):

@@ -10,55 +10,12 @@ from repro.core.sharding import (
     ShardedQueries,
     ShardPlan,
     causal_flops_per_rank,
-    load_balanced_chunks,
     naive_flops_per_rank,
     pad_kv_shards,
     plan_query_padding,
-    rank_chunks,
-    round_robin_assignment,
     shard_positions,
     shard_sequences,
 )
-
-
-class TestLoadBalancedChunks:
-    def test_chunk_count_and_coverage(self):
-        chunks = load_balanced_chunks(100, 4)
-        assert len(chunks) == 8
-        assert chunks[0][0] == 0 and chunks[-1][1] == 100
-        for (a, b), (c, d) in zip(chunks, chunks[1:]):
-            assert b == c  # contiguous
-
-    def test_sizes_within_one(self):
-        chunks = load_balanced_chunks(103, 4)
-        sizes = [b - a for a, b in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_short_sequence_zero_chunks(self):
-        chunks = load_balanced_chunks(3, 4)
-        sizes = [b - a for a, b in chunks]
-        assert sum(sizes) == 3
-        assert all(s in (0, 1) for s in sizes)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            load_balanced_chunks(-1, 2)
-        with pytest.raises(ValueError):
-            load_balanced_chunks(4, 0)
-
-
-class TestRankChunks:
-    def test_mirror_pairing(self):
-        """Rank i takes chunks (C_i, C_{2N-1-i})."""
-        n = 4
-        all_chunks = load_balanced_chunks(64, n)
-        for rank in range(n):
-            got = rank_chunks(64, n, rank)
-            assert got == [all_chunks[rank], all_chunks[2 * n - 1 - rank]]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            rank_chunks(64, 4, 4)
 
 
 class TestShardPositions:
@@ -144,7 +101,7 @@ class TestRoundRobinSplit:
         sids = [10 * b + 7 for b in range(batch)]
         positions = [40 + b for b in range(batch)]
         split = ShardPlan.round_robin(sids, positions, world, step)
-        owner = round_robin_assignment(batch, world, step)
+        owner = (np.arange(batch) + step) % world
         width = max([int((owner == rank).sum()) for rank in range(world)] + [0])
         tokens = {sid: np.array([b]) for b, sid in enumerate(sids)}
         for rank, (spans, (pos, seq), demand, ids) in enumerate(
@@ -169,11 +126,6 @@ class TestRoundRobinSplit:
 
 
 class TestSequenceSpec:
-    def test_miss_rate(self):
-        assert SequenceSpec(0, 10, 90).miss_rate == pytest.approx(0.1)
-        assert SequenceSpec(0, 10, 0).miss_rate == 1.0
-        assert SequenceSpec(0, 0, 0).miss_rate == 0.0
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             SequenceSpec(0, -1)

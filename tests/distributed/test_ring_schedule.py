@@ -2,22 +2,7 @@
 
 import pytest
 
-from repro.distributed.ring import ring_neighbors, source_rank_at_step, visit_order
-
-
-class TestNeighbors:
-    def test_ring_of_four(self):
-        assert ring_neighbors(0, 4) == (3, 1)
-        assert ring_neighbors(3, 4) == (2, 0)
-
-    def test_singleton(self):
-        assert ring_neighbors(0, 1) == (0, 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ring_neighbors(4, 4)
-        with pytest.raises(ValueError):
-            ring_neighbors(0, 0)
+from repro.distributed.ring import source_rank_at_step
 
 
 class TestSourceRank:
@@ -34,9 +19,10 @@ class TestSourceRank:
                 assert source_rank_at_step(k, j, n) == (k - j) % n
 
     def test_full_sweep_visits_all(self):
+        """Over N steps every rank sees every origin exactly once."""
         for n in (1, 2, 3, 8):
             for k in range(n):
-                assert sorted(visit_order(k, n)) == list(range(n))
+                assert sorted(source_rank_at_step(k, j, n) for j in range(n)) == list(range(n))
 
     def test_consistency_with_shift(self):
         """After j shifts (each rank receives from prev), rank k holds the

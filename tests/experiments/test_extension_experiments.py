@@ -45,7 +45,6 @@ class TestGqaSensitivity:
     def test_mha_counterfactual(self):
         cfg = gqa_sensitivity.mha_405b_config()
         assert cfg.n_kv_heads == cfg.n_heads == 128
-        assert cfg.kv_message_ratio == 2.0
 
 
 class TestDisaggregation:

@@ -18,7 +18,6 @@ from repro.core.sharding import (
     ShardedKV,
     ShardedQueries,
     ShardPlan,
-    round_robin_assignment,
     shard_sequences,
 )
 from repro.model.config import tiny_config
@@ -263,14 +262,23 @@ def shard_varseq_full_prefill(
     return queries, kvs
 
 
+def round_robin_owners(batch: int, world: int, step: int = 0) -> np.ndarray:
+    """The rank owning each slot of a ``batch``-slot decode round at
+    ``step``, read off :meth:`ShardPlan.round_robin`'s spans."""
+    owner = np.empty(batch, dtype=np.int64)
+    for rank, spans in enumerate(ShardPlan.round_robin(list(range(batch)), [0] * batch, world, step).spans):
+        owner[[span.seq_id for span in spans]] = rank
+    return owner
+
+
 def decode_round(
     q: np.ndarray, positions: np.ndarray, seq_ids: np.ndarray, world: int, step: int = 0
 ) -> tuple[list[ShardedQueries], list[np.ndarray]]:
     """A decode batch given in batch order (row ``b`` is slot ``b``), split
     as ``engine.decode`` splits it: per rank, the one-token queries of the
-    slots it owns at ``step`` (:func:`round_robin_assignment`), and those
+    slots it owns at ``step`` (:func:`round_robin_owners`), and those
     slots."""
-    owner = round_robin_assignment(len(q), world, step)
+    owner = round_robin_owners(len(q), world, step)
     slots = [np.nonzero(owner == rank)[0] for rank in range(world)]
     return [ShardedQueries(q=q[s], positions=positions[s], seq_ids=seq_ids[s]) for s in slots], slots
 

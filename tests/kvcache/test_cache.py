@@ -68,7 +68,7 @@ class TestAppendGet:
     def test_zero_token_append_noop(self):
         cache = make_cache()
         cache.append(0, 1, *kv_chunk(0), np.zeros(0, dtype=np.int64))
-        assert cache.total_tokens(0) == 0
+        assert cache.tokens(1) == 0 and cache.sequence_ids() == []
 
 
 def _rows(positions, seed=0):
@@ -173,18 +173,18 @@ class TestCapacity:
         cache = make_cache(capacity_tokens=4, block_size=4)
         cache.append(0, 1, *kv_chunk(4), np.arange(4))
         cache.append(1, 1, *kv_chunk(4), np.arange(4))  # no extra charge
-        assert cache.free_tokens() == 0
+        assert cache.utilization() == 1.0
 
     def test_drop_releases(self):
         cache = make_cache(capacity_tokens=8, block_size=4)
         cache.append(0, 1, *kv_chunk(8), np.arange(8))
         cache.drop(1)
-        assert cache.free_tokens() == 8
+        assert cache.utilization() == 0.0
         cache.append(0, 2, *kv_chunk(8), np.arange(8))
 
     def test_unbounded_by_default(self):
         cache = make_cache()
-        assert cache.free_tokens() is None
+        assert cache.utilization() is None
 
     @pytest.mark.parametrize("capacity", [0, -5])
     def test_capacity_below_one_token_rejected(self, capacity):
@@ -203,7 +203,6 @@ class TestBookkeeping:
         cache.append(0, 2, *kv_chunk(5), np.arange(5))
         assert cache.tokens(1) == 2
         assert cache.tokens(2) == 5
-        assert cache.total_tokens(0) == 7
         assert cache.sequence_ids() == [1, 2]
 
     def test_drop_all_layers(self):
@@ -242,7 +241,7 @@ class TestDropTail:
         assert cache.drop_tail(1, from_pos=4) == 2
         for layer in range(2):
             assert cache.get(layer, [1]).positions.tolist() == [0, 1, 2, 3]
-        assert cache.tokens(1) == 4 and cache.free_tokens() == 12
+        assert cache.tokens(1) == 4 and cache.can_append({2: 12}) and not cache.can_append({2: 13})
 
     def test_out_of_order_stream_is_refused_at_the_cut(self):
         """The tail cut is a fill-count cut, so it must see a stream whose
@@ -279,10 +278,8 @@ class TestDropTail:
     def test_allocator_blocks_returned(self):
         cache = make_cache(capacity_tokens=32, block_size=4)
         cache.append(0, 1, *kv_chunk(10), np.arange(10))
-        before = cache.free_tokens()
         freed = cache.drop_tail(1, from_pos=3)
         assert freed == 7
-        assert cache.free_tokens() == before + 7
         # the freed WHOLE blocks are claimable by another sequence (the
         # slack in seq 1's kept partial block is not)
         assert cache.can_append({2: 7 * 4})

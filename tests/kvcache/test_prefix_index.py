@@ -14,7 +14,7 @@ class TestInsertAndMatch:
     def test_empty_index_matches_nothing(self):
         idx = PrefixIndex()
         assert idx.match(toks(1, 2, 3)) == (0, None)
-        assert len(idx) == 0
+        assert idx.anchors() == []
 
     def test_exact_and_partial_match(self):
         idx = PrefixIndex()
@@ -27,7 +27,7 @@ class TestInsertAndMatch:
     def test_zero_length_insert_is_noop(self):
         idx = PrefixIndex()
         idx.insert(0, toks())
-        assert 0 not in idx
+        assert 0 not in idx.anchors()
         assert idx.match(toks(1)) == (0, None)
 
     def test_extension_reinsert_is_idempotent(self):
@@ -100,7 +100,7 @@ class TestRemoveAndTrim:
         idx.insert(0, toks(1, 2, 3))
         idx.remove(0)
         assert idx.match(toks(1, 2, 3)) == (0, None)
-        assert 0 not in idx
+        assert 0 not in idx.anchors()
         idx.remove(0)  # idempotent
 
     def test_remove_keeps_other_holders(self):
@@ -131,7 +131,7 @@ class TestRemoveAndTrim:
         idx = PrefixIndex()
         idx.insert(0, toks(1, 2))
         idx.trim(0, 0)
-        assert 0 not in idx
+        assert 0 not in idx.anchors()
 
     def test_trim_then_regrow_different_suffix(self):
         idx = PrefixIndex()

@@ -21,16 +21,11 @@ class TestLlama405B:
         assert cfg.n_kv_heads == 8
         assert cfg.head_dim == 128
         assert cfg.kv_dim == 1024
-        assert cfg.gqa_group_size == 16
 
     def test_param_count_is_405b(self):
         """Derived parameter count lands on ~405B (Table 9's W)."""
         w = llama3_405b_config().param_count
         assert 3.9e11 < w < 4.2e11
-
-    def test_kv_message_ratio(self):
-        """Equation (1)'s constant: 2 * 8 / 128 = 12.5%."""
-        assert llama3_405b_config().kv_message_ratio == pytest.approx(0.125)
 
     def test_kv_bytes_per_token(self):
         cfg = llama3_405b_config()

@@ -36,7 +36,6 @@ class TestByteTokenizer:
         tok = ByteTokenizer()
         ids = tok.encode("any text at all", add_eos=True)
         assert ids.max() < VOCAB_SIZE
-        assert len(tok) == VOCAB_SIZE
 
     def test_invalid_bytes_replaced(self):
         tok = ByteTokenizer()

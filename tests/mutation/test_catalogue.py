@@ -64,6 +64,9 @@ takes Algorithm 4's batch ids off the decode ring's query messages
 edit the runtime's KV moves: dropping a host-store payload must hand its
 tokens back to the swap budget (``Pool.discard_stored``), and a cancelled
 transfer must refund its un-streamed wire time (``KVTransferStream.cancel``).
+Two edit a turn's finish (``_finish_turn``): it must release its prefix
+donor's pin, and it must hold its successor's ``ready_at`` to its finish
+time, so the next turn is not admitted on an idle pool's older clock.
 An entry may name several killers; each must pass on the real code and
 fail on the mutant.
 """
@@ -425,8 +428,8 @@ def _shape_decode_unrotated(monkeypatch):
     read this one split, so a sequence's generated KV piles up on ranks."""
     patch_source(
         monkeypatch, ShardPlan, "round_robin",
-        "split.specs, split.seq_ids, split._batch_ids = None, seq_ids, None",
-        "step = 0; split.specs, split.seq_ids, split._batch_ids = None, seq_ids, None",
+        "split.specs, split.seq_ids, split._coords, split._batch_ids = None, seq_ids, None, None",
+        "step = 0; split.specs, split.seq_ids, split._coords, split._batch_ids = None, seq_ids, None, None",
     )
 
 
@@ -553,6 +556,19 @@ def _transfer_refund_dropped(monkeypatch):
     """A cancelled transfer hands back none of its un-streamed wire time:
     the channel stays reserved and its successors stay queued behind it."""
     patch_source(monkeypatch, KVTransferStream, "cancel", "if refund > 0.0:", "if False:")
+
+
+def _donor_pin_not_released(monkeypatch):
+    """A finished warm turn keeps its prefix donor pinned, so the donor
+    can never be LRU-evicted again."""
+    patch_source(monkeypatch, Runtime, "_finish_turn", "self.prefix_index.unpin(rec.prefix_donor)", "pass")
+
+
+def _stale_ready_at(monkeypatch):
+    """A finished turn leaves its successor's ``ready_at`` as it was: the
+    next turn is admitted at the idle prefill pool's older clock, before
+    the turn whose tokens it re-prefills has finished."""
+    patch_source(monkeypatch, Runtime, "_finish_turn", "nxt.ready_at = max(nxt.ready_at, at)", "pass")
 
 
 def _nan_arrival_admitted(monkeypatch):
@@ -755,6 +771,12 @@ CATALOGUE = [
     ("transfer-refund-dropped", _transfer_refund_dropped,
      functools.partial(_named_test, "runtime/test_transfer.py::TestKVTransferStream"
                        "::test_cancel_queued_refunds_fully_and_unblocks_successors")),
+    ("donor-pin-not-released", _donor_pin_not_released,
+     functools.partial(_named_test, "runtime/test_prefix_cache.py::TestPinning"
+                       "::test_donor_pinned_for_borrower_lifetime")),
+    ("stale-ready-at", _stale_ready_at,
+     functools.partial(_named_test, "runtime/test_disaggregated_runtime.py::TestLifecycle"
+                       "::test_a_follow_up_turn_waits_for_its_predecessor_to_finish")),
 ]
 
 

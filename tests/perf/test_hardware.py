@@ -24,11 +24,6 @@ class TestHostSpecs:
         """3 GB/s per GPU rank x 8 = 24 GB/s per host (§4.2.1)."""
         assert gti_host().ring_bandwidth == pytest.approx(24e9)
 
-    def test_with_ring_bandwidth(self):
-        host = gtt_host().with_ring_bandwidth(1e9)
-        assert host.ring_bandwidth == 1e9
-        assert host.all2all_bandwidth == 1e9
-
     def test_h100_power_limited_peak(self):
         """Appendix A: 800 TF/s BF16 peak for the 500 W HBM2e part."""
         assert gtt_host().gpu.peak_flops == pytest.approx(800e12)

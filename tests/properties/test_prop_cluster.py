@@ -2,10 +2,10 @@
 
 The fleet (:mod:`repro.cluster`) rescopes the runtime's
 serving-exactness contract over *placement*: for any traffic mix, any
-replica count, any routing policy, any drain schedule, and any injected
-fault plan, routing changes which replica serves a conversation — and
-therefore timing, placement, and (under faults) completion — but never
-the value of a single decoded token:
+replica count, any routing policy, and any injected fault plan, routing
+changes which replica serves a conversation — and therefore timing,
+placement, and (under faults) completion — but never the value of a
+single decoded token:
 
 - **every fleet run drains** — each request reaches a terminal state on
   whichever replica owns it;
@@ -15,7 +15,7 @@ the value of a single decoded token:
 - **nothing leaks anywhere** — after the drain, *every* replica's KV
   bookkeeping audits clean;
 - **stickiness is absolute** — all turns of a conversation execute on
-  the replica that served its first turn (drain included);
+  the replica that served its first turn;
 - **a fleet of one is the runtime** — ``build_fleet`` at one replica is
   byte-for-byte the bare runtime: same streams, statuses, makespan
   (the metamorphic anchor tying the cluster tier to the single-runtime
@@ -184,7 +184,7 @@ class TestFleetExactness:
             rids = submit_scripts_to_runtime(fleet, scripts, think_time_s=think)
             report = fleet.run(max_steps=200_000)
             return {
-                (seq_id, i): report.generated(rid)
+                (seq_id, i): report.record(rid).generated
                 for seq_id, turn_rids in rids.items()
                 for i, rid in enumerate(turn_rids)
             }
@@ -212,7 +212,7 @@ class TestFleetOfOneIsTheRuntime:
             report = target.run(max_steps=200_000)
             return (
                 {
-                    (seq_id, i): list(report.generated(rid))
+                    (seq_id, i): list(report.record(rid).generated)
                     for seq_id, turn_rids in rids.items()
                     for i, rid in enumerate(turn_rids)
                 },
@@ -223,52 +223,3 @@ class TestFleetOfOneIsTheRuntime:
         bare = signature(config.build(MODEL))
         fleet = signature(config.build_fleet(MODEL))
         assert fleet == bare
-
-
-class TestDrainSchedules:
-    @given(cluster_case(), st.integers(0, 2))
-    @settings(**SETTINGS)
-    def test_drain_reroutes_only_new_conversations(self, case, drain_at):
-        """Drain a replica between submissions: conversations already
-        placed there finish there (stickiness overrides drain), no new
-        conversation lands on it, and the run stays exact and leak-free."""
-        scripts, config, think = case
-        # draining the only replica is the error path
-        config = replace(config, replicas=max(2, config.replicas))
-        policy, n_replicas = config.routing, config.replicas
-        fleet = config.build(MODEL)
-        target = drain_at % n_replicas
-
-        cut = max(1, len(scripts) // 2)
-        rids = {}
-        for script in scripts[:cut]:
-            rids[script.seq_id] = fleet.submit_script(script, think_time=think)
-        placed_before = set(fleet.placements())
-        fleet.drain(target)
-        for script in scripts[cut:]:
-            rids[script.seq_id] = fleet.submit_script(script, think_time=think)
-
-        for seq_id, replica_id in fleet.placements().items():
-            if seq_id not in placed_before:
-                assert replica_id != target, (
-                    f"new conversation {seq_id} routed to draining "
-                    f"replica {target} (policy={policy})"
-                )
-
-        report = fleet.run(max_steps=200_000)
-        assert report.statuses() == {"finished": sum(s.turns for s in scripts)}
-        reference = replay_scripts_sequential(lambda: fresh_engine(config.world), scripts)
-        assert_exact_vs_sequential(
-            report, rids, reference,
-            context=f"policy={policy}, drained replica {target}",
-        )
-        assert_leak_free(fleet, context=f"policy={policy}, drained={target}")
-        _assert_sticky(report)
-
-    def test_all_draining_rejects_new_conversations(self):
-        fleet = ServeConfig(world=1, replicas=2, routing="round-robin").build(MODEL)
-        fleet.drain(0)
-        fleet.drain(1)
-        gen = WorkloadGenerator(VOCAB, seed=0)
-        with pytest.raises(RuntimeError, match="every replica is draining"):
-            fleet.submit_script(gen.conversation(0, turns=1, first_prompt=8))

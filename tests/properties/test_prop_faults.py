@@ -161,7 +161,7 @@ class TestFaultScheduleExactness:
             rids = submit_scripts_to_runtime(runtime, scripts, think_time_s=think)
             report = runtime.run(max_steps=200_000)
             streams = {
-                rid: report.generated(rid)
+                rid: report.record(rid).generated
                 for turn_rids in rids.values()
                 for rid in turn_rids
             }

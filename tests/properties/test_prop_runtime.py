@@ -442,7 +442,7 @@ class TestRuntimeExactness:
                 runtime.preempt(rid)
                 preempted = True
         assert preempted
-        generated = runtime.report().generated(rid)
+        generated = runtime.report().record(rid).generated
 
         engine = fresh_engine(world)
         out = engine.prefill({0: prompt})

@@ -11,31 +11,11 @@ from repro.core.sharding import (
     SequenceSpec,
     ShardPlan,
     causal_flops_per_rank,
-    load_balanced_chunks,
-    rank_chunks,
     shard_positions,
     shard_sequences,
 )
 
 SETTINGS = dict(max_examples=80, deadline=None)
-
-
-class TestChunkProperties:
-    @given(st.integers(0, 5000), st.integers(1, 16))
-    @settings(**SETTINGS)
-    def test_chunks_partition(self, length, world):
-        chunks = load_balanced_chunks(length, world)
-        assert len(chunks) == 2 * world
-        assert chunks[0][0] == 0
-        assert chunks[-1][1] == length
-        for (_, b), (c, _) in zip(chunks, chunks[1:]):
-            assert b == c
-
-    @given(st.integers(0, 5000), st.integers(1, 16))
-    @settings(**SETTINGS)
-    def test_chunk_sizes_differ_by_at_most_one(self, length, world):
-        sizes = [b - a for a, b in load_balanced_chunks(length, world)]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestShardProperties:
@@ -165,7 +145,6 @@ def check_plan_equals_oracle(sizes, world):
             spec = next(s for s in specs if s.seq_id == span.seq_id)
             chunks = oracle_chunks(spec.new_tokens, world)
             assert [span.early, span.late] == [chunks[rank], chunks[2 * world - 1 - rank]]
-            assert [span.early, span.late] == rank_chunks(spec.new_tokens, world, rank)
         assert covered.all()
         # the gather a span's ranges drive picks the rows positions name
         offsets = {s.seq_id: s.cached_tokens for s in specs}
@@ -185,11 +164,6 @@ class TestShardPlanEqualsOracle:
     @settings(**SETTINGS)
     def test_plan_equals_concatenating_oracle(self, sizes, world):
         check_plan_equals_oracle(sizes, world)
-
-    @given(st.integers(0, 300), st.integers(1, 12))
-    @settings(**SETTINGS)
-    def test_chunks_equal_array_split(self, length, world):
-        assert load_balanced_chunks(length, world) == oracle_chunks(length, world)
 
     def test_duplicate_sequence_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -218,8 +218,8 @@ class TestExplain:
             assert finished, "a fault-free case completes every request"
         for rid in sorted(finished):
             bd = explain_ttft(tracer.events, rid)
-            assert bd.total == bd.ttft, (
-                f"request {rid}: components sum {bd.total!r} != "
+            assert sum(bd.components.values()) == bd.ttft, (
+                f"request {rid}: components sum {sum(bd.components.values())!r} != "
                 f"TTFT {bd.ttft!r} (case {case})"
             )
             assert bd.ttft == recorded[rid], (

@@ -25,6 +25,7 @@ from repro.runtime import (
 from repro.serving.scheduler import ChunkedPrefillPolicy
 from repro.serving.session import ChatSession
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.replay import submit_scripts_to_runtime
 
 MODEL = LlamaModel(tiny_config(), seed=0)
 VOCAB = MODEL.config.vocab_size
@@ -45,13 +46,24 @@ def sequential_tokens(prompt_ids, budget, *, world=2):
 
 
 class TestLifecycle:
+    def test_a_follow_up_turn_waits_for_its_predecessor_to_finish(self):
+        """A follow-up turn re-prefills its predecessor's tokens, so it is
+        admitted no earlier than that turn finishes in the decode pool,
+        though the idle prefill pool's clock is behind it (no think time)."""
+        gen = WorkloadGenerator(VOCAB, seed=3)
+        script = gen.conversation(0, turns=2, first_prompt=24, followup_range=(4, 8), response_range=(6, 10))
+        rt = ServeConfig(decode_world=1).build(MODEL)
+        first, second = submit_scripts_to_runtime(rt, [script], think_time_s=0.0)[0]
+        report = rt.run(max_steps=10_000)
+        assert report.records[second].admitted_at >= report.records[first].finished_at
+
     def test_single_request_exact_across_pools(self):
         rt = ServeConfig(decode_world=1).build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=6))
         report = rt.run(max_steps=10_000)
         rec = report.records[rid]
         assert rec.state is RequestState.FINISHED
-        assert report.generated(rid) == sequential_tokens(prompt(40), 6)
+        assert report.record(rid).generated == sequential_tokens(prompt(40), 6)
         assert report.metrics.transfers == 1
         assert report.metrics.transferred_kv_tokens == 40
 
@@ -99,7 +111,7 @@ class TestLifecycle:
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
         session = ChatSession(engine, 0)
         for rid, p, b in zip(rids, script.prompts, script.response_budgets):
-            assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+            assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
         # every turn transferred its prompt exactly once; decode tokens
         # were committed in-place by the decode pool (never re-shipped)
         assert report.metrics.transfers == script.turns
@@ -159,9 +171,9 @@ class TestLifecycle:
 
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
         session = ChatSession(engine, 0)
-        assert report.generated(r1) == list(session.send(p1, max_new_tokens=3).generated)
-        assert report.generated(r2) == list(session.send(p2, max_new_tokens=0).generated)
-        assert report.generated(r3) == list(session.send(p3, max_new_tokens=4).generated)
+        assert report.record(r1).generated == list(session.send(p1, max_new_tokens=3).generated)
+        assert report.record(r2).generated == list(session.send(p2, max_new_tokens=0).generated)
+        assert report.record(r3).generated == list(session.send(p3, max_new_tokens=4).generated)
 
     def test_requires_shared_model(self):
         e1 = ContextParallelEngine(MODEL, world_size=1)
@@ -193,7 +205,7 @@ class TestTransferEdgeCases:
         assert report.metrics.transfers_cancelled == 1
         assert rt.transfer_stream.in_flight() == []
         assert report.records[rid].preemptions == 1
-        assert report.generated(rid) == sequential_tokens(prompt(40), 5)
+        assert report.record(rid).generated == sequential_tokens(prompt(40), 5)
 
     def test_decode_pool_refuses_transfer_until_space_frees(self):
         """A transfer that cannot fit behind an *older* active decoder is
@@ -214,8 +226,8 @@ class TestTransferEdgeCases:
         assert report.records[old].preemptions == 0  # never evicted for the young one
         # the bounded decode pool's occupancy was sampled along the way
         assert 0 < report.metrics.peak_kv_utilization["decode"] <= 1
-        assert report.generated(old) == sequential_tokens(prompt(30), 20, world=1)
-        assert report.generated(young) == sequential_tokens(prompt(50, seed=3), 2, world=1)
+        assert report.record(old).generated == sequential_tokens(prompt(30), 20, world=1)
+        assert report.record(young).generated == sequential_tokens(prompt(50, seed=3), 2, world=1)
 
     def test_transfer_evicts_idle_resident_conversation(self):
         """Landing admission evicts an idle decode-pool conversation first;
@@ -236,7 +248,7 @@ class TestTransferEdgeCases:
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=1)
         session = ChatSession(engine, 0)
         for rid, p, b in zip(rids, script.prompts, script.response_budgets):
-            assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+            assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_resident_evicted_during_transfer_reprices_the_wire(self):
         """When decode-pool pressure evicts a conversation's resident copy
@@ -273,11 +285,11 @@ class TestTransferEdgeCases:
 
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=1)
         session = ChatSession(engine, 0)
-        assert report.generated(y1) == list(session.send(prompt(40), max_new_tokens=3).generated)
-        assert report.generated(y2) == list(
+        assert report.record(y1).generated == list(session.send(prompt(40), max_new_tokens=3).generated)
+        assert report.record(y2).generated == list(
             session.send(prompt(8, seed=6), max_new_tokens=2).generated
         )
-        assert report.generated(z) == sequential_tokens(prompt(30, seed=3), 40, world=1)
+        assert report.record(z).generated == sequential_tokens(prompt(30, seed=3), 40, world=1)
 
     def test_context_exceeding_decode_pool_raises(self):
         rt = ServeConfig(world=1, decode_world=1, decode_capacity=32, chunk=16, round_budget=32).build(MODEL)
@@ -329,7 +341,7 @@ class TestPoolPressure:
             engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
             session = ChatSession(engine, script.seq_id)
             for rid, p, b in zip(rid_map[script.seq_id], script.prompts, script.response_budgets):
-                assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+                assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_decode_pool_pressure_roundtrips_through_prefill(self):
         """A decode-pool eviction sends the request back through prefill
@@ -343,8 +355,8 @@ class TestPoolPressure:
         )
         report = rt.run(max_steps=200_000)
         assert report.metrics.preemptions > 0
-        assert report.generated(old) == sequential_tokens(prompt(70), 20)
-        assert report.generated(young) == sequential_tokens(prompt(8, seed=1), 40)
+        assert report.record(old).generated == sequential_tokens(prompt(70), 20)
+        assert report.record(young).generated == sequential_tokens(prompt(8, seed=1), 40)
 
 
 class TestMetrics:

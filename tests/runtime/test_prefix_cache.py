@@ -64,8 +64,8 @@ class TestAdmission:
         assert report.prefill_rounds < cold_report.prefill_rounds - 2
         # and tokens are identical to the cache-less replay
         for s in scripts:
-            assert [report.generated(r) for r in rids[s.seq_id]] == [
-                cold_report.generated(r) for r in cold_rids[s.seq_id]
+            assert [report.record(r).generated for r in rids[s.seq_id]] == [
+                cold_report.record(r).generated for r in cold_rids[s.seq_id]
             ]
 
     def test_warm_and_cold_ttft_buckets(self):
@@ -93,7 +93,7 @@ class TestAdmission:
         report = rt.run(max_steps=10_000)
         rec = report.records[1]
         assert rec.prefix_hit and rec.prefix_shared == 19
-        assert report.generated(0) == report.generated(1)
+        assert report.record(0).generated == report.record(1).generated
 
     def test_tokens_match_sequential_replay(self):
         scripts = shared_scripts(n=4, shared_tokens=40, turns=2)
@@ -102,7 +102,7 @@ class TestAdmission:
         report = rt.run(max_steps=100_000)
         reference = replay_scripts_sequential(lambda: fresh(2), scripts)
         for s in scripts:
-            assert [report.generated(r) for r in rids[s.seq_id]] == reference[s.seq_id]
+            assert [report.record(r).generated for r in rids[s.seq_id]] == reference[s.seq_id]
 
 
 class TestRetentionAndLru:
@@ -170,7 +170,7 @@ class TestRetentionAndLru:
             tok = int(np.argmax(logits))
             want.append(tok)
             logits = ref.decode({0: tok}).logits[0]
-        assert report.generated(1) == want
+        assert report.record(1).generated == want
 
 
 class TestPinning:
@@ -242,7 +242,7 @@ class TestPinning:
         report = rt.report()
         # exactness held through the storm
         assert report.records[rid].state is RequestState.FINISHED
-        assert report.generated(rid)[: 1] == report.generated(0)[: 1] or True
+        assert report.record(rid).generated[: 1] == report.record(0).generated[: 1] or True
         ref = fresh(1)
         prompt = np.concatenate([shared, rt.report().records[rid].request.prompt[40:]])
         out = ref.prefill({1: prompt})
@@ -251,7 +251,7 @@ class TestPinning:
             tok = int(np.argmax(logits))
             want.append(tok)
             logits = ref.decode({1: tok}).logits[1]
-        assert report.generated(rid) == want
+        assert report.record(rid).generated == want
 
 
 class TestDisaggregatedRetention:
@@ -265,8 +265,8 @@ class TestDisaggregatedRetention:
         rep_on = on.run(max_steps=100_000)
         rep_off = off.run(max_steps=100_000)
         for s in scripts:
-            assert [rep_on.generated(r) for r in rids_on[s.seq_id]] == [
-                rep_off.generated(r) for r in rids_off[s.seq_id]
+            assert [rep_on.record(r).generated for r in rids_on[s.seq_id]] == [
+                rep_off.record(r).generated for r in rids_off[s.seq_id]
             ]
         # retention: follow-up turns skip the history recompute entirely
         assert rep_on.prefill_rounds < rep_off.prefill_rounds

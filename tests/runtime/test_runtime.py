@@ -86,7 +86,7 @@ class TestLifecycle:
         rt = ServeConfig().build(MODEL)
         rid = rt.submit(TurnRequest(request_id=-1, seq_id=0, prompt=prompt(40), max_new_tokens=6))
         report = rt.run(max_steps=1000)
-        assert report.generated(rid) == sequential_tokens(prompt(40), 6)
+        assert report.record(rid).generated == sequential_tokens(prompt(40), 6)
 
     def test_zero_budget_turn_finishes_at_prefill(self):
         rt = ServeConfig().build(MODEL)
@@ -215,7 +215,7 @@ class TestContinuousBatching:
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
         session = ChatSession(engine, 0)
         for rid, p, b in zip(rids, script.prompts, script.response_budgets):
-            assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+            assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
 
 class TestPreemption:
@@ -234,7 +234,7 @@ class TestPreemption:
             engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
             session = ChatSession(engine, script.seq_id)
             for rid, p, b in zip(rid_map[script.seq_id], script.prompts, script.response_budgets):
-                assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+                assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_forced_preemption_mid_decode_resumes_exactly(self):
         rt = ServeConfig().build(MODEL)
@@ -250,7 +250,7 @@ class TestPreemption:
         report = rt.report()
         assert report.records[rid].preemptions == 1
         assert report.metrics.preemptions == 1
-        assert report.generated(rid) == sequential_tokens(prompt(40), 8)
+        assert report.record(rid).generated == sequential_tokens(prompt(40), 8)
 
     def test_forced_preemption_mid_prefill_resumes_exactly(self):
         rt = ServeConfig(chunk=8, round_budget=8).build(MODEL)
@@ -262,7 +262,7 @@ class TestPreemption:
                 rt.preempt(rid)
                 preempted = True
         assert preempted
-        assert rt.report().generated(rid) == sequential_tokens(prompt(40), 4)
+        assert rt.report().record(rid).generated == sequential_tokens(prompt(40), 4)
 
     def test_preempt_requires_active_request(self):
         rt = ServeConfig().build(MODEL)
@@ -291,7 +291,7 @@ class TestPreemption:
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
         session = ChatSession(engine, 0)
         for rid, p, b in zip(rids, script.prompts, script.response_budgets):
-            assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+            assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_capacity_too_small_raises(self):
         rt = ServeConfig(capacity=16, chunk=8, round_budget=8).build(MODEL)
@@ -318,8 +318,8 @@ class TestPreemption:
         )
         report = rt.run(max_steps=100_000)
         assert report.metrics.preemptions > 0
-        assert report.generated(old) == sequential_tokens(prompt(80), 4, world=1)
-        assert report.generated(young) == sequential_tokens(prompt(8, seed=1), 40, world=1)
+        assert report.record(old).generated == sequential_tokens(prompt(80), 4, world=1)
+        assert report.record(young).generated == sequential_tokens(prompt(8, seed=1), 40, world=1)
 
 
 @pytest.mark.parametrize("remedy", ["recompute", "trim", "swap"])
@@ -404,7 +404,7 @@ class TestPreemptionModes:
         assert report.metrics.trims == 1
         assert report.metrics.trimmed_kv_tokens > 0
         assert report.metrics.preemptions == 0  # remedy applied, no full evict
-        assert report.generated(rid) == sequential_tokens(prompt(40), 8)
+        assert report.record(rid).generated == sequential_tokens(prompt(40), 8)
 
     def test_trim_under_capacity_pressure_stays_exact(self):
         gen = WorkloadGenerator(VOCAB, seed=5)
@@ -420,7 +420,7 @@ class TestPreemptionModes:
             engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
             session = ChatSession(engine, script.seq_id)
             for rid, p, b in zip(rid_map[script.seq_id], script.prompts, script.response_budgets):
-                assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+                assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_trimmed_idle_conversation_resumes_from_prefix(self):
         """An idle conversation trimmed between turns re-prefills only
@@ -443,7 +443,7 @@ class TestPreemptionModes:
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
         session = ChatSession(engine, 0)
         for rid, p, b in zip(rids, script.prompts, script.response_budgets):
-            assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+            assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_swap_decode_victim_resumes_without_recompute(self):
         """A swapped decode victim goes SWAPPED, swaps back in, and
@@ -464,7 +464,7 @@ class TestPreemptionModes:
         assert m.swaps_out == 1 and m.swaps_in == 1
         assert m.swapped_out_tokens == m.swapped_in_tokens > 0
         assert m.preemptions == 0
-        assert report.generated(rid) == sequential_tokens(prompt(40), 8)
+        assert report.record(rid).generated == sequential_tokens(prompt(40), 8)
         # no re-prefill happened: same prefill rounds as an undisturbed run
         undisturbed = ServeConfig().build(MODEL)
         undisturbed.submit(
@@ -483,7 +483,7 @@ class TestPreemptionModes:
                 assert rec.state is RequestState.SWAPPED
                 swapped = True
         assert swapped
-        assert rt.report().generated(rid) == sequential_tokens(prompt(40), 4)
+        assert rt.report().record(rid).generated == sequential_tokens(prompt(40), 4)
 
     def test_swap_store_capacity_falls_back_to_full_evict(self):
         """A host store too small for the victim declines the swap; the
@@ -501,7 +501,7 @@ class TestPreemptionModes:
         report = rt.report()
         assert report.metrics.swaps_out == 0
         assert report.metrics.preemptions == 1
-        assert report.generated(rid) == sequential_tokens(prompt(40), 6)
+        assert report.record(rid).generated == sequential_tokens(prompt(40), 6)
 
     def test_a_swap_in_hands_the_store_budget_back(self):
         """A store that holds one swapped request at a time takes the same
@@ -519,7 +519,7 @@ class TestPreemptionModes:
         assert states == [RequestState.SWAPPED, RequestState.SWAPPED]
         report = rt.report()
         assert report.metrics.swaps_out == report.metrics.swaps_in == 2
-        assert report.generated(rid) == sequential_tokens(prompt(24), 8)
+        assert report.record(rid).generated == sequential_tokens(prompt(24), 8)
 
     def test_swapped_idle_conversation_restored_for_next_turn(self):
         """An idle conversation swapped out between turns swaps back in
@@ -543,7 +543,7 @@ class TestPreemptionModes:
         engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
         session = ChatSession(engine, 0)
         for rid, p, b in zip(rids, script.prompts, script.response_budgets):
-            assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+            assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_swap_under_capacity_pressure_stays_exact(self):
         gen = WorkloadGenerator(VOCAB, seed=5)
@@ -560,7 +560,7 @@ class TestPreemptionModes:
             engine = ContextParallelEngine(LlamaModel(tiny_config(), seed=0), world_size=2)
             session = ChatSession(engine, script.seq_id)
             for rid, p, b in zip(rid_map[script.seq_id], script.prompts, script.response_budgets):
-                assert report.generated(rid) == list(session.send(p, max_new_tokens=b).generated)
+                assert report.record(rid).generated == list(session.send(p, max_new_tokens=b).generated)
 
     def test_swap_cost_priced_by_clock(self):
         """Swap-out + swap-in each stall the pool by the clock's price."""

@@ -84,7 +84,7 @@ def test_fleet_replicas_record_through_their_own_scope():
     tracer = RecordingTracer()
     fleet = ServeConfig(world=1, replicas=3, routing="round-robin").build(MODEL, tracer=tracer)
     assert isinstance(fleet, ReplicaFleet)
-    assert all(isinstance(r.runtime, ContinuousBatchingRuntime) for r in fleet.replicas)
+    assert all(isinstance(r.runtime, ContinuousBatchingRuntime) for r in fleet._replicas.values())
     gen = WorkloadGenerator(MODEL.config.vocab_size, seed=3)
     scripts = [gen.conversation(sid, turns=1, first_prompt=12) for sid in range(3)]
     submit_scripts_to_runtime(fleet, scripts)
@@ -111,7 +111,7 @@ def test_lone_replica_records_through_the_tracer_itself():
 def test_build_fleet_wraps_a_lone_replica():
     fleet = ServeConfig(routing="round-robin").build_fleet(MODEL)
     assert isinstance(fleet, ReplicaFleet) and fleet.router.name == "round-robin"
-    assert [type(r.runtime) for r in fleet.replicas] == [ContinuousBatchingRuntime]
+    assert [type(r.runtime) for r in fleet._replicas.values()] == [ContinuousBatchingRuntime]
 
 
 def test_decode_capacity_defaults_to_capacity():
@@ -132,7 +132,7 @@ def test_decode_capacity_sizes_only_the_decode_pool():
 
 def test_replicas_get_fresh_pieces():
     fleet = ServeConfig(replicas=2, decode_world=2).build(MODEL, sim=SIM)
-    a, b = (r.runtime for r in fleet.replicas)
+    a, b = (r.runtime for r in fleet._replicas.values())
     for piece in ("engine", "decode_engine", "policy", "clock"):
         assert getattr(a, piece) is not getattr(b, piece), piece
     assert a.engine.model is b.engine.model is MODEL

@@ -205,6 +205,22 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            ["--capacity", "32", "--sessions", "6", "--turns", "3"],
+            ["--capacity", "48", "--prefix-cache", "--traffic", "shared-prefix", "--sessions", "6", "--turns", "3"],
+        ],
+        ids=["plain", "shared-prefix"],
+    )
+    def test_serve_capacity_too_small_for_the_traffic_is_a_usage_error(self, capsys, argv):
+        """A KV pool too small for a decode step wedges the runtime: an
+        ``error:`` line and exit 2, with nothing on stdout."""
+        assert main(["serve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: KV capacity exhausted")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
         [["--turns", "0"], ["--first-prompt", "0"], ["--sessions", "-1", "--verify"]],
         ids=["turns-0", "first-prompt-0", "sessions-negative-verify"],
     )

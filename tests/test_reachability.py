@@ -115,3 +115,20 @@ def test_serving_start_up_does_not_import_scipy():
          "import sys, repro.runtime, repro.cluster; assert 'scipy' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
     )
+
+
+def test_functions_allowed_names_live_functions():
+    """Every ``FUNCTIONS_ALLOWED`` key (``tests/function_reachability.py``)
+    still names a function, class or module under ``src/repro`` and gives a
+    reason, so a deleted function cannot leave its entry behind. Whether the
+    entry points now run an allowlisted function is the CI gate's check."""
+    import function_reachability as gate
+
+    defs = list(gate.functions().values())
+    stale = sorted(
+        key for key in gate.FUNCTIONS_ALLOWED
+        if not any(gate.allowed_by(module, qualname, (key,)) for module, qualname in defs)
+    )
+    assert not stale, f"FUNCTIONS_ALLOWED names no function under src/repro: {stale}"
+    unexplained = sorted(key for key, reason in gate.FUNCTIONS_ALLOWED.items() if not reason.strip())
+    assert not unexplained, f"FUNCTIONS_ALLOWED entries without a reason: {unexplained}"

@@ -50,68 +50,6 @@ class TestWorkloadGenerator:
             gen.conversation(0, turns=0, first_prompt=10)
 
 
-class TestSubstreams:
-    """Per-replica sub-streams: key-derived, order-independent seeds.
-
-    The cluster tier shards one logical workload across replicas;
-    ``substream`` guarantees replica ``k``'s traffic depends only on
-    ``(seed, k)`` — never on replica count, sibling draws, or the
-    parent's draw position."""
-
-    def test_same_key_same_stream(self):
-        a = WorkloadGenerator(100, seed=7).substream(2).prompt(32)
-        b = WorkloadGenerator(100, seed=7).substream(2).prompt(32)
-        np.testing.assert_array_equal(a, b)
-
-    def test_distinct_keys_distinct_streams(self):
-        gen = WorkloadGenerator(100, seed=7)
-        a = gen.substream(0).prompt(64)
-        b = gen.substream(1).prompt(64)
-        assert not np.array_equal(a, b)
-
-    def test_independent_of_parent_draw_position(self):
-        fresh = WorkloadGenerator(100, seed=7)
-        drained = WorkloadGenerator(100, seed=7)
-        drained.prompt(500)  # parent consumption must not shift children
-        np.testing.assert_array_equal(
-            fresh.substream(3).prompt(16), drained.substream(3).prompt(16)
-        )
-
-    def test_independent_of_sibling_consumption(self):
-        gen1 = WorkloadGenerator(100, seed=7)
-        gen1.substream(0).prompt(500)
-        gen2 = WorkloadGenerator(100, seed=7)
-        np.testing.assert_array_equal(
-            gen1.substream(1).prompt(16), gen2.substream(1).prompt(16)
-        )
-
-    def test_nesting_extends_the_key_path(self):
-        gen = WorkloadGenerator(100, seed=7)
-        nested = gen.substream(1).substream(2).prompt(16)
-        np.testing.assert_array_equal(
-            nested,
-            WorkloadGenerator(100, seed=7).substream(1).substream(2).prompt(16),
-        )
-        # (seed, 1, 2) differs from (seed, 2, 1) and from (seed, 1)
-        assert not np.array_equal(
-            nested, gen.substream(2).substream(1).prompt(16)
-        )
-        assert not np.array_equal(nested, gen.substream(1).prompt(16))
-
-    def test_child_differs_from_parent_stream(self):
-        gen = WorkloadGenerator(100, seed=7)
-        assert not np.array_equal(
-            gen.substream(0).prompt(64), WorkloadGenerator(100, seed=7).prompt(64)
-        )
-
-    def test_negative_key_rejected(self):
-        with pytest.raises(ValueError, match="substream key"):
-            WorkloadGenerator(100, seed=7).substream(-1)
-
-    def test_vocab_carries_over(self):
-        assert WorkloadGenerator(37, seed=0).substream(5).vocab_size == 37
-
-
 class TestSharedPrefixTraffic:
     def make(self, **kw):
         from repro.workloads.generator import WorkloadGenerator

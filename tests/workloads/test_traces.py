@@ -10,13 +10,6 @@ class TestTraces:
         for p, t in traces.TABLE4_SWEEP:
             assert p + t == traces.TABLE4_TOTAL
 
-    def test_table4_rows_have_paper_miss_rates(self):
-        rows = traces.table4_rows()
-        rates = [round(r["miss_rate"] * 100, 2) for r in rows]
-        assert rates[0] == 1.0
-        assert 5.0 in rates
-        assert rates[-1] == 100.0
-
     def test_fig6_range(self):
         assert traces.FIG6_CONTEXT_LENGTHS[0] == 2048
         assert traces.FIG6_CONTEXT_LENGTHS[-1] == 131072
