@@ -52,11 +52,11 @@ Run via ``python benchmarks/run_benchmarks.py`` to record the results into
 import numpy as np
 import pytest
 
-from repro.attention.flash import AttentionResult, flash_attention
+from repro.attention.flash import AttentionResult, attention_layout, flash_attention
 from repro.attention.masks import run_index
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.engine import ContextParallelEngine
-from repro.core.merge import merge_partials
+from repro.core.merge import RunningSum, merge_partials
 from repro.core.ring_decode import ring_passq_decode
 from repro.core.ring_passkv import ring_passkv_prefill
 from repro.core.ring_passq import ring_passq_prefill
@@ -81,6 +81,18 @@ RNG = np.random.default_rng(0)
 Q = RNG.standard_normal((T, 8, 32))
 K = RNG.standard_normal((T, 2, 32))
 V = RNG.standard_normal((T, 2, 32))
+#: ``Q``'s and ``K``'s tokens: one sequence in storage order.
+Q_TOKENS = ShardedQueries(q=Q, positions=np.arange(T), seq_ids=np.zeros(T, dtype=np.int64))
+KV_TOKENS = ShardedKV(k=K, v=V, positions=np.arange(T), seq_ids=np.zeros(T, dtype=np.int64))
+
+
+def _attend(q, k, v, queries, keys, **knobs) -> AttentionResult:
+    """One exact attention call, the one way through the kernel, as every
+    kernel row times it: the structures laid out, swept and normalised
+    (``RunningSum``) — the layout built inside the timed call, as the kernel
+    built it itself before it took one."""
+    sums = flash_attention(q, k, v, attention_layout(queries, keys), **knobs)
+    return RunningSum([sums]).result(*q.shape)
 
 
 def _shards(world):
@@ -95,12 +107,12 @@ def bench_reference_attention(benchmark):
 
 
 def bench_flash_attention(benchmark):
-    benchmark(flash_attention, Q, K, V, block_size=64)
+    benchmark(_attend, Q, K, V, Q_TOKENS, KV_TOKENS, block_size=64)
 
 
 def bench_flash_attention_fp32_compute(benchmark):
     """fp32 kernel arithmetic, fp64 merge accumulation."""
-    benchmark(flash_attention, Q, K, V, block_size=64, compute_dtype=np.float32)
+    benchmark(_attend, Q, K, V, Q_TOKENS, KV_TOKENS, block_size=64, compute_dtype=np.float32)
 
 
 def bench_flash_decode_shape(benchmark):
@@ -119,13 +131,9 @@ def bench_flash_decode_shape(benchmark):
         positions=k_pos, seq_ids=k_seq, runs=runs,
     )
     q_seq = np.arange(3, 32, 4)  # the 8 sequences this payload's rows belong to
-    q_runs = (np.arange(9), run_index(q_seq, np.arange(9)))
     q = rng.standard_normal((8, 8, 8))
-    benchmark(
-        flash_attention, q, kv.k, kv.v,
-        q_pos=lengths[q_seq], k_pos=kv.positions, q_seq=q_seq, k_seq=kv.seq_ids,
-        q_runs=q_runs, k_runs=(kv.runs, kv.run_index),
-    )
+    queries = ShardedQueries(q, lengths[q_seq], q_seq, runs=np.arange(9), run_index=run_index(q_seq, np.arange(9)))
+    benchmark(_attend, q, kv.k, kv.v, queries, kv)
 
 
 def bench_flash_decode_row_single(benchmark):
@@ -139,51 +147,44 @@ def bench_flash_decode_row_single(benchmark):
         positions=np.arange(73), seq_ids=np.full(73, 5),
     )
     q_seq = np.array([5])
-    benchmark(
-        flash_attention, rng.standard_normal((1, 8, 8)), kv.k, kv.v,
-        q_pos=np.array([73]), k_pos=kv.positions, q_seq=q_seq, k_seq=kv.seq_ids,
-        q_runs=(np.arange(2), run_index(q_seq, np.arange(2))), k_runs=(kv.runs, kv.run_index),
-    )
+    q = rng.standard_normal((1, 8, 8))
+    queries = ShardedQueries(q, np.array([73]), q_seq, runs=np.arange(2), run_index=run_index(q_seq, np.arange(2)))
+    benchmark(_attend, q, kv.k, kv.v, queries, kv)
 
 
 def _prefill_step(q_rank, kv_rank, chunks, head_dim, spread=1.0):
     """One ring step of ``long_prefill``: rank ``q_rank``'s 128 rows of the
     last of ``chunks`` 512-token chunks on CP4 (two 64-row halves, load-
     balanced) against rank ``kv_rank``'s shard — its 128 keys of every
-    chunk so far, cached ones first — handed over as the ring hands it.
-    ``spread`` scales q and k (scores by its square)."""
+    chunk so far, cached ones first — handed over as the ring hands it:
+    the tensors, then their structures. ``spread`` scales q and k (scores
+    by its square)."""
     rng = np.random.default_rng(5)
     q_pos = shard_positions(512, 4, offset=512 * (chunks - 1))[q_rank]
     k_pos = np.concatenate(
         [shard_positions(512, 4, offset=512 * c)[kv_rank] for c in range(chunks)]
     )
     tq, tk = q_pos.size, k_pos.size
-    args = (
-        rng.standard_normal((tq, 8, head_dim)) * spread,
-        rng.standard_normal((tk, 2, head_dim)) * spread,
-        rng.standard_normal((tk, 2, head_dim)),
-    )
-    return args, dict(
-        q_pos=q_pos, k_pos=k_pos, q_seq=np.zeros(tq, dtype=np.int64),
-        k_seq=np.zeros(tk, dtype=np.int64), q_runs=np.array([0, tq]),
-        k_runs=(np.array([0, tk]), {0: 0}),
-    )
+    q = rng.standard_normal((tq, 8, head_dim)) * spread
+    k = rng.standard_normal((tk, 2, head_dim)) * spread
+    v = rng.standard_normal((tk, 2, head_dim))
+    queries = ShardedQueries(q, q_pos, np.zeros(tq, dtype=np.int64), runs=np.array([0, tq]), run_index={0: 0})
+    keys = ShardedKV(k, v, k_pos, np.zeros(tk, dtype=np.int64), runs=np.array([0, tk]), run_index={0: 0})
+    return q, k, v, queries, keys
 
 
 def bench_flash_prefill_tile(benchmark):
     """The modal ``long_prefill`` call: 128 rows x 8 heads x DH 8 against
     384 keys of an earlier rank's shard — two fully visible 512 x 128
     score tiles and one whose late 64 keys no row may see (the key band)."""
-    args, coords = _prefill_step(2, 1, 3, 8)
-    benchmark(flash_attention, *args, **coords)
+    benchmark(_attend, *_prefill_step(2, 1, 3, 8))
 
 
 def bench_flash_diagonal_tile(benchmark):
     """A rank's own shard of the first chunk: two causal triangles and one
     full square in one 512 x 128 tile that no band can trim — the partial-
     tile path, which ``chat_pressure``'s small chunks mostly take."""
-    args, coords = _prefill_step(1, 1, 1, 8)
-    benchmark(flash_attention, *args, **coords)
+    benchmark(_attend, *_prefill_step(1, 1, 1, 8))
 
 
 def bench_flash_large_logits(benchmark):
@@ -192,24 +193,21 @@ def bench_flash_large_logits(benchmark):
     range check fails and the call is swept again, shifted: the price of the
     fallback on record (the shifted sweep at these scores, plus one wasted
     shift-free pass; no workload in ``benchmarks/e2e`` ever pays it)."""
-    args, coords = _prefill_step(2, 1, 3, 8, spread=20.0)
-    benchmark(flash_attention, *args, **coords)
+    benchmark(_attend, *_prefill_step(2, 1, 3, 8, spread=20.0))
 
 
 def bench_flash_prefill_tile_dh128(benchmark):
     """``bench_flash_prefill_tile`` at the paper's head dim: the two
     matmuls outweigh the softmax passes, so the trajectory also holds a
     compute-bound point."""
-    args, coords = _prefill_step(2, 1, 3, 128)
-    benchmark(flash_attention, *args, **coords)
+    benchmark(_attend, *_prefill_step(2, 1, 3, 128))
 
 
 def bench_flash_prefill_tile_dh128_fp32(benchmark):
     """``bench_flash_prefill_tile_dh128`` with fp32 kernel arithmetic
     (``compute_dtype``): the shape where the option can pay, since the
     matmuls dominate — the number that decides whether it is kept."""
-    args, coords = _prefill_step(2, 1, 3, 128)
-    benchmark(flash_attention, *args, **coords, compute_dtype=np.float32)
+    benchmark(_attend, *_prefill_step(2, 1, 3, 128), compute_dtype=np.float32)
 
 
 def bench_merge_partials_cp4(benchmark):
@@ -229,7 +227,7 @@ def bench_ring_passkv_cp4(benchmark):
 
     def run():
         plan = plan_prefill(queries, kvs, pass_q=False)  # (a single-use ring plans inside the timed call)
-        return ring_passkv_prefill(SimProcessGroup(4), plan, [s.q for s in queries], kvs, block_size=64)
+        return ring_passkv_prefill(SimProcessGroup(4), plan, [s.q for s in queries], kvs)
 
     benchmark(run)
 
@@ -239,7 +237,7 @@ def bench_ring_passq_cp4(benchmark):
 
     def run():
         plan = plan_prefill(queries, kvs, pass_q=True)
-        return ring_passq_prefill(SimProcessGroup(4), plan, [s.q for s in queries], kvs, block_size=64)
+        return ring_passq_prefill(SimProcessGroup(4), plan, [s.q for s in queries], kvs)
 
     benchmark(run)
 
@@ -284,7 +282,7 @@ def bench_ring_decode_cp4(benchmark):
     qs, slots, plan = _decode_round(RNG.standard_normal((b, 8, 32)), T // b, kvs, 0)
 
     def run():
-        return ring_passq_decode(SimProcessGroup(world), plan, qs, kvs, slots=slots, block_size=64)
+        return ring_passq_decode(SimProcessGroup(world), plan, qs, kvs, slots=slots)
 
     benchmark(run)
 
@@ -329,7 +327,7 @@ def bench_runtime_decode_hotloop(benchmark):
 
     def run():
         return [
-            ring_passq_decode(group, plan, qs, kvs, slots=slots, block_size=64)
+            ring_passq_decode(group, plan, qs, kvs, slots=slots)
             for qs, slots, plan in rounds
         ]
 

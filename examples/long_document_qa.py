@@ -17,7 +17,9 @@ Run:  python examples/long_document_qa.py
 import numpy as np
 
 from repro import ChatSession, ContextParallelEngine, LlamaModel, tiny_config
-from repro.attention.flash import flash_attention
+from repro.attention.flash import attention_layout, flash_attention
+from repro.core.merge import RunningSum
+from repro.core.sharding import ShardedQueries
 
 
 def main() -> None:
@@ -48,14 +50,20 @@ def main() -> None:
     # ~180 tokens away. A window of 32 cannot see it; the paper's CP keeps
     # attention exact precisely to preserve such long-range dependencies.
     positions = np.arange(document.size)
+
+    def attend(q, k, v, mask_fn=None):
+        """Lay the tokens out (under ``mask_fn``), attend, normalise."""
+        tokens = ShardedQueries(q, positions, np.zeros_like(positions))  # one sequence
+        layout = attention_layout(tokens, tokens, mask_fn=mask_fn)
+        return RunningSum([flash_attention(q, k, v, layout)]).result(*q.shape)
+
+    def window(qp, kp, *_):
+        return (kp <= qp[:, None]) & (kp > qp[:, None] - 32)
+
     x = model.embed(document)
     for layer in range(model.config.n_layers):
         q, k, v = model.attn_qkv(layer, x, positions)
-        exact = flash_attention(q, k, v, q_pos=positions, k_pos=positions)
-        windowed = flash_attention(
-            q, k, v, q_pos=positions, k_pos=positions,
-            mask_fn=lambda qp, kp, *_: (kp <= qp[:, None]) & (kp > qp[:, None] - 32),
-        )
+        exact, windowed = attend(q, k, v), attend(q, k, v, mask_fn=window)
         x = model.attn_residual(layer, x, exact.out)
         x = model.ffn_residual(layer, x)
     final_gap = np.abs(exact.out[-1] - windowed.out[-1]).max()

@@ -29,17 +29,17 @@ row of a later rank). The block's scores live in **one reused score tile**, a
 slice of a module-level scratch buffer that is never handed to a caller, laid
 out keys-major when it holds at least as many query columns as keys (prefill)
 and rows-major otherwise (decode); ``-inf`` never reaches ``exp``. The sweep
-is **shift-free**: scores are exponentiated as they are, blocks *add*
-(``den += sum P``, ``acc += P . V``, in float64) and ``O = acc / den``,
-``LSE = log den`` happen once — Eq. 4 at shift 0: no row max, no subtraction,
-no rescaling between blocks. An a-posteriori **range check** on ``den`` makes
-that sound, not hopeful (:func:`_sweep_additive`); a call that fails it is
-swept again by the shifted online-softmax sweep (:func:`_sweep_shifted`), which
-is sound for any finite scores. What leaves a call is ``(O, LSE)`` — or, with
-``sums=True``, the checked sums themselves, ``(acc, den)``, which the ring
-algorithms add across ring steps (Eq. 4 at shift 0 across calls too) and
-normalise once (:class:`repro.core.merge.RunningSum`); a call that fell back
-has no sums in range and answers ``(O, LSE)`` either way.
+is **shift-free**: scores are exponentiated as they are and blocks *add*
+(``den += sum P``, ``acc += P . V``, in float64) — Eq. 4 at shift 0: no row
+max, no subtraction, no rescaling between blocks. An a-posteriori **range
+check** on ``den`` makes that sound, not hopeful (:func:`_sweep_additive`); a
+call that fails it is swept again by the shifted online-softmax sweep
+(:func:`_sweep_shifted`), which is sound for any finite scores. What leaves a
+call is the checked sums themselves, ``(acc, den)``: the rings add them
+across ring steps (Eq. 4 at shift 0 across calls too), and every caller
+normalises once — ``O = acc / den``, ``LSE = log den`` — through
+:class:`repro.core.merge.RunningSum`, the one normaliser. A call that fell
+back has no sums in range and answers ``(O, LSE)`` instead.
 One query row per segment with its keys in one block — a decode token — is
 that sweep's **one-row base case**: scores straight into fresh memory, one
 ``exp``, ``den`` and ``acc`` at once, under the same range check and fallback.
@@ -61,19 +61,24 @@ masked, so rows with no visible key still come back ``O = 0, LSE = -inf``.
 Segments of very different size are not padded to the largest:
 :func:`_pad_groups` batches them under a deterministic cost rule (padded
 area at most twice the true area). The run structure arrives with the
-shards: ``q_runs`` / ``k_runs`` take the ``cu_seqlens`` offsets or the
-``(offsets, {seq_id: run})`` pair :class:`repro.core.sharding.ShardedKV`
-carries, which leaves nothing to scan at any of the N ring steps; a caller
-with neither costs one scan, and an interleaved shard one stable sort.
+tokens: each side of a call carries its ``cu_seqlens`` offsets and its
+``{seq_id: run}`` index, which leaves nothing to scan at any of the N ring
+steps; an interleaved side (no index) costs one stable sort.
 
 **The layout builder.** All of that — the one-segment mask, or the
 pairing, the padding groups, each group's gather indices and its causal and
-validity mask — reads the coordinates and runs and nothing of ``q``, ``k``
-or ``v``. :func:`attention_layout` builds it as one :class:`Layout` value;
-:func:`flash_attention` takes one as ``layout`` and builds it itself when
-none is handed over, so a caller that attends the same coordinates again
-over new tensors — a decode round's ring at every layer — builds it once and
-each later call only gathers and sweeps.
+validity mask — reads the tokens' structure and nothing of ``q``, ``k`` or
+``v``. :func:`attention_layout` builds it as one :class:`Layout` value from
+a query side and a key side, each anything that carries ``positions``,
+``seq_ids``, ``runs`` and ``run_index`` (a
+:class:`~repro.core.sharding.ShardedQueries`, a
+:class:`~repro.core.sharding.ShardedKV`, a ring message's
+:class:`~repro.core.sharding.Padding`), whose lengths were checked where it
+was built. :func:`flash_attention` sweeps the layout it is handed, so a
+caller that attends the same structures again over new tensors — a round's
+ring, or the single-device forward, at every layer — lays out once. The
+one way through attention is ``attention_layout`` → ``flash_attention`` →
+``RunningSum``.
 
 Every call takes the one path the engine drives: the causal,
 same-sequence mask (or ``mask_fn``'s), all-masked blocks skipped. What a
@@ -81,9 +86,9 @@ caller chooses is the block length and the precision: ``compute_dtype`` is
 the dtype for score/softmax/value arithmetic inside the kernel (default
 ``float64``). The online-softmax merge accumulators stay ``float64``
 regardless, so ``float32`` compute still merges losslessly — the
-mixed-precision split of Mao et al. (arXiv:2401.08586). The default agrees
-with :func:`reference_attention_with_lse` to ``atol=1e-12`` with the
-identical ``O = 0, LSE = -inf`` structure (not bit for bit: the scale fold,
+mixed-precision split of Mao et al. (arXiv:2401.08586). Normalised, the
+default agrees with :func:`reference_attention_with_lse` to ``atol=1e-12``
+with the identical ``O = 0, LSE = -inf`` structure (not bit for bit: the scale fold,
 summation order and BLAS operand shapes move last bits).
 """
 
@@ -128,8 +133,8 @@ class AttentionResult:
     @staticmethod
     def from_sums(acc: np.ndarray, den: np.ndarray, *, out: np.ndarray | None = None) -> "AttentionResult":
         """Normalise float64 shift-free sums ``acc [..., DH]`` / ``den [...]``
-        (what :func:`flash_attention` returns with ``sums=True``): ``O = acc /
-        den``, ``LSE = log den``; a row with ``den == 0`` saw no key and comes
+        (what :func:`flash_attention` returns): ``O = acc / den``, ``LSE =
+        log den``; a row with ``den == 0`` saw no key and comes
         back ``O = 0, LSE = -inf``. ``out`` may be ``acc`` itself."""
         if den.min(initial=1.0) > 0.0:
             lse = np.log(den)
@@ -160,53 +165,39 @@ class Layout(NamedTuple):
     whole: bool
 
 
-def attention_layout(
-    tq: int,
-    tk: int,
-    *,
-    q_pos: np.ndarray | None = None,
-    k_pos: np.ndarray | None = None,
-    q_seq: np.ndarray | None = None,
-    k_seq: np.ndarray | None = None,
-    mask_fn=None,
-    q_runs: np.ndarray | None = None,
-    k_runs: np.ndarray | None = None,
-) -> Layout:
-    """The :class:`Layout` of a call of ``tq`` queries against ``tk`` keys at
-    these coordinates (arguments as :func:`flash_attention`'s).
+def attention_layout(q, k, *, mask_fn=None) -> Layout:
+    """The :class:`Layout` of a call of ``q``'s query tokens against ``k``'s
+    keys. Each side is a structure carrying ``positions``, ``seq_ids``,
+    ``runs`` and ``run_index`` (see the module docstring); ``mask_fn``
+    optionally overrides the causal, same-sequence mask in absolute
+    coordinates (see
+    :func:`repro.attention.reference.reference_attention_with_lse`), e.g. a
+    sliding window. The override sees the whole call, so it is never
+    segmented.
 
     Raises:
-        ValueError: on a coordinate of the wrong length, or a ``mask_fn``
-            result of the wrong shape.
+        ValueError: on a ``mask_fn`` result of the wrong shape.
     """
-    _check_length("q_pos", q_pos, tq)
-    _check_length("q_seq", q_seq, tq)
-    _check_length("k_pos", k_pos, tk)
-    _check_length("k_seq", k_seq, tk)
+    tq, tk = len(q.positions), len(k.positions)
     if tk == 0 or tq == 0:
         return Layout(tq, tk, (), False)
-    q_pos = np.arange(tq, dtype=np.int64) if q_pos is None else np.asarray(q_pos)
-    k_pos = np.arange(tk, dtype=np.int64) if k_pos is None else np.asarray(k_pos)
 
     # Segmenting pays once the key side fuses >= 2 sequences.
-    k_side = None
-    if mask_fn is None and k_seq is not None:
-        k_side = _sequence_runs(k_seq, k_runs)
+    k_side = None if mask_fn is not None else _sequence_runs(k)
     if k_side is None or len(k_side[2]) < 2:
         # One segment: the whole call under its full [Tq, Tk] mask.
         if mask_fn is not None:
-            mask = np.asarray(mask_fn(q_pos, k_pos, q_seq, k_seq), dtype=bool)
+            mask = np.asarray(mask_fn(q.positions, k.positions, q.seq_ids, k.seq_ids), dtype=bool)
             if mask.shape != (tq, tk):
                 raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
         else:
-            mask = attention_mask(q_pos, k_pos, q_seq, k_seq)
+            mask = attention_mask(q.positions, k.positions, q.seq_ids, k.seq_ids)
         return Layout(tq, tk, ((None, None, mask[None], None, None),), True)
 
     # The key side fuses several sequences: a query only ever sees its own
     # sequence's keys, so pair the runs by sequence id and attend each pair
     # as one segment of a padded batch.
-    q_seq = np.zeros(tq, dtype=np.int64) if q_seq is None else np.asarray(q_seq)
-    q_order, q_off, q_index = _sequence_runs(q_seq, q_runs)
+    q_order, q_off, q_index = _sequence_runs(q)
     k_order, k_off, k_index = k_side
     q_off, k_off = q_off.tolist(), k_off.tolist()
     spans = [  # (q start, rows, k start, keys) per pair
@@ -222,7 +213,7 @@ def attention_layout(
     for group, max_rows, max_keys in _pad_groups(rows, keys):
         qi, q_valid = _padded_index(q_start[group], rows[group], max_rows, q_order)
         ki, k_valid = _padded_index(k_start[group], keys[group], max_keys, k_order)
-        mask = k_pos.take(ki)[:, None, :] <= q_pos.take(qi)[:, :, None]
+        mask = k.positions.take(ki)[:, None, :] <= q.positions.take(qi)[:, :, None]
         if q_valid is not None:
             mask &= q_valid[:, :, None]
         if k_valid is not None:
@@ -238,56 +229,34 @@ def flash_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
+    layout: Layout,
     *,
-    q_pos: np.ndarray | None = None,
-    k_pos: np.ndarray | None = None,
-    q_seq: np.ndarray | None = None,
-    k_seq: np.ndarray | None = None,
     block_size: int = 128,
-    mask_fn=None,
     compute_dtype=None,
-    q_runs: np.ndarray | None = None,
-    k_runs: np.ndarray | None = None,
-    sums: bool = False,
-    layout: Layout | None = None,
-) -> AttentionResult | tuple[np.ndarray, np.ndarray]:
-    """Blocked exact causal GQA attention (score scale ``1/sqrt(DH)``)
-    returning :class:`AttentionResult`, or its shift-free sums.
+) -> tuple[np.ndarray, np.ndarray] | AttentionResult:
+    """Blocked exact causal GQA attention (score scale ``1/sqrt(DH)``) over
+    a planned layout, returning its shift-free sums.
 
     Args:
         q, k, v: GQA tensors ``[Tq, NH, DH]`` / ``[Tk, NKV, DH]``.
-        q_pos, k_pos, q_seq, k_seq: token coordinates (see
-            :mod:`repro.attention.masks`), ``(Tq,)`` / ``(Tk,)`` each.
+        layout: the :func:`attention_layout` of the call's query and key
+            structures. It is trusted as handed: the coordinates are not
+            read again.
         block_size: KV block length for the online-softmax sweep.
-        mask_fn: optional mask override in absolute coordinates (see
-            :func:`repro.attention.reference.reference_attention_with_lse`),
-            e.g. a sliding window. The override sees the whole call, so it
-            is never segmented.
         compute_dtype: kernel arithmetic dtype (default ``float64``; the
-            merge accumulation is always ``float64``).
-        q_runs, k_runs: ``cu_seqlens``-style offsets of the constant
-            ``q_seq`` / ``k_seq`` runs, or the ``(offsets, {seq_id: run})``
-            pair :class:`repro.core.sharding.ShardedKV` carries (the index
-            in run order); found by one scan when omitted.
-        sums: return the shift-free sums instead of normalising them — what
-            the rings add across steps (Eq. 4 at shift 0).
-        layout: the :func:`attention_layout` of these coordinates, runs and
-            ``mask_fn``, built once by a caller that makes several calls
-            over them; built here when omitted. A handed layout is trusted
-            as handed runs are: the coordinates are not read again.
+            sums are always ``float64``).
 
     Returns:
-        Exact ``(O, LSE)`` for the full masked attention. With ``sums``, the
-        float64 tuple ``(acc [Tq, NH, DH], den [Tq, NH])`` —
-        ``AttentionResult.from_sums`` of it is that ``(O, LSE)``, a blind
-        row is ``(0, 0)`` — unless a range check failed, in which case the
-        shifted sweep's :class:`AttentionResult` (sums would be out of range).
+        The float64 tuple ``(acc [Tq, NH, DH], den [Tq, NH])``, fresh and the
+        caller's to write — :class:`repro.core.merge.RunningSum` normalises
+        it to the exact ``(O, LSE)``; a blind row is ``(0, 0)`` — unless a
+        range check failed, in which case the shifted sweep's
+        :class:`AttentionResult` (sums would be out of range).
 
     Raises:
-        ValueError: on a coordinate of the wrong length, a layout of another
-            ``(Tq, Tk)``, a non-positive ``block_size``, a non-floating
-            ``compute_dtype``, or a ``q``, ``k`` or ``v`` value that is not
-            finite where the sweep reads it.
+        ValueError: on a layout of another ``(Tq, Tk)``, a non-positive
+            ``block_size``, a non-floating ``compute_dtype``, or a ``q``,
+            ``k`` or ``v`` value that is not finite where the sweep reads it.
     """
     tq, tk, nh, nkv = validate_gqa_shapes(q, k, v)
     dh = q.shape[-1]
@@ -296,90 +265,66 @@ def flash_attention(
     dtype = np.dtype(DEFAULT_COMPUTE_DTYPE if compute_dtype is None else compute_dtype)
     if dtype.kind != "f":
         raise ValueError(f"compute_dtype must be a real floating dtype, got {dtype}")
-    if layout is None:
-        layout = attention_layout(
-            tq, tk, q_pos=q_pos, k_pos=k_pos, q_seq=q_seq, k_seq=k_seq, mask_fn=mask_fn, q_runs=q_runs, k_runs=k_runs
-        )
-    elif (layout.tq, layout.tk) != (tq, tk):
+    if (layout.tq, layout.tk) != (tq, tk):
         raise ValueError(f"layout is for {(layout.tq, layout.tk)} queries and keys, got {(tq, tk)}")
 
     pieces = []
     for qi, ki, mask, rows, kept in layout.groups:
         if qi is None:
-            swept = _attend(q[None], k[None], v[None], mask, block_size, dtype, sums)
+            swept = _attend(q[None], k[None], v[None], mask, block_size, dtype)
         else:
-            swept = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, block_size, dtype, sums)
+            swept = _attend(q.take(qi, 0), k.take(ki, 0), v.take(ki, 0), mask, block_size, dtype)
         if layout.whole:
-            return _unstacked(swept, tq, nh, dh, sums)
+            return _unstacked(swept, tq, nh, dh)
         pieces.append((rows, kept, swept))
-    return _scattered(pieces, tq, nh, dh, sums)
+    return _scattered(pieces, tq, nh, dh)
 
 
-def _blind(tq: int, nh: int, dh: int, sums: bool):
-    """The answer of a call in which no row sees a key: zero sums, or
-    ``O = 0, LSE = -inf``."""
-    if sums:
-        return np.zeros((tq, nh, dh)), np.zeros((tq, nh))
-    return AttentionResult.empty(tq, nh, dh)
-
-
-def _unstacked(swept, tq: int, nh: int, dh: int, sums: bool):
+def _unstacked(swept, tq: int, nh: int, dh: int):
     """The call's answer from one sweep of ``S`` segments of ``R`` rows with
     ``S * R == Tq`` in storage order: ``[S, R, ...]`` arrays viewed as
     ``[Tq, ...]``."""
-    if isinstance(swept, AttentionResult):  # a range check failed: (O, LSE), sums or not
+    if isinstance(swept, AttentionResult):  # a range check failed: (O, LSE)
         return AttentionResult(out=swept.out.reshape(tq, nh, dh), lse=swept.lse.reshape(tq, nh))
-    a, b = swept[0].reshape(tq, nh, dh), swept[1].reshape(tq, nh)
-    return (a, b) if sums else AttentionResult(out=a, lse=b)
+    return swept[0].reshape(tq, nh, dh), swept[1].reshape(tq, nh)
 
 
-def _scattered(pieces: list, tq: int, nh: int, dh: int, sums: bool):
+def _scattered(pieces: list, tq: int, nh: int, dh: int):
     """The call's answer from padded group sweeps, ``(query rows, kept
-    slots, swept)`` each; rows no group holds are blind. Sums stay sums
-    unless some group's range check failed: then every group is normalised."""
-    summed = sums and not any(isinstance(swept, AttentionResult) for *_, swept in pieces)
-    result = _blind(tq, nh, dh, summed)
-    into = result if summed else (result.out, result.lse)
+    slots, swept)`` each; rows no group holds are blind, zero sums. Sums stay
+    sums unless some group's range check failed: then every group is
+    normalised, and a blind row is ``O = 0, LSE = -inf``."""
+    summed = not any(isinstance(swept, AttentionResult) for *_, swept in pieces)
+    if summed:
+        result = into = np.zeros((tq, nh, dh)), np.zeros((tq, nh))
+    else:
+        result = AttentionResult.empty(tq, nh, dh)
+        into = result.out, result.lse
     for rows, kept, swept in pieces:
-        if isinstance(swept, AttentionResult):
-            swept = swept.out, swept.lse
-        elif sums and not summed:
-            swept = AttentionResult.from_sums(*swept)
+        if not summed:
+            if not isinstance(swept, AttentionResult):
+                swept = AttentionResult.from_sums(*swept)
             swept = swept.out, swept.lse
         for dst, src in zip(into, swept):
             dst[rows] = src[kept]
     return result
 
 
-def _check_length(name: str, coord, tokens: int) -> None:
-    """Raises unless ``coord`` is ``None`` or ``(tokens,)``-shaped."""
-    if coord is not None and (np.ndim(coord) != 1 or len(coord) != tokens):
-        raise ValueError(f"{name} has shape {np.shape(coord)}, expected ({tokens},)")
-
-
-def _sequence_runs(seq: np.ndarray, runs):
-    """Locate each non-pad sequence's tokens as one run of ``seq``, given
-    its run offsets, the ``(offsets, index)`` pair a shard carries (nothing
-    left to scan) or ``None``.
+def _sequence_runs(tokens):
+    """Locate each non-pad sequence's tokens of a structure as one run.
 
     Returns ``(order, offsets, index)``: sequence ``sid`` is tokens
     ``order[offsets[i]:offsets[i + 1]]`` with ``i = index[sid]``; ``order``
-    is ``None`` (storage order) unless some sequence was split over several
-    runs — an interleaved shard — and a stable sort had to gather it.
+    is ``None`` (storage order, the structure's own runs and index) unless
+    some sequence is split over several runs — an interleaved structure,
+    with no index — and a stable sort had to gather it.
     """
-    offsets, index = runs if isinstance(runs, tuple) else (runs, None)
-    if index is not None:
-        return None, offsets, index
-    seq = np.asarray(seq)
-    if offsets is None:
-        offsets = run_offsets(seq)
-    order = None
-    index = run_index(seq, offsets)
-    if index is None:
-        order = np.argsort(seq, kind="stable")
-        offsets = run_offsets(seq[order])
-        index = run_index(seq[order], offsets)
-    return order, offsets, index
+    if tokens.run_index is not None:
+        return None, tokens.runs, tokens.run_index
+    order = np.argsort(tokens.seq_ids, kind="stable")
+    seq = tokens.seq_ids[order]
+    offsets = run_offsets(seq)
+    return order, offsets, run_index(seq, offsets)
 
 
 def _pad_groups(rows: np.ndarray, keys: np.ndarray) -> list:
@@ -436,11 +381,9 @@ def _attend(
     mask: np.ndarray,
     block_size: int,
     dtype: np.dtype,
-    sums: bool = False,
 ):
     """Attend ``S`` independent segments: ``q [S, R, NH, DH]`` against
-    ``k, v [S, L, NKV, DH]`` under ``mask [S, R, L]``; returns
-    ``(out [S, R, NH, DH], lse [S, R, NH])`` — with ``sums``, the sums
+    ``k, v [S, L, NKV, DH]`` under ``mask [S, R, L]``; returns the sums
     ``(acc [S, R, NH, DH], den [S, R, NH])`` unless the range check failed,
     then the shifted sweep's ``(O, LSE)`` as an :class:`AttentionResult`."""
     s, r, nh, dh = q.shape
@@ -458,9 +401,7 @@ def _attend(
     kb = np.asarray(k, dtype=dtype).transpose(0, 2, 1, 3)  # [S, NKV, L, DH]
     vb = np.asarray(v, dtype=dtype).transpose(0, 2, 1, 3)
     sweep = (qt, kb, vb, mask, block_size, g)
-    if sums:
-        return _sweep_additive(*sweep, True) or AttentionResult(*_shifted_fallback(*sweep))
-    return _sweep_range(*sweep)
+    return _sweep_additive(*sweep) or AttentionResult(*_shifted_fallback(*sweep))
 
 
 #: One scratch buffer per dtype, grown to the largest tile seen. Score tiles
@@ -491,14 +432,6 @@ def _keys_major(columns: int, keys: int) -> bool:
     ``keys`` out keys-major once a row of columns is at least as long as a
     row of keys (prefill: 512 x 128), rows-major otherwise (decode: 4 x 30)."""
     return columns >= keys
-
-
-def _sweep_range(*sweep) -> tuple[np.ndarray, np.ndarray]:
-    """``(out [S, R, NH, DH], lse [S, R, NH])`` of a grouped-head sweep over
-    every key of (pre-scaled) ``qt [S, NKV, DH, R * G]`` against ``kb, vb
-    [S, NKV, L, DH]``: shift-free where its range check passes — in practice
-    always — else shifted."""
-    return _sweep_additive(*sweep) or _shifted_fallback(*sweep)
 
 
 def _shifted_fallback(qt, kb, vb, *rest):
@@ -569,12 +502,13 @@ def _den_range(dtype: np.dtype) -> tuple[float, float]:
     return math.sqrt(limits.tiny), math.sqrt(limits.max)
 
 
-def _sweep_additive(qt, kb, vb, mask, block_size, g, sums=False):
-    """The shift-free sweep — Eq. 4 at shift 0. Blocks add: ``den += sum
-    exp(scores)``, ``acc += exp(scores) . V``, both float64 whatever the
-    compute dtype; ``O = acc / den`` and ``LSE = log den`` once, at the end
-    — of the call, or with ``sums`` of a ring, which adds the sums its steps
-    return (``acc [S, R, NH, DH]``, ``den [S, R, NH]``) and normalises them.
+def _sweep_additive(qt, kb, vb, mask, block_size, g):
+    """The shift-free sweep — Eq. 4 at shift 0 — of (pre-scaled) ``qt [S,
+    NKV, DH, R * G]`` against ``kb, vb [S, NKV, L, DH]``. Blocks add: ``den
+    += sum exp(scores)``, ``acc += exp(scores) . V``, both float64 whatever
+    the compute dtype; it returns the sums (``acc [S, R, NH, DH]``, ``den
+    [S, R, NH]``), which the caller normalises once — ``O = acc / den``,
+    ``LSE = log den`` — after adding those of a ring's other steps.
 
     Sound only while ``exp`` stays in range, which is checked afterwards:
     every row the mask says sees a key must end with ``den`` inside
@@ -620,30 +554,19 @@ def _sweep_additive(qt, kb, vb, mask, block_size, g, sums=False):
                 acc, den = np.zeros((s, nkv, tq, g, dh)), np.zeros((s, nkv, tq, g))
             acc[:, :, r0:r1] += o
             den[:, :, r0:r1] += d
-        if acc is None:  # no visible block at all: zero sums, or O = 0 and LSE = -inf
-            return np.zeros((s, tq, nkv * g, dh)), np.full((s, tq, nkv * g), 0.0 if sums else -np.inf)
+        if acc is None:  # no visible block at all: zero sums
+            return np.zeros((s, tq, nkv * g, dh)), np.zeros((s, tq, nkv * g))
 
-        # The range check, shared by both exits.
+        # The range check.
         highest, lowest = den.max(), den.min()
-        blind = lowest == 0.0  # a row that saw no key, which a zero den means only where the mask agrees
-        if blind:
+        if lowest == 0.0:  # a row that saw no key, which a zero den means only where the mask agrees
             sighted = mask.any(axis=2)[:, None, :, None]
             lowest = den.min(where=sighted, initial=den_max)
         # (a blind row's acc is 0, or the sum below is not finite)
         if not (den_min <= lowest and highest <= den_max and math.isfinite(acc.sum())):
             return None
-
-        if sums:  # in token order: a view wherever ungrouping the heads is one (one row per segment)
-            return acc.transpose(0, 2, 1, 3, 4).reshape(s, tq, nkv * g, dh), den.transpose(0, 2, 1, 3).reshape(
-                s, tq, nkv * g
-            )
-        lse = np.log(den.transpose(0, 2, 1, 3), order="C")  # log 0 = -inf: the blind rows
-        if blind:
-            den = np.where(sighted, den, 1.0)  # (their acc is 0)
-        # One divide per row, not per element, in the pass that ungroups the heads.
-        weight = np.reciprocal(den).transpose(0, 2, 1, 3)[..., None]
-        out = np.multiply(acc.transpose(0, 2, 1, 3, 4), weight, order="C")
-    return out.reshape(s, tq, nkv * g, dh), lse.reshape(s, tq, nkv * g)
+    # in token order: a view wherever ungrouping the heads is one (one row per segment)
+    return acc.transpose(0, 2, 1, 3, 4).reshape(s, tq, nkv * g, dh), den.transpose(0, 2, 1, 3).reshape(s, tq, nkv * g)
 
 
 def _sweep_shifted(qt, kb, vb, mask, block_size, g):

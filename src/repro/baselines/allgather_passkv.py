@@ -15,7 +15,8 @@ bytes drive the all-gather ablation
 
 from __future__ import annotations
 
-from repro.attention.flash import AttentionResult, flash_attention
+from repro.attention.flash import AttentionResult, attention_layout, flash_attention
+from repro.core.merge import RunningSum
 from repro.core.sharding import ShardedKV, ShardedQueries, pad_kv_shards
 from repro.distributed.process_group import SimProcessGroup
 
@@ -24,12 +25,10 @@ def allgather_passkv_prefill(
     group: SimProcessGroup,
     queries: list[ShardedQueries],
     kv_shards: list[ShardedKV],
-    *,
-    block_size: int = 128,
 ) -> list[AttentionResult]:
     """Exact prefill attention via AllGather(KV) + one local attention.
 
-    Same signature, padded KV slices and (exact) output as
+    Same shards, padded KV slices and (exact) output as
     :func:`repro.core.ring_passkv.ring_passkv_prefill`; only the
     communication schedule differs.
     """
@@ -55,17 +54,7 @@ def allgather_passkv_prefill(
             )
             for p in gathered[rank]
         ]
-        merged = ShardedKV.concat(full)
-        results.append(
-            flash_attention(
-                queries[rank].q,
-                merged.k,
-                merged.v,
-                q_pos=queries[rank].positions,
-                k_pos=merged.positions,
-                q_seq=queries[rank].seq_ids,
-                k_seq=merged.seq_ids,
-                block_size=block_size,
-            )
-        )
+        merged, mine = ShardedKV.concat(full), queries[rank]
+        sums = flash_attention(mine.q, merged.k, merged.v, attention_layout(mine, merged))
+        results.append(RunningSum([sums]).result(*mine.q.shape))
     return results

@@ -12,8 +12,10 @@ and ``den_s = sum exp(score)`` — what the flash kernel holds before it
 divides — and the equation is addition: ``O = sum_s acc_s / sum_s den_s``,
 ``LSE = log sum_s den_s``. So a ring composes as it goes
 (:class:`RunningSum`): each step's float64 sums, range-checked by the
-kernel (:func:`repro.attention.flash.flash_attention` with ``sums=True``),
-are added to the rank's running pair, and the rank normalises once.
+kernel (what :func:`repro.attention.flash.flash_attention` returns), are
+added to the rank's running pair, and the rank normalises once. A single
+kernel call — the single-device forward's, the all-gather baseline's — is
+a ring of one step: :class:`RunningSum` is the one normaliser.
 
 Only a step whose range check failed arrives normalised, as ``(O, LSE)``
 from the kernel's shifted sweep; the rank's normalised running sum and

@@ -38,7 +38,6 @@ def ring_passq_decode(
     kv_shards: list[ShardedKV],
     *,
     slots: list[np.ndarray],
-    block_size: int = 128,
 ) -> list[AttentionResult]:
     """Batched ring pass-Q decode (Algorithm 4).
 
@@ -59,7 +58,6 @@ def ring_passq_decode(
         slots: per rank, the batch ids of its query message's rows, ``-1``
             on its pad rows (:meth:`~repro.core.sharding.ShardPlan.batch_ids`);
             each message carries them.
-        block_size: KV block size of the local kernel.
 
     The ring is :func:`repro.core.ring_skip.ring_sweep`'s; its skipped
     partials are mostly an all-pad query payload (when ``B`` is not a
@@ -82,8 +80,5 @@ def ring_passq_decode(
                 f"ids for {len(wire['q'])} rows"
             )
         wire["slots"] = batch_ids
-    results = ring_sweep(
-        group, q_wire, kv_wire, plan.pairs,
-        pass_q=True, tags=("decode-passq", "decode-merge"), block_size=block_size,
-    )
+    results = ring_sweep(group, q_wire, kv_wire, plan.pairs, pass_q=True, tags=("decode-passq", "decode-merge"))
     return [AttentionResult(out=r.out[:n], lse=r.lse[:n]) for r, (n, _) in zip(results, plan.counts)]

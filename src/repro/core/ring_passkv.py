@@ -31,8 +31,6 @@ def ring_passkv_prefill(
     plan: RingPlan,
     qs: list[np.ndarray],
     kv_shards: list[ShardedKV],
-    *,
-    block_size: int = 128,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-KV prefill (Algorithm 2).
 
@@ -48,13 +46,9 @@ def ring_passkv_prefill(
         kv_shards: per-rank KV shards containing both cached tokens from
             previous turns and the freshly projected KV of this turn's new
             tokens, of the token counts the plan was built for.
-        block_size: KV block size of the local flash kernel.
 
     Returns:
         Per-rank exact :class:`AttentionResult` for each rank's queries, in
         the rank's local token order.
     """
-    return ring_sweep(
-        group, *plan.wire(qs, kv_shards), plan.pairs,
-        pass_q=False, tags=("passkv", None), block_size=block_size,
-    )
+    return ring_sweep(group, *plan.wire(qs, kv_shards), plan.pairs, pass_q=False, tags=("passkv", None))

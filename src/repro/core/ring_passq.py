@@ -31,8 +31,6 @@ def ring_passq_prefill(
     plan: RingPlan,
     qs: list[np.ndarray],
     kv_shards: list[ShardedKV],
-    *,
-    block_size: int = 128,
 ) -> list[AttentionResult]:
     """Fused varseq ring pass-Q prefill (Algorithm 3).
 
@@ -45,14 +43,10 @@ def ring_passq_prefill(
             dropped).
         qs: per rank, this layer's ``[n, NH, DH]`` query rows.
         kv_shards: per-rank resident KV shards (cached + new), never moved.
-        block_size: KV block size of the local flash kernel.
 
     Returns:
         Per-rank exact :class:`AttentionResult`, trimmed back to each rank's
         original (pre-padding) query count.
     """
-    results = ring_sweep(
-        group, *plan.wire(qs, kv_shards), plan.pairs,
-        pass_q=True, tags=("passq", "passq-merge"), block_size=block_size,
-    )
+    results = ring_sweep(group, *plan.wire(qs, kv_shards), plan.pairs, pass_q=True, tags=("passq", "passq-merge"))
     return [AttentionResult(out=r.out[:n], lse=r.lse[:n]) for r, (n, _) in zip(results, plan.counts)]

@@ -184,12 +184,8 @@ def plan_ring(q: list[Padding], q_counts: list[int], kv_shards: list[ShardedKV],
         layouts = []
         for rank, src in enumerate(origins):
             qo, ko = (src, rank) if pass_q else (rank, src)  # origins of the held Q and KV
-            a, b = q[qo], kv[ko]
-            layouts.append(None if partial_fully_masked(q_reach[qo], k_reach[ko]) else attention_layout(
-                len(a.positions), len(b.positions),
-                q_pos=a.positions, k_pos=b.positions, q_seq=a.seq_ids, k_seq=b.seq_ids,
-                q_runs=(a.runs, a.run_index), k_runs=(b.runs, b.run_index),
-            ))
+            masked = partial_fully_masked(q_reach[qo], k_reach[ko])
+            layouts.append(None if masked else attention_layout(q[qo], kv[ko]))
         pairs.append(tuple(layouts))
     return RingPlan(q, kv, [(nq, len(s.k)) for nq, s in zip(q_counts, kv_shards)], tuple(pairs))
 
@@ -209,7 +205,6 @@ def ring_sweep(
     *,
     pass_q: bool,
     tags: tuple[str, str | None],
-    block_size: int,
 ) -> list[AttentionResult]:
     """One exact ring: each rank's attention for the queries that started on it.
 
@@ -258,7 +253,7 @@ def ring_sweep(
             if layout is None:
                 continue
             q, kv = (held[rank], kv_wire[rank]) if pass_q else (q_wire[rank], held[rank])
-            sums = flash_attention(q["q"], kv["k"], kv["v"], block_size=block_size, sums=True, layout=layout)
+            sums = flash_attention(q["q"], kv["k"], kv["v"], layout)
             if pass_q:
                 sent[rank][src] = sums
             else:

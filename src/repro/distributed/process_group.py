@@ -70,27 +70,40 @@ def payload_elements(payload: Any) -> int:
 
 def _deliver(payload: Any) -> Any:
     """The receiver's side of a sent payload: fresh containers around the
-    sender's arrays, which are frozen so neither side can write them.
+    sender's arrays, which are frozen so neither side can write them. A
+    container's arrays are frozen in the one pass over its values; only a
+    nested container (or dataclass) is delivered by a call of its own.
 
     Raises:
         TypeError: on what :func:`payload_elements` rejects too — an object
             the receiver would otherwise share with the sender, unfrozen.
     """
-    if isinstance(payload, np.ndarray):
-        payload.flags.writeable = False
-        return payload
-    if isinstance(payload, (list, tuple)):
-        return type(payload)(_deliver(p) for p in payload)
+    fields = None
     if isinstance(payload, dict):
-        return {key: _deliver(value) for key, value in payload.items()}
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        return dataclasses.replace(
-            payload,
-            **{f.name: _deliver(getattr(payload, f.name)) for f in dataclasses.fields(payload)},
-        )
-    if payload is None or isinstance(payload, _SCALARS):
-        return payload  # immutable
-    raise TypeError(f"unsupported payload type {type(payload)!r}")
+        values = list(payload.values())
+    elif isinstance(payload, (list, tuple)):
+        values = list(payload)
+    elif dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+        fields = [f.name for f in dataclasses.fields(payload)]
+        values = [getattr(payload, name) for name in fields]
+    else:
+        values = [payload]  # an array, a scalar or None: its own one value
+    for i, value in enumerate(values):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif value is None or isinstance(value, _SCALARS):
+            pass  # immutable
+        elif isinstance(value, (dict, list, tuple)) or dataclasses.is_dataclass(value) and not isinstance(value, type):
+            values[i] = _deliver(value)
+        else:
+            raise TypeError(f"unsupported payload type {type(value)!r}")
+    if isinstance(payload, dict):
+        return dict(zip(payload, values))
+    if isinstance(payload, (list, tuple)):
+        return type(payload)(values)
+    if fields is not None:
+        return dataclasses.replace(payload, **dict(zip(fields, values)))
+    return values[0]
 
 
 class SimProcessGroup:

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attention.flash import flash_attention
+from repro.attention.flash import attention_layout, flash_attention
 from repro.attention.rope import apply_rope, rope_frequencies, rope_rotation
+from repro.core.merge import RunningSum
+from repro.core.sharding import ShardedQueries
 from repro.model.config import ModelConfig
 from repro.model.mlp import swiglu
 from repro.model.norms import rms_norm
@@ -148,8 +150,9 @@ class LlamaModel:
 
         Args:
             token_ids: ``[T]`` fused token ids.
-            positions: absolute positions (default: storage order).
-            seq_ids: sequence ids for fused batches (default: one sequence).
+            positions: absolute integer positions (default: storage order).
+            seq_ids: integer sequence ids for fused batches (default: one
+                sequence).
 
         Returns:
             ``[T, vocab]`` logits.
@@ -158,15 +161,16 @@ class LlamaModel:
         t = token_ids.shape[0]
         if positions is None:
             positions = np.arange(t, dtype=np.int64)
+        if seq_ids is None:
+            seq_ids = np.zeros(t, dtype=np.int64)
         x = self.embed(token_ids)
+        layout = None
         for layer in range(self.config.n_layers):
             q, k, v = self.attn_qkv(layer, x, positions)
-            attn = flash_attention(
-                q, k, v,
-                q_pos=positions, k_pos=positions,
-                q_seq=seq_ids, k_seq=seq_ids,
-                block_size=256,
-            )
+            if layout is None:  # every layer attends the same tokens: lay them out once
+                tokens = ShardedQueries(q, np.asarray(positions), np.asarray(seq_ids))
+                layout = attention_layout(tokens, tokens)
+            attn = RunningSum([flash_attention(q, k, v, layout, block_size=256)]).result(*q.shape)
             x = self.attn_residual(layer, x, attn.out)
             x = self.ffn_residual(layer, x)
         return self.unembed(x)

@@ -80,7 +80,7 @@ class TestPrefillRound:
         layout, kernel = ring_skip.attention_layout, ring_skip.flash_attention
         monkeypatch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(layout(*a, **kw)) or built[-1])
         monkeypatch.setattr(
-            ring_skip, "flash_attention", lambda *a, **kw: handed.append(kw["layout"]) or kernel(*a, **kw)
+            ring_skip, "flash_attention", lambda *a, **kw: handed.append(a[3]) or kernel(*a, **kw)
         )
         for name in ("plan_kv_padding", "plan_query_padding"):
             planner = getattr(ring_skip, name)
@@ -213,7 +213,7 @@ class TestDecode:
         layout, kernel = ring_skip.attention_layout, ring_skip.flash_attention
         monkeypatch.setattr(ring_skip, "attention_layout", lambda *a, **kw: built.append(layout(*a, **kw)) or built[-1])
         monkeypatch.setattr(
-            ring_skip, "flash_attention", lambda *a, **kw: laid_out.append(kw["layout"]) or kernel(*a, **kw)
+            ring_skip, "flash_attention", lambda *a, **kw: laid_out.append(a[3]) or kernel(*a, **kw)
         )
         got = run(engine)
         assert len(splits) == 1

@@ -12,6 +12,7 @@ import pytest
 from repro.attention import flash
 from repro.attention.flash import AttentionResult
 from repro.attention.masks import attention_mask
+from repro.core.merge import RunningSum
 from repro.core.ring_skip import plan_prefill
 from repro.core.sharding import (
     SequenceSpec,
@@ -98,6 +99,33 @@ def make_qkv(
     k = rng.standard_normal((tk, n_kv_heads, head_dim))
     v = rng.standard_normal((tk, n_kv_heads, head_dim))
     return q, k, v
+
+
+def layout_of(q: np.ndarray, k: np.ndarray, *, q_pos=None, k_pos=None, q_seq=None, k_seq=None, mask_fn=None):
+    """The kernel :class:`~repro.attention.flash.Layout` of ``q``'s rows
+    against ``k``'s keys at these coordinates (storage order and one
+    sequence where omitted) under ``mask_fn``, built from the structures a
+    caller holds: a ``ShardedQueries`` and a ``ShardedKV`` (whose ``v`` the
+    layout never reads)."""
+    queries = ShardedQueries(q, *_coordinates(len(q), q_pos, q_seq))
+    keys = ShardedKV(k, k, *_coordinates(len(k), k_pos, k_seq))
+    return flash.attention_layout(queries, keys, mask_fn=mask_fn)
+
+
+def _coordinates(tokens: int, positions, seq_ids) -> tuple[np.ndarray, np.ndarray]:
+    positions = np.arange(tokens) if positions is None else np.asarray(positions)
+    return positions, np.zeros(tokens, dtype=np.int64) if seq_ids is None else np.asarray(seq_ids)
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, *, block_size=128, compute_dtype=None, **coords):
+    """One exact attention call, the one way through the kernel: laid out
+    (:func:`layout_of`, ``coords`` its keywords), swept, and normalised by
+    ``RunningSum`` into an :class:`AttentionResult`. The kernel is looked up
+    on its module at each call, so a patched one is the one called."""
+    sums = flash.flash_attention(
+        q, k, v, layout_of(q, k, **coords), block_size=block_size, compute_dtype=compute_dtype
+    )
+    return RunningSum([sums]).result(*q.shape)
 
 
 def window_mask_fn(window: int, *, sink_tokens: int = 0):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.attention.flash import flash_attention
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
+
+from helpers import attend
 
 
 class TestDeterminism:
@@ -30,7 +31,7 @@ class TestStages:
         x = tiny_model.embed(toks)
         for layer in range(tiny_model.config.n_layers):
             q, k, v = tiny_model.attn_qkv(layer, x, pos)
-            attn = flash_attention(q, k, v, q_pos=pos, k_pos=pos)
+            attn = attend(q, k, v, q_pos=pos, k_pos=pos)
             x = tiny_model.attn_residual(layer, x, attn.out)
             x = tiny_model.ffn_residual(layer, x)
         logits = tiny_model.unembed(x)

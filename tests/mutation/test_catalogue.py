@@ -43,8 +43,10 @@ that hold no rows, and the prefill logits, whose rows a partial prefill
 offsets by its cached length; and the flash kernel's shift-free sweep (``attention/flash.py::
 _sweep_additive``), whose one-row base case must mask, and whose range
 check must run at every height and tell a blind row by the mask, not by
-``den == 0``. Those three are one-line edits of the sweep's source
-(``helpers.patch_source``), compiled into the kernel module in its place.
+``den == 0``; and the kernel's one entry (``flash_attention``), which must
+refuse a layout built for another call's shape. Those four are one-line
+edits of the kernel's source (``helpers.patch_source``), compiled into the
+kernel module in its place.
 Two more edit the boundary where bad input must fail: a turn's arrival
 must be a finite time (``TurnRequest.__post_init__``), and the fleet must
 check a prompt's vocabulary before it routes (``ReplicaFleet.submit``).
@@ -478,6 +480,12 @@ def _blind_rows_by_den(monkeypatch):
     )
 
 
+def _layout_shape_unchecked(monkeypatch):
+    """The kernel sweeps a layout built for another ``(Tq, Tk)``: a layout
+    of fewer keys silently leaves the call's last keys unattended."""
+    patch_source(monkeypatch, flash, "flash_attention", "if (layout.tq, layout.tk) != (tq, tk):", "if False:")
+
+
 def _varlen_group_pairs_wrong_run(monkeypatch):
     """A padded group of the varlen sweep gathers its key runs in reverse
     (``_pad_groups``' segments, starts and lengths reversed together), so
@@ -525,7 +533,7 @@ def _plan_accepts_another_length(monkeypatch):
 def _delivered_payload_thawed(monkeypatch):
     """A collective hands the receiver the sender's arrays without freezing
     them, so either side can write into a buffer the other still reads."""
-    patch_source(monkeypatch, process_group, "_deliver", "payload.flags.writeable = False", "pass")
+    patch_source(monkeypatch, process_group, "_deliver", "value.flags.writeable = False", "pass")
 
 
 def _deliver_passes_unknown_payload(monkeypatch):
@@ -533,7 +541,7 @@ def _deliver_passes_unknown_payload(monkeypatch):
     object, a ``str``) as the sender's own, shared between ranks."""
     patch_source(
         monkeypatch, process_group, "_deliver",
-        'raise TypeError(f"unsupported payload type {type(payload)!r}")', "return payload",
+        'raise TypeError(f"unsupported payload type {type(value)!r}")', "pass",
     )
 
 
@@ -675,6 +683,9 @@ CATALOGUE = [
     ("varlen-group-pairs-wrong-run", _varlen_group_pairs_wrong_run,
      functools.partial(_named_test, f"{_VARLEN}::TestSegmentedMatchesMonolithic"
                        "::test_against_one_segment_and_the_reference")),
+    ("layout-shape-unchecked", _layout_shape_unchecked,
+     functools.partial(_named_test, "attention/test_flash.py::TestFlashEdgeCases"
+                       "::test_a_layout_for_another_shape_is_rejected", np.random.default_rng(7), 5, 4)),
     ("like-read-skips-token-set-check", _like_read_skips_token_set_check,
      functools.partial(_named_test, "kvcache/test_cache.py::TestStructureIsSharedAcrossLayers"
                        "::test_a_length_mismatch_at_one_layer_raises")),

@@ -32,13 +32,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attention import flash
-from repro.attention.flash import AttentionResult, flash_attention
+from repro.attention.flash import AttentionResult
 from repro.attention.masks import PAD_SEQ
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.merge import merge_partials
 from repro.core.sharding import shard_positions
 
-from helpers import Fallbacks, OnlineSoftmaxState, every_block_swept, window_mask_fn
+from helpers import Fallbacks, OnlineSoftmaxState, attend, every_block_swept, window_mask_fn
 
 # (RuntimeWarning is NumPy's class for every floating-point warning; a blanket
 # "error" also trips on third-party DeprecationWarnings raised while hypothesis
@@ -48,11 +48,21 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 SETTINGS = dict(max_examples=25, deadline=None)
 
 
+def _swept(*args) -> tuple[np.ndarray, np.ndarray]:
+    """``flash._attend``'s ``(out, lse)``: its sums normalised, or the
+    shifted sweep's answer as it stands."""
+    swept = flash._attend(*args)
+    if not isinstance(swept, AttentionResult):
+        swept = AttentionResult.from_sums(*swept)
+    return swept.out, swept.lse
+
+
 def _shifted(kernel, *args, **kwargs):
-    """``kernel`` (``flash._attend`` or ``flash_attention``) with every range
-    swept by the shifted sweep — the path ordinary tiles no longer take."""
+    """``kernel`` (:func:`_swept` or ``attend``) with every range swept by
+    the shifted sweep — the path ordinary tiles no longer take: the
+    shift-free sweep declines every range, as a failed range check does."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flash, "_sweep_range", flash._sweep_shifted)
+        patch.setattr(flash, "_sweep_additive", lambda *sweep: None)
         return kernel(*args, **kwargs)
 
 
@@ -115,7 +125,7 @@ class TestFusedMatchesReference:
     def test_blocked_fused_matches_reference(self, case):
         q, k, v, coords, block_size = case
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
-        res = flash_attention(q, k, v, block_size=block_size, **coords)
+        res = attend(q, k, v, block_size=block_size, **coords)
         _assert_matches(res, ref_out, ref_lse)
 
     @given(gqa_case())
@@ -125,7 +135,7 @@ class TestFusedMatchesReference:
         grouped-head layout (no online-softmax fold involved)."""
         q, k, v, coords, _ = case
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
-        res = flash_attention(q, k, v, block_size=k.shape[0] + 1, **coords)
+        res = attend(q, k, v, block_size=k.shape[0] + 1, **coords)
         _assert_matches(res, ref_out, ref_lse)
 
     @given(gqa_case(), st.integers(1, 5))
@@ -134,11 +144,11 @@ class TestFusedMatchesReference:
         """Flash-Decoding's split-KV: one call per KV split, merged by Eq. 4,
         is the one call — the composition every ring partial relies on."""
         q, k, v, coords, block_size = case
-        whole = flash_attention(q, k, v, block_size=block_size, **coords)
+        whole = attend(q, k, v, block_size=block_size, **coords)
         edges = np.linspace(0, k.shape[0], splits + 1, dtype=np.int64)
         k_pos, k_seq = coords["k_pos"], coords["k_seq"]
         parts = [
-            flash_attention(
+            attend(
                 q, k[lo:hi], v[lo:hi], block_size=block_size,
                 **{**coords, "k_pos": k_pos[lo:hi], "k_seq": None if k_seq is None else k_seq[lo:hi]},
             )
@@ -152,9 +162,9 @@ class TestFusedMatchesReference:
         """The block skip and the bands change which BLAS calls run, not the
         result."""
         q, k, v, coords, block_size = case
-        a = flash_attention(q, k, v, block_size=block_size, **coords)
+        a = attend(q, k, v, block_size=block_size, **coords)
         with every_block_swept():
-            b = flash_attention(q, k, v, block_size=block_size, **coords)
+            b = attend(q, k, v, block_size=block_size, **coords)
         _assert_matches(a, b.out, b.lse)
 
     @given(gqa_case())
@@ -164,7 +174,7 @@ class TestFusedMatchesReference:
         within float32 resolution of the exact fp64 result."""
         q, k, v, coords, block_size = case
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
-        res = flash_attention(q, k, v, block_size=block_size, compute_dtype=np.float32, **coords)
+        res = attend(q, k, v, block_size=block_size, compute_dtype=np.float32, **coords)
         np.testing.assert_allclose(res.out, ref_out, atol=1e-4, rtol=1e-4)
         np.testing.assert_allclose(res.lse, ref_lse, atol=1e-4, rtol=1e-4)
         assert np.array_equal(np.isneginf(res.lse), np.isneginf(ref_lse))
@@ -181,7 +191,7 @@ class TestDegenerateShards:
         k = rng.standard_normal((20, nkv, 8))
         v = rng.standard_normal((20, nkv, 8))
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=np.arange(8, 20))
-        res = flash_attention(q, k, v, q_pos=np.arange(8, 20), block_size=7)
+        res = attend(q, k, v, q_pos=np.arange(8, 20), block_size=7)
         _assert_matches(res, ref_out, ref_lse)
 
     def test_all_pad_kv_shard(self):
@@ -190,7 +200,7 @@ class TestDegenerateShards:
         k = rng.standard_normal((9, 2, 8))
         v = rng.standard_normal((9, 2, 8))
         k_seq = np.full(9, PAD_SEQ)
-        res = flash_attention(q, k, v, k_seq=k_seq, block_size=4)
+        res = attend(q, k, v, k_seq=k_seq, block_size=4)
         assert np.all(res.out == 0)
         assert np.all(np.isneginf(res.lse))
 
@@ -199,7 +209,7 @@ class TestDegenerateShards:
         q = rng.standard_normal((6, 4, 8))
         k = rng.standard_normal((6, 2, 8))
         v = rng.standard_normal((6, 2, 8))
-        res = flash_attention(
+        res = attend(
             q, k, v,
             q_seq=np.zeros(6, dtype=np.int64), k_seq=np.ones(6, dtype=np.int64),
             block_size=2,
@@ -210,9 +220,9 @@ class TestDegenerateShards:
     def test_empty_kv_and_empty_queries(self):
         rng = np.random.default_rng(2)
         q = rng.standard_normal((3, 4, 8))
-        res = flash_attention(q, np.zeros((0, 2, 8)), np.zeros((0, 2, 8)))
+        res = attend(q, np.zeros((0, 2, 8)), np.zeros((0, 2, 8)))
         assert res.out.shape == (3, 4, 8) and np.all(np.isneginf(res.lse))
-        res = flash_attention(np.zeros((0, 4, 8)), np.zeros((5, 2, 8)), np.zeros((5, 2, 8)))
+        res = attend(np.zeros((0, 4, 8)), np.zeros((5, 2, 8)), np.zeros((5, 2, 8)))
         assert res.out.shape == (0, 4, 8)
 
 
@@ -263,7 +273,7 @@ def _through_the_recurrence(q, k, v, mask, dtype):
     pad = np.zeros((s, 1) + k.shape[2:])
     with every_block_swept():
         return _shifted(
-            flash._attend,
+            _swept,
             q, np.concatenate([k, pad], axis=1), np.concatenate([v, pad], axis=1),
             np.concatenate([mask, np.zeros((s, mask.shape[1], 1), dtype=bool)], axis=2),
             length, np.dtype(dtype),
@@ -279,7 +289,7 @@ class TestOneBlockBaseCase:
     @settings(**SETTINGS)
     def test_equals_the_block_folded_and_finalised(self, case, dtype):
         q, k, v, mask = case
-        out, lse = _shifted(flash._attend, q, k, v, mask, mask.shape[2], np.dtype(dtype))
+        out, lse = _shifted(_swept, q, k, v, mask, mask.shape[2], np.dtype(dtype))
         assert out.dtype == lse.dtype == np.float64
 
         # (1) against the running-state path: bit for bit wherever both
@@ -320,7 +330,7 @@ class TestOneBlockBaseCase:
         v = rng.standard_normal((t, 2, 8))
         q_pos = np.arange(t)
         k_pos = np.arange(t) + t // 2  # keys start half-way up the queries
-        res = flash_attention(q, k, v, q_pos=q_pos, k_pos=k_pos, block_size=128)
+        res = attend(q, k, v, q_pos=q_pos, k_pos=k_pos, block_size=128)
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos, k_pos=k_pos)
         _assert_matches(res, ref_out, ref_lse)
         assert np.all(np.isneginf(res.lse[: t // 2])) and np.all(res.out[: t // 2] == 0)
@@ -418,7 +428,7 @@ class TestScoreTile:
         q, k, v, mask = case
         with every_block_swept(), pytest.MonkeyPatch.context() as patch:
             patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
-            out, lse = _shifted(flash._attend, q, k, v, mask, mask.shape[2], np.dtype(dtype))
+            out, lse = _shifted(_swept, q, k, v, mask, mask.shape[2], np.dtype(dtype))
         ref_out, ref_lse = _minus_inf_block(q, k, v, mask, dtype, keys_major)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(lse, ref_lse)
@@ -435,7 +445,7 @@ class TestScoreTile:
         for keys_major in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
-                results.append(flash_attention(q, k, v, block_size=block_size, **coords))
+                results.append(attend(q, k, v, block_size=block_size, **coords))
         _assert_matches(results[0], results[1].out, results[1].lse)
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
         _assert_matches(results[0], ref_out, ref_lse)
@@ -453,7 +463,7 @@ class TestScoreTile:
             q, k, v, coords = _ring_step(rng, q_rank, kv_rank, cached_chunks)
             ref_out, ref_lse = reference_attention_with_lse(q, k, v, **coords)
             for block_size in (128, 48):
-                _assert_matches(flash_attention(q, k, v, **coords, block_size=block_size), ref_out, ref_lse)
+                _assert_matches(attend(q, k, v, **coords, block_size=block_size), ref_out, ref_lse)
 
 
 # ---------------------------------------------------------------------- #
@@ -501,9 +511,9 @@ class TestShiftFree:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flash, "_keys_major", lambda columns, keys: keys_major)
             fallbacks = Fallbacks(patch)
-            out, lse = flash._attend(*args)
+            out, lse = _swept(*args)
             taken = fallbacks.count
-            ref_out, ref_lse = _shifted(flash._attend, *args)
+            ref_out, ref_lse = _shifted(_swept, *args)
         assert out.dtype == lse.dtype == np.float64
         _assert_close(dtype, out, lse, ref_out, ref_lse)
         dark = ~mask.any(axis=2)
@@ -522,8 +532,8 @@ class TestShiftFree:
         another's."""
         q, k, v, coords, block_size = case
         knobs = dict(block_size=block_size, compute_dtype=dtype, **coords)
-        res = flash_attention(q, k, v, **knobs)
-        ref = _shifted(flash_attention, q, k, v, **knobs)
+        res = attend(q, k, v, **knobs)
+        ref = _shifted(attend, q, k, v, **knobs)
         _assert_close(dtype, res.out, res.lse, ref.out, ref.lse)
 
     @pytest.mark.parametrize("dtype,big", [(np.float64, 800.0), (np.float32, 100.0)])
@@ -539,7 +549,7 @@ class TestShiftFree:
         k[:, 0, 0] = big * rng.choice([-1.0, 1.0], 12)
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = Fallbacks(patch)
-            res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=block_size, compute_dtype=dtype)
+            res = attend(q, k, v, mask_fn=_all_visible, block_size=block_size, compute_dtype=dtype)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_close(dtype, res.out, res.lse, ref_out, ref_lse)
@@ -565,7 +575,7 @@ class TestShiftFree:
         q_pos, k_pos = np.array([9, 9, 9, -1, 9]), np.arange(9)  # row 3 precedes every key
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = Fallbacks(patch)
-            res = flash_attention(q, k, v, q_pos=q_pos, k_pos=k_pos, block_size=4, compute_dtype=dtype)
+            res = attend(q, k, v, q_pos=q_pos, k_pos=k_pos, block_size=4, compute_dtype=dtype)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos, k_pos=k_pos)
         _assert_close(dtype, res.out, res.lse, ref_out, ref_lse)
@@ -582,7 +592,7 @@ class TestShiftFree:
         v = v * 1e-10
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = Fallbacks(patch)
-            res = flash_attention(q, k, v, mask_fn=_all_visible)
+            res = attend(q, k, v, mask_fn=_all_visible)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_matches(AttentionResult(res.out * 1e10, res.lse), ref_out * 1e10, ref_lse)
@@ -597,7 +607,7 @@ class TestShiftFree:
         k[13, 0, 0] = 800.0
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = Fallbacks(patch)
-            res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=4)
+            res = attend(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_matches(res, ref_out, ref_lse)
@@ -613,7 +623,7 @@ class TestShiftFree:
         v = v * 1e200
         with pytest.MonkeyPatch.context() as patch:
             fallbacks = Fallbacks(patch)
-            res = flash_attention(q, k, v, mask_fn=_all_visible, block_size=4)
+            res = attend(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
         _assert_matches(AttentionResult(res.out / 1e200, res.lse), ref_out / 1e200, ref_lse)
@@ -632,7 +642,7 @@ class TestShiftFree:
         for q_pos in (np.array([600, 600]), np.array([600, -1])):  # a full-height first block, and a banded one
             with pytest.MonkeyPatch.context() as patch:
                 fallbacks = Fallbacks(patch)
-                res = flash_attention(q, k, v, q_pos=q_pos, block_size=1, compute_dtype=np.float32)
+                res = attend(q, k, v, q_pos=q_pos, block_size=1, compute_dtype=np.float32)
             assert fallbacks.count == 0
             ref_out, ref_lse = reference_attention_with_lse(q, k, v, q_pos=q_pos)
             np.testing.assert_allclose(res.out, ref_out, rtol=2e-6, atol=0)
@@ -697,10 +707,10 @@ class TestOneRowBaseCase:
         args = (q, k, v, mask, mask.shape[2], np.dtype(dtype))
         with pytest.MonkeyPatch.context() as patch:
             tiles, fallbacks = _Tiles(patch), Fallbacks(patch)
-            out, lse = flash._attend(*args)
+            out, lse = _swept(*args)
             assert tiles.count == fallbacks.count  # (a fallback goes through the block loop)
             taken = fallbacks.count
-            ref_out, ref_lse = _shifted(flash._attend, *args)
+            ref_out, ref_lse = _shifted(_swept, *args)
         assert out.dtype == lse.dtype == np.float64
         _assert_close(dtype, out, lse, ref_out, ref_lse)
         dark = ~mask.any(axis=2)
@@ -739,8 +749,9 @@ class TestOneRowBaseCase:
             inner = flash._sweep_additive
             patch.setattr(flash, "_sweep_additive", lambda *sweep: returned.append(inner(*sweep)) or returned[-1])
             fallbacks = Fallbacks(patch)
-            out, lse = flash._attend(*args)
-        assert returned == [None] and fallbacks.count == 1
+            swept = flash._attend(*args)
+        assert returned == [None] and fallbacks.count == 1 and isinstance(swept, AttentionResult)
+        out, lse = swept.out, swept.lse
         for seg in range(3):
             oracle = reference_attention_with_lse(
                 q[seg], k[seg], v[seg], scale=0.5, mask_fn=lambda *_: mask[seg]
@@ -759,6 +770,6 @@ class TestOneRowBaseCase:
             q_pos = np.full(rows, keys)
             with pytest.MonkeyPatch.context() as patch:
                 tiles = _Tiles(patch)
-                res = flash_attention(q, k, v, q_pos=q_pos, block_size=block_size)
+                res = attend(q, k, v, q_pos=q_pos, block_size=block_size)
             assert tiles.count == looped
             _assert_matches(res, *reference_attention_with_lse(q, k, v, q_pos=q_pos))

@@ -1,13 +1,14 @@
 """Property tests: the sequence-segmented (varlen) sweep is exact.
 
 Twin of the ``decode_batch`` performance claim: when the key side fuses
-several sequences, :func:`flash_attention` pairs query and key runs by
-sequence id and sweeps them as one padded batch. These properties pin that
-path three ways on random fused batches — against the same kernel run as
-one monolithic segment (forced through ``mask_fn``, which is never
-segmented), against the fully-materialized reference oracle, and against
-itself with the run offsets handed over (bare, or with the run index a
-``ShardedKV`` carries) versus rediscovered — to the
+several sequences, :func:`attention_layout` pairs query and key runs by
+sequence id and the kernel sweeps them as one padded batch. These
+properties pin that path three ways on random fused batches — against the
+same kernel run as one monolithic segment (forced through ``mask_fn``,
+which is never segmented), against the fully-materialized reference
+oracle, and against itself laid out from a ring message's structure (the
+runs and run index handed over, as a ``Padding`` carries them) versus the
+structures' own (found by a scan where each is built) — to the
 library's contract of ``atol=1e-12, rtol=0`` plus *identical* ``-inf``
 structure (see ``test_prop_flash_fused.py``).
 
@@ -23,12 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attention.flash import _pad_groups, _sequence_runs, flash_attention
+from repro.attention.flash import _pad_groups, _sequence_runs, attention_layout, flash_attention
 from repro.attention.masks import PAD_SEQ, attention_mask, run_index, run_offsets
 from repro.attention.reference import reference_attention_with_lse
-from repro.core.sharding import ShardedKV
+from repro.core.merge import RunningSum
+from repro.core.sharding import Padding, ShardedKV
 
-from helpers import every_block_swept
+from helpers import attend, every_block_swept
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -79,7 +81,7 @@ def fused_batch(draw):
 def _call(case, **kw):
     tensors = (case["q"], case["k"], case["v"])
     coords = {key: case[key] for key in ("q_pos", "k_pos", "q_seq", "k_seq")}
-    return flash_attention(*tensors, **coords, **kw)
+    return attend(*tensors, **coords, **kw)
 
 
 def _as_shard(case) -> ShardedKV:
@@ -120,37 +122,38 @@ class TestSegmentedMatchesMonolithic:
     @given(fused_batch())
     @settings(**SETTINGS)
     def test_handed_over_runs_equal_rediscovered_runs(self, batch):
+        """A ring message's structure (``Padding``: runs and run index handed
+        over, nothing scanned; an interleaved side has no index and the
+        kernel falls back to its sort) lays out what the structures that
+        scan for their own runs do, bit for bit."""
         case, knobs = batch
         found = _call(case, **knobs)
-        given_runs = _call(
-            case, **knobs,
-            q_runs=run_offsets(case["q_seq"]), k_runs=run_offsets(case["k_seq"]),
-        )
-        assert np.array_equal(found.out, given_runs.out)
-        assert np.array_equal(found.lse, given_runs.lse)
-        # ... and the (offsets, index) pair a shard carries: nothing scanned
-        # (an interleaved side has no index; the kernel falls back to its sort)
         q_runs, kv = run_offsets(case["q_seq"]), _as_shard(case)
-        carried = _call(
-            case, **knobs,
-            q_runs=(q_runs, run_index(case["q_seq"], q_runs)), k_runs=(kv.runs, kv.run_index),
-        )
+        queries = Padding(case["q_pos"], case["q_seq"], q_runs, run_index(case["q_seq"], q_runs), None)
+        keys = Padding(kv.positions, kv.seq_ids, kv.runs, kv.run_index, None)
+        sums = flash_attention(case["q"], case["k"], case["v"], attention_layout(queries, keys), **knobs)
+        carried = RunningSum([sums]).result(*case["q"].shape)
         assert np.array_equal(found.out, carried.out)
         assert np.array_equal(found.lse, carried.lse)
 
     @given(fused_batch())
     @settings(**SETTINGS)
     def test_shard_carried_index_is_what_the_kernel_scans(self, batch):
+        """The kernel reads a shard's own runs and index where it has one,
+        and sorts an interleaved shard (no index) into one run per sequence:
+        either way each non-pad sequence's tokens are exactly one run."""
         case, _ = batch
         kv = _as_shard(case)
-        order, offsets, index = _sequence_runs(case["k_seq"], None)
-        if order is None:  # one run per sequence: the shard found the same index
-            assert kv.run_index == index and PAD_SEQ not in index
-            assert np.array_equal(kv.runs, offsets)
-            for sid, run in index.items():
-                assert set(case["k_seq"][offsets[run] : offsets[run + 1]].tolist()) == {sid}
+        order, offsets, index = _sequence_runs(kv)
+        if kv.run_index is not None:  # one run per sequence: the shard's own, nothing scanned
+            assert order is None and index is kv.run_index and offsets is kv.runs
         else:  # interleaved: only the kernel's sort can gather it
-            assert kv.run_index is None
+            assert order is not None
+        gathered = case["k_seq"] if order is None else case["k_seq"][order]
+        assert PAD_SEQ not in index
+        assert sorted(index) == sorted(set(case["k_seq"].tolist()) - {PAD_SEQ})
+        for sid, run in index.items():
+            assert set(gathered[offsets[run] : offsets[run + 1]].tolist()) == {sid}
 
     @given(fused_batch())
     @settings(**SETTINGS)

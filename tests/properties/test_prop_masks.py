@@ -4,10 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attention.flash import flash_attention
 from repro.attention.reference import reference_attention_with_lse
 
-from helpers import window_mask_fn
+from helpers import attend, window_mask_fn
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -36,7 +35,7 @@ class TestMaskedKernelAgreement:
         q, k, v, window, sinks, block = case
         fn = window_mask_fn(window, sink_tokens=sinks)
         ref_out, ref_lse = reference_attention_with_lse(q, k, v, mask_fn=fn)
-        res = flash_attention(q, k, v, mask_fn=fn, block_size=block)
+        res = attend(q, k, v, mask_fn=fn, block_size=block)
         np.testing.assert_allclose(res.out, ref_out, atol=1e-9)
         np.testing.assert_allclose(res.lse, ref_lse, atol=1e-9)
 

@@ -8,7 +8,7 @@ from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.reference import reference_attention_with_lse
 from repro.core.merge import RunningSum, merge_partials
 
-from helpers import OnlineSoftmaxState
+from helpers import OnlineSoftmaxState, layout_of
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -206,13 +206,13 @@ class TestRunningSum:
         q, k, v, q_pos, k_pos, edges = case
         running, partials, kept = RunningSum(), [], []
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            coords = dict(q_pos=q_pos, k_pos=k_pos[lo:hi], block_size=4)
-            whole = flash_attention(q, k[lo:hi], v[lo:hi], **coords)
+            layout = layout_of(q, k[lo:hi], q_pos=q_pos, k_pos=k_pos[lo:hi])
+            acc, den = flash_attention(q, k[lo:hi], v[lo:hi], layout, block_size=4)
+            whole = AttentionResult.from_sums(acc.copy(), den)
             partials.append(whole)
             if normalised[i]:
                 running.add(whole)
                 continue
-            acc, den = flash_attention(q, k[lo:hi], v[lo:hi], **coords, sums=True)
             if frozen:
                 acc.flags.writeable = den.flags.writeable = False
                 kept.append((acc, acc.copy(), den, den.copy()))
