@@ -15,7 +15,7 @@ from repro.perf.flops import achieved_flops_per_gpu, mfu, model_flops
 def plan(context: int, sla_seconds: float, sim: LatencySimulator) -> dict:
     """Smallest CP rank count meeting the SLA (and fitting the KV cache)."""
     cfg, host = sim.config, sim.host
-    kv_per_token = cfg.kv_bytes_per_token(sim.element_bytes)
+    kv_per_token = cfg.kv_bytes_per_token()
     # ~70% of HBM available for KV after FP8 weights + activations
     hbm_for_kv = 0.70 * host.gpus_per_host * host.gpu.hbm_capacity - kv_per_token * 0
 

@@ -13,7 +13,7 @@ from repro import ContextParallelEngine, LlamaModel, tiny_config
 
 
 def main() -> None:
-    model = LlamaModel(tiny_config(n_layers=2, model_dim=64), seed=0)
+    model = LlamaModel(tiny_config(n_layers=2), seed=0)
     engine = ContextParallelEngine(model, world_size=4)
 
     # --- full prefill of a 48-token prompt, sharded over 4 CP ranks -----

@@ -78,8 +78,8 @@ class SanitizerError(RuntimeError):
 class OpTrace:
     """Bounded ring of rendered operations, shared across wrapped objects."""
 
-    def __init__(self, depth: int = TRACE_DEPTH):
-        self._ops: deque[str] = deque(maxlen=depth)
+    def __init__(self):
+        self._ops: deque[str] = deque(maxlen=TRACE_DEPTH)
 
     def record(self, op: str) -> None:
         self._ops.append(op)
@@ -412,9 +412,8 @@ class KVSanitizer:
     drain-point leak check the runtime calls after a completed run.
     """
 
-    def __init__(self, engine: "ContextParallelEngine", *, label: str = ""):
+    def __init__(self, engine: "ContextParallelEngine"):
         self.engine = engine
-        self.label = label
         self.trace = OpTrace()
         self.rank_sanitizers: list[AllocatorSanitizer] = []
         for rank, cache in enumerate(engine.caches):
@@ -426,8 +425,7 @@ class KVSanitizer:
                 self.rank_sanitizers.append(existing)
             else:
                 self.rank_sanitizers.append(
-                    AllocatorSanitizer(alloc, trace=self.trace,
-                                       label=f"{label}rank{rank}")
+                    AllocatorSanitizer(alloc, trace=self.trace, label=f"rank{rank}")
                 )
         self._wrap_engine()
         engine._kv_sanitizer = self  # type: ignore[attr-defined]
@@ -443,7 +441,7 @@ class KVSanitizer:
                     [repr(a) for a in args]
                     + [f"{k}={v!r}" for k, v in kwargs.items()]
                 )
-                op = f"{self.label}engine.{_name}({rendered})"
+                op = f"engine.{_name}({rendered})"
                 result = _orig(*args, **kwargs)
                 self.trace.record(op)
                 if _name in ("evict", "evict_tail"):
@@ -486,7 +484,7 @@ class KVSanitizer:
             if orphans:
                 raise SanitizerError(
                     "leak",
-                    f"{self.label}check_drained()",
+                    "check_drained()",
                     f"rank {rank} holds KV for untracked seq(s) {orphans}",
                     self.trace.snapshot(),
                 )

@@ -50,8 +50,6 @@ def attention_mask(
     k_pos: np.ndarray,
     q_seq: np.ndarray | None = None,
     k_seq: np.ndarray | None = None,
-    *,
-    causal: bool = True,
 ) -> np.ndarray:
     """Full attention-permission mask for (possibly fused, padded) tokens.
 
@@ -59,15 +57,13 @@ def attention_mask(
 
     - ``seq == seq'`` (no cross-sequence attention in a fused batch),
     - neither token is padding (``seq != PAD_SEQ``), and
-    - ``pos' <= pos`` when ``causal`` is set.
+    - ``pos' <= pos`` (causal).
 
     Args:
         q_pos: ``[Tq]`` absolute positions of queries.
         k_pos: ``[Tk]`` absolute positions of keys.
         q_seq: ``[Tq]`` sequence ids of queries (``None`` = all sequence 0).
         k_seq: ``[Tk]`` sequence ids of keys (``None`` = all sequence 0).
-        causal: apply the causal predicate (the paper's inference workloads
-            are always causal; ``False`` is provided for kernel tests).
 
     Returns:
         Boolean array ``[Tq, Tk]``.
@@ -88,10 +84,7 @@ def attention_mask(
 
     same_seq = q_seq[:, None] == k_seq[None, :]
     not_pad = (q_seq[:, None] != PAD_SEQ) & (k_seq[None, :] != PAD_SEQ)
-    mask = same_seq & not_pad
-    if causal:
-        mask &= causal_mask(q_pos, k_pos)
-    return mask
+    return same_seq & not_pad & causal_mask(q_pos, k_pos)
 
 
 def run_offsets(seq_ids: np.ndarray) -> np.ndarray:

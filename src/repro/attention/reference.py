@@ -28,7 +28,6 @@ def reference_attention_with_lse(
     k_pos: np.ndarray | None = None,
     q_seq: np.ndarray | None = None,
     k_seq: np.ndarray | None = None,
-    causal: bool = True,
     scale: float | None = None,
     mask_fn=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -40,7 +39,6 @@ def reference_attention_with_lse(
         v: ``[Tk, NKV, DH]`` values.
         q_pos / k_pos: absolute positions (default: storage order).
         q_seq / k_seq: sequence ids for fused batches (default: one sequence).
-        causal: apply the causal predicate.
         scale: score scale; default ``1/sqrt(DH)``.
         mask_fn: optional mask override ``(q_pos, k_pos, q_seq, k_seq) ->
             bool [Tq, Tk]`` replacing the default causal mask (e.g. a
@@ -70,7 +68,7 @@ def reference_attention_with_lse(
         if mask.shape != (tq, tk):
             raise ValueError(f"mask_fn returned shape {mask.shape}, expected {(tq, tk)}")
     else:
-        mask = attention_mask(q_pos, k_pos, q_seq, k_seq, causal=causal)
+        mask = attention_mask(q_pos, k_pos, q_seq, k_seq)
 
     qf = np.asarray(q, dtype=np.float64)
     kf = expand_kv_heads(np.asarray(k, dtype=np.float64), nh)

@@ -52,7 +52,6 @@ def pp_prefill(
     *,
     stages: int,
     micro_batches: int = 1,
-    element_bytes: float = 2.0,
 ) -> PipelineLatency:
     """Latency/throughput model for PP prefill of one request.
 
@@ -68,12 +67,12 @@ def pp_prefill(
     if config.n_layers % stages != 0:
         raise ValueError(f"{config.n_layers} layers not divisible into {stages} stages")
 
-    sim = LatencySimulator(config, host, element_bytes=element_bytes)
+    sim = LatencySimulator(config, host)
     single_host = sim.tp_prefill(tokens, n_nodes=1).total
     stage_time = single_host / stages
 
     # activation hand-off between consecutive stages: [T, D] once per boundary
-    handoff_bytes = tokens * config.model_dim * element_bytes
+    handoff_bytes = tokens * config.model_dim * sim.element_bytes
     handoff = host.message_latency + handoff_bytes / host.ring_bandwidth
     ttft = single_host + (stages - 1) * handoff
 

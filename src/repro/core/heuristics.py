@@ -150,43 +150,34 @@ def select_algo_with_all2all(
     return RingAlgo.PASS_Q
 
 
-def empirical_score(
-    new_tokens: int,
-    cached_tokens: int,
-    coeffs: tuple[float, float, float] = PAPER_EMPIRICAL_COEFFS,
-) -> float:
-    """Appendix D decision function ``h(T, P)``.
+def empirical_score(new_tokens: int, cached_tokens: int) -> float:
+    """Appendix D decision function ``h(T, P)`` at the paper's coefficients.
 
     Positive values prefer pass-KV. ``T`` must be >= 1 (there is nothing to
     select for an empty prefill).
     """
     if new_tokens < 1:
         raise ValueError(f"empirical model needs new_tokens >= 1, got {new_tokens}")
-    alpha, beta, gamma = coeffs
+    alpha, beta, gamma = PAPER_EMPIRICAL_COEFFS
     rate = miss_rate(new_tokens, cached_tokens)
     return alpha * math.log(new_tokens) + beta * math.log(rate) + gamma
 
 
-def select_algo_empirical(
-    new_tokens: int,
-    cached_tokens: int,
-    coeffs: tuple[float, float, float] = PAPER_EMPIRICAL_COEFFS,
-) -> RingAlgo:
+def select_algo_empirical(new_tokens: int, cached_tokens: int) -> RingAlgo:
     """Appendix D selector: pass-KV iff ``h(T, P) > 0``."""
-    return RingAlgo.PASS_KV if empirical_score(new_tokens, cached_tokens, coeffs) > 0 else RingAlgo.PASS_Q
+    return RingAlgo.PASS_KV if empirical_score(new_tokens, cached_tokens) > 0 else RingAlgo.PASS_Q
 
 
 def fit_empirical(
     new_tokens: np.ndarray,
     cached_tokens: np.ndarray,
     prefer_passkv: np.ndarray,
-    *,
-    initial: tuple[float, float, float] = (-1.0, 1.0, 10.0),
 ) -> tuple[float, float, float]:
     """Fit Appendix D's linear boundary from labelled measurements.
 
     Logistic regression on features ``(log T, log(T/(T+P)), 1)`` with labels
-    ``prefer_passkv`` (True where measured pass-KV latency was lower).
+    ``prefer_passkv`` (True where measured pass-KV latency was lower),
+    started from ``(-1, 1, 10)``.
 
     Returns:
         Fitted ``(alpha, beta, gamma)``.
@@ -210,7 +201,7 @@ def fit_empirical(
         # numerically stable logistic loss
         return float(np.mean(np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1 - y)))
 
-    res = minimize(loss, np.asarray(initial, dtype=np.float64), method="Nelder-Mead",
+    res = minimize(loss, np.array([-1.0, 1.0, 10.0]), method="Nelder-Mead",
                    options={"maxiter": 5000, "xatol": 1e-8, "fatol": 1e-10})
     alpha, beta, gamma = (float(x) for x in res.x)
     return alpha, beta, gamma

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.core.heuristics import (
     HeuristicConfig,
     RingAlgo,
-    empirical_score,
     miss_rate,
     select_algo_empirical,
     select_algo_simple,

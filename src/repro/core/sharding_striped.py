@@ -21,25 +21,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def striped_shard_positions(
-    length: int, world_size: int, *, offset: int = 0
-) -> list[np.ndarray]:
+def striped_shard_positions(length: int, world_size: int) -> list[np.ndarray]:
     """Round-robin token assignment: rank ``i`` gets positions ``i, i+N, ...``.
 
     Args:
         length: tokens being sharded.
         world_size: CP ranks.
-        offset: first absolute position (partial prefill).
 
     Returns:
-        ``world_size`` position arrays partitioning
-        ``[offset, offset + length)``.
+        ``world_size`` position arrays partitioning ``[0, length)``.
     """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
-    positions = np.arange(offset, offset + length, dtype=np.int64)
+    positions = np.arange(length, dtype=np.int64)
     return [positions[rank::world_size] for rank in range(world_size)]
 
 

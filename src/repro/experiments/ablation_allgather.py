@@ -20,13 +20,15 @@ from repro.distributed.process_group import SimProcessGroup
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
 from repro.obs import RecordingTracer, comm_totals
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.perf.roofline import kv_bytes
 
 
-def traffic_check(world: int = 4, tokens: int = 64) -> tuple[int, int]:
-    """Numeric run: (ring sendrecv bytes, allgather bytes) for one layer."""
+def traffic_check() -> tuple[int, int]:
+    """Numeric run: (ring sendrecv bytes, allgather bytes) for one layer of
+    64 tokens on 4 ranks."""
+    world, tokens = 4, 64
     rng = np.random.default_rng(0)
     q = rng.standard_normal((tokens, 4, 8))
     k = rng.standard_normal((tokens, 2, 8))
@@ -41,8 +43,8 @@ def traffic_check(world: int = 4, tokens: int = 64) -> tuple[int, int]:
     return comm_totals(ring.events)["sendrecv"].bytes, comm_totals(gather.events)["allgather"].bytes
 
 
-def run(host: HostSpec | None = None, *, n_ranks: int = 4) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host, n_ranks = gtt_host(), 4
     cfg = llama3_405b_config()
     sim = LatencySimulator(cfg, host)
 

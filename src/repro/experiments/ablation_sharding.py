@@ -15,8 +15,8 @@ from repro.core.sharding_striped import striped_imbalance
 from repro.experiments.base import ExperimentResult
 
 
-def run(*, length: int = 131072, rank_counts: list[int] | None = None) -> ExperimentResult:
-    rank_counts = rank_counts or [2, 4, 8, 16]
+def run() -> ExperimentResult:
+    length = 131072
     res = ExperimentResult(
         experiment_id="Ablation: sharding",
         title=f"Causal-attention load imbalance at T={length}",
@@ -26,7 +26,7 @@ def run(*, length: int = 131072, rank_counts: list[int] | None = None) -> Experi
             "balanced slowdown %", "naive slowdown %",
         ],
     )
-    for n in rank_counts:
+    for n in (2, 4, 8, 16):
         lb_ratio = imbalance(causal_flops_per_rank(length, n))
         sp_ratio = striped_imbalance(length, n)
         nv_ratio = imbalance(naive_flops_per_rank(length, n))

@@ -39,13 +39,16 @@ def max_context_tokens(n_ranks: int, host: HostSpec) -> int:
     return int(budget / cfg.kv_bytes_per_token()) * n_ranks
 
 
-def decode_oom_comparison(*, capacity_per_rank: int = 64, world: int = 4) -> tuple[int, int]:
-    """Numeric §3.6 demonstration: decode steps until OOM.
+def decode_oom_comparison() -> tuple[int, int]:
+    """Numeric §3.6 demonstration: decode steps until OOM on 4 ranks of 64
+    KV tokens each.
 
     Returns ``(pinned_steps, round_robin_steps)`` — how many single-token
     appends fit before a rank overflows when decode KV always lands on rank
     0 versus rotating round-robin.
     """
+    capacity_per_rank, world = 64, 4
+
     def run(round_robin: bool) -> int:
         caches = [
             RankKVCache(1, 1, 4, capacity_tokens=capacity_per_rank, block_size=4)
@@ -66,8 +69,8 @@ def decode_oom_comparison(*, capacity_per_rank: int = 64, world: int = 4) -> tup
     return run(False), run(True)
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     res = ExperimentResult(
         experiment_id="Capacity scaling",
         title="Max cacheable context vs CP ranks (Llama3 405B)",

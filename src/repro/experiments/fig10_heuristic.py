@@ -24,22 +24,20 @@ import numpy as np
 from repro.core.heuristics import RingAlgo, fit_empirical
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 
 
-def sweep_points(
-    sim: LatencySimulator, *, n_ranks: int = 4
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sweep_points(sim: LatencySimulator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(T, P, prefer_passkv, kv_over_q) grid over T in 256..64K and miss in
-    0.5%..100%."""
+    0.5%..100%, on 4 CP ranks."""
     ts, ps, labels, ratios = [], [], [], []
     for log_t in np.linspace(8, 16, 17):  # T = 256 .. 65536
         t = int(round(2**log_t))
         for rate in np.geomspace(0.005, 1.0, 15):
             p = int(round(t / rate)) - t
-            kv = sim.cp_prefill(t, p, n_ranks=n_ranks, algo=RingAlgo.PASS_KV).total
-            qq = sim.cp_prefill(t, p, n_ranks=n_ranks, algo=RingAlgo.PASS_Q).total
+            kv = sim.cp_prefill(t, p, n_ranks=4, algo=RingAlgo.PASS_KV).total
+            qq = sim.cp_prefill(t, p, n_ranks=4, algo=RingAlgo.PASS_Q).total
             ts.append(t)
             ps.append(p)
             labels.append(kv <= qq)
@@ -47,8 +45,8 @@ def sweep_points(
     return np.array(ts, float), np.array(ps, float), np.array(labels), np.array(ratios)
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     sim = LatencySimulator(llama3_405b_config(), host)
     t, p, labels, ratios = sweep_points(sim)
     alpha, beta, gamma = fit_empirical(t, p, labels)

@@ -18,11 +18,10 @@ from repro.workloads.traces import FIG6_CONTEXT_LENGTHS, FIG6_GTI_RANKS, FIG6_GT
 #: Paper Section 4.2.1: seconds to prefill 128K on CP8 over GTT.
 PAPER_CP8_128K_S = 5.85
 
-def run(host: HostSpec | None = None, *, ranks: list[int] | None = None) -> ExperimentResult:
+def run(host: HostSpec | None = None) -> ExperimentResult:
     """Regenerate one Figure 6 panel for the given platform."""
     host = host if host is not None else gtt_host()
-    if ranks is None:
-        ranks = FIG6_GTT_RANKS if host.name == "GTT" else FIG6_GTI_RANKS
+    ranks = FIG6_GTT_RANKS if host.name == "GTT" else FIG6_GTI_RANKS
     sim = LatencySimulator(llama3_405b_config(), host)
 
     panel = "6a" if host.name == "GTT" else "6b"
@@ -37,7 +36,7 @@ def run(host: HostSpec | None = None, *, ranks: list[int] | None = None) -> Expe
             row.append(sim.cp_prefill(ctx, n_ranks=n, algo=RingAlgo.PASS_KV).total)
         res.add_row(*row)
 
-    if host.name == "GTT" and 8 in ranks:
+    if host.name == "GTT":
         res.notes.append(f"Paper: {PAPER_CP8_128K_S} s for 128K on CP8/GTT (Section 4.2.1).")
     if host.name == "GTI":
         res.notes.append(

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.workloads.traces import FIG7_CONTEXT, FIG7_NODE_COUNTS
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     sim = LatencySimulator(llama3_405b_config(), host)
     base = sim.cp_prefill(FIG7_CONTEXT, n_ranks=1).total
 

@@ -17,7 +17,7 @@ from repro.experiments.capacity_scaling import max_context_tokens
 from repro.experiments.serving_grid import run_grid
 from repro.model.config import llama3_405b_config, tiny_config
 from repro.perf.flops import achieved_flops_per_gpu, mfu, model_flops
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.runtime import ServeConfig
 from repro.workloads.generator import ConversationScript
@@ -29,8 +29,8 @@ PAPER_FIG8_CP16_TTFT = {131072: 3.8, 1048576: 77.0}
 PAPER_FIG8_TF_PER_GPU = 502.0
 PAPER_FIG8_MFU = 0.63
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     cfg = llama3_405b_config()
     sim = LatencySimulator(cfg, host)
 

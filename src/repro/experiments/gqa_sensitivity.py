@@ -23,7 +23,7 @@ from repro.model.config import (
     llama3_70b_config,
     llama3_8b_config,
 )
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.perf.roofline import kv_bytes, tp_block_comm_bytes
 
@@ -33,8 +33,8 @@ def mha_405b_config() -> ModelConfig:
     return replace(llama3_405b_config(), name="llama3-405b-mha", n_kv_heads=128)
 
 
-def run(host: HostSpec | None = None, *, n_ranks: int = 4, tokens: int = 131072) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host, n_ranks, tokens = gtt_host(), 4, 131072
     res = ExperimentResult(
         experiment_id="GQA sensitivity",
         title=f"pass-KV economics vs NKV/NH at T={tokens}, CP{n_ranks}",

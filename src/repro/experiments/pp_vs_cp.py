@@ -10,14 +10,14 @@ from __future__ import annotations
 from repro.baselines.pipeline_parallel import pp_prefill
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 
 CONTEXT = 131072
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     cfg = llama3_405b_config()
     sim = LatencySimulator(cfg, host)
 

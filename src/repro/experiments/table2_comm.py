@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.model.config import ModelConfig, llama3_405b_config
+from repro.model.config import llama3_405b_config
 from repro.perf.flops import attention_flops, gemm_flops
 from repro.perf.roofline import kv_bytes, q_bytes, tp_block_comm_bytes
 
 
-def run(config: ModelConfig | None = None, *, tokens: int = 131072) -> ExperimentResult:
-    """Regenerate Table 2's per-block comm comparison at a given T.
+def run() -> ExperimentResult:
+    """Regenerate Table 2's per-block comm comparison for Llama3 405B at 128K.
 
     Reports elements moved per transformer block (the paper's unit), the
     TP/CP ratio, and parameter-memory scaling — plus Table 3's FLOP and byte
     quantities for full vs partial prefill.
     """
-    cfg = config if config is not None else llama3_405b_config()
+    cfg, tokens = llama3_405b_config(), 131072
     res = ExperimentResult(
         experiment_id="Table 2",
         title=f"TP vs CP per-block communication, T={tokens}",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.heuristics import RingAlgo, select_algo_simple, select_algo_with_all2all
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.workloads.traces import TABLE4_RANKS, TABLE4_SWEEP
 
@@ -40,8 +40,8 @@ PAPER_TABLE4: dict[float, tuple[float, float]] = {
 }
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     sim = LatencySimulator(llama3_405b_config(), host)
     hc = sim.heuristic_config(TABLE4_RANKS)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.heuristics import RingAlgo
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.workloads.traces import TABLE4_RANKS, TABLE5_POINTS
 
@@ -23,8 +23,8 @@ PAPER_TABLE5 = {
 }
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     cfg = llama3_405b_config()
     sim = LatencySimulator(cfg, host)
     n = TABLE4_RANKS

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.workloads.traces import TABLE7_CONFIGS
 
@@ -26,8 +26,8 @@ PAPER_TABLE7 = {
 CONTEXT = 131072
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     sim = LatencySimulator(llama3_405b_config(), host)
 
     res = ExperimentResult(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.model.config import llama3_405b_config
-from repro.perf.hardware import HostSpec, gtt_host
+from repro.perf.hardware import gtt_host
 from repro.perf.latency import LatencySimulator
 from repro.workloads.traces import TABLE8_SCENARIOS
 
@@ -27,8 +27,8 @@ PAPER_TABLE8 = {
 }
 
 
-def run(host: HostSpec | None = None) -> ExperimentResult:
-    host = host if host is not None else gtt_host()
+def run() -> ExperimentResult:
+    host = gtt_host()
     sim = LatencySimulator(llama3_405b_config(), host)
 
     res = ExperimentResult(

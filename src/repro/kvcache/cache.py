@@ -247,9 +247,10 @@ class RankKVCache:
 
     # ------------------------------------------------------------------ #
 
-    def tokens(self, seq_id: int, layer: int = 0) -> int:
-        """Tokens cached for ``seq_id`` at ``layer`` on this rank."""
-        stream = self._streams.get((layer, seq_id))
+    def tokens(self, seq_id: int) -> int:
+        """Tokens cached for ``seq_id`` on this rank (every layer holds as many
+        once a round completes; layer 0's count is read)."""
+        stream = self._streams.get((0, seq_id))
         return 0 if stream is None else stream.tokens()
 
     def utilization(self) -> float | None:
@@ -258,8 +259,9 @@ class RankKVCache:
             return None
         return self._allocator.utilization()
 
-    def sequence_ids(self, layer: int = 0) -> list[int]:
-        return sorted({sid for (lyr, sid) in self._streams if lyr == layer})
+    def sequence_ids(self) -> list[int]:
+        """Sequences cached on this rank, sorted."""
+        return sorted({sid for (lyr, sid) in self._streams if lyr == 0})
 
     def can_append(self, demands: dict[int, int]) -> bool:
         """Whether per-sequence token demands fit in this rank's pool.

@@ -22,8 +22,6 @@ class ModelConfig:
         n_heads: query heads ``NH``.
         n_kv_heads: key/value heads ``NKV``.
         vocab_size: vocabulary size.
-        rope_theta: RoPE base.
-        max_context: maximum supported context window.
     """
 
     name: str
@@ -33,8 +31,6 @@ class ModelConfig:
     n_heads: int
     n_kv_heads: int
     vocab_size: int = 128256
-    rope_theta: float = 500000.0
-    max_context: int = 131072
 
     def __post_init__(self) -> None:
         if self.model_dim % self.n_heads != 0:
@@ -78,9 +74,9 @@ class ModelConfig:
         embeddings = 2 * self.vocab_size * self.model_dim
         return self.n_layers * per_layer + embeddings
 
-    def kv_bytes_per_token(self, element_bytes: float = 2.0) -> float:
-        """KV-cache bytes one token adds across all layers."""
-        return 2.0 * self.kv_dim * self.n_layers * element_bytes
+    def kv_bytes_per_token(self) -> float:
+        """BF16 KV-cache bytes one token adds across all layers."""
+        return 2.0 * self.kv_dim * self.n_layers * 2.0
 
 
 def llama3_405b_config() -> ModelConfig:
@@ -92,7 +88,6 @@ def llama3_405b_config() -> ModelConfig:
         ffn_dim=53248,
         n_heads=128,
         n_kv_heads=8,
-        max_context=1_048_576,  # CP extends capacity to 1M (paper §4.2.3)
     )
 
 
@@ -120,23 +115,15 @@ def llama3_8b_config() -> ModelConfig:
     )
 
 
-def tiny_config(
-    *,
-    n_layers: int = 2,
-    model_dim: int = 64,
-    n_heads: int = 8,
-    n_kv_heads: int = 2,
-    ffn_dim: int = 128,
-    vocab_size: int = 101,
-) -> ModelConfig:
-    """Miniature config for numeric tests (same architecture family)."""
+def tiny_config(*, n_layers: int = 2, vocab_size: int = 101) -> ModelConfig:
+    """Miniature config for numeric tests (same architecture family): D=64,
+    8 Q / 2 KV heads; ``dataclasses.replace`` it for other shapes."""
     return ModelConfig(
         name="tiny",
         n_layers=n_layers,
-        model_dim=model_dim,
-        ffn_dim=ffn_dim,
-        n_heads=n_heads,
-        n_kv_heads=n_kv_heads,
+        model_dim=64,
+        ffn_dim=128,
+        n_heads=8,
+        n_kv_heads=2,
         vocab_size=vocab_size,
-        max_context=4096,
     )

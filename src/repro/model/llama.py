@@ -87,7 +87,7 @@ class LlamaModel:
             )
         self.final_norm = np.ones(d)
         self.unembedding = _init(rng, d, (d, config.vocab_size))
-        self._rope_freqs = rope_frequencies(dh, theta=config.rope_theta)
+        self._rope_freqs = rope_frequencies(dh)
 
     # ------------------------------- stages ------------------------------ #
 

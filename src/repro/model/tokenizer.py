@@ -28,13 +28,11 @@ class ByteTokenizer:
     eos_id = EOS_ID
     pad_id = PAD_ID
 
-    def encode(self, text: str, *, add_bos: bool = True, add_eos: bool = False) -> np.ndarray:
+    def encode(self, text: str, *, add_bos: bool = True) -> np.ndarray:
         """String -> int64 token ids."""
         ids = list(text.encode("utf-8"))
         if add_bos:
             ids = [BOS_ID] + ids
-        if add_eos:
-            ids = ids + [EOS_ID]
         return np.array(ids, dtype=np.int64)
 
     def decode(self, token_ids: np.ndarray | list[int]) -> str:

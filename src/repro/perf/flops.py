@@ -29,31 +29,25 @@ def attention_pairs(new_tokens: int, cached_tokens: int = 0) -> int:
     return t * p + t * (t + 1) // 2
 
 
-def attention_flops(
-    config: ModelConfig, new_tokens: int, cached_tokens: int = 0, *, batch: int = 1
-) -> float:
+def attention_flops(config: ModelConfig, new_tokens: int, cached_tokens: int = 0) -> float:
     """Total attention FLOPs across all layers for one prefill.
 
     ``4 * D * pairs`` per layer (Appendix A's ``1/2 * 4 * B * T^2 * D`` with
     exact pair counting instead of the ``T^2 / 2`` approximation).
     """
-    return 4.0 * config.model_dim * attention_pairs(new_tokens, cached_tokens) * config.n_layers * batch
+    return 4.0 * config.model_dim * attention_pairs(new_tokens, cached_tokens) * config.n_layers
 
 
-def gemm_flops(config: ModelConfig, tokens: int, *, batch: int = 1) -> float:
+def gemm_flops(config: ModelConfig, tokens: int) -> float:
     """Linear-layer FLOPs: ``2 * W * tokens`` (Appendix A)."""
     if tokens < 0:
         raise ValueError("tokens must be non-negative")
-    return 2.0 * config.param_count * tokens * batch
+    return 2.0 * config.param_count * tokens
 
 
-def model_flops(
-    config: ModelConfig, new_tokens: int, cached_tokens: int = 0, *, batch: int = 1
-) -> float:
-    """GEMM + attention FLOPs for one prefill round."""
-    return gemm_flops(config, new_tokens, batch=batch) + attention_flops(
-        config, new_tokens, cached_tokens, batch=batch
-    )
+def model_flops(config: ModelConfig, new_tokens: int) -> float:
+    """GEMM + attention FLOPs for one full prefill."""
+    return gemm_flops(config, new_tokens) + attention_flops(config, new_tokens)
 
 
 def mfu(total_flops: float, seconds: float, n_gpus: int, peak_flops_per_gpu: float) -> float:
@@ -74,9 +68,7 @@ def achieved_flops_per_gpu(total_flops: float, seconds: float, n_gpus: int) -> f
     return total_flops / seconds / n_gpus
 
 
-def weight_bytes(
-    config: ModelConfig, *, ffn_bytes: float = 1.0, other_bytes: float = 2.0
-) -> float:
+def weight_bytes(config: ModelConfig) -> float:
     """Model weight footprint with mixed precision.
 
     The paper serves FFN weights in row-wise FP8 (1 byte) and the rest
@@ -85,4 +77,4 @@ def weight_bytes(
     """
     ffn = config.n_layers * config.ffn_params_per_layer
     other = config.param_count - ffn
-    return ffn * ffn_bytes + other * other_bytes
+    return ffn * 1.0 + other * 2.0  # FP8 FFN, BF16 rest

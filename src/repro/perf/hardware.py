@@ -83,7 +83,6 @@ class HostSpec:
         allreduce_bandwidth: effective inter-node bandwidth for the TP
             baseline's activation AllReduce, bytes/s.
         allreduce_latency: per-AllReduce-hop latency (seconds).
-        nvlink_bandwidth: per-GPU intra-host bandwidth, bytes/s.
         pcie_bandwidth: achieved host-level device<->host-DRAM bandwidth
             for KV offload traffic (the runtime's ``--preemption swap``
             remedy), bytes/s. Conservatively one PCIe Gen5 x16 link's
@@ -108,7 +107,6 @@ class HostSpec:
     message_latency: float = 32e-6
     allreduce_bandwidth: float = 140e9
     allreduce_latency: float = 30e-6
-    nvlink_bandwidth: float = 450e9
     pcie_bandwidth: float = 56e9
     elementwise_passes: float = 56.0
     ring_setup_per_layer: float = 5.5e-3

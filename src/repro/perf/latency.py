@@ -25,7 +25,7 @@ from repro.model.config import ModelConfig
 from repro.perf.breakdown import DecodeLatency, PrefillLatency
 from repro.perf.flops import attention_flops, gemm_flops, weight_bytes
 from repro.perf.hardware import HostSpec
-from repro.perf.roofline import all2all_bytes, kv_bytes, q_bytes
+from repro.perf.roofline import ELEMENT_BYTES, all2all_bytes, kv_bytes, q_bytes
 
 
 class LatencySimulator:
@@ -36,13 +36,14 @@ class LatencySimulator:
             for paper-faithful numbers).
         host: platform spec (:func:`repro.perf.gtt_host` or
             :func:`repro.perf.gti_host`).
-        element_bytes: wire/KV element size ``e`` (2 = bf16).
     """
 
-    def __init__(self, config: ModelConfig, host: HostSpec, *, element_bytes: float = 2.0):
+    #: wire/KV element size ``e`` (BF16)
+    element_bytes = ELEMENT_BYTES
+
+    def __init__(self, config: ModelConfig, host: HostSpec):
         self.config = config
         self.host = host
-        self.element_bytes = element_bytes
 
     # ------------------------------------------------------------------ #
     # prefill
@@ -55,9 +56,8 @@ class LatencySimulator:
         *,
         n_ranks: int = 1,
         algo: RingAlgo | None = None,
-        batch: int = 1,
     ) -> PrefillLatency:
-        """TTFT for a CP prefill round.
+        """TTFT for a CP prefill round of one sequence.
 
         Args:
             new_tokens: ``T`` per sequence.
@@ -65,34 +65,31 @@ class LatencySimulator:
             n_ranks: CP ranks (hosts).
             algo: force a ring variant; ``None`` simulates both and returns
                 the faster (what the tuned production heuristic achieves).
-            batch: sequences in the fused batch.
         """
         if algo is None:
             kv = self.cp_prefill(
-                new_tokens, cached_tokens, n_ranks=n_ranks, algo=RingAlgo.PASS_KV, batch=batch
+                new_tokens, cached_tokens, n_ranks=n_ranks, algo=RingAlgo.PASS_KV
             )
             if n_ranks == 1:
                 return kv
             qq = self.cp_prefill(
-                new_tokens, cached_tokens, n_ranks=n_ranks, algo=RingAlgo.PASS_Q, batch=batch
+                new_tokens, cached_tokens, n_ranks=n_ranks, algo=RingAlgo.PASS_Q
             )
             return kv if kv.total <= qq.total else qq
 
-        self._check(new_tokens, n_ranks, batch)
-        cfg, host, e = self.config, self.host, self.element_bytes
+        self._check(new_tokens, n_ranks, 1)
+        cfg, host = self.config, self.host
         layers = cfg.n_layers
 
-        gemm_total = gemm_flops(cfg, new_tokens, batch=batch) / (n_ranks * host.gemm_flops)
-        attn_total = attention_flops(cfg, new_tokens, cached_tokens, batch=batch) / (
-            n_ranks * host.attn_flops
-        )
+        gemm_total = gemm_flops(cfg, new_tokens) / (n_ranks * host.gemm_flops)
+        attn_total = attention_flops(cfg, new_tokens, cached_tokens) / (n_ranks * host.attn_flops)
         attn_per_iter = attn_total / (layers * n_ranks)
 
         if n_ranks > 1:
             if algo is RingAlgo.PASS_KV:
-                shard = kv_bytes(cfg, new_tokens, cached_tokens, e) * batch / n_ranks
+                shard = kv_bytes(cfg, new_tokens, cached_tokens) / n_ranks
             else:
-                shard = q_bytes(cfg, new_tokens, e) * batch / n_ranks
+                shard = q_bytes(cfg, new_tokens) / n_ranks
             sendrecv = host.sendrecv_s(shard)
         else:
             sendrecv = 0.0
@@ -102,11 +99,11 @@ class LatencySimulator:
 
         a2a_total = 0.0
         if algo is RingAlgo.PASS_Q and n_ranks > 1:
-            tokens_per_rank = new_tokens * batch / n_ranks
-            bytes_per_rank = all2all_bytes(cfg, tokens_per_rank, n_ranks, e)
+            tokens_per_rank = new_tokens / n_ranks
+            bytes_per_rank = all2all_bytes(cfg, tokens_per_rank, n_ranks)
             a2a_total = layers * host.all2all_s(bytes_per_rank, n_ranks)
 
-        overhead = self._elementwise_time(new_tokens * batch / n_ranks)
+        overhead = self._elementwise_time(new_tokens / n_ranks)
         if n_ranks > 1:
             overhead += layers * host.ring_setup_per_layer
         total = gemm_total + layers * ring_per_layer + a2a_total + overhead
@@ -124,27 +121,27 @@ class LatencySimulator:
             total=total,
         )
 
-    def tp_prefill(self, tokens: int, *, n_nodes: int = 1, batch: int = 1) -> PrefillLatency:
-        """TTFT for the multi-node tensor-parallel baseline (§4.2.2).
+    def tp_prefill(self, tokens: int, *, n_nodes: int = 1) -> PrefillLatency:
+        """TTFT for the multi-node tensor-parallel baseline (§4.2.2), one sequence.
 
         Compute parallelizes perfectly over ``8 * n_nodes`` GPUs (KV heads
         replicated as needed), but each block's two activation AllReduces
         cross the inter-node fabric and sit on the critical path once
         ``n_nodes > 1``.
         """
-        self._check(tokens, n_nodes, batch)
-        cfg, host, e = self.config, self.host, self.element_bytes
+        self._check(tokens, n_nodes, 1)
+        cfg, host = self.config, self.host
         layers = cfg.n_layers
 
-        gemm_total = gemm_flops(cfg, tokens, batch=batch) / (n_nodes * host.gemm_flops)
-        attn_total = attention_flops(cfg, tokens, 0, batch=batch) / (n_nodes * host.attn_flops)
+        gemm_total = gemm_flops(cfg, tokens) / (n_nodes * host.gemm_flops)
+        attn_total = attention_flops(cfg, tokens, 0) / (n_nodes * host.attn_flops)
 
         allreduce_total = 0.0
         if n_nodes > 1:
-            activation = tokens * batch * cfg.model_dim * e
+            activation = tokens * cfg.model_dim * self.element_bytes
             allreduce_total = layers * 2 * host.allreduce_s(activation, n_nodes)
 
-        overhead = self._elementwise_time(tokens * batch / n_nodes)
+        overhead = self._elementwise_time(tokens / n_nodes)
         total = gemm_total + attn_total + allreduce_total + overhead
         return PrefillLatency(
             algo="tp",
@@ -262,11 +259,11 @@ class LatencySimulator:
 
     def kv_transfer_s(self, tokens: int) -> float:
         """Stream ``tokens`` of KV between pools at ring bandwidth."""
-        return tokens * self.config.kv_bytes_per_token(self.element_bytes) / self.host.ring_bandwidth
+        return tokens * self.config.kv_bytes_per_token() / self.host.ring_bandwidth
 
     def kv_swap_s(self, tokens: int) -> float:
         """Move ``tokens`` of KV one way between HBM and host DRAM."""
-        return tokens * self.config.kv_bytes_per_token(self.element_bytes) / self.host.pcie_bandwidth
+        return tokens * self.config.kv_bytes_per_token() / self.host.pcie_bandwidth
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -100,7 +100,6 @@ class WorkloadGenerator:
         turns: int = 1,
         followup_range: tuple[int, int] = (6, 12),
         response_range: tuple[int, int] = (4, 8),
-        first_seq_id: int = 0,
     ) -> list[ConversationScript]:
         """Templated shared-prefix traffic: N system prompts x M few-shot
         variants x live arrivals.
@@ -118,8 +117,7 @@ class WorkloadGenerator:
         turns (when ``turns > 1``) behave like :meth:`conversation`'s.
 
         Returns:
-            ``conversations`` scripts with sequential seq ids from
-            ``first_seq_id``.
+            ``conversations`` scripts with seq ids ``0 .. conversations - 1``.
         """
         if n_system_prompts < 1 or n_fewshot_variants < 1:
             raise ValueError("template counts must be >= 1")
@@ -144,7 +142,7 @@ class WorkloadGenerator:
             s = i % n_system_prompts
             m = (i // n_system_prompts) % n_fewshot_variants
             unique = self.prompt(int(self.rng.integers(lo_u, hi_u + 1)))
-            script = ConversationScript(seq_id=first_seq_id + i)
+            script = ConversationScript(seq_id=i)
             script.prompts.append(
                 np.concatenate([systems[s], fewshots[s][m], unique])
             )

@@ -58,10 +58,6 @@ class TestAttentionMask:
         )
         assert not mask.any()
 
-    def test_non_causal(self):
-        mask = attention_mask(np.arange(3), np.arange(3), causal=False)
-        assert mask.all()
-
     def test_defaults_single_sequence(self):
         mask = attention_mask(np.arange(4), np.arange(4))
         assert np.array_equal(mask, np.tril(np.ones((4, 4), dtype=bool)))

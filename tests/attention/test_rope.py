@@ -53,9 +53,9 @@ class TestApplyRope:
     def test_precomputed_freqs_match(self, rng):
         x = rng.standard_normal((3, 2, 8))
         pos = np.array([1, 5, 9])
-        freqs = rope_frequencies(8, theta=500000.0)
+        freqs = rope_frequencies(8)
         np.testing.assert_array_equal(
-            apply_rope(x, pos), apply_rope(x, pos, freqs=freqs)
+            apply_rope(x, pos), apply_rope(x, pos, rotation=rope_rotation(pos, 8, freqs=freqs))
         )
 
     def test_shared_rotation_equals_independent_calls(self, rng):
@@ -66,7 +66,7 @@ class TestApplyRope:
         q = rng.standard_normal((5, 8, 8))
         k = rng.standard_normal((5, 2, 8))
         rotation = rope_rotation(pos, 8, freqs=freqs)
-        np.testing.assert_array_equal(apply_rope(q, pos, rotation=rotation), apply_rope(q, pos, freqs=freqs))
+        np.testing.assert_array_equal(apply_rope(q, pos, rotation=rotation), apply_rope(q, pos))
         np.testing.assert_array_equal(apply_rope(k, pos, rotation=rotation), apply_rope(k, pos))
 
     def test_attn_qkv_rotates_q_and_k_as_two_calls_would(self):
@@ -82,10 +82,10 @@ class TestApplyRope:
         w = model._layer(0)
         h = rms_norm(x, w.attn_norm)
         np.testing.assert_array_equal(
-            q, apply_rope((h @ w.wq).reshape(4, cfg.n_heads, cfg.head_dim), pos, theta=cfg.rope_theta)
+            q, apply_rope((h @ w.wq).reshape(4, cfg.n_heads, cfg.head_dim), pos)
         )
         np.testing.assert_array_equal(
-            k, apply_rope((h @ w.wk).reshape(4, cfg.n_kv_heads, cfg.head_dim), pos, theta=cfg.rope_theta)
+            k, apply_rope((h @ w.wk).reshape(4, cfg.n_kv_heads, cfg.head_dim), pos)
         )
 
     def test_shape_validation(self, rng):

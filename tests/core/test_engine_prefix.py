@@ -129,6 +129,7 @@ class TestIndexLockstep:
         eng.enable_prefix_cache()
         p = prompt(10)
         eng.prefill({0: p})
+        assert eng.match_prefix(p) == (10, 0)  # anchored: the index is flushed
         eng.evict(0)
         assert eng.match_prefix(p) == (0, None)
 

@@ -76,7 +76,7 @@ class TestShardFullyMaskedProperty:
         q_seq = rng.integers(PAD_SEQ, 2, tq)
         k_seq = rng.integers(PAD_SEQ, 2, tk)
         predicted = partial_fully_masked(query_reach(q_pos, q_seq), kv_reach(k_pos, k_seq))
-        actual = not attention_mask(q_pos, k_pos, q_seq, k_seq, causal=True).any()
+        actual = not attention_mask(q_pos, k_pos, q_seq, k_seq).any()
         assert predicted == actual
 
 

@@ -28,11 +28,6 @@ class TestStripedPositions:
         np.testing.assert_array_equal(shards[0], [0, 4])
         np.testing.assert_array_equal(shards[3], [3, 7])
 
-    def test_offset(self):
-        shards = striped_shard_positions(4, 2, offset=10)
-        np.testing.assert_array_equal(shards[0], [10, 12])
-        np.testing.assert_array_equal(shards[1], [11, 13])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             striped_shard_positions(-1, 2)

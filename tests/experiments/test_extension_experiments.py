@@ -26,9 +26,9 @@ class TestCapacityScaling:
             assert cap == n * bf16[0]
 
     def test_oom_comparison(self):
-        pinned, rr = capacity_scaling.decode_oom_comparison(capacity_per_rank=16, world=4)
-        assert pinned == 16
-        assert rr >= 4 * 16
+        pinned, rr = capacity_scaling.decode_oom_comparison()
+        assert pinned == 64
+        assert rr >= 4 * 64
 
     def test_max_context_positive(self):
         from repro.perf.hardware import gtt_host

@@ -129,10 +129,9 @@ class TestTable8:
 
 class TestAblations:
     def test_sharding_balanced_wins(self):
-        res = ablation_sharding.run(length=8192, rank_counts=[4])
-        (_, lb, striped, nv, _, _) = res.rows[0]
-        assert lb < nv
-        assert striped < nv
+        for _, lb, striped, nv, _, _ in ablation_sharding.run().rows:
+            assert lb < nv
+            assert striped < nv
 
     def test_allgather_never_faster(self):
         res = ablation_allgather.run()
@@ -140,5 +139,5 @@ class TestAblations:
             assert row[2] >= row[1]
 
     def test_traffic_parity(self):
-        ring_bytes, ag_bytes = ablation_allgather.traffic_check(world=3, tokens=30)
+        ring_bytes, ag_bytes = ablation_allgather.traffic_check()
         assert ring_bytes == ag_bytes

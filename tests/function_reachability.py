@@ -1,4 +1,5 @@
-"""Function reachability gate: every function under ``src/repro`` is run.
+"""Function and option reachability gate: every function under ``src/repro``
+is run, and every literal default it has is overridden by some caller.
 
 ``tests/test_reachability.py`` checks that every module has an importer;
 this checks the functions inside them. It runs the entry-point set (the
@@ -7,15 +8,21 @@ process under ``sys.setprofile`` and fails on any ``def`` under
 ``src/repro``, at any nesting level, that none of them enters and that
 ``FUNCTIONS_ALLOWED`` does not list with a reason. A function nothing
 runs is wired into an entry point, deleted with its tests, or
-allowlisted, in that order of preference. The gate also fails on an
-allowlist entry the set now enters: like the module gate's ``ALLOWED``,
-the table only shrinks.
+allowlisted, in that order of preference.
+
+The same run reads each entered function's parameters on entry and fails
+on a parameter with a literal default (``eps=1e-05``, ``host=None``) that
+no call sets to a second value and that ``OPTIONS_ALLOWED`` does not list
+with a reason: an option with one value in use is a constant. The gate
+also fails on an allowlist entry the set now enters or sets: like the
+module gate's ``ALLOWED``, both tables only shrink.
 
     PYTHONPATH=src python tests/function_reachability.py
 
 It takes under a minute on two cores, so it is a CI step of its own,
 not a tier-1 test; tier-1 (``tests/test_reachability.py``) checks only that
-every ``FUNCTIONS_ALLOWED`` key still names a function and has a reason.
+every ``FUNCTIONS_ALLOWED`` key still names a function and every
+``OPTIONS_ALLOWED`` key a defaulted parameter, each with a reason.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import tempfile
 import threading
 import time
 from collections.abc import Callable
+from numbers import Number
 from pathlib import Path
 
 from test_reachability import ALLOWED
@@ -94,6 +102,53 @@ FUNCTIONS_ALLOWED: dict[str, str] = {
     "repro.kvcache.paged.PagedAllocator.streams": "test seam: the allocator tests check no stream is left behind",
 }
 
+#: Parameters with a literal default (``module.qualname(param)``) that no
+#: entry point sets to a second value, each with the reason it stays an option.
+OPTIONS_ALLOWED: dict[str, str] = {
+    # the reference oracles: tests compare the kernel and the engine against them
+    **{
+        f"repro.attention.reference.reference_attention_with_lse({param})": (
+            "the reference oracle: the kernel's equivalence tests hand it their coordinates, "
+            "masks and scales (tests/attention, tests/properties)"
+        )
+        for param in ("q_pos", "k_pos", "q_seq", "k_seq", "scale", "mask_fn")
+    },
+    "repro.model.llama.LlamaModel.forward(positions)": (
+        "the single-device reference model: test_relative_positions_matter and "
+        "test_fused_sequences_isolated shift and fuse its positions"
+    ),
+    "repro.model.llama.LlamaModel.forward(seq_ids)": (
+        "the single-device reference model: test_fused_sequences_isolated fuses two sequences"
+    ),
+    # tier-1 seams
+    "repro.core.engine.ContextParallelEngine.prefill(force_algo)": (
+        "test seam: test_pass_q_forced_matches and test_a_round_plans_its_ring_once run "
+        "pass-Q on prompts the heuristic gives to pass-KV"
+    ),
+    "repro.core.planner.PrefillPlanner.plan(force_algo)": (
+        "test seam: the engine's force_algo reaches the planner through it; test_force_override"
+    ),
+    "repro.core.shape_engine.ShapeModel.__init__(next_token)": (
+        "test seam: test_trace_digest_is_unchanged replays each golden case on ShapeEngine "
+        "fed its numeric run's tokens (helpers.token_source)"
+    ),
+    "repro.experiments.cluster_routing.run(replica_sweep)": (
+        "tier-1 shrink seam: TestClusterRouting sweeps (1, 2) replicas; the full sweep is "
+        "the `experiments` run's"
+    ),
+    "repro.experiments.prefix_reuse.run(template_sweep)": (
+        "tier-1 shrink seam: TestPrefixReuse sweeps (1, 2) templates; the full sweep is "
+        "the `experiments` run's"
+    ),
+    **{
+        f"repro.experiments.fault_tolerance.run({param})": (
+            "tier-1 shrink seam: TestFaultTolerance runs 2 two-turn sessions of 40-token "
+            "prompts; the full grid is the `experiments` run's"
+        )
+        for param in ("n_sessions", "turns", "first_prompt")
+    },
+}
+
 
 # ---------------------------------------------------------------------- #
 # what there is: every def under src/repro, read with ast
@@ -105,28 +160,56 @@ def module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def functions() -> dict[tuple[str, int, str], tuple[str, str]]:
-    """``(file, first line, name) -> (module, qualname)`` for every ``def``.
+def _defs():
+    """``((file, first line, name), module, qualname, node)`` for every ``def``.
 
     The first line is what the function's code object reports as
     ``co_firstlineno``: its first decorator's line when it has one."""
-    found: dict[tuple[str, int, str], tuple[str, str]] = {}
 
-    def visit(node: ast.AST, path: Path, module: str, prefix: str) -> None:
+    def visit(node: ast.AST, path: Path, module: str, prefix: str):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 qualname = prefix + child.name
-                found[(str(path), first, child.name)] = (module, qualname)
-                visit(child, path, module, f"{qualname}.<locals>.")
+                yield (str(path), first, child.name), module, qualname, child
+                yield from visit(child, path, module, f"{qualname}.<locals>.")
             elif isinstance(child, ast.ClassDef):
-                visit(child, path, module, f"{prefix}{child.name}.")
+                yield from visit(child, path, module, f"{prefix}{child.name}.")
             else:
-                visit(child, path, module, prefix)
+                yield from visit(child, path, module, prefix)
 
     for path in sorted(PACKAGE.glob("**/*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.resolve(), module_name(path), "")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        yield from visit(tree, path.resolve(), module_name(path), "")
+
+
+def functions() -> dict[tuple[str, int, str], tuple[str, str]]:
+    """``(file, first line, name) -> (module, qualname)`` for every ``def``."""
+    return {key: (module, qualname) for key, module, qualname, _ in _defs()}
+
+
+def literal_defaults(node: ast.FunctionDef) -> dict[str, object]:
+    """``param -> default`` for each parameter whose default is a literal."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(arg, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    found = {}
+    for arg, default in pairs:
+        with contextlib.suppress(ValueError):
+            found[arg.arg] = ast.literal_eval(default)
     return found
+
+
+def options() -> dict[tuple[str, int, str], dict[str, object]]:
+    """``(file, first line, name) -> {param: default}`` for every ``def`` with
+    a literal default."""
+    return {key: found for key, _, _, node in _defs() if (found := literal_defaults(node))}
+
+
+def option_name(module: str, qualname: str, param: str) -> str:
+    """An ``OPTIONS_ALLOWED`` key: ``module.qualname(param)``."""
+    return f"{module}.{qualname}({param})"
 
 
 def allowed_by(module: str, qualname: str, keys) -> str | None:
@@ -306,13 +389,44 @@ def entries() -> list[tuple[str, Callable[[], None]]]:
     return run
 
 
-def entered_code() -> set:
-    """Run every entry under a profile hook; the code objects it entered."""
+def same_value(value, default) -> bool:
+    """Whether a passed value is the literal default: numbers by value (a
+    NumPy scalar equal to ``2.0`` is ``2.0``), a flag only by a flag, and
+    anything else by type and value."""
+    if value is default:
+        return True
+    if isinstance(value, bool) or isinstance(default, bool) or default is None:
+        return False
+    if isinstance(value, Number) and isinstance(default, Number):
+        return bool(value == default)
+    return type(value) is type(default) and value == default
+
+
+def entered_code(defaults: dict[tuple[str, int, str], dict[str, object]]) -> tuple[set, set]:
+    """Run every entry under a profile hook: the code objects it entered, and
+    the ``(function key, param)`` pairs of ``defaults`` that some call set to
+    a value other than the default."""
     seen: set = set()
+    overridden: set = set()
+    # code object -> (function key, {param: default} not yet seen set),
+    # worked out on the code object's first call
+    pending: dict = {}
 
     def hook(frame, event, arg):
         if event == "call":
-            seen.add(frame.f_code)
+            code = frame.f_code
+            seen.add(code)
+            watched = pending.get(code)
+            if watched is None:
+                key = (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
+                watched = pending[code] = (key, dict(defaults.get(key, {})))
+            key, todo = watched
+            if todo:
+                values = frame.f_locals
+                for param, default in list(todo.items()):
+                    if not same_value(values[param], default):
+                        del todo[param]
+                        overridden.add((key, param))
 
     class Profile(cProfile.Profile):
         # the e2e harness counts calls with cProfile, which takes the
@@ -347,14 +461,15 @@ def entered_code() -> set:
             os.chdir(here)
     if failed:
         sys.exit("entry points failed:\n" + "\n".join(failed))
-    return seen
+    return seen, overridden
 
 
 def main() -> int:
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     defs = functions()
-    code = entered_code()
+    defaults = options()
+    code, overridden = entered_code(defaults)
     entered = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in code}
 
     never = {key: name for key, name in defs.items() if key not in entered}
@@ -378,7 +493,32 @@ def main() -> int:
     if stale:
         print("FUNCTIONS_ALLOWED entries the entry points now run (drop them):")
         print("\n".join(f"  {key}" for key in stale))
-    return 1 if unlisted or stale else 0
+
+    # options: the literal defaults of entered functions
+    watched = {(k, p): d for k, params in defaults.items() if k in entered for p, d in params.items()}
+    unset = {kp: d for kp, d in watched.items() if kp not in overridden}
+    unlisted_options = sorted(
+        f"{module}.{qualname}({param}={default!r})  ({Path(k[0]).relative_to(ROOT)}:{k[1]})"
+        for (k, param), default in unset.items()
+        for module, qualname in [defs[k]]
+        if option_name(module, qualname, param) not in OPTIONS_ALLOWED
+    )
+    stale_options = sorted(
+        name
+        for k, param in overridden
+        if (name := option_name(*defs[k], param)) in OPTIONS_ALLOWED
+    )
+    print(f"{len(watched)} literal-default parameters of entered functions: "
+          f"{len(watched) - len(unset)} set to a second value; {len(unset)} never set, "
+          f"{len(unset) - len(unlisted_options)} of them allowlisted")
+    if unlisted_options:
+        print("options no entry point sets to a second value (make each a constant, "
+              "or add it to OPTIONS_ALLOWED with a reason):")
+        print("\n".join(f"  {line}" for line in unlisted_options))
+    if stale_options:
+        print("OPTIONS_ALLOWED entries the entry points now set (drop them):")
+        print("\n".join(f"  {key}" for key in stale_options))
+    return 1 if unlisted or stale or unlisted_options or stale_options else 0
 
 
 if __name__ == "__main__":

@@ -136,7 +136,7 @@ def window_mask_fn(window: int, *, sink_tokens: int = 0):
     def fn(q_pos, k_pos, q_seq=None, k_seq=None):
         q_pos, k_pos = np.asarray(q_pos), np.asarray(k_pos)
         near = (k_pos > q_pos[:, None] - window) | (k_pos < sink_tokens)
-        return attention_mask(q_pos, k_pos, q_seq, k_seq, causal=True) & near
+        return attention_mask(q_pos, k_pos, q_seq, k_seq) & near
 
     return fn
 

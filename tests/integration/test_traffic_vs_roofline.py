@@ -20,7 +20,7 @@ from helpers import comm, run_ring, traced_group
 
 CFG = ModelConfig(
     name="probe", n_layers=1, model_dim=64, ffn_dim=128,
-    n_heads=8, n_kv_heads=2, vocab_size=64, max_context=4096,
+    n_heads=8, n_kv_heads=2, vocab_size=64,
 )
 
 
@@ -60,7 +60,7 @@ class TestPassQTraffic:
         run_ring(ring_passq_prefill, group, queries, kvs)
         traced = comm(group)["sendrecv"].bytes
         shard_tokens = t / world
-        expected_payload = (world - 1) * q_bytes(CFG, t, 2.0) / world
+        expected_payload = (world - 1) * q_bytes(CFG, t) / world
         metadata = (world - 1) * 2 * shard_tokens * 2
         assert traced == pytest.approx(expected_payload + metadata, rel=0.02)
 
@@ -77,7 +77,7 @@ class TestPassQTraffic:
         expected = (world - 1) * shard_tokens * (CFG.model_dim + CFG.n_heads) * 2
         assert traced == pytest.approx(expected, rel=0.02)
         # and the Appendix C closed form is within the head-count slack
-        closed_form = all2all_bytes(CFG, shard_tokens, world, 2.0)
+        closed_form = all2all_bytes(CFG, shard_tokens, world)
         assert traced == pytest.approx(closed_form, rel=0.15)
 
     def test_passq_moves_less_than_passkv_when_q_smaller(self, rng):

@@ -210,8 +210,8 @@ class TestBookkeeping:
         for layer in range(2):
             cache.append(layer, 1, *kv_chunk(2), np.array([0, 1]))
         cache.drop(1)
-        assert cache.tokens(1, layer=0) == 0
-        assert cache.tokens(1, layer=1) == 0
+        assert cache.tokens(1) == 0
+        assert cache.get(1).positions.size == 0
 
 
 class TestDropTail:

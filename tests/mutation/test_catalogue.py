@@ -69,6 +69,10 @@ transfer must refund its un-streamed wire time (``KVTransferStream.cancel``).
 Two edit a turn's finish (``_finish_turn``): it must release its prefix
 donor's pin, and it must hold its successor's ``ready_at`` to its finish
 time, so the next turn is not admitted on an idle pool's older clock.
+Two edit the sharing seams of the KV: an append into a shared, partly
+filled last block must split it copy-on-write (``PagedAllocator.append``),
+and an evicted sequence must leave the engine's prefix index
+(``ContextParallelEngine.evict``).
 An entry may name several killers; each must pass on the real code and
 fail on the mutant.
 """
@@ -95,6 +99,7 @@ from repro.core.engine import ContextParallelEngine
 from repro.core.sharding import ShardPlan
 from repro.distributed import process_group
 from repro.kvcache.cache import RankKVCache, _Stream
+from repro.kvcache.paged import PagedAllocator
 from repro.model.config import llama3_405b_config, tiny_config
 from repro.model.llama import LlamaModel
 from repro.obs import dumps_jsonl, timeline
@@ -579,6 +584,19 @@ def _stale_ready_at(monkeypatch):
     patch_source(monkeypatch, Runtime, "_finish_turn", "nxt.ready_at = max(nxt.ready_at, at)", "pass")
 
 
+def _cow_split_skipped(monkeypatch):
+    """An append into a stream whose partly filled last block another
+    stream shares fills that shared block in place, without the
+    copy-on-write split: the other stream's rows are written over."""
+    patch_source(monkeypatch, PagedAllocator, "append", "if n_tokens > 0 and self._needs_cow(key):", "if False:")
+
+
+def _evict_keeps_prefix_anchor(monkeypatch):
+    """An evicted sequence stays anchored in the engine's ``PrefixIndex``,
+    so a later prompt may adopt KV that is no longer resident."""
+    patch_source(monkeypatch, ContextParallelEngine, "evict", "self.prefix_index.remove(seq_id)", "pass")
+
+
 def _nan_arrival_admitted(monkeypatch):
     """A turn's arrival is checked by ``arrival < 0`` alone, which a NaN
     (and an infinity) passes: the runtime never drains."""
@@ -788,6 +806,12 @@ CATALOGUE = [
     ("stale-ready-at", _stale_ready_at,
      functools.partial(_named_test, "runtime/test_disaggregated_runtime.py::TestLifecycle"
                        "::test_a_follow_up_turn_waits_for_its_predecessor_to_finish")),
+    ("cow-split-skipped", _cow_split_skipped,
+     functools.partial(_named_test, "kvcache/test_paged_sharing.py::TestCopyOnWrite"
+                       "::test_append_into_shared_partial_block_cows")),
+    ("evict-keeps-prefix-anchor", _evict_keeps_prefix_anchor,
+     functools.partial(_named_test, "core/test_engine_prefix.py::TestIndexLockstep"
+                       "::test_evict_removes_anchor")),
 ]
 
 

@@ -109,16 +109,10 @@ class TestBreakdownConsistency:
         assert r.sendrecv_per_iter == 0.0
         assert r.exposed_comm == 0.0
 
-    def test_batch_scales_compute(self, sim):
-        one = sim.cp_prefill(32768, n_ranks=4, batch=1)
-        four = sim.cp_prefill(32768, n_ranks=4, batch=4)
-        assert four.gemm == pytest.approx(4 * one.gemm)
-        assert four.attn == pytest.approx(4 * one.attn)
-
     def test_validation(self, sim):
         with pytest.raises(ValueError):
             sim.cp_prefill(0, n_ranks=4)
         with pytest.raises(ValueError):
             sim.cp_prefill(100, n_ranks=0)
         with pytest.raises(ValueError):
-            sim.tp_prefill(100, n_nodes=1, batch=0)
+            sim.tp_prefill(100, n_nodes=0)

@@ -1,5 +1,7 @@
 """Tests for message sizes and overlap predicates (Tables 2-3, Eqs. 1-3)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.heuristics import HeuristicConfig
@@ -68,8 +70,8 @@ class TestOverlapPredicates:
     def test_gqa_ratio_matters(self):
         """An MHA model (NKV == NH) has 16x bigger KV messages, making
         pass-KV much harder to hide."""
-        mha = tiny_config(n_heads=8, n_kv_heads=8)
-        gqa = tiny_config(n_heads=8, n_kv_heads=1)
+        mha = replace(tiny_config(), n_kv_heads=8)
+        gqa = replace(tiny_config(), n_kv_heads=1)
         t = 60000
         assert overlap_config(gqa, 4).passkv_overlap_threshold <= t
         assert overlap_config(mha, 4).passkv_overlap_threshold > t

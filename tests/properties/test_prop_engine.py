@@ -6,6 +6,8 @@ logits equal a monolithic single-device forward over each sequence's full
 history.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from repro.core.engine import ContextParallelEngine
 from repro.model.config import tiny_config
 from repro.model.llama import LlamaModel
 
-MODEL = LlamaModel(tiny_config(n_layers=1, model_dim=32, n_heads=4, n_kv_heads=2), seed=2)
+MODEL = LlamaModel(replace(tiny_config(n_layers=1), model_dim=32, n_heads=4), seed=2)
 VOCAB = MODEL.config.vocab_size
 
 

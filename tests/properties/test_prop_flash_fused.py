@@ -551,7 +551,7 @@ class TestShiftFree:
             fallbacks = Fallbacks(patch)
             res = attend(q, k, v, mask_fn=_all_visible, block_size=block_size, compute_dtype=dtype)
         assert fallbacks.count == 1
-        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, mask_fn=_all_visible)
         _assert_close(dtype, res.out, res.lse, ref_out, ref_lse)
 
     @pytest.mark.parametrize(
@@ -594,7 +594,7 @@ class TestShiftFree:
             fallbacks = Fallbacks(patch)
             res = attend(q, k, v, mask_fn=_all_visible)
         assert fallbacks.count == 1
-        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, mask_fn=_all_visible)
         _assert_matches(AttentionResult(res.out * 1e10, res.lse), ref_out * 1e10, ref_lse)
 
     def test_an_overflowing_block_after_ordinary_blocks(self):
@@ -609,7 +609,7 @@ class TestShiftFree:
             fallbacks = Fallbacks(patch)
             res = attend(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
-        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, mask_fn=_all_visible)
         _assert_matches(res, ref_out, ref_lse)
 
     def test_huge_values_overflow_the_numerator_only(self):
@@ -625,7 +625,7 @@ class TestShiftFree:
             fallbacks = Fallbacks(patch)
             res = attend(q, k, v, mask_fn=_all_visible, block_size=4)
         assert fallbacks.count == 1
-        ref_out, ref_lse = reference_attention_with_lse(q, k, v, causal=False)
+        ref_out, ref_lse = reference_attention_with_lse(q, k, v, mask_fn=_all_visible)
         _assert_matches(AttentionResult(res.out / 1e200, res.lse), ref_out / 1e200, ref_lse)
 
     def test_blocks_accumulate_in_float64_whatever_the_compute_dtype(self):

@@ -30,7 +30,7 @@ class TestTransferPricing:
         sim = LatencySimulator(llama3_405b_config(), gtt_host())
         clock = SimulatedStepClock(sim, n_ranks=4)
         tokens = 131072
-        want = tokens * sim.config.kv_bytes_per_token(sim.element_bytes) / sim.host.ring_bandwidth
+        want = tokens * sim.config.kv_bytes_per_token() / sim.host.ring_bandwidth
         assert clock.price_transfer(tokens) == pytest.approx(want)
         assert clock.price_transfer(0) == 0.0
         # linear in payload

@@ -132,3 +132,23 @@ def test_functions_allowed_names_live_functions():
     assert not stale, f"FUNCTIONS_ALLOWED names no function under src/repro: {stale}"
     unexplained = sorted(key for key, reason in gate.FUNCTIONS_ALLOWED.items() if not reason.strip())
     assert not unexplained, f"FUNCTIONS_ALLOWED entries without a reason: {unexplained}"
+
+
+def test_options_allowed_names_live_parameters():
+    """Every ``OPTIONS_ALLOWED`` key (``tests/function_reachability.py``)
+    names a parameter with a literal default of a function under
+    ``src/repro`` and gives a reason, so a parameter made a constant cannot
+    leave its entry behind. Whether the entry points now set an allowlisted
+    parameter is the CI gate's check."""
+    import function_reachability as gate
+
+    defs = gate.functions()
+    live = {
+        gate.option_name(*defs[key], param)
+        for key, params in gate.options().items()
+        for param in params
+    }
+    stale = sorted(set(gate.OPTIONS_ALLOWED) - live)
+    assert not stale, f"OPTIONS_ALLOWED names no defaulted parameter under src/repro: {stale}"
+    unexplained = sorted(key for key, reason in gate.OPTIONS_ALLOWED.items() if not reason.strip())
+    assert not unexplained, f"OPTIONS_ALLOWED entries without a reason: {unexplained}"
